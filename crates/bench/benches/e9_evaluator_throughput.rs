@@ -20,7 +20,7 @@ use disco_bench::workloads::{
     e9_person_bag,
 };
 use disco_runtime::{
-    evaluate_physical, evaluate_physical_with_options, ColumnarMode, PipelineOptions, ResolvedExecs,
+    evaluate_physical, evaluate_physical_with, PipelineMetrics, PipelineOptions, ResolvedExecs,
 };
 
 fn bench_evaluator(c: &mut Criterion) {
@@ -80,26 +80,6 @@ fn bench_evaluator(c: &mut Criterion) {
         b.iter(|| evaluate_physical(&nl_plan, &resolved).unwrap());
     });
 
-    // Mode-pinned twins of the vectorized hash join, so the bitrot smoke
-    // exercises the columnar join and its exact row path regardless of
-    // the `DISCO_COLUMNAR` default the CI step happens to set.
-    let pinned_join_plan = lower(&e9_hash_join_plan(100_000)).expect("lowers");
-    for (label, columnar) in [("col", ColumnarMode::On), ("row", ColumnarMode::Off)] {
-        let options = PipelineOptions {
-            columnar,
-            ..PipelineOptions::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("hash_join_100k_columnar", label),
-            &label,
-            |b, _| {
-                b.iter(|| {
-                    evaluate_physical_with_options(&pinned_join_plan, &resolved, options).unwrap()
-                });
-            },
-        );
-    }
-
     // Thread-scaling variants of the two heaviest pipelines through the
     // morsel-driven parallel engine (`threads = 1` is the serial path, so
     // the 1-thread rows double as the parallel engine's overhead guard).
@@ -115,7 +95,8 @@ fn bench_evaluator(c: &mut Criterion) {
             &threads,
             |b, _| {
                 b.iter(|| {
-                    evaluate_physical_with_options(&hash_join_plan, &resolved, options).unwrap()
+                    let metrics = PipelineMetrics::new();
+                    evaluate_physical_with(&hash_join_plan, &resolved, &metrics, options).unwrap()
                 });
             },
         );
@@ -123,7 +104,10 @@ fn bench_evaluator(c: &mut Criterion) {
             BenchmarkId::new("deep_pipeline_100k_threads", threads),
             &threads,
             |b, _| {
-                b.iter(|| evaluate_physical_with_options(&deep_plan, &resolved, options).unwrap());
+                b.iter(|| {
+                    let metrics = PipelineMetrics::new();
+                    evaluate_physical_with(&deep_plan, &resolved, &metrics, options).unwrap()
+                });
             },
         );
     }

@@ -12,11 +12,12 @@
 //! Whenever E9 (evaluator throughput) runs, its report is also written to
 //! `BENCH_e9.json` in the current directory so the perf trajectory of the
 //! mediator combine step is tracked from PR to PR; E10 (federation
-//! overlap, streamed vs blocking resolution) is likewise recorded to
+//! overlap: the executor vs resolve-then-combine) is likewise recorded to
 //! `BENCH_e10.json`, E10h (heterogeneous federation, adaptive vs pinned
 //! scheduling) to `BENCH_e10h.json`, E11 (multi-query serving layer) to
 //! `BENCH_e11.json`, and E12 (memory-budgeted spilling) to
-//! `BENCH_e12.json`.
+//! `BENCH_e12.json`.  Every recorded file notes the core count and the
+//! commit it was taken on.
 
 use disco_bench::experiments::{self, Scale};
 use disco_bench::report::Report;
@@ -39,66 +40,18 @@ fn main() {
                 .any(|s| s == "all" || s.eq_ignore_ascii_case(id))
     };
 
-    let mut reports: Vec<Report> = Vec::new();
-    if wanted("e1") {
-        reports.push(experiments::e1_availability(scale));
-    }
-    if wanted("e2") {
-        reports.push(experiments::e2_partial_eval(scale));
-    }
-    if wanted("e3") {
-        reports.push(experiments::e3_pushdown(scale));
-    }
-    if wanted("e4") {
-        reports.push(experiments::e4_calibration(scale));
-    }
-    if wanted("e5") {
-        reports.push(experiments::e5_scaling_dba(scale));
-    }
-    if wanted("e6") {
-        reports.push(experiments::e6_optimizer_search(scale));
-    }
-    if wanted("e7") {
-        reports.push(experiments::e7_pipeline(scale));
-    }
-    if wanted("e8") {
-        reports.push(experiments::e8_semijoin_gap(scale));
-    }
-    if wanted("e9") {
-        let report = experiments::e9_evaluator_throughput(scale);
-        if let Err(err) = std::fs::write("BENCH_e9.json", report.to_json()) {
-            eprintln!("warning: could not write BENCH_e9.json: {err}");
-        }
-        reports.push(report);
-    }
-    if wanted("e10") {
-        let report = experiments::e10_federation_overlap(scale);
-        if let Err(err) = std::fs::write("BENCH_e10.json", report.to_json()) {
-            eprintln!("warning: could not write BENCH_e10.json: {err}");
-        }
-        reports.push(report);
-    }
-    if wanted("e10h") {
-        let report = experiments::e10_heterogeneous_adaptive(scale);
-        if let Err(err) = std::fs::write("BENCH_e10h.json", report.to_json()) {
-            eprintln!("warning: could not write BENCH_e10h.json: {err}");
-        }
-        reports.push(report);
-    }
-    if wanted("e11") {
-        let report = experiments::e11_serving(scale);
-        if let Err(err) = std::fs::write("BENCH_e11.json", report.to_json()) {
-            eprintln!("warning: could not write BENCH_e11.json: {err}");
-        }
-        reports.push(report);
-    }
-    if wanted("e12") {
-        let report = experiments::e12_spill(scale);
-        if let Err(err) = std::fs::write("BENCH_e12.json", report.to_json()) {
-            eprintln!("warning: could not write BENCH_e12.json: {err}");
-        }
-        reports.push(report);
-    }
+    let reports: Vec<Report> = experiments::ALL
+        .iter()
+        .filter(|(id, ..)| wanted(id))
+        .map(|&(_, run, record)| {
+            let report = run(scale);
+            if record {
+                recorded(report)
+            } else {
+                report
+            }
+        })
+        .collect();
 
     if reports.is_empty() {
         eprintln!("unknown experiment selection {selection:?}; use e1..e12, e10h, or all");
@@ -111,4 +64,25 @@ fn main() {
             println!("{}", report.to_text());
         }
     }
+}
+
+/// Notes the machine and commit the numbers were taken on, and writes the
+/// report to `BENCH_<id>.json` in the current directory.
+fn recorded(mut report: Report) -> Report {
+    let nproc = std::thread::available_parallelism().map_or(0, std::num::NonZero::get);
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map_or_else(
+            || "unknown".to_owned(),
+            |out| String::from_utf8_lossy(&out.stdout).trim().to_owned(),
+        );
+    report.push_note(format!("machine: nproc {nproc}; commit {commit}"));
+    let path = format!("BENCH_{}.json", report.id.to_lowercase());
+    if let Err(err) = std::fs::write(&path, report.to_json()) {
+        eprintln!("warning: could not write {path}: {err}");
+    }
+    report
 }

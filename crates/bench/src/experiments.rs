@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 use crate::report::{fmt_f64, fmt_pct, Report};
 use crate::workloads::{
     capability_levels, person_federation, person_federation_with_profile, water_federation,
+    Federation,
 };
 
 /// Parameters shared by the sweep experiments; `quick()` keeps Criterion
@@ -820,9 +821,7 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
         e9_deep_pipeline_plan, e9_distinct_plan, e9_filter_project_plan, e9_hash_join_plan,
         e9_person_bag,
     };
-    use disco_runtime::{ColumnarMode, PipelineMetrics, ResolvedExecs};
-
-    use disco_runtime::{evaluate_physical_with, PipelineOptions};
+    use disco_runtime::{evaluate_physical_with, PipelineMetrics, PipelineOptions, ResolvedExecs};
 
     let rows = if scale.trials >= 40 { 100_000 } else { 10_000 };
     let trials = scale.trials.clamp(3, 10);
@@ -832,7 +831,6 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
         &format!("{rows}-row in-memory person bags, best of {trials} trials per pipeline"),
         &[
             "pipeline",
-            "mode",
             "threads",
             "rows in",
             "rows out",
@@ -844,103 +842,47 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
     );
 
     let resolved = ResolvedExecs::default();
-    let mut run_m =
-        |name: &str, mode: ColumnarMode, threads: usize, rows_in: usize, plan: &LogicalExpr| {
-            let physical = lower(plan).expect("plan lowers");
-            let options = PipelineOptions {
-                threads,
-                columnar: mode,
-                ..PipelineOptions::default()
-            };
-            let mut best = f64::INFINITY;
-            let mut rows_out = 0usize;
-            let mut rows_materialized = 0usize;
-            let mut rows_kernel = 0usize;
-            for _ in 0..trials {
-                let metrics = PipelineMetrics::new();
-                let started = Instant::now();
-                let out = evaluate_physical_with(&physical, &resolved, &metrics, options)
-                    .expect("evaluates");
-                let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
-                rows_out = out.len();
-                rows_materialized = metrics.rows_materialized();
-                rows_kernel = metrics.rows_kernel();
-                if elapsed_ms < best {
-                    best = elapsed_ms;
-                }
-            }
-            let mrows_per_s = rows_in as f64 / (best / 1000.0) / 1.0e6;
-            let mode_label = match mode {
-                ColumnarMode::Off => "row",
-                _ => "col",
-            };
-            report.push_row([
-                name.to_owned(),
-                mode_label.to_owned(),
-                threads.to_string(),
-                rows_in.to_string(),
-                rows_out.to_string(),
-                rows_materialized.to_string(),
-                rows_kernel.to_string(),
-                fmt_f64(best),
-                fmt_f64(mrows_per_s),
-            ]);
+    let mut run_m = |name: &str, threads: usize, rows_in: usize, plan: &LogicalExpr| {
+        let physical = lower(plan).expect("plan lowers");
+        let options = PipelineOptions {
+            threads,
+            ..PipelineOptions::default()
         };
+        let mut best = f64::INFINITY;
+        let mut rows_out = 0usize;
+        let mut rows_materialized = 0usize;
+        let mut rows_kernel = 0usize;
+        for _ in 0..trials {
+            let metrics = PipelineMetrics::new();
+            let started = Instant::now();
+            let out =
+                evaluate_physical_with(&physical, &resolved, &metrics, options).expect("evaluates");
+            let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
+            rows_out = out.len();
+            rows_materialized = metrics.rows_materialized();
+            rows_kernel = metrics.rows_kernel();
+            if elapsed_ms < best {
+                best = elapsed_ms;
+            }
+        }
+        let mrows_per_s = rows_in as f64 / (best / 1000.0) / 1.0e6;
+        report.push_row([
+            name.to_owned(),
+            threads.to_string(),
+            rows_in.to_string(),
+            rows_out.to_string(),
+            rows_materialized.to_string(),
+            rows_kernel.to_string(),
+            fmt_f64(best),
+            fmt_f64(mrows_per_s),
+        ]);
+    };
 
-    // Each vectorized pipeline gets a row-path (columnar off) twin — the
-    // before/after column this engine is judged on.
-    run_m(
-        "filter_project",
-        ColumnarMode::On,
-        1,
-        rows,
-        &e9_filter_project_plan(rows),
-    );
-    run_m(
-        "filter_project",
-        ColumnarMode::Off,
-        1,
-        rows,
-        &e9_filter_project_plan(rows),
-    );
-    run_m(
-        "hash_join",
-        ColumnarMode::On,
-        1,
-        rows + rows / 10,
-        &e9_hash_join_plan(rows),
-    );
-    run_m(
-        "hash_join",
-        ColumnarMode::Off,
-        1,
-        rows + rows / 10,
-        &e9_hash_join_plan(rows),
-    );
-    run_m(
-        "distinct",
-        ColumnarMode::On,
-        1,
-        rows,
-        &e9_distinct_plan(rows),
-    );
-    run_m(
-        "distinct",
-        ColumnarMode::Off,
-        1,
-        rows,
-        &e9_distinct_plan(rows),
-    );
+    run_m("filter_project", 1, rows, &e9_filter_project_plan(rows));
+    run_m("hash_join", 1, rows + rows / 10, &e9_hash_join_plan(rows));
+    run_m("distinct", 1, rows, &e9_distinct_plan(rows));
     run_m(
         "deep_pipeline",
-        ColumnarMode::On,
-        1,
-        rows + rows / 10,
-        &e9_deep_pipeline_plan(rows),
-    );
-    run_m(
-        "deep_pipeline",
-        ColumnarMode::Off,
         1,
         rows + rows / 10,
         &e9_deep_pipeline_plan(rows),
@@ -950,13 +892,7 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
         .map(|_| LogicalExpr::Data(e9_person_bag(rows / 8, 1024)))
         .collect();
     let union_distinct = LogicalExpr::Distinct(Box::new(LogicalExpr::Union(union_bags)));
-    run_m(
-        "union8_distinct",
-        ColumnarMode::On,
-        1,
-        rows,
-        &union_distinct,
-    );
+    run_m("union8_distinct", 1, rows, &union_distinct);
 
     // Thread-scaling rows (the morsel-driven parallel engine) for the two
     // heaviest pipelines; `rows mat` must be identical at every thread
@@ -964,14 +900,12 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
     for threads in [2usize, 4] {
         run_m(
             "hash_join",
-            ColumnarMode::On,
             threads,
             rows + rows / 10,
             &e9_hash_join_plan(rows),
         );
         run_m(
             "deep_pipeline",
-            ColumnarMode::On,
             threads,
             rows + rows / 10,
             &e9_deep_pipeline_plan(rows),
@@ -991,34 +925,20 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
          PipelineOptions::threads); threads = 1 is the serial cursor path",
     );
     report.push_note(
-        "mode col = columnar batches + vectorized kernels (ColumnarMode::On); mode row = \
-         per-row cursor fallback (ColumnarMode::Off); rows kernel = rows whose scalar \
-         work ran vectorized",
+        "rows kernel = rows whose scalar work ran through vectorized columnar kernels; the \
+         rest of a fused stretch fell back per batch to the row cursors",
     );
     report
 }
 
-// ---------------------------------------------------------------------
-// E10 — federation overlap under streamed resolution
-// ---------------------------------------------------------------------
-
-/// E10: streamed source resolution under skewed per-source latencies.
-///
-/// A federation of person sources answers over chunked, *really sleeping*
-/// links; one source is ~10× slower than the rest.  The blocking path
-/// waits for the slowest wrapper before the combine step starts, so its
-/// wall-clock is ≈ slowest + combine; the streamed path feeds chunks into
-/// the pipeline as they arrive, so wall-clock collapses to
-/// ≈ max(slowest source, combine) and `time_to_first_row` — when the fast
-/// sources' first rows reach the sink — is far below the total latency.
-#[must_use]
-pub fn e10_federation_overlap(scale: Scale) -> Report {
-    use disco_core::ResolutionMode;
-
+/// The skewed federation of E10 and E10h: four person sources answering
+/// over chunked, *really sleeping* links (base 0.5 ms + 25 µs/row, ~8
+/// chunks), the last one degraded ~10×.  Returns the federation, its
+/// workload description and the trial count.
+fn skewed_federation(scale: Scale) -> (Federation, String, usize) {
     let sources = 4usize;
     let rows = scale.rows.max(40);
     let chunk = (rows / 8).max(1);
-    // Fast sources: base 0.5 ms + 25 µs/row, streamed in ~8 chunks.
     let fast_ms = 0.5 + rows as f64 * 0.025;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let slow_extra_ms = (fast_ms * 9.0 / 8.0).ceil().max(1.0) as u64;
@@ -1030,16 +950,50 @@ pub fn e10_federation_overlap(scale: Scale) -> Report {
         real_sleep: true,
         chunk_rows: chunk,
     };
-    let trials = scale.trials.clamp(3, 7);
+    let federation =
+        person_federation_with_profile(sources, rows, CapabilitySet::full(), fast.clone());
+    federation.links[sources - 1].set_profile(fast.with_availability(Availability::Degraded {
+        chunk_extra_ms: slow_extra_ms,
+    }));
+    let workload = format!(
+        "{sources} person sources x {rows} rows, chunked ({chunk} rows/chunk), real sleeps; \
+         source {} degraded ~10x ({slow_extra_ms} ms extra per chunk)",
+        sources - 1
+    );
+    (federation, workload, scale.trials.clamp(3, 7))
+}
+
+/// The median of the samples; NaN when there are none.
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples.get(samples.len() / 2).copied().unwrap_or(f64::NAN)
+}
+
+// ---------------------------------------------------------------------
+// E10 — federation overlap under streamed resolution
+// ---------------------------------------------------------------------
+
+/// E10: streamed source resolution under skewed per-source latencies.
+///
+/// A federation of person sources answers over chunked, *really sleeping*
+/// links; one source is ~10× slower than the rest.  The `blocking` rows
+/// run the two stages one after the other — `resolve_execs` waits for the
+/// slowest wrapper, then `evaluate_physical_with` combines — so their
+/// wall-clock is ≈ slowest + combine; the `streamed` rows are
+/// `Executor::execute`, which feeds chunks into the pipeline as they
+/// arrive, so wall-clock collapses to ≈ max(slowest source, combine) and
+/// `time_to_first_row` — when the fast sources' first rows reach the
+/// sink — is far below the total latency.
+#[must_use]
+pub fn e10_federation_overlap(scale: Scale) -> Report {
+    use disco_runtime::{evaluate_physical_with, resolve_execs, PipelineMetrics};
+
+    let (federation, workload, trials) = skewed_federation(scale);
+    let sources = federation.links.len();
     let mut report = Report::new(
         "E10",
         "federation overlap: streamed vs blocking resolution",
-        &format!(
-            "{sources} person sources x {rows} rows, chunked ({chunk} rows/chunk), real \
-             sleeps; source {} degraded ~10x ({slow_extra_ms} ms extra per chunk); median \
-             of {trials} trials",
-            sources - 1
-        ),
+        &format!("{workload}; median of {trials} trials"),
         &[
             "mode",
             "threads",
@@ -1050,11 +1004,6 @@ pub fn e10_federation_overlap(scale: Scale) -> Report {
         ],
     );
 
-    let federation =
-        person_federation_with_profile(sources, rows, CapabilitySet::full(), fast.clone());
-    federation.links[sources - 1].set_profile(fast.with_availability(Availability::Degraded {
-        chunk_extra_ms: slow_extra_ms,
-    }));
     // Ship bare `get`s so the union/distinct combine work stays at the
     // mediator — the step streamed resolution overlaps with source latency.
     let branches: Vec<LogicalExpr> = (0..sources)
@@ -1074,56 +1023,62 @@ pub fn e10_federation_overlap(scale: Scale) -> Report {
     ))))
     .expect("plan lowers");
 
-    let median = |samples: &mut Vec<f64>| -> f64 {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
+    let slowest_of = |calls: &[disco_runtime::SourceCallStats]| {
+        calls
+            .iter()
+            .map(|c| c.latency.as_secs_f64() * 1000.0)
+            .fold(0.0f64, f64::max)
     };
-    for mode in [ResolutionMode::Blocking, ResolutionMode::Streamed] {
+    for streamed in [false, true] {
         for threads in [1usize, 4] {
             let executor = Executor::new(federation.mediator.registry().clone())
-                .with_resolution(mode)
                 .with_threads(threads)
                 .with_deadline(Some(std::time::Duration::from_secs(30)));
+            let catalog = federation.mediator.catalog();
             let mut walls = Vec::with_capacity(trials);
             let mut firsts = Vec::with_capacity(trials);
             let mut slowest_ms = 0.0f64;
             for _ in 0..trials {
                 let started = Instant::now();
-                let answer = executor
-                    .execute(&plan, federation.mediator.catalog())
-                    .expect("executes");
+                let (t_first, slowest) = if streamed {
+                    let answer = executor.execute(&plan, catalog).expect("executes");
+                    assert!(answer.is_complete(), "no source is unavailable here");
+                    (
+                        answer.time_to_first_row(),
+                        slowest_of(&answer.stats().source_calls),
+                    )
+                } else {
+                    let config = executor.config();
+                    let resolved = resolve_execs(&plan, executor.registry(), catalog, config)
+                        .expect("resolves");
+                    assert!(resolved.all_available(), "no source is unavailable here");
+                    let metrics = PipelineMetrics::new();
+                    evaluate_physical_with(&plan, &resolved, &metrics, config.pipeline)
+                        .expect("combines");
+                    (
+                        metrics.time_to_first_row_since(started),
+                        slowest_of(resolved.stats()),
+                    )
+                };
                 walls.push(started.elapsed().as_secs_f64() * 1000.0);
-                assert!(answer.is_complete(), "no source is unavailable here");
-                if let Some(t) = answer.time_to_first_row() {
-                    firsts.push(t.as_secs_f64() * 1000.0);
-                }
-                slowest_ms = answer
-                    .stats()
-                    .source_calls
-                    .iter()
-                    .map(|c| c.latency.as_secs_f64() * 1000.0)
-                    .fold(slowest_ms, f64::max);
+                firsts.extend(t_first.map(|t| t.as_secs_f64() * 1000.0));
+                slowest_ms = slowest_ms.max(slowest);
             }
             let wall = median(&mut walls);
-            let t_first = if firsts.is_empty() {
-                f64::NAN
-            } else {
-                median(&mut firsts)
-            };
             report.push_row([
-                format!("{mode:?}").to_lowercase(),
+                if streamed { "streamed" } else { "blocking" }.to_owned(),
                 threads.to_string(),
                 fmt_f64(wall),
-                fmt_f64(t_first),
+                fmt_f64(median(&mut firsts)),
                 fmt_f64(slowest_ms),
                 fmt_f64(wall / slowest_ms),
             ]);
         }
     }
     report.push_note(
-        "blocking: the combine step starts only after the slowest wrapper answers \
-         (wall ~= slowest + combine); streamed: chunks feed the pipeline as they \
-         arrive (wall ~= max(slowest, combine), t_first << wall)",
+        "blocking = resolve_execs then evaluate_physical_with, one after the other \
+         (wall ~= slowest + combine); streamed = Executor::execute, chunks feed the \
+         pipeline as they arrive (wall ~= max(slowest, combine), t_first << wall)",
     );
     report.push_note(
         "t_first = time_to_first_row from ExecutionStats: when the first answer row \
@@ -1151,45 +1106,20 @@ pub fn e10_federation_overlap(scale: Scale) -> Report {
 /// Panics if an adaptive answer diverges from the pinned baseline.
 #[must_use]
 pub fn e10_heterogeneous_adaptive(scale: Scale) -> Report {
-    use disco_core::ResolutionMode;
     use disco_runtime::AdaptiveMode;
 
-    let sources = 4usize;
-    let rows = scale.rows.max(40);
-    let chunk = (rows / 8).max(1);
-    let fast_ms = 0.5 + rows as f64 * 0.025;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let slow_extra_ms = (fast_ms * 9.0 / 8.0).ceil().max(1.0) as u64;
-    let fast = NetworkProfile {
-        base_latency_us: 500,
-        per_row_us: 25,
-        jitter: 0.0,
-        availability: Availability::Available,
-        real_sleep: true,
-        chunk_rows: chunk,
-    };
-    let trials = scale.trials.clamp(3, 7);
+    let (federation, workload, trials) = skewed_federation(scale);
     let mut report = Report::new(
         "E10h",
         "heterogeneous federation: adaptive vs pinned scheduling",
-        &format!(
-            "{sources} person sources x {rows} rows, chunked ({chunk} rows/chunk), real \
-             sleeps; source {} degraded ~10x ({slow_extra_ms} ms extra per chunk); join \
-             fed by the degraded source; median of {trials} trials",
-            sources - 1
-        ),
+        &format!("{workload}; join fed by the degraded source; median of {trials} trials"),
         &["adaptive", "threads", "wall ms", "t_first ms", "rows"],
     );
 
-    let federation =
-        person_federation_with_profile(sources, rows, CapabilitySet::full(), fast.clone());
-    federation.links[sources - 1].set_profile(fast.with_availability(Availability::Degraded {
-        chunk_extra_ms: slow_extra_ms,
-    }));
     // A join the degraded source feeds: the adaptive engine may build the
     // first-answered fast side instead of waiting on the slow one, and
     // morsel claims shrink for workers stuck behind slow chunks.
-    let slow = sources - 1;
+    let slow = federation.links.len() - 1;
     let plan = lower(
         &LogicalExpr::Join {
             left: Box::new(
@@ -1221,7 +1151,6 @@ pub fn e10_heterogeneous_adaptive(scale: Scale) -> Report {
 
     let run = |adaptive: AdaptiveMode, threads: usize| {
         Executor::new(federation.mediator.registry().clone())
-            .with_resolution(ResolutionMode::Streamed)
             .with_threads(threads)
             .with_adaptive(adaptive)
             .with_deadline(Some(std::time::Duration::from_secs(30)))
@@ -1231,10 +1160,6 @@ pub fn e10_heterogeneous_adaptive(scale: Scale) -> Report {
     let baseline = run(AdaptiveMode::Off, 1);
     assert!(baseline.is_complete(), "no source is unavailable here");
 
-    let median = |samples: &mut Vec<f64>| -> f64 {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
     for adaptive in [AdaptiveMode::Off, AdaptiveMode::On] {
         for threads in [1usize, 4] {
             let mut walls = Vec::with_capacity(trials);
@@ -1254,17 +1179,11 @@ pub fn e10_heterogeneous_adaptive(scale: Scale) -> Report {
                 }
                 answered = answer.data().len();
             }
-            let wall = median(&mut walls);
-            let t_first = if firsts.is_empty() {
-                f64::NAN
-            } else {
-                median(&mut firsts)
-            };
             report.push_row([
                 format!("{adaptive:?}").to_lowercase(),
                 threads.to_string(),
-                fmt_f64(wall),
-                fmt_f64(t_first),
+                fmt_f64(median(&mut walls)),
+                fmt_f64(median(&mut firsts)),
                 answered.to_string(),
             ]);
         }
@@ -1604,25 +1523,26 @@ pub fn e12_spill(scale: Scale) -> Report {
     report
 }
 
-/// Runs every experiment at the given scale.
-#[must_use]
-pub fn run_all(scale: Scale) -> Vec<Report> {
-    vec![
-        e1_availability(scale),
-        e2_partial_eval(scale),
-        e3_pushdown(scale),
-        e4_calibration(scale),
-        e5_scaling_dba(scale),
-        e6_optimizer_search(scale),
-        e7_pipeline(scale),
-        e8_semijoin_gap(scale),
-        e9_evaluator_throughput(scale),
-        e10_federation_overlap(scale),
-        e10_heterogeneous_adaptive(scale),
-        e11_serving(scale),
-        e12_spill(scale),
-    ]
-}
+/// One experiment: its id, its runner, and whether the harness also
+/// records its report to a `BENCH_<id>.json` file.
+pub type Experiment = (&'static str, fn(Scale) -> Report, bool);
+
+/// Every experiment, in harness order.
+pub const ALL: &[Experiment] = &[
+    ("e1", e1_availability, false),
+    ("e2", e2_partial_eval, false),
+    ("e3", e3_pushdown, false),
+    ("e4", e4_calibration, false),
+    ("e5", e5_scaling_dba, false),
+    ("e6", e6_optimizer_search, false),
+    ("e7", e7_pipeline, false),
+    ("e8", e8_semijoin_gap, false),
+    ("e9", e9_evaluator_throughput, true),
+    ("e10", e10_federation_overlap, true),
+    ("e10h", e10_heterogeneous_adaptive, true),
+    ("e11", e11_serving, true),
+    ("e12", e12_spill, true),
+];
 
 #[cfg(test)]
 mod tests {
@@ -1630,8 +1550,8 @@ mod tests {
 
     #[test]
     fn every_experiment_produces_rows_at_quick_scale() {
-        let scale = Scale::quick();
-        for report in run_all(scale) {
+        for (_, run, _) in ALL {
+            let report = run(Scale::quick());
             assert!(!report.rows.is_empty(), "{} produced no rows", report.id);
             assert!(!report.columns.is_empty());
             let text = report.to_text();

@@ -9,7 +9,7 @@ use disco_algebra::CapabilitySet;
 use disco_catalog::{Catalog, InterfaceDef, MetaExtent, Repository, TypeMap, ViewDef, WrapperDef};
 use disco_optimizer::{CalibrationStore, CostParams, Optimizer, Plan, PlanCache};
 use disco_oql::{parse_query, parse_statements, OdlStatement};
-use disco_runtime::{Answer, Executor, ResolutionMode};
+use disco_runtime::{Answer, Executor};
 use disco_source::{NetworkProfile, RelationalStore, SimulatedLink, Table};
 use disco_value::Value;
 use disco_wrapper::{CsvWrapper, DocumentWrapper, RelationalWrapper, Wrapper, WrapperRegistry};
@@ -46,7 +46,6 @@ pub struct Mediator {
     plan_cache: PlanCache,
     deadline: Option<Duration>,
     cost_params: CostParams,
-    resolution: ResolutionMode,
 }
 
 impl std::fmt::Debug for Mediator {
@@ -71,7 +70,6 @@ impl Mediator {
             plan_cache: PlanCache::new(),
             deadline: Some(Duration::from_millis(500)),
             cost_params: CostParams::default(),
-            resolution: ResolutionMode::default(),
         }
     }
 
@@ -115,27 +113,10 @@ impl Mediator {
         self.deadline
     }
 
-    /// The resolution mode queries execute under.
-    #[must_use]
-    pub fn resolution(&self) -> ResolutionMode {
-        self.resolution
-    }
-
     /// The mediator-side cost constants the optimizer plans with.
     #[must_use]
     pub fn cost_params(&self) -> CostParams {
         self.cost_params
-    }
-
-    /// Chooses how wrapper answers meet the combine step:
-    /// [`ResolutionMode::Streamed`] (the default) feeds row chunks into
-    /// the pipeline as sources answer — the answer's
-    /// [`ExecutionStats`](disco_runtime::ExecutionStats) then reports
-    /// `time_to_first_row` well below the total latency when sources are
-    /// skewed; [`ResolutionMode::Blocking`] restores the pre-streaming
-    /// collect-then-combine behaviour for A/B measurement.
-    pub fn set_resolution(&mut self, resolution: ResolutionMode) {
-        self.resolution = resolution;
     }
 
     /// Overrides the mediator-side cost constants.
@@ -495,7 +476,6 @@ impl Mediator {
         };
         let executor = Executor::new(self.registry.clone())
             .with_deadline(self.deadline)
-            .with_resolution(self.resolution)
             .with_calibration(Arc::clone(&self.calibration));
         Ok(executor.execute(&plan.physical, &self.catalog)?)
     }
@@ -552,22 +532,15 @@ mod tests {
     }
 
     #[test]
-    fn mediator_surfaces_first_row_latency_under_streamed_resolution() {
+    fn mediator_surfaces_first_row_latency() {
         let m = demo_mediator();
         let answer = m
             .query("select x.name from x in person where x.salary > 10")
             .unwrap();
         let t_first = answer
             .time_to_first_row()
-            .expect("streamed resolution reports first-row latency");
+            .expect("wrapper answers stream into the combine step");
         assert!(t_first <= answer.stats().elapsed);
-        // The blocking mode still works and agrees on the data.
-        let mut blocking = demo_mediator();
-        blocking.set_resolution(ResolutionMode::Blocking);
-        let b = blocking
-            .query("select x.name from x in person where x.salary > 10")
-            .unwrap();
-        assert_eq!(b.data(), answer.data());
     }
 
     #[test]

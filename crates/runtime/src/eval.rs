@@ -1,17 +1,10 @@
-//! The mediator-side evaluator entry points.
+//! The mediator-side evaluator entry points: a plan is opened into the
+//! cursor tree of [`crate::pipeline`] and drained into the answer bag.
 //!
-//! Since the streaming refactor these are thin shims over the pull-based
-//! cursor engine in [`crate::pipeline`]: a plan is opened into a cursor
-//! tree and drained into the answer bag.  The public signatures are
-//! unchanged from the materializing evaluator they replace — callers that
-//! want per-execution instrumentation (or control over the hash-join
-//! build side) use [`crate::pipeline::open_with`] /
-//! [`evaluate_physical_with_metrics`] directly.
-//!
-//! The old bag-at-a-time evaluator survives as [`crate::reference`], used
-//! by the differential test-suite only.
+//! The seed bag-at-a-time evaluator survives as [`crate::reference`], the
+//! oracle the differential tests and the benchmark compare against.
 
-use disco_algebra::{Env, LogicalExpr, PhysicalExpr};
+use disco_algebra::{Env, PhysicalExpr};
 use disco_value::Bag;
 
 use crate::exec::ResolvedExecs;
@@ -19,7 +12,7 @@ use crate::pipeline::{self, PipelineMetrics, PipelineOptions};
 use crate::Result;
 
 /// Evaluates a physical plan against resolved `exec` outcomes by
-/// streaming it through the cursor pipeline.
+/// streaming it through the cursor pipeline, with default options.
 ///
 /// # Errors
 ///
@@ -27,27 +20,18 @@ use crate::Result;
 /// `exec` call (the partial-evaluation path must be used instead), or on
 /// evaluation errors.
 pub fn evaluate_physical(plan: &PhysicalExpr, resolved: &ResolvedExecs) -> Result<Bag> {
-    evaluate_with_outer(plan, resolved, &Env::root())
+    evaluate_physical_with(
+        plan,
+        resolved,
+        &PipelineMetrics::new(),
+        PipelineOptions::default(),
+    )
 }
 
-/// Evaluates a physical plan, recording pipeline counters (rows buffered
-/// by pipeline breakers, join rows merged, rows emitted) into `metrics`.
-///
-/// # Errors
-///
-/// See [`evaluate_physical`].
-pub fn evaluate_physical_with_metrics(
-    plan: &PhysicalExpr,
-    resolved: &ResolvedExecs,
-    metrics: &PipelineMetrics,
-) -> Result<Bag> {
-    evaluate_physical_with(plan, resolved, metrics, PipelineOptions::default())
-}
-
-/// Evaluates a physical plan with explicit [`PipelineOptions`] — the entry
-/// point for choosing the hash-join build side or the worker-thread count
-/// (`options.threads`; `1` is the serial path, `0` defers to the
-/// `DISCO_THREADS` environment variable) — recording pipeline counters
+/// Evaluates a physical plan with explicit [`PipelineOptions`] (hash-join
+/// build side, worker threads, batch size, memory budget, adaptive
+/// scheduling), recording pipeline counters — rows buffered by pipeline
+/// breakers, join rows merged, rows emitted, kernel coverage, spill —
 /// into `metrics`.
 ///
 /// # Errors
@@ -62,62 +46,11 @@ pub fn evaluate_physical_with(
     pipeline::evaluate_physical_streamed(plan, resolved, &Env::root(), metrics, options)
 }
 
-/// Evaluates a physical plan with explicit [`PipelineOptions`], without
-/// instrumentation (convenience for benches and thread-scaling tests).
-///
-/// # Errors
-///
-/// See [`evaluate_physical`].
-pub fn evaluate_physical_with_options(
-    plan: &PhysicalExpr,
-    resolved: &ResolvedExecs,
-    options: PipelineOptions,
-) -> Result<Bag> {
-    let metrics = PipelineMetrics::new();
-    evaluate_physical_with(plan, resolved, &metrics, options)
-}
-
-/// Evaluates a physical plan with an outer environment (used for
-/// correlated sub-queries).
-///
-/// # Errors
-///
-/// See [`evaluate_physical`].
-pub fn evaluate_with_outer(
-    plan: &PhysicalExpr,
-    resolved: &ResolvedExecs,
-    outer: &Env<'_>,
-) -> Result<Bag> {
-    let metrics = PipelineMetrics::new();
-    pipeline::evaluate_physical_streamed(
-        plan,
-        resolved,
-        outer,
-        &metrics,
-        PipelineOptions::default(),
-    )
-}
-
-/// Evaluates a logical plan (typically a data-only residual subtree or a
-/// correlated sub-plan) by lowering it and streaming the physical plan.
-///
-/// # Errors
-///
-/// See [`evaluate_physical`].
-pub fn evaluate_logical(
-    plan: &LogicalExpr,
-    resolved: &ResolvedExecs,
-    outer: &Env<'_>,
-) -> Result<Bag> {
-    let metrics = PipelineMetrics::new();
-    pipeline::evaluate_logical_streamed(plan, resolved, outer, &metrics, PipelineOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::RuntimeError;
-    use disco_algebra::{data_of, AggKind, ScalarExpr, ScalarOp};
+    use disco_algebra::{data_of, lower, AggKind, LogicalExpr, ScalarExpr, ScalarOp};
     use disco_value::{StructValue, Value};
 
     fn person(name: &str, salary: i64, id: i64) -> Value {
@@ -135,8 +68,13 @@ mod tests {
         ResolvedExecs::default()
     }
 
+    fn try_eval(plan: &LogicalExpr) -> Result<Bag> {
+        let physical = lower(plan).map_err(RuntimeError::Algebra)?;
+        evaluate_physical(&physical, &empty_resolved())
+    }
+
     fn eval(plan: &LogicalExpr) -> Bag {
-        evaluate_logical(plan, &empty_resolved(), &Env::root()).unwrap()
+        try_eval(plan).unwrap()
     }
 
     #[test]
@@ -285,14 +223,14 @@ mod tests {
     #[test]
     fn unresolved_exec_is_an_error() {
         let plan = LogicalExpr::get("person0").submit("r0", "w0", "person0");
-        let err = evaluate_logical(&plan, &empty_resolved(), &Env::root()).unwrap_err();
+        let err = try_eval(&plan).unwrap_err();
         assert!(matches!(err, RuntimeError::Unsupported(_)));
     }
 
     #[test]
     fn projection_of_scalar_rows_fails_cleanly() {
         let plan = data_of([1i64, 2i64]).project(["name"]);
-        let err = evaluate_logical(&plan, &empty_resolved(), &Env::root()).unwrap_err();
+        let err = try_eval(&plan).unwrap_err();
         assert!(matches!(err, RuntimeError::Algebra(_)));
     }
 
@@ -316,9 +254,15 @@ mod tests {
             ScalarExpr::constant(10i64),
         ))
         .map_project(ScalarExpr::var_field("x", "name"));
-        let physical = disco_algebra::lower(&plan).unwrap();
+        let physical = lower(&plan).unwrap();
         let metrics = PipelineMetrics::new();
-        let out = evaluate_physical_with_metrics(&physical, &empty_resolved(), &metrics).unwrap();
+        let out = evaluate_physical_with(
+            &physical,
+            &empty_resolved(),
+            &metrics,
+            PipelineOptions::default(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(metrics.rows_materialized(), 0);
         assert_eq!(metrics.rows_merged(), 0);
@@ -351,9 +295,15 @@ mod tests {
         }
         .map_project(ScalarExpr::var_field("x", "name"));
         let plan = LogicalExpr::Distinct(Box::new(plan));
-        let physical = disco_algebra::lower(&plan).unwrap();
+        let physical = lower(&plan).unwrap();
         let metrics = PipelineMetrics::new();
-        let out = evaluate_physical_with_metrics(&physical, &empty_resolved(), &metrics).unwrap();
+        let out = evaluate_physical_with(
+            &physical,
+            &empty_resolved(),
+            &metrics,
+            PipelineOptions::default(),
+        )
+        .unwrap();
         assert!(!out.is_empty());
         // Only pipeline breakers buffered rows: the build side (4 rows,
         // the smaller input) and one seen-set entry per distinct value.

@@ -17,13 +17,13 @@
 //! no longer gates the start of the combine step.  At the execution
 //! deadline, spools that are still streaming flip to unavailable, the
 //! wrapper call is cancelled (so a timed-out call does not keep running
-//! detached in the background), and the executor falls back to the same
-//! partial evaluation the blocking path performs.
+//! detached in the background), and the executor falls back to partial
+//! evaluation over the finalized outcomes.
 //!
-//! [`resolve_execs`] — the blocking form — is now a thin driver over the
-//! streamed one: spawn every call, then wait for all spools (bounded by
-//! the deadline) and finalize them into materialized outcomes, so both
-//! paths share one classification and cancellation logic.
+//! [`resolve_execs`] is the materializing helper over the same machinery:
+//! spawn every call, wait for all spools (bounded by the deadline) and
+//! finalize them, so there is one classification and cancellation logic.
+//! The executor never calls it; oracles and staged measurements do.
 //!
 //! For every finished call the arguments, the time taken and the amount of
 //! data generated are recorded into the calibration store, feeding the
@@ -46,7 +46,7 @@ use disco_wrapper::{
 };
 
 use crate::pipeline::spill::{self, SpillFile};
-use crate::pipeline::{AdaptiveMode, MemBudget};
+use crate::pipeline::PipelineOptions;
 use crate::pool::SourcePool;
 use crate::{Result, RuntimeError};
 
@@ -107,20 +107,6 @@ impl PartialEq for ExecOutcome {
             _ => false,
         }
     }
-}
-
-/// How the executor resolves `exec` calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResolutionMode {
-    /// Wrapper answers stream into the combine step as they arrive
-    /// (chunk-level overlap of source latency and mediator work).  The
-    /// production default.
-    #[default]
-    Streamed,
-    /// Wait for every wrapper call (bounded by the deadline) before the
-    /// combine step starts — the pre-streaming behaviour, kept for
-    /// differential testing and A/B measurement.
-    Blocking,
 }
 
 /// Shared wakeup channel of one streamed resolution: every spool bumps the
@@ -289,8 +275,6 @@ struct SpoolState {
     /// Approximate payload bytes of the hot window.
     hot_bytes: usize,
     spill: Option<SpoolSpill>,
-    /// Set after a spill write failure: stop spilling, keep rows hot.
-    spill_dead: bool,
     /// Set by finalizers ([`PendingSource::await_len`] /
     /// `final_outcome`): they block until the call *completes*, so the
     /// producer must not be throttled on their behalf — the disk tier
@@ -308,12 +292,14 @@ impl SpoolState {
     }
 
     /// Moves the oldest hot rows to the disk tier until the hot window is
-    /// at half its cap (hysteresis: fewer, larger chunks).  On a write
-    /// failure the tier is marked dead and rows stay in memory.
-    fn spill_front(&mut self, hot_cap: usize) {
-        if self.spill_dead {
-            return;
-        }
+    /// at half its cap (hysteresis: fewer, larger chunks).
+    ///
+    /// # Errors
+    ///
+    /// A spill file that cannot be created or written.  The rows stay in
+    /// the hot window; the caller must stop the stream rather than keep
+    /// buffering past the budget.
+    fn spill_front(&mut self, hot_cap: usize) -> Result<()> {
         let target = hot_cap / 2;
         let mut k = 0usize;
         let mut freed = 0usize;
@@ -322,52 +308,39 @@ impl SpoolState {
             k += 1;
         }
         if k == 0 {
-            return;
+            return Ok(());
         }
         if self.spill.is_none() {
-            match SpillFile::create() {
-                Ok((guard, file)) => {
-                    self.spill = Some(SpoolSpill {
-                        _guard: guard,
-                        file,
-                        chunks: Vec::new(),
-                        unread_idx: 0,
-                        unread_bytes: 0,
-                        high_water: 0,
-                        bytes_spilled: 0,
-                    });
-                }
-                Err(err) => {
-                    self.spill_dead = true;
-                    eprintln!("disco: spool spill unavailable ({err}); keeping rows in memory");
-                    return;
-                }
-            }
+            let (guard, file) = SpillFile::create()?;
+            self.spill = Some(SpoolSpill {
+                _guard: guard,
+                file,
+                chunks: Vec::new(),
+                unread_idx: 0,
+                unread_bytes: 0,
+                high_water: 0,
+                bytes_spilled: 0,
+            });
         }
         let encoded = spill::encode_rows(&self.rows[..k]);
         let tier = self.spill.as_mut().expect("opened above");
-        match spill::append_chunk(&mut tier.file, &encoded) {
-            Ok(offset) => {
-                tier.chunks.push(DiskChunk {
-                    start_row: self.base,
-                    rows: k,
-                    offset,
-                    len: encoded.len(),
-                });
-                tier.unread_bytes += encoded.len();
-                tier.bytes_spilled += encoded.len() as u64;
-                // The chunk may already be below the high-water mark (a
-                // consumer outran the producer); retire it immediately.
-                tier.advance_high_water(tier.high_water);
-                self.rows.drain(..k);
-                self.base += k;
-                self.hot_bytes -= freed;
-            }
-            Err(err) => {
-                self.spill_dead = true;
-                eprintln!("disco: spool spill write failed ({err}); keeping rows in memory");
-            }
-        }
+        let offset = spill::append_chunk(&mut tier.file, &encoded)
+            .map_err(|e| spill::spill_err("writing spool spill chunk", e))?;
+        tier.chunks.push(DiskChunk {
+            start_row: self.base,
+            rows: k,
+            offset,
+            len: encoded.len(),
+        });
+        tier.unread_bytes += encoded.len();
+        tier.bytes_spilled += encoded.len() as u64;
+        // The chunk may already be below the high-water mark (a consumer
+        // outran the producer); retire it immediately.
+        tier.advance_high_water(tier.high_water);
+        self.rows.drain(..k);
+        self.base += k;
+        self.hot_bytes -= freed;
+        Ok(())
     }
 
     /// Serves rows starting at an absolute index that was spilled.
@@ -440,7 +413,7 @@ impl SpoolCaps {
 /// A channel-backed *pending answer*: the spool one wrapper thread fills
 /// with mapped, type-checked rows while any number of pipeline cursors
 /// read it (each with its own read index — duplicate scans of the same
-/// `exec` key share one call, exactly as in blocking resolution).
+/// `exec` key share one call).
 pub struct PendingSource {
     repository: String,
     extent: String,
@@ -491,7 +464,6 @@ impl PendingSource {
                 base: 0,
                 hot_bytes: 0,
                 spill: None,
-                spill_dead: false,
                 unthrottled: false,
                 status: SpoolStatus::Streaming,
                 rows_scanned: 0,
@@ -525,7 +497,8 @@ impl PendingSource {
     /// here until a consumer catches up, a finalizer unthrottles the
     /// spool, the call is cancelled, or the deadline passes (which
     /// reports cancellation, matching the unavailable classification the
-    /// consumer side is about to apply).
+    /// consumer side is about to apply).  A spill that cannot be written
+    /// ends the stream the same way: the spool flips to unavailable.
     fn push_chunk(&self, mut rows: Vec<Value>) -> bool {
         if self.is_cancelled() {
             return false;
@@ -558,13 +531,27 @@ impl PendingSource {
                 return false;
             }
         }
-        {
+        let spilled = {
             let mut state = lock(&self.state);
             state.hot_bytes += rows.iter().map(approx_value_bytes).sum::<usize>();
             state.rows.append(&mut rows);
             if state.hot_bytes > caps.hot {
-                state.spill_front(caps.hot);
+                state.spill_front(caps.hot)
+            } else {
+                Ok(())
             }
+        };
+        if let Err(err) = spilled {
+            // The disk tier is gone, so the budget can only hold by not
+            // buffering: this source fails the way a deadline fails it —
+            // unavailable, call cancelled — and the query completes as a
+            // §4 partial answer whose residual names the repository.
+            eprintln!(
+                "disco: {err}; classifying {} unavailable to stay within the memory budget",
+                self.repository
+            );
+            self.timeout();
+            return false;
         }
         self.events.notify();
         !self.is_cancelled()
@@ -610,7 +597,7 @@ impl PendingSource {
             let mut state = lock(&self.state);
             // A deadline flip to `Unavailable` is sticky: a call finishing
             // after it was classified unavailable stays unavailable, like
-            // an answer arriving after the blocking path's deadline.
+            // any answer arriving after the deadline.
             if matches!(state.status, SpoolStatus::Streaming) {
                 state.status = status;
             }
@@ -657,12 +644,6 @@ impl PendingSource {
         state.total_rows() > from || !matches!(state.status, SpoolStatus::Streaming)
     }
 
-    /// Row count so far (tests and diagnostics).
-    #[must_use]
-    pub fn rows_arrived(&self) -> usize {
-        lock(&self.state).total_rows()
-    }
-
     /// Non-blocking final-length probe: `Some(total rows)` only when the
     /// wrapper call has already completed successfully, `None` while it
     /// is still streaming (or after a failure).  The adaptive hash-join
@@ -685,7 +666,7 @@ impl PendingSource {
     /// the next inspection, whether the consumer was blocked or keeping
     /// pace with arriving chunks.  §4's "query evaluation stops" applies
     /// even to a source that trickles just fast enough to never block
-    /// its consumer, exactly as in blocking resolution.
+    /// its consumer.
     fn wait_until<T>(&self, mut inspect: impl FnMut(&mut SpoolState) -> Option<T>) -> T {
         loop {
             let seen = self.events.generation();
@@ -753,8 +734,8 @@ impl PendingSource {
     /// Blocks until the call completes (bounded by the deadline) and
     /// returns its final row count — `None` when it did not complete.
     /// Used for hash-join build-side estimation, so the build/probe
-    /// orientation (and with it `rows_materialized`) is identical to the
-    /// blocking path's.
+    /// orientation (and with it `rows_materialized`) is identical to an
+    /// evaluation over materialized [`resolve_execs`] outcomes.
     pub(crate) fn await_len(&self) -> Option<usize> {
         self.unthrottle();
         self.wait_until(|state| match &state.status {
@@ -833,21 +814,6 @@ pub struct ExecutionConfig {
     pub deadline: Option<Duration>,
     /// Record finished calls into the calibration store.
     pub calibration: Option<Arc<CalibrationStore>>,
-    /// Worker threads for the mediator-side combine step (the
-    /// morsel-driven parallel engine).  `0` (the default) defers to the
-    /// `DISCO_THREADS` environment variable; `1` is the serial path.
-    /// This is independent of the wrapper calls, which are always issued
-    /// in parallel (one thread per source call).
-    pub threads: usize,
-    /// Whether wrapper answers stream into the combine step as they
-    /// arrive ([`ResolutionMode::Streamed`], the default) or the combine
-    /// step waits for every call ([`ResolutionMode::Blocking`]).
-    pub resolution: ResolutionMode,
-    /// Memory budget for the execution ([`MemBudget::Auto`], the
-    /// default, defers to `DISCO_MEM_BUDGET`).  Bounded budgets make
-    /// every [`PendingSource`] spool a hybrid memory/disk buffer and are
-    /// forwarded to the pipeline's spilling breakers.
-    pub mem_budget: MemBudget,
     /// Shared wrapper-connection pool gating the wrapper-call threads.
     /// `None` (the default) spawns every call unqueued; a serving layer
     /// shares one [`SourcePool`] across all its executors so per-source
@@ -861,11 +827,13 @@ pub struct ExecutionConfig {
     /// answer whose residual re-fetches the cancelled sources.  `None`
     /// (the default) is unlimited.
     pub row_budget: Option<usize>,
-    /// Heterogeneity-aware scheduling: speed-proportional morsel
-    /// claiming and adaptive hash-join build-side selection.
-    /// [`AdaptiveMode::Auto`] (the default) defers to the
-    /// `DISCO_ADAPTIVE` environment variable.
-    pub adaptive: AdaptiveMode,
+    /// The options of the mediator-side combine step (worker threads,
+    /// batch size, memory budget, adaptive scheduling), declared once in
+    /// [`PipelineOptions`].  Wrapper calls are always issued in parallel,
+    /// one thread per source call, whatever `pipeline.threads` says; a
+    /// bounded `pipeline.mem_budget` also makes every [`PendingSource`]
+    /// spool a hybrid memory/disk buffer.
+    pub pipeline: PipelineOptions,
 }
 
 impl Default for ExecutionConfig {
@@ -873,12 +841,9 @@ impl Default for ExecutionConfig {
         ExecutionConfig {
             deadline: Some(Duration::from_millis(500)),
             calibration: None,
-            threads: 0,
-            resolution: ResolutionMode::default(),
-            mem_budget: MemBudget::default(),
             source_pool: None,
             row_budget: None,
-            adaptive: AdaptiveMode::default(),
+            pipeline: PipelineOptions::default(),
         }
     }
 }
@@ -920,7 +885,7 @@ pub struct ResolvedExecs {
     outcomes: BTreeMap<ExecKey, ExecOutcome>,
     stats: Vec<SourceCallStats>,
     /// Pending entries in call-collection order, so finalized stats keep
-    /// the order the blocking path records.
+    /// call-collection order.
     pending_order: Vec<ExecKey>,
     /// The shared wakeup channel of a streamed resolution.
     events: Option<Arc<ResolutionEvents>>,
@@ -961,8 +926,7 @@ impl ResolvedExecs {
     /// and materializes it: completed calls become [`ExecOutcome::Rows`]
     /// with stats, everything else — including calls still streaming at
     /// the deadline, which are cancelled — becomes
-    /// [`ExecOutcome::Unavailable`], exactly the classification the
-    /// blocking path applies.
+    /// [`ExecOutcome::Unavailable`].
     ///
     /// # Errors
     ///
@@ -1163,9 +1127,10 @@ where
 
 /// Issues every `exec` call of the plan in parallel and waits for all of
 /// them (bounded by the deadline) before returning materialized outcomes
-/// — the blocking form, implemented as [`resolve_execs_streamed`] followed
-/// by [`ResolvedExecs::finalize_streamed`] so both paths share one
-/// classification and cancellation logic.
+/// — [`resolve_execs_streamed`] followed by
+/// [`ResolvedExecs::finalize_streamed`].  The executor streams instead;
+/// this is how oracles, tests and staged measurements (resolve, then
+/// combine) get the outcomes every streamed execution must agree with.
 ///
 /// # Errors
 ///
@@ -1240,7 +1205,7 @@ pub fn resolve_execs_streamed(
     let deadline_at = config.deadline.map(|d| Instant::now() + d);
     let events = Arc::new(ResolutionEvents::new(deadline_at));
     resolved.events = Some(Arc::clone(&events));
-    let spool_budget = config.mem_budget.resolve();
+    let spool_budget = config.pipeline.effective_mem_budget();
     // One budget shared by every call of this query: the cap bounds the
     // total transfer, not each source individually.
     let row_budget = config

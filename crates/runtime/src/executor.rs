@@ -10,11 +10,9 @@ use disco_optimizer::CalibrationStore;
 use disco_wrapper::WrapperRegistry;
 
 use crate::eval::evaluate_physical_with;
-use crate::exec::{
-    resolve_execs, resolve_execs_streamed, ExecutionConfig, ResolutionMode, ResolvedExecs,
-};
-use crate::partial::{partial_evaluate_opts, substitute_resolved, Answer, ExecutionStats};
-use crate::pipeline::{AdaptiveMode, MemBudget, PipelineMetrics, PipelineOptions};
+use crate::exec::{resolve_execs_streamed, ExecutionConfig};
+use crate::partial::{partial_evaluate, substitute_resolved, Answer, ExecutionStats};
+use crate::pipeline::{AdaptiveMode, MemBudget, PipelineMetrics};
 use crate::{Result, RuntimeError};
 
 /// Executes physical plans against the registered wrappers.
@@ -70,18 +68,7 @@ impl Executor {
     /// (the default) defers to the `DISCO_THREADS` environment variable.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Chooses how wrapper answers meet the combine step:
-    /// [`ResolutionMode::Streamed`] (the default) feeds row chunks into
-    /// the pipeline as they arrive; [`ResolutionMode::Blocking`] waits
-    /// for every call first (the pre-streaming behaviour, kept for
-    /// differential testing and A/B measurement).
-    #[must_use]
-    pub fn with_resolution(mut self, resolution: ResolutionMode) -> Self {
-        self.config.resolution = resolution;
+        self.config.pipeline.threads = threads;
         self
     }
 
@@ -94,7 +81,7 @@ impl Executor {
     /// the environment.
     #[must_use]
     pub fn with_mem_budget(mut self, budget: MemBudget) -> Self {
-        self.config.mem_budget = budget;
+        self.config.pipeline.mem_budget = budget;
         self
     }
 
@@ -117,7 +104,7 @@ impl Executor {
     /// `DISCO_ADAPTIVE` environment variable.
     #[must_use]
     pub fn with_adaptive(mut self, adaptive: AdaptiveMode) -> Self {
-        self.config.adaptive = adaptive;
+        self.config.pipeline.adaptive = adaptive;
         self
     }
 
@@ -146,21 +133,54 @@ impl Executor {
 
     /// Executes a physical plan.
     ///
-    /// All `exec` calls are issued in parallel.  If every source answers,
-    /// the plan is evaluated and a complete [`Answer`] is returned.  If
-    /// some sources are unavailable at the deadline, the plan is partially
-    /// evaluated and the answer contains both the data obtained and the
-    /// residual query (§4).
+    /// Every `exec` call is spawned at once and the plan is evaluated
+    /// optimistically while row chunks arrive, so the slowest source does
+    /// not gate the combine step.  If every source answers, the result is
+    /// a complete [`Answer`].  If a source reports unavailability or is
+    /// still streaming at the deadline, the plan is partially evaluated
+    /// over the finalized outcomes and the answer contains both the data
+    /// obtained and the residual query (§4).
     ///
     /// # Errors
     ///
     /// Hard errors only: capability violations, type conflicts, unknown
     /// wrappers/tables, evaluation errors.  Unavailability is not an error.
     pub fn execute(&self, plan: &PhysicalExpr, catalog: &Catalog) -> Result<Answer> {
-        let answer = match self.config.resolution {
-            ResolutionMode::Streamed => self.execute_streamed(plan, catalog),
-            ResolutionMode::Blocking => self.execute_blocking(plan, catalog),
-        }?;
+        let started = Instant::now();
+        let mut resolved = resolve_execs_streamed(plan, &self.registry, catalog, &self.config)?;
+        let options = self.config.pipeline;
+        let metrics = PipelineMetrics::new();
+        let optimistic = match evaluate_physical_with(plan, &resolved, &metrics, options) {
+            Ok(data) => Some(data),
+            Err(RuntimeError::PendingUnavailable(_)) => None,
+            Err(other) => {
+                // Hard error: disconnect the remaining wrapper calls so
+                // they wind down instead of running detached.
+                resolved.cancel_pending();
+                return Err(other);
+            }
+        };
+        // Also waits for the (rare) spools evaluation never pulled — e.g.
+        // a nested sub-plan guarded by an empty outer — so classification
+        // does not depend on what the plan happened to drain.
+        resolved.finalize_streamed()?;
+        let (data, residual) = match optimistic {
+            Some(data) if resolved.all_available() => (data, None),
+            // A source turned out (or was deadline-classified) unavailable:
+            // data from the sources that answered plus the residual plan
+            // over the ones that did not.  The optimistic attempt's metrics
+            // stay: its first row genuinely reached the sink while sources
+            // were still answering.
+            _ => {
+                let substituted = substitute_resolved(&plan.to_logical(), &resolved);
+                partial_evaluate(&substituted, &resolved, options)?
+            }
+        };
+        let stats = ExecutionStats::of(&resolved, &metrics, started);
+        let answer = match residual {
+            Some(residual) => Answer::partial(data, residual, stats),
+            None => Answer::complete(data, stats),
+        };
         self.note_source_health(answer.stats());
         Ok(answer)
     }
@@ -180,145 +200,6 @@ impl Executor {
                 store.note_source_wait(&call.repository, latency_ms, call.rows_returned);
             }
         }
-    }
-
-    /// The pre-streaming execution path: wait for every wrapper call
-    /// (bounded by the deadline), then combine.
-    fn execute_blocking(&self, plan: &PhysicalExpr, catalog: &Catalog) -> Result<Answer> {
-        let started = Instant::now();
-        let resolved = resolve_execs(plan, &self.registry, catalog, &self.config)?;
-        let options = PipelineOptions {
-            threads: self.config.threads,
-            mem_budget: self.config.mem_budget,
-            adaptive: self.config.adaptive,
-            ..PipelineOptions::default()
-        };
-        if resolved.all_available() {
-            // The answer bag is drawn from the streaming pipeline's final
-            // sink; the metrics record what the pipeline actually
-            // buffered — per-worker counters merged exactly, so the
-            // number is the same at every thread count.
-            let metrics = PipelineMetrics::new();
-            let data = evaluate_physical_with(plan, &resolved, &metrics, options)?;
-            let stats = ExecutionStats {
-                exec_calls: resolved.call_count(),
-                rows_transferred: resolved.rows_transferred(),
-                rows_materialized: metrics.rows_materialized(),
-                unavailable: resolved.unavailable_repositories(),
-                elapsed: started.elapsed(),
-                source_calls: resolved.stats().to_vec(),
-                time_to_first_row: metrics.time_to_first_row_since(started),
-                source_wait: metrics.source_wait() + resolved.source_queue_wait(),
-                rows_kernel: metrics.rows_kernel(),
-                rows_fallback: metrics.rows_fallback(),
-                bytes_spilled: metrics.bytes_spilled() + resolved.spool_bytes_spilled(),
-                spill_partitions: metrics.spill_partitions(),
-                peak_tracked_bytes: metrics.peak_tracked_bytes(),
-            };
-            Ok(Answer::complete(data, stats))
-        } else {
-            self.partial_answer(plan, &resolved, options, started, None)
-        }
-    }
-
-    /// The streamed execution path: spawn every wrapper call, evaluate
-    /// optimistically while chunks arrive, and fall back to partial
-    /// evaluation when a source turns out (or is deadline-classified)
-    /// unavailable.
-    fn execute_streamed(&self, plan: &PhysicalExpr, catalog: &Catalog) -> Result<Answer> {
-        let started = Instant::now();
-        let mut resolved = resolve_execs_streamed(plan, &self.registry, catalog, &self.config)?;
-        let options = PipelineOptions {
-            threads: self.config.threads,
-            mem_budget: self.config.mem_budget,
-            adaptive: self.config.adaptive,
-            ..PipelineOptions::default()
-        };
-        let metrics = PipelineMetrics::new();
-        match evaluate_physical_with(plan, &resolved, &metrics, options) {
-            Ok(data) => {
-                // Drained every source the plan touches.  Wait for the
-                // (rare) spools evaluation never pulled — e.g. a nested
-                // sub-plan guarded by an empty outer — so classification
-                // matches the blocking path's exactly.
-                resolved.finalize_streamed()?;
-                if resolved.all_available() {
-                    let stats = ExecutionStats {
-                        exec_calls: resolved.call_count(),
-                        rows_transferred: resolved.rows_transferred(),
-                        rows_materialized: metrics.rows_materialized(),
-                        unavailable: Vec::new(),
-                        elapsed: started.elapsed(),
-                        source_calls: resolved.stats().to_vec(),
-                        time_to_first_row: metrics.time_to_first_row_since(started),
-                        source_wait: metrics.source_wait() + resolved.source_queue_wait(),
-                        rows_kernel: metrics.rows_kernel(),
-                        rows_fallback: metrics.rows_fallback(),
-                        bytes_spilled: metrics.bytes_spilled() + resolved.spool_bytes_spilled(),
-                        spill_partitions: metrics.spill_partitions(),
-                        peak_tracked_bytes: metrics.peak_tracked_bytes(),
-                    };
-                    Ok(Answer::complete(data, stats))
-                } else {
-                    // An undrained source missed the deadline: produce the
-                    // same partial answer the blocking path would.
-                    self.partial_answer(plan, &resolved, options, started, Some(&metrics))
-                }
-            }
-            Err(RuntimeError::PendingUnavailable(_)) => {
-                resolved.finalize_streamed()?;
-                self.partial_answer(plan, &resolved, options, started, Some(&metrics))
-            }
-            Err(other) => {
-                // Hard error: disconnect the remaining wrapper calls so
-                // they wind down instead of running detached.
-                resolved.cancel_pending();
-                Err(other)
-            }
-        }
-    }
-
-    /// Partial evaluation over finalized outcomes: data from the sources
-    /// that answered plus the residual plan over the ones that did not.
-    /// `streamed` carries the optimistic attempt's metrics, whose
-    /// first-row timestamp is genuine — the row reached the sink while
-    /// sources were still answering.
-    fn partial_answer(
-        &self,
-        plan: &PhysicalExpr,
-        resolved: &ResolvedExecs,
-        options: PipelineOptions,
-        started: Instant,
-        streamed: Option<&PipelineMetrics>,
-    ) -> Result<Answer> {
-        let logical = plan.to_logical();
-        let substituted = substitute_resolved(&logical, resolved);
-        let (data, residual) = partial_evaluate_opts(&substituted, resolved, options)?;
-        let stats = ExecutionStats {
-            exec_calls: resolved.call_count(),
-            rows_transferred: resolved.rows_transferred(),
-            rows_materialized: 0,
-            unavailable: resolved.unavailable_repositories(),
-            elapsed: started.elapsed(),
-            source_calls: resolved.stats().to_vec(),
-            time_to_first_row: streamed.and_then(|m| m.time_to_first_row_since(started)),
-            source_wait: streamed
-                .map(PipelineMetrics::source_wait)
-                .unwrap_or_default()
-                + resolved.source_queue_wait(),
-            rows_kernel: streamed.map(PipelineMetrics::rows_kernel).unwrap_or(0),
-            rows_fallback: streamed.map(PipelineMetrics::rows_fallback).unwrap_or(0),
-            bytes_spilled: streamed.map(PipelineMetrics::bytes_spilled).unwrap_or(0)
-                + resolved.spool_bytes_spilled(),
-            spill_partitions: streamed.map(PipelineMetrics::spill_partitions).unwrap_or(0),
-            peak_tracked_bytes: streamed
-                .map(PipelineMetrics::peak_tracked_bytes)
-                .unwrap_or(0),
-        };
-        Ok(match residual {
-            Some(residual) => Answer::partial(data, residual, stats),
-            None => Answer::complete(data, stats),
-        })
     }
 }
 

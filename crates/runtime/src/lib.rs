@@ -11,12 +11,27 @@
 //!
 //! The central types are [`Executor`] and [`Answer`].
 //!
+//! # One executor path
+//!
+//! [`Executor::execute`] spawns every wrapper call at once
+//! ([`resolve_execs_streamed`]), evaluates the plan optimistically while
+//! row chunks arrive, finalizes the resolution, and — when a source turned
+//! out (or was deadline-classified) unavailable — partially evaluates over
+//! the finalized outcomes ([`partial_evaluate`]).  There is no blocking
+//! mode; [`resolve_execs`] (streamed resolution, then finalization) is a
+//! helper handing oracles, tests and staged measurements the materialized
+//! outcomes a streamed execution must agree with.  Below the executor
+//! sit [`evaluate_physical`] (default options) and
+//! [`evaluate_physical_with`] (metrics + options); the seed evaluator is
+//! kept as [`reference`](mod@reference), the oracle of the differential
+//! tests and the benchmark.
+//!
 //! # The streaming cursor engine
 //!
 //! Mediator-side operators execute through a **pull-based cursor
 //! pipeline** ([`pipeline`]): a physical plan is opened into a tree of
-//! [`pipeline::RowStream`] cursors and rows are pulled through it one at
-//! a time.  Operators come in two kinds:
+//! [`pipeline::RowStream`] cursors and rows are pulled through it in
+//! batches.  Operators come in two kinds:
 //!
 //! * **Streaming** — scan, filter, project, map, bind, union, flatten.
 //!   These forward each row as soon as it is produced and hold no per-row
@@ -35,6 +50,15 @@
 //! buffered, so the claim is enforced by tests rather than asserted in
 //! prose.
 //!
+//! Fusable stretches (`map? → filter* → bind? → scan`, and hash joins
+//! over them) run through **columnar operators** — typed column chunks
+//! and compiled scalar kernels.  This is not a mode: cursor construction
+//! always tries them first, and the row cursors are their fallback — per
+//! batch on irregular input or a would-be error, for plans that do not
+//! fuse, for still-pending sources, and for joins and distinct under a
+//! bounded memory budget (the row cursors are the ones that spill).
+//! [`ExecutionStats`] reports `rows_kernel` / `rows_fallback`.
+//!
 //! Join output is **lazy**: a join match yields the (left, right) row
 //! frames, not a merged struct.  Downstream scalar evaluation layers the
 //! frames onto the [`disco_algebra::Env`] scope chain — a struct row
@@ -43,15 +67,6 @@
 //! A merged output struct is only built if an unmerged join row reaches a
 //! consumer that needs one value (distinct, a column projection, the
 //! final sink).
-//!
-//! Partial evaluation is unchanged by the streaming engine: fully
-//! resolved subtrees are streamed to data, and plans that still touch
-//! unavailable sources stay residual, exactly as in §4.  The seed
-//! bag-at-a-time evaluator is preserved as [`reference`](mod@reference) and used by the
-//! differential tests to pin the streaming engine's semantics.
-//!
-//! [`evaluate_physical`] remains the convenience entry point: it opens a
-//! pipeline, drains it, and returns the bag.
 //!
 //! # Morsel-driven parallel execution
 //!
@@ -83,7 +98,10 @@
 //! chunks to disk, and backpressure the wrapper thread when the disk
 //! tier also fills.  Aggregates keep O(1) state and never spill.  Spill
 //! files are written to `DISCO_SPILL_DIR` (the system temp directory by
-//! default) and deleted eagerly — on success *and* on error paths.  The
+//! default) and deleted eagerly — on success *and* on error paths.  A
+//! spool whose spill file cannot be written fails its source the way a
+//! deadline does (unavailable, call cancelled, §4 partial answer) rather
+//! than buffering past the budget.  The
 //! answer multiset, errors, and `rows_materialized` are identical to the
 //! unbounded path; [`ExecutionStats`] reports `bytes_spilled`,
 //! `spill_partitions`, and `peak_tracked_bytes`.  The default (no
@@ -103,22 +121,17 @@ mod pool;
 pub mod reference;
 
 pub use error::RuntimeError;
-pub use eval::{
-    evaluate_logical, evaluate_physical, evaluate_physical_with, evaluate_physical_with_metrics,
-    evaluate_physical_with_options, evaluate_with_outer,
-};
+pub use eval::{evaluate_physical, evaluate_physical_with};
 pub use exec::{
     collect_exec_calls, resolve_execs, resolve_execs_streamed, ExecKey, ExecOutcome,
-    ExecutionConfig, PendingSource, ResolutionMode, ResolvedExecs, SourceCallStats,
+    ExecutionConfig, PendingSource, ResolvedExecs, SourceCallStats,
 };
 pub use executor::Executor;
 pub use partial::{
-    is_fully_resolved, partial_evaluate, partial_evaluate_opts, partial_evaluate_reference,
-    substitute_resolved, Answer, ExecutionStats,
+    is_fully_resolved, partial_evaluate, partial_evaluate_reference, substitute_resolved, Answer,
+    ExecutionStats,
 };
-pub use pipeline::{
-    AdaptiveMode, BuildSide, ColumnarMode, MemBudget, PipelineMetrics, PipelineOptions,
-};
+pub use pipeline::{AdaptiveMode, BuildSide, MemBudget, PipelineMetrics, PipelineOptions};
 pub use pool::SourcePool;
 
 /// Convenience result alias for runtime operations.

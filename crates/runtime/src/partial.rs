@@ -8,13 +8,15 @@
 //! The answer is then `union(<residual query>, <data>)` — a legal OQL
 //! expression that can be resubmitted verbatim once the sources recover.
 
-use disco_algebra::{logical_to_oql, Env, LogicalExpr, ScalarExpr};
+use std::time::Instant;
+
+use disco_algebra::{logical_to_oql, lower, Env, LogicalExpr, ScalarExpr};
 use disco_oql::print_expr;
 use disco_value::Bag;
 
-use crate::eval::evaluate_logical;
 use crate::exec::{ExecKey, ExecOutcome, ResolvedExecs, SourceCallStats};
-use crate::Result;
+use crate::pipeline::{evaluate_physical_streamed, PipelineMetrics, PipelineOptions};
+use crate::{Result, RuntimeError};
 
 /// Execution statistics attached to every answer.
 ///
@@ -44,10 +46,9 @@ pub struct ExecutionStats {
     /// Per-call details.
     pub source_calls: Vec<SourceCallStats>,
     /// How long after the query started the first answer row reached the
-    /// final sink.  Under streamed resolution this is typically far below
-    /// [`ExecutionStats::elapsed`]: fast sources' rows are combined while
-    /// slow sources are still answering.  `None` for empty answers and
-    /// for blocking partial evaluation (which only combines at the end).
+    /// final sink.  Typically far below [`ExecutionStats::elapsed`]: fast
+    /// sources' rows are combined while slow sources are still answering.
+    /// `None` when no row reached the sink.
     pub time_to_first_row: Option<std::time::Duration>,
     /// Total time the execution spent waiting on sources: combine-step
     /// workers blocked on still-streaming spools, plus — when a shared
@@ -81,6 +82,41 @@ pub struct ExecutionStats {
     /// under charge.  0 when the budget is unbounded (nothing is
     /// tracked).
     pub peak_tracked_bytes: usize,
+}
+
+impl ExecutionStats {
+    /// The statistics of one finished execution, filled at this one site:
+    /// source-side totals from the finalized `resolved`, combine-side
+    /// counters from the execution's `metrics`, wall-clock since `started`.
+    pub(crate) fn of(
+        resolved: &ResolvedExecs,
+        metrics: &PipelineMetrics,
+        started: Instant,
+    ) -> Self {
+        let unavailable = resolved.unavailable_repositories();
+        ExecutionStats {
+            exec_calls: resolved.call_count(),
+            rows_transferred: resolved.rows_transferred(),
+            // A partial answer reduces its resolved subtrees piecemeal;
+            // what the abandoned optimistic attempt buffered is not a
+            // property of the answer.
+            rows_materialized: if unavailable.is_empty() {
+                metrics.rows_materialized()
+            } else {
+                0
+            },
+            unavailable,
+            elapsed: started.elapsed(),
+            source_calls: resolved.stats().to_vec(),
+            time_to_first_row: metrics.time_to_first_row_since(started),
+            source_wait: metrics.source_wait() + resolved.source_queue_wait(),
+            rows_kernel: metrics.rows_kernel(),
+            rows_fallback: metrics.rows_fallback(),
+            bytes_spilled: metrics.bytes_spilled() + resolved.spool_bytes_spilled(),
+            spill_partitions: metrics.spill_partitions(),
+            peak_tracked_bytes: metrics.peak_tracked_bytes(),
+        }
+    }
 }
 
 /// The answer to a query: data plus, when sources were unavailable, the
@@ -284,11 +320,11 @@ pub fn is_fully_resolved(plan: &LogicalExpr) -> bool {
 type SubtreeEval = dyn Fn(&LogicalExpr, &ResolvedExecs, &Env<'_>) -> Result<Bag>;
 
 /// Partially evaluates a substituted plan: every fully resolved subtree is
-/// **streamed** to data through the cursor pipeline; unions separate into
-/// residual branches plus one data branch; anything else keeps its
-/// unresolved shape.  Plans that touch unavailable sources are never
-/// opened, so partial evaluation reduces *around* unavailable-source
-/// streams exactly as the materializing evaluator did.
+/// **streamed** to data through the cursor pipeline under `options`;
+/// unions separate into residual branches plus one data branch; anything
+/// else keeps its unresolved shape.  Plans that touch unavailable sources
+/// are never opened, and the residual-plan construction never evaluates
+/// anything, so residual plans are identical whatever `options` says.
 ///
 /// Returns the data obtained and the residual plan (if any work remains).
 ///
@@ -298,8 +334,13 @@ type SubtreeEval = dyn Fn(&LogicalExpr, &ResolvedExecs, &Env<'_>) -> Result<Bag>
 pub fn partial_evaluate(
     plan: &LogicalExpr,
     resolved: &ResolvedExecs,
+    options: PipelineOptions,
 ) -> Result<(Bag, Option<LogicalExpr>)> {
-    partial_evaluate_with(plan, resolved, &evaluate_logical)
+    let eval = move |plan: &LogicalExpr, resolved: &ResolvedExecs, outer: &Env<'_>| {
+        let physical = lower(plan).map_err(RuntimeError::Algebra)?;
+        evaluate_physical_streamed(&physical, resolved, outer, &PipelineMetrics::new(), options)
+    };
+    partial_evaluate_with(plan, resolved, &eval)
 }
 
 /// [`partial_evaluate`] driven by the bag-at-a-time reference evaluator
@@ -319,35 +360,15 @@ pub fn partial_evaluate_reference(
     partial_evaluate_with(plan, resolved, &crate::reference::evaluate_logical)
 }
 
-/// [`partial_evaluate`] with explicit [`crate::PipelineOptions`]: fully
-/// resolved subtrees stream through the (possibly parallel) engine with
-/// these options, while the residual-plan construction — which never
-/// evaluates anything — is untouched, so residual plans are identical at
-/// every thread count.
-///
-/// # Errors
-///
-/// See [`partial_evaluate`].
-pub fn partial_evaluate_opts(
-    plan: &LogicalExpr,
-    resolved: &ResolvedExecs,
-    options: crate::PipelineOptions,
-) -> Result<(Bag, Option<LogicalExpr>)> {
-    let eval = move |plan: &LogicalExpr, resolved: &ResolvedExecs, outer: &Env<'_>| {
-        let metrics = crate::PipelineMetrics::new();
-        crate::pipeline::evaluate_logical_streamed(plan, resolved, outer, &metrics, options)
-    };
-    partial_evaluate_with(plan, resolved, &eval)
-}
-
 fn partial_evaluate_with(
     plan: &LogicalExpr,
     resolved: &ResolvedExecs,
     eval: &SubtreeEval,
 ) -> Result<(Bag, Option<LogicalExpr>)> {
-    let reduced = reduce(plan, resolved, eval)?;
-    match reduced {
-        LogicalExpr::Data(bag) => Ok((bag, None)),
+    if is_fully_resolved(plan) {
+        return Ok((eval(plan, resolved, &Env::root())?, None));
+    }
+    match reduce(plan, resolved, eval)? {
         LogicalExpr::Union(items) => {
             let mut data = Bag::new();
             let mut residual_items = Vec::new();
@@ -368,9 +389,24 @@ fn partial_evaluate_with(
     }
 }
 
+/// Whether a plan yields range-variable environments (`{var: row}` frames)
+/// rather than plain values.
+fn yields_environments(plan: &LogicalExpr) -> bool {
+    match plan {
+        LogicalExpr::Bind { .. } | LogicalExpr::Join { .. } => true,
+        LogicalExpr::Filter { input, .. } => yields_environments(input),
+        _ => false,
+    }
+}
+
 /// Bottom-up reduction: fully resolved subtrees collapse to `Data`.
+///
+/// A resolved subtree that yields environments collapses *below* its
+/// `bind`s, not through them: the unresolved operator above still names
+/// the range variables, and the residual must print as a query in which
+/// they are bound (`y in bag(...)`), or it could not be resubmitted.
 fn reduce(plan: &LogicalExpr, resolved: &ResolvedExecs, eval: &SubtreeEval) -> Result<LogicalExpr> {
-    if is_fully_resolved(plan) {
+    if is_fully_resolved(plan) && !yields_environments(plan) {
         let bag = eval(plan, resolved, &Env::root())?;
         return Ok(LogicalExpr::Data(bag));
     }
@@ -391,8 +427,9 @@ fn reduce(plan: &LogicalExpr, resolved: &ResolvedExecs, eval: &SubtreeEval) -> R
         }
         other => {
             // Reduce children where possible but keep this operator: it
-            // still depends on an unavailable source.  Children are reduced
-            // first (propagating errors), then spliced back in order.
+            // still depends on an unavailable source (or binds a variable
+            // one does).  Children are reduced first (propagating errors),
+            // then spliced back in order.
             let reduced_children: Vec<LogicalExpr> = other
                 .children()
                 .into_iter()
@@ -481,20 +518,15 @@ mod tests {
     fn partial_evaluation_produces_the_paper_partial_answer() {
         let (plan, resolved) = paper_scenario();
         let substituted = substitute_resolved(&plan, &resolved);
-        let (data, residual) = partial_evaluate(&substituted, &resolved).unwrap();
+        let (data, residual) =
+            partial_evaluate(&substituted, &resolved, PipelineOptions::default()).unwrap();
         assert_eq!(data, [Value::from("Sam")].into_iter().collect());
         let residual = residual.expect("residual query over r0");
         let text = print_expr(&logical_to_oql(&residual));
         assert_eq!(text, "select y.name from y in person0 where y.salary > 10");
         // The combined answer is the §1.3 form.
-        let answer = Answer::partial(
-            data,
-            residual,
-            ExecutionStats {
-                unavailable: vec!["r0".into()],
-                ..ExecutionStats::default()
-            },
-        );
+        let stats = ExecutionStats::of(&resolved, &PipelineMetrics::new(), Instant::now());
+        let answer = Answer::partial(data, residual, stats);
         assert!(!answer.is_complete());
         assert_eq!(
             answer.as_query_text(),
@@ -535,7 +567,8 @@ mod tests {
         );
         let substituted = substitute_resolved(&plan, &resolved);
         assert!(is_fully_resolved(&substituted));
-        let (data, residual) = partial_evaluate(&substituted, &resolved).unwrap();
+        let (data, residual) =
+            partial_evaluate(&substituted, &resolved, PipelineOptions::default()).unwrap();
         assert!(residual.is_none());
         assert_eq!(
             data,
@@ -577,15 +610,23 @@ mod tests {
         }
         .map_project(ScalarExpr::var_field("x", "name"));
         let resolved = ResolvedExecs::default();
-        let (data, residual) = partial_evaluate(&plan, &resolved).unwrap();
+        let (data, residual) =
+            partial_evaluate(&plan, &resolved, PipelineOptions::default()).unwrap();
         assert!(data.is_empty());
-        assert!(residual.is_some());
+        // The resolved side keeps its range variable, so the residual is a
+        // query the predicate's `y` is bound in.
+        assert_eq!(
+            print_expr(&logical_to_oql(&residual.expect("the join stays residual"))),
+            "select x.name from x in person0, y in bag(struct(name: \"Sam\", salary: 50)) \
+             where x.name = y.name"
+        );
     }
 
     #[test]
     fn data_only_unions_have_no_residual() {
         let plan = LogicalExpr::Union(vec![data_of(["a"]), data_of(["b"])]);
-        let (data, residual) = partial_evaluate(&plan, &ResolvedExecs::default()).unwrap();
+        let (data, residual) =
+            partial_evaluate(&plan, &ResolvedExecs::default(), PipelineOptions::default()).unwrap();
         assert_eq!(data.len(), 2);
         assert!(residual.is_none());
     }

@@ -54,9 +54,9 @@ use disco_value::{ChunkBuilder, Column, ColumnarChunk, KeyHasher, StrDict, Struc
 
 use crate::exec::{ExecKey, ExecOutcome};
 
-use super::join::{check_struct_frames, BuildSide, ColumnarJoinTable};
+use super::join::{check_struct_frames, ColumnarJoinTable};
 use super::sink::{AggState, SeenSet};
-use super::{estimated_rows, eval_in_row, BoxedRowStream, PipelineCtx, Result, Row, RowStream};
+use super::{decide_build_side, eval_in_row, BoxedRowStream, PipelineCtx, Result, Row, RowStream};
 
 /// Attempts to intercept `plan` with a columnar cursor; `None` means "not
 /// fusable here" and the caller builds row cursors (recursing into this
@@ -120,13 +120,6 @@ impl<'a> ColumnarSource<'a> {
         match self {
             ColumnarSource::Spine(spine) => spine.next_chunk(hint),
             ColumnarSource::Join(join) => join.next_out(hint),
-        }
-    }
-
-    fn batch_rows(&self) -> usize {
-        match self {
-            ColumnarSource::Spine(spine) => spine.batch_rows,
-            ColumnarSource::Join(join) => join.batch_rows,
         }
     }
 
@@ -312,8 +305,6 @@ pub(crate) struct FusedSpine<'a> {
     filter_exprs: Vec<&'a ScalarExpr>,
     map_expr: Option<&'a ScalarExpr>,
     bind_name: Option<Arc<str>>,
-    /// Default chunk size for row-at-a-time pulls.
-    batch_rows: usize,
     ctx: PipelineCtx<'a>,
 }
 
@@ -379,7 +370,6 @@ impl<'a> FusedSpine<'a> {
             filter_exprs: shape.filters,
             map_expr: shape.map,
             bind_name: shape.binding.map(Arc::from),
-            batch_rows: ctx.options.effective_batch_rows(),
             ctx,
         })
     }
@@ -488,39 +478,59 @@ impl<'a> FusedSpine<'a> {
         Ok(Some(batch))
     }
 
-    /// The per-row path for one batch, stacked operator-by-operator
-    /// across the whole batch — exactly how the row cursors' `next_batch`
-    /// implementations compose, so results, errors and error order match.
+    /// The per-row path for one batch: [`fallback_rows`], then the map
+    /// across the surviving rows.
     fn fallback_chunk(&self, slice: &'a [Value]) -> Result<Vec<Row<'a>>> {
-        let mut rows: Vec<Row<'a>> = slice.iter().map(Row::borrowed).collect();
-        if let Some(name) = &self.bind_name {
-            let mut bound = Vec::with_capacity(rows.len());
-            for row in rows {
-                let value = row.materialize(self.ctx.metrics)?;
-                let env_row = StructValue::new(vec![(Arc::clone(name), value)])
-                    .map_err(AlgebraError::from)?;
-                bound.push(Row::owned(Value::Struct(env_row)));
-            }
-            rows = bound;
-        }
-        for predicate in &self.filter_exprs {
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
-                if truthy(&eval_in_row(predicate, &row, self.ctx)?) {
-                    kept.push(row);
-                }
-            }
-            rows = kept;
-        }
-        if let Some(projection) = self.map_expr {
-            let mut mapped = Vec::with_capacity(rows.len());
-            for row in rows {
-                mapped.push(Row::owned(eval_in_row(projection, &row, self.ctx)?));
-            }
-            rows = mapped;
-        }
-        Ok(rows)
+        let rows = fallback_rows(slice, self.bind_name.as_ref(), &self.filter_exprs, self.ctx)?;
+        rows.into_iter()
+            .map(|(_, row)| match self.map_expr {
+                Some(projection) => eval_in_row(projection, &row, self.ctx).map(Row::owned),
+                None => Ok(row),
+            })
+            .collect()
     }
+}
+
+/// The per-row path for the `filter* → bind?` part of one batch, stacked
+/// operator-by-operator across the whole batch (bind across the batch,
+/// then each filter across the batch) — exactly how the row cursors'
+/// `next_batch` implementations compose, so results, errors and error
+/// order match.  Each row keeps its source index into `slice` so callers
+/// can recover the raw (pre-bind) value.
+fn fallback_rows<'a>(
+    slice: &'a [Value],
+    bind_name: Option<&Arc<str>>,
+    filters: &[&'a ScalarExpr],
+    ctx: PipelineCtx<'a>,
+) -> Result<Vec<(u32, Row<'a>)>> {
+    let mut rows: Vec<(u32, Row<'a>)> = slice
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let i = u32::try_from(i).expect("chunk size is clamped below u32::MAX");
+            (i, Row::borrowed(v))
+        })
+        .collect();
+    if let Some(name) = bind_name {
+        let mut bound = Vec::with_capacity(rows.len());
+        for (i, row) in rows {
+            let value = row.materialize(ctx.metrics)?;
+            let env_row =
+                StructValue::new(vec![(Arc::clone(name), value)]).map_err(AlgebraError::from)?;
+            bound.push((i, Row::owned(Value::Struct(env_row))));
+        }
+        rows = bound;
+    }
+    for predicate in filters {
+        let mut kept = Vec::with_capacity(rows.len());
+        for (i, row) in rows {
+            if truthy(&eval_in_row(predicate, &row, ctx)?) {
+                kept.push((i, row));
+            }
+        }
+        rows = kept;
+    }
+    Ok(rows)
 }
 
 /// A compiled-but-not-finalized keyed spine: filter and key kernels exist
@@ -729,40 +739,9 @@ impl<'a> KeyedSpine<'a> {
         }
     }
 
-    /// The per-row path for one batch, stacked operator-by-operator like
-    /// the row cursors' `next_batch` chain (bind across the batch, then
-    /// each filter across the batch), so results, errors and error order
-    /// match.  Each row keeps its source index into `slice` so callers can
-    /// recover the raw (pre-bind) value.
+    /// The per-row path for one batch ([`fallback_rows`]).
     pub(crate) fn fallback_rows(&self, slice: &'a [Value]) -> Result<Vec<(u32, Row<'a>)>> {
-        let mut rows: Vec<(u32, Row<'a>)> = slice
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let i = u32::try_from(i).expect("chunk size is clamped below u32::MAX");
-                (i, Row::borrowed(v))
-            })
-            .collect();
-        if let Some(name) = &self.bind_name {
-            let mut bound = Vec::with_capacity(rows.len());
-            for (i, row) in rows {
-                let value = row.materialize(self.ctx.metrics)?;
-                let env_row = StructValue::new(vec![(Arc::clone(name), value)])
-                    .map_err(AlgebraError::from)?;
-                bound.push((i, Row::owned(Value::Struct(env_row))));
-            }
-            rows = bound;
-        }
-        for predicate in &self.filter_exprs {
-            let mut kept = Vec::with_capacity(rows.len());
-            for (i, row) in rows {
-                if truthy(&eval_in_row(predicate, &row, self.ctx)?) {
-                    kept.push((i, row));
-                }
-            }
-            rows = kept;
-        }
-        Ok(rows)
+        fallback_rows(slice, self.bind_name.as_ref(), &self.filter_exprs, self.ctx)
     }
 }
 
@@ -806,7 +785,6 @@ pub(crate) struct FusedJoin<'a> {
     build_on_left: bool,
     table: ColumnarJoinTable<'a>,
     built: bool,
-    batch_rows: usize,
     ctx: PipelineCtx<'a>,
 }
 
@@ -838,19 +816,7 @@ impl<'a> FusedJoin<'a> {
         }
         let left_shape = spine_shape(left, &ctx, true)?;
         let right_shape = spine_shape(right, &ctx, true)?;
-        let build_on_left = match ctx.options.build_side {
-            BuildSide::Left => true,
-            BuildSide::Right => false,
-            BuildSide::Auto => {
-                match (
-                    estimated_rows(left, ctx.resolved),
-                    estimated_rows(right, ctx.resolved),
-                ) {
-                    (Some(l), Some(r)) => l < r,
-                    _ => false,
-                }
-            }
-        };
+        let build_on_left = decide_build_side(left, right, ctx.options, ctx.resolved);
         let (build_shape, probe_shape, build_key, probe_key) = if build_on_left {
             (left_shape, right_shape, left_key, right_key)
         } else {
@@ -908,7 +874,6 @@ impl<'a> FusedJoin<'a> {
             build_on_left,
             table,
             built: false,
-            batch_rows: ctx.options.effective_batch_rows(),
             ctx,
         })
     }
@@ -917,7 +882,7 @@ impl<'a> FusedJoin<'a> {
     /// bump per build row, like the row engine's `build_table`), then
     /// freezes the payload chunk.
     fn ensure_built(&mut self) -> Result<()> {
-        while let Some(batch) = self.build.next_keyed(self.batch_rows) {
+        while let Some(batch) = self.build.next_keyed(self.ctx.batch_rows) {
             match batch {
                 // Decoded batches are structs by construction, so the row
                 // path's per-row struct-frame check is a proven no-op here.
@@ -1128,7 +1093,7 @@ impl<'a> RowStream<'a> for SpineCursor<'a> {
             if let Some(row) = self.pending.pop_front() {
                 return Some(Ok(row));
             }
-            match self.source.next_chunk(self.source.batch_rows()) {
+            match self.source.next_chunk(self.source.ctx().batch_rows) {
                 Ok(Some(SpineBatch::Mapped(result, n))) => self.mapped = Some((result, 0, n)),
                 Ok(Some(batch)) => enqueue(&mut self.pending, batch),
                 Ok(None) => return None,
@@ -1283,7 +1248,7 @@ impl<'a> RowStream<'a> for ColumnarDistinctCursor<'a> {
             if let Some(row) = self.pending.pop_front() {
                 return Some(Ok(row));
             }
-            match self.source.next_chunk(self.source.batch_rows()) {
+            match self.source.next_chunk(self.source.ctx().batch_rows) {
                 Ok(Some(batch)) => {
                     if let Err(err) = self.process(batch) {
                         return Some(Err(err));
@@ -1331,7 +1296,7 @@ impl<'a> RowStream<'a> for ColumnarAggregateCursor<'a> {
     fn next_row(&mut self) -> Option<Result<Row<'a>>> {
         let mut source = self.source.take()?;
         let mut state = AggState::new(self.func);
-        let batch_rows = source.batch_rows();
+        let batch_rows = source.ctx().batch_rows;
         loop {
             match source.next_chunk(batch_rows) {
                 Ok(Some(SpineBatch::Mapped(result, n))) => {

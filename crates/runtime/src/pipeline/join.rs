@@ -41,7 +41,7 @@ use disco_value::{approx_value_bytes, Value};
 
 use super::sink::IdentityHasher;
 use super::spill::{
-    approx_row_bytes, record_row, row_record, spill_partition, RewindableRun, RunFile,
+    approx_row_bytes, new_runs, record_row, row_record, spill_partition, RewindableRun, RunFile,
     RunFileReader, RunPass, MAX_SPILL_LEVEL, SPILL_FANOUT,
 };
 use super::{
@@ -262,9 +262,10 @@ impl<'a> HashJoinCursor<'a> {
         let mut table: HashMap<Value, Vec<Row<'a>>> = HashMap::new();
         let mut charged = 0usize;
         let mut tripped = false;
-        let mut buf = Vec::with_capacity(super::BATCH_ROWS);
+        let batch_rows = self.ctx.batch_rows;
+        let mut buf = Vec::with_capacity(batch_rows);
         let more = loop {
-            let more = input.next_batch(&mut buf, super::BATCH_ROWS)?;
+            let more = input.next_batch(&mut buf, batch_rows)?;
             for row in buf.drain(..) {
                 check_struct_frames(&row)?;
                 let key = eval_in_row(self.build_key, &row, self.ctx)?;
@@ -318,9 +319,10 @@ impl<'a> HashJoinCursor<'a> {
         // The rest of the build input goes straight to disk; this is the
         // row's original consumption, so it still bumps
         // `rows_materialized` — reloads from disk never bump again.
-        let mut buf = Vec::with_capacity(super::BATCH_ROWS);
+        let batch_rows = self.ctx.batch_rows;
+        let mut buf = Vec::with_capacity(batch_rows);
         while more {
-            more = input.next_batch(&mut buf, super::BATCH_ROWS)?;
+            more = input.next_batch(&mut buf, batch_rows)?;
             for row in buf.drain(..) {
                 check_struct_frames(&row)?;
                 let key = eval_in_row(self.build_key, &row, self.ctx)?;
@@ -427,7 +429,7 @@ impl<'a> HashJoinCursor<'a> {
             self.probe_pos = 0;
             let more = self
                 .probe_input
-                .next_batch(&mut self.probe_buf, super::BATCH_ROWS)?;
+                .next_batch(&mut self.probe_buf, self.ctx.batch_rows)?;
             if !more {
                 self.probe_exhausted = true;
             }
@@ -502,11 +504,6 @@ impl<'a> RowStream<'a> for HashJoinCursor<'a> {
         }
         Ok(true)
     }
-}
-
-/// One fan-out's worth of fresh spill runs.
-fn new_runs() -> Result<Vec<RunFile>> {
-    (0..SPILL_FANOUT).map(|_| RunFile::create()).collect()
 }
 
 /// Loads one partition's build run into an in-memory table, charging the
@@ -699,9 +696,9 @@ fn buffer_rows<'a>(
     ctx: PipelineCtx<'a>,
 ) -> Result<InnerBuffer<Row<'a>>> {
     let mut buffer = InnerBuffer::default();
-    let mut buf = Vec::with_capacity(super::BATCH_ROWS);
+    let mut buf = Vec::with_capacity(ctx.batch_rows);
     loop {
-        let more = input.next_batch(&mut buf, super::BATCH_ROWS)?;
+        let more = input.next_batch(&mut buf, ctx.batch_rows)?;
         for row in buf.drain(..) {
             check_struct_frames(&row)?;
             ctx.metrics.bump_materialized();

@@ -55,7 +55,7 @@ use disco_algebra::{
 };
 use disco_value::{Bag, StructValue, Value};
 
-use crate::exec::{ExecKey, ExecOutcome, ResolvedExecs};
+use crate::exec::{ExecKey, ExecOutcome, PendingSource, ResolvedExecs};
 use crate::{Result, RuntimeError};
 
 pub use join::BuildSide;
@@ -544,20 +544,6 @@ impl std::ops::Add for &PipelineMetrics {
     }
 }
 
-/// Whether fused pipeline stretches execute through the columnar
-/// (batch-at-a-time, vectorized-kernel) engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ColumnarMode {
-    /// Defer to the `DISCO_COLUMNAR` environment variable (`0`/`false`/
-    /// `off` disable; anything else — including unset — enables).
-    #[default]
-    Auto,
-    /// Force the columnar engine on, regardless of the environment.
-    On,
-    /// Force every operator through the row-at-a-time path.
-    Off,
-}
-
 /// Whether the heterogeneity-aware adaptive scheduler is active:
 /// speed-proportional morsel claiming (slow workers claim smaller
 /// morsels) and overlap-first hash-join build-side selection (build on
@@ -600,8 +586,6 @@ pub struct PipelineOptions {
     /// which itself defaults to [`BATCH_ROWS`].  Clamped to
     /// `1..=1_048_576`.
     pub batch_rows: usize,
-    /// Columnar-engine switch; see [`ColumnarMode`].
-    pub columnar: ColumnarMode,
     /// Memory budget for pipeline breakers; see [`MemBudget`].  The
     /// default (`Auto`) defers to `DISCO_MEM_BUDGET`, which itself
     /// defaults to unbounded — the pre-spill behavior.
@@ -640,16 +624,6 @@ impl PipelineOptions {
             });
         }
         self.batch_rows.clamp(1, MAX_BATCH_ROWS)
-    }
-
-    /// Whether the columnar engine is active under these options.
-    #[must_use]
-    pub fn columnar_enabled(self) -> bool {
-        match self.columnar {
-            ColumnarMode::On => true,
-            ColumnarMode::Off => false,
-            ColumnarMode::Auto => env_columnar_default(),
-        }
     }
 
     /// The breaker memory budget this execution actually uses, with the
@@ -727,19 +701,6 @@ fn env_adaptive_default() -> bool {
     })
 }
 
-/// `DISCO_COLUMNAR` (cached at first use; the columnar engine defaults to
-/// **on** and is disabled by `0`, `false` or `off`).
-fn env_columnar_default() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| match std::env::var("DISCO_COLUMNAR") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
-    })
-}
-
 /// Shared, `Copy` context threaded through every cursor of one execution.
 #[derive(Clone, Copy)]
 pub(crate) struct PipelineCtx<'a> {
@@ -747,70 +708,20 @@ pub(crate) struct PipelineCtx<'a> {
     pub outer: &'a Env<'a>,
     pub metrics: &'a PipelineMetrics,
     pub options: PipelineOptions,
+    /// [`PipelineOptions::effective_batch_rows`], resolved once per
+    /// evaluation: the rows every cursor, breaker and sink of this
+    /// execution pulls per batch.
+    pub batch_rows: usize,
     /// The breaker memory budget of this evaluation, shared by every
-    /// cursor (serial) or worker (parallel).  The `evaluate_*` entry
-    /// points allocate one per evaluation from
-    /// [`PipelineOptions::effective_mem_budget`]; the raw
-    /// [`open`]/[`open_with`] cursor API always gets the static unbounded
-    /// instance (it cannot outlive a stack-local budget).
+    /// cursor (serial) or worker (parallel); allocated once per
+    /// evaluation from [`PipelineOptions::effective_mem_budget`].
     pub budget: &'a MemoryBudget,
 }
 
-/// Opens a physical plan into a cursor tree with default options.
-///
-/// # Errors
-///
-/// Returns an error if the plan references an unresolved or unavailable
-/// `exec` call; evaluation errors surface lazily from
-/// [`RowStream::next_row`].
-pub fn open<'a>(
-    plan: &'a PhysicalExpr,
-    resolved: &'a ResolvedExecs,
-    outer: &'a Env<'a>,
-    metrics: &'a PipelineMetrics,
-) -> Result<BoxedRowStream<'a>> {
-    open_with(plan, resolved, outer, metrics, PipelineOptions::default())
-}
-
-/// Opens a physical plan into a cursor tree.
-///
-/// # Errors
-///
-/// See [`open`].
-pub fn open_with<'a>(
-    plan: &'a PhysicalExpr,
-    resolved: &'a ResolvedExecs,
-    outer: &'a Env<'a>,
-    metrics: &'a PipelineMetrics,
-    options: PipelineOptions,
-) -> Result<BoxedRowStream<'a>> {
-    build(
-        plan,
-        PipelineCtx {
-            resolved,
-            outer,
-            metrics,
-            options,
-            budget: spill::unbounded_static(),
-        },
-    )
-}
-
-/// Drains a cursor into a bag — the final sink of every pipeline.
-///
-/// Join rows reaching the sink unmerged are materialized here (counted in
+/// Drains a cursor into a bag — the final sink of every pipeline.  Join
+/// rows reaching the sink unmerged are materialized here (counted in
 /// [`PipelineMetrics::rows_merged`]).
-///
-/// # Errors
-///
-/// Propagates the first row error.
-pub fn collect(cursor: BoxedRowStream<'_>, metrics: &PipelineMetrics) -> Result<Bag> {
-    collect_with(cursor, metrics, BATCH_ROWS)
-}
-
-/// [`collect`] with an explicit batch size (the engine threads
-/// [`PipelineOptions::effective_batch_rows`] through here).
-pub(crate) fn collect_with(
+fn collect(
     mut cursor: BoxedRowStream<'_>,
     metrics: &PipelineMetrics,
     batch_rows: usize,
@@ -838,11 +749,10 @@ pub(crate) fn build<'a>(
     // Columnar interception: when a stretch of this subtree fuses into a
     // vectorized kernel pipeline, run it batch-at-a-time.  `None` simply
     // means "not fusable here" — recursion below still intercepts fusable
-    // *inner* subtrees (partial fusion).
-    if ctx.options.columnar_enabled() {
-        if let Some(cursor) = columnar::try_build(plan, ctx) {
-            return Ok(cursor);
-        }
+    // *inner* subtrees (partial fusion) — and the row cursors below are
+    // also what every columnar operator falls back to per batch.
+    if let Some(cursor) = columnar::try_build(plan, ctx) {
+        return Ok(cursor);
     }
     match plan {
         PhysicalExpr::Exec {
@@ -856,7 +766,7 @@ pub(crate) fn build<'a>(
                 Some(ExecOutcome::Rows(rows)) => Ok(Box::new(scan::ScanCursor::new(rows))),
                 Some(ExecOutcome::Pending(source)) => Ok(Box::new(scan::PendingScanCursor::new(
                     std::sync::Arc::clone(source),
-                    ctx.metrics,
+                    ctx,
                 ))),
                 Some(ExecOutcome::Unavailable) => Err(RuntimeError::Unsupported(format!(
                     "exec call to unavailable source {repository} reached the evaluator"
@@ -944,10 +854,10 @@ pub(crate) fn build<'a>(
 /// same choice and `rows_materialized` agrees at every thread count.
 ///
 /// Under `BuildSide::Auto` the pinned path buffers the smaller input by
-/// blocking cardinality estimate ([`estimated_rows`] awaits pending
+/// blocking cardinality estimate ([`estimated_rows`] awaiting pending
 /// sources).  With adaptivity engaged the decision trades that pin for
 /// overlap: only *already-answered* pending sources contribute a
-/// cardinality ([`estimated_rows_ready`]), so the build starts on
+/// cardinality, so the build starts on
 /// whichever side answered first — behind a cost threshold
 /// ([`join::ADAPTIVE_BUILD_MAX_ROWS`]) that refuses to buffer an
 /// obviously oversized first-answered side — and never stalls waiting
@@ -963,8 +873,8 @@ pub(crate) fn decide_build_side(
         BuildSide::Right => false,
         BuildSide::Auto if options.adaptive_enabled() => {
             match (
-                estimated_rows_ready(left, resolved),
-                estimated_rows_ready(right, resolved),
+                estimated_rows(left, resolved, PendingSource::finished_len),
+                estimated_rows(right, resolved, PendingSource::finished_len),
             ) {
                 (Some(l), Some(r)) => l < r,
                 // Exactly one side fully answered: build it, unless it is
@@ -981,8 +891,8 @@ pub(crate) fn decide_build_side(
             // Buffer the smaller input; ties and unknowns keep the
             // conventional right-side build.
             match (
-                estimated_rows(left, resolved),
-                estimated_rows(right, resolved),
+                estimated_rows(left, resolved, PendingSource::await_len),
+                estimated_rows(right, resolved, PendingSource::await_len),
             ) {
                 (Some(l), Some(r)) => l < r,
                 _ => false,
@@ -997,8 +907,22 @@ pub(crate) fn decide_build_side(
 /// Filters, projections and distinct report their input size (an upper
 /// bound); joins multiply; an unavailable or unresolved source is
 /// unknown.  Used to pick the hash-join build side.
-#[must_use]
-pub fn estimated_rows(plan: &PhysicalExpr, resolved: &ResolvedExecs) -> Option<usize> {
+///
+/// A still-pending source is asked for its final length through
+/// `pending_len`: the pinned decision passes
+/// [`PendingSource::await_len`](crate::exec::PendingSource), which blocks
+/// until the call completes (bounded by the deadline) so that build-side
+/// choices — and with them `rows_materialized` — are the ones an
+/// evaluation over materialized outcomes makes; the adaptive decision
+/// passes [`PendingSource::finished_len`](crate::exec::PendingSource),
+/// which answers only for spools that already completed.  Union/branch
+/// shapes never ask, so the federated overlap path is unaffected.
+fn estimated_rows(
+    plan: &PhysicalExpr,
+    resolved: &ResolvedExecs,
+    pending_len: fn(&PendingSource) -> Option<usize>,
+) -> Option<usize> {
+    let estimate = |plan: &PhysicalExpr| estimated_rows(plan, resolved, pending_len);
     match plan {
         PhysicalExpr::MemScan(bag) => Some(bag.len()),
         PhysicalExpr::Exec {
@@ -1010,107 +934,26 @@ pub fn estimated_rows(plan: &PhysicalExpr, resolved: &ResolvedExecs) -> Option<u
             let key = ExecKey::new(repository, extent, logical);
             match resolved.outcome(&key) {
                 Some(ExecOutcome::Rows(rows)) => Some(rows.len()),
-                // A pending source blocks until its call completes (bounded
-                // by the deadline): hash-join build-side choices — and with
-                // them `rows_materialized` — stay identical to the blocking
-                // path's.  Union/branch shapes never ask, so the federated
-                // overlap path is unaffected.
-                Some(ExecOutcome::Pending(source)) => source.await_len(),
+                Some(ExecOutcome::Pending(source)) => pending_len(source),
                 _ => None,
             }
         }
         PhysicalExpr::FilterOp { input, .. }
         | PhysicalExpr::ProjectOp { input, .. }
         | PhysicalExpr::MapOp { input, .. }
-        | PhysicalExpr::BindOp { input, .. } => estimated_rows(input, resolved),
-        PhysicalExpr::MkFlatten(inner) | PhysicalExpr::MkDistinct(inner) => {
-            estimated_rows(inner, resolved)
-        }
+        | PhysicalExpr::BindOp { input, .. } => estimate(input),
+        PhysicalExpr::MkFlatten(inner) | PhysicalExpr::MkDistinct(inner) => estimate(inner),
         PhysicalExpr::MkUnion(items) => items
             .iter()
-            .map(|item| estimated_rows(item, resolved))
+            .map(estimate)
             .try_fold(0usize, |acc, n| n.map(|n| acc + n)),
         PhysicalExpr::NestedLoopJoin { left, right, .. }
         | PhysicalExpr::HashJoin { left, right, .. }
         | PhysicalExpr::MergeTuplesJoin { left, right, .. } => {
-            let l = estimated_rows(left, resolved)?;
-            let r = estimated_rows(right, resolved)?;
-            l.checked_mul(r)
+            estimate(left)?.checked_mul(estimate(right)?)
         }
         PhysicalExpr::MkAggregate { .. } => Some(1),
     }
-}
-
-/// Non-blocking variant of [`estimated_rows`] for the adaptive build-side
-/// decision: a pending source contributes a cardinality only when its
-/// spool has already completed ([`crate::exec::PendingSource::finished_len`]) —
-/// a still-streaming source is `None` instead of a blocked wait.
-#[must_use]
-pub fn estimated_rows_ready(plan: &PhysicalExpr, resolved: &ResolvedExecs) -> Option<usize> {
-    match plan {
-        PhysicalExpr::MemScan(bag) => Some(bag.len()),
-        PhysicalExpr::Exec {
-            repository,
-            extent,
-            logical,
-            ..
-        } => {
-            let key = ExecKey::new(repository, extent, logical);
-            match resolved.outcome(&key) {
-                Some(ExecOutcome::Rows(rows)) => Some(rows.len()),
-                Some(ExecOutcome::Pending(source)) => source.finished_len(),
-                _ => None,
-            }
-        }
-        PhysicalExpr::FilterOp { input, .. }
-        | PhysicalExpr::ProjectOp { input, .. }
-        | PhysicalExpr::MapOp { input, .. }
-        | PhysicalExpr::BindOp { input, .. } => estimated_rows_ready(input, resolved),
-        PhysicalExpr::MkFlatten(inner) | PhysicalExpr::MkDistinct(inner) => {
-            estimated_rows_ready(inner, resolved)
-        }
-        PhysicalExpr::MkUnion(items) => items
-            .iter()
-            .map(|item| estimated_rows_ready(item, resolved))
-            .try_fold(0usize, |acc, n| n.map(|n| acc + n)),
-        PhysicalExpr::NestedLoopJoin { left, right, .. }
-        | PhysicalExpr::HashJoin { left, right, .. }
-        | PhysicalExpr::MergeTuplesJoin { left, right, .. } => {
-            let l = estimated_rows_ready(left, resolved)?;
-            let r = estimated_rows_ready(right, resolved)?;
-            l.checked_mul(r)
-        }
-        PhysicalExpr::MkAggregate { .. } => Some(1),
-    }
-}
-
-/// Evaluates a logical plan through the streaming engine, sharing the
-/// caller's metrics (used for correlated aggregate sub-queries).
-pub(crate) fn evaluate_logical_streamed(
-    plan: &LogicalExpr,
-    resolved: &ResolvedExecs,
-    outer: &Env<'_>,
-    metrics: &PipelineMetrics,
-    options: PipelineOptions,
-) -> Result<Bag> {
-    let physical = lower(plan).map_err(RuntimeError::Algebra)?;
-    evaluate_physical_streamed(&physical, resolved, outer, metrics, options)
-}
-
-/// [`evaluate_logical_streamed`] charging an existing budget instead of
-/// allocating a fresh one — the correlated-sub-query path, where the
-/// nested evaluation must count against the *parent* execution's
-/// `DISCO_MEM_BUDGET` ceiling rather than getting its own.
-pub(crate) fn evaluate_logical_streamed_with_budget(
-    plan: &LogicalExpr,
-    resolved: &ResolvedExecs,
-    outer: &Env<'_>,
-    metrics: &PipelineMetrics,
-    options: PipelineOptions,
-    budget: &MemoryBudget,
-) -> Result<Bag> {
-    let physical = lower(plan).map_err(RuntimeError::Algebra)?;
-    evaluate_physical_streamed_with_budget(&physical, resolved, outer, metrics, options, budget)
 }
 
 /// Evaluates a physical plan through the streaming engine into a bag.
@@ -1127,15 +970,14 @@ pub(crate) fn evaluate_physical_streamed(
     // resolves to unbounded, where `charge` is a no-op and nothing below
     // ever spills.
     let budget = spill::MemoryBudget::from_limit(options.effective_mem_budget());
-    let result =
-        evaluate_physical_streamed_with_budget(plan, resolved, outer, metrics, options, &budget);
+    let result = evaluate_with_budget(plan, resolved, outer, metrics, options, &budget);
     metrics.note_peak_tracked(budget.peak());
     result
 }
 
 /// [`evaluate_physical_streamed`] against a caller-owned budget.  Peak
 /// tracking is the allocating caller's job — this function only charges.
-pub(crate) fn evaluate_physical_streamed_with_budget(
+fn evaluate_with_budget(
     plan: &PhysicalExpr,
     resolved: &ResolvedExecs,
     outer: &Env<'_>,
@@ -1164,7 +1006,7 @@ pub(crate) fn evaluate_physical_streamed_with_budget(
                 metrics.add_emitted(rows.len());
                 return Ok(rows.clone());
             }
-            // Fall through to `open_with`, which reports the precise
+            // Fall through to `build`, which reports the precise
             // unavailable/unresolved error for this node.
         }
         _ => {}
@@ -1184,10 +1026,10 @@ pub(crate) fn evaluate_physical_streamed_with_budget(
         outer,
         metrics,
         options,
+        batch_rows: options.effective_batch_rows(),
         budget,
     };
-    let cursor = build(plan, ctx)?;
-    collect_with(cursor, metrics, options.effective_batch_rows())
+    collect(build(plan, ctx)?, metrics, ctx.batch_rows)
 }
 
 /// Builds the layered environment of a row's frames on top of `outer` and
@@ -1246,15 +1088,19 @@ pub(crate) fn eval_row_scalar(
         // Correlated sub-queries charge the parent execution's shared
         // budget (`ctx.budget`), not a fresh one per evaluation — k
         // nested evaluations under one query share one ceiling.
-        evaluate_logical_streamed_with_budget(
-            plan,
-            ctx.resolved,
-            outer,
-            ctx.metrics,
-            ctx.options,
-            ctx.budget,
-        )
-        .map_err(|e| AlgebraError::Unsupported(e.to_string()))
+        lower(plan)
+            .map_err(RuntimeError::Algebra)
+            .and_then(|physical| {
+                evaluate_with_budget(
+                    &physical,
+                    ctx.resolved,
+                    outer,
+                    ctx.metrics,
+                    ctx.options,
+                    ctx.budget,
+                )
+            })
+            .map_err(|e| AlgebraError::Unsupported(e.to_string()))
     };
     eval_scalar_with(expr, env, &callback).map_err(RuntimeError::Algebra)
 }

@@ -81,7 +81,6 @@ use super::sink::{AggState, SeenSet};
 use super::spill::MemoryBudget;
 use super::{
     build, decide_build_side, BoxedRowStream, PipelineCtx, PipelineMetrics, PipelineOptions,
-    BATCH_ROWS,
 };
 
 /// Hard ceiling on the worker pool size.
@@ -627,6 +626,7 @@ fn run_phases<'a>(
             outer,
             metrics: m,
             options,
+            batch_rows: options.effective_batch_rows(),
             budget,
         })
         .collect();
@@ -655,9 +655,9 @@ fn run_phases<'a>(
                 let ctx = ctxs[worker];
                 let mut cursor = pipeline.open(task, ctx)?;
                 let mut out = Vec::new();
-                let mut buf = Vec::with_capacity(BATCH_ROWS);
+                let mut buf = Vec::with_capacity(ctx.batch_rows);
                 loop {
-                    let more = cursor.next_batch(&mut buf, BATCH_ROWS)?;
+                    let more = cursor.next_batch(&mut buf, ctx.batch_rows)?;
                     ctx.metrics.add_emitted(buf.len());
                     for row in buf.drain(..) {
                         let value = row.materialize(ctx.metrics)?;
@@ -690,9 +690,9 @@ fn run_phases<'a>(
                 let ctx = ctxs[worker];
                 let mut cursor = pipeline.open(task, ctx)?;
                 let mut out = Vec::new();
-                let mut buf = Vec::with_capacity(BATCH_ROWS);
+                let mut buf = Vec::with_capacity(ctx.batch_rows);
                 loop {
-                    let more = cursor.next_batch(&mut buf, BATCH_ROWS)?;
+                    let more = cursor.next_batch(&mut buf, ctx.batch_rows)?;
                     for row in buf.drain(..) {
                         // Mirrors the serial DistinctCursor: single-frame
                         // rows are hashed and checked borrowed (no clone
@@ -743,9 +743,9 @@ fn run_phases<'a>(
                 let ctx = ctxs[worker];
                 let mut cursor = pipeline.open(task, ctx)?;
                 let mut state = AggState::new(func);
-                let mut buf = Vec::with_capacity(BATCH_ROWS);
+                let mut buf = Vec::with_capacity(ctx.batch_rows);
                 loop {
-                    let more = cursor.next_batch(&mut buf, BATCH_ROWS)?;
+                    let more = cursor.next_batch(&mut buf, ctx.batch_rows)?;
                     for row in buf.drain(..) {
                         let merged;
                         let value: &Value = match row.single_value() {
@@ -812,62 +812,54 @@ fn build_stage_table<'a>(
         // pass and scatter by the batch-computed hashes.  The spine's
         // hasher is a clone of the table hasher, so kernel-computed
         // hashes agree with the row path's `hasher.hash_one`.
-        if ctx.options.columnar_enabled() {
-            if let (Some(PartSource::Slice { node, rows }), Task::Range { range, .. }) =
-                (&source, task)
-            {
-                if let Some(mut spine) = columnar::keyed_partition(
-                    stage.build,
-                    node,
-                    &rows[range.clone()],
-                    stage.build_key,
-                    hasher.clone(),
-                    ctx,
-                ) {
-                    let batch_rows = ctx.options.effective_batch_rows();
-                    while let Some(batch) = spine.next_keyed(batch_rows) {
-                        match batch {
-                            KeyedBatch::Kernel {
-                                slice,
-                                sel,
-                                keys,
-                                hashes,
-                                ..
-                            } => {
-                                // Decoded rows are structs by construction,
-                                // so the row path's struct-frame check is a
-                                // no-op here.
-                                for (j, &i) in sel.iter().enumerate() {
-                                    let row = spine.make_row(slice, i);
-                                    ctx.metrics.bump_materialized();
-                                    let hash = hashes[j];
-                                    grid[shard_of(hash, shards)].push((
-                                        hash,
-                                        keys.value_at(j),
-                                        row,
-                                    ));
-                                }
+        if let (Some(PartSource::Slice { node, rows }), Task::Range { range, .. }) = (&source, task)
+        {
+            if let Some(mut spine) = columnar::keyed_partition(
+                stage.build,
+                node,
+                &rows[range.clone()],
+                stage.build_key,
+                hasher.clone(),
+                ctx,
+            ) {
+                while let Some(batch) = spine.next_keyed(ctx.batch_rows) {
+                    match batch {
+                        KeyedBatch::Kernel {
+                            slice,
+                            sel,
+                            keys,
+                            hashes,
+                            ..
+                        } => {
+                            // Decoded rows are structs by construction,
+                            // so the row path's struct-frame check is a
+                            // no-op here.
+                            for (j, &i) in sel.iter().enumerate() {
+                                let row = spine.make_row(slice, i);
+                                ctx.metrics.bump_materialized();
+                                let hash = hashes[j];
+                                grid[shard_of(hash, shards)].push((hash, keys.value_at(j), row));
                             }
-                            KeyedBatch::Fallback { slice } => {
-                                for (_, row) in spine.fallback_rows(slice)? {
-                                    check_struct_frames(&row)?;
-                                    let key = super::eval_in_row(stage.build_key, &row, ctx)?;
-                                    ctx.metrics.bump_materialized();
-                                    let hash = hasher.hash_one(&key);
-                                    grid[shard_of(hash, shards)].push((hash, key, row));
-                                }
+                        }
+                        KeyedBatch::Fallback { slice } => {
+                            for (_, row) in spine.fallback_rows(slice)? {
+                                check_struct_frames(&row)?;
+                                let key = super::eval_in_row(stage.build_key, &row, ctx)?;
+                                ctx.metrics.bump_materialized();
+                                let hash = hasher.hash_one(&key);
+                                grid[shard_of(hash, shards)].push((hash, key, row));
                             }
                         }
                     }
-                    acc.lock().push((task.id(), grid));
-                    return Ok(());
                 }
+                acc.lock().push((task.id(), grid));
+                return Ok(());
             }
         }
         let mut cursor = pipeline.open(task, ctx)?;
-        let mut buf = Vec::with_capacity(BATCH_ROWS);
+        let mut buf = Vec::with_capacity(ctx.batch_rows);
         loop {
-            let more = cursor.next_batch(&mut buf, BATCH_ROWS)?;
+            let more = cursor.next_batch(&mut buf, ctx.batch_rows)?;
             for row in buf.drain(..) {
                 for frame in row.frames() {
                     frame
@@ -934,15 +926,13 @@ impl<'p, 'a> PartPipeline<'p, 'a> {
         // columnar spine over this task's slice instead of stacking row
         // cursors.  Bails (returns None) for staged joins, off-spine
         // nodes, and bare slices, which fall through to the row path.
-        if ctx.options.columnar_enabled() {
-            if let (Some(PartSource::Slice { node: leaf, rows }), Task::Range { range, .. }) =
-                (self.source, task)
+        if let (Some(PartSource::Slice { node: leaf, rows }), Task::Range { range, .. }) =
+            (self.source, task)
+        {
+            if let Some(cursor) =
+                columnar::try_build_partition(node, leaf, &rows[range.clone()], ctx)
             {
-                if let Some(cursor) =
-                    columnar::try_build_partition(node, leaf, &rows[range.clone()], ctx)
-                {
-                    return Ok(cursor);
-                }
+                return Ok(cursor);
             }
         }
         // The partition point: this task's slice of the leaf, or its

@@ -9,7 +9,7 @@ use disco_value::{Bag, Value};
 use crate::exec::{PendingSource, Progress};
 use crate::RuntimeError;
 
-use super::{PipelineMetrics, Result, Row, RowStream, BATCH_ROWS};
+use super::{PipelineCtx, Result, Row, RowStream};
 
 /// Streams the elements of a bag **by reference**: the bag lives in the
 /// plan (`memscan` literal data) or in the resolved `exec` outcomes, both
@@ -53,7 +53,7 @@ impl<'a> RowStream<'a> for ScanCursor<'a> {
 /// [`PendingSource`] spool as the wrapper thread pushes chunks, so the
 /// pipeline above combines data while slower sources are still answering.
 /// The cursor blocks only when *its own* source is behind; the blocked
-/// time is charged to [`PipelineMetrics::source_wait`].
+/// time is charged to [`PipelineMetrics::source_wait`](super::PipelineMetrics::source_wait).
 ///
 /// Rows are cloned out of the spool (`Arc` bumps), so the cursor owns its
 /// rows and several scans of the same deduplicated call can read one
@@ -65,7 +65,7 @@ impl<'a> RowStream<'a> for ScanCursor<'a> {
 /// fall back to partial evaluation.
 pub(crate) struct PendingScanCursor<'a> {
     source: Arc<PendingSource>,
-    metrics: &'a PipelineMetrics,
+    ctx: PipelineCtx<'a>,
     /// Read index into the spool (rows consumed into `buf`).
     index: usize,
     /// Rows fetched but not yet handed out (feeds `next_row`).
@@ -74,10 +74,10 @@ pub(crate) struct PendingScanCursor<'a> {
 }
 
 impl<'a> PendingScanCursor<'a> {
-    pub(crate) fn new(source: Arc<PendingSource>, metrics: &'a PipelineMetrics) -> Self {
+    pub(crate) fn new(source: Arc<PendingSource>, ctx: PipelineCtx<'a>) -> Self {
         PendingScanCursor {
             source,
-            metrics,
+            ctx,
             index: 0,
             buf: VecDeque::new(),
             exhausted: false,
@@ -91,7 +91,7 @@ impl<'a> PendingScanCursor<'a> {
         }
         let (progress, blocked) = self.source.wait_rows(self.index, max);
         if !blocked.is_zero() {
-            self.metrics.add_source_wait(blocked);
+            self.ctx.metrics.add_source_wait(blocked);
         }
         match progress {
             Progress::Rows(rows) => {
@@ -117,7 +117,7 @@ impl<'a> RowStream<'a> for PendingScanCursor<'a> {
         if let Some(value) = self.buf.pop_front() {
             return Some(Ok(Row::owned(value)));
         }
-        match self.fetch(BATCH_ROWS) {
+        match self.fetch(self.ctx.batch_rows) {
             Ok(Some(rows)) => {
                 self.buf.extend(rows);
                 self.buf.pop_front().map(|value| Ok(Row::owned(value)))

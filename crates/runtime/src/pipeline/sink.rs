@@ -33,7 +33,9 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 use disco_algebra::{AggKind, AlgebraError};
 use disco_value::{approx_value_bytes, Value};
 
-use super::spill::{spill_partition, RunFile, RunFileReader, MAX_SPILL_LEVEL, SPILL_FANOUT};
+use super::spill::{
+    new_runs, spill_partition, RunFile, RunFileReader, MAX_SPILL_LEVEL, SPILL_FANOUT,
+};
 use super::{BoxedRowStream, PipelineCtx, Result, Row, RowStream};
 
 /// Pass-through hasher for keys that already *are* hashes.
@@ -286,7 +288,7 @@ impl<'a> DistinctCursor<'a> {
         let mut buf = std::mem::take(&mut self.scratch);
         loop {
             buf.clear();
-            let more = self.input.next_batch(&mut buf, super::BATCH_ROWS)?;
+            let more = self.input.next_batch(&mut buf, self.ctx.batch_rows)?;
             for row in buf.drain(..) {
                 let value = row.materialize(self.ctx.metrics)?;
                 let p = spill_partition(route.hash_one(&value), 0);
@@ -438,11 +440,6 @@ impl<'a> RowStream<'a> for DistinctCursor<'a> {
         }
         Ok(more || !self.pending.is_empty())
     }
-}
-
-/// Eight fresh spill runs, one per fan-out slot.
-fn new_runs() -> Result<Vec<RunFile>> {
-    (0..SPILL_FANOUT).map(|_| RunFile::create()).collect()
 }
 
 /// Reloads a partition's seen run into a fresh in-memory set, charging
@@ -676,9 +673,9 @@ fn fold_aggregate(
     ctx: PipelineCtx<'_>,
 ) -> Result<Value> {
     let mut state = AggState::new(func);
-    let mut buf = Vec::with_capacity(super::BATCH_ROWS);
+    let mut buf = Vec::with_capacity(ctx.batch_rows);
     loop {
-        let more = input.next_batch(&mut buf, super::BATCH_ROWS)?;
+        let more = input.next_batch(&mut buf, ctx.batch_rows)?;
         for row in buf.drain(..) {
             let merged;
             let value: &Value = match row.single_value() {

@@ -179,14 +179,6 @@ impl MemoryBudget {
     }
 }
 
-/// The process-wide unbounded budget handed to pipelines opened through
-/// the public [`super::open`]/[`super::open_with`] entry points (which
-/// predate budgets and cannot thread a stack-local one).
-pub(crate) fn unbounded_static() -> &'static MemoryBudget {
-    static UNBOUNDED: MemoryBudget = MemoryBudget::unbounded();
-    &UNBOUNDED
-}
-
 /// Grace-style partition fan-out: every spill splits state 8 ways.
 pub(crate) const SPILL_FANOUT: usize = 8;
 
@@ -305,6 +297,11 @@ impl RunFile {
             reader: RunReader::new(BufReader::new(handle)),
         })
     }
+}
+
+/// One fan-out's worth of fresh spill runs.
+pub(crate) fn new_runs() -> Result<Vec<RunFile>> {
+    (0..SPILL_FANOUT).map(|_| RunFile::create()).collect()
 }
 
 /// A finished spill run supporting repeated sequential passes — the

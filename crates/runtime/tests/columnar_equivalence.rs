@@ -1,82 +1,119 @@
-//! Differential tests: the columnar (vectorized-kernel) engine against
-//! the row-at-a-time cursor path.
+//! Differential tests: the columnar (vectorized-kernel) operators against
+//! the row cursors they fall back to, and both against the reference
+//! evaluator.
 //!
-//! Every test runs the same plan with `ColumnarMode::On` and
-//! `ColumnarMode::Off` and asserts multiset-equal answers plus identical
-//! breaker metrics (`rows_materialized`, `rows_merged`, `rows_emitted`).
-//! The value-plane edge cases the kernels must preserve are pinned
-//! explicitly: NaN under `total_cmp`, null propagation through
-//! comparisons and arithmetic, dictionary-column equality for
-//! content-equal strings from distinct allocations, empty and
-//! all-filtered selections, irregular (mixed-type / missing-field)
+//! There is no switch between the two: `build()` always tries the
+//! columnar operators, and the row cursors run wherever those decline —
+//! per batch on irregular input (mixed-type columns, missing fields,
+//! would-be errors), and for the hash join and distinct under a bounded
+//! memory budget.  The tests therefore reach the row cursors the way
+//! production does: every plan runs once as is and once under a budget
+//! too large ever to trip, and both answers must equal the reference
+//! evaluator's, with identical breaker metrics (`rows_materialized`,
+//! `rows_merged`, `rows_emitted`).  The value-plane edge cases the
+//! kernels must preserve are pinned explicitly: NaN under `total_cmp`,
+//! null propagation through comparisons and arithmetic, dictionary-column
+//! equality for content-equal strings from distinct allocations, empty
+//! and all-filtered selections, irregular (mixed-type / missing-field)
 //! batches, and error identity between the kernel bail-out path and the
-//! row evaluator.  The vectorized hash join gets its own section: float
-//! and NaN keys under `total_cmp`, null keys, dictionary and
+//! reference evaluator.  The vectorized hash join gets its own section:
+//! float and NaN keys under `total_cmp`, null keys, dictionary and
 //! non-dictionary string keys from distinct allocations, batch-size
-//! invariance across the join boundary, and thread-count × mode parity.
+//! invariance across the join boundary, and thread-count × budget parity.
 
 mod common;
 
 use common::random_plan;
 use disco_algebra::{lower, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_runtime::{
-    evaluate_physical_with, ColumnarMode, MemBudget, PipelineMetrics, PipelineOptions,
-    ResolvedExecs,
+    evaluate_physical_with, reference, MemBudget, PipelineMetrics, PipelineOptions, ResolvedExecs,
 };
 use disco_value::{Bag, StructValue, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn options(mode: ColumnarMode) -> PipelineOptions {
+/// A bounded budget no test input can trip: nothing spills, but the hash
+/// join and distinct decline their columnar forms for the (spillable) row
+/// cursors.
+const NEVER_TRIPS: MemBudget = MemBudget::Bytes(usize::MAX / 2);
+
+fn options(mem_budget: MemBudget) -> PipelineOptions {
     // Serial by default so kernel-coverage counts are exact per plan; the
     // thread-parity tests below pass explicit thread counts.
     PipelineOptions {
         threads: 1,
-        columnar: mode,
+        mem_budget,
         ..PipelineOptions::default()
     }
 }
 
-/// Runs both modes, asserts equivalence, and returns the columnar run.
-fn assert_modes_agree(plan: &LogicalExpr) -> (Bag, PipelineMetrics) {
-    modes_agree(plan, MemBudget::default())
+/// Runs the plan as is and with the row-cursor breakers, asserts both
+/// equal the reference evaluator, and returns the first run.
+fn assert_engines_agree(plan: &LogicalExpr) -> (Bag, PipelineMetrics) {
+    engines_agree(plan, MemBudget::default())
 }
 
-/// Like [`assert_modes_agree`] with the memory budget pinned unbounded —
-/// for the join kernel-engagement assertions: a bounded budget (e.g. a
-/// `DISCO_MEM_BUDGET` forced through the environment) makes the fused
-/// join decline to the spillable row path by design, which would read
-/// here as a vectorization regression.
-fn assert_modes_agree_unbounded(plan: &LogicalExpr) -> (Bag, PipelineMetrics) {
-    modes_agree(plan, MemBudget::Unbounded)
+/// Like [`assert_engines_agree`] with the first run's budget pinned
+/// unbounded — for the kernel-engagement assertions: a bounded budget
+/// (e.g. a `DISCO_MEM_BUDGET` forced through the environment) makes the
+/// fused join decline to the spillable row cursor by design, which would
+/// read here as a vectorization regression.
+fn assert_engines_agree_unbounded(plan: &LogicalExpr) -> (Bag, PipelineMetrics) {
+    engines_agree(plan, MemBudget::Unbounded)
 }
 
-fn modes_agree(plan: &LogicalExpr, mem_budget: MemBudget) -> (Bag, PipelineMetrics) {
-    let run = |mode| {
-        let physical = lower(plan).expect("plan lowers");
-        let resolved = ResolvedExecs::default();
+fn engines_agree(plan: &LogicalExpr, mem_budget: MemBudget) -> (Bag, PipelineMetrics) {
+    let physical = lower(plan).expect("plan lowers");
+    let resolved = ResolvedExecs::default();
+    let run = |mem_budget| {
         let metrics = PipelineMetrics::new();
-        let options = PipelineOptions {
-            mem_budget,
-            ..options(mode)
-        };
-        let bag = evaluate_physical_with(&physical, &resolved, &metrics, options)
+        let bag = evaluate_physical_with(&physical, &resolved, &metrics, options(mem_budget))
             .expect("plan evaluates");
         (bag, metrics)
     };
-    let (on, m_on) = run(ColumnarMode::On);
-    let (off, m_off) = run(ColumnarMode::Off);
-    assert_eq!(on, off, "columnar answer must equal the row-path answer");
+    let (col, m_col) = run(mem_budget);
+    let (row, m_row) = run(NEVER_TRIPS);
+    let expected = reference::evaluate_physical(&physical, &resolved).expect("reference evaluates");
+    assert_eq!(col, expected, "answer must equal the reference evaluator's");
     assert_eq!(
-        m_on.rows_materialized(),
-        m_off.rows_materialized(),
-        "breakers must buffer identical row counts in both modes"
+        row, expected,
+        "row-cursor breakers must give the same answer"
     );
-    assert_eq!(m_on.rows_merged(), m_off.rows_merged());
-    assert_eq!(m_on.rows_emitted(), m_off.rows_emitted());
-    assert_eq!(m_off.rows_kernel(), 0, "row path reports no kernel rows");
-    assert_eq!(m_off.rows_fallback(), 0, "row path reports no fallback");
-    (on, m_on)
+    assert_eq!(
+        m_col.rows_materialized(),
+        m_row.rows_materialized(),
+        "breakers must buffer identical row counts in both forms"
+    );
+    assert_eq!(m_col.rows_merged(), m_row.rows_merged());
+    assert_eq!(m_col.rows_emitted(), m_row.rows_emitted());
+    assert_eq!(m_row.bytes_spilled(), 0, "the budget must never trip");
+    (col, m_col)
+}
+
+/// Asserts that the plan fails with the reference evaluator's exact error
+/// text, reached through the per-batch row fallback.
+fn assert_reference_error(plan: &LogicalExpr) {
+    let physical = lower(plan).expect("plan lowers");
+    let resolved = ResolvedExecs::default();
+    let expected =
+        reference::evaluate_physical(&physical, &resolved).expect_err("reference errors");
+    let metrics = PipelineMetrics::new();
+    let err = evaluate_physical_with(
+        &physical,
+        &resolved,
+        &metrics,
+        options(MemBudget::Unbounded),
+    )
+    .expect_err("the plan errors");
+    assert_eq!(
+        err.to_string(),
+        expected.to_string(),
+        "identical error text"
+    );
+    assert!(
+        metrics.rows_fallback() > 0,
+        "the failing batch must have bailed to the row path"
+    );
 }
 
 fn row(fields: Vec<(&str, Value)>) -> Value {
@@ -104,11 +141,11 @@ fn salary_gt(limit: i64) -> ScalarExpr {
 }
 
 #[test]
-fn columnar_matches_row_path_on_random_plans() {
+fn columnar_and_row_cursors_match_the_reference_on_random_plans() {
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0xC01A + seed);
         let plan = random_plan(&mut rng);
-        assert_modes_agree(&plan);
+        assert_engines_agree(&plan);
     }
 }
 
@@ -119,7 +156,7 @@ fn e9_pipelines_run_fully_kernel_covered() {
         .bind("x")
         .filter(salary_gt(50))
         .map_project(ScalarExpr::var_field("x", "name"));
-    let (_, metrics) = assert_modes_agree(&filter_project);
+    let (_, metrics) = assert_engines_agree(&filter_project);
     assert_eq!(
         metrics.rows_kernel(),
         rows as usize,
@@ -132,14 +169,14 @@ fn e9_pipelines_run_fully_kernel_covered() {
             .bind("x")
             .map_project(ScalarExpr::var_field("x", "name")),
     ));
-    let (answer, metrics) = assert_modes_agree(&distinct);
+    let (answer, metrics) = assert_engines_agree(&distinct);
     assert_eq!(answer.len(), 16);
     assert_eq!(metrics.rows_kernel(), rows as usize);
     assert_eq!(metrics.rows_fallback(), 0);
 }
 
 #[test]
-fn nan_ordering_matches_total_cmp_in_both_modes() {
+fn nan_ordering_matches_total_cmp() {
     let bag: Bag = [
         Value::Float(f64::NAN),
         Value::Float(f64::INFINITY),
@@ -160,7 +197,7 @@ fn nan_ordering_matches_total_cmp_in_both_modes() {
             ScalarExpr::var_field("x", "v"),
             ScalarExpr::Const(Value::Float(0.0)),
         ));
-    let (answer, _) = assert_modes_agree(&gt_zero);
+    let (answer, _) = assert_engines_agree(&gt_zero);
     assert_eq!(answer.len(), 4, "NaN, +inf, 1.0 and Int(2) exceed 0.0");
 
     // NaN == NaN and -0.0 != 0.0 under the value plane's equality.
@@ -169,7 +206,7 @@ fn nan_ordering_matches_total_cmp_in_both_modes() {
         ScalarExpr::var_field("x", "v"),
         ScalarExpr::Const(Value::Float(f64::NAN)),
     ));
-    let (answer, _) = assert_modes_agree(&eq_nan);
+    let (answer, _) = assert_engines_agree(&eq_nan);
     assert_eq!(answer.len(), 1);
 }
 
@@ -189,7 +226,7 @@ fn null_masks_propagate_through_comparisons_and_arithmetic() {
     let cmp = LogicalExpr::Data(bag.clone())
         .bind("x")
         .filter(salary_gt(-1));
-    let (answer, _) = assert_modes_agree(&cmp);
+    let (answer, _) = assert_engines_agree(&cmp);
     assert_eq!(answer.len(), 40, "the 10 null salaries compare false");
 
     // Arithmetic on null yields null, and `Null == Null` is true, so the
@@ -203,7 +240,7 @@ fn null_masks_propagate_through_comparisons_and_arithmetic() {
         ),
         ScalarExpr::var_field("x", "salary"),
     ));
-    let (answer, _) = assert_modes_agree(&arith);
+    let (answer, _) = assert_engines_agree(&arith);
     assert_eq!(answer.len(), 50, "null + 0 is null and Null == Null holds");
 }
 
@@ -219,7 +256,7 @@ fn dictionary_columns_dedup_content_equal_strings_from_distinct_allocations() {
             .bind("x")
             .map_project(ScalarExpr::var_field("x", "name")),
     ));
-    let (answer, metrics) = assert_modes_agree(&plan);
+    let (answer, metrics) = assert_engines_agree(&plan);
     assert_eq!(answer.len(), 7);
     assert_eq!(
         metrics.rows_materialized(),
@@ -235,7 +272,7 @@ fn empty_and_all_filtered_selections_are_sound() {
         .bind("x")
         .filter(salary_gt(0))
         .map_project(ScalarExpr::var_field("x", "name"));
-    let (answer, metrics) = assert_modes_agree(&empty);
+    let (answer, metrics) = assert_engines_agree(&empty);
     assert!(answer.is_empty());
     assert_eq!(metrics.rows_kernel() + metrics.rows_fallback(), 0);
 
@@ -243,7 +280,7 @@ fn empty_and_all_filtered_selections_are_sound() {
         .bind("x")
         .filter(salary_gt(1_000_000))
         .map_project(ScalarExpr::var_field("x", "name"));
-    let (answer, metrics) = assert_modes_agree(&all_filtered);
+    let (answer, metrics) = assert_engines_agree(&all_filtered);
     assert!(answer.is_empty());
     assert_eq!(
         metrics.rows_kernel(),
@@ -269,7 +306,7 @@ fn mixed_type_columns_and_cross_type_comparisons_agree() {
         })
         .collect();
     let plan = LogicalExpr::Data(bag).bind("x").filter(salary_gt(10));
-    assert_modes_agree(&plan);
+    assert_engines_agree(&plan);
 }
 
 #[test]
@@ -285,24 +322,7 @@ fn missing_fields_report_the_row_paths_exact_error() {
             }
         })
         .collect();
-    let plan = LogicalExpr::Data(bag).bind("x").filter(salary_gt(0));
-    let physical = lower(&plan).expect("plan lowers");
-    let resolved = ResolvedExecs::default();
-    let on = evaluate_physical_with(
-        &physical,
-        &resolved,
-        &PipelineMetrics::new(),
-        options(ColumnarMode::On),
-    )
-    .expect_err("missing field errors");
-    let off = evaluate_physical_with(
-        &physical,
-        &resolved,
-        &PipelineMetrics::new(),
-        options(ColumnarMode::Off),
-    )
-    .expect_err("missing field errors");
-    assert_eq!(on.to_string(), off.to_string(), "identical error text");
+    assert_reference_error(&LogicalExpr::Data(bag).bind("x").filter(salary_gt(0)));
 }
 
 #[test]
@@ -310,30 +330,15 @@ fn division_by_zero_bails_to_the_row_paths_exact_error() {
     let bag: Bag = (0..10)
         .map(|i| row(vec![("d", Value::Int(i % 3))]))
         .collect();
-    let plan = LogicalExpr::Data(bag)
-        .bind("x")
-        .map_project(ScalarExpr::binary(
-            ScalarOp::Div,
-            ScalarExpr::constant(100i64),
-            ScalarExpr::var_field("x", "d"),
-        ));
-    let physical = lower(&plan).expect("plan lowers");
-    let resolved = ResolvedExecs::default();
-    let on = evaluate_physical_with(
-        &physical,
-        &resolved,
-        &PipelineMetrics::new(),
-        options(ColumnarMode::On),
-    )
-    .expect_err("division by zero");
-    let off = evaluate_physical_with(
-        &physical,
-        &resolved,
-        &PipelineMetrics::new(),
-        options(ColumnarMode::Off),
-    )
-    .expect_err("division by zero");
-    assert_eq!(on.to_string(), off.to_string());
+    assert_reference_error(
+        &LogicalExpr::Data(bag)
+            .bind("x")
+            .map_project(ScalarExpr::binary(
+                ScalarOp::Div,
+                ScalarExpr::constant(100i64),
+                ScalarExpr::var_field("x", "d"),
+            )),
+    );
 }
 
 /// An equi-join of `left` and `right` on field `key` of both sides, with
@@ -357,7 +362,7 @@ fn join_on(left: Bag, right: Bag, key: &str) -> LogicalExpr {
 #[test]
 fn join_vectorizes_build_and_probe_rows() {
     let plan = join_on(people(400), people(40), "id");
-    let (answer, metrics) = assert_modes_agree_unbounded(&plan);
+    let (answer, metrics) = assert_engines_agree_unbounded(&plan);
     assert_eq!(answer.len(), 400 * 40 / 16, "~25 matches per probe row");
     assert_eq!(
         metrics.rows_kernel(),
@@ -388,13 +393,16 @@ fn join_float_and_nan_keys_match_under_total_cmp() {
             .collect()
     };
     let plan = join_on(side(3), side(2), "id");
-    let (answer, _) = assert_modes_agree(&plan);
+    let (answer, metrics) = assert_engines_agree_unbounded(&plan);
     // Every key matches only itself: 6 distinct keys × 3 × 2 pairs.
     assert_eq!(answer.len(), 36);
+    // The key column mixes floats and ints, so it decodes to boxed values
+    // and every batch of the fused join runs on the exact row path.
+    assert!(metrics.rows_fallback() > 0);
 }
 
 #[test]
-fn join_null_keys_match_null_keys_in_both_modes() {
+fn join_null_keys_match_null_keys() {
     // `Null == Null` holds in the value plane, so null keys join with
     // null keys — the kernel path must not mask them out.
     let side = |rows: i64| -> Bag {
@@ -410,7 +418,7 @@ fn join_null_keys_match_null_keys_in_both_modes() {
             .collect()
     };
     let plan = join_on(side(40), side(20), "id");
-    assert_modes_agree(&plan);
+    assert_engines_agree(&plan);
 }
 
 #[test]
@@ -425,7 +433,7 @@ fn join_string_keys_hash_by_content_across_allocations() {
         .map(|i| row(vec![("id", Value::from(format!("key-{}", i % 45)))]))
         .collect();
     let plan = join_on(wide_side, dict_side, "id");
-    let (answer, metrics) = assert_modes_agree_unbounded(&plan);
+    let (answer, metrics) = assert_engines_agree_unbounded(&plan);
     // Shared keys are key-0..key-5: each appears 2× left and 20× right.
     assert_eq!(answer.len(), 6 * 2 * 20);
     assert_eq!(metrics.rows_kernel(), 210, "both sides stay vectorized");
@@ -441,7 +449,7 @@ fn join_answers_survive_any_batch_size_across_the_boundary() {
         let metrics = PipelineMetrics::new();
         let opts = PipelineOptions {
             batch_rows,
-            ..options(ColumnarMode::On)
+            ..options(MemBudget::default())
         };
         let bag =
             evaluate_physical_with(&physical, &resolved, &metrics, opts).expect("plan evaluates");
@@ -457,7 +465,7 @@ fn join_answers_survive_any_batch_size_across_the_boundary() {
 }
 
 #[test]
-fn join_plans_agree_across_thread_counts_and_modes() {
+fn join_plans_agree_across_thread_counts_and_breaker_forms() {
     // The deep-pipeline shape (filtered build input, compound map,
     // distinct sink) exercises the partitioned columnar spine, the
     // vectorized build scatter and the shared-table probe together.
@@ -490,11 +498,11 @@ fn join_plans_agree_across_thread_counts_and_modes() {
     let resolved = ResolvedExecs::default();
     let mut reference: Option<(Bag, usize)> = None;
     for threads in [1usize, 2, 4] {
-        for mode in [ColumnarMode::On, ColumnarMode::Off] {
+        for mem_budget in [MemBudget::Unbounded, NEVER_TRIPS] {
             let metrics = PipelineMetrics::new();
             let opts = PipelineOptions {
                 threads,
-                ..options(mode)
+                ..options(mem_budget)
             };
             let bag = evaluate_physical_with(&physical, &resolved, &metrics, opts)
                 .expect("plan evaluates");
@@ -503,7 +511,7 @@ fn join_plans_agree_across_thread_counts_and_modes() {
                 None => reference = Some(snapshot),
                 Some(expected) => assert_eq!(
                     expected, &snapshot,
-                    "threads={threads} mode={mode:?} must match the serial row path"
+                    "threads={threads} {mem_budget:?} must match the serial columnar run"
                 ),
             }
         }
@@ -511,7 +519,7 @@ fn join_plans_agree_across_thread_counts_and_modes() {
 }
 
 #[test]
-fn join_key_errors_are_identical_across_threads_and_modes() {
+fn join_key_errors_are_identical_across_threads_and_breaker_forms() {
     // Probe row 7 lacks the key field: every engine configuration must
     // surface the row evaluator's exact error.
     let probe: Bag = (0..20)
@@ -528,10 +536,10 @@ fn join_key_errors_are_identical_across_threads_and_modes() {
     let resolved = ResolvedExecs::default();
     let mut reference: Option<String> = None;
     for threads in [1usize, 2, 4] {
-        for mode in [ColumnarMode::On, ColumnarMode::Off] {
+        for mem_budget in [MemBudget::Unbounded, NEVER_TRIPS] {
             let opts = PipelineOptions {
                 threads,
-                ..options(mode)
+                ..options(mem_budget)
             };
             let err = evaluate_physical_with(&physical, &resolved, &PipelineMetrics::new(), opts)
                 .expect_err("missing key field errors");
@@ -540,7 +548,7 @@ fn join_key_errors_are_identical_across_threads_and_modes() {
                 None => reference = Some(text),
                 Some(expected) => assert_eq!(
                     expected, &text,
-                    "threads={threads} mode={mode:?} must report identical error text"
+                    "threads={threads} {mem_budget:?} must report identical error text"
                 ),
             }
         }
@@ -562,7 +570,7 @@ fn batch_size_does_not_change_answers_or_metrics() {
         let metrics = PipelineMetrics::new();
         let opts = PipelineOptions {
             batch_rows,
-            ..options(ColumnarMode::On)
+            ..options(MemBudget::default())
         };
         let bag =
             evaluate_physical_with(&physical, &resolved, &metrics, opts).expect("plan evaluates");

@@ -1,13 +1,20 @@
-//! Shared plan/value generators for the differential test suites
-//! (`streaming_equivalence.rs`, `parallel_equivalence.rs`): seeded random
-//! person bags, random mediator-shaped plans, and random partial-answer
-//! scenarios with mixed source availability.
+//! Shared plan/value generators for the differential test suites: seeded
+//! random person bags, random mediator-shaped plans, random partial-answer
+//! scenarios with mixed source availability, and a federation of
+//! relational person sources behind simulated links.
 
 #![allow(dead_code)] // each integration test compiles its own copy
 
+use std::sync::Arc;
+
 use disco_algebra::{LogicalExpr, ScalarExpr, ScalarOp};
+use disco_catalog::{
+    Attribute, Catalog, InterfaceDef, MetaExtent, Repository, TypeRef, WrapperDef,
+};
 use disco_runtime::{ExecKey, ExecOutcome, ResolvedExecs, SourceCallStats};
+use disco_source::{generator, NetworkProfile, RelationalStore, SimulatedLink};
 use disco_value::{Bag, StructValue, Value};
+use disco_wrapper::{RelationalWrapper, WrapperRegistry};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -187,4 +194,74 @@ pub fn random_partial_scenario(rng: &mut StdRng) -> (LogicalExpr, ResolvedExecs)
         LogicalExpr::Union(branches)
     };
     (plan, resolved)
+}
+
+/// A federation of `n` relational person sources (`person0..person{n-1}`
+/// on repositories `r0..`), each behind its own simulated link.
+pub struct Federation {
+    pub catalog: Catalog,
+    pub registry: WrapperRegistry,
+    pub links: Vec<Arc<SimulatedLink>>,
+}
+
+pub fn federation_with(profiles: &[NetworkProfile], rows: usize, seed: u64) -> Federation {
+    let mut catalog = Catalog::new();
+    catalog
+        .define_interface(
+            InterfaceDef::new("Person")
+                .with_extent_name("person")
+                .with_attribute(Attribute::new("id", TypeRef::Int))
+                .with_attribute(Attribute::new("name", TypeRef::String))
+                .with_attribute(Attribute::new("salary", TypeRef::Int)),
+        )
+        .unwrap();
+    let registry = WrapperRegistry::new();
+    let mut links = Vec::new();
+    for (i, profile) in profiles.iter().enumerate() {
+        let extent = format!("person{i}");
+        let repo = format!("r{i}");
+        let wrapper_name = format!("w{i}");
+        catalog
+            .add_wrapper(WrapperDef::new(&wrapper_name, "relational"))
+            .unwrap();
+        catalog.add_repository(Repository::new(&repo)).unwrap();
+        catalog
+            .add_extent(MetaExtent::new(&extent, "Person", &wrapper_name, &repo))
+            .unwrap();
+        let store = Arc::new(RelationalStore::new());
+        store.put_table(generator::person_table(&extent, rows, i as u64, seed));
+        let link = Arc::new(SimulatedLink::new(&repo, profile.clone(), seed + i as u64));
+        registry.register(Arc::new(RelationalWrapper::new(
+            &wrapper_name,
+            store,
+            Arc::clone(&link),
+        )));
+        links.push(link);
+    }
+    Federation {
+        catalog,
+        registry,
+        links,
+    }
+}
+
+/// An instant, deterministic profile (no real sleeps, no jitter).
+pub fn instant_profile(chunk_rows: usize) -> NetworkProfile {
+    NetworkProfile {
+        jitter: 0.0,
+        chunk_rows,
+        ..NetworkProfile::fast()
+    }
+}
+
+pub fn branch(i: usize, threshold: i64) -> LogicalExpr {
+    LogicalExpr::get(format!("person{i}"))
+        .submit(format!("r{i}"), format!("w{i}"), format!("person{i}"))
+        .filter(ScalarExpr::binary(
+            ScalarOp::Gt,
+            ScalarExpr::attr("salary"),
+            ScalarExpr::constant(threshold),
+        ))
+        .bind("x")
+        .map_project(ScalarExpr::var_field("x", "name"))
 }

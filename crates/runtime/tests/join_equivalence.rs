@@ -7,8 +7,8 @@
 //! `NestedLoopJoin` (the two physical algorithms implement one logical
 //! operator), and `MkDistinct` against a naive O(n²) distinct.
 
-use disco_algebra::{lower, Env, LogicalExpr, PhysicalExpr, ScalarExpr, ScalarOp};
-use disco_runtime::{evaluate_logical, evaluate_physical, ResolvedExecs};
+use disco_algebra::{lower, LogicalExpr, PhysicalExpr, ScalarExpr, ScalarOp};
+use disco_runtime::{evaluate_physical, ResolvedExecs};
 use disco_value::{Bag, StructValue, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,13 +183,13 @@ fn distinct_matches_naive_distinct() {
         let n_rows = rng.gen_range(0..60usize);
         let rows = random_people(&mut rng, n_rows, 5);
         let plan = LogicalExpr::Distinct(Box::new(LogicalExpr::Data(rows.clone())));
-        let got = evaluate_logical(&plan, &resolved, &Env::root()).unwrap();
+        let got = evaluate_physical(&lower(&plan).expect("lowers"), &resolved).unwrap();
         let want = naive_distinct(&rows);
         assert_eq!(got, want, "seed {seed}");
         // Distinct twice is distinct once.
         let twice = LogicalExpr::Distinct(Box::new(plan));
         assert_eq!(
-            evaluate_logical(&twice, &resolved, &Env::root()).unwrap(),
+            evaluate_physical(&lower(&twice).expect("lowers"), &resolved).unwrap(),
             want,
             "seed {seed}"
         );
@@ -213,7 +213,7 @@ fn join_output_rows_share_input_storage() {
         )),
     }
     .map_project(ScalarExpr::var_field("x", "name"));
-    let out = evaluate_logical(&plan, &resolved, &Env::root()).unwrap();
+    let out = evaluate_physical(&lower(&plan).expect("lowers"), &resolved).unwrap();
     assert_eq!(out.len(), 1);
     let got = out.iter().next().unwrap();
     let original = left.iter().next().unwrap().field("name").unwrap();

@@ -14,7 +14,7 @@
 //!    serial engine's at every thread count.
 //! 3. **Poison safety**: a cursor that panics mid-batch on a worker —
 //!    join build side, probe side, or a union branch — surfaces as an
-//!    `Err` from `evaluate_physical_with_options`, not a hang or abort.
+//!    `Err` from `evaluate_physical_with`, not a hang or abort.
 //! 4. **Metric merging**: per-worker `PipelineMetrics` sum exactly
 //!    (`merge` / `Add`), so `ExecutionStats.rows_materialized` is the
 //!    same number the serial engine reports.
@@ -24,9 +24,9 @@ mod common;
 use common::{person, random_partial_scenario, random_plan};
 use disco_algebra::{lower, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_runtime::{
-    evaluate_physical_with, evaluate_physical_with_options, partial_evaluate_opts,
-    partial_evaluate_reference, reference, substitute_resolved, AdaptiveMode, MemBudget,
-    PipelineMetrics, PipelineOptions, ResolvedExecs, RuntimeError,
+    evaluate_physical_with, partial_evaluate, partial_evaluate_reference, reference,
+    substitute_resolved, AdaptiveMode, MemBudget, PipelineMetrics, PipelineOptions, ResolvedExecs,
+    RuntimeError,
 };
 use disco_value::Bag;
 use rand::rngs::StdRng;
@@ -41,6 +41,15 @@ fn opts(threads: usize) -> PipelineOptions {
     }
 }
 
+/// Evaluates without instrumentation.
+fn evaluate(
+    physical: &disco_algebra::PhysicalExpr,
+    resolved: &ResolvedExecs,
+    options: PipelineOptions,
+) -> disco_runtime::Result<Bag> {
+    evaluate_physical_with(physical, resolved, &PipelineMetrics::new(), options)
+}
+
 #[test]
 fn parallel_engine_matches_reference_and_serial_on_random_plans() {
     let resolved = ResolvedExecs::default();
@@ -51,8 +60,7 @@ fn parallel_engine_matches_reference_and_serial_on_random_plans() {
         let expected =
             reference::evaluate_physical(&physical, &resolved).expect("reference evaluates");
         for threads in THREAD_COUNTS {
-            let actual = evaluate_physical_with_options(&physical, &resolved, opts(threads))
-                .expect("parallel evaluates");
+            let actual = evaluate(&physical, &resolved, opts(threads)).expect("parallel evaluates");
             assert_eq!(
                 actual, expected,
                 "seed {seed}, {threads} threads: answers must be multiset-equal for {physical}"
@@ -70,9 +78,8 @@ fn parallel_partial_evaluation_preserves_data_and_residual_plans() {
         let (data_r, residual_r) =
             partial_evaluate_reference(&substituted, &resolved).expect("reference partial eval");
         for threads in THREAD_COUNTS {
-            let (data_p, residual_p) =
-                partial_evaluate_opts(&substituted, &resolved, opts(threads))
-                    .expect("parallel partial eval");
+            let (data_p, residual_p) = partial_evaluate(&substituted, &resolved, opts(threads))
+                .expect("parallel partial eval");
             assert_eq!(
                 data_p, data_r,
                 "seed {seed}, {threads} threads: partial answer data must match"
@@ -185,7 +192,7 @@ fn union_distinct_is_deterministic_across_runs() {
         branches,
     ))))
     .expect("lowers");
-    let serial = evaluate_physical_with_options(&physical, &resolved, opts(1)).expect("serial");
+    let serial = evaluate(&physical, &resolved, opts(1)).expect("serial");
     for _ in 0..50 {
         let metrics = PipelineMetrics::new();
         let out =
@@ -253,7 +260,7 @@ fn assert_worker_panic(plan: &LogicalExpr, threads: usize) {
         mem_budget: MemBudget::Unbounded,
         ..opts(threads)
     };
-    let err = evaluate_physical_with_options(&physical, &resolved, options)
+    let err = evaluate(&physical, &resolved, options)
         .expect_err("the injected panic must surface as an error");
     assert!(
         matches!(err, RuntimeError::WorkerPanic(_)),
@@ -302,8 +309,8 @@ fn pool_stays_usable_after_a_poisoned_execution() {
     let resolved = ResolvedExecs::default();
     assert_worker_panic(&join_with_poison(true), 4);
     let physical = lower(&deep_pipeline_plan(1_000, 100)).expect("lowers");
-    let ok = evaluate_physical_with_options(&physical, &resolved, opts(4)).expect("recovers");
-    let serial = evaluate_physical_with_options(&physical, &resolved, opts(1)).expect("serial");
+    let ok = evaluate(&physical, &resolved, opts(4)).expect("recovers");
+    let serial = evaluate(&physical, &resolved, opts(1)).expect("serial");
     assert_eq!(ok, serial);
 }
 
@@ -375,8 +382,7 @@ fn adaptive_scheduling_matches_pinned_answers_on_random_plans() {
                     adaptive,
                     ..PipelineOptions::default()
                 };
-                let actual = evaluate_physical_with_options(&physical, &resolved, options)
-                    .expect("evaluates");
+                let actual = evaluate(&physical, &resolved, options).expect("evaluates");
                 assert_eq!(
                     actual, expected,
                     "seed {seed}, {threads} threads, {adaptive:?}: answers must be \
@@ -394,7 +400,7 @@ fn adaptive_deep_pipeline_is_stable_across_repeated_contended_runs() {
     // sequences — the answer must never move.
     let resolved = ResolvedExecs::default();
     let physical = lower(&deep_pipeline_plan(2_000, 400)).expect("lowers");
-    let pinned = evaluate_physical_with_options(
+    let pinned = evaluate(
         &physical,
         &resolved,
         PipelineOptions {
@@ -411,8 +417,7 @@ fn adaptive_deep_pipeline_is_stable_across_repeated_contended_runs() {
                 adaptive: AdaptiveMode::On,
                 ..PipelineOptions::default()
             };
-            let out = evaluate_physical_with_options(&physical, &resolved, options)
-                .expect("adaptive evaluates");
+            let out = evaluate(&physical, &resolved, options).expect("adaptive evaluates");
             assert_eq!(
                 out, pinned,
                 "run {run}, {threads} threads: adaptive claiming must not change the answer"
@@ -451,7 +456,7 @@ fn build_side_orientation_is_respected_in_parallel() {
         };
         let out =
             evaluate_physical_with(&physical, &resolved, &metrics, options).expect("evaluates");
-        let serial = evaluate_physical_with_options(
+        let serial = evaluate(
             &physical,
             &resolved,
             PipelineOptions {

@@ -1,22 +1,25 @@
-//! Spill files must never outlive the execution that created them.
+//! Spill files must never outlive the execution that created them, and a
+//! spill directory that cannot be written must never turn into unbounded
+//! buffering.
 //!
 //! Runs a spilling evaluation with `DISCO_SPILL_DIR` pointed at a fresh
 //! private directory and asserts the directory holds no `disco-spill-*`
 //! files afterwards — on the success path *and* when the evaluation
-//! dies mid-spill with an error.  This lives in its own test binary
-//! (its own process) because it mutates process environment variables;
-//! the two tests additionally serialize on a lock since tests within
-//! one binary run on sibling threads.
+//! dies mid-spill with an error — and runs a federated query with the
+//! variable pointed at an unwritable path.  This lives in its own test
+//! binary (its own process) because it mutates process environment
+//! variables; the tests additionally serialize on a lock since tests
+//! within one binary run on sibling threads.
 
 mod common;
 
 use std::fs;
 use std::sync::Mutex;
 
-use common::person;
+use common::{branch, federation_with, instant_profile, person};
 use disco_algebra::{lower, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_runtime::{
-    evaluate_physical_with, MemBudget, PipelineMetrics, PipelineOptions, ResolvedExecs,
+    evaluate_physical_with, Executor, MemBudget, PipelineMetrics, PipelineOptions, ResolvedExecs,
 };
 use disco_value::{Bag, StructValue, Value};
 
@@ -111,4 +114,69 @@ fn spill_files_are_cleaned_up_on_error() {
         leftovers.is_empty(),
         "spill files must be deleted on the error path too, found: {leftovers:?} (error was: {err})"
     );
+}
+
+/// A spool that cannot spill fails its *source* (§4) instead of buffering
+/// past the budget: the query completes as a partial answer naming the
+/// repository.  Without a budget nothing spills, so the same unwritable
+/// path is never touched and the answer is complete.
+#[test]
+fn unwritable_spill_dir_fails_the_source_not_the_budget() {
+    const BUDGET: usize = 64 * 1024;
+    let _guard = SPILL_DIR_LOCK.lock().unwrap();
+    // A directory cannot be created below a regular file, whoever runs
+    // the test.
+    let blocker = std::env::temp_dir().join(format!("disco-spill-blocker-{}", std::process::id()));
+    fs::write(&blocker, b"not a directory").expect("create blocker file");
+    std::env::set_var("DISCO_SPILL_DIR", blocker.join("spill"));
+
+    // r0 ships a filter and returns 20 rows; r1 returns ~300 KiB, far
+    // past the spool's hot window under a 64 KiB budget.
+    let federation = federation_with(&vec![instant_profile(64); 2], 2_000, 29);
+    let small = LogicalExpr::get("person0")
+        .filter(ScalarExpr::binary(
+            ScalarOp::Lt,
+            ScalarExpr::attr("id"),
+            ScalarExpr::constant(20i64),
+        ))
+        .submit("r0", "w0", "person0")
+        .bind("x")
+        .map_project(ScalarExpr::var_field("x", "name"));
+    let physical = lower(&LogicalExpr::Union(vec![small, branch(1, -1)])).expect("lowers");
+    let run = |budget| {
+        Executor::new(federation.registry.clone())
+            .with_threads(1)
+            .with_mem_budget(budget)
+            .with_deadline(Some(std::time::Duration::from_secs(5)))
+            .execute(&physical, &federation.catalog)
+            .expect("a failed spill is not a hard error")
+    };
+    let bounded = run(MemBudget::Bytes(BUDGET));
+    let unbounded = run(MemBudget::Unbounded);
+    std::env::remove_var("DISCO_SPILL_DIR");
+    let spill_dir_created = blocker.join("spill").exists();
+    let _ = fs::remove_file(&blocker);
+
+    assert_eq!(bounded.unavailable_sources(), &["r1".to_owned()]);
+    assert_eq!(
+        bounded.data().len(),
+        20,
+        "r0 answered within the hot window"
+    );
+    let residual = bounded
+        .residual_oql()
+        .expect("partial answers carry a residual");
+    assert!(
+        residual.contains("person1") && !residual.contains("person0"),
+        "the residual re-fetches exactly the failed source: {residual}"
+    );
+    assert!(bounded.stats().peak_tracked_bytes <= BUDGET);
+    assert_eq!(bounded.stats().bytes_spilled, 0, "nothing reached the disk");
+    assert!(
+        !spill_dir_created,
+        "no spill file can have been left behind"
+    );
+
+    assert!(unbounded.is_complete(), "no budget, no spill attempt");
+    assert_eq!(unbounded.data().len(), 2_020);
 }

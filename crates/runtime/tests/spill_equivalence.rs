@@ -20,7 +20,7 @@ mod common;
 use common::{person, random_partial_scenario, random_plan};
 use disco_algebra::{lower, AggKind, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_runtime::{
-    evaluate_physical_with, partial_evaluate_opts, reference, substitute_resolved, MemBudget,
+    evaluate_physical_with, partial_evaluate, reference, substitute_resolved, MemBudget,
     PipelineMetrics, PipelineOptions, ResolvedExecs,
 };
 use disco_value::{Bag, StructValue, Value};
@@ -121,9 +121,9 @@ fn tiny_budget_preserves_partial_answers_of_federated_plans() {
         let substituted = substitute_resolved(&plan, &resolved);
         for threads in THREAD_COUNTS {
             let (data_u, residual_u) =
-                partial_evaluate_opts(&substituted, &resolved, opts(threads, MemBudget::Unbounded))
+                partial_evaluate(&substituted, &resolved, opts(threads, MemBudget::Unbounded))
                     .expect("unbounded partial eval");
-            let (data_t, residual_t) = partial_evaluate_opts(
+            let (data_t, residual_t) = partial_evaluate(
                 &substituted,
                 &resolved,
                 opts(threads, MemBudget::Bytes(TINY_BUDGET)),
@@ -220,6 +220,35 @@ fn deep_join_distinct_pipeline_spills_and_matches() {
         );
         assert!(metrics.peak_tracked_bytes() > 0);
     }
+}
+
+/// The build side detects a budget trip once per batch, so the batch size
+/// bounds the overshoot: at `batch_rows: 1` the tracked peak stays within
+/// one build row of the budget.
+#[test]
+fn join_build_overshoots_the_budget_by_at_most_one_batch() {
+    const BUDGET: usize = 16 * 1024;
+    /// Generous for one bound person row plus its key.
+    const ONE_ROW: usize = 1024;
+    let LogicalExpr::Distinct(join) = deep_pipeline_plan(2_000, 400) else {
+        unreachable!("the deep pipeline ends in a distinct");
+    };
+    let resolved = ResolvedExecs::default();
+    let physical = lower(&join).expect("lowers");
+    let expected = reference::evaluate_physical(&physical, &resolved).expect("reference");
+    let metrics = PipelineMetrics::new();
+    let options = PipelineOptions {
+        batch_rows: 1,
+        ..opts(1, MemBudget::Bytes(BUDGET))
+    };
+    let out = evaluate_physical_with(&physical, &resolved, &metrics, options).expect("evaluates");
+    assert_eq!(out, expected);
+    assert!(metrics.bytes_spilled() > 0, "a ~7x-budget build must spill");
+    let peak = metrics.peak_tracked_bytes();
+    assert!(
+        peak <= BUDGET + ONE_ROW,
+        "peak {peak} overshoots the {BUDGET}-byte budget by more than one row"
+    );
 }
 
 /// A join+distinct whose probe side contains one malformed row (missing

@@ -1,101 +1,39 @@
-//! Differential and fault-injection suite for **streamed source
-//! resolution**: wrapper answers feed the cursor pipeline as they arrive
-//! (`ResolutionMode::Streamed`) and must be observationally equivalent to
-//! the blocking collect-then-combine path (`ResolutionMode::Blocking`) —
-//! multiset-equal data, identical residual plans under injected
-//! unavailability, identical `rows_materialized` — at 1, 2 and 4 worker
-//! threads.  Fault injection covers degraded (trickling) sources,
-//! mid-stream hard failures, panicking wrappers, and the deadline
-//! regression: a slow source under a deadline yields the fast sources'
-//! data plus a residual plan, with `time_to_first_row` well under the
-//! deadline.
+//! Differential and fault-injection suite for the executor: wrapper
+//! answers feed the cursor pipeline as they arrive, and what
+//! `Executor::execute` returns must be what the two stages give when run
+//! one after the other over materialized outcomes (the benchmark oracle's
+//! method) — answers and residual plans against the reference evaluator
+//! over `resolve_execs` outcomes, `rows_materialized` and error text
+//! against `resolve_execs` → `evaluate_physical_with` — at 1, 2 and 4
+//! worker threads and under a bounded memory budget.  The paper's §4
+//! property is checked as recovery, not only parity: once the links come
+//! back, the data part plus the executed residual is the all-available
+//! answer, and the residual's OQL text round-trips through the compiler.
+//! Fault injection covers degraded (trickling) sources, mid-stream hard
+//! failures, panicking wrappers, and the deadline regression: a slow
+//! source under a deadline yields the fast sources' data plus a residual
+//! plan, with `time_to_first_row` well under the deadline.
 
 mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{branch, federation_with, instant_profile, Federation};
 use disco_algebra::CapabilitySet;
-use disco_algebra::{lower, AggKind, LogicalExpr, ScalarExpr, ScalarOp};
-use disco_catalog::{
-    Attribute, Catalog, InterfaceDef, MetaExtent, Repository, TypeRef, WrapperDef,
+use disco_algebra::{logical_to_oql, lower, AggKind, LogicalExpr, ScalarExpr, ScalarOp};
+use disco_catalog::{MetaExtent, Repository, WrapperDef};
+use disco_optimizer::compile_text;
+use disco_runtime::{
+    evaluate_physical_with, partial_evaluate_reference, reference, resolve_execs,
+    substitute_resolved, AdaptiveMode, Answer, ExecutionConfig, Executor, MemBudget,
+    PipelineMetrics, PipelineOptions, RuntimeError,
 };
-use disco_runtime::{AdaptiveMode, Answer, Executor, ResolutionMode, RuntimeError};
-use disco_source::{generator, Availability, NetworkProfile, RelationalStore, SimulatedLink};
-use disco_value::Value;
-use disco_wrapper::{RelationalWrapper, Wrapper, WrapperAnswer, WrapperError, WrapperRegistry};
+use disco_source::{Availability, NetworkProfile};
+use disco_value::{Bag, Value};
+use disco_wrapper::{Wrapper, WrapperAnswer, WrapperError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A federation of `n` relational person sources (`person0..person{n-1}`
-/// on repositories `r0..`), each behind its own simulated link.
-struct Federation {
-    catalog: Catalog,
-    registry: WrapperRegistry,
-    links: Vec<Arc<SimulatedLink>>,
-}
-
-fn federation_with(profiles: &[NetworkProfile], rows: usize, seed: u64) -> Federation {
-    let mut catalog = Catalog::new();
-    catalog
-        .define_interface(
-            InterfaceDef::new("Person")
-                .with_extent_name("person")
-                .with_attribute(Attribute::new("id", TypeRef::Int))
-                .with_attribute(Attribute::new("name", TypeRef::String))
-                .with_attribute(Attribute::new("salary", TypeRef::Int)),
-        )
-        .unwrap();
-    let registry = WrapperRegistry::new();
-    let mut links = Vec::new();
-    for (i, profile) in profiles.iter().enumerate() {
-        let extent = format!("person{i}");
-        let repo = format!("r{i}");
-        let wrapper_name = format!("w{i}");
-        catalog
-            .add_wrapper(WrapperDef::new(&wrapper_name, "relational"))
-            .unwrap();
-        catalog.add_repository(Repository::new(&repo)).unwrap();
-        catalog
-            .add_extent(MetaExtent::new(&extent, "Person", &wrapper_name, &repo))
-            .unwrap();
-        let store = Arc::new(RelationalStore::new());
-        store.put_table(generator::person_table(&extent, rows, i as u64, seed));
-        let link = Arc::new(SimulatedLink::new(&repo, profile.clone(), seed + i as u64));
-        registry.register(Arc::new(RelationalWrapper::new(
-            &wrapper_name,
-            store,
-            Arc::clone(&link),
-        )));
-        links.push(link);
-    }
-    Federation {
-        catalog,
-        registry,
-        links,
-    }
-}
-
-/// An instant, deterministic profile (no real sleeps, no jitter).
-fn instant_profile(chunk_rows: usize) -> NetworkProfile {
-    NetworkProfile {
-        jitter: 0.0,
-        chunk_rows,
-        ..NetworkProfile::fast()
-    }
-}
-
-fn branch(i: usize, threshold: i64) -> LogicalExpr {
-    LogicalExpr::get(format!("person{i}"))
-        .submit(format!("r{i}"), format!("w{i}"), format!("person{i}"))
-        .filter(ScalarExpr::binary(
-            ScalarOp::Gt,
-            ScalarExpr::attr("salary"),
-            ScalarExpr::constant(threshold),
-        ))
-        .bind("x")
-        .map_project(ScalarExpr::var_field("x", "name"))
-}
 
 /// A random federated plan over `n` sources, in the shape families the
 /// mediator produces (union of per-source scans, equi-join of two
@@ -145,75 +83,95 @@ fn random_federated_plan(rng: &mut StdRng, n: usize) -> LogicalExpr {
     }
 }
 
+fn opts(threads: usize) -> PipelineOptions {
+    PipelineOptions {
+        threads,
+        ..PipelineOptions::default()
+    }
+}
+
 fn execute(
     federation: &Federation,
     plan: &LogicalExpr,
-    mode: ResolutionMode,
-    threads: usize,
+    options: PipelineOptions,
     deadline: Option<Duration>,
 ) -> disco_runtime::Result<Answer> {
     let physical = lower(plan).unwrap();
     Executor::new(federation.registry.clone())
-        .with_resolution(mode)
-        .with_threads(threads)
+        .with_threads(options.threads)
+        .with_mem_budget(options.mem_budget)
+        .with_adaptive(options.adaptive)
         .with_deadline(deadline)
         .execute(&physical, &federation.catalog)
 }
 
-/// Asserts full observational equivalence of the two resolution modes.
-fn assert_equivalent(plan: &LogicalExpr, federation: &Federation, threads: usize, label: &str) {
+/// What the suite compares of an answer: data, residual plan, unavailable
+/// repositories, `[rows_materialized, rows_transferred, exec_calls]`.
+type Observed = (Bag, Option<LogicalExpr>, Vec<String>, [usize; 3]);
+
+/// What the two stages give when run one after the other: every call
+/// resolved to a materialized outcome first, then the plan (or, with
+/// sources down, its substituted form) reduced by the reference
+/// evaluator.  `rows_materialized` comes from the cursor pipeline over
+/// the same outcomes; partial answers report zero.
+fn staged(
+    federation: &Federation,
+    plan: &LogicalExpr,
+    options: PipelineOptions,
+    deadline: Option<Duration>,
+) -> disco_runtime::Result<Observed> {
+    let physical = lower(plan).unwrap();
+    let config = ExecutionConfig {
+        deadline,
+        pipeline: options,
+        ..ExecutionConfig::default()
+    };
+    let (registry, catalog) = (&federation.registry, &federation.catalog);
+    let resolved = resolve_execs(&physical, registry, catalog, &config)?;
+    let (data, residual, rows_materialized) = if resolved.all_available() {
+        let metrics = PipelineMetrics::new();
+        evaluate_physical_with(&physical, &resolved, &metrics, options)?;
+        let data = reference::evaluate_physical(&physical, &resolved)?;
+        (data, None, metrics.rows_materialized())
+    } else {
+        let substituted = substitute_resolved(&physical.to_logical(), &resolved);
+        let (data, residual) = partial_evaluate_reference(&substituted, &resolved)?;
+        (data, residual, 0)
+    };
+    let counts = [
+        rows_materialized,
+        resolved.rows_transferred(),
+        resolved.call_count(),
+    ];
+    Ok((data, residual, resolved.unavailable_repositories(), counts))
+}
+
+/// Asserts that the executor's answer is observationally the staged one,
+/// and returns it.
+fn assert_equivalent(
+    plan: &LogicalExpr,
+    federation: &Federation,
+    options: PipelineOptions,
+    label: &str,
+) -> Answer {
     let deadline = Some(Duration::from_secs(5));
-    let blocking = execute(
-        federation,
-        plan,
-        ResolutionMode::Blocking,
-        threads,
-        deadline,
-    )
-    .unwrap_or_else(|e| panic!("{label}: blocking failed: {e}"));
-    let streamed = execute(
-        federation,
-        plan,
-        ResolutionMode::Streamed,
-        threads,
-        deadline,
-    )
-    .unwrap_or_else(|e| panic!("{label}: streamed failed: {e}"));
-    assert_eq!(
-        blocking.data(),
-        streamed.data(),
-        "{label}: answer multisets differ"
+    let expected = staged(federation, plan, options, deadline)
+        .unwrap_or_else(|e| panic!("{label}: staged evaluation failed: {e}"));
+    let answer = execute(federation, plan, options, deadline)
+        .unwrap_or_else(|e| panic!("{label}: execution failed: {e}"));
+    let stats = answer.stats();
+    let observed: Observed = (
+        answer.data().clone(),
+        answer.residual().cloned(),
+        answer.unavailable_sources().to_vec(),
+        [
+            stats.rows_materialized,
+            stats.rows_transferred,
+            stats.exec_calls,
+        ],
     );
-    assert_eq!(
-        blocking.is_complete(),
-        streamed.is_complete(),
-        "{label}: completeness differs"
-    );
-    assert_eq!(
-        blocking.residual(),
-        streamed.residual(),
-        "{label}: residual plans differ"
-    );
-    assert_eq!(
-        blocking.unavailable_sources(),
-        streamed.unavailable_sources(),
-        "{label}: unavailable classification differs"
-    );
-    assert_eq!(
-        blocking.stats().rows_materialized,
-        streamed.stats().rows_materialized,
-        "{label}: rows_materialized differs"
-    );
-    assert_eq!(
-        blocking.stats().rows_transferred,
-        streamed.stats().rows_transferred,
-        "{label}: rows_transferred differs"
-    );
-    assert_eq!(
-        blocking.stats().exec_calls,
-        streamed.stats().exec_calls,
-        "{label}: exec_calls differs"
-    );
+    assert_eq!(observed, expected, "{label}: execution differs from staged");
+    answer
 }
 
 #[test]
@@ -232,11 +190,16 @@ fn random_plans_differential_all_available() {
             assert_equivalent(
                 &plan,
                 &federation,
-                threads,
+                opts(threads),
                 &format!("trial {trial} threads {threads} chunks {chunk_rows}"),
             );
         }
     }
+}
+
+/// The multiset union `data ⊎ more`.
+fn bag_union(data: &Bag, more: &Bag) -> Bag {
+    data.iter().chain(more.iter()).cloned().collect()
 }
 
 #[test]
@@ -263,12 +226,56 @@ fn random_plans_differential_with_injected_unavailability() {
             federation.links[0].set_availability(Availability::Unavailable);
         }
         let plan = random_federated_plan(&mut rng, n);
+        let mut partials = Vec::new();
         for threads in [1usize, 4] {
-            assert_equivalent(
-                &plan,
-                &federation,
-                threads,
-                &format!("trial {trial} threads {threads}"),
+            for mem_budget in [MemBudget::Unbounded, MemBudget::Bytes(64 * 1024)] {
+                let label = format!("trial {trial} threads {threads} {mem_budget:?}");
+                let options = PipelineOptions {
+                    mem_budget,
+                    ..opts(threads)
+                };
+                let answer = assert_equivalent(&plan, &federation, options, &label);
+                partials.push((label, options, answer));
+            }
+        }
+
+        // §4 recovery: the links come back, and what each partial answer
+        // left undone completes it.
+        for link in &federation.links {
+            link.set_availability(Availability::Available);
+        }
+        let deadline = Some(Duration::from_secs(5));
+        let full = execute(&federation, &plan, opts(1), deadline).unwrap();
+        assert!(full.is_complete(), "trial {trial}: every link is back");
+        for (label, options, partial) in partials {
+            let Some(residual) = partial.residual() else {
+                // The plan never touched a source that was down.
+                assert_eq!(partial.data(), full.data(), "{label}");
+                continue;
+            };
+            let rest = execute(&federation, residual, options, deadline).unwrap();
+            assert!(rest.is_complete(), "{label}: residual completes");
+            assert_eq!(
+                &bag_union(partial.data(), rest.data()),
+                full.data(),
+                "{label}: data plus executed residual must be the all-available answer"
+            );
+            // The residual is a *query*: its OQL text re-parses, compiles
+            // against the catalog, prints back to the same text, and the
+            // compiled plan finishes the answer just as well.
+            let text = partial.residual_oql().expect("partial answers print");
+            let recompiled = compile_text(&text, &federation.catalog)
+                .unwrap_or_else(|e| panic!("{label}: residual {text:?} must compile: {e}"));
+            assert_eq!(
+                disco_oql::print_expr(&logical_to_oql(&recompiled)),
+                text,
+                "{label}: residual text must be a fixed point of print∘compile"
+            );
+            let rest = execute(&federation, &recompiled, options, deadline).unwrap();
+            assert_eq!(
+                &bag_union(partial.data(), rest.data()),
+                full.data(),
+                "{label}: the recompiled residual must finish the answer too"
             );
         }
     }
@@ -277,7 +284,7 @@ fn random_plans_differential_with_injected_unavailability() {
 #[test]
 fn degraded_source_streams_slowly_but_equivalently() {
     // A wrapper that trickles chunks out (degraded throughput) must still
-    // produce the same answer as the blocking path, within the deadline.
+    // produce the staged answer, within the deadline.
     let degraded = NetworkProfile {
         jitter: 0.0,
         chunk_rows: 4,
@@ -289,30 +296,27 @@ fn degraded_source_streams_slowly_but_equivalently() {
     profiles[1] = degraded;
     let federation = federation_with(&profiles, 24, 7);
     let plan = LogicalExpr::Union((0..3).map(|i| branch(i, 0)).collect());
-    assert_equivalent(&plan, &federation, 1, "degraded");
-    assert_equivalent(&plan, &federation, 4, "degraded parallel");
+    assert_equivalent(&plan, &federation, opts(1), "degraded");
+    assert_equivalent(&plan, &federation, opts(4), "degraded parallel");
 }
 
 // ---------------------------------------------------------------------
 // Adaptive scheduling over streamed federations: the adaptive build-side
 // choice (build whichever source answered first) and rate-scaled claims
-// must be answer-transparent in both resolution modes.
+// must be answer-transparent.
 // ---------------------------------------------------------------------
 
 fn execute_adaptive(
     federation: &Federation,
     plan: &LogicalExpr,
-    mode: ResolutionMode,
     threads: usize,
     adaptive: AdaptiveMode,
 ) -> Answer {
-    let physical = lower(plan).unwrap();
-    Executor::new(federation.registry.clone())
-        .with_resolution(mode)
-        .with_threads(threads)
-        .with_adaptive(adaptive)
-        .with_deadline(Some(Duration::from_secs(5)))
-        .execute(&physical, &federation.catalog)
+    let options = PipelineOptions {
+        adaptive,
+        ..opts(threads)
+    };
+    execute(federation, plan, options, Some(Duration::from_secs(5)))
         .expect("federated plan executes")
 }
 
@@ -331,35 +335,32 @@ fn adaptive_scheduling_is_transparent_over_streamed_federations() {
         };
         let federation = federation_with(&profiles, rng.gen_range(10..40), 300 + trial);
         let plan = random_federated_plan(&mut rng, n);
-        for mode in [ResolutionMode::Blocking, ResolutionMode::Streamed] {
-            for threads in [1usize, 4] {
-                let pinned = execute_adaptive(&federation, &plan, mode, threads, AdaptiveMode::Off);
-                let adaptive =
-                    execute_adaptive(&federation, &plan, mode, threads, AdaptiveMode::On);
-                let label = format!("trial {trial} {mode:?} threads {threads}");
-                // `rows_materialized` is deliberately NOT compared: the
-                // adaptive build-side choice may buffer the other input.
-                assert_eq!(
-                    pinned.data(),
-                    adaptive.data(),
-                    "{label}: answer multisets differ"
-                );
-                assert_eq!(
-                    pinned.is_complete(),
-                    adaptive.is_complete(),
-                    "{label}: completeness differs"
-                );
-                assert_eq!(
-                    pinned.residual(),
-                    adaptive.residual(),
-                    "{label}: residual plans differ"
-                );
-                assert_eq!(
-                    pinned.unavailable_sources(),
-                    adaptive.unavailable_sources(),
-                    "{label}: unavailable classification differs"
-                );
-            }
+        for threads in [1usize, 4] {
+            let pinned = execute_adaptive(&federation, &plan, threads, AdaptiveMode::Off);
+            let adaptive = execute_adaptive(&federation, &plan, threads, AdaptiveMode::On);
+            let label = format!("trial {trial} threads {threads}");
+            // `rows_materialized` is deliberately NOT compared: the
+            // adaptive build-side choice may buffer the other input.
+            assert_eq!(
+                pinned.data(),
+                adaptive.data(),
+                "{label}: answer multisets differ"
+            );
+            assert_eq!(
+                pinned.is_complete(),
+                adaptive.is_complete(),
+                "{label}: completeness differs"
+            );
+            assert_eq!(
+                pinned.residual(),
+                adaptive.residual(),
+                "{label}: residual plans differ"
+            );
+            assert_eq!(
+                pinned.unavailable_sources(),
+                adaptive.unavailable_sources(),
+                "{label}: unavailable classification differs"
+            );
         }
     }
 }
@@ -451,20 +452,21 @@ fn faulty_federation(faulty: Arc<dyn Wrapper>) -> (Federation, LogicalExpr) {
 }
 
 #[test]
-fn mid_stream_failure_surfaces_identically_in_both_modes() {
+fn mid_stream_failure_surfaces_as_the_staged_error() {
     let (federation, plan) = faulty_federation(Arc::new(FailsMidStream));
     let deadline = Some(Duration::from_millis(500));
     let started = std::time::Instant::now();
-    for mode in [ResolutionMode::Blocking, ResolutionMode::Streamed] {
-        let err = execute(&federation, &plan, mode, 1, deadline).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                RuntimeError::Wrapper(WrapperError::TypeConflict { .. })
-            ),
-            "{mode:?}: expected the mid-stream failure, got {err}"
-        );
-    }
+    let err = execute(&federation, &plan, opts(1), deadline).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            RuntimeError::Wrapper(WrapperError::TypeConflict { .. })
+        ),
+        "expected the mid-stream failure, got {err}"
+    );
+    let staged_err =
+        staged(&federation, &plan, opts(1), deadline).expect_err("resolution fails hard too");
+    assert_eq!(err.to_string(), staged_err.to_string());
     assert!(
         started.elapsed() < Duration::from_secs(4),
         "failure handling must not hang past the deadline"
@@ -472,17 +474,18 @@ fn mid_stream_failure_surfaces_identically_in_both_modes() {
 }
 
 #[test]
-fn panicking_wrapper_surfaces_worker_panic_in_both_modes() {
+fn panicking_wrapper_surfaces_worker_panic() {
     let (federation, plan) = faulty_federation(Arc::new(PanicsOnSubmit));
     let deadline = Some(Duration::from_millis(500));
     let started = std::time::Instant::now();
-    for mode in [ResolutionMode::Blocking, ResolutionMode::Streamed] {
-        let err = execute(&federation, &plan, mode, 1, deadline).unwrap_err();
-        assert!(
-            matches!(err, RuntimeError::WorkerPanic(_)),
-            "{mode:?}: expected a contained panic, got {err}"
-        );
-    }
+    let err = execute(&federation, &plan, opts(1), deadline).unwrap_err();
+    assert!(
+        matches!(err, RuntimeError::WorkerPanic(_)),
+        "expected a contained panic, got {err}"
+    );
+    let staged_err = staged(&federation, &plan, opts(1), deadline)
+        .expect_err("resolution contains the panic too");
+    assert_eq!(err.to_string(), staged_err.to_string());
     assert!(
         started.elapsed() < Duration::from_secs(4),
         "panic handling must not hang past the deadline"
@@ -510,14 +513,7 @@ fn deadline_returns_fast_data_plus_residual_for_the_slow_source() {
     let federation = federation_with(&[fast.clone(), fast, slow], 16, 11);
     let plan = LogicalExpr::Union((0..3).map(|i| branch(i, -1)).collect());
     let deadline = Duration::from_millis(250);
-    let answer = execute(
-        &federation,
-        &plan,
-        ResolutionMode::Streamed,
-        1,
-        Some(deadline),
-    )
-    .unwrap();
+    let answer = execute(&federation, &plan, opts(1), Some(deadline)).unwrap();
     assert!(!answer.is_complete(), "slow source must go residual");
     assert_eq!(answer.unavailable_sources(), &["r2".to_owned()]);
     assert_eq!(
@@ -562,14 +558,7 @@ fn timed_out_wrapper_call_is_cancelled_not_leaked() {
     let federation = federation_with(&[instant_profile(0), trickle], 200, 13);
     let plan = LogicalExpr::Union(vec![branch(0, -1), branch(1, -1)]);
     let started = std::time::Instant::now();
-    let answer = execute(
-        &federation,
-        &plan,
-        ResolutionMode::Streamed,
-        1,
-        Some(Duration::from_millis(60)),
-    )
-    .unwrap();
+    let answer = execute(&federation, &plan, opts(1), Some(Duration::from_millis(60))).unwrap();
     assert!(
         started.elapsed() < Duration::from_millis(700),
         "deadline classification must not wait out the stream, took {:?}",
@@ -623,14 +612,7 @@ fn parallel_worker_failure_interrupts_a_blocked_stream_claim() {
         .bind("x")
         .map_project(ScalarExpr::var_field("x", "name"));
     let started = std::time::Instant::now();
-    let err = execute(
-        &federation,
-        &plan,
-        ResolutionMode::Streamed,
-        4,
-        Some(Duration::from_secs(10)),
-    )
-    .unwrap_err();
+    let err = execute(&federation, &plan, opts(4), Some(Duration::from_secs(10))).unwrap_err();
     assert!(
         matches!(err, RuntimeError::WorkerPanic(_)),
         "expected the contained fail-point panic, got {err}"
@@ -650,14 +632,7 @@ fn parallel_worker_failure_interrupts_a_blocked_stream_claim() {
 fn streamed_complete_answers_report_time_to_first_row() {
     let federation = federation_with(&vec![instant_profile(4); 3], 12, 17);
     let plan = LogicalExpr::Union((0..3).map(|i| branch(i, 0)).collect());
-    let answer = execute(
-        &federation,
-        &plan,
-        ResolutionMode::Streamed,
-        1,
-        Some(Duration::from_secs(5)),
-    )
-    .unwrap();
+    let answer = execute(&federation, &plan, opts(1), Some(Duration::from_secs(5))).unwrap();
     assert!(answer.is_complete());
     assert!(answer.time_to_first_row().is_some());
     assert!(answer.time_to_first_row().unwrap() <= answer.stats().elapsed);

@@ -17,11 +17,11 @@
 mod common;
 
 use common::{random_branch, random_partial_scenario, random_people, random_plan, stats_for};
-use disco_algebra::{lower, Env, LogicalExpr, ScalarExpr, ScalarOp};
-use disco_runtime::pipeline::{self, PipelineMetrics, PipelineOptions};
+use disco_algebra::{lower, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_runtime::{
-    evaluate_physical, partial_evaluate, partial_evaluate_reference, reference,
-    substitute_resolved, BuildSide, ExecKey, ExecOutcome, ResolvedExecs,
+    evaluate_physical, evaluate_physical_with, partial_evaluate, partial_evaluate_reference,
+    reference, substitute_resolved, BuildSide, ExecKey, ExecOutcome, PipelineMetrics,
+    PipelineOptions, ResolvedExecs,
 };
 use disco_value::Bag;
 use rand::rngs::StdRng;
@@ -65,21 +65,13 @@ fn evaluate_with_build_side(
     plan: &disco_algebra::PhysicalExpr,
     side: BuildSide,
 ) -> (Bag, PipelineMetrics) {
-    let resolved = ResolvedExecs::default();
     let metrics = PipelineMetrics::new();
-    let root = Env::root();
-    let cursor = pipeline::open_with(
-        plan,
-        &resolved,
-        &root,
-        &metrics,
-        PipelineOptions {
-            build_side: side,
-            ..PipelineOptions::default()
-        },
-    )
-    .expect("opens");
-    let bag = pipeline::collect(cursor, &metrics).expect("collects");
+    let options = PipelineOptions {
+        build_side: side,
+        ..PipelineOptions::default()
+    };
+    let bag = evaluate_physical_with(plan, &ResolvedExecs::default(), &metrics, options)
+        .expect("evaluates");
     (bag, metrics)
 }
 
@@ -162,9 +154,9 @@ fn pipeline_behavior_classification_matches_engine_buffering() {
             }
         });
         let metrics = PipelineMetrics::new();
-        let root = Env::root();
-        let cursor = pipeline::open(&physical, &resolved, &root, &metrics).expect("opens");
-        let out = pipeline::collect(cursor, &metrics).expect("collects");
+        let out =
+            evaluate_physical_with(&physical, &resolved, &metrics, PipelineOptions::default())
+                .expect("evaluates");
         if streaming_only {
             assert_eq!(
                 metrics.rows_materialized(),
@@ -191,7 +183,8 @@ fn partial_evaluation_matches_reference_on_random_availability() {
         let (plan, resolved) = random_partial_scenario(&mut rng);
         let substituted = substitute_resolved(&plan, &resolved);
         let (data_s, residual_s) =
-            partial_evaluate(&substituted, &resolved).expect("streaming partial eval");
+            partial_evaluate(&substituted, &resolved, PipelineOptions::default())
+                .expect("streaming partial eval");
         let (data_r, residual_r) =
             partial_evaluate_reference(&substituted, &resolved).expect("reference partial eval");
         assert_eq!(
@@ -227,7 +220,8 @@ fn join_with_unavailable_side_stays_residual_in_both_engines() {
     }
     .map_project(ScalarExpr::var_field("x", "name"));
     let substituted = substitute_resolved(&plan, &resolved);
-    let (data_s, residual_s) = partial_evaluate(&substituted, &resolved).unwrap();
+    let (data_s, residual_s) =
+        partial_evaluate(&substituted, &resolved, PipelineOptions::default()).unwrap();
     let (data_r, residual_r) = partial_evaluate_reference(&substituted, &resolved).unwrap();
     assert!(data_s.is_empty());
     assert_eq!(data_s, data_r);

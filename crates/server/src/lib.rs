@@ -68,7 +68,7 @@ use std::time::Duration;
 use disco_catalog::{Catalog, CatalogError, CatalogHandle};
 use disco_core::{Mediator, Result};
 use disco_optimizer::{CalibrationStore, CostParams, Optimizer, PlanCache};
-use disco_runtime::{Answer, Executor, ResolutionMode, SourcePool};
+use disco_runtime::{Answer, Executor, SourcePool};
 use disco_wrapper::WrapperRegistry;
 
 use crate::admission::Admission;
@@ -135,7 +135,6 @@ struct ServerShared {
     config: ServerConfig,
     /// Defaults mirrored from the mediator the server was built from.
     deadline: Option<Duration>,
-    resolution: ResolutionMode,
     cost_params: CostParams,
     next_session: AtomicU64,
     queries_served: AtomicU64,
@@ -169,8 +168,7 @@ pub struct DiscoServer {
 impl DiscoServer {
     /// Builds a server from a configured [`Mediator`]: the catalog is
     /// snapshotted copy-on-write, and the registry, calibration store,
-    /// deadline, resolution mode, and cost parameters are shared or
-    /// mirrored.  The mediator itself is not consumed — but note that
+    /// deadline, and cost parameters are shared or mirrored.  The mediator itself is not consumed — but note that
     /// registrations made on it *after* this call do not reach the
     /// server (use [`DiscoServer::update_catalog`] instead).
     #[must_use]
@@ -184,7 +182,6 @@ impl DiscoServer {
                 admission: Admission::new(config.max_concurrent),
                 config,
                 deadline: mediator.deadline(),
-                resolution: mediator.resolution(),
                 cost_params: mediator.cost_params(),
                 next_session: AtomicU64::new(1),
                 queries_served: AtomicU64::new(0),
@@ -316,7 +313,6 @@ impl Session {
         };
         let mut executor = Executor::new(self.shared.registry.clone())
             .with_deadline(self.deadline)
-            .with_resolution(self.shared.resolution)
             .with_threads(self.shared.config.threads)
             .with_calibration(Arc::clone(&self.shared.calibration))
             .with_row_budget(self.row_budget);

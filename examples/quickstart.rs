@@ -5,7 +5,7 @@
 //! third source and runs the *same* query again — the paper's key
 //! scalability point for the DBA: the query text never changes.
 //!
-//! Run with: `cargo run --example quickstart`
+//! Run with: `cargo run -p disco --example quickstart`
 
 use disco::core::{CapabilitySet, Mediator, NetworkProfile, Table, Value};
 
