@@ -12,6 +12,8 @@ pub enum AlgebraError {
     Type(String),
     /// Division by zero.
     DivisionByZero,
+    /// Integer arithmetic (or an integer `sum`) left the `i64` range.
+    IntegerOverflow,
     /// A sub-query appeared where the evaluation context cannot evaluate
     /// one (e.g. inside an expression pushed to a wrapper).
     SubqueryNotSupported,
@@ -37,6 +39,7 @@ impl fmt::Display for AlgebraError {
             AlgebraError::UnknownVariable(v) => write!(f, "unknown range variable: {v}"),
             AlgebraError::Type(msg) => write!(f, "type error: {msg}"),
             AlgebraError::DivisionByZero => write!(f, "division by zero"),
+            AlgebraError::IntegerOverflow => write!(f, "integer overflow"),
             AlgebraError::SubqueryNotSupported => {
                 write!(f, "sub-query evaluation not supported in this context")
             }

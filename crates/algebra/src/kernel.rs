@@ -431,10 +431,10 @@ fn int_cmp(op: ScalarOp, a: i64, b: i64) -> bool {
     }
 }
 
-/// Null-free `i64` arithmetic.  Division bails on any zero divisor so the
-/// row path reports [`crate::AlgebraError::DivisionByZero`] at the exact
-/// offending row.  The non-division ops use the same plain operators as
-/// `eval_binary` (identical overflow behaviour in every build profile).
+/// Null-free `i64` arithmetic through the row evaluator's own checked
+/// [`int_arith`](crate::scalar::int_arith): a zero divisor or an overflow
+/// bails the batch, so the row path reports the typed error at the exact
+/// offending row.
 fn int_arith(
     op: ScalarOp,
     a: impl Iterator<Item = i64>,
@@ -443,18 +443,7 @@ fn int_arith(
 ) -> Option<EvalVec> {
     let mut data = Vec::with_capacity(n);
     for (a, b) in a.zip(b).take(n) {
-        data.push(match op {
-            ScalarOp::Add => a + b,
-            ScalarOp::Sub => a - b,
-            ScalarOp::Mul => a * b,
-            ScalarOp::Div => {
-                if b == 0 {
-                    return None;
-                }
-                a / b
-            }
-            _ => unreachable!("arithmetic operator"),
-        });
+        data.push(crate::scalar::int_arith(op, a, b).ok()?);
     }
     Some(EvalVec::Int { data, nulls: None })
 }
@@ -722,6 +711,23 @@ mod tests {
             ScalarExpr::attr("v"),
         );
         assert!(eval_over(&expr, None, vec![Value::Int(2), Value::Int(0)]).is_none());
+    }
+
+    #[test]
+    fn integer_overflow_bails_instead_of_wrapping() {
+        for (op, v) in [(ScalarOp::Add, 2), (ScalarOp::Sub, -2), (ScalarOp::Mul, 2)] {
+            let expr =
+                ScalarExpr::binary(op, ScalarExpr::attr("v"), ScalarExpr::constant(i64::MAX));
+            // Row 0 stays in range; row 1 overflows and bails the batch.
+            let data = vec![Value::Int(0), Value::Int(v)];
+            assert!(eval_over(&expr, None, data).is_none(), "{}", op.symbol());
+        }
+        let min_over_minus_one = ScalarExpr::binary(
+            ScalarOp::Div,
+            ScalarExpr::attr("v"),
+            ScalarExpr::constant(-1i64),
+        );
+        assert!(eval_over(&min_over_minus_one, None, vec![Value::Int(i64::MIN)]).is_none());
     }
 
     #[test]

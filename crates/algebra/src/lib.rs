@@ -57,8 +57,8 @@ pub use logical::{data_of, LogicalExpr};
 pub use physical::{ExchangeBehavior, PhysicalExpr, PipelineBehavior};
 pub use rules::CapabilityLookup;
 pub use scalar::{
-    eval_binary, eval_scalar, eval_scalar_env, eval_scalar_with, truthy, AggKind, Env, ScalarExpr,
-    ScalarOp, SubqueryEval,
+    eval_binary, eval_scalar, eval_scalar_env, eval_scalar_with, truthy, AggKind, AggState, Env,
+    ScalarExpr, ScalarOp, SubqueryEval,
 };
 pub use to_oql::{
     agg_from_oql, agg_to_oql, logical_to_oql, scalar_op_from_oql, scalar_op_to_oql, scalar_to_oql,

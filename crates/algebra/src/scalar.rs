@@ -108,56 +108,168 @@ impl AggKind {
         }
     }
 
-    /// Applies the aggregate to a bag of values.
+    /// Applies the aggregate to a bag of values: a fold through
+    /// [`AggState`], the one accumulator every evaluator shares.
     ///
     /// # Errors
     ///
     /// Returns a type error if non-numeric values are aggregated by
-    /// `sum`/`avg`.
+    /// `sum`/`avg`, and [`AlgebraError::IntegerOverflow`] when an
+    /// all-integer `sum` leaves the `i64` range.
     pub fn apply(&self, bag: &Bag) -> Result<Value> {
+        let mut state = AggState::new(*self);
+        for value in bag {
+            state.update(value)?;
+        }
+        Ok(state.finish())
+    }
+}
+
+/// A `sum`/`avg` accumulator: exact while every input is an integer,
+/// `f64` from the first float on.
+#[derive(Debug, Clone, Copy)]
+enum Sum {
+    Int(i64),
+    Float(f64),
+}
+
+impl Sum {
+    #[allow(clippy::cast_precision_loss)]
+    fn as_f64(self) -> f64 {
         match self {
-            AggKind::Count => Ok(Value::Int(i64::try_from(bag.len()).unwrap_or(i64::MAX))),
-            AggKind::Sum => {
-                let mut acc = 0.0;
-                let mut all_int = true;
-                for v in bag {
-                    if matches!(v, Value::Float(_)) {
-                        all_int = false;
+            Sum::Int(v) => v as f64,
+            Sum::Float(v) => v,
+        }
+    }
+}
+
+/// Mergeable aggregate accumulator with O(1) state — the single
+/// definition of the aggregates' semantics: numeric promotion (an
+/// all-integer `sum` is an exact, overflow-checked `i64`; the first float
+/// switches it to `f64`), empty-input results, and first-minimum /
+/// last-maximum tie-breaking.
+///
+/// A serial evaluation folds its whole input into one state; the parallel
+/// engine folds one state **per morsel** and merges them in morsel order,
+/// which keeps the result independent of which worker processed which
+/// morsel: counts and integer sums are associative, and the ordered merge
+/// preserves the tie-breaking of the serial fold.  (Float sums merge
+/// partial sums, so they can differ from the serial fold in the last
+/// bits — but deterministically so at a fixed thread count.)
+#[derive(Debug, Clone)]
+pub struct AggState {
+    func: AggKind,
+    count: usize,
+    sum: Sum,
+    best: Option<Value>,
+}
+
+impl AggState {
+    /// An empty accumulator for `func`.
+    #[must_use]
+    pub fn new(func: AggKind) -> Self {
+        AggState {
+            func,
+            count: 0,
+            // `avg` divides at the end, so it accumulates in `f64`
+            // throughout.
+            sum: if func == AggKind::Avg {
+                Sum::Float(0.0)
+            } else {
+                Sum::Int(0)
+            },
+            best: None,
+        }
+    }
+
+    /// Folds one value into the state.
+    ///
+    /// # Errors
+    ///
+    /// Returns a type error for a non-numeric `sum`/`avg` input and
+    /// [`AlgebraError::IntegerOverflow`] when an integer `sum` overflows.
+    pub fn update(&mut self, value: &Value) -> Result<()> {
+        self.count += 1;
+        match self.func {
+            AggKind::Count => {}
+            AggKind::Sum | AggKind::Avg => {
+                self.sum = match (self.sum, value) {
+                    (Sum::Int(acc), Value::Int(v)) => {
+                        Sum::Int(acc.checked_add(*v).ok_or(AlgebraError::IntegerOverflow)?)
                     }
-                    acc += v.as_float().map_err(|_| {
-                        AlgebraError::Type(format!("sum over non-numeric value {v}"))
-                    })?;
-                }
-                #[allow(clippy::cast_possible_truncation)]
-                Ok(if all_int {
-                    Value::Int(acc as i64)
-                } else {
-                    Value::Float(acc)
-                })
+                    (acc, _) => Sum::Float(
+                        acc.as_f64()
+                            + value.as_float().map_err(|_| {
+                                AlgebraError::Type(format!(
+                                    "{} over non-numeric value {value}",
+                                    self.func.name()
+                                ))
+                            })?,
+                    ),
+                };
             }
+            AggKind::Min => match &self.best {
+                Some(b) if value.total_cmp(b) != std::cmp::Ordering::Less => {}
+                _ => self.best = Some(value.clone()),
+            },
+            AggKind::Max => match &self.best {
+                Some(b) if value.total_cmp(b) == std::cmp::Ordering::Less => {}
+                _ => self.best = Some(value.clone()),
+            },
+        }
+        Ok(())
+    }
+
+    /// Merges a state folded over a **later** stretch of the input into
+    /// `self`.  Merging per-morsel states in morsel order reproduces the
+    /// serial fold's tie-breaking: an equal minimum in a later morsel
+    /// loses, an equal maximum wins.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AlgebraError::IntegerOverflow`] when two integer partial
+    /// sums overflow.
+    pub fn merge(&mut self, later: AggState) -> Result<()> {
+        self.count += later.count;
+        self.sum = match (self.sum, later.sum) {
+            (Sum::Int(a), Sum::Int(b)) => {
+                Sum::Int(a.checked_add(b).ok_or(AlgebraError::IntegerOverflow)?)
+            }
+            (a, b) => Sum::Float(a.as_f64() + b.as_f64()),
+        };
+        if let Some(candidate) = later.best {
+            match (&self.best, self.func) {
+                (None, _) => self.best = Some(candidate),
+                (Some(b), AggKind::Min) if candidate.total_cmp(b) == std::cmp::Ordering::Less => {
+                    self.best = Some(candidate);
+                }
+                (Some(b), AggKind::Max) if candidate.total_cmp(b) != std::cmp::Ordering::Less => {
+                    self.best = Some(candidate);
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// The aggregate's final value.
+    #[must_use]
+    pub fn finish(self) -> Value {
+        match self.func {
+            AggKind::Count => Value::Int(i64::try_from(self.count).unwrap_or(i64::MAX)),
+            AggKind::Sum => match self.sum {
+                Sum::Int(v) => Value::Int(v),
+                Sum::Float(v) => Value::Float(v),
+            },
             AggKind::Avg => {
-                if bag.is_empty() {
-                    return Ok(Value::Null);
+                if self.count == 0 {
+                    Value::Null
+                } else {
+                    #[allow(clippy::cast_precision_loss)]
+                    Value::Float(self.sum.as_f64() / self.count as f64)
                 }
-                let mut acc = 0.0;
-                for v in bag {
-                    acc += v.as_float().map_err(|_| {
-                        AlgebraError::Type(format!("avg over non-numeric value {v}"))
-                    })?;
-                }
-                #[allow(clippy::cast_precision_loss)]
-                Ok(Value::Float(acc / bag.len() as f64))
             }
-            AggKind::Min => Ok(bag
-                .iter()
-                .min_by(|a, b| a.total_cmp(b))
-                .cloned()
-                .unwrap_or(Value::Null)),
-            AggKind::Max => Ok(bag
-                .iter()
-                .max_by(|a, b| a.total_cmp(b))
-                .cloned()
-                .unwrap_or(Value::Null)),
+            AggKind::Min | AggKind::Max => self.best.unwrap_or(Value::Null),
         }
     }
 }
@@ -604,8 +716,9 @@ fn eval_builtin_call(name: &str, args: &[Value]) -> Result<Value> {
 ///
 /// # Errors
 ///
-/// Returns type errors for invalid operand combinations and
-/// [`AlgebraError::DivisionByZero`].
+/// Returns type errors for invalid operand combinations,
+/// [`AlgebraError::DivisionByZero`] and, for integer results outside the
+/// `i64` range, [`AlgebraError::IntegerOverflow`].
 pub fn eval_binary(op: ScalarOp, left: &Value, right: &Value) -> Result<Value> {
     use ScalarOp::{Add, And, Div, Eq, Ge, Gt, Le, Lt, Mul, NotEq, Or, Sub};
     match op {
@@ -637,18 +750,7 @@ pub fn eval_binary(op: ScalarOp, left: &Value, right: &Value) -> Result<Value> {
                 return Ok(Value::Null);
             }
             match (left, right) {
-                (Value::Int(a), Value::Int(b)) => Ok(match op {
-                    Add => Value::Int(a + b),
-                    Sub => Value::Int(a - b),
-                    Mul => Value::Int(a * b),
-                    Div => {
-                        if *b == 0 {
-                            return Err(AlgebraError::DivisionByZero);
-                        }
-                        Value::Int(a / b)
-                    }
-                    _ => unreachable!(),
-                }),
+                (Value::Int(a), Value::Int(b)) => int_arith(op, *a, *b).map(Value::Int),
                 _ => {
                     let a = left.as_float().map_err(|_| {
                         AlgebraError::Type(format!("arithmetic on non-numeric value {left}"))
@@ -672,6 +774,27 @@ pub fn eval_binary(op: ScalarOp, left: &Value, right: &Value) -> Result<Value> {
             }
         }
     }
+}
+
+/// Checked `i64` arithmetic — the one definition shared by [`eval_binary`]
+/// and the vectorized kernels, so a result outside the `i64` range is the
+/// same typed error on every path and in every build profile.
+///
+/// # Errors
+///
+/// Returns [`AlgebraError::DivisionByZero`] for a zero divisor and
+/// [`AlgebraError::IntegerOverflow`] when the result does not fit (which
+/// includes `i64::MIN / -1`).
+pub(crate) fn int_arith(op: ScalarOp, a: i64, b: i64) -> Result<i64> {
+    match op {
+        ScalarOp::Add => a.checked_add(b),
+        ScalarOp::Sub => a.checked_sub(b),
+        ScalarOp::Mul => a.checked_mul(b),
+        ScalarOp::Div if b == 0 => return Err(AlgebraError::DivisionByZero),
+        ScalarOp::Div => a.checked_div(b),
+        _ => unreachable!("arithmetic operator"),
+    }
+    .ok_or(AlgebraError::IntegerOverflow)
 }
 
 /// OQL truthiness: only `true` is true; `null` and everything else is false.
@@ -877,6 +1000,65 @@ mod tests {
         assert_eq!(AggKind::Sum.apply(&mixed).unwrap(), Value::Float(1.5));
         let bad: Bag = [Value::from("x")].into_iter().collect();
         assert!(AggKind::Sum.apply(&bad).is_err());
+    }
+
+    #[test]
+    fn integer_sums_are_exact_until_the_first_float_and_overflow_checked() {
+        // 2^53 + 1: the first integer an `f64` accumulator cannot hold.
+        let beyond_f64 = 9_007_199_254_740_993_i64;
+        let bag: Bag = [Value::Int(beyond_f64 - 1), Value::Int(1)]
+            .into_iter()
+            .collect();
+        assert_eq!(AggKind::Sum.apply(&bag).unwrap(), Value::Int(beyond_f64));
+        let over: Bag = [Value::Int(i64::MAX), Value::Int(1)].into_iter().collect();
+        assert_eq!(
+            AggKind::Sum.apply(&over),
+            Err(AlgebraError::IntegerOverflow)
+        );
+        // `avg` still accumulates in `f64`, so the same inputs average.
+        assert!(AggKind::Avg.apply(&over).is_ok());
+        // Partial states merge exactly, and a float on either side of the
+        // merge switches the sum to `f64`.
+        let fold = |values: &[Value]| {
+            let mut state = AggState::new(AggKind::Sum);
+            values.iter().try_for_each(|v| state.update(v)).unwrap();
+            state
+        };
+        let mut ints = fold(&[Value::Int(beyond_f64 - 1)]);
+        ints.merge(fold(&[Value::Int(1)])).unwrap();
+        assert_eq!(ints.finish(), Value::Int(beyond_f64));
+        let mut mixed = fold(&[Value::Int(1)]);
+        mixed.merge(fold(&[Value::Float(0.5)])).unwrap();
+        assert_eq!(mixed.finish(), Value::Float(1.5));
+        let mut over = fold(&[Value::Int(i64::MAX)]);
+        assert_eq!(
+            over.merge(fold(&[Value::Int(1)])),
+            Err(AlgebraError::IntegerOverflow)
+        );
+    }
+
+    #[test]
+    fn integer_arithmetic_is_checked() {
+        use ScalarOp::{Add, Div, Mul, Sub};
+        let int = Value::Int;
+        for (op, a, b) in [
+            (Add, i64::MAX, 1),
+            (Sub, i64::MIN, 1),
+            (Mul, i64::MAX, 2),
+            (Div, i64::MIN, -1),
+        ] {
+            assert_eq!(
+                eval_binary(op, &int(a), &int(b)),
+                Err(AlgebraError::IntegerOverflow),
+                "{a} {} {b}",
+                op.symbol()
+            );
+        }
+        assert_eq!(eval_binary(Div, &int(7), &int(2)), Ok(int(3)));
+        assert_eq!(
+            eval_binary(Div, &int(7), &int(0)),
+            Err(AlgebraError::DivisionByZero)
+        );
     }
 
     #[test]

@@ -1096,8 +1096,8 @@ pub fn e10_federation_overlap(scale: Scale) -> Report {
 /// The same skewed federation as E10 — one source answers ~10× slower
 /// than the rest — executed through a join the slow source feeds, with
 /// the pinned scheduler (`AdaptiveMode::Off`) and the adaptive engine
-/// (`AdaptiveMode::On`): rate-proportional morsel claims and the
-/// first-answer build-side choice.  Every answer is asserted
+/// (`AdaptiveMode::On`): the first-answer build-side choice.  Every
+/// answer is asserted
 /// multiset-identical to the pinned serial baseline; the table tracks
 /// how wall-clock and first-row latency move when adaptivity engages.
 ///
@@ -1117,8 +1117,7 @@ pub fn e10_heterogeneous_adaptive(scale: Scale) -> Report {
     );
 
     // A join the degraded source feeds: the adaptive engine may build the
-    // first-answered fast side instead of waiting on the slow one, and
-    // morsel claims shrink for workers stuck behind slow chunks.
+    // first-answered fast side instead of waiting on the slow one.
     let slow = federation.links.len() - 1;
     let plan = lower(
         &LogicalExpr::Join {
@@ -1190,7 +1189,7 @@ pub fn e10_heterogeneous_adaptive(scale: Scale) -> Report {
     }
     report.push_note(
         "every answer is asserted multiset-identical to the pinned serial baseline; \
-         only scheduling (morsel claim sizes, hash-join build side) may differ",
+         only the hash-join build side may differ",
     );
     report.push_note(
         "rows_materialized is not compared: the adaptive build-side choice may buffer \
@@ -1350,7 +1349,7 @@ pub fn e11_serving(scale: Scale) -> Report {
 /// Runs a hash join and a distinct whose breaker state (build table /
 /// seen-set) is ~10x `PipelineOptions::mem_budget` and compares against
 /// the default unbounded path: answers are identical, tracked bytes stay
-/// bounded by the budget (+ at most one batch of overshoot, the
+/// bounded by the budget (+ at most one entry of overshoot, the
 /// trip-detection granularity), and the spill counters are nonzero.  The
 /// state size is measured first with a never-tripping bounded probe
 /// (`peak KiB` of the `unbounded` rows), and the budget for the

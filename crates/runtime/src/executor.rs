@@ -97,10 +97,10 @@ impl Executor {
         self
     }
 
-    /// Sets the heterogeneity-aware scheduling mode: [`AdaptiveMode::On`]
-    /// engages speed-proportional morsel claiming and adaptive hash-join
-    /// build-side selection, [`AdaptiveMode::Off`] pins the deterministic
-    /// schedule, and [`AdaptiveMode::Auto`] (the default) defers to the
+    /// Sets the heterogeneity-aware build-side mode: [`AdaptiveMode::On`]
+    /// lets a hash join build on whichever input answered first,
+    /// [`AdaptiveMode::Off`] pins the smaller input by final cardinality,
+    /// and [`AdaptiveMode::Auto`] (the default) defers to the
     /// `DISCO_ADAPTIVE` environment variable.
     #[must_use]
     pub fn with_adaptive(mut self, adaptive: AdaptiveMode) -> Self {

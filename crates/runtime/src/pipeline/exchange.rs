@@ -1,30 +1,15 @@
-//! Exchange-style data movement for the parallel engine: morsel queues,
-//! hash-partitioned scatter grids, and the shared-table probe cursor.
+//! Work distribution for the parallel engine: morsel ranges, the claim
+//! queue, and hash routing for the sharded distinct.
 //!
 //! The parallel scheduler ([`super::parallel`]) splits pipeline work into
 //! *morsels* (sub-ranges of a leaf scan, or whole union branches) that
-//! workers claim from a [`MorselQueue`].  Pipeline-breaker state moves
-//! between phases through *scatter grids*: each task writes its rows into
-//! per-shard vectors selected by key hash, and the next phase assembles
-//! shard `s` by concatenating every task's shard-`s` vector **in task
-//! order** — so the assembled state is identical no matter which worker
+//! workers claim from a [`MorselQueue`].  Per-task outputs are tagged
+//! with the task index and reassembled **in task order** at the phase
+//! barrier — so the assembled state is identical no matter which worker
 //! ran which task, which is what makes the engine's results and metrics
 //! reproducible run over run.
-//!
-//! Shard routing and in-shard bucketing share one hash computation: the
-//! scatter side stores the canonical 64-bit value hash next to each row,
-//! and the assembly side buckets by that stored hash through the
-//! identity hasher (exactly the [`super::sink::SeenSet`] trick).
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-use disco_algebra::ScalarExpr;
-use disco_value::Value;
-
-use super::sink::IdentityHasher;
-use super::{eval_in_pair, eval_in_row, BoxedRowStream, PipelineCtx, Result, Row, RowStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Preferred rows per morsel.  Small enough that a 100k-row scan yields
 /// ~25 units of claimable work for a 4-thread pool, large enough that the
@@ -34,10 +19,8 @@ pub(crate) const MORSEL_ROWS: usize = 4096;
 /// Smallest useful morsel: below this, claim overhead dominates the work.
 pub(crate) const MIN_MORSEL_ROWS: usize = 16;
 
-/// The per-claim morsel size for `len` rows on `threads` workers — the
-/// formula shared by the pinned range list ([`morsel_ranges`]) and the
-/// adaptive claimer's *base* size (which scales it down per worker).
-pub(crate) fn morsel_size(len: usize, threads: usize) -> usize {
+/// The per-claim morsel size for `len` rows on `threads` workers.
+fn morsel_size(len: usize, threads: usize) -> usize {
     len.div_ceil(threads.max(1) * 4)
         .clamp(MIN_MORSEL_ROWS, MORSEL_ROWS)
 }
@@ -58,87 +41,6 @@ pub(crate) fn morsel_ranges(len: usize, threads: usize) -> Vec<std::ops::Range<u
     (0..len.div_ceil(size))
         .map(|i| i * size..((i + 1) * size).min(len))
         .collect()
-}
-
-/// Per-worker observed throughput for the heterogeneity-aware scheduler:
-/// an exponential moving average of rows/sec per completed claim.  Slow
-/// workers (a degraded core, a worker stuck behind a trickling source)
-/// report low rates and are handed proportionally smaller morsels, so the
-/// barrier never waits on one oversized claim held by the slowest worker.
-///
-/// Rates are relaxed atomics (f64 bits): the tracker steers claim sizes,
-/// it never affects answers, so racy reads are harmless.
-pub(crate) struct RateTracker {
-    rates: Vec<AtomicU64>,
-}
-
-/// EWMA smoothing factor for per-worker rate observations.
-const RATE_ALPHA: f64 = 0.5;
-
-/// Slowest-to-fastest claim-size ratio the adaptive claimer will apply: a
-/// worker is never handed less than 1/8 of the base morsel, so even a
-/// badly degraded worker keeps contributing.
-const MIN_CLAIM_FACTOR: f64 = 0.125;
-
-impl RateTracker {
-    pub(crate) fn new(workers: usize) -> Self {
-        RateTracker {
-            rates: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Fold in one completed claim: `rows` processed in `elapsed`.
-    pub(crate) fn note(&self, worker: usize, rows: usize, elapsed: std::time::Duration) {
-        let Some(slot) = self.rates.get(worker) else {
-            return;
-        };
-        if rows == 0 {
-            return;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let rate = rows as f64 / elapsed.as_secs_f64().max(1e-9);
-        let prev = f64::from_bits(slot.load(Ordering::Relaxed));
-        let next = if prev > 0.0 {
-            RATE_ALPHA * rate + (1.0 - RATE_ALPHA) * prev
-        } else {
-            rate
-        };
-        slot.store(next.to_bits(), Ordering::Relaxed);
-    }
-
-    /// How much of the base morsel `worker` should claim next: its
-    /// observed rate relative to the pool's fastest, clamped to
-    /// `[1/8, 1]`.  Workers with no observation yet claim a full morsel.
-    pub(crate) fn claim_factor(&self, worker: usize) -> f64 {
-        let Some(slot) = self.rates.get(worker) else {
-            return 1.0;
-        };
-        let mine = f64::from_bits(slot.load(Ordering::Relaxed));
-        if mine <= 0.0 {
-            return 1.0;
-        }
-        let fastest = self
-            .rates
-            .iter()
-            .map(|r| f64::from_bits(r.load(Ordering::Relaxed)))
-            .fold(0.0_f64, f64::max);
-        if fastest <= 0.0 {
-            return 1.0;
-        }
-        (mine / fastest).clamp(MIN_CLAIM_FACTOR, 1.0)
-    }
-
-    /// Scale `base` rows by the worker's claim factor, keeping at least
-    /// [`MIN_MORSEL_ROWS`] (or `base` itself when smaller).
-    pub(crate) fn scaled_claim(&self, worker: usize, base: usize) -> usize {
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
-        let scaled = (base as f64 * self.claim_factor(worker)) as usize;
-        scaled.clamp(MIN_MORSEL_ROWS.min(base), base)
-    }
 }
 
 /// A claim-by-counter work list: task indexes `0..total` are handed out
@@ -163,8 +65,8 @@ impl MorselQueue {
     }
 }
 
-/// Shards per partitioned pipeline breaker.  More shards than workers so
-/// the assembly phase load-balances even when the key distribution is
+/// Shards of the parallel distinct's seen-set.  More shards than workers
+/// so lock contention stays low even when the value distribution is
 /// skewed across shards.
 pub(crate) fn shard_count(threads: usize) -> usize {
     (threads * 4).next_power_of_two()
@@ -175,182 +77,6 @@ pub(crate) fn shard_count(threads: usize) -> usize {
 /// shard routing and bucket placement uncorrelated.
 pub(crate) fn shard_of(hash: u64, shards: usize) -> usize {
     ((hash >> 48) as usize) & (shards - 1)
-}
-
-/// One scatter grid row: what a single task emitted for each shard.
-pub(crate) type ShardVecs<T> = Vec<Vec<T>>;
-
-/// Per-task scatter outputs, tagged with the task index so the barrier
-/// can restore task order before assembly.
-pub(crate) type Scattered<T> = Vec<(usize, ShardVecs<T>)>;
-
-/// A build-side row ready for table assembly: its key's canonical hash,
-/// the key, and the row itself.
-pub(crate) type KeyedRow<'a> = (u64, Value, Row<'a>);
-
-/// Allocates a task's empty per-shard scatter vectors.
-pub(crate) fn empty_shards<T>(shards: usize) -> ShardVecs<T> {
-    (0..shards).map(|_| Vec::new()).collect()
-}
-
-/// All rows of one join key within a shard of a [`JoinTable`] (bucketed by
-/// full 64-bit hash, so a bucket nearly always holds exactly one group).
-pub(crate) struct KeyGroup<'a> {
-    pub(crate) key: Value,
-    pub(crate) rows: Vec<Row<'a>>,
-}
-
-type Shard<'a> = HashMap<u64, Vec<KeyGroup<'a>>, BuildHasherDefault<IdentityHasher>>;
-
-/// A hash-join build table partitioned into shards by key hash.
-///
-/// Built once at the build barrier from the scatter grids of the build
-/// phase; read-only (lock-free) while every worker probes it during the
-/// probe phase.
-pub(crate) struct JoinTable<'a> {
-    hasher: std::hash::RandomState,
-    shards: Vec<Shard<'a>>,
-}
-
-impl<'a> JoinTable<'a> {
-    /// Assembles the table from per-task scatter outputs (sorted by task
-    /// index).  Insertion visits rows in task order, so the per-key match
-    /// lists equal a serial build over the same input partitioning.
-    pub(crate) fn assemble(
-        hasher: std::hash::RandomState,
-        shards: usize,
-        outputs: &mut Scattered<KeyedRow<'a>>,
-    ) -> Self {
-        let mut table = JoinTable {
-            hasher,
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-        };
-        for s in 0..shards {
-            let shard = &mut table.shards[s];
-            for (_, grid) in outputs.iter_mut() {
-                for (hash, key, row) in std::mem::take(&mut grid[s]) {
-                    let groups = shard.entry(hash).or_default();
-                    match groups.iter_mut().find(|g| g.key == key) {
-                        Some(group) => group.rows.push(row),
-                        None => groups.push(KeyGroup {
-                            key,
-                            rows: vec![row],
-                        }),
-                    }
-                }
-            }
-        }
-        table
-    }
-
-    /// The canonical hash probe keys must be routed by.
-    pub(crate) fn hash_of(&self, key: &Value) -> u64 {
-        use std::hash::BuildHasher;
-        self.hasher.hash_one(key)
-    }
-
-    /// The matching rows for `key`, if any.
-    pub(crate) fn lookup(&self, key: &Value) -> Option<&[Row<'a>]> {
-        let hash = self.hash_of(key);
-        let shard = &self.shards[shard_of(hash, self.shards.len())];
-        shard
-            .get(&hash)?
-            .iter()
-            .find(|g| g.key == *key)
-            .map(|g| g.rows.as_slice())
-    }
-}
-
-/// The probe half of a hash join whose build table was constructed at a
-/// previous phase barrier and is shared (read-only) by every worker.
-///
-/// Mirrors [`super::join::HashJoinCursor`]'s probe loop exactly — lazy
-/// (left, right) output rows, residual predicate after the key match —
-/// minus the build step.
-pub(crate) struct SharedProbeCursor<'a> {
-    probe: BoxedRowStream<'a>,
-    table: &'a JoinTable<'a>,
-    probe_key: &'a ScalarExpr,
-    residual: Option<&'a ScalarExpr>,
-    /// `true` when the table buffers the plan's *left* input; output
-    /// frames are always ordered left-then-right regardless.
-    build_on_left: bool,
-    ctx: PipelineCtx<'a>,
-    /// The probe row currently being expanded, its matches, and the next
-    /// match index.
-    current: Option<(Row<'a>, &'a [Row<'a>], usize)>,
-}
-
-impl<'a> SharedProbeCursor<'a> {
-    pub(crate) fn new(
-        probe: BoxedRowStream<'a>,
-        table: &'a JoinTable<'a>,
-        probe_key: &'a ScalarExpr,
-        residual: Option<&'a ScalarExpr>,
-        build_on_left: bool,
-        ctx: PipelineCtx<'a>,
-    ) -> Self {
-        SharedProbeCursor {
-            probe,
-            table,
-            probe_key,
-            residual,
-            build_on_left,
-            ctx,
-            current: None,
-        }
-    }
-
-    fn produce(&mut self) -> Result<Option<Row<'a>>> {
-        use disco_algebra::{truthy, AlgebraError};
-        loop {
-            if let Some((probe, matches, index)) = &mut self.current {
-                while *index < matches.len() {
-                    let candidate = &matches[*index];
-                    *index += 1;
-                    let (lrow, rrow) = if self.build_on_left {
-                        (candidate, &*probe)
-                    } else {
-                        (&*probe, candidate)
-                    };
-                    let keep = match self.residual {
-                        Some(p) => truthy(&eval_in_pair(p, lrow, rrow, self.ctx)?),
-                        None => true,
-                    };
-                    if keep {
-                        return Ok(Some(Row::joined(lrow.clone(), rrow.clone())));
-                    }
-                }
-                self.current = None;
-            }
-            let Some(probe) = self.probe.next_row().transpose()? else {
-                return Ok(None);
-            };
-            for frame in probe.frames() {
-                frame.value().as_struct().map_err(AlgebraError::from)?;
-            }
-            let key = eval_in_row(self.probe_key, &probe, self.ctx)?;
-            if let Some(matches) = self.table.lookup(&key) {
-                self.current = Some((probe, matches, 0));
-            }
-        }
-    }
-}
-
-impl<'a> RowStream<'a> for SharedProbeCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        self.produce().transpose()
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
-        for _ in 0..max {
-            match self.produce()? {
-                Some(row) => out.push(row),
-                None => return Ok(false),
-            }
-        }
-        Ok(true)
-    }
 }
 
 #[cfg(test)]
@@ -381,44 +107,6 @@ mod tests {
         }
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         assert_eq!(queue.claim(), None);
-    }
-
-    #[test]
-    fn rate_tracker_shrinks_slow_worker_claims() {
-        use std::time::Duration;
-        let rates = RateTracker::new(2);
-        // No observations yet: everyone claims a full morsel.
-        assert_eq!(rates.scaled_claim(0, 4096), 4096);
-        assert_eq!(rates.scaled_claim(1, 4096), 4096);
-        // Worker 0 processes 4x faster than worker 1.
-        rates.note(0, 4096, Duration::from_millis(10));
-        rates.note(1, 4096, Duration::from_millis(40));
-        assert!((rates.claim_factor(0) - 1.0).abs() < 1e-9);
-        let slow = rates.claim_factor(1);
-        assert!((slow - 0.25).abs() < 1e-9, "factor {slow}");
-        assert_eq!(rates.scaled_claim(1, 4096), 1024);
-        // The factor floor keeps a badly degraded worker contributing.
-        rates.note(1, 16, Duration::from_secs(10));
-        rates.note(1, 16, Duration::from_secs(10));
-        assert!((rates.claim_factor(1) - 0.125).abs() < 1e-9);
-        // And the row floor keeps claims useful.
-        assert_eq!(rates.scaled_claim(1, 64), 16);
-        assert_eq!(rates.scaled_claim(1, 8), 8);
-    }
-
-    #[test]
-    fn rate_tracker_ewma_smooths_observations() {
-        use std::time::Duration;
-        let rates = RateTracker::new(1);
-        rates.note(0, 1000, Duration::from_secs(1));
-        rates.note(0, 3000, Duration::from_secs(1));
-        // EWMA with alpha 0.5: 0.5*3000 + 0.5*1000 = 2000 rows/sec; a
-        // single worker always claims the full base regardless.
-        assert_eq!(rates.scaled_claim(0, 4096), 4096);
-        // Out-of-range worker ids and zero-row claims are ignored.
-        rates.note(7, 100, Duration::from_secs(1));
-        rates.note(0, 0, Duration::from_secs(1));
-        assert!((rates.claim_factor(7) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,29 +1,35 @@
 //! Join cursors.
 //!
-//! The hash join buffers exactly one input (the *build side* — by default
-//! the smaller one by estimated cardinality) into a hash table keyed by
-//! the canonical `Value` hash, then streams the other input through it.
-//! Output rows are **lazy**: a match yields a [`Row`] carrying the frames
-//! of both sides, and the merged struct is only constructed if a
-//! downstream consumer needs one value.  The nested-loop and merge-tuples
-//! joins buffer their right input (it is re-scanned once per left row)
-//! and stream the left.
+//! There is one hash join.  It buffers exactly one input (the *build
+//! side* — by default the smaller one by estimated cardinality) into a
+//! [`JoinTable`] and streams the other input through it.  A join side is
+//! a [`KeyedSource`]: a producer of `(hash, key, row)` batches that is
+//! vectorized when the side is a fusable scan spine (kernel-evaluated
+//! keys, one-pass batched hashing) and per-row otherwise; one build loop
+//! ([`JoinTable::absorb`]) and one expansion loop ([`Probe::pump`])
+//! consume either form, in the serial operator, in every reloaded Grace
+//! partition and in the parallel engine's shared-table probe.  Output
+//! rows are **lazy**: a match yields a [`Row`] carrying the frames of
+//! both sides, and the merged struct is only constructed if a downstream
+//! consumer needs one value.  The nested-loop and merge-tuples joins
+//! buffer their right input (it is re-scanned once per left row) and
+//! stream the left.
 //!
 //! # Spilling (bounded memory budgets)
 //!
-//! Under a bounded [`MemoryBudget`](super::spill::MemoryBudget) the hash
-//! join charges every build row; when the budget trips it goes *Grace*:
-//! the resident table and the rest of the build input are hash-routed
-//! into 8 disk runs, the whole probe input is routed by the same hash
-//! (probe *keys* are still evaluated in arrival order, so key-evaluation
-//! errors surface exactly where the in-memory path reports them), and
-//! each (build, probe) partition pair is then loaded and probed in turn —
-//! re-splitting into 8 children at the next hash level if a partition
-//! alone still exceeds the budget.  The output multiset, error identity
-//! and `rows_materialized` (one bump per build row, at original
-//! consumption only) are identical to the in-memory path; only the
-//! emission *order* differs (partition-major), which the answer bag —
-//! a multiset — does not observe.
+//! Under a bounded [`MemoryBudget`](super::spill::MemoryBudget) the build
+//! loop charges every build row; the row whose charge fails sends the
+//! join down the [`Grace`] path: the resident table and the rest of the
+//! build input are hash-routed into 8 disk runs, the whole probe input is
+//! routed by the same hash (probe *keys* are still evaluated in arrival
+//! order, so key-evaluation errors surface exactly where the in-memory
+//! path reports them), and each (build, probe) partition pair is then
+//! loaded and probed in turn — re-splitting into 8 children at the next
+//! hash level if a partition alone still exceeds the budget.  The output
+//! multiset, error identity and `rows_materialized` (one bump per build
+//! row, at original consumption only) are identical to the in-memory
+//! path; only the emission *order* differs (partition-major), which the
+//! answer bag — a multiset — does not observe.
 //!
 //! The nested-loop and merge-tuples inner buffers are bounded too
 //! ([`InnerBuffer`]): rows past the budget trip go to a single disk run
@@ -31,21 +37,22 @@
 //! trip detection (peak overshoot ≤ one row).  Emission order is
 //! unchanged — the tail pass replays rows in their original order.
 
-use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::{Entry, RandomState};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault};
-use std::rc::Rc;
 
-use disco_algebra::{truthy, AlgebraError, ScalarExpr};
-use disco_value::{approx_value_bytes, Value};
+use disco_algebra::{kernel::PairKernel, truthy, AlgebraError, ScalarExpr};
+use disco_value::{approx_value_bytes, ChunkBuilder, ColumnarChunk, Value};
 
+use super::columnar::{Batch, KeyedBatch, Spine};
 use super::sink::IdentityHasher;
 use super::spill::{
-    approx_row_bytes, new_runs, record_row, row_record, spill_partition, RewindableRun, RunFile,
-    RunFileReader, RunPass, MAX_SPILL_LEVEL, SPILL_FANOUT,
+    approx_row_bytes, record_row, row_record, Grace, Resident, RewindableRun, RunFile,
+    RunFileReader, RunPass,
 };
 use super::{
-    eval_in_pair, eval_in_row, BoxedRowStream, Frame, PipelineCtx, Result, Row, RowStream,
+    eval_in_pair, eval_in_row, row_from_batches, BoxedRowStream, Frame, PipelineCtx, Result, Row,
+    RowStream,
 };
 
 /// Cost threshold for the adaptive build-side choice
@@ -76,48 +83,143 @@ pub(crate) fn check_struct_frames(row: &Row<'_>) -> Result<()> {
     Ok(())
 }
 
-/// The vectorized hash join's build table.
-///
-/// Unlike [`HashJoinCursor`]'s `HashMap<Value, …>`, the table is bucketed
-/// by *precomputed* canonical hash (identity-hashed buckets, no re-hash on
-/// insert or probe), so the columnar spine can hash a whole key column in
-/// one [`disco_value::KeyHasher`] pass and per-row fallback inserts stay
-/// consistent by hashing the same key values through the same
-/// [`RandomState`].  Groups keep build rows in insertion order and carry
-/// the row's *table index*, which doubles as the row's slot in the
-/// build-side payload chunk used by fused pair projections.
-pub(crate) struct ColumnarJoinTable<'a> {
-    state: RandomState,
-    buckets: HashMap<u64, Vec<ColumnarKeyGroup>, BuildHasherDefault<IdentityHasher>>,
-    rows: Vec<Row<'a>>,
+/// A join-side row with its key and the key's canonical hash under the
+/// join table's [`RandomState`].
+pub(crate) type KeyedRow<'a> = (u64, Value, Row<'a>);
+
+/// One side of a hash join: a producer of [`KeyedRow`] batches.
+pub(crate) enum KeyedSource<'a> {
+    /// A fused `filter* → bind? → scan` stretch whose tail is the key
+    /// kernel: keys and hashes come out a column at a time, and irregular
+    /// batches fall back per row inside the spine.
+    Spine(Box<Spine<'a>>),
+    /// Any other input, keyed per row: struct-frame check, key
+    /// evaluation in the row's environment, `hash_one`.
+    Rows {
+        input: BoxedRowStream<'a>,
+        key: &'a ScalarExpr,
+        state: RandomState,
+        done: bool,
+        scratch: Vec<Row<'a>>,
+        ctx: PipelineCtx<'a>,
+    },
 }
 
-/// Build rows sharing one key value (hash collisions keep separate
-/// groups; equality is the canonical `Value` equality).
-struct ColumnarKeyGroup {
-    key: Value,
-    indices: Vec<u32>,
-}
-
-impl<'a> ColumnarJoinTable<'a> {
-    pub(crate) fn new() -> Self {
-        ColumnarJoinTable {
-            state: RandomState::new(),
-            buckets: HashMap::default(),
-            rows: Vec::new(),
+impl<'a> KeyedSource<'a> {
+    /// The per-row form over `input`; `state` must be the join table's.
+    pub(crate) fn rows(
+        input: BoxedRowStream<'a>,
+        key: &'a ScalarExpr,
+        state: RandomState,
+        ctx: PipelineCtx<'a>,
+    ) -> Self {
+        KeyedSource::Rows {
+            input,
+            key,
+            state,
+            done: false,
+            scratch: Vec::new(),
+            ctx,
         }
     }
 
-    /// A clone of the table's hash state — the key spines hash through
-    /// this so batch-computed hashes agree with [`Self::hash_value`].
+    /// Whether a pull would make progress without blocking on a
+    /// still-streaming source (see [`RowStream::ready`]).
+    fn ready(&self) -> bool {
+        match self {
+            KeyedSource::Spine(_) => true,
+            KeyedSource::Rows { input, done, .. } => *done || input.ready(),
+        }
+    }
+
+    /// The next batch of at most `hint` input rows, keyed (possibly empty
+    /// — a filter batch in which nothing matched); `None` once exhausted.
+    pub(crate) fn next_rows(&mut self, hint: usize) -> Result<Option<Vec<KeyedRow<'a>>>> {
+        match self {
+            KeyedSource::Spine(spine) => {
+                Ok(spine.next_keyed(hint)?.map(|batch| spine.keyed_rows(batch)))
+            }
+            KeyedSource::Rows {
+                input,
+                key,
+                state,
+                done,
+                scratch,
+                ctx,
+            } => {
+                if *done {
+                    return Ok(None);
+                }
+                scratch.clear();
+                *done = !input.next_batch(scratch, hint)?;
+                let mut out = Vec::with_capacity(scratch.len());
+                for row in scratch.drain(..) {
+                    check_struct_frames(&row)?;
+                    let key = eval_in_row(key, &row, *ctx)?;
+                    out.push((state.hash_one(&key), key, row));
+                }
+                Ok(Some(out))
+            }
+        }
+    }
+}
+
+/// The hash join's build table.
+///
+/// Bucketed by *precomputed* canonical hash (identity-hashed buckets, no
+/// re-hash on insert or probe), so a columnar side can hash a whole key
+/// column in one [`disco_value::KeyHasher`] pass while per-row sides hash
+/// the same key values through the same [`RandomState`].  Rows live in a
+/// dense store; a key group lists its rows' *table indices* in insertion
+/// order — the index doubles as the row's slot in the build-side payload
+/// chunk of a fused pair projection — and an expansion in flight refers
+/// to its group by id, so the table is freely shareable (no `Rc`).
+pub(crate) struct JoinTable<'a> {
+    state: RandomState,
+    /// Key hash → the first group of that hash (almost always the only).
+    buckets: HashMap<u64, u32, BuildHasherDefault<IdentityHasher>>,
+    groups: Vec<Group>,
+    rows: Vec<Row<'a>>,
+}
+
+/// Build rows sharing one key value (equality is the canonical `Value`
+/// equality; hash collisions chain separate groups).
+struct Group {
+    key: Value,
+    indices: Vec<u32>,
+    /// The next group under the same hash.
+    next: Option<u32>,
+}
+
+impl Default for JoinTable<'_> {
+    fn default() -> Self {
+        JoinTable {
+            state: RandomState::new(),
+            buckets: HashMap::default(),
+            groups: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+}
+
+impl<'a> JoinTable<'a> {
+    /// A clone of the table's hash state — every [`KeyedSource`] feeding
+    /// or probing the table hashes through this.
     pub(crate) fn state(&self) -> RandomState {
         self.state.clone()
     }
 
-    /// The canonical hash of a key under the table's state (the per-row
-    /// fallback path's hash).
-    pub(crate) fn hash_value(&self, key: &Value) -> u64 {
-        self.state.hash_one(key)
+    /// The group holding `key` in the chain of same-hash groups starting
+    /// at `at`.
+    fn find(groups: &[Group], mut at: Option<u32>, key: &Value) -> Option<u32> {
+        while let Some(id) = at {
+            let group = &groups[id as usize];
+            if group.key == *key {
+                return Some(id);
+            }
+            at = group.next;
+        }
+        None
     }
 
     /// Inserts one build row under its precomputed key hash.
@@ -126,479 +228,491 @@ impl<'a> ColumnarJoinTable<'a> {
     ///
     /// Panics if the table exceeds `u32::MAX` rows (build sides are far
     /// smaller; the index doubles as a payload-chunk slot).
-    pub(crate) fn insert(&mut self, hash: u64, key: Value, row: Row<'a>) {
+    fn insert(&mut self, hash: u64, key: Value, row: Row<'a>) {
         let index = u32::try_from(self.rows.len()).expect("build side fits u32 indexes");
         self.rows.push(row);
-        let groups = self.buckets.entry(hash).or_default();
-        match groups.iter_mut().find(|g| g.key == key) {
-            Some(group) => group.indices.push(index),
-            None => groups.push(ColumnarKeyGroup {
-                key,
-                indices: vec![index],
-            }),
+        let id = u32::try_from(self.groups.len()).expect("fewer groups than rows");
+        let head = match self.buckets.entry(hash) {
+            Entry::Occupied(mut entry) => {
+                if let Some(found) = Self::find(&self.groups, Some(*entry.get()), &key) {
+                    self.groups[found as usize].indices.push(index);
+                    return;
+                }
+                Some(entry.insert(id))
+            }
+            Entry::Vacant(entry) => {
+                entry.insert(id);
+                None
+            }
+        };
+        self.groups.push(Group {
+            key,
+            indices: vec![index],
+            next: head,
+        });
+    }
+
+    /// The one build loop: every keyed row bumps `rows_materialized`, is
+    /// charged against the budget and inserted.  Stops at — and returns
+    /// `false` for — the row whose charge failed (it is in the table);
+    /// the caller then goes Grace with the rest of the iterator.
+    pub(crate) fn absorb(
+        &mut self,
+        rows: &mut impl Iterator<Item = KeyedRow<'a>>,
+        charged: &mut usize,
+        ctx: PipelineCtx<'_>,
+    ) -> bool {
+        let bounded = ctx.budget.is_bounded();
+        for (hash, key, row) in rows {
+            ctx.metrics.bump_materialized();
+            let cost = if bounded {
+                approx_row_bytes(&row) + approx_value_bytes(&key)
+            } else {
+                0
+            };
+            self.insert(hash, key, row);
+            *charged += cost;
+            if !ctx.budget.charge(cost) {
+                return false;
+            }
         }
+        true
+    }
+
+    /// The id of the group of build rows matching `key`, if any.
+    fn group(&self, hash: u64, key: &Value) -> Option<u32> {
+        Self::find(&self.groups, self.buckets.get(&hash).copied(), key)
     }
 
     /// The table indices of the build rows matching `key` (empty when
     /// none), in insertion order.
-    pub(crate) fn lookup(&self, hash: u64, key: &Value) -> &[u32] {
-        self.buckets
-            .get(&hash)
-            .and_then(|groups| groups.iter().find(|g| g.key == *key))
-            .map_or(&[], |g| g.indices.as_slice())
-    }
-
-    /// The build row at table index `index`.
-    pub(crate) fn row(&self, index: u32) -> &Row<'a> {
-        &self.rows[index as usize]
+    fn lookup(&self, hash: u64, key: &Value) -> &[u32] {
+        self.group(hash, key)
+            .map_or(&[], |id| self.groups[id as usize].indices.as_slice())
     }
 }
 
-/// Hash join with lazy output rows.
-pub(crate) struct HashJoinCursor<'a> {
-    build_input: Option<BoxedRowStream<'a>>,
-    probe_input: BoxedRowStream<'a>,
-    build_key: &'a ScalarExpr,
-    probe_key: &'a ScalarExpr,
-    residual: Option<&'a ScalarExpr>,
-    /// `true` when the build side is the plan's *left* input; output
-    /// frames are always ordered left-then-right regardless.
-    build_on_left: bool,
-    ctx: PipelineCtx<'a>,
-    table: Option<HashMap<Value, Rc<Vec<Row<'a>>>>>,
-    /// Grace-partitioned disk state; `Some` once the build tripped the
-    /// memory budget (the in-memory `table` then stays `None`).
-    spill: Option<JoinSpill<'a>>,
-    /// Probe rows pulled in batches into a reused buffer and handed out
-    /// one at a time from `probe_pos`.
-    probe_buf: Vec<Row<'a>>,
-    probe_pos: usize,
-    probe_exhausted: bool,
-    /// The probe row currently being expanded, its matches, and the next
-    /// match index.
-    current: Option<Expansion<'a>>,
-}
-
-/// A probe row being expanded: the row, its build-side matches, and the
-/// index of the next match to emit.
-type Expansion<'a> = (Row<'a>, Rc<Vec<Row<'a>>>, usize);
-
-/// The disk state of a spilled hash join: pending (build-run, probe-run)
-/// partition pairs and the partition currently loaded for probing.
-struct JoinSpill<'a> {
-    /// The partition router.  Independent of the table's key equality:
-    /// it only decides which run a key lands in, at every level.
-    route: RandomState,
-    queue: VecDeque<JoinPartition>,
-    current: Option<PartitionProbe<'a>>,
-}
-
-/// One pending Grace partition: its build and probe runs and the hash
-/// level its rows were routed at.
-struct JoinPartition {
-    build: RunFileReader,
-    probe: RunFileReader,
-    level: u32,
-}
-
-/// A loaded partition being probed: its in-memory table (charged against
-/// the budget until the partition drains) and the rest of its probe run.
-struct PartitionProbe<'a> {
-    table: HashMap<Value, Rc<Vec<Row<'a>>>>,
-    probe: RunFileReader,
-    charged: usize,
-}
-
-/// Result of loading one partition's build run against the budget.
-enum LoadOutcome<'a> {
-    Loaded(PartitionProbe<'a>),
-    Split(Vec<JoinPartition>),
-}
-
-impl<'a> HashJoinCursor<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        left: BoxedRowStream<'a>,
-        right: BoxedRowStream<'a>,
-        left_key: &'a ScalarExpr,
-        right_key: &'a ScalarExpr,
-        residual: Option<&'a ScalarExpr>,
-        build_on_left: bool,
-        ctx: PipelineCtx<'a>,
-    ) -> Self {
-        let (build_input, probe_input, build_key, probe_key) = if build_on_left {
-            (left, right, left_key, right_key)
-        } else {
-            (right, left, right_key, left_key)
-        };
-        HashJoinCursor {
-            build_input: Some(build_input),
-            probe_input,
-            build_key,
-            probe_key,
-            residual,
-            build_on_left,
-            ctx,
-            table: None,
-            spill: None,
-            probe_buf: Vec::new(),
-            probe_pos: 0,
-            probe_exhausted: false,
-            current: None,
-        }
+impl Resident for JoinTable<'_> {
+    fn load(&mut self, mut record: Vec<Value>) -> usize {
+        let key = record.remove(0);
+        let row = record_row(record);
+        let cost = approx_row_bytes(&row) + approx_value_bytes(&key);
+        self.insert(self.state.hash_one(&key), key, row);
+        cost
     }
 
-    /// Drains the build input into the hash table (the one materialization
-    /// this operator performs).  Under a bounded budget every row is
-    /// charged; if the budget trips, the build goes Grace instead
-    /// ([`Self::spill_build`]) — the trip is detected per batch, so the
-    /// resident overshoot is at most one batch of rows.
-    fn build_table(&mut self) -> Result<()> {
-        let mut input = self
-            .build_input
-            .take()
-            .expect("build side is consumed exactly once");
-        let budget = self.ctx.budget;
-        let mut table: HashMap<Value, Vec<Row<'a>>> = HashMap::new();
-        let mut charged = 0usize;
-        let mut tripped = false;
-        let batch_rows = self.ctx.batch_rows;
-        let mut buf = Vec::with_capacity(batch_rows);
-        let more = loop {
-            let more = input.next_batch(&mut buf, batch_rows)?;
-            for row in buf.drain(..) {
-                check_struct_frames(&row)?;
-                let key = eval_in_row(self.build_key, &row, self.ctx)?;
-                self.ctx.metrics.bump_materialized();
-                let cost = approx_row_bytes(&row) + approx_value_bytes(&key);
-                charged += cost;
-                if !budget.charge(cost) {
-                    tripped = true;
-                }
-                table.entry(key).or_default().push(row);
+    fn unload(&mut self, sink: &mut dyn FnMut(&[Value]) -> Result<()>) -> Result<()> {
+        let table = std::mem::take(self);
+        let mut rows: Vec<Option<Row<'_>>> = table.rows.into_iter().map(Some).collect();
+        for group in table.groups {
+            for index in group.indices {
+                let row = rows[index as usize]
+                    .take()
+                    .expect("each row is in one group");
+                sink(&row_record(&group.key, row))?;
             }
-            if !more || tripped {
-                break more;
-            }
-        };
-        if !tripped {
-            self.table = Some(
-                table
-                    .into_iter()
-                    .map(|(key, rows)| (key, Rc::new(rows)))
-                    .collect(),
-            );
-            return Ok(());
         }
-        self.spill = Some(self.spill_build(table, charged, input, more)?);
         Ok(())
     }
+}
 
-    /// Grace spill: flush the resident table plus the rest of the build
-    /// input into 8 hash-routed disk runs, then route the *entire* probe
-    /// input by the same hash.  Probe keys are evaluated here, in arrival
-    /// order, so key-evaluation errors are reported exactly where the
-    /// in-memory probe loop would report them.
-    fn spill_build(
-        &mut self,
-        table: HashMap<Value, Vec<Row<'a>>>,
-        charged: usize,
-        mut input: BoxedRowStream<'a>,
-        mut more: bool,
-    ) -> Result<JoinSpill<'a>> {
-        let budget = self.ctx.budget;
-        let route = RandomState::new();
-        let mut build_runs = new_runs()?;
-        for (key, rows) in table {
-            let p = spill_partition(route.hash_one(&key), 0);
-            for row in rows {
-                build_runs[p].push(&row_record(&key, row))?;
-            }
-        }
-        budget.uncharge(charged);
-        // The rest of the build input goes straight to disk; this is the
-        // row's original consumption, so it still bumps
-        // `rows_materialized` — reloads from disk never bump again.
-        let batch_rows = self.ctx.batch_rows;
-        let mut buf = Vec::with_capacity(batch_rows);
-        while more {
-            more = input.next_batch(&mut buf, batch_rows)?;
-            for row in buf.drain(..) {
-                check_struct_frames(&row)?;
-                let key = eval_in_row(self.build_key, &row, self.ctx)?;
-                self.ctx.metrics.bump_materialized();
-                let p = spill_partition(route.hash_one(&key), 0);
-                build_runs[p].push(&row_record(&key, row))?;
-            }
-        }
-        let build_counts: Vec<u64> = build_runs.iter().map(RunFile::rows).collect();
-        // Route the probe side.  Rows landing in a partition whose build
-        // run is empty can never match and are dropped here (their key
-        // was already evaluated above, so no error is lost).
-        let mut probe_runs = new_runs()?;
-        while let Some(probe) = self.pull_probe()? {
-            check_struct_frames(&probe)?;
-            let key = eval_in_row(self.probe_key, &probe, self.ctx)?;
-            let p = spill_partition(route.hash_one(&key), 0);
-            if build_counts[p] == 0 {
-                continue;
-            }
-            probe_runs[p].push(&row_record(&key, probe))?;
-        }
-        let bytes: u64 = build_runs.iter().map(RunFile::bytes).sum::<u64>()
-            + probe_runs.iter().map(RunFile::bytes).sum::<u64>();
-        self.ctx.metrics.add_bytes_spilled(bytes);
-        self.ctx.metrics.add_spill_partitions(SPILL_FANOUT);
-        let mut queue = VecDeque::new();
-        for (build, probe) in build_runs.into_iter().zip(probe_runs) {
-            if build.rows() == 0 {
-                continue;
-            }
-            queue.push_back(JoinPartition {
-                build: build.into_reader()?,
-                probe: probe.into_reader()?,
-                level: 0,
-            });
-        }
-        Ok(JoinSpill {
-            route,
-            queue,
+/// How a hash join turns a matched pair into an output row.
+#[derive(Clone, Copy)]
+pub(crate) struct PairSpec<'a> {
+    /// Evaluated over the candidate pair; only surviving pairs construct
+    /// an output row.
+    pub(crate) residual: Option<&'a ScalarExpr>,
+    /// A projection fused over the joined row.
+    pub(crate) map: Option<&'a ScalarExpr>,
+    /// `true` when the table buffers the plan's *left* input; output
+    /// frames are always ordered left-then-right regardless.
+    pub(crate) build_on_left: bool,
+}
+
+/// Where a [`Probe`] gets its keyed probe rows from.
+enum Feed<'a> {
+    /// The probe side of the join.
+    Source(KeyedSource<'a>),
+    /// The probe run of the Grace partition currently loaded.
+    Run(RunFileReader),
+}
+
+/// The probe half of a hash join: pulls keyed probe rows and expands each
+/// against a finished [`JoinTable`] — the join's own (resident, or the
+/// Grace partition just reloaded) or one shared read-only by every
+/// parallel worker.
+pub(crate) struct Probe<'a> {
+    feed: Feed<'a>,
+    /// Keyed rows of the current probe batch, handed out one at a time.
+    batch: std::vec::IntoIter<KeyedRow<'a>>,
+    /// The probe row being expanded, its key group in the table, and the
+    /// next match within the group.
+    current: Option<(Row<'a>, u32, usize)>,
+    spec: PairSpec<'a>,
+    ctx: PipelineCtx<'a>,
+}
+
+/// One attempt to pull a probe row.
+enum Pulled<'a> {
+    Row(KeyedRow<'a>),
+    /// The source is still streaming and finished rows are in hand.
+    NotReady,
+    Done,
+}
+
+impl<'a> Probe<'a> {
+    pub(crate) fn new(source: KeyedSource<'a>, spec: PairSpec<'a>, ctx: PipelineCtx<'a>) -> Self {
+        Probe {
+            feed: Feed::Source(source),
+            batch: Vec::new().into_iter(),
             current: None,
-        })
+            spec,
+            ctx,
+        }
     }
 
-    /// Next (probe row, matches) pair from the spilled partitions; `None`
-    /// once every partition has drained.
-    fn next_spilled(&mut self) -> Result<Option<Expansion<'a>>> {
-        let ctx = self.ctx;
-        let spill = self.spill.as_mut().expect("spilled mode");
+    fn pull(&mut self, table: &JoinTable<'a>, rows_in_hand: bool) -> Result<Pulled<'a>> {
         loop {
-            if spill.current.is_none() {
-                loop {
-                    let Some(part) = spill.queue.pop_front() else {
-                        return Ok(None);
-                    };
-                    match load_or_split(ctx, &spill.route, part)? {
-                        LoadOutcome::Loaded(p) => {
-                            spill.current = Some(p);
-                            break;
-                        }
-                        LoadOutcome::Split(children) => {
-                            // Children go to the front: depth-first keeps
-                            // the open-file count proportional to the
-                            // recursion depth, not the partition count.
-                            for child in children.into_iter().rev() {
-                                spill.queue.push_front(child);
-                            }
-                        }
-                    }
-                }
+            if let Some(keyed) = self.batch.next() {
+                return Ok(Pulled::Row(keyed));
             }
-            let part = spill.current.as_mut().expect("loaded above");
-            match part.probe.next_record()? {
-                Some(mut rec) => {
-                    let key = rec.remove(0);
-                    let row = record_row(rec);
-                    if let Some(matches) = part.table.get(&key) {
-                        return Ok(Some((row, Rc::clone(matches), 0)));
+            match &mut self.feed {
+                Feed::Source(source) => {
+                    // Never sit on finished rows waiting for a source
+                    // that is still answering: hand them downstream.
+                    if rows_in_hand && !source.ready() {
+                        return Ok(Pulled::NotReady);
+                    }
+                    match source.next_rows(self.ctx.batch_rows)? {
+                        Some(rows) => self.batch = rows.into_iter(),
+                        None => return Ok(Pulled::Done),
                     }
                 }
-                None => {
-                    ctx.budget.uncharge(part.charged);
-                    spill.current = None;
+                Feed::Run(run) => {
+                    return Ok(match run.next_record()? {
+                        Some(mut record) => {
+                            let key = record.remove(0);
+                            Pulled::Row((table.state.hash_one(&key), key, record_row(record)))
+                        }
+                        None => Pulled::Done,
+                    })
                 }
             }
         }
     }
 
-    /// The next probe row, refilling the (reused) probe buffer as needed.
-    fn pull_probe(&mut self) -> Result<Option<Row<'a>>> {
+    /// The one expansion loop: appends joined rows to `out` until it
+    /// holds `max`, the probe feed is exhausted (`Ok(false)`), or the
+    /// feed would block with rows in hand.  Matches of one probe row come
+    /// out in build-insertion order.
+    pub(crate) fn pump(
+        &mut self,
+        table: &JoinTable<'a>,
+        out: &mut Vec<Row<'a>>,
+        max: usize,
+    ) -> Result<bool> {
+        let start = out.len();
+        let PairSpec {
+            residual,
+            map,
+            build_on_left,
+        } = self.spec;
         loop {
-            if self.probe_pos < self.probe_buf.len() {
-                // Move the row out, leaving a free placeholder behind; the
-                // buffer is cleared wholesale on the next refill.
-                let row =
-                    std::mem::replace(&mut self.probe_buf[self.probe_pos], Row::owned(Value::Null));
-                self.probe_pos += 1;
-                return Ok(Some(row));
-            }
-            if self.probe_exhausted {
-                return Ok(None);
-            }
-            self.probe_buf.clear();
-            self.probe_pos = 0;
-            let more = self
-                .probe_input
-                .next_batch(&mut self.probe_buf, self.ctx.batch_rows)?;
-            if !more {
-                self.probe_exhausted = true;
-            }
-        }
-    }
-
-    /// Produces the next joined row, or `None` when the probe side is
-    /// exhausted.  Shared by the row-at-a-time and batched pulls.
-    fn produce(&mut self) -> Result<Option<Row<'a>>> {
-        loop {
-            // Expand the current probe row's remaining matches.
-            if let Some((probe, matches, index)) = &mut self.current {
-                while *index < matches.len() {
-                    let candidate = &matches[*index];
-                    *index += 1;
-                    let (lrow, rrow) = if self.build_on_left {
+            if let Some((probe, group, next)) = &mut self.current {
+                let matches = &table.groups[*group as usize].indices;
+                while *next < matches.len() {
+                    if out.len() - start >= max {
+                        return Ok(true);
+                    }
+                    let candidate = &table.rows[matches[*next] as usize];
+                    *next += 1;
+                    let (lrow, rrow) = if build_on_left {
                         (candidate, &*probe)
                     } else {
                         (&*probe, candidate)
                     };
-                    let keep = match self.residual {
+                    let keep = match residual {
                         Some(p) => truthy(&eval_in_pair(p, lrow, rrow, self.ctx)?),
                         None => true,
                     };
                     if keep {
-                        // Only surviving pairs construct an output row.
-                        return Ok(Some(Row::joined(lrow.clone(), rrow.clone())));
+                        let joined = Row::joined(lrow.clone(), rrow.clone());
+                        out.push(match map {
+                            Some(map) => Row::owned(eval_in_row(map, &joined, self.ctx)?),
+                            None => joined,
+                        });
                     }
                 }
                 self.current = None;
             }
-            // Pull the next probe row that has matches.
-            if self.spill.is_some() {
-                match self.next_spilled()? {
-                    Some(next) => self.current = Some(next),
-                    None => return Ok(None),
-                }
-                continue;
+            if out.len() - start >= max {
+                return Ok(true);
             }
-            let Some(probe) = self.pull_probe()? else {
-                return Ok(None);
-            };
-            check_struct_frames(&probe)?;
-            let key = eval_in_row(self.probe_key, &probe, self.ctx)?;
-            let table = self.table.as_ref().expect("table built before probing");
-            if let Some(matches) = table.get(&key) {
-                self.current = Some((probe, Rc::clone(matches), 0));
+            match self.pull(table, out.len() > start)? {
+                Pulled::Row((hash, key, probe)) => {
+                    self.current = table.group(hash, &key).map(|group| (probe, group, 0));
+                }
+                Pulled::NotReady => return Ok(true),
+                Pulled::Done => return Ok(false),
             }
         }
     }
 }
 
-impl<'a> RowStream<'a> for HashJoinCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        if self.build_input.is_some() {
-            if let Err(err) = self.build_table() {
-                return Some(Err(err));
+/// A projection fused over matched pairs and evaluated a batch of pairs at
+/// a time: the kernel reads the probe chunk through one binding and a
+/// chunk of the build side's raw rows (the *payload*, in table-index
+/// order) through the other, so no joined row is constructed.
+pub(crate) struct PairPlan {
+    pub(crate) kernel: PairKernel,
+    /// Decodes the payload columns the projection reads.
+    pub(crate) payload_builder: ChunkBuilder,
+    /// Built once the build side is complete.
+    pub(crate) payload: Option<ColumnarChunk>,
+}
+
+/// The hash join operator, with lazy output rows.  Its sides are
+/// [`KeyedSource`]s of either form; with spine sides and a compilable
+/// output projection ([`PairPlan`]) matched pairs of a vectorized probe
+/// batch are projected column-at-a-time, and everything else — per-row
+/// sides, residual predicates, kernel bail-outs, Grace partitions — runs
+/// the one per-row expansion ([`Probe::pump`]), which reproduces the row
+/// evaluator's answers, errors and error order.
+pub(crate) struct HashJoin<'a> {
+    /// `Some` until the build side has been consumed.
+    build: Option<KeyedSource<'a>>,
+    probe: Probe<'a>,
+    /// The resident build table, or the Grace partition just reloaded.
+    table: JoinTable<'a>,
+    /// Bytes charged against the budget for `table`.
+    charged: usize,
+    /// `Some` once the build tripped the memory budget.
+    grace: Option<Grace>,
+    pair: Option<PairPlan>,
+    ctx: PipelineCtx<'a>,
+}
+
+impl<'a> HashJoin<'a> {
+    /// `table` is the (empty) table both sources hash through.
+    pub(crate) fn new(
+        build: KeyedSource<'a>,
+        probe: KeyedSource<'a>,
+        table: JoinTable<'a>,
+        spec: PairSpec<'a>,
+        pair: Option<PairPlan>,
+        ctx: PipelineCtx<'a>,
+    ) -> Self {
+        HashJoin {
+            build: Some(build),
+            probe: Probe::new(probe, spec, ctx),
+            table,
+            charged: 0,
+            grace: None,
+            pair,
+            ctx,
+        }
+    }
+
+    /// Drains the build side into the table (the one materialization this
+    /// operator performs), going Grace at the row that trips the budget.
+    fn ensure_built(&mut self) -> Result<()> {
+        let Some(mut build) = self.build.take() else {
+            return Ok(());
+        };
+        while let Some(rows) = build.next_rows(self.ctx.batch_rows)? {
+            let mut rows = rows.into_iter();
+            if !self.table.absorb(&mut rows, &mut self.charged, self.ctx) {
+                return self.spill(build, rows);
             }
         }
-        self.produce().transpose()
+        // The payload chunk is breaker state too, and it is not charged:
+        // a bounded budget does without it (pairs are projected per row).
+        // An undecodable payload (a build row missing a projected column)
+        // likewise drops to per-pair evaluation, which reports the row
+        // evaluator's exact error for the missing field.
+        if let Some(mut pair) = self.pair.take() {
+            let raw: Option<Vec<Value>> = match &build {
+                KeyedSource::Spine(spine) if !self.ctx.budget.is_bounded() => {
+                    let rows = self.table.rows.iter();
+                    rows.map(|row| spine.source_value(row).cloned()).collect()
+                }
+                _ => None,
+            };
+            pair.payload = raw.and_then(|raw| pair.payload_builder.build(&raw));
+            self.pair = pair.payload.is_some().then_some(pair);
+        }
+        Ok(())
+    }
+
+    /// Grace spill: flush the resident table plus the rest of the build
+    /// side into the resident runs, then route the *entire* probe side by
+    /// the same hash.  Both sides keep coming through their keyed
+    /// producers, so keys are evaluated (vectorized or not) in arrival
+    /// order and errors surface where the in-memory join reports them.
+    fn spill(
+        &mut self,
+        mut build: KeyedSource<'a>,
+        mut rest: std::vec::IntoIter<KeyedRow<'a>>,
+    ) -> Result<()> {
+        let ctx = self.ctx;
+        let mut grace = Grace::new(true);
+        let mut fan = grace.fanout(0)?;
+        self.table.unload(&mut |record| fan.push_resident(record))?;
+        ctx.budget.uncharge(std::mem::take(&mut self.charged));
+        loop {
+            // This is the rows' original consumption, so it still bumps
+            // `rows_materialized` — reloads from disk never bump again.
+            for (_, key, row) in rest {
+                ctx.metrics.bump_materialized();
+                fan.push_resident(&row_record(&key, row))?;
+            }
+            match build.next_rows(ctx.batch_rows)? {
+                Some(rows) => rest = rows.into_iter(),
+                None => break,
+            }
+        }
+        let Feed::Source(probe) = &mut self.probe.feed else {
+            unreachable!("the build completes before the first probe");
+        };
+        while let Some(rows) = probe.next_rows(ctx.batch_rows)? {
+            for (_, key, row) in rows {
+                fan.push_streamed(&row_record(&key, row))?;
+            }
+        }
+        grace.finish(fan, ctx.metrics)?;
+        self.grace = Some(grace);
+        self.pair = None;
+        self.next_partition().map(drop)
+    }
+
+    /// Releases the drained table and loads the next Grace partition;
+    /// `false` once every partition has been probed.
+    fn next_partition(&mut self) -> Result<bool> {
+        self.ctx.budget.uncharge(std::mem::take(&mut self.charged));
+        self.table = JoinTable::default();
+        let grace = self.grace.as_mut().expect("spilled mode");
+        let Some(loaded) = grace.load_next(JoinTable::default, self.ctx)? else {
+            return Ok(false);
+        };
+        self.table = loaded.state;
+        self.charged = loaded.charged;
+        self.probe.feed = Feed::Run(loaded.streamed);
+        Ok(true)
+    }
+
+    /// The next batch of join output for batch consumers, probe-major
+    /// with build-insertion order within a key group — the row
+    /// evaluator's output order; `None` when exhausted.
+    pub(crate) fn next_out(&mut self, hint: usize) -> Result<Option<Batch<'a>>> {
+        self.ensure_built()?;
+        loop {
+            if let Some(batch) = self.next_paired(hint)? {
+                return Ok(Some(batch));
+            }
+            let mut out = Vec::new();
+            let more = self.next_batch(&mut out, hint)?;
+            if !out.is_empty() {
+                return Ok(Some(Batch::Rows(out.into_iter())));
+            }
+            if !more {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// The vectorized probe: between probe batches, with a pair kernel
+    /// and its payload in place, one spine batch is looked up and its
+    /// matched pairs projected in one kernel evaluation.  `None` leaves
+    /// the batch (if one was pulled) queued for the per-row expansion.
+    fn next_paired(&mut self, hint: usize) -> Result<Option<Batch<'a>>> {
+        let (Some(pair), Feed::Source(KeyedSource::Spine(spine))) =
+            (&self.pair, &mut self.probe.feed)
+        else {
+            return Ok(None);
+        };
+        let payload = pair.payload.as_ref().expect("checked when the build ended");
+        while self.probe.current.is_none() && self.probe.batch.as_slice().is_empty() {
+            let Some(batch) = spine.next_keyed(hint)? else {
+                return Ok(None);
+            };
+            if let KeyedBatch::Kernel {
+                chunk,
+                sel,
+                keys,
+                hashes,
+                ..
+            } = &batch
+            {
+                // Parallel pair-index vectors: pair `p` joins probe chunk
+                // row `probe_sel[p]` with build table row `build_sel[p]`.
+                let mut probe_sel: Vec<u32> = Vec::new();
+                let mut build_sel: Vec<u32> = Vec::new();
+                for (j, &i) in sel.iter().enumerate() {
+                    for &b in self.table.lookup(hashes[j], &keys.value_at(j)) {
+                        probe_sel.push(i);
+                        build_sel.push(b);
+                    }
+                }
+                if probe_sel.is_empty() {
+                    continue;
+                }
+                let result = if self.probe.spec.build_on_left {
+                    pair.kernel.eval(payload, &build_sel, chunk, &probe_sel)
+                } else {
+                    pair.kernel.eval(chunk, &probe_sel, payload, &build_sel)
+                };
+                if let Some(result) = result {
+                    return Ok(Some(Batch::Mapped(result, 0..probe_sel.len())));
+                }
+            }
+            self.probe.batch = spine.keyed_rows(batch).into_iter();
+        }
+        Ok(None)
+    }
+}
+
+impl<'a> RowStream<'a> for HashJoin<'a> {
+    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
+        row_from_batches(self)
     }
 
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
-        if self.build_input.is_some() {
-            self.build_table()?;
-        }
-        for _ in 0..max {
-            match self.produce()? {
-                Some(row) => out.push(row),
-                None => return Ok(false),
+        self.ensure_built()?;
+        loop {
+            if self.probe.pump(&self.table, out, max)? {
+                return Ok(true);
+            }
+            // The table's probe feed is drained: on to the next Grace
+            // partition, if the join spilled.
+            if self.grace.is_none() || !self.next_partition()? {
+                return Ok(false);
             }
         }
-        Ok(true)
     }
 }
 
-/// Loads one partition's build run into an in-memory table, charging the
-/// budget per row.  A partition that alone exceeds the budget is
-/// re-split into 8 children at the next hash level — unless it is
-/// already at the deepest level (necessarily duplicate-key-dominated, a
-/// split could not separate it), in which case it loads whole and the
-/// budget overcommits for its duration.
-fn load_or_split<'a>(
-    ctx: PipelineCtx<'a>,
-    route: &RandomState,
-    part: JoinPartition,
-) -> Result<LoadOutcome<'a>> {
-    let budget = ctx.budget;
-    let JoinPartition {
-        mut build,
-        probe,
-        level,
-    } = part;
-    let mut table: HashMap<Value, Vec<Row<'a>>> = HashMap::new();
-    let mut charged = 0usize;
-    while let Some(mut rec) = build.next_record()? {
-        let key = rec.remove(0);
-        let row = record_row(rec);
-        let cost = approx_row_bytes(&row) + approx_value_bytes(&key);
-        charged += cost;
-        let within = budget.charge(cost);
-        table.entry(key).or_default().push(row);
-        if !within && level < MAX_SPILL_LEVEL {
-            return split_partition(ctx, route, table, charged, build, probe, level);
-        }
-    }
-    Ok(LoadOutcome::Loaded(PartitionProbe {
-        table: table
-            .into_iter()
-            .map(|(key, rows)| (key, Rc::new(rows)))
-            .collect(),
-        probe,
-        charged,
-    }))
+/// The probe half of a staged parallel join: every worker expands its
+/// share of the probe side against the table built at the phase barrier
+/// and shared read-only.
+pub(crate) struct SharedProbe<'a> {
+    probe: Probe<'a>,
+    table: &'a JoinTable<'a>,
 }
 
-/// Re-splits an over-budget partition: the partially loaded table and the
-/// unread rest of its build run are routed into 8 child build runs at the
-/// next hash level, the probe run likewise, and the children replace the
-/// parent in the queue.  Reloaded rows were counted at their original
-/// consumption, so nothing here touches `rows_materialized`.
-#[allow(clippy::too_many_arguments)]
-fn split_partition<'a>(
-    ctx: PipelineCtx<'a>,
-    route: &RandomState,
-    table: HashMap<Value, Vec<Row<'a>>>,
-    charged: usize,
-    mut build_rest: RunFileReader,
-    mut probe: RunFileReader,
-    level: u32,
-) -> Result<LoadOutcome<'a>> {
-    let next = level + 1;
-    let mut build_runs = new_runs()?;
-    for (key, rows) in table {
-        let p = spill_partition(route.hash_one(&key), next);
-        for row in rows {
-            build_runs[p].push(&row_record(&key, row))?;
-        }
+impl<'a> SharedProbe<'a> {
+    pub(crate) fn new(probe: Probe<'a>, table: &'a JoinTable<'a>) -> Self {
+        SharedProbe { probe, table }
     }
-    ctx.budget.uncharge(charged);
-    while let Some(rec) = build_rest.next_record()? {
-        let p = spill_partition(route.hash_one(&rec[0]), next);
-        build_runs[p].push(&rec)?;
+}
+
+impl<'a> RowStream<'a> for SharedProbe<'a> {
+    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
+        row_from_batches(self)
     }
-    let build_counts: Vec<u64> = build_runs.iter().map(RunFile::rows).collect();
-    let mut probe_runs = new_runs()?;
-    while let Some(rec) = probe.next_record()? {
-        let p = spill_partition(route.hash_one(&rec[0]), next);
-        if build_counts[p] == 0 {
-            continue;
-        }
-        probe_runs[p].push(&rec)?;
+
+    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
+        self.probe.pump(self.table, out, max)
     }
-    let bytes: u64 = build_runs.iter().map(RunFile::bytes).sum::<u64>()
-        + probe_runs.iter().map(RunFile::bytes).sum::<u64>();
-    ctx.metrics.add_bytes_spilled(bytes);
-    ctx.metrics.add_spill_partitions(SPILL_FANOUT);
-    let mut children = Vec::new();
-    for (build, probe) in build_runs.into_iter().zip(probe_runs) {
-        if build.rows() == 0 {
-            continue;
-        }
-        children.push(JoinPartition {
-            build: build.into_reader()?,
-            probe: probe.into_reader()?,
-            level: next,
-        });
-    }
-    Ok(LoadOutcome::Split(children))
 }
 
 /// The budget-bounded inner buffer of the nested-loop and merge-tuples

@@ -544,28 +544,26 @@ impl std::ops::Add for &PipelineMetrics {
     }
 }
 
-/// Whether the heterogeneity-aware adaptive scheduler is active:
-/// speed-proportional morsel claiming (slow workers claim smaller
-/// morsels) and overlap-first hash-join build-side selection (build on
-/// whichever side's pending sources have already answered instead of
-/// blocking on cardinalities).
+/// Whether the heterogeneity-aware build-side choice is active: a hash
+/// join under `BuildSide::Auto` builds on whichever side's pending
+/// sources have already answered instead of blocking on both
+/// cardinalities.
 ///
 /// Answers stay multiset-identical with adaptivity on or off at every
-/// thread count, but two differential pins are traded for overlap while
-/// it is engaged: morsel boundaries are no longer a pure function of
-/// input length and thread count, and `rows_materialized` can differ
-/// from the pinned build side's when a hash join builds the
-/// first-answered (possibly larger) input.
+/// thread count, but one differential pin is traded for overlap while it
+/// is engaged: `rows_materialized` can differ from the pinned build
+/// side's when a hash join builds the first-answered (possibly larger)
+/// input.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AdaptiveMode {
     /// Defer to the `DISCO_ADAPTIVE` environment variable (`1`/`true`/
     /// `on` enable; anything else — including unset — keeps the pinned
-    /// scheduler).
+    /// choice).
     #[default]
     Auto,
-    /// Force adaptive scheduling on, regardless of the environment.
+    /// Force the first-answer choice on, regardless of the environment.
     On,
-    /// Force the pinned (deterministic-boundary) scheduler.
+    /// Force the pinned choice (the smaller input by final cardinality).
     Off,
 }
 
@@ -590,9 +588,9 @@ pub struct PipelineOptions {
     /// default (`Auto`) defers to `DISCO_MEM_BUDGET`, which itself
     /// defaults to unbounded — the pre-spill behavior.
     pub mem_budget: MemBudget,
-    /// Heterogeneity-aware scheduling switch; see [`AdaptiveMode`].  The
+    /// Heterogeneity-aware build-side switch; see [`AdaptiveMode`].  The
     /// default (`Auto`) defers to `DISCO_ADAPTIVE`, which itself
-    /// defaults to off — the pinned scheduler.
+    /// defaults to off — the pinned choice.
     pub adaptive: AdaptiveMode,
 }
 
@@ -634,7 +632,7 @@ impl PipelineOptions {
         self.mem_budget.resolve()
     }
 
-    /// Whether heterogeneity-aware adaptive scheduling is active under
+    /// Whether the heterogeneity-aware build-side choice is active under
     /// these options.
     #[must_use]
     pub fn adaptive_enabled(self) -> bool {
@@ -678,9 +676,9 @@ fn env_batch_rows() -> usize {
     })
 }
 
-/// `DISCO_ADAPTIVE` (cached at first use; adaptive scheduling defaults
-/// to **off** and is enabled by `1`, `true` or `on`; anything else warns
-/// and keeps the pinned scheduler).
+/// `DISCO_ADAPTIVE` (cached at first use; the adaptive build-side
+/// choice defaults to **off** and is enabled by `1`, `true` or `on`;
+/// anything else warns and keeps the pinned choice).
 fn env_adaptive_default() -> bool {
     static CACHE: OnceLock<bool> = OnceLock::new();
     *CACHE.get_or_init(|| {
@@ -693,7 +691,7 @@ fn env_adaptive_default() -> bool {
             _ => {
                 eprintln!(
                     "disco: invalid DISCO_ADAPTIVE {raw:?} (want 1/true/on or 0/false/off); \
-                     keeping the pinned scheduler"
+                     keeping the pinned build side"
                 );
                 false
             }
@@ -749,8 +747,8 @@ pub(crate) fn build<'a>(
     // Columnar interception: when a stretch of this subtree fuses into a
     // vectorized kernel pipeline, run it batch-at-a-time.  `None` simply
     // means "not fusable here" — recursion below still intercepts fusable
-    // *inner* subtrees (partial fusion) — and the row cursors below are
-    // also what every columnar operator falls back to per batch.
+    // *inner* subtrees (partial fusion).  Breakers exist once and take
+    // either input form (`columnar::batch_source`).
     if let Some(cursor) = columnar::try_build(plan, ctx) {
         return Ok(cursor);
     }
@@ -815,14 +813,24 @@ pub(crate) fn build<'a>(
             residual,
         } => {
             let build_on_left = decide_build_side(left, right, ctx.options, ctx.resolved);
-            Ok(Box::new(join::HashJoinCursor::new(
-                build(left, ctx)?,
-                build(right, ctx)?,
-                left_key,
-                right_key,
-                residual.as_ref(),
+            let table = join::JoinTable::default();
+            let side = |plan, key| -> Result<_> {
+                let input = build(plan, ctx)?;
+                Ok(join::KeyedSource::rows(input, key, table.state(), ctx))
+            };
+            let (left, right) = (side(left, left_key)?, side(right, right_key)?);
+            let (build, probe) = if build_on_left {
+                (left, right)
+            } else {
+                (right, left)
+            };
+            let spec = join::PairSpec {
+                residual: residual.as_ref(),
+                map: None,
                 build_on_left,
-                ctx,
+            };
+            Ok(Box::new(join::HashJoin::new(
+                build, probe, table, spec, None, ctx,
             )))
         }
         PhysicalExpr::MergeTuplesJoin { left, right, on } => Ok(Box::new(
@@ -838,11 +846,12 @@ pub(crate) fn build<'a>(
         PhysicalExpr::MkFlatten(inner) => {
             Ok(Box::new(union::FlattenCursor::new(build(inner, ctx)?, ctx)))
         }
-        PhysicalExpr::MkDistinct(inner) => {
-            Ok(Box::new(sink::DistinctCursor::new(build(inner, ctx)?, ctx)))
-        }
+        PhysicalExpr::MkDistinct(inner) => Ok(Box::new(sink::DistinctCursor::new(
+            columnar::batch_source(inner, ctx)?,
+            ctx,
+        ))),
         PhysicalExpr::MkAggregate { func, input } => Ok(Box::new(sink::AggregateCursor::new(
-            build(input, ctx)?,
+            columnar::batch_source(input, ctx)?,
             *func,
             ctx,
         ))),
@@ -1030,6 +1039,25 @@ fn evaluate_with_budget(
         budget,
     };
     collect(build(plan, ctx)?, metrics, ctx.batch_rows)
+}
+
+/// [`RowStream::next_row`] for cursors whose native pull is
+/// [`RowStream::next_batch`]: pulls one-row batches until a row (or the
+/// end) turns up.
+pub(crate) fn row_from_batches<'a>(
+    stream: &mut (impl RowStream<'a> + ?Sized),
+) -> Option<Result<Row<'a>>> {
+    let mut one = Vec::with_capacity(1);
+    loop {
+        match stream.next_batch(&mut one, 1) {
+            Err(err) => return Some(Err(err)),
+            Ok(more) => match one.pop() {
+                Some(row) => return Some(Ok(row)),
+                None if !more => return None,
+                None => {}
+            },
+        }
+    }
 }
 
 /// Builds the layered environment of a row's frames on top of `outer` and

@@ -11,11 +11,13 @@
 //! * a `Branches` operator (union — including the per-source resolved
 //!   scans of a federated query) turns each branch into an independent
 //!   task,
-//! * each `Partitioned` breaker becomes a *phase*: hash-join build sides
-//!   are scattered by key hash into per-worker shard vectors and
-//!   assembled into a shared read-only `JoinTable` at the barrier,
-//!   distinct dedups shard-wise after a scatter phase, and aggregates
-//!   fold per-morsel partial states merged in morsel order,
+//! * each `Partitioned` breaker becomes a *phase*: the tasks of a
+//!   hash-join build side key their rows, and the serial engine's build
+//!   loop inserts them in task order into one read-only `JoinTable` at
+//!   the barrier; distinct admits into hash-sharded seen-sets behind
+//!   per-shard locks; and aggregates fold per-morsel partial states
+//!   merged in morsel order — each through the serial operators' own
+//!   admission, fold and expansion code,
 //! * `Pinned` operators (nested-loop / merge-tuples joins) and any other
 //!   shape the decomposition does not recognise fall back to the serial
 //!   engine unchanged.
@@ -33,19 +35,11 @@
 //! same rows, just split across workers ([`PipelineMetrics::merge`] sums
 //! the per-worker counts exactly).
 //!
-//! With adaptivity engaged ([`PipelineOptions::adaptive_enabled`]) one
-//! determinism guarantee is deliberately traded for heterogeneity
-//! tolerance: morsel *sizes* follow each worker's observed throughput
-//! (a `RateTracker` EWMA), so the boundaries are no longer a pure
-//! function of `(len, threads)` and can differ run over run.  Answers
-//! still cannot drift — adaptive slice claims hand out contiguous
-//! ascending ranges with ids in claim order, so the task-order merge
-//! reassembles the input order exactly, and every row is still
-//! processed exactly once.  What may legitimately vary is scheduling
-//! detail (how many claims a slow worker made) and, through the
-//! adaptive build-side choice, `rows_materialized` — which is why the
-//! differential suites compare adaptive runs against the pinned
-//! engine's *answers*, not its metrics.
+//! With adaptivity engaged ([`PipelineOptions::adaptive_enabled`]) the
+//! build side of a hash join is the input that answered first, so
+//! `rows_materialized` may legitimately differ from the pinned choice —
+//! which is why the differential suites compare adaptive runs against the
+//! pinned engine's *answers*, not its metrics.
 //!
 //! # Poison safety
 //!
@@ -57,27 +51,24 @@
 //!
 //! [`ExchangeBehavior`]: disco_algebra::ExchangeBehavior
 
-use std::hash::{BuildHasher, RandomState};
+use std::hash::RandomState;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use std::sync::Arc;
 
-use disco_algebra::{AggKind, Env, PhysicalExpr, ScalarExpr};
+use disco_algebra::{AggKind, AggState, Env, PhysicalExpr, ScalarExpr};
 use disco_value::{Bag, Value};
 use parking_lot::Mutex;
 
 use crate::exec::{ExecKey, ExecOutcome, PendingSource, Progress, ResolvedExecs};
 use crate::{Result, RuntimeError};
 
-use super::columnar::{self, KeyedBatch};
-use super::exchange::{
-    empty_shards, morsel_ranges, morsel_size, shard_count, shard_of, JoinTable, KeyedRow,
-    MorselQueue, RateTracker, Scattered, SharedProbeCursor, MORSEL_ROWS,
-};
-use super::join::check_struct_frames;
-use super::sink::{AggState, SeenSet};
+use super::columnar::{self, BatchSource};
+use super::exchange::{morsel_ranges, shard_count, shard_of, MorselQueue, MORSEL_ROWS};
+use super::join::{JoinTable, KeyedRow, KeyedSource, PairSpec, Probe, SharedProbe};
+use super::sink::{admit, fold_aggregate, SeenSet};
 use super::spill::MemoryBudget;
 use super::{
     build, decide_build_side, BoxedRowStream, PipelineCtx, PipelineMetrics, PipelineOptions,
@@ -228,33 +219,13 @@ struct StreamClaim {
     seq: usize,
 }
 
-/// Claim state of a [`TaskQueue::Adaptive`]: the next unclaimed row and
-/// the next task id.  Ranges are handed out contiguously in ascending
-/// order, so ids in claim order reassemble the input order at the merge.
-struct AdaptiveClaim {
-    next: usize,
-    seq: usize,
-}
-
 /// Hands out tasks to workers: a fixed, precomputed list (leaf ranges,
-/// union branches), an adaptive slice claimer that sizes each range to
-/// the claiming worker's observed throughput, or a stream of chunks
-/// claimed from a pending source as its rows arrive.
+/// union branches) or a stream of chunks claimed from a pending source
+/// as its rows arrive.
 enum TaskQueue<'q> {
     Fixed {
         queue: MorselQueue,
         tasks: Vec<Task>,
-    },
-    /// Speed-proportional slice claiming: each worker claims the next
-    /// contiguous range, sized by its [`RateTracker::claim_factor`] so a
-    /// degraded worker never holds an oversized morsel at the barrier.
-    Adaptive {
-        len: usize,
-        /// Full-speed claim size — the pinned path's morsel size for the
-        /// same `(len, threads)`.
-        base: usize,
-        claim: Mutex<AdaptiveClaim>,
-        rates: RateTracker,
     },
     Stream {
         source: &'q Arc<PendingSource>,
@@ -263,10 +234,6 @@ enum TaskQueue<'q> {
         /// source_wait`).  One shared instance is enough: waits are
         /// summed at the merge barrier, not attributed per worker.
         wait_metrics: &'q PipelineMetrics,
-        /// When adaptivity is engaged, slow workers ask the spool for
-        /// proportionally fewer rows per claim, so a fast worker is not
-        /// starved while a slow one chews an oversized chunk.
-        rates: Option<RateTracker>,
     },
 }
 
@@ -282,16 +249,8 @@ impl<'q> TaskQueue<'q> {
         source: &'q PartSource<'a>,
         threads: usize,
         wait_metrics: &'q PipelineMetrics,
-        options: PipelineOptions,
     ) -> Self {
-        let adaptive = options.adaptive_enabled() && threads > 1;
         match source {
-            PartSource::Slice { rows, .. } if adaptive => TaskQueue::Adaptive {
-                len: rows.len(),
-                base: morsel_size(rows.len(), threads),
-                claim: Mutex::new(AdaptiveClaim { next: 0, seq: 0 }),
-                rates: RateTracker::new(threads),
-            },
             PartSource::Slice { rows, .. } => TaskQueue::fixed(
                 morsel_ranges(rows.len(), threads)
                     .into_iter()
@@ -308,7 +267,6 @@ impl<'q> TaskQueue<'q> {
                 source,
                 claim: Mutex::new(StreamClaim { offset: 0, seq: 0 }),
                 wait_metrics,
-                rates: adaptive.then(|| RateTracker::new(threads)),
             },
         }
     }
@@ -330,56 +288,26 @@ impl<'q> TaskQueue<'q> {
     fn task_hint(&self) -> Option<usize> {
         match self {
             TaskQueue::Fixed { tasks, .. } => Some(tasks.len()),
-            // Sizes shrink below `base` for slow workers (making *more*
-            // claims, never fewer), so full-speed claim count bounds the
-            // useful pool.
-            TaskQueue::Adaptive { len, base, .. } => Some(len.div_ceil(*base)),
             TaskQueue::Stream { .. } => None,
         }
     }
 
-    /// Claims the next task for `worker`; blocks on a stream source until
-    /// rows arrive.
+    /// Claims the next task; blocks on a stream source until rows arrive.
     ///
     /// # Errors
     ///
     /// Stream sources propagate unavailability (deadline / reported),
     /// hard wrapper failures and contained wrapper panics.
-    fn claim(&self, worker: usize) -> Result<Option<Task>> {
+    fn claim(&self) -> Result<Option<Task>> {
         match self {
             TaskQueue::Fixed { queue, tasks } => Ok(queue.claim().map(|i| tasks[i].clone())),
-            TaskQueue::Adaptive {
-                len,
-                base,
-                claim,
-                rates,
-            } => {
-                let size = rates.scaled_claim(worker, *base);
-                let mut claim = claim.lock();
-                if claim.next >= *len {
-                    return Ok(None);
-                }
-                let start = claim.next;
-                let end = (start + size).min(*len);
-                claim.next = end;
-                let id = claim.seq;
-                claim.seq += 1;
-                Ok(Some(Task::Range {
-                    id,
-                    range: start..end,
-                }))
-            }
             TaskQueue::Stream {
                 source,
                 claim,
                 wait_metrics,
-                rates,
             } => {
-                let max = rates
-                    .as_ref()
-                    .map_or(MORSEL_ROWS, |r| r.scaled_claim(worker, MORSEL_ROWS));
                 let mut claim = claim.lock();
-                let (progress, blocked) = source.wait_rows(claim.offset, max);
+                let (progress, blocked) = source.wait_rows(claim.offset, MORSEL_ROWS);
                 if !blocked.is_zero() {
                     wait_metrics.add_source_wait(blocked);
                 }
@@ -403,24 +331,6 @@ impl<'q> TaskQueue<'q> {
                 }
             }
         }
-    }
-
-    /// Feeds one completed task back into the queue's rate tracker (a
-    /// no-op for non-adaptive queues and row-less task kinds).
-    fn note(&self, worker: usize, task: &Task, elapsed: std::time::Duration) {
-        let rates = match self {
-            TaskQueue::Adaptive { rates, .. } => rates,
-            TaskQueue::Stream {
-                rates: Some(rates), ..
-            } => rates,
-            _ => return,
-        };
-        let rows = match task {
-            Task::Range { range, .. } => range.len(),
-            Task::Chunk { rows, .. } => rows.len(),
-            Task::Whole | Task::Branch { .. } => return,
-        };
-        rates.note(worker, rows, elapsed);
     }
 }
 
@@ -635,13 +545,11 @@ fn run_phases<'a>(
     // tables built later but never probed before the terminal phase.
     let mut tables: Vec<JoinTable<'a>> = Vec::with_capacity(par.stages.len());
     for stage in &par.stages {
-        tables.push(build_stage_table(
-            stage, resolved, options, &ctxs, threads, shards,
-        )?);
+        tables.push(build_stage_table(stage, resolved, options, &ctxs, threads)?);
     }
 
     // Terminal phase over the partitioned pipeline.
-    let tasks = TaskQueue::for_source(&par.source, threads, &worker_metrics[0], options);
+    let tasks = TaskQueue::for_source(&par.source, threads, &worker_metrics[0]);
     let pipeline = PartPipeline {
         body: par.body,
         stages: &par.stages,
@@ -676,10 +584,10 @@ fn run_phases<'a>(
             // The seen-set partitions by value hash into shard-local sets
             // behind per-shard locks; every worker routes each candidate
             // by the shared hash (computed once, reused for in-shard
-            // bucketing) and checks/inserts under the shard lock only.
-            // The surviving multiset is the set of distinct values — the
-            // same no matter which worker wins which shard — so results
-            // and `rows_materialized` (one bump per insert) are
+            // bucketing) and admits under the shard lock only.  The
+            // surviving multiset is the set of distinct values — the same
+            // no matter which worker wins which shard — so results and
+            // `rows_materialized` (one bump per admission) are
             // deterministic and thread-count-invariant.
             let route = RandomState::new();
             let seen_shards: Vec<Mutex<SeenSet>> = (0..shards)
@@ -694,36 +602,12 @@ fn run_phases<'a>(
                 loop {
                     let more = cursor.next_batch(&mut buf, ctx.batch_rows)?;
                     for row in buf.drain(..) {
-                        // Mirrors the serial DistinctCursor: single-frame
-                        // rows are hashed and checked borrowed (no clone
-                        // for duplicates), join rows are merged first
-                        // (counted in rows_merged).
-                        let admitted = match row.single_value() {
-                            Some(value) => {
-                                let hash = route.hash_one(value);
-                                let mut seen = seen_shards[shard_of(hash, shards)].lock();
-                                if seen.check_hashed(hash, value) {
-                                    let value = row.materialize(ctx.metrics)?;
-                                    seen.insert_hashed(hash, value.clone());
-                                    Some(value)
-                                } else {
-                                    None
-                                }
-                            }
-                            None => {
-                                let value = row.materialize(ctx.metrics)?;
-                                let hash = route.hash_one(&value);
-                                let mut seen = seen_shards[shard_of(hash, shards)].lock();
-                                if seen.check_hashed(hash, &value) {
-                                    seen.insert_hashed(hash, value.clone());
-                                    Some(value)
-                                } else {
-                                    None
-                                }
-                            }
-                        };
+                        // The serial distinct's admission, under the lock
+                        // of the shard the value's hash routes to.
+                        let admitted = admit(row, &route, ctx.metrics, |hash| {
+                            seen_shards[shard_of(hash, shards)].lock()
+                        })?;
                         if let Some(value) = admitted {
-                            ctx.metrics.bump_materialized();
                             ctx.metrics.bump_emitted();
                             out.push(value);
                         }
@@ -741,26 +625,8 @@ fn run_phases<'a>(
             let acc: Mutex<Vec<(usize, AggState)>> = Mutex::new(Vec::new());
             for_each_task(threads, &tasks, |worker, task| {
                 let ctx = ctxs[worker];
-                let mut cursor = pipeline.open(task, ctx)?;
-                let mut state = AggState::new(func);
-                let mut buf = Vec::with_capacity(ctx.batch_rows);
-                loop {
-                    let more = cursor.next_batch(&mut buf, ctx.batch_rows)?;
-                    for row in buf.drain(..) {
-                        let merged;
-                        let value: &Value = match row.single_value() {
-                            Some(value) => value,
-                            None => {
-                                merged = row.materialize(ctx.metrics)?;
-                                &merged
-                            }
-                        };
-                        state.update(value)?;
-                    }
-                    if !more {
-                        break;
-                    }
-                }
+                let source = BatchSource::rows(pipeline.open(task, ctx)?);
+                let state = fold_aggregate(func, source, ctx)?;
                 acc.lock().push((task.id(), state));
                 Ok(())
             })?;
@@ -768,7 +634,7 @@ fn run_phases<'a>(
             states.sort_unstable_by_key(|(task, _)| *task);
             let mut state = AggState::new(func);
             for (_, partial) in states {
-                state.merge(partial);
+                state.merge(partial)?;
             }
             // The single aggregate row reaching the sink.
             worker_metrics[0].bump_emitted();
@@ -779,21 +645,21 @@ fn run_phases<'a>(
 
 /// Builds one staged join's shared table: the build subtree runs
 /// partitioned when it is itself a simple streaming pipeline, as a single
-/// task otherwise; every task scatters `(hash, key, row)` into per-shard
-/// vectors and the table is assembled in task order at the barrier.
+/// task otherwise; every task keys its rows through a [`KeyedSource`],
+/// and at the barrier the one build loop inserts them in task order — so
+/// the per-key match lists equal a serial build over the same input.
 fn build_stage_table<'a>(
     stage: &JoinStage<'a>,
     resolved: &'a ResolvedExecs,
     options: PipelineOptions,
     ctxs: &[PipelineCtx<'a>],
     threads: usize,
-    shards: usize,
 ) -> Result<JoinTable<'a>> {
     // `stages: None` keeps nested breakers inside one task, so their
     // buffering happens exactly once, as in the serial engine.
     let source = descend(stage.build, resolved, options, None);
     let tasks = match &source {
-        Some(source) => TaskQueue::for_source(source, threads, ctxs[0].metrics, options),
+        Some(source) => TaskQueue::for_source(source, threads, ctxs[0].metrics),
         None => TaskQueue::fixed(vec![Task::Whole]),
     };
     let pipeline = PartPipeline {
@@ -802,86 +668,50 @@ fn build_stage_table<'a>(
         tables: &[],
         source: source.as_ref(),
     };
-    let hasher = RandomState::new();
-    let acc: Mutex<Scattered<KeyedRow<'a>>> = Mutex::new(Vec::new());
+    let mut table = JoinTable::default();
+    let state = table.state();
+    let acc: Mutex<Vec<(usize, Vec<KeyedRow<'a>>)>> = Mutex::new(Vec::new());
     for_each_task(threads, &tasks, |worker, task| {
         let ctx = ctxs[worker];
-        let mut grid = empty_shards(shards);
-        // Vectorized scatter: when the build side of this task is a
-        // fusible stretch over a slice morsel, hash the key column in one
-        // pass and scatter by the batch-computed hashes.  The spine's
-        // hasher is a clone of the table hasher, so kernel-computed
-        // hashes agree with the row path's `hasher.hash_one`.
-        if let (Some(PartSource::Slice { node, rows }), Task::Range { range, .. }) = (&source, task)
-        {
-            if let Some(mut spine) = columnar::keyed_partition(
-                stage.build,
-                node,
-                &rows[range.clone()],
+        // Vectorized when the build side of this task is a fusible
+        // stretch over a slice morsel, per row otherwise.
+        let fused = match (&source, task) {
+            (Some(PartSource::Slice { node, rows }), Task::Range { range, .. }) => {
+                columnar::keyed_partition(
+                    stage.build,
+                    node,
+                    &rows[range.clone()],
+                    stage.build_key,
+                    state.clone(),
+                    ctx,
+                )
+            }
+            _ => None,
+        };
+        let mut keyed = match fused {
+            Some(keyed) => keyed,
+            None => KeyedSource::rows(
+                pipeline.open(task, ctx)?,
                 stage.build_key,
-                hasher.clone(),
+                state.clone(),
                 ctx,
-            ) {
-                while let Some(batch) = spine.next_keyed(ctx.batch_rows) {
-                    match batch {
-                        KeyedBatch::Kernel {
-                            slice,
-                            sel,
-                            keys,
-                            hashes,
-                            ..
-                        } => {
-                            // Decoded rows are structs by construction,
-                            // so the row path's struct-frame check is a
-                            // no-op here.
-                            for (j, &i) in sel.iter().enumerate() {
-                                let row = spine.make_row(slice, i);
-                                ctx.metrics.bump_materialized();
-                                let hash = hashes[j];
-                                grid[shard_of(hash, shards)].push((hash, keys.value_at(j), row));
-                            }
-                        }
-                        KeyedBatch::Fallback { slice } => {
-                            for (_, row) in spine.fallback_rows(slice)? {
-                                check_struct_frames(&row)?;
-                                let key = super::eval_in_row(stage.build_key, &row, ctx)?;
-                                ctx.metrics.bump_materialized();
-                                let hash = hasher.hash_one(&key);
-                                grid[shard_of(hash, shards)].push((hash, key, row));
-                            }
-                        }
-                    }
-                }
-                acc.lock().push((task.id(), grid));
-                return Ok(());
-            }
+            ),
+        };
+        let mut out = Vec::new();
+        while let Some(rows) = keyed.next_rows(ctx.batch_rows)? {
+            out.extend(rows);
         }
-        let mut cursor = pipeline.open(task, ctx)?;
-        let mut buf = Vec::with_capacity(ctx.batch_rows);
-        loop {
-            let more = cursor.next_batch(&mut buf, ctx.batch_rows)?;
-            for row in buf.drain(..) {
-                for frame in row.frames() {
-                    frame
-                        .value()
-                        .as_struct()
-                        .map_err(disco_algebra::AlgebraError::from)?;
-                }
-                let key = super::eval_in_row(stage.build_key, &row, ctx)?;
-                ctx.metrics.bump_materialized();
-                let hash = hasher.hash_one(&key);
-                grid[shard_of(hash, shards)].push((hash, key, row));
-            }
-            if !more {
-                break;
-            }
-        }
-        acc.lock().push((task.id(), grid));
+        acc.lock().push((task.id(), out));
         Ok(())
     })?;
     let mut outputs = acc.into_inner();
     outputs.sort_unstable_by_key(|(task, _)| *task);
-    Ok(JoinTable::assemble(hasher, shards, &mut outputs))
+    // Stage tables never spill (`try_evaluate` keeps bounded budgets off
+    // this path), so every row is absorbed.
+    for (_, rows) in outputs {
+        table.absorb(&mut rows.into_iter(), &mut 0, ctxs[0]);
+    }
+    Ok(table)
 }
 
 /// Concatenates per-task output vectors in task order into the answer
@@ -967,14 +797,21 @@ impl<'p, 'a> PartPipeline<'p, 'a> {
             .position(|stage| std::ptr::eq::<PhysicalExpr>(stage.node, node))
         {
             let stage = &self.stages[index];
-            let probe = self.open_node(stage.probe, task, ctx)?;
-            return Ok(Box::new(SharedProbeCursor::new(
-                probe,
-                &self.tables[index],
+            let table = &self.tables[index];
+            let probe = KeyedSource::rows(
+                self.open_node(stage.probe, task, ctx)?,
                 stage.probe_key,
-                stage.residual,
-                stage.build_on_left,
+                table.state(),
                 ctx,
+            );
+            let spec = PairSpec {
+                residual: stage.residual,
+                map: None,
+                build_on_left: stage.build_on_left,
+            };
+            return Ok(Box::new(SharedProbe::new(
+                Probe::new(probe, spec, ctx),
+                table,
             )));
         }
         // Spine operators wrap the partitioned child; anything else is an
@@ -1031,15 +868,11 @@ where
                 if abort.load(Ordering::Relaxed) {
                     break;
                 }
-                let (id, error) = match queue.claim(worker) {
+                let (id, error) = match queue.claim() {
                     Ok(Some(task)) => {
                         let id = task.id();
-                        let started = std::time::Instant::now();
                         match catch_unwind(AssertUnwindSafe(|| work(worker, &task))) {
-                            Ok(Ok(())) => {
-                                queue.note(worker, &task, started.elapsed());
-                                continue;
-                            }
+                            Ok(Ok(())) => continue,
                             Ok(Err(error)) => (id, error),
                             Err(payload) => {
                                 (id, RuntimeError::WorkerPanic(panic_message(&*payload)))

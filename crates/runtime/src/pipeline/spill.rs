@@ -17,10 +17,14 @@
 //!   one *run* of length-prefixed [`Value`] records in the `disco-value`
 //!   spill format ([`disco_value::spill`]).  Runs are written once,
 //!   sequentially, then rewound and read back once.
-//! * `spill_partition` — the Grace-style hash router: 8 partitions per
-//!   level, consuming 3 fresh bits of the key hash per recursion level,
-//!   so a partition that still overflows the budget on read-back is
-//!   re-split into 8 children rather than loaded whole.
+//! * `Grace` — the one Grace partitioner both spilling breakers run on.
+//!   A partition is *(resident run, streamed run, level)*: the hash join
+//!   keeps build rows in the resident run and probe rows in the streamed
+//!   one; distinct keeps the values it already emitted and the candidates
+//!   still to check.  Records route by `spill_partition` — 8 partitions
+//!   per level, 3 fresh bits of the routing hash per recursion level —
+//!   and a partition whose resident run still overflows the budget on
+//!   read-back is re-split into 8 children rather than loaded whole.
 //!
 //! Spill files live in `DISCO_SPILL_DIR` (read per file creation so tests
 //! can redirect it) or `std::env::temp_dir()`, are named
@@ -32,7 +36,9 @@
 //! ([`MemBudget`]) or, when that is `Auto`, the `DISCO_MEM_BUDGET`
 //! environment variable (a byte count; unset means unbounded).
 
+use std::collections::VecDeque;
 use std::fs::File;
+use std::hash::{BuildHasher, RandomState};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -180,7 +186,7 @@ impl MemoryBudget {
 }
 
 /// Grace-style partition fan-out: every spill splits state 8 ways.
-pub(crate) const SPILL_FANOUT: usize = 8;
+const SPILL_FANOUT: usize = 8;
 
 /// Bits of the key hash consumed per recursion level.
 const SPILL_LEVEL_BITS: u32 = 3;
@@ -188,10 +194,15 @@ const SPILL_LEVEL_BITS: u32 = 3;
 /// Deepest re-split level.  `64 / 3` levels exhaust the hash; past this a
 /// partition (necessarily dominated by duplicate keys) is loaded whole,
 /// overcommitting the budget rather than looping forever.
-pub(crate) const MAX_SPILL_LEVEL: u32 = 20;
+const MAX_SPILL_LEVEL: u32 = 20;
+
+/// Whether a partition routed at `level` can still be re-split.
+pub(crate) fn can_split(level: u32) -> bool {
+    level < MAX_SPILL_LEVEL
+}
 
 /// Which of the 8 partitions a key hash routes to at `level`.
-pub(crate) fn spill_partition(hash: u64, level: u32) -> usize {
+fn spill_partition(hash: u64, level: u32) -> usize {
     let shift = SPILL_LEVEL_BITS * level.min(MAX_SPILL_LEVEL);
     ((hash >> shift) & (SPILL_FANOUT as u64 - 1)) as usize
 }
@@ -299,11 +310,6 @@ impl RunFile {
     }
 }
 
-/// One fan-out's worth of fresh spill runs.
-pub(crate) fn new_runs() -> Result<Vec<RunFile>> {
-    (0..SPILL_FANOUT).map(|_| RunFile::create()).collect()
-}
-
 /// A finished spill run supporting repeated sequential passes — the
 /// nested-loop / merge-tuples inner buffer re-scans its spilled tail once
 /// per outer row.  Unlike [`RunFileReader`], which is forward-only and
@@ -374,6 +380,199 @@ impl RunFileReader {
         self.reader
             .next_record()
             .map_err(|e| spill_err("reading spill run", e))
+    }
+}
+
+/// Breaker state a Grace partition reloads from its resident run: the
+/// hash join's build table, distinct's seen-set.
+pub(crate) trait Resident {
+    /// Inserts one record read back from a resident run and returns the
+    /// bytes to charge for it.  Reloads never touch `rows_materialized` —
+    /// every record was counted when first consumed.
+    fn load(&mut self, record: Vec<Value>) -> usize;
+
+    /// Moves every entry out as spill records (routing key first),
+    /// leaving the state empty.
+    fn unload(&mut self, sink: &mut dyn FnMut(&[Value]) -> Result<()>) -> Result<()>;
+}
+
+/// One pending Grace partition and the hash level it was routed at.
+struct Partition {
+    /// `None` for an empty run (no file is kept open for it).
+    resident: Option<RunFileReader>,
+    streamed: RunFileReader,
+    level: u32,
+}
+
+/// A partition whose resident run is back in memory (charged against the
+/// budget) with its streamed run still to consume.
+pub(crate) struct Loaded<R> {
+    pub(crate) state: R,
+    pub(crate) streamed: RunFileReader,
+    pub(crate) charged: usize,
+    pub(crate) level: u32,
+}
+
+/// One fan-out being written: 8 resident and 8 streamed runs at one hash
+/// level.  Every record leads with its routing key.
+pub(crate) struct Fanout {
+    route: RandomState,
+    resident_required: bool,
+    level: u32,
+    resident: Vec<RunFile>,
+    streamed: Vec<RunFile>,
+}
+
+impl Fanout {
+    fn slot(&self, record: &[Value]) -> usize {
+        spill_partition(self.route.hash_one(&record[0]), self.level)
+    }
+
+    pub(crate) fn push_resident(&mut self, record: &[Value]) -> Result<()> {
+        let slot = self.slot(record);
+        self.resident[slot].push(record)
+    }
+
+    /// Routes a streamed record.  When the operator needs resident rows
+    /// to produce anything (a join probe row without build rows matches
+    /// nothing) a record landing on an empty resident run is dropped —
+    /// which is why all resident records are pushed first.
+    pub(crate) fn push_streamed(&mut self, record: &[Value]) -> Result<()> {
+        let slot = self.slot(record);
+        if self.resident_required && self.resident[slot].rows() == 0 {
+            return Ok(());
+        }
+        self.streamed[slot].push(record)
+    }
+}
+
+/// The Grace partitioner: the queue of pending partitions of one spilled
+/// breaker, the router that assigns records to them, and the re-split of
+/// a partition that alone exceeds the budget.
+pub(crate) struct Grace {
+    /// The partition router.  Independent of the reloaded state's own
+    /// hashing: it only decides which run a key lands in, at every level.
+    route: RandomState,
+    queue: VecDeque<Partition>,
+    resident_required: bool,
+}
+
+impl Grace {
+    /// `resident_required`: partitions (and streamed records) without any
+    /// resident row can produce nothing and are dropped — true for the
+    /// join, false for distinct, whose candidates are new exactly when no
+    /// resident value suppresses them.
+    pub(crate) fn new(resident_required: bool) -> Self {
+        Grace {
+            route: RandomState::new(),
+            queue: VecDeque::new(),
+            resident_required,
+        }
+    }
+
+    /// Opens the 16 runs of one fan-out at `level`.
+    pub(crate) fn fanout(&self, level: u32) -> Result<Fanout> {
+        let runs = || {
+            (0..SPILL_FANOUT)
+                .map(|_| RunFile::create())
+                .collect::<Result<Vec<_>>>()
+        };
+        Ok(Fanout {
+            route: self.route.clone(),
+            resident_required: self.resident_required,
+            level,
+            resident: runs()?,
+            streamed: runs()?,
+        })
+    }
+
+    /// Seals a fan-out: accounts its bytes and partitions and queues the
+    /// partitions that can still produce output.  Children go to the
+    /// *front*: depth-first keeps the open-file count proportional to the
+    /// recursion depth, not the partition count.
+    pub(crate) fn finish(&mut self, fan: Fanout, metrics: &super::PipelineMetrics) -> Result<()> {
+        let bytes = fan.resident.iter().chain(&fan.streamed).map(RunFile::bytes);
+        metrics.add_bytes_spilled(bytes.sum());
+        metrics.add_spill_partitions(SPILL_FANOUT);
+        let mut children = Vec::new();
+        for (resident, streamed) in fan.resident.into_iter().zip(fan.streamed) {
+            // Nothing streamed means nothing left to emit.
+            if streamed.rows() == 0 || (self.resident_required && resident.rows() == 0) {
+                continue;
+            }
+            children.push(Partition {
+                resident: (resident.rows() > 0)
+                    .then(|| resident.into_reader())
+                    .transpose()?,
+                streamed: streamed.into_reader()?,
+                level: fan.level,
+            });
+        }
+        for child in children.into_iter().rev() {
+            self.queue.push_front(child);
+        }
+        Ok(())
+    }
+
+    /// Reloads the next pending partition's resident run into `fresh()`
+    /// state, charging per record.  A partition that alone exceeds the
+    /// budget is re-split at the next hash level — unless it is already at
+    /// the deepest one (necessarily dominated by one key, a split could
+    /// not separate it), where it loads whole and the budget overcommits
+    /// for its duration.  `None` once every partition has been handed out.
+    pub(crate) fn load_next<R: Resident>(
+        &mut self,
+        fresh: impl Fn() -> R,
+        ctx: super::PipelineCtx<'_>,
+    ) -> Result<Option<Loaded<R>>> {
+        'partitions: while let Some(part) = self.queue.pop_front() {
+            let mut loaded = Loaded {
+                state: fresh(),
+                streamed: part.streamed,
+                charged: 0,
+                level: part.level,
+            };
+            let mut resident = part.resident;
+            while let Some(run) = resident.as_mut() {
+                let Some(record) = run.next_record()? else {
+                    break;
+                };
+                let cost = loaded.state.load(record);
+                loaded.charged += cost;
+                if !ctx.budget.charge(cost) && can_split(loaded.level) {
+                    self.resplit(loaded, resident, ctx)?;
+                    continue 'partitions;
+                }
+            }
+            return Ok(Some(loaded));
+        }
+        Ok(None)
+    }
+
+    /// Re-splits an over-budget partition a level deeper: the loaded
+    /// state, the unread rest of its resident run (when the trip hit
+    /// during reload) and its whole streamed run are re-routed on 3 fresh
+    /// hash bits, and the children replace the parent in the queue.
+    pub(crate) fn resplit<R: Resident>(
+        &mut self,
+        mut loaded: Loaded<R>,
+        resident_rest: Option<RunFileReader>,
+        ctx: super::PipelineCtx<'_>,
+    ) -> Result<()> {
+        let mut fan = self.fanout(loaded.level + 1)?;
+        loaded
+            .state
+            .unload(&mut |record| fan.push_resident(record))?;
+        ctx.budget.uncharge(loaded.charged);
+        if let Some(mut rest) = resident_rest {
+            while let Some(record) = rest.next_record()? {
+                fan.push_resident(&record)?;
+            }
+        }
+        while let Some(record) = loaded.streamed.next_record()? {
+            fan.push_streamed(&record)?;
+        }
+        self.finish(fan, ctx.metrics)
     }
 }
 

@@ -1,25 +1,28 @@
-//! Differential tests: the columnar (vectorized-kernel) operators against
-//! the row cursors they fall back to, and both against the reference
-//! evaluator.
+//! Differential tests: the columnar (vectorized-kernel) input form of
+//! the operators against the per-row form they fall back to, and both
+//! against the reference evaluator.
 //!
 //! There is no switch between the two: `build()` always tries the
-//! columnar operators, and the row cursors run wherever those decline —
-//! per batch on irregular input (mixed-type columns, missing fields,
-//! would-be errors), and for the hash join and distinct under a bounded
-//! memory budget.  The tests therefore reach the row cursors the way
-//! production does: every plan runs once as is and once under a budget
-//! too large ever to trip, and both answers must equal the reference
-//! evaluator's, with identical breaker metrics (`rows_materialized`,
-//! `rows_merged`, `rows_emitted`).  The value-plane edge cases the
-//! kernels must preserve are pinned explicitly: NaN under `total_cmp`,
-//! null propagation through comparisons and arithmetic, dictionary-column
-//! equality for content-equal strings from distinct allocations, empty
-//! and all-filtered selections, irregular (mixed-type / missing-field)
-//! batches, and error identity between the kernel bail-out path and the
-//! reference evaluator.  The vectorized hash join gets its own section:
-//! float and NaN keys under `total_cmp`, null keys, dictionary and
-//! non-dictionary string keys from distinct allocations, batch-size
-//! invariance across the join boundary, and thread-count × budget parity.
+//! columnar batch producers, and the per-row path runs wherever those
+//! decline — per batch on irregular input (mixed-type columns, missing
+//! fields, would-be errors) and for plans that do not fuse.  A memory
+//! budget is *not* such a place: every breaker exists once, charges the
+//! budget behind its one admission / build loop, and takes either input
+//! form.  The tests pin that: every plan runs once as is and once under a
+//! bounded budget too large ever to trip, and both answers must equal the
+//! reference evaluator's, with identical breaker metrics
+//! (`rows_materialized`, `rows_merged`, `rows_emitted`) *and* identical
+//! kernel coverage (`rows_kernel`, `rows_fallback`).  The value-plane
+//! edge cases the kernels must preserve are pinned explicitly: NaN under
+//! `total_cmp`, null propagation through comparisons and arithmetic,
+//! dictionary-column equality for content-equal strings from distinct
+//! allocations, empty and all-filtered selections, irregular (mixed-type
+//! / missing-field) batches, and error identity between the kernel
+//! bail-out path and the reference evaluator.  The vectorized hash join
+//! gets its own section: float and NaN keys under `total_cmp`, null keys,
+//! dictionary and non-dictionary string keys from distinct allocations,
+//! batch-size invariance across the join boundary, and thread-count ×
+//! budget parity.
 
 mod common;
 
@@ -32,9 +35,8 @@ use disco_value::{Bag, StructValue, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A bounded budget no test input can trip: nothing spills, but the hash
-/// join and distinct decline their columnar forms for the (spillable) row
-/// cursors.
+/// A bounded budget no test input can trip: nothing spills, but every
+/// breaker does its budget accounting.
 const NEVER_TRIPS: MemBudget = MemBudget::Bytes(usize::MAX / 2);
 
 fn options(mem_budget: MemBudget) -> PipelineOptions {
@@ -47,22 +49,10 @@ fn options(mem_budget: MemBudget) -> PipelineOptions {
     }
 }
 
-/// Runs the plan as is and with the row-cursor breakers, asserts both
-/// equal the reference evaluator, and returns the first run.
+/// Runs the plan as is and under the never-tripping budget, asserts both
+/// equal the reference evaluator and that the budget cost no kernel
+/// coverage, and returns the first run.
 fn assert_engines_agree(plan: &LogicalExpr) -> (Bag, PipelineMetrics) {
-    engines_agree(plan, MemBudget::default())
-}
-
-/// Like [`assert_engines_agree`] with the first run's budget pinned
-/// unbounded — for the kernel-engagement assertions: a bounded budget
-/// (e.g. a `DISCO_MEM_BUDGET` forced through the environment) makes the
-/// fused join decline to the spillable row cursor by design, which would
-/// read here as a vectorization regression.
-fn assert_engines_agree_unbounded(plan: &LogicalExpr) -> (Bag, PipelineMetrics) {
-    engines_agree(plan, MemBudget::Unbounded)
-}
-
-fn engines_agree(plan: &LogicalExpr, mem_budget: MemBudget) -> (Bag, PipelineMetrics) {
     let physical = lower(plan).expect("plan lowers");
     let resolved = ResolvedExecs::default();
     let run = |mem_budget| {
@@ -71,23 +61,32 @@ fn engines_agree(plan: &LogicalExpr, mem_budget: MemBudget) -> (Bag, PipelineMet
             .expect("plan evaluates");
         (bag, metrics)
     };
-    let (col, m_col) = run(mem_budget);
-    let (row, m_row) = run(NEVER_TRIPS);
+    let (plain, m_plain) = run(MemBudget::default());
+    let (budgeted, m_budgeted) = run(NEVER_TRIPS);
+    let (_, m_unbounded) = run(MemBudget::Unbounded);
     let expected = reference::evaluate_physical(&physical, &resolved).expect("reference evaluates");
-    assert_eq!(col, expected, "answer must equal the reference evaluator's");
     assert_eq!(
-        row, expected,
-        "row-cursor breakers must give the same answer"
+        plain, expected,
+        "answer must equal the reference evaluator's"
     );
     assert_eq!(
-        m_col.rows_materialized(),
-        m_row.rows_materialized(),
-        "breakers must buffer identical row counts in both forms"
+        budgeted, expected,
+        "budget accounting must not change the answer"
     );
-    assert_eq!(m_col.rows_merged(), m_row.rows_merged());
-    assert_eq!(m_col.rows_emitted(), m_row.rows_emitted());
-    assert_eq!(m_row.bytes_spilled(), 0, "the budget must never trip");
-    (col, m_col)
+    assert_eq!(
+        m_plain.rows_materialized(),
+        m_budgeted.rows_materialized(),
+        "breakers must buffer identical row counts with and without a budget"
+    );
+    assert_eq!(m_plain.rows_merged(), m_budgeted.rows_merged());
+    assert_eq!(m_plain.rows_emitted(), m_budgeted.rows_emitted());
+    assert_eq!(m_budgeted.bytes_spilled(), 0, "the budget must never trip");
+    assert_eq!(
+        (m_budgeted.rows_kernel(), m_budgeted.rows_fallback()),
+        (m_unbounded.rows_kernel(), m_unbounded.rows_fallback()),
+        "a budget must not cost the kernel path"
+    );
+    (plain, m_plain)
 }
 
 /// Asserts that the plan fails with the reference evaluator's exact error
@@ -341,6 +340,23 @@ fn division_by_zero_bails_to_the_row_paths_exact_error() {
     );
 }
 
+#[test]
+fn integer_overflow_bails_to_the_row_paths_exact_error() {
+    let bag: Bag = [1, 2, i64::MAX, 3]
+        .into_iter()
+        .map(|v| row(vec![("v", Value::Int(v))]))
+        .collect();
+    for op in [ScalarOp::Add, ScalarOp::Mul] {
+        assert_reference_error(&LogicalExpr::Data(bag.clone()).bind("x").map_project(
+            ScalarExpr::binary(
+                op,
+                ScalarExpr::var_field("x", "v"),
+                ScalarExpr::constant(2i64),
+            ),
+        ));
+    }
+}
+
 /// An equi-join of `left` and `right` on field `key` of both sides, with
 /// a compound map over the pair — the shape the vectorized join fuses.
 fn join_on(left: Bag, right: Bag, key: &str) -> LogicalExpr {
@@ -362,7 +378,7 @@ fn join_on(left: Bag, right: Bag, key: &str) -> LogicalExpr {
 #[test]
 fn join_vectorizes_build_and_probe_rows() {
     let plan = join_on(people(400), people(40), "id");
-    let (answer, metrics) = assert_engines_agree_unbounded(&plan);
+    let (answer, metrics) = assert_engines_agree(&plan);
     assert_eq!(answer.len(), 400 * 40 / 16, "~25 matches per probe row");
     assert_eq!(
         metrics.rows_kernel(),
@@ -393,7 +409,7 @@ fn join_float_and_nan_keys_match_under_total_cmp() {
             .collect()
     };
     let plan = join_on(side(3), side(2), "id");
-    let (answer, metrics) = assert_engines_agree_unbounded(&plan);
+    let (answer, metrics) = assert_engines_agree(&plan);
     // Every key matches only itself: 6 distinct keys × 3 × 2 pairs.
     assert_eq!(answer.len(), 36);
     // The key column mixes floats and ints, so it decodes to boxed values
@@ -433,7 +449,7 @@ fn join_string_keys_hash_by_content_across_allocations() {
         .map(|i| row(vec![("id", Value::from(format!("key-{}", i % 45)))]))
         .collect();
     let plan = join_on(wide_side, dict_side, "id");
-    let (answer, metrics) = assert_engines_agree_unbounded(&plan);
+    let (answer, metrics) = assert_engines_agree(&plan);
     // Shared keys are key-0..key-5: each appears 2× left and 20× right.
     assert_eq!(answer.len(), 6 * 2 * 20);
     assert_eq!(metrics.rows_kernel(), 210, "both sides stay vectorized");

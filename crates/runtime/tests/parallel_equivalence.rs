@@ -362,8 +362,8 @@ fn executor_stats_report_serial_counts_at_any_thread_count() {
 }
 
 // ---------------------------------------------------------------------
-// Heterogeneity-aware adaptive scheduling: answers must be identical to
-// the pinned scheduler's at every thread count.
+// The heterogeneity-aware build-side choice: answers must be identical
+// to the pinned choice's at every thread count.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -395,9 +395,8 @@ fn adaptive_scheduling_matches_pinned_answers_on_random_plans() {
 
 #[test]
 fn adaptive_deep_pipeline_is_stable_across_repeated_contended_runs() {
-    // Adaptive claiming varies morsel boundaries with observed worker
-    // speed, so repeated contended runs exercise many different claim
-    // sequences — the answer must never move.
+    // Repeated contended runs with adaptivity engaged exercise many
+    // different claim interleavings — the answer must never move.
     let resolved = ResolvedExecs::default();
     let physical = lower(&deep_pipeline_plan(2_000, 400)).expect("lowers");
     let pinned = evaluate(
@@ -420,7 +419,7 @@ fn adaptive_deep_pipeline_is_stable_across_repeated_contended_runs() {
             let out = evaluate(&physical, &resolved, options).expect("adaptive evaluates");
             assert_eq!(
                 out, pinned,
-                "run {run}, {threads} threads: adaptive claiming must not change the answer"
+                "run {run}, {threads} threads: adaptivity must not change the answer"
             );
         }
     }

@@ -222,9 +222,10 @@ fn deep_join_distinct_pipeline_spills_and_matches() {
     }
 }
 
-/// The build side detects a budget trip once per batch, so the batch size
-/// bounds the overshoot: at `batch_rows: 1` the tracked peak stays within
-/// one build row of the budget.
+/// The build loop acts on a budget trip at the row that caused it, so the
+/// tracked peak stays within one build row of the budget (pinned at
+/// `batch_rows: 1`, where the bound also held while trips were detected
+/// per batch).
 #[test]
 fn join_build_overshoots_the_budget_by_at_most_one_batch() {
     const BUDGET: usize = 16 * 1024;
@@ -248,6 +249,69 @@ fn join_build_overshoots_the_budget_by_at_most_one_batch() {
     assert!(
         peak <= BUDGET + ONE_ROW,
         "peak {peak} overshoots the {BUDGET}-byte budget by more than one row"
+    );
+}
+
+/// A budget costs the disk, not the kernels: a join over two fusable
+/// scans keeps its vectorized sides while its ~10x-budget build side
+/// goes Grace, with the tracked peak inside the same ~1.02x bound.
+#[test]
+fn fused_join_spills_within_the_peak_bound_and_keeps_its_kernels() {
+    let side = |rows: usize, tag: &str| -> Bag {
+        (0..rows)
+            .map(|i| person((i % 4_500) as i64, &format!("{tag}{i}"), (i % 199) as i64))
+            .collect()
+    };
+    let plan = LogicalExpr::Join {
+        left: Box::new(LogicalExpr::Data(side(6_000, "p")).bind("x")),
+        right: Box::new(LogicalExpr::Data(side(4_500, "r")).bind("y")),
+        predicate: Some(ScalarExpr::binary(
+            ScalarOp::Eq,
+            ScalarExpr::var_field("x", "id"),
+            ScalarExpr::var_field("y", "id"),
+        )),
+    }
+    .map_project(ScalarExpr::StructLit(vec![
+        ("name".into(), ScalarExpr::var_field("x", "name")),
+        ("peer".into(), ScalarExpr::var_field("y", "name")),
+    ]));
+    let resolved = ResolvedExecs::default();
+    let physical = lower(&plan).expect("lowers");
+
+    let unbounded = PipelineMetrics::new();
+    let expected = evaluate_physical_with(
+        &physical,
+        &resolved,
+        &unbounded,
+        opts(1, MemBudget::Unbounded),
+    )
+    .expect("unbounded evaluates");
+    assert_eq!(expected.len(), 6_000);
+    assert_eq!(unbounded.rows_kernel(), 10_500, "both sides vectorize");
+
+    let metrics = PipelineMetrics::new();
+    let out = evaluate_physical_with(
+        &physical,
+        &resolved,
+        &metrics,
+        opts(1, MemBudget::Bytes(INNER_BUDGET)),
+    )
+    .expect("budgeted evaluates");
+    assert_eq!(out, expected);
+    assert_eq!(metrics.rows_materialized(), unbounded.rows_materialized());
+    assert!(
+        metrics.bytes_spilled() > 0,
+        "a ~10x-budget build must spill"
+    );
+    assert_eq!(
+        metrics.rows_kernel(),
+        unbounded.rows_kernel(),
+        "the budget must not evict the join from the kernel path"
+    );
+    let peak = metrics.peak_tracked_bytes();
+    assert!(
+        peak <= PEAK_BOUND,
+        "peak {peak} exceeds ~1.02x of the {INNER_BUDGET}-byte budget"
     );
 }
 

@@ -302,8 +302,8 @@ fn degraded_source_streams_slowly_but_equivalently() {
 
 // ---------------------------------------------------------------------
 // Adaptive scheduling over streamed federations: the adaptive build-side
-// choice (build whichever source answered first) and rate-scaled claims
-// must be answer-transparent.
+// choice (build whichever source answered first) must be
+// answer-transparent.
 // ---------------------------------------------------------------------
 
 fn execute_adaptive(
@@ -363,6 +363,46 @@ fn adaptive_scheduling_is_transparent_over_streamed_federations() {
             );
         }
     }
+}
+
+/// The E10h shape on the serial engine: a join probed by a source that
+/// trickles its chunks must hand finished rows downstream as they come,
+/// not sit on them until a whole output batch has filled (which, with
+/// fewer probe rows than a batch, meant until the slow source was done).
+#[test]
+fn join_probed_by_a_slow_source_emits_its_first_row_early_at_one_thread() {
+    let slow = NetworkProfile {
+        real_sleep: true,
+        availability: Availability::Degraded { chunk_extra_ms: 8 },
+        ..instant_profile(4)
+    };
+    let federation = federation_with(&[slow, instant_profile(4)], 40, 0xE10);
+    let side = |i: usize, var: &str| {
+        LogicalExpr::get(format!("person{i}"))
+            .submit(format!("r{i}"), format!("w{i}"), format!("person{i}"))
+            .bind(var)
+    };
+    let plan = LogicalExpr::Join {
+        left: Box::new(side(0, "x")),
+        right: Box::new(side(1, "y")),
+        predicate: Some(ScalarExpr::binary(
+            ScalarOp::Eq,
+            ScalarExpr::var_field("x", "id"),
+            ScalarExpr::var_field("y", "id"),
+        )),
+    }
+    .map_project(ScalarExpr::var_field("x", "name"));
+    let answer = execute_adaptive(&federation, &plan, 1, AdaptiveMode::On);
+    assert!(answer.is_complete());
+    assert!(!answer.data().is_empty(), "the sides share ids");
+    // Ten chunks at 8 ms each bound the execution from below; the first
+    // chunk's matches must be out long before the last chunk lands.
+    let first = answer.time_to_first_row().expect("rows were emitted");
+    let total = answer.stats().elapsed;
+    assert!(
+        first * 2 < total,
+        "first row after {first:?} of a {total:?} execution: the join held its rows back"
+    );
 }
 
 // ---------------------------------------------------------------------
