@@ -468,11 +468,7 @@ impl Mediator {
     pub fn query(&self, query: &str) -> Result<Answer> {
         let plan = match self.plan_cache.get(query, self.catalog.generation()) {
             Some(plan) => plan,
-            None => {
-                let plan = self.explain(query)?;
-                self.plan_cache.put(&plan);
-                plan
-            }
+            None => self.plan_cache.insert(self.explain(query)?),
         };
         let executor = Executor::new(self.registry.clone())
             .with_deadline(self.deadline)

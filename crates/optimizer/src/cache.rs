@@ -4,10 +4,15 @@
 //! updates to extents, and modify or recompute plans that are affected by
 //! updates to the extents understood by the mediator."  The catalog bumps
 //! a generation counter on every schema/extent change; cached plans carry
-//! the generation they were built against and are discarded when it no
-//! longer matches.
+//! the generation they were built against and never hit at another one.
+//! Storing a plan purges the plans of older generations, so after a DDL
+//! operation the cache holds garbage only until the next miss is planned.
+//!
+//! Plans are shared, not copied: a hit hands out the cached `Arc`.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -16,9 +21,9 @@ use crate::planner::Plan;
 /// A cache of optimized plans keyed by query text.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    plans: RwLock<BTreeMap<String, Plan>>,
-    hits: RwLock<u64>,
-    misses: RwLock<u64>,
+    plans: RwLock<BTreeMap<String, Arc<Plan>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl PlanCache {
@@ -29,34 +34,63 @@ impl PlanCache {
     }
 
     /// Looks up a cached plan for `query`, returning it only when it was
-    /// built against the current catalog generation; stale entries are
-    /// removed.
+    /// built against `current_generation`.  An entry of an *older*
+    /// generation is removed; one of a newer generation is left alone —
+    /// the caller is a query still running on an old catalog snapshot,
+    /// and the entry is fresh for everyone after it.
     #[must_use]
-    pub fn get(&self, query: &str, current_generation: u64) -> Option<Plan> {
-        let cached = self.plans.read().get(query).cloned();
+    pub fn get(&self, query: &str, current_generation: u64) -> Option<Arc<Plan>> {
+        let cached =
+            self.plans.read().get(query).map(|plan| {
+                (plan.catalog_generation == current_generation).then(|| Arc::clone(plan))
+            });
         match cached {
-            Some(plan) if plan.catalog_generation == current_generation => {
-                *self.hits.write() += 1;
-                Some(plan)
+            Some(Some(plan)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(plan);
             }
-            Some(_) => {
-                // Stale: an extent was added or removed since the plan was built.
-                self.plans.write().remove(query);
-                *self.misses.write() += 1;
-                None
+            Some(None) => {
+                // Decided again under the write lock: the entry seen above
+                // may have been replaced by a fresh one since.
+                let mut plans = self.plans.write();
+                if plans
+                    .get(query)
+                    .is_some_and(|plan| plan.catalog_generation < current_generation)
+                {
+                    plans.remove(query);
+                }
             }
-            None => {
-                *self.misses.write() += 1;
-                None
-            }
+            None => {}
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
-    /// Stores a plan under its query text (no-op for plans without text).
+    /// Stores a copy of `plan` under its query text (no-op for plans
+    /// without text).
     pub fn put(&self, plan: &Plan) {
+        self.insert(plan.clone());
+    }
+
+    /// Stores `plan` under its query text and returns the shared handle
+    /// the cache holds (for a plan without text, a handle it does not
+    /// hold).  Plans built against an older catalog generation than
+    /// `plan`'s can never hit again and are dropped here.
+    pub fn insert(&self, plan: Plan) -> Arc<Plan> {
+        let plan = Arc::new(plan);
         if let Some(query) = &plan.query {
-            self.plans.write().insert(query.clone(), plan.clone());
+            let mut plans = self.plans.write();
+            let generation = plan.catalog_generation;
+            plans.retain(|_, p| p.catalog_generation >= generation);
+            // A plan of an older snapshot does not displace a fresher one.
+            if plans
+                .get(query)
+                .is_none_or(|p| p.catalog_generation <= generation)
+            {
+                plans.insert(query.clone(), Arc::clone(&plan));
+            }
         }
+        plan
     }
 
     /// Number of cached plans.
@@ -74,7 +108,10 @@ impl PlanCache {
     /// `(hits, misses)` counters.
     #[must_use]
     pub fn stats(&self) -> (u64, u64) {
-        (*self.hits.read(), *self.misses.read())
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
     }
 
     /// Clears the cache.
@@ -128,6 +165,63 @@ mod tests {
         assert!(cache.get(query, cat.generation()).is_none());
         assert!(cache.is_empty());
         assert_eq!(cache.stats().1, 1);
+    }
+
+    /// A text planned for `generation` (the plan itself does not matter).
+    fn plan_at(query: &str, generation: u64) -> Plan {
+        let optimizer = Optimizer::new(BTreeMap::<String, CapabilitySet>::new());
+        let mut plan = optimizer
+            .optimize_text("select x.name from x in person", &catalog())
+            .unwrap();
+        plan.query = Some(query.to_owned());
+        plan.catalog_generation = generation;
+        plan
+    }
+
+    #[test]
+    fn a_lookup_from_an_old_snapshot_does_not_evict_a_fresh_plan() {
+        let cache = PlanCache::new();
+        // Session B, on generation 6, has just planned and stored `q`.
+        cache.put(&plan_at("q", 6));
+        // Session A still runs on its generation-5 snapshot: a miss for
+        // A, but the plan is fresh for everyone after it and must stay.
+        assert!(cache.get("q", 5).is_none());
+        assert_eq!(cache.len(), 1, "a fresh plan was evicted as stale");
+        assert!(cache.get("q", 6).is_some());
+        // A then stores its own generation-5 plan: it neither displaces
+        // B's nor survives the next store at generation 6.
+        cache.put(&plan_at("q", 5));
+        assert!(cache.get("q", 6).is_some());
+        cache.put(&plan_at("only-at-5", 5));
+        cache.put(&plan_at("r", 6));
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get("only-at-5", 5).is_none());
+        // An entry that *is* older than the caller's generation goes.
+        assert!(cache.get("q", 7).is_none());
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats(), (2, 3));
+    }
+
+    #[test]
+    fn storing_a_plan_drops_the_plans_of_older_generations() {
+        let cache = PlanCache::new();
+        for text in ["a", "b", "c"] {
+            cache.put(&plan_at(text, 1));
+        }
+        assert_eq!(cache.len(), 3);
+        // One DDL operation later nothing asks for `b` or `c` again; the
+        // first plan stored at the new generation clears them out.
+        cache.put(&plan_at("a", 2));
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get("a", 2).is_some());
+    }
+
+    #[test]
+    fn a_hit_shares_the_cached_plan() {
+        let cache = PlanCache::new();
+        let stored = cache.insert(plan_at("q", 1));
+        let hit = cache.get("q", 1).unwrap();
+        assert!(Arc::ptr_eq(&stored, &hit));
     }
 
     #[test]

@@ -82,20 +82,42 @@ struct Degradation {
     excess_ms: f64,
 }
 
+/// What the store knows about one repository.
 #[derive(Debug, Default)]
-struct StoreInner {
-    /// Exact observations keyed by `(repository, plan text)`.
-    exact: BTreeMap<(String, String), Vec<Observation>>,
-    /// Close-match observations keyed by `(repository, plan fingerprint)`.
-    close: BTreeMap<(String, String), Vec<Observation>>,
-    /// Per-repository degradation state, keyed by repository name.
-    degraded: BTreeMap<String, Degradation>,
+struct RepositoryRecord {
+    /// Exact observations keyed by plan text.
+    exact: BTreeMap<String, Vec<Observation>>,
+    /// Close-match observations keyed by plan fingerprint.
+    close: BTreeMap<String, Vec<Observation>>,
+    degraded: Option<Degradation>,
+}
+
+impl RepositoryRecord {
+    fn penalty_ms(&self) -> f64 {
+        self.degraded.map_or(0.0, |d| d.excess_ms)
+    }
 }
 
 /// Thread-safe store of recorded `exec` calls with smoothing.
+///
+/// Records are grouped by repository, so a lookup borrows the repository
+/// name and the rendered expression instead of building an owned key.
 #[derive(Debug, Default)]
 pub struct CalibrationStore {
-    inner: RwLock<StoreInner>,
+    repositories: RwLock<BTreeMap<String, RepositoryRecord>>,
+}
+
+/// The record of `repository`, created on first use.
+fn record_of<'a>(
+    repositories: &'a mut BTreeMap<String, RepositoryRecord>,
+    repository: &str,
+) -> &'a mut RepositoryRecord {
+    if !repositories.contains_key(repository) {
+        repositories.insert(repository.to_owned(), RepositoryRecord::default());
+    }
+    repositories
+        .get_mut(repository)
+        .expect("present or just inserted")
 }
 
 impl CalibrationStore {
@@ -113,11 +135,14 @@ impl CalibrationStore {
             time_ms,
             rows: rows as f64,
         };
-        let exact_key = (repository.to_owned(), expr.to_string());
-        let close_key = (repository.to_owned(), expr.fingerprint());
-        let mut inner = self.inner.write();
-        push_capped(&mut inner.exact, exact_key, obs);
-        push_capped(&mut inner.close, close_key, obs);
+        // Rendered before the lock is taken: every call of every query
+        // records here.
+        let text = expr.to_string();
+        let fingerprint = expr.fingerprint();
+        let mut repositories = self.repositories.write();
+        let record = record_of(&mut repositories, repository);
+        push_capped(&mut record.exact, text, obs);
+        push_capped(&mut record.close, fingerprint, obs);
     }
 
     /// Feeds one observed source call into the repository's degradation
@@ -137,11 +162,10 @@ impl CalibrationStore {
         }
         #[allow(clippy::cast_precision_loss)]
         let per_row = latency_ms / rows.max(1) as f64;
-        let mut inner = self.inner.write();
-        let entry = inner
+        let mut repositories = self.repositories.write();
+        let entry = record_of(&mut repositories, repository)
             .degraded
-            .entry(repository.to_owned())
-            .or_insert(Degradation {
+            .get_or_insert(Degradation {
                 best_per_row_ms: per_row,
                 excess_ms: 0.0,
             });
@@ -158,11 +182,10 @@ impl CalibrationStore {
     /// baseline — `0.0` for an untracked or healthy repository.
     #[must_use]
     pub fn degradation_ms(&self, repository: &str) -> f64 {
-        self.inner
+        self.repositories
             .read()
-            .degraded
             .get(repository)
-            .map_or(0.0, |d| d.excess_ms)
+            .map_or(0.0, RepositoryRecord::penalty_ms)
     }
 
     /// Estimates the cost of an `exec` call against `repository` shipping
@@ -173,69 +196,69 @@ impl CalibrationStore {
     /// call shapes alone suggest.
     #[must_use]
     pub fn estimate(&self, repository: &str, expr: &LogicalExpr) -> CostEstimate {
-        let inner = self.inner.read();
-        let penalty = inner.degraded.get(repository).map_or(0.0, |d| d.excess_ms);
-        let exact_key = (repository.to_owned(), expr.to_string());
-        if let Some(observations) = inner.exact.get(&exact_key) {
-            if !observations.is_empty() {
-                let (time_ms, rows) = smooth(observations);
-                return CostEstimate {
-                    time_ms: time_ms + penalty,
-                    rows,
-                    source: MatchKind::Exact,
-                };
-            }
-        }
-        let close_key = (repository.to_owned(), expr.fingerprint());
-        if let Some(observations) = inner.close.get(&close_key) {
-            if !observations.is_empty() {
-                let (time_ms, rows) = smooth(observations);
-                return CostEstimate {
-                    time_ms: time_ms + penalty,
-                    rows,
-                    source: MatchKind::Close,
-                };
-            }
-        }
-        let mut estimate = CostEstimate::default_estimate();
-        estimate.time_ms += penalty;
-        estimate
+        let repositories = self.repositories.read();
+        let Some(record) = repositories.get(repository) else {
+            return CostEstimate::default_estimate();
+        };
+        let penalty = record.penalty_ms();
+        let matched = |observations: Option<&Vec<Observation>>, source| {
+            let observations = observations.filter(|o| !o.is_empty())?;
+            let (time_ms, rows) = smooth(observations);
+            Some(CostEstimate {
+                time_ms: time_ms + penalty,
+                rows,
+                source,
+            })
+        };
+        matched(record.exact.get(&expr.to_string()), MatchKind::Exact)
+            .or_else(|| matched(record.close.get(&expr.fingerprint()), MatchKind::Close))
+            .unwrap_or_else(|| {
+                let mut estimate = CostEstimate::default_estimate();
+                estimate.time_ms += penalty;
+                estimate
+            })
     }
 
     /// Number of distinct exact call shapes recorded.
     #[must_use]
     pub fn exact_shapes(&self) -> usize {
-        self.inner.read().exact.len()
+        self.repositories
+            .read()
+            .values()
+            .map(|r| r.exact.len())
+            .sum()
     }
 
     /// Number of distinct close-match (fingerprint) shapes recorded.
     #[must_use]
     pub fn close_shapes(&self) -> usize {
-        self.inner.read().close.len()
+        self.repositories
+            .read()
+            .values()
+            .map(|r| r.close.len())
+            .sum()
     }
 
     /// Total number of stored observations (exact side).
     #[must_use]
     pub fn observation_count(&self) -> usize {
-        self.inner.read().exact.values().map(Vec::len).sum()
+        self.repositories
+            .read()
+            .values()
+            .flat_map(|r| r.exact.values())
+            .map(Vec::len)
+            .sum()
     }
 
     /// Clears every recorded observation and degradation state.
     pub fn clear(&self) {
-        let mut inner = self.inner.write();
-        inner.exact.clear();
-        inner.close.clear();
-        inner.degraded.clear();
+        self.repositories.write().clear();
     }
 }
 
 /// Appends an observation, keeping only the most recent
 /// [`MAX_OBSERVATIONS`] entries per key.
-fn push_capped(
-    map: &mut BTreeMap<(String, String), Vec<Observation>>,
-    key: (String, String),
-    obs: Observation,
-) {
+fn push_capped(map: &mut BTreeMap<String, Vec<Observation>>, key: String, obs: Observation) {
     let entry = map.entry(key).or_default();
     entry.push(obs);
     if entry.len() > MAX_OBSERVATIONS {

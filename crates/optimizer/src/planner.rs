@@ -148,15 +148,19 @@ impl Optimizer {
         let lookup = self.capabilities.as_ref();
 
         let mut alternatives: Vec<PlanAlternative> = Vec::new();
-        let push_alternative = |strategy: &'static str,
-                                logical: LogicalExpr,
-                                alternatives: &mut Vec<PlanAlternative>|
+        // The physical plan each alternative was costed on, so that the
+        // winner is not lowered a second time.
+        let mut physicals: Vec<PhysicalExpr> = Vec::new();
+        let mut push_alternative = |strategy: &'static str,
+                                    logical: LogicalExpr,
+                                    alternatives: &mut Vec<PlanAlternative>|
          -> Result<()> {
             if alternatives.iter().any(|a| a.logical == logical) {
                 return Ok(());
             }
             let physical = lower(&logical)?;
             let cost = self.cost_model.cost(&physical);
+            physicals.push(physical);
             alternatives.push(PlanAlternative {
                 strategy,
                 logical,
@@ -199,7 +203,7 @@ impl Optimizer {
             .map(|(i, _)| i)
             .unwrap_or(0);
         let chosen = alternatives[best].clone();
-        let physical = lower(&chosen.logical)?;
+        let physical = physicals.swap_remove(best);
         Ok(Plan {
             query: None,
             catalog_generation,

@@ -8,20 +8,27 @@
 //! query evaluation stops" and the sources that have not answered are
 //! classified unavailable.
 //!
+//! "In parallel" does not mean a thread each: the calls of every query
+//! are queued on one process-wide call executor (`calls.rs`) whose
+//! runners are bounded by the machine, not by the number of sources.  A
+//! call that waits mid-flight — a sleeping link, producer backpressure —
+//! gives up its runner for the duration, so every call is still *issued*
+//! at once and a wide plan costs a queue entry per source, not a thread.
+//!
 //! # Streamed resolution
 //!
 //! [`resolve_execs_streamed`] returns immediately: every call becomes a
-//! [`PendingSource`] — a spool the wrapper thread fills with mapped,
+//! [`PendingSource`] — a spool its wrapper call fills with mapped,
 //! type-checked row chunks while the cursor pipeline is already pulling
 //! through [`crate::pipeline`]'s pending scans.  The slowest repository
 //! no longer gates the start of the combine step.  At the execution
 //! deadline, spools that are still streaming flip to unavailable, the
 //! wrapper call is cancelled (so a timed-out call does not keep running
-//! detached in the background), and the executor falls back to partial
-//! evaluation over the finalized outcomes.
+//! in the background, and a call still queued never starts), and the
+//! executor falls back to partial evaluation over the finalized outcomes.
 //!
 //! [`resolve_execs`] is the materializing helper over the same machinery:
-//! spawn every call, wait for all spools (bounded by the deadline) and
+//! queue every call, wait for all spools (bounded by the deadline) and
 //! finalize them, so there is one classification and cancellation logic.
 //! The executor never calls it; oracles and staged measurements do.
 //!
@@ -45,28 +52,24 @@ use disco_wrapper::{
     AnswerSink, Wrapper, WrapperError, WrapperRegistry,
 };
 
+use crate::calls::{blocking, CallExecutor, QueuedCall};
 use crate::pipeline::spill::{self, SpillFile};
 use crate::pipeline::PipelineOptions;
 use crate::pool::SourcePool;
-use crate::{Result, RuntimeError};
-
-/// Locks a mutex, ignoring poisoning (the guarded state stays consistent:
-/// producers never panic while holding the lock, and a contained wrapper
-/// panic is surfaced separately as `WorkerPanic`).
-fn lock<T>(mutex: &StdMutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::{lock, Result, RuntimeError};
 
 /// Identity of one `exec` call (used to de-duplicate identical calls and to
-/// join results back into the plan).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// join results back into the plan).  Two calls are the same call when
+/// they ship the same expression to the same extent of the same
+/// repository; the expression is compared structurally, never rendered.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecKey {
     /// Repository name.
     pub repository: String,
     /// Extent name.
     pub extent: String,
-    /// Display form of the shipped (mediator name space) expression.
-    pub expr: String,
+    /// The shipped (mediator name space) expression.
+    pub expr: LogicalExpr,
 }
 
 impl ExecKey {
@@ -76,8 +79,12 @@ impl ExecKey {
         ExecKey {
             repository: repository.to_owned(),
             extent: extent.to_owned(),
-            expr: expr.to_string(),
+            expr: expr.clone(),
         }
+    }
+
+    fn is(&self, repository: &str, extent: &str, expr: &LogicalExpr) -> bool {
+        self.repository == repository && self.extent == extent && self.expr == *expr
     }
 }
 
@@ -90,11 +97,10 @@ pub enum ExecOutcome {
     /// The source did not answer (unavailable, or still blocked at the
     /// deadline).
     Unavailable,
-    /// The call is still streaming: the wrapper thread pushes mapped,
-    /// type-checked row chunks into the [`PendingSource`] spool while the
-    /// pipeline pulls.  Finalization
-    /// ([`ResolvedExecs::finalize_streamed`]) turns this into
-    /// [`ExecOutcome::Rows`] or [`ExecOutcome::Unavailable`].
+    /// The call is still streaming: it pushes mapped, type-checked row
+    /// chunks into the [`PendingSource`] spool while the pipeline pulls.
+    /// Finalization ([`ResolvedExecs::finalize_streamed`]) turns this
+    /// into [`ExecOutcome::Rows`] or [`ExecOutcome::Unavailable`].
     Pending(Arc<PendingSource>),
 }
 
@@ -114,15 +120,24 @@ impl PartialEq for ExecOutcome {
 /// status), so consumers waiting on *any* source (a union polling its
 /// branches) park on one condition variable.
 pub(crate) struct ResolutionEvents {
-    generation: StdMutex<u64>,
+    progress: StdMutex<Progressed>,
     arrived: Condvar,
     deadline: Option<Instant>,
+}
+
+/// What the condition variable of a [`ResolutionEvents`] guards.
+#[derive(Debug, Default)]
+struct Progressed {
+    generation: u64,
+    /// Threads parked on `arrived`; a notify with none skips the wake-up
+    /// call (a system call per chunk otherwise).
+    waiters: usize,
 }
 
 impl std::fmt::Debug for ResolutionEvents {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResolutionEvents")
-            .field("generation", &*lock(&self.generation))
+            .field("progress", &*lock(&self.progress))
             .field("deadline", &self.deadline)
             .finish()
     }
@@ -131,7 +146,7 @@ impl std::fmt::Debug for ResolutionEvents {
 impl ResolutionEvents {
     pub(crate) fn new(deadline: Option<Instant>) -> Self {
         ResolutionEvents {
-            generation: StdMutex::new(0),
+            progress: StdMutex::new(Progressed::default()),
             arrived: Condvar::new(),
             deadline,
         }
@@ -140,7 +155,7 @@ impl ResolutionEvents {
     /// The current generation; read **before** inspecting spool state so
     /// that [`ResolutionEvents::wait_after`] cannot miss a wakeup.
     pub(crate) fn generation(&self) -> u64 {
-        *lock(&self.generation)
+        lock(&self.progress).generation
     }
 
     /// Whether the execution deadline has already passed.
@@ -149,38 +164,83 @@ impl ResolutionEvents {
     }
 
     fn notify(&self) {
-        *lock(&self.generation) += 1;
-        self.arrived.notify_all();
+        let waiters = {
+            let mut progress = lock(&self.progress);
+            progress.generation += 1;
+            progress.waiters
+        };
+        if waiters > 0 {
+            self.arrived.notify_all();
+        }
+    }
+
+    /// Parks on `arrived` until notified or `until` passes, counted as a
+    /// waiter meanwhile.
+    fn park<'a>(
+        &self,
+        mut progress: MutexGuard<'a, Progressed>,
+        until: Option<Instant>,
+    ) -> MutexGuard<'a, Progressed> {
+        progress.waiters += 1;
+        progress = match until {
+            None => self
+                .arrived
+                .wait(progress)
+                .unwrap_or_else(PoisonError::into_inner),
+            Some(until) => {
+                let left = until.saturating_duration_since(Instant::now());
+                self.arrived
+                    .wait_timeout(progress, left)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+        };
+        progress.waiters -= 1;
+        progress
     }
 
     /// Blocks until the generation moves past `seen` (some source made
     /// progress) or the deadline passes; returns `false` on deadline.
+    ///
+    /// Every wait of a resolution ends up here or in
+    /// [`ResolutionEvents::park_until`] — consumers behind a source,
+    /// producers under backpressure, a nested query (a mediator behind a
+    /// wrapper) waiting for its own calls — so this is where a call
+    /// worker declares that it blocks and gives up its runner slot.
     pub(crate) fn wait_after(&self, seen: u64) -> bool {
-        let mut generation = lock(&self.generation);
-        loop {
-            if *generation != seen {
-                return true;
-            }
-            match self.deadline {
-                None => {
-                    generation = self
-                        .arrived
-                        .wait(generation)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(at) => {
-                    let now = Instant::now();
-                    if now >= at {
-                        return false;
-                    }
-                    let (guard, _timeout) = self
-                        .arrived
-                        .wait_timeout(generation, at - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    generation = guard;
-                }
-            }
+        if lock(&self.progress).generation != seen {
+            return true;
         }
+        blocking(|| {
+            let mut progress = lock(&self.progress);
+            loop {
+                if progress.generation != seen {
+                    return true;
+                }
+                if self.deadline_passed() {
+                    return false;
+                }
+                progress = self.park(progress, self.deadline);
+            }
+        })
+    }
+
+    /// Parks until `until`, returning `false` as soon as `stop()` holds.
+    /// `stop` is re-read after every [`ResolutionEvents::notify`], under
+    /// the lock `notify` takes: a stop raised before its notify is seen.
+    fn park_until(&self, until: Instant, stop: impl Fn() -> bool) -> bool {
+        blocking(|| {
+            let mut progress = lock(&self.progress);
+            loop {
+                if stop() {
+                    return false;
+                }
+                if Instant::now() >= until {
+                    return true;
+                }
+                progress = self.park(progress, Some(until));
+            }
+        })
     }
 }
 
@@ -410,13 +470,12 @@ impl SpoolCaps {
     }
 }
 
-/// A channel-backed *pending answer*: the spool one wrapper thread fills
+/// A channel-backed *pending answer*: the spool one wrapper call fills
 /// with mapped, type-checked rows while any number of pipeline cursors
 /// read it (each with its own read index — duplicate scans of the same
 /// `exec` key share one call).
 pub struct PendingSource {
-    repository: String,
-    extent: String,
+    key: Arc<ExecKey>,
     events: Arc<ResolutionEvents>,
     /// Set at the deadline (or on hard failure): tells the wrapper call to
     /// stop producing — the fix for timed-out calls running detached
@@ -430,6 +489,12 @@ pub struct PendingSource {
     /// its wrapper was invoked, in microseconds; folded into the
     /// query's `source_wait` at finalization.
     queue_wait_us: AtomicU64,
+    /// `total rows << 1 | terminal`, republished under the state lock by
+    /// everything that appends rows or ends the stream, so that
+    /// [`PendingSource::ready`] — polled over every branch of a union —
+    /// takes no lock.  A hint only: rows and status are read under the
+    /// lock.
+    announced: AtomicUsize,
     state: StdMutex<SpoolState>,
 }
 
@@ -437,8 +502,8 @@ impl std::fmt::Debug for PendingSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = lock(&self.state);
         f.debug_struct("PendingSource")
-            .field("repository", &self.repository)
-            .field("extent", &self.extent)
+            .field("repository", &self.key.repository)
+            .field("extent", &self.key.extent)
             .field("rows", &state.rows.len())
             .field("status", &state.status)
             .finish()
@@ -446,19 +511,14 @@ impl std::fmt::Debug for PendingSource {
 }
 
 impl PendingSource {
-    fn new(
-        repository: String,
-        extent: String,
-        events: Arc<ResolutionEvents>,
-        budget: Option<usize>,
-    ) -> Self {
+    fn new(key: Arc<ExecKey>, events: Arc<ResolutionEvents>, budget: Option<usize>) -> Self {
         PendingSource {
-            repository,
-            extent,
+            key,
             events,
             cancel: AtomicBool::new(false),
             caps: SpoolCaps::from_budget(budget),
             queue_wait_us: AtomicU64::new(0),
+            announced: AtomicUsize::new(0),
             state: StdMutex::new(SpoolState {
                 rows: Vec::new(),
                 base: 0,
@@ -475,7 +535,17 @@ impl PendingSource {
     /// The repository this call targets.
     #[must_use]
     pub fn repository(&self) -> &str {
-        &self.repository
+        &self.key.repository
+    }
+
+    /// Republishes the lock-free progress hint; called with the state
+    /// lock held, after rows were appended or the status changed.
+    fn announce(&self, state: &SpoolState) {
+        let terminal = !matches!(state.status, SpoolStatus::Streaming);
+        self.announced.store(
+            state.total_rows() << 1 | usize::from(terminal),
+            Ordering::Release,
+        );
     }
 
     /// Whether the consumer side disconnected (deadline or hard error).
@@ -484,21 +554,36 @@ impl PendingSource {
     }
 
     /// Disconnects the wrapper call: it observes cancellation at its next
-    /// chunk boundary (or sleep slice) and returns.
+    /// chunk boundary — at once if it is sleeping out a link delay
+    /// ([`PendingSource::pause`]) — and returns; still queued, it is
+    /// dropped from the queue instead of started.
     pub(crate) fn cancel(&self) {
         self.cancel.store(true, Ordering::Relaxed);
         self.events.notify();
     }
 
+    /// Producer side: waits out `delay` of real link time; `false` as
+    /// soon as the call is cancelled.
+    fn pause(&self, delay: Duration) -> bool {
+        self.events
+            .park_until(Instant::now() + delay, || self.is_cancelled())
+    }
+
+    /// The call was cancelled while queued: it never reaches its wrapper.
+    pub(crate) fn abandon(&self) {
+        self.finish(SpoolStatus::Unavailable);
+    }
+
     /// Producer side: appends one chunk; `false` when cancelled.
     ///
     /// Under a bounded budget this is also the backpressure point: when
-    /// the unread disk tier exceeds its cap the wrapper thread *blocks*
-    /// here until a consumer catches up, a finalizer unthrottles the
-    /// spool, the call is cancelled, or the deadline passes (which
-    /// reports cancellation, matching the unavailable classification the
-    /// consumer side is about to apply).  A spill that cannot be written
-    /// ends the stream the same way: the spool flips to unavailable.
+    /// the unread disk tier exceeds its cap the wrapper call *blocks*
+    /// here — without a runner slot of the call executor — until a
+    /// consumer catches up, a finalizer unthrottles the spool, the call
+    /// is cancelled, or the deadline passes (which reports cancellation,
+    /// matching the unavailable classification the consumer side is
+    /// about to apply).  A spill that cannot be written ends the stream
+    /// the same way: the spool flips to unavailable.
     fn push_chunk(&self, mut rows: Vec<Value>) -> bool {
         if self.is_cancelled() {
             return false;
@@ -507,6 +592,7 @@ impl PendingSource {
             {
                 let mut state = lock(&self.state);
                 state.rows.append(&mut rows);
+                self.announce(&state);
             }
             self.events.notify();
             return !self.is_cancelled();
@@ -535,6 +621,7 @@ impl PendingSource {
             let mut state = lock(&self.state);
             state.hot_bytes += rows.iter().map(approx_value_bytes).sum::<usize>();
             state.rows.append(&mut rows);
+            self.announce(&state);
             if state.hot_bytes > caps.hot {
                 state.spill_front(caps.hot)
             } else {
@@ -548,7 +635,7 @@ impl PendingSource {
             // §4 partial answer whose residual names the repository.
             eprintln!(
                 "disco: {err}; classifying {} unavailable to stay within the memory budget",
-                self.repository
+                self.key.repository
             );
             self.timeout();
             return false;
@@ -557,8 +644,9 @@ impl PendingSource {
         !self.is_cancelled()
     }
 
-    /// Records how long the call waited for a [`SourcePool`] permit.
-    fn note_queue_wait(&self, waited: Duration) {
+    /// Records how long the call was held in the queue by its
+    /// repository's [`SourcePool`] cap.
+    pub(crate) fn note_queue_wait(&self, waited: Duration) {
         self.queue_wait_us
             .store(waited.as_micros() as u64, Ordering::Relaxed);
     }
@@ -600,6 +688,7 @@ impl PendingSource {
             // any answer arriving after the deadline.
             if matches!(state.status, SpoolStatus::Streaming) {
                 state.status = status;
+                self.announce(&state);
             }
         }
         self.events.notify();
@@ -612,6 +701,7 @@ impl PendingSource {
                 state.rows_scanned = rows_scanned;
                 state.latency = latency;
                 state.status = SpoolStatus::Done;
+                self.announce(&state);
             }
         }
         self.events.notify();
@@ -632,6 +722,7 @@ impl PendingSource {
             let mut state = lock(&self.state);
             if matches!(state.status, SpoolStatus::Streaming) {
                 state.status = SpoolStatus::Unavailable;
+                self.announce(&state);
             }
         }
         self.cancel();
@@ -640,8 +731,8 @@ impl PendingSource {
     /// Whether a consumer at read index `from` can make progress without
     /// blocking (rows available, or a terminal status to report).
     pub(crate) fn ready(&self, from: usize) -> bool {
-        let state = lock(&self.state);
-        state.total_rows() > from || !matches!(state.status, SpoolStatus::Streaming)
+        let announced = self.announced.load(Ordering::Acquire);
+        announced & 1 == 1 || announced >> 1 > from
     }
 
     /// Non-blocking final-length probe: `Some(total rows)` only when the
@@ -778,8 +869,8 @@ impl PendingSource {
             }
         };
         let stats = SourceCallStats {
-            repository: self.repository.clone(),
-            extent: self.extent.clone(),
+            repository: self.key.repository.clone(),
+            extent: self.key.extent.clone(),
             available,
             rows_returned,
             rows_scanned,
@@ -814,11 +905,11 @@ pub struct ExecutionConfig {
     pub deadline: Option<Duration>,
     /// Record finished calls into the calibration store.
     pub calibration: Option<Arc<CalibrationStore>>,
-    /// Shared wrapper-connection pool gating the wrapper-call threads.
-    /// `None` (the default) spawns every call unqueued; a serving layer
-    /// shares one [`SourcePool`] across all its executors so per-source
-    /// concurrency caps apply across concurrent queries.  Time a call
-    /// spends queued is metered into the query's `source_wait`.
+    /// Shared wrapper-connection pool gating the wrapper calls.  `None`
+    /// (the default) caps no repository; a serving layer shares one
+    /// [`SourcePool`] across all its executors so per-source concurrency
+    /// caps apply across concurrent queries.  Time a call spends held
+    /// back by a cap is metered into the query's `source_wait`.
     pub source_pool: Option<Arc<SourcePool>>,
     /// Cap on the total rows transferred from sources to this query.
     /// Once the budget is exhausted, the still-streaming wrapper calls
@@ -830,9 +921,9 @@ pub struct ExecutionConfig {
     /// The options of the mediator-side combine step (worker threads,
     /// batch size, memory budget, adaptive scheduling), declared once in
     /// [`PipelineOptions`].  Wrapper calls are always issued in parallel,
-    /// one thread per source call, whatever `pipeline.threads` says; a
-    /// bounded `pipeline.mem_budget` also makes every [`PendingSource`]
-    /// spool a hybrid memory/disk buffer.
+    /// on the process-wide call executor, whatever `pipeline.threads`
+    /// says; a bounded `pipeline.mem_budget` also makes every
+    /// [`PendingSource`] spool a hybrid memory/disk buffer.
     pub pipeline: PipelineOptions,
 }
 
@@ -878,15 +969,19 @@ impl RowBudget {
 /// Entries are either materialized ([`ExecOutcome::Rows`] /
 /// [`ExecOutcome::Unavailable`], with stats recorded) or *pending*
 /// ([`ExecOutcome::Pending`]): spools still being filled by wrapper
-/// threads.  [`ResolvedExecs::finalize_streamed`] waits (bounded by the
+/// calls.  [`ResolvedExecs::finalize_streamed`] waits (bounded by the
 /// execution deadline) and materializes every pending entry.
 #[derive(Debug, Clone, Default)]
 pub struct ResolvedExecs {
-    outcomes: BTreeMap<ExecKey, ExecOutcome>,
+    /// Outcomes in a bucket per extent.  Extent names are unique in a
+    /// catalog, so a bucket holds one entry unless a plan ships different
+    /// expressions to the same extent: a lookup from a plan node is one
+    /// map probe plus a structural comparison, with no key built for it.
+    outcomes: BTreeMap<String, Vec<(Arc<ExecKey>, ExecOutcome)>>,
     stats: Vec<SourceCallStats>,
-    /// Pending entries in call-collection order, so finalized stats keep
+    /// Pending spools in call-collection order, so finalized stats keep
     /// call-collection order.
-    pending_order: Vec<ExecKey>,
+    pending_order: Vec<Arc<PendingSource>>,
     /// The shared wakeup channel of a streamed resolution.
     events: Option<Arc<ResolutionEvents>>,
     /// Bytes the pending spools spilled to disk (bounded hot windows),
@@ -903,19 +998,35 @@ impl ResolvedExecs {
         self.events.as_ref()
     }
 
+    fn all_outcomes(&self) -> impl Iterator<Item = (&ExecKey, &ExecOutcome)> {
+        self.outcomes.values().flatten().map(|(k, o)| (&**k, o))
+    }
+
+    /// Inserts or replaces the outcome of `key`.
+    fn set_outcome(&mut self, key: Arc<ExecKey>, outcome: ExecOutcome) {
+        if !self.outcomes.contains_key(&key.extent) {
+            self.outcomes.insert(key.extent.clone(), Vec::new());
+        }
+        let bucket = self.outcomes.get_mut(&key.extent).expect("just ensured");
+        match bucket.iter_mut().find(|(k, _)| *k == key) {
+            Some(entry) => entry.1 = outcome,
+            None => bucket.push((key, outcome)),
+        }
+    }
+
     /// Whether any entry is still a pending (streaming) spool.
     #[must_use]
     pub fn has_pending(&self) -> bool {
-        self.outcomes
-            .values()
-            .any(|o| matches!(o, ExecOutcome::Pending(_)))
+        self.all_outcomes()
+            .any(|(_, o)| matches!(o, ExecOutcome::Pending(_)))
     }
 
     /// Disconnects every pending wrapper call (used when an execution
-    /// aborts on a hard error): each call observes cancellation at its
-    /// next chunk boundary and winds down instead of running detached.
+    /// aborts on a hard error): a running call observes cancellation at
+    /// its next chunk boundary (a sleeping one at once) and winds down, a
+    /// queued one is dropped from the queue.
     pub fn cancel_pending(&self) {
-        for outcome in self.outcomes.values() {
+        for (_, outcome) in self.all_outcomes() {
             if let ExecOutcome::Pending(source) = outcome {
                 source.cancel();
             }
@@ -933,55 +1044,61 @@ impl ResolvedExecs {
     /// Returns the first hard wrapper error or contained wrapper panic,
     /// after cancelling the remaining calls.
     pub fn finalize_streamed(&mut self) -> Result<()> {
-        let keys = std::mem::take(&mut self.pending_order);
+        let pending = std::mem::take(&mut self.pending_order);
         let mut failure: Option<RuntimeError> = None;
-        for key in keys {
-            let Some(ExecOutcome::Pending(source)) = self.outcomes.get(&key) else {
-                continue;
-            };
-            let source = Arc::clone(source);
-            if failure.is_some() {
+        for source in pending {
+            let outcome = if failure.is_some() {
                 // Already failing: disconnect instead of waiting.
                 source.cancel();
-                self.spool_bytes_spilled += source.spilled_bytes();
-                self.queue_wait += source.queue_wait();
-                self.outcomes.insert(key, ExecOutcome::Unavailable);
-                continue;
-            }
-            let (outcome, stats, error) = source.final_outcome();
+                ExecOutcome::Unavailable
+            } else {
+                let (outcome, stats, error) = source.final_outcome();
+                self.stats.push(stats);
+                failure = error;
+                outcome
+            };
             self.spool_bytes_spilled += source.spilled_bytes();
             self.queue_wait += source.queue_wait();
-            self.outcomes.insert(key, outcome);
-            self.stats.push(stats);
-            if let Some(error) = error {
-                failure = Some(error);
-            }
+            self.set_outcome(Arc::clone(&source.key), outcome);
         }
         match failure {
             Some(error) => Err(error),
             None => Ok(()),
         }
     }
+
     /// Looks up the outcome for one call.
     #[must_use]
     pub fn outcome(&self, key: &ExecKey) -> Option<&ExecOutcome> {
-        self.outcomes.get(key)
+        self.outcome_of(&key.repository, &key.extent, &key.expr)
+    }
+
+    /// [`ResolvedExecs::outcome`] for the fields of an `exec` node.
+    pub(crate) fn outcome_of(
+        &self,
+        repository: &str,
+        extent: &str,
+        expr: &LogicalExpr,
+    ) -> Option<&ExecOutcome> {
+        self.outcomes
+            .get(extent)?
+            .iter()
+            .find(|(key, _)| key.is(repository, extent, expr))
+            .map(|(_, outcome)| outcome)
     }
 
     /// Returns `true` when every call succeeded.
     #[must_use]
     pub fn all_available(&self) -> bool {
-        self.outcomes
-            .values()
-            .all(|o| matches!(o, ExecOutcome::Rows(_)))
+        self.all_outcomes()
+            .all(|(_, o)| matches!(o, ExecOutcome::Rows(_)))
     }
 
     /// The repositories that did not answer, sorted and de-duplicated.
     #[must_use]
     pub fn unavailable_repositories(&self) -> Vec<String> {
         let mut out: Vec<String> = self
-            .outcomes
-            .iter()
+            .all_outcomes()
             .filter(|(_, o)| matches!(o, ExecOutcome::Unavailable))
             .map(|(k, _)| k.repository.clone())
             .collect();
@@ -1027,102 +1144,124 @@ impl ResolvedExecs {
 
     /// Inserts an outcome (used by tests and by the executor).
     pub fn insert(&mut self, key: ExecKey, outcome: ExecOutcome, stats: SourceCallStats) {
-        self.outcomes.insert(key, outcome);
+        self.set_outcome(Arc::new(key), outcome);
         self.stats.push(stats);
     }
 }
 
 /// Collects the distinct `exec` calls of a physical plan, including those
-/// nested inside correlated-aggregate sub-plans.
+/// nested inside correlated-aggregate sub-plans, as `(key, wrapper name,
+/// shipped expression)` in plan order.
 #[must_use]
 pub fn collect_exec_calls(plan: &PhysicalExpr) -> Vec<(ExecKey, String, LogicalExpr)> {
-    let mut out: Vec<(ExecKey, String, LogicalExpr)> = Vec::new();
-    let mut push = |repository: &str, wrapper: &str, extent: &str, logical: &LogicalExpr| {
-        let key = ExecKey::new(repository, extent, logical);
-        if !out.iter().any(|(k, _, _)| *k == key) {
-            out.push((key, wrapper.to_owned(), logical.clone()));
+    distinct_calls(plan)
+        .into_iter()
+        .map(|(key, wrapper)| {
+            let shipped = key.expr.clone();
+            (key, wrapper.to_owned(), shipped)
+        })
+        .collect()
+}
+
+/// The distinct calls of `plan` with their wrapper names, in plan order.
+fn distinct_calls(plan: &PhysicalExpr) -> Vec<(ExecKey, &str)> {
+    let mut out: Vec<(ExecKey, &str)> = Vec::new();
+    // Positions in `out`, per extent: a call is compared against the calls
+    // to its own extent only.
+    let mut seen: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    let mut push = |repository: &str, wrapper, extent, shipped: &LogicalExpr| {
+        let same_extent = seen.entry(extent).or_default();
+        if !same_extent
+            .iter()
+            .any(|&at| out[at].0.is(repository, extent, shipped))
+        {
+            same_extent.push(out.len());
+            out.push((ExecKey::new(repository, extent, shipped), wrapper));
         }
     };
-    plan.walk(&mut |node| {
-        if let PhysicalExpr::Exec {
+    plan.walk(&mut |node| match node {
+        PhysicalExpr::Exec {
             repository,
             wrapper,
             extent,
             logical,
-        } = node
-        {
-            push(repository, wrapper, extent, logical);
-            // Sub-plans inside the shipped expression never contain submits
-            // (they are pushable operators only), but the *mediator-side*
-            // operators above may carry aggregate sub-plans; those are
-            // handled below.
+        } => push(repository, wrapper, extent, logical),
+        // Sub-plans inside a shipped expression never contain submits
+        // (they are pushable operators only), but the mediator-side
+        // operators carry scalars, and an aggregate sub-plan inside one
+        // hides further submits.
+        PhysicalExpr::FilterOp { predicate, .. } => submits_in_scalar(predicate, &mut push),
+        PhysicalExpr::MapOp { projection, .. } => submits_in_scalar(projection, &mut push),
+        PhysicalExpr::NestedLoopJoin {
+            predicate: Some(predicate),
+            ..
+        } => submits_in_scalar(predicate, &mut push),
+        PhysicalExpr::HashJoin {
+            left_key,
+            right_key,
+            residual,
+            ..
+        } => {
+            for scalar in [left_key, right_key].into_iter().chain(residual) {
+                submits_in_scalar(scalar, &mut push);
+            }
         }
-    });
-    // Aggregate sub-plans hide further submits inside scalar expressions.
-    let logical = plan.to_logical();
-    collect_submits_in_scalars(&logical, &mut |repository, wrapper, extent, inner| {
-        push(repository, wrapper, extent, inner);
+        _ => {}
     });
     out
 }
 
-/// Walks a logical plan and reports every `submit` reachable only through
-/// scalar aggregate sub-plans.
-fn collect_submits_in_scalars<F>(plan: &LogicalExpr, report: &mut F)
+/// Reports every `submit` (repository, wrapper, extent, shipped
+/// expression) inside the aggregate sub-plans of `expr`.
+fn submits_in_scalar<'a, F>(expr: &'a disco_algebra::ScalarExpr, report: &mut F)
 where
-    F: FnMut(&str, &str, &str, &LogicalExpr),
+    F: FnMut(&'a str, &'a str, &'a str, &'a LogicalExpr),
 {
-    fn walk_scalar<F>(expr: &disco_algebra::ScalarExpr, report: &mut F)
-    where
-        F: FnMut(&str, &str, &str, &LogicalExpr),
-    {
-        use disco_algebra::ScalarExpr as S;
-        match expr {
-            S::Agg(_, plan) => walk_plan(plan, report),
-            S::Binary { left, right, .. } => {
-                walk_scalar(left, report);
-                walk_scalar(right, report);
-            }
-            S::Not(inner) | S::Field(inner, _) => walk_scalar(inner, report),
-            S::StructLit(fields) => {
-                for (_, e) in fields {
-                    walk_scalar(e, report);
-                }
-            }
-            S::Call(_, args) => {
-                for a in args {
-                    walk_scalar(a, report);
-                }
-            }
-            S::Const(_) | S::Attr(_) | S::Var(_) => {}
+    use disco_algebra::ScalarExpr as S;
+    match expr {
+        S::Agg(_, plan) => submits_in_plan(plan, report),
+        S::Binary { left, right, .. } => {
+            submits_in_scalar(left, report);
+            submits_in_scalar(right, report);
         }
+        S::Not(inner) | S::Field(inner, _) => submits_in_scalar(inner, report),
+        S::StructLit(fields) => {
+            for (_, e) in fields {
+                submits_in_scalar(e, report);
+            }
+        }
+        S::Call(_, args) => {
+            for a in args {
+                submits_in_scalar(a, report);
+            }
+        }
+        S::Const(_) | S::Attr(_) | S::Var(_) => {}
     }
-    fn walk_plan<F>(plan: &LogicalExpr, report: &mut F)
-    where
-        F: FnMut(&str, &str, &str, &LogicalExpr),
-    {
-        if let LogicalExpr::Submit {
+}
+
+/// [`submits_in_scalar`] for a logical sub-plan: its own `submit`s and
+/// those its scalars hide.
+fn submits_in_plan<'a, F>(plan: &'a LogicalExpr, report: &mut F)
+where
+    F: FnMut(&'a str, &'a str, &'a str, &'a LogicalExpr),
+{
+    match plan {
+        LogicalExpr::Submit {
             repository,
             wrapper,
             extent,
             expr,
-        } = plan
-        {
-            report(repository, wrapper, extent, expr);
-        }
-        match plan {
-            LogicalExpr::Filter { predicate, .. } => walk_scalar(predicate, report),
-            LogicalExpr::MapProject { projection, .. } => walk_scalar(projection, report),
-            LogicalExpr::Join {
-                predicate: Some(p), ..
-            } => walk_scalar(p, report),
-            _ => {}
-        }
-        for child in plan.children() {
-            walk_plan(child, report);
-        }
+        } => report(repository, wrapper, extent, expr),
+        LogicalExpr::Filter { predicate, .. } => submits_in_scalar(predicate, report),
+        LogicalExpr::MapProject { projection, .. } => submits_in_scalar(projection, report),
+        LogicalExpr::Join {
+            predicate: Some(p), ..
+        } => submits_in_scalar(p, report),
+        _ => {}
     }
-    walk_plan(plan, report);
+    for child in plan.children() {
+        submits_in_plan(child, report);
+    }
 }
 
 /// Issues every `exec` call of the plan in parallel and waits for all of
@@ -1147,10 +1286,8 @@ pub fn resolve_execs(
     Ok(resolved)
 }
 
-/// One spawned wrapper call, ready to run on its own thread.
+/// One wrapper call with everything it needs looked up.
 struct PreparedCall {
-    key: ExecKey,
-    shipped: LogicalExpr,
     wrapper: Arc<dyn Wrapper>,
     map: TypeMap,
     expected: Vec<String>,
@@ -1158,14 +1295,14 @@ struct PreparedCall {
 
 /// Issues every `exec` call of the plan in parallel and returns
 /// immediately: each entry of the result is a [`PendingSource`] spool that
-/// the wrapper thread fills with mapped, type-checked row chunks while the
-/// pipeline pulls (§4's "designated time period" moves into the stream —
-/// at the deadline, still-streaming spools flip to unavailable and the
-/// call is cancelled).
+/// its call — queued on the process-wide call executor — fills with
+/// mapped, type-checked row chunks while the pipeline pulls (§4's
+/// "designated time period" moves into the stream: at the deadline,
+/// still-streaming spools flip to unavailable and the call is cancelled).
 ///
 /// # Errors
 ///
-/// Catalog and registry lookups fail before any thread is spawned;
+/// Catalog and registry lookups fail before any call is queued;
 /// wrapper-side errors surface later, through the spools.
 pub fn resolve_execs_streamed(
     plan: &PhysicalExpr,
@@ -1173,33 +1310,21 @@ pub fn resolve_execs_streamed(
     catalog: &Catalog,
     config: &ExecutionConfig,
 ) -> Result<ResolvedExecs> {
-    let calls = collect_exec_calls(plan);
+    resolve_on(CallExecutor::global(), plan, registry, catalog, config)
+}
+
+/// [`resolve_execs_streamed`] on a given call executor.
+pub(crate) fn resolve_on(
+    executor: &CallExecutor,
+    plan: &PhysicalExpr,
+    registry: &WrapperRegistry,
+    catalog: &Catalog,
+    config: &ExecutionConfig,
+) -> Result<ResolvedExecs> {
+    let calls = distinct_calls(plan);
     let mut resolved = ResolvedExecs::default();
     if calls.is_empty() {
         return Ok(resolved);
-    }
-
-    // Look everything up before spawning anything, so a hard lookup error
-    // never leaves half the calls running.
-    let mut prepared = Vec::with_capacity(calls.len());
-    for (key, wrapper_name, shipped) in calls {
-        let extent_meta = catalog.extent(&key.extent)?.clone();
-        let expected: Vec<String> = catalog
-            .attributes_of(extent_meta.interface())?
-            .iter()
-            .map(|a| a.name().to_owned())
-            .collect();
-        let expected = expected_after_expr(&shipped, &expected);
-        let wrapper = registry
-            .wrapper(&wrapper_name)
-            .ok_or_else(|| RuntimeError::UnknownWrapper(wrapper_name.clone()))?;
-        prepared.push(PreparedCall {
-            key,
-            shipped,
-            wrapper,
-            map: extent_meta.map().clone(),
-            expected,
-        });
     }
 
     let deadline_at = config.deadline.map(|d| Instant::now() + d);
@@ -1211,43 +1336,41 @@ pub fn resolve_execs_streamed(
     let row_budget = config
         .row_budget
         .map(|limit| Arc::new(RowBudget::new(limit)));
-    for call in prepared {
+    // Everything is looked up before anything is queued, so a hard lookup
+    // error never leaves half the calls running.
+    let mut queued = Vec::with_capacity(calls.len());
+    for (key, wrapper_name) in calls {
+        let extent_meta = catalog.extent(&key.extent)?;
+        let expected: Vec<String> = catalog
+            .attributes_of(extent_meta.interface())?
+            .iter()
+            .map(|a| a.name().to_owned())
+            .collect();
+        let call = PreparedCall {
+            expected: expected_after_expr(&key.expr, &expected),
+            map: extent_meta.map().clone(),
+            wrapper: registry
+                .wrapper(wrapper_name)
+                .ok_or_else(|| RuntimeError::UnknownWrapper(wrapper_name.to_owned()))?,
+        };
+        let key = Arc::new(key);
         let source = Arc::new(PendingSource::new(
-            call.key.repository.clone(),
-            call.key.extent.clone(),
+            Arc::clone(&key),
             Arc::clone(&events),
             spool_budget,
         ));
-        resolved.pending_order.push(call.key.clone());
-        resolved
-            .outcomes
-            .insert(call.key.clone(), ExecOutcome::Pending(Arc::clone(&source)));
+        resolved.set_outcome(key, ExecOutcome::Pending(Arc::clone(&source)));
+        resolved.pending_order.push(Arc::clone(&source));
         let calibration = config.calibration.clone();
-        let pool = config.source_pool.clone();
         let budget = row_budget.clone();
-        std::thread::spawn(move || {
-            // Gate the call through the shared connection pool before the
-            // wrapper sees it.  The permit is held for the whole call.
-            let mut _permit = None;
-            if let Some(pool) = &pool {
-                if pool.cap(&call.key.repository) > 0 {
-                    let (permit, waited) =
-                        pool.acquire(&call.key.repository, &|| source.is_cancelled());
-                    source.note_queue_wait(waited);
-                    match permit {
-                        Some(permit) => _permit = Some(permit),
-                        None => {
-                            // Cancelled while queued (deadline or abort):
-                            // never invoke the wrapper.
-                            source.finish(SpoolStatus::Unavailable);
-                            return;
-                        }
-                    }
-                }
-            }
-            run_wrapper_call(&source, call, calibration.as_deref(), budget.as_deref());
-        });
+        let spool = Arc::clone(&source);
+        queued.push(QueuedCall::new(
+            source,
+            config.source_pool.clone(),
+            move || run_wrapper_call(&spool, call, calibration.as_deref(), budget.as_deref()),
+        ));
     }
+    executor.submit(queued);
     Ok(resolved)
 }
 
@@ -1257,7 +1380,6 @@ struct SpoolSink<'a> {
     spool: &'a PendingSource,
     map: &'a TypeMap,
     expected: &'a [String],
-    extent: &'a str,
     /// The query-wide row budget; a chunk that exhausts it trips the
     /// spool to unavailable instead of being delivered.
     budget: Option<&'a RowBudget>,
@@ -1272,7 +1394,7 @@ impl AnswerSink for SpoolSink<'_> {
             return false;
         }
         let mapped = map_rows_to_mediator(&rows, self.map);
-        if let Err(err) = check_type_conformance(&mapped, self.expected, self.extent) {
+        if let Err(err) = check_type_conformance(&mapped, self.expected, &self.spool.key.extent) {
             self.conformance = Some(err);
             return false;
         }
@@ -1292,9 +1414,13 @@ impl AnswerSink for SpoolSink<'_> {
     fn is_cancelled(&self) -> bool {
         self.spool.is_cancelled()
     }
+
+    fn pause(&mut self, delay: Duration) -> bool {
+        self.spool.pause(delay)
+    }
 }
 
-/// Body of one wrapper-call thread: stream the answer into the spool,
+/// Body of one wrapper call: stream the answer into the spool,
 /// contain panics, and record the finished call into the calibration
 /// store.
 fn run_wrapper_call(
@@ -1304,12 +1430,12 @@ fn run_wrapper_call(
     budget: Option<&RowBudget>,
 ) {
     let started = Instant::now();
-    let source_expr = map_expr_to_source(&call.shipped, &call.map);
+    let key = &spool.key;
+    let source_expr = map_expr_to_source(&key.expr, &call.map);
     let mut sink = SpoolSink {
         spool,
         map: &call.map,
         expected: &call.expected,
-        extent: &call.key.extent,
         budget,
         conformance: None,
         rows_pushed: 0,
@@ -1333,7 +1459,7 @@ fn run_wrapper_call(
                     // Record both the wall-clock elapsed time and the
                     // simulated latency — the simulated latency dominates.
                     let time_ms = summary.latency.as_secs_f64() * 1000.0 + elapsed_ms.min(1.0);
-                    store.record(&call.key.repository, &call.shipped, time_ms, rows_pushed);
+                    store.record(&key.repository, &key.expr, time_ms, rows_pushed);
                 }
             }
             spool.finish_done(summary.rows_scanned, summary.latency);

@@ -133,7 +133,7 @@ impl Executor {
 
     /// Executes a physical plan.
     ///
-    /// Every `exec` call is spawned at once and the plan is evaluated
+    /// Every `exec` call is queued at once and the plan is evaluated
     /// optimistically while row chunks arrive, so the slowest source does
     /// not gate the combine step.  If every source answers, the result is
     /// a complete [`Answer`].  If a source reports unavailability or is

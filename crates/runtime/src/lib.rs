@@ -13,9 +13,11 @@
 //!
 //! # One executor path
 //!
-//! [`Executor::execute`] spawns every wrapper call at once
-//! ([`resolve_execs_streamed`]), evaluates the plan optimistically while
-//! row chunks arrive, finalizes the resolution, and — when a source turned
+//! [`Executor::execute`] queues every wrapper call at once
+//! ([`resolve_execs_streamed`]; one bounded, process-wide call executor
+//! runs them — a sleeping or backpressured call holds no runner, so
+//! threads follow the machine and the calls that wait, not the source
+//! count), evaluates the plan optimistically while row chunks arrive, finalizes the resolution, and — when a source turned
 //! out (or was deadline-classified) unavailable — partially evaluates over
 //! the finalized outcomes ([`partial_evaluate`]).  There is no blocking
 //! mode; [`resolve_execs`] (streamed resolution, then finalization) is a
@@ -95,7 +97,7 @@
 //! the budget, the breaker hash-partitions its state into disk runs and
 //! recurses per partition (Grace style); the spools of still-answering
 //! wrapper calls keep a bounded in-memory hot window, overflow older
-//! chunks to disk, and backpressure the wrapper thread when the disk
+//! chunks to disk, and backpressure the wrapper call when the disk
 //! tier also fills.  Aggregates keep O(1) state and never spill.  Spill
 //! files are written to `DISCO_SPILL_DIR` (the system temp directory by
 //! default) and deleted eagerly — on success *and* on error paths.  A
@@ -111,6 +113,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod calls;
 mod error;
 mod eval;
 mod exec;
@@ -133,6 +136,31 @@ pub use partial::{
 };
 pub use pipeline::{AdaptiveMode, BuildSide, MemBudget, PipelineMetrics, PipelineOptions};
 pub use pool::SourcePool;
+
+/// Wrapper calls the process-wide call executor holds — queued, running
+/// or blocked mid-call.  Zero once every query has finished and its
+/// cancelled calls have wound down: the leak check of the test suites.
+#[must_use]
+pub fn calls_in_flight() -> usize {
+    calls::CallExecutor::global().in_flight()
+}
+
+/// Worker threads the process-wide call executor has started so far (the
+/// thread-bound assertion of `tests/scaling.rs`).
+#[doc(hidden)]
+#[must_use]
+pub fn call_threads_spawned() -> usize {
+    calls::CallExecutor::global().threads_spawned()
+}
+
+/// Locks a mutex, ignoring poisoning: every update made under the
+/// runtime's locks leaves the guarded state valid at every step, and a
+/// contained wrapper panic is surfaced separately as `WorkerPanic`.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Convenience result alias for runtime operations.
 pub type Result<T> = std::result::Result<T, RuntimeError>;

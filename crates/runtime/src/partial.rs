@@ -14,7 +14,7 @@ use disco_algebra::{logical_to_oql, lower, Env, LogicalExpr, ScalarExpr};
 use disco_oql::print_expr;
 use disco_value::Bag;
 
-use crate::exec::{ExecKey, ExecOutcome, ResolvedExecs, SourceCallStats};
+use crate::exec::{ExecOutcome, ResolvedExecs, SourceCallStats};
 use crate::pipeline::{evaluate_physical_streamed, PipelineMetrics, PipelineOptions};
 use crate::{Result, RuntimeError};
 
@@ -222,13 +222,10 @@ pub fn substitute_resolved(plan: &LogicalExpr, resolved: &ResolvedExecs) -> Logi
             extent,
             expr,
             ..
-        } => {
-            let key = ExecKey::new(repository, extent, expr);
-            match resolved.outcome(&key) {
-                Some(ExecOutcome::Rows(rows)) => return LogicalExpr::Data(rows.clone()),
-                _ => plan.clone(),
-            }
-        }
+        } => match resolved.outcome_of(repository, extent, expr) {
+            Some(ExecOutcome::Rows(rows)) => return LogicalExpr::Data(rows.clone()),
+            _ => plan.clone(),
+        },
         _ => plan.clone(),
     };
     // Recurse into children and into scalar sub-plans.
@@ -449,7 +446,7 @@ fn reduce(plan: &LogicalExpr, resolved: &ResolvedExecs, eval: &SubtreeEval) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ExecOutcome, SourceCallStats};
+    use crate::exec::{ExecKey, ExecOutcome, SourceCallStats};
     use disco_algebra::{data_of, ScalarOp};
     use disco_value::{StructValue, Value};
 

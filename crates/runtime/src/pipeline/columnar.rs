@@ -56,7 +56,7 @@ use disco_algebra::{
 };
 use disco_value::{ChunkBuilder, Column, ColumnarChunk, KeyHasher, StructValue, Value};
 
-use crate::exec::{ExecKey, ExecOutcome};
+use crate::exec::ExecOutcome;
 
 use super::join::{
     check_struct_frames, HashJoin, JoinTable, KeyedRow, KeyedSource, PairPlan, PairSpec,
@@ -254,10 +254,7 @@ fn resolved_rows<'a>(node: &'a PhysicalExpr, ctx: &PipelineCtx<'a>) -> Option<&'
             extent,
             logical,
             ..
-        } => match ctx
-            .resolved
-            .outcome(&ExecKey::new(repository, extent, logical))
-        {
+        } => match ctx.resolved.outcome_of(repository, extent, logical) {
             Some(ExecOutcome::Rows(rows)) => Some(rows.as_slice()),
             _ => None,
         },

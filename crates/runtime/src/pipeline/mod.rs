@@ -55,7 +55,7 @@ use disco_algebra::{
 };
 use disco_value::{Bag, StructValue, Value};
 
-use crate::exec::{ExecKey, ExecOutcome, PendingSource, ResolvedExecs};
+use crate::exec::{ExecOutcome, PendingSource, ResolvedExecs};
 use crate::{Result, RuntimeError};
 
 pub use join::BuildSide;
@@ -758,22 +758,19 @@ pub(crate) fn build<'a>(
             extent,
             logical,
             ..
-        } => {
-            let key = ExecKey::new(repository, extent, logical);
-            match ctx.resolved.outcome(&key) {
-                Some(ExecOutcome::Rows(rows)) => Ok(Box::new(scan::ScanCursor::new(rows))),
-                Some(ExecOutcome::Pending(source)) => Ok(Box::new(scan::PendingScanCursor::new(
-                    std::sync::Arc::clone(source),
-                    ctx,
-                ))),
-                Some(ExecOutcome::Unavailable) => Err(RuntimeError::Unsupported(format!(
-                    "exec call to unavailable source {repository} reached the evaluator"
-                ))),
-                None => Err(RuntimeError::Unsupported(format!(
-                    "unresolved exec call to {repository} ({extent})"
-                ))),
-            }
-        }
+        } => match ctx.resolved.outcome_of(repository, extent, logical) {
+            Some(ExecOutcome::Rows(rows)) => Ok(Box::new(scan::ScanCursor::new(rows))),
+            Some(ExecOutcome::Pending(source)) => Ok(Box::new(scan::PendingScanCursor::new(
+                std::sync::Arc::clone(source),
+                ctx,
+            ))),
+            Some(ExecOutcome::Unavailable) => Err(RuntimeError::Unsupported(format!(
+                "exec call to unavailable source {repository} reached the evaluator"
+            ))),
+            None => Err(RuntimeError::Unsupported(format!(
+                "unresolved exec call to {repository} ({extent})"
+            ))),
+        },
         PhysicalExpr::MemScan(bag) => Ok(Box::new(scan::ScanCursor::new(bag))),
         PhysicalExpr::FilterOp { input, predicate } => Ok(Box::new(filter::FilterCursor::new(
             build(input, ctx)?,
@@ -939,14 +936,11 @@ fn estimated_rows(
             extent,
             logical,
             ..
-        } => {
-            let key = ExecKey::new(repository, extent, logical);
-            match resolved.outcome(&key) {
-                Some(ExecOutcome::Rows(rows)) => Some(rows.len()),
-                Some(ExecOutcome::Pending(source)) => pending_len(source),
-                _ => None,
-            }
-        }
+        } => match resolved.outcome_of(repository, extent, logical) {
+            Some(ExecOutcome::Rows(rows)) => Some(rows.len()),
+            Some(ExecOutcome::Pending(source)) => pending_len(source),
+            _ => None,
+        },
         PhysicalExpr::FilterOp { input, .. }
         | PhysicalExpr::ProjectOp { input, .. }
         | PhysicalExpr::MapOp { input, .. }
@@ -1010,8 +1004,8 @@ fn evaluate_with_budget(
             logical,
             ..
         } => {
-            let key = ExecKey::new(repository, extent, logical);
-            if let Some(ExecOutcome::Rows(rows)) = resolved.outcome(&key) {
+            if let Some(ExecOutcome::Rows(rows)) = resolved.outcome_of(repository, extent, logical)
+            {
                 metrics.add_emitted(rows.len());
                 return Ok(rows.clone());
             }

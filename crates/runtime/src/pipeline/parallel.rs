@@ -62,7 +62,7 @@ use disco_algebra::{AggKind, AggState, Env, PhysicalExpr, ScalarExpr};
 use disco_value::{Bag, Value};
 use parking_lot::Mutex;
 
-use crate::exec::{ExecKey, ExecOutcome, PendingSource, Progress, ResolvedExecs};
+use crate::exec::{ExecOutcome, PendingSource, Progress, ResolvedExecs};
 use crate::{Result, RuntimeError};
 
 use super::columnar::{self, BatchSource};
@@ -415,8 +415,7 @@ fn descend<'a>(
                 logical,
                 ..
             } => {
-                let key = ExecKey::new(repository, extent, logical);
-                match resolved.outcome(&key) {
+                match resolved.outcome_of(repository, extent, logical) {
                     Some(ExecOutcome::Rows(rows)) => Some(PartSource::Slice {
                         node,
                         rows: rows.as_slice(),
@@ -859,40 +858,45 @@ where
     };
     let abort = AtomicBool::new(false);
     let failure: Mutex<Option<(usize, RuntimeError)>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let abort = &abort;
-            let failure = &failure;
-            let work = &work;
-            scope.spawn(move || loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let (id, error) = match queue.claim() {
-                    Ok(Some(task)) => {
-                        let id = task.id();
-                        match catch_unwind(AssertUnwindSafe(|| work(worker, &task))) {
-                            Ok(Ok(())) => continue,
-                            Ok(Err(error)) => (id, error),
-                            Err(payload) => {
-                                (id, RuntimeError::WorkerPanic(panic_message(&*payload)))
+    // On a call worker (a nested query behind a mediator wrapper) the join
+    // below waits for scoped threads that wait for queued calls: it must
+    // not hold a runner slot meanwhile.
+    crate::calls::blocking(|| {
+        std::thread::scope(|scope| {
+            for worker in 0..workers {
+                let abort = &abort;
+                let failure = &failure;
+                let work = &work;
+                scope.spawn(move || loop {
+                    if abort.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let (id, error) = match queue.claim() {
+                        Ok(Some(task)) => {
+                            let id = task.id();
+                            match catch_unwind(AssertUnwindSafe(|| work(worker, &task))) {
+                                Ok(Ok(())) => continue,
+                                Ok(Err(error)) => (id, error),
+                                Err(payload) => {
+                                    (id, RuntimeError::WorkerPanic(panic_message(&*payload)))
+                                }
                             }
                         }
+                        Ok(None) => break,
+                        // A claim error (unavailable / failed / panicked
+                        // source) outranks nothing: any work error with a
+                        // task id wins the deterministic-first slot.
+                        Err(error) => (usize::MAX, error),
+                    };
+                    let mut slot = failure.lock();
+                    if slot.as_ref().is_none_or(|(first, _)| id < *first) {
+                        *slot = Some((id, error));
                     }
-                    Ok(None) => break,
-                    // A claim error (unavailable / failed / panicked
-                    // source) outranks nothing: any work error with a
-                    // task id wins the deterministic-first slot.
-                    Err(error) => (usize::MAX, error),
-                };
-                let mut slot = failure.lock();
-                if slot.as_ref().is_none_or(|(first, _)| id < *first) {
-                    *slot = Some((id, error));
-                }
-                abort.store(true, Ordering::Relaxed);
-                queue.interrupt();
-            });
-        }
+                    abort.store(true, Ordering::Relaxed);
+                    queue.interrupt();
+                });
+            }
+        })
     });
     match failure.into_inner() {
         Some((_, error)) => Err(error),

@@ -50,7 +50,7 @@ impl<'a> RowStream<'a> for ScanCursor<'a> {
 }
 
 /// Streams a still-resolving `exec` call: rows are pulled out of the
-/// [`PendingSource`] spool as the wrapper thread pushes chunks, so the
+/// [`PendingSource`] spool as the wrapper call pushes chunks, so the
 /// pipeline above combines data while slower sources are still answering.
 /// The cursor blocks only when *its own* source is behind; the blocked
 /// time is charged to [`PipelineMetrics::source_wait`](super::PipelineMetrics::source_wait).

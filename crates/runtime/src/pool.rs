@@ -5,43 +5,30 @@
 //! M `exec` calls all hit the same repository at once.  A [`SourcePool`]
 //! is shared by every executor of a serving layer and caps, per
 //! repository, how many wrapper calls run concurrently.  A call beyond
-//! the cap *queues*: its wrapper thread blocks before submitting, and
-//! the time it spent queued is metered into the query's
-//! [`ExecutionStats::source_wait`](crate::ExecutionStats) — making
-//! contention for shared sources observable per query.
+//! the cap *queues*, and the time it spent queued is metered into the
+//! query's [`ExecutionStats::source_wait`](crate::ExecutionStats) —
+//! making contention for shared sources observable per query.
 //!
-//! The pool gates the wrapper threads spawned by
-//! [`resolve_execs_streamed`](crate::resolve_execs_streamed); the
-//! pipeline side is untouched.  A queued call that is cancelled (its
-//! query hit the deadline, or aborted on a hard error) leaves the queue
-//! promptly without ever invoking the wrapper.
+//! The pool is the book of slots; the waiting happens in the call
+//! executor's queue (`calls.rs`), where a call whose repository is at its
+//! cap is passed over until a call to that repository finishes.  No
+//! thread waits for a slot, and a queued call that is cancelled (its
+//! query hit the deadline, or aborted on a hard error) is dropped from
+//! the queue without ever invoking the wrapper.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-/// How long a queued call sleeps between cancellation checks while it
-/// waits for a permit.  Condvar wakeups cut the wait short; the slice
-/// only bounds how stale a cancellation check can get.
-const QUEUE_POLL: Duration = Duration::from_millis(10);
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Per-repository active-call counts.
-#[derive(Debug, Default)]
-struct PoolState {
-    active: BTreeMap<String, usize>,
-}
+use crate::lock;
 
 /// A shared pool of wrapper-call slots with per-repository concurrency
 /// caps.
 ///
 /// `default_cap` applies to every repository without an explicit
-/// [`SourcePool::with_cap`] override; a cap of `0` means unlimited (the
-/// pre-pool behaviour: one thread per call, all submitted immediately).
+/// [`SourcePool::with_cap`] override; a cap of `0` means unlimited (every
+/// call starts as soon as the call executor has a runner for it).
 ///
 /// # Examples
 ///
@@ -58,8 +45,8 @@ struct PoolState {
 pub struct SourcePool {
     default_cap: usize,
     caps: BTreeMap<String, usize>,
-    state: Mutex<PoolState>,
-    freed: Condvar,
+    /// Calls holding a slot, per repository.
+    active: Mutex<BTreeMap<String, usize>>,
     /// Calls that had to queue (saw the cap exhausted at least once).
     queued_calls: AtomicU64,
     /// Total time calls spent queued, in microseconds.
@@ -74,8 +61,7 @@ impl SourcePool {
         SourcePool {
             default_cap,
             caps: BTreeMap::new(),
-            state: Mutex::new(PoolState::default()),
-            freed: Condvar::new(),
+            active: Mutex::new(BTreeMap::new()),
             queued_calls: AtomicU64::new(0),
             queued_wait_us: AtomicU64::new(0),
         }
@@ -107,70 +93,45 @@ impl SourcePool {
         )
     }
 
-    /// Acquires a call slot for `repository`, blocking while the cap is
-    /// exhausted.  Returns the RAII permit and the time spent queued;
-    /// `None` when `cancelled()` turned true while waiting (the permit
-    /// was never taken).
-    pub(crate) fn acquire(
-        self: &Arc<Self>,
-        repository: &str,
-        cancelled: &dyn Fn() -> bool,
-    ) -> (Option<PoolPermit>, Duration) {
+    /// Takes a call slot of `repository` if one is free; the slot is
+    /// held until the permit drops.
+    pub(crate) fn try_acquire(self: &Arc<Self>, repository: &str) -> Option<PoolPermit> {
         let cap = self.cap(repository);
-        if cap == 0 {
-            return (None, Duration::ZERO);
+        let mut active = lock(&self.active);
+        if !active.contains_key(repository) {
+            active.insert(repository.to_owned(), 0);
         }
-        let started = Instant::now();
-        let mut queued = false;
-        let mut state = lock(&self.state);
-        loop {
-            let active = state.active.entry(repository.to_owned()).or_insert(0);
-            if *active < cap {
-                *active += 1;
-                drop(state);
-                let waited = started.elapsed();
-                if queued {
-                    self.queued_wait_us
-                        .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
-                }
-                return (
-                    Some(PoolPermit {
-                        pool: Arc::clone(self),
-                        repository: repository.to_owned(),
-                    }),
-                    waited,
-                );
-            }
-            if !queued {
-                queued = true;
-                self.queued_calls.fetch_add(1, Ordering::Relaxed);
-            }
-            if cancelled() {
-                self.queued_wait_us
-                    .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-                return (None, started.elapsed());
-            }
-            let (guard, _timeout) = self
-                .freed
-                .wait_timeout(state, QUEUE_POLL)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
+        let held = active.get_mut(repository).expect("inserted above");
+        if cap != 0 && *held >= cap {
+            return None;
         }
+        *held += 1;
+        Some(PoolPermit {
+            pool: Arc::clone(self),
+            repository: repository.to_owned(),
+        })
+    }
+
+    /// Counts a call that found its repository at the cap.
+    pub(crate) fn note_queued(&self) {
+        self.queued_calls.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds the time a call was held back by the cap.
+    pub(crate) fn note_wait(&self, waited: Duration) {
+        self.queued_wait_us
+            .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
     }
 
     fn release(&self, repository: &str) {
-        {
-            let mut state = lock(&self.state);
-            if let Some(active) = state.active.get_mut(repository) {
-                *active = active.saturating_sub(1);
-            }
+        if let Some(held) = lock(&self.active).get_mut(repository) {
+            *held = held.saturating_sub(1);
         }
-        self.freed.notify_all();
     }
 }
 
-/// RAII guard of one acquired wrapper-call slot; dropping it releases
-/// the slot and wakes queued calls.
+/// RAII guard of one acquired wrapper-call slot; dropping it frees the
+/// slot.
 pub(crate) struct PoolPermit {
     pool: Arc<SourcePool>,
     repository: String,
@@ -185,54 +146,30 @@ impl Drop for PoolPermit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn unlimited_pool_never_queues() {
+    fn unlimited_pool_never_refuses() {
         let pool = Arc::new(SourcePool::new(0));
-        let (permit, waited) = pool.acquire("r0", &|| false);
-        assert!(permit.is_none());
-        assert_eq!(waited, Duration::ZERO);
+        let held: Vec<_> = (0..64).map(|_| pool.try_acquire("r0")).collect();
+        assert!(held.iter().all(Option::is_some));
         assert_eq!(pool.queue_stats().0, 0);
     }
 
     #[test]
-    fn cap_bounds_concurrency_and_meters_waits() {
+    fn cap_bounds_slots_per_repository_and_drop_frees_them() {
         let pool = Arc::new(SourcePool::new(1));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let active = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let pool = Arc::clone(&pool);
-                let peak = Arc::clone(&peak);
-                let active = Arc::clone(&active);
-                scope.spawn(move || {
-                    let (permit, _waited) = pool.acquire("r0", &|| false);
-                    assert!(permit.is_some());
-                    let now = active.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(5));
-                    active.fetch_sub(1, Ordering::SeqCst);
-                    drop(permit);
-                });
-            }
-        });
-        assert_eq!(peak.load(Ordering::SeqCst), 1, "cap of 1 must serialize");
-        let (queued, waited) = pool.queue_stats();
-        assert!(queued >= 1);
-        assert!(waited > Duration::ZERO);
-    }
-
-    #[test]
-    fn cancelled_waiters_leave_the_queue() {
-        let pool = Arc::new(SourcePool::new(1));
-        let (held, _) = pool.acquire("r0", &|| false);
+        let held = pool.try_acquire("r0");
         assert!(held.is_some());
-        let (permit, _waited) = pool.acquire("r0", &|| true);
-        assert!(permit.is_none(), "a cancelled waiter must not take a slot");
+        assert!(pool.try_acquire("r0").is_none(), "cap of 1 must serialize");
+        assert!(
+            pool.try_acquire("r1").is_some(),
+            "other repositories are not held back"
+        );
         drop(held);
-        let (permit, _) = pool.acquire("r0", &|| false);
-        assert!(permit.is_some(), "the slot must be free again");
+        assert!(
+            pool.try_acquire("r0").is_some(),
+            "the slot must be free again"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use disco_algebra::{
 };
 use disco_value::{Bag, StructValue, Value};
 
-use crate::exec::{ExecKey, ExecOutcome, ResolvedExecs};
+use crate::exec::{ExecOutcome, ResolvedExecs};
 use crate::{Result, RuntimeError};
 
 /// Evaluates a physical plan against resolved `exec` outcomes,
@@ -48,8 +48,7 @@ pub fn evaluate_with_outer(
             logical,
             ..
         } => {
-            let key = ExecKey::new(repository, extent, logical);
-            match resolved.outcome(&key) {
+            match resolved.outcome_of(repository, extent, logical) {
                 Some(ExecOutcome::Rows(rows)) => Ok(rows.clone()),
                 // The reference evaluator predates streamed resolution and
                 // only consumes finalized outcomes.

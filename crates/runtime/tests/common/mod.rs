@@ -265,3 +265,17 @@ pub fn branch(i: usize, threshold: i64) -> LogicalExpr {
         .bind("x")
         .map_project(ScalarExpr::var_field("x", "name"))
 }
+
+/// Waits (bounded) until the process-wide call executor holds no call:
+/// the leak check that closes a suite.
+pub fn assert_no_calls_in_flight() {
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while disco_runtime::calls_in_flight() > 0 {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "{} wrapper calls still in flight",
+            disco_runtime::calls_in_flight()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}

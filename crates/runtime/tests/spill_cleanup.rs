@@ -180,3 +180,11 @@ fn unwritable_spill_dir_fails_the_source_not_the_budget() {
     assert!(unbounded.is_complete(), "no budget, no spill attempt");
     assert_eq!(unbounded.data().len(), 2_020);
 }
+
+/// Starts after the tests above (name order) and outwaits them: a call
+/// left behind by an error path — a producer blocked on a spool nobody
+/// reads any more — keeps the executor's count above zero for good.
+#[test]
+fn zz_no_call_outlives_its_query() {
+    common::assert_no_calls_in_flight();
+}

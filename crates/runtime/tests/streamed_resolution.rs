@@ -26,8 +26,8 @@ use disco_catalog::{MetaExtent, Repository, WrapperDef};
 use disco_optimizer::compile_text;
 use disco_runtime::{
     evaluate_physical_with, partial_evaluate_reference, reference, resolve_execs,
-    substitute_resolved, AdaptiveMode, Answer, ExecutionConfig, Executor, MemBudget,
-    PipelineMetrics, PipelineOptions, RuntimeError,
+    resolve_execs_streamed, substitute_resolved, AdaptiveMode, Answer, ExecutionConfig, Executor,
+    MemBudget, PipelineMetrics, PipelineOptions, RuntimeError,
 };
 use disco_source::{Availability, NetworkProfile};
 use disco_value::{Bag, Value};
@@ -623,6 +623,59 @@ fn timed_out_wrapper_call_is_cancelled_not_leaked() {
 }
 
 #[test]
+fn a_call_cancelled_mid_sleep_returns_at_once() {
+    // A link that sleeps 200 ms before its first chunk, cancelled 10 to
+    // 12 ms into the sleep: the call must come back right away (it used
+    // to notice at its next 2 ms sleep slice, a millisecond away in the
+    // median) and deliver nothing further.
+    let slow = NetworkProfile {
+        base_latency_us: 100,
+        per_row_us: 0,
+        jitter: 0.0,
+        real_sleep: true,
+        chunk_rows: 5,
+        availability: Availability::Slow { extra_ms: 200 },
+    };
+    let federation = federation_with(&[slow], 20, 23);
+    let link = &federation.links[0];
+    let plan = lower(&branch(0, -1)).unwrap();
+    let config = ExecutionConfig {
+        deadline: Some(Duration::from_secs(5)),
+        ..ExecutionConfig::default()
+    };
+    let mut returned_after = Vec::new();
+    for trial in 0..20 {
+        let chunks_before = link.chunk_count();
+        let mut resolved =
+            resolve_execs_streamed(&plan, &federation.registry, &federation.catalog, &config)
+                .unwrap();
+        // The chunk counter moves when the call asks the link for its
+        // first delay, just before it starts waiting it out.
+        while link.chunk_count() == chunks_before {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_micros(10_000 + 100 * trial));
+        let cancelled = std::time::Instant::now();
+        resolved.cancel_pending();
+        // Returns once the call has: a spool has no final status before.
+        resolved.finalize_streamed().unwrap();
+        returned_after.push(cancelled.elapsed());
+        assert_eq!(
+            link.chunk_count(),
+            chunks_before + 1,
+            "a cancelled call went on to its next chunk"
+        );
+        assert_eq!(resolved.rows_transferred(), 0, "nothing was delivered");
+    }
+    returned_after.sort();
+    let median = returned_after[returned_after.len() / 2];
+    assert!(
+        median < Duration::from_millis(1),
+        "a cancelled call slept on: median {median:?} of {returned_after:?}"
+    );
+}
+
+#[test]
 fn parallel_worker_failure_interrupts_a_blocked_stream_claim() {
     // A trickling pending leaf under the parallel scheduler: one worker's
     // chunk evaluation panics (the `__disco_panic_if__` fail point) while
@@ -687,4 +740,13 @@ fn shared_generator_produces_plans() {
     let plan = common::random_plan(&mut rng);
     let _ = format!("{plan}");
     let _ = Value::Int(0);
+}
+
+/// Starts after the tests above (the harness starts tests in name order)
+/// and outwaits the ones still running: a call that outlives its query —
+/// never cancelled, or stuck in the executor's queue — keeps this count
+/// above zero for good.
+#[test]
+fn zz_no_call_outlives_its_query() {
+    common::assert_no_calls_in_flight();
 }

@@ -306,9 +306,9 @@ impl Session {
                     Arc::clone(&self.shared.calibration),
                 )
                 .with_cost_params(self.shared.cost_params);
-                let plan = optimizer.optimize_text(query, &snapshot)?;
-                self.shared.plan_cache.put(&plan);
-                plan
+                self.shared
+                    .plan_cache
+                    .insert(optimizer.optimize_text(query, &snapshot)?)
             }
         };
         let mut executor = Executor::new(self.shared.registry.clone())

@@ -257,3 +257,20 @@ fn shared_source_pool_caps_concurrency_and_meters_waits() {
     let stats = server.stats();
     assert_eq!(stats.source_pool_queued, Some((queued, waited)));
 }
+
+/// Starts after the tests above (name order) and outwaits them: a call
+/// that outlives its query — never cancelled after a deadline or a row
+/// budget, or stuck behind a pool cap — keeps the process-wide call
+/// executor's count above zero for good.
+#[test]
+fn zz_no_call_outlives_its_query() {
+    let give_up = std::time::Instant::now() + Duration::from_secs(60);
+    while disco_runtime::calls_in_flight() > 0 {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "{} wrapper calls still in flight",
+            disco_runtime::calls_in_flight()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}

@@ -30,7 +30,7 @@ mod relational;
 pub use csv_source::{parse_csv, CsvSource};
 pub use document::{Document, DocumentStore};
 pub use error::SourceError;
-pub use net::{Availability, NetworkProfile, SimulatedLink};
+pub use net::{Availability, LinkDelay, NetworkProfile, SimulatedLink};
 pub use relational::{RelationalStore, Table};
 
 /// Convenience result alias for source operations.

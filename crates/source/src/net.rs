@@ -8,9 +8,11 @@
 //! latency, and the wrapper consults the profile before answering.
 //!
 //! The simulator produces both *simulated* costs (returned as numbers, fed
-//! to the calibrating cost model) and, optionally, *real* delays (short
-//! sleeps) so that the runtime's deadline-based partial evaluation is
-//! exercised with genuine wall-clock behaviour.
+//! to the calibrating cost model) and, optionally, *real* delays, so that
+//! the runtime's deadline-based partial evaluation is exercised with
+//! genuine wall-clock behaviour.  The link never sleeps itself: a
+//! [`LinkDelay`] says whether its caller has to wait the latency out, and
+//! the caller knows how to wait without holding up other calls.
 
 use std::time::Duration;
 
@@ -53,8 +55,8 @@ pub struct NetworkProfile {
     pub jitter: f64,
     /// Availability state.
     pub availability: Availability,
-    /// When `true`, [`SimulatedLink::call_delay`] actually sleeps; when
-    /// `false` it only reports the simulated duration.
+    /// When `true`, the delays of this link are to be waited out for real
+    /// ([`LinkDelay::real_sleep`]); when `false` they are only reported.
     pub real_sleep: bool,
     /// Rows per streamed answer chunk.  `0` (the default) disables
     /// chunking: a streamed call delivers its whole answer as one chunk,
@@ -138,6 +140,16 @@ impl NetworkProfile {
     }
 }
 
+/// The delay of one call or chunk over a [`SimulatedLink`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkDelay {
+    /// The simulated network + processing latency.
+    pub latency: Duration,
+    /// Whether the profile asks the caller to really wait `latency`
+    /// before it delivers.
+    pub real_sleep: bool,
+}
+
 /// The simulated link to one repository.
 ///
 /// Thread-safe: `exec` calls run in parallel.
@@ -217,33 +229,14 @@ impl SimulatedLink {
         Duration::from_micros(us as u64)
     }
 
-    /// Sleeps for `duration` in short slices, returning early (with `false`)
-    /// as soon as `cancelled` reports the consumer disconnected.  This is
-    /// what lets a deadline-cancelled wrapper call wind down instead of
-    /// blocking detached in the background.
-    fn sleep_cancellable(duration: Duration, cancelled: &dyn Fn() -> bool) -> bool {
-        const SLICE: Duration = Duration::from_millis(2);
-        let end = std::time::Instant::now() + duration;
-        loop {
-            if cancelled() {
-                return false;
-            }
-            let now = std::time::Instant::now();
-            if now >= end {
-                return true;
-            }
-            std::thread::sleep((end - now).min(SLICE));
-        }
-    }
-
     /// Simulates one call transferring `rows` rows: returns the simulated
-    /// latency, sleeping for it when the profile asks for real sleeps.
+    /// latency, and whether the profile asks the caller to wait it out.
     ///
     /// Returns `None` when the source is unavailable (the caller decides
     /// whether to block, error, or mark the source unavailable for partial
     /// evaluation).
     #[must_use]
-    pub fn call_delay(&self, rows: usize) -> Option<Duration> {
+    pub fn call_delay(&self, rows: usize) -> Option<LinkDelay> {
         let profile = self.profile.lock().clone();
         *self.calls.lock() += 1;
         match profile.availability {
@@ -261,11 +254,10 @@ impl SimulatedLink {
                 let raw_us = profile.base_latency_us as f64
                     + profile.per_row_us as f64 * rows as f64
                     + extra_ms as f64 * 1000.0;
-                let duration = self.jittered(&profile, raw_us);
-                if profile.real_sleep {
-                    std::thread::sleep(duration);
-                }
-                Some(duration)
+                Some(LinkDelay {
+                    latency: self.jittered(&profile, raw_us),
+                    real_sleep: profile.real_sleep,
+                })
             }
         }
     }
@@ -293,18 +285,9 @@ impl SimulatedLink {
     /// first chunk of a call additionally pays the base latency (and bumps
     /// the call counter), mirroring [`SimulatedLink::call_delay`].
     ///
-    /// When the profile asks for real sleeps the delay is slept in short
-    /// slices, polling `cancelled` between slices so a deadline-cancelled
-    /// call stops promptly.  Returns `None` when the source is
-    /// unavailable; cancellation still returns the simulated duration (the
-    /// caller checks `cancelled` itself).
+    /// Returns `None` when the source is unavailable.
     #[must_use]
-    pub fn chunk_delay(
-        &self,
-        rows: usize,
-        first: bool,
-        cancelled: &dyn Fn() -> bool,
-    ) -> Option<Duration> {
+    pub fn chunk_delay(&self, rows: usize, first: bool) -> Option<LinkDelay> {
         let profile = self.profile.lock().clone();
         if first {
             *self.calls.lock() += 1;
@@ -324,11 +307,10 @@ impl SimulatedLink {
                 let raw_us = base_us as f64
                     + profile.per_row_us as f64 * rows as f64
                     + extra_ms as f64 * 1000.0;
-                let duration = self.jittered(&profile, raw_us);
-                if profile.real_sleep {
-                    Self::sleep_cancellable(duration, cancelled);
-                }
-                Some(duration)
+                Some(LinkDelay {
+                    latency: self.jittered(&profile, raw_us),
+                    real_sleep: profile.real_sleep,
+                })
             }
         }
     }
@@ -352,8 +334,8 @@ mod tests {
             },
             42,
         );
-        let small = link.call_delay(10).unwrap();
-        let large = link.call_delay(10_000).unwrap();
+        let small = link.call_delay(10).unwrap().latency;
+        let large = link.call_delay(10_000).unwrap().latency;
         assert!(large > small);
         assert_eq!(small, Duration::from_micros(1000 + 100));
         assert_eq!(link.call_count(), 2);
@@ -386,10 +368,11 @@ mod tests {
                 7,
             )
         };
-        let normal = mk(Availability::Available).call_delay(1).unwrap();
+        let normal = mk(Availability::Available).call_delay(1).unwrap().latency;
         let slow = mk(Availability::Slow { extra_ms: 5 })
             .call_delay(1)
-            .unwrap();
+            .unwrap()
+            .latency;
         assert!(slow >= normal + Duration::from_millis(5));
     }
 
@@ -401,21 +384,21 @@ mod tests {
     }
 
     #[test]
-    fn real_sleep_actually_sleeps() {
-        let link = SimulatedLink::new(
-            "r0",
-            NetworkProfile {
-                base_latency_us: 2000,
-                per_row_us: 0,
-                jitter: 0.0,
-                availability: Availability::Available,
-                real_sleep: true,
-                chunk_rows: 0,
-            },
-            3,
-        );
-        let start = std::time::Instant::now();
-        let _ = link.call_delay(1);
-        assert!(start.elapsed() >= Duration::from_micros(1500));
+    fn real_sleep_is_asked_of_the_caller() {
+        let profile = NetworkProfile {
+            base_latency_us: 2000,
+            per_row_us: 0,
+            jitter: 0.0,
+            availability: Availability::Available,
+            real_sleep: true,
+            chunk_rows: 0,
+        };
+        let link = SimulatedLink::new("r0", profile.clone(), 3);
+        let delay = link.call_delay(1).unwrap();
+        assert_eq!(delay.latency, Duration::from_micros(2000));
+        assert!(delay.real_sleep);
+        assert!(link.chunk_delay(1, true).unwrap().real_sleep);
+        link.set_profile(profile.with_real_sleep(false));
+        assert!(!link.call_delay(1).unwrap().real_sleep);
     }
 }

@@ -143,12 +143,7 @@ impl Wrapper for DocumentWrapper {
 
     fn submit(&self, expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
         let (rows, rows_scanned) = self.fetch(expr)?;
-        let latency =
-            self.link
-                .call_delay(rows.len())
-                .ok_or_else(|| WrapperError::Unavailable {
-                    endpoint: self.link.endpoint().to_owned(),
-                })?;
+        let latency = crate::streaming::call_latency(&self.link, rows.len())?;
         Ok(WrapperAnswer {
             rows: rows.into_iter().collect(),
             rows_scanned,

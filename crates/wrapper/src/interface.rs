@@ -64,9 +64,31 @@ pub trait AnswerSink {
     fn push(&mut self, rows: Bag) -> bool;
 
     /// Whether the consumer has disconnected.  Wrappers poll this between
-    /// chunks (and, for simulated links, between sleep slices).
+    /// chunks.
     fn is_cancelled(&self) -> bool {
         false
+    }
+
+    /// Waits out `delay` of real link time on the calling thread;
+    /// `false` when the consumer disconnected meanwhile.  A wrapper that
+    /// has to wait mid-call waits here, not in a sleep of its own: the
+    /// runtime's sink knows how to wait without holding up the calls
+    /// queued behind this one, and ends the wait the moment the call is
+    /// cancelled.  The default sleeps in short slices, polling
+    /// [`AnswerSink::is_cancelled`] between them.
+    fn pause(&mut self, delay: Duration) -> bool {
+        const SLICE: Duration = Duration::from_millis(2);
+        let end = std::time::Instant::now() + delay;
+        loop {
+            if self.is_cancelled() {
+                return false;
+            }
+            let now = std::time::Instant::now();
+            if now >= end {
+                return true;
+            }
+            std::thread::sleep((end - now).min(SLICE));
+        }
     }
 }
 

@@ -96,12 +96,7 @@ impl Wrapper for RelationalWrapper {
         let result = eval_pushed(expr, &move |collection: &str| {
             store.scan(collection).map_err(WrapperError::from)
         })?;
-        let latency =
-            self.link
-                .call_delay(result.rows.len())
-                .ok_or_else(|| WrapperError::Unavailable {
-                    endpoint: self.link.endpoint().to_owned(),
-                })?;
+        let latency = crate::streaming::call_latency(&self.link, result.rows.len())?;
         Ok(WrapperAnswer {
             rows: result.rows,
             rows_scanned: result.rows_scanned,

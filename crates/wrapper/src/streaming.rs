@@ -16,9 +16,11 @@ use crate::interface::{AnswerSink, AnswerSummary};
 use crate::WrapperError;
 
 /// Delivers `rows` through `sink` in the link's chunk sizes, metering
-/// each chunk's simulated delay.  Cancellation is honoured both between
-/// chunks and inside a chunk's (real-sleep) delay; a mid-stream
-/// disconnect returns the summary of what was delivered so far.
+/// each chunk's simulated delay and waiting it out through
+/// [`AnswerSink::pause`] when the link asks for real sleeps.
+/// Cancellation is honoured both between chunks and inside a chunk's
+/// delay; a mid-stream disconnect returns the summary of what was
+/// delivered so far.
 ///
 /// # Errors
 ///
@@ -37,12 +39,13 @@ pub(crate) fn stream_chunks(
             break;
         }
         let delay = link
-            .chunk_delay(size, first, &|| sink.is_cancelled())
-            .ok_or_else(|| WrapperError::Unavailable {
-                endpoint: link.endpoint().to_owned(),
-            })?;
-        latency += delay;
+            .chunk_delay(size, first)
+            .ok_or_else(|| unavailable(link))?;
+        latency += delay.latency;
         first = false;
+        if delay.real_sleep && !sink.pause(delay.latency) {
+            break;
+        }
         let chunk: Bag = rows[offset..offset + size].iter().cloned().collect();
         offset += size;
         if !sink.push(chunk) {
@@ -53,4 +56,25 @@ pub(crate) fn stream_chunks(
         rows_scanned,
         latency,
     })
+}
+
+/// The latency of a whole-answer (`submit`) call returning `rows` rows,
+/// slept on the calling thread when the link asks for real sleeps: a
+/// direct `submit` has no consumer that could cancel it.
+///
+/// # Errors
+///
+/// [`WrapperError::Unavailable`] when the link does not answer.
+pub(crate) fn call_latency(link: &SimulatedLink, rows: usize) -> Result<Duration, WrapperError> {
+    let delay = link.call_delay(rows).ok_or_else(|| unavailable(link))?;
+    if delay.real_sleep {
+        std::thread::sleep(delay.latency);
+    }
+    Ok(delay.latency)
+}
+
+fn unavailable(link: &SimulatedLink) -> WrapperError {
+    WrapperError::Unavailable {
+        endpoint: link.endpoint().to_owned(),
+    }
 }

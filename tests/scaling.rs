@@ -40,12 +40,16 @@ fn water_mediator(sources: usize) -> Mediator {
 }
 
 fn add_station(m: &mut Mediator, index: usize) {
+    add_station_over(m, index, NetworkProfile::fast());
+}
+
+fn add_station_over(m: &mut Mediator, index: usize, profile: NetworkProfile) {
     m.add_relational_source(
         &format!("measurement{index}"),
         "Measurement",
         &format!("r_station{index}"),
         generator::water_quality_table(&format!("measurement{index}"), index, 20, 17),
-        NetworkProfile::fast(),
+        profile,
         CapabilitySet::full(),
     )
     .unwrap();
@@ -156,5 +160,59 @@ fn views_extend_transparently_over_new_sources() {
         after.stats().exec_calls,
         4,
         "the view now ranges over four stations"
+    );
+}
+
+/// The two tests below read the process-wide call executor's thread
+/// counter; they take turns so neither sees the other's spare workers.
+static CALL_THREADS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+#[test]
+fn threads_are_bounded_by_the_machine_not_by_the_source_count() {
+    let _turn = CALL_THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let m = water_mediator(256);
+    let cores = std::thread::available_parallelism().map_or(2, usize::from);
+    let before = disco::runtime::call_threads_spawned();
+    for _ in 0..2 {
+        let answer = m.query(QUERY).unwrap();
+        assert!(answer.is_complete());
+        assert_eq!(answer.stats().exec_calls, 256);
+    }
+    // Links that answer without waiting never block a call, so nothing
+    // beyond the runners is started (the other tests of this file are of
+    // that kind too).  One thread per call made this 512.
+    let spawned = disco::runtime::call_threads_spawned() - before;
+    assert!(
+        spawned <= cores.max(2) + 2,
+        "{spawned} call threads for 2 x 256 calls on {cores} cores"
+    );
+}
+
+#[test]
+fn sleeping_sources_are_still_called_in_parallel() {
+    let _turn = CALL_THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    // 48 links that really take 20 ms each: §3.3's "issues all calls in
+    // parallel" means about one link delay for all of them, not 48 (960
+    // ms) and not 48 over the runner count (480 ms on two runners).
+    let mut m = water_mediator(0);
+    let sleepy = NetworkProfile {
+        base_latency_us: 20_000,
+        per_row_us: 0,
+        jitter: 0.0,
+        ..NetworkProfile::fast()
+    }
+    .with_real_sleep(true);
+    for i in 0..48 {
+        add_station_over(&mut m, i, sleepy.clone());
+    }
+    m.query(QUERY).unwrap(); // plans, starts the workers
+    let started = std::time::Instant::now();
+    let answer = m.query(QUERY).unwrap();
+    let elapsed = started.elapsed();
+    assert!(answer.is_complete());
+    assert_eq!(answer.stats().exec_calls, 48);
+    assert!(
+        elapsed < std::time::Duration::from_millis(200),
+        "48 sources of 20 ms took {elapsed:?}"
     );
 }
