@@ -84,6 +84,14 @@ impl KernelBuilder {
         }
     }
 
+    /// Switches the binding the *next* expressions compile under, keeping
+    /// the column slots claimed so far: the operators beneath a `bind x`
+    /// read `salary`, those above it `x.salary`, and both mean the same
+    /// column of the same decoded chunk.
+    pub fn rebind(&mut self, binding: Option<&str>) {
+        self.binding = binding.map(str::to_owned);
+    }
+
     /// The referenced field names, in column-slot order.
     #[must_use]
     pub fn fields(&self) -> &[Arc<str>] {
@@ -241,6 +249,28 @@ impl Kernel {
     #[must_use]
     pub fn eval(&self, chunk: &ColumnarChunk, selection: &[u32]) -> Option<EvalVec> {
         eval_node(&self.node, chunk, selection)
+    }
+
+    /// The column slots the kernel reads (a slot read twice is listed
+    /// twice) — what a consumer checks when not every field of a row may
+    /// be read.
+    #[must_use]
+    pub fn columns(&self) -> Vec<usize> {
+        fn walk(node: &KernelNode, out: &mut Vec<usize>) {
+            match node {
+                KernelNode::Const(_) => {}
+                KernelNode::Col(slot) => out.push(*slot),
+                KernelNode::Binary { left, right, .. } => {
+                    walk(left, out);
+                    walk(right, out);
+                }
+                KernelNode::Not(inner) => walk(inner, out),
+                KernelNode::Struct(fields) => fields.iter().for_each(|(_, n)| walk(n, out)),
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.node, &mut out);
+        out
     }
 
     /// When the kernel is a bare column read, returns its column slot.
@@ -737,6 +767,32 @@ mod tests {
         assert!(kb.compile(&ScalarExpr::var_field("y", "salary")).is_none());
         assert!(kb.compile(&ScalarExpr::attr("salary")).is_none());
         assert_eq!(kb.fields().len(), 1);
+    }
+
+    #[test]
+    fn one_builder_compiles_beneath_and_above_a_bind_into_the_same_slots() {
+        let mut kb = KernelBuilder::new(None);
+        let beneath = kb
+            .compile(&ScalarExpr::binary(
+                ScalarOp::Gt,
+                ScalarExpr::attr("salary"),
+                ScalarExpr::constant(10i64),
+            ))
+            .unwrap();
+        kb.rebind(Some("x"));
+        let above = kb
+            .compile(&ScalarExpr::binary(
+                ScalarOp::Add,
+                ScalarExpr::var_field("x", "salary"),
+                ScalarExpr::var_field("x", "id"),
+            ))
+            .unwrap();
+        let names: Vec<&str> = kb.fields().iter().map(AsRef::as_ref).collect();
+        assert_eq!(names, ["salary", "id"], "`salary` was claimed once");
+        assert_eq!(beneath.columns(), [0]);
+        assert_eq!(above.columns(), [0, 1]);
+        // Bound, the unqualified name no longer reads the row.
+        assert!(kb.compile(&ScalarExpr::attr("salary")).is_none());
     }
 
     #[test]

@@ -19,9 +19,21 @@
 //!
 //! [`resolve_execs_streamed`] returns immediately: every call becomes a
 //! [`PendingSource`] — a spool its wrapper call fills with mapped,
-//! type-checked row chunks while the cursor pipeline is already pulling
-//! through [`crate::pipeline`]'s pending scans.  The slowest repository
-//! no longer gates the start of the combine step.  At the execution
+//! type-checked row chunks while the cursor pipeline is already pulling.
+//! The slowest repository no longer gates the start of the combine step.
+//!
+//! A chunk is stored once.  Without a memory budget the spool is an
+//! append-only chain of immutable chunks (`SpoolChunk`): `push_chunk`
+//! links the chunk as it arrived, consumers borrow slices out of the
+//! chain for the whole evaluation — the fused spine a batch at a time,
+//! everything else a row at a time — and finalization shares the chain's
+//! bags with [`ExecOutcome::Rows`].  The only thing a consumer ever waits
+//! for is the next link, through `PendingSource::wait_until`, the one
+//! loop that owns the missed-wake-up protocol and the deadline.  Under a
+//! memory budget rows must be evictable, so the spool is a bounded hot
+//! window over a disk tier instead and consumers copy rows out of it
+//! (`wait_rows`); which of the two a spool is follows from the budget of
+//! the execution and from nothing else.  At the execution
 //! deadline, spools that are still streaming flip to unavailable, the
 //! wrapper call is cancelled (so a timed-out call does not keep running
 //! in the background, and a call still queued never starts), and the
@@ -40,7 +52,7 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use disco_algebra::{LogicalExpr, PhysicalExpr};
@@ -260,21 +272,35 @@ enum SpoolStatus {
     Panicked(String),
 }
 
-/// What a consumer observed when asking a spool for progress.
+/// One link of an unbudgeted spool's chunk chain: the mapped,
+/// type-checked rows of one wrapper chunk, immutable from the moment the
+/// link is published.  A consumer holding `&'a PendingSource` reads
+/// `&'a [Value]` out of it with no lock and no copy; the next-pointer is
+/// written once, by the producer, under the spool's state lock.
 #[derive(Debug)]
-pub(crate) enum Progress {
-    /// New rows past the consumer's read index.
-    Rows(Vec<Value>),
-    /// The stream completed and the read index is at the end.
-    Done,
-    /// The source is unavailable (reported, or deadline-flipped).
-    Unavailable,
-    /// Hard wrapper error.
-    Failed(WrapperError),
-    /// The wrapper call panicked.
-    Panicked(String),
-    /// A spilled spool chunk could not be read back from disk.
-    SpillError(String),
+pub(crate) struct SpoolChunk {
+    rows: Bag,
+    next: OnceLock<Arc<SpoolChunk>>,
+}
+
+impl SpoolChunk {
+    /// The chunk's rows.
+    pub(crate) fn rows(&self) -> &[Value] {
+        self.rows.as_slice()
+    }
+}
+
+/// The producer's end of the chunk chain (the head lives outside the
+/// state lock, on the [`PendingSource`], where readers start).
+#[derive(Default)]
+struct Chain {
+    last: Option<Arc<SpoolChunk>>,
+    /// Rows linked so far.
+    rows: usize,
+    /// Where [`PendingSource::wait_rows`] last served from — the chunk
+    /// and the stream index of its first row — so that the morsel
+    /// engine's ascending claims do not walk the chain from its head.
+    served: Option<(usize, Arc<SpoolChunk>)>,
 }
 
 /// One chunk of spool rows moved to the disk tier.
@@ -327,7 +353,10 @@ impl SpoolSpill {
     }
 }
 
-struct SpoolState {
+/// What a budget-bounded spool is made of: a bounded hot window of the
+/// newest rows, and the disk tier behind it.
+#[derive(Default)]
+struct Window {
     /// The hot window: rows `[base, base + rows.len())` of the stream.
     rows: Vec<Value>,
     /// Absolute index of `rows[0]`; rows below it live in the disk tier.
@@ -340,17 +369,57 @@ struct SpoolState {
     /// producer must not be throttled on their behalf — the disk tier
     /// then grows as needed while RAM stays bounded by the hot window.
     unthrottled: bool,
+}
+
+/// Where a spool keeps its rows.  Which one is decided once, by the
+/// memory budget of the execution: rows a consumer borrows in place
+/// cannot be evicted, so only an unbudgeted spool is a chain.
+enum Store {
+    /// Unbudgeted: an append-only chain of immutable chunks.
+    Chain(Chain),
+    /// Budgeted: a hot window spilling its oldest rows to disk.
+    Window(Window),
+}
+
+struct SpoolState {
+    store: Store,
     status: SpoolStatus,
     rows_scanned: usize,
     latency: Duration,
 }
 
 impl SpoolState {
-    /// Total rows of the stream so far (disk tier + hot window).
+    /// Total rows of the stream so far.
     fn total_rows(&self) -> usize {
-        self.base + self.rows.len()
+        match &self.store {
+            Store::Chain(chain) => chain.rows,
+            Store::Window(window) => window.base + window.rows.len(),
+        }
     }
+}
 
+impl Chain {
+    /// The rows `[from, from + max)` of the stream that lie in the chunk
+    /// holding row `from`, copied out; `head` is where the chain starts.
+    fn copy_rows(&mut self, head: &Arc<SpoolChunk>, from: usize, max: usize) -> Vec<Value> {
+        let (mut start, mut chunk) = match self.served.take() {
+            Some((start, chunk)) if start <= from => (start, chunk),
+            _ => (0, Arc::clone(head)),
+        };
+        while from >= start + chunk.rows.len() {
+            start += chunk.rows.len();
+            let next = Arc::clone(chunk.next.get().expect("row `from` is linked"));
+            chunk = next;
+        }
+        let lo = from - start;
+        let end = (lo + max.max(1)).min(chunk.rows.len());
+        let rows = chunk.rows()[lo..end].to_vec();
+        self.served = Some((start, chunk));
+        rows
+    }
+}
+
+impl Window {
     /// Moves the oldest hot rows to the disk tier until the hot window is
     /// at half its cap (hysteresis: fewer, larger chunks).
     ///
@@ -403,10 +472,17 @@ impl SpoolState {
         Ok(())
     }
 
-    /// Serves rows starting at an absolute index that was spilled.
-    fn read_spilled(&mut self, from: usize, max: usize) -> Progress {
+    /// At most `max` rows starting at stream index `from` (which has
+    /// arrived), out of the hot window or the disk tier.
+    fn copy_rows(&mut self, from: usize, max: usize) -> Result<Vec<Value>> {
+        if from >= self.base {
+            let lo = from - self.base;
+            let end = (lo + max.max(1)).min(self.rows.len());
+            return Ok(self.rows[lo..end].to_vec());
+        }
+        // Row `from` was moved to the disk tier.
         let Some(tier) = self.spill.as_mut() else {
-            return Progress::SpillError("spool disk tier missing".to_owned());
+            return Err(RuntimeError::Spill("spool disk tier missing".to_owned()));
         };
         let found = tier.chunks.binary_search_by(|c| {
             if from < c.start_row {
@@ -418,19 +494,17 @@ impl SpoolState {
             }
         });
         let Ok(idx) = found else {
-            return Progress::SpillError(format!("spool spill chunk for row {from} missing"));
+            return Err(RuntimeError::Spill(format!(
+                "spool spill chunk for row {from} missing"
+            )));
         };
         let chunk = &tier.chunks[idx];
-        let decoded = spill::read_chunk(&mut tier.file, chunk.offset, chunk.len)
-            .and_then(|buf| spill::decode_rows(&buf, chunk.rows));
-        match decoded {
-            Ok(rows) => {
-                let lo = from - chunk.start_row;
-                let end = (lo + max.max(1)).min(rows.len());
-                Progress::Rows(rows[lo..end].to_vec())
-            }
-            Err(err) => Progress::SpillError(format!("reading spool spill chunk: {err}")),
-        }
+        let rows = spill::read_chunk(&mut tier.file, chunk.offset, chunk.len)
+            .and_then(|buf| spill::decode_rows(&buf, chunk.rows))
+            .map_err(|err| RuntimeError::Spill(format!("reading spool spill chunk: {err}")))?;
+        let lo = from - chunk.start_row;
+        let end = (lo + max.max(1)).min(rows.len());
+        Ok(rows[lo..end].to_vec())
     }
 
     /// Reassembles the full stream (disk tier in order, then the hot
@@ -470,10 +544,19 @@ impl SpoolCaps {
     }
 }
 
-/// A channel-backed *pending answer*: the spool one wrapper call fills
-/// with mapped, type-checked rows while any number of pipeline cursors
-/// read it (each with its own read index — duplicate scans of the same
-/// `exec` key share one call).
+/// A *pending answer*: the spool one wrapper call fills with mapped,
+/// type-checked rows while any number of pipeline consumers read it (each
+/// at its own position — duplicate scans of the same `exec` key share one
+/// call).
+///
+/// Without a memory budget the spool is an append-only **chain of
+/// immutable chunks**: a row that left the wrapper is stored once, and a
+/// consumer holding `&'a PendingSource` borrows `&'a [Value]` slices out
+/// of the chain for the whole evaluation — no lock, no copy
+/// (`PendingSource::chunk_after`).  Under a budget a borrowed chunk
+/// could not be evicted, so the spool is a bounded hot window over a disk
+/// tier instead, and consumers copy rows out of it
+/// (`PendingSource::wait_rows`).
 pub struct PendingSource {
     key: Arc<ExecKey>,
     events: Arc<ResolutionEvents>,
@@ -495,7 +578,28 @@ pub struct PendingSource {
     /// takes no lock.  A hint only: rows and status are read under the
     /// lock.
     announced: AtomicUsize,
+    /// The first chunk of an unbudgeted spool's chain.
+    head: OnceLock<Arc<SpoolChunk>>,
     state: StdMutex<SpoolState>,
+}
+
+impl Drop for PendingSource {
+    /// Unlinks the chain front to back: dropping the head alone would
+    /// recurse once per chunk.
+    fn drop(&mut self) {
+        if let Store::Chain(chain) = &mut self
+            .state
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .store
+        {
+            *chain = Chain::default();
+        }
+        let mut next = self.head.take();
+        while let Some(chunk) = next {
+            next = Arc::into_inner(chunk).and_then(|mut chunk| chunk.next.take());
+        }
+    }
 }
 
 impl std::fmt::Debug for PendingSource {
@@ -504,7 +608,7 @@ impl std::fmt::Debug for PendingSource {
         f.debug_struct("PendingSource")
             .field("repository", &self.key.repository)
             .field("extent", &self.key.extent)
-            .field("rows", &state.rows.len())
+            .field("rows", &state.total_rows())
             .field("status", &state.status)
             .finish()
     }
@@ -519,12 +623,12 @@ impl PendingSource {
             caps: SpoolCaps::from_budget(budget),
             queue_wait_us: AtomicU64::new(0),
             announced: AtomicUsize::new(0),
+            head: OnceLock::new(),
             state: StdMutex::new(SpoolState {
-                rows: Vec::new(),
-                base: 0,
-                hot_bytes: 0,
-                spill: None,
-                unthrottled: false,
+                store: match budget {
+                    None => Store::Chain(Chain::default()),
+                    Some(_) => Store::Window(Window::default()),
+                },
                 status: SpoolStatus::Streaming,
                 rows_scanned: 0,
                 latency: Duration::ZERO,
@@ -576,6 +680,10 @@ impl PendingSource {
 
     /// Producer side: appends one chunk; `false` when cancelled.
     ///
+    /// Without a budget the chunk is linked onto the chain as it is —
+    /// published under the state lock, *before* the progress hint and the
+    /// wake-up, so whoever sees the announcement finds the link.
+    ///
     /// Under a bounded budget this is also the backpressure point: when
     /// the unread disk tier exceeds its cap the wrapper call *blocks*
     /// here — without a runner slot of the call executor — until a
@@ -584,14 +692,25 @@ impl PendingSource {
     /// matching the unavailable classification the consumer side is
     /// about to apply).  A spill that cannot be written ends the stream
     /// the same way: the spool flips to unavailable.
-    fn push_chunk(&self, mut rows: Vec<Value>) -> bool {
+    fn push_chunk(&self, rows: Bag) -> bool {
         if self.is_cancelled() {
             return false;
         }
         let Some(caps) = &self.caps else {
-            {
+            if !rows.is_empty() {
+                let chunk = Arc::new(SpoolChunk {
+                    rows,
+                    next: OnceLock::new(),
+                });
                 let mut state = lock(&self.state);
-                state.rows.append(&mut rows);
+                let Store::Chain(chain) = &mut state.store else {
+                    unreachable!("a spool without caps is a chain");
+                };
+                let link = chain.last.as_ref().map_or(&self.head, |last| &last.next);
+                link.set(Arc::clone(&chunk))
+                    .expect("only the producer links, under the state lock");
+                chain.rows += chunk.rows.len();
+                chain.last = Some(chunk);
                 self.announce(&state);
             }
             self.events.notify();
@@ -602,13 +721,15 @@ impl PendingSource {
             if self.is_cancelled() {
                 return false;
             }
-            let throttled = {
-                let state = lock(&self.state);
-                !state.unthrottled
-                    && state
-                        .spill
-                        .as_ref()
-                        .is_some_and(|tier| tier.unread_bytes > caps.disk)
+            let throttled = match &lock(&self.state).store {
+                Store::Window(window) => {
+                    !window.unthrottled
+                        && window
+                            .spill
+                            .as_ref()
+                            .is_some_and(|tier| tier.unread_bytes > caps.disk)
+                }
+                Store::Chain(_) => false,
             };
             if !throttled {
                 break;
@@ -619,14 +740,18 @@ impl PendingSource {
         }
         let spilled = {
             let mut state = lock(&self.state);
-            state.hot_bytes += rows.iter().map(approx_value_bytes).sum::<usize>();
-            state.rows.append(&mut rows);
-            self.announce(&state);
-            if state.hot_bytes > caps.hot {
-                state.spill_front(caps.hot)
+            let Store::Window(window) = &mut state.store else {
+                unreachable!("a spool with caps is a window");
+            };
+            window.hot_bytes += rows.iter().map(approx_value_bytes).sum::<usize>();
+            window.rows.append(&mut rows.into_values());
+            let spilled = if window.hot_bytes > caps.hot {
+                window.spill_front(caps.hot)
             } else {
                 Ok(())
-            }
+            };
+            self.announce(&state);
+            spilled
         };
         if let Err(err) = spilled {
             // The disk tier is gone, so the budget can only hold by not
@@ -658,10 +783,10 @@ impl PendingSource {
 
     /// Bytes this spool has written to its disk tier.
     pub(crate) fn spilled_bytes(&self) -> u64 {
-        lock(&self.state)
-            .spill
-            .as_ref()
-            .map_or(0, |tier| tier.bytes_spilled)
+        match &lock(&self.state).store {
+            Store::Window(window) => window.spill.as_ref().map_or(0, |tier| tier.bytes_spilled),
+            Store::Chain(_) => 0,
+        }
     }
 
     /// Disables producer backpressure: called by the finalizers, which
@@ -669,12 +794,9 @@ impl PendingSource {
     /// would deadlock.  RAM stays bounded by the hot window; the disk
     /// tier grows as needed.
     fn unthrottle(&self) {
-        {
-            let mut state = lock(&self.state);
-            if state.unthrottled {
-                return;
-            }
-            state.unthrottled = true;
+        match &mut lock(&self.state).store {
+            Store::Window(window) if !window.unthrottled => window.unthrottled = true,
+            _ => return,
         }
         self.events.notify();
     }
@@ -776,48 +898,99 @@ impl PendingSource {
         }
     }
 
+    /// How a terminal failure reads to a consumer of the stream.
+    fn failure(&self, status: &SpoolStatus) -> Option<RuntimeError> {
+        match status {
+            SpoolStatus::Streaming | SpoolStatus::Done => None,
+            SpoolStatus::Unavailable => Some(RuntimeError::PendingUnavailable(
+                self.key.repository.clone(),
+            )),
+            SpoolStatus::Failed(err) => Some(RuntimeError::Wrapper(err.clone())),
+            SpoolStatus::Panicked(msg) => Some(RuntimeError::WorkerPanic(msg.clone())),
+        }
+    }
+
+    /// Whether the spool is a chunk chain (it was created without a
+    /// memory budget) and is read through [`PendingSource::chunk_after`].
+    pub(crate) fn is_chain(&self) -> bool {
+        self.caps.is_none()
+    }
+
+    /// The chunk of an unbudgeted spool that follows `prev` (the first
+    /// one after `None`), borrowed for as long as the spool is; `None`
+    /// once the stream completed with `prev` its last chunk.  Blocks —
+    /// through [`PendingSource::wait_until`], so under its deadline
+    /// policy, and with a terminal failure winning over a chunk already
+    /// linked — until the producer links the chunk; the time the call
+    /// took is returned for `source_wait`.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::PendingUnavailable`] once the source is classified
+    /// unavailable (reported, or at the deadline), the wrapper's hard
+    /// error, or its contained panic.
+    pub(crate) fn chunk_after<'a>(
+        &'a self,
+        prev: Option<&'a SpoolChunk>,
+    ) -> (Result<Option<&'a SpoolChunk>>, Duration) {
+        let started = Instant::now();
+        let link = prev.map_or(&self.head, |chunk| &chunk.next);
+        let next = self.wait_until(|state| {
+            if let Some(failure) = self.failure(&state.status) {
+                return Some(Err(failure));
+            }
+            match link.get() {
+                Some(chunk) => Some(Ok(Some(&**chunk))),
+                None if matches!(state.status, SpoolStatus::Done) => Some(Ok(None)),
+                None => None,
+            }
+        });
+        (next, started.elapsed())
+    }
+
     /// Blocks until progress past `from` (bounded by the deadline, which
-    /// flips the spool unavailable), returning at most `max` rows and the
-    /// time spent in the call.
-    pub(crate) fn wait_rows(&self, from: usize, max: usize) -> (Progress, Duration) {
+    /// flips the spool unavailable), returning a *copy* of at most `max`
+    /// rows — `None` once the stream completed at `from` — and the time
+    /// spent in the call.  The consumers of a budgeted spool read through
+    /// here, and so do the morsel engine's stream partitions, whose
+    /// workers own the chunks they claim.
+    pub(crate) fn wait_rows(
+        &self,
+        from: usize,
+        max: usize,
+    ) -> (Result<Option<Vec<Value>>>, Duration) {
         let started = Instant::now();
         let progress = self.wait_until(|state| {
             // Terminal failures win over buffered rows: once the source
             // is classified unavailable (deadline or reported), its data
             // is residual — stop feeding the pipeline immediately.
-            match &state.status {
-                SpoolStatus::Unavailable => return Some(Progress::Unavailable),
-                SpoolStatus::Failed(err) => return Some(Progress::Failed(err.clone())),
-                SpoolStatus::Panicked(msg) => return Some(Progress::Panicked(msg.clone())),
-                SpoolStatus::Streaming | SpoolStatus::Done => {}
+            if let Some(failure) = self.failure(&state.status) {
+                return Some(Err(failure));
             }
-            if state.total_rows() > from {
-                let progress = if from >= state.base {
-                    let lo = from - state.base;
-                    let end = (lo + max.max(1)).min(state.rows.len());
-                    Progress::Rows(state.rows[lo..end].to_vec())
-                } else {
-                    // Row `from` was moved to the disk tier.
-                    state.read_spilled(from, max)
-                };
-                if let Progress::Rows(rows) = &progress {
-                    let served_to = from + rows.len();
-                    if state
-                        .spill
-                        .as_mut()
-                        .is_some_and(|tier| tier.advance_high_water(served_to))
-                    {
-                        // Retired unread chunks: a producer blocked on the
-                        // disk cap can make progress again.
-                        self.events.notify();
-                    }
+            if state.total_rows() <= from {
+                return matches!(state.status, SpoolStatus::Done).then_some(Ok(None));
+            }
+            let window = match &mut state.store {
+                Store::Chain(chain) => {
+                    let head = self.head.get().expect("rows have arrived");
+                    return Some(Ok(Some(chain.copy_rows(head, from, max))));
                 }
-                return Some(progress);
+                Store::Window(window) => window,
+            };
+            let rows = window.copy_rows(from, max);
+            if let Ok(rows) = &rows {
+                let served_to = from + rows.len();
+                if window
+                    .spill
+                    .as_mut()
+                    .is_some_and(|tier| tier.advance_high_water(served_to))
+                {
+                    // Retired unread chunks: a producer blocked on the
+                    // disk cap can make progress again.
+                    self.events.notify();
+                }
             }
-            match state.status {
-                SpoolStatus::Done => Some(Progress::Done),
-                _ => None,
-            }
+            Some(rows.map(Some))
         });
         (progress, started.elapsed())
     }
@@ -836,18 +1009,39 @@ impl PendingSource {
         })
     }
 
+    /// The whole chain as one bag: a single chunk is shared as it is,
+    /// several are concatenated (each row a reference-count bump).
+    fn chained_rows(&self) -> Bag {
+        let Some(head) = self.head.get() else {
+            return Bag::new();
+        };
+        if head.next.get().is_none() {
+            return head.rows.clone();
+        }
+        let mut all = Vec::new();
+        let mut next = Some(head);
+        while let Some(chunk) = next {
+            all.extend_from_slice(chunk.rows());
+            next = chunk.next.get();
+        }
+        Bag::from(all)
+    }
+
     /// Waits for a terminal status and renders the final outcome + stats.
     fn final_outcome(&self) -> (ExecOutcome, SourceCallStats, Option<RuntimeError>) {
         self.unthrottle();
         let (outcome, available, error) = self.wait_until(|state| match &state.status {
             SpoolStatus::Streaming => None,
-            SpoolStatus::Done => match state.take_all_rows() {
-                Ok(rows) => Some((ExecOutcome::Rows(Bag::from(rows)), true, None)),
-                Err(msg) => Some((
-                    ExecOutcome::Unavailable,
-                    false,
-                    Some(RuntimeError::Spill(msg)),
-                )),
+            SpoolStatus::Done => match &mut state.store {
+                Store::Chain(_) => Some((ExecOutcome::Rows(self.chained_rows()), true, None)),
+                Store::Window(window) => match window.take_all_rows() {
+                    Ok(rows) => Some((ExecOutcome::Rows(Bag::from(rows)), true, None)),
+                    Err(msg) => Some((
+                        ExecOutcome::Unavailable,
+                        false,
+                        Some(RuntimeError::Spill(msg)),
+                    )),
+                },
             },
             SpoolStatus::Unavailable => Some((ExecOutcome::Unavailable, false, None)),
             SpoolStatus::Failed(err) => Some((
@@ -1393,7 +1587,7 @@ impl AnswerSink for SpoolSink<'_> {
         if self.conformance.is_some() {
             return false;
         }
-        let mapped = map_rows_to_mediator(&rows, self.map);
+        let mapped = map_rows_to_mediator(rows, self.map);
         if let Err(err) = check_type_conformance(&mapped, self.expected, &self.spool.key.extent) {
             self.conformance = Some(err);
             return false;
@@ -1408,7 +1602,7 @@ impl AnswerSink for SpoolSink<'_> {
             }
         }
         self.rows_pushed += mapped.len();
-        self.spool.push_chunk(mapped.into_values())
+        self.spool.push_chunk(mapped)
     }
 
     fn is_cancelled(&self) -> bool {

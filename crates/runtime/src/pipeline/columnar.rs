@@ -2,12 +2,30 @@
 //!
 //! The row cursors move one `Row` at a time; this module intercepts the
 //! shapes the mediator's combine step actually spends its time on — a
-//! *spine* of `map? → filter* → bind? → scan` over a fully-materialized
-//! input — and runs them batch-at-a-time: the scan decodes one
-//! [`ChunkBuilder`] chunk per batch, compiled [`Kernel`]s evaluate the
-//! filter predicates and the tail (a map projection, or a join key with
-//! its hashes) over whole columns, and a selection vector marks surviving
-//! rows instead of copying them.
+//! *spine* of `map? → filter* → bind? → (filter | project)* → scan` —
+//! and runs them batch-at-a-time: the scan decodes one [`ChunkBuilder`]
+//! chunk per batch, compiled [`Kernel`]s evaluate the filter predicates
+//! and the tail (a map projection, or a join key with its hashes) over
+//! whole columns, and a selection vector marks surviving rows instead of
+//! copying them.
+//!
+//! A spine reads its rows as borrowed slices from one of two supplies
+//! ([`Supply`]): a slice that is all there (literal data, a materialized
+//! answer, a morsel), or a position in the chunk chain of a spool its
+//! wrapper call is still filling ([`SpoolReader`]) — a row that left the
+//! wrapper is stored once and meets the kernels where it lies.  Only the
+//! second supply can make a spine wait; the wait, the deadline and a
+//! source's failure all come through the spool's one wait loop, and
+//! [`RowStream::ready`] of everything built on a spine reports the
+//! supply's state.  (The spool of a memory-budgeted execution may evict
+//! rows and so lends nothing: its scans stay on the row cursors.)
+//!
+//! The operators beneath the bind are what the optimizer leaves at the
+//! mediator when a wrapper does not filter or project itself.  They see
+//! the raw row (`salary > 139`), those above the bind the bound one
+//! (`x.salary`); one [`KernelBuilder`] compiles both, so they share
+//! column slots and the one decode.  A `mkproj` there costs nothing per
+//! row unless the rows themselves are handed on: see [`Spine`].
 //!
 //! The module only *produces* batches.  Breaker state lives with the
 //! breakers: distinct and aggregate ([`super::sink`]) and the hash join
@@ -21,8 +39,9 @@
 //! Three levels guarantee that:
 //!
 //! * **Fusion** is all-or-nothing per stretch: every filter predicate
-//!   (and the tail expression, when present) must compile to a kernel,
-//!   and the source must be a resolved scan.  Anything else builds row
+//!   (and the tail expression, when present) must compile to a kernel
+//!   and read only what a projection beneath it kept, and the source
+//!   must be a scan with a row supply.  Anything else builds row
 //!   cursors as before — with fusable *inner* stretches still
 //!   intercepted, so partial coverage composes.
 //! * **Decoding** is strict: a batch containing a non-struct row or a
@@ -58,9 +77,11 @@ use disco_value::{ChunkBuilder, Column, ColumnarChunk, KeyHasher, StructValue, V
 
 use crate::exec::ExecOutcome;
 
+use super::filter::{bind_value, project_row};
 use super::join::{
     check_struct_frames, HashJoin, JoinTable, KeyedRow, KeyedSource, PairPlan, PairSpec,
 };
+use super::scan::SpoolReader;
 use super::{
     build, decide_build_side, eval_in_row, BoxedRowStream, PipelineCtx, Result, Row, RowStream,
 };
@@ -106,8 +127,8 @@ fn fuse_source<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<Batch
 /// behind a cursor for a whole execution, and the spine alone is a couple
 /// hundred bytes.
 pub(crate) enum BatchSource<'a> {
-    /// Batches pulled from a row cursor (plans that do not fuse, pending
-    /// sources).
+    /// Batches pulled from a row cursor (plans that do not fuse, the
+    /// pending sources of a memory-budgeted execution).
     Rows {
         input: BoxedRowStream<'a>,
         done: bool,
@@ -119,6 +140,16 @@ pub(crate) enum BatchSource<'a> {
 impl<'a> BatchSource<'a> {
     pub(crate) fn rows(input: BoxedRowStream<'a>) -> Self {
         BatchSource::Rows { input, done: false }
+    }
+
+    /// Whether the next batch is there without blocking on a
+    /// still-streaming source (see [`RowStream::ready`]).
+    fn ready(&self) -> bool {
+        match self {
+            BatchSource::Rows { input, done } => *done || input.ready(),
+            BatchSource::Spine(spine) => spine.ready(),
+            BatchSource::Join(join) => join.ready(),
+        }
     }
 
     /// The next batch, from at most `hint` input rows (a join batch can
@@ -194,26 +225,95 @@ impl<'a> Batch<'a> {
     }
 }
 
-/// The fusable plan shape: `map? → filter* → bind? → (rows)`.
-struct SpineShape<'a> {
-    map: Option<&'a ScalarExpr>,
-    /// Filter predicates in execution (innermost-first) order.
-    filters: Vec<&'a ScalarExpr>,
-    binding: Option<&'a str>,
+/// Where a spine's rows come from: a slice that is all there (literal
+/// data, a materialized answer, a morsel of either), or the chunk chain of
+/// a spool its wrapper call is still filling, taken a chunk at a time.
+/// Either way the spine gets borrowed slices; only a spool can make it
+/// wait.
+pub(crate) struct Supply<'a> {
+    /// The slice — or the spool's current chunk — and how much of it was
+    /// handed out.
     rows: &'a [Value],
+    pos: usize,
+    spool: Option<SpoolReader<'a>>,
 }
 
-/// Peels `map? → filter* → bind?` off `plan` and asks `rows_of` for the
-/// rows under the remaining node.
+impl<'a> Supply<'a> {
+    fn slice(rows: &'a [Value]) -> Self {
+        Supply {
+            rows,
+            pos: 0,
+            spool: None,
+        }
+    }
+
+    fn spool(reader: SpoolReader<'a>) -> Self {
+        Supply {
+            spool: Some(reader),
+            ..Supply::slice(&[])
+        }
+    }
+
+    /// The next at most `max` rows; `None` when the scan is exhausted.
+    fn next_slice(
+        &mut self,
+        max: usize,
+        metrics: &super::PipelineMetrics,
+    ) -> Result<Option<&'a [Value]>> {
+        while self.pos == self.rows.len() {
+            let next = match &mut self.spool {
+                Some(reader) => reader.next_chunk(metrics)?,
+                None => None,
+            };
+            let Some(rows) = next else {
+                return Ok(None);
+            };
+            (self.rows, self.pos) = (rows, 0);
+        }
+        let end = (self.pos + max).min(self.rows.len());
+        let slice = &self.rows[self.pos..end];
+        self.pos = end;
+        Ok(Some(slice))
+    }
+
+    /// Whether the next slice is there without blocking on a source.
+    fn ready(&self) -> bool {
+        self.pos < self.rows.len() || self.spool.as_ref().is_none_or(SpoolReader::ready)
+    }
+}
+
+/// An operator beneath the `bind` of a spine: it sees the raw source row.
+#[derive(Clone, Copy)]
+enum RawOp<'a> {
+    Filter(&'a ScalarExpr),
+    Project(&'a [String]),
+}
+
+/// The fusable plan shape:
+/// `map? → filter* → bind? → (filter | project)* → (rows)`.
+struct SpineShape<'a> {
+    map: Option<&'a ScalarExpr>,
+    /// Predicates above the bind, in execution (innermost-first) order.
+    filters: Vec<&'a ScalarExpr>,
+    binding: Option<&'a str>,
+    /// The operators beneath the bind, in execution order: what the
+    /// optimizer leaves at the mediator when a wrapper cannot (or is not
+    /// asked to) filter and project itself.
+    raw: Vec<RawOp<'a>>,
+    supply: Supply<'a>,
+}
+
+/// Peels `map? → filter* → bind? → (filter | project)*` off `plan` and
+/// asks `rows_of` for the row supply under the remaining node.
 ///
-/// `allow_bare = false` refuses map-less filter-less stretches (bare
-/// scans and bind-only stretches have no scalar work to vectorize, and
-/// the row path is already optimal for them).  Join sides pass `true`:
-/// the join key itself is the scalar work.
+/// `allow_bare = false` refuses stretches without a map or a filter (bare
+/// scans and bind/project-only stretches have no scalar work to
+/// vectorize, and the row path is already optimal for them).  Join sides
+/// pass `true`: the join key itself is the scalar work.
 fn spine_shape<'a>(
     plan: &'a PhysicalExpr,
     allow_bare: bool,
-    rows_of: impl FnOnce(&'a PhysicalExpr) -> Option<&'a [Value]>,
+    rows_of: impl FnOnce(&'a PhysicalExpr) -> Option<Supply<'a>>,
 ) -> Option<SpineShape<'a>> {
     let mut node = plan;
     let mut map = None;
@@ -232,31 +332,51 @@ fn spine_shape<'a>(
         binding = Some(var.as_str());
         node = input;
     }
-    if !allow_bare && map.is_none() && filters.is_empty() {
+    let mut raw = Vec::new();
+    loop {
+        node = match node {
+            PhysicalExpr::FilterOp { input, predicate } => {
+                raw.push(RawOp::Filter(predicate));
+                input
+            }
+            PhysicalExpr::ProjectOp { input, columns } => {
+                raw.push(RawOp::Project(columns));
+                input
+            }
+            _ => break,
+        };
+    }
+    raw.reverse();
+    let filtered = !filters.is_empty() || raw.iter().any(|op| matches!(op, RawOp::Filter(_)));
+    if !allow_bare && map.is_none() && !filtered {
         return None;
     }
     Some(SpineShape {
         map,
         filters,
         binding,
-        rows: rows_of(node)?,
+        raw,
+        supply: rows_of(node)?,
     })
 }
 
-/// The rows of a fully-materialized scan node.  Pending spools and
-/// unresolved/unavailable sources keep the row path (which reports the
-/// precise error).
-fn resolved_rows<'a>(node: &'a PhysicalExpr, ctx: &PipelineCtx<'a>) -> Option<&'a [Value]> {
+/// The row supply of a scan node: the rows of literal data or of a
+/// materialized answer, or the chunk chain of a still-streaming call.
+/// Unresolved and unavailable sources — and the spool of a
+/// memory-budgeted execution, which may evict rows and so cannot lend
+/// them — keep the row path (which reports the precise error).
+fn resolved_rows<'a>(node: &'a PhysicalExpr, ctx: &PipelineCtx<'a>) -> Option<Supply<'a>> {
     match node {
-        PhysicalExpr::MemScan(bag) => Some(bag.as_slice()),
+        PhysicalExpr::MemScan(bag) => Some(Supply::slice(bag.as_slice())),
         PhysicalExpr::Exec {
             repository,
             extent,
             logical,
             ..
-        } => match ctx.resolved.outcome_of(repository, extent, logical) {
-            Some(ExecOutcome::Rows(rows)) => Some(rows.as_slice()),
-            _ => None,
+        } => match ctx.resolved.outcome_of(repository, extent, logical)? {
+            ExecOutcome::Rows(rows) => Some(Supply::slice(rows.as_slice())),
+            ExecOutcome::Pending(source) => SpoolReader::new(source).map(Supply::spool),
+            ExecOutcome::Unavailable => None,
         },
         _ => None,
     }
@@ -273,7 +393,7 @@ fn partition_shape<'a>(
     allow_bare: bool,
 ) -> Option<SpineShape<'a>> {
     spine_shape(plan, allow_bare, |node| {
-        std::ptr::eq(node, leaf).then_some(rows)
+        std::ptr::eq(node, leaf).then(|| Supply::slice(rows))
     })
 }
 
@@ -293,8 +413,8 @@ pub(crate) fn try_build_partition<'a>(
     )))
 }
 
-/// Columnar interception for a parallel join-build morsel: fuses
-/// `filter* → bind? → leaf` over the morsel's slice together with the
+/// Columnar interception for a parallel join-build morsel: fuses the
+/// stretch down to the `leaf` over the morsel's slice together with the
 /// stage's build key, hashing through a clone of the stage table's
 /// `RandomState`.  `None` keeps the worker's side on the row path.
 pub(crate) fn keyed_partition<'a>(
@@ -311,6 +431,12 @@ pub(crate) fn keyed_partition<'a>(
         ctx,
     )?;
     Some(KeyedSource::Spine(Box::new(spine)))
+}
+
+/// Whether the projection a stretch's rows were narrowed by (if any) kept
+/// `field`.
+fn kept(narrowed: Option<&[String]>, field: &str) -> bool {
+    narrowed.is_none_or(|columns| columns.iter().any(|c| c == field))
 }
 
 /// A bare-column map projection, gathered lazily: the projected value is
@@ -357,15 +483,33 @@ enum Tail<'a> {
     },
 }
 
-/// A fused spine: the chunk decoder, compiled filter kernels, the tail,
-/// and the original expressions for the per-batch fallback.
+/// A fused spine: the row supply, the chunk decoder, the compiled filter
+/// kernels, the tail, and the original operators for the per-batch
+/// fallback.
 pub(crate) struct Spine<'a> {
-    rows: &'a [Value],
-    pos: usize,
+    supply: Supply<'a>,
     builder: ChunkBuilder,
     /// The decoded fields, in column-slot order.
     fields: Vec<Arc<str>>,
-    filters: Vec<(Kernel, &'a ScalarExpr)>,
+    /// Every filter predicate of the stretch — beneath the bind and above
+    /// it alike: both read columns of the one decoded chunk — in
+    /// execution order.
+    kernels: Vec<Kernel>,
+    /// The operators beneath the bind, for the per-batch fallback.
+    raw: Vec<RawOp<'a>>,
+    /// The predicates above the bind, for the per-batch fallback.
+    filters: Vec<&'a ScalarExpr>,
+    /// The columns a `mkproj` beneath the bind narrows rows to (the
+    /// outermost one's, when several stack).  Kernels, a gathered column
+    /// and a key read the source row whatever it is narrowed to — the
+    /// stretch only fuses when they read nothing else — so the projected
+    /// struct is built for the rows a `Rows`/`Key` tail hands on, and for
+    /// no other.
+    narrowed: Option<&'a [String]>,
+    /// Projected columns no kernel decodes: checked for presence in
+    /// every row of a batch, so that a row lacking one bails the batch to
+    /// the row path, which reports it.
+    required: Vec<GatherPlan>,
     bind_name: Option<Arc<str>>,
     tail: Tail<'a>,
     ctx: PipelineCtx<'a>,
@@ -391,15 +535,52 @@ impl<'a> Spine<'a> {
     /// Compiles a matched shape when every scalar stage compiles to a
     /// kernel.  With `key` the spine is a join side (which cannot also
     /// carry a map) whose hashes go through the given table state.
+    ///
+    /// The operators beneath the bind compile with the builder unbound
+    /// (`salary > 139`), those above it with the binding (`x.salary`),
+    /// into one builder: column slots — and the one chunk decode per
+    /// batch — are shared.  A `mkproj` compiles to nothing; it narrows
+    /// what everything after it may read, and a stretch in which
+    /// something reads more does not fuse (the row path reports the
+    /// missing attribute).
     fn compile(
         shape: SpineShape<'a>,
         key: Option<(&'a ScalarExpr, RandomState)>,
         ctx: PipelineCtx<'a>,
     ) -> Option<Spine<'a>> {
-        let mut kb = KernelBuilder::new(shape.binding);
-        let mut filters = Vec::with_capacity(shape.filters.len());
-        for predicate in shape.filters {
-            filters.push((kb.compile(predicate)?, predicate));
+        let mut kb = KernelBuilder::new(None);
+        let mut kernels = Vec::new();
+        // The innermost and the outermost projection beneath the bind.
+        let mut widest: Option<&'a [String]> = None;
+        let mut narrowed: Option<&'a [String]> = None;
+        // A kernel for `expr`, if it reads only what `narrowed` kept.
+        let compile = |kb: &mut KernelBuilder, expr, narrowed: Option<&[String]>| {
+            let kernel = kb.compile(expr)?;
+            let reads = narrowed.map_or(Vec::new(), |_| kernel.columns());
+            reads
+                .iter()
+                .all(|&slot| kept(narrowed, &kb.fields()[slot]))
+                .then_some(kernel)
+        };
+        for op in &shape.raw {
+            match *op {
+                RawOp::Filter(predicate) => kernels.push(compile(&mut kb, predicate, narrowed)?),
+                RawOp::Project(columns) => {
+                    // Repeated or (after an earlier projection) absent
+                    // columns fail every row on the row path.
+                    let distinct = (0..columns.len()).all(|i| !columns[..i].contains(&columns[i]));
+                    let present = columns.iter().all(|c| kept(narrowed, c));
+                    if !distinct || !present {
+                        return None;
+                    }
+                    widest = widest.or(Some(columns));
+                    narrowed = Some(columns);
+                }
+            }
+        }
+        kb.rebind(shape.binding);
+        for predicate in &shape.filters {
+            kernels.push(compile(&mut kb, predicate, narrowed)?);
         }
         // Slots the filters and a kernel tail read must decode; a slot a
         // gathered projection alone reads needs no column at all.
@@ -408,7 +589,7 @@ impl<'a> Spine<'a> {
             (Some(_), Some(_)) => return None,
             (None, None) => Tail::Rows,
             (Some(projection), None) => {
-                let kernel = kb.compile(projection)?;
+                let kernel = compile(&mut kb, projection, narrowed)?;
                 match kernel.as_col() {
                     Some(slot) => Tail::Gather(
                         projection,
@@ -424,7 +605,7 @@ impl<'a> Spine<'a> {
                 }
             }
             (None, Some((expr, state))) => {
-                let kernel = kb.compile(expr)?;
+                let kernel = compile(&mut kb, expr, narrowed)?;
                 decoded = kb.fields().len();
                 Tail::Key {
                     expr,
@@ -434,18 +615,43 @@ impl<'a> Spine<'a> {
                 }
             }
         };
+        let fields = &kb.fields()[..decoded];
+        let required = widest
+            .unwrap_or_default()
+            .iter()
+            .filter(|column| !fields.iter().any(|f| **f == ***column))
+            .map(|column| GatherPlan {
+                name: Arc::from(column.as_str()),
+                guess: 0,
+            })
+            .collect();
         let mut spine = Spine {
-            rows: shape.rows,
-            pos: 0,
+            supply: shape.supply,
             builder: ChunkBuilder::new(),
             fields: Vec::new(),
-            filters,
+            kernels,
+            raw: shape.raw,
+            filters: shape.filters,
+            narrowed,
+            required,
             bind_name: shape.binding.map(Arc::from),
             tail,
             ctx,
         };
-        spine.set_layout(&kb.fields()[..decoded]);
+        spine.set_layout(fields);
         Some(spine)
+    }
+
+    /// Whether a consumer that sees this spine's rows (a pair projection
+    /// over a join) may read `fields` of them: nothing beneath the bind
+    /// projected them away.
+    fn exposes(&self, fields: &[Arc<str>]) -> bool {
+        fields.iter().all(|field| kept(self.narrowed, field))
+    }
+
+    /// Whether the next batch is there without blocking on a source.
+    pub(crate) fn ready(&self) -> bool {
+        self.supply.ready()
     }
 
     /// Fixes the chunk layout.  A join side's probe chunk may be asked to
@@ -472,28 +678,32 @@ impl<'a> Spine<'a> {
     }
 
     /// The next at most `hint` source rows; `None` when the scan is
-    /// exhausted.
-    fn next_slice(&mut self, hint: usize) -> Option<&'a [Value]> {
-        let rows = self.rows;
-        if self.pos >= rows.len() {
-            return None;
-        }
-        let take = hint
-            .clamp(1, super::MAX_BATCH_ROWS)
-            .min(rows.len() - self.pos);
-        self.pos += take;
-        Some(&rows[self.pos - take..self.pos])
+    /// exhausted.  Over a still-streaming source this is where the spine
+    /// waits (and where the source's failure or its deadline surfaces).
+    fn next_slice(&mut self, hint: usize) -> Result<Option<&'a [Value]>> {
+        self.supply
+            .next_slice(hint.clamp(1, super::MAX_BATCH_ROWS), self.ctx.metrics)
     }
 
     /// Decodes `slice` and narrows a selection vector through the filter
     /// kernels.  `None` bails the batch to the per-row path (undecodable
-    /// chunk, or a kernel hit an unsupported combination / would-be
-    /// error).
+    /// chunk, a row a projection cannot be taken of, or a kernel hit an
+    /// unsupported combination / would-be error).
     fn select(&mut self, slice: &[Value]) -> Option<(ColumnarChunk, Vec<u32>)> {
         let chunk = self.builder.build(slice)?;
+        if self.narrowed.is_some() {
+            for row in slice {
+                let Value::Struct(row) = row else {
+                    return None;
+                };
+                for column in &mut self.required {
+                    gather_lookup(row, column)?;
+                }
+            }
+        }
         let len = u32::try_from(slice.len()).expect("chunk size is clamped below u32::MAX");
         let mut sel: Vec<u32> = (0..len).collect();
-        for (kernel, _) in &self.filters {
+        for kernel in &self.kernels {
             if sel.is_empty() {
                 break;
             }
@@ -504,20 +714,26 @@ impl<'a> Spine<'a> {
         Some((chunk, sel))
     }
 
-    /// The spine's output row for chunk row `i` — exactly what the row
-    /// path's cursor chain would hand on for that source row: the same
-    /// `{var: row}` struct `BindCursor` builds, but only for survivors.
+    /// The spine's output row for chunk row `i` of a batch that decoded —
+    /// exactly what the row path's cursor chain would hand on for that
+    /// source row: narrowed as `ProjectCursor` narrows it, inside the
+    /// same `{var: row}` struct `BindCursor` builds, but only for
+    /// survivors.
     fn make_row(&self, slice: &'a [Value], i: u32) -> Row<'a> {
-        match &self.bind_name {
-            Some(name) => Row::owned(Value::Struct(StructValue::from_distinct_fields(vec![(
-                Arc::clone(name),
-                slice[i as usize].clone(),
-            )]))),
-            None => Row::borrowed(&slice[i as usize]),
+        let source = &slice[i as usize];
+        let row = match self.narrowed {
+            None => Row::borrowed(source),
+            Some(columns) => project_row(Row::borrowed(source), columns, self.ctx.metrics)
+                .expect("the batch decoded: a struct row holding every projected column"),
+        };
+        match (&self.bind_name, row) {
+            (Some(name), Row::One(frame)) => bind_value(name, frame.into_value()),
+            (_, row) => row,
         }
     }
 
-    /// The raw source row behind one of this spine's output rows.
+    /// The raw source row behind one of this spine's output rows (as
+    /// narrowed by a projection beneath the bind).
     pub(crate) fn source_value<'r>(&self, row: &'r Row<'a>) -> Option<&'r Value> {
         let value = row.single_value()?;
         match &self.bind_name {
@@ -526,25 +742,40 @@ impl<'a> Spine<'a> {
         }
     }
 
-    /// The per-row path for the `filter* → bind?` part of one batch,
-    /// stacked operator-by-operator across the whole batch (bind across
-    /// the batch, then each filter across the batch) — exactly how the
-    /// row cursors' `next_batch` implementations compose, so results,
-    /// errors and error order match.
+    /// The per-row path for everything but the tail of one batch, stacked
+    /// operator-by-operator across the whole batch (each filter and
+    /// projection beneath the bind, the bind, then each filter above it)
+    /// — exactly how the row cursors' `next_batch` implementations
+    /// compose, so results, errors and error order match.
     fn fallback_rows(&self, slice: &'a [Value]) -> Result<Vec<Row<'a>>> {
         self.ctx.metrics.add_fallback(slice.len());
-        let mut rows: Vec<Row<'a>> = (0u32..)
-            .zip(slice)
-            .map(|(i, _)| self.make_row(slice, i))
-            .collect();
-        for (_, predicate) in &self.filters {
+        let mut rows: Vec<Row<'a>> = slice.iter().map(Row::borrowed).collect();
+        let filter = |rows: Vec<Row<'a>>, predicate| -> Result<Vec<Row<'a>>> {
             let mut kept = Vec::with_capacity(rows.len());
             for row in rows {
                 if truthy(&eval_in_row(predicate, &row, self.ctx)?) {
                     kept.push(row);
                 }
             }
-            rows = kept;
+            Ok(kept)
+        };
+        for op in &self.raw {
+            rows = match *op {
+                RawOp::Filter(predicate) => filter(rows, predicate)?,
+                RawOp::Project(columns) => rows
+                    .into_iter()
+                    .map(|row| project_row(row, columns, self.ctx.metrics))
+                    .collect::<Result<_>>()?,
+            };
+        }
+        if let Some(name) = &self.bind_name {
+            rows = rows
+                .into_iter()
+                .map(|row| Ok(bind_value(name, row.materialize(self.ctx.metrics)?)))
+                .collect::<Result<_>>()?;
+        }
+        for predicate in &self.filters {
+            rows = filter(rows, predicate)?;
         }
         Ok(rows)
     }
@@ -552,7 +783,7 @@ impl<'a> Spine<'a> {
     /// Produces the next batch of a map/rows spine, counting every
     /// scanned row into exactly one of `rows_kernel`/`rows_fallback`.
     fn next_chunk(&mut self, hint: usize) -> Result<Option<Batch<'a>>> {
-        let Some(slice) = self.next_slice(hint) else {
+        let Some(slice) = self.next_slice(hint)? else {
             return Ok(None);
         };
         if let Some(batch) = self.kernel_chunk(slice) {
@@ -596,7 +827,7 @@ impl<'a> Spine<'a> {
     /// counting every scanned row into exactly one of
     /// `rows_kernel`/`rows_fallback`.
     pub(crate) fn next_keyed(&mut self, hint: usize) -> Result<Option<KeyedBatch<'a>>> {
-        let Some(slice) = self.next_slice(hint) else {
+        let Some(slice) = self.next_slice(hint)? else {
             return Ok(None);
         };
         if let Some(batch) = self.kernel_keys(slice) {
@@ -728,6 +959,13 @@ fn fuse_join<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<HashJoi
         } else {
             (pb.right_fields(), pb.left_fields())
         };
+        // The probe chunk decodes source rows, whatever a projection
+        // beneath the bind narrows them to: a field it drops must stay
+        // the per-row path's to miss.  (The payload decodes narrowed
+        // rows, and refuses by itself.)
+        if !probe.exposes(probe_fields) {
+            return None;
+        }
         let mut payload_builder = ChunkBuilder::new();
         for field in payload_fields {
             payload_builder.add_field(Arc::clone(field));
@@ -797,5 +1035,9 @@ impl<'a> RowStream<'a> for SpineCursor<'a> {
         }
         self.current.drain_into(out, max);
         Ok(true)
+    }
+
+    fn ready(&self) -> bool {
+        !self.current.is_empty() || self.source.ready()
     }
 }

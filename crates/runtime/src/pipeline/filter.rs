@@ -10,7 +10,7 @@ use std::sync::Arc;
 use disco_algebra::{truthy, AlgebraError, ScalarExpr};
 use disco_value::{StructValue, Value};
 
-use super::{eval_in_row, BoxedRowStream, PipelineCtx, Result, Row, RowStream};
+use super::{eval_in_row, BoxedRowStream, PipelineCtx, PipelineMetrics, Result, Row, RowStream};
 
 /// Forwards rows whose predicate evaluates truthy.
 pub(crate) struct FilterCursor<'a> {
@@ -95,25 +95,34 @@ impl<'a> ProjectCursor<'a> {
     }
 
     fn project<'r>(&self, row: Row<'r>) -> Result<Row<'r>> {
-        // Single rows are projected straight off the (possibly borrowed)
-        // struct; join rows are merged first, since a column projection
-        // keeps declared names and needs one struct to project from.
-        let projected = if let Some(value) = row.single_value() {
-            value
-                .as_struct()
-                .map_err(AlgebraError::from)?
-                .project(self.columns.iter().map(String::as_str))
-                .map_err(AlgebraError::from)?
-        } else {
-            let merged = row.materialize(self.ctx.metrics)?;
-            merged
-                .as_struct()
-                .map_err(AlgebraError::from)?
-                .project(self.columns.iter().map(String::as_str))
-                .map_err(AlgebraError::from)?
-        };
-        Ok(Row::owned(Value::Struct(projected)))
+        project_row(row, self.columns, self.ctx.metrics)
     }
+}
+
+/// `mkproj` of one row — shared with the fused spine's per-batch
+/// fallback, which must answer (and fail) exactly as this cursor does.
+pub(crate) fn project_row<'r>(
+    row: Row<'r>,
+    columns: &[String],
+    metrics: &PipelineMetrics,
+) -> Result<Row<'r>> {
+    // Single rows are projected straight off the (possibly borrowed)
+    // struct; join rows are merged first, since a column projection
+    // keeps declared names and needs one struct to project from.
+    let merged;
+    let value = match row.single_value() {
+        Some(value) => value,
+        None => {
+            merged = row.materialize(metrics)?;
+            &merged
+        }
+    };
+    let projected = value
+        .as_struct()
+        .map_err(AlgebraError::from)?
+        .project(columns.iter().map(String::as_str))
+        .map_err(AlgebraError::from)?;
+    Ok(Row::owned(Value::Struct(projected)))
 }
 
 impl<'a> RowStream<'a> for ProjectCursor<'a> {
@@ -193,6 +202,15 @@ impl<'a> RowStream<'a> for MapCursor<'a> {
     }
 }
 
+/// The environment row `{name: value}` of `mkbind` — shared with the
+/// fused spine, which builds it for the survivors of its filters only.
+pub(crate) fn bind_value<'r>(name: &Arc<str>, value: Value) -> Row<'r> {
+    Row::owned(Value::Struct(StructValue::from_distinct_fields(vec![(
+        Arc::clone(name),
+        value,
+    )])))
+}
+
 /// Wraps each source row into an environment row `{var: row}` (`mkbind`).
 pub(crate) struct BindCursor<'a> {
     input: BoxedRowStream<'a>,
@@ -212,10 +230,7 @@ impl<'a> BindCursor<'a> {
     }
 
     fn bind<'r>(&self, row: Row<'r>) -> Result<Row<'r>> {
-        let value = row.materialize(self.ctx.metrics)?;
-        let env_row =
-            StructValue::new(vec![(Arc::clone(&self.name), value)]).map_err(AlgebraError::from)?;
-        Ok(Row::owned(Value::Struct(env_row)))
+        Ok(bind_value(&self.name, row.materialize(self.ctx.metrics)?))
     }
 }
 

@@ -89,8 +89,9 @@ pub(crate) type KeyedRow<'a> = (u64, Value, Row<'a>);
 
 /// One side of a hash join: a producer of [`KeyedRow`] batches.
 pub(crate) enum KeyedSource<'a> {
-    /// A fused `filter* → bind? → scan` stretch whose tail is the key
-    /// kernel: keys and hashes come out a column at a time, and irregular
+    /// A fused scan stretch (`filter* → bind? → (filter | project)* →
+    /// scan`, over rows at hand or a still-streaming source) whose tail
+    /// is the key kernel: keys and hashes come out a column at a time, and irregular
     /// batches fall back per row inside the spine.
     Spine(Box<Spine<'a>>),
     /// Any other input, keyed per row: struct-frame check, key
@@ -127,7 +128,7 @@ impl<'a> KeyedSource<'a> {
     /// still-streaming source (see [`RowStream::ready`]).
     fn ready(&self) -> bool {
         match self {
-            KeyedSource::Spine(_) => true,
+            KeyedSource::Spine(spine) => spine.ready(),
             KeyedSource::Rows { input, done, .. } => *done || input.ready(),
         }
     }
@@ -674,6 +675,20 @@ impl<'a> HashJoin<'a> {
 impl<'a> RowStream<'a> for HashJoin<'a> {
     fn next_row(&mut self) -> Option<Result<Row<'a>>> {
         row_from_batches(self)
+    }
+
+    /// The side the next pull reads from: the build side until it is
+    /// consumed, then whatever feeds the probe.
+    fn ready(&self) -> bool {
+        match (&self.build, &self.probe.feed) {
+            (Some(build), _) => build.ready(),
+            (None, Feed::Source(probe)) => {
+                self.probe.current.is_some()
+                    || !self.probe.batch.as_slice().is_empty()
+                    || probe.ready()
+            }
+            (None, Feed::Run(_)) => true,
+        }
     }
 
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {

@@ -62,7 +62,7 @@ use disco_algebra::{AggKind, AggState, Env, PhysicalExpr, ScalarExpr};
 use disco_value::{Bag, Value};
 use parking_lot::Mutex;
 
-use crate::exec::{ExecOutcome, PendingSource, Progress, ResolvedExecs};
+use crate::exec::{ExecOutcome, PendingSource, ResolvedExecs};
 use crate::{Result, RuntimeError};
 
 use super::columnar::{self, BatchSource};
@@ -311,24 +311,15 @@ impl<'q> TaskQueue<'q> {
                 if !blocked.is_zero() {
                     wait_metrics.add_source_wait(blocked);
                 }
-                match progress {
-                    Progress::Rows(rows) => {
-                        claim.offset += rows.len();
-                        let id = claim.seq;
-                        claim.seq += 1;
-                        Ok(Some(Task::Chunk {
-                            id,
-                            rows: Arc::new(rows),
-                        }))
+                Ok(progress?.map(|rows| {
+                    claim.offset += rows.len();
+                    let id = claim.seq;
+                    claim.seq += 1;
+                    Task::Chunk {
+                        id,
+                        rows: Arc::new(rows),
                     }
-                    Progress::Done => Ok(None),
-                    Progress::Unavailable => Err(RuntimeError::PendingUnavailable(
-                        source.repository().to_owned(),
-                    )),
-                    Progress::Failed(err) => Err(RuntimeError::Wrapper(err)),
-                    Progress::Panicked(msg) => Err(RuntimeError::WorkerPanic(msg)),
-                    Progress::SpillError(msg) => Err(RuntimeError::Spill(msg)),
-                }
+                }))
             }
         }
     }

@@ -1,15 +1,29 @@
 //! Leaf cursors: scans over in-memory bags and over still-streaming
 //! pending sources.
+//!
+//! A pending source is read in one of two ways, decided by what its spool
+//! is made of.  An unbudgeted spool is a chain of immutable chunks:
+//! [`SpoolReader`] walks it and hands out **borrowed** slices — to the
+//! fused spine (`columnar::Spine`) a batch at a time, to everything that
+//! does not fuse (a bare scan under a union, a nested-loop or merge join
+//! side) a row at a time through [`SpoolScanCursor`].  A budgeted spool
+//! may evict rows to disk, so nothing can borrow from it:
+//! [`PendingScanCursor`] copies rows out through
+//! `PendingSource::wait_rows`, and is built for that spool only.  Either
+//! way the reader blocks only on *its own* source, through the spool's
+//! one wait loop: the deadline flips a still-streaming spool to
+//! unavailable, which surfaces as
+//! [`RuntimeError::PendingUnavailable`](crate::RuntimeError) and sends the
+//! executor to partial evaluation.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use disco_value::{Bag, Value};
 
-use crate::exec::{PendingSource, Progress};
-use crate::RuntimeError;
+use crate::exec::{PendingSource, SpoolChunk};
 
-use super::{PipelineCtx, Result, Row, RowStream};
+use super::{PipelineCtx, PipelineMetrics, Result, Row, RowStream};
 
 /// Streams the elements of a bag **by reference**: the bag lives in the
 /// plan (`memscan` literal data) or in the resolved `exec` outcomes, both
@@ -49,20 +63,112 @@ impl<'a> RowStream<'a> for ScanCursor<'a> {
     }
 }
 
-/// Streams a still-resolving `exec` call: rows are pulled out of the
-/// [`PendingSource`] spool as the wrapper call pushes chunks, so the
-/// pipeline above combines data while slower sources are still answering.
-/// The cursor blocks only when *its own* source is behind; the blocked
-/// time is charged to [`PipelineMetrics::source_wait`](super::PipelineMetrics::source_wait).
-///
-/// Rows are cloned out of the spool (`Arc` bumps), so the cursor owns its
-/// rows and several scans of the same deduplicated call can read one
-/// spool independently, each with its own index.
-///
-/// At the execution deadline a blocked wait flips the spool to
-/// unavailable; the cursor then surfaces
-/// [`RuntimeError::PendingUnavailable`], which the executor catches to
-/// fall back to partial evaluation.
+/// A position in the chunk chain of an unbudgeted spool.  Chunks come
+/// out as slices borrowed from the spool — never copied, never locked;
+/// for the next one the reader waits through
+/// `PendingSource::chunk_after` and charges the time to
+/// [`PipelineMetrics::source_wait`].  Several readers of one
+/// (deduplicated) call walk the same chain independently.
+pub(crate) struct SpoolReader<'a> {
+    source: &'a PendingSource,
+    /// The chunk handed out last.
+    chunk: Option<&'a SpoolChunk>,
+    /// Rows handed out over all chunks: the position
+    /// [`PendingSource::ready`] is asked about.
+    consumed: usize,
+    exhausted: bool,
+}
+
+impl<'a> SpoolReader<'a> {
+    /// A reader at the start of `source`'s chain; `None` when the spool
+    /// is budgeted (not a chain).
+    pub(crate) fn new(source: &'a PendingSource) -> Option<Self> {
+        source.is_chain().then_some(SpoolReader {
+            source,
+            chunk: None,
+            consumed: 0,
+            exhausted: false,
+        })
+    }
+
+    /// The rows of the next chunk; `None` once the stream completed.
+    ///
+    /// # Errors
+    ///
+    /// Those of `PendingSource::chunk_after`: the source turned out (or
+    /// was deadline-classified) unavailable, failed, or panicked.
+    pub(crate) fn next_chunk(&mut self, metrics: &PipelineMetrics) -> Result<Option<&'a [Value]>> {
+        if self.exhausted {
+            return Ok(None);
+        }
+        let (next, blocked) = self.source.chunk_after(self.chunk);
+        metrics.add_source_wait(blocked);
+        let next = next?;
+        match next {
+            Some(chunk) => {
+                self.chunk = Some(chunk);
+                self.consumed += chunk.rows().len();
+            }
+            None => self.exhausted = true,
+        }
+        Ok(next.map(SpoolChunk::rows))
+    }
+
+    /// Whether [`SpoolReader::next_chunk`] would answer without blocking.
+    pub(crate) fn ready(&self) -> bool {
+        self.exhausted || self.source.ready(self.consumed)
+    }
+}
+
+/// Streams a still-resolving `exec` call out of an unbudgeted spool for
+/// the consumers that do not fuse: every row is a borrowed frame, exactly
+/// as [`ScanCursor`] yields them over a materialized answer.
+pub(crate) struct SpoolScanCursor<'a> {
+    reader: SpoolReader<'a>,
+    /// What is left of the chunk being handed out.
+    current: std::slice::Iter<'a, Value>,
+    ctx: PipelineCtx<'a>,
+}
+
+impl<'a> SpoolScanCursor<'a> {
+    pub(crate) fn new(reader: SpoolReader<'a>, ctx: PipelineCtx<'a>) -> Self {
+        SpoolScanCursor {
+            reader,
+            current: [].iter(),
+            ctx,
+        }
+    }
+}
+
+impl<'a> RowStream<'a> for SpoolScanCursor<'a> {
+    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
+        super::row_from_batches(self)
+    }
+
+    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
+        if self.current.as_slice().is_empty() {
+            match self.reader.next_chunk(self.ctx.metrics)? {
+                Some(rows) => self.current = rows.iter(),
+                None => return Ok(false),
+            }
+        }
+        out.extend(self.current.by_ref().take(max).map(Row::borrowed));
+        Ok(true)
+    }
+
+    fn ready(&self) -> bool {
+        !self.current.as_slice().is_empty() || self.reader.ready()
+    }
+}
+
+/// Streams a still-resolving `exec` call out of a **budgeted** spool,
+/// whose rows may have moved to its disk tier: rows are copied out
+/// (`Arc` bumps) through `PendingSource::wait_rows`, so the cursor owns
+/// them.  The cursor blocks only when *its own* source is behind; the
+/// blocked time is charged to
+/// [`PipelineMetrics::source_wait`](super::PipelineMetrics::source_wait).
+/// Several scans of the same deduplicated call read one spool
+/// independently, each with its own index.
 pub(crate) struct PendingScanCursor<'a> {
     source: Arc<PendingSource>,
     ctx: PipelineCtx<'a>,
@@ -93,22 +199,12 @@ impl<'a> PendingScanCursor<'a> {
         if !blocked.is_zero() {
             self.ctx.metrics.add_source_wait(blocked);
         }
-        match progress {
-            Progress::Rows(rows) => {
-                self.index += rows.len();
-                Ok(Some(rows))
-            }
-            Progress::Done => {
-                self.exhausted = true;
-                Ok(None)
-            }
-            Progress::Unavailable => Err(RuntimeError::PendingUnavailable(
-                self.source.repository().to_owned(),
-            )),
-            Progress::Failed(err) => Err(RuntimeError::Wrapper(err)),
-            Progress::Panicked(msg) => Err(RuntimeError::WorkerPanic(msg)),
-            Progress::SpillError(msg) => Err(RuntimeError::Spill(msg)),
+        let rows = progress?;
+        match &rows {
+            Some(rows) => self.index += rows.len(),
+            None => self.exhausted = true,
         }
+        Ok(rows)
     }
 }
 

@@ -1,0 +1,834 @@
+//! The fused spine over still-streaming sources: what `Executor::execute`
+//! computes batch-at-a-time straight out of the spools' chunk chains must
+//! be what the two stages give one after the other over materialized
+//! outcomes — answers, kernel counters and breaker counters — and the
+//! paper's §4 contract must hold *under a spine* exactly as it holds
+//! under the row cursors.
+//!
+//! Three groups, and why each test is here:
+//!
+//! * **Streamed equals materialized, counters included** — fails at the
+//!   parent commit, where `rows_kernel` is 0 under `execute` (pending
+//!   sources never fused).  Every plan of `columnar_equivalence`'s corpus
+//!   has its literal bags moved behind `RelationalWrapper`s whose links
+//!   chunk at 1, 7 and 0 rows; so do the filter/projection shapes the
+//!   optimizer leaves at the mediator (`bind→select`, `bind→proj`,
+//!   `bind→proj→select`, and a `mkproj` that drops a column read above
+//!   it, which must *not* fuse).
+//! * **Spine readiness** — fails at the parent for the same reason (the
+//!   assertion that the union's branches ran on kernels), and pins that a
+//!   fused union still emits whichever source answers first.
+//! * **§4 under a fused spine** — guard hazards only this design has:
+//!   until now a mid-stream failure, the deadline, a type conflict, a
+//!   wrapper panic and the row budget were only ever met by the row
+//!   cursor.
+//!
+//! Every execution here pins one worker, the build side and an explicit
+//! memory budget: kernel counters are exact only on the serial path, and
+//! the chunk chain exists only without a budget (the second run of the
+//! differential, under a small budget, covers the spool that keeps the
+//! row cursor).
+
+mod common;
+
+use std::cell::RefCell;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use common::{instant_profile, random_plan};
+use disco_algebra::{lower, CapabilitySet, LogicalExpr, ScalarExpr, ScalarOp};
+use disco_catalog::{
+    Attribute, Catalog, InterfaceDef, MetaExtent, Repository, TypeRef, WrapperDef,
+};
+use disco_runtime::{
+    evaluate_physical_with, partial_evaluate_reference, reference, resolve_execs,
+    substitute_resolved, AdaptiveMode, Answer, ExecutionConfig, Executor, MemBudget,
+    PipelineMetrics, PipelineOptions, RuntimeError,
+};
+use disco_source::{Availability, NetworkProfile, RelationalStore, SimulatedLink, Table};
+use disco_value::{Bag, StructValue, Value};
+use disco_wrapper::{
+    AnswerSink, AnswerSummary, RelationalWrapper, Wrapper, WrapperAnswer, WrapperError,
+    WrapperRegistry,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// A federation that grows one source per [`Fed::source`] call.
+struct Fed {
+    catalog: Catalog,
+    registry: WrapperRegistry,
+    links: Vec<Arc<SimulatedLink>>,
+}
+
+impl Fed {
+    fn new() -> Self {
+        let mut catalog = Catalog::new();
+        catalog
+            .define_interface(
+                InterfaceDef::new("Person")
+                    .with_extent_name("person")
+                    .with_attribute(Attribute::new("id", TypeRef::Int))
+                    .with_attribute(Attribute::new("name", TypeRef::String))
+                    .with_attribute(Attribute::new("salary", TypeRef::Int)),
+            )
+            .unwrap();
+        Fed {
+            catalog,
+            registry: WrapperRegistry::new(),
+            links: Vec::new(),
+        }
+    }
+
+    /// Declares source `i` (`person{i}` on `r{i}` behind `w{i}`) and
+    /// returns the `submit` of its whole extent.
+    fn declare(
+        &mut self,
+        wrapper: impl FnOnce(&str, &str, Arc<SimulatedLink>) -> Arc<dyn Wrapper>,
+        profile: NetworkProfile,
+    ) -> LogicalExpr {
+        let i = self.links.len();
+        let (extent, repo, name) = (format!("person{i}"), format!("r{i}"), format!("w{i}"));
+        self.catalog
+            .add_wrapper(WrapperDef::new(&name, "relational"))
+            .unwrap();
+        self.catalog.add_repository(Repository::new(&repo)).unwrap();
+        self.catalog
+            .add_extent(MetaExtent::new(&extent, "Person", &name, &repo))
+            .unwrap();
+        let link = Arc::new(SimulatedLink::new(&repo, profile, 7 + i as u64));
+        self.registry
+            .register(wrapper(&name, &extent, Arc::clone(&link)));
+        self.links.push(link);
+        LogicalExpr::get(&extent).submit(repo, name, extent)
+    }
+
+    /// A relational source holding the person rows of `rows`.
+    fn source(&mut self, rows: &Bag, profile: NetworkProfile) -> LogicalExpr {
+        self.declare(
+            |name, extent, link| {
+                let mut table = Table::new(extent, ["id", "name", "salary"]);
+                for row in rows {
+                    table.insert(row.as_struct().unwrap().clone()).unwrap();
+                }
+                let store = Arc::new(RelationalStore::new());
+                store.put_table(table);
+                Arc::new(RelationalWrapper::new(name, store, link))
+            },
+            profile,
+        )
+    }
+
+    /// A source answering with prepared chunks (see [`Scripted`]).
+    fn scripted(&mut self, chunks: Vec<Vec<Value>>, then: Then) -> LogicalExpr {
+        self.declare(
+            |name, _, _| {
+                Arc::new(Scripted {
+                    name: name.to_owned(),
+                    chunks,
+                    then,
+                })
+            },
+            instant_profile(0),
+        )
+    }
+}
+
+/// Moves every literal bag of `plan` behind a relational source of a new
+/// federation whose links chunk at `chunk_rows`.
+fn federate(plan: &LogicalExpr, chunk_rows: usize) -> (Fed, LogicalExpr) {
+    let fed = RefCell::new(Fed::new());
+    let plan = plan.rewrite_bottom_up(&|node| match node {
+        LogicalExpr::Data(rows) => Some(fed.borrow_mut().source(rows, instant_profile(chunk_rows))),
+        _ => None,
+    });
+    (fed.into_inner(), plan)
+}
+
+fn options(mem_budget: MemBudget) -> PipelineOptions {
+    PipelineOptions {
+        threads: 1,
+        mem_budget,
+        adaptive: AdaptiveMode::Off,
+        ..PipelineOptions::default()
+    }
+}
+
+fn executor(fed: &Fed, mem_budget: MemBudget) -> Executor {
+    Executor::new(fed.registry.clone())
+        .with_threads(1)
+        .with_adaptive(AdaptiveMode::Off)
+        .with_mem_budget(mem_budget)
+        .with_deadline(Some(Duration::from_secs(20)))
+}
+
+fn execute(fed: &Fed, plan: &LogicalExpr, mem_budget: MemBudget) -> disco_runtime::Result<Answer> {
+    executor(fed, mem_budget).execute(&lower(plan).unwrap(), &fed.catalog)
+}
+
+/// The two stages one after the other: every call resolved to a
+/// materialized outcome, then the cursor pipeline over the outcomes.
+fn staged(
+    fed: &Fed,
+    plan: &LogicalExpr,
+    mem_budget: MemBudget,
+) -> (
+    disco_runtime::Result<Bag>,
+    PipelineMetrics,
+    disco_runtime::Result<Bag>,
+) {
+    let physical = lower(plan).unwrap();
+    let config = ExecutionConfig {
+        deadline: Some(Duration::from_secs(20)),
+        pipeline: options(mem_budget),
+        ..ExecutionConfig::default()
+    };
+    let resolved = resolve_execs(&physical, &fed.registry, &fed.catalog, &config).unwrap();
+    let metrics = PipelineMetrics::new();
+    let data = evaluate_physical_with(&physical, &resolved, &metrics, options(mem_budget));
+    let expected = reference::evaluate_physical(&physical, &resolved);
+    (data, metrics, expected)
+}
+
+/// Runs `plan` streamed and staged, with and without a memory budget, and
+/// asserts they agree; returns the unbudgeted execution's kernel counters
+/// `(rows_kernel, rows_fallback)`.
+fn assert_streamed_is_staged(fed: &Fed, plan: &LogicalExpr, label: &str) -> (usize, usize) {
+    let (data, metrics, expected) = staged(fed, plan, MemBudget::Unbounded);
+    let (data, expected) = (data.expect(label), expected.expect(label));
+    assert_eq!(data, expected, "{label}: staged pipeline vs reference");
+    let answer = execute(fed, plan, MemBudget::Unbounded).expect(label);
+    assert!(answer.is_complete(), "{label}");
+    assert_eq!(*answer.data(), expected, "{label}: streamed vs reference");
+    let stats = answer.stats();
+    // A spine cuts its batches at chunk boundaries, so an irregular row
+    // takes fewer neighbours to the row path than in one big slice; what
+    // is scanned — and that regular input never falls back — is the same.
+    assert_eq!(
+        stats.rows_kernel + stats.rows_fallback,
+        metrics.rows_kernel() + metrics.rows_fallback(),
+        "{label}: a stretch fuses over a spool's chunks exactly when it fuses over a slice"
+    );
+    assert!(
+        stats.rows_fallback <= metrics.rows_fallback(),
+        "{label}: {} rows fell back streamed, {} staged",
+        stats.rows_fallback,
+        metrics.rows_fallback()
+    );
+    assert_eq!(
+        stats.rows_materialized,
+        metrics.rows_materialized(),
+        "{label}"
+    );
+
+    // The spool that keeps the row cursor: same answer, same breakers.
+    let budget = MemBudget::Bytes(64 << 10);
+    let (_, budgeted_metrics, _) = staged(fed, plan, budget);
+    let budgeted = execute(fed, plan, budget).expect(label);
+    assert_eq!(*budgeted.data(), expected, "{label}: under a budget");
+    assert_eq!(
+        budgeted.stats().rows_materialized,
+        budgeted_metrics.rows_materialized(),
+        "{label}: under a budget"
+    );
+    (stats.rows_kernel, stats.rows_fallback)
+}
+
+const CHUNKINGS: [usize; 3] = [1, 7, 0];
+
+#[test]
+fn the_columnar_corpus_streams_as_it_materializes() {
+    let mut kernel_rows = 0;
+    for seed in 0..40u64 {
+        let mut rng = StdRng::seed_from_u64(0xC01A + seed);
+        let plan = random_plan(&mut rng);
+        for chunk_rows in CHUNKINGS {
+            let (fed, plan) = federate(&plan, chunk_rows);
+            let label = format!("seed {seed}, chunks of {chunk_rows}: {plan}");
+            kernel_rows += assert_streamed_is_staged(&fed, &plan, &label).0;
+        }
+    }
+    assert!(kernel_rows > 0, "the corpus must reach the kernels");
+    common::assert_no_calls_in_flight();
+}
+
+fn people(rows: i64) -> Bag {
+    (0..rows)
+        .map(|i| common::person(i, &format!("p-{}", i % 16), (i * 37) % 100))
+        .collect()
+}
+
+fn gt(field: ScalarExpr, limit: i64) -> ScalarExpr {
+    ScalarExpr::binary(ScalarOp::Gt, field, ScalarExpr::constant(limit))
+}
+
+/// The shapes a filter or projection left at the mediator takes, over a
+/// submit `s`: each with the tail it meets in practice.
+fn mediator_side_shapes(s: &LogicalExpr) -> Vec<(&'static str, LogicalExpr)> {
+    let name = || ScalarExpr::var_field("x", "name");
+    let pay = || {
+        ScalarExpr::StructLit(vec![
+            ("name".into(), name()),
+            (
+                "pay".into(),
+                ScalarExpr::binary(
+                    ScalarOp::Add,
+                    ScalarExpr::var_field("x", "salary"),
+                    ScalarExpr::constant(5i64),
+                ),
+            ),
+        ])
+    };
+    let select = |input: LogicalExpr| input.filter(gt(ScalarExpr::attr("salary"), 40));
+    vec![
+        (
+            "bind→select, gathered",
+            select(s.clone()).bind("x").map_project(name()),
+        ),
+        (
+            "bind→select, mapped",
+            select(s.clone()).bind("x").map_project(pay()),
+        ),
+        (
+            "bind→select, rows out",
+            select(s.clone())
+                .bind("x")
+                .filter(gt(ScalarExpr::var_field("x", "id"), 3)),
+        ),
+        (
+            "bind→proj",
+            s.clone()
+                .project(["name", "salary"])
+                .bind("x")
+                .map_project(pay()),
+        ),
+        (
+            "bind→proj→select",
+            select(s.clone())
+                .project(["name", "salary"])
+                .bind("x")
+                .map_project(name()),
+        ),
+        (
+            "bind→proj→select, narrowed rows out",
+            select(s.clone())
+                .project(["name", "id"])
+                .bind("x")
+                .filter(gt(ScalarExpr::var_field("x", "id"), 3)),
+        ),
+        (
+            "select over a projection that keeps its column",
+            s.clone()
+                .project(["name", "salary"])
+                .filter(gt(ScalarExpr::attr("salary"), 40))
+                .bind("x")
+                .map_project(name()),
+        ),
+    ]
+}
+
+#[test]
+fn every_mediator_side_filter_and_projection_shape_fuses() {
+    let rows = 300;
+    for chunk_rows in CHUNKINGS {
+        let mut fed = Fed::new();
+        let submit = fed.source(&people(rows), instant_profile(chunk_rows));
+        for (shape, plan) in mediator_side_shapes(&submit) {
+            let label = format!("{shape}, chunks of {chunk_rows}");
+            let (kernel, fallback) = assert_streamed_is_staged(&fed, &plan, &label);
+            assert_eq!(
+                (kernel, fallback),
+                (rows as usize, 0),
+                "{label}: every scanned row through the kernels"
+            );
+        }
+    }
+    common::assert_no_calls_in_flight();
+}
+
+#[test]
+fn a_join_of_projected_sources_fuses_over_pending_sides() {
+    // `mediator_combine`'s shape: `hashjoin(mkbind(x, mkproj(exec)), …)`.
+    for chunk_rows in CHUNKINGS {
+        let mut fed = Fed::new();
+        let side = |fed: &mut Fed, var: &str, columns: &[&str]| {
+            fed.source(&people(120), instant_profile(chunk_rows))
+                .project(columns.iter().copied())
+                .bind(var)
+        };
+        let plan = LogicalExpr::Join {
+            left: Box::new(side(&mut fed, "x", &["name", "salary", "id"])),
+            right: Box::new(side(&mut fed, "y", &["salary", "id"])),
+            predicate: Some(ScalarExpr::binary(
+                ScalarOp::Eq,
+                ScalarExpr::var_field("x", "id"),
+                ScalarExpr::var_field("y", "id"),
+            )),
+        }
+        .map_project(ScalarExpr::StructLit(vec![
+            ("name".into(), ScalarExpr::var_field("x", "name")),
+            (
+                "total".into(),
+                ScalarExpr::binary(
+                    ScalarOp::Add,
+                    ScalarExpr::var_field("x", "salary"),
+                    ScalarExpr::var_field("y", "salary"),
+                ),
+            ),
+        ]));
+        let label = format!("projected join, chunks of {chunk_rows}");
+        let (kernel, fallback) = assert_streamed_is_staged(&fed, &plan, &label);
+        assert_eq!((kernel, fallback), (240, 0), "{label}");
+    }
+}
+
+#[test]
+fn a_projection_that_drops_a_column_read_above_it_does_not_fuse() {
+    let mut fed = Fed::new();
+    let submit = fed.source(&people(50), instant_profile(7));
+    let plans = [
+        // Read by a filter beneath the bind, by one above it, by the map.
+        submit
+            .clone()
+            .project(["name"])
+            .filter(gt(ScalarExpr::attr("salary"), 40))
+            .bind("x")
+            .map_project(ScalarExpr::var_field("x", "name")),
+        submit
+            .clone()
+            .project(["name"])
+            .bind("x")
+            .filter(gt(ScalarExpr::var_field("x", "salary"), 40))
+            .map_project(ScalarExpr::var_field("x", "name")),
+        submit
+            .project(["name"])
+            .bind("x")
+            .map_project(ScalarExpr::var_field("x", "salary")),
+    ];
+    for plan in plans {
+        let (data, metrics, expected) = staged(&fed, &plan, MemBudget::Unbounded);
+        let expected = expected.expect_err("the reference misses the attribute");
+        assert_eq!(
+            data.unwrap_err().to_string(),
+            expected.to_string(),
+            "{plan}"
+        );
+        assert_eq!(
+            (metrics.rows_kernel(), metrics.rows_fallback()),
+            (0, 0),
+            "{plan}: the stretch must stay on the row cursors"
+        );
+        let err = execute(&fed, &plan, MemBudget::Unbounded).unwrap_err();
+        assert_eq!(err.to_string(), expected.to_string(), "{plan}");
+    }
+    common::assert_no_calls_in_flight();
+}
+
+/// A wrapper answering with prepared chunks of arbitrary values, after
+/// which it fails, panics, or completes.
+struct Scripted {
+    name: String,
+    chunks: Vec<Vec<Value>>,
+    then: Then,
+}
+
+#[derive(Clone, Copy)]
+enum Then {
+    Complete,
+    Panic,
+}
+
+impl Wrapper for Scripted {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn kind(&self) -> &str {
+        "relational"
+    }
+    fn capabilities(&self) -> CapabilitySet {
+        CapabilitySet::get_only()
+    }
+    fn submit(&self, _expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
+        unreachable!("the runtime streams");
+    }
+    fn submit_streaming(
+        &self,
+        _expr: &LogicalExpr,
+        sink: &mut dyn AnswerSink,
+    ) -> Result<AnswerSummary, WrapperError> {
+        let mut rows_scanned = 0;
+        for chunk in &self.chunks {
+            rows_scanned += chunk.len();
+            if !sink.push(chunk.iter().cloned().collect()) {
+                break;
+            }
+        }
+        match self.then {
+            Then::Complete => Ok(AnswerSummary {
+                rows_scanned,
+                latency: Duration::from_micros(100),
+            }),
+            Then::Panic => panic!("wrapper exploded after chunk {}", self.chunks.len()),
+        }
+    }
+}
+
+/// Person rows carrying a `bonus` the interface does not declare (so the
+/// wrapper-side type check does not look for it).
+fn with_bonus(id: i64, salary: i64, bonus: Option<i64>) -> Value {
+    let mut fields = vec![
+        ("id", Value::Int(id)),
+        ("name", Value::from(format!("p{id}"))),
+        ("salary", Value::Int(salary)),
+    ];
+    if let Some(bonus) = bonus {
+        fields.push(("bonus", Value::Int(bonus)));
+    }
+    Value::Struct(StructValue::new(fields).unwrap())
+}
+
+fn bonus_chunks(odd_one: Value) -> Vec<Vec<Value>> {
+    (0..5)
+        .map(|c| {
+            (0..6)
+                .map(|r| {
+                    let id = c * 6 + r;
+                    if id == 15 {
+                        odd_one.clone()
+                    } else {
+                        with_bonus(id, 60 + id, Some(id))
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn an_irregular_chunk_falls_back_for_that_batch_only() {
+    // Row 15 (chunk 3 of 5) lacks a decoded field; the filter beneath the
+    // bind drops it before anything reads the field, so the row path —
+    // and therefore the answer — does not miss it.
+    let mut fed = Fed::new();
+    let submit = fed.scripted(bonus_chunks(with_bonus(15, 10, None)), Then::Complete);
+    let plan = submit
+        .filter(gt(ScalarExpr::attr("salary"), 50))
+        .bind("x")
+        .map_project(ScalarExpr::binary(
+            ScalarOp::Add,
+            ScalarExpr::var_field("x", "bonus"),
+            ScalarExpr::constant(1i64),
+        ));
+    let (kernel, fallback) = assert_streamed_is_staged(&fed, &plan, "a row lacking a field");
+    assert_eq!((kernel, fallback), (24, 6), "one chunk of six fell back");
+}
+
+#[test]
+fn an_irregular_chunk_reproduces_the_row_engines_error() {
+    for (odd_one, what) in [
+        (Value::Int(15), "a non-struct row"),
+        (
+            with_bonus(15, 99, None),
+            "a surviving row lacking the field",
+        ),
+    ] {
+        let mut fed = Fed::new();
+        let submit = fed.scripted(bonus_chunks(odd_one), Then::Complete);
+        let plan = submit
+            .filter(gt(ScalarExpr::attr("salary"), 50))
+            .bind("x")
+            .map_project(ScalarExpr::binary(
+                ScalarOp::Add,
+                ScalarExpr::var_field("x", "bonus"),
+                ScalarExpr::constant(1i64),
+            ));
+        let (data, metrics, expected) = staged(&fed, &plan, MemBudget::Unbounded);
+        let expected = expected.expect_err(what);
+        assert_eq!(
+            data.unwrap_err().to_string(),
+            expected.to_string(),
+            "{what}"
+        );
+        assert!(
+            metrics.rows_fallback() > 0,
+            "{what}: the failing batch bailed to the row path"
+        );
+        let err = execute(&fed, &plan, MemBudget::Unbounded).unwrap_err();
+        assert_eq!(err.to_string(), expected.to_string(), "{what}");
+    }
+    common::assert_no_calls_in_flight();
+}
+
+// ---------------------------------------------------------------------
+// Spine readiness.
+// ---------------------------------------------------------------------
+
+fn sleeping(chunk_rows: usize, availability: Availability) -> NetworkProfile {
+    NetworkProfile {
+        base_latency_us: 500,
+        per_row_us: 0,
+        jitter: 0.0,
+        real_sleep: true,
+        chunk_rows,
+        availability,
+    }
+}
+
+fn names_of(submit: LogicalExpr) -> LogicalExpr {
+    submit
+        .bind("x")
+        .map_project(ScalarExpr::var_field("x", "name"))
+}
+
+#[test]
+fn a_fused_union_emits_whichever_source_answers_first() {
+    let mut fed = Fed::new();
+    let slow_first_chunk = Duration::from_millis(300);
+    let slow = fed.source(
+        &people(20),
+        sleeping(5, Availability::Slow { extra_ms: 300 }),
+    );
+    let fast = fed.source(&people(20), sleeping(5, Availability::Available));
+    // Branch 0 is the slow one: a union that trusts a spine's `ready()`
+    // and gets `true` for a source that has nothing yet blocks on it.
+    let plan = LogicalExpr::Union(vec![names_of(slow), names_of(fast)]);
+    let answer = execute(&fed, &plan, MemBudget::Unbounded).unwrap();
+    assert!(answer.is_complete());
+    assert_eq!(answer.data().len(), 40);
+    assert_eq!(
+        answer.stats().rows_kernel,
+        40,
+        "both branches are fused spines over their spools"
+    );
+    let first = answer.time_to_first_row().expect("rows were emitted");
+    assert!(
+        first < slow_first_chunk / 2,
+        "first row after {first:?}: the union waited for the slow branch"
+    );
+    assert!(answer.stats().elapsed >= slow_first_chunk);
+}
+
+// ---------------------------------------------------------------------
+// §4 under a fused spine.
+// ---------------------------------------------------------------------
+
+/// Forwards to a relational wrapper and takes its link down once
+/// `chunks` chunks went through — deterministically *between* two chunks.
+struct FailsAfter {
+    inner: RelationalWrapper,
+    chunks: usize,
+}
+
+struct CountingSink<'a> {
+    inner: &'a mut dyn AnswerSink,
+    pushed: usize,
+    fail_at: usize,
+    link: Arc<SimulatedLink>,
+}
+
+impl AnswerSink for CountingSink<'_> {
+    fn push(&mut self, rows: Bag) -> bool {
+        let more = self.inner.push(rows);
+        self.pushed += 1;
+        if self.pushed == self.fail_at {
+            self.link.set_availability(Availability::Unavailable);
+        }
+        more
+    }
+    fn is_cancelled(&self) -> bool {
+        self.inner.is_cancelled()
+    }
+    fn pause(&mut self, delay: Duration) -> bool {
+        self.inner.pause(delay)
+    }
+}
+
+impl Wrapper for FailsAfter {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn kind(&self) -> &str {
+        self.inner.kind()
+    }
+    fn capabilities(&self) -> CapabilitySet {
+        self.inner.capabilities()
+    }
+    fn submit(&self, expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
+        self.inner.submit(expr)
+    }
+    fn submit_streaming(
+        &self,
+        expr: &LogicalExpr,
+        sink: &mut dyn AnswerSink,
+    ) -> Result<AnswerSummary, WrapperError> {
+        let mut counting = CountingSink {
+            inner: sink,
+            pushed: 0,
+            fail_at: self.chunks,
+            link: Arc::clone(self.inner.link()),
+        };
+        self.inner.submit_streaming(expr, &mut counting)
+    }
+}
+
+fn branch_over(submit: LogicalExpr, threshold: i64) -> LogicalExpr {
+    submit
+        .filter(gt(ScalarExpr::attr("salary"), threshold))
+        .bind("x")
+        .map_project(ScalarExpr::var_field("x", "name"))
+}
+
+#[test]
+fn a_link_lost_between_two_chunks_leaves_that_source_wholly_residual() {
+    let mut fed = Fed::new();
+    let healthy = fed.source(&people(30), instant_profile(4));
+    let failing = fed.declare(
+        |name, extent, link| {
+            let mut table = Table::new(extent, ["id", "name", "salary"]);
+            for row in &people(30) {
+                table.insert(row.as_struct().unwrap().clone()).unwrap();
+            }
+            let store = Arc::new(RelationalStore::new());
+            store.put_table(table);
+            Arc::new(FailsAfter {
+                inner: RelationalWrapper::new(name, store, link),
+                chunks: 2,
+            })
+        },
+        instant_profile(4),
+    );
+    let plan = LogicalExpr::Union(vec![branch_over(healthy, 20), branch_over(failing, 20)]);
+    let answer = execute(&fed, &plan, MemBudget::Unbounded).unwrap();
+    assert!(!answer.is_complete());
+    assert_eq!(answer.unavailable_sources(), &["r1".to_owned()]);
+    assert_eq!(fed.links[1].chunk_count(), 3, "lost on its third chunk");
+
+    // What the two stages say once the link is down for the whole call:
+    // the rows of the two chunks that did arrive are not in the data.
+    let physical = lower(&plan).unwrap();
+    let resolved = resolve_execs(
+        &physical,
+        &fed.registry,
+        &fed.catalog,
+        &ExecutionConfig::default(),
+    )
+    .unwrap();
+    let substituted = substitute_resolved(&physical.to_logical(), &resolved);
+    let (data, residual) = partial_evaluate_reference(&substituted, &resolved).unwrap();
+    assert_eq!(*answer.data(), data);
+    assert_eq!(answer.residual(), residual.as_ref());
+    let text = answer.residual_oql().unwrap();
+    assert!(
+        text.contains("person1") && !text.contains("person0"),
+        "{text}"
+    );
+    assert_eq!(
+        answer.data().len(),
+        people(30)
+            .iter()
+            .filter(|p| p.field("salary").unwrap() > &Value::Int(20))
+            .count(),
+        "the healthy source's survivors, nothing of the lost one"
+    );
+}
+
+#[test]
+fn a_trickling_source_is_cut_at_the_deadline_under_a_spine() {
+    // One row per chunk, a millisecond apart: the consumer is never far
+    // behind, and the stream would run for a second.
+    let mut fed = Fed::new();
+    let quick = fed.source(&people(30), instant_profile(0));
+    let trickle = fed.source(
+        &people(1000),
+        sleeping(1, Availability::Degraded { chunk_extra_ms: 1 }),
+    );
+    let plan = LogicalExpr::Union(vec![branch_over(quick, -1), branch_over(trickle, -1)]);
+    let started = Instant::now();
+    let answer = executor(&fed, MemBudget::Unbounded)
+        .with_deadline(Some(Duration::from_millis(80)))
+        .execute(&lower(&plan).unwrap(), &fed.catalog)
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert!(!answer.is_complete(), "the deadline applies to a trickle");
+    assert_eq!(answer.unavailable_sources(), &["r1".to_owned()]);
+    assert_eq!(answer.data().len(), 30, "the quick source only");
+    assert!(
+        elapsed < Duration::from_millis(600),
+        "evaluation stops at the deadline, not at the end of the stream: {elapsed:?}"
+    );
+    common::assert_no_calls_in_flight();
+    let chunks = fed.links[1].chunk_count();
+    assert!(chunks < 1000, "the call was cancelled, {chunks} chunks");
+}
+
+#[test]
+fn a_type_conflict_in_a_late_chunk_is_an_error_not_a_short_answer() {
+    let mut chunks = bonus_chunks(with_bonus(15, 70, Some(1)));
+    // Chunk 3 holds a row without the interface's `salary`.
+    chunks[2][3] = Value::Struct(
+        StructValue::new(vec![("id", Value::Int(15)), ("name", Value::from("p"))]).unwrap(),
+    );
+    let mut fed = Fed::new();
+    let submit = fed.scripted(chunks, Then::Complete);
+    let err = execute(&fed, &branch_over(submit, 0), MemBudget::Unbounded).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            RuntimeError::Wrapper(WrapperError::TypeConflict { .. })
+        ),
+        "expected the wrapper-boundary type check, got {err}"
+    );
+}
+
+#[test]
+fn a_wrapper_panicking_mid_stream_surfaces_worker_panic() {
+    let mut fed = Fed::new();
+    let healthy = fed.source(&people(30), instant_profile(4));
+    let submit = fed.scripted(
+        bonus_chunks(with_bonus(15, 70, Some(1)))[..2].to_vec(),
+        Then::Panic,
+    );
+    let plan = LogicalExpr::Union(vec![branch_over(healthy, 0), branch_over(submit, 0)]);
+    let err = execute(&fed, &plan, MemBudget::Unbounded).unwrap_err();
+    assert!(
+        matches!(&err, RuntimeError::WorkerPanic(msg) if msg.contains("exploded")),
+        "expected the contained panic, got {err}"
+    );
+    common::assert_no_calls_in_flight();
+}
+
+#[test]
+fn an_exhausted_row_budget_still_yields_a_partial_answer() {
+    let mut fed = Fed::new();
+    let submits: Vec<LogicalExpr> = (0..3)
+        .map(|_| fed.source(&people(40), instant_profile(8)))
+        .collect();
+    let plan = LogicalExpr::Union(submits.into_iter().map(|s| branch_over(s, -1)).collect());
+    let answer = executor(&fed, MemBudget::Unbounded)
+        .with_row_budget(Some(70))
+        .execute(&lower(&plan).unwrap(), &fed.catalog)
+        .unwrap();
+    assert!(!answer.is_complete(), "120 rows do not fit a budget of 70");
+    assert!(!answer.unavailable_sources().is_empty());
+    assert!(answer.stats().rows_transferred <= 70);
+    // Data and residual partition the sources: whatever answered in full
+    // is in the data, whatever was cut is in the residual, whole.
+    let cut = answer.unavailable_sources().len();
+    assert_eq!(answer.data().len(), 40 * (3 - cut));
+    let residual = answer.residual_oql().unwrap();
+    for (i, repo) in ["r0", "r1", "r2"].iter().enumerate() {
+        assert_eq!(
+            residual.contains(&format!("person{i}")),
+            answer.unavailable_sources().iter().any(|r| r == repo),
+            "{residual}"
+        );
+    }
+    common::assert_no_calls_in_flight();
+}
+
+/// Starts after the tests above (the harness starts tests in name order)
+/// and outwaits the ones still running.
+#[test]
+fn zz_no_call_outlives_its_query() {
+    common::assert_no_calls_in_flight();
+}

@@ -7,6 +7,7 @@
 //! native filters, which is all a wrapper needs.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use disco_value::{StructValue, Value};
 use parking_lot::RwLock;
@@ -18,6 +19,9 @@ use crate::{Result, SourceError};
 pub struct Table {
     name: String,
     columns: Vec<String>,
+    /// `columns` as the shared field names stamped into every row: the
+    /// rows of one table share their name storage.
+    names: Vec<Arc<str>>,
     rows: Vec<StructValue>,
 }
 
@@ -28,9 +32,11 @@ impl Table {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
+        let columns: Vec<String> = columns.into_iter().map(Into::into).collect();
         Table {
             name: name.into(),
-            columns: columns.into_iter().map(Into::into).collect(),
+            names: columns.iter().map(|c| Arc::from(c.as_str())).collect(),
+            columns,
             rows: Vec::new(),
         }
     }
@@ -76,9 +82,9 @@ impl Table {
             }
         }
         let mut complete = Vec::with_capacity(self.columns.len());
-        for column in &self.columns {
-            let value = row.field(column).cloned().unwrap_or(Value::Null);
-            complete.push((column.clone(), value));
+        for name in &self.names {
+            let value = row.get(name).cloned().unwrap_or(Value::Null);
+            complete.push((Arc::clone(name), value));
         }
         self.rows
             .push(StructValue::new(complete).expect("columns are unique"));
@@ -119,7 +125,10 @@ impl Table {
 /// wrappers may scan concurrently.
 #[derive(Debug, Default)]
 pub struct RelationalStore {
-    tables: RwLock<BTreeMap<String, Table>>,
+    /// Tables are shared with the calls reading them: a call takes a
+    /// reference-count bump, and a write that finds readers copies the
+    /// table first, so a call in flight keeps the rows it started with.
+    tables: RwLock<BTreeMap<String, Arc<Table>>>,
 }
 
 impl RelationalStore {
@@ -131,7 +140,23 @@ impl RelationalStore {
 
     /// Creates or replaces a table.
     pub fn put_table(&self, table: Table) {
-        self.tables.write().insert(table.name().to_owned(), table);
+        self.tables
+            .write()
+            .insert(table.name().to_owned(), Arc::new(table));
+    }
+
+    /// The named table as it is now, shared: what a wrapper call reads.
+    /// No row is copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SourceError::UnknownTable`] when absent.
+    pub fn shared_table(&self, name: &str) -> Result<Arc<Table>> {
+        self.tables
+            .read()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| SourceError::UnknownTable(name.to_owned()))
     }
 
     /// Returns a clone of the named table.
@@ -140,11 +165,7 @@ impl RelationalStore {
     ///
     /// Returns [`SourceError::UnknownTable`] when absent.
     pub fn table(&self, name: &str) -> Result<Table> {
-        self.tables
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| SourceError::UnknownTable(name.to_owned()))
+        Ok((*self.shared_table(name)?).clone())
     }
 
     /// Scans all rows of a table.
@@ -153,7 +174,7 @@ impl RelationalStore {
     ///
     /// Returns [`SourceError::UnknownTable`] when absent.
     pub fn scan(&self, name: &str) -> Result<Vec<StructValue>> {
-        Ok(self.table(name)?.rows().to_vec())
+        Ok(self.shared_table(name)?.rows().to_vec())
     }
 
     /// Inserts a row into an existing table.
@@ -166,7 +187,7 @@ impl RelationalStore {
         let t = tables
             .get_mut(table)
             .ok_or_else(|| SourceError::UnknownTable(table.to_owned()))?;
-        t.insert(row)
+        Arc::make_mut(t).insert(row)
     }
 
     /// The table names, sorted.
@@ -178,7 +199,7 @@ impl RelationalStore {
     /// Number of rows in a table (0 when the table is unknown).
     #[must_use]
     pub fn row_count(&self, table: &str) -> usize {
-        self.tables.read().get(table).map_or(0, Table::len)
+        self.tables.read().get(table).map_or(0, |t| t.len())
     }
 }
 
@@ -219,6 +240,36 @@ mod tests {
             .unwrap();
         let names: Vec<&str> = t.rows()[0].field_names().collect();
         assert_eq!(names, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn rows_of_one_table_share_their_column_names() {
+        let mut t = Table::new("t", ["a", "b"]);
+        t.insert_values([("a", Value::Int(1)), ("b", Value::Int(2))])
+            .unwrap();
+        t.insert_values([("b", Value::Int(4))]).unwrap();
+        assert!(
+            t.rows()[0].shares_names_with(&t.rows()[1]),
+            "one allocation per declared column, not one per cell"
+        );
+        let csv = crate::parse_csv("m", "a,b\n1,2\n3,4\n").unwrap();
+        assert!(csv.rows()[0].shares_names_with(&csv.rows()[1]));
+    }
+
+    #[test]
+    fn a_shared_table_keeps_its_rows_while_the_store_moves_on() {
+        let store = RelationalStore::new();
+        store.put_table(person_table());
+        let before = store.shared_table("person0").unwrap();
+        store
+            .insert(
+                "person0",
+                StructValue::new(vec![("name", Value::from("Sam"))]).unwrap(),
+            )
+            .unwrap();
+        assert_eq!(before.len(), 1, "a reader keeps the table it took");
+        assert_eq!(store.shared_table("person0").unwrap().len(), 2);
+        assert_eq!(store.scan("person0").unwrap().len(), 2);
     }
 
     #[test]

@@ -382,6 +382,21 @@ impl StructValue {
         Arc::ptr_eq(&self.fields, &other.fields)
     }
 
+    /// Returns `true` when `self` and `other` declare the same fields in
+    /// the same order **through the same name storage** — rows of one
+    /// table (and projections of them) share their `Arc<str>` names, so a
+    /// check made for one row holds for every row this says `true` for.
+    /// `false` only means "compare by content instead".
+    #[must_use]
+    pub fn shares_names_with(&self, other: &StructValue) -> bool {
+        self.fields.len() == other.fields.len()
+            && self
+                .fields
+                .iter()
+                .zip(other.fields.iter())
+                .all(|((a, _), (b, _))| Arc::ptr_eq(a, b))
+    }
+
     /// Produces a new struct containing only `names`, in the order given.
     ///
     /// This is the value-level counterpart of the `project` logical

@@ -59,9 +59,11 @@ impl CsvWrapper {
                 endpoint: self.link.endpoint().to_owned(),
             });
         }
-        let rows = self.source.scan();
-        let count = rows.len();
-        Ok((rows.into_iter().map(Value::Struct).collect(), count))
+        let rows = self.source.table().rows();
+        Ok((
+            rows.iter().cloned().map(Value::Struct).collect(),
+            rows.len(),
+        ))
     }
 }
 

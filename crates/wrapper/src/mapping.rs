@@ -8,7 +8,7 @@
 
 use disco_algebra::LogicalExpr;
 use disco_catalog::TypeMap;
-use disco_value::{Bag, Value};
+use disco_value::{Bag, StructValue, Value};
 
 use crate::WrapperError;
 
@@ -48,11 +48,12 @@ pub fn map_expr_to_source(expr: &LogicalExpr, map: &TypeMap) -> LogicalExpr {
 }
 
 /// Renames the fields of answer rows from the data-source name space back
-/// into the mediator name space.
+/// into the mediator name space.  Under an identity map the rows come
+/// back as they are: the same storage, nothing copied.
 #[must_use]
-pub fn map_rows_to_mediator(rows: &Bag, map: &TypeMap) -> Bag {
+pub fn map_rows_to_mediator(rows: Bag, map: &TypeMap) -> Bag {
     if map.is_identity() {
-        return rows.clone();
+        return rows;
     }
     rows.iter()
         .map(|v| match v {
@@ -76,8 +77,15 @@ pub fn check_type_conformance(
     expected_attributes: &[String],
     extent: &str,
 ) -> Result<(), WrapperError> {
+    // Every row is looked at, but the rows of one table share their
+    // field-name storage: a row declaring the very names of the last row
+    // verified needs no attribute looked up again.
+    let mut verified: Option<&StructValue> = None;
     for row in rows {
         if let Value::Struct(s) = row {
+            if verified.is_some_and(|last| last.shares_names_with(s)) {
+                continue;
+            }
             for attr in expected_attributes {
                 if !s.has_field(attr) {
                     return Err(WrapperError::TypeConflict {
@@ -86,6 +94,7 @@ pub fn check_type_conformance(
                     });
                 }
             }
+            verified = Some(s);
         }
     }
     Ok(())
@@ -118,7 +127,6 @@ pub fn expected_after_expr(expr: &LogicalExpr, expected_attributes: &[String]) -
 mod tests {
     use super::*;
     use disco_algebra::{ScalarExpr, ScalarOp};
-    use disco_value::StructValue;
 
     fn paper_map() -> TypeMap {
         TypeMap::builder()
@@ -160,7 +168,7 @@ mod tests {
         )]
         .into_iter()
         .collect();
-        let mapped = map_rows_to_mediator(&rows, &paper_map());
+        let mapped = map_rows_to_mediator(rows, &paper_map());
         let row = mapped.iter().next().unwrap().as_struct().unwrap();
         assert!(row.has_field("n"));
         assert!(row.has_field("s"));
@@ -183,6 +191,25 @@ mod tests {
         // Non-struct rows (projected scalars) are not checked.
         let scalars: Bag = [Value::from("Mary")].into_iter().collect();
         assert!(check_type_conformance(&scalars, &["name".to_owned()], "person0").is_ok());
+    }
+
+    #[test]
+    fn type_conformance_still_looks_at_every_row() {
+        // Two rows sharing their names, then an intruder of another
+        // layout: the shortcut must not skip it.
+        let name: std::sync::Arc<str> = "name".into();
+        let good = |v: &str| {
+            Value::Struct(StructValue::from_distinct_fields(vec![(
+                std::sync::Arc::clone(&name),
+                Value::from(v),
+            )]))
+        };
+        let intruder = Value::Struct(StructValue::new(vec![("n", Value::from("x"))]).unwrap());
+        let rows: Bag = [good("Mary"), good("Sam"), intruder, good("Ann")]
+            .into_iter()
+            .collect();
+        let err = check_type_conformance(&rows, &["name".to_owned()], "person0").unwrap_err();
+        assert!(matches!(err, WrapperError::TypeConflict { .. }));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use disco_algebra::{CapabilitySet, LogicalExpr};
 use disco_source::{RelationalStore, SimulatedLink};
 
-use crate::eval::eval_pushed;
+use crate::eval::{eval_pushed, PushedResult};
 use crate::interface::{AnswerSink, AnswerSummary, Wrapper, WrapperAnswer};
 use crate::WrapperError;
 
@@ -58,6 +58,26 @@ impl RelationalWrapper {
     pub fn link(&self) -> &Arc<SimulatedLink> {
         &self.link
     }
+
+    /// Checks the pushed expression and evaluates it over the store's
+    /// shared tables: the front half of [`Wrapper::submit`] and
+    /// [`Wrapper::submit_streaming`], everything except latency
+    /// accounting and delivery.
+    fn evaluate(&self, expr: &LogicalExpr) -> Result<PushedResult, WrapperError> {
+        self.capabilities
+            .accepts_named(expr, &self.name)
+            .map_err(WrapperError::Capability)?;
+        if !self.link.is_available() {
+            return Err(WrapperError::Unavailable {
+                endpoint: self.link.endpoint().to_owned(),
+            });
+        }
+        eval_pushed(expr, &|collection: &str| {
+            self.store
+                .shared_table(collection)
+                .map_err(WrapperError::from)
+        })
+    }
 }
 
 impl std::fmt::Debug for RelationalWrapper {
@@ -84,18 +104,7 @@ impl Wrapper for RelationalWrapper {
     }
 
     fn submit(&self, expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
-        self.capabilities
-            .accepts_named(expr, &self.name)
-            .map_err(WrapperError::Capability)?;
-        if !self.link.is_available() {
-            return Err(WrapperError::Unavailable {
-                endpoint: self.link.endpoint().to_owned(),
-            });
-        }
-        let store = Arc::clone(&self.store);
-        let result = eval_pushed(expr, &move |collection: &str| {
-            store.scan(collection).map_err(WrapperError::from)
-        })?;
+        let result = self.evaluate(expr)?;
         let latency = crate::streaming::call_latency(&self.link, result.rows.len())?;
         Ok(WrapperAnswer {
             rows: result.rows,
@@ -109,18 +118,7 @@ impl Wrapper for RelationalWrapper {
         expr: &LogicalExpr,
         sink: &mut dyn AnswerSink,
     ) -> Result<AnswerSummary, WrapperError> {
-        self.capabilities
-            .accepts_named(expr, &self.name)
-            .map_err(WrapperError::Capability)?;
-        if !self.link.is_available() {
-            return Err(WrapperError::Unavailable {
-                endpoint: self.link.endpoint().to_owned(),
-            });
-        }
-        let store = Arc::clone(&self.store);
-        let result = eval_pushed(expr, &move |collection: &str| {
-            store.scan(collection).map_err(WrapperError::from)
-        })?;
+        let result = self.evaluate(expr)?;
         crate::streaming::stream_chunks(
             &self.link,
             result.rows.into_values(),
@@ -138,7 +136,7 @@ impl Wrapper for RelationalWrapper {
 mod tests {
     use super::*;
     use disco_algebra::{OperatorKind, ScalarExpr, ScalarOp};
-    use disco_source::{generator, Availability, NetworkProfile};
+    use disco_source::{generator, Availability, NetworkProfile, RelationalStore};
     use disco_value::Value;
     use std::time::Duration;
 
@@ -195,6 +193,66 @@ mod tests {
         let wrapper = setup(CapabilitySet::full());
         let err = wrapper.submit(&LogicalExpr::get("missing")).unwrap_err();
         assert!(matches!(err, WrapperError::Source(_)));
+    }
+
+    #[test]
+    fn an_insert_between_two_calls_is_seen_by_the_second() {
+        // Calls share the stored table instead of copying it; the store
+        // must not hand the next call the rows the last one started with.
+        let wrapper = setup(CapabilitySet::full());
+        let everyone = LogicalExpr::get("person0").project(["name"]);
+        assert_eq!(wrapper.submit(&everyone).unwrap().rows_returned(), 20);
+        wrapper
+            .store()
+            .insert(
+                "person0",
+                disco_value::StructValue::new(vec![("name", Value::from("intruder"))]).unwrap(),
+            )
+            .unwrap();
+        let answer = wrapper.submit(&everyone).unwrap();
+        assert_eq!(answer.rows_returned(), 21);
+        assert_eq!(answer.rows_scanned, 21);
+    }
+
+    #[test]
+    fn the_link_sees_the_same_calls_chunks_and_latency_however_rows_are_evaluated() {
+        // The simulated link feeds the calibration store and with it plan
+        // choice: evaluating and delivering without copies must not move
+        // a call, a chunk or a microsecond of it.
+        struct Chunks(Vec<usize>);
+        impl AnswerSink for Chunks {
+            fn push(&mut self, rows: disco_value::Bag) -> bool {
+                self.0.push(rows.len());
+                true
+            }
+        }
+        let store = Arc::new(RelationalStore::new());
+        store.put_table(generator::person_table("person0", 20, 0, 42));
+        let profile = NetworkProfile {
+            base_latency_us: 1_000,
+            per_row_us: 10,
+            jitter: 0.0,
+            chunk_rows: 6,
+            ..NetworkProfile::fast()
+        };
+        let link = Arc::new(SimulatedLink::new("r0", profile, 1));
+        let wrapper = RelationalWrapper::new("w0", store, Arc::clone(&link));
+        let pushed = LogicalExpr::get("person0")
+            .filter(ScalarExpr::binary(
+                ScalarOp::Ge,
+                ScalarExpr::attr("salary"),
+                ScalarExpr::constant(0i64),
+            ))
+            .project(["name"]);
+        let mut sink = Chunks(Vec::new());
+        let summary = wrapper.submit_streaming(&pushed, &mut sink).unwrap();
+        assert_eq!(sink.0, vec![6, 6, 6, 2]);
+        assert_eq!((link.call_count(), link.chunk_count()), (1, 4));
+        assert_eq!(summary.rows_scanned, 20);
+        assert_eq!(summary.latency, Duration::from_micros(1_000 + 20 * 10));
+        let answer = wrapper.submit(&pushed).unwrap();
+        assert_eq!(answer.latency, Duration::from_micros(1_000 + 20 * 10));
+        assert_eq!((link.call_count(), link.chunk_count()), (2, 4));
     }
 
     #[test]

@@ -31,10 +31,12 @@ pub(crate) fn stream_chunks(
     rows_scanned: usize,
     sink: &mut dyn AnswerSink,
 ) -> Result<AnswerSummary, WrapperError> {
-    let mut offset = 0usize;
     let mut latency = Duration::ZERO;
     let mut first = true;
-    for size in link.chunk_sizes(rows.len()) {
+    let sizes = link.chunk_sizes(rows.len());
+    // Rows are moved into their chunk, never copied.
+    let mut rows = rows.into_iter();
+    for size in sizes {
         if sink.is_cancelled() {
             break;
         }
@@ -46,8 +48,7 @@ pub(crate) fn stream_chunks(
         if delay.real_sleep && !sink.pause(delay.latency) {
             break;
         }
-        let chunk: Bag = rows[offset..offset + size].iter().cloned().collect();
-        offset += size;
+        let chunk: Bag = rows.by_ref().take(size).collect();
         if !sink.push(chunk) {
             break;
         }
