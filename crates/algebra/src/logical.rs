@@ -117,6 +117,15 @@ pub enum LogicalExpr {
     },
 }
 
+impl Default for LogicalExpr {
+    /// The empty union: a plan that produces no rows and owns no heap
+    /// memory.  It is what [`std::mem::take`] leaves in a slot while a
+    /// transformation rule moves the slot's content elsewhere.
+    fn default() -> Self {
+        LogicalExpr::Union(Vec::new())
+    }
+}
+
 impl LogicalExpr {
     /// Builds a `get` node.
     #[must_use]
@@ -205,19 +214,47 @@ impl LogicalExpr {
     /// Immediate children of this node.
     #[must_use]
     pub fn children(&self) -> Vec<&LogicalExpr> {
+        let mut children = Vec::new();
+        self.for_each_child(&mut |child| children.push(child));
+        children
+    }
+
+    /// Calls `f` on each immediate child, left to right, without building
+    /// a vector of them.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a LogicalExpr)) {
         match self {
-            LogicalExpr::Get { .. } | LogicalExpr::Data(_) => Vec::new(),
+            LogicalExpr::Get { .. } | LogicalExpr::Data(_) => {}
             LogicalExpr::Filter { input, .. }
             | LogicalExpr::Project { input, .. }
             | LogicalExpr::MapProject { input, .. }
             | LogicalExpr::Bind { input, .. }
-            | LogicalExpr::Aggregate { input, .. } => vec![input],
-            LogicalExpr::Flatten(inner) | LogicalExpr::Distinct(inner) => vec![inner],
+            | LogicalExpr::Aggregate { input, .. } => f(input),
+            LogicalExpr::Flatten(inner) | LogicalExpr::Distinct(inner) => f(inner),
             LogicalExpr::SourceJoin { left, right, .. } | LogicalExpr::Join { left, right, .. } => {
-                vec![left, right]
+                f(left);
+                f(right);
             }
-            LogicalExpr::Union(items) => items.iter().collect(),
-            LogicalExpr::Submit { expr, .. } => vec![expr],
+            LogicalExpr::Union(items) => items.iter().for_each(f),
+            LogicalExpr::Submit { expr, .. } => f(expr),
+        }
+    }
+
+    /// [`LogicalExpr::for_each_child`] with mutable access to the children.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut LogicalExpr)) {
+        match self {
+            LogicalExpr::Get { .. } | LogicalExpr::Data(_) => {}
+            LogicalExpr::Filter { input, .. }
+            | LogicalExpr::Project { input, .. }
+            | LogicalExpr::MapProject { input, .. }
+            | LogicalExpr::Bind { input, .. }
+            | LogicalExpr::Aggregate { input, .. } => f(input),
+            LogicalExpr::Flatten(inner) | LogicalExpr::Distinct(inner) => f(inner),
+            LogicalExpr::SourceJoin { left, right, .. } | LogicalExpr::Join { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            LogicalExpr::Union(items) => items.iter_mut().for_each(f),
+            LogicalExpr::Submit { expr, .. } => f(expr),
         }
     }
 
@@ -251,15 +288,15 @@ impl LogicalExpr {
     /// Pre-order traversal.
     pub fn walk<'a, F: FnMut(&'a LogicalExpr)>(&'a self, f: &mut F) {
         f(self);
-        for child in self.children() {
-            child.walk(f);
-        }
+        self.for_each_child(&mut |child| child.walk(f));
     }
 
     /// Number of nodes in the plan.
     #[must_use]
     pub fn size(&self) -> usize {
-        1 + self.children().iter().map(|c| c.size()).sum::<usize>()
+        let mut size = 1;
+        self.for_each_child(&mut |child| size += child.size());
+        size
     }
 
     /// Returns `true` when the plan contains no `submit`, `get` or other
@@ -275,16 +312,16 @@ impl LogicalExpr {
         pure
     }
 
-    /// Rewrites the plan bottom-up: children are rewritten first, then `f`
-    /// is applied to the node itself.  `f` returns `Some(new)` to replace
-    /// the node or `None` to keep it.
-    #[must_use]
-    pub fn rewrite_bottom_up<F>(&self, f: &F) -> LogicalExpr
-    where
-        F: Fn(&LogicalExpr) -> Option<LogicalExpr>,
-    {
-        let rebuilt = self.map_children(&|child| child.rewrite_bottom_up(f));
-        f(&rebuilt).unwrap_or(rebuilt)
+    /// Rewrites the plan bottom-up and in place: the children are rewritten
+    /// first, then `f` is applied to the node itself.  `f` returns `true`
+    /// iff it rewrote the node it was given, and must leave a node it
+    /// returns `false` for exactly as it found it; the result is `true`
+    /// iff `f` rewrote any node.  A pass that rewrites nothing allocates
+    /// nothing.
+    pub fn rewrite_in_place(&mut self, f: &impl Fn(&mut LogicalExpr) -> bool) -> bool {
+        let mut rewrote = false;
+        self.for_each_child_mut(&mut |child| rewrote |= child.rewrite_in_place(f));
+        f(self) || rewrote
     }
 
     /// Rebuilds the node with each child replaced by `f(child)`.
@@ -635,13 +672,21 @@ mod tests {
     #[test]
     fn rewrite_bottom_up_replaces_nodes() {
         // Replace every Get with Data to simulate evaluation.
-        let plan = paper_plan();
-        let rewritten = plan.rewrite_bottom_up(&|e| match e {
-            LogicalExpr::Submit { .. } => Some(data_of(["x"])),
-            _ => None,
-        });
-        assert!(rewritten.is_data_only());
-        assert_eq!(rewritten.collect_submits().len(), 0);
+        let mut plan = paper_plan();
+        let replace_submits = |e: &mut LogicalExpr| {
+            let is_submit = matches!(e, LogicalExpr::Submit { .. });
+            if is_submit {
+                *e = data_of(["x"]);
+            }
+            is_submit
+        };
+        assert!(plan.rewrite_in_place(&replace_submits));
+        assert!(plan.is_data_only());
+        assert_eq!(plan.collect_submits().len(), 0);
+        // Nothing left to rewrite: the flag says so and the plan is untouched.
+        let before = plan.clone();
+        assert!(!plan.rewrite_in_place(&replace_submits));
+        assert_eq!(plan, before);
     }
 
     #[test]
@@ -688,5 +733,30 @@ mod tests {
         let plan = paper_plan();
         let same = plan.map_children(&Clone::clone);
         assert_eq!(plan, same);
+    }
+
+    #[test]
+    fn child_visitors_agree_with_children() {
+        let mut plan = LogicalExpr::Join {
+            left: Box::new(paper_plan().bind("x")),
+            right: Box::new(LogicalExpr::Distinct(Box::new(data_of(["Sam"]))).bind("y")),
+            predicate: None,
+        };
+        fn check(node: &mut LogicalExpr) {
+            let listed: Vec<LogicalExpr> = node.children().into_iter().cloned().collect();
+            let mut visited = Vec::new();
+            node.for_each_child(&mut |child| visited.push(child.clone()));
+            assert_eq!(listed, visited);
+            let mut visited_mut = Vec::new();
+            node.for_each_child_mut(&mut |child| {
+                visited_mut.push(child.clone());
+                check(child);
+            });
+            assert_eq!(listed, visited_mut);
+        }
+        check(&mut plan);
+        assert_eq!(plan.size(), 12);
+        // The placeholder a moved subtree leaves behind owns no memory.
+        assert_eq!(LogicalExpr::default(), LogicalExpr::Union(Vec::new()));
     }
 }

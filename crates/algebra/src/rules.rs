@@ -7,13 +7,29 @@
 //! transformation rule consults the wrapper interface with a call to the
 //! submit-functionality method").
 //!
-//! Every rule is a pure function `&LogicalExpr -> Option<LogicalExpr>`
-//! returning `Some(rewritten)` when it applies.  The optimizer composes
-//! them into alternative plans and costs each alternative.
+//! **The rule contract.**  Every rule is a function
+//! `&mut LogicalExpr [, &dyn CapabilityLookup] -> bool` over the node it is
+//! handed: it returns `true` iff it rewrote the node, and a node it returns
+//! `false` for is left exactly as it was found.  A rewrite *moves* the
+//! subtrees it rearranges ([`std::mem::take`] leaves the empty union, which
+//! owns no memory, in the vacated slot) and allocates only the nodes it
+//! creates; a capability-checked rule builds the pushed shape tentatively
+//! in place, asks the wrapper, and puts the pieces back when refused.
+//!
+//! **Passes.**  [`normalize`] and [`push_to_wrappers`] drive the rules with
+//! [`LogicalExpr::rewrite_in_place`]: one bottom-up pass applies a fixed
+//! chain of rules (first that fires wins) at every node, and passes repeat
+//! until one rewrites nothing, at most [`MAX_PASSES`] times.  The result
+//! depends on that application order, so the chains are part of the
+//! planner's observable behaviour; the end-of-pass test is the flag the
+//! pass returns, which is why the flag must be truthful.
 
 use crate::capability::CapabilitySet;
 use crate::logical::LogicalExpr;
 use crate::scalar::ScalarExpr;
+
+/// The most passes a fixpoint loop over the rules makes.
+pub const MAX_PASSES: usize = 64;
 
 /// Looks up the capability set of a wrapper by name.
 pub trait CapabilityLookup {
@@ -34,203 +50,180 @@ fn caps_of(lookup: &dyn CapabilityLookup, wrapper: &str) -> CapabilitySet {
         .unwrap_or_else(CapabilitySet::get_only)
 }
 
+/// The input slot of a unary operator the rules rearrange.
+fn input_of(expr: &mut LogicalExpr) -> Option<&mut LogicalExpr> {
+    match expr {
+        LogicalExpr::Filter { input, .. }
+        | LogicalExpr::Project { input, .. }
+        | LogicalExpr::MapProject { input, .. }
+        | LogicalExpr::Bind { input, .. } => Some(input),
+        _ => None,
+    }
+}
+
+/// `outer(inner(e)) → inner(outer(e))` for two unary operators, by moving
+/// their boxes.  Applying it twice restores the original node.
+fn swap_with_input(expr: &mut LogicalExpr) {
+    let slot = input_of(expr).expect("a unary operator");
+    let mut inner = std::mem::take(slot);
+    let inner_slot = input_of(&mut inner).expect("a unary operator below it");
+    std::mem::swap(slot, inner_slot);
+    *inner_slot = std::mem::take(expr);
+    *expr = inner;
+}
+
+/// `op(submit(r, e)) → submit(r, op(e))` when `r`'s wrapper accepts `op(e)`.
+///
+/// The pushed shape is built tentatively in place — `expr` becomes `op(e)`
+/// — so the wrapper is consulted on the very expression that would be
+/// shipped, without cloning it; a refusal swaps the pieces back.
+fn push_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
+    let Some(slot) = input_of(expr) else {
+        return false;
+    };
+    if !matches!(slot, LogicalExpr::Submit { .. }) {
+        return false;
+    }
+    let mut submit = std::mem::take(slot);
+    let LogicalExpr::Submit {
+        wrapper,
+        expr: shipped,
+        ..
+    } = &mut submit
+    else {
+        unreachable!("checked to be a submit above");
+    };
+    std::mem::swap(slot, &mut **shipped);
+    let accepted = caps_of(lookup, wrapper)
+        .accepts_named(expr, wrapper)
+        .is_ok();
+    if accepted {
+        **shipped = std::mem::take(expr);
+        *expr = submit;
+    } else {
+        let slot = input_of(expr).expect("the operator checked above");
+        std::mem::swap(slot, &mut **shipped);
+        *slot = submit;
+    }
+    accepted
+}
+
 /// R1 — push a filter into a `submit` when the wrapper supports it:
 /// `select(p, submit(r, e))  →  submit(r, select(p, e))`.
-#[must_use]
-pub fn push_filter_into_submit(
-    expr: &LogicalExpr,
-    lookup: &dyn CapabilityLookup,
-) -> Option<LogicalExpr> {
-    let LogicalExpr::Filter { input, predicate } = expr else {
-        return None;
-    };
-    let LogicalExpr::Submit {
-        repository,
-        wrapper,
-        extent,
-        expr: inner,
-    } = input.as_ref()
-    else {
-        return None;
-    };
-    let pushed = LogicalExpr::Filter {
-        input: inner.clone(),
-        predicate: predicate.clone(),
-    };
-    let caps = caps_of(lookup, wrapper);
-    if caps.accepts_named(&pushed, wrapper).is_err() {
-        return None;
-    }
-    Some(LogicalExpr::Submit {
-        repository: repository.clone(),
-        wrapper: wrapper.clone(),
-        extent: extent.clone(),
-        expr: Box::new(pushed),
-    })
+pub fn push_filter_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
+    matches!(expr, LogicalExpr::Filter { .. }) && push_into_submit(expr, lookup)
 }
 
 /// R2 — push a projection into a `submit` when the wrapper supports it:
 /// `project(a…, submit(r, e))  →  submit(r, project(a…, e))`.
-#[must_use]
-pub fn push_project_into_submit(
-    expr: &LogicalExpr,
-    lookup: &dyn CapabilityLookup,
-) -> Option<LogicalExpr> {
-    let LogicalExpr::Project { input, columns } = expr else {
-        return None;
-    };
-    let LogicalExpr::Submit {
-        repository,
-        wrapper,
-        extent,
-        expr: inner,
-    } = input.as_ref()
-    else {
-        return None;
-    };
-    let pushed = LogicalExpr::Project {
-        input: inner.clone(),
-        columns: columns.clone(),
-    };
-    let caps = caps_of(lookup, wrapper);
-    if caps.accepts_named(&pushed, wrapper).is_err() {
-        return None;
-    }
-    Some(LogicalExpr::Submit {
-        repository: repository.clone(),
-        wrapper: wrapper.clone(),
-        extent: extent.clone(),
-        expr: Box::new(pushed),
-    })
+pub fn push_project_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
+    matches!(expr, LogicalExpr::Project { .. }) && push_into_submit(expr, lookup)
 }
 
 /// R3 — merge two submits to the *same* repository and wrapper into one
 /// source-side join (the §3.2 employee/manager example):
 /// `join(submit(r,e1), submit(r,e2), on) → submit(r, join(e1, e2, on))`.
-#[must_use]
-pub fn push_join_into_submit(
-    expr: &LogicalExpr,
-    lookup: &dyn CapabilityLookup,
-) -> Option<LogicalExpr> {
-    let LogicalExpr::SourceJoin { left, right, on } = expr else {
-        return None;
+pub fn push_join_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
+    let LogicalExpr::SourceJoin { left, right, .. } = expr else {
+        return false;
     };
-    let LogicalExpr::Submit {
-        repository: lr,
-        wrapper: lw,
-        extent: le,
-        expr: linner,
-    } = left.as_ref()
+    let (
+        LogicalExpr::Submit {
+            repository: lr,
+            wrapper: lw,
+            ..
+        },
+        LogicalExpr::Submit {
+            repository: rr,
+            wrapper: rw,
+            ..
+        },
+    ) = (left.as_ref(), right.as_ref())
     else {
-        return None;
-    };
-    let LogicalExpr::Submit {
-        repository: rr,
-        wrapper: rw,
-        expr: rinner,
-        ..
-    } = right.as_ref()
-    else {
-        return None;
+        return false;
     };
     if lr != rr || lw != rw {
         // The submit operator has RPC semantics: it cannot accept data from
         // another data source, so cross-source joins stay at the mediator.
-        return None;
+        return false;
     }
-    let pushed = LogicalExpr::SourceJoin {
-        left: linner.clone(),
-        right: rinner.clone(),
-        on: on.clone(),
+    // As in `push_into_submit`: `expr` becomes `join(e1, e2, on)` while
+    // the wrapper is asked, and both submits are put back on a refusal.
+    let mut left_submit = std::mem::take(&mut **left);
+    let mut right_submit = std::mem::take(&mut **right);
+    let (
+        LogicalExpr::Submit {
+            wrapper,
+            expr: left_shipped,
+            ..
+        },
+        LogicalExpr::Submit {
+            expr: right_shipped,
+            ..
+        },
+    ) = (&mut left_submit, &mut right_submit)
+    else {
+        unreachable!("checked to be submits above");
     };
-    let caps = caps_of(lookup, lw);
-    if caps.accepts_named(&pushed, lw).is_err() {
-        return None;
+    std::mem::swap(&mut **left, &mut **left_shipped);
+    std::mem::swap(&mut **right, &mut **right_shipped);
+    let accepted = caps_of(lookup, wrapper)
+        .accepts_named(expr, wrapper)
+        .is_ok();
+    if accepted {
+        **left_shipped = std::mem::take(expr);
+        *expr = left_submit;
+    } else {
+        let LogicalExpr::SourceJoin { left, right, .. } = expr else {
+            unreachable!("checked to be a join above");
+        };
+        std::mem::swap(&mut **left, &mut **left_shipped);
+        std::mem::swap(&mut **right, &mut **right_shipped);
+        **left = left_submit;
+        **right = right_submit;
     }
-    Some(LogicalExpr::Submit {
-        repository: lr.clone(),
-        wrapper: lw.clone(),
-        extent: le.clone(),
-        expr: Box::new(pushed),
-    })
+    accepted
+}
+
+/// `op(union(e1, …, en)) → union(op(e1), …, op(en))`: every branch but the
+/// last moves under a copy of the operator node (one node and its payload,
+/// copied while its input slot is empty); the last reuses the original.
+fn distribute_over_union(expr: &mut LogicalExpr) -> bool {
+    let Some(LogicalExpr::Union(items)) = input_of(expr) else {
+        return false;
+    };
+    let mut items = std::mem::take(items);
+    if let Some(last) = items.pop() {
+        for item in &mut items {
+            let mut operator = expr.clone();
+            *input_of(&mut operator).expect("a copy of the operator") = std::mem::take(item);
+            *item = operator;
+        }
+        *input_of(expr).expect("the operator matched above") = last;
+        items.push(std::mem::take(expr));
+    }
+    *expr = LogicalExpr::Union(items);
+    true
 }
 
 /// R4 — distribute `bind` over `union`:
 /// `bind(x, union(e1,…)) → union(bind(x,e1),…)`.
-#[must_use]
-pub fn distribute_bind_over_union(expr: &LogicalExpr) -> Option<LogicalExpr> {
-    let LogicalExpr::Bind { var, input } = expr else {
-        return None;
-    };
-    let LogicalExpr::Union(items) = input.as_ref() else {
-        return None;
-    };
-    Some(LogicalExpr::Union(
-        items
-            .iter()
-            .map(|item| LogicalExpr::Bind {
-                var: var.clone(),
-                input: Box::new(item.clone()),
-            })
-            .collect(),
-    ))
+pub fn distribute_bind_over_union(expr: &mut LogicalExpr) -> bool {
+    matches!(expr, LogicalExpr::Bind { .. }) && distribute_over_union(expr)
 }
 
 /// R5 — distribute a filter over `union`:
 /// `select(p, union(e1,…)) → union(select(p,e1),…)`.
-#[must_use]
-pub fn distribute_filter_over_union(expr: &LogicalExpr) -> Option<LogicalExpr> {
-    let LogicalExpr::Filter { input, predicate } = expr else {
-        return None;
-    };
-    let LogicalExpr::Union(items) = input.as_ref() else {
-        return None;
-    };
-    Some(LogicalExpr::Union(
-        items
-            .iter()
-            .map(|item| LogicalExpr::Filter {
-                input: Box::new(item.clone()),
-                predicate: predicate.clone(),
-            })
-            .collect(),
-    ))
+pub fn distribute_filter_over_union(expr: &mut LogicalExpr) -> bool {
+    matches!(expr, LogicalExpr::Filter { .. }) && distribute_over_union(expr)
 }
 
 /// R6 — distribute a projection (plain or generalized) over `union`.
-#[must_use]
-pub fn distribute_project_over_union(expr: &LogicalExpr) -> Option<LogicalExpr> {
-    match expr {
-        LogicalExpr::Project { input, columns } => {
-            let LogicalExpr::Union(items) = input.as_ref() else {
-                return None;
-            };
-            Some(LogicalExpr::Union(
-                items
-                    .iter()
-                    .map(|item| LogicalExpr::Project {
-                        input: Box::new(item.clone()),
-                        columns: columns.clone(),
-                    })
-                    .collect(),
-            ))
-        }
-        LogicalExpr::MapProject { input, projection } => {
-            let LogicalExpr::Union(items) = input.as_ref() else {
-                return None;
-            };
-            Some(LogicalExpr::Union(
-                items
-                    .iter()
-                    .map(|item| LogicalExpr::MapProject {
-                        input: Box::new(item.clone()),
-                        projection: projection.clone(),
-                    })
-                    .collect(),
-            ))
-        }
-        _ => None,
-    }
+pub fn distribute_project_over_union(expr: &mut LogicalExpr) -> bool {
+    matches!(
+        expr,
+        LogicalExpr::Project { .. } | LogicalExpr::MapProject { .. }
+    ) && distribute_over_union(expr)
 }
 
 /// R7 — push a filter through a `bind` when its predicate only references
@@ -238,57 +231,36 @@ pub fn distribute_project_over_union(expr: &LogicalExpr) -> Option<LogicalExpr> 
 /// `select(x.a > k, bind(x, e)) → bind(x, select(a > k, e))`.
 ///
 /// The predicate is rewritten from environment form (`Var("x").a`) to
-/// source form (`Attr("a")`).
-#[must_use]
-pub fn push_filter_through_bind(expr: &LogicalExpr) -> Option<LogicalExpr> {
+/// source form (`Attr("a")`), which is always pushable.
+pub fn push_filter_through_bind(expr: &mut LogicalExpr) -> bool {
     let LogicalExpr::Filter { input, predicate } = expr else {
-        return None;
+        return false;
     };
-    let LogicalExpr::Bind { var, input: inner } = input.as_ref() else {
-        return None;
+    let LogicalExpr::Bind { var, .. } = input.as_ref() else {
+        return false;
     };
-    let rewritten = rewrite_env_predicate(predicate, var)?;
-    if !rewritten.is_pushable() {
-        return None;
+    if !rewrite_env_predicate(predicate, var) {
+        return false;
     }
-    Some(LogicalExpr::Bind {
-        var: var.clone(),
-        input: Box::new(LogicalExpr::Filter {
-            input: inner.clone(),
-            predicate: rewritten,
-        }),
-    })
+    swap_with_input(expr);
+    true
 }
 
 /// R8 — swap a filter below a plain projection when the predicate only
 /// uses projected columns:
 /// `select(p, project(a…, e)) → project(a…, select(p, e))`.
-#[must_use]
-pub fn push_filter_below_project(expr: &LogicalExpr) -> Option<LogicalExpr> {
+pub fn push_filter_below_project(expr: &mut LogicalExpr) -> bool {
     let LogicalExpr::Filter { input, predicate } = expr else {
-        return None;
+        return false;
     };
-    let LogicalExpr::Project {
-        input: inner,
-        columns,
-    } = input.as_ref()
-    else {
-        return None;
+    let LogicalExpr::Project { columns, .. } = input.as_ref() else {
+        return false;
     };
-    if !predicate
-        .referenced_attrs()
-        .iter()
-        .all(|a| columns.contains(a))
-    {
-        return None;
+    if !predicate.references_only(columns) {
+        return false;
     }
-    Some(LogicalExpr::Project {
-        input: Box::new(LogicalExpr::Filter {
-            input: inner.clone(),
-            predicate: predicate.clone(),
-        }),
-        columns: columns.clone(),
-    })
+    swap_with_input(expr);
+    true
 }
 
 /// R9 — swap a plain projection below a filter when the predicate only
@@ -296,92 +268,106 @@ pub fn push_filter_below_project(expr: &LogicalExpr) -> Option<LogicalExpr> {
 /// `project(a…, select(p, e)) → select(p, project(a…, e))`.
 ///
 /// This is the inverse of [`push_filter_below_project`] and is therefore
-/// *not* part of [`normalize`]; the optimizer applies it when a wrapper can
-/// accept projections but not selections, so that the projection can still
-/// reach the `submit`.
-#[must_use]
-pub fn push_project_below_filter(expr: &LogicalExpr) -> Option<LogicalExpr> {
+/// *not* part of [`normalize`]; the optimizer applies it through
+/// [`push_project_past_filter`] when a wrapper can accept projections but
+/// not selections, so that the projection can still reach the `submit`.
+pub fn push_project_below_filter(expr: &mut LogicalExpr) -> bool {
     let LogicalExpr::Project { input, columns } = expr else {
-        return None;
+        return false;
     };
-    let LogicalExpr::Filter {
-        input: inner,
-        predicate,
-    } = input.as_ref()
-    else {
-        return None;
+    let LogicalExpr::Filter { predicate, .. } = input.as_ref() else {
+        return false;
     };
-    if !predicate
-        .referenced_attrs()
-        .iter()
-        .all(|a| columns.contains(a))
-    {
-        return None;
+    if !predicate.references_only(columns) {
+        return false;
     }
-    Some(LogicalExpr::Filter {
-        input: Box::new(LogicalExpr::Project {
-            input: inner.clone(),
-            columns: columns.clone(),
-        }),
-        predicate: predicate.clone(),
-    })
+    swap_with_input(expr);
+    true
+}
+
+/// R9 then R2 — a projection blocked by a filter that cannot be pushed may
+/// still reach the wrapper by commuting below the filter first:
+/// `project(a…, select(p, submit(r, e))) → select(p, submit(r, project(a…, e)))`.
+///
+/// The swap is kept only if a push happened anywhere below it; otherwise
+/// it is undone and the rule reports `false` — the one combination of
+/// rules that could rewrite a node and end up where it started.
+pub fn push_project_past_filter(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
+    if !push_project_below_filter(expr) {
+        return false;
+    }
+    let pushed = expr.rewrite_in_place(&|inner| push_project_into_submit(inner, lookup));
+    if !pushed {
+        swap_with_input(expr);
+    }
+    pushed
 }
 
 /// R10 — flatten nested unions and drop empty data branches:
 /// `union(union(a,b), data(), c) → union(a, b, c)`.
-#[must_use]
-pub fn simplify_union(expr: &LogicalExpr) -> Option<LogicalExpr> {
+pub fn simplify_union(expr: &mut LogicalExpr) -> bool {
     let LogicalExpr::Union(items) = expr else {
-        return None;
+        return false;
     };
-    let mut flat = Vec::new();
-    let mut changed = false;
-    for item in items {
+    let drop_empty_data = items.len() > 1;
+    let is_empty_data =
+        |item: &LogicalExpr| matches!(item, LogicalExpr::Data(bag) if bag.is_empty());
+    if !items.iter().any(|item| {
+        matches!(item, LogicalExpr::Union(_)) || (drop_empty_data && is_empty_data(item))
+    }) {
+        return false;
+    }
+    let mut flat = Vec::with_capacity(items.len());
+    for item in items.drain(..) {
         match item {
-            LogicalExpr::Union(nested) => {
-                changed = true;
-                flat.extend(nested.iter().cloned());
-            }
-            LogicalExpr::Data(bag) if bag.is_empty() && items.len() > 1 => {
-                changed = true;
-            }
-            other => flat.push(other.clone()),
+            LogicalExpr::Union(nested) => flat.extend(nested),
+            data if drop_empty_data && is_empty_data(&data) => {}
+            other => flat.push(other),
         }
     }
-    if !changed {
-        return None;
-    }
-    Some(match flat.len() {
+    *expr = match flat.len() {
         0 => LogicalExpr::Data(disco_value::Bag::new()),
-        1 => flat.into_iter().next().expect("one item"),
+        1 => flat.pop().expect("one item"),
         _ => LogicalExpr::Union(flat),
-    })
+    };
+    true
 }
 
 /// Rewrites an environment-form predicate over a single variable into
-/// source form: `Var(var).field → Attr(field)`.  Returns `None` when the
-/// predicate mentions any other variable, a bare `Var`, an aggregate or a
-/// call.
-#[must_use]
-pub fn rewrite_env_predicate(predicate: &ScalarExpr, var: &str) -> Option<ScalarExpr> {
-    match predicate {
-        ScalarExpr::Const(v) => Some(ScalarExpr::Const(v.clone())),
-        ScalarExpr::Attr(a) => Some(ScalarExpr::Attr(a.clone())),
-        ScalarExpr::Field(base, field) => match base.as_ref() {
-            ScalarExpr::Var(v) if v == var => Some(ScalarExpr::Attr(field.clone())),
-            _ => None,
-        },
-        ScalarExpr::Var(_) => None,
-        ScalarExpr::Binary { op, left, right } => Some(ScalarExpr::Binary {
-            op: *op,
-            left: Box::new(rewrite_env_predicate(left, var)?),
-            right: Box::new(rewrite_env_predicate(right, var)?),
-        }),
-        ScalarExpr::Not(inner) => Some(ScalarExpr::Not(Box::new(rewrite_env_predicate(
-            inner, var,
-        )?))),
-        ScalarExpr::StructLit(_) | ScalarExpr::Agg(..) | ScalarExpr::Call(..) => None,
+/// source form, in place: `Var(var).field → Attr(field)`.  Returns `false`
+/// — and leaves the predicate untouched — when it mentions any other
+/// variable, a bare `Var`, a struct, an aggregate or a call.
+pub fn rewrite_env_predicate(predicate: &mut ScalarExpr, var: &str) -> bool {
+    fn rewritable(predicate: &ScalarExpr, var: &str) -> bool {
+        match predicate {
+            ScalarExpr::Const(_) | ScalarExpr::Attr(_) => true,
+            ScalarExpr::Field(base, _) => matches!(base.as_ref(), ScalarExpr::Var(v) if v == var),
+            ScalarExpr::Binary { left, right, .. } => {
+                rewritable(left, var) && rewritable(right, var)
+            }
+            ScalarExpr::Not(inner) => rewritable(inner, var),
+            ScalarExpr::Var(_)
+            | ScalarExpr::StructLit(_)
+            | ScalarExpr::Agg(..)
+            | ScalarExpr::Call(..) => false,
+        }
     }
+    fn rewrite(predicate: &mut ScalarExpr) {
+        match predicate {
+            ScalarExpr::Field(_, field) => *predicate = ScalarExpr::Attr(std::mem::take(field)),
+            ScalarExpr::Binary { left, right, .. } => {
+                rewrite(left);
+                rewrite(right);
+            }
+            ScalarExpr::Not(inner) => rewrite(inner),
+            _ => {}
+        }
+    }
+    let rewrites = rewritable(predicate, var);
+    if rewrites {
+        rewrite(predicate);
+    }
+    rewrites
 }
 
 /// Applies every *capability-independent* simplification rule bottom-up to
@@ -390,49 +376,40 @@ pub fn rewrite_env_predicate(predicate: &ScalarExpr, var: &str) -> Option<Scalar
 /// the optimizer so that it can cost alternatives.
 #[must_use]
 pub fn normalize(expr: &LogicalExpr) -> LogicalExpr {
-    let mut current = expr.clone();
-    for _ in 0..64 {
-        let next = current.rewrite_bottom_up(&|e| {
+    let mut plan = expr.clone();
+    for _ in 0..MAX_PASSES {
+        let rewrote = plan.rewrite_in_place(&|e| {
             distribute_bind_over_union(e)
-                .or_else(|| distribute_filter_over_union(e))
-                .or_else(|| distribute_project_over_union(e))
-                .or_else(|| push_filter_through_bind(e))
-                .or_else(|| push_filter_below_project(e))
-                .or_else(|| simplify_union(e))
+                || distribute_filter_over_union(e)
+                || distribute_project_over_union(e)
+                || push_filter_through_bind(e)
+                || push_filter_below_project(e)
+                || simplify_union(e)
         });
-        if next == current {
+        if !rewrote {
             break;
         }
-        current = next;
     }
-    current
+    plan
 }
 
 /// Applies the capability-dependent pushdown rules (R1–R3) bottom-up to a
 /// fixpoint, consulting `lookup` before each push.
 #[must_use]
 pub fn push_to_wrappers(expr: &LogicalExpr, lookup: &dyn CapabilityLookup) -> LogicalExpr {
-    let mut current = expr.clone();
-    for _ in 0..64 {
-        let next = current.rewrite_bottom_up(&|e| {
+    let mut plan = expr.clone();
+    for _ in 0..MAX_PASSES {
+        let rewrote = plan.rewrite_in_place(&|e| {
             push_filter_into_submit(e, lookup)
-                .or_else(|| push_project_into_submit(e, lookup))
-                .or_else(|| push_join_into_submit(e, lookup))
-                .or_else(|| {
-                    // A projection blocked by a non-pushable filter may
-                    // still reach the wrapper by commuting below it first.
-                    let swapped = push_project_below_filter(e)?;
-                    let rewritten =
-                        swapped.rewrite_bottom_up(&|inner| push_project_into_submit(inner, lookup));
-                    (rewritten != swapped).then_some(rewritten)
-                })
+                || push_project_into_submit(e, lookup)
+                || push_join_into_submit(e, lookup)
+                || push_project_past_filter(e, lookup)
         });
-        if next == current {
+        if !rewrote {
             break;
         }
-        current = next;
     }
-    current
+    plan
 }
 
 #[cfg(test)]
@@ -464,61 +441,142 @@ mod tests {
         )
     }
 
+    /// Applies `rule`, asserting the contract: `true` means the node
+    /// changed, `false` means it is exactly what it was.
+    fn apply(expr: &mut LogicalExpr, rule: impl Fn(&mut LogicalExpr) -> bool) -> bool {
+        let before = expr.clone();
+        let rewrote = rule(expr);
+        assert_eq!(
+            rewrote,
+            *expr != before,
+            "flag and effect disagree on {before}"
+        );
+        rewrote
+    }
+
     #[test]
     fn filter_pushes_into_capable_submit_only() {
         let expr = LogicalExpr::get("person0")
             .submit("r0", "w_full", "person0")
             .filter(salary_gt_10_src());
         let full = lookup_with("w_full", CapabilitySet::full());
-        let rewritten = push_filter_into_submit(&expr, &full).unwrap();
+        let mut rewritten = expr.clone();
+        assert!(apply(&mut rewritten, |e| push_filter_into_submit(e, &full)));
         assert_eq!(
             rewritten.to_string(),
             "submit(r0, select((salary > 10), get(person0)))"
         );
+        // A pushed filter is no longer a filter over a submit.
+        assert!(!apply(&mut rewritten, |e| push_filter_into_submit(
+            e, &full
+        )));
         let get_only = lookup_with("w_full", CapabilitySet::get_only());
-        assert!(push_filter_into_submit(&expr, &get_only).is_none());
+        assert!(!apply(&mut expr.clone(), |e| push_filter_into_submit(
+            e, &get_only
+        )));
         // Unknown wrappers default to get-only.
         let empty: BTreeMap<String, CapabilitySet> = BTreeMap::new();
-        assert!(push_filter_into_submit(&expr, &empty).is_none());
+        assert!(!apply(&mut expr.clone(), |e| push_filter_into_submit(
+            e, &empty
+        )));
+        // The projection rule does not fire on a filter.
+        assert!(!apply(&mut expr.clone(), |e| push_project_into_submit(
+            e, &full
+        )));
+    }
+
+    #[test]
+    fn refused_pushes_leave_the_node_untouched() {
+        let narrowed_filter = LogicalExpr::get("person0")
+            .project(["name", "salary"])
+            .submit("r0", "w0", "person0")
+            .filter(salary_gt_10_src());
+        let narrowed_project = LogicalExpr::get("person0")
+            .filter(salary_gt_10_src())
+            .submit("r0", "w0", "person0")
+            .project(["name"]);
+        let refusing = [
+            CapabilitySet::get_only(),
+            // No composition: one operator over the get at most.
+            CapabilitySet::new([
+                OperatorKind::Get,
+                OperatorKind::Select,
+                OperatorKind::Project,
+            ]),
+            // `>` is not among the comparisons the wrapper evaluates.
+            CapabilitySet::full().with_comparisons([crate::ComparisonKind::Eq]),
+        ];
+        for (i, caps) in refusing.into_iter().enumerate() {
+            let lookup = lookup_with("w0", caps);
+            assert!(
+                !apply(&mut narrowed_filter.clone(), |e| push_filter_into_submit(
+                    e, &lookup
+                )),
+                "capability set {i}"
+            );
+            // The wrapper is asked about the whole expression it would
+            // receive, so the shipped filter's `>` refuses the projection too.
+            assert!(
+                !apply(&mut narrowed_project.clone(), |e| push_project_into_submit(
+                    e, &lookup
+                )),
+                "capability set {i}"
+            );
+        }
     }
 
     #[test]
     fn project_pushes_into_capable_submit() {
-        let expr = LogicalExpr::get("person0")
+        let mut expr = LogicalExpr::get("person0")
             .submit("r0", "w0", "person0")
             .project(["name"]);
         let caps = lookup_with(
             "w0",
             CapabilitySet::new([OperatorKind::Get, OperatorKind::Project]).with_composition(true),
         );
-        let rewritten = push_project_into_submit(&expr, &caps).unwrap();
-        assert_eq!(
-            rewritten.to_string(),
-            "submit(r0, project(name, get(person0)))"
-        );
+        assert!(apply(&mut expr, |e| push_project_into_submit(e, &caps)));
+        assert_eq!(expr.to_string(), "submit(r0, project(name, get(person0)))");
     }
 
     #[test]
     fn join_pushes_only_for_same_repository() {
-        let join_same = LogicalExpr::SourceJoin {
+        let mut join_same = LogicalExpr::SourceJoin {
             left: Box::new(LogicalExpr::get("employee0").submit("r0", "w0", "employee0")),
             right: Box::new(LogicalExpr::get("manager0").submit("r0", "w0", "manager0")),
             on: vec![("dept".into(), "dept".into())],
         };
+        let refused = join_same.clone();
         let caps = lookup_with("w0", CapabilitySet::full());
-        let rewritten = push_join_into_submit(&join_same, &caps).unwrap();
+        assert!(apply(&mut join_same, |e| push_join_into_submit(e, &caps)));
         assert_eq!(
-            rewritten.to_string(),
+            join_same.to_string(),
             "submit(r0, join(get(employee0), get(manager0), dept=dept))"
         );
+        assert_eq!(
+            join_same,
+            LogicalExpr::SourceJoin {
+                left: Box::new(LogicalExpr::get("employee0")),
+                right: Box::new(LogicalExpr::get("manager0")),
+                on: vec![("dept".into(), "dept".into())],
+            }
+            .submit("r0", "w0", "employee0")
+        );
+        // A wrapper without join support refuses and both submits return.
+        let no_join = lookup_with(
+            "w0",
+            CapabilitySet::new([OperatorKind::Get, OperatorKind::Select]).with_composition(true),
+        );
+        assert!(!apply(&mut refused.clone(), |e| push_join_into_submit(
+            e, &no_join
+        )));
         // Different repositories: semijoin-style shipping is impossible,
         // the join stays at the mediator.
-        let join_cross = LogicalExpr::SourceJoin {
+        let mut join_cross = LogicalExpr::SourceJoin {
             left: Box::new(LogicalExpr::get("employee0").submit("r0", "w0", "employee0")),
             right: Box::new(LogicalExpr::get("manager1").submit("r1", "w0", "manager1")),
             on: vec![("dept".into(), "dept".into())],
         };
-        assert!(push_join_into_submit(&join_cross, &caps).is_none());
+        assert!(!apply(&mut join_cross, |e| push_join_into_submit(e, &caps)));
     }
 
     #[test]
@@ -527,50 +585,59 @@ mod tests {
             LogicalExpr::get("person0").submit("r0", "w0", "person0"),
             LogicalExpr::get("person1").submit("r1", "w0", "person1"),
         ]);
-        let bound = LogicalExpr::Bind {
+        let mut distributed = LogicalExpr::Bind {
             var: "x".into(),
             input: Box::new(union),
         };
-        let distributed = distribute_bind_over_union(&bound).unwrap();
-        match &distributed {
-            LogicalExpr::Union(items) => {
-                assert_eq!(items.len(), 2);
-                assert!(items.iter().all(|i| matches!(i, LogicalExpr::Bind { .. })));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let filtered = LogicalExpr::Filter {
+        assert!(apply(&mut distributed, distribute_bind_over_union));
+        assert_eq!(
+            distributed.to_string(),
+            "union(bind(x, submit(r0, get(person0))), bind(x, submit(r1, get(person1))))"
+        );
+        assert!(!apply(&mut distributed, distribute_bind_over_union));
+        let mut filtered = LogicalExpr::Filter {
             input: Box::new(distributed.clone()),
             predicate: salary_gt_10_env(),
         };
-        assert!(distribute_filter_over_union(&filtered).is_some());
-        let mapped = LogicalExpr::MapProject {
-            input: Box::new(distributed),
-            projection: ScalarExpr::var_field("x", "name"),
-        };
-        assert!(distribute_project_over_union(&mapped).is_some());
-    }
-
-    #[test]
-    fn filter_pushes_through_bind_with_attr_rewrite() {
-        let expr = LogicalExpr::get("person0")
-            .submit("r0", "w0", "person0")
-            .bind("x")
-            .filter(salary_gt_10_env());
-        let rewritten = push_filter_through_bind(&expr).unwrap();
-        match &rewritten {
-            LogicalExpr::Bind { var, input } => {
-                assert_eq!(var, "x");
-                match input.as_ref() {
-                    LogicalExpr::Filter { predicate, .. } => {
-                        assert_eq!(predicate.referenced_attrs(), vec!["salary"]);
-                        assert!(predicate.is_pushable());
-                    }
-                    other => panic!("unexpected {other:?}"),
+        assert!(!apply(&mut filtered, distribute_bind_over_union));
+        assert!(apply(&mut filtered, distribute_filter_over_union));
+        match &filtered {
+            LogicalExpr::Union(items) => {
+                assert_eq!(items.len(), 2);
+                for item in items {
+                    assert!(matches!(item, LogicalExpr::Filter { predicate, .. }
+                        if *predicate == salary_gt_10_env()));
                 }
             }
             other => panic!("unexpected {other:?}"),
         }
+        let mut mapped = LogicalExpr::MapProject {
+            input: Box::new(distributed.clone()),
+            projection: ScalarExpr::var_field("x", "name"),
+        };
+        assert!(apply(&mut mapped, distribute_project_over_union));
+        let mut projected = distributed.project(["name"]);
+        assert!(apply(&mut projected, distribute_project_over_union));
+        // An operator over the empty union is the empty union.
+        let mut over_nothing = LogicalExpr::Union(Vec::new()).bind("x");
+        assert!(apply(&mut over_nothing, distribute_bind_over_union));
+        assert_eq!(over_nothing, LogicalExpr::Union(Vec::new()));
+    }
+
+    #[test]
+    fn filter_pushes_through_bind_with_attr_rewrite() {
+        let mut expr = LogicalExpr::get("person0")
+            .submit("r0", "w0", "person0")
+            .bind("x")
+            .filter(salary_gt_10_env());
+        assert!(apply(&mut expr, push_filter_through_bind));
+        assert_eq!(
+            expr,
+            LogicalExpr::get("person0")
+                .submit("r0", "w0", "person0")
+                .filter(salary_gt_10_src())
+                .bind("x")
+        );
     }
 
     #[test]
@@ -580,40 +647,87 @@ mod tests {
             ScalarExpr::var_field("x", "id"),
             ScalarExpr::var_field("y", "id"),
         );
-        let expr = LogicalExpr::get("person0")
+        let mut expr = LogicalExpr::get("person0")
             .submit("r0", "w0", "person0")
             .bind("x")
             .filter(two_var_pred);
-        assert!(push_filter_through_bind(&expr).is_none());
+        assert!(!apply(&mut expr, push_filter_through_bind));
     }
 
     #[test]
     fn filter_below_project_requires_column_subset() {
-        let ok = LogicalExpr::get("person0")
+        let mut ok = LogicalExpr::get("person0")
             .project(["name", "salary"])
             .filter(salary_gt_10_src());
-        assert!(push_filter_below_project(&ok).is_some());
-        let missing = LogicalExpr::get("person0")
+        assert!(apply(&mut ok, push_filter_below_project));
+        assert_eq!(
+            ok,
+            LogicalExpr::get("person0")
+                .filter(salary_gt_10_src())
+                .project(["name", "salary"])
+        );
+        // R9 is its inverse.
+        assert!(apply(&mut ok, push_project_below_filter));
+        assert!(!apply(&mut ok, push_project_below_filter));
+        let mut missing = LogicalExpr::get("person0")
             .project(["name"])
             .filter(salary_gt_10_src());
-        assert!(push_filter_below_project(&missing).is_none());
+        assert!(!apply(&mut missing, push_filter_below_project));
+        let mut missing = LogicalExpr::get("person0")
+            .filter(salary_gt_10_src())
+            .project(["name"]);
+        assert!(!apply(&mut missing, push_project_below_filter));
+    }
+
+    #[test]
+    fn project_past_filter_keeps_the_swap_only_when_something_was_pushed() {
+        let plan = LogicalExpr::get("person0")
+            .submit("r0", "w0", "person0")
+            .filter(salary_gt_10_src())
+            .project(["name", "salary"]);
+        let projects = lookup_with(
+            "w0",
+            CapabilitySet::new([OperatorKind::Get, OperatorKind::Project]).with_composition(true),
+        );
+        let mut pushed = plan.clone();
+        assert!(apply(&mut pushed, |e| push_project_past_filter(
+            e, &projects
+        )));
+        assert_eq!(
+            pushed.to_string(),
+            "select((salary > 10), submit(r0, project(name, salary, get(person0))))"
+        );
+        // Nothing to push: the swap is undone and the rule says so.
+        let get_only = lookup_with("w0", CapabilitySet::get_only());
+        assert!(!apply(&mut plan.clone(), |e| push_project_past_filter(
+            e, &get_only
+        )));
     }
 
     #[test]
     fn union_simplification() {
-        let nested = LogicalExpr::Union(vec![
+        let mut nested = LogicalExpr::Union(vec![
             LogicalExpr::Union(vec![LogicalExpr::get("a"), LogicalExpr::get("b")]),
             LogicalExpr::Data(disco_value::Bag::new()),
             LogicalExpr::get("c"),
         ]);
-        let simplified = simplify_union(&nested).unwrap();
-        match simplified {
-            LogicalExpr::Union(items) => assert_eq!(items.len(), 3),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(apply(&mut nested, simplify_union));
+        assert_eq!(nested.to_string(), "union(get(a), get(b), get(c))");
         // Already-flat unions are left alone.
-        let flat = LogicalExpr::Union(vec![LogicalExpr::get("a"), LogicalExpr::get("b")]);
-        assert!(simplify_union(&flat).is_none());
+        assert!(!apply(&mut nested, simplify_union));
+        // A union of one item is that item; of nothing but empty data, empty data.
+        let mut single = LogicalExpr::Union(vec![LogicalExpr::Union(vec![LogicalExpr::get("a")])]);
+        assert!(apply(&mut single, simplify_union));
+        assert_eq!(single, LogicalExpr::get("a"));
+        let empty = || LogicalExpr::Data(disco_value::Bag::new());
+        let mut nothing = LogicalExpr::Union(vec![empty(), empty()]);
+        assert!(apply(&mut nothing, simplify_union));
+        assert_eq!(nothing, empty());
+        // A lone empty data branch is kept.
+        assert!(!apply(
+            &mut LogicalExpr::Union(vec![empty()]),
+            simplify_union
+        ));
     }
 
     #[test]

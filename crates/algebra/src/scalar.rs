@@ -393,6 +393,20 @@ impl ScalarExpr {
         out
     }
 
+    /// Returns `true` when every attribute of
+    /// [`ScalarExpr::referenced_attrs`] is one of `columns` — the test the
+    /// filter/projection commutation rules make, without building the list.
+    #[must_use]
+    pub fn references_only(&self, columns: &[String]) -> bool {
+        let mut within = true;
+        self.walk(&mut |e| {
+            if let ScalarExpr::Attr(name) = e {
+                within &= columns.contains(name);
+            }
+        });
+        within
+    }
+
     fn walk<F: FnMut(&ScalarExpr)>(&self, f: &mut F) {
         f(self);
         match self {

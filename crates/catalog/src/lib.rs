@@ -61,7 +61,7 @@ pub use handle::CatalogHandle;
 pub use map::{MapEntry, TypeMap};
 pub use meta_extent::MetaExtent;
 pub use repository::Repository;
-pub use schema::{Catalog, NameBinding};
+pub use schema::{Catalog, NameBinding, NameRef};
 pub use types::{Attribute, InterfaceDef, TypeRef};
 pub use views::ViewDef;
 pub use wrapper_def::WrapperDef;

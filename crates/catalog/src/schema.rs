@@ -29,6 +29,51 @@ pub enum NameBinding {
     View(ViewDef),
 }
 
+/// What a name resolves to, borrowed from the catalog: the answer of
+/// [`Catalog::lookup`], which copies no meta-data.  [`NameBinding`] is its
+/// owned form.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NameRef<'a> {
+    /// A single registered extent.
+    Extent(&'a MetaExtent),
+    /// The implicit union extent of an interface.
+    InterfaceExtent {
+        /// The interface whose extents are collected.
+        interface: &'a str,
+        /// The extents currently registered for that interface, in name order.
+        extents: Vec<&'a MetaExtent>,
+    },
+    /// The recursive union extent `name*`.
+    RecursiveExtent {
+        /// The root interface of the subtype closure.
+        interface: &'a str,
+        /// The extents of the interface and all its subtypes, in name order.
+        extents: Vec<&'a MetaExtent>,
+    },
+    /// A view.
+    View(&'a ViewDef),
+}
+
+impl NameRef<'_> {
+    /// Copies the referenced meta-data out of the catalog.
+    #[must_use]
+    pub fn to_binding(&self) -> NameBinding {
+        let owned = |extents: &[&MetaExtent]| extents.iter().map(|&e| e.clone()).collect();
+        match self {
+            NameRef::Extent(extent) => NameBinding::Extent((*extent).clone()),
+            NameRef::InterfaceExtent { interface, extents } => NameBinding::InterfaceExtent {
+                interface: (*interface).to_owned(),
+                extents: owned(extents),
+            },
+            NameRef::RecursiveExtent { interface, extents } => NameBinding::RecursiveExtent {
+                interface: (*interface).to_owned(),
+                extents: owned(extents),
+            },
+            NameRef::View(view) => NameBinding::View((*view).clone()),
+        }
+    }
+}
+
 /// The mediator's internal schema catalog (the "internal db" of Fig. 2).
 ///
 /// Holds interfaces, meta-extents, repositories, wrapper records and view
@@ -323,20 +368,28 @@ impl Catalog {
         interface: &str,
         include_subtypes: bool,
     ) -> Result<Vec<MetaExtent>> {
+        let extents = self.extent_refs_of_interface(interface, include_subtypes)?;
+        Ok(extents.into_iter().cloned().collect())
+    }
+
+    /// [`Catalog::extents_of_interface`] without copying the extents.
+    fn extent_refs_of_interface(
+        &self,
+        interface: &str,
+        include_subtypes: bool,
+    ) -> Result<Vec<&MetaExtent>> {
         if !self.interfaces.contains_key(interface) {
             return Err(CatalogError::UnknownInterface(interface.to_owned()));
         }
-        let accepted: Vec<String> = if include_subtypes {
-            self.subtype_closure(interface)
+        let extents = self.extents.values();
+        Ok(if include_subtypes {
+            let accepted = self.subtype_closure(interface);
+            extents
+                .filter(|e| accepted.iter().any(|i| i == e.interface()))
+                .collect()
         } else {
-            vec![interface.to_owned()]
-        };
-        Ok(self
-            .extents
-            .values()
-            .filter(|e| accepted.iter().any(|i| i == e.interface()))
-            .cloned()
-            .collect())
+            extents.filter(|e| e.interface() == interface).collect()
+        })
     }
 
     // ------------------------------------------------------------------
@@ -412,40 +465,45 @@ impl Catalog {
     ///
     /// Resolution order: registered extent (`person0`), recursive extent
     /// (`person*`), implicit interface extent (`person`), then view.
+    /// The answer owns copies of the meta-data; the query path uses
+    /// [`Catalog::lookup`], which borrows it.
     ///
     /// # Errors
     ///
     /// Returns [`CatalogError::UnresolvedName`] when nothing matches.
     pub fn resolve(&self, name: &str) -> Result<NameBinding> {
+        Ok(self.lookup(name)?.to_binding())
+    }
+
+    /// Resolves a name appearing in an OQL `from` clause to references
+    /// into the catalog, in the resolution order of [`Catalog::resolve`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CatalogError::UnresolvedName`] when nothing matches.
+    pub fn lookup(&self, name: &str) -> Result<NameRef<'_>> {
         if let Some(extent) = self.extents.get(name) {
-            return Ok(NameBinding::Extent(extent.clone()));
+            return Ok(NameRef::Extent(extent));
         }
-        if let Some(stripped) = name.strip_suffix('*') {
-            if let Some(interface) = self.interface_by_extent_name(stripped) {
-                let extents = self.extents_of_interface(&interface, true)?;
-                return Ok(NameBinding::RecursiveExtent { interface, extents });
-            }
-            if self.interfaces.contains_key(stripped) {
-                let extents = self.extents_of_interface(stripped, true)?;
-                return Ok(NameBinding::RecursiveExtent {
-                    interface: stripped.to_owned(),
-                    extents,
-                });
-            }
+        // An interface is named by its declared extent name first, then by
+        // its own name.
+        let interface_named = |name: &str| {
+            self.interfaces
+                .values()
+                .find(|d| d.extent_name() == Some(name))
+                .or_else(|| self.interfaces.get(name))
+                .map(InterfaceDef::name)
+        };
+        if let Some(interface) = name.strip_suffix('*').and_then(interface_named) {
+            let extents = self.extent_refs_of_interface(interface, true)?;
+            return Ok(NameRef::RecursiveExtent { interface, extents });
         }
-        if let Some(interface) = self.interface_by_extent_name(name) {
-            let extents = self.extents_of_interface(&interface, false)?;
-            return Ok(NameBinding::InterfaceExtent { interface, extents });
-        }
-        if self.interfaces.contains_key(name) {
-            let extents = self.extents_of_interface(name, false)?;
-            return Ok(NameBinding::InterfaceExtent {
-                interface: name.to_owned(),
-                extents,
-            });
+        if let Some(interface) = interface_named(name) {
+            let extents = self.extent_refs_of_interface(interface, false)?;
+            return Ok(NameRef::InterfaceExtent { interface, extents });
         }
         if let Some(view) = self.views.get(name) {
-            return Ok(NameBinding::View(view.clone()));
+            return Ok(NameRef::View(view));
         }
         Err(CatalogError::UnresolvedName(name.to_owned()))
     }
@@ -553,6 +611,44 @@ mod tests {
         }
         assert!(matches!(
             c.resolve("nothing").unwrap_err(),
+            CatalogError::UnresolvedName(_)
+        ));
+    }
+
+    #[test]
+    fn lookup_borrows_what_resolve_copies() {
+        let mut c = paper_catalog();
+        c.define_view(ViewDef::new("rich", "select x from x in person"))
+            .unwrap();
+        // Named by the interface too, and an extent name wins over both.
+        for name in ["person0", "person", "Person", "person*", "Person*", "rich"] {
+            assert_eq!(
+                c.lookup(name).unwrap().to_binding(),
+                c.resolve(name).unwrap()
+            );
+        }
+        match c.lookup("person0").unwrap() {
+            NameRef::Extent(extent) => {
+                assert!(std::ptr::eq(extent, c.extent("person0").unwrap()));
+            }
+            other => panic!("unexpected binding {other:?}"),
+        }
+        match c.lookup("Person*").unwrap() {
+            NameRef::RecursiveExtent { interface, extents } => {
+                assert_eq!(interface, "Person");
+                let names: Vec<&str> = extents.iter().map(|e| e.extent_name()).collect();
+                let in_name_order: Vec<&str> = c
+                    .meta_extents()
+                    .map(MetaExtent::extent_name)
+                    .filter(|n| n.starts_with("person") || n.starts_with("student"))
+                    .collect();
+                assert_eq!(names, in_name_order);
+            }
+            other => panic!("unexpected binding {other:?}"),
+        }
+        assert!(matches!(c.lookup("rich").unwrap(), NameRef::View(_)));
+        assert!(matches!(
+            c.lookup("nothing*").unwrap_err(),
             CatalogError::UnresolvedName(_)
         ));
     }

@@ -466,10 +466,9 @@ impl Mediator {
     /// Returns parse/compile/optimize errors and hard execution errors;
     /// unavailable sources yield a partial answer, not an error.
     pub fn query(&self, query: &str) -> Result<Answer> {
-        let plan = match self.plan_cache.get(query, self.catalog.generation()) {
-            Some(plan) => plan,
-            None => self.plan_cache.insert(self.explain(query)?),
-        };
+        let plan = self
+            .plan_cache
+            .get_or_plan(query, self.catalog.generation(), || self.explain(query))?;
         let executor = Executor::new(self.registry.clone())
             .with_deadline(self.deadline)
             .with_calibration(Arc::clone(&self.calibration));

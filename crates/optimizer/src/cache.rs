@@ -9,19 +9,52 @@
 //! operation the cache holds garbage only until the next miss is planned.
 //!
 //! Plans are shared, not copied: a hit hands out the cached `Arc`.
+//!
+//! **One planner per miss.**  A DDL operation makes every hot text a miss
+//! for every session at once.  [`PlanCache::get_or_plan`] gives the text a
+//! slot before planning starts: concurrent callers for the same text and
+//! generation wait on the slot and share the one plan, instead of each
+//! planning it and all but one throwing theirs away.
+//!
+//! **No plan dies under the lock.**  A 256-source plan is five trees;
+//! freeing a dozen stale ones takes milliseconds.  Evicted slots are moved
+//! out of the map and dropped after the write lock is released, so a purge
+//! never makes another session's lookup wait for `free`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
 use crate::planner::Plan;
 
+/// What the cache holds for one query text: the generation the text is
+/// planned for and the plan, once a planner has finished — `Some(None)`
+/// when that planner failed.
+#[derive(Debug, Clone)]
+struct Slot {
+    generation: u64,
+    plan: Arc<OnceLock<Option<Arc<Plan>>>>,
+}
+
+impl Slot {
+    fn holding(plan: &Arc<Plan>) -> Slot {
+        Slot {
+            generation: plan.catalog_generation,
+            plan: Arc::new(OnceLock::from(Some(Arc::clone(plan)))),
+        }
+    }
+
+    fn finished(&self) -> Option<&Arc<Plan>> {
+        self.plan.get().and_then(Option::as_ref)
+    }
+}
+
 /// A cache of optimized plans keyed by query text.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    plans: RwLock<BTreeMap<String, Arc<Plan>>>,
+    plans: RwLock<BTreeMap<String, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -40,30 +73,107 @@ impl PlanCache {
     /// and the entry is fresh for everyone after it.
     #[must_use]
     pub fn get(&self, query: &str, current_generation: u64) -> Option<Arc<Plan>> {
-        let cached =
-            self.plans.read().get(query).map(|plan| {
-                (plan.catalog_generation == current_generation).then(|| Arc::clone(plan))
+        let cached = self
+            .plans
+            .read()
+            .get(query)
+            .map(|slot| match slot.finished() {
+                Some(plan) if slot.generation == current_generation => Ok(Arc::clone(plan)),
+                _ => Err(slot.generation),
             });
         match cached {
-            Some(Some(plan)) => {
+            Some(Ok(plan)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(plan);
             }
-            Some(None) => {
+            Some(Err(generation)) if generation < current_generation => {
                 // Decided again under the write lock: the entry seen above
-                // may have been replaced by a fresh one since.
+                // may have been replaced by a fresh one since.  The stale
+                // plan is dropped after the lock is.
                 let mut plans = self.plans.write();
-                if plans
+                let stale = plans
                     .get(query)
-                    .is_some_and(|plan| plan.catalog_generation < current_generation)
-                {
-                    plans.remove(query);
-                }
+                    .is_some_and(|slot| slot.generation < current_generation)
+                    .then(|| plans.remove(query));
+                drop(plans);
+                drop(stale);
             }
-            None => {}
+            _ => {}
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
+    }
+
+    /// The plan of `query` at `generation`: the cached one, or the one
+    /// `plan_fn` builds, which is then cached.  Concurrent misses for the
+    /// same text and generation run one `plan_fn` and share its plan; a
+    /// caller on an older catalog snapshot than the cached plan's plans
+    /// for itself and displaces nothing.  `plan_fn` must build the plan
+    /// for `generation`.
+    ///
+    /// # Errors
+    ///
+    /// Returns `plan_fn`'s error.  A failure leaves no entry behind, and a
+    /// caller that had been waiting for the failed planner runs its own
+    /// `plan_fn`.
+    pub fn get_or_plan<E>(
+        &self,
+        query: &str,
+        generation: u64,
+        plan_fn: impl FnOnce() -> Result<Plan, E>,
+    ) -> Result<Arc<Plan>, E> {
+        if let Some(plan) = self.get(query, generation) {
+            return Ok(plan);
+        }
+        let Some(slot) = self.claim(query, generation) else {
+            return plan_fn().map(Arc::new);
+        };
+        let mut plan_fn = Some(plan_fn);
+        let mut error = None;
+        let planned = slot.plan.get_or_init(|| {
+            let plan_fn = plan_fn.take().expect("the initializer runs at most once");
+            plan_fn().map(Arc::new).map_err(|e| error = Some(e)).ok()
+        });
+        match (planned, error, plan_fn) {
+            (Some(plan), ..) => Ok(Arc::clone(plan)),
+            (None, Some(error), _) => {
+                let mut plans = self.plans.write();
+                if plans
+                    .get(query)
+                    .is_some_and(|held| Arc::ptr_eq(&held.plan, &slot.plan))
+                {
+                    plans.remove(query);
+                }
+                Err(error)
+            }
+            // The planner this caller waited for failed.
+            (None, None, Some(plan_fn)) => plan_fn().map(|plan| self.insert(plan)),
+            (None, None, None) => unreachable!("a failed initializer leaves its error"),
+        }
+    }
+
+    /// The slot `query` is (to be) planned in at `generation`: the pending
+    /// or failed one another caller made, or a new one, made after the
+    /// slots of older generations are purged.  `None` when the text is
+    /// held for a newer generation.
+    fn claim(&self, query: &str, generation: u64) -> Option<Slot> {
+        let mut plans = self.plans.write();
+        let stale = purge_older(&mut plans, generation);
+        let slot = match plans.get(query) {
+            Some(held) if held.generation > generation => None,
+            Some(held) => Some(held.clone()),
+            None => {
+                let slot = Slot {
+                    generation,
+                    plan: Arc::default(),
+                };
+                plans.insert(query.to_owned(), slot.clone());
+                Some(slot)
+            }
+        };
+        drop(plans);
+        drop(stale);
+        slot
     }
 
     /// Stores a copy of `plan` under its query text (no-op for plans
@@ -81,14 +191,14 @@ impl PlanCache {
         if let Some(query) = &plan.query {
             let mut plans = self.plans.write();
             let generation = plan.catalog_generation;
-            plans.retain(|_, p| p.catalog_generation >= generation);
+            let stale = purge_older(&mut plans, generation);
             // A plan of an older snapshot does not displace a fresher one.
-            if plans
+            let displaced = plans
                 .get(query)
-                .is_none_or(|p| p.catalog_generation <= generation)
-            {
-                plans.insert(query.clone(), Arc::clone(&plan));
-            }
+                .is_none_or(|held| held.generation <= generation)
+                .then(|| plans.insert(query.clone(), Slot::holding(&plan)));
+            drop(plans);
+            drop((stale, displaced));
         }
         plan
     }
@@ -96,16 +206,18 @@ impl PlanCache {
     /// Number of cached plans.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.plans.read().len()
+        let plans = self.plans.read();
+        plans.values().filter_map(Slot::finished).count()
     }
 
-    /// Returns `true` when the cache is empty.
+    /// Returns `true` when the cache holds no plan.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.plans.read().is_empty()
+        self.len() == 0
     }
 
-    /// `(hits, misses)` counters.
+    /// `(hits, misses)` counters: a lookup that found a finished plan of
+    /// its generation, and one that did not.
     #[must_use]
     pub fn stats(&self) -> (u64, u64) {
         (
@@ -116,8 +228,19 @@ impl PlanCache {
 
     /// Clears the cache.
     pub fn clear(&self) {
-        self.plans.write().clear();
+        // The guard is gone at the end of this statement; the plans after it.
+        let cleared = std::mem::take(&mut *self.plans.write());
+        drop(cleared);
     }
+}
+
+/// Moves the slots of generations older than `generation` out of `plans`;
+/// the caller drops them once it has released the lock.
+fn purge_older(plans: &mut BTreeMap<String, Slot>, generation: u64) -> Vec<Slot> {
+    plans
+        .extract_if(.., |_, slot| slot.generation < generation)
+        .map(|(_, slot)| slot)
+        .collect()
 }
 
 #[cfg(test)]
@@ -222,6 +345,105 @@ mod tests {
         let stored = cache.insert(plan_at("q", 1));
         let hit = cache.get("q", 1).unwrap();
         assert!(Arc::ptr_eq(&stored, &hit));
+    }
+
+    #[test]
+    fn concurrent_misses_for_one_text_plan_it_once() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Barrier;
+
+        const CALLERS: usize = 8;
+        let cache = PlanCache::new();
+        cache.put(&plan_at("q", 1));
+        let planned = AtomicUsize::new(0);
+        let all_asked = Barrier::new(CALLERS);
+        let plans: Vec<Arc<Plan>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        // Generation 2 is one nobody has planned; the one
+                        // planner holds the slot until every caller missed.
+                        all_asked.wait();
+                        cache
+                            .get_or_plan("q", 2, || {
+                                planned.fetch_add(1, Ordering::SeqCst);
+                                while cache.stats().1 < CALLERS as u64 {
+                                    std::thread::yield_now();
+                                }
+                                Ok::<_, String>(plan_at("q", 2))
+                            })
+                            .unwrap()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert_eq!(planned.load(Ordering::SeqCst), 1);
+        assert!(plans.iter().all(|plan| Arc::ptr_eq(plan, &plans[0])));
+        assert_eq!(plans[0].catalog_generation, 2);
+        // Every caller missed; the plan they share is what a later lookup hits.
+        assert_eq!(cache.stats(), (0, CALLERS as u64));
+        assert!(Arc::ptr_eq(&cache.get("q", 2).unwrap(), &plans[0]));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_planning_error_reaches_its_caller_and_leaves_no_entry() {
+        let cache = PlanCache::new();
+        let failed = cache.get_or_plan("q", 1, || Err::<Plan, _>("no such extent"));
+        assert_eq!(failed.unwrap_err(), "no such extent");
+        assert!(cache.is_empty());
+        // The next call plans again, and its plan is cached.
+        let plan = cache
+            .get_or_plan("q", 1, || Ok::<_, String>(plan_at("q", 1)))
+            .unwrap();
+        let hit = cache
+            .get_or_plan("q", 1, || -> Result<Plan, String> {
+                panic!("a cached text is not planned")
+            })
+            .unwrap();
+        assert!(Arc::ptr_eq(&plan, &hit));
+        assert_eq!(cache.stats(), (1, 2));
+    }
+
+    #[test]
+    fn a_waiter_plans_for_itself_when_the_planner_it_waited_for_fails() {
+        use std::sync::mpsc;
+
+        let cache = PlanCache::new();
+        let (planning, is_planning) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let cache = &cache;
+            let leader = scope.spawn(move || {
+                cache.get_or_plan("q", 1, || {
+                    planning.send(()).unwrap();
+                    released.recv().unwrap();
+                    Err::<Plan, _>("leader failed")
+                })
+            });
+            is_planning.recv().unwrap();
+            let waiter =
+                scope.spawn(|| cache.get_or_plan("q", 1, || Ok::<_, &str>(plan_at("q", 1))));
+            // The waiter is either blocked on the slot or has not reached
+            // it yet; both orders end with it planning for itself.
+            release.send(()).unwrap();
+            assert_eq!(leader.join().unwrap().unwrap_err(), "leader failed");
+            let plan = waiter.join().unwrap().unwrap();
+            assert!(Arc::ptr_eq(&plan, &cache.get("q", 1).unwrap()));
+        });
+    }
+
+    #[test]
+    fn an_old_snapshot_plans_for_itself_and_displaces_nothing() {
+        let cache = PlanCache::new();
+        let fresh = cache.insert(plan_at("q", 6));
+        let old = cache
+            .get_or_plan("q", 5, || Ok::<_, String>(plan_at("q", 5)))
+            .unwrap();
+        assert_eq!(old.catalog_generation, 5);
+        assert!(Arc::ptr_eq(&cache.get("q", 6).unwrap(), &fresh));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

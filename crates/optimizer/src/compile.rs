@@ -9,7 +9,7 @@
 //! optimizer's transformation rules then normalize and push work towards
 //! the wrappers.
 
-use disco_catalog::{Catalog, MetaExtent, NameBinding};
+use disco_catalog::{Catalog, MetaExtent, NameRef};
 use disco_oql::ast::{Expr as OqlExpr, FromBinding, SelectExpr};
 use disco_oql::parse_query;
 use disco_oql::resolve::resolve_query;
@@ -109,18 +109,19 @@ impl Compiler<'_> {
         // Range variables of enclosing selects may be used as collections in
         // correlated sub-queries only through path expressions, which are
         // not collections; a bare variable is unsupported.
-        match self.catalog.resolve(name) {
-            Ok(NameBinding::Extent(extent)) => Ok(submit_of(&extent)),
-            Ok(NameBinding::InterfaceExtent { extents, .. })
-            | Ok(NameBinding::RecursiveExtent { extents, .. }) => {
-                let submits: Vec<LogicalExpr> = extents.iter().map(submit_of).collect();
+        match self.catalog.lookup(name) {
+            Ok(NameRef::Extent(extent)) => Ok(submit_of(extent)),
+            Ok(NameRef::InterfaceExtent { extents, .. })
+            | Ok(NameRef::RecursiveExtent { extents, .. }) => {
+                let mut submits: Vec<LogicalExpr> =
+                    extents.iter().map(|extent| submit_of(extent)).collect();
                 Ok(match submits.len() {
                     0 => LogicalExpr::Data(disco_value::Bag::new()),
-                    1 => submits.into_iter().next().expect("one element"),
+                    1 => submits.pop().expect("one element"),
                     _ => LogicalExpr::Union(submits),
                 })
             }
-            Ok(NameBinding::View(_)) | Err(_) => {
+            Ok(NameRef::View(_)) | Err(_) => {
                 Err(OptimizerError::UnresolvedCollection(name.to_owned()))
             }
         }

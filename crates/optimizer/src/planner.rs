@@ -9,11 +9,20 @@
 //! the capability-checked pushdown rules (none, selections only,
 //! projections only, everything) to the normalized canonical plan, lowers
 //! each to the physical algebra, costs them, and picks the cheapest.
+//!
+//! Each alternative is built once: the normalized plan *is* the
+//! "mediator-only" alternative, every pushed alternative is one copy of it
+//! rewritten in place by the `&mut` rules of [`disco_algebra::rules`], and
+//! a fixpoint loop ends on the flag its pass returns.  What the search
+//! finds rests on the order in which a pass tries the rules at a node —
+//! [`apply_subset`] and [`rules::push_to_wrappers`] differ in exactly
+//! that — so the order is kept as written; `tests/plan_identity.rs` pins
+//! every alternative, cost and winner.
 
 use std::sync::Arc;
 
 use disco_algebra::rules::{
-    self, push_filter_into_submit, push_join_into_submit, push_project_into_submit,
+    self, push_filter_into_submit, push_project_into_submit, push_project_past_filter,
 };
 use disco_algebra::{lower, CapabilityLookup, LogicalExpr, PhysicalExpr};
 use disco_catalog::Catalog;
@@ -144,7 +153,6 @@ impl Optimizer {
         compiled: &LogicalExpr,
         catalog_generation: u64,
     ) -> Result<Plan> {
-        let normalized = rules::normalize(compiled);
         let lookup = self.capabilities.as_ref();
 
         let mut alternatives: Vec<PlanAlternative> = Vec::new();
@@ -169,27 +177,23 @@ impl Optimizer {
             Ok(())
         };
 
-        push_alternative("mediator-only", normalized.clone(), &mut alternatives)?;
+        // The normalized plan moves into the first alternative; the pushed
+        // ones are each one copy of it, rewritten in place.
         push_alternative(
-            "push-selections",
-            apply_subset(&normalized, lookup, true, false, false),
+            "mediator-only",
+            rules::normalize(compiled),
             &mut alternatives,
         )?;
-        push_alternative(
-            "push-projections",
-            apply_subset(&normalized, lookup, false, true, false),
-            &mut alternatives,
-        )?;
-        push_alternative(
-            "push-selections-projections",
-            apply_subset(&normalized, lookup, true, true, false),
-            &mut alternatives,
-        )?;
-        push_alternative(
-            "push-everything",
-            rules::push_to_wrappers(&normalized, lookup),
-            &mut alternatives,
-        )?;
+        for (strategy, filters, projections) in [
+            ("push-selections", true, false),
+            ("push-projections", false, true),
+            ("push-selections-projections", true, true),
+        ] {
+            let pushed = apply_subset(&alternatives[0].logical, lookup, filters, projections);
+            push_alternative(strategy, pushed, &mut alternatives)?;
+        }
+        let pushed = rules::push_to_wrappers(&alternatives[0].logical, lookup);
+        push_alternative("push-everything", pushed, &mut alternatives)?;
 
         let best = alternatives
             .iter()
@@ -215,45 +219,27 @@ impl Optimizer {
     }
 }
 
-/// Applies the selected subset of pushdown rules to a fixpoint.
+/// Applies the selected subset of pushdown rules to a fixpoint: the passes
+/// of [`rules::push_to_wrappers`] without the join rule and with the
+/// projection-past-filter rule tried *before* the plain projection push.
 fn apply_subset(
     expr: &LogicalExpr,
     lookup: &dyn CapabilityLookup,
     filters: bool,
     projections: bool,
-    joins: bool,
 ) -> LogicalExpr {
-    let mut current = expr.clone();
-    for _ in 0..64 {
-        let next = current.rewrite_bottom_up(&|e| {
-            let mut result = None;
-            if filters {
-                result = result.or_else(|| push_filter_into_submit(e, lookup));
-            }
-            if projections {
-                // A projection blocked by a filter that cannot be pushed may
-                // still reach the wrapper by commuting below the filter.
-                result = result.or_else(|| {
-                    let swapped = rules::push_project_below_filter(e)?;
-                    let rewritten =
-                        swapped.rewrite_bottom_up(&|inner| push_project_into_submit(inner, lookup));
-                    (rewritten != swapped).then_some(rewritten)
-                });
-            }
-            if projections {
-                result = result.or_else(|| push_project_into_submit(e, lookup));
-            }
-            if joins {
-                result = result.or_else(|| push_join_into_submit(e, lookup));
-            }
-            result
+    let mut plan = expr.clone();
+    for _ in 0..rules::MAX_PASSES {
+        let rewrote = plan.rewrite_in_place(&|e| {
+            (filters && push_filter_into_submit(e, lookup))
+                || (projections
+                    && (push_project_past_filter(e, lookup) || push_project_into_submit(e, lookup)))
         });
-        if next == current {
+        if !rewrote {
             break;
         }
-        current = next;
     }
-    current
+    plan
 }
 
 #[cfg(test)]

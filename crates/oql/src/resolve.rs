@@ -15,8 +15,12 @@
 //!    extents.  This is exactly the paper's
 //!    `flatten(select x.e from x in metaextent where x.interface=Person)`
 //!    definition, evaluated against the meta-data.
+//!
+//! Both rewrites ask the catalog through [`Catalog::lookup`], which answers
+//! with references: learning that `person` is not a view, or the names of
+//! its 256 extents, copies no `MetaExtent`.
 
-use disco_catalog::{Catalog, NameBinding};
+use disco_catalog::{Catalog, NameRef};
 
 use crate::ast::{Expr, FromBinding, SelectExpr};
 use crate::parser::parse_query;
@@ -40,8 +44,8 @@ fn expand_views_depth(expr: &Expr, catalog: &Catalog, depth: usize) -> Result<Ex
         return Err(OqlError::ViewExpansionTooDeep(format!("{expr:?}")));
     }
     transform_collections(expr, &mut |name| {
-        match catalog.resolve(name) {
-            Ok(NameBinding::View(view)) => {
+        match catalog.lookup(name) {
+            Ok(NameRef::View(view)) => {
                 let body = parse_query(view.body())?;
                 // Recursively expand views referenced by this view's body.
                 let expanded = expand_views_depth(&body, catalog, depth + 1)?;
@@ -62,9 +66,9 @@ fn expand_views_depth(expr: &Expr, catalog: &Catalog, depth: usize) -> Result<Ex
 ///
 /// Propagates catalog errors other than unresolved names.
 pub fn expand_extents(expr: &Expr, catalog: &Catalog) -> Result<Expr, OqlError> {
-    transform_collections(expr, &mut |name| match catalog.resolve(name) {
-        Ok(NameBinding::InterfaceExtent { extents, .. })
-        | Ok(NameBinding::RecursiveExtent { extents, .. }) => {
+    transform_collections(expr, &mut |name| match catalog.lookup(name) {
+        Ok(NameRef::InterfaceExtent { extents, .. })
+        | Ok(NameRef::RecursiveExtent { extents, .. }) => {
             let items: Vec<Expr> = extents
                 .iter()
                 .map(|e| Expr::Ident(e.extent_name().to_owned()))

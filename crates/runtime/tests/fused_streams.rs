@@ -138,9 +138,13 @@ impl Fed {
 /// federation whose links chunk at `chunk_rows`.
 fn federate(plan: &LogicalExpr, chunk_rows: usize) -> (Fed, LogicalExpr) {
     let fed = RefCell::new(Fed::new());
-    let plan = plan.rewrite_bottom_up(&|node| match node {
-        LogicalExpr::Data(rows) => Some(fed.borrow_mut().source(rows, instant_profile(chunk_rows))),
-        _ => None,
+    let mut plan = plan.clone();
+    plan.rewrite_in_place(&|node| {
+        let LogicalExpr::Data(rows) = node else {
+            return false;
+        };
+        *node = fed.borrow_mut().source(rows, instant_profile(chunk_rows));
+        true
     });
     (fed.into_inner(), plan)
 }

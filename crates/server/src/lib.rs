@@ -298,19 +298,17 @@ impl Session {
     pub fn query(&self, query: &str) -> Result<Answer> {
         let _slot = self.shared.admission.admit(self.id);
         let snapshot = self.shared.catalog.snapshot();
-        let plan = match self.shared.plan_cache.get(query, snapshot.generation()) {
-            Some(plan) => plan,
-            None => {
-                let optimizer = Optimizer::with_store(
+        let plan = self
+            .shared
+            .plan_cache
+            .get_or_plan(query, snapshot.generation(), || {
+                Optimizer::with_store(
                     self.shared.registry.clone(),
                     Arc::clone(&self.shared.calibration),
                 )
-                .with_cost_params(self.shared.cost_params);
-                self.shared
-                    .plan_cache
-                    .insert(optimizer.optimize_text(query, &snapshot)?)
-            }
-        };
+                .with_cost_params(self.shared.cost_params)
+                .optimize_text(query, &snapshot)
+            })?;
         let mut executor = Executor::new(self.shared.registry.clone())
             .with_deadline(self.deadline)
             .with_threads(self.shared.config.threads)

@@ -151,16 +151,23 @@ fn join_is_pushed_only_when_both_relations_live_in_the_same_repository() {
         right: Box::new(LogicalExpr::get("manager0").submit("r0", "w0", "manager0")),
         on: vec![("dept".into(), "dept".into())],
     };
-    assert!(push_join_into_submit(&same_repo, &caps).is_some());
-    let cross_repo = LogicalExpr::SourceJoin {
+    let mut pushed = same_repo.clone();
+    assert!(push_join_into_submit(&mut pushed, &caps));
+    assert_eq!(
+        pushed.to_string(),
+        "submit(r0, join(get(employee0), get(manager0), dept=dept))"
+    );
+    let mut cross_repo = LogicalExpr::SourceJoin {
         left: Box::new(LogicalExpr::get("employee0").submit("r0", "w0", "employee0")),
         right: Box::new(LogicalExpr::get("manager1").submit("r1", "w0", "manager1")),
         on: vec![("dept".into(), "dept".into())],
     };
+    let untouched = cross_repo.clone();
     assert!(
-        push_join_into_submit(&cross_repo, &caps).is_none(),
+        !push_join_into_submit(&mut cross_repo, &caps),
         "submit has RPC semantics: semijoin-style shipping between sources is impossible"
     );
+    assert_eq!(cross_repo, untouched);
 }
 
 #[test]
