@@ -54,7 +54,7 @@ pub use error::AlgebraError;
 pub use implementation::{bound_vars, lower, referenced_vars};
 pub use kernel::{EvalVec, Kernel, KernelBuilder, PairKernel, PairKernelBuilder};
 pub use logical::{data_of, LogicalExpr};
-pub use physical::{ExchangeBehavior, PhysicalExpr, PipelineBehavior};
+pub use physical::{PhysicalExpr, PipelineBehavior};
 pub use rules::CapabilityLookup;
 pub use scalar::{
     eval_binary, eval_scalar, eval_scalar_env, eval_scalar_with, truthy, AggKind, AggState, Env,

@@ -40,36 +40,6 @@ pub enum PipelineBehavior {
     Blocking,
 }
 
-/// How a physical operator's work can be distributed across the workers
-/// of the parallel (morsel-driven) engine.
-///
-/// This refines [`PipelineBehavior`] along the *exchange* axis: not
-/// whether an operator buffers rows, but whether its work can be split
-/// into independent units and, for pipeline breakers, whether the
-/// buffered state partitions by key hash into per-worker shards that are
-/// merged (or probed shard-wise) at the phase barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExchangeBehavior {
-    /// Stateless per-row work: any worker can process any morsel (scan,
-    /// filter, project, map, bind, flatten).  These operators ride along
-    /// inside whichever partition their input was split into.
-    Morsel,
-    /// The operator's inputs are independent subtrees that can execute on
-    /// different workers with no shared state (union branches — including
-    /// the per-source resolved scans of a federated query).
-    Branches,
-    /// A pipeline breaker whose buffered state partitions by key hash:
-    /// the hash-join build table (sharded by join-key hash, probed
-    /// shard-wise after the build barrier), the distinct seen-set
-    /// (sharded by value hash), and aggregates (per-morsel partial folds
-    /// merged in morsel order at the barrier).
-    Partitioned,
-    /// Must execute on a single worker: the operator re-scans one input
-    /// per row of the other (nested-loop and merge-tuples joins), so
-    /// splitting it requires replicating the buffered side.
-    Pinned,
-}
-
 /// A physical query plan node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalExpr {
@@ -204,32 +174,6 @@ impl PhysicalExpr {
             | PhysicalExpr::MergeTuplesJoin { .. } => PipelineBehavior::BlockingBuild,
             PhysicalExpr::MkDistinct(_) | PhysicalExpr::MkAggregate { .. } => {
                 PipelineBehavior::Blocking
-            }
-        }
-    }
-
-    /// How this operator's work distributes across the parallel engine's
-    /// workers (see [`ExchangeBehavior`]).  The morsel-driven scheduler
-    /// consults this classification when it decomposes a plan: it
-    /// descends through `Morsel` operators, turns `Branches` inputs into
-    /// independent tasks, stages `Partitioned` breakers as hash-sharded
-    /// phases, and leaves `Pinned` subtrees on a single worker.
-    #[must_use]
-    pub fn exchange_behavior(&self) -> ExchangeBehavior {
-        match self {
-            PhysicalExpr::Exec { .. }
-            | PhysicalExpr::MemScan(_)
-            | PhysicalExpr::FilterOp { .. }
-            | PhysicalExpr::ProjectOp { .. }
-            | PhysicalExpr::MapOp { .. }
-            | PhysicalExpr::BindOp { .. }
-            | PhysicalExpr::MkFlatten(_) => ExchangeBehavior::Morsel,
-            PhysicalExpr::MkUnion(_) => ExchangeBehavior::Branches,
-            PhysicalExpr::HashJoin { .. }
-            | PhysicalExpr::MkDistinct(_)
-            | PhysicalExpr::MkAggregate { .. } => ExchangeBehavior::Partitioned,
-            PhysicalExpr::NestedLoopJoin { .. } | PhysicalExpr::MergeTuplesJoin { .. } => {
-                ExchangeBehavior::Pinned
             }
         }
     }
@@ -540,56 +484,6 @@ mod tests {
             }
             .pipeline_behavior(),
             PipelineBehavior::Blocking
-        );
-    }
-
-    #[test]
-    fn exchange_behavior_classifies_parallelism() {
-        let scan = PhysicalExpr::MemScan(Bag::new());
-        assert_eq!(scan.exchange_behavior(), ExchangeBehavior::Morsel);
-        assert_eq!(
-            PhysicalExpr::MapOp {
-                input: Box::new(scan.clone()),
-                projection: ScalarExpr::constant(1i64),
-            }
-            .exchange_behavior(),
-            ExchangeBehavior::Morsel
-        );
-        assert_eq!(
-            PhysicalExpr::MkUnion(vec![scan.clone(), scan.clone()]).exchange_behavior(),
-            ExchangeBehavior::Branches
-        );
-        assert_eq!(
-            PhysicalExpr::HashJoin {
-                left: Box::new(scan.clone()),
-                right: Box::new(scan.clone()),
-                left_key: ScalarExpr::attr("id"),
-                right_key: ScalarExpr::attr("id"),
-                residual: None,
-            }
-            .exchange_behavior(),
-            ExchangeBehavior::Partitioned
-        );
-        assert_eq!(
-            PhysicalExpr::MkDistinct(Box::new(scan.clone())).exchange_behavior(),
-            ExchangeBehavior::Partitioned
-        );
-        assert_eq!(
-            PhysicalExpr::MkAggregate {
-                func: AggKind::Count,
-                input: Box::new(scan.clone()),
-            }
-            .exchange_behavior(),
-            ExchangeBehavior::Partitioned
-        );
-        assert_eq!(
-            PhysicalExpr::NestedLoopJoin {
-                left: Box::new(scan.clone()),
-                right: Box::new(scan),
-                predicate: None,
-            }
-            .exchange_behavior(),
-            ExchangeBehavior::Pinned
         );
     }
 

@@ -143,19 +143,10 @@ impl Sum {
     }
 }
 
-/// Mergeable aggregate accumulator with O(1) state — the single
-/// definition of the aggregates' semantics: numeric promotion (an
-/// all-integer `sum` is an exact, overflow-checked `i64`; the first float
-/// switches it to `f64`), empty-input results, and first-minimum /
-/// last-maximum tie-breaking.
-///
-/// A serial evaluation folds its whole input into one state; the parallel
-/// engine folds one state **per morsel** and merges them in morsel order,
-/// which keeps the result independent of which worker processed which
-/// morsel: counts and integer sums are associative, and the ordered merge
-/// preserves the tie-breaking of the serial fold.  (Float sums merge
-/// partial sums, so they can differ from the serial fold in the last
-/// bits — but deterministically so at a fixed thread count.)
+/// Aggregate accumulator with O(1) state — the single definition of the
+/// aggregates' semantics: numeric promotion (an all-integer `sum` is an
+/// exact, overflow-checked `i64`; the first float switches it to `f64`),
+/// empty-input results, and first-minimum / last-maximum tie-breaking.
 #[derive(Debug, Clone)]
 pub struct AggState {
     func: AggKind,
@@ -216,38 +207,6 @@ impl AggState {
                 Some(b) if value.total_cmp(b) == std::cmp::Ordering::Less => {}
                 _ => self.best = Some(value.clone()),
             },
-        }
-        Ok(())
-    }
-
-    /// Merges a state folded over a **later** stretch of the input into
-    /// `self`.  Merging per-morsel states in morsel order reproduces the
-    /// serial fold's tie-breaking: an equal minimum in a later morsel
-    /// loses, an equal maximum wins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AlgebraError::IntegerOverflow`] when two integer partial
-    /// sums overflow.
-    pub fn merge(&mut self, later: AggState) -> Result<()> {
-        self.count += later.count;
-        self.sum = match (self.sum, later.sum) {
-            (Sum::Int(a), Sum::Int(b)) => {
-                Sum::Int(a.checked_add(b).ok_or(AlgebraError::IntegerOverflow)?)
-            }
-            (a, b) => Sum::Float(a.as_f64() + b.as_f64()),
-        };
-        if let Some(candidate) = later.best {
-            match (&self.best, self.func) {
-                (None, _) => self.best = Some(candidate),
-                (Some(b), AggKind::Min) if candidate.total_cmp(b) == std::cmp::Ordering::Less => {
-                    self.best = Some(candidate);
-                }
-                (Some(b), AggKind::Max) if candidate.total_cmp(b) != std::cmp::Ordering::Less => {
-                    self.best = Some(candidate);
-                }
-                _ => {}
-            }
         }
         Ok(())
     }
@@ -690,21 +649,6 @@ pub fn eval_scalar_with(
 /// Built-in reconciliation functions available to view definitions.
 fn eval_builtin_call(name: &str, args: &[Value]) -> Result<Value> {
     match name {
-        // Fail point for fault-injection tests (only with the
-        // `test-failpoints` feature, which the runtime's dev-dependencies
-        // enable — production builds treat the name as any other unknown
-        // function): panics (not errors) when its argument is truthy, so
-        // the poison-safety tests of the parallel engine can make a
-        // cursor die mid-batch at a chosen row.  Evaluates to `true`
-        // otherwise, so it composes as a filter predicate.  Never
-        // produced by the OQL front end.
-        #[cfg(feature = "test-failpoints")]
-        "__disco_panic_if__" => {
-            if args.iter().any(truthy) {
-                panic!("injected panic (__disco_panic_if__ fail point)");
-            }
-            Ok(Value::Bool(true))
-        }
         "concat" => {
             let mut out = String::new();
             for a in args {
@@ -1031,24 +975,6 @@ mod tests {
         );
         // `avg` still accumulates in `f64`, so the same inputs average.
         assert!(AggKind::Avg.apply(&over).is_ok());
-        // Partial states merge exactly, and a float on either side of the
-        // merge switches the sum to `f64`.
-        let fold = |values: &[Value]| {
-            let mut state = AggState::new(AggKind::Sum);
-            values.iter().try_for_each(|v| state.update(v)).unwrap();
-            state
-        };
-        let mut ints = fold(&[Value::Int(beyond_f64 - 1)]);
-        ints.merge(fold(&[Value::Int(1)])).unwrap();
-        assert_eq!(ints.finish(), Value::Int(beyond_f64));
-        let mut mixed = fold(&[Value::Int(1)]);
-        mixed.merge(fold(&[Value::Float(0.5)])).unwrap();
-        assert_eq!(mixed.finish(), Value::Float(1.5));
-        let mut over = fold(&[Value::Int(i64::MAX)]);
-        assert_eq!(
-            over.merge(fold(&[Value::Int(1)])),
-            Err(AlgebraError::IntegerOverflow)
-        );
     }
 
     #[test]

@@ -19,9 +19,7 @@ use disco_bench::workloads::{
     e9_deep_pipeline_plan, e9_distinct_plan, e9_filter_project_plan, e9_hash_join_plan,
     e9_person_bag,
 };
-use disco_runtime::{
-    evaluate_physical, evaluate_physical_with, PipelineMetrics, PipelineOptions, ResolvedExecs,
-};
+use disco_runtime::{evaluate_physical, ResolvedExecs};
 
 fn bench_evaluator(c: &mut Criterion) {
     let resolved = ResolvedExecs::default();
@@ -79,38 +77,6 @@ fn bench_evaluator(c: &mut Criterion) {
     group.bench_function("nested_loop_join/1000x100", |b| {
         b.iter(|| evaluate_physical(&nl_plan, &resolved).unwrap());
     });
-
-    // Thread-scaling variants of the two heaviest pipelines through the
-    // morsel-driven parallel engine (`threads = 1` is the serial path, so
-    // the 1-thread rows double as the parallel engine's overhead guard).
-    let hash_join_plan = lower(&e9_hash_join_plan(100_000)).expect("lowers");
-    let deep_plan = lower(&e9_deep_pipeline_plan(100_000)).expect("lowers");
-    for &threads in &[1usize, 2, 4, 8] {
-        let options = PipelineOptions {
-            threads,
-            ..PipelineOptions::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("hash_join_100k_threads", threads),
-            &threads,
-            |b, _| {
-                b.iter(|| {
-                    let metrics = PipelineMetrics::new();
-                    evaluate_physical_with(&hash_join_plan, &resolved, &metrics, options).unwrap()
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("deep_pipeline_100k_threads", threads),
-            &threads,
-            |b, _| {
-                b.iter(|| {
-                    let metrics = PipelineMetrics::new();
-                    evaluate_physical_with(&deep_plan, &resolved, &metrics, options).unwrap()
-                });
-            },
-        );
-    }
 
     group.finish();
 }

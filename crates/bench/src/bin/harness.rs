@@ -1,4 +1,5 @@
-//! The experiment harness: regenerates every table in `EXPERIMENTS.md`.
+//! The experiment harness: regenerates the tables behind `BENCH_eN.json`
+//! and ROADMAP's Performance section.
 //!
 //! Usage:
 //!

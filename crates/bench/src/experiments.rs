@@ -1,6 +1,7 @@
 //! The experiment implementations behind every table the harness prints
 //! and every Criterion bench.  See `DESIGN.md` §5 for the mapping from
-//! paper claims to experiments and `EXPERIMENTS.md` for recorded results.
+//! paper claims to experiments; recorded results are the `BENCH_eN.json`
+//! files and the tables of ROADMAP's Performance section.
 
 use std::time::Instant;
 
@@ -831,7 +832,6 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
         &format!("{rows}-row in-memory person bags, best of {trials} trials per pipeline"),
         &[
             "pipeline",
-            "threads",
             "rows in",
             "rows out",
             "rows mat",
@@ -842,12 +842,9 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
     );
 
     let resolved = ResolvedExecs::default();
-    let mut run_m = |name: &str, threads: usize, rows_in: usize, plan: &LogicalExpr| {
+    let mut run_m = |name: &str, rows_in: usize, plan: &LogicalExpr| {
         let physical = lower(plan).expect("plan lowers");
-        let options = PipelineOptions {
-            threads,
-            ..PipelineOptions::default()
-        };
+        let options = PipelineOptions::default();
         let mut best = f64::INFINITY;
         let mut rows_out = 0usize;
         let mut rows_materialized = 0usize;
@@ -868,7 +865,6 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
         let mrows_per_s = rows_in as f64 / (best / 1000.0) / 1.0e6;
         report.push_row([
             name.to_owned(),
-            threads.to_string(),
             rows_in.to_string(),
             rows_out.to_string(),
             rows_materialized.to_string(),
@@ -878,12 +874,11 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
         ]);
     };
 
-    run_m("filter_project", 1, rows, &e9_filter_project_plan(rows));
-    run_m("hash_join", 1, rows + rows / 10, &e9_hash_join_plan(rows));
-    run_m("distinct", 1, rows, &e9_distinct_plan(rows));
+    run_m("filter_project", rows, &e9_filter_project_plan(rows));
+    run_m("hash_join", rows + rows / 10, &e9_hash_join_plan(rows));
+    run_m("distinct", rows, &e9_distinct_plan(rows));
     run_m(
         "deep_pipeline",
-        1,
         rows + rows / 10,
         &e9_deep_pipeline_plan(rows),
     );
@@ -892,25 +887,7 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
         .map(|_| LogicalExpr::Data(e9_person_bag(rows / 8, 1024)))
         .collect();
     let union_distinct = LogicalExpr::Distinct(Box::new(LogicalExpr::Union(union_bags)));
-    run_m("union8_distinct", 1, rows, &union_distinct);
-
-    // Thread-scaling rows (the morsel-driven parallel engine) for the two
-    // heaviest pipelines; `rows mat` must be identical at every thread
-    // count — per-worker metrics merge exactly.
-    for threads in [2usize, 4] {
-        run_m(
-            "hash_join",
-            threads,
-            rows + rows / 10,
-            &e9_hash_join_plan(rows),
-        );
-        run_m(
-            "deep_pipeline",
-            threads,
-            rows + rows / 10,
-            &e9_deep_pipeline_plan(rows),
-        );
-    }
+    run_m("union8_distinct", rows, &union_distinct);
 
     report.push_note(
         "evaluator only: bags are in memory, so this is the mediator combine cost that \
@@ -919,10 +896,6 @@ pub fn e9_evaluator_throughput(scale: Scale) -> Report {
     report.push_note(
         "rows mat = rows buffered by pipeline breakers (hash-join build side, distinct \
          seen-set) per evaluation; streaming operators buffer nothing",
-    );
-    report.push_note(
-        "threads > 1 rows run the morsel-driven parallel engine (DISCO_THREADS / \
-         PipelineOptions::threads); threads = 1 is the serial cursor path",
     );
     report.push_note(
         "rows kernel = rows whose scalar work ran through vectorized columnar kernels; the \
@@ -996,7 +969,6 @@ pub fn e10_federation_overlap(scale: Scale) -> Report {
         &format!("{workload}; median of {trials} trials"),
         &[
             "mode",
-            "threads",
             "wall ms",
             "t_first ms",
             "slowest src ms",
@@ -1030,50 +1002,46 @@ pub fn e10_federation_overlap(scale: Scale) -> Report {
             .fold(0.0f64, f64::max)
     };
     for streamed in [false, true] {
-        for threads in [1usize, 4] {
-            let executor = Executor::new(federation.mediator.registry().clone())
-                .with_threads(threads)
-                .with_deadline(Some(std::time::Duration::from_secs(30)));
-            let catalog = federation.mediator.catalog();
-            let mut walls = Vec::with_capacity(trials);
-            let mut firsts = Vec::with_capacity(trials);
-            let mut slowest_ms = 0.0f64;
-            for _ in 0..trials {
-                let started = Instant::now();
-                let (t_first, slowest) = if streamed {
-                    let answer = executor.execute(&plan, catalog).expect("executes");
-                    assert!(answer.is_complete(), "no source is unavailable here");
-                    (
-                        answer.time_to_first_row(),
-                        slowest_of(&answer.stats().source_calls),
-                    )
-                } else {
-                    let config = executor.config();
-                    let resolved = resolve_execs(&plan, executor.registry(), catalog, config)
-                        .expect("resolves");
-                    assert!(resolved.all_available(), "no source is unavailable here");
-                    let metrics = PipelineMetrics::new();
-                    evaluate_physical_with(&plan, &resolved, &metrics, config.pipeline)
-                        .expect("combines");
-                    (
-                        metrics.time_to_first_row_since(started),
-                        slowest_of(resolved.stats()),
-                    )
-                };
-                walls.push(started.elapsed().as_secs_f64() * 1000.0);
-                firsts.extend(t_first.map(|t| t.as_secs_f64() * 1000.0));
-                slowest_ms = slowest_ms.max(slowest);
-            }
-            let wall = median(&mut walls);
-            report.push_row([
-                if streamed { "streamed" } else { "blocking" }.to_owned(),
-                threads.to_string(),
-                fmt_f64(wall),
-                fmt_f64(median(&mut firsts)),
-                fmt_f64(slowest_ms),
-                fmt_f64(wall / slowest_ms),
-            ]);
+        let executor = Executor::new(federation.mediator.registry().clone())
+            .with_deadline(Some(std::time::Duration::from_secs(30)));
+        let catalog = federation.mediator.catalog();
+        let mut walls = Vec::with_capacity(trials);
+        let mut firsts = Vec::with_capacity(trials);
+        let mut slowest_ms = 0.0f64;
+        for _ in 0..trials {
+            let started = Instant::now();
+            let (t_first, slowest) = if streamed {
+                let answer = executor.execute(&plan, catalog).expect("executes");
+                assert!(answer.is_complete(), "no source is unavailable here");
+                (
+                    answer.time_to_first_row(),
+                    slowest_of(&answer.stats().source_calls),
+                )
+            } else {
+                let config = executor.config();
+                let resolved =
+                    resolve_execs(&plan, executor.registry(), catalog, config).expect("resolves");
+                assert!(resolved.all_available(), "no source is unavailable here");
+                let metrics = PipelineMetrics::new();
+                evaluate_physical_with(&plan, &resolved, &metrics, config.pipeline)
+                    .expect("combines");
+                (
+                    metrics.time_to_first_row_since(started),
+                    slowest_of(resolved.stats()),
+                )
+            };
+            walls.push(started.elapsed().as_secs_f64() * 1000.0);
+            firsts.extend(t_first.map(|t| t.as_secs_f64() * 1000.0));
+            slowest_ms = slowest_ms.max(slowest);
         }
+        let wall = median(&mut walls);
+        report.push_row([
+            if streamed { "streamed" } else { "blocking" }.to_owned(),
+            fmt_f64(wall),
+            fmt_f64(median(&mut firsts)),
+            fmt_f64(slowest_ms),
+            fmt_f64(wall / slowest_ms),
+        ]);
     }
     report.push_note(
         "blocking = resolve_execs then evaluate_physical_with, one after the other \
@@ -1098,7 +1066,7 @@ pub fn e10_federation_overlap(scale: Scale) -> Report {
 /// the pinned scheduler (`AdaptiveMode::Off`) and the adaptive engine
 /// (`AdaptiveMode::On`): the first-answer build-side choice.  Every
 /// answer is asserted
-/// multiset-identical to the pinned serial baseline; the table tracks
+/// multiset-identical to the pinned baseline; the table tracks
 /// how wall-clock and first-row latency move when adaptivity engages.
 ///
 /// # Panics
@@ -1113,7 +1081,7 @@ pub fn e10_heterogeneous_adaptive(scale: Scale) -> Report {
         "E10h",
         "heterogeneous federation: adaptive vs pinned scheduling",
         &format!("{workload}; join fed by the degraded source; median of {trials} trials"),
-        &["adaptive", "threads", "wall ms", "t_first ms", "rows"],
+        &["adaptive", "wall ms", "t_first ms", "rows"],
     );
 
     // A join the degraded source feeds: the adaptive engine may build the
@@ -1148,56 +1116,48 @@ pub fn e10_heterogeneous_adaptive(scale: Scale) -> Report {
     )
     .expect("plan lowers");
 
-    let run = |adaptive: AdaptiveMode, threads: usize| {
+    let run = |adaptive: AdaptiveMode| {
         Executor::new(federation.mediator.registry().clone())
-            .with_threads(threads)
             .with_adaptive(adaptive)
             .with_deadline(Some(std::time::Duration::from_secs(30)))
             .execute(&plan, federation.mediator.catalog())
             .expect("executes")
     };
-    let baseline = run(AdaptiveMode::Off, 1);
+    let baseline = run(AdaptiveMode::Off);
     assert!(baseline.is_complete(), "no source is unavailable here");
 
     for adaptive in [AdaptiveMode::Off, AdaptiveMode::On] {
-        for threads in [1usize, 4] {
-            let mut walls = Vec::with_capacity(trials);
-            let mut firsts = Vec::with_capacity(trials);
-            let mut answered = 0usize;
-            for _ in 0..trials {
-                let started = Instant::now();
-                let answer = run(adaptive, threads);
-                walls.push(started.elapsed().as_secs_f64() * 1000.0);
-                assert_eq!(
-                    answer.data(),
-                    baseline.data(),
-                    "adaptive scheduling changed the answer ({adaptive:?}, {threads} threads)"
-                );
-                if let Some(t) = answer.time_to_first_row() {
-                    firsts.push(t.as_secs_f64() * 1000.0);
-                }
-                answered = answer.data().len();
+        let mut walls = Vec::with_capacity(trials);
+        let mut firsts = Vec::with_capacity(trials);
+        let mut answered = 0usize;
+        for _ in 0..trials {
+            let started = Instant::now();
+            let answer = run(adaptive);
+            walls.push(started.elapsed().as_secs_f64() * 1000.0);
+            assert_eq!(
+                answer.data(),
+                baseline.data(),
+                "adaptive scheduling changed the answer ({adaptive:?})"
+            );
+            if let Some(t) = answer.time_to_first_row() {
+                firsts.push(t.as_secs_f64() * 1000.0);
             }
-            report.push_row([
-                format!("{adaptive:?}").to_lowercase(),
-                threads.to_string(),
-                fmt_f64(median(&mut walls)),
-                fmt_f64(median(&mut firsts)),
-                answered.to_string(),
-            ]);
+            answered = answer.data().len();
         }
+        report.push_row([
+            format!("{adaptive:?}").to_lowercase(),
+            fmt_f64(median(&mut walls)),
+            fmt_f64(median(&mut firsts)),
+            answered.to_string(),
+        ]);
     }
     report.push_note(
-        "every answer is asserted multiset-identical to the pinned serial baseline; \
+        "every answer is asserted multiset-identical to the pinned baseline; \
          only the hash-join build side may differ",
     );
     report.push_note(
         "rows_materialized is not compared: the adaptive build-side choice may buffer \
          the first-answered input instead of the smaller one",
-    );
-    report.push_note(
-        "single-core CI hosts serialize the workers, so wall deltas are indicative \
-         only; the equivalence assertions are the load-bearing part",
     );
     report
 }

@@ -19,12 +19,11 @@ pub enum RuntimeError {
     UnknownWrapper(String),
     /// The plan has a shape the executor cannot evaluate.
     Unsupported(String),
-    /// A worker of the parallel engine panicked while executing its share
-    /// of a pipeline.  The panic is contained (`catch_unwind` plus an
-    /// abort flag that stops the rest of the pool), converted to this
-    /// error, and surfaced from `evaluate_physical` like any evaluation
-    /// failure — never a hang, never a process abort.  A wrapper call
-    /// that panics during streamed resolution is contained the same way.
+    /// A wrapper call panicked on a worker of the call executor during
+    /// streamed resolution.  The panic is contained (`catch_unwind`),
+    /// converted to this error, and surfaced to the consumers of the
+    /// call's spool like any evaluation failure — never a hang, never a
+    /// process abort.
     WorkerPanic(String),
     /// A *pending* (still-streaming) source was classified unavailable —
     /// either its wrapper reported unavailability mid-stream or the
@@ -51,7 +50,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::UnknownWrapper(name) => write!(f, "no wrapper registered under: {name}"),
             RuntimeError::Unsupported(msg) => write!(f, "unsupported plan shape: {msg}"),
             RuntimeError::WorkerPanic(msg) => {
-                write!(f, "parallel worker panicked during evaluation: {msg}")
+                write!(f, "wrapper call panicked on its worker: {msg}")
             }
             RuntimeError::PendingUnavailable(repository) => {
                 write!(

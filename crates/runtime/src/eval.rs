@@ -29,8 +29,8 @@ pub fn evaluate_physical(plan: &PhysicalExpr, resolved: &ResolvedExecs) -> Resul
 }
 
 /// Evaluates a physical plan with explicit [`PipelineOptions`] (hash-join
-/// build side, worker threads, batch size, memory budget, adaptive
-/// scheduling), recording pipeline counters — rows buffered by pipeline
+/// build side, batch size, memory budget, adaptive build-side choice),
+/// recording pipeline counters — rows buffered by pipeline
 /// breakers, join rows merged, rows emitted, kernel coverage, spill —
 /// into `metrics`.
 ///

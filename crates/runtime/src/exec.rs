@@ -297,10 +297,6 @@ struct Chain {
     last: Option<Arc<SpoolChunk>>,
     /// Rows linked so far.
     rows: usize,
-    /// Where [`PendingSource::wait_rows`] last served from — the chunk
-    /// and the stream index of its first row — so that the morsel
-    /// engine's ascending claims do not walk the chain from its head.
-    served: Option<(usize, Arc<SpoolChunk>)>,
 }
 
 /// One chunk of spool rows moved to the disk tier.
@@ -395,27 +391,6 @@ impl SpoolState {
             Store::Chain(chain) => chain.rows,
             Store::Window(window) => window.base + window.rows.len(),
         }
-    }
-}
-
-impl Chain {
-    /// The rows `[from, from + max)` of the stream that lie in the chunk
-    /// holding row `from`, copied out; `head` is where the chain starts.
-    fn copy_rows(&mut self, head: &Arc<SpoolChunk>, from: usize, max: usize) -> Vec<Value> {
-        let (mut start, mut chunk) = match self.served.take() {
-            Some((start, chunk)) if start <= from => (start, chunk),
-            _ => (0, Arc::clone(head)),
-        };
-        while from >= start + chunk.rows.len() {
-            start += chunk.rows.len();
-            let next = Arc::clone(chunk.next.get().expect("row `from` is linked"));
-            chunk = next;
-        }
-        let lo = from - start;
-        let end = (lo + max.max(1)).min(chunk.rows.len());
-        let rows = chunk.rows()[lo..end].to_vec();
-        self.served = Some((start, chunk));
-        rows
     }
 }
 
@@ -829,14 +804,6 @@ impl PendingSource {
         self.events.notify();
     }
 
-    /// Interrupts the call from the consumer side (a parallel phase
-    /// aborting on another worker's failure): same classification as a
-    /// deadline overrun, so waiters blocked on this spool wake promptly
-    /// and the wrapper call winds down.
-    pub(crate) fn interrupt(&self) {
-        self.timeout();
-    }
-
     /// Classifies a deadline overrun: a still-streaming spool flips to
     /// unavailable and the wrapper call is cancelled.
     fn timeout(&self) {
@@ -951,9 +918,8 @@ impl PendingSource {
     /// Blocks until progress past `from` (bounded by the deadline, which
     /// flips the spool unavailable), returning a *copy* of at most `max`
     /// rows — `None` once the stream completed at `from` — and the time
-    /// spent in the call.  The consumers of a budgeted spool read through
-    /// here, and so do the morsel engine's stream partitions, whose
-    /// workers own the chunks they claim.
+    /// spent in the call.  Only the consumers of a budgeted spool
+    /// (`PendingScanCursor`) read through here.
     pub(crate) fn wait_rows(
         &self,
         from: usize,
@@ -970,12 +936,8 @@ impl PendingSource {
             if state.total_rows() <= from {
                 return matches!(state.status, SpoolStatus::Done).then_some(Ok(None));
             }
-            let window = match &mut state.store {
-                Store::Chain(chain) => {
-                    let head = self.head.get().expect("rows have arrived");
-                    return Some(Ok(Some(chain.copy_rows(head, from, max))));
-                }
-                Store::Window(window) => window,
+            let Store::Window(window) = &mut state.store else {
+                unreachable!("a chain is read in place, through `chunk_after`");
             };
             let rows = window.copy_rows(from, max);
             if let Ok(rows) = &rows {
@@ -1112,12 +1074,12 @@ pub struct ExecutionConfig {
     /// answer whose residual re-fetches the cancelled sources.  `None`
     /// (the default) is unlimited.
     pub row_budget: Option<usize>,
-    /// The options of the mediator-side combine step (worker threads,
-    /// batch size, memory budget, adaptive scheduling), declared once in
+    /// The options of the mediator-side combine step (build side, batch
+    /// size, memory budget, adaptive build-side choice), declared once in
     /// [`PipelineOptions`].  Wrapper calls are always issued in parallel,
-    /// on the process-wide call executor, whatever `pipeline.threads`
-    /// says; a bounded `pipeline.mem_budget` also makes every
-    /// [`PendingSource`] spool a hybrid memory/disk buffer.
+    /// on the process-wide call executor; a bounded `pipeline.mem_budget`
+    /// also makes every [`PendingSource`] spool a hybrid memory/disk
+    /// buffer.
     pub pipeline: PipelineOptions,
 }
 
@@ -1641,9 +1603,7 @@ fn run_wrapper_call(
     let rows_pushed = sink.rows_pushed;
     let conformance = sink.conformance.take();
     match outcome {
-        Err(payload) => spool.finish(SpoolStatus::Panicked(
-            crate::pipeline::parallel::panic_message(&*payload),
-        )),
+        Err(payload) => spool.finish(SpoolStatus::Panicked(panic_message(&*payload))),
         Ok(_) if conformance.is_some() => {
             spool.finish(SpoolStatus::Failed(conformance.expect("checked")));
         }
@@ -1660,6 +1620,17 @@ fn run_wrapper_call(
         }
         Ok(Err(WrapperError::Unavailable { .. })) => spool.finish(SpoolStatus::Unavailable),
         Ok(Err(other)) => spool.finish(SpoolStatus::Failed(other)),
+    }
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
     }
 }
 

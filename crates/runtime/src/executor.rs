@@ -63,15 +63,6 @@ impl Executor {
         self
     }
 
-    /// Sets the worker-thread count of the mediator-side combine step
-    /// (the morsel-driven parallel engine).  `1` is the serial path; `0`
-    /// (the default) defers to the `DISCO_THREADS` environment variable.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config.pipeline.threads = threads;
-        self
-    }
-
     /// Sets the memory budget of the execution.  A bounded budget makes
     /// the pipeline breakers (hash join, distinct) spill to disk instead
     /// of buffering past it, and bounds the pending-source spools with a

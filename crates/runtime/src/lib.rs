@@ -70,24 +70,6 @@
 //! consumer that needs one value (distinct, a column projection, the
 //! final sink).
 //!
-//! # Morsel-driven parallel execution
-//!
-//! The combine step can run on a fixed pool of worker threads
-//! ([`pipeline::parallel`]): set `DISCO_THREADS`, [`PipelineOptions`]'
-//! `threads` field, or [`Executor::with_threads`].  The scheduler splits
-//! the streaming pipeline into claimable morsels (leaf-scan sub-ranges,
-//! union branches — including the per-source resolved scans of a
-//! federated query), stages hash-join builds as hash-sharded scatter
-//! phases probed through a shared read-only table, dedups distinct
-//! shard-wise, and folds aggregates per morsel with an ordered merge.
-//! `threads = 1` (the default) is the unchanged serial path; at any
-//! thread count the answer multiset, residual plans, and
-//! [`PipelineMetrics`] are identical — per-worker counters merge exactly
-//! at the barrier ([`PipelineMetrics::merge`]) — and a panicking cursor
-//! on a worker surfaces as [`RuntimeError::WorkerPanic`] rather than a
-//! hang or abort.  Plans the scheduler cannot decompose (nested-loop
-//! spines, unresolved sources) fall back to the serial engine unchanged.
-//!
 //! # Memory budgets and spilling
 //!
 //! Pipeline-breaker state can be bounded ([`pipeline::spill`]): set

@@ -20,7 +20,7 @@ use crate::{Result, RuntimeError};
 
 /// Execution statistics attached to every answer.
 ///
-/// Counters that sum over concurrent actors (workers, wrapper calls) —
+/// Counters that sum over concurrent wrapper calls —
 /// [`ExecutionStats::source_wait`] in particular — can exceed
 /// [`ExecutionStats::elapsed`]; they measure total blocked/processed
 /// quantity, not wall-clock.
@@ -50,19 +50,19 @@ pub struct ExecutionStats {
     /// sources' rows are combined while slow sources are still answering.
     /// `None` when no row reached the sink.
     pub time_to_first_row: Option<std::time::Duration>,
-    /// Total time the execution spent waiting on sources: combine-step
-    /// workers blocked on still-streaming spools, plus — when a shared
+    /// Total time the execution spent waiting on sources: the combine
+    /// step blocked on still-streaming spools, plus — when a shared
     /// [`SourcePool`](crate::SourcePool) is configured — time wrapper
     /// calls spent queued behind a per-repository concurrency cap
-    /// before being submitted.  Both components sum over their actors
-    /// (workers, calls), so the total can exceed
+    /// before being submitted.  The second component sums over the
+    /// calls, so the total can exceed
     /// [`ExecutionStats::elapsed`] and the two components can overlap
     /// in wall-clock time.  The complement
     /// of overlap: time inside the execution window *not* spent here was
     /// useful mediator-side work.
     pub source_wait: std::time::Duration,
-    /// Rows whose scalar work ran through vectorized columnar kernels
-    /// (merged across workers like the other counters).  Together with
+    /// Rows whose scalar work ran through vectorized columnar kernels.
+    /// Together with
     /// [`ExecutionStats::rows_fallback`] this makes kernel coverage
     /// observable per execution.
     pub rows_kernel: usize,

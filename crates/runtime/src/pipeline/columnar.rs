@@ -11,7 +11,7 @@
 //!
 //! A spine reads its rows as borrowed slices from one of two supplies
 //! ([`Supply`]): a slice that is all there (literal data, a materialized
-//! answer, a morsel), or a position in the chunk chain of a spool its
+//! answer), or a position in the chunk chain of a spool its
 //! wrapper call is still filling ([`SpoolReader`]) — a row that left the
 //! wrapper is stored once and meets the kernels where it lies.  Only the
 //! second supply can make a spine wait; the wait, the deadline and a
@@ -116,7 +116,7 @@ fn fuse_source<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<Batch
     if let Some(join) = fuse_join(plan, ctx) {
         return Some(BatchSource::Join(Box::new(join)));
     }
-    let shape = spine_shape(plan, false, |node| resolved_rows(node, &ctx))?;
+    let shape = spine_shape(plan, false, &ctx)?;
     Spine::compile(shape, None, ctx)
         .map(Box::new)
         .map(BatchSource::Spine)
@@ -226,7 +226,7 @@ impl<'a> Batch<'a> {
 }
 
 /// Where a spine's rows come from: a slice that is all there (literal
-/// data, a materialized answer, a morsel of either), or the chunk chain of
+/// data, a materialized answer), or the chunk chain of
 /// a spool its wrapper call is still filling, taken a chunk at a time.
 /// Either way the spine gets borrowed slices; only a spool can make it
 /// wait.
@@ -303,8 +303,8 @@ struct SpineShape<'a> {
     supply: Supply<'a>,
 }
 
-/// Peels `map? → filter* → bind? → (filter | project)*` off `plan` and
-/// asks `rows_of` for the row supply under the remaining node.
+/// Peels `map? → filter* → bind? → (filter | project)*` off `plan`; the
+/// remaining node must be a scan with a row supply ([`resolved_rows`]).
 ///
 /// `allow_bare = false` refuses stretches without a map or a filter (bare
 /// scans and bind/project-only stretches have no scalar work to
@@ -313,7 +313,7 @@ struct SpineShape<'a> {
 fn spine_shape<'a>(
     plan: &'a PhysicalExpr,
     allow_bare: bool,
-    rows_of: impl FnOnce(&'a PhysicalExpr) -> Option<Supply<'a>>,
+    ctx: &PipelineCtx<'a>,
 ) -> Option<SpineShape<'a>> {
     let mut node = plan;
     let mut map = None;
@@ -356,7 +356,7 @@ fn spine_shape<'a>(
         filters,
         binding,
         raw,
-        supply: rows_of(node)?,
+        supply: resolved_rows(node, ctx)?,
     })
 }
 
@@ -380,57 +380,6 @@ fn resolved_rows<'a>(node: &'a PhysicalExpr, ctx: &PipelineCtx<'a>) -> Option<Su
         },
         _ => None,
     }
-}
-
-/// [`spine_shape`] for a parallel morsel: the stretch must bottom out at
-/// the scheduler's partition node (`leaf`, matched by pointer identity,
-/// exactly like `PartPipeline::open_node` does), and the rows are the
-/// worker's claimed slice instead of the leaf's full extent.
-fn partition_shape<'a>(
-    plan: &'a PhysicalExpr,
-    leaf: &'a PhysicalExpr,
-    rows: &'a [Value],
-    allow_bare: bool,
-) -> Option<SpineShape<'a>> {
-    spine_shape(plan, allow_bare, |node| {
-        std::ptr::eq(node, leaf).then(|| Supply::slice(rows))
-    })
-}
-
-/// Columnar interception for one parallel morsel: fuses the spine stretch
-/// from `plan` down to the scheduler's partition `leaf` over the morsel's
-/// row slice.  `None` keeps the worker on the row path for this stretch.
-pub(crate) fn try_build_partition<'a>(
-    plan: &'a PhysicalExpr,
-    leaf: &'a PhysicalExpr,
-    rows: &'a [Value],
-    ctx: PipelineCtx<'a>,
-) -> Option<BoxedRowStream<'a>> {
-    let spine = Spine::compile(partition_shape(plan, leaf, rows, false)?, None, ctx)?;
-    Some(Box::new(SpineCursor::new(
-        BatchSource::Spine(Box::new(spine)),
-        ctx,
-    )))
-}
-
-/// Columnar interception for a parallel join-build morsel: fuses the
-/// stretch down to the `leaf` over the morsel's slice together with the
-/// stage's build key, hashing through a clone of the stage table's
-/// `RandomState`.  `None` keeps the worker's side on the row path.
-pub(crate) fn keyed_partition<'a>(
-    plan: &'a PhysicalExpr,
-    leaf: &'a PhysicalExpr,
-    rows: &'a [Value],
-    key: &'a ScalarExpr,
-    state: RandomState,
-    ctx: PipelineCtx<'a>,
-) -> Option<KeyedSource<'a>> {
-    let spine = Spine::compile(
-        partition_shape(plan, leaf, rows, true)?,
-        Some((key, state)),
-        ctx,
-    )?;
-    Some(KeyedSource::Spine(Box::new(spine)))
 }
 
 /// Whether the projection a stretch's rows were narrowed by (if any) kept
@@ -924,8 +873,8 @@ fn fuse_join<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<HashJoi
     else {
         return None;
     };
-    let left_shape = spine_shape(left, true, |node| resolved_rows(node, &ctx))?;
-    let right_shape = spine_shape(right, true, |node| resolved_rows(node, &ctx))?;
+    let left_shape = spine_shape(left, true, &ctx)?;
+    let right_shape = spine_shape(right, true, &ctx)?;
     let build_on_left = decide_build_side(left, right, ctx.options, ctx.resolved);
     let (build_shape, probe_shape, build_key, probe_key) = if build_on_left {
         (left_shape, right_shape, left_key, right_key)

@@ -7,9 +7,8 @@
 //! vectorized when the side is a fusable scan spine (kernel-evaluated
 //! keys, one-pass batched hashing) and per-row otherwise; one build loop
 //! ([`JoinTable::absorb`]) and one expansion loop ([`Probe::pump`])
-//! consume either form, in the serial operator, in every reloaded Grace
-//! partition and in the parallel engine's shared-table probe.  Output
-//! rows are **lazy**: a match yields a [`Row`] carrying the frames of
+//! consume either form, resident and in every reloaded Grace partition.
+//! Output rows are **lazy**: a match yields a [`Row`] carrying the frames of
 //! both sides, and the merged struct is only constructed if a downstream
 //! consumer needs one value.  The nested-loop and merge-tuples joins
 //! buffer their right input (it is re-scanned once per left row) and
@@ -174,7 +173,7 @@ impl<'a> KeyedSource<'a> {
 /// dense store; a key group lists its rows' *table indices* in insertion
 /// order — the index doubles as the row's slot in the build-side payload
 /// chunk of a fused pair projection — and an expansion in flight refers
-/// to its group by id, so the table is freely shareable (no `Rc`).
+/// to its group by id.
 pub(crate) struct JoinTable<'a> {
     state: RandomState,
     /// Key hash → the first group of that hash (almost always the only).
@@ -257,7 +256,7 @@ impl<'a> JoinTable<'a> {
     /// charged against the budget and inserted.  Stops at — and returns
     /// `false` for — the row whose charge failed (it is in the table);
     /// the caller then goes Grace with the rest of the iterator.
-    pub(crate) fn absorb(
+    fn absorb(
         &mut self,
         rows: &mut impl Iterator<Item = KeyedRow<'a>>,
         charged: &mut usize,
@@ -339,10 +338,9 @@ enum Feed<'a> {
 }
 
 /// The probe half of a hash join: pulls keyed probe rows and expands each
-/// against a finished [`JoinTable`] — the join's own (resident, or the
-/// Grace partition just reloaded) or one shared read-only by every
-/// parallel worker.
-pub(crate) struct Probe<'a> {
+/// against a finished [`JoinTable`] — the resident one, or the Grace
+/// partition just reloaded.
+struct Probe<'a> {
     feed: Feed<'a>,
     /// Keyed rows of the current probe batch, handed out one at a time.
     batch: std::vec::IntoIter<KeyedRow<'a>>,
@@ -362,7 +360,7 @@ enum Pulled<'a> {
 }
 
 impl<'a> Probe<'a> {
-    pub(crate) fn new(source: KeyedSource<'a>, spec: PairSpec<'a>, ctx: PipelineCtx<'a>) -> Self {
+    fn new(source: KeyedSource<'a>, spec: PairSpec<'a>, ctx: PipelineCtx<'a>) -> Self {
         Probe {
             feed: Feed::Source(source),
             batch: Vec::new().into_iter(),
@@ -406,12 +404,7 @@ impl<'a> Probe<'a> {
     /// holds `max`, the probe feed is exhausted (`Ok(false)`), or the
     /// feed would block with rows in hand.  Matches of one probe row come
     /// out in build-insertion order.
-    pub(crate) fn pump(
-        &mut self,
-        table: &JoinTable<'a>,
-        out: &mut Vec<Row<'a>>,
-        max: usize,
-    ) -> Result<bool> {
+    fn pump(&mut self, table: &JoinTable<'a>, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
         let start = out.len();
         let PairSpec {
             residual,
@@ -644,7 +637,7 @@ impl<'a> HashJoin<'a> {
                 ..
             } = &batch
             {
-                // Parallel pair-index vectors: pair `p` joins probe chunk
+                // Twin pair-index vectors: pair `p` joins probe chunk
                 // row `probe_sel[p]` with build table row `build_sel[p]`.
                 let mut probe_sel: Vec<u32> = Vec::new();
                 let mut build_sel: Vec<u32> = Vec::new();
@@ -703,30 +696,6 @@ impl<'a> RowStream<'a> for HashJoin<'a> {
                 return Ok(false);
             }
         }
-    }
-}
-
-/// The probe half of a staged parallel join: every worker expands its
-/// share of the probe side against the table built at the phase barrier
-/// and shared read-only.
-pub(crate) struct SharedProbe<'a> {
-    probe: Probe<'a>,
-    table: &'a JoinTable<'a>,
-}
-
-impl<'a> SharedProbe<'a> {
-    pub(crate) fn new(probe: Probe<'a>, table: &'a JoinTable<'a>) -> Self {
-        SharedProbe { probe, table }
-    }
-}
-
-impl<'a> RowStream<'a> for SharedProbe<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        row_from_batches(self)
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
-        self.probe.pump(self.table, out, max)
     }
 }
 

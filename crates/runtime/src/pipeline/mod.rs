@@ -37,10 +37,8 @@
 //! claim testable.
 
 mod columnar;
-mod exchange;
 mod filter;
 mod join;
-pub mod parallel;
 mod scan;
 mod sink;
 pub mod spill;
@@ -208,18 +206,6 @@ impl<'a> Row<'a> {
     }
 }
 
-// Compile-time audit for the parallel engine: a borrowed `Row` must be
-// shareable across the worker pool (join-build shards hold rows scattered
-// by one worker and probed by another), and per-worker metrics are read
-// at the merge barrier through shared references.  `disco-value` pins the
-// equivalent guarantee for the value plane itself.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Frame<'static>>();
-    assert_send_sync::<Row<'static>>();
-    assert_send_sync::<PipelineMetrics>();
-};
-
 /// Rows pulled per [`RowStream::next_batch`] call: large enough to
 /// amortize the per-batch virtual dispatch, small enough that a batch of
 /// `Row`s stays cache-resident.
@@ -281,12 +267,10 @@ pub type BoxedRowStream<'a> = Box<dyn RowStream<'a> + 'a>;
 /// Counters recording where a pipeline execution actually buffered or
 /// merged rows.
 ///
-/// Atomic (relaxed) so the counters are `Sync`: the parallel engine gives
-/// every worker of the pool its **own** instance — bumps are uncontended —
-/// and merges them exactly at the end with [`PipelineMetrics::merge`], so
-/// per-worker counts sum to the same totals at every thread count.  One
-/// `PipelineMetrics` instance tracks one plan execution (or one worker's
-/// share of it), including any correlated sub-queries it evaluates.
+/// Atomic (relaxed) so every cursor of an execution bumps them through
+/// one shared reference.  One `PipelineMetrics` instance tracks one plan
+/// execution, including any correlated sub-queries it evaluates;
+/// [`PipelineMetrics::merge`] sums the instances of several executions.
 #[derive(Debug)]
 pub struct PipelineMetrics {
     rows_materialized: AtomicUsize,
@@ -300,7 +284,7 @@ pub struct PipelineMetrics {
     /// Nanoseconds a consumer of this instance spent blocked waiting for
     /// a still-streaming source (pending-scan waits).  The complement of
     /// overlap: execution-window time not spent here was useful combine
-    /// work (or idle workers).
+    /// work.
     source_wait_ns: AtomicU64,
     /// Bytes written to spill runs by memory-budgeted pipeline breakers
     /// (hash-join builds, distinct seen-sets).  Zero under the default
@@ -309,8 +293,8 @@ pub struct PipelineMetrics {
     /// Grace partitions created by spilling breakers (8 per spill or
     /// re-split).  Zero under the default unbounded budget.
     spill_partitions: AtomicUsize,
-    /// High-water mark of budget-tracked breaker bytes, merged across
-    /// workers by maximum (it approximates one process-wide peak).
+    /// High-water mark of budget-tracked breaker bytes (merged by
+    /// maximum).
     peak_tracked_bytes: AtomicUsize,
 }
 
@@ -351,12 +335,10 @@ impl PipelineMetrics {
         PipelineMetrics::default()
     }
 
-    /// Adds another instance's counts into `self` — the barrier-side half
-    /// of per-worker metrics: each worker counts into a private instance
-    /// and the scheduler folds them all into the caller's, so
-    /// `rows_materialized` & co. are exact sums, never racy snapshots.
-    /// First-row timestamps merge by minimum; source-wait times sum (they
-    /// are per-consumer blocked time, not wall-clock).
+    /// Adds another instance's counts into `self`: row and byte counts
+    /// are exact sums, first-row timestamps merge by minimum, source-wait
+    /// times sum (they are per-consumer blocked time, not wall-clock) and
+    /// the tracked peak by maximum.
     pub fn merge(&self, other: &PipelineMetrics) {
         self.rows_materialized
             .fetch_add(other.rows_materialized(), Ordering::Relaxed);
@@ -442,8 +424,8 @@ impl PipelineMetrics {
         Some(at.saturating_duration_since(started))
     }
 
-    /// Total time consumers spent blocked waiting on still-streaming
-    /// sources (summed across workers).
+    /// Total time the execution spent blocked waiting on still-streaming
+    /// sources.
     #[must_use]
     pub fn source_wait(&self) -> Duration {
         Duration::from_nanos(self.source_wait_ns.load(Ordering::Relaxed))
@@ -473,8 +455,7 @@ impl PipelineMetrics {
 
     fn note_first_row(&self) {
         // Unconditional `fetch_min`, like `merge`: a load-then-store pair
-        // here would let two racing workers both pass the `u64::MAX`
-        // check and the *later* timestamp overwrite the earlier one.
+        // would let a *later* timestamp overwrite the earlier one.
         self.first_row_ns
             .fetch_min(since_epoch_ns(), Ordering::Relaxed);
     }
@@ -487,11 +468,6 @@ impl PipelineMetrics {
 
     pub(crate) fn bump_materialized(&self) {
         self.rows_materialized.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_emitted(&self) {
-        self.rows_emitted.fetch_add(1, Ordering::Relaxed);
-        self.note_first_row();
     }
 
     pub(crate) fn add_emitted(&self, n: usize) {
@@ -531,29 +507,15 @@ impl PipelineMetrics {
     }
 }
 
-/// `&a + &b` builds a fresh instance holding the exact sums — the
-/// operator form of [`PipelineMetrics::merge`].
-impl std::ops::Add for &PipelineMetrics {
-    type Output = PipelineMetrics;
-
-    fn add(self, rhs: &PipelineMetrics) -> PipelineMetrics {
-        let out = PipelineMetrics::new();
-        out.merge(self);
-        out.merge(rhs);
-        out
-    }
-}
-
 /// Whether the heterogeneity-aware build-side choice is active: a hash
 /// join under `BuildSide::Auto` builds on whichever side's pending
 /// sources have already answered instead of blocking on both
 /// cardinalities.
 ///
-/// Answers stay multiset-identical with adaptivity on or off at every
-/// thread count, but one differential pin is traded for overlap while it
-/// is engaged: `rows_materialized` can differ from the pinned build
-/// side's when a hash join builds the first-answered (possibly larger)
-/// input.
+/// Answers stay multiset-identical with adaptivity on or off, but one
+/// differential pin is traded for overlap while it is engaged:
+/// `rows_materialized` can differ from the pinned build side's when a
+/// hash join builds the first-answered (possibly larger) input.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AdaptiveMode {
     /// Defer to the `DISCO_ADAPTIVE` environment variable (`1`/`true`/
@@ -567,17 +529,16 @@ pub enum AdaptiveMode {
     Off,
 }
 
-/// Options steering cursor construction and scheduling.
+/// Options steering cursor construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineOptions {
     /// Which hash-join input to buffer as the build side.  `Auto` (the
     /// default) picks the smaller input by estimated cardinality.
     pub build_side: BuildSide,
-    /// Worker threads for the morsel-driven parallel engine.  `0` (the
-    /// default) defers to the `DISCO_THREADS` environment variable, which
-    /// itself defaults to `1`; `1` is today's serial path, byte-identical
-    /// to the PR 2 engine.  Values above [`parallel::MAX_THREADS`] are
-    /// clamped.
+    /// Ignored: nothing reads it.  Kept only because `perfbench/` still
+    /// sets it for `runtime.combine_ms_tn`; goes when a benchmark PR of
+    /// its own retires that metric.
+    #[doc(hidden)]
     pub threads: usize,
     /// Rows per pipeline batch (and per columnar chunk).  `0` (the
     /// default) defers to the `DISCO_BATCH_ROWS` environment variable,
@@ -595,15 +556,6 @@ pub struct PipelineOptions {
 }
 
 impl PipelineOptions {
-    /// The same options pinned to the serial path — handed to every
-    /// cursor built *inside* a parallel worker so that nested evaluations
-    /// (correlated sub-queries, union-branch subtrees) never try to
-    /// re-enter the scheduler from a worker thread.
-    #[must_use]
-    pub(crate) fn serial(self) -> PipelineOptions {
-        PipelineOptions { threads: 1, ..self }
-    }
-
     /// The batch/chunk size this execution actually uses, with the `0 →
     /// environment → default` resolution applied.  Explicit values above
     /// [`MAX_BATCH_ROWS`] are clamped (warning once per process).
@@ -649,31 +601,34 @@ impl PipelineOptions {
 pub const MAX_BATCH_ROWS: usize = 1 << 20;
 
 /// `DISCO_BATCH_ROWS`, validated at parse time (cached at first use).
-/// Unset uses [`BATCH_ROWS`]; unparseable or zero values are rejected
-/// with a warning and fall back to the default; values above
-/// [`MAX_BATCH_ROWS`] are clamped with a warning.
 fn env_batch_rows() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        let Ok(raw) = std::env::var("DISCO_BATCH_ROWS") else {
-            return BATCH_ROWS;
-        };
-        match raw.trim().parse::<usize>() {
-            Ok(0) | Err(_) => {
-                eprintln!(
-                    "disco: invalid DISCO_BATCH_ROWS {raw:?} (want an integer in 1..={MAX_BATCH_ROWS}); using {BATCH_ROWS}"
-                );
-                BATCH_ROWS
-            }
-            Ok(n) if n > MAX_BATCH_ROWS => {
-                eprintln!(
-                    "disco: DISCO_BATCH_ROWS {n} exceeds the maximum; clamping to {MAX_BATCH_ROWS}"
-                );
-                MAX_BATCH_ROWS
-            }
-            Ok(n) => n,
+    *CACHE.get_or_init(|| parse_batch_rows(std::env::var("DISCO_BATCH_ROWS").ok().as_deref()))
+}
+
+/// The value of `DISCO_BATCH_ROWS`.  Unset or empty uses [`BATCH_ROWS`];
+/// unparseable or zero values are rejected with a warning and fall back
+/// to the default; values above [`MAX_BATCH_ROWS`] are clamped with a
+/// warning.
+fn parse_batch_rows(raw: Option<&str>) -> usize {
+    let Some(raw) = raw.map(str::trim).filter(|raw| !raw.is_empty()) else {
+        return BATCH_ROWS;
+    };
+    match raw.parse::<usize>() {
+        Ok(0) | Err(_) => {
+            eprintln!(
+                "disco: invalid DISCO_BATCH_ROWS {raw:?} (want an integer in 1..={MAX_BATCH_ROWS}); using {BATCH_ROWS}"
+            );
+            BATCH_ROWS
         }
-    })
+        Ok(n) if n > MAX_BATCH_ROWS => {
+            eprintln!(
+                "disco: DISCO_BATCH_ROWS {n} exceeds the maximum; clamping to {MAX_BATCH_ROWS}"
+            );
+            MAX_BATCH_ROWS
+        }
+        Ok(n) => n,
+    }
 }
 
 /// `DISCO_ADAPTIVE` (cached at first use; the adaptive build-side
@@ -711,8 +666,8 @@ pub(crate) struct PipelineCtx<'a> {
     /// execution pulls per batch.
     pub batch_rows: usize,
     /// The breaker memory budget of this evaluation, shared by every
-    /// cursor (serial) or worker (parallel); allocated once per
-    /// evaluation from [`PipelineOptions::effective_mem_budget`].
+    /// cursor; allocated once per evaluation from
+    /// [`PipelineOptions::effective_mem_budget`].
     pub budget: &'a MemoryBudget,
 }
 
@@ -860,9 +815,7 @@ pub(crate) fn build<'a>(
     }
 }
 
-/// Picks the hash-join build side for one `HashJoin` node — shared by
-/// the serial cursor builder and the parallel scheduler so both make the
-/// same choice and `rows_materialized` agrees at every thread count.
+/// Picks the hash-join build side for one `HashJoin` node.
 ///
 /// Under `BuildSide::Auto` the pinned path buffers the smaller input by
 /// blocking cardinality estimate ([`estimated_rows`] awaiting pending
@@ -1019,16 +972,6 @@ fn evaluate_with_budget(
         }
         _ => {}
     }
-    if parallel::effective_threads(options) > 1 {
-        if let Some(result) =
-            parallel::try_evaluate(plan, resolved, outer, metrics, options, budget)
-        {
-            return result;
-        }
-    }
-    // Serial path.  Threads are pinned to 1 so correlated sub-queries
-    // evaluated per row never re-enter the parallel scheduler.
-    let options = options.serial();
     let ctx = PipelineCtx {
         resolved,
         outer,
@@ -1158,9 +1101,20 @@ pub(crate) fn eval_in_pair(
 mod tests {
     use super::*;
 
+    #[test]
+    fn an_empty_batch_rows_variable_means_unset() {
+        for unset in [None, Some(""), Some("  ")] {
+            assert_eq!(parse_batch_rows(unset), BATCH_ROWS, "{unset:?}");
+        }
+        assert_eq!(parse_batch_rows(Some(" 64 ")), 64);
+        assert_eq!(parse_batch_rows(Some("0")), BATCH_ROWS);
+        assert_eq!(parse_batch_rows(Some("many")), BATCH_ROWS);
+        assert_eq!(parse_batch_rows(Some("9999999")), MAX_BATCH_ROWS);
+    }
+
     /// Regression test: `note_first_row` used to be a load-then-store
     /// pair (`if first_row_ns == MAX { store(now) }`), so two racing
-    /// workers could both pass the check and the *later* timestamp would
+    /// callers could both pass the check and the *later* timestamp would
     /// overwrite the earlier one.  The fix is an unconditional
     /// `fetch_min`; pin that a second, later observation never moves the
     /// timestamp.
@@ -1180,7 +1134,7 @@ mod tests {
         );
     }
 
-    /// The same property through `merge`: folding in a worker whose
+    /// The same property through `merge`: folding in an execution whose
     /// first row landed later must not move an earlier timestamp (and
     /// folding in an earlier one must).
     #[test]

@@ -38,13 +38,10 @@ pub(crate) struct ScanCursor<'a> {
 
 impl<'a> ScanCursor<'a> {
     pub(crate) fn new(bag: &'a Bag) -> Self {
-        ScanCursor::over(bag.as_slice())
-    }
-
-    /// A scan over an arbitrary value slice — the parallel engine hands
-    /// each worker one morsel-sized sub-slice of a leaf bag through this.
-    pub(crate) fn over(items: &'a [disco_value::Value]) -> Self {
-        ScanCursor { items, index: 0 }
+        ScanCursor {
+            items: bag.as_slice(),
+            index: 0,
+        }
     }
 }
 
@@ -240,34 +237,5 @@ impl<'a> RowStream<'a> for PendingScanCursor<'a> {
 
     fn ready(&self) -> bool {
         !self.buf.is_empty() || self.exhausted || self.source.ready(self.index)
-    }
-}
-
-/// A scan over an owned chunk of rows — the parallel engine's morsel unit
-/// for *growing* (pending) sources: workers claim chunks as they land in
-/// the spool and run their cursor tree over each.
-pub(crate) struct ChunkScanCursor {
-    rows: Arc<Vec<Value>>,
-    index: usize,
-}
-
-impl ChunkScanCursor {
-    pub(crate) fn new(rows: Arc<Vec<Value>>) -> Self {
-        ChunkScanCursor { rows, index: 0 }
-    }
-}
-
-impl<'a> RowStream<'a> for ChunkScanCursor {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        let value = self.rows.get(self.index)?.clone();
-        self.index += 1;
-        Some(Ok(Row::owned(value)))
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
-        let end = (self.index + max).min(self.rows.len());
-        out.extend(self.rows[self.index..end].iter().cloned().map(Row::owned));
-        self.index = end;
-        Ok(self.index < self.rows.len())
     }
 }

@@ -31,7 +31,6 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
-use std::ops::DerefMut;
 
 use disco_algebra::{AggKind, AggState};
 use disco_value::{approx_value_bytes, StrDict, Value};
@@ -95,9 +94,7 @@ pub(crate) struct SeenSet {
 }
 
 impl SeenSet {
-    /// A seen-set bucketing hashes of `hasher` — shared by the parallel
-    /// distinct shards, which route rows to shards and bucket them inside
-    /// the shard off one and the same hash computation.
+    /// A seen-set bucketing hashes of `hasher`.
     pub(crate) fn with_hasher(hasher: RandomState) -> Self {
         SeenSet {
             hasher,
@@ -153,29 +150,21 @@ fn entry_cost(value: &Value) -> usize {
     std::mem::size_of::<(u64, Bucket)>() + approx_value_bytes(value)
 }
 
-/// The one distinct admission: every row pays one hash computation
-/// (`hasher` must be the state the seen-sets were built with); a
+/// The one distinct admission: every row pays one hash computation; a
 /// duplicate is rejected on a borrowed lookup without any clone; a new
-/// value is copied once into the set `seen_for(hash)` hands out (an `Arc`
-/// bump), bumps `rows_materialized`, and is returned.  The parallel
-/// engine passes a closure that locks the hash's shard.
+/// value is copied once into `seen` (an `Arc` bump), bumps
+/// `rows_materialized`, and is returned.
 // Forced inline: left to itself the compiler keeps this call (and its
-// `Result<Option<_>>`) out of line in the serial cursor's per-row loop,
-// which measures ~10 % on E9 `union8_distinct`.
+// `Result<Option<_>>`) out of line in the cursor's per-row loop, which
+// measures ~10 % on E9 `union8_distinct`.
 #[inline(always)]
-pub(crate) fn admit<S: DerefMut<Target = SeenSet>>(
-    row: Row<'_>,
-    hasher: &RandomState,
-    metrics: &PipelineMetrics,
-    seen_for: impl FnOnce(u64) -> S,
-) -> Result<Option<Value>> {
+fn admit(row: Row<'_>, metrics: &PipelineMetrics, seen: &mut SeenSet) -> Result<Option<Value>> {
     // Join rows must be merged before they can be compared.
     let candidate = match row {
         Row::One(frame) => frame,
         joined => Frame::Owned(joined.materialize(metrics)?),
     };
-    let hash = hasher.hash_one(candidate.value());
-    let mut seen = seen_for(hash);
+    let hash = seen.hasher.hash_one(candidate.value());
     if !seen.check_hashed(hash, candidate.value()) {
         return Ok(None);
     }
@@ -241,7 +230,7 @@ impl<'a> DistinctCursor<'a> {
     /// it retains, and emits the row if it is new.
     #[inline(always)]
     fn admit(&mut self, row: Row<'a>, out: &mut Vec<Row<'a>>) -> Result<()> {
-        let admitted = admit(row, &self.hasher, self.ctx.metrics, |_| &mut self.seen)?;
+        let admitted = admit(row, self.ctx.metrics, &mut self.seen)?;
         if let Some(value) = admitted {
             if self.ctx.budget.is_bounded() {
                 let cost = entry_cost(&value);
@@ -446,9 +435,8 @@ impl<'a> RowStream<'a> for AggregateCursor<'a> {
 /// The one aggregate fold: incrementally folds a batch source into an
 /// [`AggState`] without building the input bag (and without bumping any
 /// metric).  Rows are consumed by reference; only a min/max champion is
-/// ever cloned.  The serial cursor folds its whole input; the parallel
-/// engine folds one state per morsel and merges them in morsel order.
-pub(crate) fn fold_aggregate(
+/// ever cloned.
+fn fold_aggregate(
     func: AggKind,
     mut source: BatchSource<'_>,
     ctx: PipelineCtx<'_>,

@@ -8,7 +8,7 @@
 //! they partition their state into when the budget trips:
 //!
 //! * [`MemoryBudget`] — a racy-but-monotone byte counter shared by every
-//!   cursor of one pipeline evaluation (serial or all parallel workers).
+//!   cursor of one pipeline evaluation.
 //!   `charge` adds bytes and reports whether the total is still inside
 //!   the limit; the *caller* reacts to an overrun by spilling and
 //!   uncharging.  The default is unbounded, in which case `charge` is a

@@ -21,8 +21,7 @@
 //! bail-out path and the reference evaluator.  The vectorized hash join
 //! gets its own section: float and NaN keys under `total_cmp`, null keys,
 //! dictionary and non-dictionary string keys from distinct allocations,
-//! batch-size invariance across the join boundary, and thread-count ×
-//! budget parity.
+//! batch-size invariance across the join boundary, and budget parity.
 
 mod common;
 
@@ -40,10 +39,7 @@ use rand::SeedableRng;
 const NEVER_TRIPS: MemBudget = MemBudget::Bytes(usize::MAX / 2);
 
 fn options(mem_budget: MemBudget) -> PipelineOptions {
-    // Serial by default so kernel-coverage counts are exact per plan; the
-    // thread-parity tests below pass explicit thread counts.
     PipelineOptions {
-        threads: 1,
         mem_budget,
         ..PipelineOptions::default()
     }
@@ -481,10 +477,10 @@ fn join_answers_survive_any_batch_size_across_the_boundary() {
 }
 
 #[test]
-fn join_plans_agree_across_thread_counts_and_breaker_forms() {
+fn join_plans_agree_across_breaker_forms() {
     // The deep-pipeline shape (filtered build input, compound map,
-    // distinct sink) exercises the partitioned columnar spine, the
-    // vectorized build scatter and the shared-table probe together.
+    // distinct sink) exercises the columnar spine, the vectorized build
+    // and the paired probe together.
     let joined = LogicalExpr::Join {
         left: Box::new(
             LogicalExpr::Data(people(600))
@@ -513,29 +509,23 @@ fn join_plans_agree_across_thread_counts_and_breaker_forms() {
     let physical = lower(&plan).expect("plan lowers");
     let resolved = ResolvedExecs::default();
     let mut reference: Option<(Bag, usize)> = None;
-    for threads in [1usize, 2, 4] {
-        for mem_budget in [MemBudget::Unbounded, NEVER_TRIPS] {
-            let metrics = PipelineMetrics::new();
-            let opts = PipelineOptions {
-                threads,
-                ..options(mem_budget)
-            };
-            let bag = evaluate_physical_with(&physical, &resolved, &metrics, opts)
-                .expect("plan evaluates");
-            let snapshot = (bag, metrics.rows_materialized());
-            match &reference {
-                None => reference = Some(snapshot),
-                Some(expected) => assert_eq!(
-                    expected, &snapshot,
-                    "threads={threads} {mem_budget:?} must match the serial columnar run"
-                ),
-            }
+    for mem_budget in [MemBudget::Unbounded, NEVER_TRIPS] {
+        let metrics = PipelineMetrics::new();
+        let bag = evaluate_physical_with(&physical, &resolved, &metrics, options(mem_budget))
+            .expect("plan evaluates");
+        let snapshot = (bag, metrics.rows_materialized());
+        match &reference {
+            None => reference = Some(snapshot),
+            Some(expected) => assert_eq!(
+                expected, &snapshot,
+                "{mem_budget:?} must match the unbudgeted columnar run"
+            ),
         }
     }
 }
 
 #[test]
-fn join_key_errors_are_identical_across_threads_and_breaker_forms() {
+fn join_key_errors_are_identical_across_breaker_forms() {
     // Probe row 7 lacks the key field: every engine configuration must
     // surface the row evaluator's exact error.
     let probe: Bag = (0..20)
@@ -551,22 +541,17 @@ fn join_key_errors_are_identical_across_threads_and_breaker_forms() {
     let physical = lower(&plan).expect("plan lowers");
     let resolved = ResolvedExecs::default();
     let mut reference: Option<String> = None;
-    for threads in [1usize, 2, 4] {
-        for mem_budget in [MemBudget::Unbounded, NEVER_TRIPS] {
-            let opts = PipelineOptions {
-                threads,
-                ..options(mem_budget)
-            };
-            let err = evaluate_physical_with(&physical, &resolved, &PipelineMetrics::new(), opts)
-                .expect_err("missing key field errors");
-            let text = err.to_string();
-            match &reference {
-                None => reference = Some(text),
-                Some(expected) => assert_eq!(
-                    expected, &text,
-                    "threads={threads} {mem_budget:?} must report identical error text"
-                ),
-            }
+    for mem_budget in [MemBudget::Unbounded, NEVER_TRIPS] {
+        let opts = options(mem_budget);
+        let err = evaluate_physical_with(&physical, &resolved, &PipelineMetrics::new(), opts)
+            .expect_err("missing key field errors");
+        let text = err.to_string();
+        match &reference {
+            None => reference = Some(text),
+            Some(expected) => assert_eq!(
+                expected, &text,
+                "{mem_budget:?} must report identical error text"
+            ),
         }
     }
 }

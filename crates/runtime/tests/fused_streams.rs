@@ -23,9 +23,8 @@
 //!   wrapper panic and the row budget were only ever met by the row
 //!   cursor.
 //!
-//! Every execution here pins one worker, the build side and an explicit
-//! memory budget: kernel counters are exact only on the serial path, and
-//! the chunk chain exists only without a budget (the second run of the
+//! Every execution here pins the build side and an explicit memory
+//! budget: the chunk chain exists only without a budget (the second run of the
 //! differential, under a small budget, covers the spool that keeps the
 //! row cursor).
 
@@ -151,7 +150,6 @@ fn federate(plan: &LogicalExpr, chunk_rows: usize) -> (Fed, LogicalExpr) {
 
 fn options(mem_budget: MemBudget) -> PipelineOptions {
     PipelineOptions {
-        threads: 1,
         mem_budget,
         adaptive: AdaptiveMode::Off,
         ..PipelineOptions::default()
@@ -160,7 +158,6 @@ fn options(mem_budget: MemBudget) -> PipelineOptions {
 
 fn executor(fed: &Fed, mem_budget: MemBudget) -> Executor {
     Executor::new(fed.registry.clone())
-        .with_threads(1)
         .with_adaptive(AdaptiveMode::Off)
         .with_mem_budget(mem_budget)
         .with_deadline(Some(Duration::from_secs(20)))

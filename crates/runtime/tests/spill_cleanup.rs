@@ -145,7 +145,6 @@ fn unwritable_spill_dir_fails_the_source_not_the_budget() {
     let physical = lower(&LogicalExpr::Union(vec![small, branch(1, -1)])).expect("lowers");
     let run = |budget| {
         Executor::new(federation.registry.clone())
-            .with_threads(1)
             .with_mem_budget(budget)
             .with_deadline(Some(std::time::Duration::from_secs(5)))
             .execute(&physical, &federation.catalog)

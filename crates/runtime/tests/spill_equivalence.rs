@@ -5,15 +5,15 @@
 //! 1. **Budget transparency**: random plans from the shared generator
 //!    produce multiset-identical answers — and identical
 //!    `rows_materialized` counts — under a tiny memory budget (every
-//!    pipeline breaker spills) and under the default unbounded budget,
-//!    at 1 and 4 threads.  Partial answers of federated plans match too.
+//!    pipeline breaker spills) and under the default unbounded budget.
+//!    Partial answers of federated plans match too.
 //! 2. **The budget actually engages**: the tiny-budget runs report
 //!    nonzero `bytes_spilled` / `spill_partitions` in aggregate, while
 //!    unbounded runs report exactly zero everywhere (including
 //!    `peak_tracked_bytes`, which only bounded budgets track).
 //! 3. **Error identity**: an evaluation error raised after spilling has
 //!    begun surfaces with exactly the same error text as the unbounded
-//!    path, at 1 and 4 threads.
+//!    path.
 
 mod common;
 
@@ -26,8 +26,6 @@ use disco_runtime::{
 use disco_value::{Bag, StructValue, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 /// Small enough that any multi-row breaker state trips, large enough
 /// that a single-row partition reload does not recurse to the deepest
@@ -44,9 +42,8 @@ const INNER_BUDGET: usize = 65536;
 /// `peak_tracked_bytes` must stay within ~1.02x of [`INNER_BUDGET`].
 const PEAK_BOUND: usize = INNER_BUDGET + INNER_BUDGET / 50;
 
-fn opts(threads: usize, mem_budget: MemBudget) -> PipelineOptions {
+fn opts(mem_budget: MemBudget) -> PipelineOptions {
     PipelineOptions {
-        threads,
         mem_budget,
         ..PipelineOptions::default()
     }
@@ -63,48 +60,42 @@ fn tiny_budget_matches_unbounded_on_random_plans() {
         let physical = lower(&plan).expect("plan lowers");
         let expected =
             reference::evaluate_physical(&physical, &resolved).expect("reference evaluates");
-        for threads in THREAD_COUNTS {
-            let unbounded = PipelineMetrics::new();
-            let baseline = evaluate_physical_with(
-                &physical,
-                &resolved,
-                &unbounded,
-                opts(threads, MemBudget::Unbounded),
-            )
-            .expect("unbounded evaluates");
-            assert_eq!(baseline, expected, "seed {seed}, {threads} threads");
-            assert_eq!(
-                unbounded.bytes_spilled(),
-                0,
-                "unbounded must never touch disk"
-            );
-            assert_eq!(unbounded.spill_partitions(), 0);
-            assert_eq!(
-                unbounded.peak_tracked_bytes(),
-                0,
-                "unbounded budgets do not track bytes"
-            );
+        let unbounded = PipelineMetrics::new();
+        let baseline =
+            evaluate_physical_with(&physical, &resolved, &unbounded, opts(MemBudget::Unbounded))
+                .expect("unbounded evaluates");
+        assert_eq!(baseline, expected, "seed {seed}");
+        assert_eq!(
+            unbounded.bytes_spilled(),
+            0,
+            "unbounded must never touch disk"
+        );
+        assert_eq!(unbounded.spill_partitions(), 0);
+        assert_eq!(
+            unbounded.peak_tracked_bytes(),
+            0,
+            "unbounded budgets do not track bytes"
+        );
 
-            let tiny = PipelineMetrics::new();
-            let spilled = evaluate_physical_with(
-                &physical,
-                &resolved,
-                &tiny,
-                opts(threads, MemBudget::Bytes(TINY_BUDGET)),
-            )
-            .expect("tiny-budget evaluates");
-            assert_eq!(
-                spilled, expected,
-                "seed {seed}, {threads} threads: spilling must not change the answer"
-            );
-            assert_eq!(
-                tiny.rows_materialized(),
-                unbounded.rows_materialized(),
-                "seed {seed}, {threads} threads: rows_materialized must not depend on spilling"
-            );
-            spilled_total += tiny.bytes_spilled();
-            partitions_total += tiny.spill_partitions();
-        }
+        let tiny = PipelineMetrics::new();
+        let spilled = evaluate_physical_with(
+            &physical,
+            &resolved,
+            &tiny,
+            opts(MemBudget::Bytes(TINY_BUDGET)),
+        )
+        .expect("tiny-budget evaluates");
+        assert_eq!(
+            spilled, expected,
+            "seed {seed}: spilling must not change the answer"
+        );
+        assert_eq!(
+            tiny.rows_materialized(),
+            unbounded.rows_materialized(),
+            "seed {seed}: rows_materialized must not depend on spilling"
+        );
+        spilled_total += tiny.bytes_spilled();
+        partitions_total += tiny.spill_partitions();
     }
     assert!(
         spilled_total > 0,
@@ -119,25 +110,20 @@ fn tiny_budget_preserves_partial_answers_of_federated_plans() {
         let mut rng = StdRng::seed_from_u64(0x5B111 + seed);
         let (plan, resolved) = random_partial_scenario(&mut rng);
         let substituted = substitute_resolved(&plan, &resolved);
-        for threads in THREAD_COUNTS {
-            let (data_u, residual_u) =
-                partial_evaluate(&substituted, &resolved, opts(threads, MemBudget::Unbounded))
-                    .expect("unbounded partial eval");
-            let (data_t, residual_t) = partial_evaluate(
-                &substituted,
-                &resolved,
-                opts(threads, MemBudget::Bytes(TINY_BUDGET)),
-            )
-            .expect("tiny-budget partial eval");
-            assert_eq!(
-                data_t, data_u,
-                "seed {seed}, {threads} threads: partial answer data must match"
-            );
-            assert_eq!(
-                residual_t, residual_u,
-                "seed {seed}, {threads} threads: residual plans must be identical"
-            );
-        }
+        let (data_u, residual_u) =
+            partial_evaluate(&substituted, &resolved, opts(MemBudget::Unbounded))
+                .expect("unbounded partial eval");
+        let (data_t, residual_t) =
+            partial_evaluate(&substituted, &resolved, opts(MemBudget::Bytes(TINY_BUDGET)))
+                .expect("tiny-budget partial eval");
+        assert_eq!(
+            data_t, data_u,
+            "seed {seed}: partial answer data must match"
+        );
+        assert_eq!(
+            residual_t, residual_u,
+            "seed {seed}: residual plans must be identical"
+        );
     }
 }
 
@@ -186,40 +172,26 @@ fn deep_join_distinct_pipeline_spills_and_matches() {
     let physical = lower(&deep_pipeline_plan(2_000, 400)).expect("lowers");
 
     let unbounded = PipelineMetrics::new();
-    let expected = evaluate_physical_with(
-        &physical,
-        &resolved,
-        &unbounded,
-        opts(1, MemBudget::Unbounded),
-    )
-    .expect("unbounded evaluates");
+    let expected =
+        evaluate_physical_with(&physical, &resolved, &unbounded, opts(MemBudget::Unbounded))
+            .expect("unbounded evaluates");
     assert_eq!(unbounded.bytes_spilled(), 0);
 
-    for threads in THREAD_COUNTS {
-        let metrics = PipelineMetrics::new();
-        let out = evaluate_physical_with(
-            &physical,
-            &resolved,
-            &metrics,
-            opts(threads, MemBudget::Bytes(4096)),
-        )
+    let metrics = PipelineMetrics::new();
+    let out = evaluate_physical_with(&physical, &resolved, &metrics, opts(MemBudget::Bytes(4096)))
         .expect("budgeted evaluates");
-        assert_eq!(out, expected, "{threads} threads");
-        assert_eq!(
-            metrics.rows_materialized(),
-            unbounded.rows_materialized(),
-            "{threads} threads: breaker buffering must be budget-invariant"
-        );
-        assert!(
-            metrics.bytes_spilled() > 0,
-            "{threads} threads: a 4 KiB budget must spill this shape"
-        );
-        assert!(
-            metrics.spill_partitions() >= 8,
-            "{threads} threads: at least one full fan-out"
-        );
-        assert!(metrics.peak_tracked_bytes() > 0);
-    }
+    assert_eq!(out, expected);
+    assert_eq!(
+        metrics.rows_materialized(),
+        unbounded.rows_materialized(),
+        "breaker buffering must be budget-invariant"
+    );
+    assert!(
+        metrics.bytes_spilled() > 0,
+        "a 4 KiB budget must spill this shape"
+    );
+    assert!(metrics.spill_partitions() >= 8, "at least one full fan-out");
+    assert!(metrics.peak_tracked_bytes() > 0);
 }
 
 /// The build loop acts on a budget trip at the row that caused it, so the
@@ -240,7 +212,7 @@ fn join_build_overshoots_the_budget_by_at_most_one_batch() {
     let metrics = PipelineMetrics::new();
     let options = PipelineOptions {
         batch_rows: 1,
-        ..opts(1, MemBudget::Bytes(BUDGET))
+        ..opts(MemBudget::Bytes(BUDGET))
     };
     let out = evaluate_physical_with(&physical, &resolved, &metrics, options).expect("evaluates");
     assert_eq!(out, expected);
@@ -279,13 +251,9 @@ fn fused_join_spills_within_the_peak_bound_and_keeps_its_kernels() {
     let physical = lower(&plan).expect("lowers");
 
     let unbounded = PipelineMetrics::new();
-    let expected = evaluate_physical_with(
-        &physical,
-        &resolved,
-        &unbounded,
-        opts(1, MemBudget::Unbounded),
-    )
-    .expect("unbounded evaluates");
+    let expected =
+        evaluate_physical_with(&physical, &resolved, &unbounded, opts(MemBudget::Unbounded))
+            .expect("unbounded evaluates");
     assert_eq!(expected.len(), 6_000);
     assert_eq!(unbounded.rows_kernel(), 10_500, "both sides vectorize");
 
@@ -294,7 +262,7 @@ fn fused_join_spills_within_the_peak_bound_and_keeps_its_kernels() {
         &physical,
         &resolved,
         &metrics,
-        opts(1, MemBudget::Bytes(INNER_BUDGET)),
+        opts(MemBudget::Bytes(INNER_BUDGET)),
     )
     .expect("budgeted evaluates");
     assert_eq!(out, expected);
@@ -353,32 +321,30 @@ fn poisoned_plan() -> LogicalExpr {
 fn errors_after_spill_match_the_unbounded_error_exactly() {
     let resolved = ResolvedExecs::default();
     let physical = lower(&poisoned_plan()).expect("lowers");
-    for threads in THREAD_COUNTS {
-        let unbounded = evaluate_physical_with(
-            &physical,
-            &resolved,
-            &PipelineMetrics::new(),
-            opts(threads, MemBudget::Unbounded),
-        )
-        .expect_err("missing field errors");
-        let tiny_metrics = PipelineMetrics::new();
-        let tiny = evaluate_physical_with(
-            &physical,
-            &resolved,
-            &tiny_metrics,
-            opts(threads, MemBudget::Bytes(TINY_BUDGET)),
-        )
-        .expect_err("missing field errors under budget too");
-        assert_eq!(
-            tiny.to_string(),
-            unbounded.to_string(),
-            "{threads} threads: identical error text"
-        );
-        assert!(
-            tiny_metrics.bytes_spilled() > 0,
-            "{threads} threads: the error must have been raised after spilling began"
-        );
-    }
+    let unbounded = evaluate_physical_with(
+        &physical,
+        &resolved,
+        &PipelineMetrics::new(),
+        opts(MemBudget::Unbounded),
+    )
+    .expect_err("missing field errors");
+    let tiny_metrics = PipelineMetrics::new();
+    let tiny = evaluate_physical_with(
+        &physical,
+        &resolved,
+        &tiny_metrics,
+        opts(MemBudget::Bytes(TINY_BUDGET)),
+    )
+    .expect_err("missing field errors under budget too");
+    assert_eq!(
+        tiny.to_string(),
+        unbounded.to_string(),
+        "identical error text"
+    );
+    assert!(
+        tiny_metrics.bytes_spilled() > 0,
+        "the error must have been raised after spilling began"
+    );
 }
 
 /// Pins the PR 8 bound documented in ROADMAP ("known bounds"): once a
@@ -405,7 +371,7 @@ fn spilled_distinct_residual_emission_is_partition_major_not_input_order() {
         &physical,
         &resolved,
         &PipelineMetrics::new(),
-        opts(1, MemBudget::Unbounded),
+        opts(MemBudget::Unbounded),
     )
     .expect("unbounded evaluates");
     // In memory, emission order IS first-occurrence order.
@@ -421,7 +387,7 @@ fn spilled_distinct_residual_emission_is_partition_major_not_input_order() {
             &physical,
             &resolved,
             &metrics,
-            opts(1, MemBudget::Bytes(TINY_BUDGET)),
+            opts(MemBudget::Bytes(TINY_BUDGET)),
         )
         .expect("budgeted evaluates");
         assert!(
@@ -501,44 +467,38 @@ fn nested_loop_inner_buffer_spills_within_the_peak_bound_and_matches() {
     let physical = lower(&nested_loop_plan(16, 4_500)).expect("lowers");
 
     let unbounded = PipelineMetrics::new();
-    let expected = evaluate_physical_with(
-        &physical,
-        &resolved,
-        &unbounded,
-        opts(1, MemBudget::Unbounded),
-    )
-    .expect("unbounded evaluates");
+    let expected =
+        evaluate_physical_with(&physical, &resolved, &unbounded, opts(MemBudget::Unbounded))
+            .expect("unbounded evaluates");
     assert_eq!(unbounded.bytes_spilled(), 0);
     assert!(
         !expected.is_empty(),
         "the non-equi predicate must match pairs"
     );
 
-    for threads in THREAD_COUNTS {
-        let metrics = PipelineMetrics::new();
-        let out = evaluate_physical_with(
-            &physical,
-            &resolved,
-            &metrics,
-            opts(threads, MemBudget::Bytes(INNER_BUDGET)),
-        )
-        .expect("budgeted evaluates");
-        assert_eq!(
-            out, expected,
-            "{threads} threads: the spilled inner must not change the answer"
-        );
-        assert!(
-            metrics.bytes_spilled() > 0,
-            "{threads} threads: a ~10x-budget inner side must spill"
-        );
-        let peak = metrics.peak_tracked_bytes();
-        assert!(peak > 0, "{threads} threads: bounded budgets track bytes");
-        assert!(
-            peak <= PEAK_BOUND,
-            "{threads} threads: peak {peak} exceeds ~1.02x of the \
-             {INNER_BUDGET}-byte budget"
-        );
-    }
+    let metrics = PipelineMetrics::new();
+    let out = evaluate_physical_with(
+        &physical,
+        &resolved,
+        &metrics,
+        opts(MemBudget::Bytes(INNER_BUDGET)),
+    )
+    .expect("budgeted evaluates");
+    assert_eq!(
+        out, expected,
+        "the spilled inner must not change the answer"
+    );
+    assert!(
+        metrics.bytes_spilled() > 0,
+        "a ~10x-budget inner side must spill"
+    );
+    let peak = metrics.peak_tracked_bytes();
+    assert!(peak > 0, "bounded budgets track bytes");
+    assert!(
+        peak <= PEAK_BOUND,
+        "peak {peak} exceeds ~1.02x of the \
+         {INNER_BUDGET}-byte budget"
+    );
 }
 
 /// A source-style merge-tuples join whose right side is ~10x the budget;
@@ -564,40 +524,34 @@ fn merge_tuples_inner_buffer_spills_within_the_peak_bound_and_matches() {
     let physical = lower(&merge_tuples_plan(16, 4_500)).expect("lowers");
 
     let unbounded = PipelineMetrics::new();
-    let expected = evaluate_physical_with(
-        &physical,
-        &resolved,
-        &unbounded,
-        opts(1, MemBudget::Unbounded),
-    )
-    .expect("unbounded evaluates");
+    let expected =
+        evaluate_physical_with(&physical, &resolved, &unbounded, opts(MemBudget::Unbounded))
+            .expect("unbounded evaluates");
     assert_eq!(unbounded.bytes_spilled(), 0);
     assert!(!expected.is_empty(), "the equi keys must match pairs");
 
-    for threads in THREAD_COUNTS {
-        let metrics = PipelineMetrics::new();
-        let out = evaluate_physical_with(
-            &physical,
-            &resolved,
-            &metrics,
-            opts(threads, MemBudget::Bytes(INNER_BUDGET)),
-        )
-        .expect("budgeted evaluates");
-        assert_eq!(
-            out, expected,
-            "{threads} threads: the spilled inner must not change the answer"
-        );
-        assert!(
-            metrics.bytes_spilled() > 0,
-            "{threads} threads: a ~10x-budget inner side must spill"
-        );
-        let peak = metrics.peak_tracked_bytes();
-        assert!(
-            peak <= PEAK_BOUND,
-            "{threads} threads: peak {peak} exceeds ~1.02x of the \
-             {INNER_BUDGET}-byte budget"
-        );
-    }
+    let metrics = PipelineMetrics::new();
+    let out = evaluate_physical_with(
+        &physical,
+        &resolved,
+        &metrics,
+        opts(MemBudget::Bytes(INNER_BUDGET)),
+    )
+    .expect("budgeted evaluates");
+    assert_eq!(
+        out, expected,
+        "the spilled inner must not change the answer"
+    );
+    assert!(
+        metrics.bytes_spilled() > 0,
+        "a ~10x-budget inner side must spill"
+    );
+    let peak = metrics.peak_tracked_bytes();
+    assert!(
+        peak <= PEAK_BOUND,
+        "peak {peak} exceeds ~1.02x of the \
+         {INNER_BUDGET}-byte budget"
+    );
 }
 
 /// A correlated aggregate whose per-outer-row sub-query runs a distinct
@@ -639,40 +593,34 @@ fn correlated_subqueries_spill_against_the_parent_budget() {
     let physical = lower(&correlated_distinct_plan(8, 4_000)).expect("lowers");
 
     let unbounded = PipelineMetrics::new();
-    let expected = evaluate_physical_with(
-        &physical,
-        &resolved,
-        &unbounded,
-        opts(1, MemBudget::Unbounded),
-    )
-    .expect("unbounded evaluates");
+    let expected =
+        evaluate_physical_with(&physical, &resolved, &unbounded, opts(MemBudget::Unbounded))
+            .expect("unbounded evaluates");
     assert_eq!(unbounded.bytes_spilled(), 0);
 
-    for threads in THREAD_COUNTS {
-        let metrics = PipelineMetrics::new();
-        let out = evaluate_physical_with(
-            &physical,
-            &resolved,
-            &metrics,
-            opts(threads, MemBudget::Bytes(INNER_BUDGET)),
-        )
-        .expect("budgeted evaluates");
-        assert_eq!(
-            out, expected,
-            "{threads} threads: spilled sub-queries must not change the answer"
-        );
-        assert!(
-            metrics.bytes_spilled() > 0,
-            "{threads} threads: each sub-query's distinct holds ~10x the \
-             shared budget and must spill"
-        );
-        let peak = metrics.peak_tracked_bytes();
-        assert!(
-            peak <= PEAK_BOUND,
-            "{threads} threads: peak {peak} exceeds ~1.02x of the \
-             {INNER_BUDGET}-byte budget shared with sub-queries"
-        );
-    }
+    let metrics = PipelineMetrics::new();
+    let out = evaluate_physical_with(
+        &physical,
+        &resolved,
+        &metrics,
+        opts(MemBudget::Bytes(INNER_BUDGET)),
+    )
+    .expect("budgeted evaluates");
+    assert_eq!(
+        out, expected,
+        "spilled sub-queries must not change the answer"
+    );
+    assert!(
+        metrics.bytes_spilled() > 0,
+        "each sub-query's distinct holds ~10x the \
+         shared budget and must spill"
+    );
+    let peak = metrics.peak_tracked_bytes();
+    assert!(
+        peak <= PEAK_BOUND,
+        "peak {peak} exceeds ~1.02x of the \
+         {INNER_BUDGET}-byte budget shared with sub-queries"
+    );
 }
 
 /// A nested-loop join whose left (streamed) side carries one malformed
@@ -709,30 +657,28 @@ fn poisoned_nested_loop_plan() -> LogicalExpr {
 fn nested_loop_errors_after_spill_match_the_unbounded_error_exactly() {
     let resolved = ResolvedExecs::default();
     let physical = lower(&poisoned_nested_loop_plan()).expect("lowers");
-    for threads in THREAD_COUNTS {
-        let unbounded = evaluate_physical_with(
-            &physical,
-            &resolved,
-            &PipelineMetrics::new(),
-            opts(threads, MemBudget::Unbounded),
-        )
-        .expect_err("missing field errors");
-        let metrics = PipelineMetrics::new();
-        let budgeted = evaluate_physical_with(
-            &physical,
-            &resolved,
-            &metrics,
-            opts(threads, MemBudget::Bytes(INNER_BUDGET)),
-        )
-        .expect_err("missing field errors under budget too");
-        assert_eq!(
-            budgeted.to_string(),
-            unbounded.to_string(),
-            "{threads} threads: identical error text"
-        );
-        assert!(
-            metrics.bytes_spilled() > 0,
-            "{threads} threads: the inner buffer spilled before the error"
-        );
-    }
+    let unbounded = evaluate_physical_with(
+        &physical,
+        &resolved,
+        &PipelineMetrics::new(),
+        opts(MemBudget::Unbounded),
+    )
+    .expect_err("missing field errors");
+    let metrics = PipelineMetrics::new();
+    let budgeted = evaluate_physical_with(
+        &physical,
+        &resolved,
+        &metrics,
+        opts(MemBudget::Bytes(INNER_BUDGET)),
+    )
+    .expect_err("missing field errors under budget too");
+    assert_eq!(
+        budgeted.to_string(),
+        unbounded.to_string(),
+        "identical error text"
+    );
+    assert!(
+        metrics.bytes_spilled() > 0,
+        "the inner buffer spilled before the error"
+    );
 }

@@ -4,8 +4,8 @@
 //! one after the other over materialized outcomes (the benchmark oracle's
 //! method) — answers and residual plans against the reference evaluator
 //! over `resolve_execs` outcomes, `rows_materialized` and error text
-//! against `resolve_execs` → `evaluate_physical_with` — at 1, 2 and 4
-//! worker threads and under a bounded memory budget.  The paper's §4
+//! against `resolve_execs` → `evaluate_physical_with` — also under a
+//! bounded memory budget.  The paper's §4
 //! property is checked as recovery, not only parity: once the links come
 //! back, the data part plus the executed residual is the all-available
 //! answer, and the residual's OQL text round-trips through the compiler.
@@ -83,13 +83,6 @@ fn random_federated_plan(rng: &mut StdRng, n: usize) -> LogicalExpr {
     }
 }
 
-fn opts(threads: usize) -> PipelineOptions {
-    PipelineOptions {
-        threads,
-        ..PipelineOptions::default()
-    }
-}
-
 fn execute(
     federation: &Federation,
     plan: &LogicalExpr,
@@ -98,7 +91,6 @@ fn execute(
 ) -> disco_runtime::Result<Answer> {
     let physical = lower(plan).unwrap();
     Executor::new(federation.registry.clone())
-        .with_threads(options.threads)
         .with_mem_budget(options.mem_budget)
         .with_adaptive(options.adaptive)
         .with_deadline(deadline)
@@ -186,14 +178,12 @@ fn random_plans_differential_all_available() {
             trial,
         );
         let plan = random_federated_plan(&mut rng, n);
-        for threads in [1usize, 2, 4] {
-            assert_equivalent(
-                &plan,
-                &federation,
-                opts(threads),
-                &format!("trial {trial} threads {threads} chunks {chunk_rows}"),
-            );
-        }
+        assert_equivalent(
+            &plan,
+            &federation,
+            PipelineOptions::default(),
+            &format!("trial {trial} chunks {chunk_rows}"),
+        );
     }
 }
 
@@ -227,16 +217,14 @@ fn random_plans_differential_with_injected_unavailability() {
         }
         let plan = random_federated_plan(&mut rng, n);
         let mut partials = Vec::new();
-        for threads in [1usize, 4] {
-            for mem_budget in [MemBudget::Unbounded, MemBudget::Bytes(64 * 1024)] {
-                let label = format!("trial {trial} threads {threads} {mem_budget:?}");
-                let options = PipelineOptions {
-                    mem_budget,
-                    ..opts(threads)
-                };
-                let answer = assert_equivalent(&plan, &federation, options, &label);
-                partials.push((label, options, answer));
-            }
+        for mem_budget in [MemBudget::Unbounded, MemBudget::Bytes(64 * 1024)] {
+            let label = format!("trial {trial} {mem_budget:?}");
+            let options = PipelineOptions {
+                mem_budget,
+                ..PipelineOptions::default()
+            };
+            let answer = assert_equivalent(&plan, &federation, options, &label);
+            partials.push((label, options, answer));
         }
 
         // §4 recovery: the links come back, and what each partial answer
@@ -245,7 +233,7 @@ fn random_plans_differential_with_injected_unavailability() {
             link.set_availability(Availability::Available);
         }
         let deadline = Some(Duration::from_secs(5));
-        let full = execute(&federation, &plan, opts(1), deadline).unwrap();
+        let full = execute(&federation, &plan, PipelineOptions::default(), deadline).unwrap();
         assert!(full.is_complete(), "trial {trial}: every link is back");
         for (label, options, partial) in partials {
             let Some(residual) = partial.residual() else {
@@ -296,8 +284,7 @@ fn degraded_source_streams_slowly_but_equivalently() {
     profiles[1] = degraded;
     let federation = federation_with(&profiles, 24, 7);
     let plan = LogicalExpr::Union((0..3).map(|i| branch(i, 0)).collect());
-    assert_equivalent(&plan, &federation, opts(1), "degraded");
-    assert_equivalent(&plan, &federation, opts(4), "degraded parallel");
+    assert_equivalent(&plan, &federation, PipelineOptions::default(), "degraded");
 }
 
 // ---------------------------------------------------------------------
@@ -306,15 +293,10 @@ fn degraded_source_streams_slowly_but_equivalently() {
 // answer-transparent.
 // ---------------------------------------------------------------------
 
-fn execute_adaptive(
-    federation: &Federation,
-    plan: &LogicalExpr,
-    threads: usize,
-    adaptive: AdaptiveMode,
-) -> Answer {
+fn execute_adaptive(federation: &Federation, plan: &LogicalExpr, adaptive: AdaptiveMode) -> Answer {
     let options = PipelineOptions {
         adaptive,
-        ..opts(threads)
+        ..PipelineOptions::default()
     };
     execute(federation, plan, options, Some(Duration::from_secs(5)))
         .expect("federated plan executes")
@@ -335,42 +317,40 @@ fn adaptive_scheduling_is_transparent_over_streamed_federations() {
         };
         let federation = federation_with(&profiles, rng.gen_range(10..40), 300 + trial);
         let plan = random_federated_plan(&mut rng, n);
-        for threads in [1usize, 4] {
-            let pinned = execute_adaptive(&federation, &plan, threads, AdaptiveMode::Off);
-            let adaptive = execute_adaptive(&federation, &plan, threads, AdaptiveMode::On);
-            let label = format!("trial {trial} threads {threads}");
-            // `rows_materialized` is deliberately NOT compared: the
-            // adaptive build-side choice may buffer the other input.
-            assert_eq!(
-                pinned.data(),
-                adaptive.data(),
-                "{label}: answer multisets differ"
-            );
-            assert_eq!(
-                pinned.is_complete(),
-                adaptive.is_complete(),
-                "{label}: completeness differs"
-            );
-            assert_eq!(
-                pinned.residual(),
-                adaptive.residual(),
-                "{label}: residual plans differ"
-            );
-            assert_eq!(
-                pinned.unavailable_sources(),
-                adaptive.unavailable_sources(),
-                "{label}: unavailable classification differs"
-            );
-        }
+        let pinned = execute_adaptive(&federation, &plan, AdaptiveMode::Off);
+        let adaptive = execute_adaptive(&federation, &plan, AdaptiveMode::On);
+        let label = format!("trial {trial}");
+        // `rows_materialized` is deliberately NOT compared: the
+        // adaptive build-side choice may buffer the other input.
+        assert_eq!(
+            pinned.data(),
+            adaptive.data(),
+            "{label}: answer multisets differ"
+        );
+        assert_eq!(
+            pinned.is_complete(),
+            adaptive.is_complete(),
+            "{label}: completeness differs"
+        );
+        assert_eq!(
+            pinned.residual(),
+            adaptive.residual(),
+            "{label}: residual plans differ"
+        );
+        assert_eq!(
+            pinned.unavailable_sources(),
+            adaptive.unavailable_sources(),
+            "{label}: unavailable classification differs"
+        );
     }
 }
 
-/// The E10h shape on the serial engine: a join probed by a source that
+/// The E10h shape: a join probed by a source that
 /// trickles its chunks must hand finished rows downstream as they come,
 /// not sit on them until a whole output batch has filled (which, with
 /// fewer probe rows than a batch, meant until the slow source was done).
 #[test]
-fn join_probed_by_a_slow_source_emits_its_first_row_early_at_one_thread() {
+fn join_probed_by_a_slow_source_emits_its_first_row_early() {
     let slow = NetworkProfile {
         real_sleep: true,
         availability: Availability::Degraded { chunk_extra_ms: 8 },
@@ -392,7 +372,7 @@ fn join_probed_by_a_slow_source_emits_its_first_row_early_at_one_thread() {
         )),
     }
     .map_project(ScalarExpr::var_field("x", "name"));
-    let answer = execute_adaptive(&federation, &plan, 1, AdaptiveMode::On);
+    let answer = execute_adaptive(&federation, &plan, AdaptiveMode::On);
     assert!(answer.is_complete());
     assert!(!answer.data().is_empty(), "the sides share ids");
     // Ten chunks at 8 ms each bound the execution from below; the first
@@ -496,7 +476,7 @@ fn mid_stream_failure_surfaces_as_the_staged_error() {
     let (federation, plan) = faulty_federation(Arc::new(FailsMidStream));
     let deadline = Some(Duration::from_millis(500));
     let started = std::time::Instant::now();
-    let err = execute(&federation, &plan, opts(1), deadline).unwrap_err();
+    let err = execute(&federation, &plan, PipelineOptions::default(), deadline).unwrap_err();
     assert!(
         matches!(
             err,
@@ -504,8 +484,8 @@ fn mid_stream_failure_surfaces_as_the_staged_error() {
         ),
         "expected the mid-stream failure, got {err}"
     );
-    let staged_err =
-        staged(&federation, &plan, opts(1), deadline).expect_err("resolution fails hard too");
+    let staged_err = staged(&federation, &plan, PipelineOptions::default(), deadline)
+        .expect_err("resolution fails hard too");
     assert_eq!(err.to_string(), staged_err.to_string());
     assert!(
         started.elapsed() < Duration::from_secs(4),
@@ -518,12 +498,12 @@ fn panicking_wrapper_surfaces_worker_panic() {
     let (federation, plan) = faulty_federation(Arc::new(PanicsOnSubmit));
     let deadline = Some(Duration::from_millis(500));
     let started = std::time::Instant::now();
-    let err = execute(&federation, &plan, opts(1), deadline).unwrap_err();
+    let err = execute(&federation, &plan, PipelineOptions::default(), deadline).unwrap_err();
     assert!(
         matches!(err, RuntimeError::WorkerPanic(_)),
         "expected a contained panic, got {err}"
     );
-    let staged_err = staged(&federation, &plan, opts(1), deadline)
+    let staged_err = staged(&federation, &plan, PipelineOptions::default(), deadline)
         .expect_err("resolution contains the panic too");
     assert_eq!(err.to_string(), staged_err.to_string());
     assert!(
@@ -553,7 +533,13 @@ fn deadline_returns_fast_data_plus_residual_for_the_slow_source() {
     let federation = federation_with(&[fast.clone(), fast, slow], 16, 11);
     let plan = LogicalExpr::Union((0..3).map(|i| branch(i, -1)).collect());
     let deadline = Duration::from_millis(250);
-    let answer = execute(&federation, &plan, opts(1), Some(deadline)).unwrap();
+    let answer = execute(
+        &federation,
+        &plan,
+        PipelineOptions::default(),
+        Some(deadline),
+    )
+    .unwrap();
     assert!(!answer.is_complete(), "slow source must go residual");
     assert_eq!(answer.unavailable_sources(), &["r2".to_owned()]);
     assert_eq!(
@@ -598,7 +584,13 @@ fn timed_out_wrapper_call_is_cancelled_not_leaked() {
     let federation = federation_with(&[instant_profile(0), trickle], 200, 13);
     let plan = LogicalExpr::Union(vec![branch(0, -1), branch(1, -1)]);
     let started = std::time::Instant::now();
-    let answer = execute(&federation, &plan, opts(1), Some(Duration::from_millis(60))).unwrap();
+    let answer = execute(
+        &federation,
+        &plan,
+        PipelineOptions::default(),
+        Some(Duration::from_millis(60)),
+    )
+    .unwrap();
     assert!(
         started.elapsed() < Duration::from_millis(700),
         "deadline classification must not wait out the stream, took {:?}",
@@ -675,48 +667,6 @@ fn a_call_cancelled_mid_sleep_returns_at_once() {
     );
 }
 
-#[test]
-fn parallel_worker_failure_interrupts_a_blocked_stream_claim() {
-    // A trickling pending leaf under the parallel scheduler: one worker's
-    // chunk evaluation panics (the `__disco_panic_if__` fail point) while
-    // other workers are blocked claiming chunks.  The abort must
-    // interrupt the stream — surfacing the failure promptly instead of
-    // waiting out the remaining ~1 s of trickle (or the deadline).
-    let trickle = NetworkProfile {
-        base_latency_us: 100,
-        per_row_us: 0,
-        jitter: 0.0,
-        real_sleep: true,
-        chunk_rows: 5,
-        availability: Availability::Degraded { chunk_extra_ms: 25 },
-    };
-    let federation = federation_with(&[trickle], 200, 19);
-    let panic_if = ScalarExpr::Call(
-        "__disco_panic_if__".into(),
-        vec![ScalarExpr::binary(
-            ScalarOp::Eq,
-            ScalarExpr::attr("id"),
-            ScalarExpr::constant(0i64),
-        )],
-    );
-    let plan = LogicalExpr::get("person0")
-        .submit("r0", "w0", "person0")
-        .filter(panic_if)
-        .bind("x")
-        .map_project(ScalarExpr::var_field("x", "name"));
-    let started = std::time::Instant::now();
-    let err = execute(&federation, &plan, opts(4), Some(Duration::from_secs(10))).unwrap_err();
-    assert!(
-        matches!(err, RuntimeError::WorkerPanic(_)),
-        "expected the contained fail-point panic, got {err}"
-    );
-    assert!(
-        started.elapsed() < Duration::from_millis(600),
-        "abort must interrupt the blocked stream claim, took {:?}",
-        started.elapsed()
-    );
-}
-
 // ---------------------------------------------------------------------
 // Sanity: streamed complete answers report first-row latency.
 // ---------------------------------------------------------------------
@@ -725,7 +675,13 @@ fn parallel_worker_failure_interrupts_a_blocked_stream_claim() {
 fn streamed_complete_answers_report_time_to_first_row() {
     let federation = federation_with(&vec![instant_profile(4); 3], 12, 17);
     let plan = LogicalExpr::Union((0..3).map(|i| branch(i, 0)).collect());
-    let answer = execute(&federation, &plan, opts(1), Some(Duration::from_secs(5))).unwrap();
+    let answer = execute(
+        &federation,
+        &plan,
+        PipelineOptions::default(),
+        Some(Duration::from_secs(5)),
+    )
+    .unwrap();
     assert!(answer.is_complete());
     assert!(answer.time_to_first_row().is_some());
     assert!(answer.time_to_first_row().unwrap() <= answer.stats().elapsed);

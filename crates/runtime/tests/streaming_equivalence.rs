@@ -2,25 +2,31 @@
 //! bag-at-a-time reference evaluator (`disco_runtime::reference`), over
 //! seeded randomized plans.
 //!
-//! Three claims are pinned here:
+//! Four claims are pinned here:
 //!
 //! 1. **Full evaluation**: for random pipelines (filter, map, project,
 //!    hash/nested-loop join, union, distinct, aggregates) the streaming
-//!    engine is multiset-equal to the reference evaluator.
+//!    engine is multiset-equal to the reference evaluator, with the
+//!    adaptive build-side choice on or off.
 //! 2. **Build-side selection**: forcing the hash-join build side to
 //!    either input yields identical answers, and `Auto` buffers the
 //!    smaller input.
 //! 3. **Partial evaluation**: with random subsets of sources unavailable,
 //!    the streaming path produces the *identical* `Answer` data and
 //!    residual plan as the seed materializing path.
+//! 4. **Metrics**: `PipelineMetrics::merge` sums counts exactly, and the
+//!    hidden `PipelineOptions::threads` compatibility field changes
+//!    neither the answer nor any counter.
 
 mod common;
 
-use common::{random_branch, random_partial_scenario, random_people, random_plan, stats_for};
+use common::{
+    person, random_branch, random_partial_scenario, random_people, random_plan, stats_for,
+};
 use disco_algebra::{lower, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_runtime::{
     evaluate_physical, evaluate_physical_with, partial_evaluate, partial_evaluate_reference,
-    reference, substitute_resolved, BuildSide, ExecKey, ExecOutcome, PipelineMetrics,
+    reference, substitute_resolved, AdaptiveMode, BuildSide, ExecKey, ExecOutcome, PipelineMetrics,
     PipelineOptions, ResolvedExecs,
 };
 use disco_value::Bag;
@@ -41,6 +47,32 @@ fn streaming_engine_matches_reference_on_random_plans() {
             streamed, reference,
             "seed {seed}: streaming and reference answers must be multiset-equal for {physical}"
         );
+    }
+}
+
+#[test]
+fn adaptive_scheduling_matches_pinned_answers_on_random_plans() {
+    let resolved = ResolvedExecs::default();
+    for seed in 0..25u64 {
+        let mut rng = StdRng::seed_from_u64(0xADA9 + seed);
+        let plan = random_plan(&mut rng);
+        let physical = lower(&plan).expect("plan lowers");
+        let expected =
+            reference::evaluate_physical(&physical, &resolved).expect("reference evaluates");
+        for adaptive in [AdaptiveMode::Off, AdaptiveMode::On] {
+            let options = PipelineOptions {
+                adaptive,
+                ..PipelineOptions::default()
+            };
+            let actual =
+                evaluate_physical_with(&physical, &resolved, &PipelineMetrics::new(), options)
+                    .expect("evaluates");
+            assert_eq!(
+                actual, expected,
+                "seed {seed}, {adaptive:?}: answers must be multiset-equal with and without \
+                 adaptive scheduling"
+            );
+        }
     }
 }
 
@@ -227,4 +259,96 @@ fn join_with_unavailable_side_stays_residual_in_both_engines() {
     assert_eq!(data_s, data_r);
     assert_eq!(residual_s, residual_r);
     assert!(residual_s.is_some(), "the join must stay residual");
+}
+
+// ---------------------------------------------------------------------
+// Metrics: merging, and the inert `threads` compatibility field
+// ---------------------------------------------------------------------
+
+/// The deep-pipeline shape: filter → hash-join → computed projection →
+/// distinct.
+fn deep_pipeline_plan(left_rows: usize, right_rows: usize) -> LogicalExpr {
+    let left: Bag = (0..left_rows)
+        .map(|i| person((i % 97) as i64, &format!("p{}", i % 61), (i % 199) as i64))
+        .collect();
+    let right: Bag = (0..right_rows)
+        .map(|i| person((i % 97) as i64, &format!("r{}", i % 13), (i % 53) as i64))
+        .collect();
+    LogicalExpr::Distinct(Box::new(
+        LogicalExpr::Join {
+            left: Box::new(LogicalExpr::Data(left).bind("x").filter(ScalarExpr::binary(
+                ScalarOp::Gt,
+                ScalarExpr::var_field("x", "salary"),
+                ScalarExpr::constant(40i64),
+            ))),
+            right: Box::new(LogicalExpr::Data(right).bind("y")),
+            predicate: Some(ScalarExpr::binary(
+                ScalarOp::Eq,
+                ScalarExpr::var_field("x", "id"),
+                ScalarExpr::var_field("y", "id"),
+            )),
+        }
+        .map_project(ScalarExpr::StructLit(vec![
+            ("name".into(), ScalarExpr::var_field("x", "name")),
+            (
+                "total".into(),
+                ScalarExpr::binary(
+                    ScalarOp::Add,
+                    ScalarExpr::var_field("x", "salary"),
+                    ScalarExpr::var_field("y", "salary"),
+                ),
+            ),
+        ])),
+    ))
+}
+
+#[test]
+fn metrics_merge_sums_counts_exactly() {
+    let resolved = ResolvedExecs::default();
+    let physical = lower(&deep_pipeline_plan(500, 100)).expect("lowers");
+    // Two independent executions counted into two instances...
+    let options = PipelineOptions::default();
+    let a = PipelineMetrics::new();
+    evaluate_physical_with(&physical, &resolved, &a, options).expect("evaluates");
+    let b = PipelineMetrics::new();
+    evaluate_physical_with(&physical, &resolved, &b, options).expect("evaluates");
+    // ...merge to exactly the sum.
+    let merged = PipelineMetrics::new();
+    merged.merge(&a);
+    merged.merge(&b);
+    assert_eq!(
+        merged.rows_materialized(),
+        a.rows_materialized() + b.rows_materialized()
+    );
+    assert_eq!(merged.rows_merged(), a.rows_merged() + b.rows_merged());
+    assert_eq!(merged.rows_emitted(), a.rows_emitted() + b.rows_emitted());
+}
+
+#[test]
+fn the_hidden_threads_field_changes_neither_answer_nor_counters() {
+    // `PipelineOptions::threads` survives only because the benchmark
+    // still sets it; whatever it holds, the one combine path runs.
+    let resolved = ResolvedExecs::default();
+    let physical = lower(&deep_pipeline_plan(1_500, 300)).expect("lowers");
+    let run = |threads: usize| {
+        let metrics = PipelineMetrics::new();
+        let options = PipelineOptions {
+            threads,
+            ..PipelineOptions::default()
+        };
+        let bag =
+            evaluate_physical_with(&physical, &resolved, &metrics, options).expect("evaluates");
+        let counters = [
+            metrics.rows_materialized(),
+            metrics.rows_merged(),
+            metrics.rows_emitted(),
+            metrics.rows_kernel(),
+        ];
+        (bag, counters)
+    };
+    let expected = run(0);
+    assert!(expected.1[0] > 0, "the shape has pipeline breakers");
+    for threads in [1usize, 8] {
+        assert_eq!(run(threads), expected, "threads: {threads}");
+    }
 }

@@ -1,10 +1,10 @@
 //! Admission control with round-robin fairness across sessions.
 //!
-//! The morsel worker pool is a fixed, shared resource: when N concurrent
-//! queries each want every worker, throughput is best served by bounding
-//! how many queries *execute* at once and queueing the rest.  Plain FIFO
-//! admission lets one chatty session monopolize the server — its next
-//! query is always the oldest waiter.  [`Admission`] therefore grants
+//! The machine's cores are a fixed, shared resource: when N concurrent
+//! queries each want one for their combine step, throughput is best
+//! served by bounding how many *execute* at once and queueing the rest.
+//! Plain FIFO admission lets one chatty session monopolize the server —
+//! its next query is always the oldest waiter.  [`Admission`] therefore grants
 //! freed slots **round-robin over sessions**: among the sessions with
 //! queued queries, the next session after the most recently admitted one
 //! (in session-id order, wrapping) goes first, and within a session its

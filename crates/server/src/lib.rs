@@ -24,7 +24,7 @@
 //!   budget degrades to a partial answer with a residual query (§4 of
 //!   the paper) instead of failing.
 //! * **Admission control with round-robin fairness** — when N concurrent
-//!   queries would oversubscribe the shared morsel worker pool, at most
+//!   queries would oversubscribe the machine's cores, at most
 //!   [`ServerConfig::max_concurrent`] execute at once and freed slots
 //!   rotate across sessions, so no session starves behind a chatty
 //!   neighbour.
@@ -88,9 +88,6 @@ pub struct ServerConfig {
     /// Default per-query row budget (total rows transferred from
     /// sources).  `None` is unlimited.
     pub row_budget: Option<usize>,
-    /// Worker threads of the mediator-side combine step per query
-    /// (`0` defers to `DISCO_THREADS`, `1` is serial).
-    pub threads: usize,
 }
 
 impl ServerConfig {
@@ -113,13 +110,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_row_budget(mut self, budget: Option<usize>) -> Self {
         self.row_budget = budget;
-        self
-    }
-
-    /// Sets the per-query worker-thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 }
@@ -311,7 +301,6 @@ impl Session {
             })?;
         let mut executor = Executor::new(self.shared.registry.clone())
             .with_deadline(self.deadline)
-            .with_threads(self.shared.config.threads)
             .with_calibration(Arc::clone(&self.shared.calibration))
             .with_row_budget(self.row_budget);
         if let Some(pool) = &self.shared.config.source_pool {

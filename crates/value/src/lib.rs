@@ -46,14 +46,13 @@
 //!
 //! The whole value plane is immutable-after-construction and `Arc`-backed
 //! with **no interior mutability**, so every type in this crate is
-//! [`Send`] `+` [`Sync`]: a `&Value` borrowed from a plan literal or a
-//! resolved source answer can be read from any worker of the runtime's
-//! parallel (morsel-driven) engine, and owned values can move between
-//! workers freely.  This guarantee is load-bearing — the parallel engine
-//! shares borrowed rows across its worker pool — and is pinned by the
-//! compile-time assertions below, so a future variant that introduced
-//! `Rc` or `Cell` storage would fail to build rather than quietly making
-//! the engine unsound.
+//! [`Send`] `+` [`Sync`]: a wrapper's answer is built on a worker of the
+//! runtime's call executor and read by the query thread while the call is
+//! still streaming, and plans holding literal bags are shared between
+//! the server's sessions.  This guarantee is load-bearing and is pinned
+//! by the compile-time assertions below, so a future variant that
+//! introduced `Rc` or `Cell` storage would fail to build rather than
+//! quietly making the runtime unsound.
 //!
 //! # Examples
 //!
@@ -88,10 +87,10 @@ pub use value::{StructValue, Value};
 /// Convenience result alias for fallible value operations.
 pub type Result<T> = std::result::Result<T, ValueError>;
 
-// Compile-time `Send + Sync` audit (see the crate docs): the parallel
-// engine shares `&Value` rows across worker threads, so losing either
-// auto-trait on any of these types must be a build error, not a latent
-// data race.
+// Compile-time `Send + Sync` audit (see the crate docs): rows and values
+// cross from the call executor's workers to the query thread, so losing
+// either auto-trait on any of these types must be a build error, not a
+// latent data race.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Value>();
