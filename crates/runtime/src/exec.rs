@@ -24,16 +24,23 @@
 //!
 //! A chunk is stored once.  Without a memory budget the spool is an
 //! append-only chain of immutable chunks (`SpoolChunk`): `push_chunk`
-//! links the chunk as it arrived, consumers borrow slices out of the
-//! chain for the whole evaluation — the fused spine a batch at a time,
-//! everything else a row at a time — and finalization shares the chain's
-//! bags with [`ExecOutcome::Rows`].  The only thing a consumer ever waits
-//! for is the next link, through `PendingSource::wait_until`, the one
-//! loop that owns the missed-wake-up protocol and the deadline.  Under a
-//! memory budget rows must be evictable, so the spool is a bounded hot
-//! window over a disk tier instead and consumers copy rows out of it
-//! (`wait_rows`); which of the two a spool is follows from the budget of
-//! the execution and from nothing else.  At the execution
+//! links the chunk as it arrived, consumers borrow out of the chain for
+//! the whole evaluation — the fused spine a batch at a time, everything
+//! else a row at a time — and finalization shares the chain's bags with
+//! [`ExecOutcome::Rows`].  A chunk is a bag of row values or, from a
+//! relational wrapper, a **column chunk**: columns of the table's image
+//! under a selection, renamed and type-checked on their field list,
+//! holding no row.  The spine reads its columns in place; it builds its
+//! rows, once, for the first consumer that reads rows; the column chunks
+//! of one answer are rejoined as columns at finalization.  The only thing
+//! a consumer ever waits for is the next link, through
+//! `PendingSource::wait_until`, the one loop that owns the missed-wake-up
+//! protocol and the deadline.  Under a memory budget rows must be
+//! evictable, so the spool is a bounded hot window over a disk tier
+//! instead — `push_chunk` reads every chunk as rows there, whichever face
+//! it arrived with — and consumers copy rows out of it (`wait_rows`);
+//! which of the two a spool is follows from the budget of the execution
+//! and from nothing else.  At the execution
 //! deadline, spools that are still streaming flip to unavailable, the
 //! wrapper call is cancelled (so a timed-out call does not keep running
 //! in the background, and a call still queued never starts), and the
@@ -284,9 +291,10 @@ pub(crate) struct SpoolChunk {
 }
 
 impl SpoolChunk {
-    /// The chunk's rows.
-    pub(crate) fn rows(&self) -> &[Value] {
-        self.rows.as_slice()
+    /// The chunk as it arrived: column-faced when its wrapper answered in
+    /// columns, and then rows only once a consumer reads it as rows.
+    pub(crate) fn rows(&self) -> &Bag {
+        &self.rows
     }
 }
 
@@ -971,22 +979,16 @@ impl PendingSource {
         })
     }
 
-    /// The whole chain as one bag: a single chunk is shared as it is,
-    /// several are concatenated (each row a reference-count bump).
+    /// The whole chain as one bag ([`Bag::concat`]: a single chunk is
+    /// shared as it is, column chunks of one answer stay columns).
     fn chained_rows(&self) -> Bag {
-        let Some(head) = self.head.get() else {
-            return Bag::new();
-        };
-        if head.next.get().is_none() {
-            return head.rows.clone();
-        }
-        let mut all = Vec::new();
-        let mut next = Some(head);
+        let mut chunks = Vec::new();
+        let mut next = self.head.get();
         while let Some(chunk) = next {
-            all.extend_from_slice(chunk.rows());
+            chunks.push(chunk.rows());
             next = chunk.next.get();
         }
-        Bag::from(all)
+        Bag::concat(&chunks)
     }
 
     /// Waits for a terminal status and renders the final outcome + stats.

@@ -10,7 +10,7 @@
 //! copying them.
 //!
 //! A spine reads its rows as borrowed slices from one of two supplies
-//! ([`Supply`]): a slice that is all there (literal data, a materialized
+//! ([`Supply`]): a bag that is all there (literal data, a materialized
 //! answer), or a position in the chunk chain of a spool its
 //! wrapper call is still filling ([`SpoolReader`]) — a row that left the
 //! wrapper is stored once and meets the kernels where it lies.  Only the
@@ -19,6 +19,17 @@
 //! [`RowStream::ready`] of everything built on a spine reports the
 //! supply's state.  (The spool of a memory-budgeted execution may evict
 //! rows and so lends nothing: its scans stay on the row cursors.)
+//!
+//! A slice comes in the form its bag has.  Row values (literal data, a
+//! CSV or document wrapper's chunk) are decoded, batch by batch, into the
+//! columns the kernels read.  A **column chunk** — a relational wrapper
+//! answers with columns of its table's image under a selection, see
+//! [`disco_value::BagColumns`] — has them already: the spine maps its
+//! slots to the chunk's columns by name, once per chunk, and runs the
+//! kernels under the chunk's own selection; nothing is decoded, and no
+//! row exists unless the tail hands rows on (a `Rows` tail, a join key's
+//! build and probe rows) or the batch bails, at which point the bag
+//! builds its rows once, for every reader.
 //!
 //! The operators beneath the bind are what the optimizer leaves at the
 //! mediator when a wrapper does not filter or project itself.  They see
@@ -45,9 +56,11 @@
 //!   cursors as before — with fusable *inner* stretches still
 //!   intercepted, so partial coverage composes.
 //! * **Decoding** is strict: a batch containing a non-struct row or a
-//!   row lacking a referenced field refuses to decode, and that batch
-//!   runs through the per-row [`Env`](disco_algebra::Env) path (counted
-//!   in [`PipelineMetrics::rows_fallback`](super::PipelineMetrics)).
+//!   row lacking a referenced field refuses to decode — and a column
+//!   chunk lacking a referenced field has no chunk to offer — and that
+//!   batch runs through the per-row [`Env`](disco_algebra::Env) path
+//!   (counted in
+//!   [`PipelineMetrics::rows_fallback`](super::PipelineMetrics)).
 //!   Strictness is what makes kernel column reads equal to environment
 //!   lookups: a decoded field is present in every row, so the innermost
 //!   scope always wins the lookup.
@@ -73,7 +86,9 @@ use disco_algebra::{
     kernel::{EvalVec, Kernel, KernelBuilder, PairKernelBuilder},
     truthy, PhysicalExpr, ScalarExpr,
 };
-use disco_value::{ChunkBuilder, Column, ColumnarChunk, KeyHasher, StructValue, Value};
+use disco_value::{
+    Bag, BagColumns, ChunkBuilder, Column, ColumnarChunk, KeyHasher, StructValue, Value,
+};
 
 use crate::exec::ExecOutcome;
 
@@ -225,23 +240,58 @@ impl<'a> Batch<'a> {
     }
 }
 
-/// Where a spine's rows come from: a slice that is all there (literal
-/// data, a materialized answer), or the chunk chain of
-/// a spool its wrapper call is still filling, taken a chunk at a time.
-/// Either way the spine gets borrowed slices; only a spool can make it
-/// wait.
+/// Where a spine's rows come from: a bag that is all there (literal
+/// data, a materialized answer), or the chunk chain of a spool its wrapper
+/// call is still filling, taken a chunk at a time.  Either way the spine
+/// gets borrowed [`Slice`]s; only a spool can make it wait.
 pub(crate) struct Supply<'a> {
-    /// The slice — or the spool's current chunk — and how much of it was
+    /// The bag — or the spool's current chunk — and how much of it was
     /// handed out.
-    rows: &'a [Value],
+    bag: Option<&'a Bag>,
     pos: usize,
     spool: Option<SpoolReader<'a>>,
 }
 
+/// One batch of a [`Supply`], in the form its bag has.
+#[derive(Clone, Copy)]
+enum Slice<'a> {
+    /// Row values: the spine decodes the columns it reads.
+    Rows(&'a [Value]),
+    /// Elements `start..end` of a column-faced bag (a relational
+    /// wrapper's answer): the kernels read its columns in place, and its
+    /// rows are built only if a tail hands rows on (or the batch bails).
+    Columns {
+        bag: &'a Bag,
+        columns: &'a BagColumns,
+        start: usize,
+        end: usize,
+    },
+}
+
+impl<'a> Slice<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Slice::Rows(rows) => rows.len(),
+            Slice::Columns { start, end, .. } => end - start,
+        }
+    }
+
+    /// The batch as row values — for a column-faced bag, the point at
+    /// which its rows are built.
+    fn rows(&self) -> &'a [Value] {
+        match *self {
+            Slice::Rows(rows) => rows,
+            Slice::Columns {
+                bag, start, end, ..
+            } => &bag.as_slice()[start..end],
+        }
+    }
+}
+
 impl<'a> Supply<'a> {
-    fn slice(rows: &'a [Value]) -> Self {
+    fn bag(bag: &'a Bag) -> Self {
         Supply {
-            rows,
+            bag: Some(bag),
             pos: 0,
             spool: None,
         }
@@ -249,9 +299,15 @@ impl<'a> Supply<'a> {
 
     fn spool(reader: SpoolReader<'a>) -> Self {
         Supply {
+            bag: None,
+            pos: 0,
             spool: Some(reader),
-            ..Supply::slice(&[])
         }
+    }
+
+    /// What is left of the current bag.
+    fn at_hand(&self) -> Option<&'a Bag> {
+        self.bag.filter(|bag| self.pos < bag.len())
     }
 
     /// The next at most `max` rows; `None` when the scan is exhausted.
@@ -259,26 +315,36 @@ impl<'a> Supply<'a> {
         &mut self,
         max: usize,
         metrics: &super::PipelineMetrics,
-    ) -> Result<Option<&'a [Value]>> {
-        while self.pos == self.rows.len() {
+    ) -> Result<Option<Slice<'a>>> {
+        let bag = loop {
+            if let Some(bag) = self.at_hand() {
+                break bag;
+            }
             let next = match &mut self.spool {
                 Some(reader) => reader.next_chunk(metrics)?,
                 None => None,
             };
-            let Some(rows) = next else {
+            let Some(chunk) = next else {
                 return Ok(None);
             };
-            (self.rows, self.pos) = (rows, 0);
-        }
-        let end = (self.pos + max).min(self.rows.len());
-        let slice = &self.rows[self.pos..end];
+            (self.bag, self.pos) = (Some(chunk), 0);
+        };
+        let (start, end) = (self.pos, (self.pos + max).min(bag.len()));
         self.pos = end;
-        Ok(Some(slice))
+        Ok(Some(match bag.columns() {
+            Some(columns) => Slice::Columns {
+                bag,
+                columns,
+                start,
+                end,
+            },
+            None => Slice::Rows(&bag.as_slice()[start..end]),
+        }))
     }
 
     /// Whether the next slice is there without blocking on a source.
     fn ready(&self) -> bool {
-        self.pos < self.rows.len() || self.spool.as_ref().is_none_or(SpoolReader::ready)
+        self.at_hand().is_some() || self.spool.as_ref().is_none_or(SpoolReader::ready)
     }
 }
 
@@ -367,14 +433,14 @@ fn spine_shape<'a>(
 /// them — keep the row path (which reports the precise error).
 fn resolved_rows<'a>(node: &'a PhysicalExpr, ctx: &PipelineCtx<'a>) -> Option<Supply<'a>> {
     match node {
-        PhysicalExpr::MemScan(bag) => Some(Supply::slice(bag.as_slice())),
+        PhysicalExpr::MemScan(bag) => Some(Supply::bag(bag)),
         PhysicalExpr::Exec {
             repository,
             extent,
             logical,
             ..
         } => match ctx.resolved.outcome_of(repository, extent, logical)? {
-            ExecOutcome::Rows(rows) => Some(Supply::slice(rows.as_slice())),
+            ExecOutcome::Rows(rows) => Some(Supply::bag(rows)),
             ExecOutcome::Pending(source) => SpoolReader::new(source).map(Supply::spool),
             ExecOutcome::Unavailable => None,
         },
@@ -418,8 +484,10 @@ enum Tail<'a> {
     Rows,
     /// A compound map projection, evaluated through its kernel.
     Map(&'a ScalarExpr, Kernel),
-    /// A bare-column map projection, borrowed from the source rows.
-    Gather(&'a ScalarExpr, GatherPlan),
+    /// A bare-column map projection: borrowed from the source rows where
+    /// those are rows, read off the column (the kernel, a bare column
+    /// read) where they are columns already.
+    Gather(&'a ScalarExpr, GatherPlan, Kernel),
     /// A join key: the key kernel and the hasher whose hashes are
     /// bit-identical to `RandomState::hash_one` over the row path's key
     /// values.  `slot` is the key's chunk slot when it is a bare column
@@ -437,9 +505,16 @@ enum Tail<'a> {
 /// fallback.
 pub(crate) struct Spine<'a> {
     supply: Supply<'a>,
+    /// Decodes a batch of row values: the leading `fields`, less a slot
+    /// that only a gathered projection reads (it is borrowed from the
+    /// rows instead; a column-faced batch has every column there anyway).
     builder: ChunkBuilder,
-    /// The decoded fields, in column-slot order.
+    /// The fields the kernels read, in column-slot order.
     fields: Vec<Arc<str>>,
+    /// The column-faced bag being read and `fields` of it as a chunk —
+    /// slots mapped by name once per bag, `None` when it lacks a field
+    /// the stretch reads (its batches then run per row).
+    mapped: Option<(&'a Bag, Option<ColumnarChunk>)>,
     /// Every filter predicate of the stretch — beneath the bind and above
     /// it alike: both read columns of the one decoded chunk — in
     /// execution order.
@@ -464,12 +539,46 @@ pub(crate) struct Spine<'a> {
     ctx: PipelineCtx<'a>,
 }
 
+/// Where the row values of a batch's survivors are (`sel[j]` being the
+/// chunk row of survivor `j`).
+pub(crate) enum RowsOf<'a> {
+    /// Decoded from row values: chunk row `i` is `slice[i]`.
+    Slice(&'a [Value]),
+    /// Read off a column-faced bag: survivor `j` is its element `at[j]` —
+    /// as a row value built with the bag's other rows, the first time a
+    /// tail that hands rows on asks for one.
+    Bag { bag: &'a Bag, at: Vec<u32> },
+}
+
+/// Keeps the entries of `selected` whose verdict in `mask` is `true`.
+fn retain_by(selected: &mut Vec<u32>, mask: &[bool]) {
+    let mut keep = mask.iter();
+    selected.retain(|_| *keep.next().expect("one verdict per selected row"));
+}
+
+impl<'a> RowsOf<'a> {
+    fn get(&self, j: usize, sel: &[u32]) -> &'a Value {
+        match self {
+            RowsOf::Slice(slice) => &slice[sel[j] as usize],
+            RowsOf::Bag { bag, at } => &bag.as_slice()[at[j] as usize],
+        }
+    }
+}
+
+/// A batch through the filter kernels: the chunk, its surviving rows, and
+/// where their row values are.
+struct Selected<'a> {
+    chunk: ColumnarChunk,
+    sel: Vec<u32>,
+    rows: RowsOf<'a>,
+}
+
 /// One batch of keyed spine output.
 pub(crate) enum KeyedBatch<'a> {
     /// Vectorized: survivors of the filters with their key values and key
     /// hashes (`keys`/`hashes[j]` belong to chunk row `sel[j]`).
     Kernel {
-        slice: &'a [Value],
+        rows: RowsOf<'a>,
         chunk: ColumnarChunk,
         sel: Vec<u32>,
         keys: EvalVec,
@@ -546,6 +655,7 @@ impl<'a> Spine<'a> {
                             name: Arc::clone(&kb.fields()[slot]),
                             guess: 0,
                         },
+                        kernel,
                     ),
                     None => {
                         decoded = kb.fields().len();
@@ -564,11 +674,10 @@ impl<'a> Spine<'a> {
                 }
             }
         };
-        let fields = &kb.fields()[..decoded];
         let required = widest
             .unwrap_or_default()
             .iter()
-            .filter(|column| !fields.iter().any(|f| **f == ***column))
+            .filter(|column| !kb.fields()[..decoded].iter().any(|f| **f == ***column))
             .map(|column| GatherPlan {
                 name: Arc::from(column.as_str()),
                 guess: 0,
@@ -578,6 +687,7 @@ impl<'a> Spine<'a> {
             supply: shape.supply,
             builder: ChunkBuilder::new(),
             fields: Vec::new(),
+            mapped: None,
             kernels,
             raw: shape.raw,
             filters: shape.filters,
@@ -587,7 +697,7 @@ impl<'a> Spine<'a> {
             tail,
             ctx,
         };
-        spine.set_layout(fields);
+        spine.set_layout(kb.fields(), decoded);
         Some(spine)
     }
 
@@ -603,20 +713,21 @@ impl<'a> Spine<'a> {
         self.supply.ready()
     }
 
-    /// Fixes the chunk layout.  A join side's probe chunk may be asked to
-    /// decode extra columns so one decode serves the filters, the key
-    /// *and* a pair projection (`fields` must then extend the current
-    /// layout in order).  The key's own column decodes
-    /// dictionary-encoded so repeated string keys hash once per distinct
-    /// code.
-    fn set_layout(&mut self, fields: &[Arc<str>]) {
+    /// Fixes the chunk layout: the fields behind the kernels' slots, the
+    /// first `decoded` of which a batch of row values is decoded for.  A
+    /// join side's probe chunk may be asked to decode extra columns so
+    /// one decode serves the filters, the key *and* a pair projection
+    /// (`fields` must then extend the current layout in order).  The
+    /// key's own column decodes dictionary-encoded so repeated string
+    /// keys hash once per distinct code.
+    fn set_layout(&mut self, fields: &[Arc<str>], decoded: usize) {
         debug_assert!(fields.starts_with(&self.fields));
         let key_slot = match &self.tail {
             Tail::Key { slot, .. } => *slot,
             _ => None,
         };
         self.builder = ChunkBuilder::new();
-        for (i, field) in fields.iter().enumerate() {
+        for (i, field) in fields[..decoded].iter().enumerate() {
             if Some(i) == key_slot {
                 self.builder.add_dict_field(Arc::clone(field));
             } else {
@@ -624,52 +735,93 @@ impl<'a> Spine<'a> {
             }
         }
         self.fields = fields.to_vec();
+        self.mapped = None;
     }
 
     /// The next at most `hint` source rows; `None` when the scan is
     /// exhausted.  Over a still-streaming source this is where the spine
     /// waits (and where the source's failure or its deadline surfaces).
-    fn next_slice(&mut self, hint: usize) -> Result<Option<&'a [Value]>> {
+    fn next_slice(&mut self, hint: usize) -> Result<Option<Slice<'a>>> {
         self.supply
             .next_slice(hint.clamp(1, super::MAX_BATCH_ROWS), self.ctx.metrics)
     }
 
-    /// Decodes `slice` and narrows a selection vector through the filter
-    /// kernels.  `None` bails the batch to the per-row path (undecodable
-    /// chunk, a row a projection cannot be taken of, or a kernel hit an
-    /// unsupported combination / would-be error).
-    fn select(&mut self, slice: &[Value]) -> Option<(ColumnarChunk, Vec<u32>)> {
-        let chunk = self.builder.build(slice)?;
-        if self.narrowed.is_some() {
-            for row in slice {
-                let Value::Struct(row) = row else {
-                    return None;
-                };
-                for column in &mut self.required {
-                    gather_lookup(row, column)?;
-                }
-            }
+    /// `fields` of a column-faced bag as the kernels' chunk: its own
+    /// columns, slots mapped by name once per bag.  `None` when the bag
+    /// lacks a field the stretch reads or a `mkproj` beneath the bind
+    /// keeps — the row path's to miss.
+    fn column_chunk(&mut self, bag: &'a Bag, columns: &BagColumns) -> Option<ColumnarChunk> {
+        if !self
+            .mapped
+            .as_ref()
+            .is_some_and(|(mapped, _)| std::ptr::eq(*mapped, bag))
+        {
+            let kept = self
+                .required
+                .iter()
+                .all(|column| columns.slot_of(&column.name).is_some());
+            let chunk = columns.chunk(&self.fields).filter(|_| kept);
+            self.mapped = Some((bag, chunk));
         }
-        let len = u32::try_from(slice.len()).expect("chunk size is clamped below u32::MAX");
-        let mut sel: Vec<u32> = (0..len).collect();
+        self.mapped.as_ref().and_then(|(_, chunk)| chunk.clone())
+    }
+
+    /// The chunk of `slice` — decoded from row values, or the columns a
+    /// column-faced bag has already — and its rows narrowed through the
+    /// filter kernels.  `None` bails the batch to the per-row path
+    /// (undecodable chunk, a row a projection cannot be taken of, or a
+    /// kernel hit an unsupported combination / would-be error).
+    fn select(&mut self, slice: Slice<'a>) -> Option<Selected<'a>> {
+        let (chunk, mut sel, mut rows) = match slice {
+            Slice::Rows(values) => {
+                let chunk = self.builder.build(values)?;
+                if self.narrowed.is_some() {
+                    for row in values {
+                        let Value::Struct(row) = row else {
+                            return None;
+                        };
+                        for column in &mut self.required {
+                            gather_lookup(row, column)?;
+                        }
+                    }
+                }
+                let len =
+                    u32::try_from(values.len()).expect("chunk size is clamped below u32::MAX");
+                (chunk, (0..len).collect(), RowsOf::Slice(values))
+            }
+            Slice::Columns {
+                bag,
+                columns,
+                start,
+                end,
+            } => {
+                let chunk = self.column_chunk(bag, columns)?;
+                let mut sel = Vec::with_capacity(end - start);
+                columns.rows_at(start..end, &mut sel);
+                // Elements and column rows are numbered apart.
+                let element = |i| u32::try_from(i).expect("a bag of u32 rows");
+                let at = (element(start)..element(end)).collect();
+                (chunk, sel, RowsOf::Bag { bag, at })
+            }
+        };
         for kernel in &self.kernels {
             if sel.is_empty() {
                 break;
             }
             let mask = kernel.eval(&chunk, &sel)?.truthy_mask(sel.len());
-            let mut keep = mask.into_iter();
-            sel.retain(|_| keep.next().expect("one verdict per selected row"));
+            retain_by(&mut sel, &mask);
+            if let RowsOf::Bag { at, .. } = &mut rows {
+                retain_by(at, &mask);
+            }
         }
-        Some((chunk, sel))
+        Some(Selected { chunk, sel, rows })
     }
 
-    /// The spine's output row for chunk row `i` of a batch that decoded —
-    /// exactly what the row path's cursor chain would hand on for that
-    /// source row: narrowed as `ProjectCursor` narrows it, inside the
-    /// same `{var: row}` struct `BindCursor` builds, but only for
-    /// survivors.
-    fn make_row(&self, slice: &'a [Value], i: u32) -> Row<'a> {
-        let source = &slice[i as usize];
+    /// The spine's output row for a surviving source row of a batch that
+    /// decoded — exactly what the row path's cursor chain would hand on
+    /// for it: narrowed as `ProjectCursor` narrows it, inside the same
+    /// `{var: row}` struct `BindCursor` builds, but only for survivors.
+    fn make_row(&self, source: &'a Value) -> Row<'a> {
         let row = match self.narrowed {
             None => Row::borrowed(source),
             Some(columns) => project_row(Row::borrowed(source), columns, self.ctx.metrics)
@@ -739,8 +891,8 @@ impl<'a> Spine<'a> {
             self.ctx.metrics.add_kernel(slice.len());
             return Ok(Some(batch));
         }
-        let mut rows = self.fallback_rows(slice)?;
-        if let Tail::Map(projection, _) | Tail::Gather(projection, _) = &self.tail {
+        let mut rows = self.fallback_rows(slice.rows())?;
+        if let Tail::Map(projection, _) | Tail::Gather(projection, ..) = &self.tail {
             for row in &mut rows {
                 *row = Row::owned(eval_in_row(projection, row, self.ctx)?);
             }
@@ -748,14 +900,16 @@ impl<'a> Spine<'a> {
         Ok(Some(Batch::Rows(rows.into_iter())))
     }
 
-    fn kernel_chunk(&mut self, slice: &'a [Value]) -> Option<Batch<'a>> {
-        let (chunk, sel) = self.select(slice)?;
-        match &mut self.tail {
-            Tail::Map(_, kernel) => Some(Batch::Mapped(kernel.eval(&chunk, &sel)?, 0..sel.len())),
+    fn kernel_chunk(&mut self, slice: Slice<'a>) -> Option<Batch<'a>> {
+        let Selected { chunk, sel, rows } = self.select(slice)?;
+        match (&mut self.tail, &rows) {
+            (Tail::Map(_, kernel), _) | (Tail::Gather(_, _, kernel), RowsOf::Bag { .. }) => {
+                Some(Batch::Mapped(kernel.eval(&chunk, &sel)?, 0..sel.len()))
+            }
             // A survivor that is not a struct or lacks the field bails the
             // whole batch (nothing was emitted or counted yet), and the
             // per-row path reproduces the exact row-engine behaviour.
-            Tail::Gather(_, plan) => {
+            (Tail::Gather(_, plan, _), RowsOf::Slice(slice)) => {
                 let mut out = Vec::with_capacity(sel.len());
                 for &i in &sel {
                     let Value::Struct(row) = &slice[i as usize] else {
@@ -765,8 +919,10 @@ impl<'a> Spine<'a> {
                 }
                 Some(Batch::Proj(out.into_iter()))
             }
-            Tail::Rows | Tail::Key { .. } => {
-                let rows: Vec<Row<'a>> = sel.iter().map(|&i| self.make_row(slice, i)).collect();
+            (Tail::Rows | Tail::Key { .. }, _) => {
+                let rows: Vec<Row<'a>> = (0..sel.len())
+                    .map(|j| self.make_row(rows.get(j, &sel)))
+                    .collect();
                 Some(Batch::Rows(rows.into_iter()))
             }
         }
@@ -787,7 +943,7 @@ impl<'a> Spine<'a> {
             unreachable!("keyed batches come from key spines");
         };
         let mut keyed = Vec::new();
-        for row in self.fallback_rows(slice)? {
+        for row in self.fallback_rows(slice.rows())? {
             check_struct_frames(&row)?;
             let key = eval_in_row(expr, &row, self.ctx)?;
             keyed.push((hasher.hash_value(&key), key, row));
@@ -795,8 +951,8 @@ impl<'a> Spine<'a> {
         Ok(Some(KeyedBatch::Rows(keyed)))
     }
 
-    fn kernel_keys(&mut self, slice: &'a [Value]) -> Option<KeyedBatch<'a>> {
-        let (chunk, sel) = self.select(slice)?;
+    fn kernel_keys(&mut self, slice: Slice<'a>) -> Option<KeyedBatch<'a>> {
+        let Selected { chunk, sel, rows } = self.select(slice)?;
         let Tail::Key {
             kernel,
             slot,
@@ -825,7 +981,7 @@ impl<'a> Spine<'a> {
             }
         }
         Some(KeyedBatch::Kernel {
-            slice,
+            rows,
             chunk,
             sel,
             keys,
@@ -840,13 +996,19 @@ impl<'a> Spine<'a> {
         match batch {
             KeyedBatch::Rows(rows) => rows,
             KeyedBatch::Kernel {
-                slice,
+                rows,
                 sel,
                 keys,
                 hashes,
                 ..
             } => (0..sel.len())
-                .map(|j| (hashes[j], keys.value_at(j), self.make_row(slice, sel[j])))
+                .map(|j| {
+                    (
+                        hashes[j],
+                        keys.value_at(j),
+                        self.make_row(rows.get(j, &sel)),
+                    )
+                })
                 .collect(),
         }
     }
@@ -919,7 +1081,7 @@ fn fuse_join<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<HashJoi
         for field in payload_fields {
             payload_builder.add_field(Arc::clone(field));
         }
-        probe.set_layout(probe_fields);
+        probe.set_layout(probe_fields, probe_fields.len());
         Some(PairPlan {
             kernel,
             payload_builder,

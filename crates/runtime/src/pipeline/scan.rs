@@ -3,10 +3,12 @@
 //!
 //! A pending source is read in one of two ways, decided by what its spool
 //! is made of.  An unbudgeted spool is a chain of immutable chunks:
-//! [`SpoolReader`] walks it and hands out **borrowed** slices — to the
-//! fused spine (`columnar::Spine`) a batch at a time, to everything that
-//! does not fuse (a bare scan under a union, a nested-loop or merge join
-//! side) a row at a time through [`SpoolScanCursor`].  A budgeted spool
+//! [`SpoolReader`] walks it and hands out the **borrowed** chunks — to
+//! the fused spine (`columnar::Spine`), which takes them a batch at a
+//! time and reads a column-faced chunk's columns in place; to everything
+//! that does not fuse (a bare scan under a union, a nested-loop or merge
+//! join side) a row at a time through [`SpoolScanCursor`], for which a
+//! column-faced chunk builds its rows.  A budgeted spool
 //! may evict rows to disk, so nothing can borrow from it:
 //! [`PendingScanCursor`] copies rows out through
 //! `PendingSource::wait_rows`, and is built for that spool only.  Either
@@ -61,7 +63,7 @@ impl<'a> RowStream<'a> for ScanCursor<'a> {
 }
 
 /// A position in the chunk chain of an unbudgeted spool.  Chunks come
-/// out as slices borrowed from the spool — never copied, never locked;
+/// out as bags borrowed from the spool — never copied, never locked;
 /// for the next one the reader waits through
 /// `PendingSource::chunk_after` and charges the time to
 /// [`PipelineMetrics::source_wait`].  Several readers of one
@@ -88,13 +90,14 @@ impl<'a> SpoolReader<'a> {
         })
     }
 
-    /// The rows of the next chunk; `None` once the stream completed.
+    /// The next chunk, as it arrived (rows, or columns a spine reads in
+    /// place); `None` once the stream completed.
     ///
     /// # Errors
     ///
     /// Those of `PendingSource::chunk_after`: the source turned out (or
     /// was deadline-classified) unavailable, failed, or panicked.
-    pub(crate) fn next_chunk(&mut self, metrics: &PipelineMetrics) -> Result<Option<&'a [Value]>> {
+    pub(crate) fn next_chunk(&mut self, metrics: &PipelineMetrics) -> Result<Option<&'a Bag>> {
         if self.exhausted {
             return Ok(None);
         }
@@ -144,6 +147,8 @@ impl<'a> RowStream<'a> for SpoolScanCursor<'a> {
 
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
         if self.current.as_slice().is_empty() {
+            // This consumer hands rows on: a column-faced chunk becomes
+            // rows here.
             match self.reader.next_chunk(self.ctx.metrics)? {
                 Some(rows) => self.current = rows.iter(),
                 None => return Ok(false),

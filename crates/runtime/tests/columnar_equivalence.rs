@@ -135,6 +135,54 @@ fn salary_gt(limit: i64) -> ScalarExpr {
     )
 }
 
+/// **Guards a hazard only this design has**: a spine has two kinds of
+/// input now — row values it decodes, and the columns a relational
+/// wrapper answered with, read in place.  Over the seeded random plans a
+/// column-faced `ExecOutcome::Rows` must give the bag, the breaker
+/// counters and the kernel coverage of its row-built twin (and of the
+/// reference evaluator).
+#[test]
+fn a_column_faced_answer_evaluates_as_its_row_built_twin() {
+    let mut kernel_rows = 0;
+    for seed in 0..40u64 {
+        let mut rng = StdRng::seed_from_u64(0xC01A + seed);
+        let (plan, by_rows, by_columns) = common::resolved_twins(&random_plan(&mut rng));
+        let physical = lower(&plan).expect("plan lowers");
+        let run = |resolved: &ResolvedExecs| {
+            let metrics = PipelineMetrics::new();
+            let bag = evaluate_physical_with(
+                &physical,
+                resolved,
+                &metrics,
+                options(MemBudget::Unbounded),
+            )
+            .expect("plan evaluates");
+            (bag, metrics)
+        };
+        let (rows, m_rows) = run(&by_rows);
+        let (columns, m_columns) = run(&by_columns);
+        let expected = reference::evaluate_physical(&physical, &by_columns).expect("reference");
+        assert_eq!(columns, expected, "seed {seed}: {plan}");
+        assert_eq!(columns, rows, "seed {seed}: {plan}");
+        let counters = |m: &PipelineMetrics| {
+            [
+                m.rows_kernel(),
+                m.rows_fallback(),
+                m.rows_materialized(),
+                m.rows_merged(),
+                m.rows_emitted(),
+            ]
+        };
+        assert_eq!(
+            counters(&m_columns),
+            counters(&m_rows),
+            "seed {seed}: {plan}"
+        );
+        kernel_rows += m_columns.rows_kernel();
+    }
+    assert!(kernel_rows > 0, "the corpus must reach the kernels");
+}
+
 #[test]
 fn columnar_and_row_cursors_match_the_reference_on_random_plans() {
     for seed in 0..40u64 {

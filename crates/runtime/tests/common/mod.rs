@@ -13,7 +13,7 @@ use disco_catalog::{
 };
 use disco_runtime::{ExecKey, ExecOutcome, ResolvedExecs, SourceCallStats};
 use disco_source::{generator, NetworkProfile, RelationalStore, SimulatedLink};
-use disco_value::{Bag, StructValue, Value};
+use disco_value::{Bag, BagColumns, StructValue, Value};
 use disco_wrapper::{RelationalWrapper, WrapperRegistry};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -136,6 +136,52 @@ pub fn random_plan(rng: &mut StdRng) -> LogicalExpr {
             .map_project(ScalarExpr::var_field("y", "name")),
         )),
     }
+}
+
+/// `bag` as a relational wrapper would answer with it: column-faced, when
+/// its rows are structs of one layout (as it is otherwise, and when
+/// empty).
+pub fn column_faced(bag: &Bag) -> Bag {
+    let rows: Option<Vec<StructValue>> = bag
+        .iter()
+        .map(|row| row.as_struct().ok().cloned())
+        .collect();
+    let Some(first) = rows.as_ref().and_then(|rows| rows.first()) else {
+        return bag.clone();
+    };
+    let names: Vec<Arc<str>> = first.field_names().map(Arc::from).collect();
+    match BagColumns::image_of(&names, Arc::new(rows.expect("checked above"))) {
+        Some(image) => Bag::from_columns(image),
+        None => bag.clone(),
+    }
+}
+
+/// Moves every literal bag of `plan` behind an `exec` call that has
+/// answered already, twice: once with the bag as it is (rows) and once
+/// [`column_faced`].  The twins must evaluate alike.
+pub fn resolved_twins(plan: &LogicalExpr) -> (LogicalExpr, ResolvedExecs, ResolvedExecs) {
+    let twins = std::cell::RefCell::new((ResolvedExecs::default(), ResolvedExecs::default()));
+    let mut plan = plan.clone();
+    plan.rewrite_in_place(&|node| {
+        let LogicalExpr::Data(rows) = node else {
+            return false;
+        };
+        let (by_rows, by_columns) = &mut *twins.borrow_mut();
+        let i = by_rows.call_count();
+        let (extent, repo) = (format!("person{i}"), format!("r{i}"));
+        let shipped = LogicalExpr::get(&extent);
+        for (resolved, rows) in [(by_rows, rows.clone()), (by_columns, column_faced(rows))] {
+            resolved.insert(
+                ExecKey::new(&repo, &extent, &shipped),
+                ExecOutcome::Rows(rows.clone()),
+                stats_for(&repo, &extent, true, rows.len()),
+            );
+        }
+        *node = shipped.submit(repo, "w0", extent);
+        true
+    });
+    let (by_rows, by_columns) = twins.into_inner();
+    (plan, by_rows, by_columns)
 }
 
 pub fn stats_for(repo: &str, extent: &str, available: bool, rows: usize) -> SourceCallStats {

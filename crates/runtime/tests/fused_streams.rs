@@ -22,6 +22,13 @@
 //!   until now a mid-stream failure, the deadline, a type conflict, a
 //!   wrapper panic and the row budget were only ever met by the row
 //!   cursor.
+//! * **Either face of a chunk** — guards a hazard only the column face
+//!   has: a spool's chunk is a bag of row values or, from a relational
+//!   wrapper, columns the spine reads in place.  Every hazard above and
+//!   the irregular-chunk cases run over row chunks (the [`Scripted`] row
+//!   pushers), over column-faced chunks (asserted on what reaches the
+//!   sink, so a case cannot silently fall back to rows) and over one
+//!   spool fed both interleaved.
 //!
 //! Every execution here pins the build side and an explicit memory
 //! budget: the chunk chain exists only without a budget (the second run of the
@@ -31,10 +38,11 @@
 mod common;
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{instant_profile, random_plan};
+use common::{column_faced, instant_profile, random_plan};
 use disco_algebra::{lower, CapabilitySet, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_catalog::{
     Attribute, Catalog, InterfaceDef, MetaExtent, Repository, TypeRef, WrapperDef,
@@ -105,32 +113,58 @@ impl Fed {
     /// A relational source holding the person rows of `rows`.
     fn source(&mut self, rows: &Bag, profile: NetworkProfile) -> LogicalExpr {
         self.declare(
-            |name, extent, link| {
-                let mut table = Table::new(extent, ["id", "name", "salary"]);
-                for row in rows {
-                    table.insert(row.as_struct().unwrap().clone()).unwrap();
-                }
-                let store = Arc::new(RelationalStore::new());
-                store.put_table(table);
-                Arc::new(RelationalWrapper::new(name, store, link))
-            },
+            |name, extent, link| Arc::new(relational(name, extent, link, rows)),
             profile,
         )
     }
 
+    /// [`Fed::source`] behind a [`Watched`] wrapper: the faces of the
+    /// chunks that reach the sink are counted, and the link goes down
+    /// once `fail_after` of them went through.
+    fn watched(
+        &mut self,
+        rows: &Bag,
+        profile: NetworkProfile,
+        fail_after: Option<usize>,
+    ) -> (LogicalExpr, Arc<ChunkFaces>) {
+        let faces = Arc::new(ChunkFaces::default());
+        let submit = self.declare(
+            |name, extent, link| {
+                Arc::new(Watched {
+                    inner: relational(name, extent, link, rows),
+                    fail_after,
+                    faces: Arc::clone(&faces),
+                })
+            },
+            profile,
+        );
+        (submit, faces)
+    }
+
     /// A source answering with prepared chunks (see [`Scripted`]).
-    fn scripted(&mut self, chunks: Vec<Vec<Value>>, then: Then) -> LogicalExpr {
+    fn scripted(&mut self, chunks: Vec<Vec<Value>>, faces: Faces, then: Then) -> LogicalExpr {
         self.declare(
             |name, _, _| {
                 Arc::new(Scripted {
                     name: name.to_owned(),
                     chunks,
+                    faces,
                     then,
                 })
             },
             instant_profile(0),
         )
     }
+}
+
+fn relational(name: &str, extent: &str, link: Arc<SimulatedLink>, rows: &Bag) -> RelationalWrapper {
+    let mut table = Table::new(extent, ["id", "name", "salary"]);
+    for row in rows {
+        table.insert(row.as_struct().unwrap().clone()).unwrap();
+    }
+    let store = Arc::new(RelationalStore::new());
+    store.put_table(table);
+    RelationalWrapper::new(name, store, link)
 }
 
 /// Moves every literal bag of `plan` behind a relational source of a new
@@ -430,6 +464,7 @@ fn a_projection_that_drops_a_column_read_above_it_does_not_fuse() {
 struct Scripted {
     name: String,
     chunks: Vec<Vec<Value>>,
+    faces: Faces,
     then: Then,
 }
 
@@ -437,6 +472,32 @@ struct Scripted {
 enum Then {
     Complete,
     Panic,
+}
+
+/// The form a [`Scripted`] wrapper pushes its chunks in.
+#[derive(Clone, Copy, Debug)]
+enum Faces {
+    /// Bags of row values, as a CSV or document wrapper answers.
+    Rows,
+    /// Column-faced wherever a chunk's rows share one layout (a chunk
+    /// holding an irregular row can only be rows).
+    Columns,
+    /// One spool fed both: even chunks column-faced, odd ones rows.
+    Interleaved,
+}
+
+impl Faces {
+    const ALL: [Faces; 3] = [Faces::Rows, Faces::Columns, Faces::Interleaved];
+
+    fn of_chunk(self, index: usize, rows: &[Value]) -> Bag {
+        let rows: Bag = rows.iter().cloned().collect();
+        match self {
+            Faces::Rows => rows,
+            Faces::Columns => column_faced(&rows),
+            Faces::Interleaved if index.is_multiple_of(2) => column_faced(&rows),
+            Faces::Interleaved => rows,
+        }
+    }
 }
 
 impl Wrapper for Scripted {
@@ -458,9 +519,9 @@ impl Wrapper for Scripted {
         sink: &mut dyn AnswerSink,
     ) -> Result<AnswerSummary, WrapperError> {
         let mut rows_scanned = 0;
-        for chunk in &self.chunks {
+        for (index, chunk) in self.chunks.iter().enumerate() {
             rows_scanned += chunk.len();
-            if !sink.push(chunk.iter().cloned().collect()) {
+            if !sink.push(self.faces.of_chunk(index, chunk)) {
                 break;
             }
         }
@@ -505,59 +566,103 @@ fn bonus_chunks(odd_one: Value) -> Vec<Vec<Value>> {
         .collect()
 }
 
-#[test]
-fn an_irregular_chunk_falls_back_for_that_batch_only() {
-    // Row 15 (chunk 3 of 5) lacks a decoded field; the filter beneath the
-    // bind drops it before anything reads the field, so the row path —
-    // and therefore the answer — does not miss it.
-    let mut fed = Fed::new();
-    let submit = fed.scripted(bonus_chunks(with_bonus(15, 10, None)), Then::Complete);
-    let plan = submit
+/// [`bonus_chunks`] whose third chunk holds no `bonus` at all: uniform, so
+/// it can be column-faced — columns the stretch's kernels miss a field of.
+fn bonus_chunks_with_a_chunk_lacking_it(salary: i64) -> Vec<Vec<Value>> {
+    let mut chunks = bonus_chunks(with_bonus(15, 60, Some(15)));
+    chunks[2] = (12..18).map(|id| with_bonus(id, salary, None)).collect();
+    chunks
+}
+
+/// `bonus + 1` of the rows earning more than 50.
+fn bonus_of_the_well_paid(submit: LogicalExpr) -> LogicalExpr {
+    submit
         .filter(gt(ScalarExpr::attr("salary"), 50))
         .bind("x")
         .map_project(ScalarExpr::binary(
             ScalarOp::Add,
             ScalarExpr::var_field("x", "bonus"),
             ScalarExpr::constant(1i64),
-        ));
-    let (kernel, fallback) = assert_streamed_is_staged(&fed, &plan, "a row lacking a field");
-    assert_eq!((kernel, fallback), (24, 6), "one chunk of six fell back");
+        ))
+}
+
+#[test]
+fn an_irregular_chunk_falls_back_for_that_batch_only() {
+    // Row 15 (chunk 3 of 5) lacks a decoded field — or, the chunk being
+    // columns, all of chunk 3 does; the filter beneath the bind drops
+    // what lacks it before anything reads the field, so the row path —
+    // and therefore the answer — does not miss it.
+    for faces in Faces::ALL {
+        for (chunks, what) in [
+            (
+                bonus_chunks(with_bonus(15, 10, None)),
+                "a row lacking a field",
+            ),
+            (
+                bonus_chunks_with_a_chunk_lacking_it(10),
+                "a chunk lacking a field",
+            ),
+        ] {
+            let mut fed = Fed::new();
+            let plan = bonus_of_the_well_paid(fed.scripted(chunks, faces, Then::Complete));
+            let label = format!("{what}, {faces:?}");
+            let (kernel, fallback) = assert_streamed_is_staged(&fed, &plan, &label);
+            assert_eq!(
+                (kernel, fallback),
+                (24, 6),
+                "{label}: one chunk of six fell back"
+            );
+        }
+    }
 }
 
 #[test]
 fn an_irregular_chunk_reproduces_the_row_engines_error() {
-    for (odd_one, what) in [
-        (Value::Int(15), "a non-struct row"),
-        (
-            with_bonus(15, 99, None),
-            "a surviving row lacking the field",
-        ),
-    ] {
-        let mut fed = Fed::new();
-        let submit = fed.scripted(bonus_chunks(odd_one), Then::Complete);
-        let plan = submit
-            .filter(gt(ScalarExpr::attr("salary"), 50))
-            .bind("x")
-            .map_project(ScalarExpr::binary(
-                ScalarOp::Add,
-                ScalarExpr::var_field("x", "bonus"),
-                ScalarExpr::constant(1i64),
-            ));
-        let (data, metrics, expected) = staged(&fed, &plan, MemBudget::Unbounded);
-        let expected = expected.expect_err(what);
-        assert_eq!(
-            data.unwrap_err().to_string(),
-            expected.to_string(),
-            "{what}"
-        );
-        assert!(
-            metrics.rows_fallback() > 0,
-            "{what}: the failing batch bailed to the row path"
-        );
-        let err = execute(&fed, &plan, MemBudget::Unbounded).unwrap_err();
-        assert_eq!(err.to_string(), expected.to_string(), "{what}");
+    for faces in Faces::ALL {
+        for (chunks, what) in [
+            (bonus_chunks(Value::Int(15)), "a non-struct row"),
+            (
+                bonus_chunks(with_bonus(15, 99, None)),
+                "a surviving row lacking the field",
+            ),
+            (
+                bonus_chunks_with_a_chunk_lacking_it(99),
+                "a surviving chunk lacking the field",
+            ),
+        ] {
+            let what = format!("{what}, {faces:?}");
+            let mut fed = Fed::new();
+            let plan = bonus_of_the_well_paid(fed.scripted(chunks, faces, Then::Complete));
+            let (data, metrics, expected) = staged(&fed, &plan, MemBudget::Unbounded);
+            let expected = expected.expect_err(&what);
+            assert_eq!(
+                data.unwrap_err().to_string(),
+                expected.to_string(),
+                "{what}"
+            );
+            assert!(
+                metrics.rows_fallback() > 0,
+                "{what}: the failing batch bailed to the row path"
+            );
+            let err = execute(&fed, &plan, MemBudget::Unbounded).unwrap_err();
+            assert_eq!(err.to_string(), expected.to_string(), "{what}");
+        }
     }
     common::assert_no_calls_in_flight();
+}
+
+#[test]
+fn a_scripted_chunk_has_the_face_its_case_says() {
+    // The cases above must not silently run over rows only.
+    let regular: Vec<Value> = (0..6).map(|id| with_bonus(id, 60, Some(id))).collect();
+    assert!(Faces::Rows.of_chunk(0, &regular).columns().is_none());
+    assert!(Faces::Columns.of_chunk(1, &regular).columns().is_some());
+    assert!(Faces::Interleaved.of_chunk(0, &regular).columns().is_some());
+    assert!(Faces::Interleaved.of_chunk(1, &regular).columns().is_none());
+    let lacking = &bonus_chunks_with_a_chunk_lacking_it(10)[2];
+    assert!(Faces::Columns.of_chunk(2, lacking).columns().is_some());
+    let irregular = &bonus_chunks(Value::Int(15))[2];
+    assert!(Faces::Columns.of_chunk(2, irregular).columns().is_none());
 }
 
 // ---------------------------------------------------------------------
@@ -613,25 +718,56 @@ fn a_fused_union_emits_whichever_source_answers_first() {
 // §4 under a fused spine.
 // ---------------------------------------------------------------------
 
-/// Forwards to a relational wrapper and takes its link down once
-/// `chunks` chunks went through — deterministically *between* two chunks.
-struct FailsAfter {
+/// How many chunks reached a [`Watched`] wrapper's sink with a column
+/// face, and how many as rows.
+#[derive(Default)]
+struct ChunkFaces {
+    columns: AtomicUsize,
+    rows: AtomicUsize,
+}
+
+impl ChunkFaces {
+    /// Asserts that chunks went through and every one was column-faced:
+    /// the case ran over columns, not over a silent fallback to rows.
+    fn assert_all_columns(&self, what: &str) {
+        let (columns, rows) = (
+            self.columns.load(Ordering::Relaxed),
+            self.rows.load(Ordering::Relaxed),
+        );
+        assert!(
+            columns > 0 && rows == 0,
+            "{what}: {columns} column chunks, {rows} row chunks"
+        );
+    }
+}
+
+/// Forwards to a relational wrapper, counts the faces of the chunks it
+/// delivers, and takes its link down once `fail_after` chunks went
+/// through — deterministically *between* two chunks.
+struct Watched {
     inner: RelationalWrapper,
-    chunks: usize,
+    fail_after: Option<usize>,
+    faces: Arc<ChunkFaces>,
 }
 
 struct CountingSink<'a> {
     inner: &'a mut dyn AnswerSink,
     pushed: usize,
-    fail_at: usize,
+    fail_at: Option<usize>,
     link: Arc<SimulatedLink>,
+    faces: &'a ChunkFaces,
 }
 
 impl AnswerSink for CountingSink<'_> {
     fn push(&mut self, rows: Bag) -> bool {
+        let face = match rows.columns() {
+            Some(_) => &self.faces.columns,
+            None => &self.faces.rows,
+        };
+        face.fetch_add(1, Ordering::Relaxed);
         let more = self.inner.push(rows);
         self.pushed += 1;
-        if self.pushed == self.fail_at {
+        if Some(self.pushed) == self.fail_at {
             self.link.set_availability(Availability::Unavailable);
         }
         more
@@ -644,7 +780,7 @@ impl AnswerSink for CountingSink<'_> {
     }
 }
 
-impl Wrapper for FailsAfter {
+impl Wrapper for Watched {
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -665,8 +801,9 @@ impl Wrapper for FailsAfter {
         let mut counting = CountingSink {
             inner: sink,
             pushed: 0,
-            fail_at: self.chunks,
+            fail_at: self.fail_after,
             link: Arc::clone(self.inner.link()),
+            faces: &self.faces,
         };
         self.inner.submit_streaming(expr, &mut counting)
     }
@@ -683,26 +820,13 @@ fn branch_over(submit: LogicalExpr, threshold: i64) -> LogicalExpr {
 fn a_link_lost_between_two_chunks_leaves_that_source_wholly_residual() {
     let mut fed = Fed::new();
     let healthy = fed.source(&people(30), instant_profile(4));
-    let failing = fed.declare(
-        |name, extent, link| {
-            let mut table = Table::new(extent, ["id", "name", "salary"]);
-            for row in &people(30) {
-                table.insert(row.as_struct().unwrap().clone()).unwrap();
-            }
-            let store = Arc::new(RelationalStore::new());
-            store.put_table(table);
-            Arc::new(FailsAfter {
-                inner: RelationalWrapper::new(name, store, link),
-                chunks: 2,
-            })
-        },
-        instant_profile(4),
-    );
+    let (failing, faces) = fed.watched(&people(30), instant_profile(4), Some(2));
     let plan = LogicalExpr::Union(vec![branch_over(healthy, 20), branch_over(failing, 20)]);
     let answer = execute(&fed, &plan, MemBudget::Unbounded).unwrap();
     assert!(!answer.is_complete());
     assert_eq!(answer.unavailable_sources(), &["r1".to_owned()]);
     assert_eq!(fed.links[1].chunk_count(), 3, "lost on its third chunk");
+    faces.assert_all_columns("the two chunks that did arrive");
 
     // What the two stages say once the link is down for the whole call:
     // the rows of the two chunks that did arrive are not in the data.
@@ -739,9 +863,10 @@ fn a_trickling_source_is_cut_at_the_deadline_under_a_spine() {
     // behind, and the stream would run for a second.
     let mut fed = Fed::new();
     let quick = fed.source(&people(30), instant_profile(0));
-    let trickle = fed.source(
+    let (trickle, faces) = fed.watched(
         &people(1000),
         sleeping(1, Availability::Degraded { chunk_extra_ms: 1 }),
+        None,
     );
     let plan = LogicalExpr::Union(vec![branch_over(quick, -1), branch_over(trickle, -1)]);
     let started = Instant::now();
@@ -760,56 +885,79 @@ fn a_trickling_source_is_cut_at_the_deadline_under_a_spine() {
     common::assert_no_calls_in_flight();
     let chunks = fed.links[1].chunk_count();
     assert!(chunks < 1000, "the call was cancelled, {chunks} chunks");
+    faces.assert_all_columns("the trickle");
 }
 
 #[test]
 fn a_type_conflict_in_a_late_chunk_is_an_error_not_a_short_answer() {
-    let mut chunks = bonus_chunks(with_bonus(15, 70, Some(1)));
-    // Chunk 3 holds a row without the interface's `salary`.
-    chunks[2][3] = Value::Struct(
-        StructValue::new(vec![("id", Value::Int(15)), ("name", Value::from("p"))]).unwrap(),
-    );
-    let mut fed = Fed::new();
-    let submit = fed.scripted(chunks, Then::Complete);
-    let err = execute(&fed, &branch_over(submit, 0), MemBudget::Unbounded).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            RuntimeError::Wrapper(WrapperError::TypeConflict { .. })
-        ),
-        "expected the wrapper-boundary type check, got {err}"
-    );
+    let unsalaried = |id| {
+        Value::Struct(
+            StructValue::new(vec![("id", Value::Int(id)), ("name", Value::from("p"))]).unwrap(),
+        )
+    };
+    // Chunk 3 holds a row without the interface's `salary`…
+    let mut one_row = bonus_chunks(with_bonus(15, 70, Some(1)));
+    one_row[2][3] = unsalaried(15);
+    // … or, uniform and so column-faced, holds it in no row: the check of
+    // a column chunk is one look at its field list.
+    let mut whole_chunk = one_row.clone();
+    whole_chunk[2] = (12..18).map(unsalaried).collect();
+    assert!(Faces::Columns
+        .of_chunk(2, &whole_chunk[2])
+        .columns()
+        .is_some());
+    for faces in Faces::ALL {
+        for chunks in [&one_row, &whole_chunk] {
+            let mut fed = Fed::new();
+            let submit = fed.scripted(chunks.clone(), faces, Then::Complete);
+            let err = execute(&fed, &branch_over(submit, 0), MemBudget::Unbounded).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    RuntimeError::Wrapper(WrapperError::TypeConflict { missing_attribute, .. })
+                        if missing_attribute == "salary"
+                ),
+                "{faces:?}: expected the wrapper-boundary type check, got {err}"
+            );
+        }
+    }
 }
 
 #[test]
 fn a_wrapper_panicking_mid_stream_surfaces_worker_panic() {
-    let mut fed = Fed::new();
-    let healthy = fed.source(&people(30), instant_profile(4));
-    let submit = fed.scripted(
-        bonus_chunks(with_bonus(15, 70, Some(1)))[..2].to_vec(),
-        Then::Panic,
-    );
-    let plan = LogicalExpr::Union(vec![branch_over(healthy, 0), branch_over(submit, 0)]);
-    let err = execute(&fed, &plan, MemBudget::Unbounded).unwrap_err();
-    assert!(
-        matches!(&err, RuntimeError::WorkerPanic(msg) if msg.contains("exploded")),
-        "expected the contained panic, got {err}"
-    );
+    for faces in Faces::ALL {
+        let mut fed = Fed::new();
+        let healthy = fed.source(&people(30), instant_profile(4));
+        let submit = fed.scripted(
+            bonus_chunks(with_bonus(15, 70, Some(1)))[..2].to_vec(),
+            faces,
+            Then::Panic,
+        );
+        let plan = LogicalExpr::Union(vec![branch_over(healthy, 0), branch_over(submit, 0)]);
+        let err = execute(&fed, &plan, MemBudget::Unbounded).unwrap_err();
+        assert!(
+            matches!(&err, RuntimeError::WorkerPanic(msg) if msg.contains("exploded")),
+            "{faces:?}: expected the contained panic, got {err}"
+        );
+    }
     common::assert_no_calls_in_flight();
 }
 
 #[test]
 fn an_exhausted_row_budget_still_yields_a_partial_answer() {
     let mut fed = Fed::new();
-    let submits: Vec<LogicalExpr> = (0..3)
-        .map(|_| fed.source(&people(40), instant_profile(8)))
-        .collect();
+    let (submits, faces): (Vec<LogicalExpr>, Vec<Arc<ChunkFaces>>) = (0..3)
+        .map(|_| fed.watched(&people(40), instant_profile(8), None))
+        .unzip();
     let plan = LogicalExpr::Union(submits.into_iter().map(|s| branch_over(s, -1)).collect());
     let answer = executor(&fed, MemBudget::Unbounded)
         .with_row_budget(Some(70))
         .execute(&lower(&plan).unwrap(), &fed.catalog)
         .unwrap();
     assert!(!answer.is_complete(), "120 rows do not fit a budget of 70");
+    for (i, faces) in faces.iter().enumerate() {
+        faces.assert_all_columns(&format!("source {i}"));
+    }
     assert!(!answer.unavailable_sources().is_empty());
     assert!(answer.stats().rows_transferred <= 70);
     // Data and residual partition the sources: whatever answered in full

@@ -230,6 +230,42 @@ fn partial_evaluation_matches_reference_on_random_availability() {
     }
 }
 
+/// **Guards a hazard only this design has**: the data of a partial
+/// answer is now, more often than not, column-faced — a relational
+/// wrapper's answer substituted into the plan as literal data.  Every
+/// random availability scenario must give the same data and the same
+/// residual whether the sources that answered did so in rows or in
+/// columns.
+#[test]
+fn partial_evaluation_is_the_same_over_column_faced_answers() {
+    for seed in 0..60u64 {
+        let mut rng = StdRng::seed_from_u64(0xFA17 + seed);
+        let (plan, resolved) = random_partial_scenario(&mut rng);
+        let mut faced = ResolvedExecs::default();
+        for stats in resolved.stats() {
+            let shipped = LogicalExpr::get(&stats.extent);
+            let key = ExecKey::new(&stats.repository, &stats.extent, &shipped);
+            let outcome = match resolved.outcome(&key).expect("inserted") {
+                ExecOutcome::Rows(rows) => ExecOutcome::Rows(common::column_faced(rows)),
+                other => other.clone(),
+            };
+            faced.insert(key, outcome, stats.clone());
+        }
+        let evaluate = |resolved: &ResolvedExecs| {
+            partial_evaluate(
+                &substitute_resolved(&plan, resolved),
+                resolved,
+                PipelineOptions::default(),
+            )
+            .expect("partial evaluation")
+        };
+        let (data, residual) = evaluate(&resolved);
+        let (faced_data, faced_residual) = evaluate(&faced);
+        assert_eq!(faced_data, data, "seed {seed}: {plan}");
+        assert_eq!(faced_residual, residual, "seed {seed}: {plan}");
+    }
+}
+
 #[test]
 fn join_with_unavailable_side_stays_residual_in_both_engines() {
     let mut rng = StdRng::seed_from_u64(0xDEAD);

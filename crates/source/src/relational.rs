@@ -7,22 +7,35 @@
 //! native filters, which is all a wrapper needs.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use disco_value::{StructValue, Value};
+use disco_value::{BagColumns, StructValue, Value};
 use parking_lot::RwLock;
 
 use crate::{Result, SourceError};
 
 /// One relation: declared columns plus rows.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     name: String,
     columns: Vec<String>,
     /// `columns` as the shared field names stamped into every row: the
     /// rows of one table share their name storage.
     names: Vec<Arc<str>>,
-    rows: Vec<StructValue>,
+    /// Shared with the image, and through it with every answer taken
+    /// from it: an insert that finds such a reader copies the rows first.
+    rows: Arc<Vec<StructValue>>,
+    /// The rows as columns, built by the first call that asks and dropped
+    /// by [`Table::insert`].
+    image: OnceLock<Option<BagColumns>>,
+}
+
+impl PartialEq for Table {
+    /// Tables are equal when they hold the same rows under the same
+    /// declaration; whether the image has been built is not content.
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.columns == other.columns && self.rows == other.rows
+    }
 }
 
 impl Table {
@@ -37,7 +50,8 @@ impl Table {
             name: name.into(),
             names: columns.iter().map(|c| Arc::from(c.as_str())).collect(),
             columns,
-            rows: Vec::new(),
+            rows: Arc::default(),
+            image: OnceLock::new(),
         }
     }
 
@@ -86,8 +100,10 @@ impl Table {
             let value = row.get(name).cloned().unwrap_or(Value::Null);
             complete.push((Arc::clone(name), value));
         }
-        self.rows
-            .push(StructValue::new(complete).expect("columns are unique"));
+        // An image (or an answer) still holding the rows keeps the ones
+        // it was taken from: the push copies them first.
+        self.image = OnceLock::new();
+        Arc::make_mut(&mut self.rows).push(StructValue::new(complete).expect("columns are unique"));
         Ok(())
     }
 
@@ -109,6 +125,19 @@ impl Table {
     #[must_use]
     pub fn rows(&self) -> &[StructValue] {
         &self.rows
+    }
+
+    /// The rows as columns — one per declared column, every row selected,
+    /// the rows themselves kept beside them — immutable and shared by
+    /// every call until the next [`Table::insert`]; a call in flight
+    /// keeps the image it started with.  Built on first use.  `None` when
+    /// the declaration repeats a column (no struct row holds a name
+    /// twice).
+    #[must_use]
+    pub fn image(&self) -> Option<&BagColumns> {
+        self.image
+            .get_or_init(|| BagColumns::image_of(&self.names, Arc::clone(&self.rows)))
+            .as_ref()
     }
 
     /// Total number of scalar cells (rows × columns) — a proxy for data

@@ -1,7 +1,7 @@
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use crate::Value;
+use crate::{BagColumns, Value};
 
 /// An unordered multiset of [`Value`]s — the canonical OQL collection.
 ///
@@ -25,6 +25,17 @@ use crate::Value;
 /// relying on `Value`'s canonical `Hash`, which is consistent with
 /// `total_cmp` equality.
 ///
+/// # Two faces
+///
+/// A bag of uniform struct rows can exist as columns instead
+/// ([`Bag::from_columns`]): the form a relational wrapper's answer has
+/// from the source table to the mediator's kernels, which read the
+/// columns in place ([`Bag::columns`]).  Such a bag knows its length
+/// without rows; everything that reads elements ([`Bag::iter`],
+/// [`Bag::as_slice`], equality, hashing, display, …) builds the rows
+/// once, on first use, and behaves exactly as the row-built bag of the
+/// same elements would.  A mutation makes it a row bag for good.
+///
 /// # Examples
 ///
 /// ```
@@ -36,9 +47,28 @@ use crate::Value;
 /// assert_eq!(all.len(), 2);
 /// assert!(all.contains(&Value::from("Mary")));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Bag {
-    items: Arc<Vec<Value>>,
+    repr: Repr,
+}
+
+#[derive(Clone)]
+enum Repr {
+    Rows(Arc<Vec<Value>>),
+    Columns(Arc<Faced>),
+}
+
+/// A column-faced bag: the columns, and the rows once somebody read them.
+struct Faced {
+    columns: BagColumns,
+    rows: OnceLock<Arc<Vec<Value>>>,
+}
+
+impl std::fmt::Debug for Bag {
+    /// Prints the elements, whichever face the bag has.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Bag").field("items", self.items()).finish()
+    }
 }
 
 impl Default for Bag {
@@ -51,65 +81,133 @@ impl Bag {
     /// Creates an empty bag.
     #[must_use]
     pub fn new() -> Self {
-        Bag {
-            items: Arc::new(Vec::new()),
-        }
+        Bag::from(Vec::new())
     }
 
     /// Creates an empty bag with room for `capacity` elements.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        Bag {
-            items: Arc::new(Vec::with_capacity(capacity)),
-        }
+        Bag::from(Vec::with_capacity(capacity))
     }
 
     /// Wraps shared element storage (e.g. a `Value::List` payload) into a
     /// bag without copying the vector.
     #[must_use]
     pub fn from_shared(items: Arc<Vec<Value>>) -> Self {
-        Bag { items }
+        Bag {
+            repr: Repr::Rows(items),
+        }
+    }
+
+    /// A bag whose elements are the selected rows of `columns`, as
+    /// structs: no row is built until somebody reads one.
+    #[must_use]
+    pub fn from_columns(columns: BagColumns) -> Self {
+        Bag {
+            repr: Repr::Columns(Arc::new(Faced {
+                columns,
+                rows: OnceLock::new(),
+            })),
+        }
+    }
+
+    /// The column face, while the bag has one: since
+    /// [`Bag::from_columns`], until the first mutation.
+    #[must_use]
+    pub fn columns(&self) -> Option<&BagColumns> {
+        match &self.repr {
+            Repr::Rows(_) => None,
+            Repr::Columns(faced) => Some(&faced.columns),
+        }
+    }
+
+    /// The bags of `parts`, one after the other, as one bag.  A single
+    /// part is shared as it is; column-faced parts over the same columns
+    /// (the chunks of one answer) stay columns; anything else is
+    /// concatenated row by row (each a reference-count bump).
+    #[must_use]
+    pub fn concat(parts: &[&Bag]) -> Bag {
+        if let [only] = parts {
+            return (*only).clone();
+        }
+        let faces: Option<Vec<&BagColumns>> = parts.iter().map(|part| part.columns()).collect();
+        if let Some(joined) = faces.and_then(|faces| BagColumns::concat(&faces)) {
+            return Bag::from_columns(joined);
+        }
+        let mut all = Vec::with_capacity(parts.iter().map(|part| part.len()).sum());
+        for part in parts {
+            all.extend_from_slice(part.as_slice());
+        }
+        Bag::from(all)
+    }
+
+    /// The elements as rows; a column-faced bag builds them on first use.
+    fn items(&self) -> &Arc<Vec<Value>> {
+        match &self.repr {
+            Repr::Rows(items) => items,
+            Repr::Columns(faced) => faced.rows.get_or_init(|| Arc::new(faced.columns.to_rows())),
+        }
+    }
+
+    /// The elements for writing: sheds the column face, then
+    /// copy-on-write.
+    fn items_mut(&mut self) -> &mut Vec<Value> {
+        if let Repr::Columns(_) = &self.repr {
+            let rows = Arc::clone(self.items());
+            self.repr = Repr::Rows(rows);
+        }
+        let Repr::Rows(items) = &mut self.repr else {
+            unreachable!("the column face was just shed");
+        };
+        Arc::make_mut(items)
     }
 
     /// Number of elements (counting duplicates).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.items.len()
+        match &self.repr {
+            Repr::Rows(items) => items.len(),
+            Repr::Columns(faced) => faced.columns.len(),
+        }
     }
 
     /// Returns `true` if the bag holds no elements.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len() == 0
     }
 
     /// Returns `true` when `self` and `other` share the same underlying
     /// element storage (clones of the same bag).
     #[must_use]
     pub fn ptr_eq(&self, other: &Bag) -> bool {
-        Arc::ptr_eq(&self.items, &other.items)
+        match (&self.repr, &other.repr) {
+            (Repr::Rows(a), Repr::Rows(b)) => Arc::ptr_eq(a, b),
+            (Repr::Columns(a), Repr::Columns(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Adds one element to the bag (copy-on-write).
     pub fn insert(&mut self, value: Value) {
-        Arc::make_mut(&mut self.items).push(value);
+        self.items_mut().push(value);
     }
 
     /// Number of occurrences of `value` in the bag.
     #[must_use]
     pub fn count(&self, value: &Value) -> usize {
-        self.items.iter().filter(|v| *v == value).count()
+        self.iter().filter(|v| *v == value).count()
     }
 
     /// Returns `true` if at least one element equals `value`.
     #[must_use]
     pub fn contains(&self, value: &Value) -> bool {
-        self.items.iter().any(|v| v == value)
+        self.iter().any(|v| v == value)
     }
 
     /// Iterates over the elements in insertion order.
     pub fn iter(&self) -> std::slice::Iter<'_, Value> {
-        self.items.iter()
+        self.items().iter()
     }
 
     /// Bag union: the result contains every element of `self` and `other`,
@@ -126,11 +224,9 @@ impl Bag {
             return self.clone();
         }
         let mut items = Vec::with_capacity(self.len() + other.len());
-        items.extend(self.items.iter().cloned());
-        items.extend(other.items.iter().cloned());
-        Bag {
-            items: Arc::new(items),
-        }
+        items.extend(self.iter().cloned());
+        items.extend(other.iter().cloned());
+        Bag::from(items)
     }
 
     /// Returns a new bag with duplicates removed (OQL `distinct`),
@@ -141,14 +237,12 @@ impl Bag {
     pub fn distinct(&self) -> Bag {
         let mut seen: HashSet<&Value> = HashSet::with_capacity(self.len());
         let mut items = Vec::new();
-        for v in self.items.iter() {
+        for v in self.iter() {
             if seen.insert(v) {
                 items.push(v.clone());
             }
         }
-        Bag {
-            items: Arc::new(items),
-        }
+        Bag::from(items)
     }
 
     /// Flattens a bag of bags into a single bag (OQL `flatten`).
@@ -159,16 +253,14 @@ impl Bag {
     #[must_use]
     pub fn flatten(&self) -> Bag {
         let mut items = Vec::new();
-        for v in self.items.iter() {
+        for v in self.iter() {
             match v {
-                Value::Bag(inner) => items.extend(inner.items.iter().cloned()),
+                Value::Bag(inner) => items.extend(inner.iter().cloned()),
                 Value::List(inner) => items.extend(inner.iter().cloned()),
                 other => items.push(other.clone()),
             }
         }
-        Bag {
-            items: Arc::new(items),
-        }
+        Bag::from(items)
     }
 
     /// Returns the elements sorted by the total value order.
@@ -177,7 +269,7 @@ impl Bag {
     /// unordered.  The returned values share storage with the bag.
     #[must_use]
     pub fn sorted(&self) -> Vec<Value> {
-        let mut v: Vec<Value> = self.items.iter().cloned().collect();
+        let mut v: Vec<Value> = self.iter().cloned().collect();
         v.sort();
         v
     }
@@ -189,7 +281,7 @@ impl Bag {
     /// themselves are never cloned.
     #[must_use]
     pub fn sorted_refs(&self) -> Vec<&Value> {
-        let mut v: Vec<&Value> = self.items.iter().collect();
+        let mut v: Vec<&Value> = self.iter().collect();
         v.sort_by(|a, b| a.total_cmp(b));
         v
     }
@@ -199,7 +291,7 @@ impl Bag {
     #[must_use]
     pub fn counts(&self) -> HashMap<&Value, usize> {
         let mut counts: HashMap<&Value, usize> = HashMap::with_capacity(self.len());
-        for v in self.items.iter() {
+        for v in self.iter() {
             *counts.entry(v).or_insert(0) += 1;
         }
         counts
@@ -208,10 +300,13 @@ impl Bag {
     /// Consumes the bag and returns its elements in insertion order.
     #[must_use]
     pub fn into_values(self) -> Vec<Value> {
-        match Arc::try_unwrap(self.items) {
-            Ok(items) => items,
-            Err(shared) => (*shared).clone(),
-        }
+        Arc::try_unwrap(self.into_items()).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// The element storage, released from the bag: uniquely owned if the
+    /// bag was the only one holding it.
+    fn into_items(self) -> Arc<Vec<Value>> {
+        Arc::clone(self.items())
     }
 
     /// Consumes the bag into a cursor over its elements.
@@ -225,7 +320,7 @@ impl Bag {
     #[must_use]
     pub fn into_cursor(self) -> BagCursor {
         BagCursor {
-            items: self.items,
+            items: self.into_items(),
             index: 0,
         }
     }
@@ -242,7 +337,7 @@ impl Bag {
     /// Views the elements as a slice in insertion order.
     #[must_use]
     pub fn as_slice(&self) -> &[Value] {
-        &self.items
+        self.items()
     }
 }
 
@@ -286,7 +381,7 @@ impl PartialEq for Bag {
             return false;
         }
         let mut counts = self.counts();
-        for v in other.items.iter() {
+        for v in other.iter() {
             match counts.get_mut(v) {
                 Some(c) if *c > 0 => *c -= 1,
                 _ => return false,
@@ -302,15 +397,13 @@ impl Eq for Bag {}
 
 impl FromIterator<Value> for Bag {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Bag {
-            items: Arc::new(iter.into_iter().collect()),
-        }
+        Bag::from(iter.into_iter().collect::<Vec<Value>>())
     }
 }
 
 impl Extend<Value> for Bag {
     fn extend<T: IntoIterator<Item = Value>>(&mut self, iter: T) {
-        Arc::make_mut(&mut self.items).extend(iter);
+        self.items_mut().extend(iter);
     }
 }
 
@@ -328,15 +421,13 @@ impl<'a> IntoIterator for &'a Bag {
     type IntoIter = std::slice::Iter<'a, Value>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.items.iter()
+        self.iter()
     }
 }
 
 impl From<Vec<Value>> for Bag {
     fn from(items: Vec<Value>) -> Self {
-        Bag {
-            items: Arc::new(items),
-        }
+        Bag::from_shared(Arc::new(items))
     }
 }
 

@@ -146,13 +146,22 @@ pub enum Column {
 ///
 /// Column order matches the field order the [`ChunkBuilder`] was
 /// configured with; every column has exactly [`ColumnarChunk::len`]
-/// slots.
+/// slots.  Columns are shared: a chunk over the column face of a bag
+/// ([`BagColumns::chunk`](crate::BagColumns::chunk)) is the bag's own
+/// columns, whole, and costs a reference-count bump each.
+#[derive(Clone)]
 pub struct ColumnarChunk {
     len: usize,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
 }
 
 impl ColumnarChunk {
+    /// A chunk of columns that exist already, each `len` slots long.
+    pub(crate) fn of_shared(len: usize, columns: Vec<Arc<Column>>) -> Self {
+        debug_assert!(columns.iter().all(|column| column.len() == len));
+        ColumnarChunk { len, columns }
+    }
+
     /// Number of rows in the chunk.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -178,6 +187,31 @@ impl ColumnarChunk {
 }
 
 impl Column {
+    /// Classifies and encodes `values` as one column (no dictionary
+    /// codes): what [`ChunkBuilder::build`] does per registered field.
+    #[must_use]
+    pub fn from_values(values: &[&Value]) -> Column {
+        encode_column(values, None)
+    }
+
+    /// Number of slots.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            Column::Int { data, .. } => data.len(),
+            Column::Float { data, .. } => data.len(),
+            Column::Bool { data, .. } => data.len(),
+            Column::Str { values, .. } => values.len(),
+            Column::Values(values) => values.len(),
+        }
+    }
+
+    /// Returns `true` for a column without slots.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Re-boxes the value at row `i` as a [`Value`].  Null-masked slots
     /// come back as [`Value::Null`] regardless of the placeholder stored
     /// in the data vector, so the result is exactly the value the row
@@ -447,7 +481,7 @@ impl ChunkBuilder {
                 };
                 scratch.push(lookup_field(s, plan)?);
             }
-            columns.push(encode_column(&scratch, plan.dict.as_mut()));
+            columns.push(Arc::new(encode_column(&scratch, plan.dict.as_mut())));
         }
         Some(ColumnarChunk {
             len: rows.len(),

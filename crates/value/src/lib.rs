@@ -30,7 +30,10 @@
 //! * `Value::List` holds `Arc<Vec<Value>>`,
 //! * [`Bag`] holds `Arc<Vec<Value>>` with copy-on-write mutation
 //!   ([`Bag::insert`]/[`Bag::extend`] mutate in place while unique, clone
-//!   only when shared).
+//!   only when shared) — or, for the uniform struct rows a relational
+//!   wrapper answers with, shared named [`Column`]s under a selection
+//!   ([`BagColumns`]): the same bag to every reader, its rows built once
+//!   and only if somebody reads rows.
 //!
 //! `Value::clone` is therefore always a reference-count bump, never a deep
 //! copy.  Equality, ordering and hashing form a consistent triangle:
@@ -45,7 +48,10 @@
 //! # Thread safety
 //!
 //! The whole value plane is immutable-after-construction and `Arc`-backed
-//! with **no interior mutability**, so every type in this crate is
+//! with **no interior mutability** but one write-once cell — the rows a
+//! column-faced [`Bag`] builds for its first reader sit in a
+//! [`std::sync::OnceLock`], the same elements in another form, invisible
+//! to `Eq`/`Hash`/`Ord` — so every type in this crate is
 //! [`Send`] `+` [`Sync`]: a wrapper's answer is built on a worker of the
 //! runtime's call executor and read by the query thread while the call is
 //! still streaming, and plans holding literal bags are shared between
@@ -71,6 +77,7 @@
 
 mod bag;
 mod chunk;
+mod columns;
 mod convert;
 mod display;
 mod error;
@@ -80,6 +87,7 @@ mod value;
 
 pub use bag::{Bag, BagCursor};
 pub use chunk::{ChunkBuilder, Column, ColumnarChunk, FnvHasher, KeyHasher, StrDict, NULL_CODE};
+pub use columns::BagColumns;
 pub use error::ValueError;
 pub use spill::{approx_value_bytes, read_value, write_value, RunReader, RunWriter};
 pub use value::{StructValue, Value};
@@ -97,6 +105,7 @@ const _: () = {
     assert_send_sync::<StructValue>();
     assert_send_sync::<Bag>();
     assert_send_sync::<BagCursor>();
+    assert_send_sync::<BagColumns>();
     assert_send_sync::<ValueError>();
     assert_send_sync::<ColumnarChunk>();
     assert_send_sync::<Column>();

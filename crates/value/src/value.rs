@@ -454,6 +454,28 @@ impl StructValue {
         }
     }
 
+    /// The same values under `names`, one per field in declaration order:
+    /// [`StructValue::rename_fields`] for a caller that has worked the new
+    /// names out already — once for a whole chunk of rows sharing their
+    /// layout — so that the renamed rows share their name storage too.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `names` does not hold one name per field.
+    #[must_use]
+    pub fn with_field_names(&self, names: &[Arc<str>]) -> StructValue {
+        assert_eq!(names.len(), self.fields.len(), "one name per field");
+        StructValue {
+            fields: Arc::new(
+                names
+                    .iter()
+                    .zip(self.fields.iter())
+                    .map(|(name, (_, value))| (Arc::clone(name), value.clone()))
+                    .collect(),
+            ),
+        }
+    }
+
     /// Merges two structs into one.
     ///
     /// This is used by the mediator-side join: the joined tuple carries the

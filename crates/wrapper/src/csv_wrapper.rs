@@ -105,7 +105,7 @@ impl Wrapper for CsvWrapper {
         sink: &mut dyn AnswerSink,
     ) -> Result<AnswerSummary, WrapperError> {
         let (rows, rows_scanned) = self.fetch(expr)?;
-        crate::streaming::stream_chunks(&self.link, rows, rows_scanned, sink)
+        crate::streaming::stream_chunks(&self.link, rows.into(), rows_scanned, sink)
     }
 
     fn is_available(&self) -> bool {

@@ -8,15 +8,25 @@
 //! optimizer's static check.
 //!
 //! The shape a capable wrapper is actually sent — `project?(select*(get))`
-//! — runs as **one pass** over the borrowed stored rows: every predicate,
-//! then the projection, and only a row that survives is copied (a
-//! reference-count bump, or the projected struct).  Everything else
-//! (`join`, operators in any other order) goes through the recursive
-//! evaluator, which materializes a bag per operator; the one pass answers
-//! exactly what that evaluator answers for its shape, errors included.
+//! — runs as **one pass** over the table, and builds no row: the
+//! predicates, compiled to the mediator's own [`Kernel`]s, run over the
+//! table's cached column image a selection vector at a time, the
+//! projection is a choice of columns, and the answer is those columns
+//! under the indices of the rows that survived — a [`Bag`] with a column
+//! face, which becomes rows only for a reader that asks for rows.  A
+//! kernel never reports an error: whatever the kernel pass cannot answer
+//! exactly (a predicate outside the kernel subset, a would-be evaluation
+//! error, a missing or repeated column) makes it **bail**, and the call
+//! runs again as the row pass — every predicate, then the projection,
+//! over the borrowed stored rows, copying only a row that survives —
+//! which answers, errors included, what the recursive evaluator answers
+//! for the shape.  Everything else (`join`, operators in any other order)
+//! goes through that recursive evaluator, which materializes a bag per
+//! operator.
 
 use std::sync::Arc;
 
+use disco_algebra::kernel::{Kernel, KernelBuilder};
 use disco_algebra::{eval_scalar, truthy, AlgebraError, LogicalExpr, ScalarExpr};
 use disco_source::Table;
 use disco_value::{Bag, Value};
@@ -84,6 +94,67 @@ impl<'e> OnePass<'e> {
 
     fn run(&self, provider: &RowProvider<'_>) -> Result<PushedResult, WrapperError> {
         let table = provider(self.collection)?;
+        match self.kernel_pass(&table) {
+            Some(rows) => Ok(PushedResult {
+                rows,
+                rows_scanned: table.len(),
+            }),
+            None => self.row_pass(&table),
+        }
+    }
+
+    /// The answer as columns of the table's image under the selection the
+    /// predicates leave — or `None`, the bail: the row pass then answers
+    /// (or reports the error) instead.
+    fn kernel_pass(&self, table: &Table) -> Option<Bag> {
+        /// Rows per selection vector: the kernels' intermediates stay in
+        /// the first-level cache.
+        const SELECTION_ROWS: usize = 1024;
+        let image = table.image()?;
+        let len = u32::try_from(image.len()).ok()?;
+        let mut builder = KernelBuilder::new(None);
+        let kernels: Vec<Kernel> = self
+            .predicates
+            .iter()
+            .map(|predicate| builder.compile(predicate))
+            .collect::<Option<_>>()?;
+        let chunk = image.chunk(builder.fields())?;
+        let answer = match self.columns {
+            None => image.clone(),
+            Some(columns) => {
+                let slots: Vec<usize> = columns
+                    .iter()
+                    .map(|column| image.slot_of(column))
+                    .collect::<Option<_>>()?;
+                image.project(&slots).ok()?
+            }
+        };
+        if kernels.is_empty() {
+            return Some(Bag::from_columns(answer));
+        }
+        let mut survivors = Vec::new();
+        let mut selection = Vec::with_capacity(SELECTION_ROWS.min(image.len()));
+        for start in (0..len).step_by(SELECTION_ROWS) {
+            selection.clear();
+            selection.extend(start..len.min(start.saturating_add(SELECTION_ROWS as u32)));
+            for kernel in &kernels {
+                if selection.is_empty() {
+                    break;
+                }
+                let verdicts = kernel
+                    .eval(&chunk, &selection)?
+                    .truthy_mask(selection.len());
+                let mut keep = verdicts.into_iter();
+                selection.retain(|_| keep.next().expect("one verdict per selected row"));
+            }
+            survivors.extend_from_slice(&selection);
+        }
+        Some(Bag::from_columns(answer.select(survivors)))
+    }
+
+    /// The fallback, and the oracle of the kernel pass: one pass over the
+    /// borrowed stored rows.
+    fn row_pass(&self, table: &Table) -> Result<PushedResult, WrapperError> {
         // The recursive evaluator finishes an operator over the whole
         // input before the next one starts, so the error it reports is
         // that of the *innermost* failing operator, at that operator's
@@ -312,75 +383,145 @@ mod tests {
         assert!(matches!(err, WrapperError::Algebra(_)));
     }
 
-    /// Guards the one pass (new in this design): for random
-    /// `project?(select*(get))` expressions — predicates that divide by a
-    /// column holding zeros, predicates and projections naming a missing
-    /// column — it answers what the recursive evaluator answers: the same
-    /// rows in the same order, the same `rows_scanned`, the same error.
+    /// Guards the one pass — and the hazard only the kernel pass has: two
+    /// evaluators of one shape.  For random `project?(select*(get))`
+    /// expressions over a table with nulls, a mixed-type column, strings
+    /// and a NaN float — predicates that divide by a column holding
+    /// zeros, add to a string, compare strings, name a missing column;
+    /// projections naming an undeclared or a repeated column — the kernel
+    /// pass (where it does not bail), the row pass and the recursive
+    /// evaluator answer alike: the same rows in the same order, the same
+    /// `rows_scanned`, the same error text.
     #[test]
     fn the_one_pass_is_the_recursive_evaluator() {
-        let mut errors = 0;
-        let mut answers = 0;
-        for seed in 0..400u64 {
+        let printed =
+            |rows: &Bag| -> Vec<String> { rows.iter().map(ToString::to_string).collect() };
+        let (mut errors, mut answers, mut kernel_answers, mut bails) = (0, 0, 0, 0);
+        for seed in 0..600u64 {
             let mut rng = StdRng::seed_from_u64(0x0E9A55 + seed);
             let rows = (0..rng.gen_range(0..40))
                 .map(|i| {
                     vec![
                         Value::Int(i),
                         Value::Int(rng.gen_range(0..4)),
-                        Value::Int(rng.gen_range(0..100)),
+                        if rng.gen_bool(0.1) {
+                            Value::Null
+                        } else {
+                            Value::Int(rng.gen_range(0..100))
+                        },
+                        Value::from(format!("p{}", rng.gen_range(0..8))),
+                        match rng.gen_range(0..3) {
+                            0 => Value::Int(rng.gen_range(0..9)),
+                            1 => Value::from("nine"),
+                            _ => Value::Null,
+                        },
+                        if rng.gen_bool(0.2) {
+                            Value::Float(f64::NAN)
+                        } else {
+                            Value::Float(rng.gen_range(0.0..1.0))
+                        },
                     ]
                 })
                 .collect();
-            let stored = table("t", &["id", "div", "salary"], rows);
-            let provider = move |_: &str| Ok(Arc::clone(&stored));
+            let stored = table("t", &["id", "div", "salary", "name", "tag", "score"], rows);
+            let provided = Arc::clone(&stored);
+            let provider = move |_: &str| Ok(Arc::clone(&provided));
             let mut expr = LogicalExpr::get("t");
             for _ in 0..rng.gen_range(0..4) {
-                let column = ["salary", "id", "gone"][rng.gen_range(0..7usize) / 3];
-                let left = if rng.gen_bool(0.3) {
+                let compare = [ScalarOp::Gt, ScalarOp::Lt][rng.gen_range(0..2usize)];
+                let limit = ScalarExpr::constant(rng.gen_range(0..100i64));
+                let predicate = match rng.gen_range(0..10) {
                     // Errors on the rows whose `div` is zero.
-                    ScalarExpr::binary(
-                        ScalarOp::Div,
-                        ScalarExpr::attr(column),
-                        ScalarExpr::attr("div"),
-                    )
-                } else {
-                    ScalarExpr::attr(column)
+                    0 | 1 => ScalarExpr::binary(
+                        compare,
+                        ScalarExpr::binary(
+                            ScalarOp::Div,
+                            ScalarExpr::attr("salary"),
+                            ScalarExpr::attr("div"),
+                        ),
+                        limit,
+                    ),
+                    // Errors on the rows whose `tag` is a string.
+                    2 => ScalarExpr::binary(
+                        compare,
+                        ScalarExpr::binary(
+                            ScalarOp::Add,
+                            ScalarExpr::attr("tag"),
+                            ScalarExpr::constant(1i64),
+                        ),
+                        limit,
+                    ),
+                    3 => ScalarExpr::binary(compare, ScalarExpr::attr("gone"), limit),
+                    4 => ScalarExpr::binary(
+                        compare,
+                        ScalarExpr::attr("name"),
+                        ScalarExpr::constant("p3"),
+                    ),
+                    5 => ScalarExpr::binary(
+                        ScalarOp::Eq,
+                        ScalarExpr::attr("name"),
+                        ScalarExpr::constant("p5"),
+                    ),
+                    // Strings, ints and nulls under one total order.
+                    6 => ScalarExpr::binary(compare, ScalarExpr::attr("tag"), limit),
+                    // NaN sorts above every number.
+                    7 => ScalarExpr::binary(
+                        compare,
+                        ScalarExpr::attr("score"),
+                        ScalarExpr::constant(0.5f64),
+                    ),
+                    _ => ScalarExpr::binary(compare, ScalarExpr::attr("salary"), limit),
                 };
-                expr = expr.filter(ScalarExpr::binary(
-                    [ScalarOp::Gt, ScalarOp::Lt][rng.gen_range(0..2usize)],
-                    left,
-                    ScalarExpr::constant(rng.gen_range(0..100i64)),
-                ));
+                expr = expr.filter(predicate);
             }
             if rng.gen_bool(0.6) {
                 let columns = [
                     &["id", "salary"][..],
+                    &["score", "tag", "name"],
                     &["salary"],
                     &["id", "gone"],
                     &["id", "id"],
                 ];
-                expr = expr.project(columns[rng.gen_range(0..9usize) / 3].iter().copied());
+                expr = expr.project(columns[rng.gen_range(0..13usize) / 3].iter().copied());
             }
-            assert!(OnePass::of(&expr).is_some(), "{expr}");
-            let fused = eval_pushed(&expr, &provider);
+            let pass = OnePass::of(&expr).unwrap_or_else(|| panic!("{expr}"));
+            let by_rows = pass.row_pass(&stored);
             let recursive = eval_recursive(&expr, &provider);
-            match (&fused, &recursive) {
-                (Ok(f), Ok(r)) => {
-                    assert_eq!(f.rows.as_slice(), r.rows.as_slice(), "{expr}");
+            match pass.kernel_pass(&stored) {
+                Some(by_kernels) => {
+                    kernel_answers += 1;
+                    assert!(by_kernels.columns().is_some(), "{expr}");
+                    let by_rows = by_rows.as_ref().unwrap_or_else(|err| {
+                        panic!("{expr}: the kernels answered, the row pass says {err}")
+                    });
+                    assert_eq!(printed(&by_kernels), printed(&by_rows.rows), "{expr}");
+                    assert_eq!(by_kernels, by_rows.rows, "{expr}");
+                }
+                None => bails += 1,
+            }
+            let pushed = eval_pushed(&expr, &provider);
+            match (&by_rows, &recursive, &pushed) {
+                (Ok(f), Ok(r), Ok(p)) => {
+                    assert_eq!(printed(&f.rows), printed(&r.rows), "{expr}");
+                    assert_eq!(printed(&p.rows), printed(&r.rows), "{expr}");
                     assert_eq!(f.rows_scanned, r.rows_scanned, "{expr}");
+                    assert_eq!(p.rows_scanned, r.rows_scanned, "{expr}");
                     answers += 1;
                 }
-                (Err(f), Err(r)) => {
+                (Err(f), Err(r), Err(p)) => {
                     assert_eq!(f.to_string(), r.to_string(), "{expr}");
+                    assert_eq!(p.to_string(), r.to_string(), "{expr}");
                     errors += 1;
                 }
-                _ => panic!("{expr}: one pass {fused:?}, recursive {recursive:?}"),
+                _ => panic!(
+                    "{expr}: row pass {by_rows:?}, recursive {recursive:?}, pushed {pushed:?}"
+                ),
             }
         }
         assert!(
-            errors > 40 && answers > 40,
-            "{errors} errors, {answers} answers"
+            errors > 40 && answers > 40 && kernel_answers > 40 && bails > 40,
+            "{errors} errors, {answers} answers; the kernels answered {kernel_answers} \
+             and bailed {bails} times"
         );
     }
 

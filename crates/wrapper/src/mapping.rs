@@ -6,6 +6,9 @@
 //! source using the map"; answers travel the opposite direction.  The two
 //! directions are [`map_expr_to_source`] and [`map_rows_to_mediator`].
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use disco_algebra::LogicalExpr;
 use disco_catalog::TypeMap;
 use disco_value::{Bag, StructValue, Value};
@@ -14,28 +17,33 @@ use crate::WrapperError;
 
 /// Rewrites a pushed logical expression from the mediator name space into
 /// the data-source name space: extent names become source relation names
-/// and attribute names are renamed through the map.
+/// and attribute names are renamed through the map.  Under an identity
+/// map the expression is shipped as it is — borrowed, nothing cloned.
 #[must_use]
-pub fn map_expr_to_source(expr: &LogicalExpr, map: &TypeMap) -> LogicalExpr {
+pub fn map_expr_to_source<'e>(expr: &'e LogicalExpr, map: &TypeMap) -> Cow<'e, LogicalExpr> {
     if map.is_identity() {
-        return expr.clone();
+        return Cow::Borrowed(expr);
     }
+    Cow::Owned(rewritten_for_source(expr, map))
+}
+
+fn rewritten_for_source(expr: &LogicalExpr, map: &TypeMap) -> LogicalExpr {
     let rename_attr = |a: &str| map.mediator_to_source(a);
     match expr {
         LogicalExpr::Get { collection } => LogicalExpr::Get {
             collection: map.extent_to_relation(collection),
         },
         LogicalExpr::Filter { input, predicate } => LogicalExpr::Filter {
-            input: Box::new(map_expr_to_source(input, map)),
+            input: Box::new(rewritten_for_source(input, map)),
             predicate: predicate.rename_attrs(&rename_attr),
         },
         LogicalExpr::Project { input, columns } => LogicalExpr::Project {
-            input: Box::new(map_expr_to_source(input, map)),
+            input: Box::new(rewritten_for_source(input, map)),
             columns: columns.iter().map(|c| map.mediator_to_source(c)).collect(),
         },
         LogicalExpr::SourceJoin { left, right, on } => LogicalExpr::SourceJoin {
-            left: Box::new(map_expr_to_source(left, map)),
-            right: Box::new(map_expr_to_source(right, map)),
+            left: Box::new(rewritten_for_source(left, map)),
+            right: Box::new(rewritten_for_source(right, map)),
             on: on
                 .iter()
                 .map(|(l, r)| (map.mediator_to_source(l), map.mediator_to_source(r)))
@@ -43,21 +51,50 @@ pub fn map_expr_to_source(expr: &LogicalExpr, map: &TypeMap) -> LogicalExpr {
         },
         // Other operators never cross the wrapper boundary; keep them
         // unchanged so the caller can still display the plan.
-        other => other.map_children(&|child| map_expr_to_source(child, map)),
+        other => other.map_children(&|child| rewritten_for_source(child, map)),
     }
+}
+
+/// The mediator-side names of `source` names, one fresh `Arc<str>` each.
+fn mediator_names<'n>(source: impl Iterator<Item = &'n str>, map: &TypeMap) -> Vec<Arc<str>> {
+    source
+        .map(|name| Arc::from(map.source_to_mediator(name)))
+        .collect()
 }
 
 /// Renames the fields of answer rows from the data-source name space back
 /// into the mediator name space.  Under an identity map the rows come
 /// back as they are: the same storage, nothing copied.
+///
+/// A chunk is renamed once: a column-faced chunk on its field list, a row
+/// chunk through one set of mediator names per run of rows sharing their
+/// source names — stamped into every row of the run, so the renamed rows
+/// of one table still share their name storage.
 #[must_use]
 pub fn map_rows_to_mediator(rows: Bag, map: &TypeMap) -> Bag {
     if map.is_identity() {
         return rows;
     }
+    if let Some(columns) = rows.columns() {
+        let names = mediator_names(columns.names().iter().map(AsRef::as_ref), map);
+        // Two source names mapped onto one: only rows can hold that.
+        if let Ok(renamed) = columns.renamed(names) {
+            return Bag::from_columns(renamed);
+        }
+    }
+    let mut run: Option<(&StructValue, Vec<Arc<str>>)> = None;
     rows.iter()
         .map(|v| match v {
-            Value::Struct(s) => Value::Struct(s.rename_fields(|f| Some(map.source_to_mediator(f)))),
+            Value::Struct(s) => {
+                if !run
+                    .as_ref()
+                    .is_some_and(|(first, _)| first.shares_names_with(s))
+                {
+                    run = Some((s, mediator_names(s.field_names(), map)));
+                }
+                let (_, names) = run.as_ref().expect("set above");
+                Value::Struct(s.with_field_names(names))
+            }
             other => other.clone(),
         })
         .collect()
@@ -77,6 +114,21 @@ pub fn check_type_conformance(
     expected_attributes: &[String],
     extent: &str,
 ) -> Result<(), WrapperError> {
+    let conflict = |attr: &String| WrapperError::TypeConflict {
+        extent: extent.to_owned(),
+        missing_attribute: attr.clone(),
+    };
+    // The rows of a column-faced chunk all declare its field list: one
+    // check per chunk is the check of every row.
+    if let Some(columns) = rows.columns() {
+        let missing = expected_attributes
+            .iter()
+            .find(|attr| columns.slot_of(attr).is_none());
+        return match missing {
+            Some(attr) if !rows.is_empty() => Err(conflict(attr)),
+            _ => Ok(()),
+        };
+    }
     // Every row is looked at, but the rows of one table share their
     // field-name storage: a row declaring the very names of the last row
     // verified needs no attribute looked up again.
@@ -86,13 +138,8 @@ pub fn check_type_conformance(
             if verified.is_some_and(|last| last.shares_names_with(s)) {
                 continue;
             }
-            for attr in expected_attributes {
-                if !s.has_field(attr) {
-                    return Err(WrapperError::TypeConflict {
-                        extent: extent.to_owned(),
-                        missing_attribute: attr.clone(),
-                    });
-                }
+            if let Some(attr) = expected_attributes.iter().find(|attr| !s.has_field(attr)) {
+                return Err(conflict(attr));
             }
             verified = Some(s);
         }
@@ -152,9 +199,97 @@ mod tests {
             mapped.to_string(),
             "project(name, select((salary > 10), get(person0)))"
         );
-        // Identity maps leave the expression untouched.
-        let id = TypeMap::new();
-        assert_eq!(map_expr_to_source(&expr, &id), expr);
+    }
+
+    #[test]
+    fn an_identity_map_ships_the_expression_itself() {
+        // Borrowed, so nothing was allocated for it: 256 calls of one
+        // `plan_wide` query used to deep-clone their expression each.
+        let expr = LogicalExpr::get("person0")
+            .filter(ScalarExpr::binary(
+                ScalarOp::Gt,
+                ScalarExpr::attr("salary"),
+                ScalarExpr::constant(10i64),
+            ))
+            .project(["name"]);
+        let shipped = map_expr_to_source(&expr, &TypeMap::new());
+        assert!(matches!(shipped, Cow::Borrowed(same) if std::ptr::eq(same, &expr)));
+        assert!(matches!(
+            map_expr_to_source(&expr, &paper_map()),
+            Cow::Owned(_)
+        ));
+    }
+
+    /// The rows `personprime0`'s source stores, as one table's rows are:
+    /// sharing their field names.
+    fn stored_people() -> Vec<StructValue> {
+        let names: [Arc<str>; 2] = ["name".into(), "salary".into()];
+        [("Mary", 200), ("Sam", 50), ("Ann", 5)]
+            .into_iter()
+            .map(|(name, salary)| {
+                StructValue::from_distinct_fields(vec![
+                    (Arc::clone(&names[0]), Value::from(name)),
+                    (Arc::clone(&names[1]), Value::Int(salary)),
+                ])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_mapped_chunk_is_renamed_once_and_its_rows_share_their_names() {
+        let stored = stored_people();
+        let expected: Bag = stored
+            .iter()
+            .map(|s| Value::Struct(s.rename_fields(|f| Some(paper_map().source_to_mediator(f)))))
+            .collect();
+        let as_rows: Bag = stored.iter().cloned().map(Value::Struct).collect();
+        let names: Vec<Arc<str>> = vec!["name".into(), "salary".into()];
+        let as_columns =
+            Bag::from_columns(disco_value::BagColumns::image_of(&names, Arc::new(stored)).unwrap());
+        for chunk in [as_rows, as_columns] {
+            let faced = chunk.columns().is_some();
+            let mapped = map_rows_to_mediator(chunk, &paper_map());
+            assert_eq!(mapped.columns().is_some(), faced, "a chunk keeps its face");
+            if let Some(columns) = mapped.columns() {
+                let names: Vec<&str> = columns.names().iter().map(AsRef::as_ref).collect();
+                assert_eq!(names, ["n", "s"], "renamed on the field list");
+            }
+            assert_eq!(mapped, expected, "the answer is unchanged");
+            let rows: Vec<&StructValue> =
+                mapped.iter().map(|row| row.as_struct().unwrap()).collect();
+            assert_eq!(rows[0].field_names().collect::<Vec<_>>(), ["n", "s"]);
+            assert!(
+                rows.iter().all(|row| row.shares_names_with(rows[0])),
+                "one set of mediator names per chunk, not one per row"
+            );
+            // … which is what keeps the type check on its fast path.
+            let expected_attributes = ["n".to_owned(), "s".to_owned()];
+            assert!(check_type_conformance(&mapped, &expected_attributes, "personprime0").is_ok());
+        }
+    }
+
+    #[test]
+    fn a_column_chunk_is_type_checked_on_its_field_list() {
+        let names: Vec<Arc<str>> = vec!["name".into(), "salary".into()];
+        let chunk = |rows: Vec<StructValue>| {
+            Bag::from_columns(disco_value::BagColumns::image_of(&names, Arc::new(rows)).unwrap())
+        };
+        let expected = ["name".to_owned(), "dept".to_owned(), "boss".to_owned()];
+        let err =
+            check_type_conformance(&chunk(stored_people()), &expected, "person0").unwrap_err();
+        assert!(
+            matches!(&err, WrapperError::TypeConflict { missing_attribute, .. } if missing_attribute == "dept"),
+            "the first missing attribute, as for rows: {err}"
+        );
+        let as_rows: Bag = stored_people().into_iter().map(Value::Struct).collect();
+        assert_eq!(
+            check_type_conformance(&as_rows, &expected, "person0")
+                .unwrap_err()
+                .to_string(),
+            err.to_string()
+        );
+        // No row, no conflict — whatever the field list says.
+        assert!(check_type_conformance(&chunk(Vec::new()), &expected, "person0").is_ok());
     }
 
     #[test]

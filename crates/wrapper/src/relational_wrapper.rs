@@ -119,12 +119,7 @@ impl Wrapper for RelationalWrapper {
         sink: &mut dyn AnswerSink,
     ) -> Result<AnswerSummary, WrapperError> {
         let result = self.evaluate(expr)?;
-        crate::streaming::stream_chunks(
-            &self.link,
-            result.rows.into_values(),
-            result.rows_scanned,
-            sink,
-        )
+        crate::streaming::stream_chunks(&self.link, result.rows, result.rows_scanned, sink)
     }
 
     fn is_available(&self) -> bool {
@@ -201,7 +196,10 @@ mod tests {
         // must not hand the next call the rows the last one started with.
         let wrapper = setup(CapabilitySet::full());
         let everyone = LogicalExpr::get("person0").project(["name"]);
-        assert_eq!(wrapper.submit(&everyone).unwrap().rows_returned(), 20);
+        let whole_rows = LogicalExpr::get("person0");
+        // Taken before the insert and not read as rows until after it.
+        let before = [&everyone, &whole_rows].map(|expr| wrapper.submit(expr).unwrap());
+        assert_eq!(before[0].rows_returned(), 20);
         wrapper
             .store()
             .insert(
@@ -212,6 +210,23 @@ mod tests {
         let answer = wrapper.submit(&everyone).unwrap();
         assert_eq!(answer.rows_returned(), 21);
         assert_eq!(answer.rows_scanned, 21);
+        // Guards a hazard only this design has: an answer is columns of
+        // the table's image (and, unprojected, its stored rows) until
+        // somebody reads rows — by then the table has moved on, and the
+        // answer must still be the snapshot its call started with.
+        let intruder = Value::from("intruder");
+        for answer in before {
+            assert!(answer.rows.columns().is_some(), "nothing read it as rows");
+            assert_eq!(answer.rows.iter().count(), 20);
+            assert!(answer
+                .rows
+                .iter()
+                .all(|row| row.field("name").unwrap() != &intruder));
+        }
+        assert!(answer
+            .rows
+            .iter()
+            .any(|row| row.field("name").unwrap() == &intruder));
     }
 
     #[test]
