@@ -9,14 +9,14 @@
 //!   run calls at any time; a call over a link that answers without
 //!   waiting starts, runs and finishes on one of them.
 //! * **Blocking is declared.**  A call that is about to wait mid-flight —
-//!   a sleeping link, producer backpressure, a nested query waiting for
-//!   its own calls — waits inside [`blocking`], which gives up the runner
-//!   slot for the duration.  A queued call then starts on a parked worker,
+//!   a sleeping link, a nested query waiting for its own calls — waits
+//!   inside [`blocking`], which gives up the runner slot for the
+//!   duration.  A queued call then starts on a parked worker,
 //!   or on a spare one spawned for it; spares retire once idle.  The
 //!   thread count is therefore `runners + calls blocked mid-call`, and
 //!   **whenever every started call is blocked, a queued call can start**:
-//!   a budgeted join whose build side is queued behind backpressured
-//!   probe-side producers cannot hang.
+//!   a join whose build side is queued behind probe-side calls that all
+//!   wait mid-flight does not wait for them to finish.
 //! * **Per-repository slots.**  A call whose [`SourcePool`] cap is
 //!   exhausted stays *in the queue* — FIFO per repository, passed over by
 //!   calls to other repositories — until a call to its repository
@@ -368,7 +368,7 @@ mod tests {
 
     use super::*;
     use crate::exec::{resolve_on, ExecutionConfig};
-    use crate::pipeline::{BuildSide, MemBudget, PipelineMetrics, PipelineOptions};
+    use crate::pipeline::{BuildSide, PipelineMetrics, PipelineOptions};
     use crate::{evaluate_physical_with, RuntimeError};
 
     /// `person0..` on `r0..` behind `w0..`, `rows[i]` rows each, over
@@ -494,12 +494,27 @@ mod tests {
     }
 
     /// The hazard a bounded executor introduces: with one runner, a
-    /// probe-side producer that blocks on backpressure while holding the
-    /// runner would keep the build side — queued behind it — from ever
-    /// starting, and the join would wait for the deadline.
+    /// probe-side call that waits mid-flight while holding the runner
+    /// keeps the build side — queued behind it — from starting until it
+    /// is done.  Rewritten when spools stopped backpressuring their
+    /// producers (a memory budget no longer bounds a spool): the probe
+    /// calls now wait by sleeping out a real link delay
+    /// (`AnswerSink::pause`, a `blocking` scope), where they used to
+    /// block on a budgeted spool's disk cap.
     #[test]
-    fn a_queued_build_side_starts_while_every_started_call_is_backpressured() {
+    fn a_queued_build_side_starts_while_every_started_call_sleeps_mid_flight() {
         let federation = federation(&[3_000, 3_000, 3_000, 3_000, 50]);
+        for link in &federation.links[..4] {
+            // 1 ms of real link time per 100-row chunk, 30 chunks a call.
+            link.set_profile(NetworkProfile {
+                base_latency_us: 1_000,
+                per_row_us: 10,
+                jitter: 0.0,
+                real_sleep: true,
+                chunk_rows: 100,
+                ..NetworkProfile::fast()
+            });
+        }
         let probe = LogicalExpr::Union((0..4).map(|i| scan(i).bind("x")).collect());
         let plan = lower(
             &LogicalExpr::Join {
@@ -515,19 +530,19 @@ mod tests {
         )
         .unwrap();
         let options = PipelineOptions {
-            mem_budget: MemBudget::Bytes(32 << 10),
             // Build on the right without asking either side for its
-            // length first (asking lifts the backpressure).
+            // length first: the join waits on the queued build side.
             build_side: BuildSide::Right,
-            threads: 1,
             ..PipelineOptions::default()
         };
+        let deadline = Duration::from_secs(10);
         let config = ExecutionConfig {
-            deadline: Some(Duration::from_secs(10)),
+            deadline: Some(deadline),
             pipeline: options,
             ..ExecutionConfig::default()
         };
         let executor = CallExecutor::new(1);
+        let started = Instant::now();
         let mut resolved = resolve_on(
             &executor,
             &plan,
@@ -539,11 +554,16 @@ mod tests {
         let rows = evaluate_physical_with(&plan, &resolved, &PipelineMetrics::new(), options)
             .expect("the join finished before the deadline");
         resolved.finalize_streamed().unwrap();
+        let elapsed = started.elapsed();
         assert!(resolved.all_available());
         assert_eq!(rows.len(), 4 * 50, "ids 0..50 of each probe source match");
         assert!(
+            elapsed < deadline / 2,
+            "the join took {elapsed:?} of its {deadline:?} deadline"
+        );
+        assert!(
             executor.threads_spawned() > 1,
-            "the probe side never backpressured: the test set nothing up"
+            "no probe-side call gave up the runner: the test set nothing up"
         );
         wait_until_drained(&executor);
     }

@@ -11,8 +11,8 @@
 //! "In parallel" does not mean a thread each: the calls of every query
 //! are queued on one process-wide call executor (`calls.rs`) whose
 //! runners are bounded by the machine, not by the number of sources.  A
-//! call that waits mid-flight — a sleeping link, producer backpressure —
-//! gives up its runner for the duration, so every call is still *issued*
+//! call that waits mid-flight — a sleeping link, a nested query — gives
+//! up its runner for the duration, so every call is still *issued*
 //! at once and a wide plan costs a queue entry per source, not a thread.
 //!
 //! # Streamed resolution
@@ -22,10 +22,10 @@
 //! type-checked row chunks while the cursor pipeline is already pulling.
 //! The slowest repository no longer gates the start of the combine step.
 //!
-//! A chunk is stored once.  Without a memory budget the spool is an
-//! append-only chain of immutable chunks (`SpoolChunk`): `push_chunk`
-//! links the chunk as it arrived, consumers borrow out of the chain for
-//! the whole evaluation — the fused spine a batch at a time, everything
+//! A chunk is stored once.  The spool is an append-only chain of
+//! immutable chunks (`SpoolChunk`): `push_chunk` links the chunk as it
+//! arrived, consumers borrow out of the chain for the whole evaluation —
+//! the fused spine a batch at a time, everything
 //! else a row at a time — and finalization shares the chain's bags with
 //! [`ExecOutcome::Rows`].  A chunk is a bag of row values or, from a
 //! relational wrapper, a **column chunk**: columns of the table's image
@@ -35,12 +35,9 @@
 //! of one answer are rejoined as columns at finalization.  The only thing
 //! a consumer ever waits for is the next link, through
 //! `PendingSource::wait_until`, the one loop that owns the missed-wake-up
-//! protocol and the deadline.  Under a memory budget rows must be
-//! evictable, so the spool is a bounded hot window over a disk tier
-//! instead — `push_chunk` reads every chunk as rows there, whichever face
-//! it arrived with — and consumers copy rows out of it (`wait_rows`);
-//! which of the two a spool is follows from the budget of the execution
-//! and from nothing else.  At the execution
+//! protocol and the deadline.  A memory budget does not change the spool:
+//! it bounds pipeline breakers, and finalization holds every answer
+//! whole anyway.  At the execution
 //! deadline, spools that are still streaming flip to unavailable, the
 //! wrapper call is cancelled (so a timed-out call does not keep running
 //! in the background, and a call still queued never starts), and the
@@ -56,7 +53,6 @@
 //! self-calibrating cost model.
 
 use std::collections::BTreeMap;
-use std::fs::File;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError};
@@ -65,14 +61,13 @@ use std::time::{Duration, Instant};
 use disco_algebra::{LogicalExpr, PhysicalExpr};
 use disco_catalog::{Catalog, TypeMap};
 use disco_optimizer::CalibrationStore;
-use disco_value::{approx_value_bytes, Bag, Value};
+use disco_value::Bag;
 use disco_wrapper::{
     check_type_conformance, expected_after_expr, map_expr_to_source, map_rows_to_mediator,
     AnswerSink, Wrapper, WrapperError, WrapperRegistry,
 };
 
 use crate::calls::{blocking, CallExecutor, QueuedCall};
-use crate::pipeline::spill::{self, SpillFile};
 use crate::pipeline::PipelineOptions;
 use crate::pool::SourcePool;
 use crate::{lock, Result, RuntimeError};
@@ -223,8 +218,8 @@ impl ResolutionEvents {
     ///
     /// Every wait of a resolution ends up here or in
     /// [`ResolutionEvents::park_until`] — consumers behind a source,
-    /// producers under backpressure, a nested query (a mediator behind a
-    /// wrapper) waiting for its own calls — so this is where a call
+    /// producers sleeping out a link delay, a nested query (a mediator
+    /// behind a wrapper) waiting for its own calls — so this is where a call
     /// worker declares that it blocks and gives up its runner slot.
     pub(crate) fn wait_after(&self, seen: u64) -> bool {
         if lock(&self.progress).generation != seen {
@@ -279,9 +274,9 @@ enum SpoolStatus {
     Panicked(String),
 }
 
-/// One link of an unbudgeted spool's chunk chain: the mapped,
-/// type-checked rows of one wrapper chunk, immutable from the moment the
-/// link is published.  A consumer holding `&'a PendingSource` reads
+/// One link of a spool's chunk chain: the mapped, type-checked rows of
+/// one wrapper chunk, immutable from the moment the link is published.
+/// A consumer holding `&'a PendingSource` reads
 /// `&'a [Value]` out of it with no lock and no copy; the next-pointer is
 /// written once, by the producer, under the spool's state lock.
 #[derive(Debug)]
@@ -307,224 +302,11 @@ struct Chain {
     rows: usize,
 }
 
-/// One chunk of spool rows moved to the disk tier.
-struct DiskChunk {
-    /// Absolute index of the chunk's first row in the full stream.
-    start_row: usize,
-    /// Rows in the chunk.
-    rows: usize,
-    /// Byte offset of the chunk in the spill file.
-    offset: u64,
-    /// Serialized length in bytes.
-    len: usize,
-}
-
-/// The disk tier of a budget-bounded spool: the oldest rows, chunked into
-/// one delete-on-drop spill file.  Chunks cover `[0, base)` of the stream
-/// contiguously; the hot `rows` vector holds `[base, total)`.
-struct SpoolSpill {
-    _guard: SpillFile,
-    file: File,
-    chunks: Vec<DiskChunk>,
-    /// Index of the first chunk not wholly below the high-water mark.
-    unread_idx: usize,
-    /// Serialized bytes in chunks at or past `unread_idx` — what the
-    /// producer's backpressure loop compares against its cap.
-    unread_bytes: usize,
-    /// Highest absolute row index any consumer has been served past.
-    high_water: usize,
-    /// Total bytes ever written to the tier (metrics).
-    bytes_spilled: u64,
-}
-
-impl SpoolSpill {
-    /// Advances the high-water mark; returns `true` when that retired
-    /// chunks from the unread window (worth waking a blocked producer).
-    fn advance_high_water(&mut self, served_to: usize) -> bool {
-        if served_to > self.high_water {
-            self.high_water = served_to;
-        }
-        let mut freed = false;
-        while let Some(chunk) = self.chunks.get(self.unread_idx) {
-            if chunk.start_row + chunk.rows > self.high_water {
-                break;
-            }
-            self.unread_bytes -= chunk.len;
-            self.unread_idx += 1;
-            freed = true;
-        }
-        freed
-    }
-}
-
-/// What a budget-bounded spool is made of: a bounded hot window of the
-/// newest rows, and the disk tier behind it.
-#[derive(Default)]
-struct Window {
-    /// The hot window: rows `[base, base + rows.len())` of the stream.
-    rows: Vec<Value>,
-    /// Absolute index of `rows[0]`; rows below it live in the disk tier.
-    base: usize,
-    /// Approximate payload bytes of the hot window.
-    hot_bytes: usize,
-    spill: Option<SpoolSpill>,
-    /// Set by finalizers ([`PendingSource::await_len`] /
-    /// `final_outcome`): they block until the call *completes*, so the
-    /// producer must not be throttled on their behalf — the disk tier
-    /// then grows as needed while RAM stays bounded by the hot window.
-    unthrottled: bool,
-}
-
-/// Where a spool keeps its rows.  Which one is decided once, by the
-/// memory budget of the execution: rows a consumer borrows in place
-/// cannot be evicted, so only an unbudgeted spool is a chain.
-enum Store {
-    /// Unbudgeted: an append-only chain of immutable chunks.
-    Chain(Chain),
-    /// Budgeted: a hot window spilling its oldest rows to disk.
-    Window(Window),
-}
-
 struct SpoolState {
-    store: Store,
+    chain: Chain,
     status: SpoolStatus,
     rows_scanned: usize,
     latency: Duration,
-}
-
-impl SpoolState {
-    /// Total rows of the stream so far.
-    fn total_rows(&self) -> usize {
-        match &self.store {
-            Store::Chain(chain) => chain.rows,
-            Store::Window(window) => window.base + window.rows.len(),
-        }
-    }
-}
-
-impl Window {
-    /// Moves the oldest hot rows to the disk tier until the hot window is
-    /// at half its cap (hysteresis: fewer, larger chunks).
-    ///
-    /// # Errors
-    ///
-    /// A spill file that cannot be created or written.  The rows stay in
-    /// the hot window; the caller must stop the stream rather than keep
-    /// buffering past the budget.
-    fn spill_front(&mut self, hot_cap: usize) -> Result<()> {
-        let target = hot_cap / 2;
-        let mut k = 0usize;
-        let mut freed = 0usize;
-        while self.hot_bytes - freed > target && k < self.rows.len() {
-            freed += approx_value_bytes(&self.rows[k]);
-            k += 1;
-        }
-        if k == 0 {
-            return Ok(());
-        }
-        if self.spill.is_none() {
-            let (guard, file) = SpillFile::create()?;
-            self.spill = Some(SpoolSpill {
-                _guard: guard,
-                file,
-                chunks: Vec::new(),
-                unread_idx: 0,
-                unread_bytes: 0,
-                high_water: 0,
-                bytes_spilled: 0,
-            });
-        }
-        let encoded = spill::encode_rows(&self.rows[..k]);
-        let tier = self.spill.as_mut().expect("opened above");
-        let offset = spill::append_chunk(&mut tier.file, &encoded)
-            .map_err(|e| spill::spill_err("writing spool spill chunk", e))?;
-        tier.chunks.push(DiskChunk {
-            start_row: self.base,
-            rows: k,
-            offset,
-            len: encoded.len(),
-        });
-        tier.unread_bytes += encoded.len();
-        tier.bytes_spilled += encoded.len() as u64;
-        // The chunk may already be below the high-water mark (a consumer
-        // outran the producer); retire it immediately.
-        tier.advance_high_water(tier.high_water);
-        self.rows.drain(..k);
-        self.base += k;
-        self.hot_bytes -= freed;
-        Ok(())
-    }
-
-    /// At most `max` rows starting at stream index `from` (which has
-    /// arrived), out of the hot window or the disk tier.
-    fn copy_rows(&mut self, from: usize, max: usize) -> Result<Vec<Value>> {
-        if from >= self.base {
-            let lo = from - self.base;
-            let end = (lo + max.max(1)).min(self.rows.len());
-            return Ok(self.rows[lo..end].to_vec());
-        }
-        // Row `from` was moved to the disk tier.
-        let Some(tier) = self.spill.as_mut() else {
-            return Err(RuntimeError::Spill("spool disk tier missing".to_owned()));
-        };
-        let found = tier.chunks.binary_search_by(|c| {
-            if from < c.start_row {
-                std::cmp::Ordering::Greater
-            } else if from >= c.start_row + c.rows {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        });
-        let Ok(idx) = found else {
-            return Err(RuntimeError::Spill(format!(
-                "spool spill chunk for row {from} missing"
-            )));
-        };
-        let chunk = &tier.chunks[idx];
-        let rows = spill::read_chunk(&mut tier.file, chunk.offset, chunk.len)
-            .and_then(|buf| spill::decode_rows(&buf, chunk.rows))
-            .map_err(|err| RuntimeError::Spill(format!("reading spool spill chunk: {err}")))?;
-        let lo = from - chunk.start_row;
-        let end = (lo + max.max(1)).min(rows.len());
-        Ok(rows[lo..end].to_vec())
-    }
-
-    /// Reassembles the full stream (disk tier in order, then the hot
-    /// window) for final materialization.
-    fn take_all_rows(&mut self) -> std::result::Result<Vec<Value>, String> {
-        let hot = std::mem::take(&mut self.rows);
-        let Some(tier) = self.spill.as_mut() else {
-            return Ok(hot);
-        };
-        let mut all = Vec::with_capacity(self.base + hot.len());
-        for chunk in &tier.chunks {
-            let rows = spill::read_chunk(&mut tier.file, chunk.offset, chunk.len)
-                .and_then(|buf| spill::decode_rows(&buf, chunk.rows))
-                .map_err(|e| format!("reading spool spill chunk: {e}"))?;
-            all.extend(rows);
-        }
-        all.extend(hot);
-        Ok(all)
-    }
-}
-
-/// Byte caps of a budget-bounded spool.
-struct SpoolCaps {
-    /// Hot-window cap: above it the oldest rows move to disk.
-    hot: usize,
-    /// Unread-disk cap: above it the producer blocks until a consumer
-    /// catches up (or a finalizer unthrottles the spool).
-    disk: usize,
-}
-
-impl SpoolCaps {
-    fn from_budget(budget: Option<usize>) -> Option<SpoolCaps> {
-        budget.map(|b| SpoolCaps {
-            hot: (b / 4).max(1),
-            disk: b.max(1),
-        })
-    }
 }
 
 /// A *pending answer*: the spool one wrapper call fills with mapped,
@@ -532,14 +314,10 @@ impl SpoolCaps {
 /// at its own position — duplicate scans of the same `exec` key share one
 /// call).
 ///
-/// Without a memory budget the spool is an append-only **chain of
-/// immutable chunks**: a row that left the wrapper is stored once, and a
-/// consumer holding `&'a PendingSource` borrows `&'a [Value]` slices out
-/// of the chain for the whole evaluation — no lock, no copy
-/// (`PendingSource::chunk_after`).  Under a budget a borrowed chunk
-/// could not be evicted, so the spool is a bounded hot window over a disk
-/// tier instead, and consumers copy rows out of it
-/// (`PendingSource::wait_rows`).
+/// The spool is an append-only **chain of immutable chunks**: a row that
+/// left the wrapper is stored once, and a consumer holding
+/// `&'a PendingSource` borrows `&'a [Value]` slices out of the chain for
+/// the whole evaluation — no lock, no copy (`PendingSource::chunk_after`).
 pub struct PendingSource {
     key: Arc<ExecKey>,
     events: Arc<ResolutionEvents>,
@@ -547,10 +325,6 @@ pub struct PendingSource {
     /// stop producing — the fix for timed-out calls running detached
     /// forever in the background.
     cancel: AtomicBool,
-    /// `Some` under a bounded memory budget: the spool becomes a hybrid
-    /// memory/disk buffer with a bounded hot window, and the producer
-    /// backpressures when the unread disk tier exceeds its cap.
-    caps: Option<SpoolCaps>,
     /// Time this call spent queued behind a [`SourcePool`] cap before
     /// its wrapper was invoked, in microseconds; folded into the
     /// query's `source_wait` at finalization.
@@ -561,7 +335,7 @@ pub struct PendingSource {
     /// takes no lock.  A hint only: rows and status are read under the
     /// lock.
     announced: AtomicUsize,
-    /// The first chunk of an unbudgeted spool's chain.
+    /// The first chunk of the chain.
     head: OnceLock<Arc<SpoolChunk>>,
     state: StdMutex<SpoolState>,
 }
@@ -570,14 +344,10 @@ impl Drop for PendingSource {
     /// Unlinks the chain front to back: dropping the head alone would
     /// recurse once per chunk.
     fn drop(&mut self) {
-        if let Store::Chain(chain) = &mut self
-            .state
+        self.state
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
-            .store
-        {
-            *chain = Chain::default();
-        }
+            .chain = Chain::default();
         let mut next = self.head.take();
         while let Some(chunk) = next {
             next = Arc::into_inner(chunk).and_then(|mut chunk| chunk.next.take());
@@ -591,27 +361,23 @@ impl std::fmt::Debug for PendingSource {
         f.debug_struct("PendingSource")
             .field("repository", &self.key.repository)
             .field("extent", &self.key.extent)
-            .field("rows", &state.total_rows())
+            .field("rows", &state.chain.rows)
             .field("status", &state.status)
             .finish()
     }
 }
 
 impl PendingSource {
-    fn new(key: Arc<ExecKey>, events: Arc<ResolutionEvents>, budget: Option<usize>) -> Self {
+    fn new(key: Arc<ExecKey>, events: Arc<ResolutionEvents>) -> Self {
         PendingSource {
             key,
             events,
             cancel: AtomicBool::new(false),
-            caps: SpoolCaps::from_budget(budget),
             queue_wait_us: AtomicU64::new(0),
             announced: AtomicUsize::new(0),
             head: OnceLock::new(),
             state: StdMutex::new(SpoolState {
-                store: match budget {
-                    None => Store::Chain(Chain::default()),
-                    Some(_) => Store::Window(Window::default()),
-                },
+                chain: Chain::default(),
                 status: SpoolStatus::Streaming,
                 rows_scanned: 0,
                 latency: Duration::ZERO,
@@ -630,7 +396,7 @@ impl PendingSource {
     fn announce(&self, state: &SpoolState) {
         let terminal = !matches!(state.status, SpoolStatus::Streaming);
         self.announced.store(
-            state.total_rows() << 1 | usize::from(terminal),
+            state.chain.rows << 1 | usize::from(terminal),
             Ordering::Release,
         );
     }
@@ -661,92 +427,28 @@ impl PendingSource {
         self.finish(SpoolStatus::Unavailable);
     }
 
-    /// Producer side: appends one chunk; `false` when cancelled.
-    ///
-    /// Without a budget the chunk is linked onto the chain as it is —
-    /// published under the state lock, *before* the progress hint and the
-    /// wake-up, so whoever sees the announcement finds the link.
-    ///
-    /// Under a bounded budget this is also the backpressure point: when
-    /// the unread disk tier exceeds its cap the wrapper call *blocks*
-    /// here — without a runner slot of the call executor — until a
-    /// consumer catches up, a finalizer unthrottles the spool, the call
-    /// is cancelled, or the deadline passes (which reports cancellation,
-    /// matching the unavailable classification the consumer side is
-    /// about to apply).  A spill that cannot be written ends the stream
-    /// the same way: the spool flips to unavailable.
+    /// Producer side: links one chunk onto the chain as it is — published
+    /// under the state lock, *before* the progress hint and the wake-up,
+    /// so whoever sees the announcement finds the link; `false` when
+    /// cancelled.  Nothing here waits: a memory budget bounds breakers,
+    /// not spools.
     fn push_chunk(&self, rows: Bag) -> bool {
         if self.is_cancelled() {
             return false;
         }
-        let Some(caps) = &self.caps else {
-            if !rows.is_empty() {
-                let chunk = Arc::new(SpoolChunk {
-                    rows,
-                    next: OnceLock::new(),
-                });
-                let mut state = lock(&self.state);
-                let Store::Chain(chain) = &mut state.store else {
-                    unreachable!("a spool without caps is a chain");
-                };
-                let link = chain.last.as_ref().map_or(&self.head, |last| &last.next);
-                link.set(Arc::clone(&chunk))
-                    .expect("only the producer links, under the state lock");
-                chain.rows += chunk.rows.len();
-                chain.last = Some(chunk);
-                self.announce(&state);
-            }
-            self.events.notify();
-            return !self.is_cancelled();
-        };
-        loop {
-            let seen = self.events.generation();
-            if self.is_cancelled() {
-                return false;
-            }
-            let throttled = match &lock(&self.state).store {
-                Store::Window(window) => {
-                    !window.unthrottled
-                        && window
-                            .spill
-                            .as_ref()
-                            .is_some_and(|tier| tier.unread_bytes > caps.disk)
-                }
-                Store::Chain(_) => false,
-            };
-            if !throttled {
-                break;
-            }
-            if !self.events.wait_after(seen) {
-                return false;
-            }
-        }
-        let spilled = {
+        if !rows.is_empty() {
+            let chunk = Arc::new(SpoolChunk {
+                rows,
+                next: OnceLock::new(),
+            });
             let mut state = lock(&self.state);
-            let Store::Window(window) = &mut state.store else {
-                unreachable!("a spool with caps is a window");
-            };
-            window.hot_bytes += rows.iter().map(approx_value_bytes).sum::<usize>();
-            window.rows.append(&mut rows.into_values());
-            let spilled = if window.hot_bytes > caps.hot {
-                window.spill_front(caps.hot)
-            } else {
-                Ok(())
-            };
+            let chain = &mut state.chain;
+            let link = chain.last.as_ref().map_or(&self.head, |last| &last.next);
+            link.set(Arc::clone(&chunk))
+                .expect("only the producer links, under the state lock");
+            chain.rows += chunk.rows.len();
+            chain.last = Some(chunk);
             self.announce(&state);
-            spilled
-        };
-        if let Err(err) = spilled {
-            // The disk tier is gone, so the budget can only hold by not
-            // buffering: this source fails the way a deadline fails it —
-            // unavailable, call cancelled — and the query completes as a
-            // §4 partial answer whose residual names the repository.
-            eprintln!(
-                "disco: {err}; classifying {} unavailable to stay within the memory budget",
-                self.key.repository
-            );
-            self.timeout();
-            return false;
         }
         self.events.notify();
         !self.is_cancelled()
@@ -762,26 +464,6 @@ impl PendingSource {
     /// Time the call spent queued behind a connection-pool cap.
     pub(crate) fn queue_wait(&self) -> Duration {
         Duration::from_micros(self.queue_wait_us.load(Ordering::Relaxed))
-    }
-
-    /// Bytes this spool has written to its disk tier.
-    pub(crate) fn spilled_bytes(&self) -> u64 {
-        match &lock(&self.state).store {
-            Store::Window(window) => window.spill.as_ref().map_or(0, |tier| tier.bytes_spilled),
-            Store::Chain(_) => 0,
-        }
-    }
-
-    /// Disables producer backpressure: called by the finalizers, which
-    /// wait for *completion* — throttling the producer on their behalf
-    /// would deadlock.  RAM stays bounded by the hot window; the disk
-    /// tier grows as needed.
-    fn unthrottle(&self) {
-        match &mut lock(&self.state).store {
-            Store::Window(window) if !window.unthrottled => window.unthrottled = true,
-            _ => return,
-        }
-        self.events.notify();
     }
 
     /// Producer side: sets a terminal status.
@@ -841,7 +523,7 @@ impl PendingSource {
     pub fn finished_len(&self) -> Option<usize> {
         let state = lock(&self.state);
         match state.status {
-            SpoolStatus::Done => Some(state.total_rows()),
+            SpoolStatus::Done => Some(state.chain.rows),
             _ => None,
         }
     }
@@ -855,17 +537,14 @@ impl PendingSource {
     /// pace with arriving chunks.  §4's "query evaluation stops" applies
     /// even to a source that trickles just fast enough to never block
     /// its consumer.
-    fn wait_until<T>(&self, mut inspect: impl FnMut(&mut SpoolState) -> Option<T>) -> T {
+    fn wait_until<T>(&self, mut inspect: impl FnMut(&SpoolState) -> Option<T>) -> T {
         loop {
             let seen = self.events.generation();
             if self.events.deadline_passed() {
                 self.timeout();
             }
-            {
-                let mut state = lock(&self.state);
-                if let Some(out) = inspect(&mut state) {
-                    return out;
-                }
+            if let Some(out) = inspect(&lock(&self.state)) {
+                return out;
             }
             if !self.events.wait_after(seen) {
                 self.timeout();
@@ -885,13 +564,7 @@ impl PendingSource {
         }
     }
 
-    /// Whether the spool is a chunk chain (it was created without a
-    /// memory budget) and is read through [`PendingSource::chunk_after`].
-    pub(crate) fn is_chain(&self) -> bool {
-        self.caps.is_none()
-    }
-
-    /// The chunk of an unbudgeted spool that follows `prev` (the first
+    /// The chunk of the spool that follows `prev` (the first
     /// one after `None`), borrowed for as long as the spool is; `None`
     /// once the stream completed with `prev` its last chunk.  Blocks —
     /// through [`PendingSource::wait_until`], so under its deadline
@@ -923,58 +596,15 @@ impl PendingSource {
         (next, started.elapsed())
     }
 
-    /// Blocks until progress past `from` (bounded by the deadline, which
-    /// flips the spool unavailable), returning a *copy* of at most `max`
-    /// rows — `None` once the stream completed at `from` — and the time
-    /// spent in the call.  Only the consumers of a budgeted spool
-    /// (`PendingScanCursor`) read through here.
-    pub(crate) fn wait_rows(
-        &self,
-        from: usize,
-        max: usize,
-    ) -> (Result<Option<Vec<Value>>>, Duration) {
-        let started = Instant::now();
-        let progress = self.wait_until(|state| {
-            // Terminal failures win over buffered rows: once the source
-            // is classified unavailable (deadline or reported), its data
-            // is residual — stop feeding the pipeline immediately.
-            if let Some(failure) = self.failure(&state.status) {
-                return Some(Err(failure));
-            }
-            if state.total_rows() <= from {
-                return matches!(state.status, SpoolStatus::Done).then_some(Ok(None));
-            }
-            let Store::Window(window) = &mut state.store else {
-                unreachable!("a chain is read in place, through `chunk_after`");
-            };
-            let rows = window.copy_rows(from, max);
-            if let Ok(rows) = &rows {
-                let served_to = from + rows.len();
-                if window
-                    .spill
-                    .as_mut()
-                    .is_some_and(|tier| tier.advance_high_water(served_to))
-                {
-                    // Retired unread chunks: a producer blocked on the
-                    // disk cap can make progress again.
-                    self.events.notify();
-                }
-            }
-            Some(rows.map(Some))
-        });
-        (progress, started.elapsed())
-    }
-
     /// Blocks until the call completes (bounded by the deadline) and
     /// returns its final row count — `None` when it did not complete.
     /// Used for hash-join build-side estimation, so the build/probe
     /// orientation (and with it `rows_materialized`) is identical to an
     /// evaluation over materialized [`resolve_execs`] outcomes.
     pub(crate) fn await_len(&self) -> Option<usize> {
-        self.unthrottle();
         self.wait_until(|state| match &state.status {
             SpoolStatus::Streaming => None,
-            SpoolStatus::Done => Some(Some(state.total_rows())),
+            SpoolStatus::Done => Some(Some(state.chain.rows)),
             _ => Some(None),
         })
     }
@@ -993,20 +623,9 @@ impl PendingSource {
 
     /// Waits for a terminal status and renders the final outcome + stats.
     fn final_outcome(&self) -> (ExecOutcome, SourceCallStats, Option<RuntimeError>) {
-        self.unthrottle();
         let (outcome, available, error) = self.wait_until(|state| match &state.status {
             SpoolStatus::Streaming => None,
-            SpoolStatus::Done => match &mut state.store {
-                Store::Chain(_) => Some((ExecOutcome::Rows(self.chained_rows()), true, None)),
-                Store::Window(window) => match window.take_all_rows() {
-                    Ok(rows) => Some((ExecOutcome::Rows(Bag::from(rows)), true, None)),
-                    Err(msg) => Some((
-                        ExecOutcome::Unavailable,
-                        false,
-                        Some(RuntimeError::Spill(msg)),
-                    )),
-                },
-            },
+            SpoolStatus::Done => Some((ExecOutcome::Rows(self.chained_rows()), true, None)),
             SpoolStatus::Unavailable => Some((ExecOutcome::Unavailable, false, None)),
             SpoolStatus::Failed(err) => Some((
                 ExecOutcome::Unavailable,
@@ -1080,8 +699,8 @@ pub struct ExecutionConfig {
     /// size, memory budget, adaptive build-side choice), declared once in
     /// [`PipelineOptions`].  Wrapper calls are always issued in parallel,
     /// on the process-wide call executor; a bounded `pipeline.mem_budget`
-    /// also makes every [`PendingSource`] spool a hybrid memory/disk
-    /// buffer.
+    /// bounds breaker state only — every [`PendingSource`] spool is a
+    /// chunk chain either way.
     pub pipeline: PipelineOptions,
 }
 
@@ -1142,9 +761,6 @@ pub struct ResolvedExecs {
     pending_order: Vec<Arc<PendingSource>>,
     /// The shared wakeup channel of a streamed resolution.
     events: Option<Arc<ResolutionEvents>>,
-    /// Bytes the pending spools spilled to disk (bounded hot windows),
-    /// accumulated at finalization.
-    spool_bytes_spilled: u64,
     /// Time the calls spent queued behind a [`SourcePool`] cap,
     /// accumulated at finalization and folded into `source_wait`.
     queue_wait: Duration,
@@ -1215,7 +831,6 @@ impl ResolvedExecs {
                 failure = error;
                 outcome
             };
-            self.spool_bytes_spilled += source.spilled_bytes();
             self.queue_wait += source.queue_wait();
             self.set_outcome(Arc::clone(&source.key), outcome);
         }
@@ -1269,13 +884,6 @@ impl ResolvedExecs {
     #[must_use]
     pub fn stats(&self) -> &[SourceCallStats] {
         &self.stats
-    }
-
-    /// Bytes the streamed spools spilled to disk under a bounded memory
-    /// budget (0 when unbounded, or before finalization).
-    #[must_use]
-    pub fn spool_bytes_spilled(&self) -> u64 {
-        self.spool_bytes_spilled
     }
 
     /// Time the wrapper calls spent queued behind a [`SourcePool`]
@@ -1488,7 +1096,6 @@ pub(crate) fn resolve_on(
     let deadline_at = config.deadline.map(|d| Instant::now() + d);
     let events = Arc::new(ResolutionEvents::new(deadline_at));
     resolved.events = Some(Arc::clone(&events));
-    let spool_budget = config.pipeline.effective_mem_budget();
     // One budget shared by every call of this query: the cap bounds the
     // total transfer, not each source individually.
     let row_budget = config
@@ -1512,11 +1119,7 @@ pub(crate) fn resolve_on(
                 .ok_or_else(|| RuntimeError::UnknownWrapper(wrapper_name.to_owned()))?,
         };
         let key = Arc::new(key);
-        let source = Arc::new(PendingSource::new(
-            Arc::clone(&key),
-            Arc::clone(&events),
-            spool_budget,
-        ));
+        let source = Arc::new(PendingSource::new(Arc::clone(&key), Arc::clone(&events)));
         resolved.set_outcome(key, ExecOutcome::Pending(Arc::clone(&source)));
         resolved.pending_order.push(Arc::clone(&source));
         let calibration = config.calibration.clone();

@@ -64,9 +64,9 @@ impl Executor {
     }
 
     /// Sets the memory budget of the execution.  A bounded budget makes
-    /// the pipeline breakers (hash join, distinct) spill to disk instead
-    /// of buffering past it, and bounds the pending-source spools with a
-    /// hybrid memory/disk window.  [`MemBudget::Auto`] (the default)
+    /// the pipeline breakers (hash join, distinct, a buffered join inner)
+    /// spill to disk instead of buffering past it; it does not touch the
+    /// pending-source spools.  [`MemBudget::Auto`] (the default)
     /// defers to the `DISCO_MEM_BUDGET` environment variable;
     /// [`MemBudget::Unbounded`] pins the in-memory path regardless of
     /// the environment.

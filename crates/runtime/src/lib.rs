@@ -15,7 +15,7 @@
 //!
 //! [`Executor::execute`] queues every wrapper call at once
 //! ([`resolve_execs_streamed`]; one bounded, process-wide call executor
-//! runs them — a sleeping or backpressured call holds no runner, so
+//! runs them — a call sleeping out a link delay holds no runner, so
 //! threads follow the machine and the calls that wait, not the source
 //! count), evaluates the plan optimistically while row chunks arrive, finalizes the resolution, and — when a source turned
 //! out (or was deadline-classified) unavailable — partially evaluates over
@@ -56,9 +56,9 @@
 //! over them) run through **columnar operators** — typed column chunks
 //! and compiled scalar kernels.  This is not a mode: cursor construction
 //! always tries them first, and the row cursors are their fallback — per
-//! batch on irregular input or a would-be error, for plans that do not
-//! fuse, for still-pending sources, and for joins and distinct under a
-//! bounded memory budget (the row cursors are the ones that spill).
+//! batch on irregular input or a would-be error, and for plans that do
+//! not fuse.  A still-pending source feeds the kernels out of its spool's
+//! chunk chain, with or without a memory budget.
 //! [`ExecutionStats`] reports `rows_kernel` / `rows_fallback`.
 //!
 //! Join output is **lazy**: a join match yields the (left, right) row
@@ -77,15 +77,13 @@
 //! `mem_budget` field, or [`Executor::with_mem_budget`].  When the
 //! tracked bytes of a hash-join build table or a distinct seen-set reach
 //! the budget, the breaker hash-partitions its state into disk runs and
-//! recurses per partition (Grace style); the spools of still-answering
-//! wrapper calls keep a bounded in-memory hot window, overflow older
-//! chunks to disk, and backpressure the wrapper call when the disk
-//! tier also fills.  Aggregates keep O(1) state and never spill.  Spill
-//! files are written to `DISCO_SPILL_DIR` (the system temp directory by
-//! default) and deleted eagerly — on success *and* on error paths.  A
-//! spool whose spill file cannot be written fails its source the way a
-//! deadline does (unavailable, call cancelled, §4 partial answer) rather
-//! than buffering past the budget.  The
+//! recurses per partition (Grace style).  Aggregates keep O(1) state and
+//! never spill.  The spools of still-answering wrapper calls are not
+//! budgeted: each is the chunk chain with or without a budget, because
+//! finalization holds every source's whole answer anyway.  Spill files
+//! are written to `DISCO_SPILL_DIR` (the system temp directory by
+//! default) and deleted eagerly — on success *and* on error paths; a
+//! spill that cannot be written is a `RuntimeError::Spill`.  The
 //! answer multiset, errors, and `rows_materialized` are identical to the
 //! unbounded path; [`ExecutionStats`] reports `bytes_spilled`,
 //! `spill_partitions`, and `peak_tracked_bytes`.  The default (no

@@ -71,9 +71,10 @@ pub struct ExecutionStats {
     /// cover at runtime).  Rows outside any columnar stretch count in
     /// neither bucket.
     pub rows_fallback: usize,
-    /// Bytes written to disk by memory-budgeted operators: spilling
-    /// pipeline breakers (hash join, distinct) plus the bounded pending
-    /// spools.  Always 0 under the default unbounded budget.
+    /// Breaker bytes written to disk under a memory budget: the runs of
+    /// spilling pipeline breakers (hash join, distinct, the buffered
+    /// inner of a nested-loop or merge join).  Pending-source spools never
+    /// spill.  Always 0 under the default unbounded budget.
     pub bytes_spilled: u64,
     /// Grace partition fan-outs performed by spilling breakers (8 per
     /// spill or re-split).  Always 0 under the default unbounded budget.
@@ -112,7 +113,7 @@ impl ExecutionStats {
             source_wait: metrics.source_wait() + resolved.source_queue_wait(),
             rows_kernel: metrics.rows_kernel(),
             rows_fallback: metrics.rows_fallback(),
-            bytes_spilled: metrics.bytes_spilled() + resolved.spool_bytes_spilled(),
+            bytes_spilled: metrics.bytes_spilled(),
             spill_partitions: metrics.spill_partitions(),
             peak_tracked_bytes: metrics.peak_tracked_bytes(),
         }

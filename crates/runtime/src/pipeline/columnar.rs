@@ -17,8 +17,7 @@
 //! second supply can make a spine wait; the wait, the deadline and a
 //! source's failure all come through the spool's one wait loop, and
 //! [`RowStream::ready`] of everything built on a spine reports the
-//! supply's state.  (The spool of a memory-budgeted execution may evict
-//! rows and so lends nothing: its scans stay on the row cursors.)
+//! supply's state.  A memory budget changes neither supply.
 //!
 //! A slice comes in the form its bag has.  Row values (literal data, a
 //! CSV or document wrapper's chunk) are decoded, batch by batch, into the
@@ -142,8 +141,7 @@ fn fuse_source<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<Batch
 /// behind a cursor for a whole execution, and the spine alone is a couple
 /// hundred bytes.
 pub(crate) enum BatchSource<'a> {
-    /// Batches pulled from a row cursor (plans that do not fuse, the
-    /// pending sources of a memory-budgeted execution).
+    /// Batches pulled from a row cursor (plans that do not fuse).
     Rows {
         input: BoxedRowStream<'a>,
         done: bool,
@@ -428,9 +426,8 @@ fn spine_shape<'a>(
 
 /// The row supply of a scan node: the rows of literal data or of a
 /// materialized answer, or the chunk chain of a still-streaming call.
-/// Unresolved and unavailable sources — and the spool of a
-/// memory-budgeted execution, which may evict rows and so cannot lend
-/// them — keep the row path (which reports the precise error).
+/// Unresolved and unavailable sources keep the row path (which reports
+/// the precise error).
 fn resolved_rows<'a>(node: &'a PhysicalExpr, ctx: &PipelineCtx<'a>) -> Option<Supply<'a>> {
     match node {
         PhysicalExpr::MemScan(bag) => Some(Supply::bag(bag)),
@@ -441,7 +438,7 @@ fn resolved_rows<'a>(node: &'a PhysicalExpr, ctx: &PipelineCtx<'a>) -> Option<Su
             ..
         } => match ctx.resolved.outcome_of(repository, extent, logical)? {
             ExecOutcome::Rows(rows) => Some(Supply::bag(rows)),
-            ExecOutcome::Pending(source) => SpoolReader::new(source).map(Supply::spool),
+            ExecOutcome::Pending(source) => Some(Supply::spool(SpoolReader::new(source))),
             ExecOutcome::Unavailable => None,
         },
         _ => None,

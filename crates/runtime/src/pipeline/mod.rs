@@ -715,15 +715,10 @@ pub(crate) fn build<'a>(
             ..
         } => match ctx.resolved.outcome_of(repository, extent, logical) {
             Some(ExecOutcome::Rows(rows)) => Ok(Box::new(scan::ScanCursor::new(rows))),
-            // An unbudgeted spool is read in place; only a budgeted one,
-            // whose rows may be on disk, is copied out of.
-            Some(ExecOutcome::Pending(source)) => Ok(match scan::SpoolReader::new(source) {
-                Some(reader) => Box::new(scan::SpoolScanCursor::new(reader, ctx)),
-                None => Box::new(scan::PendingScanCursor::new(
-                    std::sync::Arc::clone(source),
-                    ctx,
-                )),
-            }),
+            Some(ExecOutcome::Pending(source)) => Ok(Box::new(scan::SpoolScanCursor::new(
+                scan::SpoolReader::new(source),
+                ctx,
+            ))),
             Some(ExecOutcome::Unavailable) => Err(RuntimeError::Unsupported(format!(
                 "exec call to unavailable source {repository} reached the evaluator"
             ))),

@@ -1,25 +1,18 @@
 //! Leaf cursors: scans over in-memory bags and over still-streaming
 //! pending sources.
 //!
-//! A pending source is read in one of two ways, decided by what its spool
-//! is made of.  An unbudgeted spool is a chain of immutable chunks:
-//! [`SpoolReader`] walks it and hands out the **borrowed** chunks — to
-//! the fused spine (`columnar::Spine`), which takes them a batch at a
-//! time and reads a column-faced chunk's columns in place; to everything
-//! that does not fuse (a bare scan under a union, a nested-loop or merge
-//! join side) a row at a time through [`SpoolScanCursor`], for which a
-//! column-faced chunk builds its rows.  A budgeted spool
-//! may evict rows to disk, so nothing can borrow from it:
-//! [`PendingScanCursor`] copies rows out through
-//! `PendingSource::wait_rows`, and is built for that spool only.  Either
-//! way the reader blocks only on *its own* source, through the spool's
-//! one wait loop: the deadline flips a still-streaming spool to
+//! A pending source's spool is a chain of immutable chunks, with or
+//! without a memory budget: [`SpoolReader`] walks it and hands out the
+//! **borrowed** chunks — to the fused spine (`columnar::Spine`), which
+//! takes them a batch at a time and reads a column-faced chunk's columns
+//! in place; to everything that does not fuse (a bare scan under a union,
+//! a nested-loop or merge join side) a row at a time through
+//! [`SpoolScanCursor`], for which a column-faced chunk builds its rows.
+//! The reader blocks only on *its own* source, through the spool's one
+//! wait loop: the deadline flips a still-streaming spool to
 //! unavailable, which surfaces as
 //! [`RuntimeError::PendingUnavailable`](crate::RuntimeError) and sends the
 //! executor to partial evaluation.
-
-use std::collections::VecDeque;
-use std::sync::Arc;
 
 use disco_value::{Bag, Value};
 
@@ -62,7 +55,7 @@ impl<'a> RowStream<'a> for ScanCursor<'a> {
     }
 }
 
-/// A position in the chunk chain of an unbudgeted spool.  Chunks come
+/// A position in the chunk chain of a spool.  Chunks come
 /// out as bags borrowed from the spool — never copied, never locked;
 /// for the next one the reader waits through
 /// `PendingSource::chunk_after` and charges the time to
@@ -79,15 +72,14 @@ pub(crate) struct SpoolReader<'a> {
 }
 
 impl<'a> SpoolReader<'a> {
-    /// A reader at the start of `source`'s chain; `None` when the spool
-    /// is budgeted (not a chain).
-    pub(crate) fn new(source: &'a PendingSource) -> Option<Self> {
-        source.is_chain().then_some(SpoolReader {
+    /// A reader at the start of `source`'s chain.
+    pub(crate) fn new(source: &'a PendingSource) -> Self {
+        SpoolReader {
             source,
             chunk: None,
             consumed: 0,
             exhausted: false,
-        })
+        }
     }
 
     /// The next chunk, as it arrived (rows, or columns a spine reads in
@@ -120,7 +112,7 @@ impl<'a> SpoolReader<'a> {
     }
 }
 
-/// Streams a still-resolving `exec` call out of an unbudgeted spool for
+/// Streams a still-resolving `exec` call out of its spool for
 /// the consumers that do not fuse: every row is a borrowed frame, exactly
 /// as [`ScanCursor`] yields them over a materialized answer.
 pub(crate) struct SpoolScanCursor<'a> {
@@ -160,87 +152,5 @@ impl<'a> RowStream<'a> for SpoolScanCursor<'a> {
 
     fn ready(&self) -> bool {
         !self.current.as_slice().is_empty() || self.reader.ready()
-    }
-}
-
-/// Streams a still-resolving `exec` call out of a **budgeted** spool,
-/// whose rows may have moved to its disk tier: rows are copied out
-/// (`Arc` bumps) through `PendingSource::wait_rows`, so the cursor owns
-/// them.  The cursor blocks only when *its own* source is behind; the
-/// blocked time is charged to
-/// [`PipelineMetrics::source_wait`](super::PipelineMetrics::source_wait).
-/// Several scans of the same deduplicated call read one spool
-/// independently, each with its own index.
-pub(crate) struct PendingScanCursor<'a> {
-    source: Arc<PendingSource>,
-    ctx: PipelineCtx<'a>,
-    /// Read index into the spool (rows consumed into `buf`).
-    index: usize,
-    /// Rows fetched but not yet handed out (feeds `next_row`).
-    buf: VecDeque<Value>,
-    exhausted: bool,
-}
-
-impl<'a> PendingScanCursor<'a> {
-    pub(crate) fn new(source: Arc<PendingSource>, ctx: PipelineCtx<'a>) -> Self {
-        PendingScanCursor {
-            source,
-            ctx,
-            index: 0,
-            buf: VecDeque::new(),
-            exhausted: false,
-        }
-    }
-
-    /// Waits for up to `max` more rows; `None` when the stream completed.
-    fn fetch(&mut self, max: usize) -> Result<Option<Vec<Value>>> {
-        if self.exhausted {
-            return Ok(None);
-        }
-        let (progress, blocked) = self.source.wait_rows(self.index, max);
-        if !blocked.is_zero() {
-            self.ctx.metrics.add_source_wait(blocked);
-        }
-        let rows = progress?;
-        match &rows {
-            Some(rows) => self.index += rows.len(),
-            None => self.exhausted = true,
-        }
-        Ok(rows)
-    }
-}
-
-impl<'a> RowStream<'a> for PendingScanCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        if let Some(value) = self.buf.pop_front() {
-            return Some(Ok(Row::owned(value)));
-        }
-        match self.fetch(self.ctx.batch_rows) {
-            Ok(Some(rows)) => {
-                self.buf.extend(rows);
-                self.buf.pop_front().map(|value| Ok(Row::owned(value)))
-            }
-            Ok(None) => None,
-            Err(err) => Some(Err(err)),
-        }
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
-        if !self.buf.is_empty() {
-            let take = self.buf.len().min(max);
-            out.extend(self.buf.drain(..take).map(Row::owned));
-            return Ok(true);
-        }
-        match self.fetch(max)? {
-            Some(rows) => {
-                out.extend(rows.into_iter().map(Row::owned));
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    fn ready(&self) -> bool {
-        !self.buf.is_empty() || self.exhausted || self.source.ready(self.index)
     }
 }

@@ -1,9 +1,11 @@
 //! Memory-budgeted spilling for pipeline breakers.
 //!
-//! The streaming engine has exactly three places that buffer an unbounded
-//! number of rows: the hash-join *build* table, the `distinct` seen-set,
-//! and the pending-source spools of streamed resolution (aggregates fold
-//! with O(1) state and never buffer).  This module gives those breakers a
+//! The pipeline breakers that buffer an unbounded number of rows are the
+//! hash-join *build* table, the `distinct` seen-set and the re-scanned
+//! inner of a nested-loop or merge join (aggregates fold with O(1) state
+//! and never buffer; the pending-source spools of streamed resolution are
+//! not bounded, since finalization holds every answer whole anyway).
+//! This module gives those breakers a
 //! shared, byte-accounting [`MemoryBudget`] plus the disk-run plumbing
 //! they partition their state into when the budget trips:
 //!
@@ -39,7 +41,7 @@
 use std::collections::VecDeque;
 use std::fs::File;
 use std::hash::{BuildHasher, RandomState};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -618,46 +620,6 @@ pub(crate) fn record_row<'a>(mut values: Vec<Value>) -> super::Row<'a> {
     }
 }
 
-/// Serialize values into an in-memory byte buffer (one chunk of a
-/// pending-source spool's disk tier).
-pub(crate) fn encode_rows(rows: &[Value]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for row in rows {
-        // Writing to a Vec cannot fail.
-        disco_value::write_value(&mut buf, row).expect("vec write");
-    }
-    buf
-}
-
-/// Decode `count` values from a byte buffer produced by [`encode_rows`].
-pub(crate) fn decode_rows(mut buf: &[u8], count: usize) -> std::io::Result<Vec<Value>> {
-    let mut rows = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        rows.push(disco_value::read_value(&mut buf)?);
-    }
-    Ok(rows)
-}
-
-/// Append a pre-encoded chunk to a spool's disk tier, returning the file
-/// offset it starts at.
-pub(crate) fn append_chunk<W: Write + Seek>(file: &mut W, bytes: &[u8]) -> std::io::Result<u64> {
-    let offset = file.seek(SeekFrom::End(0))?;
-    file.write_all(bytes)?;
-    Ok(offset)
-}
-
-/// Read back `len` bytes at `offset` from a spool's disk tier.
-pub(crate) fn read_chunk<R: Read + Seek>(
-    file: &mut R,
-    offset: u64,
-    len: usize,
-) -> std::io::Result<Vec<u8>> {
-    file.seek(SeekFrom::Start(offset))?;
-    let mut buf = vec![0u8; len];
-    file.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,13 +718,5 @@ mod tests {
         let path = run.file.path.clone();
         drop(run);
         assert!(!path.exists());
-    }
-
-    #[test]
-    fn chunk_encode_decode_round_trip() {
-        let rows = vec![Value::from(1i64), Value::from("xyz"), Value::Null];
-        let bytes = encode_rows(&rows);
-        let back = decode_rows(&bytes, rows.len()).unwrap();
-        assert_eq!(back, rows);
     }
 }

@@ -31,9 +31,11 @@
 //!   spool fed both interleaved.
 //!
 //! Every execution here pins the build side and an explicit memory
-//! budget: the chunk chain exists only without a budget (the second run of the
-//! differential, under a small budget, covers the spool that keeps the
-//! row cursor).
+//! budget.  The differential runs its whole assertion set twice, without
+//! a budget and under 64 KiB: a budget bounds breakers and nothing else,
+//! so a budgeted spool is the same chunk chain under the same spine.  The
+//! budgeted pass fails at the parent commit, where a budgeted spool was a
+//! hot window read through a copying row cursor (`rows_kernel` 0).
 
 mod common;
 
@@ -225,65 +227,66 @@ fn staged(
     (data, metrics, expected)
 }
 
-/// Runs `plan` streamed and staged, with and without a memory budget, and
-/// asserts they agree; returns the unbudgeted execution's kernel counters
-/// `(rows_kernel, rows_fallback)`.
-fn assert_streamed_is_staged(fed: &Fed, plan: &LogicalExpr, label: &str) -> (usize, usize) {
-    let (data, metrics, expected) = staged(fed, plan, MemBudget::Unbounded);
-    let (data, expected) = (data.expect(label), expected.expect(label));
-    assert_eq!(data, expected, "{label}: staged pipeline vs reference");
-    let answer = execute(fed, plan, MemBudget::Unbounded).expect(label);
-    assert!(answer.is_complete(), "{label}");
-    assert_eq!(*answer.data(), expected, "{label}: streamed vs reference");
-    let stats = answer.stats();
-    // A spine cuts its batches at chunk boundaries, so an irregular row
-    // takes fewer neighbours to the row path than in one big slice; what
-    // is scanned — and that regular input never falls back — is the same.
-    assert_eq!(
-        stats.rows_kernel + stats.rows_fallback,
-        metrics.rows_kernel() + metrics.rows_fallback(),
-        "{label}: a stretch fuses over a spool's chunks exactly when it fuses over a slice"
-    );
-    assert!(
-        stats.rows_fallback <= metrics.rows_fallback(),
-        "{label}: {} rows fell back streamed, {} staged",
-        stats.rows_fallback,
-        metrics.rows_fallback()
-    );
-    assert_eq!(
-        stats.rows_materialized,
-        metrics.rows_materialized(),
-        "{label}"
-    );
+/// The budgets every differential runs under: a budget must change
+/// neither the answer nor how a pending source reaches the kernels.
+const BUDGETS: [MemBudget; 2] = [MemBudget::Unbounded, MemBudget::Bytes(64 << 10)];
 
-    // The spool that keeps the row cursor: same answer, same breakers.
-    let budget = MemBudget::Bytes(64 << 10);
-    let (_, budgeted_metrics, _) = staged(fed, plan, budget);
-    let budgeted = execute(fed, plan, budget).expect(label);
-    assert_eq!(*budgeted.data(), expected, "{label}: under a budget");
-    assert_eq!(
-        budgeted.stats().rows_materialized,
-        budgeted_metrics.rows_materialized(),
-        "{label}: under a budget"
-    );
-    (stats.rows_kernel, stats.rows_fallback)
+/// Runs `plan` streamed and staged under each of [`BUDGETS`] and asserts
+/// they agree; returns each streamed execution's kernel counters
+/// `(rows_kernel, rows_fallback)`, in [`BUDGETS`] order.
+fn assert_streamed_is_staged(fed: &Fed, plan: &LogicalExpr, label: &str) -> [(usize, usize); 2] {
+    BUDGETS.map(|budget| {
+        let label = format!("{label}, {budget:?}");
+        let (data, metrics, expected) = staged(fed, plan, budget);
+        let (data, expected) = (data.expect(&label), expected.expect(&label));
+        assert_eq!(data, expected, "{label}: staged pipeline vs reference");
+        let answer = execute(fed, plan, budget).expect(&label);
+        assert!(answer.is_complete(), "{label}");
+        assert_eq!(*answer.data(), expected, "{label}: streamed vs reference");
+        let stats = answer.stats();
+        // A spine cuts its batches at chunk boundaries, so an irregular row
+        // takes fewer neighbours to the row path than in one big slice; what
+        // is scanned — and that regular input never falls back — is the same.
+        assert_eq!(
+            stats.rows_kernel + stats.rows_fallback,
+            metrics.rows_kernel() + metrics.rows_fallback(),
+            "{label}: a stretch fuses over a spool's chunks exactly when it fuses over a slice"
+        );
+        assert!(
+            stats.rows_fallback <= metrics.rows_fallback(),
+            "{label}: {} rows fell back streamed, {} staged",
+            stats.rows_fallback,
+            metrics.rows_fallback()
+        );
+        assert_eq!(
+            stats.rows_materialized,
+            metrics.rows_materialized(),
+            "{label}"
+        );
+        (stats.rows_kernel, stats.rows_fallback)
+    })
 }
 
 const CHUNKINGS: [usize; 3] = [1, 7, 0];
 
 #[test]
 fn the_columnar_corpus_streams_as_it_materializes() {
-    let mut kernel_rows = 0;
+    let mut kernel_rows = [0; 2];
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0xC01A + seed);
         let plan = random_plan(&mut rng);
         for chunk_rows in CHUNKINGS {
             let (fed, plan) = federate(&plan, chunk_rows);
             let label = format!("seed {seed}, chunks of {chunk_rows}: {plan}");
-            kernel_rows += assert_streamed_is_staged(&fed, &plan, &label).0;
+            let passes = assert_streamed_is_staged(&fed, &plan, &label);
+            for (total, (kernel, _)) in kernel_rows.iter_mut().zip(passes) {
+                *total += kernel;
+            }
         }
     }
-    assert!(kernel_rows > 0, "the corpus must reach the kernels");
+    for (budget, rows) in BUDGETS.iter().zip(kernel_rows) {
+        assert!(rows > 0, "{budget:?}: the corpus must reach the kernels");
+    }
     common::assert_no_calls_in_flight();
 }
 
@@ -370,12 +373,13 @@ fn every_mediator_side_filter_and_projection_shape_fuses() {
         let submit = fed.source(&people(rows), instant_profile(chunk_rows));
         for (shape, plan) in mediator_side_shapes(&submit) {
             let label = format!("{shape}, chunks of {chunk_rows}");
-            let (kernel, fallback) = assert_streamed_is_staged(&fed, &plan, &label);
-            assert_eq!(
-                (kernel, fallback),
-                (rows as usize, 0),
-                "{label}: every scanned row through the kernels"
-            );
+            for counters in assert_streamed_is_staged(&fed, &plan, &label) {
+                assert_eq!(
+                    counters,
+                    (rows as usize, 0),
+                    "{label}: every scanned row through the kernels"
+                );
+            }
         }
     }
     common::assert_no_calls_in_flight();
@@ -412,8 +416,9 @@ fn a_join_of_projected_sources_fuses_over_pending_sides() {
             ),
         ]));
         let label = format!("projected join, chunks of {chunk_rows}");
-        let (kernel, fallback) = assert_streamed_is_staged(&fed, &plan, &label);
-        assert_eq!((kernel, fallback), (240, 0), "{label}");
+        for counters in assert_streamed_is_staged(&fed, &plan, &label) {
+            assert_eq!(counters, (240, 0), "{label}");
+        }
     }
 }
 
@@ -606,12 +611,9 @@ fn an_irregular_chunk_falls_back_for_that_batch_only() {
             let mut fed = Fed::new();
             let plan = bonus_of_the_well_paid(fed.scripted(chunks, faces, Then::Complete));
             let label = format!("{what}, {faces:?}");
-            let (kernel, fallback) = assert_streamed_is_staged(&fed, &plan, &label);
-            assert_eq!(
-                (kernel, fallback),
-                (24, 6),
-                "{label}: one chunk of six fell back"
-            );
+            for counters in assert_streamed_is_staged(&fed, &plan, &label) {
+                assert_eq!(counters, (24, 6), "{label}: one chunk of six fell back");
+            }
         }
     }
 }

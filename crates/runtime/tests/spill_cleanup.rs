@@ -1,12 +1,13 @@
-//! Spill files must never outlive the execution that created them, and a
-//! spill directory that cannot be written must never turn into unbounded
-//! buffering.
+//! Spill files must never outlive the execution that created them, a
+//! budget must never send a spool to disk, and a spill directory that
+//! cannot be written must fail the breaker that spills, loudly.
 //!
 //! Runs a spilling evaluation with `DISCO_SPILL_DIR` pointed at a fresh
 //! private directory and asserts the directory holds no `disco-spill-*`
 //! files afterwards — on the success path *and* when the evaluation
-//! dies mid-spill with an error — and runs a federated query with the
-//! variable pointed at an unwritable path.  This lives in its own test
+//! dies mid-spill with an error — and runs a federated query and a
+//! spilling evaluation with the variable pointed at an unwritable path.
+//! This lives in its own test
 //! binary (its own process) because it mutates process environment
 //! variables; the tests additionally serialize on a lock since tests
 //! within one binary run on sibling threads.
@@ -20,6 +21,7 @@ use common::{branch, federation_with, instant_profile, person};
 use disco_algebra::{lower, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_runtime::{
     evaluate_physical_with, Executor, MemBudget, PipelineMetrics, PipelineOptions, ResolvedExecs,
+    RuntimeError,
 };
 use disco_value::{Bag, StructValue, Value};
 
@@ -116,22 +118,30 @@ fn spill_files_are_cleaned_up_on_error() {
     );
 }
 
-/// A spool that cannot spill fails its *source* (§4) instead of buffering
-/// past the budget: the query completes as a partial answer naming the
-/// repository.  Without a budget nothing spills, so the same unwritable
-/// path is never touched and the answer is complete.
-#[test]
-fn unwritable_spill_dir_fails_the_source_not_the_budget() {
-    const BUDGET: usize = 64 * 1024;
+/// Points `DISCO_SPILL_DIR` below a regular file — a directory that
+/// cannot be created, whoever runs the test — for the duration of `f`,
+/// and reports whether the spill directory came to exist.
+fn with_unwritable_spill_dir<T>(f: impl FnOnce() -> T) -> (T, bool) {
     let _guard = SPILL_DIR_LOCK.lock().unwrap();
-    // A directory cannot be created below a regular file, whoever runs
-    // the test.
     let blocker = std::env::temp_dir().join(format!("disco-spill-blocker-{}", std::process::id()));
     fs::write(&blocker, b"not a directory").expect("create blocker file");
     std::env::set_var("DISCO_SPILL_DIR", blocker.join("spill"));
+    let out = f();
+    std::env::remove_var("DISCO_SPILL_DIR");
+    let spill_dir_created = blocker.join("spill").exists();
+    let _ = fs::remove_file(&blocker);
+    (out, spill_dir_created)
+}
 
-    // r0 ships a filter and returns 20 rows; r1 returns ~300 KiB, far
-    // past the spool's hot window under a 64 KiB budget.
+/// A budget never sends a spool to disk: under 64 KiB and an unwritable
+/// spill directory, a source returning ~300 KiB answers in full, exactly
+/// as without a budget.  Rewritten from the parent's
+/// `unwritable_spill_dir_fails_the_source_not_the_budget`, which pinned
+/// the deleted hot-window spool (its failed disk tier made r1
+/// unavailable); there is no spool spill left to fail.
+#[test]
+fn a_budget_never_sends_a_spool_to_disk() {
+    // r0 ships a filter and returns 20 rows; r1 returns ~300 KiB.
     let federation = federation_with(&vec![instant_profile(64); 2], 2_000, 29);
     let small = LogicalExpr::get("person0")
         .filter(ScalarExpr::binary(
@@ -148,36 +158,42 @@ fn unwritable_spill_dir_fails_the_source_not_the_budget() {
             .with_mem_budget(budget)
             .with_deadline(Some(std::time::Duration::from_secs(5)))
             .execute(&physical, &federation.catalog)
-            .expect("a failed spill is not a hard error")
+            .expect("a budget is not an error")
     };
-    let bounded = run(MemBudget::Bytes(BUDGET));
-    let unbounded = run(MemBudget::Unbounded);
-    std::env::remove_var("DISCO_SPILL_DIR");
-    let spill_dir_created = blocker.join("spill").exists();
-    let _ = fs::remove_file(&blocker);
+    let ((bounded, unbounded), spill_dir_created) =
+        with_unwritable_spill_dir(|| (run(MemBudget::Bytes(64 * 1024)), run(MemBudget::Unbounded)));
 
-    assert_eq!(bounded.unavailable_sources(), &["r1".to_owned()]);
-    assert_eq!(
-        bounded.data().len(),
-        20,
-        "r0 answered within the hot window"
-    );
-    let residual = bounded
-        .residual_oql()
-        .expect("partial answers carry a residual");
-    assert!(
-        residual.contains("person1") && !residual.contains("person0"),
-        "the residual re-fetches exactly the failed source: {residual}"
-    );
-    assert!(bounded.stats().peak_tracked_bytes <= BUDGET);
+    assert!(bounded.is_complete(), "no source is failed by a spill");
+    assert_eq!(bounded.data().len(), 2_020);
+    assert_eq!(bounded.data(), unbounded.data());
     assert_eq!(bounded.stats().bytes_spilled, 0, "nothing reached the disk");
+    assert!(!spill_dir_created, "nothing tried to spill");
+    assert!(unbounded.is_complete());
+}
+
+/// The only thing left that spills — a pipeline breaker over its budget —
+/// fails loudly on a spill directory it cannot create: a typed
+/// `RuntimeError::Spill`, no panic, no file left.  Split out of the
+/// parent's `unwritable_spill_dir_fails_the_source_not_the_budget`
+/// (whose spool half is `a_budget_never_sends_a_spool_to_disk`); no
+/// test covered this case before.
+#[test]
+fn an_unwritable_spill_dir_fails_a_spilling_breaker_loudly() {
+    let physical = lower(&join_distinct(people(1_500), people(300))).expect("lowers");
+    let resolved = ResolvedExecs::default();
+    let (result, spill_dir_created) = with_unwritable_spill_dir(|| {
+        evaluate_physical_with(&physical, &resolved, &PipelineMetrics::new(), budgeted())
+    });
+    let err = result.expect_err("the breaker had to spill and could not");
+    assert!(matches!(err, RuntimeError::Spill(_)), "{err:?}");
+    assert!(
+        err.to_string().contains("creating spill directory"),
+        "{err}"
+    );
     assert!(
         !spill_dir_created,
-        "no spill file can have been left behind"
+        "no disco-spill-* file can be left behind"
     );
-
-    assert!(unbounded.is_complete(), "no budget, no spill attempt");
-    assert_eq!(unbounded.data().len(), 2_020);
 }
 
 /// Starts after the tests above (name order) and outwaits them: a call

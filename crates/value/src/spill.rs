@@ -1,10 +1,10 @@
 //! Length-prefixed [`Value`] serialization for spill runs.
 //!
-//! The runtime's pipeline breakers (hash-join builds, distinct seen-sets)
-//! and pending-source spools overflow to disk when their memory budget
+//! The runtime's pipeline breakers (hash-join builds, distinct seen-sets,
+//! buffered join inners) overflow to disk when their memory budget
 //! trips.  What they write is a *run*: a sequence of records, each record
 //! a short vector of [`Value`]s (a join row's key plus frames, a distinct
-//! candidate, a spooled source row).  This module defines that on-disk
+//! candidate).  This module defines that on-disk
 //! format and the [`RunWriter`]/[`RunReader`] pair that streams it.
 //!
 //! # Format

@@ -14,7 +14,10 @@
 //! This test **fails at the parent commit** (2.01 / 2.01 / 4.05): a
 //! wrapper built two heap blocks per surviving row, and the `struct(...)`
 //! text two more for the row it answers with.  Those last two are the
-//! answer's own values and are what is left.
+//! answer's own values and are what is left.  CI also runs it under
+//! `DISCO_MEM_BUDGET=65536`, where it fails at the parent of the
+//! one-spool-form change (101.2 / 57.0 / 126.5: a budgeted spool turned
+//! every column chunk into rows and encoded them to disk).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
