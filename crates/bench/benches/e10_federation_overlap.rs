@@ -8,18 +8,13 @@
 //! `harness e10`; this bench keeps the path under the CI bitrot guard.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use disco_bench::experiments::{e10_federation_overlap, e10_heterogeneous_adaptive, Scale};
+use disco_bench::experiments::{e10_federation_overlap, Scale};
 
 fn bench_federation_overlap(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_federation_overlap");
     group.sample_size(10);
     group.bench_function("streamed_vs_blocking_quick", |b| {
         b.iter(|| e10_federation_overlap(Scale::quick()));
-    });
-    // E10h smoke: adaptive vs pinned scheduling over the same skewed
-    // federation, with its answer-equivalence assertions live.
-    group.bench_function("heterogeneous_adaptive_quick", |b| {
-        b.iter(|| e10_heterogeneous_adaptive(Scale::quick()));
     });
     group.finish();
 }

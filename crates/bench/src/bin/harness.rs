@@ -14,11 +14,9 @@
 //! `BENCH_e9.json` in the current directory so the perf trajectory of the
 //! mediator combine step is tracked from PR to PR; E10 (federation
 //! overlap: the executor vs resolve-then-combine) is likewise recorded to
-//! `BENCH_e10.json`, E10h (heterogeneous federation, adaptive vs pinned
-//! scheduling) to `BENCH_e10h.json`, E11 (multi-query serving layer) to
-//! `BENCH_e11.json`, and E12 (memory-budgeted spilling) to
-//! `BENCH_e12.json`.  Every recorded file notes the core count and the
-//! commit it was taken on.
+//! `BENCH_e10.json`, E11 (multi-query serving layer) to `BENCH_e11.json`,
+//! and E12 (memory-budgeted spilling) to `BENCH_e12.json`.  Every
+//! recorded file notes the core count and the commit it was taken on.
 
 use disco_bench::experiments::{self, Scale};
 use disco_bench::report::Report;
@@ -55,7 +53,7 @@ fn main() {
         .collect();
 
     if reports.is_empty() {
-        eprintln!("unknown experiment selection {selection:?}; use e1..e12, e10h, or all");
+        eprintln!("unknown experiment selection {selection:?}; use e1..e12 or all");
         std::process::exit(2);
     }
     for report in &reports {

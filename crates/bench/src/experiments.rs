@@ -1056,113 +1056,6 @@ pub fn e10_federation_overlap(scale: Scale) -> Report {
 }
 
 // ---------------------------------------------------------------------
-// E10h — heterogeneous federation: adaptive vs pinned scheduling
-// ---------------------------------------------------------------------
-
-/// E10h: heterogeneity-aware adaptive scheduling over the E10 federation.
-///
-/// The same skewed federation as E10 — one source answers ~10× slower
-/// than the rest — executed through a join the slow source feeds, with
-/// the pinned scheduler (`AdaptiveMode::Off`) and the adaptive engine
-/// (`AdaptiveMode::On`): the first-answer build-side choice.  Every
-/// answer is asserted
-/// multiset-identical to the pinned baseline; the table tracks
-/// how wall-clock and first-row latency move when adaptivity engages.
-///
-/// # Panics
-///
-/// Panics if an adaptive answer diverges from the pinned baseline.
-#[must_use]
-pub fn e10_heterogeneous_adaptive(scale: Scale) -> Report {
-    use disco_runtime::AdaptiveMode;
-
-    let (federation, workload, trials) = skewed_federation(scale);
-    let mut report = Report::new(
-        "E10h",
-        "heterogeneous federation: adaptive vs pinned scheduling",
-        &format!("{workload}; join fed by the degraded source; median of {trials} trials"),
-        &["adaptive", "wall ms", "t_first ms", "rows"],
-    );
-
-    // A join the degraded source feeds: the adaptive engine may build the
-    // first-answered fast side instead of waiting on the slow one.
-    let slow = federation.links.len() - 1;
-    let plan = lower(
-        &LogicalExpr::Join {
-            left: Box::new(
-                LogicalExpr::get(format!("person{slow}"))
-                    .submit(
-                        format!("r{slow}"),
-                        format!("w_person{slow}"),
-                        format!("person{slow}"),
-                    )
-                    .bind("x"),
-            ),
-            right: Box::new(
-                LogicalExpr::get("person0")
-                    .submit("r0", "w_person0", "person0")
-                    .bind("y"),
-            ),
-            predicate: Some(ScalarExpr::binary(
-                ScalarOp::Eq,
-                ScalarExpr::var_field("x", "id"),
-                ScalarExpr::var_field("y", "id"),
-            )),
-        }
-        .map_project(ScalarExpr::StructLit(vec![
-            ("name".into(), ScalarExpr::var_field("x", "name")),
-            ("peer".into(), ScalarExpr::var_field("y", "name")),
-        ])),
-    )
-    .expect("plan lowers");
-
-    let run = |adaptive: AdaptiveMode| {
-        Executor::new(federation.mediator.registry().clone())
-            .with_adaptive(adaptive)
-            .with_deadline(Some(std::time::Duration::from_secs(30)))
-            .execute(&plan, federation.mediator.catalog())
-            .expect("executes")
-    };
-    let baseline = run(AdaptiveMode::Off);
-    assert!(baseline.is_complete(), "no source is unavailable here");
-
-    for adaptive in [AdaptiveMode::Off, AdaptiveMode::On] {
-        let mut walls = Vec::with_capacity(trials);
-        let mut firsts = Vec::with_capacity(trials);
-        let mut answered = 0usize;
-        for _ in 0..trials {
-            let started = Instant::now();
-            let answer = run(adaptive);
-            walls.push(started.elapsed().as_secs_f64() * 1000.0);
-            assert_eq!(
-                answer.data(),
-                baseline.data(),
-                "adaptive scheduling changed the answer ({adaptive:?})"
-            );
-            if let Some(t) = answer.time_to_first_row() {
-                firsts.push(t.as_secs_f64() * 1000.0);
-            }
-            answered = answer.data().len();
-        }
-        report.push_row([
-            format!("{adaptive:?}").to_lowercase(),
-            fmt_f64(median(&mut walls)),
-            fmt_f64(median(&mut firsts)),
-            answered.to_string(),
-        ]);
-    }
-    report.push_note(
-        "every answer is asserted multiset-identical to the pinned baseline; \
-         only the hash-join build side may differ",
-    );
-    report.push_note(
-        "rows_materialized is not compared: the adaptive build-side choice may buffer \
-         the first-answered input instead of the smaller one",
-    );
-    report
-}
-
-// ---------------------------------------------------------------------
 // E11 — multi-query serving layer
 // ---------------------------------------------------------------------
 
@@ -1498,7 +1391,6 @@ pub const ALL: &[Experiment] = &[
     ("e8", e8_semijoin_gap, false),
     ("e9", e9_evaluator_throughput, true),
     ("e10", e10_federation_overlap, true),
-    ("e10h", e10_heterogeneous_adaptive, true),
     ("e11", e11_serving, true),
     ("e12", e12_spill, true),
 ];

@@ -29,10 +29,9 @@ pub fn evaluate_physical(plan: &PhysicalExpr, resolved: &ResolvedExecs) -> Resul
 }
 
 /// Evaluates a physical plan with explicit [`PipelineOptions`] (hash-join
-/// build side, batch size, memory budget, adaptive build-side choice),
-/// recording pipeline counters — rows buffered by pipeline
-/// breakers, join rows merged, rows emitted, kernel coverage, spill —
-/// into `metrics`.
+/// build side, batch size, memory budget), recording pipeline counters —
+/// rows buffered by pipeline breakers, join rows merged, rows emitted,
+/// kernel coverage, spill — into `metrics`.
 ///
 /// # Errors
 ///

@@ -514,20 +514,6 @@ impl PendingSource {
         announced & 1 == 1 || announced >> 1 > from
     }
 
-    /// Non-blocking final-length probe: `Some(total rows)` only when the
-    /// wrapper call has already completed successfully, `None` while it
-    /// is still streaming (or after a failure).  The adaptive hash-join
-    /// build side uses this to start building on whichever side answered
-    /// first instead of blocking on the final spool length.
-    #[must_use]
-    pub fn finished_len(&self) -> Option<usize> {
-        let state = lock(&self.state);
-        match state.status {
-            SpoolStatus::Done => Some(state.chain.rows),
-            _ => None,
-        }
-    }
-
     /// The one wait loop every consumer goes through: blocks until
     /// `inspect` yields a value, with the missed-wakeup protocol (read
     /// the event generation *before* inspecting state) and one deadline
@@ -696,11 +682,11 @@ pub struct ExecutionConfig {
     /// (the default) is unlimited.
     pub row_budget: Option<usize>,
     /// The options of the mediator-side combine step (build side, batch
-    /// size, memory budget, adaptive build-side choice), declared once in
-    /// [`PipelineOptions`].  Wrapper calls are always issued in parallel,
-    /// on the process-wide call executor; a bounded `pipeline.mem_budget`
-    /// bounds breaker state only — every [`PendingSource`] spool is a
-    /// chunk chain either way.
+    /// size, memory budget), declared once in [`PipelineOptions`].
+    /// Wrapper calls are always issued in parallel, on the process-wide
+    /// call executor; a bounded `pipeline.mem_budget` bounds breaker
+    /// state only — every [`PendingSource`] spool is a chunk chain either
+    /// way.
     pub pipeline: PipelineOptions,
 }
 

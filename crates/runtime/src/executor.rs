@@ -12,7 +12,7 @@ use disco_wrapper::WrapperRegistry;
 use crate::eval::evaluate_physical_with;
 use crate::exec::{resolve_execs_streamed, ExecutionConfig};
 use crate::partial::{partial_evaluate, substitute_resolved, Answer, ExecutionStats};
-use crate::pipeline::{AdaptiveMode, MemBudget, PipelineMetrics};
+use crate::pipeline::{MemBudget, PipelineMetrics};
 use crate::{Result, RuntimeError};
 
 /// Executes physical plans against the registered wrappers.
@@ -85,17 +85,6 @@ impl Executor {
     #[must_use]
     pub fn with_source_pool(mut self, pool: Arc<crate::pool::SourcePool>) -> Self {
         self.config.source_pool = Some(pool);
-        self
-    }
-
-    /// Sets the heterogeneity-aware build-side mode: [`AdaptiveMode::On`]
-    /// lets a hash join build on whichever input answered first,
-    /// [`AdaptiveMode::Off`] pins the smaller input by final cardinality,
-    /// and [`AdaptiveMode::Auto`] (the default) defers to the
-    /// `DISCO_ADAPTIVE` environment variable.
-    #[must_use]
-    pub fn with_adaptive(mut self, adaptive: AdaptiveMode) -> Self {
-        self.config.pipeline.adaptive = adaptive;
         self
     }
 

@@ -114,7 +114,7 @@ pub use partial::{
     is_fully_resolved, partial_evaluate, partial_evaluate_reference, substitute_resolved, Answer,
     ExecutionStats,
 };
-pub use pipeline::{AdaptiveMode, BuildSide, MemBudget, PipelineMetrics, PipelineOptions};
+pub use pipeline::{BuildSide, MemBudget, PipelineMetrics, PipelineOptions};
 pub use pool::SourcePool;
 
 /// Wrapper calls the process-wide call executor holds — queued, running

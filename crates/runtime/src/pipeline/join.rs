@@ -54,12 +54,6 @@ use super::{
     RowStream,
 };
 
-/// Cost threshold for the adaptive build-side choice
-/// ([`super::decide_build_side`]): a first-answered side larger than this
-/// many rows is not adopted as the build side — buffering it would likely
-/// cost more than waiting out the still-streaming side.
-pub(crate) const ADAPTIVE_BUILD_MAX_ROWS: usize = 1 << 20;
-
 /// Which hash-join input to buffer as the build side.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BuildSide {

@@ -53,7 +53,7 @@ use disco_algebra::{
 };
 use disco_value::{Bag, StructValue, Value};
 
-use crate::exec::{ExecOutcome, PendingSource, ResolvedExecs};
+use crate::exec::{ExecOutcome, ResolvedExecs};
 use crate::{Result, RuntimeError};
 
 pub use join::BuildSide;
@@ -507,28 +507,6 @@ impl PipelineMetrics {
     }
 }
 
-/// Whether the heterogeneity-aware build-side choice is active: a hash
-/// join under `BuildSide::Auto` builds on whichever side's pending
-/// sources have already answered instead of blocking on both
-/// cardinalities.
-///
-/// Answers stay multiset-identical with adaptivity on or off, but one
-/// differential pin is traded for overlap while it is engaged:
-/// `rows_materialized` can differ from the pinned build side's when a
-/// hash join builds the first-answered (possibly larger) input.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum AdaptiveMode {
-    /// Defer to the `DISCO_ADAPTIVE` environment variable (`1`/`true`/
-    /// `on` enable; anything else — including unset — keeps the pinned
-    /// choice).
-    #[default]
-    Auto,
-    /// Force the first-answer choice on, regardless of the environment.
-    On,
-    /// Force the pinned choice (the smaller input by final cardinality).
-    Off,
-}
-
 /// Options steering cursor construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineOptions {
@@ -541,28 +519,22 @@ pub struct PipelineOptions {
     #[doc(hidden)]
     pub threads: usize,
     /// Rows per pipeline batch (and per columnar chunk).  `0` (the
-    /// default) defers to the `DISCO_BATCH_ROWS` environment variable,
-    /// which itself defaults to [`BATCH_ROWS`].  Clamped to
-    /// `1..=1_048_576`.
+    /// default) means [`BATCH_ROWS`].  Clamped to `1..=1_048_576`.
     pub batch_rows: usize,
     /// Memory budget for pipeline breakers; see [`MemBudget`].  The
     /// default (`Auto`) defers to `DISCO_MEM_BUDGET`, which itself
     /// defaults to unbounded — the pre-spill behavior.
     pub mem_budget: MemBudget,
-    /// Heterogeneity-aware build-side switch; see [`AdaptiveMode`].  The
-    /// default (`Auto`) defers to `DISCO_ADAPTIVE`, which itself
-    /// defaults to off — the pinned choice.
-    pub adaptive: AdaptiveMode,
 }
 
 impl PipelineOptions {
-    /// The batch/chunk size this execution actually uses, with the `0 →
-    /// environment → default` resolution applied.  Explicit values above
-    /// [`MAX_BATCH_ROWS`] are clamped (warning once per process).
+    /// The batch/chunk size this execution actually uses, with `0 →`
+    /// [`BATCH_ROWS`] applied.  Explicit values above [`MAX_BATCH_ROWS`]
+    /// are clamped (warning once per process).
     #[must_use]
     pub fn effective_batch_rows(self) -> usize {
         if self.batch_rows == 0 {
-            return env_batch_rows();
+            return BATCH_ROWS;
         }
         if self.batch_rows > MAX_BATCH_ROWS {
             static WARNED: OnceLock<()> = OnceLock::new();
@@ -583,76 +555,11 @@ impl PipelineOptions {
     pub fn effective_mem_budget(self) -> Option<usize> {
         self.mem_budget.resolve()
     }
-
-    /// Whether the heterogeneity-aware build-side choice is active under
-    /// these options.
-    #[must_use]
-    pub fn adaptive_enabled(self) -> bool {
-        match self.adaptive {
-            AdaptiveMode::On => true,
-            AdaptiveMode::Off => false,
-            AdaptiveMode::Auto => env_adaptive_default(),
-        }
-    }
 }
 
 /// Upper bound on the rows-per-batch knob: chunk row indices are `u32`
 /// and anything larger defeats cache-friendly batching anyway.
 pub const MAX_BATCH_ROWS: usize = 1 << 20;
-
-/// `DISCO_BATCH_ROWS`, validated at parse time (cached at first use).
-fn env_batch_rows() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| parse_batch_rows(std::env::var("DISCO_BATCH_ROWS").ok().as_deref()))
-}
-
-/// The value of `DISCO_BATCH_ROWS`.  Unset or empty uses [`BATCH_ROWS`];
-/// unparseable or zero values are rejected with a warning and fall back
-/// to the default; values above [`MAX_BATCH_ROWS`] are clamped with a
-/// warning.
-fn parse_batch_rows(raw: Option<&str>) -> usize {
-    let Some(raw) = raw.map(str::trim).filter(|raw| !raw.is_empty()) else {
-        return BATCH_ROWS;
-    };
-    match raw.parse::<usize>() {
-        Ok(0) | Err(_) => {
-            eprintln!(
-                "disco: invalid DISCO_BATCH_ROWS {raw:?} (want an integer in 1..={MAX_BATCH_ROWS}); using {BATCH_ROWS}"
-            );
-            BATCH_ROWS
-        }
-        Ok(n) if n > MAX_BATCH_ROWS => {
-            eprintln!(
-                "disco: DISCO_BATCH_ROWS {n} exceeds the maximum; clamping to {MAX_BATCH_ROWS}"
-            );
-            MAX_BATCH_ROWS
-        }
-        Ok(n) => n,
-    }
-}
-
-/// `DISCO_ADAPTIVE` (cached at first use; the adaptive build-side
-/// choice defaults to **off** and is enabled by `1`, `true` or `on`;
-/// anything else warns and keeps the pinned choice).
-fn env_adaptive_default() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        let Ok(raw) = std::env::var("DISCO_ADAPTIVE") else {
-            return false;
-        };
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" => true,
-            "0" | "false" | "off" | "" => false,
-            _ => {
-                eprintln!(
-                    "disco: invalid DISCO_ADAPTIVE {raw:?} (want 1/true/on or 0/false/off); \
-                     keeping the pinned build side"
-                );
-                false
-            }
-        }
-    })
-}
 
 /// Shared, `Copy` context threaded through every cursor of one execution.
 #[derive(Clone, Copy)]
@@ -812,15 +719,11 @@ pub(crate) fn build<'a>(
 
 /// Picks the hash-join build side for one `HashJoin` node.
 ///
-/// Under `BuildSide::Auto` the pinned path buffers the smaller input by
-/// blocking cardinality estimate ([`estimated_rows`] awaiting pending
-/// sources).  With adaptivity engaged the decision trades that pin for
-/// overlap: only *already-answered* pending sources contribute a
-/// cardinality, so the build starts on
-/// whichever side answered first — behind a cost threshold
-/// ([`join::ADAPTIVE_BUILD_MAX_ROWS`]) that refuses to buffer an
-/// obviously oversized first-answered side — and never stalls waiting
-/// for a trickling source.
+/// Under `BuildSide::Auto` the join buffers the smaller input by final
+/// cardinality ([`estimated_rows`], which awaits pending sources) — the
+/// choice an evaluation over materialized outcomes makes, so
+/// `rows_materialized` is a function of the data.  Ties and unknowns keep
+/// the conventional right-side build.
 pub(crate) fn decide_build_side(
     left: &PhysicalExpr,
     right: &PhysicalExpr,
@@ -830,33 +733,13 @@ pub(crate) fn decide_build_side(
     match options.build_side {
         BuildSide::Left => true,
         BuildSide::Right => false,
-        BuildSide::Auto if options.adaptive_enabled() => {
-            match (
-                estimated_rows(left, resolved, PendingSource::finished_len),
-                estimated_rows(right, resolved, PendingSource::finished_len),
-            ) {
-                (Some(l), Some(r)) => l < r,
-                // Exactly one side fully answered: build it, unless it is
-                // so large that buffering it is likely worse than waiting
-                // out the streaming side.
-                (Some(l), None) => l <= join::ADAPTIVE_BUILD_MAX_ROWS,
-                // Neither answered: keep the conventional right-side
-                // build and start consuming it immediately — the build
-                // overlaps the stream instead of blocking on `await_len`.
-                (None, Some(_)) | (None, None) => false,
-            }
-        }
-        BuildSide::Auto => {
-            // Buffer the smaller input; ties and unknowns keep the
-            // conventional right-side build.
-            match (
-                estimated_rows(left, resolved, PendingSource::await_len),
-                estimated_rows(right, resolved, PendingSource::await_len),
-            ) {
-                (Some(l), Some(r)) => l < r,
-                _ => false,
-            }
-        }
+        BuildSide::Auto => match (
+            estimated_rows(left, resolved),
+            estimated_rows(right, resolved),
+        ) {
+            (Some(l), Some(r)) => l < r,
+            _ => false,
+        },
     }
 }
 
@@ -868,20 +751,11 @@ pub(crate) fn decide_build_side(
 /// unknown.  Used to pick the hash-join build side.
 ///
 /// A still-pending source is asked for its final length through
-/// `pending_len`: the pinned decision passes
 /// [`PendingSource::await_len`](crate::exec::PendingSource), which blocks
-/// until the call completes (bounded by the deadline) so that build-side
-/// choices — and with them `rows_materialized` — are the ones an
-/// evaluation over materialized outcomes makes; the adaptive decision
-/// passes [`PendingSource::finished_len`](crate::exec::PendingSource),
-/// which answers only for spools that already completed.  Union/branch
+/// until the call completes (bounded by the deadline).  Union/branch
 /// shapes never ask, so the federated overlap path is unaffected.
-fn estimated_rows(
-    plan: &PhysicalExpr,
-    resolved: &ResolvedExecs,
-    pending_len: fn(&PendingSource) -> Option<usize>,
-) -> Option<usize> {
-    let estimate = |plan: &PhysicalExpr| estimated_rows(plan, resolved, pending_len);
+fn estimated_rows(plan: &PhysicalExpr, resolved: &ResolvedExecs) -> Option<usize> {
+    let estimate = |plan: &PhysicalExpr| estimated_rows(plan, resolved);
     match plan {
         PhysicalExpr::MemScan(bag) => Some(bag.len()),
         PhysicalExpr::Exec {
@@ -891,7 +765,7 @@ fn estimated_rows(
             ..
         } => match resolved.outcome_of(repository, extent, logical) {
             Some(ExecOutcome::Rows(rows)) => Some(rows.len()),
-            Some(ExecOutcome::Pending(source)) => pending_len(source),
+            Some(ExecOutcome::Pending(source)) => source.await_len(),
             _ => None,
         },
         PhysicalExpr::FilterOp { input, .. }
@@ -1095,17 +969,6 @@ pub(crate) fn eval_in_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn an_empty_batch_rows_variable_means_unset() {
-        for unset in [None, Some(""), Some("  ")] {
-            assert_eq!(parse_batch_rows(unset), BATCH_ROWS, "{unset:?}");
-        }
-        assert_eq!(parse_batch_rows(Some(" 64 ")), 64);
-        assert_eq!(parse_batch_rows(Some("0")), BATCH_ROWS);
-        assert_eq!(parse_batch_rows(Some("many")), BATCH_ROWS);
-        assert_eq!(parse_batch_rows(Some("9999999")), MAX_BATCH_ROWS);
-    }
 
     /// Regression test: `note_first_row` used to be a load-then-store
     /// pair (`if first_row_ns == MAX { store(now) }`), so two racing

@@ -84,8 +84,7 @@ impl MemBudget {
 }
 
 /// Parse `DISCO_MEM_BUDGET` once.  Unset (or empty) means unbounded;
-/// `0` or garbage is rejected with a warning, mirroring the
-/// `DISCO_BATCH_ROWS` validation.
+/// `0` or garbage is rejected with a warning.
 pub(crate) fn env_mem_budget() -> Option<usize> {
     static CACHE: OnceLock<Option<usize>> = OnceLock::new();
     *CACHE.get_or_init(|| {

@@ -30,10 +30,11 @@
 //!   sink, so a case cannot silently fall back to rows) and over one
 //!   spool fed both interleaved.
 //!
-//! Every execution here pins the build side and an explicit memory
-//! budget.  The differential runs its whole assertion set twice, without
-//! a budget and under 64 KiB: a budget bounds breakers and nothing else,
-//! so a budgeted spool is the same chunk chain under the same spine.  The
+//! Every execution here sets an explicit memory budget; the build side
+//! is the one rule, so `rows_materialized` is a function of the data.
+//! The differential runs its whole assertion set twice, without a budget
+//! and under 64 KiB: a budget bounds breakers and nothing else, so a
+//! budgeted spool is the same chunk chain under the same spine.  The
 //! budgeted pass fails at the parent commit, where a budgeted spool was a
 //! hot window read through a copying row cursor (`rows_kernel` 0).
 
@@ -51,8 +52,8 @@ use disco_catalog::{
 };
 use disco_runtime::{
     evaluate_physical_with, partial_evaluate_reference, reference, resolve_execs,
-    substitute_resolved, AdaptiveMode, Answer, ExecutionConfig, Executor, MemBudget,
-    PipelineMetrics, PipelineOptions, RuntimeError,
+    substitute_resolved, Answer, ExecutionConfig, Executor, MemBudget, PipelineMetrics,
+    PipelineOptions, RuntimeError,
 };
 use disco_source::{Availability, NetworkProfile, RelationalStore, SimulatedLink, Table};
 use disco_value::{Bag, StructValue, Value};
@@ -187,14 +188,12 @@ fn federate(plan: &LogicalExpr, chunk_rows: usize) -> (Fed, LogicalExpr) {
 fn options(mem_budget: MemBudget) -> PipelineOptions {
     PipelineOptions {
         mem_budget,
-        adaptive: AdaptiveMode::Off,
         ..PipelineOptions::default()
     }
 }
 
 fn executor(fed: &Fed, mem_budget: MemBudget) -> Executor {
     Executor::new(fed.registry.clone())
-        .with_adaptive(AdaptiveMode::Off)
         .with_mem_budget(mem_budget)
         .with_deadline(Some(Duration::from_secs(20)))
 }

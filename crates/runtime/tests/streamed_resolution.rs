@@ -17,7 +17,7 @@
 mod common;
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{branch, federation_with, instant_profile, Federation};
 use disco_algebra::CapabilitySet;
@@ -26,7 +26,7 @@ use disco_catalog::{MetaExtent, Repository, WrapperDef};
 use disco_optimizer::compile_text;
 use disco_runtime::{
     evaluate_physical_with, partial_evaluate_reference, reference, resolve_execs,
-    resolve_execs_streamed, substitute_resolved, AdaptiveMode, Answer, ExecutionConfig, Executor,
+    resolve_execs_streamed, substitute_resolved, Answer, BuildSide, ExecutionConfig, Executor,
     MemBudget, PipelineMetrics, PipelineOptions, RuntimeError,
 };
 use disco_source::{Availability, NetworkProfile};
@@ -92,7 +92,6 @@ fn execute(
     let physical = lower(plan).unwrap();
     Executor::new(federation.registry.clone())
         .with_mem_budget(options.mem_budget)
-        .with_adaptive(options.adaptive)
         .with_deadline(deadline)
         .execute(&physical, &federation.catalog)
 }
@@ -269,10 +268,12 @@ fn random_plans_differential_with_injected_unavailability() {
     }
 }
 
+/// Differential test: a wrapper that trickles chunks out (degraded
+/// throughput) must still produce the staged answer within the deadline —
+/// `rows_materialized` included, which the one build-side rule makes a
+/// function of the data.  A union over one degraded source.
 #[test]
 fn degraded_source_streams_slowly_but_equivalently() {
-    // A wrapper that trickles chunks out (degraded throughput) must still
-    // produce the staged answer, within the deadline.
     let degraded = NetworkProfile {
         jitter: 0.0,
         chunk_rows: 4,
@@ -287,28 +288,17 @@ fn degraded_source_streams_slowly_but_equivalently() {
     assert_equivalent(&plan, &federation, PipelineOptions::default(), "degraded");
 }
 
-// ---------------------------------------------------------------------
-// Adaptive scheduling over streamed federations: the adaptive build-side
-// choice (build whichever source answered first) must be
-// answer-transparent.
-// ---------------------------------------------------------------------
-
-fn execute_adaptive(federation: &Federation, plan: &LogicalExpr, adaptive: AdaptiveMode) -> Answer {
-    let options = PipelineOptions {
-        adaptive,
-        ..PipelineOptions::default()
-    };
-    execute(federation, plan, options, Some(Duration::from_secs(5)))
-        .expect("federated plan executes")
-}
-
+/// Differential test: the engine's scheduling over a heterogeneous
+/// streamed federation — the build-side rule awaiting each join input's
+/// length while one source trickles behind the others — is transparent.
+/// Random federated plans (joins included) whose source 0 trickles at
+/// 2 ms per chunk must match the staged oracle, `rows_materialized`
+/// included.
 #[test]
 fn adaptive_scheduling_is_transparent_over_streamed_federations() {
     let mut rng = StdRng::seed_from_u64(0xADA);
     for trial in 0..8u64 {
         let n = rng.gen_range(2..5usize);
-        // One source trickles behind the others so the adaptive engine
-        // has a genuinely heterogeneous federation to schedule around.
         let mut profiles = vec![instant_profile(4); n];
         profiles[0] = NetworkProfile {
             real_sleep: true,
@@ -317,38 +307,18 @@ fn adaptive_scheduling_is_transparent_over_streamed_federations() {
         };
         let federation = federation_with(&profiles, rng.gen_range(10..40), 300 + trial);
         let plan = random_federated_plan(&mut rng, n);
-        let pinned = execute_adaptive(&federation, &plan, AdaptiveMode::Off);
-        let adaptive = execute_adaptive(&federation, &plan, AdaptiveMode::On);
-        let label = format!("trial {trial}");
-        // `rows_materialized` is deliberately NOT compared: the
-        // adaptive build-side choice may buffer the other input.
-        assert_eq!(
-            pinned.data(),
-            adaptive.data(),
-            "{label}: answer multisets differ"
-        );
-        assert_eq!(
-            pinned.is_complete(),
-            adaptive.is_complete(),
-            "{label}: completeness differs"
-        );
-        assert_eq!(
-            pinned.residual(),
-            adaptive.residual(),
-            "{label}: residual plans differ"
-        );
-        assert_eq!(
-            pinned.unavailable_sources(),
-            adaptive.unavailable_sources(),
-            "{label}: unavailable classification differs"
-        );
+        let label = format!("trickling source 0, trial {trial}");
+        assert_equivalent(&plan, &federation, PipelineOptions::default(), &label);
     }
 }
 
-/// The E10h shape: a join probed by a source that
-/// trickles its chunks must hand finished rows downstream as they come,
-/// not sit on them until a whole output batch has filled (which, with
-/// fewer probe rows than a batch, meant until the slow source was done).
+/// Regression test: a join probed by a source that trickles its chunks
+/// must hand finished rows downstream as they come, not sit on them until
+/// a whole output batch has filled (which, with fewer probe rows than a
+/// batch, meant until the slow source was done).  The build side is
+/// forced onto the fast input — the default rule awaits both lengths
+/// before it builds — so the two stages run by hand: `Executor` has no
+/// build-side setter.
 #[test]
 fn join_probed_by_a_slow_source_emits_its_first_row_early() {
     let slow = NetworkProfile {
@@ -372,13 +342,29 @@ fn join_probed_by_a_slow_source_emits_its_first_row_early() {
         )),
     }
     .map_project(ScalarExpr::var_field("x", "name"));
-    let answer = execute_adaptive(&federation, &plan, AdaptiveMode::On);
-    assert!(answer.is_complete());
-    assert!(!answer.data().is_empty(), "the sides share ids");
+    let physical = lower(&plan).unwrap();
+    let config = ExecutionConfig {
+        deadline: Some(Duration::from_secs(5)),
+        ..ExecutionConfig::default()
+    };
+    let options = PipelineOptions {
+        build_side: BuildSide::Right,
+        ..PipelineOptions::default()
+    };
+    let (registry, catalog) = (&federation.registry, &federation.catalog);
+    let started = Instant::now();
+    let mut resolved = resolve_execs_streamed(&physical, registry, catalog, &config).unwrap();
+    let metrics = PipelineMetrics::new();
+    let data = evaluate_physical_with(&physical, &resolved, &metrics, options).unwrap();
+    let total = started.elapsed();
+    resolved.finalize_streamed().unwrap();
+    assert!(resolved.all_available());
+    assert!(!data.is_empty(), "the sides share ids");
     // Ten chunks at 8 ms each bound the execution from below; the first
     // chunk's matches must be out long before the last chunk lands.
-    let first = answer.time_to_first_row().expect("rows were emitted");
-    let total = answer.stats().elapsed;
+    let first = metrics
+        .time_to_first_row_since(started)
+        .expect("rows were emitted");
     assert!(
         first * 2 < total,
         "first row after {first:?} of a {total:?} execution: the join held its rows back"
