@@ -9,6 +9,8 @@
 //!   across the two inputs, nested-loop join otherwise,
 //! * everything else maps one-to-one onto its `mk*` algorithm.
 
+use std::sync::Arc;
+
 use crate::logical::LogicalExpr;
 use crate::physical::PhysicalExpr;
 use crate::scalar::{ScalarExpr, ScalarOp};
@@ -36,7 +38,7 @@ pub fn lower(logical: &LogicalExpr) -> Result<PhysicalExpr> {
             repository: repository.clone(),
             wrapper: wrapper.clone(),
             extent: extent.clone(),
-            logical: (**expr).clone(),
+            logical: Arc::new((**expr).clone()),
         }),
         LogicalExpr::Filter { input, predicate } => Ok(PhysicalExpr::FilterOp {
             input: Box::new(lower(input)?),

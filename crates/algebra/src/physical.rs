@@ -12,6 +12,8 @@
 //! depends on this to turn the unevaluated part of a plan back into an OQL
 //! query.
 
+use std::sync::Arc;
+
 use disco_value::Bag;
 
 use crate::logical::LogicalExpr;
@@ -54,7 +56,8 @@ pub enum PhysicalExpr {
         extent: String,
         /// The logical expression shipped to the wrapper (mediator
         /// name space; the runtime applies the map before the call).
-        logical: LogicalExpr,
+        /// Shared: the runtime's prepared call table points at it too.
+        logical: Arc<LogicalExpr>,
     },
     /// Scans an in-memory bag (literal data embedded in the plan).
     MemScan(Bag),
@@ -239,7 +242,7 @@ impl PhysicalExpr {
                 repository: repository.clone(),
                 wrapper: wrapper.clone(),
                 extent: extent.clone(),
-                expr: Box::new(logical.clone()),
+                expr: Box::new(LogicalExpr::clone(logical)),
             },
             PhysicalExpr::MemScan(bag) => LogicalExpr::Data(bag.clone()),
             PhysicalExpr::FilterOp { input, predicate } => LogicalExpr::Filter {
@@ -387,14 +390,14 @@ mod tests {
                 repository: "r0".into(),
                 wrapper: "w0".into(),
                 extent: "person0".into(),
-                logical: LogicalExpr::get("person0").project(["name"]),
+                logical: Arc::new(LogicalExpr::get("person0").project(["name"])),
             },
             PhysicalExpr::ProjectOp {
                 input: Box::new(PhysicalExpr::Exec {
                     repository: "r1".into(),
                     wrapper: "w0".into(),
                     extent: "person1".into(),
-                    logical: LogicalExpr::get("person1"),
+                    logical: Arc::new(LogicalExpr::get("person1")),
                 }),
                 columns: vec!["name".into()],
             },

@@ -335,7 +335,10 @@ pub fn e4_calibration(scale: Scale) -> Report {
             repository,
             logical,
             ..
-        }) => (repository.clone(), logical.clone()),
+        }) => (
+            repository.clone(),
+            disco_algebra::LogicalExpr::clone(logical),
+        ),
         _ => unreachable!("plan has one exec"),
     };
     let mut measured_ms = 0.0;

@@ -9,7 +9,7 @@ use disco_algebra::CapabilitySet;
 use disco_catalog::{Catalog, InterfaceDef, MetaExtent, Repository, TypeMap, ViewDef, WrapperDef};
 use disco_optimizer::{CalibrationStore, CostParams, Optimizer, Plan, PlanCache};
 use disco_oql::{parse_query, parse_statements, OdlStatement};
-use disco_runtime::{Answer, Executor};
+use disco_runtime::{Answer, Executor, PreparedPlan};
 use disco_source::{NetworkProfile, RelationalStore, SimulatedLink, Table};
 use disco_value::Value;
 use disco_wrapper::{CsvWrapper, DocumentWrapper, RelationalWrapper, Wrapper, WrapperRegistry};
@@ -43,7 +43,7 @@ pub struct Mediator {
     catalog: Catalog,
     registry: WrapperRegistry,
     calibration: Arc<CalibrationStore>,
-    plan_cache: PlanCache,
+    plan_cache: PlanCache<PreparedPlan>,
     deadline: Option<Duration>,
     cost_params: CostParams,
 }
@@ -67,7 +67,7 @@ impl Mediator {
             catalog: Catalog::new(),
             registry: WrapperRegistry::new(),
             calibration: Arc::new(CalibrationStore::new()),
-            plan_cache: PlanCache::new(),
+            plan_cache: PlanCache::default(),
             deadline: Some(Duration::from_millis(500)),
             cost_params: CostParams::default(),
         }
@@ -458,21 +458,24 @@ impl Mediator {
     }
 
     /// Processes an OQL query end to end: parse, expand views and implicit
-    /// extents, optimize (using the plan cache), execute with parallel
-    /// wrapper calls, and return a complete or partial [`Answer`].
+    /// extents, optimize and prepare (on a plan-cache miss), execute with
+    /// parallel wrapper calls, and return a complete or partial [`Answer`].
+    /// A hit runs the cached [`PreparedPlan`].
     ///
     /// # Errors
     ///
     /// Returns parse/compile/optimize errors and hard execution errors;
     /// unavailable sources yield a partial answer, not an error.
     pub fn query(&self, query: &str) -> Result<Answer> {
-        let plan = self
+        let prepared = self
             .plan_cache
-            .get_or_plan(query, self.catalog.generation(), || self.explain(query))?;
+            .get_or_plan(query, self.catalog.generation(), || {
+                Ok::<_, MediatorError>(PreparedPlan::new(self.explain(query)?, &self.catalog)?)
+            })?;
         let executor = Executor::new(self.registry.clone())
             .with_deadline(self.deadline)
             .with_calibration(Arc::clone(&self.calibration));
-        Ok(executor.execute(&plan.physical, &self.catalog)?)
+        Ok(executor.execute_prepared(&prepared)?)
     }
 
     /// Resubmits a (typically partial) answer as a new query — the §4
@@ -693,6 +696,40 @@ mod tests {
         .unwrap();
         let answer = m.query(query).unwrap();
         assert_eq!(answer.data().len(), 3);
+    }
+
+    /// Guards a hazard only a cache of prepared plans has: the cached call
+    /// table names its wrappers and the handles are looked up per
+    /// execution, so a wrapper bound again under its name — which leaves
+    /// the catalog generation, and the cached plan, as they were — is the
+    /// one the next hit calls.
+    #[test]
+    fn a_wrapper_bound_again_between_two_hits_is_the_one_the_second_hit_calls() {
+        let mut m = demo_mediator();
+        let query = "select x.name from x in person0";
+        for _ in 0..2 {
+            assert_eq!(
+                *m.query(query).unwrap().data(),
+                [Value::from("Mary")].into_iter().collect()
+            );
+        }
+        let mut table = Table::new("person0", ["name", "salary"]);
+        table
+            .insert_values([("name", Value::from("Olga")), ("salary", Value::Int(120))])
+            .unwrap();
+        let store = Arc::new(RelationalStore::new());
+        store.put_table(table);
+        let link = Arc::new(SimulatedLink::new("r0", NetworkProfile::fast(), 3));
+        m.bind_wrapper(Arc::new(
+            RelationalWrapper::new("w_person0", store, link)
+                .with_capabilities(CapabilitySet::full()),
+        ));
+        let (hits, misses) = m.plan_cache_stats();
+        assert_eq!(
+            *m.query(query).unwrap().data(),
+            [Value::from("Olga")].into_iter().collect()
+        );
+        assert_eq!(m.plan_cache_stats(), (hits + 1, misses));
     }
 
     #[test]

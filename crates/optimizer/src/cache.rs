@@ -8,7 +8,11 @@
 //! Storing a plan purges the plans of older generations, so after a DDL
 //! operation the cache holds garbage only until the next miss is planned.
 //!
-//! Plans are shared, not copied: a hit hands out the cached `Arc`.
+//! Plans are shared, not copied: a hit hands out the cached `Arc`.  What
+//! is cached per text is the cache's type parameter ([`CacheEntry`]): the
+//! optimizer's whole [`Plan`] by default; the mediator and the server cache
+//! the executable form the runtime prepares from it, so a hit runs
+//! without redoing any work that does not depend on the execution.
 //!
 //! **One planner per miss.**  A DDL operation makes every hot text a miss
 //! for every session at once.  [`PlanCache::get_or_plan`] gives the text a
@@ -16,8 +20,8 @@
 //! generation wait on the slot and share the one plan, instead of each
 //! planning it and all but one throwing theirs away.
 //!
-//! **No plan dies under the lock.**  A 256-source plan is five trees;
-//! freeing a dozen stale ones takes milliseconds.  Evicted slots are moved
+//! **No plan dies under the lock.**  A 256-source plan is a tree of a
+//! thousand nodes or more; freeing a dozen stale ones takes milliseconds.  Evicted slots are moved
 //! out of the map and dropped after the write lock is released, so a purge
 //! never makes another session's lookup wait for `free`.
 
@@ -29,50 +33,94 @@ use parking_lot::RwLock;
 
 use crate::planner::Plan;
 
-/// What the cache holds for one query text: the generation the text is
-/// planned for and the plan, once a planner has finished — `Some(None)`
-/// when that planner failed.
-#[derive(Debug, Clone)]
-struct Slot {
-    generation: u64,
-    plan: Arc<OnceLock<Option<Arc<Plan>>>>,
+/// What a [`PlanCache`] can hold: something planned from one query text
+/// against one catalog generation — a [`Plan`], or an executable form
+/// built from one.
+pub trait CacheEntry {
+    /// The query text the entry was planned from, if any; an entry
+    /// without text is never cached.
+    fn query_text(&self) -> Option<&str>;
+    /// The catalog generation the entry was planned against.
+    fn catalog_generation(&self) -> u64;
 }
 
-impl Slot {
-    fn holding(plan: &Arc<Plan>) -> Slot {
-        Slot {
-            generation: plan.catalog_generation,
-            plan: Arc::new(OnceLock::from(Some(Arc::clone(plan)))),
-        }
+impl CacheEntry for Plan {
+    fn query_text(&self) -> Option<&str> {
+        self.query.as_deref()
     }
 
-    fn finished(&self) -> Option<&Arc<Plan>> {
+    fn catalog_generation(&self) -> u64 {
+        self.catalog_generation
+    }
+}
+
+/// What the cache holds for one query text: the generation the text is
+/// planned for and the entry, once a planner has finished — `Some(None)`
+/// when that planner failed.
+struct Slot<T> {
+    generation: u64,
+    plan: Arc<OnceLock<Option<Arc<T>>>>,
+}
+
+impl<T> Clone for Slot<T> {
+    fn clone(&self) -> Self {
+        Slot {
+            generation: self.generation,
+            plan: Arc::clone(&self.plan),
+        }
+    }
+}
+
+impl<T> Slot<T> {
+    fn finished(&self) -> Option<&Arc<T>> {
         self.plan.get().and_then(Option::as_ref)
     }
 }
 
-/// A cache of optimized plans keyed by query text.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    plans: RwLock<BTreeMap<String, Slot>>,
+/// A cache of planned queries keyed by query text.  What it holds for a
+/// text is `T`: [`Plan`] by default, or whatever a caller builds from a
+/// plan and runs on a hit.
+pub struct PlanCache<T = Plan> {
+    plans: RwLock<BTreeMap<String, Slot<T>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
+impl<T> Default for PlanCache<T> {
+    fn default() -> Self {
+        PlanCache {
+            plans: RwLock::new(BTreeMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<T> std::fmt::Debug for PlanCache<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PlanCache")
+            .field("plans", &self.len())
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
 impl PlanCache {
-    /// Creates an empty cache.
+    /// Creates an empty cache of [`Plan`]s.
     #[must_use]
     pub fn new() -> Self {
         PlanCache::default()
     }
+}
 
+impl<T: CacheEntry> PlanCache<T> {
     /// Looks up a cached plan for `query`, returning it only when it was
     /// built against `current_generation`.  An entry of an *older*
     /// generation is removed; one of a newer generation is left alone —
     /// the caller is a query still running on an old catalog snapshot,
     /// and the entry is fresh for everyone after it.
     #[must_use]
-    pub fn get(&self, query: &str, current_generation: u64) -> Option<Arc<Plan>> {
+    pub fn get(&self, query: &str, current_generation: u64) -> Option<Arc<T>> {
         let cached = self
             .plans
             .read()
@@ -120,8 +168,8 @@ impl PlanCache {
         &self,
         query: &str,
         generation: u64,
-        plan_fn: impl FnOnce() -> Result<Plan, E>,
-    ) -> Result<Arc<Plan>, E> {
+        plan_fn: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
         if let Some(plan) = self.get(query, generation) {
             return Ok(plan);
         }
@@ -156,7 +204,7 @@ impl PlanCache {
     /// or failed one another caller made, or a new one, made after the
     /// slots of older generations are purged.  `None` when the text is
     /// held for a newer generation.
-    fn claim(&self, query: &str, generation: u64) -> Option<Slot> {
+    fn claim(&self, query: &str, generation: u64) -> Option<Slot<T>> {
         let mut plans = self.plans.write();
         let stale = purge_older(&mut plans, generation);
         let slot = match plans.get(query) {
@@ -178,7 +226,10 @@ impl PlanCache {
 
     /// Stores a copy of `plan` under its query text (no-op for plans
     /// without text).
-    pub fn put(&self, plan: &Plan) {
+    pub fn put(&self, plan: &T)
+    where
+        T: Clone,
+    {
         self.insert(plan.clone());
     }
 
@@ -186,23 +237,31 @@ impl PlanCache {
     /// the cache holds (for a plan without text, a handle it does not
     /// hold).  Plans built against an older catalog generation than
     /// `plan`'s can never hit again and are dropped here.
-    pub fn insert(&self, plan: Plan) -> Arc<Plan> {
+    pub fn insert(&self, plan: T) -> Arc<T> {
         let plan = Arc::new(plan);
-        if let Some(query) = &plan.query {
+        if let Some(query) = plan.query_text() {
             let mut plans = self.plans.write();
-            let generation = plan.catalog_generation;
+            let generation = plan.catalog_generation();
             let stale = purge_older(&mut plans, generation);
             // A plan of an older snapshot does not displace a fresher one.
             let displaced = plans
                 .get(query)
                 .is_none_or(|held| held.generation <= generation)
-                .then(|| plans.insert(query.clone(), Slot::holding(&plan)));
+                .then(|| {
+                    let slot = Slot {
+                        generation,
+                        plan: Arc::new(OnceLock::from(Some(Arc::clone(&plan)))),
+                    };
+                    plans.insert(query.to_owned(), slot)
+                });
             drop(plans);
             drop((stale, displaced));
         }
         plan
     }
+}
 
+impl<T> PlanCache<T> {
     /// Number of cached plans.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -236,7 +295,7 @@ impl PlanCache {
 
 /// Moves the slots of generations older than `generation` out of `plans`;
 /// the caller drops them once it has released the lock.
-fn purge_older(plans: &mut BTreeMap<String, Slot>, generation: u64) -> Vec<Slot> {
+fn purge_older<T>(plans: &mut BTreeMap<String, Slot<T>>, generation: u64) -> Vec<Slot<T>> {
     plans
         .extract_if(.., |_, slot| slot.generation < generation)
         .map(|(_, slot)| slot)

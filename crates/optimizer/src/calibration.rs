@@ -69,6 +69,27 @@ impl CostEstimate {
     }
 }
 
+/// The two keys an `exec` call is recorded under — its rendered text
+/// (exact match) and its fingerprint (close match) — rendered once: a
+/// prepared plan keeps one per call, so a call that runs again does not
+/// render its shipped expression again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CalibrationKey {
+    text: String,
+    fingerprint: String,
+}
+
+impl CalibrationKey {
+    /// Renders the keys of a call shipping `expr`.
+    #[must_use]
+    pub fn of(expr: &LogicalExpr) -> Self {
+        CalibrationKey {
+            text: expr.to_string(),
+            fingerprint: expr.fingerprint(),
+        }
+    }
+}
+
 /// Per-repository health tracking: the best (lowest) per-row latency
 /// ever observed is the repository's baseline; each call's latency in
 /// excess of that baseline feeds an exponential moving average.  A
@@ -130,19 +151,22 @@ impl CalibrationStore {
     /// Records a finished `exec` call: the repository, the shipped
     /// expression, the time taken and the rows returned.
     pub fn record(&self, repository: &str, expr: &LogicalExpr, time_ms: f64, rows: usize) {
+        self.record_under(repository, &CalibrationKey::of(expr), time_ms, rows);
+    }
+
+    /// [`CalibrationStore::record`] for a call whose keys are already
+    /// rendered: a call that runs again records without rendering its
+    /// expression again, and a key the store holds is not copied.
+    pub fn record_under(&self, repository: &str, key: &CalibrationKey, time_ms: f64, rows: usize) {
         #[allow(clippy::cast_precision_loss)]
         let obs = Observation {
             time_ms,
             rows: rows as f64,
         };
-        // Rendered before the lock is taken: every call of every query
-        // records here.
-        let text = expr.to_string();
-        let fingerprint = expr.fingerprint();
         let mut repositories = self.repositories.write();
         let record = record_of(&mut repositories, repository);
-        push_capped(&mut record.exact, text, obs);
-        push_capped(&mut record.close, fingerprint, obs);
+        push_capped(&mut record.exact, &key.text, obs);
+        push_capped(&mut record.close, &key.fingerprint, obs);
     }
 
     /// Feeds one observed source call into the repository's degradation
@@ -157,25 +181,34 @@ impl CalibrationStore {
     /// re-plan around a chronically degraded source, and the penalty
     /// halves with each healthy call once the source recovers.
     pub fn note_source_wait(&self, repository: &str, latency_ms: f64, rows: usize) {
-        if !latency_ms.is_finite() || latency_ms < 0.0 {
-            return;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let per_row = latency_ms / rows.max(1) as f64;
+        self.note_source_waits([(repository, latency_ms, rows)]);
+    }
+
+    /// [`CalibrationStore::note_source_wait`] for every answered call of
+    /// one execution — `(repository, latency_ms, rows)` each, in order —
+    /// under one write lock.
+    pub fn note_source_waits<'a>(&self, calls: impl IntoIterator<Item = (&'a str, f64, usize)>) {
         let mut repositories = self.repositories.write();
-        let entry = record_of(&mut repositories, repository)
-            .degraded
-            .get_or_insert(Degradation {
-                best_per_row_ms: per_row,
-                excess_ms: 0.0,
-            });
-        if per_row < entry.best_per_row_ms {
-            entry.best_per_row_ms = per_row;
+        for (repository, latency_ms, rows) in calls {
+            if !latency_ms.is_finite() || latency_ms < 0.0 {
+                continue;
+            }
+            #[allow(clippy::cast_precision_loss)]
+            let per_row = latency_ms / rows.max(1) as f64;
+            let entry = record_of(&mut repositories, repository)
+                .degraded
+                .get_or_insert(Degradation {
+                    best_per_row_ms: per_row,
+                    excess_ms: 0.0,
+                });
+            if per_row < entry.best_per_row_ms {
+                entry.best_per_row_ms = per_row;
+            }
+            #[allow(clippy::cast_precision_loss)]
+            let excess = (per_row - entry.best_per_row_ms) * rows.max(1) as f64;
+            let alpha = 0.5;
+            entry.excess_ms = alpha * excess + (1.0 - alpha) * entry.excess_ms;
         }
-        #[allow(clippy::cast_precision_loss)]
-        let excess = (per_row - entry.best_per_row_ms) * rows.max(1) as f64;
-        let alpha = 0.5;
-        entry.excess_ms = alpha * excess + (1.0 - alpha) * entry.excess_ms;
     }
 
     /// The smoothed latency excess (ms) of `repository` over its healthy
@@ -257,9 +290,13 @@ impl CalibrationStore {
 }
 
 /// Appends an observation, keeping only the most recent
-/// [`MAX_OBSERVATIONS`] entries per key.
-fn push_capped(map: &mut BTreeMap<String, Vec<Observation>>, key: String, obs: Observation) {
-    let entry = map.entry(key).or_default();
+/// [`MAX_OBSERVATIONS`] entries per key; the key is copied only when it is
+/// new.
+fn push_capped(map: &mut BTreeMap<String, Vec<Observation>>, key: &str, obs: Observation) {
+    let Some(entry) = map.get_mut(key) else {
+        map.insert(key.to_owned(), vec![obs]);
+        return;
+    };
     entry.push(obs);
     if entry.len() > MAX_OBSERVATIONS {
         let excess = entry.len() - MAX_OBSERVATIONS;
@@ -383,6 +420,61 @@ mod tests {
         let default = store.estimate("r0", &other);
         assert_eq!(default.source, MatchKind::Default);
         assert!((default.time_ms - penalty).abs() < 1e-9);
+    }
+
+    /// Pins what must not change: a key rendered once records exactly
+    /// what rendering the expression at every call did.
+    #[test]
+    fn recording_under_a_rendered_key_estimates_as_recording_the_expression() {
+        let (rendered, expressions) = (CalibrationStore::new(), CalibrationStore::new());
+        let key = CalibrationKey::of(&filter_plan(10));
+        for (i, rows) in [40, 7, 19, 3, 11, 2, 30, 5, 8, 13].into_iter().enumerate() {
+            let time_ms = 0.5 + f64::from(u32::try_from(i).unwrap());
+            rendered.record_under("r0", &key, time_ms, rows);
+            expressions.record("r0", &filter_plan(10), time_ms, rows);
+        }
+        let other = LogicalExpr::get("person0").project(["name"]);
+        for (repository, expr, source) in [
+            ("r0", filter_plan(10), MatchKind::Exact),
+            ("r0", filter_plan(99), MatchKind::Close),
+            ("r0", other, MatchKind::Default),
+            ("r1", filter_plan(10), MatchKind::Default),
+        ] {
+            let estimate = rendered.estimate(repository, &expr);
+            assert_eq!(estimate.source, source);
+            assert_eq!(estimate, expressions.estimate(repository, &expr));
+        }
+        assert_eq!(
+            rendered.observation_count(),
+            expressions.observation_count()
+        );
+    }
+
+    #[test]
+    fn a_batch_of_source_waits_degrades_as_the_same_waits_one_by_one() {
+        let waits = [
+            ("r0", 10.0, 10),
+            ("r1", 4.0, 2),
+            ("r0", 100.0, 10),
+            ("r1", f64::NAN, 2),
+            ("r0", 12.0, 0),
+            ("r1", 40.0, 2),
+            ("r2", -1.0, 5),
+            ("r0", 9.0, 10),
+        ];
+        let (batched, one_by_one) = (CalibrationStore::new(), CalibrationStore::new());
+        batched.note_source_waits(waits);
+        for (repository, latency_ms, rows) in waits {
+            one_by_one.note_source_wait(repository, latency_ms, rows);
+        }
+        for repository in ["r0", "r1", "r2"] {
+            assert_eq!(
+                batched.degradation_ms(repository),
+                one_by_one.degradation_ms(repository)
+            );
+        }
+        assert!(batched.degradation_ms("r0") > 0.0);
+        assert!(batched.degradation_ms("r1") > 0.0);
     }
 
     #[test]

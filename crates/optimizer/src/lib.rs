@@ -17,8 +17,8 @@ mod cost;
 mod error;
 mod planner;
 
-pub use cache::PlanCache;
-pub use calibration::{CalibrationStore, CostEstimate, MatchKind, Observation};
+pub use cache::{CacheEntry, PlanCache};
+pub use calibration::{CalibrationKey, CalibrationStore, CostEstimate, MatchKind, Observation};
 pub use compile::{compile_query, compile_text};
 pub use cost::{CostModel, CostParams, PlanCost};
 pub use error::OptimizerError;

@@ -369,6 +369,7 @@ mod tests {
     use super::*;
     use crate::exec::{resolve_on, ExecutionConfig};
     use crate::pipeline::{BuildSide, PipelineMetrics, PipelineOptions};
+    use crate::prepared::CallTable;
     use crate::{evaluate_physical_with, RuntimeError};
 
     /// `person0..` on `r0..` behind `w0..`, `rows[i]` rows each, over
@@ -545,9 +546,8 @@ mod tests {
         let started = Instant::now();
         let mut resolved = resolve_on(
             &executor,
-            &plan,
+            &Arc::new(CallTable::new(&plan, &federation.catalog).unwrap()),
             &federation.registry,
-            &federation.catalog,
             &config,
         )
         .unwrap();
@@ -600,9 +600,8 @@ mod tests {
         let resolve = |plan: &PhysicalExpr| {
             resolve_on(
                 &executor,
-                plan,
+                &Arc::new(CallTable::new(plan, &federation.catalog).unwrap()),
                 &federation.registry,
-                &federation.catalog,
                 &config,
             )
             .and_then(|mut resolved| resolved.finalize_streamed().map(|()| resolved))
@@ -624,9 +623,8 @@ mod tests {
         let executor = CallExecutor::new(1);
         let mut resolved = resolve_on(
             &executor,
-            &plan,
+            &Arc::new(CallTable::new(&plan, &federation.catalog).unwrap()),
             &federation.registry,
-            &federation.catalog,
             &ExecutionConfig::default(),
         )
         .unwrap();
@@ -666,9 +664,8 @@ mod tests {
         let executor = CallExecutor::new(2);
         let mut resolved = resolve_on(
             &executor,
-            &plan,
+            &Arc::new(CallTable::new(&plan, &federation.catalog).unwrap()),
             &federation.registry,
-            &federation.catalog,
             &config,
         )
         .unwrap();

@@ -52,7 +52,6 @@
 //! data generated are recorded into the calibration store, feeding the
 //! self-calibrating cost model.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError};
@@ -63,13 +62,14 @@ use disco_catalog::{Catalog, TypeMap};
 use disco_optimizer::CalibrationStore;
 use disco_value::Bag;
 use disco_wrapper::{
-    check_type_conformance, expected_after_expr, map_expr_to_source, map_rows_to_mediator,
-    AnswerSink, Wrapper, WrapperError, WrapperRegistry,
+    check_type_conformance, map_expr_to_source, map_rows_to_mediator, AnswerSink, Wrapper,
+    WrapperError, WrapperRegistry,
 };
 
 use crate::calls::{blocking, CallExecutor, QueuedCall};
 use crate::pipeline::PipelineOptions;
 use crate::pool::SourcePool;
+use crate::prepared::{Call, CallTable};
 use crate::{lock, Result, RuntimeError};
 
 /// Identity of one `exec` call (used to de-duplicate identical calls and to
@@ -82,8 +82,9 @@ pub struct ExecKey {
     pub repository: String,
     /// Extent name.
     pub extent: String,
-    /// The shipped (mediator name space) expression.
-    pub expr: LogicalExpr,
+    /// The shipped (mediator name space) expression — for a call of a
+    /// prepared plan, the one its `exec` node holds.
+    pub expr: Arc<LogicalExpr>,
 }
 
 impl ExecKey {
@@ -93,12 +94,12 @@ impl ExecKey {
         ExecKey {
             repository: repository.to_owned(),
             extent: extent.to_owned(),
-            expr: expr.clone(),
+            expr: Arc::new(expr.clone()),
         }
     }
 
-    fn is(&self, repository: &str, extent: &str, expr: &LogicalExpr) -> bool {
-        self.repository == repository && self.extent == extent && self.expr == *expr
+    pub(crate) fn is(&self, repository: &str, extent: &str, expr: &LogicalExpr) -> bool {
+        self.repository == repository && self.extent == extent && *self.expr == *expr
     }
 }
 
@@ -319,7 +320,7 @@ struct SpoolState {
 /// `&'a PendingSource` borrows `&'a [Value]` slices out of the chain for
 /// the whole evaluation — no lock, no copy (`PendingSource::chunk_after`).
 pub struct PendingSource {
-    key: Arc<ExecKey>,
+    call: Arc<Call>,
     events: Arc<ResolutionEvents>,
     /// Set at the deadline (or on hard failure): tells the wrapper call to
     /// stop producing — the fix for timed-out calls running detached
@@ -359,8 +360,8 @@ impl std::fmt::Debug for PendingSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = lock(&self.state);
         f.debug_struct("PendingSource")
-            .field("repository", &self.key.repository)
-            .field("extent", &self.key.extent)
+            .field("repository", &self.key().repository)
+            .field("extent", &self.key().extent)
             .field("rows", &state.chain.rows)
             .field("status", &state.status)
             .finish()
@@ -368,9 +369,9 @@ impl std::fmt::Debug for PendingSource {
 }
 
 impl PendingSource {
-    fn new(key: Arc<ExecKey>, events: Arc<ResolutionEvents>) -> Self {
+    fn new(call: Arc<Call>, events: Arc<ResolutionEvents>) -> Self {
         PendingSource {
-            key,
+            call,
             events,
             cancel: AtomicBool::new(false),
             queue_wait_us: AtomicU64::new(0),
@@ -388,7 +389,11 @@ impl PendingSource {
     /// The repository this call targets.
     #[must_use]
     pub fn repository(&self) -> &str {
-        &self.key.repository
+        &self.key().repository
+    }
+
+    fn key(&self) -> &ExecKey {
+        &self.call.key
     }
 
     /// Republishes the lock-free progress hint; called with the state
@@ -543,7 +548,7 @@ impl PendingSource {
         match status {
             SpoolStatus::Streaming | SpoolStatus::Done => None,
             SpoolStatus::Unavailable => Some(RuntimeError::PendingUnavailable(
-                self.key.repository.clone(),
+                self.key().repository.clone(),
             )),
             SpoolStatus::Failed(err) => Some(RuntimeError::Wrapper(err.clone())),
             SpoolStatus::Panicked(msg) => Some(RuntimeError::WorkerPanic(msg.clone())),
@@ -632,8 +637,8 @@ impl PendingSource {
             }
         };
         let stats = SourceCallStats {
-            repository: self.key.repository.clone(),
-            extent: self.key.extent.clone(),
+            repository: self.key().repository.clone(),
+            extent: self.key().extent.clone(),
             available,
             rows_returned,
             rows_scanned,
@@ -736,15 +741,11 @@ impl RowBudget {
 /// execution deadline) and materializes every pending entry.
 #[derive(Debug, Clone, Default)]
 pub struct ResolvedExecs {
-    /// Outcomes in a bucket per extent.  Extent names are unique in a
-    /// catalog, so a bucket holds one entry unless a plan ships different
-    /// expressions to the same extent: a lookup from a plan node is one
-    /// map probe plus a structural comparison, with no key built for it.
-    outcomes: BTreeMap<String, Vec<(Arc<ExecKey>, ExecOutcome)>>,
+    /// Which calls there are: the call table of the plan, shared with it.
+    calls: Arc<CallTable>,
+    /// The outcome of each call of `calls`, by index.
+    outcomes: Vec<ExecOutcome>,
     stats: Vec<SourceCallStats>,
-    /// Pending spools in call-collection order, so finalized stats keep
-    /// call-collection order.
-    pending_order: Vec<Arc<PendingSource>>,
     /// The shared wakeup channel of a streamed resolution.
     events: Option<Arc<ResolutionEvents>>,
     /// Time the calls spent queued behind a [`SourcePool`] cap,
@@ -759,26 +760,30 @@ impl ResolvedExecs {
     }
 
     fn all_outcomes(&self) -> impl Iterator<Item = (&ExecKey, &ExecOutcome)> {
-        self.outcomes.values().flatten().map(|(k, o)| (&**k, o))
+        self.calls
+            .calls()
+            .iter()
+            .map(|call| &call.key)
+            .zip(&self.outcomes)
     }
 
     /// Inserts or replaces the outcome of `key`.
-    fn set_outcome(&mut self, key: Arc<ExecKey>, outcome: ExecOutcome) {
-        if !self.outcomes.contains_key(&key.extent) {
-            self.outcomes.insert(key.extent.clone(), Vec::new());
-        }
-        let bucket = self.outcomes.get_mut(&key.extent).expect("just ensured");
-        match bucket.iter_mut().find(|(k, _)| *k == key) {
-            Some(entry) => entry.1 = outcome,
-            None => bucket.push((key, outcome)),
+    fn set_outcome(&mut self, key: ExecKey, outcome: ExecOutcome) {
+        match self.calls.position(&key.repository, &key.extent, &key.expr) {
+            Some(at) => self.outcomes[at] = outcome,
+            None => {
+                Arc::make_mut(&mut self.calls).push_unprepared(key);
+                self.outcomes.push(outcome);
+            }
         }
     }
 
     /// Whether any entry is still a pending (streaming) spool.
     #[must_use]
     pub fn has_pending(&self) -> bool {
-        self.all_outcomes()
-            .any(|(_, o)| matches!(o, ExecOutcome::Pending(_)))
+        self.outcomes
+            .iter()
+            .any(|o| matches!(o, ExecOutcome::Pending(_)))
     }
 
     /// Disconnects every pending wrapper call (used when an execution
@@ -786,17 +791,17 @@ impl ResolvedExecs {
     /// its next chunk boundary (a sleeping one at once) and winds down, a
     /// queued one is dropped from the queue.
     pub fn cancel_pending(&self) {
-        for (_, outcome) in self.all_outcomes() {
+        for outcome in &self.outcomes {
             if let ExecOutcome::Pending(source) = outcome {
                 source.cancel();
             }
         }
     }
 
-    /// Waits (bounded by the execution deadline) for every pending spool
-    /// and materializes it: completed calls become [`ExecOutcome::Rows`]
-    /// with stats, everything else — including calls still streaming at
-    /// the deadline, which are cancelled — becomes
+    /// Waits (bounded by the execution deadline) for every pending spool,
+    /// in call order, and materializes it: completed calls become
+    /// [`ExecOutcome::Rows`] with stats, everything else — including calls
+    /// still streaming at the deadline, which are cancelled — becomes
     /// [`ExecOutcome::Unavailable`].
     ///
     /// # Errors
@@ -804,21 +809,24 @@ impl ResolvedExecs {
     /// Returns the first hard wrapper error or contained wrapper panic,
     /// after cancelling the remaining calls.
     pub fn finalize_streamed(&mut self) -> Result<()> {
-        let pending = std::mem::take(&mut self.pending_order);
         let mut failure: Option<RuntimeError> = None;
-        for source in pending {
-            let outcome = if failure.is_some() {
+        for outcome in &mut self.outcomes {
+            let ExecOutcome::Pending(source) = outcome else {
+                continue;
+            };
+            let source = Arc::clone(source);
+            let finalized = if failure.is_some() {
                 // Already failing: disconnect instead of waiting.
                 source.cancel();
                 ExecOutcome::Unavailable
             } else {
-                let (outcome, stats, error) = source.final_outcome();
+                let (finalized, stats, error) = source.final_outcome();
                 self.stats.push(stats);
                 failure = error;
-                outcome
+                finalized
             };
             self.queue_wait += source.queue_wait();
-            self.set_outcome(Arc::clone(&source.key), outcome);
+            *outcome = finalized;
         }
         match failure {
             Some(error) => Err(error),
@@ -839,11 +847,8 @@ impl ResolvedExecs {
         extent: &str,
         expr: &LogicalExpr,
     ) -> Option<&ExecOutcome> {
-        self.outcomes
-            .get(extent)?
-            .iter()
-            .find(|(key, _)| key.is(repository, extent, expr))
-            .map(|(_, outcome)| outcome)
+        let at = self.calls.position(repository, extent, expr)?;
+        Some(&self.outcomes[at])
     }
 
     /// Returns `true` when every call succeeded.
@@ -872,6 +877,11 @@ impl ResolvedExecs {
         &self.stats
     }
 
+    /// The per-call statistics, taken by an execution's stats.
+    pub(crate) fn into_stats(self) -> Vec<SourceCallStats> {
+        self.stats
+    }
+
     /// Time the wrapper calls spent queued behind a [`SourcePool`]
     /// concurrency cap (zero without a pool, or before finalization).
     /// The executor folds this into `ExecutionStats::source_wait`; like
@@ -894,125 +904,11 @@ impl ResolvedExecs {
         self.stats.len()
     }
 
-    /// Inserts an outcome (used by tests and by the executor).
+    /// Inserts an outcome: a resolution filled in by hand, as oracles
+    /// and tests build them.
     pub fn insert(&mut self, key: ExecKey, outcome: ExecOutcome, stats: SourceCallStats) {
-        self.set_outcome(Arc::new(key), outcome);
+        self.set_outcome(key, outcome);
         self.stats.push(stats);
-    }
-}
-
-/// Collects the distinct `exec` calls of a physical plan, including those
-/// nested inside correlated-aggregate sub-plans, as `(key, wrapper name,
-/// shipped expression)` in plan order.
-#[must_use]
-pub fn collect_exec_calls(plan: &PhysicalExpr) -> Vec<(ExecKey, String, LogicalExpr)> {
-    distinct_calls(plan)
-        .into_iter()
-        .map(|(key, wrapper)| {
-            let shipped = key.expr.clone();
-            (key, wrapper.to_owned(), shipped)
-        })
-        .collect()
-}
-
-/// The distinct calls of `plan` with their wrapper names, in plan order.
-fn distinct_calls(plan: &PhysicalExpr) -> Vec<(ExecKey, &str)> {
-    let mut out: Vec<(ExecKey, &str)> = Vec::new();
-    // Positions in `out`, per extent: a call is compared against the calls
-    // to its own extent only.
-    let mut seen: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut push = |repository: &str, wrapper, extent, shipped: &LogicalExpr| {
-        let same_extent = seen.entry(extent).or_default();
-        if !same_extent
-            .iter()
-            .any(|&at| out[at].0.is(repository, extent, shipped))
-        {
-            same_extent.push(out.len());
-            out.push((ExecKey::new(repository, extent, shipped), wrapper));
-        }
-    };
-    plan.walk(&mut |node| match node {
-        PhysicalExpr::Exec {
-            repository,
-            wrapper,
-            extent,
-            logical,
-        } => push(repository, wrapper, extent, logical),
-        // Sub-plans inside a shipped expression never contain submits
-        // (they are pushable operators only), but the mediator-side
-        // operators carry scalars, and an aggregate sub-plan inside one
-        // hides further submits.
-        PhysicalExpr::FilterOp { predicate, .. } => submits_in_scalar(predicate, &mut push),
-        PhysicalExpr::MapOp { projection, .. } => submits_in_scalar(projection, &mut push),
-        PhysicalExpr::NestedLoopJoin {
-            predicate: Some(predicate),
-            ..
-        } => submits_in_scalar(predicate, &mut push),
-        PhysicalExpr::HashJoin {
-            left_key,
-            right_key,
-            residual,
-            ..
-        } => {
-            for scalar in [left_key, right_key].into_iter().chain(residual) {
-                submits_in_scalar(scalar, &mut push);
-            }
-        }
-        _ => {}
-    });
-    out
-}
-
-/// Reports every `submit` (repository, wrapper, extent, shipped
-/// expression) inside the aggregate sub-plans of `expr`.
-fn submits_in_scalar<'a, F>(expr: &'a disco_algebra::ScalarExpr, report: &mut F)
-where
-    F: FnMut(&'a str, &'a str, &'a str, &'a LogicalExpr),
-{
-    use disco_algebra::ScalarExpr as S;
-    match expr {
-        S::Agg(_, plan) => submits_in_plan(plan, report),
-        S::Binary { left, right, .. } => {
-            submits_in_scalar(left, report);
-            submits_in_scalar(right, report);
-        }
-        S::Not(inner) | S::Field(inner, _) => submits_in_scalar(inner, report),
-        S::StructLit(fields) => {
-            for (_, e) in fields {
-                submits_in_scalar(e, report);
-            }
-        }
-        S::Call(_, args) => {
-            for a in args {
-                submits_in_scalar(a, report);
-            }
-        }
-        S::Const(_) | S::Attr(_) | S::Var(_) => {}
-    }
-}
-
-/// [`submits_in_scalar`] for a logical sub-plan: its own `submit`s and
-/// those its scalars hide.
-fn submits_in_plan<'a, F>(plan: &'a LogicalExpr, report: &mut F)
-where
-    F: FnMut(&'a str, &'a str, &'a str, &'a LogicalExpr),
-{
-    match plan {
-        LogicalExpr::Submit {
-            repository,
-            wrapper,
-            extent,
-            expr,
-        } => report(repository, wrapper, extent, expr),
-        LogicalExpr::Filter { predicate, .. } => submits_in_scalar(predicate, report),
-        LogicalExpr::MapProject { projection, .. } => submits_in_scalar(projection, report),
-        LogicalExpr::Join {
-            predicate: Some(p), ..
-        } => submits_in_scalar(p, report),
-        _ => {}
-    }
-    for child in plan.children() {
-        submits_in_plan(child, report);
     }
 }
 
@@ -1038,19 +934,13 @@ pub fn resolve_execs(
     Ok(resolved)
 }
 
-/// One wrapper call with everything it needs looked up.
-struct PreparedCall {
-    wrapper: Arc<dyn Wrapper>,
-    map: TypeMap,
-    expected: Vec<String>,
-}
-
 /// Issues every `exec` call of the plan in parallel and returns
 /// immediately: each entry of the result is a [`PendingSource`] spool that
 /// its call — queued on the process-wide call executor — fills with
 /// mapped, type-checked row chunks while the pipeline pulls (§4's
 /// "designated time period" moves into the stream: at the deadline,
 /// still-streaming spools flip to unavailable and the call is cancelled).
+/// The plan's call table is prepared here and run as a cached plan's is.
 ///
 /// # Errors
 ///
@@ -1062,23 +952,28 @@ pub fn resolve_execs_streamed(
     catalog: &Catalog,
     config: &ExecutionConfig,
 ) -> Result<ResolvedExecs> {
-    resolve_on(CallExecutor::global(), plan, registry, catalog, config)
+    let calls = Arc::new(CallTable::new(plan, catalog)?);
+    resolve_on(CallExecutor::global(), &calls, registry, config)
 }
 
-/// [`resolve_execs_streamed`] on a given call executor.
+/// Runs a call table on `executor`: a spool and a queued call per call,
+/// every wrapper handle looked up first — per execution, so a wrapper
+/// re-registered under its name since the table was prepared is the one
+/// called, and an unknown one fails the execution before any call runs.
 pub(crate) fn resolve_on(
     executor: &CallExecutor,
-    plan: &PhysicalExpr,
+    calls: &Arc<CallTable>,
     registry: &WrapperRegistry,
-    catalog: &Catalog,
     config: &ExecutionConfig,
 ) -> Result<ResolvedExecs> {
-    let calls = distinct_calls(plan);
-    let mut resolved = ResolvedExecs::default();
+    let mut resolved = ResolvedExecs {
+        calls: Arc::clone(calls),
+        ..ResolvedExecs::default()
+    };
+    let calls = calls.calls();
     if calls.is_empty() {
         return Ok(resolved);
     }
-
     let deadline_at = config.deadline.map(|d| Instant::now() + d);
     let events = Arc::new(ResolutionEvents::new(deadline_at));
     resolved.events = Some(Arc::clone(&events));
@@ -1087,34 +982,26 @@ pub(crate) fn resolve_on(
     let row_budget = config
         .row_budget
         .map(|limit| Arc::new(RowBudget::new(limit)));
-    // Everything is looked up before anything is queued, so a hard lookup
-    // error never leaves half the calls running.
+    resolved.outcomes.reserve_exact(calls.len());
+    resolved.stats.reserve_exact(calls.len());
+    // Nothing is queued before every wrapper is found, so an unknown one
+    // never leaves half the calls running.
     let mut queued = Vec::with_capacity(calls.len());
-    for (key, wrapper_name) in calls {
-        let extent_meta = catalog.extent(&key.extent)?;
-        let expected: Vec<String> = catalog
-            .attributes_of(extent_meta.interface())?
-            .iter()
-            .map(|a| a.name().to_owned())
-            .collect();
-        let call = PreparedCall {
-            expected: expected_after_expr(&key.expr, &expected),
-            map: extent_meta.map().clone(),
-            wrapper: registry
-                .wrapper(wrapper_name)
-                .ok_or_else(|| RuntimeError::UnknownWrapper(wrapper_name.to_owned()))?,
-        };
-        let key = Arc::new(key);
-        let source = Arc::new(PendingSource::new(Arc::clone(&key), Arc::clone(&events)));
-        resolved.set_outcome(key, ExecOutcome::Pending(Arc::clone(&source)));
-        resolved.pending_order.push(Arc::clone(&source));
+    for call in calls {
+        let wrapper = registry
+            .wrapper(&call.wrapper)
+            .ok_or_else(|| RuntimeError::UnknownWrapper(call.wrapper.clone()))?;
+        let source = Arc::new(PendingSource::new(Arc::clone(call), Arc::clone(&events)));
+        resolved
+            .outcomes
+            .push(ExecOutcome::Pending(Arc::clone(&source)));
         let calibration = config.calibration.clone();
         let budget = row_budget.clone();
         let spool = Arc::clone(&source);
         queued.push(QueuedCall::new(
             source,
             config.source_pool.clone(),
-            move || run_wrapper_call(&spool, call, calibration.as_deref(), budget.as_deref()),
+            move || run_wrapper_call(&spool, &*wrapper, calibration.as_deref(), budget.as_deref()),
         ));
     }
     executor.submit(queued);
@@ -1141,7 +1028,7 @@ impl AnswerSink for SpoolSink<'_> {
             return false;
         }
         let mapped = map_rows_to_mediator(rows, self.map);
-        if let Err(err) = check_type_conformance(&mapped, self.expected, &self.spool.key.extent) {
+        if let Err(err) = check_type_conformance(&mapped, self.expected, &self.spool.key().extent) {
             self.conformance = Some(err);
             return false;
         }
@@ -1169,26 +1056,26 @@ impl AnswerSink for SpoolSink<'_> {
 
 /// Body of one wrapper call: stream the answer into the spool,
 /// contain panics, and record the finished call into the calibration
-/// store.
+/// store under its prepared keys.
 fn run_wrapper_call(
     spool: &PendingSource,
-    call: PreparedCall,
+    wrapper: &dyn Wrapper,
     calibration: Option<&CalibrationStore>,
     budget: Option<&RowBudget>,
 ) {
     let started = Instant::now();
-    let key = &spool.key;
-    let source_expr = map_expr_to_source(&key.expr, &call.map);
+    let call = &spool.call;
+    let source_expr = map_expr_to_source(&call.key.expr, &call.shape.map);
     let mut sink = SpoolSink {
         spool,
-        map: &call.map,
-        expected: &call.expected,
+        map: &call.shape.map,
+        expected: &call.shape.expected,
         budget,
         conformance: None,
         rows_pushed: 0,
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        call.wrapper.submit_streaming(&source_expr, &mut sink)
+        wrapper.submit_streaming(&source_expr, &mut sink)
     }));
     let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
     let rows_pushed = sink.rows_pushed;
@@ -1204,7 +1091,8 @@ fn run_wrapper_call(
                     // Record both the wall-clock elapsed time and the
                     // simulated latency — the simulated latency dominates.
                     let time_ms = summary.latency.as_secs_f64() * 1000.0 + elapsed_ms.min(1.0);
-                    store.record(&key.repository, &key.expr, time_ms, rows_pushed);
+                    let key = call.calibration_key();
+                    store.record_under(&call.key.repository, key, time_ms, rows_pushed);
                 }
             }
             spool.finish_done(summary.rows_scanned, summary.latency);
@@ -1228,6 +1116,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collect_exec_calls;
     use disco_algebra::lower;
     use disco_catalog::{Attribute, InterfaceDef, MetaExtent, Repository, TypeRef, WrapperDef};
     use disco_source::{generator, NetworkProfile, RelationalStore, SimulatedLink};

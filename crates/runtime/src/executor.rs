@@ -9,10 +9,12 @@ use disco_catalog::Catalog;
 use disco_optimizer::CalibrationStore;
 use disco_wrapper::WrapperRegistry;
 
+use crate::calls::CallExecutor;
 use crate::eval::evaluate_physical_with;
-use crate::exec::{resolve_execs_streamed, ExecutionConfig};
+use crate::exec::{resolve_on, ExecutionConfig};
 use crate::partial::{partial_evaluate, substitute_resolved, Answer, ExecutionStats};
 use crate::pipeline::{MemBudget, PipelineMetrics};
+use crate::prepared::{CallTable, PreparedPlan};
 use crate::{Result, RuntimeError};
 
 /// Executes physical plans against the registered wrappers.
@@ -111,7 +113,9 @@ impl Executor {
         &self.config
     }
 
-    /// Executes a physical plan.
+    /// Executes a physical plan: prepares its call table against
+    /// `catalog` and runs it, as [`Executor::execute_prepared`] runs a
+    /// cached plan's.
     ///
     /// Every `exec` call is queued at once and the plan is evaluated
     /// optimistically while row chunks arrive, so the slowest source does
@@ -127,7 +131,23 @@ impl Executor {
     /// wrappers/tables, evaluation errors.  Unavailability is not an error.
     pub fn execute(&self, plan: &PhysicalExpr, catalog: &Catalog) -> Result<Answer> {
         let started = Instant::now();
-        let mut resolved = resolve_execs_streamed(plan, &self.registry, catalog, &self.config)?;
+        let calls = Arc::new(CallTable::new(plan, catalog)?);
+        self.run(plan, &calls, started)
+    }
+
+    /// Executes a prepared plan (a plan-cache hit): the same run as
+    /// [`Executor::execute`]'s, over the call table prepared with the
+    /// plan — only the execution's own state is built.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::execute`].
+    pub fn execute_prepared(&self, prepared: &PreparedPlan) -> Result<Answer> {
+        self.run(prepared.physical(), &prepared.calls, Instant::now())
+    }
+
+    fn run(&self, plan: &PhysicalExpr, calls: &Arc<CallTable>, started: Instant) -> Result<Answer> {
+        let mut resolved = resolve_on(CallExecutor::global(), calls, &self.registry, &self.config)?;
         let options = self.config.pipeline;
         let metrics = PipelineMetrics::new();
         let optimistic = match evaluate_physical_with(plan, &resolved, &metrics, options) {
@@ -156,7 +176,7 @@ impl Executor {
                 partial_evaluate(&substituted, &resolved, options)?
             }
         };
-        let stats = ExecutionStats::of(&resolved, &metrics, started);
+        let stats = ExecutionStats::of(resolved, &metrics, started);
         let answer = match residual {
             Some(residual) => Answer::partial(data, residual, stats),
             None => Answer::complete(data, stats),
@@ -166,20 +186,20 @@ impl Executor {
     }
 
     /// Feeds the execution's observed per-source behaviour back into the
-    /// calibration store: each answered call's latency and row count
-    /// update the repository's degradation tracker, so repeated queries
-    /// re-plan around chronically slow sources (and stop penalizing them
-    /// once they recover).
+    /// calibration store, under one lock: each answered call's latency
+    /// and row count update the repository's degradation tracker, so
+    /// repeated queries re-plan around chronically slow sources (and stop
+    /// penalizing them once they recover).
     fn note_source_health(&self, stats: &ExecutionStats) {
         let Some(store) = &self.config.calibration else {
             return;
         };
-        for call in &stats.source_calls {
-            if call.available {
+        store.note_source_waits(stats.source_calls.iter().filter(|call| call.available).map(
+            |call| {
                 let latency_ms = call.latency.as_secs_f64() * 1000.0;
-                store.note_source_wait(&call.repository, latency_ms, call.rows_returned);
-            }
-        }
+                (call.repository.as_str(), latency_ms, call.rows_returned)
+            },
+        ));
     }
 }
 

@@ -101,13 +101,14 @@ mod executor;
 mod partial;
 pub mod pipeline;
 mod pool;
+mod prepared;
 pub mod reference;
 
 pub use error::RuntimeError;
 pub use eval::{evaluate_physical, evaluate_physical_with};
 pub use exec::{
-    collect_exec_calls, resolve_execs, resolve_execs_streamed, ExecKey, ExecOutcome,
-    ExecutionConfig, PendingSource, ResolvedExecs, SourceCallStats,
+    resolve_execs, resolve_execs_streamed, ExecKey, ExecOutcome, ExecutionConfig, PendingSource,
+    ResolvedExecs, SourceCallStats,
 };
 pub use executor::Executor;
 pub use partial::{
@@ -116,6 +117,7 @@ pub use partial::{
 };
 pub use pipeline::{BuildSide, MemBudget, PipelineMetrics, PipelineOptions};
 pub use pool::SourcePool;
+pub use prepared::{collect_exec_calls, PreparedPlan};
 
 /// Wrapper calls the process-wide call executor holds — queued, running
 /// or blocked mid-call.  Zero once every query has finished and its

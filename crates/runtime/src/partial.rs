@@ -89,11 +89,7 @@ impl ExecutionStats {
     /// The statistics of one finished execution, filled at this one site:
     /// source-side totals from the finalized `resolved`, combine-side
     /// counters from the execution's `metrics`, wall-clock since `started`.
-    pub(crate) fn of(
-        resolved: &ResolvedExecs,
-        metrics: &PipelineMetrics,
-        started: Instant,
-    ) -> Self {
+    pub(crate) fn of(resolved: ResolvedExecs, metrics: &PipelineMetrics, started: Instant) -> Self {
         let unavailable = resolved.unavailable_repositories();
         ExecutionStats {
             exec_calls: resolved.call_count(),
@@ -108,7 +104,6 @@ impl ExecutionStats {
             },
             unavailable,
             elapsed: started.elapsed(),
-            source_calls: resolved.stats().to_vec(),
             time_to_first_row: metrics.time_to_first_row_since(started),
             source_wait: metrics.source_wait() + resolved.source_queue_wait(),
             rows_kernel: metrics.rows_kernel(),
@@ -116,6 +111,8 @@ impl ExecutionStats {
             bytes_spilled: metrics.bytes_spilled(),
             spill_partitions: metrics.spill_partitions(),
             peak_tracked_bytes: metrics.peak_tracked_bytes(),
+            // Last: the per-call stats move out of `resolved`.
+            source_calls: resolved.into_stats(),
         }
     }
 }
@@ -523,7 +520,7 @@ mod tests {
         let text = print_expr(&logical_to_oql(&residual));
         assert_eq!(text, "select y.name from y in person0 where y.salary > 10");
         // The combined answer is the §1.3 form.
-        let stats = ExecutionStats::of(&resolved, &PipelineMetrics::new(), Instant::now());
+        let stats = ExecutionStats::of(resolved, &PipelineMetrics::new(), Instant::now());
         let answer = Answer::partial(data, residual, stats);
         assert!(!answer.is_complete());
         assert_eq!(

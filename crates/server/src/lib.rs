@@ -66,9 +66,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use disco_catalog::{Catalog, CatalogError, CatalogHandle};
-use disco_core::{Mediator, Result};
+use disco_core::{Mediator, MediatorError, Result};
 use disco_optimizer::{CalibrationStore, CostParams, Optimizer, PlanCache};
-use disco_runtime::{Answer, Executor, SourcePool};
+use disco_runtime::{Answer, Executor, PreparedPlan, SourcePool};
 use disco_wrapper::WrapperRegistry;
 
 use crate::admission::Admission;
@@ -120,7 +120,7 @@ struct ServerShared {
     catalog: CatalogHandle,
     registry: WrapperRegistry,
     calibration: Arc<CalibrationStore>,
-    plan_cache: PlanCache,
+    plan_cache: PlanCache<PreparedPlan>,
     admission: Admission,
     config: ServerConfig,
     /// Defaults mirrored from the mediator the server was built from.
@@ -168,7 +168,7 @@ impl DiscoServer {
                 catalog: CatalogHandle::new(mediator.catalog().clone()),
                 registry: mediator.registry().clone(),
                 calibration: Arc::clone(mediator.calibration()),
-                plan_cache: PlanCache::new(),
+                plan_cache: PlanCache::default(),
                 admission: Admission::new(config.max_concurrent),
                 config,
                 deadline: mediator.deadline(),
@@ -284,20 +284,32 @@ impl Session {
     /// # Errors
     ///
     /// Returns parse/compile/optimize errors and hard execution errors;
-    /// unavailability is not an error.
+    /// unavailability is not an error.  Failed queries count in
+    /// [`ServerStats::queries_served`] as answered ones do.
     pub fn query(&self, query: &str) -> Result<Answer> {
         let _slot = self.shared.admission.admit(self.id);
         let snapshot = self.shared.catalog.snapshot();
-        let plan = self
+        let answer = self.query_on(query, &snapshot);
+        self.shared.queries_served.fetch_add(1, Ordering::Relaxed);
+        answer
+    }
+
+    /// [`Session::query`] against `snapshot`: the prepared plan of the
+    /// text at the snapshot's generation — the shared cache's, or one
+    /// planned and prepared against the snapshot — run with the session's
+    /// deadline and row budget.
+    fn query_on(&self, query: &str, snapshot: &Catalog) -> Result<Answer> {
+        let prepared = self
             .shared
             .plan_cache
             .get_or_plan(query, snapshot.generation(), || {
-                Optimizer::with_store(
+                let plan = Optimizer::with_store(
                     self.shared.registry.clone(),
                     Arc::clone(&self.shared.calibration),
                 )
                 .with_cost_params(self.shared.cost_params)
-                .optimize_text(query, &snapshot)
+                .optimize_text(query, snapshot)?;
+                Ok::<_, MediatorError>(PreparedPlan::new(plan, snapshot)?)
             })?;
         let mut executor = Executor::new(self.shared.registry.clone())
             .with_deadline(self.deadline)
@@ -306,8 +318,38 @@ impl Session {
         if let Some(pool) = &self.shared.config.source_pool {
             executor = executor.with_source_pool(Arc::clone(pool));
         }
-        let answer = executor.execute(&plan.physical, &snapshot)?;
-        self.shared.queries_served.fetch_add(1, Ordering::Relaxed);
-        Ok(answer)
+        Ok(executor.execute_prepared(&prepared)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Guards a hazard only a cache of prepared plans has: a prepared plan
+    /// carries the extents (and their maps) of the catalog it was prepared
+    /// against, so a query on an older snapshot than the cached entry's
+    /// must not run that entry.
+    #[test]
+    fn a_session_on_an_older_snapshot_runs_its_own_plan_against_its_own_extents() {
+        let mut mediator = Mediator::new("snapshots");
+        mediator.register_person_demo().unwrap();
+        let server = DiscoServer::from_mediator(&mediator, ServerConfig::default());
+        let session = server.session();
+        let text = "select x.name from x in person";
+        // A query admitted now keeps this snapshot: Mary and Sam.
+        let old = server.catalog().snapshot();
+        server
+            .update_catalog(|catalog| catalog.remove_extent("person1"))
+            .unwrap();
+        // The shared cache now holds the text at the new generation.
+        assert_eq!(session.query(text).unwrap().data().len(), 1);
+        // The query on the old snapshot misses that entry and plans,
+        // prepares and runs the text against its own extents ...
+        assert_eq!(session.query_on(text, &old).unwrap().data().len(), 2);
+        assert_eq!(server.stats().plan_cache, (0, 2));
+        // ... without displacing the fresher entry.
+        assert_eq!(session.query(text).unwrap().data().len(), 1);
+        assert_eq!(server.stats().plan_cache, (1, 2));
     }
 }

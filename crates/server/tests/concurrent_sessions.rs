@@ -258,6 +258,74 @@ fn shared_source_pool_caps_concurrency_and_meters_waits() {
     assert_eq!(stats.source_pool_queued, Some((queued, waited)));
 }
 
+/// Fails at the parent commit: `queries_served` was counted only after a
+/// query had planned and executed, so no failed query ever counted.
+#[test]
+fn failed_queries_count_as_served() {
+    let mediator = person_mediator(1, 2, NetworkProfile::fast());
+    let server = DiscoServer::from_mediator(&mediator, ServerConfig::default());
+    // An extent whose wrapper is declared but bound to no implementation.
+    server
+        .update_catalog(|catalog| {
+            catalog.add_repository(disco_core::Repository::new("r_ghost"))?;
+            catalog.add_wrapper(disco_core::WrapperDef::new("w_ghost", "relational"))?;
+            catalog.add_extent(disco_core::MetaExtent::new(
+                "ghost0", "Person", "w_ghost", "r_ghost",
+            ))
+        })
+        .unwrap();
+    let session = server.session();
+    assert!(session.query("select x.name from x in person0").is_ok());
+    assert!(session.query("select from where").is_err());
+    assert!(matches!(
+        session.query("select x.name from x in ghost0"),
+        Err(disco_core::MediatorError::Runtime(
+            disco_runtime::RuntimeError::UnknownWrapper(_)
+        ))
+    ));
+    assert_eq!(server.stats().queries_served, 3);
+}
+
+/// Guards a hazard only a cache of prepared plans has: a cached plan's
+/// call table names its wrappers, and the handle is looked up per
+/// execution, so re-registering a wrapper — which leaves the catalog, and
+/// with it the cached plan, as it was — takes effect at the next hit.
+#[test]
+fn a_wrapper_re_registered_between_two_hits_is_the_one_the_second_hit_calls() {
+    let mediator = person_mediator(1, 2, NetworkProfile::fast());
+    let server = DiscoServer::from_mediator(&mediator, ServerConfig::default());
+    let session = server.session();
+    let text = "select x.name from x in person";
+    for _ in 0..2 {
+        assert_eq!(session.query(text).unwrap().data().len(), 2);
+    }
+    let store = Arc::new(disco_source::RelationalStore::new());
+    let mut table = Table::new("person0", ["name", "salary"]);
+    table
+        .insert_values([("name", Value::from("Rebound")), ("salary", Value::Int(1))])
+        .unwrap();
+    store.put_table(table);
+    let link = Arc::new(disco_source::SimulatedLink::new(
+        "r0",
+        NetworkProfile::fast(),
+        7,
+    ));
+    server.registry().register(Arc::new(
+        disco_wrapper::RelationalWrapper::new("w_person0", store, link)
+            .with_capabilities(CapabilitySet::full()),
+    ));
+    let answer = session.query(text).unwrap();
+    assert_eq!(
+        *answer.data(),
+        [Value::from("Rebound")].into_iter().collect()
+    );
+    assert_eq!(
+        server.stats().plan_cache,
+        (2, 1),
+        "the third query was a hit"
+    );
+}
+
 /// Starts after the tests above (name order) and outwaits them: a call
 /// that outlives its query — never cancelled after a deadline or a row
 /// budget, or stuck behind a pool cap — keeps the process-wide call
