@@ -5,9 +5,13 @@
 //! runs over whole columns of a [`ColumnarChunk`] instead of building a
 //! row [`Env`](crate::Env) per value.  The kernel set is deliberately a
 //! *subset* of the evaluator — constants, column references, the binary
-//! operators and `not`.  Everything else (struct literals, sub-query
-//! aggregates, function calls, whole-row variables) refuses to compile,
-//! and the engine evaluates those expressions through the per-row path.
+//! operators, `not` and struct literals over those.  Everything else
+//! (sub-query aggregates, function calls, whole-row variables) refuses to
+//! compile, and the engine evaluates those expressions through the
+//! per-row path.  A struct literal stays a set of per-field result
+//! vectors ([`EvalVec::Struct`]) until a consumer needs a row: a
+//! `distinct` hashes and compares it on the columns, and a row's struct
+//! is built — in one allocation — only when somebody takes it.
 //!
 //! Two invariants keep the kernels exactly equivalent to
 //! [`eval_binary`] / `eval_scalar_with`:
@@ -22,9 +26,12 @@
 //!   the engine re-runs that batch per-row, which reproduces the exact
 //!   row-path error at the exact row it would have occurred.
 
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
-use disco_value::{Column, ColumnarChunk, StructValue, Value};
+use disco_value::{
+    hash_struct_value, struct_field_hasher, Column, ColumnarChunk, StructValue, Value,
+};
 
 use crate::scalar::{eval_binary, truthy, ScalarExpr, ScalarOp};
 
@@ -44,9 +51,9 @@ enum KernelNode {
         right: Box<KernelNode>,
     },
     Not(Box<KernelNode>),
-    /// A struct-literal projection: per-field kernels assemble one output
-    /// struct per selected row.  Field names are verified distinct at
-    /// compile time, so assembly skips the duplicate scan.
+    /// A struct-literal projection: per-field kernels, evaluated into an
+    /// [`EvalVec::Struct`].  Field names are verified distinct at compile
+    /// time, so assembling a row's struct skips the duplicate scan.
     Struct(Vec<(Arc<str>, KernelNode)>),
 }
 
@@ -183,6 +190,10 @@ pub enum EvalVec {
     Const(Value),
     /// Boxed per-element results (mixed types, generic operator path).
     Values(Vec<Value>),
+    /// Struct-literal results, one struct per selected row, kept as the
+    /// result vectors of its fields in declaration order (names distinct).
+    /// [`EvalVec::value_at`] assembles a row's struct on demand.
+    Struct(Vec<(Arc<str>, EvalVec)>),
 }
 
 impl EvalVec {
@@ -219,7 +230,105 @@ impl EvalVec {
             }
             EvalVec::Const(v) => v.clone(),
             EvalVec::Values(vs) => vs[i].clone(),
+            EvalVec::Struct(fields) => Value::Struct(StructValue::from_distinct_iter(
+                fields
+                    .iter()
+                    .map(|(name, vec)| (Arc::clone(name), vec.value_at(i))),
+            )),
         }
+    }
+
+    /// Feeds `state` exactly what `self.value_at(i).hash(state)` would,
+    /// without re-boxing scalars.
+    fn hash_at<H: Hasher>(&self, i: usize, state: &mut H) {
+        match self {
+            EvalVec::Int { data, nulls } if !is_null(nulls, i) => Value::Int(data[i]).hash(state),
+            EvalVec::Bool { data, nulls } if !is_null(nulls, i) => {
+                Value::Bool(data[i]).hash(state);
+            }
+            EvalVec::Int { .. } | EvalVec::Bool { .. } => Value::Null.hash(state),
+            EvalVec::Const(v) => v.hash(state),
+            EvalVec::Values(vs) => vs[i].hash(state),
+            EvalVec::Str { .. } | EvalVec::Struct(_) => self.value_at(i).hash(state),
+        }
+    }
+
+    /// Whether `self.value_at(i) == *other`, borrowing both sides.
+    fn eq_at(&self, i: usize, other: &Value) -> bool {
+        match self {
+            EvalVec::Int { data, nulls } if !is_null(nulls, i) => Value::Int(data[i]) == *other,
+            EvalVec::Bool { data, nulls } if !is_null(nulls, i) => Value::Bool(data[i]) == *other,
+            EvalVec::Str { values, nulls, .. } if !is_null(nulls, i) => {
+                matches!(other, Value::Str(s) if **s == *values[i])
+            }
+            EvalVec::Int { .. } | EvalVec::Bool { .. } | EvalVec::Str { .. } => other.is_null(),
+            EvalVec::Const(v) => v == other,
+            EvalVec::Values(vs) => vs[i] == *other,
+            EvalVec::Struct(_) => self.struct_eq_at(i, other),
+        }
+    }
+
+    /// Appends the hashes of the first `n` structs of an
+    /// [`EvalVec::Struct`] under `state` to `out`, each bit-identical to
+    /// `state.hash_one(&self.value_at(i))`, building no struct: each field
+    /// name is hashed once per call, a constant field once, and the rest
+    /// per row (see [`hash_struct_value`]).  `false`, with nothing
+    /// appended, for any other variant.
+    pub fn struct_hashes(&self, state: &impl BuildHasher, n: usize, out: &mut Vec<u64>) -> bool {
+        let EvalVec::Struct(fields) = self else {
+            return false;
+        };
+        let start = out.len();
+        out.resize(start + n, 0);
+        let sums = &mut out[start..];
+        for (name, vec) in fields {
+            let named = struct_field_hasher(name);
+            if let EvalVec::Const(v) = vec {
+                let mut h = named;
+                v.hash(&mut h);
+                let field = h.finish();
+                sums.iter_mut()
+                    .for_each(|sum| *sum = sum.wrapping_add(field));
+                continue;
+            }
+            for (i, sum) in sums.iter_mut().enumerate() {
+                let mut h = named.clone();
+                vec.hash_at(i, &mut h);
+                *sum = sum.wrapping_add(h.finish());
+            }
+        }
+        for sum in sums {
+            let mut h = state.build_hasher();
+            hash_struct_value(fields.len(), *sum, &mut h);
+            *sum = h.finish();
+        }
+        true
+    }
+
+    /// Whether the `i`-th struct of an [`EvalVec::Struct`] equals `other`
+    /// — `self.value_at(i) == *other` — compared field by field when
+    /// `other` is a struct declaring the same names in the same order (a
+    /// value of the same kernel always does), and by assembling the
+    /// candidate only when the order differs.
+    #[must_use]
+    pub fn struct_eq_at(&self, i: usize, other: &Value) -> bool {
+        let (EvalVec::Struct(fields), Value::Struct(stored)) = (self, other) else {
+            return self.value_at(i) == *other;
+        };
+        if fields.len() != stored.len() {
+            return false;
+        }
+        let same_order = fields
+            .iter()
+            .zip(stored.field_names())
+            .all(|((name, _), stored_name)| name.as_ref() == stored_name);
+        if !same_order {
+            return self.value_at(i) == *other;
+        }
+        fields
+            .iter()
+            .zip(stored.iter())
+            .all(|((_, vec), (_, value))| vec.eq_at(i, value))
     }
 
     /// OQL truthiness of each of the `n` selected results (only a
@@ -311,23 +420,9 @@ fn eval_node(node: &KernelNode, chunk: &ColumnarChunk, sel: &[u32]) -> Option<Ev
             for (name, node) in fields {
                 evaluated.push((Arc::clone(name), eval_node(node, chunk, sel)?));
             }
-            Some(assemble_structs(&evaluated, sel.len()))
+            Some(EvalVec::Struct(evaluated))
         }
     }
-}
-
-/// Assembles one output struct per selected row from per-field result
-/// vectors.  Field names were verified distinct at compile time.
-fn assemble_structs(fields: &[(Arc<str>, EvalVec)], n: usize) -> EvalVec {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let fs: Vec<(Arc<str>, Value)> = fields
-            .iter()
-            .map(|(name, vec)| (Arc::clone(name), vec.value_at(i)))
-            .collect();
-        out.push(Value::Struct(StructValue::from_distinct_fields(fs)));
-    }
-    EvalVec::Values(out)
 }
 
 /// Gathers one column over the selection into a dense vector.
@@ -660,7 +755,7 @@ fn eval_pair_node(
             for (name, node) in fields {
                 evaluated.push((Arc::clone(name), eval_pair_node(node, lc, ls, rc, rs)?));
             }
-            Some(assemble_structs(&evaluated, ls.len()))
+            Some(EvalVec::Struct(evaluated))
         }
     }
 }

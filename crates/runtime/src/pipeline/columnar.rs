@@ -96,6 +96,7 @@ use super::join::{
     check_struct_frames, HashJoin, JoinTable, KeyedRow, KeyedSource, PairPlan, PairSpec,
 };
 use super::scan::SpoolReader;
+use super::union::Union;
 use super::{
     build, decide_build_side, eval_in_row, BoxedRowStream, PipelineCtx, Result, Row, RowStream,
 };
@@ -112,11 +113,19 @@ pub(crate) fn try_build<'a>(
 }
 
 /// The batch input of a breaker over `plan`: columnar when the plan
-/// fuses, the row cursors' batches otherwise.
+/// fuses, a union of its branches' batch sources for `mkunion`, the row
+/// cursors' batches otherwise.
 pub(crate) fn batch_source<'a>(
     plan: &'a PhysicalExpr,
     ctx: PipelineCtx<'a>,
 ) -> Result<BatchSource<'a>> {
+    if let PhysicalExpr::MkUnion(items) = plan {
+        let branches = items
+            .iter()
+            .map(|item| batch_source(item, ctx))
+            .collect::<Result<_>>()?;
+        return Ok(BatchSource::Union(Box::new(Union::new(branches, ctx))));
+    }
     match fuse_source(plan, ctx) {
         Some(source) => Ok(source),
         None => Ok(BatchSource::rows(build(plan, ctx)?)),
@@ -148,6 +157,7 @@ pub(crate) enum BatchSource<'a> {
     },
     Spine(Box<Spine<'a>>),
     Join(Box<HashJoin<'a>>),
+    Union(Box<Union<'a>>),
 }
 
 impl<'a> BatchSource<'a> {
@@ -157,11 +167,12 @@ impl<'a> BatchSource<'a> {
 
     /// Whether the next batch is there without blocking on a
     /// still-streaming source (see [`RowStream::ready`]).
-    fn ready(&self) -> bool {
+    pub(crate) fn ready(&self) -> bool {
         match self {
             BatchSource::Rows { input, done } => *done || input.ready(),
             BatchSource::Spine(spine) => spine.ready(),
             BatchSource::Join(join) => join.ready(),
+            BatchSource::Union(union) => union.ready(),
         }
     }
 
@@ -174,10 +185,13 @@ impl<'a> BatchSource<'a> {
             BatchSource::Rows { input, done } => {
                 let mut rows = Vec::new();
                 *done = !input.next_batch(&mut rows, hint)?;
-                Ok(Some(Batch::Rows(rows.into_iter())))
+                // An empty last pull is the end, not a batch: a union moves
+                // on to its next branch in the same call.
+                Ok((!*done || !rows.is_empty()).then(|| Batch::Rows(rows.into_iter())))
             }
             BatchSource::Spine(spine) => spine.next_chunk(hint),
             BatchSource::Join(join) => join.next_out(hint),
+            BatchSource::Union(union) => union.next_chunk(hint),
         }
     }
 }
@@ -1101,7 +1115,7 @@ fn fuse_join<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<HashJoi
 }
 
 /// A batch source exposed as an ordinary [`RowStream`] — what the rest of
-/// the engine (joins, unions, the collect sink) consumes.
+/// the engine (joins, flatten, the collect sink) consumes.
 pub(crate) struct SpineCursor<'a> {
     source: BatchSource<'a>,
     /// The batch being handed out; a join batch can hold more rows than
@@ -1111,7 +1125,7 @@ pub(crate) struct SpineCursor<'a> {
 }
 
 impl<'a> SpineCursor<'a> {
-    fn new(source: BatchSource<'a>, ctx: PipelineCtx<'a>) -> Self {
+    pub(crate) fn new(source: BatchSource<'a>, ctx: PipelineCtx<'a>) -> Self {
         SpineCursor {
             source,
             current: Batch::default(),

@@ -205,10 +205,9 @@ impl<'a> RowStream<'a> for MapCursor<'a> {
 /// The environment row `{name: value}` of `mkbind` — shared with the
 /// fused spine, which builds it for the survivors of its filters only.
 pub(crate) fn bind_value<'r>(name: &Arc<str>, value: Value) -> Row<'r> {
-    Row::owned(Value::Struct(StructValue::from_distinct_fields(vec![(
-        Arc::clone(name),
-        value,
-    )])))
+    Row::owned(Value::Struct(StructValue::from_distinct_iter(
+        std::iter::once((Arc::clone(name), value)),
+    )))
 }
 
 /// Wraps each source row into an environment row `{var: row}` (`mkbind`).

@@ -695,13 +695,10 @@ pub(crate) fn build<'a>(
         PhysicalExpr::MergeTuplesJoin { left, right, on } => Ok(Box::new(
             join::MergeTuplesCursor::new(build(left, ctx)?, build(right, ctx)?, on, ctx),
         )),
-        PhysicalExpr::MkUnion(items) => {
-            let cursors = items
-                .iter()
-                .map(|item| build(item, ctx))
-                .collect::<Result<Vec<_>>>()?;
-            Ok(Box::new(union::UnionCursor::new(cursors, ctx)))
-        }
+        PhysicalExpr::MkUnion(_) => Ok(Box::new(columnar::SpineCursor::new(
+            columnar::batch_source(plan, ctx)?,
+            ctx,
+        ))),
         PhysicalExpr::MkFlatten(inner) => {
             Ok(Box::new(union::FlattenCursor::new(build(inner, ctx)?, ctx)))
         }

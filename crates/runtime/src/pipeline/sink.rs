@@ -5,8 +5,11 @@
 //! Distinct streams its *output* — a row is emitted the moment it turns
 //! out to be new — but buffers the set of values already seen, which is
 //! what makes it a (partial) pipeline breaker.  Duplicate rows are
-//! rejected on a borrowed hash lookup without ever cloning the value.
-//! Aggregates fold their whole input into one value with O(1) state
+//! rejected on a borrowed hash lookup without ever cloning the value; a
+//! batch of struct columns (a fused `struct(...)` projection) is hashed
+//! and compared on its columns, and only the structs that turn out new
+//! are built — under a budget too, where each one is charged as it is
+//! kept.  Aggregates fold their whole input into one value with O(1) state
 //! ([`AggState`]); no input bag is ever collected, so the only
 //! "materialized" row is the single result.
 //!
@@ -32,7 +35,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 
-use disco_algebra::{AggKind, AggState};
+use disco_algebra::{AggKind, AggState, EvalVec};
 use disco_value::{approx_value_bytes, StrDict, Value};
 
 use super::columnar::{Batch, BatchSource};
@@ -64,10 +67,10 @@ enum Bucket {
 }
 
 impl Bucket {
-    fn contains(&self, value: &Value) -> bool {
+    fn contains(&self, mut equal: impl FnMut(&Value) -> bool) -> bool {
         match self {
-            Bucket::One(v) => v == value,
-            Bucket::Many(vs) => vs.iter().any(|v| v == value),
+            Bucket::One(v) => equal(v),
+            Bucket::Many(vs) => vs.iter().any(equal),
         }
     }
 
@@ -102,14 +105,13 @@ impl SeenSet {
         }
     }
 
-    /// Whether `value` has not been seen (`true` = new).  Borrow-only — no
-    /// clone either way.  The hash must come from a clone of the
-    /// [`RandomState`] the set was built with.
-    fn check_hashed(&self, hash: u64, value: &Value) -> bool {
-        match self.buckets.get(&hash) {
-            Some(bucket) => !bucket.contains(value),
-            None => true,
-        }
+    /// Whether no value stored under `hash` is `equal` to the candidate
+    /// (`true` = new).  Borrow-only — no clone either way.  The hash must
+    /// come from a clone of the [`RandomState`] the set was built with.
+    fn check_hashed(&self, hash: u64, equal: impl FnMut(&Value) -> bool) -> bool {
+        self.buckets
+            .get(&hash)
+            .is_none_or(|bucket| !bucket.contains(equal))
     }
 
     /// Records a value under its hash.
@@ -165,15 +167,37 @@ fn admit(row: Row<'_>, metrics: &PipelineMetrics, seen: &mut SeenSet) -> Result<
         joined => Frame::Owned(joined.materialize(metrics)?),
     };
     let hash = seen.hasher.hash_one(candidate.value());
-    if !seen.check_hashed(hash, candidate.value()) {
+    if !seen.check_hashed(hash, |stored| stored == candidate.value()) {
         return Ok(None);
     }
-    let value = candidate.into_value();
-    // The seen-set keeps one copy per distinct value — the operator's
-    // entire buffered state.
+    Ok(Some(keep(seen, hash, candidate.into_value(), metrics)))
+}
+
+/// [`admit`] on the columns, for the `i`-th struct of a struct result
+/// vector whose canonical hash is `hash`: the lookup compares the stored
+/// values with the struct's fields in place, so the struct is built only
+/// if it is new.
+#[inline(always)]
+fn admit_struct(
+    result: &EvalVec,
+    i: usize,
+    hash: u64,
+    metrics: &PipelineMetrics,
+    seen: &mut SeenSet,
+) -> Option<Value> {
+    if !seen.check_hashed(hash, |stored| result.struct_eq_at(i, stored)) {
+        return None;
+    }
+    Some(keep(seen, hash, result.value_at(i), metrics))
+}
+
+/// Records a new value: the seen-set keeps one copy per distinct value —
+/// the operator's entire buffered state — and `rows_materialized` counts
+/// it.
+fn keep(seen: &mut SeenSet, hash: u64, value: Value, metrics: &PipelineMetrics) -> Value {
     seen.insert_hashed(hash, value.clone());
     metrics.bump_materialized();
-    Ok(Some(value))
+    value
 }
 
 /// Emits each distinct value once, preserving first-occurrence order
@@ -183,6 +207,9 @@ pub(crate) struct DistinctCursor<'a> {
     /// Candidates of the current source batch not yet looked at — a full
     /// output batch or a budget trip can cut a batch short.
     batch: Batch<'a>,
+    /// The canonical hashes of `batch`'s structs when it is a struct
+    /// result vector, indexed like the vector.
+    hashes: Vec<u64>,
     hasher: RandomState,
     /// The resident seen-set, or that of the Grace partition being
     /// drained.
@@ -214,6 +241,7 @@ impl<'a> DistinctCursor<'a> {
         DistinctCursor {
             source,
             batch: Batch::default(),
+            hashes: Vec::new(),
             seen: SeenSet::with_hasher(hasher.clone()),
             hasher,
             charged: 0,
@@ -226,27 +254,33 @@ impl<'a> DistinctCursor<'a> {
         }
     }
 
-    /// [`admit`] into the current seen-set, charging the budget for what
-    /// it retains, and emits the row if it is new.
+    /// [`admit`] into the current seen-set, and [`Self::emit`] the row if
+    /// it is new.
     #[inline(always)]
     fn admit(&mut self, row: Row<'a>, out: &mut Vec<Row<'a>>) -> Result<()> {
-        let admitted = admit(row, self.ctx.metrics, &mut self.seen)?;
-        if let Some(value) = admitted {
-            if self.ctx.budget.is_bounded() {
-                let cost = entry_cost(&value);
-                self.charged += cost;
-                if !self.ctx.budget.charge(cost) {
-                    // Past the deepest level a partition stays whole and
-                    // the budget overcommits rather than looping.
-                    self.tripped = self
-                        .partition
-                        .as_ref()
-                        .is_none_or(|(_, level)| can_split(*level));
-                }
-            }
-            out.push(Row::owned(value));
+        if let Some(value) = admit(row, self.ctx.metrics, &mut self.seen)? {
+            self.emit(value, out);
         }
         Ok(())
+    }
+
+    /// Charges the budget for a value the seen-set now retains and emits
+    /// it.
+    #[inline(always)]
+    fn emit(&mut self, value: Value, out: &mut Vec<Row<'a>>) {
+        if self.ctx.budget.is_bounded() {
+            let cost = entry_cost(&value);
+            self.charged += cost;
+            if !self.ctx.budget.charge(cost) {
+                // Past the deepest level a partition stays whole and the
+                // budget overcommits rather than looping.
+                self.tripped = self
+                    .partition
+                    .as_ref()
+                    .is_none_or(|(_, level)| can_split(*level));
+            }
+        }
+        out.push(Row::owned(value));
     }
 
     /// Applies the dictionary-code pre-filter to a freshly pulled batch of
@@ -265,6 +299,11 @@ impl<'a> DistinctCursor<'a> {
                     }
                 }
                 Batch::Proj(fresh.into_iter())
+            }
+            Batch::Mapped(result, range) => {
+                self.hashes.clear();
+                result.struct_hashes(&self.hasher, range.end, &mut self.hashes);
+                Batch::Mapped(result, range)
             }
             other => other,
         }
@@ -398,11 +437,32 @@ impl<'a> RowStream<'a> for DistinctCursor<'a> {
             }
         }
         let start = out.len();
-        while out.len() - start < max && !self.tripped {
-            let Some(row) = self.batch.next() else {
-                break;
-            };
-            self.admit(row, out)?;
+        match std::mem::take(&mut self.batch) {
+            // Struct columns: hashed once per batch (`prefiltered`),
+            // compared in place, built only when new.
+            Batch::Mapped(result @ EvalVec::Struct(_), mut range) => {
+                while out.len() - start < max && !self.tripped {
+                    let Some(i) = range.next() else {
+                        break;
+                    };
+                    let hash = self.hashes[i];
+                    if let Some(value) =
+                        admit_struct(&result, i, hash, self.ctx.metrics, &mut self.seen)
+                    {
+                        self.emit(value, out);
+                    }
+                }
+                self.batch = Batch::Mapped(result, range);
+            }
+            rows => {
+                self.batch = rows;
+                while out.len() - start < max && !self.tripped {
+                    let Some(row) = self.batch.next() else {
+                        break;
+                    };
+                    self.admit(row, out)?;
+                }
+            }
         }
         Ok(true)
     }

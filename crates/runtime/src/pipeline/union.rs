@@ -6,42 +6,44 @@ use disco_value::{Bag, BagCursor, Value};
 
 use crate::exec::ResolutionEvents;
 
+use super::columnar::{Batch, BatchSource};
 use super::{BoxedRowStream, PipelineCtx, Result, Row, RowStream};
 
-/// Streams union branches (`mkunion`) — no branch result is ever
-/// collected into an intermediate bag.
+/// Streams union branches (`mkunion`) as a batch source — no branch
+/// result is ever collected into an intermediate bag, and each branch's
+/// batches pass on in the form they have: a fused branch's struct columns
+/// reach a `distinct` above the union as columns.
 ///
-/// With materialized inputs every branch is always [`RowStream::ready`],
-/// so branches drain in order, exactly the pre-streaming behaviour.  With
-/// *pending* (still-resolving) sources among the branches, the cursor
-/// polls readiness and pulls from whichever branch has data: the
-/// per-source scans of a federated extent emit rows as each wrapper
-/// answers, instead of the slowest branch gating all the ones behind it.
-/// When no branch is ready it parks on the resolution's shared event
-/// channel until any source makes progress (bounded by the deadline).
-/// Union output is a bag, so the arrival-dependent order never changes
-/// the answer multiset or any metric.
-pub(crate) struct UnionCursor<'a> {
-    items: Vec<BoxedRowStream<'a>>,
-    /// Indexes into `items` that are not yet exhausted.
+/// With materialized inputs every branch is always ready, so branches
+/// drain in order, exactly the pre-streaming behaviour.  With *pending*
+/// (still-resolving) sources among the branches, the union polls
+/// readiness and pulls from whichever branch has data: the per-source
+/// scans of a federated extent emit rows as each wrapper answers, instead
+/// of the slowest branch gating all the ones behind it.  When no branch
+/// is ready it parks on the resolution's shared event channel until any
+/// source makes progress (bounded by the deadline).  Union output is a
+/// bag, so the arrival-dependent order never changes the answer multiset
+/// or any metric.
+pub(crate) struct Union<'a> {
+    branches: Vec<BatchSource<'a>>,
+    /// Indexes into `branches` that are not yet exhausted.
     active: Vec<usize>,
     events: Option<Arc<ResolutionEvents>>,
 }
 
-impl<'a> UnionCursor<'a> {
-    pub(crate) fn new(items: Vec<BoxedRowStream<'a>>, ctx: PipelineCtx<'a>) -> Self {
-        let active = (0..items.len()).collect();
-        UnionCursor {
-            items,
-            active,
+impl<'a> Union<'a> {
+    pub(crate) fn new(branches: Vec<BatchSource<'a>>, ctx: PipelineCtx<'a>) -> Self {
+        Union {
+            active: (0..branches.len()).collect(),
+            branches,
             events: ctx.resolved.events().cloned(),
         }
     }
 
-    /// The next branch to pull from: the first active branch that is
-    /// ready, blocking on the event channel while none is.  `None` when
-    /// every branch is exhausted.
-    fn pick(&mut self) -> Option<usize> {
+    /// The next active branch to pull from: the first that is ready,
+    /// blocking on the event channel while none is.  `None` when every
+    /// branch is exhausted.
+    fn pick(&self) -> Option<usize> {
         loop {
             if self.active.is_empty() {
                 return None;
@@ -52,7 +54,7 @@ impl<'a> UnionCursor<'a> {
             if let Some(pos) = self
                 .active
                 .iter()
-                .position(|&index| self.items[index].ready())
+                .position(|&index| self.branches[index].ready())
             {
                 return Some(pos);
             }
@@ -65,42 +67,34 @@ impl<'a> UnionCursor<'a> {
                         return Some(0);
                     }
                 }
-                // No streamed resolution: every cursor defaults to ready,
-                // so this is unreachable; pull in order as a safe fallback.
+                // No streamed resolution: every branch is ready, so this
+                // is unreachable; pull in order as a safe fallback.
                 _ => return Some(0),
             }
         }
     }
-}
 
-impl<'a> RowStream<'a> for UnionCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        loop {
-            let pos = self.pick()?;
-            let index = self.active[pos];
-            match self.items[index].next_row() {
-                Some(row) => return Some(row),
+    /// The next batch of whichever branch has one; `None` when every
+    /// branch is exhausted.
+    pub(crate) fn next_chunk(&mut self, hint: usize) -> Result<Option<Batch<'a>>> {
+        while let Some(pos) = self.pick() {
+            match self.branches[self.active[pos]].next_chunk(hint)? {
+                Some(batch) => return Ok(Some(batch)),
                 None => {
                     self.active.remove(pos);
                 }
             }
         }
+        Ok(None)
     }
 
-    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
-        let Some(pos) = self.pick() else {
-            return Ok(false);
-        };
-        let index = self.active[pos];
-        let more = self.items[index].next_batch(out, max)?;
-        if !more {
-            self.active.remove(pos);
-        }
-        Ok(more || !self.active.is_empty())
-    }
-
-    fn ready(&self) -> bool {
-        self.active.is_empty() || self.active.iter().any(|&index| self.items[index].ready())
+    /// Whether the next batch is there without blocking on a source.
+    pub(crate) fn ready(&self) -> bool {
+        self.active.is_empty()
+            || self
+                .active
+                .iter()
+                .any(|&index| self.branches[index].ready())
     }
 }
 

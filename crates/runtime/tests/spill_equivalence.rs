@@ -682,3 +682,126 @@ fn nested_loop_errors_after_spill_match_the_unbounded_error_exactly() {
         "the inner buffer spilled before the error"
     );
 }
+
+// ---------------------------------------------------------------------
+// `distinct` over a union of struct columns: the union hands each
+// branch's batches on as they are, so two fused `struct(...)` maps reach
+// the distinct as struct columns — hashed and compared in place, built
+// only when kept — while a branch that does not fuse hands it rows.  One
+// seen-set holds all three forms.
+// ---------------------------------------------------------------------
+
+/// `mkdistinct(mkunion(a, b, c))`: `a` and `b` are fused maps declaring
+/// the same two fields in opposite orders; `c` is a bare scan (it does
+/// not fuse) of the same structs, some with numerically equal floats.
+/// `poison` gives `a` a row whose salary is a string (late, past the first
+/// batch) and `b` one whose id is: each branch fails on its own row, with
+/// its own error.
+fn distinct_union_plan(poison: bool) -> LogicalExpr {
+    let people = |tag: &str, rows: i64, bad: Option<(i64, &str)>| -> Bag {
+        (0..rows)
+            .map(|i| {
+                let row = person(i % 211, &format!("{tag}{i}"), i % 97);
+                match bad {
+                    Some((at, poisoned)) if at == i => {
+                        let fields = row.as_struct().unwrap().iter().map(|(name, value)| {
+                            let value = if name == poisoned {
+                                Value::from(format!("poisoned {tag}"))
+                            } else {
+                                value.clone()
+                            };
+                            (name.to_owned(), value)
+                        });
+                        Value::Struct(StructValue::new(fields).unwrap())
+                    }
+                    _ => row,
+                }
+            })
+            .collect()
+    };
+    let field = |var: &str, name: &str, op: ScalarOp, k: i64| {
+        ScalarExpr::binary(
+            op,
+            ScalarExpr::var_field(var, name),
+            ScalarExpr::constant(k),
+        )
+    };
+    let a = LogicalExpr::Data(people("a", 1_500, poison.then_some((900, "salary"))))
+        .bind("x")
+        .map_project(ScalarExpr::StructLit(vec![
+            ("grp".into(), field("x", "id", ScalarOp::Div, 10)),
+            ("pay".into(), field("x", "salary", ScalarOp::Add, 1)),
+        ]));
+    let b = LogicalExpr::Data(people("b", 1_200, poison.then_some((40, "id"))))
+        .bind("y")
+        .map_project(ScalarExpr::StructLit(vec![
+            ("pay".into(), field("y", "salary", ScalarOp::Add, 1)),
+            ("grp".into(), field("y", "id", ScalarOp::Div, 10)),
+        ]));
+    #[allow(clippy::cast_precision_loss)]
+    let c: Bag = (0..600i64)
+        .map(|i| {
+            let pay = if i % 2 == 0 {
+                Value::Float((i % 150) as f64)
+            } else {
+                Value::Int(i % 150)
+            };
+            Value::new_struct(vec![("pay", pay), ("grp", Value::Int(i % 25))]).unwrap()
+        })
+        .collect();
+    LogicalExpr::Distinct(Box::new(LogicalExpr::Union(vec![
+        a,
+        b,
+        LogicalExpr::Data(c),
+    ])))
+}
+
+#[test]
+fn distinct_over_a_union_of_struct_columns_matches_the_reference() {
+    let resolved = ResolvedExecs::default();
+    let physical = lower(&distinct_union_plan(false)).expect("lowers");
+    let expected = reference::evaluate_physical(&physical, &resolved).expect("reference");
+    // Enough survivors that a few dozen of them trip the small budget
+    // inside the first batch.
+    assert!(
+        expected.len() > 1_000,
+        "{} distinct structs",
+        expected.len()
+    );
+    for budget in [MemBudget::Unbounded, MemBudget::Bytes(4096)] {
+        let metrics = PipelineMetrics::new();
+        let out = evaluate_physical_with(&physical, &resolved, &metrics, opts(budget))
+            .expect("evaluates");
+        assert_eq!(out, expected, "{budget:?}");
+        assert_eq!(
+            metrics.rows_materialized(),
+            expected.len(),
+            "{budget:?}: one kept value per distinct struct"
+        );
+        assert_eq!(metrics.rows_kernel(), 2_700, "{budget:?}: both maps fuse");
+        assert_eq!(
+            metrics.bytes_spilled() > 0,
+            budget != MemBudget::Unbounded,
+            "{budget:?}"
+        );
+        // A trip stops admission at the struct that caused it, not at the
+        // end of its batch: the peak stays within one kept struct (~150
+        // bytes) of the budget.
+        if let MemBudget::Bytes(bytes) = budget {
+            let peak = metrics.peak_tracked_bytes();
+            assert!(peak <= bytes + 256, "peak {peak} against {bytes}");
+        }
+    }
+
+    let poisoned = lower(&distinct_union_plan(true)).expect("lowers");
+    let expected = reference::evaluate_physical(&poisoned, &resolved)
+        .expect_err("the poisoned rows fail")
+        .to_string();
+    assert!(expected.contains("poisoned a"), "{expected}: branch order");
+    for budget in [MemBudget::Unbounded, MemBudget::Bytes(4096)] {
+        let metrics = PipelineMetrics::new();
+        let err = evaluate_physical_with(&poisoned, &resolved, &metrics, opts(budget))
+            .expect_err("the poisoned rows fail");
+        assert_eq!(err.to_string(), expected, "{budget:?}: the first error");
+    }
+}

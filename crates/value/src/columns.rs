@@ -326,13 +326,14 @@ impl BagColumns {
             None => rows
                 .iter()
                 .map(|&row| {
-                    let fields = self
-                        .names
-                        .iter()
-                        .zip(self.columns.iter())
-                        .map(|(name, column)| (Arc::clone(name), column.value_at(row as usize)))
-                        .collect();
-                    Value::Struct(StructValue::from_distinct_fields(fields))
+                    Value::Struct(StructValue::from_distinct_iter(
+                        self.names
+                            .iter()
+                            .zip(self.columns.iter())
+                            .map(|(name, column)| {
+                                (Arc::clone(name), column.value_at(row as usize))
+                            }),
+                    ))
                 })
                 .collect(),
         }

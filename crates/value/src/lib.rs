@@ -25,8 +25,9 @@
 //! [`std::sync::Arc`]:
 //!
 //! * `Value::Str` holds `Arc<str>`,
-//! * [`StructValue`] holds `Arc<Vec<(Arc<str>, Value)>>` — field names are
-//!   shared too, so projecting/renaming/merging rows reuses name storage,
+//! * [`StructValue`] holds `Arc<[(Arc<str>, Value)]>` — one block per
+//!   struct; field names are shared too, so projecting/renaming/merging
+//!   rows reuses name storage,
 //! * `Value::List` holds `Arc<Vec<Value>>`,
 //! * [`Bag`] holds `Arc<Vec<Value>>` with copy-on-write mutation
 //!   ([`Bag::insert`]/[`Bag::extend`] mutate in place while unique, clone
@@ -89,6 +90,7 @@ pub use bag::{Bag, BagCursor};
 pub use chunk::{ChunkBuilder, Column, ColumnarChunk, FnvHasher, KeyHasher, StrDict, NULL_CODE};
 pub use columns::BagColumns;
 pub use error::ValueError;
+pub use ord::{hash_struct_value, struct_field_hasher};
 pub use spill::{approx_value_bytes, read_value, write_value, RunReader, RunWriter};
 pub use value::{StructValue, Value};
 
@@ -111,3 +113,8 @@ const _: () = {
     assert_send_sync::<Column>();
     assert_send_sync::<ChunkBuilder>();
 };
+
+// A `Value` is three words — rows are moved and cloned by the million — and
+// a struct's one block is a wide pointer, no wider than a string's.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Value>() == 24);

@@ -261,10 +261,7 @@ impl Hash for Value {
                 4u8.hash(state);
                 s.as_ref().hash(state);
             }
-            Value::Struct(s) => {
-                5u8.hash(state);
-                s.hash(state);
-            }
+            Value::Struct(s) => hash_struct_value(s.len(), s.field_hash_sum(), state),
             Value::List(l) => {
                 6u8.hash(state);
                 for v in l.iter() {
@@ -289,16 +286,54 @@ impl Hash for StructValue {
     /// Field-order-independent struct hash (commutative combine over
     /// `(name, value)` pair hashes).
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.len().hash(state);
-        let mut acc = 0u64;
-        for (name, value) in self.iter() {
-            let mut h = DefaultHasher::new();
-            name.hash(&mut h);
-            value.hash(&mut h);
-            acc = acc.wrapping_add(h.finish());
-        }
-        acc.hash(state);
+        hash_struct_fields(self.len(), self.field_hash_sum(), state);
     }
+}
+
+impl StructValue {
+    /// The commutative (wrapping) sum of the per-field hashes.
+    fn field_hash_sum(&self) -> u64 {
+        self.iter().fold(0u64, |acc, (name, value)| {
+            let mut h = struct_field_hasher(name);
+            value.hash(&mut h);
+            acc.wrapping_add(h.finish())
+        })
+    }
+}
+
+// The struct hash layout, written down once.  A struct with fields
+// `(n_i, v_i)` hashes as
+//
+//   5u8 (the `Value::Struct` tag), the field count, Σ_i field(n_i, v_i)
+//
+// where `field(n, v)` is a fixed-key `DefaultHasher` fed `n`, then `v`,
+// and the sum wraps — which makes the hash independent of field order.
+// A bare `StructValue` hashes the same without the tag.  A producer that
+// holds a struct's fields as columns (the kernels' struct result vectors)
+// computes `field` from a clone of [`struct_field_hasher`] — one hasher
+// per field name, not per row — and finishes with [`hash_struct_value`],
+// bit-identical to hashing the assembled `Value::Struct`.
+
+/// The per-field hasher of the struct hash, fed the field `name`: clone it,
+/// feed it the field's value, and add its `finish()` to the field sum.
+#[must_use]
+pub fn struct_field_hasher(name: &str) -> DefaultHasher {
+    let mut h = DefaultHasher::new();
+    name.hash(&mut h);
+    h
+}
+
+/// Writes the hash of a `Value::Struct` with `len` fields whose per-field
+/// hashes sum (wrapping) to `field_sum` — exactly what hashing the
+/// assembled value writes.
+pub fn hash_struct_value<H: Hasher>(len: usize, field_sum: u64, state: &mut H) {
+    5u8.hash(state);
+    hash_struct_fields(len, field_sum, state);
+}
+
+fn hash_struct_fields<H: Hasher>(len: usize, field_sum: u64, state: &mut H) {
+    len.hash(state);
+    field_sum.hash(state);
 }
 
 #[cfg(test)]

@@ -239,10 +239,12 @@ impl Value {
 /// participate in equality: two structs are equal when they bind the same
 /// field names to equal values.
 ///
-/// The field vector is stored behind an [`Arc`], so cloning a struct — the
-/// dominant operation when rows flow through mediator pipelines — is a
-/// reference-count bump.  Field names are `Arc<str>` as well: projecting,
-/// renaming or merging rows shares the name storage of the input rows.
+/// The fields live in one block — the reference counts and the
+/// `(name, value)` pairs in a single `Arc<[_]>` allocation — so building a
+/// struct is one allocation and cloning it, the dominant operation when
+/// rows flow through mediator pipelines, is a reference-count bump.  Field
+/// names are `Arc<str>` as well: projecting, renaming or merging rows
+/// shares the name storage of the input rows.
 ///
 /// # Examples
 ///
@@ -258,7 +260,7 @@ impl Value {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StructValue {
-    fields: Arc<Vec<(Arc<str>, Value)>>,
+    fields: Arc<[(Arc<str>, Value)]>,
 }
 
 impl StructValue {
@@ -272,19 +274,18 @@ impl StructValue {
         N: Into<Arc<str>>,
         I: IntoIterator<Item = (N, Value)>,
     {
-        let mut out: Vec<(Arc<str>, Value)> = Vec::new();
-        for (name, value) in fields {
-            let name = name.into();
-            if out.iter().any(|(n, _)| *n == name) {
-                return Err(ValueError::DuplicateField {
-                    field: name.as_ref().to_owned(),
-                });
-            }
-            out.push((name, value));
+        // Collected straight into the struct's block (one allocation for a
+        // sized input such as a `vec![..]`), then checked.
+        let fields: Arc<[(Arc<str>, Value)]> = fields
+            .into_iter()
+            .map(|(name, value)| (name.into(), value))
+            .collect();
+        match repeated_name(&fields) {
+            Some(name) => Err(ValueError::DuplicateField {
+                field: name.to_owned(),
+            }),
+            None => Ok(StructValue { fields }),
         }
-        Ok(StructValue {
-            fields: Arc::new(out),
-        })
     }
 
     /// Builds a struct from `(name, value)` pairs whose names the caller
@@ -296,16 +297,27 @@ impl StructValue {
     /// Distinctness is checked in debug builds only.
     #[must_use]
     pub fn from_distinct_fields(fields: Vec<(Arc<str>, Value)>) -> Self {
+        Self::from_distinct_iter(fields)
+    }
+
+    /// [`StructValue::from_distinct_fields`] straight from an exact-size
+    /// iterator: the pairs are collected into the struct's one block, with
+    /// no intermediate vector — a struct built per row costs one
+    /// allocation.
+    ///
+    /// Distinctness is checked in debug builds only.
+    #[must_use]
+    pub fn from_distinct_iter<I>(fields: I) -> Self
+    where
+        I: IntoIterator<Item = (Arc<str>, Value)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let fields: Arc<[(Arc<str>, Value)]> = fields.into_iter().collect();
         debug_assert!(
-            fields
-                .iter()
-                .enumerate()
-                .all(|(i, (n, _))| fields[..i].iter().all(|(m, _)| m != n)),
-            "from_distinct_fields requires distinct field names"
+            repeated_name(&fields).is_none(),
+            "a struct built from distinct fields repeats a field name"
         );
-        StructValue {
-            fields: Arc::new(fields),
-        }
+        StructValue { fields }
     }
 
     /// Number of fields.
@@ -423,9 +435,7 @@ impl StructValue {
                 .ok_or_else(|| ValueError::NoSuchField { field: name.into() })?;
             out.push((Arc::clone(n), v.clone()));
         }
-        Ok(StructValue {
-            fields: Arc::new(out),
-        })
+        Ok(StructValue { fields: out.into() })
     }
 
     /// Returns a new struct with every field renamed through `rename`.
@@ -449,9 +459,7 @@ impl StructValue {
                 (name, v.clone())
             })
             .collect();
-        StructValue {
-            fields: Arc::new(fields),
-        }
+        StructValue { fields }
     }
 
     /// The same values under `names`, one per field in declaration order:
@@ -466,13 +474,11 @@ impl StructValue {
     pub fn with_field_names(&self, names: &[Arc<str>]) -> StructValue {
         assert_eq!(names.len(), self.fields.len(), "one name per field");
         StructValue {
-            fields: Arc::new(
-                names
-                    .iter()
-                    .zip(self.fields.iter())
-                    .map(|(name, (_, value))| (Arc::clone(name), value.clone()))
-                    .collect(),
-            ),
+            fields: names
+                .iter()
+                .zip(self.fields.iter())
+                .map(|(name, (_, value))| (Arc::clone(name), value.clone()))
+                .collect(),
         }
     }
 
@@ -488,7 +494,7 @@ impl StructValue {
     /// Returns [`ValueError::DuplicateField`] if even the prefixed name
     /// clashes.
     pub fn merge_with_prefix(&self, other: &StructValue, prefix: &str) -> Result<StructValue> {
-        let mut fields: Vec<(Arc<str>, Value)> = (*self.fields).clone();
+        let mut fields: Vec<(Arc<str>, Value)> = self.fields.to_vec();
         for (n, v) in other.fields.iter() {
             let name: Arc<str> = if fields.iter().any(|(existing, _)| existing == n) {
                 Arc::from(format!("{prefix}_{n}"))
@@ -503,7 +509,7 @@ impl StructValue {
             fields.push((name, v.clone()));
         }
         Ok(StructValue {
-            fields: Arc::new(fields),
+            fields: fields.into(),
         })
     }
 
@@ -527,18 +533,24 @@ impl StructValue {
             .collect();
         fields.extend(other.fields.iter().map(|(n, v)| (Arc::clone(n), v.clone())));
         StructValue {
-            fields: Arc::new(fields),
+            fields: fields.into(),
         }
     }
 
     /// Consumes the struct and returns its fields in declaration order.
     #[must_use]
     pub fn into_fields(self) -> Vec<(Arc<str>, Value)> {
-        match Arc::try_unwrap(self.fields) {
-            Ok(fields) => fields,
-            Err(shared) => (*shared).clone(),
-        }
+        self.fields.to_vec()
     }
+}
+
+/// The first field name that repeats an earlier one.
+fn repeated_name(fields: &[(Arc<str>, Value)]) -> Option<&str> {
+    fields
+        .iter()
+        .enumerate()
+        .find(|(i, (name, _))| fields[..*i].iter().any(|(earlier, _)| earlier == name))
+        .map(|(_, (name, _))| name.as_ref())
 }
 
 impl<'a> IntoIterator for &'a StructValue {

@@ -1,6 +1,8 @@
 //! What a row costs between the source table and the answer, as a count
 //! (§3.2: capable wrappers evaluate the `submit`ted `project(select(get))`
-//! and the mediator unions the answers — perfbench's `fed_pushdown`).
+//! and the mediator unions the answers — perfbench's `fed_pushdown` — or
+//! the mediator deduplicates what they answer, as it does for
+//! `mediator_combine`'s `distinct` over structs).
 //!
 //! Heap allocations are counted, not times: they repeat on every machine.
 //! The counter is process-wide — the wrapper calls run on the call
@@ -11,13 +13,17 @@
 //! 4 000 rows cost beyond 4 sources of 1 000, divided by the extra rows
 //! transferred.
 //!
-//! This test **fails at the parent commit** (2.01 / 2.01 / 4.05): a
-//! wrapper built two heap blocks per surviving row, and the `struct(...)`
-//! text two more for the row it answers with.  Those last two are the
-//! answer's own values and are what is left.  CI also runs it under
-//! `DISCO_MEM_BUDGET=65536`, where it fails at the parent of the
-//! one-spool-form change (101.2 / 57.0 / 126.5: a budgeted spool turned
-//! every column chunk into rows and encoded them to disk).
+//! This test **fails at the parent commit** (0.02 / 0.03 / 2.04 / 4.04):
+//! a `struct(...)` answer was built as two heap blocks (the field vector
+//! and the `Arc` around it), and a `distinct` over structs built — and,
+//! for a duplicate, freed — those two blocks for every input row.  A
+//! struct is one block now (1.03: the answer's own values, and what is
+//! left), and `distinct` hashes and compares struct columns in place,
+//! building only the structs it keeps (0.03).  CI also runs it under
+//! `DISCO_MEM_BUDGET=65536`, which holds the budgeted column admission to
+//! the same counts; there it failed at the parent of the one-spool-form
+//! change too (101.2 / 57.0 / 126.5: a budgeted spool turned every column
+//! chunk into rows and encoded them to disk).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,6 +114,8 @@ fn warm_query(m: &Mediator, text: &str) -> (u64, usize) {
 
 #[test]
 fn a_transferred_row_allocates_nothing_but_the_answers_own_struct() {
+    // Every source answers the `distinct` text with all of its rows, and
+    // a few distinct structs survive: nearly every row is a duplicate.
     let texts = [
         ("select x.name from x in person where x.salary > 250", 0.1),
         (
@@ -117,7 +125,12 @@ fn a_transferred_row_allocates_nothing_but_the_answers_own_struct() {
         (
             "select struct(name: x.name, pay: x.salary + 7) from x in person \
              where x.salary > 250",
-            2.1,
+            1.1,
+        ),
+        (
+            "select distinct struct(hi: x.salary > 250, grp: x.id / 1000000) \
+             from x in person",
+            0.1,
         ),
     ];
     let (small, large) = (federation(1_000), federation(4_000));
