@@ -16,7 +16,6 @@
 //! transformation rules call before pushing an expression through
 //! `submit`.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::logical::LogicalExpr;
@@ -77,12 +76,32 @@ impl OperatorKind {
 /// assert!(w_r0.accepts(&pushed).is_ok());
 /// assert!(w_r1.accepts(&pushed).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two bit masks and a flag: `Copy`, no heap memory, a cheap `==`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapabilitySet {
-    operators: BTreeSet<OperatorKind>,
+    /// Bit `op as u8` per supported operator.
+    operators: u8,
     compose: bool,
-    /// `None` means every comparison operator is supported.
-    comparisons: Option<BTreeSet<ComparisonKind>>,
+    /// Bit `cmp as u8` per comparison a pushed selection may use.
+    comparisons: u8,
+}
+
+/// Every operator, in grammar order.
+const OPERATORS: [OperatorKind; 4] = [
+    OperatorKind::Get,
+    OperatorKind::Select,
+    OperatorKind::Project,
+    OperatorKind::Join,
+];
+
+/// The comparisons mask of an unrestricted set.
+const ALL_COMPARISONS: u8 = (1 << 6) - 1;
+
+fn operator_mask(operators: impl IntoIterator<Item = OperatorKind>) -> u8 {
+    operators
+        .into_iter()
+        .fold(0, |mask, op| mask | (1 << op as u8))
 }
 
 /// Comparison operators a wrapper may restrict selections to.
@@ -123,9 +142,9 @@ impl CapabilitySet {
     /// composition.
     pub fn new<I: IntoIterator<Item = OperatorKind>>(operators: I) -> Self {
         CapabilitySet {
-            operators: operators.into_iter().collect(),
+            operators: operator_mask(operators),
             compose: false,
-            comparisons: None,
+            comparisons: ALL_COMPARISONS,
         }
     }
 
@@ -139,13 +158,7 @@ impl CapabilitySet {
     /// full relational (SQL-like) source.
     #[must_use]
     pub fn full() -> Self {
-        CapabilitySet::new([
-            OperatorKind::Get,
-            OperatorKind::Select,
-            OperatorKind::Project,
-            OperatorKind::Join,
-        ])
-        .with_composition(true)
+        CapabilitySet::new(OPERATORS).with_composition(true)
     }
 
     /// Enables or disables composition of the supported operators.
@@ -161,14 +174,16 @@ impl CapabilitySet {
         mut self,
         comparisons: I,
     ) -> Self {
-        self.comparisons = Some(comparisons.into_iter().collect());
+        self.comparisons = comparisons
+            .into_iter()
+            .fold(0, |mask, cmp| mask | (1 << cmp as u8));
         self
     }
 
     /// Returns `true` if the operator is supported.
     #[must_use]
     pub fn supports(&self, op: OperatorKind) -> bool {
-        self.operators.contains(&op)
+        self.operators & (1 << op as u8) != 0
     }
 
     /// Returns `true` if compositions of supported operators are allowed.
@@ -180,17 +195,17 @@ impl CapabilitySet {
     /// The supported operators, in a stable order.
     #[must_use]
     pub fn operators(&self) -> Vec<OperatorKind> {
-        self.operators.iter().copied().collect()
+        OPERATORS
+            .into_iter()
+            .filter(|op| self.supports(*op))
+            .collect()
     }
 
     /// Returns `true` if the comparison operator may appear in a pushed
     /// selection predicate.
     #[must_use]
     pub fn supports_comparison(&self, cmp: ComparisonKind) -> bool {
-        match &self.comparisons {
-            None => true,
-            Some(set) => set.contains(&cmp),
-        }
+        self.comparisons & (1 << cmp as u8) != 0
     }
 
     /// Checks that `expr` — the expression to be shipped through `submit`
@@ -281,10 +296,9 @@ impl CapabilitySet {
     pub fn to_grammar(&self) -> CapabilityGrammar {
         let mut productions = Vec::new();
         let nonterminals: Vec<(OperatorKind, char)> = self
-            .operators
-            .iter()
+            .operators()
+            .into_iter()
             .zip(['b', 'c', 'd', 'e'])
-            .map(|(op, nt)| (*op, nt))
             .collect();
         for (_, nt) in &nonterminals {
             productions.push(("a".to_owned(), vec![nt.to_string()]));
@@ -344,19 +358,17 @@ impl CapabilitySet {
     /// Returns [`AlgebraError::InvalidGrammar`] when the text cannot be
     /// parsed.
     pub fn from_grammar(grammar: &CapabilityGrammar) -> Result<CapabilitySet> {
-        let mut operators = BTreeSet::new();
-        let mut compose = false;
-        for (lhs, rhs) in &grammar.productions {
-            if let Some(first) = rhs.first() {
-                if let Some(op) = OperatorKind::from_terminal(first) {
-                    operators.insert(op);
-                }
-            }
-            if lhs == "s" || rhs.iter().any(|sym| sym == "s") {
-                compose = true;
-            }
-        }
-        if operators.is_empty() {
+        let operators = operator_mask(
+            grammar
+                .productions
+                .iter()
+                .filter_map(|(_, rhs)| OperatorKind::from_terminal(rhs.first()?)),
+        );
+        let compose = grammar
+            .productions
+            .iter()
+            .any(|(lhs, rhs)| lhs == "s" || rhs.iter().any(|sym| sym == "s"));
+        if operators == 0 {
             return Err(AlgebraError::InvalidGrammar(
                 "grammar names no supported operator".into(),
             ));
@@ -364,7 +376,7 @@ impl CapabilitySet {
         Ok(CapabilitySet {
             operators,
             compose,
-            comparisons: None,
+            comparisons: ALL_COMPARISONS,
         })
     }
 }
@@ -482,7 +494,7 @@ mod tests {
             ScalarExpr::constant(1i64),
         )));
         assert!(no_compose.accepts(&nested).is_err());
-        let with_compose = no_compose.clone().with_composition(true);
+        let with_compose = no_compose.with_composition(true);
         assert!(with_compose.accepts(&nested).is_ok());
     }
 

@@ -105,6 +105,18 @@ fn lower_join(
     })
 }
 
+/// Whether [`lower`] makes the mediator join of `left` and `right` on
+/// `predicate` a hash join rather than a nested-loop join.
+#[must_use]
+pub fn is_hash_join(
+    left: &LogicalExpr,
+    right: &LogicalExpr,
+    predicate: Option<&ScalarExpr>,
+) -> bool {
+    predicate
+        .is_some_and(|pred| split_equi_join(pred, &bound_vars(left), &bound_vars(right)).is_some())
+}
+
 /// The range variables bound (by `Bind`) anywhere in a plan.
 #[must_use]
 pub fn bound_vars(plan: &LogicalExpr) -> Vec<String> {

@@ -51,7 +51,7 @@ mod to_oql;
 
 pub use capability::{CapabilityGrammar, CapabilitySet, ComparisonKind, OperatorKind};
 pub use error::AlgebraError;
-pub use implementation::{bound_vars, lower, referenced_vars};
+pub use implementation::{bound_vars, is_hash_join, lower, referenced_vars};
 pub use kernel::{EvalVec, Kernel, KernelBuilder, PairKernel, PairKernelBuilder};
 pub use logical::{data_of, LogicalExpr};
 pub use physical::{PhysicalExpr, PipelineBehavior};

@@ -40,7 +40,7 @@ pub trait CapabilityLookup {
 
 impl CapabilityLookup for std::collections::BTreeMap<String, CapabilitySet> {
     fn capabilities(&self, wrapper: &str) -> Option<CapabilitySet> {
-        self.get(wrapper).cloned()
+        self.get(wrapper).copied()
     }
 }
 
@@ -370,6 +370,31 @@ pub fn rewrite_env_predicate(predicate: &mut ScalarExpr, var: &str) -> bool {
     rewrites
 }
 
+/// Whether `expr` is a **push site**: a `submit`, or a filter, projection
+/// or source join over push sites — the only nodes R1–R3 and
+/// [`push_project_past_filter`] rewrite, and what they rewrite them into.
+#[must_use]
+pub fn is_push_site(expr: &LogicalExpr) -> bool {
+    match expr {
+        LogicalExpr::Submit { .. } => true,
+        LogicalExpr::Filter { input, .. } | LogicalExpr::Project { input, .. } => {
+            is_push_site(input)
+        }
+        LogicalExpr::SourceJoin { left, right, .. } => is_push_site(left) && is_push_site(right),
+        _ => false,
+    }
+}
+
+/// Repeats [`LogicalExpr::rewrite_in_place`] passes of `chain` over `plan`
+/// until one rewrites nothing, at most [`MAX_PASSES`] times.
+pub fn rewrite_to_fixpoint(plan: &mut LogicalExpr, chain: &impl Fn(&mut LogicalExpr) -> bool) {
+    for _ in 0..MAX_PASSES {
+        if !plan.rewrite_in_place(chain) {
+            break;
+        }
+    }
+}
+
 /// Applies every *capability-independent* simplification rule bottom-up to
 /// a fixpoint (distribution over unions, filter/bind commutation, union
 /// flattening).  Capability-dependent pushdowns are applied separately by
@@ -377,19 +402,14 @@ pub fn rewrite_env_predicate(predicate: &mut ScalarExpr, var: &str) -> bool {
 #[must_use]
 pub fn normalize(expr: &LogicalExpr) -> LogicalExpr {
     let mut plan = expr.clone();
-    for _ in 0..MAX_PASSES {
-        let rewrote = plan.rewrite_in_place(&|e| {
-            distribute_bind_over_union(e)
-                || distribute_filter_over_union(e)
-                || distribute_project_over_union(e)
-                || push_filter_through_bind(e)
-                || push_filter_below_project(e)
-                || simplify_union(e)
-        });
-        if !rewrote {
-            break;
-        }
-    }
+    rewrite_to_fixpoint(&mut plan, &|e| {
+        distribute_bind_over_union(e)
+            || distribute_filter_over_union(e)
+            || distribute_project_over_union(e)
+            || push_filter_through_bind(e)
+            || push_filter_below_project(e)
+            || simplify_union(e)
+    });
     plan
 }
 
@@ -398,18 +418,18 @@ pub fn normalize(expr: &LogicalExpr) -> LogicalExpr {
 #[must_use]
 pub fn push_to_wrappers(expr: &LogicalExpr, lookup: &dyn CapabilityLookup) -> LogicalExpr {
     let mut plan = expr.clone();
-    for _ in 0..MAX_PASSES {
-        let rewrote = plan.rewrite_in_place(&|e| {
-            push_filter_into_submit(e, lookup)
-                || push_project_into_submit(e, lookup)
-                || push_join_into_submit(e, lookup)
-                || push_project_past_filter(e, lookup)
-        });
-        if !rewrote {
-            break;
-        }
-    }
+    push_to_wrappers_in_place(&mut plan, lookup);
     plan
+}
+
+/// [`push_to_wrappers`] on `plan` itself.
+pub fn push_to_wrappers_in_place(plan: &mut LogicalExpr, lookup: &dyn CapabilityLookup) {
+    rewrite_to_fixpoint(plan, &|e| {
+        push_filter_into_submit(e, lookup)
+            || push_project_into_submit(e, lookup)
+            || push_join_into_submit(e, lookup)
+            || push_project_past_filter(e, lookup)
+    });
 }
 
 #[cfg(test)]

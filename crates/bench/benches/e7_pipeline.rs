@@ -21,7 +21,7 @@ fn bench_pipeline(c: &mut Criterion) {
     group.bench_function("optimize", |b| {
         b.iter(|| federation.mediator.explain(QUERY).unwrap());
     });
-    let plan = federation.mediator.explain(QUERY).unwrap();
+    let plan = federation.mediator.explain(QUERY).unwrap().plan;
     let executor = Executor::new(federation.mediator.registry().clone());
     group.bench_function("execute", |b| {
         b.iter(|| {

@@ -53,7 +53,7 @@ fn main() {
         .collect();
 
     if reports.is_empty() {
-        eprintln!("unknown experiment selection {selection:?}; use e1..e12 or all");
+        eprintln!("unknown experiment selection {selection:?}; use e1..e5, e7..e12 or all");
         std::process::exit(2);
     }
     for report in &reports {

@@ -244,12 +244,12 @@ pub fn e3_pushdown(scale: Scale) -> Report {
     let interface_width = 3usize; // id, name, salary
     for (label, caps) in capability_levels() {
         for &threshold in &thresholds {
-            let federation = person_federation(2, scale.rows, caps.clone());
+            let federation = person_federation(2, scale.rows, caps);
             let query = format!("select x.name from x in person where x.salary > {threshold}");
             // Inspect the plan before executing so the (cold) cost model the
             // execution will use is also the one whose pushdown decisions we
             // report.
-            let plan = federation.mediator.explain(&query).expect("plan");
+            let plan = federation.mediator.explain(&query).expect("plan").plan;
             let answer = federation.mediator.query(&query).expect("query runs");
             let transferred = answer.stats().rows_transferred;
             // Values (cells) transferred: rows × width of the tuples the
@@ -328,7 +328,7 @@ pub fn e4_calibration(scale: Scale) -> Report {
         ],
     );
     // Identify the exec call the optimizer will cost.
-    let plan = mediator.explain(query).expect("plan");
+    let plan = mediator.explain(query).expect("plan").plan;
     let execs = plan.physical.collect_execs();
     let (repository, shipped) = match execs.first() {
         Some(disco_algebra::PhysicalExpr::Exec {
@@ -373,9 +373,9 @@ pub fn e4_calibration(scale: Scale) -> Report {
     let variant = "select x.name from x in person0 where x.salary > 499";
     let variant_plan = mediator.explain(variant).expect("plan");
     let variant_exec = variant_plan
-        .alternatives
+        .trees
         .iter()
-        .flat_map(|alt| alt.logical.collect_submits())
+        .flat_map(disco_algebra::LogicalExpr::collect_submits)
         .find_map(|submit| match submit {
             disco_algebra::LogicalExpr::Submit { expr, .. }
                 if expr.fingerprint() == shipped.fingerprint() && **expr != shipped =>
@@ -454,7 +454,7 @@ pub fn e5_scaling_dba(scale: Scale) -> Report {
         let federation = water_federation(n, 20);
         let registration_ms = start.elapsed().as_secs_f64() * 1000.0;
         let stats = federation.mediator.catalog().stats();
-        let plan = federation.mediator.explain(query).expect("plan");
+        let plan = federation.mediator.explain(query).expect("plan").plan;
         report.push_row([
             n.to_string(),
             fmt_f64(registration_ms),
@@ -467,80 +467,6 @@ pub fn e5_scaling_dba(scale: Scale) -> Report {
     report.push_note(
         "registration cost grows linearly (constant per source), the interface count stays at 1, \
          and the same query text fans out to exactly one exec call per registered station",
-    );
-    report
-}
-
-// ---------------------------------------------------------------------
-// E6 — optimizer search
-// ---------------------------------------------------------------------
-
-/// E6: the rule-based search enumerates alternative plans, costs them and
-/// picks the cheapest; optimization time stays in the sub-millisecond to
-/// millisecond range for realistic federations.
-#[must_use]
-pub fn e6_optimizer_search(scale: Scale) -> Report {
-    let mut report = Report::new(
-        "E6",
-        "optimizer search space and plan choice",
-        &format!(
-            "person federation of {} rows per source; queries of increasing shape complexity",
-            scale.rows
-        ),
-        &[
-            "query",
-            "sources",
-            "alternatives",
-            "optimize ms",
-            "chosen strategy",
-            "chosen cost",
-            "canonical cost",
-        ],
-    );
-    let cases: Vec<(&str, usize, String)> =
-        vec![
-        ("point select", 2, "select x.name from x in person where x.salary > 400".to_owned()),
-        ("multi-source union", 8, "select x.name from x in person where x.salary > 400".to_owned()),
-        (
-            "two-source join",
-            2,
-            "select struct(a: x.name, b: y.name) from x in person0, y in person1 where x.id = y.id"
-                .to_owned(),
-        ),
-        (
-            "aggregate",
-            8,
-            "sum(select x.salary from x in person where x.salary > 100)".to_owned(),
-        ),
-        (
-            "view + distinct",
-            8,
-            "select distinct x.name from x in person where x.salary > 250".to_owned(),
-        ),
-    ];
-    for (label, sources, query) in cases {
-        let federation = person_federation(sources, scale.rows, CapabilitySet::full());
-        let start = Instant::now();
-        let plan = federation.mediator.explain(&query).expect("plan");
-        let optimize_ms = start.elapsed().as_secs_f64() * 1000.0;
-        let canonical = plan
-            .alternatives
-            .iter()
-            .find(|a| a.strategy == "mediator-only")
-            .map_or(plan.cost.time_ms, |a| a.cost.time_ms);
-        report.push_row([
-            label.to_owned(),
-            sources.to_string(),
-            plan.alternatives.len().to_string(),
-            fmt_f64(optimize_ms),
-            plan.chosen_strategy().to_owned(),
-            fmt_f64(plan.cost.time_ms),
-            fmt_f64(canonical),
-        ]);
-    }
-    report.push_note(
-        "the chosen plan never costs more than the canonical mediator-only plan; with the default \
-         (uncalibrated) cost model the optimizer prefers maximal pushdown, as the paper intends",
     );
     report
 }
@@ -595,7 +521,7 @@ pub fn e7_pipeline(scale: Scale) -> Report {
             let _ast = parse_query(query).expect("parse");
             parse_us += t0.elapsed().as_secs_f64() * 1e6;
             let t1 = Instant::now();
-            let plan = federation.mediator.explain(query).expect("plan");
+            let plan = federation.mediator.explain(query).expect("plan").plan;
             optimize_us += t1.elapsed().as_secs_f64() * 1e6;
             let t2 = Instant::now();
             let executor = Executor::new(federation.mediator.registry().clone());
@@ -1389,7 +1315,6 @@ pub const ALL: &[Experiment] = &[
     ("e3", e3_pushdown, false),
     ("e4", e4_calibration, false),
     ("e5", e5_scaling_dba, false),
-    ("e6", e6_optimizer_search, false),
     ("e7", e7_pipeline, false),
     ("e8", e8_semijoin_gap, false),
     ("e9", e9_evaluator_throughput, true),

@@ -51,7 +51,7 @@ pub fn person_federation_with_profile(
                 &format!("r{i}"),
                 table,
                 profile.clone(),
-                capabilities.clone(),
+                capabilities,
             )
             .expect("registration succeeds");
         links.push(link);

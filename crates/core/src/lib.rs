@@ -28,7 +28,7 @@ pub use disco_algebra::CapabilitySet;
 pub use disco_catalog::{
     Attribute, Catalog, InterfaceDef, MetaExtent, Repository, TypeMap, TypeRef, ViewDef, WrapperDef,
 };
-pub use disco_optimizer::{CostParams, Plan};
+pub use disco_optimizer::{CostParams, Explained, Plan};
 pub use disco_runtime::{Answer, ExecutionStats};
 pub use disco_source::{Availability, NetworkProfile, Table};
 pub use disco_value::{Bag, StructValue, Value};

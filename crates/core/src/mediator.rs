@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use disco_algebra::CapabilitySet;
 use disco_catalog::{Catalog, InterfaceDef, MetaExtent, Repository, TypeMap, ViewDef, WrapperDef};
-use disco_optimizer::{CalibrationStore, CostParams, Optimizer, Plan, PlanCache};
+use disco_optimizer::{CalibrationStore, CostParams, Explained, Optimizer, PlanCache};
 use disco_oql::{parse_query, parse_statements, OdlStatement};
 use disco_runtime::{Answer, Executor, PreparedPlan};
 use disco_source::{NetworkProfile, RelationalStore, SimulatedLink, Table};
@@ -446,15 +446,21 @@ impl Mediator {
     // Query processing (the end-user interface, §1.3, §3, §4)
     // ------------------------------------------------------------------
 
-    /// Optimizes a query and returns the chosen plan without executing it.
+    /// Optimizes a query without executing it: the chosen plan and the
+    /// tree of every alternative the optimizer costed.
     ///
     /// # Errors
     ///
     /// Returns parse, compilation and optimization errors.
-    pub fn explain(&self, query: &str) -> Result<Plan> {
-        let optimizer = Optimizer::with_store(self.registry.clone(), Arc::clone(&self.calibration))
-            .with_cost_params(self.cost_params);
-        Ok(optimizer.optimize_text(query, &self.catalog)?)
+    pub fn explain(&self, query: &str) -> Result<Explained> {
+        Ok(self.optimizer().explain_text(query, &self.catalog)?)
+    }
+
+    /// The optimizer over this mediator's wrappers, calibration store and
+    /// cost constants.
+    fn optimizer(&self) -> Optimizer {
+        Optimizer::with_store(self.registry.clone(), Arc::clone(&self.calibration))
+            .with_cost_params(self.cost_params)
     }
 
     /// Processes an OQL query end to end: parse, expand views and implicit
@@ -470,7 +476,8 @@ impl Mediator {
         let prepared = self
             .plan_cache
             .get_or_plan(query, self.catalog.generation(), || {
-                Ok::<_, MediatorError>(PreparedPlan::new(self.explain(query)?, &self.catalog)?)
+                let plan = self.optimizer().optimize_text(query, &self.catalog)?;
+                Ok::<_, MediatorError>(PreparedPlan::new(plan, &self.catalog)?)
             })?;
         let executor = Executor::new(self.registry.clone())
             .with_deadline(self.deadline)
@@ -735,10 +742,12 @@ mod tests {
     #[test]
     fn explain_reports_alternatives() {
         let m = demo_mediator();
-        let plan = m
+        let Explained { plan, trees } = m
             .explain("select x.name from x in person where x.salary > 10")
             .unwrap();
         assert!(plan.alternatives.len() >= 2);
+        assert_eq!(trees.len(), plan.alternatives.len());
+        assert!(trees.contains(&plan.logical));
         assert!(plan.physical.collect_execs().len() == 2);
     }
 

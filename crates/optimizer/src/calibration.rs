@@ -18,6 +18,7 @@
 //!   maximum amount of computation to the data source.
 
 use std::collections::BTreeMap;
+use std::sync::RwLockReadGuard;
 
 use disco_algebra::LogicalExpr;
 use parking_lot::RwLock;
@@ -229,27 +230,13 @@ impl CalibrationStore {
     /// call shapes alone suggest.
     #[must_use]
     pub fn estimate(&self, repository: &str, expr: &LogicalExpr) -> CostEstimate {
-        let repositories = self.repositories.read();
-        let Some(record) = repositories.get(repository) else {
-            return CostEstimate::default_estimate();
-        };
-        let penalty = record.penalty_ms();
-        let matched = |observations: Option<&Vec<Observation>>, source| {
-            let observations = observations.filter(|o| !o.is_empty())?;
-            let (time_ms, rows) = smooth(observations);
-            Some(CostEstimate {
-                time_ms: time_ms + penalty,
-                rows,
-                source,
-            })
-        };
-        matched(record.exact.get(&expr.to_string()), MatchKind::Exact)
-            .or_else(|| matched(record.close.get(&expr.fingerprint()), MatchKind::Close))
-            .unwrap_or_else(|| {
-                let mut estimate = CostEstimate::default_estimate();
-                estimate.time_ms += penalty;
-                estimate
-            })
+        self.read()
+            .estimate(repository, &expr.to_string(), &expr.fingerprint())
+    }
+
+    /// Read-locks the store for a batch of estimates.
+    pub(crate) fn read(&self) -> Estimator<'_> {
+        Estimator(self.repositories.read())
     }
 
     /// Number of distinct exact call shapes recorded.
@@ -286,6 +273,36 @@ impl CalibrationStore {
     /// Clears every recorded observation and degradation state.
     pub fn clear(&self) {
         self.repositories.write().clear();
+    }
+}
+
+/// The store read-locked for a batch of estimates: a plan search takes
+/// the lock once.
+pub(crate) struct Estimator<'a>(RwLockReadGuard<'a, BTreeMap<String, RepositoryRecord>>);
+
+impl Estimator<'_> {
+    /// [`CalibrationStore::estimate`] of a call by its two keys.
+    pub(crate) fn estimate(&self, repository: &str, text: &str, fingerprint: &str) -> CostEstimate {
+        let Some(record) = self.0.get(repository) else {
+            return CostEstimate::default_estimate();
+        };
+        let penalty = record.penalty_ms();
+        let matched = |observations: Option<&Vec<Observation>>, source| {
+            let observations = observations.filter(|o| !o.is_empty())?;
+            let (time_ms, rows) = smooth(observations);
+            Some(CostEstimate {
+                time_ms: time_ms + penalty,
+                rows,
+                source,
+            })
+        };
+        matched(record.exact.get(text), MatchKind::Exact)
+            .or_else(|| matched(record.close.get(fingerprint), MatchKind::Close))
+            .unwrap_or_else(|| {
+                let mut estimate = CostEstimate::default_estimate();
+                estimate.time_ms += penalty;
+                estimate
+            })
     }
 }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use disco_algebra::PhysicalExpr;
 
-use crate::calibration::CalibrationStore;
+use crate::calibration::{CalibrationStore, CostEstimate, MatchKind};
 
 /// Tunable constants of the mediator-side cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,6 +57,12 @@ impl PlanCost {
             rows: 0.0,
         }
     }
+
+    /// Adds `other` in: a union's cost is its branches' summed in order.
+    pub(crate) fn add(&mut self, other: PlanCost) {
+        self.time_ms += other.time_ms;
+        self.rows += other.rows;
+    }
 }
 
 /// The cost model: a calibration store plus mediator constants.
@@ -98,108 +104,114 @@ impl CostModel {
     /// Estimates the cost of a physical plan.
     #[must_use]
     pub fn cost(&self, plan: &PhysicalExpr) -> PlanCost {
-        let p = &self.params;
         match plan {
             PhysicalExpr::Exec {
                 repository,
                 logical,
                 ..
-            } => {
-                let est = self.store.estimate(repository, logical);
-                match est.source {
-                    crate::calibration::MatchKind::Default => {
-                        // The paper's defaults: time 0, data 1 per base
-                        // collection.  Selections pushed inside the call
-                        // still reduce the estimated output, so pushing is
-                        // never estimated as worse than mediator-side
-                        // filtering — this realises the paper's "maximum
-                        // computation at the data source" bias.
-                        PlanCost {
-                            time_ms: est.time_ms,
-                            rows: default_exec_rows(logical, p),
-                        }
-                    }
-                    _ => PlanCost {
-                        time_ms: est.time_ms,
-                        rows: est.rows,
-                    },
-                }
-            }
-            PhysicalExpr::MemScan(bag) => PlanCost {
-                time_ms: 0.0,
-                #[allow(clippy::cast_precision_loss)]
-                rows: bag.len() as f64,
-            },
-            PhysicalExpr::FilterOp { input, .. } => {
-                let c = self.cost(input);
-                PlanCost {
-                    time_ms: c.time_ms + c.rows * p.mediator_per_row_ms,
-                    rows: c.rows * p.filter_selectivity,
-                }
-            }
+            } => self.exec(
+                self.store.estimate(repository, logical),
+                default_exec_rows(logical, &self.params),
+            ),
+            PhysicalExpr::MemScan(bag) => self.scan(bag.len()),
+            PhysicalExpr::FilterOp { input, .. } => self.filter(self.cost(input)),
             PhysicalExpr::ProjectOp { input, .. }
             | PhysicalExpr::MapOp { input, .. }
-            | PhysicalExpr::BindOp { input, .. } => {
-                let c = self.cost(input);
-                PlanCost {
-                    time_ms: c.time_ms + c.rows * p.mediator_per_row_ms,
-                    rows: c.rows,
-                }
-            }
+            | PhysicalExpr::BindOp { input, .. } => self.per_row(self.cost(input)),
             PhysicalExpr::NestedLoopJoin { left, right, .. }
             | PhysicalExpr::MergeTuplesJoin { left, right, .. } => {
-                let l = self.cost(left);
-                let r = self.cost(right);
-                PlanCost {
-                    time_ms: l.time_ms + r.time_ms + l.rows * r.rows * p.mediator_per_row_ms,
-                    rows: (l.rows * r.rows * p.join_selectivity).max(1.0),
-                }
+                self.loop_join(self.cost(left), self.cost(right))
             }
             PhysicalExpr::HashJoin { left, right, .. } => {
-                let l = self.cost(left);
-                let r = self.cost(right);
-                PlanCost {
-                    time_ms: l.time_ms + r.time_ms + (l.rows + r.rows) * p.mediator_per_row_ms,
-                    rows: (l.rows * r.rows * p.join_selectivity).max(1.0),
-                }
+                self.hash_join(self.cost(left), self.cost(right))
             }
             PhysicalExpr::MkUnion(items) => {
                 let mut total = PlanCost::zero();
                 for item in items {
-                    let c = self.cost(item);
-                    total.time_ms += c.time_ms;
-                    total.rows += c.rows;
+                    total.add(self.cost(item));
                 }
                 total
             }
-            PhysicalExpr::MkFlatten(inner) => {
-                let c = self.cost(inner);
-                PlanCost {
-                    time_ms: c.time_ms + c.rows * p.mediator_per_row_ms,
-                    rows: c.rows,
-                }
-            }
-            PhysicalExpr::MkDistinct(inner) => {
-                let c = self.cost(inner);
-                PlanCost {
-                    time_ms: c.time_ms + c.rows * p.mediator_per_row_ms,
-                    rows: (c.rows * p.distinct_ratio).max(1.0),
-                }
-            }
-            PhysicalExpr::MkAggregate { input, .. } => {
-                let c = self.cost(input);
-                PlanCost {
-                    time_ms: c.time_ms + c.rows * p.mediator_per_row_ms,
-                    rows: 1.0,
-                }
-            }
+            PhysicalExpr::MkFlatten(inner) => self.per_row(self.cost(inner)),
+            PhysicalExpr::MkDistinct(inner) => self.distinct(self.cost(inner)),
+            PhysicalExpr::MkAggregate { input, .. } => self.aggregate(self.cost(input)),
+        }
+    }
+
+    // The per-operator formulas: the plan search costs the same operators
+    // on the logical plan.
+
+    /// An `exec` call estimated at `estimate`, `default_rows` the rows the
+    /// paper's default gives its shipped expression.
+    pub(crate) fn exec(&self, estimate: CostEstimate, default_rows: f64) -> PlanCost {
+        // The paper's defaults: time 0, data 1 per base collection.
+        // Selections pushed inside the call still reduce the estimated
+        // output, so pushing is never estimated as worse than mediator-side
+        // filtering — this realises the paper's "maximum computation at the
+        // data source" bias.
+        let rows = match estimate.source {
+            MatchKind::Default => default_rows,
+            _ => estimate.rows,
+        };
+        PlanCost {
+            time_ms: estimate.time_ms,
+            rows,
+        }
+    }
+
+    /// A scan of `rows` rows held in the plan.
+    pub(crate) fn scan(&self, rows: usize) -> PlanCost {
+        PlanCost {
+            time_ms: 0.0,
+            #[allow(clippy::cast_precision_loss)]
+            rows: rows as f64,
+        }
+    }
+
+    /// A mediator-side operator reading each input row once, `rows` out.
+    fn unary(&self, input: PlanCost, rows: f64) -> PlanCost {
+        PlanCost {
+            time_ms: input.time_ms + input.rows * self.params.mediator_per_row_ms,
+            rows,
+        }
+    }
+
+    pub(crate) fn filter(&self, input: PlanCost) -> PlanCost {
+        self.unary(input, input.rows * self.params.filter_selectivity)
+    }
+
+    pub(crate) fn per_row(&self, input: PlanCost) -> PlanCost {
+        self.unary(input, input.rows)
+    }
+
+    pub(crate) fn distinct(&self, input: PlanCost) -> PlanCost {
+        self.unary(input, (input.rows * self.params.distinct_ratio).max(1.0))
+    }
+
+    pub(crate) fn aggregate(&self, input: PlanCost) -> PlanCost {
+        self.unary(input, 1.0)
+    }
+
+    /// A nested-loop (or tuple-merging) join.
+    pub(crate) fn loop_join(&self, l: PlanCost, r: PlanCost) -> PlanCost {
+        PlanCost {
+            time_ms: l.time_ms + r.time_ms + l.rows * r.rows * self.params.mediator_per_row_ms,
+            rows: (l.rows * r.rows * self.params.join_selectivity).max(1.0),
+        }
+    }
+
+    /// A hash join.
+    pub(crate) fn hash_join(&self, l: PlanCost, r: PlanCost) -> PlanCost {
+        PlanCost {
+            time_ms: l.time_ms + r.time_ms + (l.rows + r.rows) * self.params.mediator_per_row_ms,
+            rows: (l.rows * r.rows * self.params.join_selectivity).max(1.0),
         }
     }
 }
 
 /// Estimated output cardinality of a pushed expression under the default
 /// (uncalibrated) assumption of one row per base collection.
-fn default_exec_rows(logical: &disco_algebra::LogicalExpr, params: &CostParams) -> f64 {
+pub(crate) fn default_exec_rows(logical: &disco_algebra::LogicalExpr, params: &CostParams) -> f64 {
     use disco_algebra::LogicalExpr as L;
     match logical {
         L::Get { .. } => 1.0,

@@ -16,13 +16,14 @@ mod compile;
 mod cost;
 mod error;
 mod planner;
+mod search;
 
 pub use cache::{CacheEntry, PlanCache};
 pub use calibration::{CalibrationKey, CalibrationStore, CostEstimate, MatchKind, Observation};
 pub use compile::{compile_query, compile_text};
 pub use cost::{CostModel, CostParams, PlanCost};
 pub use error::OptimizerError;
-pub use planner::{Optimizer, Plan, PlanAlternative};
+pub use planner::{Explained, Optimizer, Plan, PlanAlternative};
 
 /// Convenience result alias for optimizer operations.
 pub type Result<T> = std::result::Result<T, OptimizerError>;

@@ -5,19 +5,19 @@
 //! Each expression has an associated estimated cost.  The expression with
 //! the lowest estimated cost is then executed."
 //!
-//! The optimizer generates alternatives by applying different subsets of
-//! the capability-checked pushdown rules (none, selections only,
-//! projections only, everything) to the normalized canonical plan, lowers
-//! each to the physical algebra, costs them, and picks the cheapest.
+//! The optimizer's alternatives are five subsets of the capability-checked
+//! pushdown rules ([`STRATEGIES`]) applied to the normalized canonical
+//! plan: none, selections only, projections only, both, and
+//! [`rules::push_to_wrappers`]' whole chain.  The planner *decides before
+//! it builds*: the search (`crate::search`) costs every strategy without
+//! building any alternative's tree, then the normalized plan is rewritten
+//! in place with the winner's passes ([`materialise`]) and lowered once.
+//! Losing alternatives get a tree only from [`Optimizer::explain_text`].
 //!
-//! Each alternative is built once: the normalized plan *is* the
-//! "mediator-only" alternative, every pushed alternative is one copy of it
-//! rewritten in place by the `&mut` rules of [`disco_algebra::rules`], and
-//! a fixpoint loop ends on the flag its pass returns.  What the search
-//! finds rests on the order in which a pass tries the rules at a node —
-//! [`apply_subset`] and [`rules::push_to_wrappers`] differ in exactly
-//! that — so the order is kept as written; `tests/plan_identity.rs` pins
-//! every alternative, cost and winner.
+//! What the search finds rests on the order in which a pass tries the
+//! rules at a node — [`apply_subset`] and [`rules::push_to_wrappers`]
+//! differ in exactly that — so the order is kept as written;
+//! `tests/plan_identity.rs` pins every alternative, cost and winner.
 
 use std::sync::Arc;
 
@@ -30,15 +30,23 @@ use disco_catalog::Catalog;
 use crate::calibration::CalibrationStore;
 use crate::compile::compile_text;
 use crate::cost::{CostModel, CostParams, PlanCost};
+use crate::search::search;
 use crate::Result;
 
+/// The rule subsets the search tries, in order; see [`materialise`].
+pub(crate) const STRATEGIES: [&str; 5] = [
+    "mediator-only",
+    "push-selections",
+    "push-projections",
+    "push-selections-projections",
+    "push-everything",
+];
+
 /// One alternative considered during the search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanAlternative {
     /// Which rule subset produced it.
     pub strategy: &'static str,
-    /// The logical plan.
-    pub logical: LogicalExpr,
     /// Its estimated cost.
     pub cost: PlanCost,
 }
@@ -58,19 +66,21 @@ pub struct Plan {
     pub physical: PhysicalExpr,
     /// Estimated cost of the chosen plan.
     pub cost: PlanCost,
-    /// Every alternative considered, including the chosen one.
+    /// The strategy of the chosen alternative.
+    pub strategy: &'static str,
+    /// Every distinct alternative considered, the chosen one included; no
+    /// trees ([`Optimizer::explain_text`] builds them).
     pub alternatives: Vec<PlanAlternative>,
 }
 
-impl Plan {
-    /// The strategy name of the chosen alternative.
-    #[must_use]
-    pub fn chosen_strategy(&self) -> &'static str {
-        self.alternatives
-            .iter()
-            .find(|a| a.logical == self.logical)
-            .map_or("canonical", |a| a.strategy)
-    }
+/// A plan with the tree of every alternative the search costed: what
+/// `explain` shows.
+#[derive(Debug, Clone)]
+pub struct Explained {
+    /// The plan [`Optimizer::optimize_text`] finds for the text.
+    pub plan: Plan,
+    /// The logical tree of each of `plan.alternatives`, in order.
+    pub trees: Vec<LogicalExpr>,
 }
 
 /// The DISCO query optimizer.
@@ -153,69 +163,60 @@ impl Optimizer {
         compiled: &LogicalExpr,
         catalog_generation: u64,
     ) -> Result<Plan> {
+        self.plan_normalized(rules::normalize(compiled), catalog_generation)
+    }
+
+    /// [`Optimizer::optimize_text`], plus the tree of every alternative —
+    /// the one place the trees of losing alternatives are built.
+    ///
+    /// # Errors
+    ///
+    /// As [`Optimizer::optimize_text`].
+    pub fn explain_text(&self, query: &str, catalog: &Catalog) -> Result<Explained> {
+        let normalized = rules::normalize(&compile_text(query, catalog)?);
+        let mut plan = self.plan_normalized(normalized.clone(), catalog.generation())?;
+        plan.query = Some(query.to_owned());
+        let trees = plan.alternatives.iter().map(|alternative| {
+            let mut tree = normalized.clone();
+            materialise(alternative.strategy, &mut tree, self.capabilities.as_ref());
+            tree
+        });
+        Ok(Explained {
+            trees: trees.collect(),
+            plan,
+        })
+    }
+
+    /// Searches, then builds and lowers the winner only.
+    fn plan_normalized(&self, mut logical: LogicalExpr, catalog_generation: u64) -> Result<Plan> {
         let lookup = self.capabilities.as_ref();
-
-        let mut alternatives: Vec<PlanAlternative> = Vec::new();
-        // The physical plan each alternative was costed on, so that the
-        // winner is not lowered a second time.
-        let mut physicals: Vec<PhysicalExpr> = Vec::new();
-        let mut push_alternative = |strategy: &'static str,
-                                    logical: LogicalExpr,
-                                    alternatives: &mut Vec<PlanAlternative>|
-         -> Result<()> {
-            if alternatives.iter().any(|a| a.logical == logical) {
-                return Ok(());
-            }
-            let physical = lower(&logical)?;
-            let cost = self.cost_model.cost(&physical);
-            physicals.push(physical);
-            alternatives.push(PlanAlternative {
-                strategy,
-                logical,
-                cost,
-            });
-            Ok(())
-        };
-
-        // The normalized plan moves into the first alternative; the pushed
-        // ones are each one copy of it, rewritten in place.
-        push_alternative(
-            "mediator-only",
-            rules::normalize(compiled),
-            &mut alternatives,
-        )?;
-        for (strategy, filters, projections) in [
-            ("push-selections", true, false),
-            ("push-projections", false, true),
-            ("push-selections-projections", true, true),
-        ] {
-            let pushed = apply_subset(&alternatives[0].logical, lookup, filters, projections);
-            push_alternative(strategy, pushed, &mut alternatives)?;
-        }
-        let pushed = rules::push_to_wrappers(&alternatives[0].logical, lookup);
-        push_alternative("push-everything", pushed, &mut alternatives)?;
-
-        let best = alternatives
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.cost
-                    .time_ms
-                    .total_cmp(&b.cost.time_ms)
-                    .then_with(|| a.logical.size().cmp(&b.logical.size()))
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let chosen = alternatives[best].clone();
-        let physical = physicals.swap_remove(best);
+        let (alternatives, winner) = search(&logical, lookup, &self.cost_model);
+        let PlanAlternative { strategy, cost } = alternatives[winner];
+        materialise(strategy, &mut logical, lookup);
+        let physical = lower(&logical)?;
         Ok(Plan {
             query: None,
             catalog_generation,
-            logical: chosen.logical,
+            logical,
             physical,
-            cost: chosen.cost,
+            cost,
+            strategy,
             alternatives,
         })
+    }
+}
+
+/// Rewrites the normalized `plan` in place into `strategy`'s tree — the one
+/// way a tree is built: for a class's first site by the search, for the
+/// winner by the query path, for every alternative by explain.
+pub(crate) fn materialise(strategy: &str, plan: &mut LogicalExpr, lookup: &dyn CapabilityLookup) {
+    match strategy {
+        "push-selections" => apply_subset(plan, lookup, true, false),
+        "push-projections" => apply_subset(plan, lookup, false, true),
+        "push-selections-projections" => apply_subset(plan, lookup, true, true),
+        "push-everything" => rules::push_to_wrappers_in_place(plan, lookup),
+        "mediator-only" => {}
+        other => unreachable!("no strategy {other}"),
     }
 }
 
@@ -223,23 +224,16 @@ impl Optimizer {
 /// of [`rules::push_to_wrappers`] without the join rule and with the
 /// projection-past-filter rule tried *before* the plain projection push.
 fn apply_subset(
-    expr: &LogicalExpr,
+    plan: &mut LogicalExpr,
     lookup: &dyn CapabilityLookup,
     filters: bool,
     projections: bool,
-) -> LogicalExpr {
-    let mut plan = expr.clone();
-    for _ in 0..rules::MAX_PASSES {
-        let rewrote = plan.rewrite_in_place(&|e| {
-            (filters && push_filter_into_submit(e, lookup))
-                || (projections
-                    && (push_project_past_filter(e, lookup) || push_project_into_submit(e, lookup)))
-        });
-        if !rewrote {
-            break;
-        }
-    }
-    plan
+) {
+    rules::rewrite_to_fixpoint(plan, &|e| {
+        (filters && push_filter_into_submit(e, lookup))
+            || (projections
+                && (push_project_past_filter(e, lookup) || push_project_into_submit(e, lookup)))
+    });
 }
 
 #[cfg(test)]
@@ -377,7 +371,7 @@ mod tests {
         let plan = optimizer
             .optimize_text("select x.name from x in person0", &catalog)
             .unwrap();
-        assert!(!plan.chosen_strategy().is_empty());
+        assert!(STRATEGIES.contains(&plan.strategy));
         assert_eq!(plan.catalog_generation, catalog.generation());
         assert_eq!(
             plan.query.as_deref(),

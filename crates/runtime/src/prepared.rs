@@ -6,7 +6,7 @@
 //! must carry, the keys the calibration store records a call under.  A
 //! [`PreparedPlan`] does that work once, on the miss that plans the text,
 //! and keeps the physical plan — nothing else of the optimizer's
-//! [`Plan`]: neither its alternatives nor its logical tree.
+//! [`Plan`]: not its logical tree.
 //!
 //! The **call table** lists the plan's distinct calls in plan order, and
 //! shares rather than copies: a call's shipped expression is the `Arc`
@@ -50,7 +50,7 @@ pub struct PreparedPlan {
 
 impl PreparedPlan {
     /// Prepares `plan` against `catalog`, the catalog it was optimized
-    /// against.  The plan's alternatives and logical tree are dropped.
+    /// against.  The plan's logical tree is dropped.
     ///
     /// # Errors
     ///

@@ -100,7 +100,7 @@ impl Wrapper for RelationalWrapper {
     }
 
     fn capabilities(&self) -> CapabilitySet {
-        self.capabilities.clone()
+        self.capabilities
     }
 
     fn submit(&self, expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {

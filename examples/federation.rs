@@ -47,9 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     let query = "select e.name from e in employee where e.salary > 800";
-    let plan = hr.explain(query)?;
+    let plan = hr.explain(query)?.plan;
     println!("hr mediator, query: {query}");
-    println!("  chosen strategy: {}", plan.chosen_strategy());
+    println!("  chosen strategy: {}", plan.strategy);
     println!("  plan: {}", plan.logical);
     let answer = hr.query(query)?;
     println!(

@@ -16,17 +16,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let query = "select x.name from x in person where x.salary > 10";
     println!("query: {query}\n");
 
-    // Show what the optimizer decided (logical plan, strategy, estimated cost).
-    let plan = mediator.explain(query)?;
-    println!("chosen strategy : {}", plan.chosen_strategy());
+    // Show what the optimizer decided (logical plan, strategy, estimated
+    // cost) and the alternatives it weighed.
+    let explained = mediator.explain(query)?;
+    let plan = &explained.plan;
+    println!("chosen strategy : {}", plan.strategy);
     println!("logical plan    : {}", plan.logical);
     println!("physical plan   : {}", plan.physical);
     println!(
-        "estimated cost  : {:.3} ms, {:.1} rows ({} alternatives considered)\n",
+        "estimated cost  : {:.3} ms, {:.1} rows ({} alternatives considered)",
         plan.cost.time_ms,
         plan.cost.rows,
         plan.alternatives.len()
     );
+    for (alternative, tree) in plan.alternatives.iter().zip(&explained.trees) {
+        println!(
+            "  {:<28} {:.3} ms  {tree}",
+            alternative.strategy, alternative.cost.time_ms
+        );
+    }
+    println!();
 
     // Execute.
     let answer = mediator.query(query)?;

@@ -34,7 +34,7 @@ fn person_demo(caps: &CapabilitySet) -> Mediator {
             &format!("r{i}"),
             table,
             NetworkProfile::fast(),
-            caps.clone(),
+            *caps,
         )
         .unwrap();
     }

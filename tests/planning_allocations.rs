@@ -3,10 +3,14 @@
 //! in the number of sources).
 //!
 //! Heap allocations are counted, not times: the counts repeat exactly on
-//! every machine.  The planner materialises four alternatives — a logical
-//! and a physical tree each — so its floor is a constant per source; the
-//! assertions pin that constant and that it does not grow with the
-//! federation.
+//! every machine.  The planner builds one tree: it normalizes the plan,
+//! costs every alternative on it by class of push site — like-typed
+//! sources share one class, whose rewrites it builds once — then rewrites
+//! the normalized plan in place into the winner and lowers it.  Its count
+//! is therefore a constant per source (the normalized and the lowered
+//! tree) plus a constant per class; the assertions pin both the bound and
+//! that each source added costs the same.  Fails at the parent of the
+//! one-tree planner, which materialised four alternatives (231 per source).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -105,7 +109,7 @@ fn seeded_store(sources: usize) -> Arc<CalibrationStore> {
 
 #[test]
 fn planning_allocations_per_source_are_bounded_and_flat() {
-    let mut optimize_per_source = Vec::new();
+    let mut counts = Vec::new();
     for sources in [8usize, 64, 256] {
         let catalog = federation(sources);
         let mut capabilities = BTreeMap::new();
@@ -129,7 +133,7 @@ fn planning_allocations_per_source_are_bounded_and_flat() {
             per_source(compile_allocations),
         );
         assert!(
-            per_source(optimize_allocations) <= 300.0,
+            per_source(optimize_allocations) <= 60.0,
             "optimize_logical at {sources} sources: {optimize_allocations} allocations"
         );
         if sources == 256 {
@@ -138,15 +142,19 @@ fn planning_allocations_per_source_are_bounded_and_flat() {
                 "compile_text at {sources} sources: {compile_allocations} allocations"
             );
         }
-        optimize_per_source.push(per_source(optimize_allocations));
+        counts.push((sources, optimize_allocations));
     }
-    let least = optimize_per_source
-        .iter()
-        .copied()
-        .fold(f64::INFINITY, f64::min);
-    let most = optimize_per_source.iter().copied().fold(0.0, f64::max);
+    // What each source added costs, between consecutive sizes: the one
+    // class's rewrites are paid once, whatever the federation's size.
+    #[allow(clippy::cast_precision_loss)]
+    let added: Vec<f64> = counts
+        .windows(2)
+        .map(|pair| (pair[1].1 - pair[0].1) as f64 / (pair[1].0 - pair[0].0) as f64)
+        .collect();
+    let least = added.iter().copied().fold(f64::INFINITY, f64::min);
+    let most = added.iter().copied().fold(0.0, f64::max);
     assert!(
         most <= 1.05 * least,
-        "allocations per source grow with the federation: {optimize_per_source:?}"
+        "allocations per added source grow with the federation: {added:?}"
     );
 }

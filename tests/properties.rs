@@ -74,7 +74,7 @@ fn build_mediator(sources: &[Vec<PersonRow>], caps: CapabilitySet) -> Mediator {
             &format!("r{i}"),
             table,
             NetworkProfile::fast(),
-            caps.clone(),
+            caps,
         )
         .unwrap();
     }

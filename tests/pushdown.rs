@@ -27,7 +27,7 @@ fn mediator_with_capabilities(caps: CapabilitySet) -> Mediator {
             &format!("r{i}"),
             generator::employee_table(&format!("employee{i}"), ROWS_PER_SOURCE, 8, i as u64),
             NetworkProfile::fast(),
-            caps.clone(),
+            caps,
         )
         .unwrap();
     }
@@ -73,8 +73,8 @@ fn pushdown_transfers_fewer_rows_than_get_only() {
 fn plan_shapes_reflect_capabilities() {
     let full = mediator_with_capabilities(CapabilitySet::full());
     let minimal = mediator_with_capabilities(CapabilitySet::get_only());
-    let pushed_plan = full.explain(SELECTIVE_QUERY).unwrap();
-    let minimal_plan = minimal.explain(SELECTIVE_QUERY).unwrap();
+    let pushed_plan = full.explain(SELECTIVE_QUERY).unwrap().plan;
+    let minimal_plan = minimal.explain(SELECTIVE_QUERY).unwrap().plan;
     let pushed_text = pushed_plan.logical.to_string();
     let minimal_text = minimal_plan.logical.to_string();
     // Full wrappers receive select/project inside the submit…
@@ -120,7 +120,7 @@ fn mixed_capability_federation_pushes_per_source() {
         CapabilitySet::get_only(),
     )
     .unwrap();
-    let plan = m.explain(SELECTIVE_QUERY).unwrap();
+    let plan = m.explain(SELECTIVE_QUERY).unwrap().plan;
     let text = plan.logical.to_string();
     assert!(
         text.contains("submit(r1, get(employee1))"),
