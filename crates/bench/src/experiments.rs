@@ -1,7 +1,7 @@
 //! The experiment implementations behind every table the harness prints
-//! and every Criterion bench.  See `DESIGN.md` §5 for the mapping from
-//! paper claims to experiments; recorded results are the `BENCH_eN.json`
-//! files and the tables of ROADMAP's Performance section.
+//! and every Criterion bench.  Each function's doc names the paper claim
+//! it measures; recorded results are the `BENCH_eN.json` files and the
+//! tables of ROADMAP's Performance section.
 
 use std::time::Instant;
 
@@ -544,187 +544,6 @@ pub fn e7_pipeline(scale: Scale) -> Report {
     report.push_note(
         "execution dominates the pipeline; parsing and optimization stay in the tens-to-hundreds \
          of microseconds, so the mediator layers add little overhead over the wrapper calls",
-    );
-    report
-}
-
-// ---------------------------------------------------------------------
-// E8 — the semijoin gap (submit has RPC semantics)
-// ---------------------------------------------------------------------
-
-/// E8: because `submit` cannot ship data between sources, cross-repository
-/// joins transfer both inputs to the mediator; a same-repository join is
-/// pushed and transfers only results.  The hypothetical semijoin lower
-/// bound quantifies what the restriction costs.
-#[must_use]
-pub fn e8_semijoin_gap(scale: Scale) -> Report {
-    use disco_catalog::{
-        Attribute, Catalog, InterfaceDef, MetaExtent, Repository, TypeRef, WrapperDef,
-    };
-    use disco_source::{generator, RelationalStore, SimulatedLink};
-    use disco_wrapper::{RelationalWrapper, WrapperRegistry};
-    use std::sync::Arc;
-
-    let departments = 8usize;
-    // Managers exist for only two of the eight departments, so the join is
-    // selective — the situation where a semijoin strategy would pay off.
-    let managed_departments = 2usize;
-    let mut report = Report::new(
-        "E8",
-        "join placement and the semijoin gap",
-        &format!(
-            "employee relation of {} rows over {departments} departments; managers exist for \
-             {managed_departments} departments; equi-join on dept, placed at the source vs at \
-             the mediator",
-            scale.rows
-        ),
-        &["strategy", "rows transferred", "join rows", "note"],
-    );
-
-    // One repository (r0) holding BOTH relations — the §3.2 example where
-    // the join can be pushed — and a second repository (r1) holding only the
-    // manager relation, forcing a mediator join.
-    let mut catalog = Catalog::new();
-    catalog
-        .define_interface(
-            InterfaceDef::new("Employee")
-                .with_extent_name("employee")
-                .with_attribute(Attribute::new("id", TypeRef::Int))
-                .with_attribute(Attribute::new("name", TypeRef::String))
-                .with_attribute(Attribute::new("dept", TypeRef::Int))
-                .with_attribute(Attribute::new("salary", TypeRef::Int)),
-        )
-        .expect("fresh catalog");
-    catalog
-        .define_interface(
-            InterfaceDef::new("Manager")
-                .with_extent_name("manager")
-                .with_attribute(Attribute::new("name", TypeRef::String))
-                .with_attribute(Attribute::new("dept", TypeRef::Int)),
-        )
-        .expect("fresh catalog");
-    catalog
-        .add_repository(Repository::new("r0"))
-        .expect("fresh");
-    catalog
-        .add_repository(Repository::new("r1"))
-        .expect("fresh");
-    catalog
-        .add_wrapper(WrapperDef::new("w0", "relational"))
-        .expect("fresh");
-    catalog
-        .add_wrapper(WrapperDef::new("w1", "relational"))
-        .expect("fresh");
-
-    let registry = WrapperRegistry::new();
-    let employee_table = generator::employee_table("employee0", scale.rows, departments, 11);
-    let matching_employees = employee_table
-        .rows()
-        .iter()
-        .filter(|row| {
-            row.field("dept")
-                .ok()
-                .and_then(|v| v.as_int().ok())
-                .is_some_and(|d| (d as usize) < managed_departments)
-        })
-        .count();
-    let store0 = Arc::new(RelationalStore::new());
-    store0.put_table(employee_table);
-    store0.put_table(generator::manager_table(
-        "manager0",
-        managed_departments,
-        11,
-    ));
-    registry.register(Arc::new(RelationalWrapper::new(
-        "w0",
-        store0,
-        Arc::new(SimulatedLink::new("r0", NetworkProfile::fast(), 1)),
-    )));
-    let store1 = Arc::new(RelationalStore::new());
-    store1.put_table(generator::manager_table(
-        "manager1",
-        managed_departments,
-        11,
-    ));
-    registry.register(Arc::new(RelationalWrapper::new(
-        "w1",
-        store1,
-        Arc::new(SimulatedLink::new("r1", NetworkProfile::fast(), 2)),
-    )));
-    catalog
-        .add_extent(MetaExtent::new("employee0", "Employee", "w0", "r0"))
-        .expect("fresh");
-    catalog
-        .add_extent(MetaExtent::new("manager0", "Manager", "w0", "r0"))
-        .expect("fresh");
-    catalog
-        .add_extent(MetaExtent::new("manager1", "Manager", "w1", "r1"))
-        .expect("fresh");
-    let executor = Executor::new(registry);
-
-    // (a) Same repository: the join is pushed inside the submit.
-    let pushed = LogicalExpr::SourceJoin {
-        left: Box::new(LogicalExpr::get("employee0")),
-        right: Box::new(LogicalExpr::get("manager0")),
-        on: vec![("dept".into(), "dept".into())],
-    }
-    .submit("r0", "w0", "employee0");
-    let pushed_answer = executor
-        .execute(&lower(&pushed).expect("lower"), &catalog)
-        .expect("pushed join runs");
-
-    // (b) Cross repository: both inputs ship to the mediator.
-    let cross = LogicalExpr::Join {
-        left: Box::new(
-            LogicalExpr::get("employee0")
-                .submit("r0", "w0", "employee0")
-                .bind("x"),
-        ),
-        right: Box::new(
-            LogicalExpr::get("manager1")
-                .submit("r1", "w1", "manager1")
-                .bind("y"),
-        ),
-        predicate: Some(ScalarExpr::binary(
-            ScalarOp::Eq,
-            ScalarExpr::var_field("x", "dept"),
-            ScalarExpr::var_field("y", "dept"),
-        )),
-    }
-    .map_project(ScalarExpr::StructLit(vec![
-        ("employee".into(), ScalarExpr::var_field("x", "name")),
-        ("manager".into(), ScalarExpr::var_field("y", "name")),
-    ]));
-    let cross_answer = executor
-        .execute(&lower(&cross).expect("lower"), &catalog)
-        .expect("cross join runs");
-
-    // (c) The hypothetical semijoin lower bound for the cross join: ship the
-    // distinct join keys of the manager side one way, then only the matching
-    // employee rows back.
-    let semijoin_bound = managed_departments + matching_employees;
-
-    report.push_row([
-        "same repository, join pushed".to_owned(),
-        pushed_answer.stats().rows_transferred.to_string(),
-        pushed_answer.data().len().to_string(),
-        "only join results cross the network".to_owned(),
-    ]);
-    report.push_row([
-        "cross repository, mediator join".to_owned(),
-        cross_answer.stats().rows_transferred.to_string(),
-        cross_answer.data().len().to_string(),
-        "both inputs shipped to the mediator".to_owned(),
-    ]);
-    report.push_row([
-        "hypothetical semijoin (not expressible)".to_owned(),
-        semijoin_bound.to_string(),
-        cross_answer.data().len().to_string(),
-        "would require source-to-source data flow".to_owned(),
-    ]);
-    report.push_note(
-        "the submit operator's RPC semantics make the semijoin strategy inexpressible (§3.2); \
-         the gap between rows shipped by the mediator join and the semijoin bound is the price",
     );
     report
 }
@@ -1316,7 +1135,6 @@ pub const ALL: &[Experiment] = &[
     ("e4", e4_calibration, false),
     ("e5", e5_scaling_dba, false),
     ("e7", e7_pipeline, false),
-    ("e8", e8_semijoin_gap, false),
     ("e9", e9_evaluator_throughput, true),
     ("e10", e10_federation_overlap, true),
     ("e11", e11_serving, true),

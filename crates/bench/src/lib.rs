@@ -1,8 +1,8 @@
 //! # disco-bench
 //!
 //! Workload builders, experiment implementations and reporting used by the
-//! `harness` binary and the Criterion benches.  Every experiment listed in
-//! `DESIGN.md` §5 has a function here returning a [`report::Report`]; the
+//! `harness` binary and the Criterion benches.  Every experiment in
+//! [`experiments::ALL`] is a function returning a [`report::Report`]; the
 //! harness prints the tables recorded in `BENCH_eN.json` and ROADMAP's
 //! Performance section, the benches measure the same code paths at a
 //! smaller scale.

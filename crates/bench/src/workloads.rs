@@ -93,64 +93,6 @@ pub fn water_federation(n: usize, days: usize) -> Federation {
     Federation { mediator, links }
 }
 
-/// Builds an employee/manager federation used by the join experiments.
-/// `employee0`/`manager0` live in the same repository (joinable at the
-/// source), `employee1` lives elsewhere.
-#[must_use]
-pub fn employee_federation(rows: usize, departments: usize) -> Federation {
-    let mut mediator = Mediator::new("bench-employee");
-    mediator
-        .define_interface(
-            InterfaceDef::new("Employee")
-                .with_extent_name("employee")
-                .with_attribute(Attribute::new("id", TypeRef::Int))
-                .with_attribute(Attribute::new("name", TypeRef::String))
-                .with_attribute(Attribute::new("dept", TypeRef::Int))
-                .with_attribute(Attribute::new("salary", TypeRef::Int)),
-        )
-        .expect("fresh catalog");
-    mediator
-        .define_interface(
-            InterfaceDef::new("Manager")
-                .with_extent_name("manager")
-                .with_attribute(Attribute::new("name", TypeRef::String))
-                .with_attribute(Attribute::new("dept", TypeRef::Int)),
-        )
-        .expect("fresh catalog");
-    let employee0 = mediator
-        .add_relational_source(
-            "employee0",
-            "Employee",
-            "r0",
-            generator::employee_table("employee0", rows, departments, 11),
-            NetworkProfile::fast(),
-            CapabilitySet::full(),
-        )
-        .expect("registration succeeds");
-    let manager0 = mediator
-        .add_relational_source(
-            "manager0",
-            "Manager",
-            "r0_managers",
-            generator::manager_table("manager0", departments, 11),
-            NetworkProfile::fast(),
-            CapabilitySet::full(),
-        )
-        .expect("registration succeeds");
-    let employee1 = mediator
-        .add_relational_source(
-            "employee1",
-            "Employee",
-            "r1",
-            generator::employee_table("employee1", rows, departments, 13),
-            NetworkProfile::fast(),
-            CapabilitySet::full(),
-        )
-        .expect("registration succeeds");
-    let links = vec![employee0, manager0, employee1];
-    Federation { mediator, links }
-}
-
 /// Deterministic person bag for the E9 evaluator pipelines: `id` cycles
 /// over `id_space`, salary over a 0-999 spread.  Shared by the criterion
 /// bench and the harness experiment so their workloads cannot drift
@@ -304,11 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn water_and_employee_federations_build() {
+    fn water_federation_builds() {
         let water = water_federation(2, 5);
         assert_eq!(water.mediator.catalog().stats().extents, 2);
-        let employees = employee_federation(20, 4);
-        assert_eq!(employees.mediator.catalog().stats().extents, 3);
         assert_eq!(capability_levels().len(), 4);
     }
 }

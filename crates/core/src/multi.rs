@@ -3,7 +3,7 @@
 //! "This distributed architecture permits DBAs to develop mediators
 //! independently and permits mediators to be combined."  A lower-level
 //! mediator is exposed to an upper-level mediator through
-//! [`MediatorWrapper`], a wrapper whose `submit` translates the pushed
+//! [`MediatorWrapper`], a wrapper whose `submit_into` translates the pushed
 //! algebra expression back to OQL and runs it on the inner mediator.
 //! Together with [`disco_catalog::CatalogComponent`] this reproduces the
 //! A/M/C/W/D topology of Fig. 1.
@@ -14,8 +14,7 @@ use std::time::Duration;
 use disco_algebra::{logical_to_oql, CapabilitySet, LogicalExpr, OperatorKind};
 use disco_catalog::{CatalogComponent, MediatorAdvertisement};
 use disco_oql::print_expr;
-use disco_value::Bag;
-use disco_wrapper::{Wrapper, WrapperAnswer, WrapperError};
+use disco_wrapper::{AnswerSink, AnswerSummary, Wrapper, WrapperError};
 
 use crate::Mediator;
 
@@ -73,7 +72,13 @@ impl Wrapper for MediatorWrapper {
         .with_composition(true)
     }
 
-    fn submit(&self, expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
+    /// Runs the pushed expression on the inner mediator and delivers its
+    /// whole answer as one chunk.
+    fn submit_into(
+        &self,
+        expr: &LogicalExpr,
+        sink: &mut dyn AnswerSink,
+    ) -> Result<AnswerSummary, WrapperError> {
         self.capabilities()
             .accepts_named(expr, &self.name)
             .map_err(WrapperError::Capability)?;
@@ -93,16 +98,11 @@ impl Wrapper for MediatorWrapper {
                 endpoint: self.inner.name().to_owned(),
             });
         }
-        let rows: Bag = answer.data().clone();
-        Ok(WrapperAnswer {
-            rows,
+        sink.push(answer.data().clone());
+        Ok(AnswerSummary {
             rows_scanned: answer.stats().rows_transferred,
             latency: started.elapsed().max(Duration::from_micros(1)),
         })
-    }
-
-    fn is_available(&self) -> bool {
-        true
     }
 }
 
@@ -170,7 +170,7 @@ mod tests {
     use super::*;
     use disco_catalog::{Attribute, InterfaceDef, MetaExtent, Repository, TypeRef};
     use disco_source::{NetworkProfile, Table};
-    use disco_value::Value;
+    use disco_value::{Bag, Value};
 
     /// Builds a two-level hierarchy: the `hr` mediator integrates the two
     /// person sources; the `corp` mediator integrates `hr` as one source.
@@ -253,6 +253,17 @@ mod tests {
         assert!(component.total_extents() >= 3);
     }
 
+    /// A sink that keeps every chunk it is handed.
+    #[derive(Default)]
+    struct Chunks(Vec<Bag>);
+
+    impl AnswerSink for Chunks {
+        fn push(&mut self, rows: Bag) -> bool {
+            self.0.push(rows);
+            true
+        }
+    }
+
     #[test]
     fn mediator_wrapper_rejects_unsupported_pushes() {
         let (hr, _corp) = hierarchy();
@@ -263,12 +274,55 @@ mod tests {
             right: Box::new(LogicalExpr::get("person1")),
             on: vec![("name".into(), "name".into())],
         };
+        let mut sink = Chunks::default();
         assert!(matches!(
-            wrapper.submit(&join).unwrap_err(),
+            wrapper.submit_into(&join, &mut sink).unwrap_err(),
             WrapperError::Capability(_)
         ));
-        // A plain get of the inner mediator's extent works.
-        let answer = wrapper.submit(&LogicalExpr::get("person")).unwrap();
-        assert_eq!(answer.rows_returned(), 2);
+        assert!(sink.0.is_empty());
+    }
+
+    /// Pins what streaming through the inner query must change on
+    /// purpose: today the inner answer arrives whole, as one chunk.
+    #[test]
+    fn mediator_wrapper_delivers_the_inner_answer_as_one_chunk() {
+        let (hr, _corp) = hierarchy();
+        let inner = hr.query("person").unwrap();
+        let wrapper = MediatorWrapper::new("w_hr", hr);
+        let mut sink = Chunks::default();
+        let summary = wrapper
+            .submit_into(&LogicalExpr::get("person"), &mut sink)
+            .unwrap();
+        assert_eq!(sink.0, vec![inner.data().clone()]);
+        assert_eq!(sink.0[0].len(), 2);
+        assert_eq!(summary.rows_scanned, inner.stats().rows_transferred);
+    }
+
+    #[test]
+    fn an_inner_partial_answer_is_an_unavailable_source() {
+        let mut hr = Mediator::new("hr");
+        hr.register_person_demo().unwrap();
+        let mut t = Table::new("person2", ["name", "salary"]);
+        t.insert_values([("name", Value::from("Ada")), ("salary", Value::Int(90))])
+            .unwrap();
+        hr.add_relational_source(
+            "person2",
+            "Person",
+            "r2",
+            t,
+            NetworkProfile::unavailable(),
+            CapabilitySet::full(),
+        )
+        .unwrap();
+        let wrapper = MediatorWrapper::new("w_hr", Arc::new(hr));
+        let mut sink = Chunks::default();
+        let err = wrapper
+            .submit_into(&LogicalExpr::get("person"), &mut sink)
+            .unwrap_err();
+        assert!(
+            matches!(&err, WrapperError::Unavailable { endpoint } if endpoint == "hr"),
+            "{err:?}"
+        );
+        assert!(sink.0.is_empty(), "a partial inner answer delivers nothing");
     }
 }

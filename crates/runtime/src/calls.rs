@@ -362,8 +362,7 @@ mod tests {
     };
     use disco_source::{generator, NetworkProfile, RelationalStore, SimulatedLink};
     use disco_wrapper::{
-        AnswerSink, AnswerSummary, RelationalWrapper, Wrapper, WrapperAnswer, WrapperError,
-        WrapperRegistry,
+        AnswerSink, AnswerSummary, RelationalWrapper, Wrapper, WrapperError, WrapperRegistry,
     };
 
     use super::*;
@@ -469,10 +468,7 @@ mod tests {
         fn capabilities(&self) -> CapabilitySet {
             CapabilitySet::full()
         }
-        fn submit(&self, _expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
-            unreachable!("the runtime streams")
-        }
-        fn submit_streaming(
+        fn submit_into(
             &self,
             _expr: &LogicalExpr,
             _sink: &mut dyn AnswerSink,
@@ -580,7 +576,11 @@ mod tests {
         fn capabilities(&self) -> CapabilitySet {
             CapabilitySet::full()
         }
-        fn submit(&self, _expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
+        fn submit_into(
+            &self,
+            _expr: &LogicalExpr,
+            _sink: &mut dyn AnswerSink,
+        ) -> Result<AnswerSummary, WrapperError> {
             panic!("wrapper exploded mid-call");
         }
     }

@@ -1075,7 +1075,7 @@ fn run_wrapper_call(
         rows_pushed: 0,
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        wrapper.submit_streaming(&source_expr, &mut sink)
+        wrapper.submit_into(&source_expr, &mut sink)
     }));
     let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
     let rows_pushed = sink.rows_pushed;

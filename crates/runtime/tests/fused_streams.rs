@@ -58,8 +58,7 @@ use disco_runtime::{
 use disco_source::{Availability, NetworkProfile, RelationalStore, SimulatedLink, Table};
 use disco_value::{Bag, StructValue, Value};
 use disco_wrapper::{
-    AnswerSink, AnswerSummary, RelationalWrapper, Wrapper, WrapperAnswer, WrapperError,
-    WrapperRegistry,
+    AnswerSink, AnswerSummary, RelationalWrapper, Wrapper, WrapperError, WrapperRegistry,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -514,10 +513,7 @@ impl Wrapper for Scripted {
     fn capabilities(&self) -> CapabilitySet {
         CapabilitySet::get_only()
     }
-    fn submit(&self, _expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
-        unreachable!("the runtime streams");
-    }
-    fn submit_streaming(
+    fn submit_into(
         &self,
         _expr: &LogicalExpr,
         sink: &mut dyn AnswerSink,
@@ -791,10 +787,7 @@ impl Wrapper for Watched {
     fn capabilities(&self) -> CapabilitySet {
         self.inner.capabilities()
     }
-    fn submit(&self, expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
-        self.inner.submit(expr)
-    }
-    fn submit_streaming(
+    fn submit_into(
         &self,
         expr: &LogicalExpr,
         sink: &mut dyn AnswerSink,
@@ -806,7 +799,7 @@ impl Wrapper for Watched {
             link: Arc::clone(self.inner.link()),
             faces: &self.faces,
         };
-        self.inner.submit_streaming(expr, &mut counting)
+        self.inner.submit_into(expr, &mut counting)
     }
 }
 

@@ -31,7 +31,7 @@ use disco_runtime::{
 };
 use disco_source::{Availability, NetworkProfile};
 use disco_value::{Bag, Value};
-use disco_wrapper::{Wrapper, WrapperAnswer, WrapperError};
+use disco_wrapper::{AnswerSink, AnswerSummary, Wrapper, WrapperError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -388,17 +388,11 @@ impl Wrapper for FailsMidStream {
     fn capabilities(&self) -> CapabilitySet {
         CapabilitySet::full()
     }
-    fn submit(&self, _expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
-        Err(WrapperError::TypeConflict {
-            extent: "person0".into(),
-            missing_attribute: "salary".into(),
-        })
-    }
-    fn submit_streaming(
+    fn submit_into(
         &self,
         _expr: &LogicalExpr,
-        sink: &mut dyn disco_wrapper::AnswerSink,
-    ) -> Result<disco_wrapper::AnswerSummary, WrapperError> {
+        sink: &mut dyn AnswerSink,
+    ) -> Result<AnswerSummary, WrapperError> {
         sink.push([common::person(1, "early", 10)].into_iter().collect());
         Err(WrapperError::TypeConflict {
             extent: "person0".into(),
@@ -420,7 +414,11 @@ impl Wrapper for PanicsOnSubmit {
     fn capabilities(&self) -> CapabilitySet {
         CapabilitySet::full()
     }
-    fn submit(&self, _expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
+    fn submit_into(
+        &self,
+        _expr: &LogicalExpr,
+        _sink: &mut dyn AnswerSink,
+    ) -> Result<AnswerSummary, WrapperError> {
         panic!("wrapper exploded mid-call");
     }
 }

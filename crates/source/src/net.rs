@@ -59,9 +59,7 @@ pub struct NetworkProfile {
     /// ([`LinkDelay::real_sleep`]); when `false` they are only reported.
     pub real_sleep: bool,
     /// Rows per streamed answer chunk.  `0` (the default) disables
-    /// chunking: a streamed call delivers its whole answer as one chunk,
-    /// which makes [`SimulatedLink::chunk_delay`] equivalent to
-    /// [`SimulatedLink::call_delay`].
+    /// chunking: a call delivers its whole answer as one chunk.
     pub chunk_rows: usize,
 }
 
@@ -229,39 +227,6 @@ impl SimulatedLink {
         Duration::from_micros(us as u64)
     }
 
-    /// Simulates one call transferring `rows` rows: returns the simulated
-    /// latency, and whether the profile asks the caller to wait it out.
-    ///
-    /// Returns `None` when the source is unavailable (the caller decides
-    /// whether to block, error, or mark the source unavailable for partial
-    /// evaluation).
-    #[must_use]
-    pub fn call_delay(&self, rows: usize) -> Option<LinkDelay> {
-        let profile = self.profile.lock().clone();
-        *self.calls.lock() += 1;
-        match profile.availability {
-            Availability::Unavailable => None,
-            Availability::Available | Availability::Slow { .. } | Availability::Degraded { .. } => {
-                let extra_ms = match profile.availability {
-                    Availability::Slow { extra_ms } => extra_ms,
-                    // A whole-answer call pays the per-chunk penalty for
-                    // every chunk the answer would have streamed in.
-                    Availability::Degraded { chunk_extra_ms } => {
-                        chunk_extra_ms * profile.chunks_for(rows) as u64
-                    }
-                    Availability::Available | Availability::Unavailable => 0,
-                };
-                let raw_us = profile.base_latency_us as f64
-                    + profile.per_row_us as f64 * rows as f64
-                    + extra_ms as f64 * 1000.0;
-                Some(LinkDelay {
-                    latency: self.jittered(&profile, raw_us),
-                    real_sleep: profile.real_sleep,
-                })
-            }
-        }
-    }
-
     /// The chunk sizes an answer of `rows` rows streams in under the
     /// current profile.  Always at least one chunk, so even empty answers
     /// pay (and report) the base latency.
@@ -283,7 +248,8 @@ impl SimulatedLink {
 
     /// Simulates the delivery of one streamed chunk of `rows` rows; the
     /// first chunk of a call additionally pays the base latency (and bumps
-    /// the call counter), mirroring [`SimulatedLink::call_delay`].
+    /// the call counter).  This is the link's one latency model: a call
+    /// costs the sum of its chunks' delays.
     ///
     /// Returns `None` when the source is unavailable.
     #[must_use]
@@ -320,67 +286,76 @@ impl SimulatedLink {
 mod tests {
     use super::*;
 
-    #[test]
-    fn available_links_report_latency_scaling_with_rows() {
-        let link = SimulatedLink::new(
+    fn link(availability: Availability, chunk_rows: usize) -> SimulatedLink {
+        SimulatedLink::new(
             "r0",
             NetworkProfile {
                 base_latency_us: 1000,
                 per_row_us: 10,
                 jitter: 0.0,
-                availability: Availability::Available,
+                availability,
                 real_sleep: false,
-                chunk_rows: 0,
+                chunk_rows,
             },
             42,
-        );
-        let small = link.call_delay(10).unwrap().latency;
-        let large = link.call_delay(10_000).unwrap().latency;
+        )
+    }
+
+    #[test]
+    fn available_links_report_latency_scaling_with_rows() {
+        let link = link(Availability::Available, 0);
+        let small = link.chunk_delay(10, true).unwrap().latency;
+        let large = link.chunk_delay(10_000, true).unwrap().latency;
         assert!(large > small);
         assert_eq!(small, Duration::from_micros(1000 + 100));
-        assert_eq!(link.call_count(), 2);
+        // Only a call's first chunk pays the base latency and counts a call.
+        let next = link.chunk_delay(10, false).unwrap().latency;
+        assert_eq!(next, Duration::from_micros(100));
+        assert_eq!((link.call_count(), link.chunk_count()), (2, 3));
     }
 
     #[test]
     fn unavailable_links_return_none() {
         let link = SimulatedLink::new("r0", NetworkProfile::unavailable(), 1);
         assert!(!link.is_available());
-        assert!(link.call_delay(5).is_none());
+        assert!(link.chunk_delay(5, true).is_none());
         // Recovery.
         link.set_availability(Availability::Available);
         assert!(link.is_available());
-        assert!(link.call_delay(5).is_some());
+        assert!(link.chunk_delay(5, true).is_some());
     }
 
     #[test]
     fn slow_links_add_extra_delay() {
-        let mk = |availability| {
-            SimulatedLink::new(
-                "r0",
-                NetworkProfile {
-                    base_latency_us: 100,
-                    per_row_us: 0,
-                    jitter: 0.0,
-                    availability,
-                    real_sleep: false,
-                    chunk_rows: 0,
-                },
-                7,
-            )
+        // `Slow` charges its penalty once per call, on the first chunk;
+        // `Degraded` charges its penalty on every chunk.
+        let delays = |availability| {
+            let link = link(availability, 10);
+            link.chunk_sizes(30)
+                .into_iter()
+                .enumerate()
+                .map(|(i, rows)| link.chunk_delay(rows, i == 0).unwrap().latency)
+                .collect::<Vec<_>>()
         };
-        let normal = mk(Availability::Available).call_delay(1).unwrap().latency;
-        let slow = mk(Availability::Slow { extra_ms: 5 })
-            .call_delay(1)
-            .unwrap()
-            .latency;
-        assert!(slow >= normal + Duration::from_millis(5));
+        let normal = delays(Availability::Available);
+        assert_eq!(normal.len(), 3);
+        let ms = Duration::from_millis;
+        let slow = delays(Availability::Slow { extra_ms: 5 });
+        assert_eq!(slow, vec![normal[0] + ms(5), normal[1], normal[2]]);
+        let degraded = delays(Availability::Degraded { chunk_extra_ms: 2 });
+        assert_eq!(
+            degraded,
+            normal.iter().map(|&d| d + ms(2)).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn jitter_is_deterministic_for_a_seed() {
         let a = SimulatedLink::new("r0", NetworkProfile::default(), 99);
         let b = SimulatedLink::new("r0", NetworkProfile::default(), 99);
-        assert_eq!(a.call_delay(100), b.call_delay(100));
+        for first in [true, false, false] {
+            assert_eq!(a.chunk_delay(100, first), b.chunk_delay(100, first));
+        }
     }
 
     #[test]
@@ -394,11 +369,10 @@ mod tests {
             chunk_rows: 0,
         };
         let link = SimulatedLink::new("r0", profile.clone(), 3);
-        let delay = link.call_delay(1).unwrap();
+        let delay = link.chunk_delay(1, true).unwrap();
         assert_eq!(delay.latency, Duration::from_micros(2000));
         assert!(delay.real_sleep);
-        assert!(link.chunk_delay(1, true).unwrap().real_sleep);
         link.set_profile(profile.with_real_sleep(false));
-        assert!(!link.call_delay(1).unwrap().real_sleep);
+        assert!(!link.chunk_delay(1, true).unwrap().real_sleep);
     }
 }

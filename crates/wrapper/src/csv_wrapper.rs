@@ -8,7 +8,7 @@ use disco_algebra::{CapabilitySet, LogicalExpr};
 use disco_source::{CsvSource, SimulatedLink};
 use disco_value::Value;
 
-use crate::interface::{AnswerSink, AnswerSummary, Wrapper, WrapperAnswer};
+use crate::interface::{AnswerSink, AnswerSummary, Wrapper};
 use crate::WrapperError;
 
 /// A `get`-only wrapper over a [`CsvSource`].
@@ -32,38 +32,6 @@ impl CsvWrapper {
     #[must_use]
     pub fn link(&self) -> &Arc<SimulatedLink> {
         &self.link
-    }
-
-    /// Checks the pushed expression and scans the file: the shared front
-    /// half of [`Wrapper::submit`] and [`Wrapper::submit_streaming`],
-    /// everything except latency accounting and delivery.
-    fn fetch(&self, expr: &LogicalExpr) -> Result<(Vec<Value>, usize), WrapperError> {
-        self.capabilities()
-            .accepts_named(expr, &self.name)
-            .map_err(WrapperError::Capability)?;
-        let LogicalExpr::Get { collection } = expr else {
-            return Err(WrapperError::Capability(
-                disco_algebra::AlgebraError::CapabilityViolation {
-                    operator: expr.op_name().to_owned(),
-                    wrapper: self.name.clone(),
-                },
-            ));
-        };
-        if collection != self.source.table().name() {
-            return Err(WrapperError::Source(
-                disco_source::SourceError::UnknownTable(collection.clone()),
-            ));
-        }
-        if !self.link.is_available() {
-            return Err(WrapperError::Unavailable {
-                endpoint: self.link.endpoint().to_owned(),
-            });
-        }
-        let rows = self.source.table().rows();
-        Ok((
-            rows.iter().cloned().map(Value::Struct).collect(),
-            rows.len(),
-        ))
     }
 }
 
@@ -89,27 +57,35 @@ impl Wrapper for CsvWrapper {
         CapabilitySet::get_only()
     }
 
-    fn submit(&self, expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
-        let (rows, rows_scanned) = self.fetch(expr)?;
-        let latency = crate::streaming::call_latency(&self.link, rows.len())?;
-        Ok(WrapperAnswer {
-            rows: rows.into_iter().collect(),
-            rows_scanned,
-            latency,
-        })
-    }
-
-    fn submit_streaming(
+    fn submit_into(
         &self,
         expr: &LogicalExpr,
         sink: &mut dyn AnswerSink,
     ) -> Result<AnswerSummary, WrapperError> {
-        let (rows, rows_scanned) = self.fetch(expr)?;
-        crate::streaming::stream_chunks(&self.link, rows.into(), rows_scanned, sink)
-    }
-
-    fn is_available(&self) -> bool {
-        self.link.is_available()
+        self.capabilities()
+            .accepts_named(expr, &self.name)
+            .map_err(WrapperError::Capability)?;
+        let LogicalExpr::Get { collection } = expr else {
+            return Err(WrapperError::Capability(
+                disco_algebra::AlgebraError::CapabilityViolation {
+                    operator: expr.op_name().to_owned(),
+                    wrapper: self.name.clone(),
+                },
+            ));
+        };
+        if collection != self.source.table().name() {
+            return Err(WrapperError::Source(
+                disco_source::SourceError::UnknownTable(collection.clone()),
+            ));
+        }
+        if !self.link.is_available() {
+            return Err(WrapperError::Unavailable {
+                endpoint: self.link.endpoint().to_owned(),
+            });
+        }
+        let rows = self.source.table().rows();
+        let answer: Vec<Value> = rows.iter().cloned().map(Value::Struct).collect();
+        crate::streaming::stream_chunks(&self.link, answer.into(), rows.len(), sink)
     }
 }
 
@@ -129,17 +105,17 @@ mod tests {
     #[test]
     fn get_scans_the_whole_file() {
         let w = wrapper();
-        let answer = w.submit(&LogicalExpr::get("measurements0")).unwrap();
-        assert_eq!(answer.rows_returned(), 2);
-        assert_eq!(answer.rows_scanned, 2);
+        let (rows, summary) =
+            <dyn Wrapper>::submit(&w, &LogicalExpr::get("measurements0")).unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(summary.rows_scanned, 2);
         assert_eq!(w.kind(), "csv");
     }
 
     #[test]
     fn any_pushdown_is_rejected() {
         let w = wrapper();
-        let err = w
-            .submit(&LogicalExpr::get("measurements0").project(["site"]))
+        let err = <dyn Wrapper>::submit(&w, &LogicalExpr::get("measurements0").project(["site"]))
             .unwrap_err();
         assert!(matches!(err, WrapperError::Capability(_)));
     }
@@ -162,7 +138,7 @@ mod tests {
         let w = CsvWrapper::new("w_csv", source, link);
         let mut sink = Collect(Vec::new());
         let summary = w
-            .submit_streaming(&LogicalExpr::get("measurements0"), &mut sink)
+            .submit_into(&LogicalExpr::get("measurements0"), &mut sink)
             .unwrap();
         assert_eq!(sink.0, vec![1, 1], "two rows, one per chunk");
         assert_eq!(summary.rows_scanned, 2);
@@ -173,12 +149,12 @@ mod tests {
     fn wrong_collection_and_unavailability() {
         let w = wrapper();
         assert!(matches!(
-            w.submit(&LogicalExpr::get("other")).unwrap_err(),
+            <dyn Wrapper>::submit(&w, &LogicalExpr::get("other")).unwrap_err(),
             WrapperError::Source(_)
         ));
         w.link().set_availability(Availability::Unavailable);
         assert!(matches!(
-            w.submit(&LogicalExpr::get("measurements0")).unwrap_err(),
+            <dyn Wrapper>::submit(&w, &LogicalExpr::get("measurements0")).unwrap_err(),
             WrapperError::Unavailable { .. }
         ));
     }

@@ -13,7 +13,7 @@ use disco_algebra::{
 use disco_source::{DocumentStore, SimulatedLink};
 use disco_value::Value;
 
-use crate::interface::{AnswerSink, AnswerSummary, Wrapper, WrapperAnswer};
+use crate::interface::{AnswerSink, AnswerSummary, Wrapper};
 use crate::WrapperError;
 
 /// A wrapper over a [`DocumentStore`], supporting `get` and
@@ -49,54 +49,6 @@ impl DocumentWrapper {
             operator: operator.to_owned(),
             wrapper: self.name.clone(),
         })
-    }
-
-    /// Checks the pushed expression and answers it from the store: the
-    /// shared front half of [`Wrapper::submit`] and
-    /// [`Wrapper::submit_streaming`], everything except latency
-    /// accounting and delivery.
-    fn fetch(&self, expr: &LogicalExpr) -> Result<(Vec<Value>, usize), WrapperError> {
-        self.capabilities()
-            .accepts_named(expr, &self.name)
-            .map_err(WrapperError::Capability)?;
-        if !self.link.is_available() {
-            return Err(WrapperError::Unavailable {
-                endpoint: self.link.endpoint().to_owned(),
-            });
-        }
-        let (rows, scanned) = match expr {
-            LogicalExpr::Get { .. } => {
-                let rows = self.store.scan();
-                let n = rows.len();
-                (rows, n)
-            }
-            LogicalExpr::Filter { input, predicate } => {
-                if !matches!(input.as_ref(), LogicalExpr::Get { .. }) {
-                    return Err(self.capability_violation("select over non-get"));
-                }
-                let Some((attr, value)) = Self::equality_lookup(predicate) else {
-                    return Err(self.capability_violation("non-equality predicate"));
-                };
-                if attr == "keyword" {
-                    // Native keyword index: only matching documents are touched.
-                    let keyword = value.as_str().map_err(AlgebraError::from)?.to_owned();
-                    let rows = self.store.search(&keyword);
-                    let n = rows.len();
-                    (rows, n)
-                } else {
-                    // Equality on another attribute: scan then filter.
-                    let all = self.store.scan();
-                    let scanned = all.len();
-                    let rows: Vec<_> = all
-                        .into_iter()
-                        .filter(|row| row.field(&attr).map(|v| v == &value).unwrap_or(false))
-                        .collect();
-                    (rows, scanned)
-                }
-            }
-            other => return Err(self.capability_violation(other.op_name())),
-        };
-        Ok((rows.into_iter().map(Value::Struct).collect(), scanned))
     }
 
     /// Extracts `attr = "literal"` from a pushed predicate.
@@ -141,27 +93,53 @@ impl Wrapper for DocumentWrapper {
             .with_comparisons([ComparisonKind::Eq])
     }
 
-    fn submit(&self, expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
-        let (rows, rows_scanned) = self.fetch(expr)?;
-        let latency = crate::streaming::call_latency(&self.link, rows.len())?;
-        Ok(WrapperAnswer {
-            rows: rows.into_iter().collect(),
-            rows_scanned,
-            latency,
-        })
-    }
-
-    fn submit_streaming(
+    fn submit_into(
         &self,
         expr: &LogicalExpr,
         sink: &mut dyn AnswerSink,
     ) -> Result<AnswerSummary, WrapperError> {
-        let (rows, rows_scanned) = self.fetch(expr)?;
-        crate::streaming::stream_chunks(&self.link, rows.into(), rows_scanned, sink)
-    }
-
-    fn is_available(&self) -> bool {
-        self.link.is_available()
+        self.capabilities()
+            .accepts_named(expr, &self.name)
+            .map_err(WrapperError::Capability)?;
+        if !self.link.is_available() {
+            return Err(WrapperError::Unavailable {
+                endpoint: self.link.endpoint().to_owned(),
+            });
+        }
+        let (rows, scanned) = match expr {
+            LogicalExpr::Get { .. } => {
+                let rows = self.store.scan();
+                let n = rows.len();
+                (rows, n)
+            }
+            LogicalExpr::Filter { input, predicate } => {
+                if !matches!(input.as_ref(), LogicalExpr::Get { .. }) {
+                    return Err(self.capability_violation("select over non-get"));
+                }
+                let Some((attr, value)) = Self::equality_lookup(predicate) else {
+                    return Err(self.capability_violation("non-equality predicate"));
+                };
+                if attr == "keyword" {
+                    // Native keyword index: only matching documents are touched.
+                    let keyword = value.as_str().map_err(AlgebraError::from)?.to_owned();
+                    let rows = self.store.search(&keyword);
+                    let n = rows.len();
+                    (rows, n)
+                } else {
+                    // Equality on another attribute: scan then filter.
+                    let all = self.store.scan();
+                    let scanned = all.len();
+                    let rows: Vec<_> = all
+                        .into_iter()
+                        .filter(|row| row.field(&attr).map(|v| v == &value).unwrap_or(false))
+                        .collect();
+                    (rows, scanned)
+                }
+            }
+            other => return Err(self.capability_violation(other.op_name())),
+        };
+        let rows: Vec<Value> = rows.into_iter().map(Value::Struct).collect();
+        crate::streaming::stream_chunks(&self.link, rows.into(), scanned, sink)
     }
 }
 
@@ -179,8 +157,8 @@ mod tests {
     #[test]
     fn get_scans_every_document() {
         let w = wrapper();
-        let answer = w.submit(&LogicalExpr::get("documents")).unwrap();
-        assert_eq!(answer.rows_returned(), 40);
+        let (rows, _) = <dyn Wrapper>::submit(&w, &LogicalExpr::get("documents")).unwrap();
+        assert_eq!(rows.len(), 40);
         assert_eq!(w.kind(), "document");
     }
 
@@ -192,12 +170,12 @@ mod tests {
             ScalarExpr::attr("keyword"),
             ScalarExpr::constant("water"),
         ));
-        let answer = w.submit(&expr).unwrap();
-        assert!(answer.rows_returned() > 0);
-        assert!(answer.rows_returned() < 40);
+        let (rows, summary) = <dyn Wrapper>::submit(&w, &expr).unwrap();
+        assert!(!rows.is_empty());
+        assert!(rows.len() < 40);
         // Native index: rows_scanned equals the number of hits, not the
         // collection size.
-        assert_eq!(answer.rows_scanned, answer.rows_returned());
+        assert_eq!(summary.rows_scanned, rows.len());
     }
 
     #[test]
@@ -208,9 +186,9 @@ mod tests {
             ScalarExpr::attr("id"),
             ScalarExpr::constant(3i64),
         ));
-        let answer = w.submit(&expr).unwrap();
-        assert_eq!(answer.rows_returned(), 1);
-        assert_eq!(answer.rows_scanned, 40);
+        let (rows, summary) = <dyn Wrapper>::submit(&w, &expr).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(summary.rows_scanned, 40);
     }
 
     #[test]
@@ -237,7 +215,7 @@ mod tests {
             cancel_after: usize::MAX,
         };
         let summary = w
-            .submit_streaming(&LogicalExpr::get("documents"), &mut sink)
+            .submit_into(&LogicalExpr::get("documents"), &mut sink)
             .unwrap();
         assert_eq!(sink.chunks, vec![8, 8, 8, 8, 8]);
         assert_eq!(summary.rows_scanned, 40);
@@ -247,7 +225,7 @@ mod tests {
             cancel_after: 1,
         };
         let summary = w
-            .submit_streaming(&LogicalExpr::get("documents"), &mut early)
+            .submit_into(&LogicalExpr::get("documents"), &mut early)
             .unwrap();
         assert_eq!(early.chunks, vec![8], "stream stops at disconnect");
         assert_eq!(summary.rows_scanned, 40);
@@ -262,12 +240,12 @@ mod tests {
             ScalarExpr::constant(3i64),
         ));
         assert!(matches!(
-            w.submit(&range).unwrap_err(),
+            <dyn Wrapper>::submit(&w, &range).unwrap_err(),
             WrapperError::Capability(_)
         ));
         let project = LogicalExpr::get("documents").project(["title"]);
         assert!(matches!(
-            w.submit(&project).unwrap_err(),
+            <dyn Wrapper>::submit(&w, &project).unwrap_err(),
             WrapperError::Capability(_)
         ));
     }

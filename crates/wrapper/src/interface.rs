@@ -5,6 +5,14 @@
 //! she chooses a (sub)set of logical operators to support" and exposes it
 //! through the `submit-functionality` method; during query processing the
 //! mediator ships logical expressions through `submit`.
+//!
+//! [`Wrapper::submit_into`] is that call, and the one call a wrapper
+//! writes.  It streams: row chunks go into the caller's [`AnswerSink`] as
+//! the source produces them, and a wrapper that has to wait mid-call waits
+//! in [`AnswerSink::pause`], which the runtime's sink ends the moment the
+//! call is cancelled.  A caller that wants the whole answer instead calls
+//! `submit` on the `dyn Wrapper`, which runs the same call into a sink
+//! that keeps every chunk; no wrapper can answer it differently.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -16,42 +24,20 @@ use parking_lot::RwLock;
 
 use crate::WrapperError;
 
-/// The answer a wrapper returns from a `submit` call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WrapperAnswer {
-    /// The rows produced by the pushed expression (still in the data
-    /// source's name space; the runtime applies the extent's map).
-    pub rows: Bag,
-    /// How many rows the source had to touch to answer — the measure of
-    /// source-side work used by the pushdown experiments.
-    pub rows_scanned: usize,
-    /// The simulated network + processing latency of the call.
-    pub latency: Duration,
-}
-
-impl WrapperAnswer {
-    /// Number of rows returned to the mediator — the measure of data
-    /// transferred over the (simulated) network.
-    #[must_use]
-    pub fn rows_returned(&self) -> usize {
-        self.rows.len()
-    }
-}
-
-/// What a streamed `submit` call reports once every chunk has been
-/// delivered: [`WrapperAnswer`] minus the rows, which already went through
-/// the sink.
+/// What a `submit_into` call reports once every chunk has been delivered:
+/// the rows themselves already went through the sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnswerSummary {
-    /// How many rows the source had to touch to answer.
+    /// How many rows the source had to touch to answer — the measure of
+    /// source-side work used by the pushdown experiments.
     pub rows_scanned: usize,
     /// Total simulated network + processing latency across all chunks.
     pub latency: Duration,
 }
 
-/// The consumer side of a streamed `submit` call.
+/// The consumer side of a `submit_into` call.
 ///
-/// The runtime hands one of these to [`Wrapper::submit_streaming`]; the
+/// The runtime hands one of these to [`Wrapper::submit_into`]; the
 /// wrapper pushes row chunks as the (simulated) source produces them.  A
 /// `false` return from [`AnswerSink::push`] — or a `true` from
 /// [`AnswerSink::is_cancelled`], which wrappers should poll between units
@@ -109,48 +95,47 @@ pub trait Wrapper: Send + Sync {
     /// composition / comparison restrictions) this wrapper supports.
     fn capabilities(&self) -> CapabilitySet;
 
-    /// Evaluates a logical expression already rewritten into the data
-    /// source's name space.
+    /// The paper's `submit`: evaluates a logical expression already
+    /// rewritten into the data source's name space, pushing row chunks
+    /// into `sink` as the source produces them and returning the call
+    /// summary (rows scanned, total latency) at the end.  A wrapper that
+    /// has to wait mid-call waits in [`AnswerSink::pause`], and stops
+    /// producing once the sink reports the consumer gone.
     ///
     /// # Errors
     ///
     /// Returns [`WrapperError::Unavailable`] when the source does not
     /// answer, [`WrapperError::Capability`] when the expression exceeds the
     /// advertised capabilities, and evaluation errors otherwise.
-    fn submit(&self, expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError>;
-
-    /// The streaming form of [`Wrapper::submit`]: row chunks are pushed
-    /// into `sink` as the source produces them, and the call summary
-    /// (rows scanned, total latency) is returned at the end.
-    ///
-    /// The default implementation is a shim over [`Wrapper::submit`] that
-    /// delivers the whole answer as one chunk — correct for any wrapper,
-    /// just without intra-call overlap.  Wrappers over chunk-capable
-    /// links (e.g. [`crate::RelationalWrapper`]) override it to emit
-    /// chunks under the link's latency profile and to honour
-    /// cancellation between chunks.
-    ///
-    /// # Errors
-    ///
-    /// Same error contract as [`Wrapper::submit`].
-    fn submit_streaming(
+    fn submit_into(
         &self,
         expr: &LogicalExpr,
         sink: &mut dyn AnswerSink,
-    ) -> Result<AnswerSummary, WrapperError> {
-        let answer = self.submit(expr)?;
-        let summary = AnswerSummary {
-            rows_scanned: answer.rows_scanned,
-            latency: answer.latency,
-        };
-        sink.push(answer.rows);
-        Ok(summary)
-    }
+    ) -> Result<AnswerSummary, WrapperError>;
+}
 
-    /// Whether the source currently answers (used by experiments to probe
-    /// without paying for a full call).
-    fn is_available(&self) -> bool {
-        true
+impl dyn Wrapper + '_ {
+    /// Runs [`Wrapper::submit_into`] to its end and returns the whole
+    /// answer with the call summary: the chunks are kept and joined with
+    /// [`Bag::concat`], and link time is waited out by the default
+    /// [`AnswerSink::pause`].  For callers that time or read one wrapper
+    /// call outside a query; a query's calls go through `submit_into`.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Wrapper::submit_into`].
+    pub fn submit(&self, expr: &LogicalExpr) -> Result<(Bag, AnswerSummary), WrapperError> {
+        struct Chunks(Vec<Bag>);
+        impl AnswerSink for Chunks {
+            fn push(&mut self, rows: Bag) -> bool {
+                self.0.push(rows);
+                true
+            }
+        }
+        let mut chunks = Chunks(Vec::new());
+        let summary = self.submit_into(expr, &mut chunks)?;
+        let parts: Vec<&Bag> = chunks.0.iter().collect();
+        Ok((Bag::concat(&parts), summary))
     }
 }
 
@@ -233,9 +218,12 @@ mod tests {
         fn capabilities(&self) -> CapabilitySet {
             CapabilitySet::get_only()
         }
-        fn submit(&self, _expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
-            Ok(WrapperAnswer {
-                rows: Bag::new(),
+        fn submit_into(
+            &self,
+            _expr: &LogicalExpr,
+            _sink: &mut dyn AnswerSink,
+        ) -> Result<AnswerSummary, WrapperError> {
+            Ok(AnswerSummary {
                 rows_scanned: 0,
                 latency: Duration::ZERO,
             })
@@ -260,18 +248,5 @@ mod tests {
         let caps = CapabilityLookup::capabilities(&registry, "w_dummy").unwrap();
         assert_eq!(caps, CapabilitySet::get_only());
         assert!(CapabilityLookup::capabilities(&registry, "missing").is_none());
-    }
-
-    #[test]
-    fn wrapper_answer_counts_rows() {
-        let answer = WrapperAnswer {
-            rows: [disco_value::Value::Int(1), disco_value::Value::Int(2)]
-                .into_iter()
-                .collect(),
-            rows_scanned: 10,
-            latency: Duration::from_millis(1),
-        };
-        assert_eq!(answer.rows_returned(), 2);
-        assert_eq!(answer.rows_scanned, 10);
     }
 }

@@ -9,7 +9,10 @@
 //! Each wrapper advertises a [`disco_algebra::CapabilitySet`] via
 //! `capabilities()` (the paper's `submit-functionality` call); the
 //! optimizer only pushes expressions a wrapper accepts, and the wrapper
-//! re-checks at run time.
+//! re-checks at run time.  A wrapper has one call,
+//! [`Wrapper::submit_into`] (the paper's `submit`), and it streams: chunks
+//! go into an [`AnswerSink`], and [`AnswerSink::pause`] is where a wrapper
+//! waits out link time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +30,7 @@ pub use csv_wrapper::CsvWrapper;
 pub use document_wrapper::DocumentWrapper;
 pub use error::WrapperError;
 pub use eval::{eval_pushed, PushedResult, RowProvider};
-pub use interface::{AnswerSink, AnswerSummary, Wrapper, WrapperAnswer, WrapperRegistry};
+pub use interface::{AnswerSink, AnswerSummary, Wrapper, WrapperRegistry};
 pub use mapping::{
     check_type_conformance, expected_after_expr, map_expr_to_source, map_rows_to_mediator,
 };

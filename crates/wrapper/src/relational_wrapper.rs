@@ -6,8 +6,8 @@ use std::sync::Arc;
 use disco_algebra::{CapabilitySet, LogicalExpr};
 use disco_source::{RelationalStore, SimulatedLink};
 
-use crate::eval::{eval_pushed, PushedResult};
-use crate::interface::{AnswerSink, AnswerSummary, Wrapper, WrapperAnswer};
+use crate::eval::eval_pushed;
+use crate::interface::{AnswerSink, AnswerSummary, Wrapper};
 use crate::WrapperError;
 
 /// A wrapper exposing a [`RelationalStore`] behind a simulated network
@@ -58,26 +58,6 @@ impl RelationalWrapper {
     pub fn link(&self) -> &Arc<SimulatedLink> {
         &self.link
     }
-
-    /// Checks the pushed expression and evaluates it over the store's
-    /// shared tables: the front half of [`Wrapper::submit`] and
-    /// [`Wrapper::submit_streaming`], everything except latency
-    /// accounting and delivery.
-    fn evaluate(&self, expr: &LogicalExpr) -> Result<PushedResult, WrapperError> {
-        self.capabilities
-            .accepts_named(expr, &self.name)
-            .map_err(WrapperError::Capability)?;
-        if !self.link.is_available() {
-            return Err(WrapperError::Unavailable {
-                endpoint: self.link.endpoint().to_owned(),
-            });
-        }
-        eval_pushed(expr, &|collection: &str| {
-            self.store
-                .shared_table(collection)
-                .map_err(WrapperError::from)
-        })
-    }
 }
 
 impl std::fmt::Debug for RelationalWrapper {
@@ -103,27 +83,25 @@ impl Wrapper for RelationalWrapper {
         self.capabilities
     }
 
-    fn submit(&self, expr: &LogicalExpr) -> Result<WrapperAnswer, WrapperError> {
-        let result = self.evaluate(expr)?;
-        let latency = crate::streaming::call_latency(&self.link, result.rows.len())?;
-        Ok(WrapperAnswer {
-            rows: result.rows,
-            rows_scanned: result.rows_scanned,
-            latency,
-        })
-    }
-
-    fn submit_streaming(
+    fn submit_into(
         &self,
         expr: &LogicalExpr,
         sink: &mut dyn AnswerSink,
     ) -> Result<AnswerSummary, WrapperError> {
-        let result = self.evaluate(expr)?;
+        self.capabilities
+            .accepts_named(expr, &self.name)
+            .map_err(WrapperError::Capability)?;
+        if !self.link.is_available() {
+            return Err(WrapperError::Unavailable {
+                endpoint: self.link.endpoint().to_owned(),
+            });
+        }
+        let result = eval_pushed(expr, &|collection: &str| {
+            self.store
+                .shared_table(collection)
+                .map_err(WrapperError::from)
+        })?;
         crate::streaming::stream_chunks(&self.link, result.rows, result.rows_scanned, sink)
-    }
-
-    fn is_available(&self) -> bool {
-        self.link.is_available()
     }
 }
 
@@ -152,10 +130,10 @@ mod tests {
                 ScalarExpr::constant(0i64),
             ))
             .project(["name"]);
-        let answer = wrapper.submit(&expr).unwrap();
-        assert_eq!(answer.rows_scanned, 20);
-        assert_eq!(answer.rows_returned(), 20);
-        assert!(answer.latency > Duration::ZERO);
+        let (rows, summary) = <dyn Wrapper>::submit(&wrapper, &expr).unwrap();
+        assert_eq!(summary.rows_scanned, 20);
+        assert_eq!(rows.len(), 20);
+        assert!(summary.latency > Duration::ZERO);
         assert_eq!(wrapper.kind(), "relational");
     }
 
@@ -164,29 +142,28 @@ mod tests {
         let wrapper = setup(CapabilitySet::new([OperatorKind::Get]));
         let expr = LogicalExpr::get("person0").project(["name"]);
         assert!(matches!(
-            wrapper.submit(&expr).unwrap_err(),
+            <dyn Wrapper>::submit(&wrapper, &expr).unwrap_err(),
             WrapperError::Capability(_)
         ));
         // Plain get still works.
-        assert!(wrapper.submit(&LogicalExpr::get("person0")).is_ok());
+        assert!(<dyn Wrapper>::submit(&wrapper, &LogicalExpr::get("person0")).is_ok());
     }
 
     #[test]
     fn unavailable_link_yields_unavailable_error() {
         let wrapper = setup(CapabilitySet::full());
         wrapper.link().set_availability(Availability::Unavailable);
-        assert!(!wrapper.is_available());
-        let err = wrapper.submit(&LogicalExpr::get("person0")).unwrap_err();
+        let err = <dyn Wrapper>::submit(&wrapper, &LogicalExpr::get("person0")).unwrap_err();
         assert!(matches!(err, WrapperError::Unavailable { .. }));
         // Recovery restores answers.
         wrapper.link().set_availability(Availability::Available);
-        assert!(wrapper.submit(&LogicalExpr::get("person0")).is_ok());
+        assert!(<dyn Wrapper>::submit(&wrapper, &LogicalExpr::get("person0")).is_ok());
     }
 
     #[test]
     fn unknown_table_is_a_source_error() {
         let wrapper = setup(CapabilitySet::full());
-        let err = wrapper.submit(&LogicalExpr::get("missing")).unwrap_err();
+        let err = <dyn Wrapper>::submit(&wrapper, &LogicalExpr::get("missing")).unwrap_err();
         assert!(matches!(err, WrapperError::Source(_)));
     }
 
@@ -198,8 +175,9 @@ mod tests {
         let everyone = LogicalExpr::get("person0").project(["name"]);
         let whole_rows = LogicalExpr::get("person0");
         // Taken before the insert and not read as rows until after it.
-        let before = [&everyone, &whole_rows].map(|expr| wrapper.submit(expr).unwrap());
-        assert_eq!(before[0].rows_returned(), 20);
+        let before =
+            [&everyone, &whole_rows].map(|expr| <dyn Wrapper>::submit(&wrapper, expr).unwrap().0);
+        assert_eq!(before[0].len(), 20);
         wrapper
             .store()
             .insert(
@@ -207,24 +185,22 @@ mod tests {
                 disco_value::StructValue::new(vec![("name", Value::from("intruder"))]).unwrap(),
             )
             .unwrap();
-        let answer = wrapper.submit(&everyone).unwrap();
-        assert_eq!(answer.rows_returned(), 21);
-        assert_eq!(answer.rows_scanned, 21);
+        let (answer, summary) = <dyn Wrapper>::submit(&wrapper, &everyone).unwrap();
+        assert_eq!(answer.len(), 21);
+        assert_eq!(summary.rows_scanned, 21);
         // Guards a hazard only this design has: an answer is columns of
         // the table's image (and, unprojected, its stored rows) until
         // somebody reads rows — by then the table has moved on, and the
         // answer must still be the snapshot its call started with.
         let intruder = Value::from("intruder");
         for answer in before {
-            assert!(answer.rows.columns().is_some(), "nothing read it as rows");
-            assert_eq!(answer.rows.iter().count(), 20);
+            assert!(answer.columns().is_some(), "nothing read it as rows");
+            assert_eq!(answer.iter().count(), 20);
             assert!(answer
-                .rows
                 .iter()
                 .all(|row| row.field("name").unwrap() != &intruder));
         }
         assert!(answer
-            .rows
             .iter()
             .any(|row| row.field("name").unwrap() == &intruder));
     }
@@ -260,14 +236,11 @@ mod tests {
             ))
             .project(["name"]);
         let mut sink = Chunks(Vec::new());
-        let summary = wrapper.submit_streaming(&pushed, &mut sink).unwrap();
+        let summary = wrapper.submit_into(&pushed, &mut sink).unwrap();
         assert_eq!(sink.0, vec![6, 6, 6, 2]);
         assert_eq!((link.call_count(), link.chunk_count()), (1, 4));
         assert_eq!(summary.rows_scanned, 20);
         assert_eq!(summary.latency, Duration::from_micros(1_000 + 20 * 10));
-        let answer = wrapper.submit(&pushed).unwrap();
-        assert_eq!(answer.latency, Duration::from_micros(1_000 + 20 * 10));
-        assert_eq!((link.call_count(), link.chunk_count()), (2, 4));
     }
 
     #[test]
@@ -278,14 +251,14 @@ mod tests {
             ScalarExpr::attr("salary"),
             ScalarExpr::constant(450i64),
         ));
-        let answer = wrapper.submit(&selective).unwrap();
-        assert_eq!(answer.rows_scanned, 20);
-        assert!(answer.rows_returned() < 20);
+        let (answer, summary) = <dyn Wrapper>::submit(&wrapper, &selective).unwrap();
+        assert_eq!(summary.rows_scanned, 20);
+        assert!(answer.len() < 20);
         let person0 = wrapper.store().scan("person0").unwrap();
         let expected = person0
             .iter()
             .filter(|r| r.field("salary").unwrap() > &Value::Int(450))
             .count();
-        assert_eq!(answer.rows_returned(), expected);
+        assert_eq!(answer.len(), expected);
     }
 }

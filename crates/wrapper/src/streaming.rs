@@ -1,4 +1,4 @@
-//! The shared chunked-delivery loop of streamed `submit` calls.
+//! The shared chunked-delivery loop of `submit_into` calls.
 //!
 //! Every wrapper over a [`SimulatedLink`] streams the same way: split the
 //! answer into the link's chunk sizes, pay (and report) each chunk's
@@ -89,21 +89,6 @@ pub(crate) fn stream_chunks(
         rows_scanned,
         latency,
     })
-}
-
-/// The latency of a whole-answer (`submit`) call returning `rows` rows,
-/// slept on the calling thread when the link asks for real sleeps: a
-/// direct `submit` has no consumer that could cancel it.
-///
-/// # Errors
-///
-/// [`WrapperError::Unavailable`] when the link does not answer.
-pub(crate) fn call_latency(link: &SimulatedLink, rows: usize) -> Result<Duration, WrapperError> {
-    let delay = link.call_delay(rows).ok_or_else(|| unavailable(link))?;
-    if delay.real_sleep {
-        std::thread::sleep(delay.latency);
-    }
-    Ok(delay.latency)
 }
 
 fn unavailable(link: &SimulatedLink) -> WrapperError {

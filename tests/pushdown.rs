@@ -170,6 +170,132 @@ fn join_is_pushed_only_when_both_relations_live_in_the_same_repository() {
     assert_eq!(cross_repo, untouched);
 }
 
+/// The price of `submit`'s RPC semantics (§3.2), pinned as numbers: a
+/// join inside one repository ships only its result; across repositories
+/// both inputs ship to the mediator, although a semijoin — keys one way,
+/// matching rows back — would ship strictly fewer rows.
+#[test]
+fn a_cross_repository_join_ships_both_inputs_and_a_semijoin_would_ship_fewer() {
+    use disco::algebra::{lower, ScalarExpr, ScalarOp};
+    use disco::catalog::{Catalog, MetaExtent, Repository, WrapperDef};
+    use disco::runtime::Executor;
+    use disco::source::{RelationalStore, SimulatedLink};
+    use disco::wrapper::{RelationalWrapper, WrapperRegistry};
+    use std::sync::Arc;
+
+    // Managers exist for two of eight departments, so the join is
+    // selective: the case where a semijoin would pay off.
+    let (departments, managed) = (8, 2);
+    let mut catalog = Catalog::new();
+    catalog
+        .define_interface(
+            InterfaceDef::new("Employee")
+                .with_extent_name("employee")
+                .with_attribute(Attribute::new("id", TypeRef::Int))
+                .with_attribute(Attribute::new("name", TypeRef::String))
+                .with_attribute(Attribute::new("dept", TypeRef::Int))
+                .with_attribute(Attribute::new("salary", TypeRef::Int)),
+        )
+        .unwrap();
+    catalog
+        .define_interface(
+            InterfaceDef::new("Manager")
+                .with_extent_name("manager")
+                .with_attribute(Attribute::new("name", TypeRef::String))
+                .with_attribute(Attribute::new("dept", TypeRef::Int)),
+        )
+        .unwrap();
+    // `r0` holds employees and managers, `r1` managers only.
+    let registry = WrapperRegistry::new();
+    let employees = generator::employee_table("employee0", ROWS_PER_SOURCE, departments, 11);
+    let matching_employees = employees
+        .rows()
+        .iter()
+        .filter(|row| row.field("dept").unwrap().as_int().unwrap() < managed as i64)
+        .count();
+    let sources = [
+        (
+            "r0",
+            "w0",
+            vec![
+                (employees, "Employee"),
+                (generator::manager_table("manager0", managed, 11), "Manager"),
+            ],
+        ),
+        (
+            "r1",
+            "w1",
+            vec![(generator::manager_table("manager1", managed, 11), "Manager")],
+        ),
+    ];
+    for (seed, (repo, wrapper, tables)) in (1..).zip(sources) {
+        catalog.add_repository(Repository::new(repo)).unwrap();
+        catalog
+            .add_wrapper(WrapperDef::new(wrapper, "relational"))
+            .unwrap();
+        let store = Arc::new(RelationalStore::new());
+        for (table, interface) in tables {
+            catalog
+                .add_extent(MetaExtent::new(table.name(), interface, wrapper, repo))
+                .unwrap();
+            store.put_table(table);
+        }
+        let link = Arc::new(SimulatedLink::new(repo, NetworkProfile::fast(), seed));
+        registry.register(Arc::new(RelationalWrapper::new(wrapper, store, link)));
+    }
+    let executor = Executor::new(registry);
+    let run = |plan: &LogicalExpr| {
+        let answer = executor.execute(&lower(plan).unwrap(), &catalog).unwrap();
+        assert!(answer.is_complete());
+        (answer.stats().rows_transferred, answer.data().len())
+    };
+
+    let pushed = LogicalExpr::SourceJoin {
+        left: Box::new(LogicalExpr::get("employee0")),
+        right: Box::new(LogicalExpr::get("manager0")),
+        on: vec![("dept".into(), "dept".into())],
+    }
+    .submit("r0", "w0", "employee0");
+    let (pushed_transferred, pushed_rows) = run(&pushed);
+    assert_eq!(pushed_rows, matching_employees);
+    assert_eq!(
+        pushed_transferred, pushed_rows,
+        "only the join result crosses the network"
+    );
+
+    let scan = |extent: &str, repo: &str, wrapper: &str, var: &str| {
+        Box::new(
+            LogicalExpr::get(extent)
+                .submit(repo, wrapper, extent)
+                .bind(var),
+        )
+    };
+    let cross = LogicalExpr::Join {
+        left: scan("employee0", "r0", "w0", "x"),
+        right: scan("manager1", "r1", "w1", "y"),
+        predicate: Some(ScalarExpr::binary(
+            ScalarOp::Eq,
+            ScalarExpr::var_field("x", "dept"),
+            ScalarExpr::var_field("y", "dept"),
+        )),
+    }
+    .map_project(ScalarExpr::var_field("x", "name"));
+    let (cross_transferred, cross_rows) = run(&cross);
+    assert_eq!(cross_rows, matching_employees);
+    assert_eq!(
+        cross_transferred,
+        ROWS_PER_SOURCE + managed,
+        "both inputs ship whole"
+    );
+
+    // Distinct manager keys one way, the matching employees back.
+    let semijoin_bound = managed + matching_employees;
+    assert!(
+        semijoin_bound < cross_transferred,
+        "semijoin {semijoin_bound} rows vs mediator join {cross_transferred}"
+    );
+}
+
 #[test]
 fn capability_grammars_travel_as_text_between_wrapper_and_mediator() {
     // §3.2: the wrapper returns a grammar; the mediator reconstructs the
