@@ -76,12 +76,13 @@ use crate::{lock, Result, RuntimeError};
 /// join results back into the plan).  Two calls are the same call when
 /// they ship the same expression to the same extent of the same
 /// repository; the expression is compared structurally, never rendered.
+/// The names are shared with the call's statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecKey {
     /// Repository name.
-    pub repository: String,
+    pub repository: Arc<str>,
     /// Extent name.
-    pub extent: String,
+    pub extent: Arc<str>,
     /// The shipped (mediator name space) expression — for a call of a
     /// prepared plan, the one its `exec` node holds.
     pub expr: Arc<LogicalExpr>,
@@ -92,14 +93,20 @@ impl ExecKey {
     #[must_use]
     pub fn new(repository: &str, extent: &str, expr: &LogicalExpr) -> Self {
         ExecKey {
-            repository: repository.to_owned(),
-            extent: extent.to_owned(),
+            repository: Arc::from(repository),
+            extent: Arc::from(extent),
             expr: Arc::new(expr.clone()),
         }
     }
 
+    /// Whether this is the call of an `exec` node with these fields.  A
+    /// prepared plan's node and its call share the shipped expression, so
+    /// the pointers are compared first; the structural comparison is for
+    /// nested submits, duplicate calls and resolutions built by hand.
     pub(crate) fn is(&self, repository: &str, extent: &str, expr: &LogicalExpr) -> bool {
-        self.repository == repository && self.extent == extent && *self.expr == *expr
+        *self.repository == *repository
+            && *self.extent == *extent
+            && (std::ptr::eq(&*self.expr, expr) || *self.expr == *expr)
     }
 }
 
@@ -131,28 +138,32 @@ impl PartialEq for ExecOutcome {
 }
 
 /// Shared wakeup channel of one streamed resolution: every spool bumps the
-/// generation and notifies on any progress (chunk arrival or terminal
-/// status), so consumers waiting on *any* source (a union polling its
-/// branches) park on one condition variable.
+/// generation on any progress (chunk arrival or terminal status), so
+/// consumers waiting on *any* source (a union sweeping its inputs) park on
+/// one condition variable.
+///
+/// A bump is one atomic add while no parked thread waits for the
+/// generation it reaches: a parked thread publishes the least generation
+/// it waits for (`wake_at`), and only the bump that reaches it takes the
+/// lock (to clear the target) and wakes every parked thread (each parks
+/// again with its own target if that is not reached yet).  Both sides
+/// write their own word before reading the other's, so either the bump
+/// sees the target or the parking thread sees the bump.
 pub(crate) struct ResolutionEvents {
-    progress: StdMutex<Progressed>,
+    generation: AtomicU64,
+    /// The least generation a parked thread waits for; `u64::MAX` when
+    /// none does.
+    wake_at: AtomicU64,
+    /// Guards nothing but the condition variable's protocol.
+    parking: StdMutex<()>,
     arrived: Condvar,
     deadline: Option<Instant>,
-}
-
-/// What the condition variable of a [`ResolutionEvents`] guards.
-#[derive(Debug, Default)]
-struct Progressed {
-    generation: u64,
-    /// Threads parked on `arrived`; a notify with none skips the wake-up
-    /// call (a system call per chunk otherwise).
-    waiters: usize,
 }
 
 impl std::fmt::Debug for ResolutionEvents {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResolutionEvents")
-            .field("progress", &*lock(&self.progress))
+            .field("generation", &self.generation())
             .field("deadline", &self.deadline)
             .finish()
     }
@@ -161,7 +172,9 @@ impl std::fmt::Debug for ResolutionEvents {
 impl ResolutionEvents {
     pub(crate) fn new(deadline: Option<Instant>) -> Self {
         ResolutionEvents {
-            progress: StdMutex::new(Progressed::default()),
+            generation: AtomicU64::new(0),
+            wake_at: AtomicU64::new(u64::MAX),
+            parking: StdMutex::new(()),
             arrived: Condvar::new(),
             deadline,
         }
@@ -170,7 +183,7 @@ impl ResolutionEvents {
     /// The current generation; read **before** inspecting spool state so
     /// that [`ResolutionEvents::wait_after`] cannot miss a wakeup.
     pub(crate) fn generation(&self) -> u64 {
-        lock(&self.progress).generation
+        self.generation.load(Ordering::SeqCst)
     }
 
     /// Whether the execution deadline has already passed.
@@ -179,81 +192,92 @@ impl ResolutionEvents {
     }
 
     fn notify(&self) {
-        let waiters = {
-            let mut progress = lock(&self.progress);
-            progress.generation += 1;
-            progress.waiters
-        };
-        if waiters > 0 {
+        let reached = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        if reached >= self.wake_at.load(Ordering::SeqCst) {
+            // The reset waits out a thread between publishing its target
+            // and parking, which would miss this wake-up; the wake-up
+            // itself is made after the lock is released, so the woken do
+            // not wait for it.
+            {
+                let _parking = lock(&self.parking);
+                self.wake_at.store(u64::MAX, Ordering::SeqCst);
+            }
             self.arrived.notify_all();
         }
     }
 
-    /// Parks on `arrived` until notified or `until` passes, counted as a
-    /// waiter meanwhile.
+    /// Parks on `arrived` until a bump reaches generation `target` or
+    /// `until` passes — unless the generation reached it already.
     fn park<'a>(
         &self,
-        mut progress: MutexGuard<'a, Progressed>,
+        parking: MutexGuard<'a, ()>,
+        target: u64,
         until: Option<Instant>,
-    ) -> MutexGuard<'a, Progressed> {
-        progress.waiters += 1;
-        progress = match until {
+    ) -> MutexGuard<'a, ()> {
+        self.wake_at.fetch_min(target, Ordering::SeqCst);
+        if self.generation() >= target {
+            return parking;
+        }
+        match until {
             None => self
                 .arrived
-                .wait(progress)
+                .wait(parking)
                 .unwrap_or_else(PoisonError::into_inner),
             Some(until) => {
                 let left = until.saturating_duration_since(Instant::now());
                 self.arrived
-                    .wait_timeout(progress, left)
+                    .wait_timeout(parking, left)
                     .unwrap_or_else(PoisonError::into_inner)
                     .0
             }
-        };
-        progress.waiters -= 1;
-        progress
+        }
     }
 
-    /// Blocks until the generation moves past `seen` (some source made
-    /// progress) or the deadline passes; returns `false` on deadline.
+    /// Blocks until `events` (≥ 1) progress events happened since
+    /// generation `seen` — some sources made progress — or the deadline
+    /// passes; returns `false` on deadline.  A consumer waiting for any
+    /// of `n` sources, each of which has at least one event to come, may
+    /// ask for up to `n` and be woken once instead of `n` times.
     ///
     /// Every wait of a resolution ends up here or in
     /// [`ResolutionEvents::park_until`] — consumers behind a source,
     /// producers sleeping out a link delay, a nested query (a mediator
     /// behind a wrapper) waiting for its own calls — so this is where a call
     /// worker declares that it blocks and gives up its runner slot.
-    pub(crate) fn wait_after(&self, seen: u64) -> bool {
-        if lock(&self.progress).generation != seen {
+    pub(crate) fn wait_after(&self, seen: u64, events: u64) -> bool {
+        let target = seen + events.max(1);
+        if self.generation() >= target {
             return true;
         }
         blocking(|| {
-            let mut progress = lock(&self.progress);
+            let mut parking = lock(&self.parking);
             loop {
-                if progress.generation != seen {
+                if self.generation() >= target {
                     return true;
                 }
                 if self.deadline_passed() {
                     return false;
                 }
-                progress = self.park(progress, self.deadline);
+                parking = self.park(parking, target, self.deadline);
             }
         })
     }
 
     /// Parks until `until`, returning `false` as soon as `stop()` holds.
-    /// `stop` is re-read after every [`ResolutionEvents::notify`], under
-    /// the lock `notify` takes: a stop raised before its notify is seen.
+    /// `stop` is re-read after every [`ResolutionEvents::notify`]: a stop
+    /// raised before its notify is seen.
     fn park_until(&self, until: Instant, stop: impl Fn() -> bool) -> bool {
         blocking(|| {
-            let mut progress = lock(&self.progress);
+            let mut parking = lock(&self.parking);
             loop {
+                let seen = self.generation();
                 if stop() {
                     return false;
                 }
                 if Instant::now() >= until {
                     return true;
                 }
-                progress = self.park(progress, Some(until));
+                parking = self.park(parking, seen + 1, Some(until));
             }
         })
     }
@@ -273,6 +297,15 @@ enum SpoolStatus {
     Failed(WrapperError),
     /// The wrapper call panicked; contained via `catch_unwind`.
     Panicked(String),
+}
+
+/// What a spool's lock-free hint says of its status.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Streaming = 0,
+    Done = 1,
+    /// Unavailable, failed or panicked: read the status under the lock.
+    Failed = 2,
 }
 
 /// One link of a spool's chunk chain: the mapped, type-checked rows of
@@ -330,11 +363,10 @@ pub struct PendingSource {
     /// its wrapper was invoked, in microseconds; folded into the
     /// query's `source_wait` at finalization.
     queue_wait_us: AtomicU64,
-    /// `total rows << 1 | terminal`, republished under the state lock by
-    /// everything that appends rows or ends the stream, so that
-    /// [`PendingSource::ready`] — polled over every branch of a union —
-    /// takes no lock.  A hint only: rows and status are read under the
-    /// lock.
+    /// `total rows << 2 | phase` (see [`Phase`]), republished under the
+    /// state lock by everything that appends rows or ends the stream, so
+    /// that [`PendingSource::ready`] — swept over every member of a union
+    /// — and a read of a chunk already linked take no lock.
     announced: AtomicUsize,
     /// The first chunk of the chain.
     head: OnceLock<Arc<SpoolChunk>>,
@@ -399,11 +431,22 @@ impl PendingSource {
     /// Republishes the lock-free progress hint; called with the state
     /// lock held, after rows were appended or the status changed.
     fn announce(&self, state: &SpoolState) {
-        let terminal = !matches!(state.status, SpoolStatus::Streaming);
-        self.announced.store(
-            state.chain.rows << 1 | usize::from(terminal),
-            Ordering::Release,
-        );
+        let phase = match state.status {
+            SpoolStatus::Streaming => Phase::Streaming,
+            SpoolStatus::Done => Phase::Done,
+            _ => Phase::Failed,
+        };
+        self.announced
+            .store(state.chain.rows << 2 | phase as usize, Ordering::Release);
+    }
+
+    /// The phase last announced.
+    fn phase(&self) -> Phase {
+        match self.announced.load(Ordering::Acquire) & 3 {
+            0 => Phase::Streaming,
+            1 => Phase::Done,
+            _ => Phase::Failed,
+        }
     }
 
     /// Whether the consumer side disconnected (deadline or hard error).
@@ -516,7 +559,7 @@ impl PendingSource {
     /// blocking (rows available, or a terminal status to report).
     pub(crate) fn ready(&self, from: usize) -> bool {
         let announced = self.announced.load(Ordering::Acquire);
-        announced & 1 == 1 || announced >> 1 > from
+        announced & 3 != Phase::Streaming as usize || announced >> 2 > from
     }
 
     /// The one wait loop every consumer goes through: blocks until
@@ -527,17 +570,22 @@ impl PendingSource {
     /// the next inspection, whether the consumer was blocked or keeping
     /// pace with arriving chunks.  §4's "query evaluation stops" applies
     /// even to a source that trickles just fast enough to never block
-    /// its consumer.
-    fn wait_until<T>(&self, mut inspect: impl FnMut(&SpoolState) -> Option<T>) -> T {
+    /// its consumer.  Returns the value and the time spent parked (zero
+    /// when the first inspection answered).
+    fn wait_until<T>(&self, mut inspect: impl FnMut(&SpoolState) -> Option<T>) -> (T, Duration) {
+        let mut waited = Duration::ZERO;
         loop {
             let seen = self.events.generation();
             if self.events.deadline_passed() {
                 self.timeout();
             }
             if let Some(out) = inspect(&lock(&self.state)) {
-                return out;
+                return (out, waited);
             }
-            if !self.events.wait_after(seen) {
+            let parked = Instant::now();
+            let progressed = self.events.wait_after(seen, 1);
+            waited += parked.elapsed();
+            if !progressed {
                 self.timeout();
             }
         }
@@ -548,7 +596,7 @@ impl PendingSource {
         match status {
             SpoolStatus::Streaming | SpoolStatus::Done => None,
             SpoolStatus::Unavailable => Some(RuntimeError::PendingUnavailable(
-                self.key().repository.clone(),
+                self.key().repository.to_string(),
             )),
             SpoolStatus::Failed(err) => Some(RuntimeError::Wrapper(err.clone())),
             SpoolStatus::Panicked(msg) => Some(RuntimeError::WorkerPanic(msg.clone())),
@@ -560,8 +608,14 @@ impl PendingSource {
     /// once the stream completed with `prev` its last chunk.  Blocks —
     /// through [`PendingSource::wait_until`], so under its deadline
     /// policy, and with a terminal failure winning over a chunk already
-    /// linked — until the producer links the chunk; the time the call
-    /// took is returned for `source_wait`.
+    /// linked — until the producer links the chunk; the time spent parked
+    /// is returned for `source_wait`.
+    ///
+    /// A chunk already linked, or the end of a completed stream, is
+    /// answered without either lock and without waiting — unless the
+    /// stream ended in a failure (which wins over the chunk), or is still
+    /// streaming past the deadline (the wait loop classifies the source;
+    /// a completed stream is past classifying).
     ///
     /// # Errors
     ///
@@ -572,9 +626,24 @@ impl PendingSource {
         &'a self,
         prev: Option<&'a SpoolChunk>,
     ) -> (Result<Option<&'a SpoolChunk>>, Duration) {
-        let started = Instant::now();
         let link = prev.map_or(&self.head, |chunk| &chunk.next);
-        let next = self.wait_until(|state| {
+        // The end of the stream needs the phase read before the link
+        // (every link came before `Done`); a chunk needs it read after the
+        // link (a phase that is not a failure held while the link was
+        // there).
+        let before = self.phase();
+        match link.get() {
+            None if before == Phase::Done => return (Ok(None), Duration::ZERO),
+            Some(chunk) => match self.phase() {
+                Phase::Done => return (Ok(Some(chunk)), Duration::ZERO),
+                Phase::Streaming if !self.events.deadline_passed() => {
+                    return (Ok(Some(chunk)), Duration::ZERO)
+                }
+                _ => {}
+            },
+            None => {}
+        }
+        self.wait_until(|state| {
             if let Some(failure) = self.failure(&state.status) {
                 return Some(Err(failure));
             }
@@ -583,8 +652,7 @@ impl PendingSource {
                 None if matches!(state.status, SpoolStatus::Done) => Some(Ok(None)),
                 None => None,
             }
-        });
-        (next, started.elapsed())
+        })
     }
 
     /// Blocks until the call completes (bounded by the deadline) and
@@ -598,13 +666,21 @@ impl PendingSource {
             SpoolStatus::Done => Some(Some(state.chain.rows)),
             _ => Some(None),
         })
+        .0
     }
 
-    /// The whole chain as one bag ([`Bag::concat`]: a single chunk is
-    /// shared as it is, column chunks of one answer stay columns).
+    /// The whole chain as one bag ([`Bag::concat`]: column chunks of one
+    /// answer stay columns); a single chunk is shared as it is, with no
+    /// list of parts built for it.
     fn chained_rows(&self) -> Bag {
+        let Some(head) = self.head.get() else {
+            return Bag::concat(&[]);
+        };
+        if head.next.get().is_none() {
+            return head.rows().clone();
+        }
         let mut chunks = Vec::new();
-        let mut next = self.head.get();
+        let mut next = Some(head);
         while let Some(chunk) = next {
             chunks.push(chunk.rows());
             next = chunk.next.get();
@@ -613,48 +689,52 @@ impl PendingSource {
     }
 
     /// Waits for a terminal status and renders the final outcome + stats.
+    /// A stream that has ended is read under one lock, with no wait.
     fn final_outcome(&self) -> (ExecOutcome, SourceCallStats, Option<RuntimeError>) {
-        let (outcome, available, error) = self.wait_until(|state| match &state.status {
-            SpoolStatus::Streaming => None,
-            SpoolStatus::Done => Some((ExecOutcome::Rows(self.chained_rows()), true, None)),
-            SpoolStatus::Unavailable => Some((ExecOutcome::Unavailable, false, None)),
-            SpoolStatus::Failed(err) => Some((
-                ExecOutcome::Unavailable,
-                false,
-                Some(RuntimeError::Wrapper(err.clone())),
-            )),
-            SpoolStatus::Panicked(msg) => Some((
-                ExecOutcome::Unavailable,
-                false,
-                Some(RuntimeError::WorkerPanic(msg.clone())),
-            )),
-        });
-        let (rows_returned, rows_scanned, latency) = {
-            let state = lock(&self.state);
-            match &outcome {
-                ExecOutcome::Rows(rows) => (rows.len(), state.rows_scanned, state.latency),
-                _ => (0, 0, Duration::ZERO),
+        let settle = |state: &SpoolState| {
+            let (outcome, error) = match &state.status {
+                SpoolStatus::Streaming => return None,
+                SpoolStatus::Done => (ExecOutcome::Rows(self.chained_rows()), None),
+                SpoolStatus::Unavailable => (ExecOutcome::Unavailable, None),
+                SpoolStatus::Failed(err) => (
+                    ExecOutcome::Unavailable,
+                    Some(RuntimeError::Wrapper(err.clone())),
+                ),
+                SpoolStatus::Panicked(msg) => (
+                    ExecOutcome::Unavailable,
+                    Some(RuntimeError::WorkerPanic(msg.clone())),
+                ),
+            };
+            let (available, rows_returned, rows_scanned, latency) = match &outcome {
+                ExecOutcome::Rows(rows) => (true, rows.len(), state.rows_scanned, state.latency),
+                _ => (false, 0, 0, Duration::ZERO),
+            };
+            let stats = SourceCallStats {
+                repository: Arc::clone(&self.key().repository),
+                extent: Arc::clone(&self.key().extent),
+                available,
+                rows_returned,
+                rows_scanned,
+                latency,
+            };
+            Some((outcome, stats, error))
+        };
+        if self.phase() != Phase::Streaming {
+            if let Some(settled) = settle(&lock(&self.state)) {
+                return settled;
             }
-        };
-        let stats = SourceCallStats {
-            repository: self.key().repository.clone(),
-            extent: self.key().extent.clone(),
-            available,
-            rows_returned,
-            rows_scanned,
-            latency,
-        };
-        (outcome, stats, error)
+        }
+        self.wait_until(settle).0
     }
 }
 
 /// Statistics of one `exec` call, for traces and experiments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceCallStats {
-    /// Repository name.
-    pub repository: String,
-    /// Extent accessed.
-    pub extent: String,
+    /// Repository name (shared with the call's [`ExecKey`]).
+    pub repository: Arc<str>,
+    /// Extent accessed (shared with the call's [`ExecKey`]).
+    pub extent: Arc<str>,
     /// Whether the source answered.
     pub available: bool,
     /// Rows returned to the mediator (data transferred).
@@ -814,7 +894,6 @@ impl ResolvedExecs {
             let ExecOutcome::Pending(source) = outcome else {
                 continue;
             };
-            let source = Arc::clone(source);
             let finalized = if failure.is_some() {
                 // Already failing: disconnect instead of waiting.
                 source.cancel();
@@ -864,7 +943,7 @@ impl ResolvedExecs {
         let mut out: Vec<String> = self
             .all_outcomes()
             .filter(|(_, o)| matches!(o, ExecOutcome::Unavailable))
-            .map(|(k, _)| k.repository.clone())
+            .map(|(k, _)| k.repository.to_string())
             .collect();
         out.sort();
         out.dedup();
@@ -1236,6 +1315,98 @@ mod tests {
         assert!(resolved.all_available());
         assert_eq!(resolved.call_count(), 2);
         assert_eq!(resolved.rows_transferred(), 20);
+    }
+
+    /// The spools of a streamed resolution of `plan`, each read to its
+    /// end once its call finished: `(chunks, time the reads waited)`, or
+    /// the error the first read met.
+    fn read_finished_spools(
+        plan: &PhysicalExpr,
+        registry: &WrapperRegistry,
+        catalog: &Catalog,
+    ) -> Vec<Result<(usize, Duration)>> {
+        let config = ExecutionConfig {
+            deadline: None,
+            ..ExecutionConfig::default()
+        };
+        let resolved = resolve_execs_streamed(plan, registry, catalog, &config).unwrap();
+        resolved
+            .outcomes
+            .iter()
+            .map(|outcome| {
+                let ExecOutcome::Pending(source) = outcome else {
+                    panic!("a streamed resolution's outcomes are spools");
+                };
+                source.await_len();
+                let (mut chunk, mut chunks, mut waited) = (None, 0, Duration::ZERO);
+                loop {
+                    let (next, wait) = source.chunk_after(chunk);
+                    waited += wait;
+                    match next? {
+                        Some(next) => (chunk, chunks) = (Some(next), chunks + 1),
+                        None => return Ok((chunks, waited)),
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Fails at the parent commit, where every read charged the time the
+    /// call took: a chunk already linked, and the end of a completed
+    /// stream, are read without waiting at all.
+    #[test]
+    fn reading_a_completed_spool_adds_no_wait() {
+        let (catalog, registry) = setup();
+        for read in read_finished_spools(&union_plan(), &registry, &catalog) {
+            let (chunks, waited) = read.unwrap();
+            assert!(chunks > 0);
+            assert_eq!(waited, Duration::ZERO);
+        }
+    }
+
+    /// Answers one chunk, then reports the source unavailable.
+    struct FailsAfterAChunk;
+
+    impl Wrapper for FailsAfterAChunk {
+        fn name(&self) -> &str {
+            "w0"
+        }
+        fn kind(&self) -> &str {
+            "relational"
+        }
+        fn capabilities(&self) -> disco_algebra::CapabilitySet {
+            disco_algebra::CapabilitySet::full()
+        }
+        fn submit_into(
+            &self,
+            _expr: &LogicalExpr,
+            sink: &mut dyn AnswerSink,
+        ) -> std::result::Result<disco_wrapper::AnswerSummary, WrapperError> {
+            let row = disco_value::StructValue::new(vec![
+                ("id", disco_value::Value::Int(1)),
+                ("name", disco_value::Value::from("early")),
+                ("salary", disco_value::Value::Int(10)),
+            ])
+            .unwrap();
+            sink.push([disco_value::Value::Struct(row)].into_iter().collect());
+            Err(WrapperError::Unavailable {
+                endpoint: "r0".into(),
+            })
+        }
+    }
+
+    /// The read that finds a chunk linked takes no lock, but a stream
+    /// that ended in a failure still reports the failure, not the chunk.
+    #[test]
+    fn a_failure_wins_over_a_linked_chunk() {
+        let (catalog, registry) = setup();
+        registry.register(Arc::new(FailsAfterAChunk));
+        let plan = lower(&LogicalExpr::get("person0").submit("r0", "w0", "person0")).unwrap();
+        let reads = read_finished_spools(&plan, &registry, &catalog);
+        assert!(matches!(
+            reads[..],
+            [Err(RuntimeError::PendingUnavailable(ref repository))] if repository == "r0"
+        ));
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl Executor {
         store.note_source_waits(stats.source_calls.iter().filter(|call| call.available).map(
             |call| {
                 let latency_ms = call.latency.as_secs_f64() * 1000.0;
-                (call.repository.as_str(), latency_ms, call.rows_returned)
+                (&*call.repository, latency_ms, call.rows_returned)
             },
         ));
     }

@@ -51,7 +51,8 @@ pub struct ExecutionStats {
     /// `None` when no row reached the sink.
     pub time_to_first_row: Option<std::time::Duration>,
     /// Total time the execution spent waiting on sources: the combine
-    /// step blocked on still-streaming spools, plus — when a shared
+    /// step parked on still-streaming spools (a chunk that was already
+    /// there costs no wait), plus — when a shared
     /// [`SourcePool`](crate::SourcePool) is configured — time wrapper
     /// calls spent queued behind a per-repository concurrency cap
     /// before being submitted.  The second component sums over the
@@ -71,6 +72,10 @@ pub struct ExecutionStats {
     /// cover at runtime).  Rows outside any columnar stretch count in
     /// neither bucket.
     pub rows_fallback: usize,
+    /// Fused spines the combine step compiled: one per class of
+    /// like-shaped union branches (however many sources it reads), one
+    /// per join side, one per other fused stretch.
+    pub spines_compiled: usize,
     /// Breaker bytes written to disk under a memory budget: the runs of
     /// spilling pipeline breakers (hash join, distinct, the buffered
     /// inner of a nested-loop or merge join).  Pending-source spools never
@@ -108,6 +113,7 @@ impl ExecutionStats {
             source_wait: metrics.source_wait() + resolved.source_queue_wait(),
             rows_kernel: metrics.rows_kernel(),
             rows_fallback: metrics.rows_fallback(),
+            spines_compiled: metrics.spines_compiled(),
             bytes_spilled: metrics.bytes_spilled(),
             spill_partitions: metrics.spill_partitions(),
             peak_tracked_bytes: metrics.peak_tracked_bytes(),

@@ -9,15 +9,16 @@
 //! whole columns, and a selection vector marks surviving rows instead of
 //! copying them.
 //!
-//! A spine reads its rows as borrowed slices from one of two supplies
-//! ([`Supply`]): a bag that is all there (literal data, a materialized
-//! answer), or a position in the chunk chain of a spool its
-//! wrapper call is still filling ([`SpoolReader`]) — a row that left the
-//! wrapper is stored once and meets the kernels where it lies.  Only the
-//! second supply can make a spine wait; the wait, the deadline and a
-//! source's failure all come through the spool's one wait loop, and
-//! [`RowStream::ready`] of everything built on a spine reports the
-//! supply's state.  A memory budget changes neither supply.
+//! A spine reads its rows as borrowed slices from the members of its
+//! [`Supply`] — one per branch of a union's class of like-shaped
+//! branches, one for any other stretch — each a bag that is all there
+//! (literal data, a materialized answer) or a position in the chunk chain
+//! of a spool its wrapper call is still filling ([`SpoolReader`]): a row
+//! that left the wrapper is stored once and meets the kernels where it
+//! lies.  Only a spool can make a spine wait; the wait, the deadline and
+//! a source's failure all come through the spool's one wait loop, and
+//! [`RowStream::ready`] of everything built on a spine reports whether a
+//! member has rows there.  A memory budget changes no member.
 //!
 //! A slice comes in the form its bag has.  Row values (literal data, a
 //! CSV or document wrapper's chunk) are decoded, batch by batch, into the
@@ -89,14 +90,14 @@ use disco_value::{
     Bag, BagColumns, ChunkBuilder, Column, ColumnarChunk, KeyHasher, StructValue, Value,
 };
 
-use crate::exec::ExecOutcome;
+use crate::exec::{ExecOutcome, PendingSource, ResolutionEvents};
 
 use super::filter::{bind_value, project_row};
 use super::join::{
     check_struct_frames, HashJoin, JoinTable, KeyedRow, KeyedSource, PairPlan, PairSpec,
 };
 use super::scan::SpoolReader;
-use super::union::Union;
+use super::union::{Sweep, Union};
 use super::{
     build, decide_build_side, eval_in_row, BoxedRowStream, PipelineCtx, Result, Row, RowStream,
 };
@@ -113,22 +114,101 @@ pub(crate) fn try_build<'a>(
 }
 
 /// The batch input of a breaker over `plan`: columnar when the plan
-/// fuses, a union of its branches' batch sources for `mkunion`, the row
-/// cursors' batches otherwise.
+/// fuses, a union of classes of like-shaped branches for `mkunion`
+/// ([`union_source`]), the row cursors' batches otherwise.
 pub(crate) fn batch_source<'a>(
     plan: &'a PhysicalExpr,
     ctx: PipelineCtx<'a>,
 ) -> Result<BatchSource<'a>> {
     if let PhysicalExpr::MkUnion(items) = plan {
-        let branches = items
-            .iter()
-            .map(|item| batch_source(item, ctx))
-            .collect::<Result<_>>()?;
-        return Ok(BatchSource::Union(Box::new(Union::new(branches, ctx))));
+        return union_source(items, ctx);
     }
     match fuse_source(plan, ctx) {
         Some(source) => Ok(source),
         None => Ok(BatchSource::rows(build(plan, ctx)?)),
+    }
+}
+
+/// The batch source of a `mkunion`.  Branches whose fused stretches are
+/// equal node for node over a scan form a **class**, wherever they stand
+/// among the branches: the class compiles one [`Spine`], and its
+/// [`Supply`] reads every member's bag or spool.  A branch alone in its
+/// class is a class of one; a branch that does not fuse stays a union
+/// branch of its own, as does a member whose source did not answer (the
+/// row path reports it).  Finding a branch's class is an equality walk
+/// over the stretch, and allocates nothing.  A union of one input is
+/// that input.
+fn union_source<'a>(items: &'a [PhysicalExpr], ctx: PipelineCtx<'a>) -> Result<BatchSource<'a>> {
+    // Per class: its first branch, which the others are compared with,
+    // and where its spine stands among the inputs.
+    let mut classes: Vec<(&'a PhysicalExpr, usize)> = Vec::new();
+    let mut inputs: Vec<BatchSource<'a>> = Vec::new();
+    for (i, item) in items.iter().enumerate() {
+        let joined = classes
+            .iter()
+            .find_map(|&(first, at)| Some((at, same_stretch(first, item)?)));
+        match joined {
+            Some((at, scan)) => {
+                if let Some(member) = member_of(scan, &ctx) {
+                    let BatchSource::Spine(spine) = &mut inputs[at] else {
+                        unreachable!("a class is a spine");
+                    };
+                    spine.supply.push(member);
+                    continue;
+                }
+            }
+            None => {
+                if let Some(spine) = fuse_spine(item, items.len() - i, ctx) {
+                    classes.push((item, inputs.len()));
+                    inputs.push(BatchSource::Spine(Box::new(spine)));
+                    continue;
+                }
+            }
+        }
+        inputs.push(batch_source(item, ctx)?);
+    }
+    if inputs.len() == 1 {
+        return Ok(inputs.pop().expect("one input"));
+    }
+    Ok(BatchSource::Union(Box::new(Union::new(inputs, ctx))))
+}
+
+/// The scan beneath `branch` when its stretch equals `class`'s node for
+/// node — operators compared, the scans beneath them not: the member
+/// `branch` adds to the class.
+fn same_stretch<'b>(class: &PhysicalExpr, branch: &'b PhysicalExpr) -> Option<&'b PhysicalExpr> {
+    use PhysicalExpr::{BindOp, Exec, FilterOp, MapOp, MemScan, ProjectOp};
+    match (class, branch) {
+        (
+            MapOp { input, projection },
+            MapOp {
+                input: other,
+                projection: theirs,
+            },
+        ) if projection == theirs => same_stretch(input, other),
+        (
+            FilterOp { input, predicate },
+            FilterOp {
+                input: other,
+                predicate: theirs,
+            },
+        ) if predicate == theirs => same_stretch(input, other),
+        (
+            BindOp { var, input },
+            BindOp {
+                var: theirs,
+                input: other,
+            },
+        ) if var == theirs => same_stretch(input, other),
+        (
+            ProjectOp { input, columns },
+            ProjectOp {
+                input: other,
+                columns: theirs,
+            },
+        ) if columns == theirs => same_stretch(input, other),
+        (Exec { .. } | MemScan(_), Exec { .. } | MemScan(_)) => Some(branch),
+        _ => None,
     }
 }
 
@@ -139,10 +219,22 @@ fn fuse_source<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<Batch
     if let Some(join) = fuse_join(plan, ctx) {
         return Some(BatchSource::Join(Box::new(join)));
     }
-    let shape = spine_shape(plan, false, &ctx)?;
-    Spine::compile(shape, None, ctx)
+    fuse_spine(plan, 1, ctx)
         .map(Box::new)
         .map(BatchSource::Spine)
+}
+
+/// The spine of `plan`'s stretch over the scan beneath it, when the
+/// stretch fuses (see [`spine_shape`]) and the scan has a row supply;
+/// `members` is how many members the supply may grow to.
+fn fuse_spine<'a>(
+    plan: &'a PhysicalExpr,
+    members: usize,
+    ctx: PipelineCtx<'a>,
+) -> Option<Spine<'a>> {
+    let (shape, scan) = spine_shape(plan, false)?;
+    let supply = Supply::new(member_of(scan, &ctx)?, members, &ctx);
+    Spine::compile(shape, supply, None, ctx)
 }
 
 /// A producer of [`Batch`]es — the input form of every breaker and of
@@ -252,16 +344,81 @@ impl<'a> Batch<'a> {
     }
 }
 
-/// Where a spine's rows come from: a bag that is all there (literal
-/// data, a materialized answer), or the chunk chain of a spool its wrapper
-/// call is still filling, taken a chunk at a time.  Either way the spine
-/// gets borrowed [`Slice`]s; only a spool can make it wait.
+/// Where a spine's rows come from: the **members** of its class — one per
+/// union branch the spine serves, one for any other stretch — each a bag
+/// that is all there (literal data, a materialized answer) or the chunk
+/// chain of a spool its wrapper call is still filling, taken a chunk at a
+/// time.  Either way the spine gets borrowed [`Slice`]s of one member's
+/// bag at a time; only a spool can make it wait.
+///
+/// The members are served by a rotating sweep over their lock-free
+/// readiness hints ([`Sweep`]): the member served last while it is ready,
+/// else the first ready one after it, and a park on the resolution's
+/// generation only when a full sweep finds none.  With every member ready
+/// (materialized inputs, partial evaluation) that drains them in branch
+/// order.  A member's failure, unavailability or deadline classification
+/// surfaces when it is pulled, through its own spool's wait loop.
 pub(crate) struct Supply<'a> {
-    /// The bag — or the spool's current chunk — and how much of it was
-    /// handed out.
+    /// The bag — or the spool's current chunk — being read, and how much
+    /// of it was handed out.
     bag: Option<&'a Bag>,
     pos: usize,
-    spool: Option<SpoolReader<'a>>,
+    members: Vec<Member<'a>>,
+    sweep: Sweep,
+    /// Members not yet read to their end.
+    live: usize,
+    /// The spools unready members wait for, gathered to count them once
+    /// each (two branches may read one call).
+    waiting: Vec<*const PendingSource>,
+    events: Option<&'a ResolutionEvents>,
+}
+
+/// One member of a [`Supply`]: the scan beneath one branch.
+enum Member<'a> {
+    /// A bag that is all there, not yet handed out.
+    Bag(&'a Bag),
+    /// A still-streaming call's spool.
+    Spool(SpoolReader<'a>),
+    /// Handed out, or read to its end.
+    Done,
+}
+
+impl<'a> Member<'a> {
+    /// `None` once the member is done, else whether its next bag is there
+    /// without blocking.
+    fn state(&self) -> Option<bool> {
+        match self {
+            Member::Bag(_) => Some(true),
+            Member::Spool(reader) => Some(reader.ready()),
+            Member::Done => None,
+        }
+    }
+
+    /// The member's next bag; `None` at its end (the member is then done).
+    fn next(&mut self, metrics: &super::PipelineMetrics) -> Result<Option<&'a Bag>> {
+        let next = match self {
+            Member::Bag(bag) => Some(*bag),
+            Member::Spool(reader) => reader.next_chunk(metrics)?,
+            Member::Done => None,
+        };
+        if next.is_none() || matches!(self, Member::Bag(_)) {
+            *self = Member::Done;
+        }
+        Ok(next)
+    }
+}
+
+/// How many distinct spools the members not ready wait for: each has a
+/// progress event to come.
+fn waiting_sources(members: &[Member<'_>], waiting: &mut Vec<*const PendingSource>) -> usize {
+    waiting.clear();
+    waiting.extend(members.iter().filter_map(|member| match member {
+        Member::Spool(reader) if !reader.ready() => Some(std::ptr::from_ref(reader.source())),
+        _ => None,
+    }));
+    waiting.sort_unstable();
+    waiting.dedup();
+    waiting.len()
 }
 
 /// One batch of a [`Supply`], in the form its bag has.
@@ -301,20 +458,25 @@ impl<'a> Slice<'a> {
 }
 
 impl<'a> Supply<'a> {
-    fn bag(bag: &'a Bag) -> Self {
-        Supply {
-            bag: Some(bag),
-            pos: 0,
-            spool: None,
-        }
-    }
-
-    fn spool(reader: SpoolReader<'a>) -> Self {
+    /// A supply of `first`, with room for `members` members in all.
+    fn new(first: Member<'a>, members: usize, ctx: &PipelineCtx<'a>) -> Self {
+        let mut all = Vec::with_capacity(members);
+        all.push(first);
         Supply {
             bag: None,
             pos: 0,
-            spool: Some(reader),
+            members: all,
+            sweep: Sweep::default(),
+            live: 1,
+            waiting: Vec::new(),
+            events: ctx.resolved.events().map(|events| &**events),
         }
+    }
+
+    /// Adds a member (a branch that joined the class).
+    fn push(&mut self, member: Member<'a>) {
+        self.members.push(member);
+        self.live += 1;
     }
 
     /// What is left of the current bag.
@@ -322,7 +484,7 @@ impl<'a> Supply<'a> {
         self.bag.filter(|bag| self.pos < bag.len())
     }
 
-    /// The next at most `max` rows; `None` when the scan is exhausted.
+    /// The next at most `max` rows; `None` when every member is exhausted.
     fn next_slice(
         &mut self,
         max: usize,
@@ -332,14 +494,25 @@ impl<'a> Supply<'a> {
             if let Some(bag) = self.at_hand() {
                 break bag;
             }
-            let next = match &mut self.spool {
-                Some(reader) => reader.next_chunk(metrics)?,
-                None => None,
-            };
-            let Some(chunk) = next else {
+            if self.live == 0 {
                 return Ok(None);
-            };
-            (self.bag, self.pos) = (Some(chunk), 0);
+            }
+            let (members, waiting) = (&self.members, &mut self.waiting);
+            let at = self.sweep.pick(
+                members.len(),
+                |i| members[i].state(),
+                || waiting_sources(members, waiting),
+                self.events,
+                metrics,
+            );
+            let member = &mut self.members[at];
+            let next = member.next(metrics)?;
+            if matches!(member, Member::Done) {
+                self.live -= 1;
+            }
+            if let Some(bag) = next {
+                (self.bag, self.pos) = (Some(bag), 0);
+            }
         };
         let (start, end) = (self.pos, (self.pos + max).min(bag.len()));
         self.pos = end;
@@ -356,7 +529,12 @@ impl<'a> Supply<'a> {
 
     /// Whether the next slice is there without blocking on a source.
     fn ready(&self) -> bool {
-        self.at_hand().is_some() || self.spool.as_ref().is_none_or(SpoolReader::ready)
+        self.at_hand().is_some()
+            || self.live == 0
+            || self
+                .members
+                .iter()
+                .any(|member| member.state() == Some(true))
     }
 }
 
@@ -378,21 +556,17 @@ struct SpineShape<'a> {
     /// optimizer leaves at the mediator when a wrapper cannot (or is not
     /// asked to) filter and project itself.
     raw: Vec<RawOp<'a>>,
-    supply: Supply<'a>,
 }
 
-/// Peels `map? → filter* → bind? → (filter | project)*` off `plan`; the
-/// remaining node must be a scan with a row supply ([`resolved_rows`]).
+/// Peels `map? → filter* → bind? → (filter | project)*` off `plan` and
+/// returns it with the node beneath, which must be a scan with a row
+/// supply ([`member_of`]) for the stretch to fuse.
 ///
 /// `allow_bare = false` refuses stretches without a map or a filter (bare
 /// scans and bind/project-only stretches have no scalar work to
 /// vectorize, and the row path is already optimal for them).  Join sides
 /// pass `true`: the join key itself is the scalar work.
-fn spine_shape<'a>(
-    plan: &'a PhysicalExpr,
-    allow_bare: bool,
-    ctx: &PipelineCtx<'a>,
-) -> Option<SpineShape<'a>> {
+fn spine_shape(plan: &PhysicalExpr, allow_bare: bool) -> Option<(SpineShape<'_>, &PhysicalExpr)> {
     let mut node = plan;
     let mut map = None;
     if let PhysicalExpr::MapOp { input, projection } = node {
@@ -429,30 +603,30 @@ fn spine_shape<'a>(
     if !allow_bare && map.is_none() && !filtered {
         return None;
     }
-    Some(SpineShape {
+    let shape = SpineShape {
         map,
         filters,
         binding,
         raw,
-        supply: resolved_rows(node, ctx)?,
-    })
+    };
+    Some((shape, node))
 }
 
-/// The row supply of a scan node: the rows of literal data or of a
+/// The supply member of a scan node: the rows of literal data or of a
 /// materialized answer, or the chunk chain of a still-streaming call.
 /// Unresolved and unavailable sources keep the row path (which reports
 /// the precise error).
-fn resolved_rows<'a>(node: &'a PhysicalExpr, ctx: &PipelineCtx<'a>) -> Option<Supply<'a>> {
+fn member_of<'a>(node: &'a PhysicalExpr, ctx: &PipelineCtx<'a>) -> Option<Member<'a>> {
     match node {
-        PhysicalExpr::MemScan(bag) => Some(Supply::bag(bag)),
+        PhysicalExpr::MemScan(bag) => Some(Member::Bag(bag)),
         PhysicalExpr::Exec {
             repository,
             extent,
             logical,
             ..
         } => match ctx.resolved.outcome_of(repository, extent, logical)? {
-            ExecOutcome::Rows(rows) => Some(Supply::bag(rows)),
-            ExecOutcome::Pending(source) => Some(Supply::spool(SpoolReader::new(source))),
+            ExecOutcome::Rows(rows) => Some(Member::Bag(rows)),
+            ExecOutcome::Pending(source) => Some(Member::Spool(SpoolReader::new(source))),
             ExecOutcome::Unavailable => None,
         },
         _ => None,
@@ -523,9 +697,13 @@ pub(crate) struct Spine<'a> {
     /// The fields the kernels read, in column-slot order.
     fields: Vec<Arc<str>>,
     /// The column-faced bag being read and `fields` of it as a chunk —
-    /// slots mapped by name once per bag, `None` when it lacks a field
-    /// the stretch reads (its batches then run per row).
+    /// slots mapped by name once per bag (bags of a class's members
+    /// differ, and each is mapped as it comes), `None` when it lacks a
+    /// field the stretch reads (its batches then run per row).  The
+    /// kernels read the chunk where it lies.
     mapped: Option<(&'a Bag, Option<ColumnarChunk>)>,
+    /// The selection vector of the last batch, kept for the next one.
+    spare_sel: Vec<u32>,
     /// Every filter predicate of the stretch — beneath the bind and above
     /// it alike: both read columns of the one decoded chunk — in
     /// execution order.
@@ -576,12 +754,25 @@ impl<'a> RowsOf<'a> {
     }
 }
 
-/// A batch through the filter kernels: the chunk, its surviving rows, and
-/// where their row values are.
+/// A batch through the filter kernels: its surviving rows and where their
+/// row values are.  The chunk is `decoded` for a batch of row values; a
+/// column-faced batch's is the spine's `mapped` one ([`chunk_of`]).
 struct Selected<'a> {
-    chunk: ColumnarChunk,
+    decoded: Option<ColumnarChunk>,
     sel: Vec<u32>,
     rows: RowsOf<'a>,
+}
+
+/// The chunk the kernels evaluate a batch over: the one `decoded` for
+/// it, or the spine's `mapped` one.
+fn chunk_of<'s>(
+    mapped: &'s Option<(&Bag, Option<ColumnarChunk>)>,
+    decoded: &'s Option<ColumnarChunk>,
+) -> &'s ColumnarChunk {
+    decoded
+        .as_ref()
+        .or_else(|| mapped.as_ref()?.1.as_ref())
+        .expect("a column-faced batch selects over a mapped chunk")
 }
 
 /// One batch of keyed spine output.
@@ -601,9 +792,11 @@ pub(crate) enum KeyedBatch<'a> {
 }
 
 impl<'a> Spine<'a> {
-    /// Compiles a matched shape when every scalar stage compiles to a
-    /// kernel.  With `key` the spine is a join side (which cannot also
-    /// carry a map) whose hashes go through the given table state.
+    /// Compiles a matched shape over `supply` when every scalar stage
+    /// compiles to a kernel — which depends on the shape only, so one
+    /// compilation serves every member of a class.  With `key` the spine
+    /// is a join side (which cannot also carry a map) whose hashes go
+    /// through the given table state.
     ///
     /// The operators beneath the bind compile with the builder unbound
     /// (`salary > 139`), those above it with the binding (`x.salary`),
@@ -614,6 +807,7 @@ impl<'a> Spine<'a> {
     /// missing attribute).
     fn compile(
         shape: SpineShape<'a>,
+        supply: Supply<'a>,
         key: Option<(&'a ScalarExpr, RandomState)>,
         ctx: PipelineCtx<'a>,
     ) -> Option<Spine<'a>> {
@@ -695,10 +889,11 @@ impl<'a> Spine<'a> {
             })
             .collect();
         let mut spine = Spine {
-            supply: shape.supply,
+            supply,
             builder: ChunkBuilder::new(),
             fields: Vec::new(),
             mapped: None,
+            spare_sel: Vec::new(),
             kernels,
             raw: shape.raw,
             filters: shape.filters,
@@ -709,6 +904,7 @@ impl<'a> Spine<'a> {
             ctx,
         };
         spine.set_layout(kb.fields(), decoded);
+        ctx.metrics.bump_spines_compiled();
         Some(spine)
     }
 
@@ -757,11 +953,11 @@ impl<'a> Spine<'a> {
             .next_slice(hint.clamp(1, super::MAX_BATCH_ROWS), self.ctx.metrics)
     }
 
-    /// `fields` of a column-faced bag as the kernels' chunk: its own
-    /// columns, slots mapped by name once per bag.  `None` when the bag
-    /// lacks a field the stretch reads or a `mkproj` beneath the bind
-    /// keeps — the row path's to miss.
-    fn column_chunk(&mut self, bag: &'a Bag, columns: &BagColumns) -> Option<ColumnarChunk> {
+    /// Maps `fields` of a column-faced bag as the kernels' chunk (its own
+    /// columns, slots mapped by name once per bag) into `mapped`; `false`
+    /// when the bag lacks a field the stretch reads or a `mkproj` beneath
+    /// the bind keeps — the row path's to miss.
+    fn map_columns(&mut self, bag: &'a Bag, columns: &BagColumns) -> bool {
         if !self
             .mapped
             .as_ref()
@@ -774,7 +970,9 @@ impl<'a> Spine<'a> {
             let chunk = columns.chunk(&self.fields).filter(|_| kept);
             self.mapped = Some((bag, chunk));
         }
-        self.mapped.as_ref().and_then(|(_, chunk)| chunk.clone())
+        self.mapped
+            .as_ref()
+            .is_some_and(|(_, chunk)| chunk.is_some())
     }
 
     /// The chunk of `slice` — decoded from row values, or the columns a
@@ -783,7 +981,9 @@ impl<'a> Spine<'a> {
     /// (undecodable chunk, a row a projection cannot be taken of, or a
     /// kernel hit an unsupported combination / would-be error).
     fn select(&mut self, slice: Slice<'a>) -> Option<Selected<'a>> {
-        let (chunk, mut sel, mut rows) = match slice {
+        let mut sel = std::mem::take(&mut self.spare_sel);
+        sel.clear();
+        let (decoded, mut rows) = match slice {
             Slice::Rows(values) => {
                 let chunk = self.builder.build(values)?;
                 if self.narrowed.is_some() {
@@ -798,7 +998,8 @@ impl<'a> Spine<'a> {
                 }
                 let len =
                     u32::try_from(values.len()).expect("chunk size is clamped below u32::MAX");
-                (chunk, (0..len).collect(), RowsOf::Slice(values))
+                sel.extend(0..len);
+                (Some(chunk), RowsOf::Slice(values))
             }
             Slice::Columns {
                 bag,
@@ -806,26 +1007,32 @@ impl<'a> Spine<'a> {
                 start,
                 end,
             } => {
-                let chunk = self.column_chunk(bag, columns)?;
-                let mut sel = Vec::with_capacity(end - start);
+                if !self.map_columns(bag, columns) {
+                    return None;
+                }
                 columns.rows_at(start..end, &mut sel);
-                // Elements and column rows are numbered apart.
+                // Elements and column rows are numbered apart; the
+                // elements are wanted only by a tail that hands rows on.
                 let element = |i| u32::try_from(i).expect("a bag of u32 rows");
-                let at = (element(start)..element(end)).collect();
-                (chunk, sel, RowsOf::Bag { bag, at })
+                let at = match self.tail {
+                    Tail::Rows | Tail::Key { .. } => (element(start)..element(end)).collect(),
+                    Tail::Map(..) | Tail::Gather(..) => Vec::new(),
+                };
+                (None, RowsOf::Bag { bag, at })
             }
         };
+        let chunk = chunk_of(&self.mapped, &decoded);
         for kernel in &self.kernels {
             if sel.is_empty() {
                 break;
             }
-            let mask = kernel.eval(&chunk, &sel)?.truthy_mask(sel.len());
+            let mask = kernel.eval(chunk, &sel)?.truthy_mask(sel.len());
             retain_by(&mut sel, &mask);
             if let RowsOf::Bag { at, .. } = &mut rows {
                 retain_by(at, &mask);
             }
         }
-        Some(Selected { chunk, sel, rows })
+        Some(Selected { decoded, sel, rows })
     }
 
     /// The spine's output row for a surviving source row of a batch that
@@ -912,31 +1119,35 @@ impl<'a> Spine<'a> {
     }
 
     fn kernel_chunk(&mut self, slice: Slice<'a>) -> Option<Batch<'a>> {
-        let Selected { chunk, sel, rows } = self.select(slice)?;
-        match (&mut self.tail, &rows) {
+        let selected = self.select(slice)?;
+        let Selected { sel, rows, .. } = &selected;
+        let batch = match (&mut self.tail, rows) {
             (Tail::Map(_, kernel), _) | (Tail::Gather(_, _, kernel), RowsOf::Bag { .. }) => {
-                Some(Batch::Mapped(kernel.eval(&chunk, &sel)?, 0..sel.len()))
+                let chunk = chunk_of(&self.mapped, &selected.decoded);
+                Batch::Mapped(kernel.eval(chunk, sel)?, 0..sel.len())
             }
             // A survivor that is not a struct or lacks the field bails the
             // whole batch (nothing was emitted or counted yet), and the
             // per-row path reproduces the exact row-engine behaviour.
             (Tail::Gather(_, plan, _), RowsOf::Slice(slice)) => {
                 let mut out = Vec::with_capacity(sel.len());
-                for &i in &sel {
+                for &i in sel {
                     let Value::Struct(row) = &slice[i as usize] else {
                         return None;
                     };
                     out.push(gather_lookup(row, plan)?);
                 }
-                Some(Batch::Proj(out.into_iter()))
+                Batch::Proj(out.into_iter())
             }
             (Tail::Rows | Tail::Key { .. }, _) => {
                 let rows: Vec<Row<'a>> = (0..sel.len())
-                    .map(|j| self.make_row(rows.get(j, &sel)))
+                    .map(|j| self.make_row(rows.get(j, sel)))
                     .collect();
-                Some(Batch::Rows(rows.into_iter()))
+                Batch::Rows(rows.into_iter())
             }
-        }
+        };
+        self.spare_sel = selected.sel;
+        Some(batch)
     }
 
     /// Produces the next batch of a join side with its keys and hashes,
@@ -963,7 +1174,12 @@ impl<'a> Spine<'a> {
     }
 
     fn kernel_keys(&mut self, slice: Slice<'a>) -> Option<KeyedBatch<'a>> {
-        let Selected { chunk, sel, rows } = self.select(slice)?;
+        let Selected { decoded, sel, rows } = self.select(slice)?;
+        // The batch keeps its chunk (a pair projection reads it later).
+        let chunk = match decoded {
+            Some(chunk) => chunk,
+            None => chunk_of(&self.mapped, &None).clone(),
+        };
         let Tail::Key {
             kernel,
             slot,
@@ -1046,18 +1262,23 @@ fn fuse_join<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<HashJoi
     else {
         return None;
     };
-    let left_shape = spine_shape(left, true, &ctx)?;
-    let right_shape = spine_shape(right, true, &ctx)?;
-    let build_on_left = decide_build_side(left, right, ctx.options, ctx.resolved);
-    let (build_shape, probe_shape, build_key, probe_key) = if build_on_left {
-        (left_shape, right_shape, left_key, right_key)
-    } else {
-        (right_shape, left_shape, right_key, left_key)
+    let side = |plan| {
+        let (shape, scan) = spine_shape(plan, true)?;
+        Some((shape, Supply::new(member_of(scan, &ctx)?, 1, &ctx)))
     };
-    let (build_binding, probe_binding) = (build_shape.binding, probe_shape.binding);
+    let (left_side, right_side) = (side(left)?, side(right)?);
+    let build_on_left = decide_build_side(left, right, ctx.options, ctx.resolved);
+    let (build_side, probe_side, build_key, probe_key) = if build_on_left {
+        (left_side, right_side, left_key, right_key)
+    } else {
+        (right_side, left_side, right_key, left_key)
+    };
+    let (build_binding, probe_binding) = (build_side.0.binding, probe_side.0.binding);
     let table = JoinTable::default();
-    let build = Spine::compile(build_shape, Some((build_key, table.state())), ctx)?;
-    let mut probe = Spine::compile(probe_shape, Some((probe_key, table.state())), ctx)?;
+    let (shape, supply) = build_side;
+    let build = Spine::compile(shape, supply, Some((build_key, table.state())), ctx)?;
+    let (shape, supply) = probe_side;
+    let mut probe = Spine::compile(shape, supply, Some((probe_key, table.state())), ctx)?;
     // Fuse the map over matched pairs when both sides are bound with
     // distinct names and the projection compiles.  The probe side of the
     // pair kernel is seeded with the probe spine's filter/key columns so

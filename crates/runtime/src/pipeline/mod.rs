@@ -278,13 +278,15 @@ pub struct PipelineMetrics {
     rows_emitted: AtomicUsize,
     rows_kernel: AtomicUsize,
     rows_fallback: AtomicUsize,
+    spines_compiled: AtomicUsize,
     /// Nanoseconds since [`metrics_epoch`] at which the first row reached
     /// a sink through this instance; `u64::MAX` = no row yet.
     first_row_ns: AtomicU64,
-    /// Nanoseconds a consumer of this instance spent blocked waiting for
-    /// a still-streaming source (pending-scan waits).  The complement of
-    /// overlap: execution-window time not spent here was useful combine
-    /// work.
+    /// Nanoseconds a consumer of this instance spent parked waiting for
+    /// a still-streaming source: in a spool's wait loop, or in a union's
+    /// or a class spine's sweep that found no input ready.  The
+    /// complement of overlap: execution-window time not spent here was
+    /// useful combine work.
     source_wait_ns: AtomicU64,
     /// Bytes written to spill runs by memory-budgeted pipeline breakers
     /// (hash-join builds, distinct seen-sets).  Zero under the default
@@ -306,6 +308,7 @@ impl Default for PipelineMetrics {
             rows_emitted: AtomicUsize::new(0),
             rows_kernel: AtomicUsize::new(0),
             rows_fallback: AtomicUsize::new(0),
+            spines_compiled: AtomicUsize::new(0),
             first_row_ns: AtomicU64::new(u64::MAX),
             source_wait_ns: AtomicU64::new(0),
             bytes_spilled: AtomicU64::new(0),
@@ -350,6 +353,8 @@ impl PipelineMetrics {
             .fetch_add(other.rows_kernel(), Ordering::Relaxed);
         self.rows_fallback
             .fetch_add(other.rows_fallback(), Ordering::Relaxed);
+        self.spines_compiled
+            .fetch_add(other.spines_compiled(), Ordering::Relaxed);
         self.first_row_ns.fetch_min(
             other.first_row_ns.load(Ordering::Relaxed),
             Ordering::Relaxed,
@@ -410,6 +415,14 @@ impl PipelineMetrics {
         self.rows_fallback.load(Ordering::Relaxed)
     }
 
+    /// Fused spines compiled: one per class of like-shaped union
+    /// branches, one per join side, one per other fused stretch.  A union
+    /// over any number of sources whose stretches are equal compiles one.
+    #[must_use]
+    pub fn spines_compiled(&self) -> usize {
+        self.spines_compiled.load(Ordering::Relaxed)
+    }
+
     /// When the first row reached a sink, as an elapsed time since
     /// `started` — the *time-to-first-row* of the execution.  `None` when
     /// no row was emitted (empty answers) or `started` is after the first
@@ -424,8 +437,8 @@ impl PipelineMetrics {
         Some(at.saturating_duration_since(started))
     }
 
-    /// Total time the execution spent blocked waiting on still-streaming
-    /// sources.
+    /// Total time the execution spent parked waiting on still-streaming
+    /// sources (zero when every chunk it read was already there).
     #[must_use]
     pub fn source_wait(&self) -> Duration {
         Duration::from_nanos(self.source_wait_ns.load(Ordering::Relaxed))
@@ -454,10 +467,14 @@ impl PipelineMetrics {
     }
 
     fn note_first_row(&self) {
-        // Unconditional `fetch_min`, like `merge`: a load-then-store pair
-        // would let a *later* timestamp overwrite the earlier one.
-        self.first_row_ns
-            .fetch_min(since_epoch_ns(), Ordering::Relaxed);
+        // `fetch_min`, like `merge`: a load-then-store pair would let a
+        // *later* timestamp overwrite the earlier one.  The clock is read
+        // only while no row is noted: a row that finds one noted came
+        // after it.
+        if self.first_row_ns.load(Ordering::Relaxed) == u64::MAX {
+            self.first_row_ns
+                .fetch_min(since_epoch_ns(), Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn add_source_wait(&self, blocked: Duration) {
@@ -488,6 +505,10 @@ impl PipelineMetrics {
         if n != 0 {
             self.rows_fallback.fetch_add(n, Ordering::Relaxed);
         }
+    }
+
+    pub(crate) fn bump_spines_compiled(&self) {
+        self.spines_compiled.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn add_bytes_spilled(&self, n: u64) {

@@ -58,7 +58,7 @@ impl<'a> RowStream<'a> for ScanCursor<'a> {
 /// A position in the chunk chain of a spool.  Chunks come
 /// out as bags borrowed from the spool — never copied, never locked;
 /// for the next one the reader waits through
-/// `PendingSource::chunk_after` and charges the time to
+/// `PendingSource::chunk_after` and charges the time it parked to
 /// [`PipelineMetrics::source_wait`].  Several readers of one
 /// (deduplicated) call walk the same chain independently.
 pub(crate) struct SpoolReader<'a> {
@@ -109,6 +109,11 @@ impl<'a> SpoolReader<'a> {
     /// Whether [`SpoolReader::next_chunk`] would answer without blocking.
     pub(crate) fn ready(&self) -> bool {
         self.exhausted || self.source.ready(self.consumed)
+    }
+
+    /// The spool read.
+    pub(crate) fn source(&self) -> &'a PendingSource {
+        self.source
     }
 }
 

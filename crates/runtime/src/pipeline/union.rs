@@ -1,34 +1,108 @@
-//! Streaming union and flatten.
+//! Streaming union and flatten, and the sweep both a union and a class
+//! spine serve their inputs by.
 
-use std::sync::Arc;
+use std::time::Instant;
 
 use disco_value::{Bag, BagCursor, Value};
 
 use crate::exec::ResolutionEvents;
 
 use super::columnar::{Batch, BatchSource};
-use super::{BoxedRowStream, PipelineCtx, Result, Row, RowStream};
+use super::{BoxedRowStream, PipelineCtx, PipelineMetrics, Result, Row, RowStream};
 
-/// Streams union branches (`mkunion`) as a batch source — no branch
-/// result is ever collected into an intermediate bag, and each branch's
-/// batches pass on in the form they have: a fused branch's struct columns
-/// reach a `distinct` above the union as columns.
+/// How a union and a class spine serve their inputs: a rotating sweep
+/// over lock-free readiness hints ([`Sweep::pick`]).
+#[derive(Default)]
+pub(crate) struct Sweep {
+    /// The input pulled last.
+    last: usize,
+    /// Whether any input was pulled yet.
+    started: bool,
+}
+
+impl Sweep {
+    /// Picks the input to pull from next, among `len` inputs of which
+    /// `state(i)` is `None` for one that is exhausted and otherwise its
+    /// readiness hint: the input pulled last while it is ready, else the
+    /// first ready one after it, round the ring.  With every input ready
+    /// that drains them in order.
+    ///
+    /// Only when a full sweep finds nothing ready does the consumer park
+    /// on the resolution's event generation — read before a second
+    /// sweep, so that progress landing between the two cannot be missed
+    /// — and the park counts as source wait.  Before anything was pulled
+    /// it wakes at the first progress, so the first row leaves as soon as
+    /// any source has one; after that, once `waiting()` progress events
+    /// happened: the caller's count of distinct sources its unready
+    /// inputs wait for, each of which has at least one event to come — so
+    /// a wide class wakes a few times per query, not once per chunk.
+    /// At the deadline, or without a streamed resolution (where
+    /// everything is ready), the first live input is returned: pulling it
+    /// classifies its source through the spool's own wait loop.  At
+    /// least one input must be live.
+    pub(crate) fn pick(
+        &mut self,
+        len: usize,
+        state: impl Fn(usize) -> Option<bool>,
+        mut waiting: impl FnMut() -> usize,
+        events: Option<&ResolutionEvents>,
+        metrics: &PipelineMetrics,
+    ) -> usize {
+        let last = self.last.min(len);
+        let ready = || (last..len).chain(0..last).find(|&i| state(i) == Some(true));
+        let picked = loop {
+            if let Some(i) = ready() {
+                break Some(i);
+            }
+            let Some(events) = events else { break None };
+            let seen = events.generation();
+            if let Some(i) = ready() {
+                break Some(i);
+            }
+            if events.deadline_passed() {
+                break None;
+            }
+            let events_to_come = if self.started { waiting() } else { 1 };
+            let parked = Instant::now();
+            let progressed = events.wait_after(seen, events_to_come as u64);
+            metrics.add_source_wait(parked.elapsed());
+            if !progressed {
+                break None;
+            }
+        };
+        let picked = picked.unwrap_or_else(|| {
+            (0..len)
+                .find(|&i| state(i).is_some())
+                .expect("a sweep has a live input")
+        });
+        (self.last, self.started) = (picked, true);
+        picked
+    }
+}
+
+/// Streams union inputs (`mkunion`) as a batch source — no branch result
+/// is ever collected into an intermediate bag, and each input's batches
+/// pass on in the form they have: a fused class's struct columns reach a
+/// `distinct` above the union as columns.
 ///
-/// With materialized inputs every branch is always ready, so branches
-/// drain in order, exactly the pre-streaming behaviour.  With *pending*
-/// (still-resolving) sources among the branches, the union polls
-/// readiness and pulls from whichever branch has data: the per-source
-/// scans of a federated extent emit rows as each wrapper answers, instead
-/// of the slowest branch gating all the ones behind it.  When no branch
-/// is ready it parks on the resolution's shared event channel until any
-/// source makes progress (bounded by the deadline).  Union output is a
-/// bag, so the arrival-dependent order never changes the answer multiset
-/// or any metric.
+/// The inputs are what `columnar::union_source` makes of the branches:
+/// one spine per class of like-shaped branches, in the place of the
+/// class's first member, and each branch that does not fuse.  They are
+/// served by a [`Sweep`]: with materialized inputs everything is always
+/// ready and the inputs drain in order; with *pending* sources the union
+/// pulls from whichever input has data, so the slowest source does not
+/// gate the ones behind it, and parks on the resolution's shared event
+/// channel only when none has.  Union output is a bag, so the
+/// arrival-dependent order never changes the answer multiset or any
+/// metric.
 pub(crate) struct Union<'a> {
     branches: Vec<BatchSource<'a>>,
     /// Indexes into `branches` that are not yet exhausted.
     active: Vec<usize>,
-    events: Option<Arc<ResolutionEvents>>,
+    /// Serves positions in `active`.
+    sweep: Sweep,
+    events: Option<&'a ResolutionEvents>,
+    metrics: &'a PipelineMetrics,
 }
 
 impl<'a> Union<'a> {
@@ -36,48 +110,25 @@ impl<'a> Union<'a> {
         Union {
             active: (0..branches.len()).collect(),
             branches,
-            events: ctx.resolved.events().cloned(),
+            sweep: Sweep::default(),
+            events: ctx.resolved.events().map(|events| &**events),
+            metrics: ctx.metrics,
         }
     }
 
-    /// The next active branch to pull from: the first that is ready,
-    /// blocking on the event channel while none is.  `None` when every
-    /// branch is exhausted.
-    fn pick(&self) -> Option<usize> {
-        loop {
-            if self.active.is_empty() {
-                return None;
-            }
-            // Read the generation before polling readiness so a chunk
-            // landing between the poll and the wait cannot be missed.
-            let seen = self.events.as_ref().map(|e| e.generation());
-            if let Some(pos) = self
-                .active
-                .iter()
-                .position(|&index| self.branches[index].ready())
-            {
-                return Some(pos);
-            }
-            match (&self.events, seen) {
-                (Some(events), Some(seen)) => {
-                    if events.deadline_passed() || !events.wait_after(seen) {
-                        // Deadline: pull from the first active branch; its
-                        // own wait classifies the source and surfaces the
-                        // pending-unavailable error.
-                        return Some(0);
-                    }
-                }
-                // No streamed resolution: every branch is ready, so this
-                // is unreachable; pull in order as a safe fallback.
-                _ => return Some(0),
-            }
-        }
-    }
-
-    /// The next batch of whichever branch has one; `None` when every
-    /// branch is exhausted.
+    /// The next batch of whichever input has one; `None` when every
+    /// input is exhausted.
     pub(crate) fn next_chunk(&mut self, hint: usize) -> Result<Option<Batch<'a>>> {
-        while let Some(pos) = self.pick() {
+        while !self.active.is_empty() {
+            let (branches, active) = (&self.branches, &self.active);
+            // Two inputs may wait for one source: wake at its progress.
+            let pos = self.sweep.pick(
+                active.len(),
+                |i| Some(branches[active[i]].ready()),
+                || 1,
+                self.events,
+                self.metrics,
+            );
             match self.branches[self.active[pos]].next_chunk(hint)? {
                 Some(batch) => return Ok(Some(batch)),
                 None => {

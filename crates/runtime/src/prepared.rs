@@ -89,7 +89,7 @@ pub(crate) struct CallTable {
     calls: Vec<Arc<Call>>,
     /// Indices into `calls` sorted by extent, plan order among the calls
     /// to one extent: a lookup from a plan node is a binary search and a
-    /// structural comparison, with no key built for it.
+    /// pointer comparison (`ExecKey::is`), with no key built for it.
     by_extent: Vec<usize>,
 }
 
@@ -124,8 +124,8 @@ impl CallTable {
             };
             calls.push(Arc::new(Call {
                 key: ExecKey {
-                    repository: repository.to_owned(),
-                    extent: extent.to_owned(),
+                    repository: Arc::from(repository),
+                    extent: Arc::from(extent),
                     expr: shipped.share(),
                 },
                 wrapper: wrapper.to_owned(),
@@ -164,11 +164,11 @@ impl CallTable {
         let calls = &self.calls;
         let first = self
             .by_extent
-            .partition_point(|&i| calls[i].key.extent.as_str() < extent);
+            .partition_point(|&i| *calls[i].key.extent < *extent);
         self.by_extent[first..]
             .iter()
             .copied()
-            .take_while(|&i| calls[i].key.extent == extent)
+            .take_while(|&i| *calls[i].key.extent == *extent)
             .find(|&i| calls[i].key.is(repository, extent, expr))
     }
 
@@ -246,8 +246,8 @@ pub fn collect_exec_calls(plan: &PhysicalExpr) -> Vec<(ExecKey, String, LogicalE
         .into_iter()
         .map(|(repository, wrapper, extent, shipped)| {
             let key = ExecKey {
-                repository: repository.to_owned(),
-                extent: extent.to_owned(),
+                repository: Arc::from(repository),
+                extent: Arc::from(extent),
                 expr: shipped.share(),
             };
             (key, wrapper.to_owned(), shipped.expr().clone())

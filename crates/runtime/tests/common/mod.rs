@@ -186,8 +186,8 @@ pub fn resolved_twins(plan: &LogicalExpr) -> (LogicalExpr, ResolvedExecs, Resolv
 
 pub fn stats_for(repo: &str, extent: &str, available: bool, rows: usize) -> SourceCallStats {
     SourceCallStats {
-        repository: repo.to_owned(),
-        extent: extent.to_owned(),
+        repository: repo.into(),
+        extent: extent.into(),
         available,
         rows_returned: rows,
         rows_scanned: rows,

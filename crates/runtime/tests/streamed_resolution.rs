@@ -372,6 +372,374 @@ fn join_probed_by_a_slow_source_emits_its_first_row_early() {
 }
 
 // ---------------------------------------------------------------------
+// Classes of like-shaped branches: one spine reads many members.
+// ---------------------------------------------------------------------
+
+/// What a class member's wrapper does besides answering.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Fault {
+    None,
+    /// Pushes one chunk, then fails hard.
+    FailsAfterAChunk,
+    /// Pushes one chunk, then reports the source unavailable.
+    LostAfterAChunk,
+    /// Down from the start.
+    Down,
+    /// Answers only long after the deadline.
+    Slow,
+}
+
+/// A relational source that answers in row chunks or column chunks, and
+/// may fail as its [`Fault`] says.
+struct Member {
+    inner: disco_wrapper::RelationalWrapper,
+    rows: bool,
+    fault: Fault,
+}
+
+/// Forwards chunks, as rows when asked, and stops after `limit` of them.
+struct Faced<'a> {
+    sink: &'a mut dyn AnswerSink,
+    rows: bool,
+    limit: usize,
+    pushed: usize,
+}
+
+impl AnswerSink for Faced<'_> {
+    fn push(&mut self, chunk: Bag) -> bool {
+        let chunk = if self.rows {
+            chunk.iter().cloned().collect()
+        } else {
+            chunk
+        };
+        self.pushed += 1;
+        self.sink.push(chunk) && self.pushed < self.limit
+    }
+    fn is_cancelled(&self) -> bool {
+        self.sink.is_cancelled()
+    }
+    fn pause(&mut self, delay: Duration) -> bool {
+        self.sink.pause(delay)
+    }
+}
+
+impl Wrapper for Member {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn kind(&self) -> &str {
+        self.inner.kind()
+    }
+    fn capabilities(&self) -> CapabilitySet {
+        self.inner.capabilities()
+    }
+    fn submit_into(
+        &self,
+        expr: &LogicalExpr,
+        sink: &mut dyn AnswerSink,
+    ) -> Result<AnswerSummary, WrapperError> {
+        let cut = matches!(self.fault, Fault::FailsAfterAChunk | Fault::LostAfterAChunk);
+        let mut faced = Faced {
+            sink,
+            rows: self.rows,
+            limit: if cut { 1 } else { usize::MAX },
+            pushed: 0,
+        };
+        let answered = self.inner.submit_into(expr, &mut faced);
+        match self.fault {
+            Fault::FailsAfterAChunk => Err(WrapperError::TypeConflict {
+                extent: self.inner.name().to_owned(),
+                missing_attribute: "salary".into(),
+            }),
+            Fault::LostAfterAChunk => Err(WrapperError::Unavailable {
+                endpoint: self.inner.name().to_owned(),
+            }),
+            _ => answered,
+        }
+    }
+}
+
+/// `n` sources (`person{i}` on `r{i}` behind `w{i}`), each answering in
+/// row or column chunks of 3 rows (or whole); `faulty` fails as `fault`.
+fn class_federation(rng: &mut StdRng, n: usize, faulty: usize, fault: Fault) -> Federation {
+    let mut federation = federation_with(&[], 0, 0);
+    for i in 0..n {
+        let (extent, repo, name) = (format!("person{i}"), format!("r{i}"), format!("w{i}"));
+        federation
+            .catalog
+            .add_wrapper(WrapperDef::new(&name, "relational"))
+            .unwrap();
+        federation
+            .catalog
+            .add_repository(Repository::new(&repo))
+            .unwrap();
+        federation
+            .catalog
+            .add_extent(MetaExtent::new(&extent, "Person", &name, &repo))
+            .unwrap();
+        let fault = if i == faulty { fault } else { Fault::None };
+        let mut profile = instant_profile([0, 3][rng.gen_range(0..2usize)]);
+        match fault {
+            Fault::Down => profile.availability = Availability::Unavailable,
+            Fault::Slow => {
+                profile.real_sleep = true;
+                profile.availability = Availability::Slow { extra_ms: 3_000 };
+            }
+            _ => {}
+        }
+        let store = Arc::new(disco_source::RelationalStore::new());
+        let rows = rng.gen_range(0..12);
+        store.put_table(disco_source::generator::person_table(
+            &extent, rows, i as u64, 41,
+        ));
+        let link = Arc::new(disco_source::SimulatedLink::new(&repo, profile, i as u64));
+        federation.registry.register(Arc::new(Member {
+            inner: disco_wrapper::RelationalWrapper::new(&name, store, Arc::clone(&link)),
+            rows: rng.gen_bool(0.5),
+            fault,
+        }));
+        federation.links.push(link);
+    }
+    federation
+}
+
+/// A random union whose branches interleave two or three classes — each
+/// class one fused stretch, equal node for node — with branches that do
+/// not fuse (literal data, a nested-loop join), under a `distinct`, an
+/// aggregate or nothing.  Every branch yields `out` of a person.
+fn class_union(rng: &mut StdRng, n: usize) -> (LogicalExpr, usize) {
+    let above = rng.gen_range(0..4);
+    let out = if above == 2 { "salary" } else { "name" };
+    let submit = |i: usize| {
+        LogicalExpr::get(format!("person{i}")).submit(
+            format!("r{i}"),
+            format!("w{i}"),
+            format!("person{i}"),
+        )
+    };
+    let classes = rng.gen_range(2..4usize);
+    let limits: Vec<i64> = (0..3).map(|_| rng.gen_range(0..1_000)).collect();
+    let field = |name: &str| ScalarExpr::var_field("x", name);
+    let mut fused = 0;
+    let branches = (0..n)
+        .map(|i| {
+            let s = submit(i);
+            // Shapes 0 and 1 are two classes of one structure, told apart
+            // by a constant; shape 3 does not fuse.
+            let kind = rng.gen_range(0..=classes);
+            let shape = match (classes, kind) {
+                (_, k) if k == classes => 3,
+                (3, k) => k,
+                (_, 0) => 0,
+                _ => 2,
+            };
+            if shape < 3 {
+                fused += 1;
+            }
+            match shape {
+                0 | 1 => s
+                    .filter(ScalarExpr::binary(
+                        ScalarOp::Gt,
+                        ScalarExpr::attr("salary"),
+                        ScalarExpr::constant(limits[shape]),
+                    ))
+                    .bind("x")
+                    .map_project(field(out)),
+                2 => s
+                    .project(["name", "salary"])
+                    .bind("x")
+                    .filter(ScalarExpr::binary(
+                        ScalarOp::Gt,
+                        field("salary"),
+                        ScalarExpr::constant(limits[2]),
+                    ))
+                    .map_project(field(out)),
+                _ if rng.gen_bool(0.5) => LogicalExpr::Data(
+                    [common::person(900 + i as i64, "lit", 7)]
+                        .into_iter()
+                        .map(|p| p.field(out).unwrap().clone())
+                        .collect(),
+                ),
+                _ => LogicalExpr::Join {
+                    left: Box::new(s.bind("x")),
+                    right: Box::new(
+                        LogicalExpr::Data([common::person(2, "k", 0)].into_iter().collect())
+                            .bind("y"),
+                    ),
+                    predicate: Some(ScalarExpr::binary(
+                        ScalarOp::Gt,
+                        field("id"),
+                        ScalarExpr::var_field("y", "id"),
+                    )),
+                }
+                .map_project(field(out)),
+            }
+        })
+        .collect();
+    let union = LogicalExpr::Union(branches);
+    let plan = match above {
+        0 => union,
+        1 => LogicalExpr::Distinct(Box::new(union)),
+        2 => LogicalExpr::Aggregate {
+            func: [AggKind::Sum, AggKind::Max][rng.gen_range(0..2usize)],
+            input: Box::new(union),
+        },
+        _ => LogicalExpr::Aggregate {
+            func: AggKind::Count,
+            input: Box::new(LogicalExpr::Distinct(Box::new(union))),
+        },
+    };
+    (plan, fused)
+}
+
+/// Guards a hazard only class spines have: one spine reads the members
+/// of its class — whatever faces their chunks have and wherever they
+/// stand among the branches — and one member's failure, unavailability
+/// or deadline must surface exactly as it did through a spine of its
+/// own.  Every execution matches the two stages over materialized
+/// outcomes: data and residual against the reference evaluator, the
+/// residual's text, `rows_materialized`, the kernel counters and the
+/// spines compiled against the cursor pipeline, the first error.
+#[test]
+fn class_spines_match_the_staged_oracle_under_faults() {
+    let mut rng = StdRng::seed_from_u64(0xC1A55);
+    let mut shared = 0;
+    for trial in 0..36 {
+        let n = rng.gen_range(4..9usize);
+        let fault = match trial % 6 {
+            0 | 1 => Fault::None,
+            2 => Fault::FailsAfterAChunk,
+            3 => Fault::LostAfterAChunk,
+            4 => Fault::Down,
+            _ if trial % 12 == 5 => Fault::Slow,
+            _ => Fault::None,
+        };
+        let faulty = rng.gen_range(0..n);
+        let federation = class_federation(&mut rng, n, faulty, fault);
+        let (plan, fused) = class_union(&mut rng, n);
+        let label = format!("trial {trial}, {fault:?} at source {faulty}: {plan}");
+        let deadline = Some(if fault == Fault::Slow {
+            Duration::from_millis(300)
+        } else {
+            Duration::from_secs(20)
+        });
+        for mem_budget in [MemBudget::Unbounded, MemBudget::Bytes(64 << 10)] {
+            let label = format!("{label}, {mem_budget:?}");
+            let options = PipelineOptions {
+                mem_budget,
+                ..PipelineOptions::default()
+            };
+            let expected = staged(&federation, &plan, options, deadline);
+            let answer = execute(&federation, &plan, options, deadline);
+            let (expected, answer) = match (expected, answer) {
+                (Err(expected), Err(err)) => {
+                    assert_eq!(err.to_string(), expected.to_string(), "{label}");
+                    continue;
+                }
+                (Ok(expected), Ok(answer)) => (expected, answer),
+                (expected, answer) => {
+                    panic!("{label}: staged {expected:?}, executed {answer:?}")
+                }
+            };
+            let stats = answer.stats();
+            let observed: Observed = (
+                answer.data().clone(),
+                answer.residual().cloned(),
+                answer.unavailable_sources().to_vec(),
+                [
+                    stats.rows_materialized,
+                    stats.rows_transferred,
+                    stats.exec_calls,
+                ],
+            );
+            assert_eq!(observed, expected, "{label}");
+            assert_eq!(
+                answer.residual_oql(),
+                expected
+                    .1
+                    .as_ref()
+                    .map(|residual| { disco_oql::print_expr(&logical_to_oql(residual)) }),
+                "{label}"
+            );
+            if !answer.is_complete() {
+                continue;
+            }
+            // The cursor pipeline over materialized outcomes forms the
+            // same classes and scans the same rows on the kernels.
+            let physical = lower(&plan).unwrap();
+            let config = ExecutionConfig {
+                deadline,
+                pipeline: options,
+                ..ExecutionConfig::default()
+            };
+            let resolved = resolve_execs(
+                &physical,
+                &federation.registry,
+                &federation.catalog,
+                &config,
+            )
+            .unwrap();
+            let metrics = PipelineMetrics::new();
+            evaluate_physical_with(&physical, &resolved, &metrics, options).unwrap();
+            assert_eq!(
+                (
+                    stats.rows_kernel,
+                    stats.rows_fallback,
+                    stats.spines_compiled
+                ),
+                (
+                    metrics.rows_kernel(),
+                    metrics.rows_fallback(),
+                    metrics.spines_compiled()
+                ),
+                "{label}"
+            );
+            assert!(stats.spines_compiled <= 3, "{label}: one spine per class");
+            if stats.spines_compiled < fused {
+                shared += 1;
+            }
+        }
+    }
+    assert!(shared > 10, "members shared a spine in {shared} executions");
+}
+
+/// Guards a hazard only the class sweep has: after its first pull it
+/// parks until as many progress events as there are spools its unready
+/// members wait for, and branches of one class can read one call.  Three
+/// copies of a branch over a sleeping source, behind a quick one, must
+/// finish when that source answers — not at the deadline.
+#[test]
+fn branches_reading_one_call_wake_their_class_once_it_answers() {
+    let sleepy = NetworkProfile {
+        base_latency_us: 20_000,
+        per_row_us: 0,
+        jitter: 0.0,
+        real_sleep: true,
+        chunk_rows: 0,
+        availability: Availability::Available,
+    };
+    let federation = federation_with(&[instant_profile(0), sleepy], 8, 5);
+    let plan = LogicalExpr::Union(vec![
+        branch(0, -1),
+        branch(1, -1),
+        branch(1, -1),
+        branch(1, -1),
+    ]);
+    let started = Instant::now();
+    let deadline = Some(Duration::from_secs(20));
+    let answer = execute(&federation, &plan, PipelineOptions::default(), deadline).unwrap();
+    assert!(answer.is_complete());
+    assert_eq!(answer.stats().exec_calls, 2, "the copies share one call");
+    assert_eq!(answer.stats().spines_compiled, 1, "one class");
+    assert_eq!(answer.data().len(), 4 * 8);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "the class waited {:?} for events its one call never sends",
+        started.elapsed()
+    );
+}
+
+// ---------------------------------------------------------------------
 // Fault injection: mid-stream failure and panicking wrappers.
 // ---------------------------------------------------------------------
 

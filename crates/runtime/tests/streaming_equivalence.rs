@@ -218,7 +218,7 @@ fn partial_evaluation_is_the_same_over_column_faced_answers() {
         let (plan, resolved) = random_partial_scenario(&mut rng);
         let mut faced = ResolvedExecs::default();
         for stats in resolved.stats() {
-            let shipped = LogicalExpr::get(&stats.extent);
+            let shipped = LogicalExpr::get(&*stats.extent);
             let key = ExecKey::new(&stats.repository, &stats.extent, &shipped);
             let outcome = match resolved.outcome(&key).expect("inserted") {
                 ExecOutcome::Rows(rows) => ExecOutcome::Rows(common::column_faced(rows)),

@@ -3,8 +3,10 @@
 //! catalog and plan cache track the growth, and answers keep covering the
 //! enlarged federation.
 
+use disco::algebra::PhysicalExpr;
 use disco::core::{CapabilitySet, InterfaceDef, Mediator, NetworkProfile, Value};
 use disco::source::generator;
+use disco::value::Bag;
 
 fn water_mediator(sources: usize) -> Mediator {
     let mut m = Mediator::new("environment");
@@ -215,4 +217,71 @@ fn sleeping_sources_are_still_called_in_parallel() {
         elapsed < std::time::Duration::from_millis(200),
         "48 sources of 20 ms took {elapsed:?}"
     );
+}
+
+/// The fused stretch of a union branch with its scan blanked out: two
+/// branches are of one class exactly when these are equal.
+fn stretch_of(branch: &PhysicalExpr) -> PhysicalExpr {
+    let mut stretch = branch.clone();
+    let mut node = &mut stretch;
+    loop {
+        node = match node {
+            PhysicalExpr::MapOp { input, .. }
+            | PhysicalExpr::FilterOp { input, .. }
+            | PhysicalExpr::BindOp { input, .. }
+            | PhysicalExpr::ProjectOp { input, .. } => input,
+            scan => {
+                *scan = PhysicalExpr::MemScan(Bag::new());
+                return stretch;
+            }
+        };
+    }
+}
+
+/// The union a plan combines its sources with (under an aggregate or
+/// not), and how many distinct stretches its branches have.
+fn distinct_stretches(plan: &PhysicalExpr) -> (usize, usize) {
+    let union = match plan {
+        PhysicalExpr::MkAggregate { input, .. } => input,
+        plan => plan,
+    };
+    let PhysicalExpr::MkUnion(branches) = union else {
+        panic!("a federated extent is a union: {plan:?}");
+    };
+    let mut stretches: Vec<PhysicalExpr> = Vec::new();
+    for branch in branches {
+        let stretch = stretch_of(branch);
+        if !stretches.contains(&stretch) {
+            stretches.push(stretch);
+        }
+    }
+    (branches.len(), stretches.len())
+}
+
+/// Fails at the parent commit, which compiled a spine per source: a hot
+/// query over 256 like sources compiles one spine per distinct stretch of
+/// its union — however many sources share it — and runs every row
+/// through the kernels.
+#[test]
+fn a_hot_query_compiles_a_spine_per_class_of_branches_not_per_source() {
+    let m = water_mediator(256);
+    for text in [
+        "select m.site from m in measurement where m.ph > 7.5",
+        QUERY,
+    ] {
+        let (branches, stretches) = distinct_stretches(&m.explain(text).unwrap().plan.physical);
+        assert_eq!(branches, 256);
+        m.query(text).unwrap();
+        let answer = m.query(text).unwrap(); // a plan-cache hit
+        assert!(answer.is_complete());
+        let stats = answer.stats();
+        assert_eq!(stats.exec_calls, 256);
+        assert_eq!(stats.spines_compiled, stretches, "{text}");
+        assert!(
+            stretches <= 2,
+            "{text}: like sources fall into one class or two"
+        );
+        assert!(stats.rows_kernel > 0, "{text}");
+        assert_eq!(stats.rows_fallback, 0, "{text}: kernel coverage 1.0");
+    }
 }
