@@ -27,11 +27,11 @@ pub enum RuntimeError {
     WorkerPanic(String),
     /// A *pending* (still-streaming) source was classified unavailable —
     /// either its wrapper reported unavailability mid-stream or the
-    /// execution deadline expired while it was still answering.  This is
-    /// the streamed-resolution analogue of `resolve_execs` returning an
-    /// unavailable outcome: the executor catches it, finalizes the
-    /// resolution and falls back to partial evaluation; it is **not** a
-    /// hard error for callers of [`crate::Executor::execute`].
+    /// execution deadline expired while it was still answering.  It is
+    /// the pass's branch-local unwind: a root union drops the branch that
+    /// reads the source and streams on, and under any other root the
+    /// executor ends the pass with no data.  It is **not** a hard error
+    /// for callers of [`crate::Executor::execute`].
     PendingUnavailable(String),
     /// A spill file of a memory-budgeted pipeline breaker could not be
     /// written or read back (disk full, spill directory missing, corrupt
@@ -56,7 +56,7 @@ impl fmt::Display for RuntimeError {
                 write!(
                     f,
                     "source {repository} became unavailable during streamed resolution \
-                     (partial evaluation required)"
+                     (what reads it goes residual)"
                 )
             }
             RuntimeError::Spill(msg) => write!(f, "spill i/o error: {msg}"),

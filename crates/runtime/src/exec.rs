@@ -41,7 +41,7 @@
 //! deadline, spools that are still streaming flip to unavailable, the
 //! wrapper call is cancelled (so a timed-out call does not keep running
 //! in the background, and a call still queued never starts), and the
-//! executor falls back to partial evaluation over the finalized outcomes.
+//! pass unwinds to the root union branch that reads the source.
 //!
 //! [`resolve_execs`] is the materializing helper over the same machinery:
 //! queue every call, wait for all spools (bounded by the deadline) and
@@ -1403,10 +1403,7 @@ mod tests {
         registry.register(Arc::new(FailsAfterAChunk));
         let plan = lower(&LogicalExpr::get("person0").submit("r0", "w0", "person0")).unwrap();
         let reads = read_finished_spools(&plan, &registry, &catalog);
-        assert!(matches!(
-            reads[..],
-            [Err(RuntimeError::PendingUnavailable(ref repository))] if repository == "r0"
-        ));
+        assert_eq!(reads, [Err(RuntimeError::PendingUnavailable("r0".into()))]);
     }
 
     #[test]

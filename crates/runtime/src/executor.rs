@@ -10,10 +10,9 @@ use disco_optimizer::CalibrationStore;
 use disco_wrapper::WrapperRegistry;
 
 use crate::calls::CallExecutor;
-use crate::eval::evaluate_physical_with;
 use crate::exec::{resolve_on, ExecutionConfig};
-use crate::partial::{partial_evaluate, substitute_resolved, Answer, ExecutionStats};
-use crate::pipeline::{MemBudget, PipelineMetrics};
+use crate::partial::{partial_answer, Answer, ExecutionStats};
+use crate::pipeline::{evaluate_pass, MemBudget, PipelineMetrics};
 use crate::prepared::{CallTable, PreparedPlan};
 use crate::{Result, RuntimeError};
 
@@ -117,13 +116,14 @@ impl Executor {
     /// `catalog` and runs it, as [`Executor::execute_prepared`] runs a
     /// cached plan's.
     ///
-    /// Every `exec` call is queued at once and the plan is evaluated
-    /// optimistically while row chunks arrive, so the slowest source does
-    /// not gate the combine step.  If every source answers, the result is
-    /// a complete [`Answer`].  If a source reports unavailability or is
-    /// still streaming at the deadline, the plan is partially evaluated
-    /// over the finalized outcomes and the answer contains both the data
-    /// obtained and the residual query (§4).
+    /// Every `exec` call is queued at once and the plan is evaluated in
+    /// one pass while row chunks arrive, so the slowest source does not
+    /// gate the combine step.  If every source answers, the result is a
+    /// complete [`Answer`].  If a source reports unavailability or is
+    /// still streaming at the deadline, the answer holds the data obtained
+    /// and the residual query (§4): under a root union the loss unwinds
+    /// only to the branch reading the source, and the pass's rows of every
+    /// branch whose calls all answered are the data.
     ///
     /// # Errors
     ///
@@ -150,8 +150,9 @@ impl Executor {
         let mut resolved = resolve_on(CallExecutor::global(), calls, &self.registry, &self.config)?;
         let options = self.config.pipeline;
         let metrics = PipelineMetrics::new();
-        let optimistic = match evaluate_physical_with(plan, &resolved, &metrics, options) {
-            Ok(data) => Some(data),
+        let pass = match evaluate_pass(plan, &resolved, &metrics, options) {
+            Ok(pass) => Some(pass),
+            // A loss under a root that is not a union ends the pass.
             Err(RuntimeError::PendingUnavailable(_)) => None,
             Err(other) => {
                 // Hard error: disconnect the remaining wrapper calls so
@@ -164,19 +165,11 @@ impl Executor {
         // a nested sub-plan guarded by an empty outer — so classification
         // does not depend on what the plan happened to drain.
         resolved.finalize_streamed()?;
-        let (data, residual) = match optimistic {
-            Some(data) if resolved.all_available() => (data, None),
-            // A source turned out (or was deadline-classified) unavailable:
-            // data from the sources that answered plus the residual plan
-            // over the ones that did not.  The optimistic attempt's metrics
-            // stay: its first row genuinely reached the sink while sources
-            // were still answering.
-            _ => {
-                let substituted = substitute_resolved(&plan.to_logical(), &resolved);
-                partial_evaluate(&substituted, &resolved, options)?
-            }
+        let (data, residual) = match pass {
+            Some((data, _)) if resolved.all_available() => (data, None),
+            pass => partial_answer(plan, pass, &resolved, &metrics, options)?,
         };
-        let stats = ExecutionStats::of(resolved, &metrics, started);
+        let stats = ExecutionStats::of(resolved, &metrics, started, &data);
         let answer = match residual {
             Some(residual) => Answer::partial(data, residual, stats),
             None => Answer::complete(data, stats),

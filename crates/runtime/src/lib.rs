@@ -17,9 +17,14 @@
 //! ([`resolve_execs_streamed`]; one bounded, process-wide call executor
 //! runs them — a call sleeping out a link delay holds no runner, so
 //! threads follow the machine and the calls that wait, not the source
-//! count), evaluates the plan optimistically while row chunks arrive, finalizes the resolution, and — when a source turned
-//! out (or was deadline-classified) unavailable — partially evaluates over
-//! the finalized outcomes ([`partial_evaluate`]).  There is no blocking
+//! count), evaluates the plan in one pass while row chunks arrive, and
+//! finalizes the resolution.  A source that turns out (or is
+//! deadline-classified) unavailable unwinds the pass only to the root
+//! union branch that reads it; the other branches stream on, and their
+//! rows are the data of the partial answer, whose residual is §4's
+//! reduction of the lost branches.  Under a root that is not a union the
+//! loss ends the pass, and the answer is [`partial_evaluate`]'s: no data
+//! and the reduced plan.  The pass never restarts.  There is no blocking
 //! mode; [`resolve_execs`] (streamed resolution, then finalization) is a
 //! helper handing oracles, tests and staged measurements the materialized
 //! outcomes a streamed execution must agree with.  Below the executor
@@ -112,8 +117,7 @@ pub use exec::{
 };
 pub use executor::Executor;
 pub use partial::{
-    is_fully_resolved, partial_evaluate, partial_evaluate_reference, substitute_resolved, Answer,
-    ExecutionStats,
+    is_fully_resolved, partial_evaluate, partial_evaluate_reference, Answer, ExecutionStats,
 };
 pub use pipeline::{BuildSide, MemBudget, PipelineMetrics, PipelineOptions};
 pub use pool::SourcePool;

@@ -10,12 +10,14 @@
 
 use std::time::Instant;
 
-use disco_algebra::{logical_to_oql, lower, Env, LogicalExpr, ScalarExpr};
+use disco_algebra::{logical_to_oql, lower, Env, LogicalExpr, PhysicalExpr, ScalarExpr};
 use disco_oql::print_expr;
 use disco_value::Bag;
 
 use crate::exec::{ExecOutcome, ResolvedExecs, SourceCallStats};
-use crate::pipeline::{evaluate_physical_streamed, PipelineMetrics, PipelineOptions};
+use crate::pipeline::{
+    evaluate_physical_streamed, root_branches, Pass, PipelineMetrics, PipelineOptions,
+};
 use crate::{Result, RuntimeError};
 
 /// Execution statistics attached to every answer.
@@ -36,8 +38,8 @@ pub struct ExecutionStats {
     pub rows_transferred: usize,
     /// Rows buffered by pipeline breakers (hash-join build side, the inner
     /// side of nested-loop joins, the distinct seen-set) while streaming
-    /// the combine step.  Zero for partial answers, whose resolved
-    /// subtrees are reduced piecemeal.
+    /// the combine step: the one pass (a lost root union branch up to its
+    /// loss) and the resolved subtrees a residual was reduced over.
     pub rows_materialized: usize,
     /// Repositories classified unavailable during this execution.
     pub unavailable: Vec<String>,
@@ -48,7 +50,8 @@ pub struct ExecutionStats {
     /// How long after the query started the first answer row reached the
     /// final sink.  Typically far below [`ExecutionStats::elapsed`]: fast
     /// sources' rows are combined while slow sources are still answering.
-    /// `None` when no row reached the sink.
+    /// `None` when the answer holds no data.  A partial answer's first
+    /// row can be one of a root union branch dropped later.
     pub time_to_first_row: Option<std::time::Duration>,
     /// Total time the execution spent waiting on sources: the combine
     /// step parked on still-streaming spools (a chunk that was already
@@ -94,22 +97,21 @@ impl ExecutionStats {
     /// The statistics of one finished execution, filled at this one site:
     /// source-side totals from the finalized `resolved`, combine-side
     /// counters from the execution's `metrics`, wall-clock since `started`.
-    pub(crate) fn of(resolved: ResolvedExecs, metrics: &PipelineMetrics, started: Instant) -> Self {
-        let unavailable = resolved.unavailable_repositories();
+    pub(crate) fn of(
+        resolved: ResolvedExecs,
+        metrics: &PipelineMetrics,
+        started: Instant,
+        data: &Bag,
+    ) -> Self {
         ExecutionStats {
             exec_calls: resolved.call_count(),
             rows_transferred: resolved.rows_transferred(),
-            // A partial answer reduces its resolved subtrees piecemeal;
-            // what the abandoned optimistic attempt buffered is not a
-            // property of the answer.
-            rows_materialized: if unavailable.is_empty() {
-                metrics.rows_materialized()
-            } else {
-                0
-            },
-            unavailable,
+            rows_materialized: metrics.rows_materialized(),
+            unavailable: resolved.unavailable_repositories(),
             elapsed: started.elapsed(),
-            time_to_first_row: metrics.time_to_first_row_since(started),
+            time_to_first_row: metrics
+                .time_to_first_row_since(started)
+                .filter(|_| !data.is_empty()),
             source_wait: metrics.source_wait() + resolved.source_queue_wait(),
             rows_kernel: metrics.rows_kernel(),
             rows_fallback: metrics.rows_fallback(),
@@ -202,8 +204,8 @@ impl Answer {
     }
 
     /// How long after the query started the first answer row reached the
-    /// final sink (the streamed-resolution latency win; `None` when no
-    /// row was produced before the combine finished).
+    /// final sink (the streamed-resolution latency win; `None` when the
+    /// answer holds no data).
     #[must_use]
     pub fn time_to_first_row(&self) -> Option<std::time::Duration> {
         self.stats.time_to_first_row
@@ -216,116 +218,75 @@ impl Answer {
     }
 }
 
-/// Replaces every `submit` whose call succeeded with its data, both in the
-/// plan and inside aggregate sub-plans carried by scalar expressions.
+/// Returns `true` when the plan has no source access left: every
+/// `submit` in it — aggregate sub-plans included — answered in
+/// `resolved`.
 #[must_use]
-pub fn substitute_resolved(plan: &LogicalExpr, resolved: &ResolvedExecs) -> LogicalExpr {
-    let replaced = match plan {
+pub fn is_fully_resolved(plan: &LogicalExpr, resolved: &ResolvedExecs) -> bool {
+    let structurally = match plan {
+        // An answered `submit` is data; what it ships is not evaluated here.
         LogicalExpr::Submit {
             repository,
             extent,
             expr,
             ..
-        } => match resolved.outcome_of(repository, extent, expr) {
-            Some(ExecOutcome::Rows(rows)) => return LogicalExpr::Data(rows.clone()),
-            _ => plan.clone(),
-        },
-        _ => plan.clone(),
-    };
-    // Recurse into children and into scalar sub-plans.
-    let rebuilt = replaced.map_children(&|child| substitute_resolved(child, resolved));
-    match rebuilt {
-        LogicalExpr::Filter { input, predicate } => LogicalExpr::Filter {
-            input,
-            predicate: substitute_in_scalar(&predicate, resolved),
-        },
-        LogicalExpr::MapProject { input, projection } => LogicalExpr::MapProject {
-            input,
-            projection: substitute_in_scalar(&projection, resolved),
-        },
-        LogicalExpr::Join {
-            left,
-            right,
-            predicate,
-        } => LogicalExpr::Join {
-            left,
-            right,
-            predicate: predicate.map(|p| substitute_in_scalar(&p, resolved)),
-        },
-        other => other,
-    }
-}
-
-fn substitute_in_scalar(expr: &ScalarExpr, resolved: &ResolvedExecs) -> ScalarExpr {
-    match expr {
-        ScalarExpr::Agg(kind, plan) => {
-            ScalarExpr::Agg(*kind, Box::new(substitute_resolved(plan, resolved)))
+        } => {
+            let outcome = resolved.outcome_of(repository, extent, expr);
+            return matches!(outcome, Some(ExecOutcome::Rows(_)));
         }
-        ScalarExpr::Binary { op, left, right } => ScalarExpr::Binary {
-            op: *op,
-            left: Box::new(substitute_in_scalar(left, resolved)),
-            right: Box::new(substitute_in_scalar(right, resolved)),
-        },
-        ScalarExpr::Not(inner) => ScalarExpr::Not(Box::new(substitute_in_scalar(inner, resolved))),
-        ScalarExpr::Field(inner, field) => ScalarExpr::Field(
-            Box::new(substitute_in_scalar(inner, resolved)),
-            field.clone(),
-        ),
-        ScalarExpr::StructLit(fields) => ScalarExpr::StructLit(
-            fields
-                .iter()
-                .map(|(n, e)| (n.clone(), substitute_in_scalar(e, resolved)))
-                .collect(),
-        ),
-        ScalarExpr::Call(name, args) => ScalarExpr::Call(
-            name.clone(),
-            args.iter()
-                .map(|a| substitute_in_scalar(a, resolved))
-                .collect(),
-        ),
-        ScalarExpr::Const(_) | ScalarExpr::Attr(_) | ScalarExpr::Var(_) => expr.clone(),
-    }
-}
-
-/// Returns `true` when the plan contains no remaining source access,
-/// looking inside aggregate sub-plans as well.
-#[must_use]
-pub fn is_fully_resolved(plan: &LogicalExpr) -> bool {
-    fn scalar_resolved(expr: &ScalarExpr) -> bool {
-        match expr {
-            ScalarExpr::Agg(_, plan) => is_fully_resolved(plan),
-            ScalarExpr::Binary { left, right, .. } => {
-                scalar_resolved(left) && scalar_resolved(right)
-            }
-            ScalarExpr::Not(inner) | ScalarExpr::Field(inner, _) => scalar_resolved(inner),
-            ScalarExpr::StructLit(fields) => fields.iter().all(|(_, e)| scalar_resolved(e)),
-            ScalarExpr::Call(_, args) => args.iter().all(scalar_resolved),
-            ScalarExpr::Const(_) | ScalarExpr::Attr(_) | ScalarExpr::Var(_) => true,
-        }
-    }
-    let structurally = match plan {
-        LogicalExpr::Submit { .. } | LogicalExpr::Get { .. } => false,
-        LogicalExpr::Filter { predicate, .. } => scalar_resolved(predicate),
-        LogicalExpr::MapProject { projection, .. } => scalar_resolved(projection),
+        LogicalExpr::Get { .. } => false,
+        LogicalExpr::Filter { predicate, .. } => scalar_resolved(predicate, resolved),
+        LogicalExpr::MapProject { projection, .. } => scalar_resolved(projection, resolved),
         LogicalExpr::Join {
             predicate: Some(p), ..
-        } => scalar_resolved(p),
+        } => scalar_resolved(p, resolved),
         _ => true,
     };
-    structurally && plan.children().iter().all(|c| is_fully_resolved(c))
+    structurally
+        && plan
+            .children()
+            .iter()
+            .all(|c| is_fully_resolved(c, resolved))
+}
+
+/// [`is_fully_resolved`] for the aggregate sub-plans of a scalar.
+fn scalar_resolved(expr: &ScalarExpr, resolved: &ResolvedExecs) -> bool {
+    match expr {
+        ScalarExpr::Agg(_, plan) => is_fully_resolved(plan, resolved),
+        ScalarExpr::Binary { left, right, .. } => {
+            scalar_resolved(left, resolved) && scalar_resolved(right, resolved)
+        }
+        ScalarExpr::Not(inner) | ScalarExpr::Field(inner, _) => scalar_resolved(inner, resolved),
+        ScalarExpr::StructLit(fields) => fields.iter().all(|(_, e)| scalar_resolved(e, resolved)),
+        ScalarExpr::Call(_, args) => args.iter().all(|a| scalar_resolved(a, resolved)),
+        ScalarExpr::Const(_) | ScalarExpr::Attr(_) | ScalarExpr::Var(_) => true,
+    }
 }
 
 /// The evaluator used to collapse fully resolved subtrees to data: the
 /// streaming engine in production, the reference evaluator in the
 /// differential tests.
-type SubtreeEval = dyn Fn(&LogicalExpr, &ResolvedExecs, &Env<'_>) -> Result<Bag>;
+type Eval<'e> = dyn Fn(&LogicalExpr, &ResolvedExecs, &Env<'_>) -> Result<Bag> + 'e;
 
-/// Partially evaluates a substituted plan: every fully resolved subtree is
-/// **streamed** to data through the cursor pipeline under `options`;
-/// unions separate into residual branches plus one data branch; anything
-/// else keeps its unresolved shape.  Plans that touch unavailable sources
-/// are never opened, and the residual-plan construction never evaluates
-/// anything, so residual plans are identical whatever `options` says.
+/// The streaming engine as a [`Eval`], counting into `metrics`.
+fn streamed(
+    metrics: &PipelineMetrics,
+    options: PipelineOptions,
+) -> impl Fn(&LogicalExpr, &ResolvedExecs, &Env<'_>) -> Result<Bag> + '_ {
+    move |plan, resolved, outer| {
+        let physical = lower(plan).map_err(RuntimeError::Algebra)?;
+        evaluate_physical_streamed(&physical, resolved, outer, metrics, options)
+    }
+}
+
+/// Partially evaluates a plan over finalized outcomes: every fully
+/// resolved subtree — an answered `submit` is one — is **streamed** to
+/// data through the cursor pipeline under `options`, counted into
+/// `metrics`; unions separate into residual branches plus one data
+/// branch; anything else keeps its unresolved shape.  Plans that touch
+/// unavailable sources are never opened, and the residual-plan
+/// construction never evaluates anything, so residual plans are identical
+/// whatever `options` says.
 ///
 /// Returns the data obtained and the residual plan (if any work remains).
 ///
@@ -335,13 +296,10 @@ type SubtreeEval = dyn Fn(&LogicalExpr, &ResolvedExecs, &Env<'_>) -> Result<Bag>
 pub fn partial_evaluate(
     plan: &LogicalExpr,
     resolved: &ResolvedExecs,
+    metrics: &PipelineMetrics,
     options: PipelineOptions,
 ) -> Result<(Bag, Option<LogicalExpr>)> {
-    let eval = move |plan: &LogicalExpr, resolved: &ResolvedExecs, outer: &Env<'_>| {
-        let physical = lower(plan).map_err(RuntimeError::Algebra)?;
-        evaluate_physical_streamed(&physical, resolved, outer, &PipelineMetrics::new(), options)
-    };
-    partial_evaluate_with(plan, resolved, &eval)
+    partial_evaluate_with(plan, resolved, &streamed(metrics, options))
 }
 
 /// [`partial_evaluate`] driven by the bag-at-a-time reference evaluator
@@ -364,40 +322,84 @@ pub fn partial_evaluate_reference(
 fn partial_evaluate_with(
     plan: &LogicalExpr,
     resolved: &ResolvedExecs,
-    eval: &SubtreeEval,
+    eval: &Eval<'_>,
 ) -> Result<(Bag, Option<LogicalExpr>)> {
-    if is_fully_resolved(plan) {
+    if is_fully_resolved(plan, resolved) {
         return Ok((eval(plan, resolved, &Env::root())?, None));
     }
     match reduce(plan, resolved, eval)? {
-        LogicalExpr::Union(items) => {
-            let mut data = Bag::new();
-            let mut residual_items = Vec::new();
-            for item in items {
-                match item {
-                    LogicalExpr::Data(bag) => data.extend(bag),
-                    other => residual_items.push(other),
-                }
-            }
-            let residual = match residual_items.len() {
-                0 => None,
-                1 => Some(residual_items.into_iter().next().expect("one item")),
-                _ => Some(LogicalExpr::Union(residual_items)),
+        LogicalExpr::Union(mut items) => {
+            // `reduce` merges a union's data into its last item.
+            let data = match items.pop_if(|item| matches!(item, LogicalExpr::Data(_))) {
+                Some(LogicalExpr::Data(bag)) => bag,
+                _ => Bag::new(),
             };
-            Ok((data, residual))
+            Ok((data, union_of(items)))
         }
         other => Ok((Bag::new(), Some(other))),
     }
 }
 
-/// Whether a plan yields range-variable environments (`{var: row}` frames)
-/// rather than plain values.
-fn yields_environments(plan: &LogicalExpr) -> bool {
-    match plan {
-        LogicalExpr::Bind { .. } | LogicalExpr::Join { .. } => true,
-        LogicalExpr::Filter { input, .. } => yields_environments(input),
-        _ => false,
+/// The residual of residual branches: none, the one, or their union.
+fn union_of(mut items: Vec<LogicalExpr>) -> Option<LogicalExpr> {
+    match items.len() {
+        0 => None,
+        1 => items.pop(),
+        _ => Some(LogicalExpr::Union(items)),
     }
+}
+
+/// The partial answer of an execution from the pass that ran (`None` when
+/// a loss ended it).  Under a root union the pass's rows of each branch
+/// that reduction collapses to data are the data, and the residual is the
+/// reduction of the other branches alone.  Under any other root this is
+/// [`partial_evaluate`].
+pub(crate) fn partial_answer(
+    plan: &PhysicalExpr,
+    pass: Option<Pass>,
+    resolved: &ResolvedExecs,
+    metrics: &PipelineMetrics,
+    options: PipelineOptions,
+) -> Result<(Bag, Option<LogicalExpr>)> {
+    let eval = streamed(metrics, options);
+    let (Some(items), Some((data, mut runs))) = (root_branches(plan), pass) else {
+        return partial_evaluate_with(&plan.to_logical(), resolved, &eval);
+    };
+    let branches: Vec<LogicalExpr> = items.iter().map(PhysicalExpr::to_logical).collect();
+    let kept: Vec<bool> = branches.iter().map(|b| collapses(b, resolved)).collect();
+    // The kept branches' rows, branch by branch: a partial answer is the
+    // same bag, printed as the same text, however its sources' chunks
+    // interleaved in the sink.
+    let data = if runs.iter().all(|(b, _)| kept[*b]) && runs.is_sorted_by_key(|(b, _)| *b) {
+        data
+    } else {
+        runs.retain(|(branch, _)| kept[*branch]);
+        runs.sort_by_key(|(branch, _)| *branch);
+        let rows = data.as_slice();
+        let kept_rows = runs.into_iter().flat_map(|(_, run)| rows[run].iter());
+        kept_rows.cloned().collect()
+    };
+    let lost = branches
+        .iter()
+        .zip(kept)
+        .filter(|(_, kept)| !kept)
+        .map(|(branch, _)| reduce(branch, resolved, &eval))
+        .collect::<Result<Vec<_>>>()?;
+    Ok((data, union_of(lost)))
+}
+
+/// Whether reduction collapses a plan to data: it is fully resolved and
+/// yields plain values, not range-variable environments (`{var: row}`
+/// frames).
+fn collapses(plan: &LogicalExpr, resolved: &ResolvedExecs) -> bool {
+    fn yields_environments(plan: &LogicalExpr) -> bool {
+        match plan {
+            LogicalExpr::Bind { .. } | LogicalExpr::Join { .. } => true,
+            LogicalExpr::Filter { input, .. } => yields_environments(input),
+            _ => false,
+        }
+    }
+    is_fully_resolved(plan, resolved) && !yields_environments(plan)
 }
 
 /// Bottom-up reduction: fully resolved subtrees collapse to `Data`.
@@ -406,8 +408,8 @@ fn yields_environments(plan: &LogicalExpr) -> bool {
 /// `bind`s, not through them: the unresolved operator above still names
 /// the range variables, and the residual must print as a query in which
 /// they are bound (`y in bag(...)`), or it could not be resubmitted.
-fn reduce(plan: &LogicalExpr, resolved: &ResolvedExecs, eval: &SubtreeEval) -> Result<LogicalExpr> {
-    if is_fully_resolved(plan) && !yields_environments(plan) {
+fn reduce(plan: &LogicalExpr, resolved: &ResolvedExecs, eval: &Eval<'_>) -> Result<LogicalExpr> {
+    if collapses(plan, resolved) {
         let bag = eval(plan, resolved, &Env::root())?;
         return Ok(LogicalExpr::Data(bag));
     }
@@ -453,6 +455,14 @@ mod tests {
     use crate::exec::{ExecKey, ExecOutcome, SourceCallStats};
     use disco_algebra::{data_of, ScalarOp};
     use disco_value::{StructValue, Value};
+
+    fn streamed_partial(
+        plan: &LogicalExpr,
+        resolved: &ResolvedExecs,
+    ) -> (Bag, Option<LogicalExpr>) {
+        let options = PipelineOptions::default();
+        partial_evaluate(plan, resolved, &PipelineMetrics::new(), options).unwrap()
+    }
 
     fn person(name: &str, salary: i64) -> Value {
         Value::Struct(
@@ -508,25 +518,19 @@ mod tests {
     }
 
     #[test]
-    fn substitution_replaces_only_available_sources() {
-        let (plan, resolved) = paper_scenario();
-        let substituted = substitute_resolved(&plan, &resolved);
-        assert_eq!(substituted.collect_submits().len(), 1);
-        assert!(!is_fully_resolved(&substituted));
-    }
-
-    #[test]
     fn partial_evaluation_produces_the_paper_partial_answer() {
         let (plan, resolved) = paper_scenario();
-        let substituted = substitute_resolved(&plan, &resolved);
+        assert!(!is_fully_resolved(&plan, &resolved));
+        let metrics = PipelineMetrics::new();
         let (data, residual) =
-            partial_evaluate(&substituted, &resolved, PipelineOptions::default()).unwrap();
+            partial_evaluate(&plan, &resolved, &metrics, PipelineOptions::default()).unwrap();
+        assert_eq!(metrics.rows_emitted(), 1, "Sam's row, streamed once");
         assert_eq!(data, [Value::from("Sam")].into_iter().collect());
         let residual = residual.expect("residual query over r0");
         let text = print_expr(&logical_to_oql(&residual));
         assert_eq!(text, "select y.name from y in person0 where y.salary > 10");
         // The combined answer is the §1.3 form.
-        let stats = ExecutionStats::of(resolved, &PipelineMetrics::new(), Instant::now());
+        let stats = ExecutionStats::of(resolved, &metrics, Instant::now(), &data);
         let answer = Answer::partial(data, residual, stats);
         assert!(!answer.is_complete());
         assert_eq!(
@@ -566,10 +570,8 @@ mod tests {
                 latency: std::time::Duration::ZERO,
             },
         );
-        let substituted = substitute_resolved(&plan, &resolved);
-        assert!(is_fully_resolved(&substituted));
-        let (data, residual) =
-            partial_evaluate(&substituted, &resolved, PipelineOptions::default()).unwrap();
+        assert!(is_fully_resolved(&plan, &resolved));
+        let (data, residual) = streamed_partial(&plan, &resolved);
         assert!(residual.is_none());
         assert_eq!(
             data,
@@ -611,8 +613,7 @@ mod tests {
         }
         .map_project(ScalarExpr::var_field("x", "name"));
         let resolved = ResolvedExecs::default();
-        let (data, residual) =
-            partial_evaluate(&plan, &resolved, PipelineOptions::default()).unwrap();
+        let (data, residual) = streamed_partial(&plan, &resolved);
         assert!(data.is_empty());
         // The resolved side keeps its range variable, so the residual is a
         // query the predicate's `y` is bound in.
@@ -626,8 +627,7 @@ mod tests {
     #[test]
     fn data_only_unions_have_no_residual() {
         let plan = LogicalExpr::Union(vec![data_of(["a"]), data_of(["b"])]);
-        let (data, residual) =
-            partial_evaluate(&plan, &ResolvedExecs::default(), PipelineOptions::default()).unwrap();
+        let (data, residual) = streamed_partial(&plan, &ResolvedExecs::default());
         assert_eq!(data.len(), 2);
         assert!(residual.is_none());
     }

@@ -101,6 +101,7 @@ use super::union::{Sweep, Union};
 use super::{
     build, decide_build_side, eval_in_row, BoxedRowStream, PipelineCtx, Result, Row, RowStream,
 };
+use crate::RuntimeError;
 
 /// Attempts to intercept `plan` with a columnar cursor; `None` means "not
 /// fusable here" and the caller builds row cursors (recursing into this
@@ -121,7 +122,7 @@ pub(crate) fn batch_source<'a>(
     ctx: PipelineCtx<'a>,
 ) -> Result<BatchSource<'a>> {
     if let PhysicalExpr::MkUnion(items) = plan {
-        return union_source(items, ctx);
+        return union_source(items, false, ctx);
     }
     match fuse_source(plan, ctx) {
         Some(source) => Ok(source),
@@ -138,11 +139,20 @@ pub(crate) fn batch_source<'a>(
 /// row path reports it).  Finding a branch's class is an equality walk
 /// over the stretch, and allocates nothing.  A union of one input is
 /// that input.
-fn union_source<'a>(items: &'a [PhysicalExpr], ctx: PipelineCtx<'a>) -> Result<BatchSource<'a>> {
+///
+/// The `root` union of a pass is as far as a lost source unwinds: the
+/// [`Union`] drops the input that reads it and a class's [`Supply`] the
+/// member, and the other branches stream on.  Each input knows which
+/// branch its batches come from ([`BatchSource::branch`]).
+pub(crate) fn union_source<'a>(
+    items: &'a [PhysicalExpr],
+    root: bool,
+    ctx: PipelineCtx<'a>,
+) -> Result<BatchSource<'a>> {
     // Per class: its first branch, which the others are compared with,
     // and where its spine stands among the inputs.
     let mut classes: Vec<(&'a PhysicalExpr, usize)> = Vec::new();
-    let mut inputs: Vec<BatchSource<'a>> = Vec::new();
+    let mut inputs: Vec<(usize, BatchSource<'a>)> = Vec::new();
     for (i, item) in items.iter().enumerate() {
         let joined = classes
             .iter()
@@ -150,27 +160,28 @@ fn union_source<'a>(items: &'a [PhysicalExpr], ctx: PipelineCtx<'a>) -> Result<B
         match joined {
             Some((at, scan)) => {
                 if let Some(member) = member_of(scan, &ctx) {
-                    let BatchSource::Spine(spine) = &mut inputs[at] else {
+                    let BatchSource::Spine(spine) = &mut inputs[at].1 else {
                         unreachable!("a class is a spine");
                     };
-                    spine.supply.push(member);
+                    spine.supply.push(i, member);
                     continue;
                 }
             }
             None => {
-                if let Some(spine) = fuse_spine(item, items.len() - i, ctx) {
+                if let Some(mut spine) = fuse_spine(item, items.len() - i, ctx) {
+                    (spine.supply.root, spine.supply.members[0].0) = (root, i);
                     classes.push((item, inputs.len()));
-                    inputs.push(BatchSource::Spine(Box::new(spine)));
+                    inputs.push((i, BatchSource::Spine(Box::new(spine))));
                     continue;
                 }
             }
         }
-        inputs.push(batch_source(item, ctx)?);
+        inputs.push((i, batch_source(item, ctx)?));
     }
     if inputs.len() == 1 {
-        return Ok(inputs.pop().expect("one input"));
+        return Ok(inputs.pop().expect("one input").1);
     }
-    Ok(BatchSource::Union(Box::new(Union::new(inputs, ctx))))
+    Ok(BatchSource::Union(Box::new(Union::new(inputs, root, ctx))))
 }
 
 /// The scan beneath `branch` when its stretch equals `class`'s node for
@@ -268,6 +279,17 @@ impl<'a> BatchSource<'a> {
         }
     }
 
+    /// The branch of a root union the last batch came from, for the
+    /// source [`union_source`] made of a root union of two or more
+    /// branches: a union, or the one class spine they all formed.
+    pub(crate) fn branch(&self) -> usize {
+        match self {
+            BatchSource::Spine(spine) => spine.supply.branch(),
+            BatchSource::Union(union) => union.branch(),
+            BatchSource::Rows { .. } | BatchSource::Join(_) => 0,
+        }
+    }
+
     /// The next batch, from at most `hint` input rows (a join batch can
     /// hold fewer or — one probe batch fanning out — more output rows);
     /// `None` when the source is exhausted.
@@ -355,15 +377,21 @@ impl<'a> Batch<'a> {
 /// readiness hints ([`Sweep`]): the member served last while it is ready,
 /// else the first ready one after it, and a park on the resolution's
 /// generation only when a full sweep finds none.  With every member ready
-/// (materialized inputs, partial evaluation) that drains them in branch
-/// order.  A member's failure, unavailability or deadline classification
-/// surfaces when it is pulled, through its own spool's wait loop.
+/// (materialized inputs) that drains them in branch order.  A member's
+/// failure, unavailability or deadline classification surfaces when it
+/// is pulled, through its own spool's wait loop — but a root union's
+/// class drops a member whose source turned out unavailable, and reads on.
 pub(crate) struct Supply<'a> {
     /// The bag — or the spool's current chunk — being read, and how much
     /// of it was handed out.
     bag: Option<&'a Bag>,
     pos: usize,
-    members: Vec<Member<'a>>,
+    /// The members, each with the union branch it is (0 off a union).
+    members: Vec<(usize, Member<'a>)>,
+    /// The member `bag` came from.
+    current: usize,
+    /// Whether the members are branches of a pass's root union.
+    root: bool,
     sweep: Sweep,
     /// Members not yet read to their end.
     live: usize,
@@ -410,9 +438,12 @@ impl<'a> Member<'a> {
 
 /// How many distinct spools the members not ready wait for: each has a
 /// progress event to come.
-fn waiting_sources(members: &[Member<'_>], waiting: &mut Vec<*const PendingSource>) -> usize {
+fn waiting_sources(
+    members: &[(usize, Member<'_>)],
+    waiting: &mut Vec<*const PendingSource>,
+) -> usize {
     waiting.clear();
-    waiting.extend(members.iter().filter_map(|member| match member {
+    waiting.extend(members.iter().filter_map(|(_, member)| match member {
         Member::Spool(reader) if !reader.ready() => Some(std::ptr::from_ref(reader.source())),
         _ => None,
     }));
@@ -461,11 +492,13 @@ impl<'a> Supply<'a> {
     /// A supply of `first`, with room for `members` members in all.
     fn new(first: Member<'a>, members: usize, ctx: &PipelineCtx<'a>) -> Self {
         let mut all = Vec::with_capacity(members);
-        all.push(first);
+        all.push((0, first));
         Supply {
             bag: None,
             pos: 0,
             members: all,
+            current: 0,
+            root: false,
             sweep: Sweep::default(),
             live: 1,
             waiting: Vec::new(),
@@ -473,10 +506,15 @@ impl<'a> Supply<'a> {
         }
     }
 
-    /// Adds a member (a branch that joined the class).
-    fn push(&mut self, member: Member<'a>) {
-        self.members.push(member);
+    /// Adds a member: union branch `branch`, which joined the class.
+    fn push(&mut self, branch: usize, member: Member<'a>) {
+        self.members.push((branch, member));
         self.live += 1;
+    }
+
+    /// The union branch the slice handed out last belongs to.
+    fn branch(&self) -> usize {
+        self.members[self.current].0
     }
 
     /// What is left of the current bag.
@@ -500,18 +538,26 @@ impl<'a> Supply<'a> {
             let (members, waiting) = (&self.members, &mut self.waiting);
             let at = self.sweep.pick(
                 members.len(),
-                |i| members[i].state(),
+                |i| members[i].1.state(),
                 || waiting_sources(members, waiting),
                 self.events,
                 metrics,
             );
-            let member = &mut self.members[at];
-            let next = member.next(metrics)?;
+            let member = &mut self.members[at].1;
+            let next = match member.next(metrics) {
+                // A root union's branch is as far as a lost source
+                // unwinds: the member goes, the class reads on.
+                Err(RuntimeError::PendingUnavailable(_)) if self.root => {
+                    *member = Member::Done;
+                    None
+                }
+                next => next?,
+            };
             if matches!(member, Member::Done) {
                 self.live -= 1;
             }
             if let Some(bag) = next {
-                (self.bag, self.pos) = (Some(bag), 0);
+                (self.bag, self.pos, self.current) = (Some(bag), 0, at);
             }
         };
         let (start, end) = (self.pos, (self.pos + max).min(bag.len()));
@@ -534,7 +580,7 @@ impl<'a> Supply<'a> {
             || self
                 .members
                 .iter()
-                .any(|member| member.state() == Some(true))
+                .any(|(_, member)| member.state() == Some(true))
     }
 }
 
@@ -1352,6 +1398,12 @@ impl<'a> SpineCursor<'a> {
             current: Batch::default(),
             ctx,
         }
+    }
+
+    /// The root union branch of the rows pulled last (see
+    /// [`BatchSource::branch`]).
+    pub(crate) fn branch(&self) -> usize {
+        self.source.branch()
     }
 }
 

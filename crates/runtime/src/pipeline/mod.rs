@@ -44,6 +44,7 @@ mod sink;
 pub mod spill;
 mod union;
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -601,17 +602,20 @@ pub(crate) struct PipelineCtx<'a> {
 
 /// Drains a cursor into a bag — the final sink of every pipeline.  Join
 /// rows reaching the sink unmerged are materialized here (counted in
-/// [`PipelineMetrics::rows_merged`]).
-fn collect(
-    mut cursor: BoxedRowStream<'_>,
+/// [`PipelineMetrics::rows_merged`]).  `pulled` learns how many rows each
+/// pull delivered.
+fn collect<'a, C: RowStream<'a> + ?Sized>(
+    cursor: &mut C,
     metrics: &PipelineMetrics,
     batch_rows: usize,
+    mut pulled: impl FnMut(&C, usize),
 ) -> Result<Bag> {
     let mut out = Bag::new();
     let mut buf = Vec::with_capacity(batch_rows);
     loop {
         let more = cursor.next_batch(&mut buf, batch_rows)?;
         metrics.add_emitted(buf.len());
+        pulled(cursor, buf.len());
         for row in buf.drain(..) {
             let value = row.materialize(metrics)?;
             out.insert(value);
@@ -823,6 +827,62 @@ pub(crate) fn evaluate_physical_streamed(
     result
 }
 
+/// The branches a pass keeps apart: those of a root union of two or more.
+pub(crate) fn root_branches(plan: &PhysicalExpr) -> Option<&[PhysicalExpr]> {
+    match plan {
+        PhysicalExpr::MkUnion(items) if items.len() > 1 => Some(items),
+        _ => None,
+    }
+}
+
+/// What a pass delivered: the answer rows and, under a root union
+/// ([`root_branches`]), the branch each run of them came from, as
+/// coalesced `(branch, rows of the answer)` in sink order.
+pub(crate) type Pass = (Bag, Vec<(usize, Range<usize>)>);
+
+/// The one pass of an execution.  Under a root union a source that turns
+/// out unavailable unwinds only to the branch that reads it, which is
+/// dropped while the others stream on; under any other root it ends the
+/// pass with [`RuntimeError::PendingUnavailable`].
+pub(crate) fn evaluate_pass(
+    plan: &PhysicalExpr,
+    resolved: &ResolvedExecs,
+    metrics: &PipelineMetrics,
+    options: PipelineOptions,
+) -> Result<Pass> {
+    let outer = Env::root();
+    let Some(items) = root_branches(plan) else {
+        let data = evaluate_physical_streamed(plan, resolved, &outer, metrics, options)?;
+        return Ok((data, Vec::new()));
+    };
+    let budget = spill::MemoryBudget::from_limit(options.effective_mem_budget());
+    let ctx = PipelineCtx {
+        resolved,
+        outer: &outer,
+        metrics,
+        options,
+        batch_rows: options.effective_batch_rows(),
+        budget: &budget,
+    };
+    let mut union = columnar::SpineCursor::new(columnar::union_source(items, true, ctx)?, ctx);
+    let mut runs = Vec::<(usize, Range<usize>)>::new();
+    let data = collect(
+        &mut union,
+        metrics,
+        ctx.batch_rows,
+        |union, rows| match runs.last_mut() {
+            Some((branch, run)) if *branch == union.branch() => run.end += rows,
+            last if rows > 0 => {
+                let at = last.map_or(0, |(_, run)| run.end);
+                runs.push((union.branch(), at..at + rows));
+            }
+            _ => {}
+        },
+    );
+    metrics.note_peak_tracked(budget.peak());
+    Ok((data?, runs))
+}
+
 /// [`evaluate_physical_streamed`] against a caller-owned budget.  Peak
 /// tracking is the allocating caller's job — this function only charges.
 fn evaluate_with_budget(
@@ -837,7 +897,7 @@ fn evaluate_with_budget(
     // materializing evaluator had: the answer *is* the (shared) bag, so
     // cloning it is one Arc bump instead of an element-by-element copy
     // through the sink.  Partial evaluation leans on this when collapsing
-    // fully-resolved `Data` subtrees.
+    // an answered `submit` or a `Data` subtree.
     match plan {
         PhysicalExpr::MemScan(bag) => {
             metrics.add_emitted(bag.len());
@@ -867,7 +927,7 @@ fn evaluate_with_budget(
         batch_rows: options.effective_batch_rows(),
         budget,
     };
-    collect(build(plan, ctx)?, metrics, ctx.batch_rows)
+    collect(&mut *build(plan, ctx)?, metrics, ctx.batch_rows, |_, _| {})
 }
 
 /// [`RowStream::next_row`] for cursors whose native pull is
@@ -941,6 +1001,9 @@ pub(crate) fn eval_row_scalar(
     env: &Env<'_>,
     ctx: PipelineCtx<'_>,
 ) -> Result<Value> {
+    // A source lost under a sub-query unwinds past the scalar evaluator,
+    // which only carries evaluation errors, like a loss anywhere else.
+    let lost = std::cell::Cell::new(None);
     let callback = |plan: &LogicalExpr, outer: &Env<'_>| {
         // Correlated sub-queries charge the parent execution's shared
         // budget (`ctx.budget`), not a fresh one per evaluation — k
@@ -957,9 +1020,16 @@ pub(crate) fn eval_row_scalar(
                     ctx.budget,
                 )
             })
-            .map_err(|e| AlgebraError::Unsupported(e.to_string()))
+            .map_err(|e| {
+                let message = e.to_string();
+                if let RuntimeError::PendingUnavailable(_) = e {
+                    lost.set(Some(e));
+                }
+                AlgebraError::Unsupported(message)
+            })
     };
-    eval_scalar_with(expr, env, &callback).map_err(RuntimeError::Algebra)
+    eval_scalar_with(expr, env, &callback)
+        .map_err(|e| lost.take().unwrap_or(RuntimeError::Algebra(e)))
 }
 
 /// Evaluates a scalar expression in the environment of a row's frames.

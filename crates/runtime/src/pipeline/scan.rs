@@ -11,8 +11,9 @@
 //! The reader blocks only on *its own* source, through the spool's one
 //! wait loop: the deadline flips a still-streaming spool to
 //! unavailable, which surfaces as
-//! [`RuntimeError::PendingUnavailable`](crate::RuntimeError) and sends the
-//! executor to partial evaluation.
+//! [`RuntimeError::PendingUnavailable`](crate::RuntimeError) and unwinds
+//! to the root union branch reading the source (the whole pass under any
+//! other root).
 
 use disco_value::{Bag, Value};
 

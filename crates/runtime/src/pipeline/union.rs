@@ -9,6 +9,7 @@ use crate::exec::ResolutionEvents;
 
 use super::columnar::{Batch, BatchSource};
 use super::{BoxedRowStream, PipelineCtx, PipelineMetrics, Result, Row, RowStream};
+use crate::RuntimeError;
 
 /// How a union and a class spine serve their inputs: a rotating sweep
 /// over lock-free readiness hints ([`Sweep::pick`]).
@@ -95,10 +96,18 @@ impl Sweep {
 /// channel only when none has.  Union output is a bag, so the
 /// arrival-dependent order never changes the answer multiset or any
 /// metric.
+///
+/// The root union of a pass drops an input whose source turned out
+/// unavailable (reported, or at the deadline) and streams on; any other
+/// union hands the loss up like every error.
 pub(crate) struct Union<'a> {
-    branches: Vec<BatchSource<'a>>,
+    /// The inputs, each with its branch (a class spine knows its members').
+    branches: Vec<(usize, BatchSource<'a>)>,
     /// Indexes into `branches` that are not yet exhausted.
     active: Vec<usize>,
+    /// The input whose batch was handed out last.
+    last: usize,
+    root: bool,
     /// Serves positions in `active`.
     sweep: Sweep,
     events: Option<&'a ResolutionEvents>,
@@ -106,13 +115,27 @@ pub(crate) struct Union<'a> {
 }
 
 impl<'a> Union<'a> {
-    pub(crate) fn new(branches: Vec<BatchSource<'a>>, ctx: PipelineCtx<'a>) -> Self {
+    pub(crate) fn new(
+        branches: Vec<(usize, BatchSource<'a>)>,
+        root: bool,
+        ctx: PipelineCtx<'a>,
+    ) -> Self {
         Union {
             active: (0..branches.len()).collect(),
             branches,
+            last: 0,
+            root,
             sweep: Sweep::default(),
             events: ctx.resolved.events().map(|events| &**events),
             metrics: ctx.metrics,
+        }
+    }
+
+    /// The union branch the batch handed out last came from.
+    pub(crate) fn branch(&self) -> usize {
+        match &self.branches[self.last] {
+            (_, class @ BatchSource::Spine(_)) if self.root => class.branch(),
+            (branch, _) => *branch,
         }
     }
 
@@ -124,17 +147,22 @@ impl<'a> Union<'a> {
             // Two inputs may wait for one source: wake at its progress.
             let pos = self.sweep.pick(
                 active.len(),
-                |i| Some(branches[active[i]].ready()),
+                |i| Some(branches[active[i]].1.ready()),
                 || 1,
                 self.events,
                 self.metrics,
             );
-            match self.branches[self.active[pos]].next_chunk(hint)? {
-                Some(batch) => return Ok(Some(batch)),
-                None => {
-                    self.active.remove(pos);
+            let input = self.active[pos];
+            match self.branches[input].1.next_chunk(hint) {
+                Ok(Some(batch)) => {
+                    self.last = input;
+                    return Ok(Some(batch));
                 }
+                Ok(None) => {}
+                Err(RuntimeError::PendingUnavailable(_)) if self.root => {}
+                Err(err) => return Err(err),
             }
+            self.active.remove(pos);
         }
         Ok(None)
     }
@@ -145,7 +173,7 @@ impl<'a> Union<'a> {
             || self
                 .active
                 .iter()
-                .any(|&index| self.branches[index].ready())
+                .any(|&index| self.branches[index].1.ready())
     }
 }
 

@@ -51,9 +51,8 @@ use disco_catalog::{
     Attribute, Catalog, InterfaceDef, MetaExtent, Repository, TypeRef, WrapperDef,
 };
 use disco_runtime::{
-    evaluate_physical_with, partial_evaluate_reference, reference, resolve_execs,
-    substitute_resolved, Answer, ExecutionConfig, Executor, MemBudget, PipelineMetrics,
-    PipelineOptions, RuntimeError,
+    evaluate_physical_with, partial_evaluate_reference, reference, resolve_execs, Answer,
+    ExecutionConfig, Executor, MemBudget, PipelineMetrics, PipelineOptions, RuntimeError,
 };
 use disco_source::{Availability, NetworkProfile, RelationalStore, SimulatedLink, Table};
 use disco_value::{Bag, StructValue, Value};
@@ -832,8 +831,7 @@ fn a_link_lost_between_two_chunks_leaves_that_source_wholly_residual() {
         &ExecutionConfig::default(),
     )
     .unwrap();
-    let substituted = substitute_resolved(&physical.to_logical(), &resolved);
-    let (data, residual) = partial_evaluate_reference(&substituted, &resolved).unwrap();
+    let (data, residual) = partial_evaluate_reference(&physical.to_logical(), &resolved).unwrap();
     assert_eq!(*answer.data(), data);
     assert_eq!(answer.residual(), residual.as_ref());
     let text = answer.residual_oql().unwrap();

@@ -20,8 +20,8 @@ mod common;
 use common::{person, random_partial_scenario, random_plan};
 use disco_algebra::{lower, AggKind, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_runtime::{
-    evaluate_physical_with, partial_evaluate, reference, substitute_resolved, MemBudget,
-    PipelineMetrics, PipelineOptions, ResolvedExecs,
+    evaluate_physical_with, partial_evaluate, reference, MemBudget, PipelineMetrics,
+    PipelineOptions, ResolvedExecs,
 };
 use disco_value::{Bag, StructValue, Value};
 use rand::rngs::StdRng;
@@ -109,13 +109,17 @@ fn tiny_budget_preserves_partial_answers_of_federated_plans() {
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0x5B111 + seed);
         let (plan, resolved) = random_partial_scenario(&mut rng);
-        let substituted = substitute_resolved(&plan, &resolved);
+        let metrics = PipelineMetrics::new();
         let (data_u, residual_u) =
-            partial_evaluate(&substituted, &resolved, opts(MemBudget::Unbounded))
+            partial_evaluate(&plan, &resolved, &metrics, opts(MemBudget::Unbounded))
                 .expect("unbounded partial eval");
-        let (data_t, residual_t) =
-            partial_evaluate(&substituted, &resolved, opts(MemBudget::Bytes(TINY_BUDGET)))
-                .expect("tiny-budget partial eval");
+        let (data_t, residual_t) = partial_evaluate(
+            &plan,
+            &resolved,
+            &metrics,
+            opts(MemBudget::Bytes(TINY_BUDGET)),
+        )
+        .expect("tiny-budget partial eval");
         assert_eq!(
             data_t, data_u,
             "seed {seed}: partial answer data must match"

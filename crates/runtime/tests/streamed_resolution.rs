@@ -16,18 +16,21 @@
 
 mod common;
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::{branch, federation_with, instant_profile, Federation};
 use disco_algebra::CapabilitySet;
-use disco_algebra::{logical_to_oql, lower, AggKind, LogicalExpr, ScalarExpr, ScalarOp};
+use disco_algebra::{
+    logical_to_oql, lower, AggKind, LogicalExpr, PhysicalExpr, ScalarExpr, ScalarOp,
+};
 use disco_catalog::{MetaExtent, Repository, WrapperDef};
 use disco_optimizer::compile_text;
 use disco_runtime::{
-    evaluate_physical_with, partial_evaluate_reference, reference, resolve_execs,
-    resolve_execs_streamed, substitute_resolved, Answer, BuildSide, ExecutionConfig, Executor,
-    MemBudget, PipelineMetrics, PipelineOptions, RuntimeError,
+    evaluate_physical_with, is_fully_resolved, partial_evaluate_reference, reference,
+    resolve_execs, resolve_execs_streamed, Answer, BuildSide, ExecutionConfig, Executor, MemBudget,
+    PipelineMetrics, PipelineOptions, RuntimeError,
 };
 use disco_source::{Availability, NetworkProfile};
 use disco_value::{Bag, Value};
@@ -36,14 +39,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A random federated plan over `n` sources, in the shape families the
-/// mediator produces (union of per-source scans, equi-join of two
-/// sources, aggregate over a source, distinct over a union).
+/// mediator produces: the federated union of per-source scans, and over
+/// it a filter, a distinct, an aggregate or a join with a source; an
+/// equi-join of two sources; an aggregate over a source.
 fn random_federated_plan(rng: &mut StdRng, n: usize) -> LogicalExpr {
-    match rng.gen_range(0..4) {
-        0 => {
-            let branches = (0..n).map(|i| branch(i, rng.gen_range(0..600))).collect();
-            LogicalExpr::Union(branches)
-        }
+    let union = |rng: &mut StdRng| {
+        LogicalExpr::Union((0..n).map(|i| branch(i, rng.gen_range(0..600))).collect())
+    };
+    match rng.gen_range(0..7) {
+        0 => union(rng),
         1 if n >= 2 => {
             let a = rng.gen_range(0..n);
             let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
@@ -76,9 +80,35 @@ fn random_federated_plan(rng: &mut StdRng, n: usize) -> LogicalExpr {
                     .map_project(ScalarExpr::var_field("x", "salary")),
             ),
         },
+        3 => LogicalExpr::Distinct(Box::new(union(rng))),
+        4 => union(rng)
+            .bind("n")
+            .filter(ScalarExpr::binary(
+                ScalarOp::Lt,
+                ScalarExpr::Var("n".into()),
+                ScalarExpr::constant(["D", "M", "P"][rng.gen_range(0..3usize)]),
+            ))
+            .map_project(ScalarExpr::Var("n".into())),
+        5 => LogicalExpr::Aggregate {
+            func: [AggKind::Count, AggKind::Min, AggKind::Max][rng.gen_range(0..3usize)],
+            input: Box::new(union(rng)),
+        },
         _ => {
-            let branches = (0..n).map(|i| branch(i, rng.gen_range(0..600))).collect();
-            LogicalExpr::Distinct(Box::new(LogicalExpr::Union(branches)))
+            let b = rng.gen_range(0..n);
+            LogicalExpr::Join {
+                left: Box::new(union(rng).bind("n")),
+                right: Box::new(
+                    LogicalExpr::get(format!("person{b}"))
+                        .submit(format!("r{b}"), format!("w{b}"), format!("person{b}"))
+                        .bind("y"),
+                ),
+                predicate: Some(ScalarExpr::binary(
+                    ScalarOp::Eq,
+                    ScalarExpr::Var("n".into()),
+                    ScalarExpr::var_field("y", "name"),
+                )),
+            }
+            .map_project(ScalarExpr::var_field("y", "id"))
         }
     }
 }
@@ -97,20 +127,80 @@ fn execute(
 }
 
 /// What the suite compares of an answer: data, residual plan, unavailable
-/// repositories, `[rows_materialized, rows_transferred, exec_calls]`.
-type Observed = (Bag, Option<LogicalExpr>, Vec<String>, [usize; 3]);
+/// repositories, `[rows_transferred, exec_calls]`.
+type Observed = (Bag, Option<LogicalExpr>, Vec<String>, [usize; 2]);
+
+/// What the two stages give when run one after the other, and the
+/// `rows_materialized` they bound the executor's by: at least
+/// `materialized`, exactly that when `exact`.
+#[derive(Debug)]
+struct Staged {
+    observed: Observed,
+    materialized: usize,
+    exact: bool,
+}
+
+impl Staged {
+    fn assert_matches(&self, answer: &Answer, label: &str) {
+        assert_eq!(observe(answer), self.observed, "{label}");
+        let text = |residual: &LogicalExpr| disco_oql::print_expr(&logical_to_oql(residual));
+        assert_eq!(
+            answer.residual_oql(),
+            self.observed.1.as_ref().map(text),
+            "{label}: residual text"
+        );
+        let got = answer.stats().rows_materialized;
+        if self.exact {
+            assert_eq!(got, self.materialized, "{label}: rows_materialized");
+        } else {
+            assert!(
+                got >= self.materialized,
+                "{label}: rows_materialized {got} below the kept branches' {}",
+                self.materialized
+            );
+        }
+    }
+}
+
+fn observe(answer: &Answer) -> Observed {
+    let stats = answer.stats();
+    (
+        answer.data().clone(),
+        answer.residual().cloned(),
+        answer.unavailable_sources().to_vec(),
+        [stats.rows_transferred, stats.exec_calls],
+    )
+}
+
+/// Whether a plan holds a pipeline breaker that buffers rows.
+fn holds_breaker(plan: &PhysicalExpr) -> bool {
+    let mut found = false;
+    plan.walk(&mut |node| {
+        found |= matches!(
+            node,
+            PhysicalExpr::HashJoin { .. }
+                | PhysicalExpr::NestedLoopJoin { .. }
+                | PhysicalExpr::MergeTuplesJoin { .. }
+                | PhysicalExpr::MkDistinct(_)
+        );
+    });
+    found
+}
 
 /// What the two stages give when run one after the other: every call
-/// resolved to a materialized outcome first, then the plan (or, with
-/// sources down, its substituted form) reduced by the reference
-/// evaluator.  `rows_materialized` comes from the cursor pipeline over
-/// the same outcomes; partial answers report zero.
+/// resolved to a materialized outcome first, then the plan reduced by the
+/// reference evaluator.  `rows_materialized` comes from the cursor
+/// pipeline over the same outcomes.  A partial answer keeps the pass's
+/// rows of each root union branch whose calls all answered, so it buffered
+/// at least what those branches buffer; a lost branch buffered what it did
+/// before its loss, which is nothing when it holds no breaker.  Under any
+/// other root the whole plan is the one lost branch.
 fn staged(
     federation: &Federation,
     plan: &LogicalExpr,
     options: PipelineOptions,
     deadline: Option<Duration>,
-) -> disco_runtime::Result<Observed> {
+) -> disco_runtime::Result<Staged> {
     let physical = lower(plan).unwrap();
     let config = ExecutionConfig {
         deadline,
@@ -119,22 +209,36 @@ fn staged(
     };
     let (registry, catalog) = (&federation.registry, &federation.catalog);
     let resolved = resolve_execs(&physical, registry, catalog, &config)?;
-    let (data, residual, rows_materialized) = if resolved.all_available() {
+    let buffered = |plan: &PhysicalExpr| -> disco_runtime::Result<usize> {
         let metrics = PipelineMetrics::new();
-        evaluate_physical_with(&physical, &resolved, &metrics, options)?;
-        let data = reference::evaluate_physical(&physical, &resolved)?;
-        (data, None, metrics.rows_materialized())
-    } else {
-        let substituted = substitute_resolved(&physical.to_logical(), &resolved);
-        let (data, residual) = partial_evaluate_reference(&substituted, &resolved)?;
-        (data, residual, 0)
+        evaluate_physical_with(plan, &resolved, &metrics, options)?;
+        Ok(metrics.rows_materialized())
     };
-    let counts = [
-        rows_materialized,
-        resolved.rows_transferred(),
-        resolved.call_count(),
-    ];
-    Ok((data, residual, resolved.unavailable_repositories(), counts))
+    let (data, residual, materialized, exact) = if resolved.all_available() {
+        let data = reference::evaluate_physical(&physical, &resolved)?;
+        (data, None, buffered(&physical)?, true)
+    } else {
+        let (data, residual) = partial_evaluate_reference(&physical.to_logical(), &resolved)?;
+        let branches = match &physical {
+            PhysicalExpr::MkUnion(items) if items.len() > 1 => &items[..],
+            whole => std::slice::from_ref(whole),
+        };
+        let (mut materialized, mut exact) = (0, true);
+        for branch in branches {
+            if is_fully_resolved(&branch.to_logical(), &resolved) {
+                materialized += buffered(branch)?;
+            } else {
+                exact &= !holds_breaker(branch);
+            }
+        }
+        (data, residual, materialized, exact)
+    };
+    let counts = [resolved.rows_transferred(), resolved.call_count()];
+    Ok(Staged {
+        observed: (data, residual, resolved.unavailable_repositories(), counts),
+        materialized,
+        exact,
+    })
 }
 
 /// Asserts that the executor's answer is observationally the staged one,
@@ -150,18 +254,7 @@ fn assert_equivalent(
         .unwrap_or_else(|e| panic!("{label}: staged evaluation failed: {e}"));
     let answer = execute(federation, plan, options, deadline)
         .unwrap_or_else(|e| panic!("{label}: execution failed: {e}"));
-    let stats = answer.stats();
-    let observed: Observed = (
-        answer.data().clone(),
-        answer.residual().cloned(),
-        answer.unavailable_sources().to_vec(),
-        [
-            stats.rows_materialized,
-            stats.rows_transferred,
-            stats.exec_calls,
-        ],
-    );
-    assert_eq!(observed, expected, "{label}: execution differs from staged");
+    expected.assert_matches(&answer, &format!("{label}: execution differs from staged"));
     answer
 }
 
@@ -459,11 +552,12 @@ impl Wrapper for Member {
     }
 }
 
-/// `n` sources (`person{i}` on `r{i}` behind `w{i}`), each answering in
-/// row or column chunks of 3 rows (or whole); `faulty` fails as `fault`.
-fn class_federation(rng: &mut StdRng, n: usize, faulty: usize, fault: Fault) -> Federation {
+/// One source per fault (`person{i}` on `r{i}` behind `w{i}`), each
+/// answering with a number of rows drawn from `rows` in row or column
+/// chunks of 3 rows (or whole), and source `i` failing as `faults[i]`.
+fn fault_federation(rng: &mut StdRng, faults: &[Fault], rows: Range<usize>) -> Federation {
     let mut federation = federation_with(&[], 0, 0);
-    for i in 0..n {
+    for (i, &fault) in faults.iter().enumerate() {
         let (extent, repo, name) = (format!("person{i}"), format!("r{i}"), format!("w{i}"));
         federation
             .catalog
@@ -477,7 +571,6 @@ fn class_federation(rng: &mut StdRng, n: usize, faulty: usize, fault: Fault) -> 
             .catalog
             .add_extent(MetaExtent::new(&extent, "Person", &name, &repo))
             .unwrap();
-        let fault = if i == faulty { fault } else { Fault::None };
         let mut profile = instant_profile([0, 3][rng.gen_range(0..2usize)]);
         match fault {
             Fault::Down => profile.availability = Availability::Unavailable,
@@ -488,7 +581,7 @@ fn class_federation(rng: &mut StdRng, n: usize, faulty: usize, fault: Fault) -> 
             _ => {}
         }
         let store = Arc::new(disco_source::RelationalStore::new());
-        let rows = rng.gen_range(0..12);
+        let rows = rng.gen_range(rows.clone());
         store.put_table(disco_source::generator::person_table(
             &extent, rows, i as u64, 41,
         ));
@@ -615,7 +708,10 @@ fn class_spines_match_the_staged_oracle_under_faults() {
             _ => Fault::None,
         };
         let faulty = rng.gen_range(0..n);
-        let federation = class_federation(&mut rng, n, faulty, fault);
+        let faults: Vec<Fault> = (0..n)
+            .map(|i| if i == faulty { fault } else { Fault::None })
+            .collect();
+        let federation = fault_federation(&mut rng, &faults, 0..12);
         let (plan, fused) = class_union(&mut rng, n);
         let label = format!("trial {trial}, {fault:?} at source {faulty}: {plan}");
         let deadline = Some(if fault == Fault::Slow {
@@ -642,25 +738,7 @@ fn class_spines_match_the_staged_oracle_under_faults() {
                 }
             };
             let stats = answer.stats();
-            let observed: Observed = (
-                answer.data().clone(),
-                answer.residual().cloned(),
-                answer.unavailable_sources().to_vec(),
-                [
-                    stats.rows_materialized,
-                    stats.rows_transferred,
-                    stats.exec_calls,
-                ],
-            );
-            assert_eq!(observed, expected, "{label}");
-            assert_eq!(
-                answer.residual_oql(),
-                expected
-                    .1
-                    .as_ref()
-                    .map(|residual| { disco_oql::print_expr(&logical_to_oql(residual)) }),
-                "{label}"
-            );
+            expected.assert_matches(&answer, &label);
             if !answer.is_complete() {
                 continue;
             }
@@ -915,6 +993,274 @@ fn deadline_returns_fast_data_plus_residual_for_the_slow_source() {
         t_first < deadline,
         "first row ({t_first:?}) must arrive well before the deadline ({deadline:?})"
     );
+}
+
+// ---------------------------------------------------------------------
+// One pass: a partial answer is what the streamed pass delivered.
+// ---------------------------------------------------------------------
+
+/// Differential test: every root the generator makes — the federated
+/// union, and a filter, a distinct, an aggregate or a join over it —
+/// under sources that refuse or are lost after their first chunk
+/// (`assert_equivalent`: the data, the residual plan and its text are the
+/// staged oracle's, and `rows_materialized` is bounded by it).
+#[test]
+fn random_plans_differential_under_refusal_and_mid_stream_loss() {
+    let mut rng = StdRng::seed_from_u64(0x1_9A55);
+    let mut partial = 0;
+    for trial in 0..32 {
+        let n = rng.gen_range(2..5usize);
+        let mut faults: Vec<Fault> = (0..n)
+            .map(|_| {
+                [
+                    Fault::None,
+                    Fault::None,
+                    Fault::Down,
+                    Fault::LostAfterAChunk,
+                ][rng.gen_range(0..4usize)]
+            })
+            .collect();
+        if faults.iter().all(|&fault| fault == Fault::None) {
+            faults[rng.gen_range(0..n)] = Fault::LostAfterAChunk;
+        }
+        let federation = fault_federation(&mut rng, &faults, 0..12);
+        let plan = random_federated_plan(&mut rng, n);
+        for mem_budget in [MemBudget::Unbounded, MemBudget::Bytes(64 << 10)] {
+            let label = format!("trial {trial}, {faults:?}, {mem_budget:?}: {plan}");
+            let options = PipelineOptions {
+                mem_budget,
+                ..PipelineOptions::default()
+            };
+            let answer = assert_equivalent(&plan, &federation, options, &label);
+            partial += usize::from(!answer.is_complete());
+        }
+    }
+    assert!(partial > 32, "{partial} partial answers");
+}
+
+/// Regression test: a partial answer reports what its one pass buffered.
+/// A union of a hash join over two answered sources and a branch over a
+/// refusing source buffers the join's build side; the second evaluation
+/// of the answered branches used to be reported instead, as 0.
+#[test]
+fn a_partial_answer_reports_what_its_answered_branches_buffered() {
+    let mut profiles = vec![instant_profile(4); 3];
+    profiles[2].availability = Availability::Unavailable;
+    let federation = federation_with(&profiles, 24, 0xB0F);
+    let side = |i: usize, var: &str| {
+        LogicalExpr::get(format!("person{i}"))
+            .submit(format!("r{i}"), format!("w{i}"), format!("person{i}"))
+            .bind(var)
+    };
+    let join = LogicalExpr::Join {
+        left: Box::new(side(0, "x")),
+        right: Box::new(side(1, "y")),
+        predicate: Some(ScalarExpr::binary(
+            ScalarOp::Eq,
+            ScalarExpr::var_field("x", "id"),
+            ScalarExpr::var_field("y", "id"),
+        )),
+    }
+    .map_project(ScalarExpr::var_field("x", "name"));
+    let plan = LogicalExpr::Union(vec![join.clone(), branch(2, -1)]);
+    let deadline = Some(Duration::from_secs(5));
+    let answer = execute(&federation, &plan, PipelineOptions::default(), deadline).unwrap();
+    assert!(!answer.is_complete());
+    assert_eq!(answer.unavailable_sources(), &["r2".to_owned()]);
+    assert_eq!(answer.data().len(), 24, "the join's rows are the data");
+
+    // The join branch on its own, over materialized outcomes.
+    let physical = lower(&join).unwrap();
+    let config = ExecutionConfig::default();
+    let resolved = resolve_execs(
+        &physical,
+        &federation.registry,
+        &federation.catalog,
+        &config,
+    )
+    .unwrap();
+    let metrics = PipelineMetrics::new();
+    evaluate_physical_with(&physical, &resolved, &metrics, PipelineOptions::default()).unwrap();
+    assert_eq!(metrics.rows_materialized(), 24, "the build side");
+    assert_eq!(
+        answer.stats().rows_materialized,
+        metrics.rows_materialized()
+    );
+}
+
+/// Pins the design: each answered row enters the combine once.  On a
+/// union of four sources, one refusing, the rows the kernels and their
+/// fallback scanned are exactly the rows the three answered calls
+/// returned — the answered branches are not evaluated a second time.
+#[test]
+fn each_answered_row_enters_the_combine_once() {
+    let mut profiles = vec![instant_profile(4); 4];
+    profiles[1].availability = Availability::Unavailable;
+    let federation = federation_with(&profiles, 20, 0x0E);
+    let plan = LogicalExpr::Union((0..4).map(|i| branch(i, 0)).collect());
+    let deadline = Some(Duration::from_secs(5));
+    let answer = execute(&federation, &plan, PipelineOptions::default(), deadline).unwrap();
+    assert!(!answer.is_complete());
+    let stats = answer.stats();
+    let answered: usize = stats
+        .source_calls
+        .iter()
+        .filter(|call| call.available)
+        .map(|call| call.rows_returned)
+        .sum();
+    assert_eq!(answered, 3 * 20);
+    assert_eq!(stats.rows_kernel + stats.rows_fallback, answered);
+    assert_eq!(stats.spines_compiled, 1, "one class, compiled once");
+}
+
+/// Regression test: a partial answer that holds no data reports no first
+/// row.  A filter over a union is not a union: the slow source's
+/// deadline ends the pass and the fast sources' rows are not the answer's,
+/// yet the first of them used to be reported as its first row.
+#[test]
+fn a_partial_answer_without_data_reports_no_first_row() {
+    let slow = NetworkProfile {
+        real_sleep: true,
+        availability: Availability::Slow { extra_ms: 3_000 },
+        ..instant_profile(4)
+    };
+    let federation = federation_with(&[instant_profile(4), instant_profile(4), slow], 16, 11);
+    let union = lower(&LogicalExpr::Union((0..3).map(|i| branch(i, -1)).collect())).unwrap();
+    let plan = PhysicalExpr::FilterOp {
+        input: Box::new(union),
+        predicate: ScalarExpr::constant(true),
+    };
+    let answer = Executor::new(federation.registry.clone())
+        .with_deadline(Some(Duration::from_millis(150)))
+        .execute(&plan, &federation.catalog)
+        .unwrap();
+    assert!(!answer.is_complete());
+    assert_eq!(answer.unavailable_sources(), &["r2".to_owned()]);
+    assert!(answer.data().is_empty());
+    assert_eq!(answer.time_to_first_row(), None);
+}
+
+/// Guards a hazard only this design has: a loss unwinds to the root
+/// union's branch, never less far.  An operator that carried on over a
+/// cut-short input would pair the outer rows with the inner rows that did
+/// arrive — pairs the staged oracle never evaluates, on which this
+/// predicate divides by zero.  The answer is the oracle's: data, residual
+/// and its text, and no error.
+#[test]
+fn a_join_whose_inner_source_is_lost_mid_stream_evaluates_no_pair() {
+    let mut rng = StdRng::seed_from_u64(0x10_57);
+    let faults = [Fault::None, Fault::LostAfterAChunk, Fault::None];
+    let federation = fault_federation(&mut rng, &faults, 6..12);
+    let side = |i: usize, var: &str| {
+        LogicalExpr::get(format!("person{i}"))
+            .submit(format!("r{i}"), format!("w{i}"), format!("person{i}"))
+            .bind(var)
+    };
+    let zero = ScalarExpr::binary(
+        ScalarOp::Sub,
+        ScalarExpr::var_field("y", "id"),
+        ScalarExpr::var_field("y", "id"),
+    );
+    let join = LogicalExpr::Join {
+        left: Box::new(side(2, "x")),
+        right: Box::new(side(1, "y")),
+        predicate: Some(ScalarExpr::binary(
+            ScalarOp::Gt,
+            ScalarExpr::binary(ScalarOp::Div, ScalarExpr::var_field("x", "salary"), zero),
+            ScalarExpr::constant(0i64),
+        )),
+    }
+    .map_project(ScalarExpr::var_field("x", "name"));
+    let plan = LogicalExpr::Union(vec![branch(0, -1), join]);
+    assert!(
+        matches!(lower(&plan).unwrap(), PhysicalExpr::MkUnion(ref items)
+            if matches!(items[1], PhysicalExpr::MapOp { ref input, .. }
+                if matches!(**input, PhysicalExpr::NestedLoopJoin { .. }))),
+        "the join buffers its inner side"
+    );
+    for mem_budget in [MemBudget::Unbounded, MemBudget::Bytes(64 << 10)] {
+        let label = format!("{mem_budget:?}");
+        let options = PipelineOptions {
+            mem_budget,
+            ..PipelineOptions::default()
+        };
+        let answer = assert_equivalent(&plan, &federation, options, &label);
+        assert!(!answer.is_complete(), "{label}");
+        assert_eq!(answer.unavailable_sources(), &["r1".to_owned()], "{label}");
+        let text = answer.residual_oql().expect("the join is residual");
+        assert!(
+            text.contains("person1") && !text.contains("person0"),
+            "{text}"
+        );
+    }
+}
+
+/// Regression test: a loss inside a correlated sub-plan unwinds to the
+/// root union branch like any other.  The branch's per-row aggregate
+/// reads a refusing source; the loss used to surface as an evaluation
+/// error, where the staged oracle leaves the branch residual.
+#[test]
+fn a_correlated_sub_plan_over_a_lost_source_leaves_its_branch_residual() {
+    let mut profiles = vec![instant_profile(4); 3];
+    profiles[2].availability = Availability::Unavailable;
+    let federation = federation_with(&profiles, 12, 0xC0);
+    let submit = |i: usize| {
+        LogicalExpr::get(format!("person{i}")).submit(
+            format!("r{i}"),
+            format!("w{i}"),
+            format!("person{i}"),
+        )
+    };
+    let same_id = submit(2).bind("z").filter(ScalarExpr::binary(
+        ScalarOp::Eq,
+        ScalarExpr::var_field("z", "id"),
+        ScalarExpr::var_field("x", "id"),
+    ));
+    let correlated = submit(1)
+        .bind("x")
+        .map_project(ScalarExpr::Agg(AggKind::Count, Box::new(same_id)));
+    let plan = LogicalExpr::Union(vec![branch(0, -1), correlated]);
+    for mem_budget in [MemBudget::Unbounded, MemBudget::Bytes(64 << 10)] {
+        let label = format!("{mem_budget:?}");
+        let options = PipelineOptions {
+            mem_budget,
+            ..PipelineOptions::default()
+        };
+        let answer = assert_equivalent(&plan, &federation, options, &label);
+        assert_eq!(answer.data().len(), 12, "{label}: the first branch's rows");
+        assert_eq!(answer.unavailable_sources(), &["r2".to_owned()], "{label}");
+    }
+}
+
+/// Guards a hazard only the one pass has: its sink holds the answered
+/// branches' rows in the order their chunks arrived, which differs from
+/// run to run.  A partial answer's data must not: it is the kept
+/// branches' rows branch by branch — the staged oracle's order — so the
+/// same partial answer prints as the same text every time, and its
+/// resubmission finds its plan in the cache.
+#[test]
+fn a_partial_answer_prints_the_same_text_however_chunks_interleave() {
+    let trickle = |ms| NetworkProfile {
+        real_sleep: true,
+        availability: Availability::Degraded { chunk_extra_ms: ms },
+        ..instant_profile(2)
+    };
+    let mut refused = instant_profile(2);
+    refused.availability = Availability::Unavailable;
+    let profiles = [trickle(1), instant_profile(2), trickle(2), refused];
+    let federation = federation_with(&profiles, 10, 0x7E);
+    let plan = LogicalExpr::Union((0..4).map(|i| branch(i, -1)).collect());
+    let (options, deadline) = (PipelineOptions::default(), Some(Duration::from_secs(5)));
+    let expected = staged(&federation, &plan, options, deadline).unwrap();
+    assert_eq!(expected.observed.0.len(), 30);
+    for run in 0..4 {
+        let answer = execute(&federation, &plan, options, deadline).unwrap();
+        assert_eq!(
+            answer.data().as_slice(),
+            expected.observed.0.as_slice(),
+            "run {run}: the data in branch order"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -27,8 +27,7 @@ use common::{
 use disco_algebra::{lower, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_runtime::{
     evaluate_physical, evaluate_physical_with, partial_evaluate, partial_evaluate_reference,
-    reference, substitute_resolved, BuildSide, ExecKey, ExecOutcome, PipelineMetrics,
-    PipelineOptions, ResolvedExecs,
+    reference, BuildSide, ExecKey, ExecOutcome, PipelineMetrics, PipelineOptions, ResolvedExecs,
 };
 use disco_value::Bag;
 use rand::rngs::StdRng;
@@ -188,12 +187,15 @@ fn partial_evaluation_matches_reference_on_random_availability() {
     for seed in 0..80u64 {
         let mut rng = StdRng::seed_from_u64(0x9A47 + seed);
         let (plan, resolved) = random_partial_scenario(&mut rng);
-        let substituted = substitute_resolved(&plan, &resolved);
-        let (data_s, residual_s) =
-            partial_evaluate(&substituted, &resolved, PipelineOptions::default())
-                .expect("streaming partial eval");
+        let (data_s, residual_s) = partial_evaluate(
+            &plan,
+            &resolved,
+            &PipelineMetrics::new(),
+            PipelineOptions::default(),
+        )
+        .expect("streaming partial eval");
         let (data_r, residual_r) =
-            partial_evaluate_reference(&substituted, &resolved).expect("reference partial eval");
+            partial_evaluate_reference(&plan, &resolved).expect("reference partial eval");
         assert_eq!(
             data_s, data_r,
             "seed {seed}: partial answer data must match"
@@ -228,8 +230,9 @@ fn partial_evaluation_is_the_same_over_column_faced_answers() {
         }
         let evaluate = |resolved: &ResolvedExecs| {
             partial_evaluate(
-                &substitute_resolved(&plan, resolved),
+                &plan,
                 resolved,
+                &PipelineMetrics::new(),
                 PipelineOptions::default(),
             )
             .expect("partial evaluation")
@@ -262,10 +265,14 @@ fn join_with_unavailable_side_stays_residual_in_both_engines() {
         )),
     }
     .map_project(ScalarExpr::var_field("x", "name"));
-    let substituted = substitute_resolved(&plan, &resolved);
-    let (data_s, residual_s) =
-        partial_evaluate(&substituted, &resolved, PipelineOptions::default()).unwrap();
-    let (data_r, residual_r) = partial_evaluate_reference(&substituted, &resolved).unwrap();
+    let (data_s, residual_s) = partial_evaluate(
+        &plan,
+        &resolved,
+        &PipelineMetrics::new(),
+        PipelineOptions::default(),
+    )
+    .unwrap();
+    let (data_r, residual_r) = partial_evaluate_reference(&plan, &resolved).unwrap();
     assert!(data_s.is_empty());
     assert_eq!(data_s, data_r);
     assert_eq!(residual_s, residual_r);
