@@ -25,8 +25,8 @@
 //! A chunk is stored once.  The spool is an append-only chain of
 //! immutable chunks (`SpoolChunk`): `push_chunk` links the chunk as it
 //! arrived, consumers borrow out of the chain for the whole evaluation —
-//! the fused spine a batch at a time, everything
-//! else a row at a time — and finalization shares the chain's bags with
+//! the fused spine a batch at a time, everything else as batches of
+//! borrowed rows — and finalization shares the chain's bags with
 //! [`ExecOutcome::Rows`].  A chunk is a bag of row values or, from a
 //! relational wrapper, a **column chunk**: columns of the table's image
 //! under a selection, renamed and type-checked on their field list,

@@ -38,7 +38,10 @@
 //! Mediator-side operators execute through a **pull-based cursor
 //! pipeline** ([`pipeline`]): a physical plan is opened into a tree of
 //! [`pipeline::RowStream`] cursors and rows are pulled through it in
-//! batches.  Operators come in two kinds:
+//! batches.  A cursor has one pull, `next_batch`: every operator —
+//! the nested-loop and merge-tuples joins, flatten and aggregates too —
+//! takes its input and hands on its output a batch at a time.  Operators
+//! come in two kinds:
 //!
 //! * **Streaming** — scan, filter, project, map, bind, union, flatten.
 //!   These forward each row as soon as it is produced and hold no per-row

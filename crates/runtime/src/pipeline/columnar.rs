@@ -1,6 +1,6 @@
 //! Columnar batch producers for fused pipeline stretches.
 //!
-//! The row cursors move one `Row` at a time; this module intercepts the
+//! The row cursors move batches of `Row`s; this module intercepts the
 //! shapes the mediator's combine step actually spends its time on — a
 //! *spine* of `map? → filter* → bind? → (filter | project)* → scan` —
 //! and runs them batch-at-a-time: the scan decodes one [`ChunkBuilder`]
@@ -111,7 +111,7 @@ pub(crate) fn try_build<'a>(
     ctx: PipelineCtx<'a>,
 ) -> Option<BoxedRowStream<'a>> {
     let source = fuse_source(plan, ctx)?;
-    Some(Box::new(SpineCursor::new(source, ctx)))
+    Some(Box::new(SpineCursor::new(source)))
 }
 
 /// The batch input of a breaker over `plan`: columnar when the plan
@@ -1388,15 +1388,13 @@ pub(crate) struct SpineCursor<'a> {
     /// The batch being handed out; a join batch can hold more rows than
     /// one pull asks for (one probe batch fans out to all its matches).
     current: Batch<'a>,
-    ctx: PipelineCtx<'a>,
 }
 
 impl<'a> SpineCursor<'a> {
-    pub(crate) fn new(source: BatchSource<'a>, ctx: PipelineCtx<'a>) -> Self {
+    pub(crate) fn new(source: BatchSource<'a>) -> Self {
         SpineCursor {
             source,
             current: Batch::default(),
-            ctx,
         }
     }
 
@@ -1408,19 +1406,6 @@ impl<'a> SpineCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for SpineCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        loop {
-            if let Some(row) = self.current.next() {
-                return Some(Ok(row));
-            }
-            match self.source.next_chunk(self.ctx.batch_rows) {
-                Ok(Some(batch)) => self.current = batch,
-                Ok(None) => return None,
-                Err(err) => return Some(Err(err)),
-            }
-        }
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
         if self.current.is_empty() {
             match self.source.next_chunk(max)? {

@@ -1,9 +1,8 @@
 //! Streaming row transformers: filter, column projection, generalized
 //! projection (map) and bind.  None of these buffer anything — each row is
-//! transformed or dropped as it is pulled.  All of them override
-//! [`RowStream::next_batch`] to process input in vectorized batches: the
-//! scratch buffer is fully drained within each call, so batch state never
-//! leaks between pulls and row-at-a-time access stays consistent.
+//! transformed or dropped as it is pulled.  Each pulls one input batch
+//! per [`RowStream::next_batch`] into a scratch buffer that is fully
+//! drained within the call, so no batch state leaks between pulls.
 
 use std::sync::Arc;
 
@@ -40,20 +39,6 @@ impl<'a> FilterCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for FilterCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        loop {
-            let row = match self.input.next_row()? {
-                Ok(row) => row,
-                Err(err) => return Some(Err(err)),
-            };
-            match self.keep(&row) {
-                Ok(true) => return Some(Ok(row)),
-                Ok(false) => {}
-                Err(err) => return Some(Err(err)),
-            }
-        }
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
@@ -126,14 +111,6 @@ pub(crate) fn project_row<'r>(
 }
 
 impl<'a> RowStream<'a> for ProjectCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        let row = match self.input.next_row()? {
-            Ok(row) => row,
-            Err(err) => return Some(Err(err)),
-        };
-        Some(self.project(row))
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
@@ -177,14 +154,6 @@ impl<'a> MapCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for MapCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        let row = match self.input.next_row()? {
-            Ok(row) => row,
-            Err(err) => return Some(Err(err)),
-        };
-        Some(eval_in_row(self.projection, &row, self.ctx).map(Row::owned))
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
@@ -234,14 +203,6 @@ impl<'a> BindCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for BindCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        let row = match self.input.next_row()? {
-            Ok(row) => row,
-            Err(err) => return Some(Err(err)),
-        };
-        Some(self.bind(row))
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();

@@ -12,7 +12,7 @@
 //! both sides, and the merged struct is only constructed if a downstream
 //! consumer needs one value.  The nested-loop and merge-tuples joins
 //! buffer their right input (it is re-scanned once per left row) and
-//! stream the left.
+//! stream the left a batch at a time, in one loop ([`Outer::join`]).
 //!
 //! # Spilling (bounded memory budgets)
 //!
@@ -50,7 +50,7 @@ use super::spill::{
     RunFileReader, RunPass,
 };
 use super::{
-    eval_in_pair, eval_in_row, row_from_batches, BoxedRowStream, Frame, PipelineCtx, Result, Row,
+    eval_in_pair, eval_in_row, BoxedRowStream, Frame, InputRows, PipelineCtx, Result, Row,
     RowStream,
 };
 
@@ -128,7 +128,7 @@ impl<'a> KeyedSource<'a> {
 
     /// The next batch of at most `hint` input rows, keyed (possibly empty
     /// — a filter batch in which nothing matched); `None` once exhausted.
-    pub(crate) fn next_rows(&mut self, hint: usize) -> Result<Option<Vec<KeyedRow<'a>>>> {
+    pub(crate) fn next_keyed_rows(&mut self, hint: usize) -> Result<Option<Vec<KeyedRow<'a>>>> {
         match self {
             KeyedSource::Spine(spine) => {
                 Ok(spine.next_keyed(hint)?.map(|batch| spine.keyed_rows(batch)))
@@ -376,7 +376,7 @@ impl<'a> Probe<'a> {
                     if rows_in_hand && !source.ready() {
                         return Ok(Pulled::NotReady);
                     }
-                    match source.next_rows(self.ctx.batch_rows)? {
+                    match source.next_keyed_rows(self.ctx.batch_rows)? {
                         Some(rows) => self.batch = rows.into_iter(),
                         None => return Ok(Pulled::Done),
                     }
@@ -507,7 +507,7 @@ impl<'a> HashJoin<'a> {
         let Some(mut build) = self.build.take() else {
             return Ok(());
         };
-        while let Some(rows) = build.next_rows(self.ctx.batch_rows)? {
+        while let Some(rows) = build.next_keyed_rows(self.ctx.batch_rows)? {
             let mut rows = rows.into_iter();
             if !self.table.absorb(&mut rows, &mut self.charged, self.ctx) {
                 return self.spill(build, rows);
@@ -554,7 +554,7 @@ impl<'a> HashJoin<'a> {
                 ctx.metrics.bump_materialized();
                 fan.push_resident(&row_record(&key, row))?;
             }
-            match build.next_rows(ctx.batch_rows)? {
+            match build.next_keyed_rows(ctx.batch_rows)? {
                 Some(rows) => rest = rows.into_iter(),
                 None => break,
             }
@@ -562,7 +562,7 @@ impl<'a> HashJoin<'a> {
         let Feed::Source(probe) = &mut self.probe.feed else {
             unreachable!("the build completes before the first probe");
         };
-        while let Some(rows) = probe.next_rows(ctx.batch_rows)? {
+        while let Some(rows) = probe.next_keyed_rows(ctx.batch_rows)? {
             for (_, key, row) in rows {
                 fan.push_streamed(&row_record(&key, row))?;
             }
@@ -660,10 +660,6 @@ impl<'a> HashJoin<'a> {
 }
 
 impl<'a> RowStream<'a> for HashJoin<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        row_from_batches(self)
-    }
-
     /// The side the next pull reads from: the build side until it is
     /// consumed, then whatever feeds the probe.
     fn ready(&self) -> bool {
@@ -695,8 +691,9 @@ impl<'a> RowStream<'a> for HashJoin<'a> {
 
 /// The budget-bounded inner buffer of the nested-loop and merge-tuples
 /// joins: a resident prefix (charged against the budget) plus an optional
-/// disk tail for everything past the trip point.  The tail is re-read
-/// once per outer row through [`RewindableRun::pass`].
+/// disk tail for everything past the trip point.  The buffer is walked
+/// once per outer row ([`InnerBuffer::next`]): the resident items, then
+/// a pass over the sealed tail through [`RewindableRun::pass`].
 ///
 /// The trip is at **row granularity** — the first row whose charge fails
 /// goes to disk immediately (and is uncharged), so the tracked peak
@@ -707,6 +704,10 @@ struct InnerBuffer<T> {
     resident: Vec<T>,
     tail: Option<Tail>,
     charged: usize,
+    /// The walk of the current outer row: the next resident item, then
+    /// the pass over the tail once the resident items are through.
+    next: usize,
+    pass: Option<RunPass>,
 }
 
 impl<T> Default for InnerBuffer<T> {
@@ -715,19 +716,49 @@ impl<T> Default for InnerBuffer<T> {
             resident: Vec::new(),
             tail: None,
             charged: 0,
+            next: 0,
+            pass: None,
         }
     }
 }
 
 impl<T> InnerBuffer<T> {
+    /// Buffers a whole cursor, pulled a batch at a time: `item` turns a
+    /// row into the buffered item and its resident size, `record` an item
+    /// into its spill record.
+    fn fill<'a>(
+        mut input: BoxedRowStream<'a>,
+        item: impl Fn(Row<'a>) -> Result<(T, usize)>,
+        record: fn(T) -> Vec<Value>,
+        ctx: PipelineCtx<'a>,
+    ) -> Result<Self> {
+        let mut buffer = InnerBuffer::default();
+        let mut rows = Vec::with_capacity(ctx.batch_rows);
+        loop {
+            let more = input.next_batch(&mut rows, ctx.batch_rows)?;
+            for row in rows.drain(..) {
+                let (item, cost) = item(row)?;
+                ctx.metrics.bump_materialized();
+                buffer.admit(item, cost, record, ctx)?;
+            }
+            if !more {
+                break;
+            }
+        }
+        if let Some(Tail::Writing(run)) = buffer.tail.take() {
+            ctx.metrics.add_bytes_spilled(run.bytes());
+            buffer.tail = Some(Tail::Sealed(RewindableRun::from_run(run)?));
+        }
+        Ok(buffer)
+    }
+
     /// Admit one item: resident while the budget holds, spilled to the
-    /// tail run from the first failed charge on.  `cost` is the item's
-    /// resident size, `record` its spill serialization.
+    /// tail run from the first failed charge on.
     fn admit(
         &mut self,
         item: T,
         cost: usize,
-        record: impl FnOnce(T) -> Vec<Value>,
+        record: fn(T) -> Vec<Value>,
         ctx: PipelineCtx<'_>,
     ) -> Result<()> {
         if self.tail.is_none() {
@@ -744,6 +775,33 @@ impl<T> InnerBuffer<T> {
             Tail::Sealed(_) => unreachable!("admit after seal"),
         }
     }
+
+    /// Starts the walk over the buffer again, for the next outer row.
+    fn rewind(&mut self) {
+        self.next = 0;
+        self.pass = None;
+    }
+
+    /// The next item of the walk, `decode` turning a tail record back
+    /// into one; `None` at the end of the walk.
+    fn next(&mut self, decode: fn(Vec<Value>) -> T) -> Result<Option<T>>
+    where
+        T: Clone,
+    {
+        if let Some(item) = self.resident.get(self.next) {
+            self.next += 1;
+            return Ok(Some(item.clone()));
+        }
+        if self.pass.is_none() {
+            self.pass = match &mut self.tail {
+                None => return Ok(None),
+                Some(Tail::Sealed(run)) => Some(run.pass()?),
+                Some(Tail::Writing(_)) => unreachable!("walk before seal"),
+            };
+        }
+        let pass = self.pass.as_mut().expect("started above");
+        Ok(pass.next_record()?.map(decode))
+    }
 }
 
 /// A tail run is written once during buffering, then sealed into its
@@ -753,22 +811,52 @@ enum Tail {
     Sealed(RewindableRun),
 }
 
-/// Seal a fully written buffer: flush the tail run (if any) and count its
-/// bytes as spilled.
-fn seal_tail(tail: &mut Option<Tail>, ctx: PipelineCtx<'_>) -> Result<()> {
-    if let Some(Tail::Writing(run)) = tail.take() {
-        ctx.metrics.add_bytes_spilled(run.bytes());
-        *tail = Some(Tail::Sealed(RewindableRun::from_run(run)?));
-    }
-    Ok(())
+/// The streamed (left) side of a nested-loop or merge-tuples join, and
+/// the row of it walking the inner buffer.
+struct Outer<'a, L> {
+    input: InputRows<'a>,
+    /// The row walking the inner buffer, as `prepare` made it.
+    current: Option<L>,
 }
 
-/// Start a pass over a sealed tail, or `None` when nothing spilled.
-fn tail_pass(tail: &mut Option<Tail>) -> Result<Option<RunPass>> {
-    match tail {
-        None => Ok(None),
-        Some(Tail::Sealed(run)) => Ok(Some(run.pass()?)),
-        Some(Tail::Writing(_)) => unreachable!("pass before seal"),
+impl<'a, L> Outer<'a, L> {
+    fn new(input: BoxedRowStream<'a>, batch_rows: usize) -> Self {
+        Outer {
+            input: InputRows::new(input, batch_rows),
+            current: None,
+        }
+    }
+
+    /// The one loop of both joins, answering as [`RowStream::next_batch`]
+    /// does: each left row, `prepare`d, walks `inner` (`decode` reads its
+    /// tail), and `pair` makes a pair's output row if the pair is kept.
+    /// A left batch is pulled whole before any of its rows is paired, as
+    /// an evaluator that materializes the left input first pairs them.
+    fn join<T: Clone>(
+        &mut self,
+        inner: &mut InnerBuffer<T>,
+        out: &mut Vec<Row<'a>>,
+        max: usize,
+        prepare: impl Fn(Row<'a>) -> Result<L>,
+        decode: fn(Vec<Value>) -> T,
+        pair: impl Fn(&L, T) -> Result<Option<Row<'a>>>,
+    ) -> Result<bool> {
+        let start = out.len();
+        while out.len() - start < max {
+            let Some(left) = &self.current else {
+                let Some(row) = self.input.next(out.len() > start)? else {
+                    return Ok(self.input.more);
+                };
+                self.current = Some(prepare(row)?);
+                inner.rewind();
+                continue;
+            };
+            match inner.next(decode)? {
+                Some(right) => out.extend(pair(left, right)?),
+                None => self.current = None,
+            }
+        }
+        Ok(true)
     }
 }
 
@@ -781,44 +869,15 @@ fn frames_record(row: Row<'_>) -> Vec<Value> {
         .collect()
 }
 
-/// Materializes a cursor into the budget-bounded inner buffer, validating
-/// struct frames and counting the buffered rows.
-fn buffer_rows<'a>(
-    mut input: BoxedRowStream<'a>,
-    ctx: PipelineCtx<'a>,
-) -> Result<InnerBuffer<Row<'a>>> {
-    let mut buffer = InnerBuffer::default();
-    let mut buf = Vec::with_capacity(ctx.batch_rows);
-    loop {
-        let more = input.next_batch(&mut buf, ctx.batch_rows)?;
-        for row in buf.drain(..) {
-            check_struct_frames(&row)?;
-            ctx.metrics.bump_materialized();
-            let cost = approx_row_bytes(&row);
-            buffer.admit(row, cost, frames_record, ctx)?;
-        }
-        if !more {
-            break;
-        }
-    }
-    seal_tail(&mut buffer.tail, ctx)?;
-    Ok(buffer)
-}
-
 /// Nested-loop join: streams the left input, buffering the right (which is
 /// re-scanned once per left row — from memory, plus a rewound disk pass
 /// for any spilled tail).
 pub(crate) struct NestedLoopCursor<'a> {
-    left: BoxedRowStream<'a>,
+    left: Outer<'a, Row<'a>>,
     right_input: Option<BoxedRowStream<'a>>,
     right: InnerBuffer<Row<'a>>,
     predicate: Option<&'a ScalarExpr>,
     ctx: PipelineCtx<'a>,
-    current_left: Option<Row<'a>>,
-    right_index: usize,
-    /// The current left row's pass over the spilled tail; `None` until
-    /// the resident prefix is exhausted (or when nothing spilled).
-    tail_pass: Option<RunPass>,
 }
 
 impl<'a> NestedLoopCursor<'a> {
@@ -829,32 +888,12 @@ impl<'a> NestedLoopCursor<'a> {
         ctx: PipelineCtx<'a>,
     ) -> Self {
         NestedLoopCursor {
-            left,
+            left: Outer::new(left, ctx.batch_rows),
             right_input: Some(right),
             right: InnerBuffer::default(),
             predicate,
             ctx,
-            current_left: None,
-            right_index: 0,
-            tail_pass: None,
         }
-    }
-
-    /// The next right-side row for the current left row: the resident
-    /// prefix first, then a sequential pass over the spilled tail.
-    fn next_right(&mut self) -> Result<Option<Row<'a>>> {
-        if self.right_index < self.right.resident.len() {
-            let row = self.right.resident[self.right_index].clone();
-            self.right_index += 1;
-            return Ok(Some(row));
-        }
-        if self.tail_pass.is_none() {
-            self.tail_pass = tail_pass(&mut self.right.tail)?;
-        }
-        let Some(pass) = self.tail_pass.as_mut() else {
-            return Ok(None);
-        };
-        Ok(pass.next_record()?.map(record_row))
     }
 }
 
@@ -866,47 +905,28 @@ impl Drop for NestedLoopCursor<'_> {
 }
 
 impl<'a> RowStream<'a> for NestedLoopCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
+    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
+        let ctx = self.ctx;
         if let Some(right) = self.right_input.take() {
-            match buffer_rows(right, self.ctx) {
-                Ok(rows) => self.right = rows,
-                Err(err) => return Some(Err(err)),
-            }
+            let item = |row: Row<'a>| {
+                check_struct_frames(&row)?;
+                let cost = approx_row_bytes(&row);
+                Ok((row, cost))
+            };
+            self.right = InnerBuffer::fill(right, item, frames_record, ctx)?;
         }
-        loop {
-            if self.current_left.is_none() {
-                let left = match self.left.next_row()? {
-                    Ok(row) => row,
-                    Err(err) => return Some(Err(err)),
-                };
-                if let Err(err) = check_struct_frames(&left) {
-                    return Some(Err(err));
-                }
-                self.current_left = Some(left);
-                self.right_index = 0;
-                self.tail_pass = None;
-            }
-            loop {
-                let right = match self.next_right() {
-                    Ok(Some(row)) => row,
-                    Ok(None) => break,
-                    Err(err) => return Some(Err(err)),
-                };
-                let left = self.current_left.as_ref().expect("set above");
-                let keep = match self.predicate {
-                    Some(p) => match eval_in_pair(p, left, &right, self.ctx) {
-                        Ok(v) => truthy(&v),
-                        Err(err) => return Some(Err(err)),
-                    },
-                    None => true,
-                };
-                if keep {
-                    // Only surviving pairs construct an output row.
-                    return Some(Ok(Row::joined(left.clone(), right)));
-                }
-            }
-            self.current_left = None;
-        }
+        let predicate = self.predicate;
+        let pair = |left: &Row<'a>, right: Row<'a>| {
+            let keep = match predicate {
+                Some(p) => truthy(&eval_in_pair(p, left, &right, ctx)?),
+                None => true,
+            };
+            // Only surviving pairs construct an output row.
+            Ok(keep.then(|| Row::joined(left.clone(), right)))
+        };
+        let prepare = |row: Row<'a>| check_struct_frames(&row).map(|()| row);
+        self.left
+            .join(&mut self.right, out, max, prepare, record_row, pair)
     }
 }
 
@@ -914,15 +934,33 @@ impl<'a> RowStream<'a> for NestedLoopCursor<'a> {
 /// tuples with a disambiguating prefix (the `MergeTuplesJoin` semantics),
 /// so its output rows are materialized structs by construction.
 pub(crate) struct MergeTuplesCursor<'a> {
-    left: BoxedRowStream<'a>,
+    left: Outer<'a, Value>,
     right_input: Option<BoxedRowStream<'a>>,
     right: InnerBuffer<Value>,
     on: &'a [(String, String)],
     ctx: PipelineCtx<'a>,
-    current_left: Option<Value>,
-    right_index: usize,
-    /// The current left value's pass over the spilled tail.
-    tail_pass: Option<RunPass>,
+}
+
+/// One merge-tuples pair: the merged struct when the `on` attributes
+/// match.
+fn merge_tuples<'r>(
+    on: &[(String, String)],
+    left: &Value,
+    right: &Value,
+) -> Result<Option<Row<'r>>> {
+    let ls = left.as_struct().map_err(AlgebraError::from)?;
+    let rs = right.as_struct().map_err(AlgebraError::from)?;
+    for (lattr, rattr) in on {
+        let lv = ls.field(lattr).map_err(AlgebraError::from)?;
+        let rv = rs.field(rattr).map_err(AlgebraError::from)?;
+        if lv != rv {
+            return Ok(None);
+        }
+    }
+    let merged = ls
+        .merge_with_prefix(rs, "right")
+        .map_err(AlgebraError::from)?;
+    Ok(Some(Row::owned(Value::Struct(merged))))
 }
 
 impl<'a> MergeTuplesCursor<'a> {
@@ -933,61 +971,12 @@ impl<'a> MergeTuplesCursor<'a> {
         ctx: PipelineCtx<'a>,
     ) -> Self {
         MergeTuplesCursor {
-            left,
+            left: Outer::new(left, ctx.batch_rows),
             right_input: Some(right),
             right: InnerBuffer::default(),
             on,
             ctx,
-            current_left: None,
-            right_index: 0,
-            tail_pass: None,
         }
-    }
-
-    /// Materializes the right input into the budget-bounded inner buffer.
-    fn buffer_right(&mut self, mut input: BoxedRowStream<'a>) -> Result<()> {
-        while let Some(row) = input.next_row() {
-            let value = row.and_then(|r| r.materialize(self.ctx.metrics))?;
-            self.ctx.metrics.bump_materialized();
-            let cost = disco_value::approx_value_bytes(&value);
-            self.right.admit(value, cost, |v| vec![v], self.ctx)?;
-        }
-        seal_tail(&mut self.right.tail, self.ctx)
-    }
-
-    /// The next right-side value for the current left value: resident
-    /// prefix first, then a sequential pass over the spilled tail.
-    fn next_right(&mut self) -> Result<Option<Value>> {
-        if self.right_index < self.right.resident.len() {
-            let value = self.right.resident[self.right_index].clone();
-            self.right_index += 1;
-            return Ok(Some(value));
-        }
-        if self.tail_pass.is_none() {
-            self.tail_pass = tail_pass(&mut self.right.tail)?;
-        }
-        let Some(pass) = self.tail_pass.as_mut() else {
-            return Ok(None);
-        };
-        Ok(pass
-            .next_record()?
-            .map(|mut rec| rec.pop().unwrap_or(Value::Null)))
-    }
-
-    fn merge(&self, left: &Value, right: &Value) -> Result<Option<Row<'a>>> {
-        let ls = left.as_struct().map_err(AlgebraError::from)?;
-        let rs = right.as_struct().map_err(AlgebraError::from)?;
-        for (lattr, rattr) in self.on {
-            let lv = ls.field(lattr).map_err(AlgebraError::from)?;
-            let rv = rs.field(rattr).map_err(AlgebraError::from)?;
-            if lv != rv {
-                return Ok(None);
-            }
-        }
-        let merged = ls
-            .merge_with_prefix(rs, "right")
-            .map_err(AlgebraError::from)?;
-        Ok(Some(Row::owned(Value::Struct(merged))))
     }
 }
 
@@ -999,40 +988,21 @@ impl Drop for MergeTuplesCursor<'_> {
 }
 
 impl<'a> RowStream<'a> for MergeTuplesCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
+    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
+        let ctx = self.ctx;
         if let Some(right) = self.right_input.take() {
-            if let Err(err) = self.buffer_right(right) {
-                return Some(Err(err));
-            }
+            let item = |row: Row<'a>| {
+                let value = row.materialize(ctx.metrics)?;
+                let cost = approx_value_bytes(&value);
+                Ok((value, cost))
+            };
+            self.right = InnerBuffer::fill(right, item, |v| vec![v], ctx)?;
         }
-        loop {
-            if self.current_left.is_none() {
-                let left = match self.left.next_row()? {
-                    Ok(row) => row,
-                    Err(err) => return Some(Err(err)),
-                };
-                let left = match left.materialize(self.ctx.metrics) {
-                    Ok(value) => value,
-                    Err(err) => return Some(Err(err)),
-                };
-                self.current_left = Some(left);
-                self.right_index = 0;
-                self.tail_pass = None;
-            }
-            loop {
-                let right = match self.next_right() {
-                    Ok(Some(value)) => value,
-                    Ok(None) => break,
-                    Err(err) => return Some(Err(err)),
-                };
-                let left = self.current_left.as_ref().expect("set above");
-                match self.merge(left, &right) {
-                    Ok(Some(row)) => return Some(Ok(row)),
-                    Ok(None) => {}
-                    Err(err) => return Some(Err(err)),
-                }
-            }
-            self.current_left = None;
-        }
+        let on = self.on;
+        let pair = |left: &Value, right: Value| merge_tuples(on, left, &right);
+        let prepare = |row: Row<'a>| row.materialize(ctx.metrics);
+        let decode = |mut record: Vec<Value>| record.pop().unwrap_or(Value::Null);
+        self.left
+            .join(&mut self.right, out, max, prepare, decode, pair)
     }
 }

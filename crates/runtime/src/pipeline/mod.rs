@@ -5,8 +5,8 @@
 //! a hash join constructed every merged output row up front.  This module
 //! replaces that with operator-at-a-time execution: a physical plan is
 //! opened into a tree of cursors ([`RowStream`]s), and rows are *pulled*
-//! through the tree one at a time.  Only pipeline breakers ever buffer
-//! rows:
+//! through the tree a batch at a time.  Only pipeline breakers ever
+//! buffer rows:
 //!
 //! * the **hash-join build side** (the smaller input, chosen from resolved
 //!   cardinalities) and the re-scanned inner of a nested-loop or
@@ -216,17 +216,12 @@ pub const BATCH_ROWS: usize = 256;
 /// streaming engine.  The lifetime is the plan/resolved-sources borrow
 /// rows may point into.
 ///
-/// Operators are driven either row-at-a-time ([`RowStream::next_row`]) or
-/// in vectorized batches ([`RowStream::next_batch`]); both may be mixed
-/// freely on one stream.  The batched form exists purely for throughput —
-/// it amortizes the per-operator virtual call and row move over
-/// [`BATCH_ROWS`] rows — and must be observably identical to repeated
-/// `next_row` calls.
+/// A cursor has one pull, [`RowStream::next_batch`]: every operator takes
+/// its input and hands on its output in batches (of the execution's
+/// [`PipelineOptions::batch_rows`]), which amortizes the per-operator
+/// virtual call and row move, and is the one place an operator's rows
+/// and batches are counted.
 pub trait RowStream<'a> {
-    /// Pulls the next row; `None` when the stream is exhausted.  After an
-    /// `Err` the stream state is unspecified and it should be dropped.
-    fn next_row(&mut self) -> Option<Result<Row<'a>>>;
-
     /// Whether a pull would make progress *without blocking on a
     /// still-streaming source*.  Cursors over materialized inputs are
     /// always ready; a pending scan reports its spool state, and
@@ -250,20 +245,59 @@ pub trait RowStream<'a> {
     /// # Errors
     ///
     /// Propagates the first row error; the stream should then be dropped.
-    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
-        for _ in 0..max {
-            match self.next_row() {
-                Some(Ok(row)) => out.push(row),
-                Some(Err(err)) => return Err(err),
-                None => return Ok(false),
-            }
-        }
-        Ok(true)
-    }
+    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool>;
 }
 
 /// A boxed cursor borrowing the plan it executes.
 pub type BoxedRowStream<'a> = Box<dyn RowStream<'a> + 'a>;
+
+/// A cursor's input pulled a batch at a time and handed out a row at a
+/// time, for the operators that do per-row work between pulls: the left
+/// side of the nested-loop and merge-tuples joins, and flatten.
+pub(crate) struct InputRows<'a> {
+    input: BoxedRowStream<'a>,
+    batch_rows: usize,
+    /// What is left of the batch pulled last.
+    batch: std::vec::IntoIter<Row<'a>>,
+    /// Whether the input may have more batches.
+    pub(crate) more: bool,
+}
+
+impl<'a> InputRows<'a> {
+    pub(crate) fn new(input: BoxedRowStream<'a>, batch_rows: usize) -> Self {
+        InputRows {
+            input,
+            batch_rows,
+            batch: Vec::new().into_iter(),
+            more: true,
+        }
+    }
+
+    /// The next row, pulling the next batch once this one is through; a
+    /// batch is pulled whole, so an input error in it comes before any
+    /// of its rows.  `None` when the input is exhausted — or still
+    /// streaming while the caller has `rows_in_hand`, which go
+    /// downstream first.
+    pub(crate) fn next(&mut self, rows_in_hand: bool) -> Result<Option<Row<'a>>> {
+        loop {
+            if let Some(row) = self.batch.next() {
+                return Ok(Some(row));
+            }
+            if !self.more || (rows_in_hand && !self.input.ready()) {
+                return Ok(None);
+            }
+            let mut rows = Vec::with_capacity(self.batch_rows);
+            self.more = self.input.next_batch(&mut rows, self.batch_rows)?;
+            self.batch = rows.into_iter();
+        }
+    }
+
+    /// Whether [`InputRows::next`] would answer without blocking on a
+    /// still-streaming source.
+    pub(crate) fn ready(&self) -> bool {
+        !self.batch.as_slice().is_empty() || self.input.ready()
+    }
+}
 
 /// Counters recording where a pipeline execution actually buffered or
 /// merged rows.
@@ -722,7 +756,6 @@ pub(crate) fn build<'a>(
         )),
         PhysicalExpr::MkUnion(_) => Ok(Box::new(columnar::SpineCursor::new(
             columnar::batch_source(plan, ctx)?,
-            ctx,
         ))),
         PhysicalExpr::MkFlatten(inner) => {
             Ok(Box::new(union::FlattenCursor::new(build(inner, ctx)?, ctx)))
@@ -864,7 +897,7 @@ pub(crate) fn evaluate_pass(
         batch_rows: options.effective_batch_rows(),
         budget: &budget,
     };
-    let mut union = columnar::SpineCursor::new(columnar::union_source(items, true, ctx)?, ctx);
+    let mut union = columnar::SpineCursor::new(columnar::union_source(items, true, ctx)?);
     let mut runs = Vec::<(usize, Range<usize>)>::new();
     let data = collect(
         &mut union,
@@ -928,25 +961,6 @@ fn evaluate_with_budget(
         budget,
     };
     collect(&mut *build(plan, ctx)?, metrics, ctx.batch_rows, |_, _| {})
-}
-
-/// [`RowStream::next_row`] for cursors whose native pull is
-/// [`RowStream::next_batch`]: pulls one-row batches until a row (or the
-/// end) turns up.
-pub(crate) fn row_from_batches<'a>(
-    stream: &mut (impl RowStream<'a> + ?Sized),
-) -> Option<Result<Row<'a>>> {
-    let mut one = Vec::with_capacity(1);
-    loop {
-        match stream.next_batch(&mut one, 1) {
-            Err(err) => return Some(Err(err)),
-            Ok(more) => match one.pop() {
-                Some(row) => return Some(Ok(row)),
-                None if !more => return None,
-                None => {}
-            },
-        }
-    }
 }
 
 /// Builds the layered environment of a row's frames on top of `outer` and

@@ -6,7 +6,7 @@
 //! **borrowed** chunks — to the fused spine (`columnar::Spine`), which
 //! takes them a batch at a time and reads a column-faced chunk's columns
 //! in place; to everything that does not fuse (a bare scan under a union,
-//! a nested-loop or merge join side) a row at a time through
+//! a nested-loop or merge join side) as batches of borrowed rows through
 //! [`SpoolScanCursor`], for which a column-faced chunk builds its rows.
 //! The reader blocks only on *its own* source, through the spool's one
 //! wait loop: the deadline flips a still-streaming spool to
@@ -42,12 +42,6 @@ impl<'a> ScanCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for ScanCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        let item = self.items.get(self.index)?;
-        self.index += 1;
-        Some(Ok(Row::borrowed(item)))
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
         let end = (self.index + max).min(self.items.len());
         out.extend(self.items[self.index..end].iter().map(Row::borrowed));
@@ -139,10 +133,6 @@ impl<'a> SpoolScanCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for SpoolScanCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        super::row_from_batches(self)
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
         if self.current.as_slice().is_empty() {
             // This consumer hands rows on: a column-faced chunk becomes

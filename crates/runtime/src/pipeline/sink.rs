@@ -40,7 +40,7 @@ use disco_value::{approx_value_bytes, StrDict, Value};
 
 use super::columnar::{Batch, BatchSource};
 use super::spill::{can_split, Grace, Loaded, Resident, RunFileReader};
-use super::{row_from_batches, Frame, PipelineCtx, PipelineMetrics, Result, Row, RowStream};
+use super::{Frame, PipelineCtx, PipelineMetrics, Result, Row, RowStream};
 
 /// Pass-through hasher for keys that already *are* hashes.
 #[derive(Default)]
@@ -417,10 +417,6 @@ impl<'a> DistinctCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for DistinctCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        row_from_batches(self)
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
         if self.tripped && self.grace.is_none() {
             self.enter_spill()?;
@@ -486,9 +482,14 @@ impl<'a> AggregateCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for AggregateCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        let source = self.source.take()?;
-        Some(fold_aggregate(self.func, source, self.ctx).map(|state| Row::owned(state.finish())))
+    /// The one row, and the end.
+    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, _max: usize) -> Result<bool> {
+        if let Some(source) = self.source.take() {
+            out.push(Row::owned(
+                fold_aggregate(self.func, source, self.ctx)?.finish(),
+            ));
+        }
+        Ok(false)
     }
 }
 

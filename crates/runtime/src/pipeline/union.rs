@@ -8,7 +8,7 @@ use disco_value::{Bag, BagCursor, Value};
 use crate::exec::ResolutionEvents;
 
 use super::columnar::{Batch, BatchSource};
-use super::{BoxedRowStream, PipelineCtx, PipelineMetrics, Result, Row, RowStream};
+use super::{BoxedRowStream, InputRows, PipelineCtx, PipelineMetrics, Result, Row, RowStream};
 use crate::RuntimeError;
 
 /// How a union and a class spine serve their inputs: a rotating sweep
@@ -180,8 +180,10 @@ impl<'a> Union<'a> {
 /// Unnests one level of bags (`mkflatten`): bag- and list-valued rows are
 /// expanded element by element through a shared-storage cursor, everything
 /// else passes through — matching `Bag::flatten`'s permissive behaviour.
+/// A bag being expanded carries over to the next pull when the output
+/// batch fills.
 pub(crate) struct FlattenCursor<'a> {
-    input: BoxedRowStream<'a>,
+    input: InputRows<'a>,
     ctx: PipelineCtx<'a>,
     inner: Option<BagCursor>,
 }
@@ -189,7 +191,7 @@ pub(crate) struct FlattenCursor<'a> {
 impl<'a> FlattenCursor<'a> {
     pub(crate) fn new(input: BoxedRowStream<'a>, ctx: PipelineCtx<'a>) -> Self {
         FlattenCursor {
-            input,
+            input: InputRows::new(input, ctx.batch_rows),
             ctx,
             inner: None,
         }
@@ -197,28 +199,24 @@ impl<'a> FlattenCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for FlattenCursor<'a> {
-    fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        loop {
-            if let Some(inner) = &mut self.inner {
-                match inner.next() {
-                    Some(value) => return Some(Ok(Row::owned(value))),
-                    None => self.inner = None,
-                }
+    fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
+        let start = out.len();
+        while out.len() - start < max {
+            if let Some(value) = self.inner.as_mut().and_then(BagCursor::next) {
+                out.push(Row::owned(value));
+                continue;
             }
-            let row = match self.input.next_row()? {
-                Ok(row) => row,
-                Err(err) => return Some(Err(err)),
+            self.inner = None;
+            let Some(row) = self.input.next(out.len() > start)? else {
+                return Ok(self.input.more);
             };
-            let value = match row.materialize(self.ctx.metrics) {
-                Ok(value) => value,
-                Err(err) => return Some(Err(err)),
-            };
-            match value {
+            match row.materialize(self.ctx.metrics)? {
                 Value::Bag(inner) => self.inner = Some(inner.into_cursor()),
                 Value::List(items) => self.inner = Some(Bag::from_shared(items).into_cursor()),
-                other => return Some(Ok(Row::owned(other))),
+                other => out.push(Row::owned(other)),
             }
         }
+        Ok(true)
     }
 
     fn ready(&self) -> bool {

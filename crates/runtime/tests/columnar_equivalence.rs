@@ -604,17 +604,13 @@ fn join_key_errors_are_identical_across_breaker_forms() {
     }
 }
 
-#[test]
-fn batch_size_does_not_change_answers_or_metrics() {
-    let plan = LogicalExpr::Distinct(Box::new(
-        LogicalExpr::Data(people(333))
-            .bind("x")
-            .filter(salary_gt(20))
-            .map_project(ScalarExpr::var_field("x", "name")),
-    ));
-    let physical = lower(&plan).expect("plan lowers");
+/// Runs `plan` at batch sizes from 1 to 4096: every size must give the
+/// reference evaluator's answer and the same breaker metrics.
+fn assert_batch_size_invariant(plan: &LogicalExpr) {
+    let physical = lower(plan).expect("plan lowers");
     let resolved = ResolvedExecs::default();
-    let mut reference: Option<(Bag, usize, usize)> = None;
+    let expected = reference::evaluate_physical(&physical, &resolved).expect("reference evaluates");
+    let mut reference: Option<(usize, usize, usize)> = None;
     for batch_rows in [1usize, 7, 64, 4096] {
         let metrics = PipelineMetrics::new();
         let opts = PipelineOptions {
@@ -623,7 +619,15 @@ fn batch_size_does_not_change_answers_or_metrics() {
         };
         let bag =
             evaluate_physical_with(&physical, &resolved, &metrics, opts).expect("plan evaluates");
-        let snapshot = (bag, metrics.rows_materialized(), metrics.rows_emitted());
+        assert_eq!(
+            bag, expected,
+            "batch_rows={batch_rows}: the reference answer"
+        );
+        let snapshot = (
+            metrics.rows_materialized(),
+            metrics.rows_merged(),
+            metrics.rows_emitted(),
+        );
         match &reference {
             None => reference = Some(snapshot),
             Some(expected) => assert_eq!(
@@ -632,4 +636,53 @@ fn batch_size_does_not_change_answers_or_metrics() {
             ),
         }
     }
+}
+
+#[test]
+fn batch_size_does_not_change_answers_or_metrics() {
+    assert_batch_size_invariant(&LogicalExpr::Distinct(Box::new(
+        LogicalExpr::Data(people(333))
+            .bind("x")
+            .filter(salary_gt(20))
+            .map_project(ScalarExpr::var_field("x", "name")),
+    )));
+}
+
+#[test]
+fn batch_size_does_not_change_a_nested_loop_join() {
+    // A non-equi predicate lowers to a nested loop; its unprojected pairs
+    // are merged at the sink.
+    assert_batch_size_invariant(&LogicalExpr::Join {
+        left: Box::new(LogicalExpr::Data(people(50)).bind("x")),
+        right: Box::new(LogicalExpr::Data(people(13)).bind("y")),
+        predicate: Some(ScalarExpr::binary(
+            ScalarOp::Lt,
+            ScalarExpr::var_field("x", "salary"),
+            ScalarExpr::var_field("y", "salary"),
+        )),
+    });
+}
+
+#[test]
+fn batch_size_does_not_change_a_merge_tuples_join() {
+    // A mediator-side `SourceJoin` runs as the merge-tuples join.
+    assert_batch_size_invariant(&LogicalExpr::SourceJoin {
+        left: Box::new(LogicalExpr::Data(people(60))),
+        right: Box::new(LogicalExpr::Data(people(9))),
+        on: vec![("id".into(), "id".into())],
+    });
+}
+
+#[test]
+fn batch_size_does_not_change_a_flatten() {
+    // Bags of 0 to 9 elements, lists, and rows that pass through: the
+    // expansions straddle every batch size's boundaries.
+    let rows: Bag = (0..120i64)
+        .map(|i| match i % 5 {
+            0 => Value::Int(i),
+            1 => Value::List((0..i % 4).map(Value::Int).collect::<Vec<_>>().into()),
+            _ => Value::Bag((0..i % 10).map(|j| Value::Int(i * 10 + j)).collect()),
+        })
+        .collect();
+    assert_batch_size_invariant(&LogicalExpr::Flatten(Box::new(LogicalExpr::Data(rows))));
 }

@@ -17,12 +17,9 @@
 //! kernel never reports an error: whatever the kernel pass cannot answer
 //! exactly (a predicate outside the kernel subset, a would-be evaluation
 //! error, a missing or repeated column) makes it **bail**, and the call
-//! runs again as the row pass — every predicate, then the projection,
-//! over the borrowed stored rows, copying only a row that survives —
-//! which answers, errors included, what the recursive evaluator answers
-//! for the shape.  Everything else (`join`, operators in any other order)
-//! goes through that recursive evaluator, which materializes a bag per
-//! operator.
+//! runs again through the recursive evaluator, which materializes a bag
+//! per operator and reports the error.  That evaluator also answers
+//! everything else (`join`, operators in any other order).
 
 use std::sync::Arc;
 
@@ -56,9 +53,17 @@ pub fn eval_pushed(
     expr: &LogicalExpr,
     provider: &RowProvider<'_>,
 ) -> Result<PushedResult, WrapperError> {
-    match OnePass::of(expr) {
-        Some(pass) => pass.run(provider),
-        None => eval_recursive(expr, provider),
+    let Some(pass) = OnePass::of(expr) else {
+        return eval_recursive(expr, provider);
+    };
+    let table = provider(pass.collection)?;
+    match pass.kernel_pass(&table) {
+        Some(rows) => Ok(PushedResult {
+            rows,
+            rows_scanned: table.len(),
+        }),
+        // The bail: the recursive evaluator reads the same table.
+        None => eval_recursive(expr, &|_: &str| Ok(Arc::clone(&table))),
     }
 }
 
@@ -92,20 +97,9 @@ impl<'e> OnePass<'e> {
         })
     }
 
-    fn run(&self, provider: &RowProvider<'_>) -> Result<PushedResult, WrapperError> {
-        let table = provider(self.collection)?;
-        match self.kernel_pass(&table) {
-            Some(rows) => Ok(PushedResult {
-                rows,
-                rows_scanned: table.len(),
-            }),
-            None => self.row_pass(&table),
-        }
-    }
-
     /// The answer as columns of the table's image under the selection the
-    /// predicates leave — or `None`, the bail: the row pass then answers
-    /// (or reports the error) instead.
+    /// predicates leave — or `None`, the bail: the recursive evaluator
+    /// then answers (or reports the error) instead.
     fn kernel_pass(&self, table: &Table) -> Option<Bag> {
         /// Rows per selection vector: the kernels' intermediates stay in
         /// the first-level cache.
@@ -150,58 +144,6 @@ impl<'e> OnePass<'e> {
             survivors.extend_from_slice(&selection);
         }
         Some(Bag::from_columns(answer.select(survivors)))
-    }
-
-    /// The fallback, and the oracle of the kernel pass: one pass over the
-    /// borrowed stored rows.
-    fn row_pass(&self, table: &Table) -> Result<PushedResult, WrapperError> {
-        // The recursive evaluator finishes an operator over the whole
-        // input before the next one starts, so the error it reports is
-        // that of the *innermost* failing operator, at that operator's
-        // first failing row.  One pass meets failures in row order
-        // instead: after one, the operator that failed and those above it
-        // stop, and the rows left still run the predicates beneath it —
-        // one of which may fail in turn and take the error over.
-        let mut live = self.predicates.len();
-        let mut failure: Option<WrapperError> = None;
-        let mut rows = Vec::new();
-        'rows: for stored in table.rows() {
-            for (at, predicate) in self.predicates[..live].iter().enumerate() {
-                match eval_scalar(predicate, stored) {
-                    Ok(verdict) if truthy(&verdict) => {}
-                    Ok(_) => continue 'rows,
-                    Err(err) => {
-                        failure = Some(err.into());
-                        live = at;
-                        continue 'rows;
-                    }
-                }
-            }
-            if failure.is_some() {
-                if live == 0 {
-                    break;
-                }
-                continue;
-            }
-            let row = match self.columns {
-                None => stored.clone(),
-                Some(columns) => match stored.project(columns.iter().map(String::as_str)) {
-                    Ok(projected) => projected,
-                    Err(err) => {
-                        failure = Some(AlgebraError::from(err).into());
-                        continue;
-                    }
-                },
-            };
-            rows.push(Value::Struct(row));
-        }
-        match failure {
-            Some(err) => Err(err),
-            None => Ok(PushedResult {
-                rows: Bag::from(rows),
-                rows_scanned: table.len(),
-            }),
-        }
     }
 }
 
@@ -389,7 +331,7 @@ mod tests {
     /// and a NaN float — predicates that divide by a column holding
     /// zeros, add to a string, compare strings, name a missing column;
     /// projections naming an undeclared or a repeated column — the kernel
-    /// pass (where it does not bail), the row pass and the recursive
+    /// pass (where it does not bail), `eval_pushed` and the recursive
     /// evaluator answer alike: the same rows in the same order, the same
     /// `rows_scanned`, the same error text.
     #[test]
@@ -485,37 +427,31 @@ mod tests {
                 expr = expr.project(columns[rng.gen_range(0..13usize) / 3].iter().copied());
             }
             let pass = OnePass::of(&expr).unwrap_or_else(|| panic!("{expr}"));
-            let by_rows = pass.row_pass(&stored);
             let recursive = eval_recursive(&expr, &provider);
             match pass.kernel_pass(&stored) {
                 Some(by_kernels) => {
                     kernel_answers += 1;
                     assert!(by_kernels.columns().is_some(), "{expr}");
-                    let by_rows = by_rows.as_ref().unwrap_or_else(|err| {
-                        panic!("{expr}: the kernels answered, the row pass says {err}")
+                    let recursive = recursive.as_ref().unwrap_or_else(|err| {
+                        panic!("{expr}: the kernels answered, the recursive evaluator says {err}")
                     });
-                    assert_eq!(printed(&by_kernels), printed(&by_rows.rows), "{expr}");
-                    assert_eq!(by_kernels, by_rows.rows, "{expr}");
+                    assert_eq!(printed(&by_kernels), printed(&recursive.rows), "{expr}");
+                    assert_eq!(by_kernels, recursive.rows, "{expr}");
                 }
                 None => bails += 1,
             }
             let pushed = eval_pushed(&expr, &provider);
-            match (&by_rows, &recursive, &pushed) {
-                (Ok(f), Ok(r), Ok(p)) => {
-                    assert_eq!(printed(&f.rows), printed(&r.rows), "{expr}");
+            match (&recursive, &pushed) {
+                (Ok(r), Ok(p)) => {
                     assert_eq!(printed(&p.rows), printed(&r.rows), "{expr}");
-                    assert_eq!(f.rows_scanned, r.rows_scanned, "{expr}");
                     assert_eq!(p.rows_scanned, r.rows_scanned, "{expr}");
                     answers += 1;
                 }
-                (Err(f), Err(r), Err(p)) => {
-                    assert_eq!(f.to_string(), r.to_string(), "{expr}");
+                (Err(r), Err(p)) => {
                     assert_eq!(p.to_string(), r.to_string(), "{expr}");
                     errors += 1;
                 }
-                _ => panic!(
-                    "{expr}: row pass {by_rows:?}, recursive {recursive:?}, pushed {pushed:?}"
-                ),
+                _ => panic!("{expr}: recursive {recursive:?}, pushed {pushed:?}"),
             }
         }
         assert!(
