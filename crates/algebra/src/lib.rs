@@ -53,8 +53,8 @@ pub use capability::{CapabilityGrammar, CapabilitySet, ComparisonKind, OperatorK
 pub use error::AlgebraError;
 pub use implementation::{bound_vars, is_hash_join, lower, referenced_vars};
 pub use kernel::{EvalVec, Kernel, KernelBuilder, PairKernel, PairKernelBuilder};
-pub use logical::{data_of, LogicalExpr};
-pub use physical::{PhysicalExpr, PipelineBehavior};
+pub use logical::{data_of, Extents, LogicalExpr, Member};
+pub use physical::{FanOut, PhysicalExpr, PipelineBehavior};
 pub use rules::CapabilityLookup;
 pub use scalar::{
     eval_binary, eval_scalar, eval_scalar_env, eval_scalar_with, truthy, AggKind, AggState, Env,

@@ -18,6 +18,8 @@
 //!   mediator-side operators ([`LogicalExpr::Join`],
 //!   [`LogicalExpr::MapProject`], …).
 
+use std::sync::Arc;
+
 use disco_value::{Bag, Value};
 
 use crate::scalar::{AggKind, ScalarExpr};
@@ -115,6 +117,125 @@ pub enum LogicalExpr {
         /// name space; `exec` applies the map).
         expr: Box<LogicalExpr>,
     },
+    /// The extent of an interface over two or more member extents: the
+    /// bag union of one branch per member, held as one branch template
+    /// per capability class (see [`Extents`]).  It prints, converts to
+    /// OQL and compares as that union.
+    Extents(Extents),
+}
+
+/// One member extent of an [`Extents`] node: where it lives and which
+/// class's template its branch is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Member {
+    /// The repository, e.g. `r0`.
+    pub repository: Arc<str>,
+    /// The wrapper, e.g. `w0`.
+    pub wrapper: Arc<str>,
+    /// The extent, e.g. `person0`.
+    pub extent: Arc<str>,
+    /// The index of its class's template.
+    pub class: usize,
+}
+
+/// The extent of an interface: the union of its members' branches, each
+/// the template of its class with the member's names.
+///
+/// A template compiled from an interface holds one `submit(get)` and the
+/// unary operators rules distributed over it.  Its submit and get name no
+/// source until the optimizer forms the classes
+/// ([`crate::rules::classify_extents`]): members whose wrappers have equal
+/// capabilities share a class, and each class's template names its first
+/// member, so that the capability-checked rules rewrite it for all of
+/// them.  Members stay in catalog order.  (A node read back from a
+/// lowered explicit union has that union's branches as its templates;
+/// see [`crate::lower`].)
+///
+/// Equality is that of the expansion: the same members, each with the
+/// same branch, however the members are classed.
+#[derive(Debug, Clone)]
+pub struct Extents {
+    /// The members, in catalog order.
+    pub members: Arc<[Member]>,
+    /// One branch template per class.
+    pub templates: Vec<LogicalExpr>,
+}
+
+impl Extents {
+    /// The unclassed node over `(repository, wrapper, extent)` members:
+    /// one template, `submit(get)`, naming no source.
+    #[must_use]
+    pub fn new(members: impl IntoIterator<Item = (Arc<str>, Arc<str>, Arc<str>)>) -> Self {
+        let members = members
+            .into_iter()
+            .map(|(repository, wrapper, extent)| Member {
+                repository,
+                wrapper,
+                extent,
+                class: 0,
+            });
+        Extents {
+            members: members.collect(),
+            templates: vec![LogicalExpr::get("").submit("", "", "")],
+        }
+    }
+
+    /// Whether the classes are formed: no template's submit is unnamed.
+    #[must_use]
+    pub(crate) fn is_classified(&self) -> bool {
+        let mut named = true;
+        for template in &self.templates {
+            template.walk(&mut |e| {
+                if let LogicalExpr::Submit { wrapper, .. } = e {
+                    named &= !wrapper.is_empty();
+                }
+            });
+        }
+        named
+    }
+
+    /// The branch of member `i`: its class's template with its names.
+    #[must_use]
+    pub fn branch(&self, i: usize) -> LogicalExpr {
+        let member = &self.members[i];
+        self.templates[member.class].instance(member)
+    }
+
+    /// The node as the union of its branches.
+    #[must_use]
+    pub fn to_union(&self) -> LogicalExpr {
+        LogicalExpr::Union((0..self.members.len()).map(|i| self.branch(i)).collect())
+    }
+}
+
+impl PartialEq for Extents {
+    fn eq(&self, other: &Self) -> bool {
+        let named_alike = self.members.len() == other.members.len()
+            && self.members.iter().zip(other.members.iter()).all(|(a, b)| {
+                a.repository == b.repository && a.wrapper == b.wrapper && a.extent == b.extent
+            });
+        if !named_alike {
+            return false;
+        }
+        // Each pair of classes members fall in must make equal branches.
+        let mut pairs: Vec<(usize, usize)> = self
+            .members
+            .iter()
+            .zip(other.members.iter())
+            .map(|(a, b)| (a.class, b.class))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let blank = Member {
+            repository: Arc::from(""),
+            wrapper: Arc::from(""),
+            extent: Arc::from(""),
+            class: 0,
+        };
+        pairs.iter().all(|&(a, b)| {
+            self.templates[a].instance(&blank) == other.templates[b].instance(&blank)
+        })
+    }
 }
 
 impl Default for LogicalExpr {
@@ -208,7 +329,36 @@ impl LogicalExpr {
             LogicalExpr::Distinct(_) => "distinct",
             LogicalExpr::Aggregate { .. } => "aggregate",
             LogicalExpr::Submit { .. } => "submit",
+            LogicalExpr::Extents(_) => "extents",
         }
+    }
+
+    /// A copy of a branch template (or of the expression its submit
+    /// ships) with the names of `member`: its submit's repository,
+    /// wrapper and extent, and its gets' collection.
+    #[must_use]
+    pub fn instance(&self, member: &Member) -> LogicalExpr {
+        let mut out = self.clone();
+        out.name_after(member);
+        out
+    }
+
+    fn name_after(&mut self, member: &Member) {
+        match self {
+            LogicalExpr::Get { collection } => (*member.extent).clone_into(collection),
+            LogicalExpr::Submit {
+                repository,
+                wrapper,
+                extent,
+                ..
+            } => {
+                (*member.repository).clone_into(repository);
+                (*member.wrapper).clone_into(wrapper);
+                (*member.extent).clone_into(extent);
+            }
+            _ => {}
+        }
+        self.for_each_child_mut(&mut |child| child.name_after(member));
     }
 
     /// Immediate children of this node.
@@ -235,6 +385,7 @@ impl LogicalExpr {
                 f(right);
             }
             LogicalExpr::Union(items) => items.iter().for_each(f),
+            LogicalExpr::Extents(node) => node.templates.iter().for_each(f),
             LogicalExpr::Submit { expr, .. } => f(expr),
         }
     }
@@ -254,28 +405,30 @@ impl LogicalExpr {
                 f(right);
             }
             LogicalExpr::Union(items) => items.iter_mut().for_each(f),
+            LogicalExpr::Extents(node) => node.templates.iter_mut().for_each(f),
             LogicalExpr::Submit { expr, .. } => f(expr),
         }
     }
 
-    /// Every `submit` node in the plan, in pre-order.
+    /// Every `submit` node of the plan, an [`Extents`] node's as its
+    /// branches have them, in pre-order.
     #[must_use]
-    pub fn collect_submits(&self) -> Vec<&LogicalExpr> {
+    pub fn collect_submits(&self) -> Vec<LogicalExpr> {
         let mut out = Vec::new();
-        self.walk(&mut |e| {
+        self.walk_expanded(&mut |e| {
             if matches!(e, LogicalExpr::Submit { .. }) {
-                out.push(e);
+                out.push(e.clone());
             }
         });
         out
     }
 
-    /// Every collection name referenced by `get` nodes, in pre-order,
-    /// without duplicates.
+    /// Every collection name referenced by `get` nodes, an [`Extents`]
+    /// node's members' included, in pre-order, without duplicates.
     #[must_use]
     pub fn collections(&self) -> Vec<String> {
         let mut out = Vec::new();
-        self.walk(&mut |e| {
+        self.walk_expanded(&mut |e| {
             if let LogicalExpr::Get { collection } = e {
                 if !out.contains(collection) {
                     out.push(collection.clone());
@@ -285,15 +438,32 @@ impl LogicalExpr {
         out
     }
 
+    /// Pre-order traversal of the plan with every [`Extents`] node
+    /// expanded into the union of its branches.
+    fn walk_expanded(&self, f: &mut impl FnMut(&LogicalExpr)) {
+        match self {
+            LogicalExpr::Extents(node) => node.to_union().walk_expanded(f),
+            _ => {
+                f(self);
+                self.for_each_child(&mut |child| child.walk_expanded(f));
+            }
+        }
+    }
+
     /// Pre-order traversal.
     pub fn walk<'a, F: FnMut(&'a LogicalExpr)>(&'a self, f: &mut F) {
         f(self);
         self.for_each_child(&mut |child| child.walk(f));
     }
 
-    /// Number of nodes in the plan.
+    /// Number of nodes in the plan, an [`Extents`] node counted as the
+    /// union of its branches.
     #[must_use]
     pub fn size(&self) -> usize {
+        if let LogicalExpr::Extents(node) = self {
+            let sizes: Vec<usize> = node.templates.iter().map(LogicalExpr::size).collect();
+            return 1 + node.members.iter().map(|m| sizes[m.class]).sum::<usize>();
+        }
         let mut size = 1;
         self.for_each_child(&mut |child| size += child.size());
         size
@@ -380,6 +550,10 @@ impl LogicalExpr {
                 extent: extent.clone(),
                 expr: Box::new(f(expr)),
             },
+            LogicalExpr::Extents(node) => LogicalExpr::Extents(Extents {
+                members: Arc::clone(&node.members),
+                templates: node.templates.iter().map(f).collect(),
+            }),
         }
     }
 
@@ -535,6 +709,7 @@ impl LogicalExpr {
                     fp(expr, out);
                     out.push(')');
                 }
+                LogicalExpr::Extents(node) => fp(&node.to_union(), out),
             }
         }
         let mut s = String::new();
@@ -594,6 +769,7 @@ impl std::fmt::Display for LogicalExpr {
             LogicalExpr::Submit {
                 repository, expr, ..
             } => write!(f, "submit({repository}, {expr})"),
+            LogicalExpr::Extents(node) => write!(f, "{}", node.to_union()),
         }
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use disco_value::Bag;
 
-use crate::logical::LogicalExpr;
+use crate::logical::{Extents, LogicalExpr, Member};
 use crate::scalar::{AggKind, ScalarExpr};
 
 /// How a physical operator consumes its inputs in the streaming
@@ -135,6 +135,30 @@ pub enum PhysicalExpr {
         /// Input plan.
         input: Box<PhysicalExpr>,
     },
+    /// The fan-out of an interface's extent ([`LogicalExpr::Extents`]):
+    /// the bag union of one branch per member, each its class's template
+    /// with the member's names.  It prints as that `mkunion`.
+    FanOut(FanOut),
+}
+
+/// The members of an interface's extent and one lowered branch template
+/// per class; see [`Extents`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct FanOut {
+    /// The members, in catalog order, shared with the logical node.
+    pub members: Arc<[Member]>,
+    /// One branch template per class: its `exec` is the class's first
+    /// member's.
+    pub templates: Vec<PhysicalExpr>,
+}
+
+impl FanOut {
+    /// The branch of member `i`: its class's template with its names.
+    #[must_use]
+    pub fn branch(&self, i: usize) -> PhysicalExpr {
+        let member = &self.members[i];
+        self.templates[member.class].instance(member)
+    }
 }
 
 impl PhysicalExpr {
@@ -155,6 +179,47 @@ impl PhysicalExpr {
             PhysicalExpr::MkFlatten(_) => "mkflatten",
             PhysicalExpr::MkDistinct(_) => "mkdistinct",
             PhysicalExpr::MkAggregate { .. } => "mkagg",
+            PhysicalExpr::FanOut(_) => "fanout",
+        }
+    }
+
+    /// A copy of a branch template with the names of `member` (see
+    /// [`LogicalExpr::instance`]), its `exec` shipping its own copy.
+    #[must_use]
+    pub(crate) fn instance(&self, member: &Member) -> PhysicalExpr {
+        match self {
+            PhysicalExpr::Exec { logical, .. } => PhysicalExpr::Exec {
+                repository: member.repository.to_string(),
+                wrapper: member.wrapper.to_string(),
+                extent: member.extent.to_string(),
+                logical: Arc::new(logical.instance(member)),
+            },
+            other => {
+                let mut out = other.clone();
+                out.for_each_child_mut(&mut |child| *child = child.instance(member));
+                out
+            }
+        }
+    }
+
+    /// Calls `f` on each immediate child, left to right, mutably.
+    fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut PhysicalExpr)) {
+        match self {
+            PhysicalExpr::Exec { .. } | PhysicalExpr::MemScan(_) => {}
+            PhysicalExpr::FilterOp { input, .. }
+            | PhysicalExpr::ProjectOp { input, .. }
+            | PhysicalExpr::MapOp { input, .. }
+            | PhysicalExpr::BindOp { input, .. }
+            | PhysicalExpr::MkAggregate { input, .. } => f(input),
+            PhysicalExpr::MkFlatten(inner) | PhysicalExpr::MkDistinct(inner) => f(inner),
+            PhysicalExpr::NestedLoopJoin { left, right, .. }
+            | PhysicalExpr::HashJoin { left, right, .. }
+            | PhysicalExpr::MergeTuplesJoin { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            PhysicalExpr::MkUnion(items) => items.iter_mut().for_each(f),
+            PhysicalExpr::FanOut(node) => node.templates.iter_mut().for_each(f),
         }
     }
 
@@ -171,6 +236,7 @@ impl PhysicalExpr {
             | PhysicalExpr::MapOp { .. }
             | PhysicalExpr::BindOp { .. }
             | PhysicalExpr::MkUnion(_)
+            | PhysicalExpr::FanOut(_)
             | PhysicalExpr::MkFlatten(_) => PipelineBehavior::Streaming,
             PhysicalExpr::NestedLoopJoin { .. }
             | PhysicalExpr::HashJoin { .. }
@@ -184,45 +250,70 @@ impl PhysicalExpr {
     /// Immediate children.
     #[must_use]
     pub fn children(&self) -> Vec<&PhysicalExpr> {
+        let mut children = Vec::new();
+        self.for_each_child(&mut |child| children.push(child));
+        children
+    }
+
+    /// Calls `f` on each immediate child, left to right, without building
+    /// a vector of them.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a PhysicalExpr)) {
         match self {
-            PhysicalExpr::Exec { .. } | PhysicalExpr::MemScan(_) => Vec::new(),
+            PhysicalExpr::Exec { .. } | PhysicalExpr::MemScan(_) => {}
             PhysicalExpr::FilterOp { input, .. }
             | PhysicalExpr::ProjectOp { input, .. }
             | PhysicalExpr::MapOp { input, .. }
             | PhysicalExpr::BindOp { input, .. }
-            | PhysicalExpr::MkAggregate { input, .. } => vec![input],
-            PhysicalExpr::MkFlatten(inner) | PhysicalExpr::MkDistinct(inner) => vec![inner],
+            | PhysicalExpr::MkAggregate { input, .. } => f(input),
+            PhysicalExpr::MkFlatten(inner) | PhysicalExpr::MkDistinct(inner) => f(inner),
             PhysicalExpr::NestedLoopJoin { left, right, .. }
             | PhysicalExpr::HashJoin { left, right, .. }
-            | PhysicalExpr::MergeTuplesJoin { left, right, .. } => vec![left, right],
-            PhysicalExpr::MkUnion(items) => items.iter().collect(),
+            | PhysicalExpr::MergeTuplesJoin { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            PhysicalExpr::MkUnion(items) => items.iter().for_each(f),
+            PhysicalExpr::FanOut(node) => node.templates.iter().for_each(f),
         }
     }
 
-    /// Every `exec` node in the plan, in pre-order.
+    /// Every `exec` node of the plan, a fan-out's as its branches have
+    /// them, in pre-order.
     #[must_use]
-    pub fn collect_execs(&self) -> Vec<&PhysicalExpr> {
+    pub fn collect_execs(&self) -> Vec<PhysicalExpr> {
         let mut out = Vec::new();
-        self.walk(&mut |e| {
-            if matches!(e, PhysicalExpr::Exec { .. }) {
-                out.push(e);
-            }
-        });
+        self.collect_execs_into(&mut out);
         out
+    }
+
+    fn collect_execs_into(&self, out: &mut Vec<PhysicalExpr>) {
+        match self {
+            PhysicalExpr::Exec { .. } => out.push(self.clone()),
+            PhysicalExpr::FanOut(node) => {
+                for i in 0..node.members.len() {
+                    node.branch(i).collect_execs_into(out);
+                }
+            }
+            other => other.for_each_child(&mut |child| child.collect_execs_into(out)),
+        }
     }
 
     /// Pre-order traversal.
     pub fn walk<'a, F: FnMut(&'a PhysicalExpr)>(&'a self, f: &mut F) {
         f(self);
-        for child in self.children() {
-            child.walk(f);
-        }
+        self.for_each_child(&mut |child| child.walk(f));
     }
 
-    /// Number of nodes.
+    /// Number of nodes, a fan-out counted as the union of its branches.
     #[must_use]
     pub fn size(&self) -> usize {
-        1 + self.children().iter().map(|c| c.size()).sum::<usize>()
+        if let PhysicalExpr::FanOut(node) = self {
+            let sizes: Vec<usize> = node.templates.iter().map(PhysicalExpr::size).collect();
+            return 1 + node.members.iter().map(|m| sizes[m.class]).sum::<usize>();
+        }
+        let mut size = 1;
+        self.for_each_child(&mut |child| size += child.size());
+        size
     }
 
     /// Converts the physical plan back into the corresponding logical plan.
@@ -310,6 +401,14 @@ impl PhysicalExpr {
                 func: *func,
                 input: Box::new(input.to_logical()),
             },
+            PhysicalExpr::FanOut(node) => LogicalExpr::Extents(Extents {
+                members: Arc::clone(&node.members),
+                templates: node
+                    .templates
+                    .iter()
+                    .map(PhysicalExpr::to_logical)
+                    .collect(),
+            }),
         }
     }
 }
@@ -372,6 +471,10 @@ impl std::fmt::Display for PhysicalExpr {
             PhysicalExpr::MkDistinct(inner) => write!(f, "mkdistinct({inner})"),
             PhysicalExpr::MkAggregate { func, input } => {
                 write!(f, "mkagg({}, {input})", func.name())
+            }
+            PhysicalExpr::FanOut(node) => {
+                let branches = (0..node.members.len()).map(|i| node.branch(i)).collect();
+                write!(f, "{}", PhysicalExpr::MkUnion(branches))
             }
         }
     }

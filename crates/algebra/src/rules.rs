@@ -23,9 +23,19 @@
 //! depends on that application order, so the chains are part of the
 //! planner's observable behaviour; the end-of-pass test is the flag the
 //! pass returns, which is why the flag must be truthful.
+//!
+//! **Extents nodes.**  The rules rewrite an [`Extents`] node's templates,
+//! which are its children: distributing an operator over the node wraps
+//! each template once, whatever the number of members.  A template names
+//! no wrapper until its node's classes are formed, and a capability-checked
+//! rule handed an unclassed node forms them ([`classify_extents`]) before
+//! anything is pushed into it, so that each class's template is rewritten
+//! as each of its members' branches would be.
+
+use std::sync::Arc;
 
 use crate::capability::CapabilitySet;
-use crate::logical::LogicalExpr;
+use crate::logical::{Extents, LogicalExpr, Member};
 use crate::scalar::ScalarExpr;
 
 /// The most passes a fixpoint loop over the rules makes.
@@ -81,7 +91,8 @@ fn push_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bo
     let Some(slot) = input_of(expr) else {
         return false;
     };
-    if !matches!(slot, LogicalExpr::Submit { .. }) {
+    // An unclassed template's submit names no wrapper to ask.
+    if !matches!(slot, LogicalExpr::Submit { wrapper, .. } if !wrapper.is_empty()) {
         return false;
     }
     let mut submit = std::mem::take(slot);
@@ -110,20 +121,27 @@ fn push_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bo
 
 /// R1 — push a filter into a `submit` when the wrapper supports it:
 /// `select(p, submit(r, e))  →  submit(r, select(p, e))`.
+/// Like every capability-checked rule, it forms the classes of an
+/// unclassed [`Extents`] node first ([`classify_extents`]).
 pub fn push_filter_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
-    matches!(expr, LogicalExpr::Filter { .. }) && push_into_submit(expr, lookup)
+    classify_extents(expr, lookup)
+        || (matches!(expr, LogicalExpr::Filter { .. }) && push_into_submit(expr, lookup))
 }
 
 /// R2 — push a projection into a `submit` when the wrapper supports it:
 /// `project(a…, submit(r, e))  →  submit(r, project(a…, e))`.
 pub fn push_project_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
-    matches!(expr, LogicalExpr::Project { .. }) && push_into_submit(expr, lookup)
+    classify_extents(expr, lookup)
+        || (matches!(expr, LogicalExpr::Project { .. }) && push_into_submit(expr, lookup))
 }
 
 /// R3 — merge two submits to the *same* repository and wrapper into one
 /// source-side join (the §3.2 employee/manager example):
 /// `join(submit(r,e1), submit(r,e2), on) → submit(r, join(e1, e2, on))`.
 pub fn push_join_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
+    if classify_extents(expr, lookup) {
+        return true;
+    }
     let LogicalExpr::SourceJoin { left, right, .. } = expr else {
         return false;
     };
@@ -185,11 +203,21 @@ pub fn push_join_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLook
     accepted
 }
 
-/// `op(union(e1, …, en)) → union(op(e1), …, op(en))`: every branch but the
-/// last moves under a copy of the operator node (one node and its payload,
-/// copied while its input slot is empty); the last reuses the original.
+/// `op(union(e1, …, en)) → union(op(e1), …, op(en))`, and likewise into
+/// the templates of an [`Extents`] node: every branch but the last moves
+/// under a copy of the operator node (one node and its payload, copied
+/// while its input slot is empty); the last reuses the original.
 fn distribute_over_union(expr: &mut LogicalExpr) -> bool {
-    let Some(LogicalExpr::Union(items)) = input_of(expr) else {
+    let Some(input) = input_of(expr) else {
+        return false;
+    };
+    let mut input = std::mem::take(input);
+    let (LogicalExpr::Union(items)
+    | LogicalExpr::Extents(Extents {
+        templates: items, ..
+    })) = &mut input
+    else {
+        *input_of(expr).expect("the operator matched above") = input;
         return false;
     };
     let mut items = std::mem::take(items);
@@ -202,7 +230,13 @@ fn distribute_over_union(expr: &mut LogicalExpr) -> bool {
         *input_of(expr).expect("the operator matched above") = last;
         items.push(std::mem::take(expr));
     }
-    *expr = LogicalExpr::Union(items);
+    *expr = match input {
+        LogicalExpr::Extents(Extents { members, .. }) => LogicalExpr::Extents(Extents {
+            members,
+            templates: items,
+        }),
+        _ => LogicalExpr::Union(items),
+    };
     true
 }
 
@@ -293,6 +327,9 @@ pub fn push_project_below_filter(expr: &mut LogicalExpr) -> bool {
 /// it is undone and the rule reports `false` — the one combination of
 /// rules that could rewrite a node and end up where it started.
 pub fn push_project_past_filter(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
+    if classify_extents(expr, lookup) {
+        return true;
+    }
     if !push_project_below_filter(expr) {
         return false;
     }
@@ -303,7 +340,8 @@ pub fn push_project_past_filter(expr: &mut LogicalExpr, lookup: &dyn CapabilityL
     pushed
 }
 
-/// R10 — flatten nested unions and drop empty data branches:
+/// R10 — flatten nested unions, expand [`Extents`] nodes among a union's
+/// branches, and drop empty data branches:
 /// `union(union(a,b), data(), c) → union(a, b, c)`.
 pub fn simplify_union(expr: &mut LogicalExpr) -> bool {
     let LogicalExpr::Union(items) = expr else {
@@ -313,7 +351,8 @@ pub fn simplify_union(expr: &mut LogicalExpr) -> bool {
     let is_empty_data =
         |item: &LogicalExpr| matches!(item, LogicalExpr::Data(bag) if bag.is_empty());
     if !items.iter().any(|item| {
-        matches!(item, LogicalExpr::Union(_)) || (drop_empty_data && is_empty_data(item))
+        matches!(item, LogicalExpr::Union(_) | LogicalExpr::Extents(_))
+            || (drop_empty_data && is_empty_data(item))
     }) {
         return false;
     }
@@ -321,6 +360,9 @@ pub fn simplify_union(expr: &mut LogicalExpr) -> bool {
     for item in items.drain(..) {
         match item {
             LogicalExpr::Union(nested) => flat.extend(nested),
+            LogicalExpr::Extents(node) => {
+                flat.extend((0..node.members.len()).map(|i| node.branch(i)));
+            }
             data if drop_empty_data && is_empty_data(&data) => {}
             other => flat.push(other),
         }
@@ -330,6 +372,39 @@ pub fn simplify_union(expr: &mut LogicalExpr) -> bool {
         1 => flat.pop().expect("one item"),
         _ => LogicalExpr::Union(flat),
     };
+    true
+}
+
+/// Forms the classes of an unclassed [`Extents`] node: members whose
+/// wrappers have equal capabilities share a class, in order of first
+/// appearance, and each class's template — a copy of the node's one —
+/// names its first member, so that the capability-checked rules ask that
+/// member's wrapper for all of them.  Returns `true` iff it formed them.
+pub fn classify_extents(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
+    let LogicalExpr::Extents(node) = expr else {
+        return false;
+    };
+    if node.is_classified() {
+        return false;
+    }
+    let mut classes: Vec<(CapabilitySet, usize)> = Vec::new();
+    let mut members: Vec<Member> = node.members.to_vec();
+    for (i, member) in members.iter_mut().enumerate() {
+        let caps = caps_of(lookup, &member.wrapper);
+        member.class = match classes.iter().position(|(known, _)| *known == caps) {
+            Some(class) => class,
+            None => {
+                classes.push((caps, i));
+                classes.len() - 1
+            }
+        };
+    }
+    let template = &node.templates[0];
+    node.templates = classes
+        .iter()
+        .map(|&(_, first)| template.instance(&members[first]))
+        .collect();
+    node.members = Arc::from(members);
     true
 }
 
@@ -396,9 +471,10 @@ pub fn rewrite_to_fixpoint(plan: &mut LogicalExpr, chain: &impl Fn(&mut LogicalE
 }
 
 /// Applies every *capability-independent* simplification rule bottom-up to
-/// a fixpoint (distribution over unions, filter/bind commutation, union
-/// flattening).  Capability-dependent pushdowns are applied separately by
-/// the optimizer so that it can cost alternatives.
+/// a fixpoint (distribution over unions and into `Extents` templates,
+/// filter/bind commutation, union flattening).  Capability-dependent
+/// pushdowns are applied separately by the optimizer so that it can cost
+/// alternatives.
 #[must_use]
 pub fn normalize(expr: &LogicalExpr) -> LogicalExpr {
     let mut plan = expr.clone();
@@ -813,5 +889,70 @@ mod tests {
             text.contains("project(name, select((salary > 10), submit(r1, get(person1))))"),
             "get-only wrapper branch should stay at the mediator: {text}"
         );
+    }
+
+    /// The node over `person0..person{n}`, wrappers `w_full` and `w_min`
+    /// alternating (two capability classes, interleaved).
+    fn extents(n: usize) -> LogicalExpr {
+        LogicalExpr::Extents(Extents::new((0..n).map(|i| {
+            let wrapper = if i % 2 == 0 { "w_full" } else { "w_min" };
+            (
+                Arc::from(format!("r{i}").as_str()),
+                Arc::from(wrapper),
+                Arc::from(format!("person{i}").as_str()),
+            )
+        })))
+    }
+
+    /// The union the node stands for, branch by branch.
+    fn union_of_branches(n: usize) -> LogicalExpr {
+        LogicalExpr::Union(
+            (0..n)
+                .map(|i| {
+                    let wrapper = if i % 2 == 0 { "w_full" } else { "w_min" };
+                    let extent = format!("person{i}");
+                    LogicalExpr::get(&extent).submit(format!("r{i}"), wrapper, &extent)
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn an_extents_node_rewrites_as_the_union_of_its_branches() {
+        let mut lookup = lookup_with("w_full", CapabilitySet::full());
+        lookup.insert("w_min".to_owned(), CapabilitySet::get_only());
+        let query = |from: LogicalExpr| {
+            from.project(["name", "salary"])
+                .bind("x")
+                .filter(salary_gt_10_env())
+                .map_project(ScalarExpr::var_field("x", "name"))
+        };
+        let node = normalize(&query(extents(5)));
+        let union = normalize(&query(union_of_branches(5)));
+        // One template, whatever the number of members, printed and
+        // compared as the union.
+        let LogicalExpr::Extents(template) = &node else {
+            panic!("the node stays one node: {node}");
+        };
+        assert_eq!(template.templates.len(), 1);
+        assert_eq!(node.to_string(), union.to_string());
+        assert_eq!(node.size(), union.size());
+        // The capability rules form the classes before pushing.
+        let pushed = push_to_wrappers(&node, &lookup);
+        let LogicalExpr::Extents(classed) = &pushed else {
+            panic!("pushing keeps the node: {pushed}");
+        };
+        assert_eq!(classed.templates.len(), 2);
+        let classes: Vec<usize> = classed.members.iter().map(|m| m.class).collect();
+        assert_eq!(classes, [0, 1, 0, 1, 0]);
+        assert_eq!(
+            pushed.to_string(),
+            push_to_wrappers(&union, &lookup).to_string()
+        );
+        // Among an explicit union's branches, the node is expanded.
+        let mut nested = LogicalExpr::Union(vec![extents(2), LogicalExpr::get("x")]);
+        assert!(simplify_union(&mut nested));
+        assert_eq!(nested.collect_submits().len(), 2);
+        assert_eq!(nested.size(), 6);
     }
 }

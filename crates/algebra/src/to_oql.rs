@@ -30,6 +30,7 @@ pub fn logical_to_oql(expr: &LogicalExpr) -> OqlExpr {
         // the extent name, so the wrapper boundary disappears in the text.
         LogicalExpr::Submit { expr, .. } => logical_to_oql(expr),
         LogicalExpr::Union(items) => OqlExpr::Union(items.iter().map(logical_to_oql).collect()),
+        LogicalExpr::Extents(node) => logical_to_oql(&node.to_union()),
         LogicalExpr::Flatten(inner) => OqlExpr::Flatten(Box::new(logical_to_oql(inner))),
         LogicalExpr::Aggregate { func, input } => {
             OqlExpr::Aggregate(agg_to_oql(*func), Box::new(logical_to_oql(input)))

@@ -258,7 +258,7 @@ pub fn e3_pushdown(scale: Scale) -> Report {
             let mut values = 0usize;
             for exec in plan.physical.collect_execs() {
                 if let disco_algebra::PhysicalExpr::Exec { logical, .. } = exec {
-                    let width = pushed_width(logical).unwrap_or(interface_width);
+                    let width = pushed_width(&logical).unwrap_or(interface_width);
                     values += (transferred / 2) * width;
                 }
             }
@@ -378,9 +378,9 @@ pub fn e4_calibration(scale: Scale) -> Report {
         .flat_map(disco_algebra::LogicalExpr::collect_submits)
         .find_map(|submit| match submit {
             disco_algebra::LogicalExpr::Submit { expr, .. }
-                if expr.fingerprint() == shipped.fingerprint() && **expr != shipped =>
+                if expr.fingerprint() == shipped.fingerprint() && *expr != shipped =>
             {
-                Some((**expr).clone())
+                Some(*expr)
             }
             _ => None,
         });

@@ -74,7 +74,7 @@ impl CostEstimate {
 /// (exact match) and its fingerprint (close match) — rendered once: a
 /// prepared plan keeps one per call, so a call that runs again does not
 /// render its shipped expression again.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CalibrationKey {
     text: String,
     fingerprint: String,
@@ -88,6 +88,54 @@ impl CalibrationKey {
             text: expr.to_string(),
             fingerprint: expr.fingerprint(),
         }
+    }
+
+    /// Renders the keys of a call shipping `expr` with each collection it
+    /// gets named by a mark — a character none of its own rendering holds
+    /// — and returns the mark with them: the keys of a branch template's
+    /// call, from which each member's are spliced ([`CalibrationKey::named`]).
+    #[must_use]
+    pub fn marked(expr: &LogicalExpr) -> (char, Self) {
+        let rendered = format!("{expr}{}", expr.fingerprint());
+        let mark = ('\u{e000}'..)
+            .find(|c| !rendered.contains(*c))
+            .expect("a free character");
+        let mut marked = expr.clone();
+        marked.rewrite_in_place(&|e| match e {
+            LogicalExpr::Get { collection } => {
+                *collection = mark.to_string();
+                true
+            }
+            _ => false,
+        });
+        (mark, CalibrationKey::of(&marked))
+    }
+
+    /// These keys, rendered with each collection named `mark`, with each
+    /// collection named `name`: the keys [`CalibrationKey::of`] renders
+    /// for the call with that name.
+    #[must_use]
+    pub fn named(&self, mark: char, name: &str) -> Self {
+        let mut out = CalibrationKey::default();
+        self.name_into(mark, name, &mut out);
+        out
+    }
+
+    /// [`CalibrationKey::named`] into `out`'s buffers.
+    pub(crate) fn name_into(&self, mark: char, name: &str, out: &mut CalibrationKey) {
+        splice(&self.text, mark, name, &mut out.text);
+        splice(&self.fingerprint, mark, name, &mut out.fingerprint);
+    }
+}
+
+/// Writes `key` to `out` with `name` for each `mark`.
+fn splice(key: &str, mark: char, name: &str, out: &mut String) {
+    out.clear();
+    for (i, piece) in key.split(mark).enumerate() {
+        if i > 0 {
+            out.push_str(name);
+        }
+        out.push_str(piece);
     }
 }
 
@@ -230,8 +278,7 @@ impl CalibrationStore {
     /// call shapes alone suggest.
     #[must_use]
     pub fn estimate(&self, repository: &str, expr: &LogicalExpr) -> CostEstimate {
-        self.read()
-            .estimate(repository, &expr.to_string(), &expr.fingerprint())
+        self.read().estimate(repository, &CalibrationKey::of(expr))
     }
 
     /// Read-locks the store for a batch of estimates.
@@ -282,7 +329,7 @@ pub(crate) struct Estimator<'a>(RwLockReadGuard<'a, BTreeMap<String, RepositoryR
 
 impl Estimator<'_> {
     /// [`CalibrationStore::estimate`] of a call by its two keys.
-    pub(crate) fn estimate(&self, repository: &str, text: &str, fingerprint: &str) -> CostEstimate {
+    pub(crate) fn estimate(&self, repository: &str, key: &CalibrationKey) -> CostEstimate {
         let Some(record) = self.0.get(repository) else {
             return CostEstimate::default_estimate();
         };
@@ -296,8 +343,8 @@ impl Estimator<'_> {
                 source,
             })
         };
-        matched(record.exact.get(text), MatchKind::Exact)
-            .or_else(|| matched(record.close.get(fingerprint), MatchKind::Close))
+        matched(record.exact.get(&key.text), MatchKind::Exact)
+            .or_else(|| matched(record.close.get(&key.fingerprint), MatchKind::Close))
             .unwrap_or_else(|| {
                 let mut estimate = CostEstimate::default_estimate();
                 estimate.time_ms += penalty;

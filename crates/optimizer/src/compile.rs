@@ -3,7 +3,9 @@
 //! "The optimizer first accepts queries written in the declarative OQL and
 //! transforms the query into an expression on an algebraic machine" (§3.1).
 //! The compiler produces a *canonical* plan: one `submit(get)` per data
-//! source, wrapped in `bind` nodes for the range variables, mediator-side
+//! source — an interface's extent over two or more sources is one
+//! [`LogicalExpr::Extents`] node, whatever their number — wrapped in
+//! `bind` nodes for the range variables, mediator-side
 //! joins for multi-variable `from` clauses, a filter for the `where`
 //! clause, and a generalized projection for the `select` clause.  The
 //! optimizer's transformation rules then normalize and push work towards
@@ -12,14 +14,16 @@
 use disco_catalog::{Catalog, MetaExtent, NameRef};
 use disco_oql::ast::{Expr as OqlExpr, FromBinding, SelectExpr};
 use disco_oql::parse_query;
-use disco_oql::resolve::resolve_query;
+use disco_oql::resolve::expand_views;
 
-use disco_algebra::{agg_from_oql, data_of, scalar_op_from_oql, LogicalExpr, ScalarExpr};
+use std::sync::Arc;
+
+use disco_algebra::{agg_from_oql, data_of, scalar_op_from_oql, Extents, LogicalExpr, ScalarExpr};
 
 use crate::{OptimizerError, Result};
 
 /// Compiles OQL text into a canonical logical plan: parses, expands views
-/// and implicit extents against the catalog, then compiles.
+/// against the catalog, then compiles.
 ///
 /// # Errors
 ///
@@ -30,14 +34,15 @@ pub fn compile_text(query: &str, catalog: &Catalog) -> Result<LogicalExpr> {
     compile_query(&ast, catalog)
 }
 
-/// Compiles a parsed OQL expression (expanding views and implicit extents
-/// first).
+/// Compiles a parsed OQL expression (expanding views first).  An implicit
+/// interface extent is not expanded into a union of its extents: it
+/// compiles to one [`Extents`] node.
 ///
 /// # Errors
 ///
 /// See [`compile_text`].
 pub fn compile_query(ast: &OqlExpr, catalog: &Catalog) -> Result<LogicalExpr> {
-    let resolved = resolve_query(ast, catalog)?;
+    let resolved = expand_views(ast, catalog)?;
     let mut compiler = Compiler {
         catalog,
         bound_vars: Vec::new(),
@@ -104,7 +109,8 @@ impl Compiler<'_> {
     }
 
     /// Compiles a named collection: a registered extent becomes
-    /// `submit(repository, get(extent))`.
+    /// `submit(repository, get(extent))`, the extent of an interface (or a
+    /// recursive extent) over two or more extents one [`Extents`] node.
     fn compile_named_collection(&mut self, name: &str) -> Result<LogicalExpr> {
         // Range variables of enclosing selects may be used as collections in
         // correlated sub-queries only through path expressions, which are
@@ -112,15 +118,11 @@ impl Compiler<'_> {
         match self.catalog.lookup(name) {
             Ok(NameRef::Extent(extent)) => Ok(submit_of(extent)),
             Ok(NameRef::InterfaceExtent { extents, .. })
-            | Ok(NameRef::RecursiveExtent { extents, .. }) => {
-                let mut submits: Vec<LogicalExpr> =
-                    extents.iter().map(|extent| submit_of(extent)).collect();
-                Ok(match submits.len() {
-                    0 => LogicalExpr::Data(disco_value::Bag::new()),
-                    1 => submits.pop().expect("one element"),
-                    _ => LogicalExpr::Union(submits),
-                })
-            }
+            | Ok(NameRef::RecursiveExtent { extents, .. }) => Ok(match extents.as_slice() {
+                [] => LogicalExpr::Data(disco_value::Bag::new()),
+                [extent] => submit_of(extent),
+                extents => LogicalExpr::Extents(members_of(extents)),
+            }),
             Ok(NameRef::View(_)) | Err(_) => {
                 Err(OptimizerError::UnresolvedCollection(name.to_owned()))
             }
@@ -275,6 +277,24 @@ fn submit_of(extent: &MetaExtent) -> LogicalExpr {
     )
 }
 
+/// The [`Extents`] node of `extents`, in catalog order; a wrapper name is
+/// shared by the members it serves in a row.
+fn members_of(extents: &[&MetaExtent]) -> Extents {
+    let mut wrapper: Option<Arc<str>> = None;
+    Extents::new(extents.iter().map(|extent| {
+        let shared = match wrapper.take() {
+            Some(known) if *known == *extent.wrapper() => known,
+            _ => Arc::from(extent.wrapper()),
+        };
+        wrapper = Some(Arc::clone(&shared));
+        (
+            Arc::from(extent.repository()),
+            shared,
+            Arc::from(extent.extent_name()),
+        )
+    }))
+}
+
 /// For each range variable of a select, the set of attributes the query
 /// uses (`None` when the variable is used whole, so no narrowing is safe).
 fn needed_attributes(sel: &SelectExpr) -> Vec<(String, Option<Vec<String>>)> {
@@ -355,13 +375,14 @@ fn collect_var_usage(
 /// Narrowing projections are only safe over plans that produce source rows.
 fn supports_narrowing(plan: &LogicalExpr) -> bool {
     match plan {
-        LogicalExpr::Submit { .. } | LogicalExpr::Get { .. } => true,
+        LogicalExpr::Submit { .. } | LogicalExpr::Get { .. } | LogicalExpr::Extents(_) => true,
         LogicalExpr::Union(items) => items.iter().all(supports_narrowing),
         _ => false,
     }
 }
 
-/// Inserts `project(attrs, …)` directly above each submit/get in the plan.
+/// Inserts `project(attrs, …)` directly above each submit/get in the plan
+/// (in an [`Extents`] node, above its template's).
 fn insert_projection(plan: LogicalExpr, attrs: &[String]) -> LogicalExpr {
     match plan {
         LogicalExpr::Union(items) => LogicalExpr::Union(
@@ -370,6 +391,13 @@ fn insert_projection(plan: LogicalExpr, attrs: &[String]) -> LogicalExpr {
                 .map(|i| insert_projection(i, attrs))
                 .collect(),
         ),
+        LogicalExpr::Extents(mut node) => {
+            node.templates = std::mem::take(&mut node.templates)
+                .into_iter()
+                .map(|t| insert_projection(t, attrs))
+                .collect();
+            LogicalExpr::Extents(node)
+        }
         other => LogicalExpr::Project {
             input: Box::new(other),
             columns: attrs.to_vec(),
@@ -436,9 +464,9 @@ mod tests {
         )
         .unwrap();
         let text = plan.to_string();
-        // One submit per source, narrowing projections inserted above them
-        // (the optimizer decides later whether they can be pushed), bind,
-        // filter and map on top.
+        // One node over both sources, narrowing projections inserted above
+        // its submit (the optimizer decides later whether they can be
+        // pushed), bind, filter and map on top.
         assert!(
             text.contains("project(name, salary, submit(r0, get(person0)))"),
             "{text}"

@@ -132,6 +132,13 @@ impl CostModel {
                 }
                 total
             }
+            PhysicalExpr::FanOut(node) => {
+                let mut total = PlanCost::zero();
+                for i in 0..node.members.len() {
+                    total.add(self.cost(&node.branch(i)));
+                }
+                total
+            }
             PhysicalExpr::MkFlatten(inner) => self.per_row(self.cost(inner)),
             PhysicalExpr::MkDistinct(inner) => self.distinct(self.cost(inner)),
             PhysicalExpr::MkAggregate { input, .. } => self.aggregate(self.cost(input)),

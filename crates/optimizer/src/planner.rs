@@ -163,7 +163,19 @@ impl Optimizer {
         compiled: &LogicalExpr,
         catalog_generation: u64,
     ) -> Result<Plan> {
-        self.plan_normalized(rules::normalize(compiled), catalog_generation)
+        self.plan_normalized(self.classed(compiled), catalog_generation)
+    }
+
+    /// The normalized plan with the classes of its [`Extents`] nodes
+    /// formed: what the search costs and every alternative is rewritten
+    /// from.
+    ///
+    /// [`Extents`]: disco_algebra::Extents
+    fn classed(&self, compiled: &LogicalExpr) -> LogicalExpr {
+        let mut plan = rules::normalize(compiled);
+        let lookup = self.capabilities.as_ref();
+        plan.rewrite_in_place(&|e| rules::classify_extents(e, lookup));
+        plan
     }
 
     /// [`Optimizer::optimize_text`], plus the tree of every alternative —
@@ -173,7 +185,7 @@ impl Optimizer {
     ///
     /// As [`Optimizer::optimize_text`].
     pub fn explain_text(&self, query: &str, catalog: &Catalog) -> Result<Explained> {
-        let normalized = rules::normalize(&compile_text(query, catalog)?);
+        let normalized = self.classed(&compile_text(query, catalog)?);
         let mut plan = self.plan_normalized(normalized.clone(), catalog.generation())?;
         plan.query = Some(query.to_owned());
         let trees = plan.alternatives.iter().map(|alternative| {
@@ -207,8 +219,11 @@ impl Optimizer {
 }
 
 /// Rewrites the normalized `plan` in place into `strategy`'s tree — the one
-/// way a tree is built: for a class's first site by the search, for the
-/// winner by the query path, for every alternative by explain.
+/// way a tree is built: for a class's site by the search, for the winner
+/// by the query path, for every alternative by explain.  An `Extents`
+/// node's members are rewritten a class at a time: the rules rewrite the
+/// class's template, asking its first member's wrapper (the capability
+/// rules form the classes of a node that has none yet).
 pub(crate) fn materialise(strategy: &str, plan: &mut LogicalExpr, lookup: &dyn CapabilityLookup) {
     match strategy {
         "push-selections" => apply_subset(plan, lookup, true, false),

@@ -1,14 +1,16 @@
 //! The plan search by decisions (§3.1): every strategy costed, no
 //! alternative's tree built.  A pushdown pass rewrites each maximal push
-//! site ([`rules::is_push_site`]) on its own; sites alike once their names
-//! are set aside form a **class**, rewritten once per strategy
-//! ([`materialise`]).  One walk of the normalized plan costs every
-//! strategy with the formulas of [`CostModel::cost`], bit for bit, each
-//! site over its own `exec` estimates.  ARCHITECTURE.md has the design.
+//! site ([`rules::is_push_site`]) on its own; the site of a class template
+//! of an [`Extents`](disco_algebra::Extents) node is rewritten once per
+//! strategy for all the class's members ([`materialise`]), a site outside
+//! any node for itself.  One walk of the classed, normalized plan costs
+//! every strategy with the formulas of [`CostModel::cost`], bit for bit,
+//! each member over its own `exec` estimates, summed in member order.
+//! ARCHITECTURE.md has the design.
 
-use disco_algebra::{is_hash_join, rules, CapabilityLookup, LogicalExpr};
+use disco_algebra::{is_hash_join, rules, CapabilityLookup, LogicalExpr, Member};
 
-use crate::calibration::Estimator;
+use crate::calibration::{CalibrationKey, Estimator};
 use crate::cost::{default_exec_rows, CostModel, PlanCost};
 use crate::planner::{materialise, PlanAlternative, STRATEGIES};
 
@@ -26,15 +28,15 @@ pub(crate) fn search(
         model,
         estimator: model.store().read(),
         classes: Vec::new(),
-        names: Vec::new(),
-        keys: (String::new(), String::new()),
+        member: None,
+        keys: CalibrationKey::default(),
         sizes: [0; N],
     };
     let costs = search.walk(normalized);
     // Equal rewrites in every class: the same tree as an earlier strategy.
     let classes = &search.classes;
     let kept: Vec<usize> = (0..N)
-        .filter(|&s| (0..s).all(|t| classes.iter().any(|c| c.of[s] != c.of[t])))
+        .filter(|&s| (0..s).all(|t| classes.iter().any(|(_, c)| c.of[s] != c.of[t])))
         .collect();
     let winner = (0..kept.len()).min_by(|&a, &b| {
         let (a, b) = (kept[a], kept[b]);
@@ -51,30 +53,30 @@ struct Search<'p, 'a> {
     lookup: &'a dyn CapabilityLookup,
     model: &'a CostModel,
     estimator: Estimator<'a>,
-    classes: Vec<Class<'p>>,
-    /// The names of the site being costed, in walk order.
-    names: Vec<&'p str>,
-    /// Its calibration keys (text, fingerprint) as they are spliced.
-    keys: (String, String),
+    /// The classes costed so far, each by the push site it was built
+    /// from: a node's template's, or a site outside any node.
+    classes: Vec<(*const LogicalExpr, Class)>,
+    /// The member whose branch is being costed, inside a node.
+    member: Option<&'p Member>,
+    /// Its calibration keys as they are spliced.
+    keys: CalibrationKey,
     /// Each strategy's tree size.
     sizes: [usize; N],
 }
 
-/// A class: its first site's names and rewrites, and each strategy's one.
-struct Class<'p> {
-    names: Vec<&'p str>,
+/// A class: the push site of a node's class template, or a site outside
+/// any node, with its distinct rewrites and each strategy's one.
+struct Class {
     rewrites: Vec<Rewrite>,
     of: [usize; N],
-    /// What marks a name: a character no rendering of the site holds.
-    mark: char,
 }
 
 struct Rewrite {
-    /// The rewritten site, a name's index into the names between two
-    /// marks in place of each collection and repository name.
+    /// The rewritten site.
     tree: LogicalExpr,
-    /// The calibration keys (text, fingerprint) of its calls, in order.
-    keys: Vec<(String, String)>,
+    /// The calibration keys of its calls, in order — a template's with
+    /// its extent's name marked (and the mark).
+    keys: Vec<(Option<char>, CalibrationKey)>,
 }
 
 impl<'p> Search<'p, '_> {
@@ -112,27 +114,39 @@ impl<'p> Search<'p, '_> {
                 }
                 total
             }),
+            // Each member's branch, in member order, as the union's.
+            L::Extents(node) => node
+                .members
+                .iter()
+                .fold([PlanCost::zero(); N], |mut total, m| {
+                    self.member = Some(m);
+                    let branch = self.walk(&node.templates[m.class]);
+                    self.member = None;
+                    for (total, c) in total.iter_mut().zip(branch) {
+                        total.add(c);
+                    }
+                    total
+                }),
             L::Submit { .. } => unreachable!("a submit is a push site"),
         }
     }
 
-    /// Every strategy's cost of the maximal push site `site`.
+    /// Every strategy's cost of the maximal push site `site`: a class's,
+    /// costed with the names of the member being costed, if any.
     fn site(&mut self, site: &'p LogicalExpr) -> [PlanCost; N] {
-        self.names.clear();
-        site_names(site, &mut self.names);
-        let known = self.classes.iter().position(|class| {
-            same_shape(&class.rewrites[0].tree, site, self.lookup)
-                && same_pattern(&class.names, &self.names)
-        });
+        let known = self
+            .classes
+            .iter()
+            .position(|(of, _)| std::ptr::eq(*of, site));
         if known.is_none() {
-            let class = Class::new(site, self.names.clone(), self.lookup);
-            self.classes.push(class);
+            let class = Class::new(site, self.member.is_some(), self.lookup);
+            self.classes.push((site, class));
         }
-        let class = &self.classes[known.unwrap_or(self.classes.len() - 1)];
+        let class = &self.classes[known.unwrap_or(self.classes.len() - 1)].1;
         let mut keys = std::mem::take(&mut self.keys);
         let mut costs = [PlanCost::zero(); N];
         for (cost, rewrite) in costs.iter_mut().zip(&class.rewrites) {
-            *cost = self.site_cost(class, &rewrite.tree, &mut rewrite.keys.iter(), &mut keys);
+            *cost = self.site_cost(&rewrite.tree, &mut rewrite.keys.iter(), &mut keys);
         }
         self.keys = keys;
         for (size, r) in self.sizes.iter_mut().zip(class.of) {
@@ -141,14 +155,13 @@ impl<'p> Search<'p, '_> {
         class.of.map(|r| costs[r])
     }
 
-    /// The cost of `tree`, a class's rewrite or a node of one, at the site
-    /// named `self.names`; `execs` are the keys of its calls.
+    /// The cost of `tree`, a class's rewrite or a node of one; `execs` are
+    /// the keys of its calls.
     fn site_cost<'c>(
         &self,
-        class: &Class<'_>,
         tree: &LogicalExpr,
-        execs: &mut impl Iterator<Item = &'c (String, String)>,
-        keys: &mut (String, String),
+        execs: &mut impl Iterator<Item = &'c (Option<char>, CalibrationKey)>,
+        keys: &mut CalibrationKey,
     ) -> PlanCost {
         use LogicalExpr as L;
         let model = self.model;
@@ -156,18 +169,21 @@ impl<'p> Search<'p, '_> {
             L::Submit {
                 repository, expr, ..
             } => {
-                let (text, fingerprint) = execs.next().expect("keys per exec of the rewrite");
-                splice(text, class.mark, &self.names, &mut keys.0);
-                splice(fingerprint, class.mark, &self.names, &mut keys.1);
-                let repository = self.names[marked(repository, class.mark)];
-                let estimate = self.estimator.estimate(repository, &keys.0, &keys.1);
+                let (mark, key) = execs.next().expect("keys per exec of the rewrite");
+                let estimate = match (self.member, mark) {
+                    (Some(member), Some(mark)) => {
+                        key.name_into(*mark, &member.extent, keys);
+                        self.estimator.estimate(&member.repository, keys)
+                    }
+                    _ => self.estimator.estimate(repository, key),
+                };
                 model.exec(estimate, default_exec_rows(expr, model.params()))
             }
-            L::Filter { input, .. } => model.filter(self.site_cost(class, input, execs, keys)),
-            L::Project { input, .. } => model.per_row(self.site_cost(class, input, execs, keys)),
+            L::Filter { input, .. } => model.filter(self.site_cost(input, execs, keys)),
+            L::Project { input, .. } => model.per_row(self.site_cost(input, execs, keys)),
             L::SourceJoin { left, right, .. } => {
-                let l = self.site_cost(class, left, execs, keys);
-                let r = self.site_cost(class, right, execs, keys);
+                let l = self.site_cost(left, execs, keys);
+                let r = self.site_cost(right, execs, keys);
                 model.loop_join(l, r)
             }
             _ => unreachable!("a push site holds submits, filters, projections and joins"),
@@ -175,122 +191,35 @@ impl<'p> Search<'p, '_> {
     }
 }
 
-impl<'p> Class<'p> {
-    /// The class of `site`, named `names`.
-    fn new(site: &LogicalExpr, names: Vec<&'p str>, lookup: &dyn CapabilityLookup) -> Self {
-        let rendered = format!("{site}{}", site.fingerprint());
-        let mark = ('\u{e000}'..)
-            .find(|c| !rendered.contains(*c))
-            .expect("a free character");
+impl Class {
+    /// The class of `site`; a template's (`template`) has its extent's
+    /// name marked in its keys.
+    fn new(site: &LogicalExpr, template: bool, lookup: &dyn CapabilityLookup) -> Self {
         let mut rewrites: Vec<Rewrite> = Vec::new();
         let of = std::array::from_fn(|s| {
             let mut tree = site.clone();
             materialise(STRATEGIES[s], &mut tree, lookup);
-            mark_names(&mut tree, &names, mark);
             let known = rewrites.iter().position(|rewrite| rewrite.tree == tree);
             known.unwrap_or_else(|| {
                 let mut keys = Vec::new();
-                exec_keys(&tree, &mut keys);
+                exec_keys(&tree, template, &mut keys);
                 rewrites.push(Rewrite { tree, keys });
                 rewrites.len() - 1
             })
         });
-        Class {
-            names,
-            rewrites,
-            of,
-            mark,
-        }
+        Class { rewrites, of }
     }
 }
 
-/// Pushes the collection, repository, wrapper and extent names of `site`
-/// to `out`, in walk order.
-fn site_names<'p>(site: &'p LogicalExpr, out: &mut Vec<&'p str>) {
-    match site {
-        LogicalExpr::Get { collection } => out.push(collection),
-        LogicalExpr::Submit {
-            repository,
-            wrapper,
-            extent,
-            ..
-        } => out.extend([repository.as_str(), wrapper, extent]),
-        _ => {}
-    }
-    site.for_each_child(&mut |child| site_names(child, out));
-}
-
-/// Whether push sites `a` and `b` have the same shape with their names
-/// set aside, and wrappers of equal capabilities.  A node no compiled
-/// plan's site holds makes its site a class of its own.
-fn same_shape(a: &LogicalExpr, b: &LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
-    use LogicalExpr as L;
-    fn inputs(e: &LogicalExpr) -> [Option<&LogicalExpr>; 2] {
-        match e {
-            L::Filter { input, .. } | L::Project { input, .. } => [Some(input), None],
-            L::SourceJoin { left, right, .. } => [Some(left), Some(right)],
-            L::Submit { expr, .. } => [Some(expr), None],
-            _ => [None, None],
-        }
-    }
-    let same_node = match (a, b) {
-        (L::Get { .. }, L::Get { .. }) => true,
-        (L::Filter { predicate: p, .. }, L::Filter { predicate: q, .. }) => p == q,
-        (L::Project { columns: p, .. }, L::Project { columns: q, .. }) => p == q,
-        (L::SourceJoin { on: p, .. }, L::SourceJoin { on: q, .. }) => p == q,
-        (L::Submit { wrapper: v, .. }, L::Submit { wrapper: w, .. }) => {
-            v == w || lookup.capabilities(v) == lookup.capabilities(w)
-        }
-        _ => false,
-    };
-    same_node
-        && inputs(a).into_iter().zip(inputs(b)).all(|pair| match pair {
-            (Some(a), Some(b)) => same_shape(a, b, lookup),
-            (a, b) => a.is_none() && b.is_none(),
-        })
-}
-
-/// Whether `a` and `b` repeat alike, so that renaming one into the other
-/// is consistent.
-fn same_pattern(a: &[&str], b: &[&str]) -> bool {
-    a.len() == b.len() && (0..a.len()).all(|i| (0..i).all(|j| (a[i] == a[j]) == (b[i] == b[j])))
-}
-
-/// Replaces each collection and repository name of `tree` by its index
-/// in `names` between two `mark`s.
-fn mark_names(tree: &mut LogicalExpr, names: &[&str], mark: char) {
-    if let LogicalExpr::Get { collection: name }
-    | LogicalExpr::Submit {
-        repository: name, ..
-    } = tree
-    {
-        let i = names.iter().position(|known| known == name);
-        *name = format!("{mark}{}{mark}", i.expect("a name of the site"));
-    }
-    tree.for_each_child_mut(&mut |child| mark_names(child, names, mark));
-}
-
-/// Pushes the calibration keys of the `exec` calls of `tree` to `out`.
-fn exec_keys(tree: &LogicalExpr, out: &mut Vec<(String, String)>) {
+/// Pushes the calibration keys of the `exec` calls of `tree` to `out`,
+/// a template's (`marked`) with its collections marked.
+fn exec_keys(tree: &LogicalExpr, marked: bool, out: &mut Vec<(Option<char>, CalibrationKey)>) {
     match tree {
-        LogicalExpr::Submit { expr, .. } => out.push((expr.to_string(), expr.fingerprint())),
-        _ => tree.for_each_child(&mut |child| exec_keys(child, out)),
-    }
-}
-
-/// The index a marked name stands for.
-fn marked(name: &str, mark: char) -> usize {
-    name.trim_matches(mark).parse().expect("a marked name")
-}
-
-/// Writes the marked key `key` to `out` with the site's own names.
-fn splice(key: &str, mark: char, names: &[&str], out: &mut String) {
-    out.clear();
-    for (i, piece) in key.split(mark).enumerate() {
-        out.push_str(if i % 2 == 0 {
-            piece
-        } else {
-            names[marked(piece, mark)]
-        });
+        LogicalExpr::Submit { expr, .. } if marked => {
+            let (mark, key) = CalibrationKey::marked(expr);
+            out.push((Some(mark), key));
+        }
+        LogicalExpr::Submit { expr, .. } => out.push((None, CalibrationKey::of(expr))),
+        _ => tree.for_each_child(&mut |child| exec_keys(child, marked, out)),
     }
 }

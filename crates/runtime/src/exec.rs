@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use disco_algebra::{LogicalExpr, PhysicalExpr};
+use disco_algebra::{FanOut, LogicalExpr, PhysicalExpr};
 use disco_catalog::{Catalog, TypeMap};
 use disco_optimizer::CalibrationStore;
 use disco_value::Bag;
@@ -97,16 +97,6 @@ impl ExecKey {
             extent: Arc::from(extent),
             expr: Arc::new(expr.clone()),
         }
-    }
-
-    /// Whether this is the call of an `exec` node with these fields.  A
-    /// prepared plan's node and its call share the shipped expression, so
-    /// the pointers are compared first; the structural comparison is for
-    /// nested submits, duplicate calls and resolutions built by hand.
-    pub(crate) fn is(&self, repository: &str, extent: &str, expr: &LogicalExpr) -> bool {
-        *self.repository == *repository
-            && *self.extent == *extent
-            && (std::ptr::eq(&*self.expr, expr) || *self.expr == *expr)
     }
 }
 
@@ -392,8 +382,8 @@ impl std::fmt::Debug for PendingSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = lock(&self.state);
         f.debug_struct("PendingSource")
-            .field("repository", &self.key().repository)
-            .field("extent", &self.key().extent)
+            .field("repository", &self.call().repository)
+            .field("extent", &self.call().extent)
             .field("rows", &state.chain.rows)
             .field("status", &state.status)
             .finish()
@@ -421,11 +411,11 @@ impl PendingSource {
     /// The repository this call targets.
     #[must_use]
     pub fn repository(&self) -> &str {
-        &self.key().repository
+        &self.call.repository
     }
 
-    fn key(&self) -> &ExecKey {
-        &self.call.key
+    fn call(&self) -> &Call {
+        &self.call
     }
 
     /// Republishes the lock-free progress hint; called with the state
@@ -596,7 +586,7 @@ impl PendingSource {
         match status {
             SpoolStatus::Streaming | SpoolStatus::Done => None,
             SpoolStatus::Unavailable => Some(RuntimeError::PendingUnavailable(
-                self.key().repository.to_string(),
+                self.call().repository.to_string(),
             )),
             SpoolStatus::Failed(err) => Some(RuntimeError::Wrapper(err.clone())),
             SpoolStatus::Panicked(msg) => Some(RuntimeError::WorkerPanic(msg.clone())),
@@ -710,8 +700,8 @@ impl PendingSource {
                 _ => (false, 0, 0, Duration::ZERO),
             };
             let stats = SourceCallStats {
-                repository: Arc::clone(&self.key().repository),
-                extent: Arc::clone(&self.key().extent),
+                repository: Arc::clone(&self.call().repository),
+                extent: Arc::clone(&self.call().extent),
                 available,
                 rows_returned,
                 rows_scanned,
@@ -839,11 +829,11 @@ impl ResolvedExecs {
         self.events.as_ref()
     }
 
-    fn all_outcomes(&self) -> impl Iterator<Item = (&ExecKey, &ExecOutcome)> {
+    fn all_outcomes(&self) -> impl Iterator<Item = (&Call, &ExecOutcome)> {
         self.calls
             .calls()
             .iter()
-            .map(|call| &call.key)
+            .map(|call| &**call)
             .zip(&self.outcomes)
     }
 
@@ -930,6 +920,12 @@ impl ResolvedExecs {
         Some(&self.outcomes[at])
     }
 
+    /// The outcome of the call of member `i` of the fan-out `node`.
+    pub(crate) fn member_outcome(&self, node: &FanOut, i: usize) -> Option<&ExecOutcome> {
+        let at = self.calls.member(node, i)?;
+        Some(&self.outcomes[at])
+    }
+
     /// Returns `true` when every call succeeded.
     #[must_use]
     pub fn all_available(&self) -> bool {
@@ -943,7 +939,7 @@ impl ResolvedExecs {
         let mut out: Vec<String> = self
             .all_outcomes()
             .filter(|(_, o)| matches!(o, ExecOutcome::Unavailable))
-            .map(|(k, _)| k.repository.to_string())
+            .map(|(call, _)| call.repository.to_string())
             .collect();
         out.sort();
         out.dedup();
@@ -1069,7 +1065,7 @@ pub(crate) fn resolve_on(
     for call in calls {
         let wrapper = registry
             .wrapper(&call.wrapper)
-            .ok_or_else(|| RuntimeError::UnknownWrapper(call.wrapper.clone()))?;
+            .ok_or_else(|| RuntimeError::UnknownWrapper(call.wrapper.to_string()))?;
         let source = Arc::new(PendingSource::new(Arc::clone(call), Arc::clone(&events)));
         resolved
             .outcomes
@@ -1107,7 +1103,8 @@ impl AnswerSink for SpoolSink<'_> {
             return false;
         }
         let mapped = map_rows_to_mediator(rows, self.map);
-        if let Err(err) = check_type_conformance(&mapped, self.expected, &self.spool.key().extent) {
+        if let Err(err) = check_type_conformance(&mapped, self.expected, &self.spool.call().extent)
+        {
             self.conformance = Some(err);
             return false;
         }
@@ -1144,7 +1141,7 @@ fn run_wrapper_call(
 ) {
     let started = Instant::now();
     let call = &spool.call;
-    let source_expr = map_expr_to_source(&call.key.expr, &call.shape.map);
+    let source_expr = map_expr_to_source(&call.expr, &call.shape.map);
     let mut sink = SpoolSink {
         spool,
         map: &call.shape.map,
@@ -1171,7 +1168,7 @@ fn run_wrapper_call(
                     // simulated latency — the simulated latency dominates.
                     let time_ms = summary.latency.as_secs_f64() * 1000.0 + elapsed_ms.min(1.0);
                     let key = call.calibration_key();
-                    store.record_under(&call.key.repository, key, time_ms, rows_pushed);
+                    store.record_under(&call.repository, key, time_ms, rows_pushed);
                 }
             }
             spool.finish_done(summary.rows_scanned, summary.latency);

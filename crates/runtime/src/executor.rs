@@ -122,8 +122,9 @@ impl Executor {
     /// complete [`Answer`].  If a source reports unavailability or is
     /// still streaming at the deadline, the answer holds the data obtained
     /// and the residual query (§4): under a root union the loss unwinds
-    /// only to the branch reading the source, and the pass's rows of every
-    /// branch whose calls all answered are the data.
+    /// only to the branch reading the source (under a root fan-out, to the
+    /// member), and the pass's rows of every branch whose calls all
+    /// answered are the data.
     ///
     /// # Errors
     ///
@@ -165,11 +166,13 @@ impl Executor {
         // a nested sub-plan guarded by an empty outer — so classification
         // does not depend on what the plan happened to drain.
         resolved.finalize_streamed()?;
-        let (data, residual) = match pass {
-            Some((data, _)) if resolved.all_available() => (data, None),
-            pass => partial_answer(plan, pass, &resolved, &metrics, options)?,
+        let (data, residual, first_row) = match pass {
+            Some((data, _)) if resolved.all_available() => {
+                (data, None, metrics.time_to_first_row_since(started))
+            }
+            pass => partial_answer(plan, pass, &resolved, &metrics, options, started)?,
         };
-        let stats = ExecutionStats::of(resolved, &metrics, started, &data);
+        let stats = ExecutionStats::of(resolved, &metrics, started, first_row, &data);
         let answer = match residual {
             Some(residual) => Answer::partial(data, residual, stats),
             None => Answer::complete(data, stats),

@@ -20,6 +20,10 @@ use crate::pipeline::{
 };
 use crate::{Result, RuntimeError};
 
+/// A partial answer: its data, its residual, and when the first of the
+/// data's rows reached the sink, since the execution started.
+pub(crate) type Partial = (Bag, Option<LogicalExpr>, Option<std::time::Duration>);
+
 /// Execution statistics attached to every answer.
 ///
 /// Counters that sum over concurrent wrapper calls —
@@ -50,8 +54,8 @@ pub struct ExecutionStats {
     /// How long after the query started the first answer row reached the
     /// final sink.  Typically far below [`ExecutionStats::elapsed`]: fast
     /// sources' rows are combined while slow sources are still answering.
-    /// `None` when the answer holds no data.  A partial answer's first
-    /// row can be one of a root union branch dropped later.
+    /// `None` when the answer holds no data.  A partial answer's is the
+    /// first row of a root union branch (or fan-out member) it keeps.
     pub time_to_first_row: Option<std::time::Duration>,
     /// Total time the execution spent waiting on sources: the combine
     /// step parked on still-streaming spools (a chunk that was already
@@ -75,9 +79,9 @@ pub struct ExecutionStats {
     /// cover at runtime).  Rows outside any columnar stretch count in
     /// neither bucket.
     pub rows_fallback: usize,
-    /// Fused spines the combine step compiled: one per class of
-    /// like-shaped union branches (however many sources it reads), one
-    /// per join side, one per other fused stretch.
+    /// Fused spines the combine step compiled: one per class of a
+    /// fan-out (however many sources it reads), one per join side, one
+    /// per other fused stretch.
     pub spines_compiled: usize,
     /// Breaker bytes written to disk under a memory budget: the runs of
     /// spilling pipeline breakers (hash join, distinct, the buffered
@@ -96,11 +100,14 @@ pub struct ExecutionStats {
 impl ExecutionStats {
     /// The statistics of one finished execution, filled at this one site:
     /// source-side totals from the finalized `resolved`, combine-side
-    /// counters from the execution's `metrics`, wall-clock since `started`.
+    /// counters from the execution's `metrics`, wall-clock since `started`,
+    /// and when the answer's first row reached the sink (`None` without
+    /// data).
     pub(crate) fn of(
         resolved: ResolvedExecs,
         metrics: &PipelineMetrics,
         started: Instant,
+        first_row: Option<std::time::Duration>,
         data: &Bag,
     ) -> Self {
         ExecutionStats {
@@ -109,9 +116,7 @@ impl ExecutionStats {
             rows_materialized: metrics.rows_materialized(),
             unavailable: resolved.unavailable_repositories(),
             elapsed: started.elapsed(),
-            time_to_first_row: metrics
-                .time_to_first_row_since(started)
-                .filter(|_| !data.is_empty()),
+            time_to_first_row: first_row.filter(|_| !data.is_empty()),
             source_wait: metrics.source_wait() + resolved.source_queue_wait(),
             rows_kernel: metrics.rows_kernel(),
             rows_fallback: metrics.rows_fallback(),
@@ -234,6 +239,9 @@ pub fn is_fully_resolved(plan: &LogicalExpr, resolved: &ResolvedExecs) -> bool {
             let outcome = resolved.outcome_of(repository, extent, expr);
             return matches!(outcome, Some(ExecOutcome::Rows(_)));
         }
+        LogicalExpr::Extents(node) => {
+            return (0..node.members.len()).all(|i| is_fully_resolved(&node.branch(i), resolved));
+        }
         LogicalExpr::Get { .. } => false,
         LogicalExpr::Filter { predicate, .. } => scalar_resolved(predicate, resolved),
         LogicalExpr::MapProject { projection, .. } => scalar_resolved(projection, resolved),
@@ -349,34 +357,39 @@ fn union_of(mut items: Vec<LogicalExpr>) -> Option<LogicalExpr> {
     }
 }
 
-/// The partial answer of an execution from the pass that ran (`None` when
-/// a loss ended it).  Under a root union the pass's rows of each branch
-/// that reduction collapses to data are the data, and the residual is the
-/// reduction of the other branches alone.  Under any other root this is
-/// [`partial_evaluate`].
+/// The partial answer of an execution that started at `started`, from
+/// the pass that ran (`None` when a loss ended it).  Under a root union
+/// or fan-out the pass's rows of each branch that reduction collapses to
+/// data are the data — its first row the first of theirs — and the
+/// residual is the reduction of the other branches alone.  Under any
+/// other root this is [`partial_evaluate`].
 pub(crate) fn partial_answer(
     plan: &PhysicalExpr,
     pass: Option<Pass>,
     resolved: &ResolvedExecs,
     metrics: &PipelineMetrics,
     options: PipelineOptions,
-) -> Result<(Bag, Option<LogicalExpr>)> {
+    started: Instant,
+) -> Result<Partial> {
     let eval = streamed(metrics, options);
-    let (Some(items), Some((data, mut runs))) = (root_branches(plan), pass) else {
-        return partial_evaluate_with(&plan.to_logical(), resolved, &eval);
+    let (Some(branches), Some((data, mut runs))) = (root_branches(plan), pass) else {
+        let (data, residual) = partial_evaluate_with(&plan.to_logical(), resolved, &eval)?;
+        return Ok((data, residual, metrics.time_to_first_row_since(started)));
     };
-    let branches: Vec<LogicalExpr> = items.iter().map(PhysicalExpr::to_logical).collect();
     let kept: Vec<bool> = branches.iter().map(|b| collapses(b, resolved)).collect();
+    runs.retain(|(branch, _, _)| kept[*branch]);
+    let first_row = runs.iter().map(|(_, _, first)| *first).min();
     // The kept branches' rows, branch by branch: a partial answer is the
     // same bag, printed as the same text, however its sources' chunks
     // interleaved in the sink.
-    let data = if runs.iter().all(|(b, _)| kept[*b]) && runs.is_sorted_by_key(|(b, _)| *b) {
+    let data = if runs.iter().map(|(_, run, _)| run.len()).sum::<usize>() == data.len()
+        && runs.is_sorted_by_key(|(b, _, _)| *b)
+    {
         data
     } else {
-        runs.retain(|(branch, _)| kept[*branch]);
-        runs.sort_by_key(|(branch, _)| *branch);
+        runs.sort_by_key(|(branch, _, _)| *branch);
         let rows = data.as_slice();
-        let kept_rows = runs.into_iter().flat_map(|(_, run)| rows[run].iter());
+        let kept_rows = runs.into_iter().flat_map(|(_, run, _)| rows[run].iter());
         kept_rows.cloned().collect()
     };
     let lost = branches
@@ -385,7 +398,8 @@ pub(crate) fn partial_answer(
         .filter(|(_, kept)| !kept)
         .map(|(branch, _)| reduce(branch, resolved, &eval))
         .collect::<Result<Vec<_>>>()?;
-    Ok((data, union_of(lost)))
+    let first_row = first_row.map(|first| first.saturating_duration_since(started));
+    Ok((data, union_of(lost), first_row))
 }
 
 /// Whether reduction collapses a plan to data: it is fully resolved and
@@ -414,6 +428,8 @@ fn reduce(plan: &LogicalExpr, resolved: &ResolvedExecs, eval: &Eval<'_>) -> Resu
         return Ok(LogicalExpr::Data(bag));
     }
     match plan {
+        // A member's branch is a union branch like any other.
+        LogicalExpr::Extents(node) => reduce(&node.to_union(), resolved, eval),
         LogicalExpr::Union(items) => {
             let mut reduced_items = Vec::with_capacity(items.len());
             let mut data = Bag::new();
@@ -530,7 +546,7 @@ mod tests {
         let text = print_expr(&logical_to_oql(&residual));
         assert_eq!(text, "select y.name from y in person0 where y.salary > 10");
         // The combined answer is the §1.3 form.
-        let stats = ExecutionStats::of(resolved, &metrics, Instant::now(), &data);
+        let stats = ExecutionStats::of(resolved, &metrics, Instant::now(), None, &data);
         let answer = Answer::partial(data, residual, stats);
         assert!(!answer.is_complete());
         assert_eq!(

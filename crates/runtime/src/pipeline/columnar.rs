@@ -10,8 +10,9 @@
 //! copying them.
 //!
 //! A spine reads its rows as borrowed slices from the members of its
-//! [`Supply`] — one per branch of a union's class of like-shaped
-//! branches, one for any other stretch — each a bag that is all there
+//! [`Supply`] — one per member of a fan-out's class (the class's
+//! template is the stretch it compiles, read off the node), one for any
+//! other stretch — each a bag that is all there
 //! (literal data, a materialized answer) or a position in the chunk chain
 //! of a spool its wrapper call is still filling ([`SpoolReader`]): a row
 //! that left the wrapper is stored once and meets the kernels where it
@@ -84,7 +85,7 @@ use std::sync::Arc;
 
 use disco_algebra::{
     kernel::{EvalVec, Kernel, KernelBuilder, PairKernelBuilder},
-    truthy, PhysicalExpr, ScalarExpr,
+    truthy, FanOut, PhysicalExpr, ScalarExpr,
 };
 use disco_value::{
     Bag, BagColumns, ChunkBuilder, Column, ColumnarChunk, KeyHasher, StructValue, Value,
@@ -115,14 +116,17 @@ pub(crate) fn try_build<'a>(
 }
 
 /// The batch input of a breaker over `plan`: columnar when the plan
-/// fuses, a union of classes of like-shaped branches for `mkunion`
-/// ([`union_source`]), the row cursors' batches otherwise.
+/// fuses, a union of its branches for `mkunion` ([`union_source`]) and a
+/// union of its classes for a fan-out ([`fan_out_source`]), the row
+/// cursors' batches otherwise.
 pub(crate) fn batch_source<'a>(
     plan: &'a PhysicalExpr,
     ctx: PipelineCtx<'a>,
 ) -> Result<BatchSource<'a>> {
-    if let PhysicalExpr::MkUnion(items) = plan {
-        return union_source(items, false, ctx);
+    match plan {
+        PhysicalExpr::MkUnion(items) => return union_source(items, false, ctx),
+        PhysicalExpr::FanOut(node) => return fan_out_source(node, false, ctx),
+        _ => {}
     }
     match fuse_source(plan, ctx) {
         Some(source) => Ok(source),
@@ -130,97 +134,95 @@ pub(crate) fn batch_source<'a>(
     }
 }
 
-/// The batch source of a `mkunion`.  Branches whose fused stretches are
-/// equal node for node over a scan form a **class**, wherever they stand
-/// among the branches: the class compiles one [`Spine`], and its
-/// [`Supply`] reads every member's bag or spool.  A branch alone in its
-/// class is a class of one; a branch that does not fuse stays a union
-/// branch of its own, as does a member whose source did not answer (the
-/// row path reports it).  Finding a branch's class is an equality walk
-/// over the stretch, and allocates nothing.  A union of one input is
-/// that input.
+/// The batch source of a `mkunion`: each branch's, as one input of a
+/// [`Union`].  A union of one input is that input.
 ///
 /// The `root` union of a pass is as far as a lost source unwinds: the
-/// [`Union`] drops the input that reads it and a class's [`Supply`] the
-/// member, and the other branches stream on.  Each input knows which
-/// branch its batches come from ([`BatchSource::branch`]).
+/// [`Union`] drops the input that reads it, and the other branches stream
+/// on.  Each input knows which branch its batches come from
+/// ([`BatchSource::branch`]).
 pub(crate) fn union_source<'a>(
     items: &'a [PhysicalExpr],
     root: bool,
     ctx: PipelineCtx<'a>,
 ) -> Result<BatchSource<'a>> {
-    // Per class: its first branch, which the others are compared with,
-    // and where its spine stands among the inputs.
-    let mut classes: Vec<(&'a PhysicalExpr, usize)> = Vec::new();
-    let mut inputs: Vec<(usize, BatchSource<'a>)> = Vec::new();
-    for (i, item) in items.iter().enumerate() {
-        let joined = classes
-            .iter()
-            .find_map(|&(first, at)| Some((at, same_stretch(first, item)?)));
-        match joined {
-            Some((at, scan)) => {
-                if let Some(member) = member_of(scan, &ctx) {
-                    let BatchSource::Spine(spine) = &mut inputs[at].1 else {
-                        unreachable!("a class is a spine");
-                    };
-                    spine.supply.push(i, member);
-                    continue;
-                }
-            }
-            None => {
-                if let Some(mut spine) = fuse_spine(item, items.len() - i, ctx) {
-                    (spine.supply.root, spine.supply.members[0].0) = (root, i);
-                    classes.push((item, inputs.len()));
-                    inputs.push((i, BatchSource::Spine(Box::new(spine))));
-                    continue;
-                }
-            }
-        }
-        inputs.push((i, batch_source(item, ctx)?));
-    }
+    let mut inputs = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| Ok((i, batch_source(item, ctx)?)))
+        .collect::<Result<Vec<_>>>()?;
     if inputs.len() == 1 {
         return Ok(inputs.pop().expect("one input").1);
     }
     Ok(BatchSource::Union(Box::new(Union::new(inputs, root, ctx))))
 }
 
-/// The scan beneath `branch` when its stretch equals `class`'s node for
-/// node — operators compared, the scans beneath them not: the member
-/// `branch` adds to the class.
-fn same_stretch<'b>(class: &PhysicalExpr, branch: &'b PhysicalExpr) -> Option<&'b PhysicalExpr> {
-    use PhysicalExpr::{BindOp, Exec, FilterOp, MapOp, MemScan, ProjectOp};
-    match (class, branch) {
-        (
-            MapOp { input, projection },
-            MapOp {
-                input: other,
-                projection: theirs,
-            },
-        ) if projection == theirs => same_stretch(input, other),
-        (
-            FilterOp { input, predicate },
-            FilterOp {
-                input: other,
-                predicate: theirs,
-            },
-        ) if predicate == theirs => same_stretch(input, other),
-        (
-            BindOp { var, input },
-            BindOp {
-                var: theirs,
-                input: other,
-            },
-        ) if var == theirs => same_stretch(input, other),
-        (
-            ProjectOp { input, columns },
-            ProjectOp {
-                input: other,
-                columns: theirs,
-            },
-        ) if columns == theirs => same_stretch(input, other),
-        (Exec { .. } | MemScan(_), Exec { .. } | MemScan(_)) => Some(branch),
-        _ => None,
+/// The batch source of a fan-out: per class, one [`Spine`] compiled from
+/// the class's template whose [`Supply`] reads every member's bag or
+/// spool, in the place of the class's first member.  A member's call is
+/// found by its index.  The members of a class whose template does not
+/// fuse, and a member whose source did not answer (the row path reports
+/// it), are inputs of their own, each the template's batch source with
+/// the member's call beneath.
+///
+/// The branches are the members: under the `root` fan-out of a pass the
+/// [`Union`] drops an input, and a class's [`Supply`] a member, whose
+/// source turned out unavailable.
+pub(crate) fn fan_out_source<'a>(
+    node: &'a FanOut,
+    root: bool,
+    ctx: PipelineCtx<'a>,
+) -> Result<BatchSource<'a>> {
+    let mut inputs: Vec<(usize, BatchSource<'a>)> = Vec::new();
+    let mut alone: Vec<usize> = Vec::new();
+    for (class, template) in node.templates.iter().enumerate() {
+        let in_class = || (0..node.members.len()).filter(|&i| node.members[i].class == class);
+        let Some((shape, scan)) = spine_shape(template, false) else {
+            alone.extend(in_class());
+            continue;
+        };
+        let mut supply: Option<Supply<'a>> = None;
+        let unavailable = alone.len();
+        for i in in_class() {
+            let member_ctx = PipelineCtx {
+                member: Some((node, i)),
+                ..ctx
+            };
+            match member_of(scan, &member_ctx) {
+                Some(member) => match &mut supply {
+                    Some(supply) => supply.push(i, member),
+                    None => {
+                        let mut first = Supply::new(member, node.members.len() - i, &ctx);
+                        (first.root, first.members[0].0) = (root, i);
+                        supply = Some(first);
+                    }
+                },
+                None => alone.push(i),
+            }
+        }
+        let Some(supply) = supply else { continue };
+        let first = supply.members[0].0;
+        match Spine::compile(shape, supply, None, ctx) {
+            Some(spine) => inputs.push((first, BatchSource::Spine(Box::new(spine)))),
+            None => {
+                alone.truncate(unavailable);
+                alone.extend(in_class());
+            }
+        }
     }
+    for i in alone {
+        let ctx = PipelineCtx {
+            member: Some((node, i)),
+            ..ctx
+        };
+        let template = &node.templates[node.members[i].class];
+        inputs.push((i, batch_source(template, ctx)?));
+    }
+    inputs.sort_by_key(|(branch, _)| *branch);
+    if inputs.len() == 1 {
+        return Ok(inputs.pop().expect("one input").1);
+    }
+    Ok(BatchSource::Union(Box::new(Union::new(inputs, root, ctx))))
 }
 
 /// Fuses `plan` into a columnar batch source: a vectorized hash join when
@@ -281,7 +283,8 @@ impl<'a> BatchSource<'a> {
 
     /// The branch of a root union the last batch came from, for the
     /// source [`union_source`] made of a root union of two or more
-    /// branches: a union, or the one class spine they all formed.
+    /// branches, or [`fan_out_source`] of a root fan-out (whose branches
+    /// are its members): a union, or the one class spine they all formed.
     pub(crate) fn branch(&self) -> usize {
         match self {
             BatchSource::Spine(spine) => spine.supply.branch(),
@@ -379,18 +382,18 @@ impl<'a> Batch<'a> {
 /// generation only when a full sweep finds none.  With every member ready
 /// (materialized inputs) that drains them in branch order.  A member's
 /// failure, unavailability or deadline classification surfaces when it
-/// is pulled, through its own spool's wait loop — but a root union's
+/// is pulled, through its own spool's wait loop — but a root fan-out's
 /// class drops a member whose source turned out unavailable, and reads on.
 pub(crate) struct Supply<'a> {
     /// The bag — or the spool's current chunk — being read, and how much
     /// of it was handed out.
     bag: Option<&'a Bag>,
     pos: usize,
-    /// The members, each with the union branch it is (0 off a union).
+    /// The members, each with the fan-out member it is (0 off a fan-out).
     members: Vec<(usize, Member<'a>)>,
     /// The member `bag` came from.
     current: usize,
-    /// Whether the members are branches of a pass's root union.
+    /// Whether the members are branches of a pass's root fan-out.
     root: bool,
     sweep: Sweep,
     /// Members not yet read to their end.
@@ -545,7 +548,7 @@ impl<'a> Supply<'a> {
             );
             let member = &mut self.members[at].1;
             let next = match member.next(metrics) {
-                // A root union's branch is as far as a lost source
+                // A root fan-out's member is as far as a lost source
                 // unwinds: the member goes, the class reads on.
                 Err(RuntimeError::PendingUnavailable(_)) if self.root => {
                     *member = Member::Done;
@@ -670,7 +673,7 @@ fn member_of<'a>(node: &'a PhysicalExpr, ctx: &PipelineCtx<'a>) -> Option<Member
             extent,
             logical,
             ..
-        } => match ctx.resolved.outcome_of(repository, extent, logical)? {
+        } => match ctx.outcome(repository, extent, logical)? {
             ExecOutcome::Rows(rows) => Some(Member::Bag(rows)),
             ExecOutcome::Pending(source) => Some(Member::Spool(SpoolReader::new(source))),
             ExecOutcome::Unavailable => None,
@@ -964,6 +967,12 @@ impl<'a> Spine<'a> {
     /// Whether the next batch is there without blocking on a source.
     pub(crate) fn ready(&self) -> bool {
         self.supply.ready()
+    }
+
+    /// Whether this is a class spine of a pass's root fan-out, whose
+    /// members are the branches.
+    pub(crate) fn serves_members(&self) -> bool {
+        self.supply.root
     }
 
     /// Fixes the chunk layout: the fields behind the kernels' slots, the
@@ -1313,7 +1322,7 @@ fn fuse_join<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<HashJoi
         Some((shape, Supply::new(member_of(scan, &ctx)?, 1, &ctx)))
     };
     let (left_side, right_side) = (side(left)?, side(right)?);
-    let build_on_left = decide_build_side(left, right, ctx.options, ctx.resolved);
+    let build_on_left = decide_build_side(left, right, ctx);
     let (build_side, probe_side, build_key, probe_key) = if build_on_left {
         (left_side, right_side, left_key, right_key)
     } else {

@@ -50,7 +50,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use disco_algebra::{
-    eval_scalar_with, lower, AlgebraError, Env, LogicalExpr, PhysicalExpr, ScalarExpr,
+    eval_scalar_with, lower, AlgebraError, Env, FanOut, LogicalExpr, PhysicalExpr, ScalarExpr,
 };
 use disco_value::{Bag, StructValue, Value};
 
@@ -450,9 +450,9 @@ impl PipelineMetrics {
         self.rows_fallback.load(Ordering::Relaxed)
     }
 
-    /// Fused spines compiled: one per class of like-shaped union
-    /// branches, one per join side, one per other fused stretch.  A union
-    /// over any number of sources whose stretches are equal compiles one.
+    /// Fused spines compiled: one per class of a fan-out, one per join
+    /// side, one per other fused stretch.  A fan-out over any number of
+    /// sources whose class's template fuses compiles one for the class.
     #[must_use]
     pub fn spines_compiled(&self) -> usize {
         self.spines_compiled.load(Ordering::Relaxed)
@@ -632,6 +632,25 @@ pub(crate) struct PipelineCtx<'a> {
     /// cursor; allocated once per evaluation from
     /// [`PipelineOptions::effective_mem_budget`].
     pub budget: &'a MemoryBudget,
+    /// The fan-out member whose branch is being built: the `exec` of its
+    /// class's template is that member's call.
+    pub member: Option<(&'a FanOut, usize)>,
+}
+
+impl<'a> PipelineCtx<'a> {
+    /// The outcome of the call of an `exec` node — under a member's
+    /// branch, of the member's.
+    pub(crate) fn outcome(
+        &self,
+        repository: &str,
+        extent: &str,
+        logical: &LogicalExpr,
+    ) -> Option<&'a ExecOutcome> {
+        match self.member {
+            Some((node, i)) => self.resolved.member_outcome(node, i),
+            None => self.resolved.outcome_of(repository, extent, logical),
+        }
+    }
 }
 
 /// Drains a cursor into a bag — the final sink of every pipeline.  Join
@@ -679,19 +698,27 @@ pub(crate) fn build<'a>(
             extent,
             logical,
             ..
-        } => match ctx.resolved.outcome_of(repository, extent, logical) {
-            Some(ExecOutcome::Rows(rows)) => Ok(Box::new(scan::ScanCursor::new(rows))),
-            Some(ExecOutcome::Pending(source)) => Ok(Box::new(scan::SpoolScanCursor::new(
-                scan::SpoolReader::new(source),
-                ctx,
-            ))),
-            Some(ExecOutcome::Unavailable) => Err(RuntimeError::Unsupported(format!(
-                "exec call to unavailable source {repository} reached the evaluator"
-            ))),
-            None => Err(RuntimeError::Unsupported(format!(
-                "unresolved exec call to {repository} ({extent})"
-            ))),
-        },
+        } => {
+            let outcome = ctx.outcome(repository, extent, logical);
+            // A template's names are its class's first member's.
+            let (repository, extent) = match ctx.member {
+                Some((node, i)) => (&*node.members[i].repository, &*node.members[i].extent),
+                None => (repository.as_str(), extent.as_str()),
+            };
+            match outcome {
+                Some(ExecOutcome::Rows(rows)) => Ok(Box::new(scan::ScanCursor::new(rows))),
+                Some(ExecOutcome::Pending(source)) => Ok(Box::new(scan::SpoolScanCursor::new(
+                    scan::SpoolReader::new(source),
+                    ctx,
+                ))),
+                Some(ExecOutcome::Unavailable) => Err(RuntimeError::Unsupported(format!(
+                    "exec call to unavailable source {repository} reached the evaluator"
+                ))),
+                None => Err(RuntimeError::Unsupported(format!(
+                    "unresolved exec call to {repository} ({extent})"
+                ))),
+            }
+        }
         PhysicalExpr::MemScan(bag) => Ok(Box::new(scan::ScanCursor::new(bag))),
         PhysicalExpr::FilterOp { input, predicate } => Ok(Box::new(filter::FilterCursor::new(
             build(input, ctx)?,
@@ -730,7 +757,7 @@ pub(crate) fn build<'a>(
             right_key,
             residual,
         } => {
-            let build_on_left = decide_build_side(left, right, ctx.options, ctx.resolved);
+            let build_on_left = decide_build_side(left, right, ctx);
             let table = join::JoinTable::default();
             let side = |plan, key| -> Result<_> {
                 let input = build(plan, ctx)?;
@@ -754,9 +781,9 @@ pub(crate) fn build<'a>(
         PhysicalExpr::MergeTuplesJoin { left, right, on } => Ok(Box::new(
             join::MergeTuplesCursor::new(build(left, ctx)?, build(right, ctx)?, on, ctx),
         )),
-        PhysicalExpr::MkUnion(_) => Ok(Box::new(columnar::SpineCursor::new(
-            columnar::batch_source(plan, ctx)?,
-        ))),
+        PhysicalExpr::MkUnion(_) | PhysicalExpr::FanOut(_) => Ok(Box::new(
+            columnar::SpineCursor::new(columnar::batch_source(plan, ctx)?),
+        )),
         PhysicalExpr::MkFlatten(inner) => {
             Ok(Box::new(union::FlattenCursor::new(build(inner, ctx)?, ctx)))
         }
@@ -782,16 +809,12 @@ pub(crate) fn build<'a>(
 pub(crate) fn decide_build_side(
     left: &PhysicalExpr,
     right: &PhysicalExpr,
-    options: PipelineOptions,
-    resolved: &ResolvedExecs,
+    ctx: PipelineCtx<'_>,
 ) -> bool {
-    match options.build_side {
+    match ctx.options.build_side {
         BuildSide::Left => true,
         BuildSide::Right => false,
-        BuildSide::Auto => match (
-            estimated_rows(left, resolved),
-            estimated_rows(right, resolved),
-        ) {
+        BuildSide::Auto => match (estimated_rows(left, ctx), estimated_rows(right, ctx)) {
             (Some(l), Some(r)) => l < r,
             _ => false,
         },
@@ -809,8 +832,8 @@ pub(crate) fn decide_build_side(
 /// [`PendingSource::await_len`](crate::exec::PendingSource), which blocks
 /// until the call completes (bounded by the deadline).  Union/branch
 /// shapes never ask, so the federated overlap path is unaffected.
-fn estimated_rows(plan: &PhysicalExpr, resolved: &ResolvedExecs) -> Option<usize> {
-    let estimate = |plan: &PhysicalExpr| estimated_rows(plan, resolved);
+fn estimated_rows(plan: &PhysicalExpr, ctx: PipelineCtx<'_>) -> Option<usize> {
+    let estimate = |plan: &PhysicalExpr| estimated_rows(plan, ctx);
     match plan {
         PhysicalExpr::MemScan(bag) => Some(bag.len()),
         PhysicalExpr::Exec {
@@ -818,7 +841,7 @@ fn estimated_rows(plan: &PhysicalExpr, resolved: &ResolvedExecs) -> Option<usize
             extent,
             logical,
             ..
-        } => match resolved.outcome_of(repository, extent, logical) {
+        } => match ctx.outcome(repository, extent, logical) {
             Some(ExecOutcome::Rows(rows)) => Some(rows.len()),
             Some(ExecOutcome::Pending(source)) => source.await_len(),
             _ => None,
@@ -831,6 +854,15 @@ fn estimated_rows(plan: &PhysicalExpr, resolved: &ResolvedExecs) -> Option<usize
         PhysicalExpr::MkUnion(items) => items
             .iter()
             .map(estimate)
+            .try_fold(0usize, |acc, n| n.map(|n| acc + n)),
+        PhysicalExpr::FanOut(node) => (0..node.members.len())
+            .map(|i| {
+                let ctx = PipelineCtx {
+                    member: Some((node, i)),
+                    ..ctx
+                };
+                estimated_rows(&node.templates[node.members[i].class], ctx)
+            })
             .try_fold(0usize, |acc, n| n.map(|n| acc + n)),
         PhysicalExpr::NestedLoopJoin { left, right, .. }
         | PhysicalExpr::HashJoin { left, right, .. }
@@ -860,23 +892,35 @@ pub(crate) fn evaluate_physical_streamed(
     result
 }
 
-/// The branches a pass keeps apart: those of a root union of two or more.
-pub(crate) fn root_branches(plan: &PhysicalExpr) -> Option<&[PhysicalExpr]> {
+/// The branches a pass keeps apart, as logical plans: those of a root
+/// union of two or more, or a root fan-out's members'.
+pub(crate) fn root_branches(plan: &PhysicalExpr) -> Option<Vec<LogicalExpr>> {
     match plan {
-        PhysicalExpr::MkUnion(items) if items.len() > 1 => Some(items),
+        PhysicalExpr::MkUnion(items) if items.len() > 1 => {
+            Some(items.iter().map(PhysicalExpr::to_logical).collect())
+        }
+        PhysicalExpr::FanOut(node) => {
+            let branches = (0..node.members.len()).map(|i| node.branch(i).to_logical());
+            Some(branches.collect())
+        }
         _ => None,
     }
 }
 
-/// What a pass delivered: the answer rows and, under a root union
-/// ([`root_branches`]), the branch each run of them came from, as
-/// coalesced `(branch, rows of the answer)` in sink order.
-pub(crate) type Pass = (Bag, Vec<(usize, Range<usize>)>);
+/// One run of a pass's answer rows from one branch: the branch, the rows
+/// of the answer, and when its first row reached the sink.
+pub(crate) type Run = (usize, Range<usize>, Instant);
 
-/// The one pass of an execution.  Under a root union a source that turns
-/// out unavailable unwinds only to the branch that reads it, which is
-/// dropped while the others stream on; under any other root it ends the
-/// pass with [`RuntimeError::PendingUnavailable`].
+/// What a pass delivered: the answer rows and, under a root union or
+/// fan-out ([`root_branches`]), the branch each run of them came from, as
+/// coalesced runs in sink order.
+pub(crate) type Pass = (Bag, Vec<Run>);
+
+/// The one pass of an execution.  Under a root union (or fan-out) a
+/// source that turns out unavailable unwinds only to the branch (or
+/// member) that reads it, which is dropped while the others stream on;
+/// under any other root it ends the pass with
+/// [`RuntimeError::PendingUnavailable`].
 pub(crate) fn evaluate_pass(
     plan: &PhysicalExpr,
     resolved: &ResolvedExecs,
@@ -884,10 +928,15 @@ pub(crate) fn evaluate_pass(
     options: PipelineOptions,
 ) -> Result<Pass> {
     let outer = Env::root();
-    let Some(items) = root_branches(plan) else {
+    let split = match plan {
+        PhysicalExpr::FanOut(_) => true,
+        PhysicalExpr::MkUnion(items) => items.len() > 1,
+        _ => false,
+    };
+    if !split {
         let data = evaluate_physical_streamed(plan, resolved, &outer, metrics, options)?;
         return Ok((data, Vec::new()));
-    };
+    }
     let budget = spill::MemoryBudget::from_limit(options.effective_mem_budget());
     let ctx = PipelineCtx {
         resolved,
@@ -896,18 +945,24 @@ pub(crate) fn evaluate_pass(
         options,
         batch_rows: options.effective_batch_rows(),
         budget: &budget,
+        member: None,
     };
-    let mut union = columnar::SpineCursor::new(columnar::union_source(items, true, ctx)?);
-    let mut runs = Vec::<(usize, Range<usize>)>::new();
+    let source = match plan {
+        PhysicalExpr::FanOut(node) => columnar::fan_out_source(node, true, ctx)?,
+        PhysicalExpr::MkUnion(items) => columnar::union_source(items, true, ctx)?,
+        _ => unreachable!("a root union or fan-out"),
+    };
+    let mut union = columnar::SpineCursor::new(source);
+    let mut runs = Vec::<Run>::new();
     let data = collect(
         &mut union,
         metrics,
         ctx.batch_rows,
         |union, rows| match runs.last_mut() {
-            Some((branch, run)) if *branch == union.branch() => run.end += rows,
+            Some((branch, run, _)) if *branch == union.branch() => run.end += rows,
             last if rows > 0 => {
-                let at = last.map_or(0, |(_, run)| run.end);
-                runs.push((union.branch(), at..at + rows));
+                let at = last.map_or(0, |(_, run, _)| run.end);
+                runs.push((union.branch(), at..at + rows, Instant::now()));
             }
             _ => {}
         },
@@ -959,6 +1014,7 @@ fn evaluate_with_budget(
         options,
         batch_rows: options.effective_batch_rows(),
         budget,
+        member: None,
     };
     collect(&mut *build(plan, ctx)?, metrics, ctx.batch_rows, |_, _| {})
 }

@@ -81,14 +81,15 @@ impl Sweep {
     }
 }
 
-/// Streams union inputs (`mkunion`) as a batch source — no branch result
-/// is ever collected into an intermediate bag, and each input's batches
-/// pass on in the form they have: a fused class's struct columns reach a
-/// `distinct` above the union as columns.
+/// Streams union inputs (`mkunion`, fan-out) as a batch source — no
+/// branch result is ever collected into an intermediate bag, and each
+/// input's batches pass on in the form they have: a fused class's struct
+/// columns reach a `distinct` above the union as columns.
 ///
-/// The inputs are what `columnar::union_source` makes of the branches:
-/// one spine per class of like-shaped branches, in the place of the
-/// class's first member, and each branch that does not fuse.  They are
+/// The inputs are what `columnar::union_source` makes of a `mkunion`'s
+/// branches — one each — and what `columnar::fan_out_source` makes of a
+/// fan-out: one spine per class, in the place of the class's first
+/// member, and each member whose template does not fuse.  They are
 /// served by a [`Sweep`]: with materialized inputs everything is always
 /// ready and the inputs drain in order; with *pending* sources the union
 /// pulls from whichever input has data, so the slowest source does not
@@ -134,7 +135,7 @@ impl<'a> Union<'a> {
     /// The union branch the batch handed out last came from.
     pub(crate) fn branch(&self) -> usize {
         match &self.branches[self.last] {
-            (_, class @ BatchSource::Spine(_)) if self.root => class.branch(),
+            (_, class @ BatchSource::Spine(spine)) if spine.serves_members() => class.branch(),
             (branch, _) => *branch,
         }
     }

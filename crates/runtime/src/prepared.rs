@@ -11,8 +11,13 @@
 //! The **call table** lists the plan's distinct calls in plan order, and
 //! shares rather than copies: a call's shipped expression is the `Arc`
 //! the plan's `exec` node holds, and like-typed extents share one
-//! [`CallShape`].  What can change while the catalog does not — the
-//! wrapper handle the registry binds to a name — is looked up per
+//! [`CallShape`].  A member of a fan-out (an interface's extent) ships its
+//! class template's expression with its own extent's name; the call
+//! holds its own copy, built here, and shares the names with the plan,
+//! while the table records which call each member's is, so that the
+//! pipeline finds it by the member's index.  A class's members share one
+//! [`CallShape`], built once.  What can change while the catalog does not
+//! — the wrapper handle the registry binds to a name — is looked up per
 //! execution, so a wrapper re-registered under its name is the one called.
 //! A call's calibration keys are rendered the first time the call is
 //! recorded, on the call worker, so a miss does not render every call on
@@ -28,7 +33,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use disco_algebra::{LogicalExpr, PhysicalExpr, ScalarExpr};
+use disco_algebra::{FanOut, LogicalExpr, Member, PhysicalExpr, ScalarExpr};
 use disco_catalog::{Catalog, TypeMap};
 use disco_optimizer::{CacheEntry, CalibrationKey, Plan};
 use disco_wrapper::expected_after_expr;
@@ -88,47 +93,98 @@ impl CacheEntry for PreparedPlan {
 pub(crate) struct CallTable {
     calls: Vec<Arc<Call>>,
     /// Indices into `calls` sorted by extent, plan order among the calls
-    /// to one extent: a lookup from a plan node is a binary search and a
-    /// pointer comparison (`ExecKey::is`), with no key built for it.
+    /// to one extent: a structural lookup is a binary search.
     by_extent: Vec<usize>,
+    /// Per fan-out of the plan, by the address of its templates: the
+    /// index of each member's call (none for a member reading no source).
+    fan_outs: Vec<(usize, Vec<Option<usize>>)>,
 }
 
 impl CallTable {
     /// The call table of `plan` against `catalog`.
     pub(crate) fn new(plan: &PhysicalExpr, catalog: &Catalog) -> Result<Self> {
+        let mut found = Found::default();
+        found.visit(plan, false);
+        let Found {
+            specs, fan_outs, ..
+        } = found;
         let mut shapes: Vec<Arc<CallShape>> = Vec::new();
+        // The shape of each class of a fan-out, by interface: its members
+        // share it while their maps are alike.
+        let mut class_shapes: Vec<((&LogicalExpr, &str), Arc<CallShape>)> = Vec::new();
         let mut fields: BTreeMap<&str, Vec<String>> = BTreeMap::new();
-        let mut calls = Vec::new();
-        for (repository, wrapper, extent, shipped) in distinct_calls(plan) {
-            let meta = catalog.extent(extent)?;
+        let mut templates: Vec<Arc<TemplateCall>> = Vec::new();
+        let mut calls = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let meta = catalog.extent(&spec.extent)?;
             let interface = meta.interface();
-            if !fields.contains_key(interface) {
-                let names = catalog
-                    .attributes_of(interface)?
-                    .iter()
-                    .map(|a| a.name().to_owned())
-                    .collect();
-                fields.insert(interface, names);
-            }
-            let shape = CallShape {
-                map: meta.map().clone(),
-                expected: expected_after_expr(shipped.expr(), &fields[interface]),
+            let class_key = match spec.shipped {
+                Shipped::Member(template) => Some((&**template, interface)),
+                _ => None,
             };
-            let shape = match shapes.iter().find(|known| ***known == shape) {
-                Some(known) => Arc::clone(known),
+            let known = class_key.and_then(|key| {
+                class_shapes
+                    .iter()
+                    .find(|((t, i), shape)| {
+                        std::ptr::eq(*t, key.0) && *i == key.1 && shape.map == *meta.map()
+                    })
+                    .map(|(_, shape)| Arc::clone(shape))
+            });
+            let shape = match known {
+                Some(shape) => shape,
                 None => {
-                    let shape = Arc::new(shape);
-                    shapes.push(Arc::clone(&shape));
+                    if !fields.contains_key(interface) {
+                        let names = catalog
+                            .attributes_of(interface)?
+                            .iter()
+                            .map(|a| a.name().to_owned())
+                            .collect();
+                        fields.insert(interface, names);
+                    }
+                    let shape = CallShape {
+                        map: meta.map().clone(),
+                        expected: expected_after_expr(spec.shipped.expr(), &fields[interface]),
+                    };
+                    let shape = match shapes.iter().find(|known| ***known == shape) {
+                        Some(known) => Arc::clone(known),
+                        None => {
+                            let shape = Arc::new(shape);
+                            shapes.push(Arc::clone(&shape));
+                            shape
+                        }
+                    };
+                    if let Some(key) = class_key {
+                        class_shapes.push((key, Arc::clone(&shape)));
+                    }
                     shape
                 }
             };
+            let template = match spec.shipped {
+                Shipped::Member(template) => {
+                    let known = templates
+                        .iter()
+                        .position(|t| Arc::ptr_eq(&t.expr, template));
+                    let at = known.unwrap_or_else(|| {
+                        templates.push(Arc::new(TemplateCall {
+                            expr: Arc::clone(template),
+                            keys: OnceLock::new(),
+                        }));
+                        templates.len() - 1
+                    });
+                    Some(Arc::clone(&templates[at]))
+                }
+                _ => None,
+            };
+            let expr = match spec.shipped {
+                Shipped::Exec(expr) => Arc::clone(expr),
+                _ => Arc::new(spec.shipped().into_owned()),
+            };
             calls.push(Arc::new(Call {
-                key: ExecKey {
-                    repository: Arc::from(repository),
-                    extent: Arc::from(extent),
-                    expr: shipped.share(),
-                },
-                wrapper: wrapper.to_owned(),
+                repository: spec.repository,
+                extent: spec.extent,
+                wrapper: spec.wrapper,
+                template,
+                expr,
                 shape,
                 calibration: OnceLock::new(),
             }));
@@ -136,6 +192,7 @@ impl CallTable {
         let mut table = CallTable {
             calls,
             by_extent: Vec::new(),
+            fan_outs,
         };
         table.index();
         Ok(table)
@@ -146,7 +203,7 @@ impl CallTable {
         let calls = &self.calls;
         self.by_extent = (0..calls.len()).collect();
         self.by_extent
-            .sort_by(|&a, &b| calls[a].key.extent.cmp(&calls[b].key.extent));
+            .sort_by(|&a, &b| calls[a].extent.cmp(&calls[b].extent));
     }
 
     /// The calls, in plan order.
@@ -164,19 +221,53 @@ impl CallTable {
         let calls = &self.calls;
         let first = self
             .by_extent
-            .partition_point(|&i| *calls[i].key.extent < *extent);
+            .partition_point(|&i| *calls[i].extent < *extent);
         self.by_extent[first..]
             .iter()
             .copied()
-            .take_while(|&i| *calls[i].key.extent == *extent)
-            .find(|&i| calls[i].key.is(repository, extent, expr))
+            .take_while(|&i| *calls[i].extent == *extent)
+            .find(|&i| calls[i].is(repository, extent, expr))
+    }
+
+    /// The index of the call of member `i` of `node`: where the table
+    /// recorded it, when `node` is the fan-out it was prepared from (its
+    /// template is the call's, which the table keeps alive, so another
+    /// fan-out at a reused address fails the check); else found by what
+    /// the member ships.
+    pub(crate) fn member(&self, node: &FanOut, i: usize) -> Option<usize> {
+        let member = &node.members[i];
+        let template = template_call(&node.templates[member.class])?;
+        let at = node.templates.as_ptr() as usize;
+        let recorded = self
+            .fan_outs
+            .iter()
+            .find(|(key, _)| *key == at)
+            .and_then(|(_, calls)| calls.get(i).copied().flatten())
+            .filter(|&c| {
+                let call = &self.calls[c];
+                call.template
+                    .as_ref()
+                    .is_some_and(|t| Arc::ptr_eq(&t.expr, template))
+                    && *call.extent == *member.extent
+                    && *call.repository == *member.repository
+            });
+        recorded.or_else(|| {
+            self.position(
+                &member.repository,
+                &member.extent,
+                &template.instance(member),
+            )
+        })
     }
 
     /// Appends a call nobody prepared: a resolution filled in by hand.
     pub(crate) fn push_unprepared(&mut self, key: ExecKey) {
         self.calls.push(Arc::new(Call {
-            key,
-            wrapper: String::new(),
+            repository: key.repository,
+            extent: key.extent,
+            wrapper: Arc::from(""),
+            template: None,
+            expr: key.expr,
             shape: Arc::default(),
             calibration: OnceLock::new(),
         }));
@@ -184,22 +275,68 @@ impl CallTable {
     }
 }
 
+/// The expression the `exec` of a fan-out's branch template ships; `None`
+/// for a branch that reads no source.
+fn template_call(template: &PhysicalExpr) -> Option<&Arc<LogicalExpr>> {
+    let mut call = None;
+    template.walk(&mut |node| {
+        if let PhysicalExpr::Exec { logical, .. } = node {
+            call = Some(logical);
+        }
+    });
+    call
+}
+
+/// The call of a fan-out class's template, shared by its members' calls.
+#[derive(Debug)]
+pub(crate) struct TemplateCall {
+    /// The expression the template's `exec` ships.
+    expr: Arc<LogicalExpr>,
+    /// Its calibration keys with the collection marked, and the mark,
+    /// rendered when the first member's call is recorded.
+    keys: OnceLock<(char, CalibrationKey)>,
+}
+
 /// One distinct call of a prepared plan.
 #[derive(Debug)]
 pub(crate) struct Call {
-    pub(crate) key: ExecKey,
+    pub(crate) repository: Arc<str>,
+    pub(crate) extent: Arc<str>,
     /// The wrapper's name; its handle is looked up per execution.
-    pub(crate) wrapper: String,
+    pub(crate) wrapper: Arc<str>,
+    /// A fan-out member's: its class template's call.
+    template: Option<Arc<TemplateCall>>,
+    /// The shipped expression (mediator name space): the `exec` node's,
+    /// or the template's with the member's names.
+    pub(crate) expr: Arc<LogicalExpr>,
     pub(crate) shape: Arc<CallShape>,
     calibration: OnceLock<CalibrationKey>,
 }
 
 impl Call {
+    /// Whether this is the call of an `exec` node with these fields.  A
+    /// prepared plan's node and its call share the shipped expression, so
+    /// the pointers are compared first; the structural comparison is for
+    /// nested submits, duplicate calls and resolutions built by hand.
+    pub(crate) fn is(&self, repository: &str, extent: &str, expr: &LogicalExpr) -> bool {
+        *self.repository == *repository
+            && *self.extent == *extent
+            && (std::ptr::eq(&*self.expr, expr) || *self.expr == *expr)
+    }
+
     /// The keys the calibration store records this call under, rendered
-    /// by the first execution that records it.
+    /// by the first execution that records it — a member's spliced from
+    /// its class template's.
     pub(crate) fn calibration_key(&self) -> &CalibrationKey {
-        self.calibration
-            .get_or_init(|| CalibrationKey::of(&self.key.expr))
+        self.calibration.get_or_init(|| match &self.template {
+            Some(template) => {
+                let (mark, keys) = template
+                    .keys
+                    .get_or_init(|| CalibrationKey::marked(&template.expr));
+                keys.named(*mark, &self.extent)
+            }
+            None => CalibrationKey::of(&self.expr),
+        })
     }
 }
 
@@ -219,142 +356,236 @@ enum Shipped<'a> {
     Exec(&'a Arc<LogicalExpr>),
     /// A `submit`'s inside an aggregate sub-plan.
     Nested(&'a LogicalExpr),
+    /// A fan-out class template's, shipped with a member's names.
+    Member(&'a Arc<LogicalExpr>),
+    /// An `Extents` class template's inside an aggregate sub-plan,
+    /// shipped with a member's names.
+    NestedMember(&'a LogicalExpr),
 }
 
 impl<'a> Shipped<'a> {
+    /// The expression, or for a member its template's.
     fn expr(self) -> &'a LogicalExpr {
         match self {
-            Shipped::Exec(expr) => expr,
-            Shipped::Nested(expr) => expr,
-        }
-    }
-
-    fn share(self) -> Arc<LogicalExpr> {
-        match self {
-            Shipped::Exec(expr) => Arc::clone(expr),
-            Shipped::Nested(expr) => Arc::new(expr.clone()),
+            Shipped::Exec(expr) | Shipped::Member(expr) => expr,
+            Shipped::Nested(expr) | Shipped::NestedMember(expr) => expr,
         }
     }
 }
 
 /// Collects the distinct `exec` calls of a physical plan, including those
-/// nested inside correlated-aggregate sub-plans, as `(key, wrapper name,
-/// shipped expression)` in plan order.
+/// nested inside correlated-aggregate sub-plans and a fan-out's members',
+/// as `(key, wrapper name, shipped expression)` in plan order.
 #[must_use]
 pub fn collect_exec_calls(plan: &PhysicalExpr) -> Vec<(ExecKey, String, LogicalExpr)> {
-    distinct_calls(plan)
-        .into_iter()
-        .map(|(repository, wrapper, extent, shipped)| {
+    let mut found = Found::default();
+    found.visit(plan, false);
+    found
+        .specs
+        .iter()
+        .map(|spec| {
+            let expr = spec.shipped().into_owned();
             let key = ExecKey {
-                repository: Arc::from(repository),
-                extent: Arc::from(extent),
-                expr: shipped.share(),
+                repository: Arc::clone(&spec.repository),
+                extent: Arc::clone(&spec.extent),
+                expr: Arc::new(expr.clone()),
             };
-            (key, wrapper.to_owned(), shipped.expr().clone())
+            (key, spec.wrapper.to_string(), expr)
         })
         .collect()
 }
 
-/// The distinct calls of `plan` as `(repository, wrapper, extent,
-/// shipped)`, in plan order.  Two calls are the same call when they ship
-/// the same expression to the same extent of the same repository; the
-/// expression is compared structurally, never rendered.
-fn distinct_calls<'a>(plan: &'a PhysicalExpr) -> Vec<(&'a str, &'a str, &'a str, Shipped<'a>)> {
-    let mut out: Vec<(&'a str, &'a str, &'a str, Shipped<'a>)> = Vec::new();
-    // Positions in `out`, per extent: a call is compared against the calls
-    // to its own extent only.
-    let mut seen: BTreeMap<&'a str, Vec<usize>> = BTreeMap::new();
-    let mut push =
-        |repository: &'a str, wrapper: &'a str, extent: &'a str, shipped: Shipped<'a>| {
-            let same_extent = seen.entry(extent).or_default();
-            if !same_extent.iter().any(|&at| {
-                let (r, _, e, s) = out[at];
-                r == repository && e == extent && s.expr() == shipped.expr()
-            }) {
-                same_extent.push(out.len());
-                out.push((repository, wrapper, extent, shipped));
-            }
+/// One call of a plan as its walk finds it.
+struct Spec<'a> {
+    repository: Arc<str>,
+    wrapper: Arc<str>,
+    extent: Arc<str>,
+    shipped: Shipped<'a>,
+}
+
+impl Spec<'_> {
+    /// The expression shipped, a member's with its names.
+    fn shipped(&self) -> std::borrow::Cow<'_, LogicalExpr> {
+        let template = match self.shipped {
+            Shipped::Member(template) => &**template,
+            Shipped::NestedMember(template) => template,
+            shipped => return std::borrow::Cow::Borrowed(shipped.expr()),
         };
-    plan.walk(&mut |node| match node {
-        PhysicalExpr::Exec {
-            repository,
-            wrapper,
-            extent,
-            logical,
-        } => push(repository, wrapper, extent, Shipped::Exec(logical)),
-        // Sub-plans inside a shipped expression never contain submits
-        // (they are pushable operators only), but the mediator-side
-        // operators carry scalars, and an aggregate sub-plan inside one
-        // hides further submits.
-        PhysicalExpr::FilterOp { predicate, .. } => submits_in_scalar(predicate, &mut push),
-        PhysicalExpr::MapOp { projection, .. } => submits_in_scalar(projection, &mut push),
-        PhysicalExpr::NestedLoopJoin {
-            predicate: Some(predicate),
-            ..
-        } => submits_in_scalar(predicate, &mut push),
-        PhysicalExpr::HashJoin {
-            left_key,
-            right_key,
-            residual,
-            ..
-        } => {
-            for scalar in [left_key, right_key].into_iter().chain(residual) {
-                submits_in_scalar(scalar, &mut push);
-            }
-        }
-        _ => {}
-    });
-    out
-}
-
-/// Reports every `submit` (repository, wrapper, extent, shipped
-/// expression) inside the aggregate sub-plans of `expr`.
-fn submits_in_scalar<'a, F>(expr: &'a ScalarExpr, report: &mut F)
-where
-    F: FnMut(&'a str, &'a str, &'a str, Shipped<'a>),
-{
-    match expr {
-        ScalarExpr::Agg(_, plan) => submits_in_plan(plan, report),
-        ScalarExpr::Binary { left, right, .. } => {
-            submits_in_scalar(left, report);
-            submits_in_scalar(right, report);
-        }
-        ScalarExpr::Not(inner) | ScalarExpr::Field(inner, _) => submits_in_scalar(inner, report),
-        ScalarExpr::StructLit(fields) => {
-            for (_, e) in fields {
-                submits_in_scalar(e, report);
-            }
-        }
-        ScalarExpr::Call(_, args) => {
-            for a in args {
-                submits_in_scalar(a, report);
-            }
-        }
-        ScalarExpr::Const(_) | ScalarExpr::Attr(_) | ScalarExpr::Var(_) => {}
+        std::borrow::Cow::Owned(template.instance(&Member {
+            repository: Arc::clone(&self.repository),
+            wrapper: Arc::clone(&self.wrapper),
+            extent: Arc::clone(&self.extent),
+            class: 0,
+        }))
     }
 }
 
-/// [`submits_in_scalar`] for a logical sub-plan: its own `submit`s and
-/// those its scalars hide.
-fn submits_in_plan<'a, F>(plan: &'a LogicalExpr, report: &mut F)
-where
-    F: FnMut(&'a str, &'a str, &'a str, Shipped<'a>),
-{
-    match plan {
-        LogicalExpr::Submit {
-            repository,
-            wrapper,
-            extent,
-            expr,
-        } => report(repository, wrapper, extent, Shipped::Nested(expr)),
-        LogicalExpr::Filter { predicate, .. } => submits_in_scalar(predicate, report),
-        LogicalExpr::MapProject { projection, .. } => submits_in_scalar(projection, report),
-        LogicalExpr::Join {
-            predicate: Some(p), ..
-        } => submits_in_scalar(p, report),
-        _ => {}
+/// The distinct calls of a plan, in plan order.  Two calls are the same
+/// call when they ship the same expression to the same extent of the same
+/// repository; the expression is compared structurally, never rendered.
+#[derive(Default)]
+struct Found<'a> {
+    specs: Vec<Spec<'a>>,
+    /// Positions in `specs`, per extent: a call is compared against the
+    /// calls to its own extent only.
+    seen: BTreeMap<&'a str, Vec<usize>>,
+    fan_outs: Vec<(usize, Vec<Option<usize>>)>,
+}
+
+impl<'a> Found<'a> {
+    /// Adds `spec` unless it is a call already found; its index.
+    fn push(&mut self, key: &'a str, spec: Spec<'a>) -> usize {
+        let same_extent = self.seen.entry(key).or_default();
+        let specs = &self.specs;
+        let known = same_extent.iter().copied().find(|&at| {
+            let other = &specs[at];
+            other.repository == spec.repository
+                && match (other.shipped, spec.shipped) {
+                    (Shipped::Member(a), Shipped::Member(b)) if Arc::ptr_eq(a, b) => true,
+                    _ => other.shipped() == spec.shipped(),
+                }
+        });
+        known.unwrap_or_else(|| {
+            same_extent.push(self.specs.len());
+            self.specs.push(spec);
+            self.specs.len() - 1
+        })
     }
-    for child in plan.children() {
-        submits_in_plan(child, report);
+
+    /// Finds the calls of `plan`; the `exec` of a fan-out's template
+    /// (`in_template`) is its members'.
+    fn visit(&mut self, plan: &'a PhysicalExpr, in_template: bool) {
+        match plan {
+            PhysicalExpr::Exec {
+                repository,
+                wrapper,
+                extent,
+                logical,
+            } if !in_template => {
+                let spec = Spec {
+                    repository: Arc::from(repository.as_str()),
+                    wrapper: Arc::from(wrapper.as_str()),
+                    extent: Arc::from(extent.as_str()),
+                    shipped: Shipped::Exec(logical),
+                };
+                self.push(extent, spec);
+            }
+            PhysicalExpr::FanOut(node) => {
+                for template in &node.templates {
+                    self.visit(template, true);
+                }
+                let calls = node.members.iter().map(|member| {
+                    let template = template_call(&node.templates[member.class])?;
+                    let spec = Spec {
+                        repository: Arc::clone(&member.repository),
+                        wrapper: Arc::clone(&member.wrapper),
+                        extent: Arc::clone(&member.extent),
+                        shipped: Shipped::Member(template),
+                    };
+                    Some(self.push(&member.extent, spec))
+                });
+                let calls = calls.collect();
+                self.fan_outs
+                    .push((node.templates.as_ptr() as usize, calls));
+            }
+            // Sub-plans inside a shipped expression never contain submits
+            // (they are pushable operators only), but the mediator-side
+            // operators carry scalars, and an aggregate sub-plan inside one
+            // hides further submits.
+            PhysicalExpr::FilterOp { predicate, .. } => self.in_scalar(predicate),
+            PhysicalExpr::MapOp { projection, .. } => self.in_scalar(projection),
+            PhysicalExpr::NestedLoopJoin {
+                predicate: Some(predicate),
+                ..
+            } => self.in_scalar(predicate),
+            PhysicalExpr::HashJoin {
+                left_key,
+                right_key,
+                residual,
+                ..
+            } => {
+                for scalar in [left_key, right_key].into_iter().chain(residual) {
+                    self.in_scalar(scalar);
+                }
+            }
+            _ => {}
+        }
+        if !matches!(plan, PhysicalExpr::FanOut(_)) {
+            plan.for_each_child(&mut |child| self.visit(child, in_template));
+        }
+    }
+
+    /// Finds every `submit` inside the aggregate sub-plans of `expr`.
+    fn in_scalar(&mut self, expr: &'a ScalarExpr) {
+        match expr {
+            ScalarExpr::Agg(_, plan) => self.in_plan(plan, false),
+            ScalarExpr::Binary { left, right, .. } => {
+                self.in_scalar(left);
+                self.in_scalar(right);
+            }
+            ScalarExpr::Not(inner) | ScalarExpr::Field(inner, _) => self.in_scalar(inner),
+            ScalarExpr::StructLit(fields) => {
+                for (_, e) in fields {
+                    self.in_scalar(e);
+                }
+            }
+            ScalarExpr::Call(_, args) => {
+                for a in args {
+                    self.in_scalar(a);
+                }
+            }
+            ScalarExpr::Const(_) | ScalarExpr::Attr(_) | ScalarExpr::Var(_) => {}
+        }
+    }
+
+    /// [`Found::in_scalar`] for a logical sub-plan: its own `submit`s — an
+    /// `Extents` node's members' in the place of its templates' — and
+    /// those its scalars hide.
+    fn in_plan(&mut self, plan: &'a LogicalExpr, in_template: bool) {
+        match plan {
+            LogicalExpr::Submit {
+                repository,
+                wrapper,
+                extent,
+                expr,
+            } if !in_template => {
+                let spec = Spec {
+                    repository: Arc::from(repository.as_str()),
+                    wrapper: Arc::from(wrapper.as_str()),
+                    extent: Arc::from(extent.as_str()),
+                    shipped: Shipped::Nested(expr),
+                };
+                self.push(extent, spec);
+            }
+            LogicalExpr::Extents(node) => {
+                for template in &node.templates {
+                    self.in_plan(template, true);
+                }
+                for member in node.members.iter() {
+                    let mut shipped = None;
+                    node.templates[member.class].walk(&mut |e| {
+                        if let LogicalExpr::Submit { expr, .. } = e {
+                            shipped = Some(&**expr);
+                        }
+                    });
+                    let Some(shipped) = shipped else { continue };
+                    let spec = Spec {
+                        repository: Arc::clone(&member.repository),
+                        wrapper: Arc::clone(&member.wrapper),
+                        extent: Arc::clone(&member.extent),
+                        shipped: Shipped::NestedMember(shipped),
+                    };
+                    self.push(&member.extent, spec);
+                }
+                return;
+            }
+            LogicalExpr::Filter { predicate, .. } => self.in_scalar(predicate),
+            LogicalExpr::MapProject { projection, .. } => self.in_scalar(projection),
+            LogicalExpr::Join {
+                predicate: Some(p), ..
+            } => self.in_scalar(p),
+            _ => {}
+        }
+        plan.for_each_child(&mut |child| self.in_plan(child, in_template));
     }
 }

@@ -213,6 +213,13 @@ pub fn evaluate_with_outer(
             }
             Ok(out)
         }
+        PhysicalExpr::FanOut(node) => {
+            let mut out = Bag::new();
+            for i in 0..node.members.len() {
+                out.extend(evaluate_with_outer(&node.branch(i), resolved, outer)?);
+            }
+            Ok(out)
+        }
         PhysicalExpr::MkFlatten(inner) => {
             Ok(evaluate_with_outer(inner, resolved, outer)?.flatten())
         }

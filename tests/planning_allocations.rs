@@ -3,14 +3,19 @@
 //! in the number of sources).
 //!
 //! Heap allocations are counted, not times: the counts repeat exactly on
-//! every machine.  The planner builds one tree: it normalizes the plan,
-//! costs every alternative on it by class of push site — like-typed
-//! sources share one class, whose rewrites it builds once — then rewrites
-//! the normalized plan in place into the winner and lowers it.  Its count
-//! is therefore a constant per source (the normalized and the lowered
-//! tree) plus a constant per class; the assertions pin both the bound and
-//! that each source added costs the same.  Fails at the parent of the
-//! one-tree planner, which materialised four alternatives (231 per source).
+//! every machine.  A miss compiles the text, optimizes the plan and
+//! prepares it for the cache.  An interface's extent is one node from
+//! compile to lowering: the rules, the search and lowering touch one
+//! template per capability class, so what a source adds is its member —
+//! its names, its costing, its call — and not a branch of its own.  The
+//! assertions pin what each added source costs in each step, what a
+//! source costs the whole optimization and compilation, that an added
+//! source costs the same however many there are, and the bytes a
+//! prepared plan keeps in the cache: as prepared, and once it has run
+//! and its calls' calibration keys are rendered.  The bounds fail at the
+//! parent of the node, where an added source cost 51.1 allocations to
+//! compile and optimize and a prepared plan of 256 sources kept 317 KiB
+//! (346 KiB once run).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,10 +27,16 @@ use disco::catalog::{
     Attribute, Catalog, InterfaceDef, MetaExtent, Repository, TypeRef, WrapperDef,
 };
 use disco::optimizer::{compile_text, CalibrationStore, Optimizer};
+use disco::runtime::{calls_in_flight, Executor, PreparedPlan};
+use disco::source::{generator, NetworkProfile, RelationalStore, SimulatedLink};
+use disco::wrapper::{RelationalWrapper, WrapperRegistry};
 
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their own).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed (freed on another
+    /// thread, they stay counted here).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -36,15 +47,18 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        live(size(layout.size()));
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-size(layout.size()));
         // SAFETY: `ptr` was returned by `System.alloc` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        live(size(new_size) - size(layout.size()));
         // SAFETY: as for `alloc` and `dealloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -52,6 +66,14 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+fn size(bytes: usize) -> i64 {
+    i64::try_from(bytes).expect("an allocation's size")
+}
+
+fn live(bytes: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
+}
 
 fn allocations_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
@@ -107,54 +129,155 @@ fn seeded_store(sources: usize) -> Arc<CalibrationStore> {
     store
 }
 
+/// The wrapper of [`federation`]: one relational wrapper over every
+/// source's table of four rows, on a link that does not sleep.
+fn registry(sources: usize) -> WrapperRegistry {
+    let store = Arc::new(RelationalStore::new());
+    for i in 0..sources {
+        store.put_table(generator::person_table(
+            &format!("person{i}"),
+            4,
+            i as u64,
+            11,
+        ));
+    }
+    let link = Arc::new(SimulatedLink::new("w0", NetworkProfile::fast(), 11));
+    let registry = WrapperRegistry::new();
+    registry.register(Arc::new(
+        RelationalWrapper::new("w0", store, link).with_capabilities(CapabilitySet::full()),
+    ));
+    registry
+}
+
+/// The allocations of each step of one miss over `sources` sources, and
+/// the bytes the prepared plan keeps, as prepared and once run.
+struct Miss {
+    sources: usize,
+    compile: u64,
+    optimize: u64,
+    prepare: u64,
+    retained: i64,
+    retained_run: i64,
+}
+
+/// The bytes `plan` keeps: those its drop frees.
+fn retained_by(plan: PreparedPlan) -> i64 {
+    let with = LIVE.with(Cell::get);
+    drop(plan);
+    with - LIVE.with(Cell::get)
+}
+
+fn miss(sources: usize) -> Miss {
+    let catalog = federation(sources);
+    let mut capabilities = BTreeMap::new();
+    capabilities.insert("w0".to_owned(), CapabilitySet::full());
+    let store = seeded_store(sources);
+    let optimizer = Optimizer::with_store(capabilities, Arc::clone(&store));
+
+    let (compile, compiled) = allocations_of(|| compile_text(TEXT, &catalog));
+    let compiled = compiled.unwrap();
+    let (optimize, plan) =
+        allocations_of(|| optimizer.optimize_logical(&compiled, catalog.generation()));
+    let plan = plan.unwrap();
+    assert_eq!(plan.alternatives.len(), 4);
+    // The plan holds one node, with a member per source.
+    let mut nodes = Vec::new();
+    plan.logical.walk(&mut |e| {
+        if let LogicalExpr::Extents(node) = e {
+            nodes.push(node.members.len());
+        }
+    });
+    assert_eq!(nodes, [sources]);
+    let (prepare, prepared) = allocations_of(|| PreparedPlan::new(plan, &catalog));
+    let retained = retained_by(prepared.unwrap());
+
+    // Plan it again and run it once, recording into the store: every
+    // call's calibration keys are rendered and kept with the plan.
+    let plan = optimizer.optimize_logical(&compiled, catalog.generation());
+    let prepared = PreparedPlan::new(plan.unwrap(), &catalog).unwrap();
+    let executor = Executor::new(registry(sources)).with_calibration(store);
+    let answer = executor.execute_prepared(&prepared).unwrap();
+    assert!(answer.is_complete());
+    drop(answer);
+    while calls_in_flight() > 0 {
+        std::thread::yield_now();
+    }
+    Miss {
+        sources,
+        compile,
+        optimize,
+        prepare,
+        retained,
+        retained_run: retained_by(prepared),
+    }
+}
+
 #[test]
+#[allow(clippy::cast_precision_loss)]
 fn planning_allocations_per_source_are_bounded_and_flat() {
-    let mut counts = Vec::new();
-    for sources in [8usize, 64, 256] {
-        let catalog = federation(sources);
-        let mut capabilities = BTreeMap::new();
-        capabilities.insert("w0".to_owned(), CapabilitySet::full());
-        let optimizer = Optimizer::with_store(capabilities, seeded_store(sources));
-
-        let (compile_allocations, compiled) = allocations_of(|| compile_text(TEXT, &catalog));
-        let compiled = compiled.unwrap();
-        let (optimize_allocations, plan) =
-            allocations_of(|| optimizer.optimize_logical(&compiled, catalog.generation()));
-        let plan = plan.unwrap();
-        assert_eq!(plan.alternatives.len(), 4);
-        assert_eq!(plan.logical.size(), 6 * sources + 1);
-
-        #[allow(clippy::cast_precision_loss)]
-        let per_source = |allocations: u64| allocations as f64 / sources as f64;
+    let misses: Vec<Miss> = [8usize, 64, 256].into_iter().map(miss).collect();
+    let per_source = |allocations: u64, sources: usize| allocations as f64 / sources as f64;
+    for m in &misses {
         println!(
-            "{sources} sources: optimize_logical {optimize_allocations} allocations \
-             ({:.1} per source), compile_text {compile_allocations} ({:.1} per source)",
-            per_source(optimize_allocations),
-            per_source(compile_allocations),
+            "{} sources: compile_text {}, optimize_logical {}, PreparedPlan::new {} \
+             allocations; the prepared plan keeps {} bytes, {} once run",
+            m.sources, m.compile, m.optimize, m.prepare, m.retained, m.retained_run
         );
         assert!(
-            per_source(optimize_allocations) <= 60.0,
-            "optimize_logical at {sources} sources: {optimize_allocations} allocations"
+            per_source(m.optimize, m.sources) <= 60.0,
+            "optimize_logical at {} sources: {} allocations",
+            m.sources,
+            m.optimize
         );
-        if sources == 256 {
+        if m.sources == 256 {
             assert!(
-                per_source(compile_allocations) <= 14.0,
-                "compile_text at {sources} sources: {compile_allocations} allocations"
+                per_source(m.compile, m.sources) <= 14.0,
+                "compile_text at {} sources: {} allocations",
+                m.sources,
+                m.compile
             );
         }
-        counts.push((sources, optimize_allocations));
     }
-    // What each source added costs, between consecutive sizes: the one
-    // class's rewrites are paid once, whatever the federation's size.
-    #[allow(clippy::cast_precision_loss)]
-    let added: Vec<f64> = counts
-        .windows(2)
-        .map(|pair| (pair[1].1 - pair[0].1) as f64 / (pair[1].0 - pair[0].0) as f64)
-        .collect();
-    let least = added.iter().copied().fold(f64::INFINITY, f64::min);
-    let most = added.iter().copied().fold(0.0, f64::max);
+    // What each source added costs, between consecutive sizes: a class's
+    // template is paid once, whatever the federation's size.
+    let added = |step: fn(&Miss) -> u64| -> Vec<f64> {
+        misses
+            .windows(2)
+            .map(|pair| {
+                (step(&pair[1]) - step(&pair[0])) as f64
+                    / (pair[1].sources - pair[0].sources) as f64
+            })
+            .collect()
+    };
+    let planning = added(|m| m.compile + m.optimize);
+    let preparing = added(|m| m.prepare);
+    println!("per added source: compile + optimize {planning:.2?}, prepare {preparing:.2?}");
+    for (what, added, bound) in [
+        ("compile_text + optimize_logical", &planning, 12.0),
+        ("PreparedPlan::new", &preparing, 15.0),
+    ] {
+        let least = added.iter().copied().fold(f64::INFINITY, f64::min);
+        let most = added.iter().copied().fold(0.0, f64::max);
+        assert!(
+            most <= bound,
+            "{what}: {added:?} allocations per added source"
+        );
+        assert!(
+            most <= 1.05 * least,
+            "{what}: allocations per added source grow with the federation: {added:?}"
+        );
+    }
+    let widest = misses.last().expect("three sizes");
     assert!(
-        most <= 1.05 * least,
-        "allocations per added source grow with the federation: {added:?}"
+        widest.retained <= 160 * 1024,
+        "a prepared plan of {} sources keeps {} bytes",
+        widest.sources,
+        widest.retained
+    );
+    assert!(
+        widest.retained_run <= 173 * 1024,
+        "a prepared plan of {} sources keeps {} bytes once run",
+        widest.sources,
+        widest.retained_run
     );
 }

@@ -238,18 +238,19 @@ fn stretch_of(branch: &PhysicalExpr) -> PhysicalExpr {
     }
 }
 
-/// The union a plan combines its sources with (under an aggregate or
-/// not), and how many distinct stretches its branches have.
+/// The fan-out a plan combines its sources with (under an aggregate or
+/// not): how many branches it has, and how many distinct stretches.
 fn distinct_stretches(plan: &PhysicalExpr) -> (usize, usize) {
     let union = match plan {
         PhysicalExpr::MkAggregate { input, .. } => input,
         plan => plan,
     };
-    let PhysicalExpr::MkUnion(branches) = union else {
-        panic!("a federated extent is a union: {plan:?}");
+    let PhysicalExpr::FanOut(node) = union else {
+        panic!("a federated extent is a fan-out: {plan}");
     };
+    let branches: Vec<PhysicalExpr> = (0..node.members.len()).map(|i| node.branch(i)).collect();
     let mut stretches: Vec<PhysicalExpr> = Vec::new();
-    for branch in branches {
+    for branch in &branches {
         let stretch = stretch_of(branch);
         if !stretches.contains(&stretch) {
             stretches.push(stretch);
