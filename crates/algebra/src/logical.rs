@@ -152,13 +152,18 @@ pub struct Member {
 /// see [`crate::lower`].)
 ///
 /// Equality is that of the expansion: the same members, each with the
-/// same branch, however the members are classed.
+/// same branch, however the members are classed (and whatever its name).
 #[derive(Debug, Clone)]
 pub struct Extents {
     /// The members, in catalog order.
     pub members: Arc<[Member]>,
     /// One branch template per class.
     pub templates: Vec<LogicalExpr>,
+    /// The collection name the node was compiled from (`person`,
+    /// `person*`), by which a cached plan finds the node again when an
+    /// extent of it is added or removed; `None` for a node read back from
+    /// a physical plan.
+    pub name: Option<Arc<str>>,
 }
 
 impl Extents {
@@ -177,7 +182,15 @@ impl Extents {
         Extents {
             members: members.collect(),
             templates: vec![LogicalExpr::get("").submit("", "", "")],
+            name: None,
         }
+    }
+
+    /// The node, compiled from the collection `name`.
+    #[must_use]
+    pub fn named(mut self, name: &str) -> Self {
+        self.name = Some(Arc::from(name));
+        self
     }
 
     /// Whether the classes are formed: no template's submit is unnamed.
@@ -553,6 +566,7 @@ impl LogicalExpr {
             LogicalExpr::Extents(node) => LogicalExpr::Extents(Extents {
                 members: Arc::clone(&node.members),
                 templates: node.templates.iter().map(f).collect(),
+                name: node.name.clone(),
             }),
         }
     }

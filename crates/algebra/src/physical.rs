@@ -203,7 +203,7 @@ impl PhysicalExpr {
     }
 
     /// Calls `f` on each immediate child, left to right, mutably.
-    fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut PhysicalExpr)) {
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut PhysicalExpr)) {
         match self {
             PhysicalExpr::Exec { .. } | PhysicalExpr::MemScan(_) => {}
             PhysicalExpr::FilterOp { input, .. }
@@ -408,6 +408,7 @@ impl PhysicalExpr {
                     .iter()
                     .map(PhysicalExpr::to_logical)
                     .collect(),
+                name: None,
             }),
         }
     }

@@ -46,6 +46,14 @@ pub trait CapabilityLookup {
     /// The capabilities of `wrapper`, or `None` if unknown (treated as
     /// `get`-only).
     fn capabilities(&self, wrapper: &str) -> Option<CapabilitySet>;
+
+    /// A counter that moves whenever a name may have been bound to other
+    /// capabilities: a plan checked against the lookup at one version
+    /// need not be checked again at the same version.  A lookup that
+    /// never changes keeps the default.
+    fn version(&self) -> u64 {
+        0
+    }
 }
 
 impl CapabilityLookup for std::collections::BTreeMap<String, CapabilitySet> {
@@ -54,7 +62,9 @@ impl CapabilityLookup for std::collections::BTreeMap<String, CapabilitySet> {
     }
 }
 
-fn caps_of(lookup: &dyn CapabilityLookup, wrapper: &str) -> CapabilitySet {
+/// The capabilities the rules plan `wrapper` with: an unknown wrapper's
+/// are `get` only.
+pub fn caps_of(lookup: &dyn CapabilityLookup, wrapper: &str) -> CapabilitySet {
     lookup
         .capabilities(wrapper)
         .unwrap_or_else(CapabilitySet::get_only)
@@ -231,9 +241,10 @@ fn distribute_over_union(expr: &mut LogicalExpr) -> bool {
         items.push(std::mem::take(expr));
     }
     *expr = match input {
-        LogicalExpr::Extents(Extents { members, .. }) => LogicalExpr::Extents(Extents {
+        LogicalExpr::Extents(Extents { members, name, .. }) => LogicalExpr::Extents(Extents {
             members,
             templates: items,
+            name,
         }),
         _ => LogicalExpr::Union(items),
     };

@@ -59,7 +59,7 @@ impl CatalogHandle {
     }
 
     /// The generation counter of the current snapshot (bumped by every
-    /// catalog mutation) — the key the plan cache invalidates on.
+    /// catalog mutation) — the key plan-cache entries are made for.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.snapshot().generation()

@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 mod catalog_component;
+mod changes;
 mod error;
 mod handle;
 mod map;
@@ -56,6 +57,7 @@ mod views;
 mod wrapper_def;
 
 pub use catalog_component::{CatalogComponent, MediatorAdvertisement};
+pub use changes::CatalogChange;
 pub use error::CatalogError;
 pub use handle::CatalogHandle;
 pub use map::{MapEntry, TypeMap};

@@ -1,7 +1,11 @@
 use std::collections::BTreeMap;
 
+use std::sync::Arc;
+
+use crate::changes::ChangeLog;
 use crate::{
-    Attribute, CatalogError, InterfaceDef, MetaExtent, Repository, Result, ViewDef, WrapperDef,
+    Attribute, CatalogChange, CatalogError, InterfaceDef, MetaExtent, Repository, Result, ViewDef,
+    WrapperDef,
 };
 
 /// What a name in an OQL `from` clause resolves to.
@@ -78,8 +82,9 @@ impl NameRef<'_> {
 ///
 /// Holds interfaces, meta-extents, repositories, wrapper records and view
 /// definitions, and answers the name-resolution and subtyping questions the
-/// optimizer and runtime ask.  Every mutation bumps a generation counter so
-/// cached query plans can be invalidated, as required by §3.3 ("the
+/// optimizer and runtime ask.  Every mutation bumps a generation counter
+/// and logs what it changed ([`Catalog::changes_since`]), so that cached
+/// query plans can be patched or planned again, as required by §3.3 ("the
 /// mediator must monitor updates to extents, and modify or recompute plans
 /// that are affected").
 #[derive(Debug, Clone, Default)]
@@ -90,6 +95,7 @@ pub struct Catalog {
     wrappers: BTreeMap<String, WrapperDef>,
     views: BTreeMap<String, ViewDef>,
     generation: u64,
+    changes: ChangeLog,
 }
 
 impl Catalog {
@@ -105,8 +111,21 @@ impl Catalog {
         self.generation
     }
 
+    /// What made each generation after `generation`, oldest first;
+    /// `None` when the log no longer reaches back that far (it holds the
+    /// last few dozen changes) or `generation` is newer than the catalog.
+    #[must_use]
+    pub fn changes_since(&self, generation: u64) -> Option<impl Iterator<Item = &CatalogChange>> {
+        self.changes.last(self.generation.checked_sub(generation)?)
+    }
+
     fn bump(&mut self) {
+        self.bump_with(CatalogChange::Other);
+    }
+
+    fn bump_with(&mut self, change: CatalogChange) {
         self.generation += 1;
+        self.changes.push(change);
     }
 
     // ------------------------------------------------------------------
@@ -317,8 +336,12 @@ impl Catalog {
                 extent.repository().to_owned(),
             ));
         }
+        let change = CatalogChange::ExtentAdded {
+            extent: Arc::from(extent.extent_name()),
+            interface: Arc::from(extent.interface()),
+        };
         self.extents.insert(extent.extent_name().to_owned(), extent);
-        self.bump();
+        self.bump_with(change);
         Ok(())
     }
 
@@ -332,7 +355,10 @@ impl Catalog {
             .extents
             .remove(name)
             .ok_or_else(|| CatalogError::UnknownExtent(name.to_owned()))?;
-        self.bump();
+        self.bump_with(CatalogChange::ExtentRemoved {
+            extent: Arc::from(removed.extent_name()),
+            interface: Arc::from(removed.interface()),
+        });
         Ok(removed)
     }
 
@@ -381,14 +407,18 @@ impl Catalog {
         if !self.interfaces.contains_key(interface) {
             return Err(CatalogError::UnknownInterface(interface.to_owned()));
         }
-        let extents = self.extents.values();
+        // Counted first, so that the list is one allocation however long.
+        let collect = |of: &dyn Fn(&MetaExtent) -> bool| {
+            let extents = self.extents.values().filter(|e| of(e));
+            let mut out = Vec::with_capacity(extents.clone().count());
+            out.extend(extents);
+            out
+        };
         Ok(if include_subtypes {
             let accepted = self.subtype_closure(interface);
-            extents
-                .filter(|e| accepted.iter().any(|i| i == e.interface()))
-                .collect()
+            collect(&|e| accepted.iter().any(|i| i == e.interface()))
         } else {
-            extents.filter(|e| e.interface() == interface).collect()
+            collect(&|e| e.interface() == interface)
         })
     }
 
@@ -705,6 +735,41 @@ mod tests {
         let g2 = c.generation();
         c.remove_extent("t0").unwrap();
         assert!(c.generation() > g2);
+    }
+
+    #[test]
+    fn the_change_log_names_the_extents_each_generation_added_or_removed() {
+        let mut c = Catalog::new();
+        c.define_interface(InterfaceDef::new("T")).unwrap();
+        c.add_repository(Repository::new("r")).unwrap();
+        c.add_wrapper(WrapperDef::new("w", "relational")).unwrap();
+        let g = c.generation();
+        assert_eq!(c.changes_since(g).unwrap().count(), 0);
+        c.add_extent(MetaExtent::new("t0", "T", "w", "r")).unwrap();
+        c.remove_extent("t0").unwrap();
+        let changes: Vec<_> = c
+            .changes_since(g)
+            .unwrap()
+            .map(CatalogChange::extent)
+            .collect();
+        assert_eq!(changes, [Some(("t0", "T")), Some(("t0", "T"))]);
+        assert!(matches!(
+            c.changes_since(g).unwrap().next(),
+            Some(CatalogChange::ExtentAdded { .. })
+        ));
+        // Anything but an extent is logged as such.
+        c.add_repository(Repository::new("r1")).unwrap();
+        assert_eq!(
+            c.changes_since(g + 2).unwrap().collect::<Vec<_>>(),
+            [&CatalogChange::Other]
+        );
+        // A snapshot newer than the catalog, or older than the log.
+        assert!(c.changes_since(c.generation() + 1).is_none());
+        for i in 0..40 {
+            c.add_repository(Repository::new(format!("x{i}"))).unwrap();
+        }
+        assert!(c.changes_since(g).is_none());
+        assert_eq!(c.changes_since(c.generation() - 3).unwrap().count(), 3);
     }
 
     #[test]

@@ -44,6 +44,9 @@ pub struct Mediator {
     registry: WrapperRegistry,
     calibration: Arc<CalibrationStore>,
     plan_cache: PlanCache<PreparedPlan>,
+    /// The optimizer over the registry, the calibration store and
+    /// `cost_params`.
+    optimizer: Optimizer,
     deadline: Option<Duration>,
     cost_params: CostParams,
 }
@@ -62,14 +65,18 @@ impl Mediator {
     /// Creates an empty mediator.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
+        let registry = WrapperRegistry::new();
+        let calibration = Arc::new(CalibrationStore::new());
+        let cost_params = CostParams::default();
         Mediator {
             name: name.into(),
             catalog: Catalog::new(),
-            registry: WrapperRegistry::new(),
-            calibration: Arc::new(CalibrationStore::new()),
+            optimizer: optimizer_over(&registry, &calibration, cost_params),
+            registry,
+            calibration,
             plan_cache: PlanCache::default(),
             deadline: Some(Duration::from_millis(500)),
-            cost_params: CostParams::default(),
+            cost_params,
         }
     }
 
@@ -122,6 +129,7 @@ impl Mediator {
     /// Overrides the mediator-side cost constants.
     pub fn set_cost_params(&mut self, params: CostParams) {
         self.cost_params = params;
+        self.optimizer = optimizer_over(&self.registry, &self.calibration, params);
     }
 
     // ------------------------------------------------------------------
@@ -152,7 +160,9 @@ impl Mediator {
     }
 
     /// Binds a wrapper implementation to a name already declared in ODL
-    /// (`w0 := WrapperPostgres()`), without touching the catalog.
+    /// (`w0 := WrapperPostgres()`), without touching the catalog.  A
+    /// cached plan planned for other capabilities of the name is planned
+    /// again at its next lookup.
     pub fn bind_wrapper(&mut self, wrapper: Arc<dyn Wrapper>) {
         self.registry.register(wrapper);
     }
@@ -458,25 +468,26 @@ impl Mediator {
 
     /// The optimizer over this mediator's wrappers, calibration store and
     /// cost constants.
-    fn optimizer(&self) -> Optimizer {
-        Optimizer::with_store(self.registry.clone(), Arc::clone(&self.calibration))
-            .with_cost_params(self.cost_params)
+    fn optimizer(&self) -> &Optimizer {
+        &self.optimizer
     }
 
     /// Processes an OQL query end to end: parse, expand views and implicit
     /// extents, optimize and prepare (on a plan-cache miss), execute with
     /// parallel wrapper calls, and return a complete or partial [`Answer`].
-    /// A hit runs the cached [`PreparedPlan`].
+    /// A hit runs the cached [`PreparedPlan`]; after extents were added or
+    /// removed, the cached plan patched to the catalog.
     ///
     /// # Errors
     ///
     /// Returns parse/compile/optimize errors and hard execution errors;
     /// unavailable sources yield a partial answer, not an error.
     pub fn query(&self, query: &str) -> Result<Answer> {
+        let optimizer = self.optimizer();
         let prepared = self
             .plan_cache
-            .get_or_plan(query, self.catalog.generation(), || {
-                let plan = self.optimizer().optimize_text(query, &self.catalog)?;
+            .get_or_plan(query, &self.catalog, optimizer, || {
+                let plan = optimizer.optimize_text(query, &self.catalog)?;
                 Ok::<_, MediatorError>(PreparedPlan::new(plan, &self.catalog)?)
             })?;
         let executor = Executor::new(self.registry.clone())
@@ -496,11 +507,27 @@ impl Mediator {
         self.query(&answer.as_query_text())
     }
 
-    /// `(hits, misses)` of the plan cache.
+    /// `(hits, misses)` of the plan cache; a lookup that patched an entry
+    /// counts as a hit.
     #[must_use]
     pub fn plan_cache_stats(&self) -> (u64, u64) {
         self.plan_cache.stats()
     }
+
+    /// How many plan-cache lookups patched an entry to the catalog.
+    #[must_use]
+    pub fn plan_cache_patches(&self) -> u64 {
+        self.plan_cache.patches()
+    }
+}
+
+/// The optimizer over `registry`'s wrappers, `calibration` and `params`.
+fn optimizer_over(
+    registry: &WrapperRegistry,
+    calibration: &Arc<CalibrationStore>,
+    params: CostParams,
+) -> Optimizer {
+    Optimizer::with_store(registry.clone(), Arc::clone(calibration)).with_cost_params(params)
 }
 
 /// Deterministic per-extent seed for simulated links.
@@ -737,6 +764,111 @@ mod tests {
             [Value::from("Olga")].into_iter().collect()
         );
         assert_eq!(m.plan_cache_stats(), (hits + 1, misses));
+    }
+
+    /// Two `employee` sources whose wrappers take every operator, and a
+    /// table for `employee{i}`.
+    fn employee_table(i: usize) -> Table {
+        let mut table = Table::new(format!("employee{i}"), ["name", "salary"]);
+        for (name, salary) in [("Ann", 900), ("Bob", 870)] {
+            table
+                .insert_values([
+                    ("name", Value::from(format!("{name}{i}"))),
+                    ("salary", Value::Int(salary)),
+                ])
+                .unwrap();
+        }
+        table
+    }
+
+    fn employee_mediator() -> Mediator {
+        let mut m = Mediator::new("hr");
+        m.define_interface(
+            InterfaceDef::new("Employee")
+                .with_extent_name("employee")
+                .with_attribute(disco_catalog::Attribute::new(
+                    "name",
+                    disco_catalog::TypeRef::String,
+                ))
+                .with_attribute(disco_catalog::Attribute::new(
+                    "salary",
+                    disco_catalog::TypeRef::Int,
+                )),
+        )
+        .unwrap();
+        for i in 0..2 {
+            m.add_relational_source(
+                &format!("employee{i}"),
+                "Employee",
+                &format!("r{i}"),
+                employee_table(i),
+                NetworkProfile::fast(),
+                CapabilitySet::full(),
+            )
+            .unwrap();
+        }
+        m
+    }
+
+    /// A cached plan pushes work into each call as far as the wrapper it
+    /// was planned for takes it; a wrapper bound again with fewer
+    /// capabilities must be planned around, not sent the pushed call.
+    #[test]
+    fn a_wrapper_bound_again_with_fewer_capabilities_is_planned_around() {
+        let mut m = employee_mediator();
+        let text = "select e.name from e in employee where e.salary > 880";
+        let names = |answer: Answer| {
+            let mut names: Vec<Value> = answer.data().iter().cloned().collect();
+            names.sort();
+            names
+        };
+        let expected = [Value::from("Ann0"), Value::from("Ann1")];
+        assert_eq!(names(m.query(text).unwrap()), expected);
+        let store = Arc::new(RelationalStore::new());
+        store.put_table(employee_table(0));
+        let link = Arc::new(SimulatedLink::new("r0", NetworkProfile::fast(), 3));
+        m.bind_wrapper(Arc::new(
+            RelationalWrapper::new("w_employee0", store, link)
+                .with_capabilities(CapabilitySet::get_only()),
+        ));
+        let (hits, misses) = m.plan_cache_stats();
+        assert_eq!(names(m.query(text).unwrap()), expected);
+        assert_eq!(m.plan_cache_stats(), (hits, misses + 1), "planned again");
+        // Bound again as it was planned for: the new plan is the one hit.
+        assert_eq!(names(m.query(text).unwrap()), expected);
+        assert_eq!(m.plan_cache_stats(), (hits + 1, misses + 1));
+    }
+
+    /// An extent added to or removed from a cached text's interface is
+    /// patched into the cached plan, a hit, with the answers of a plan
+    /// made from scratch.
+    #[test]
+    fn an_added_or_removed_extent_patches_the_cached_plan() {
+        let mut m = employee_mediator();
+        m.add_relational_source(
+            "employee2",
+            "Employee",
+            "r2",
+            employee_table(2),
+            NetworkProfile::fast(),
+            CapabilitySet::full(),
+        )
+        .unwrap();
+        // The third source's repository and wrapper stay registered.
+        let extent = m.remove_extent("employee2").unwrap();
+        let text = "select e.name from e in employee where e.salary > 880";
+        assert_eq!(m.query(text).unwrap().data().len(), 2);
+        let (hits, misses) = m.plan_cache_stats();
+        m.register_extent(extent).unwrap();
+        assert_eq!(m.query(text).unwrap().data().len(), 3);
+        m.remove_extent("employee2").unwrap();
+        assert_eq!(m.query(text).unwrap().data().len(), 2);
+        assert_eq!(m.plan_cache_stats(), (hits + 2, misses));
+        assert_eq!(m.plan_cache_patches(), 2);
+        // Any other change plans the text again.
+        m.register_repository(Repository::new("r9")).unwrap();
+        assert_eq!(m.query(text).unwrap().data().len(), 2);
+        assert_eq!(m.plan_cache_stats(), (hits + 2, misses + 1));
     }
 
     #[test]

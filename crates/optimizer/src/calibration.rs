@@ -73,21 +73,35 @@ impl CostEstimate {
 /// The two keys an `exec` call is recorded under — its rendered text
 /// (exact match) and its fingerprint (close match) — rendered once: a
 /// prepared plan keeps one per call, so a call that runs again does not
-/// render its shipped expression again.
+/// render its shipped expression again.  Both live in one buffer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CalibrationKey {
-    text: String,
-    fingerprint: String,
+    /// The text, then the fingerprint.
+    keys: String,
+    /// Where the fingerprint starts.
+    split: usize,
 }
 
 impl CalibrationKey {
     /// Renders the keys of a call shipping `expr`.
     #[must_use]
     pub fn of(expr: &LogicalExpr) -> Self {
-        CalibrationKey {
-            text: expr.to_string(),
-            fingerprint: expr.fingerprint(),
-        }
+        let fingerprint = expr.fingerprint();
+        let mut keys = expr.to_string();
+        let split = keys.len();
+        keys.reserve_exact(fingerprint.len());
+        keys.push_str(&fingerprint);
+        CalibrationKey { keys, split }
+    }
+
+    /// The exact-match key: the rendered text.
+    fn text(&self) -> &str {
+        &self.keys[..self.split]
+    }
+
+    /// The close-match key: the fingerprint.
+    fn fingerprint(&self) -> &str {
+        &self.keys[self.split..]
     }
 
     /// Renders the keys of a call shipping `expr` with each collection it
@@ -113,24 +127,36 @@ impl CalibrationKey {
 
     /// These keys, rendered with each collection named `mark`, with each
     /// collection named `name`: the keys [`CalibrationKey::of`] renders
-    /// for the call with that name.
+    /// for the call with that name, in a buffer of their length.
     #[must_use]
     pub fn named(&self, mark: char, name: &str) -> Self {
-        let mut out = CalibrationKey::default();
+        let marks = self.keys.matches(mark).count();
+        let length = self.keys.len() + marks * name.len() - marks * mark.len_utf8();
+        let mut out = CalibrationKey {
+            keys: String::with_capacity(length),
+            split: 0,
+        };
         self.name_into(mark, name, &mut out);
         out
     }
 
-    /// [`CalibrationKey::named`] into `out`'s buffers.
+    /// The heap bytes the keys keep.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.keys.capacity()
+    }
+
+    /// [`CalibrationKey::named`] into `out`'s buffer.
     pub(crate) fn name_into(&self, mark: char, name: &str, out: &mut CalibrationKey) {
-        splice(&self.text, mark, name, &mut out.text);
-        splice(&self.fingerprint, mark, name, &mut out.fingerprint);
+        out.keys.clear();
+        splice(self.text(), mark, name, &mut out.keys);
+        out.split = out.keys.len();
+        splice(self.fingerprint(), mark, name, &mut out.keys);
     }
 }
 
-/// Writes `key` to `out` with `name` for each `mark`.
+/// Appends `key` to `out` with `name` for each `mark`.
 fn splice(key: &str, mark: char, name: &str, out: &mut String) {
-    out.clear();
     for (i, piece) in key.split(mark).enumerate() {
         if i > 0 {
             out.push_str(name);
@@ -214,8 +240,8 @@ impl CalibrationStore {
         };
         let mut repositories = self.repositories.write();
         let record = record_of(&mut repositories, repository);
-        push_capped(&mut record.exact, &key.text, obs);
-        push_capped(&mut record.close, &key.fingerprint, obs);
+        push_capped(&mut record.exact, key.text(), obs);
+        push_capped(&mut record.close, key.fingerprint(), obs);
     }
 
     /// Feeds one observed source call into the repository's degradation
@@ -343,8 +369,8 @@ impl Estimator<'_> {
                 source,
             })
         };
-        matched(record.exact.get(&key.text), MatchKind::Exact)
-            .or_else(|| matched(record.close.get(&key.fingerprint), MatchKind::Close))
+        matched(record.exact.get(key.text()), MatchKind::Exact)
+            .or_else(|| matched(record.close.get(key.fingerprint()), MatchKind::Close))
             .unwrap_or_else(|| {
                 let mut estimate = CostEstimate::default_estimate();
                 estimate.time_ms += penalty;

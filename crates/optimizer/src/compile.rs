@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use disco_algebra::{agg_from_oql, data_of, scalar_op_from_oql, Extents, LogicalExpr, ScalarExpr};
 
+use crate::patch::NameUse;
 use crate::{OptimizerError, Result};
 
 /// Compiles OQL text into a canonical logical plan: parses, expands views
@@ -42,18 +43,31 @@ pub fn compile_text(query: &str, catalog: &Catalog) -> Result<LogicalExpr> {
 ///
 /// See [`compile_text`].
 pub fn compile_query(ast: &OqlExpr, catalog: &Catalog) -> Result<LogicalExpr> {
+    compile_recording(ast, catalog).map(|(plan, _)| plan)
+}
+
+/// [`compile_query`], and every collection name the plan was compiled
+/// from, one per use, with what it resolved to.
+pub(crate) fn compile_recording(
+    ast: &OqlExpr,
+    catalog: &Catalog,
+) -> Result<(LogicalExpr, Vec<NameUse>)> {
     let resolved = expand_views(ast, catalog)?;
     let mut compiler = Compiler {
         catalog,
         bound_vars: Vec::new(),
+        names: Vec::new(),
     };
-    compiler.compile_collection(&resolved)
+    let plan = compiler.compile_collection(&resolved)?;
+    Ok((plan, compiler.names))
 }
 
 struct Compiler<'a> {
     catalog: &'a Catalog,
     /// Variables bound by enclosing selects (for correlated sub-queries).
     bound_vars: Vec<String>,
+    /// The collection names compiled so far.
+    names: Vec<NameUse>,
 }
 
 impl Compiler<'_> {
@@ -115,18 +129,26 @@ impl Compiler<'_> {
         // Range variables of enclosing selects may be used as collections in
         // correlated sub-queries only through path expressions, which are
         // not collections; a bare variable is unsupported.
-        match self.catalog.lookup(name) {
-            Ok(NameRef::Extent(extent)) => Ok(submit_of(extent)),
+        let (plan, extents) = match self.catalog.lookup(name) {
+            Ok(NameRef::Extent(extent)) => (submit_of(extent), None),
             Ok(NameRef::InterfaceExtent { extents, .. })
-            | Ok(NameRef::RecursiveExtent { extents, .. }) => Ok(match extents.as_slice() {
-                [] => LogicalExpr::Data(disco_value::Bag::new()),
-                [extent] => submit_of(extent),
-                extents => LogicalExpr::Extents(members_of(extents)),
-            }),
-            Ok(NameRef::View(_)) | Err(_) => {
-                Err(OptimizerError::UnresolvedCollection(name.to_owned()))
+            | Ok(NameRef::RecursiveExtent { extents, .. }) => {
+                let plan = match extents.as_slice() {
+                    [] => LogicalExpr::Data(disco_value::Bag::new()),
+                    [extent] => submit_of(extent),
+                    extents => LogicalExpr::Extents(members_of(extents).named(name)),
+                };
+                (plan, Some(extents.len()))
             }
-        }
+            Ok(NameRef::View(_)) | Err(_) => {
+                return Err(OptimizerError::UnresolvedCollection(name.to_owned()))
+            }
+        };
+        self.names.push(NameUse {
+            name: name.into(),
+            extents,
+        });
+        Ok(plan)
     }
 
     fn compile_select(&mut self, sel: &SelectExpr) -> Result<LogicalExpr> {

@@ -5,7 +5,8 @@
 //! applying capability-checked pushdown rules, a cost model whose `exec`
 //! estimates come from a self-calibrating store of recorded wrapper calls
 //! (exact match / close match / the paper's time-0-data-1 defaults), plan
-//! selection, and a plan cache invalidated by catalog updates.
+//! selection, and a plan cache that patches its plans when extents are
+//! added or removed and plans a text again after any other catalog update.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,6 +16,7 @@ mod calibration;
 mod compile;
 mod cost;
 mod error;
+mod patch;
 mod planner;
 mod search;
 
@@ -23,6 +25,7 @@ pub use calibration::{CalibrationKey, CalibrationStore, CostEstimate, MatchKind,
 pub use compile::{compile_query, compile_text};
 pub use cost::{CostModel, CostParams, PlanCost};
 pub use error::OptimizerError;
+pub use patch::{physical_bytes, Patch, PlanMemo, NODE_BYTES};
 pub use planner::{Explained, Optimizer, Plan, PlanAlternative};
 
 /// Convenience result alias for optimizer operations.

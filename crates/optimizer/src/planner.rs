@@ -26,10 +26,12 @@ use disco_algebra::rules::{
 };
 use disco_algebra::{lower, CapabilityLookup, LogicalExpr, PhysicalExpr};
 use disco_catalog::Catalog;
+use disco_oql::parse_query;
 
 use crate::calibration::CalibrationStore;
-use crate::compile::compile_text;
+use crate::compile::compile_recording;
 use crate::cost::{CostModel, CostParams, PlanCost};
+use crate::patch::{NameUse, PlanMemo};
 use crate::search::search;
 use crate::Result;
 
@@ -57,8 +59,8 @@ pub struct PlanAlternative {
 pub struct Plan {
     /// The original query text, when the plan came from text.
     pub query: Option<String>,
-    /// The catalog generation the plan was built against (for cache
-    /// invalidation).
+    /// The catalog generation the plan was built against (what a plan
+    /// cache keys it by).
     pub catalog_generation: u64,
     /// The chosen logical plan.
     pub logical: LogicalExpr,
@@ -71,6 +73,17 @@ pub struct Plan {
     /// Every distinct alternative considered, the chosen one included; no
     /// trees ([`Optimizer::explain_text`] builds them).
     pub alternatives: Vec<PlanAlternative>,
+    /// What patching the plan to a later catalog needs.
+    pub(crate) memo: Arc<PlanMemo>,
+}
+
+impl Plan {
+    /// What patching the plan to a later catalog needs
+    /// ([`Optimizer::patch`]).
+    #[must_use]
+    pub fn memo(&self) -> &Arc<PlanMemo> {
+        &self.memo
+    }
 }
 
 /// A plan with the tree of every alternative the search costed: what
@@ -147,8 +160,11 @@ impl Optimizer {
     ///
     /// Returns compilation errors and lowering errors.
     pub fn optimize_text(&self, query: &str, catalog: &Catalog) -> Result<Plan> {
-        let compiled = compile_text(query, catalog)?;
-        let mut plan = self.optimize_logical(&compiled, catalog.generation())?;
+        let version = self.capabilities.version();
+        let (compiled, names) = compile_recording(&parse_query(query)?, catalog)?;
+        let normalized = self.classed(&compiled);
+        let mut plan =
+            self.plan_normalized(normalized, catalog.generation(), Some(names), version)?;
         plan.query = Some(query.to_owned());
         Ok(plan)
     }
@@ -163,7 +179,14 @@ impl Optimizer {
         compiled: &LogicalExpr,
         catalog_generation: u64,
     ) -> Result<Plan> {
-        self.plan_normalized(self.classed(compiled), catalog_generation)
+        let version = self.capabilities.version();
+        self.plan_normalized(self.classed(compiled), catalog_generation, None, version)
+    }
+
+    /// The wrapper-capability lookup the optimizer plans with.
+    #[must_use]
+    pub fn capabilities(&self) -> &dyn CapabilityLookup {
+        self.capabilities.as_ref()
     }
 
     /// The normalized plan with the classes of its [`Extents`] nodes
@@ -185,8 +208,15 @@ impl Optimizer {
     ///
     /// As [`Optimizer::optimize_text`].
     pub fn explain_text(&self, query: &str, catalog: &Catalog) -> Result<Explained> {
-        let normalized = self.classed(&compile_text(query, catalog)?);
-        let mut plan = self.plan_normalized(normalized.clone(), catalog.generation())?;
+        let version = self.capabilities.version();
+        let (compiled, names) = compile_recording(&parse_query(query)?, catalog)?;
+        let normalized = self.classed(&compiled);
+        let mut plan = self.plan_normalized(
+            normalized.clone(),
+            catalog.generation(),
+            Some(names),
+            version,
+        )?;
         plan.query = Some(query.to_owned());
         let trees = plan.alternatives.iter().map(|alternative| {
             let mut tree = normalized.clone();
@@ -199,13 +229,25 @@ impl Optimizer {
         })
     }
 
-    /// Searches, then builds and lowers the winner only.
-    fn plan_normalized(&self, mut logical: LogicalExpr, catalog_generation: u64) -> Result<Plan> {
+    /// Searches, then builds and lowers the winner only; keeps what
+    /// patching the plan needs: the text's `names`, the normalized plan,
+    /// the search's findings and the capabilities the lookup had at
+    /// `version`.
+    fn plan_normalized(
+        &self,
+        mut logical: LogicalExpr,
+        catalog_generation: u64,
+        names: Option<Vec<NameUse>>,
+        version: u64,
+    ) -> Result<Plan> {
         let lookup = self.capabilities.as_ref();
-        let (alternatives, winner) = search(&logical, lookup, &self.cost_model);
+        let found = search(&logical, lookup, &self.cost_model);
+        let (alternatives, winner) = (found.0.clone(), found.1);
         let PlanAlternative { strategy, cost } = alternatives[winner];
+        let normalized = logical.clone();
         materialise(strategy, &mut logical, lookup);
         let physical = lower(&logical)?;
+        let memo = PlanMemo::new(names, normalized, found, lookup, version);
         Ok(Plan {
             query: None,
             catalog_generation,
@@ -214,6 +256,7 @@ impl Optimizer {
             cost,
             strategy,
             alternatives,
+            memo: Arc::new(memo),
         })
     }
 }

@@ -23,6 +23,15 @@
 //! recorded, on the call worker, so a miss does not render every call on
 //! the query thread.
 //!
+//! **Patched, not planned again.**  When an extent is added to or
+//! removed from an interface a cached plan reads, the plan cache patches
+//! the entry ([`disco_optimizer::Optimizer::patch`]): the fan-out's member
+//! list is replaced and the call table spliced — every untouched
+//! [`Call`] is shared with the entry it came from, a removed member's
+//! call is dropped and an added member's is made as above.  A table one
+//! of whose calls serves two places of the plan is not spliced; the text
+//! is planned again instead.
+//!
 //! There is one resolution path: [`Executor::execute`] and
 //! [`resolve_execs_streamed`] prepare a table for the plan they are given
 //! and run it, exactly as a hit runs the cached one.
@@ -35,7 +44,9 @@ use std::sync::{Arc, OnceLock};
 
 use disco_algebra::{FanOut, LogicalExpr, Member, PhysicalExpr, ScalarExpr};
 use disco_catalog::{Catalog, TypeMap};
-use disco_optimizer::{CacheEntry, CalibrationKey, Plan};
+use disco_optimizer::{
+    physical_bytes, CacheEntry, CalibrationKey, Patch, Plan, PlanMemo, NODE_BYTES,
+};
 use disco_wrapper::expected_after_expr;
 
 use crate::exec::ExecKey;
@@ -45,28 +56,45 @@ use crate::Result;
 /// against the catalog generation the plan was optimized for.  This is
 /// what the mediator's and the server's plan caches hold; see the module
 /// documentation.
+///
+/// Two prepared plans are equal when they are for the same text and
+/// generation, hold equal physical plans and list equal calls in the same
+/// order, with each fan-out member's call at the same place.
 #[derive(Debug)]
 pub struct PreparedPlan {
     query: Option<String>,
     catalog_generation: u64,
-    physical: PhysicalExpr,
+    physical: Arc<PhysicalExpr>,
     pub(crate) calls: Arc<CallTable>,
+    memo: Arc<PlanMemo>,
+}
+
+impl PartialEq for PreparedPlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.query == other.query
+            && self.catalog_generation == other.catalog_generation
+            && self.physical == other.physical
+            && *self.calls == *other.calls
+    }
 }
 
 impl PreparedPlan {
     /// Prepares `plan` against `catalog`, the catalog it was optimized
-    /// against.  The plan's logical tree is dropped.
+    /// against.  The plan's logical tree is dropped; what patching it
+    /// needs is kept ([`Plan::memo`]).
     ///
     /// # Errors
     ///
     /// An extent or interface a call names that `catalog` does not hold.
     pub fn new(plan: Plan, catalog: &Catalog) -> Result<Self> {
         let calls = Arc::new(CallTable::new(&plan.physical, catalog)?);
+        let memo = Arc::clone(plan.memo());
         Ok(PreparedPlan {
             query: plan.query,
             catalog_generation: plan.catalog_generation,
-            physical: plan.physical,
+            physical: Arc::new(plan.physical),
             calls,
+            memo,
         })
     }
 
@@ -85,6 +113,42 @@ impl CacheEntry for PreparedPlan {
     fn catalog_generation(&self) -> u64 {
         self.catalog_generation
     }
+
+    fn memo(&self) -> &Arc<PlanMemo> {
+        &self.memo
+    }
+
+    fn bytes(&self) -> usize {
+        let query = self.query.as_ref().map_or(0, String::capacity);
+        std::mem::size_of::<Self>()
+            + query
+            + physical_bytes(&self.physical)
+            + self.calls.bytes()
+            + self.memo.bytes()
+    }
+
+    /// The plan with the patch's member lists and its call table spliced
+    /// to match; a patch that changes no node shares the plan and the
+    /// table.
+    fn patched(&self, patch: &Patch, catalog: &Catalog) -> Option<Self> {
+        let (physical, calls) = if patch.is_empty() {
+            (Arc::clone(&self.physical), Arc::clone(&self.calls))
+        } else {
+            let mut physical = (*self.physical).clone();
+            if !patch.apply_physical(&mut physical) {
+                return None;
+            }
+            let calls = self.calls.patched(&self.physical, &physical, catalog)?;
+            (Arc::new(physical), Arc::new(calls))
+        };
+        Some(PreparedPlan {
+            query: self.query.clone(),
+            catalog_generation: patch.generation(),
+            physical,
+            calls,
+            memo: Arc::clone(patch.memo()),
+        })
+    }
 }
 
 /// The distinct `exec` calls of one physical plan, in plan order, with
@@ -98,6 +162,17 @@ pub(crate) struct CallTable {
     /// Per fan-out of the plan, by the address of its templates: the
     /// index of each member's call (none for a member reading no source).
     fan_outs: Vec<(usize, Vec<Option<usize>>)>,
+    /// Whether a call serves two places of the plan.
+    shared: bool,
+}
+
+impl PartialEq for CallTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.calls.len() == other.calls.len()
+            && self.calls.iter().zip(&other.calls).all(|(a, b)| **a == **b)
+            && self.fan_outs.len() == other.fan_outs.len()
+            && (self.fan_outs.iter().zip(&other.fan_outs)).all(|((_, a), (_, b))| a == b)
+    }
 }
 
 impl CallTable {
@@ -106,7 +181,10 @@ impl CallTable {
         let mut found = Found::default();
         found.visit(plan, false);
         let Found {
-            specs, fan_outs, ..
+            specs,
+            fan_outs,
+            shared,
+            ..
         } = found;
         let mut shapes: Vec<Arc<CallShape>> = Vec::new();
         // The shape of each class of a fan-out, by interface: its members
@@ -134,12 +212,7 @@ impl CallTable {
                 Some(shape) => shape,
                 None => {
                     if !fields.contains_key(interface) {
-                        let names = catalog
-                            .attributes_of(interface)?
-                            .iter()
-                            .map(|a| a.name().to_owned())
-                            .collect();
-                        fields.insert(interface, names);
+                        fields.insert(interface, field_names(catalog, interface)?);
                     }
                     let shape = CallShape {
                         map: meta.map().clone(),
@@ -193,9 +266,162 @@ impl CallTable {
             calls,
             by_extent: Vec::new(),
             fan_outs,
+            shared,
         };
         table.index();
         Ok(table)
+    }
+
+    /// This table, of the plan `old`, spliced for `new`: `old` with other
+    /// member lists, a member kept where its extent's name is the same
+    /// `Arc`.  Each fan-out left alone keeps its calls; a patched one
+    /// keeps the calls of the members it kept and gets a call made for
+    /// each other member — in the order the table of `new` lists them.
+    /// `None` when a call serves two places of the plan, or the plans'
+    /// fan-outs do not pair up.
+    pub(crate) fn patched(
+        &self,
+        old: &PhysicalExpr,
+        new: &PhysicalExpr,
+        catalog: &Catalog,
+    ) -> Option<CallTable> {
+        if self.shared {
+            return None;
+        }
+        let (olds, news) = (fan_outs_of(old), fan_outs_of(new));
+        if olds.len() != self.fan_outs.len() || news.len() != olds.len() {
+            return None;
+        }
+        let grown = (news.iter().zip(&olds))
+            .map(|(new, old)| new.members.len().saturating_sub(old.members.len()))
+            .sum::<usize>();
+        let mut calls = Vec::with_capacity(self.calls.len() + grown);
+        // The patched runs: first old call, old length, new length, and
+        // where the run starts now.
+        let mut runs: Vec<(usize, usize, usize, usize)> = Vec::new();
+        let mut next = 0;
+        for ((old_node, new_node), (_, indices)) in olds.iter().zip(&news).zip(&self.fan_outs) {
+            if Arc::ptr_eq(&old_node.members, &new_node.members) {
+                continue;
+            }
+            let first = indices.first().copied().flatten()?;
+            let contiguous = (indices.iter().enumerate()).all(|(i, at)| *at == Some(first + i));
+            if !contiguous || first < next {
+                return None;
+            }
+            calls.extend(self.calls[next..first].iter().cloned());
+            next = first + indices.len();
+            let made = self.spliced(
+                &old_node.members,
+                new_node,
+                &self.calls[first..next],
+                catalog,
+            )?;
+            runs.push((first, indices.len(), made.len(), calls.len()));
+            calls.extend(made);
+        }
+        calls.extend(self.calls[next..].iter().cloned());
+        // Where an old call outside the runs is now.
+        let moved = |at: usize| -> Option<usize> {
+            let mut now = at;
+            for &(first, before, after, _) in &runs {
+                if at >= first + before {
+                    now = now + after - before;
+                } else if at >= first {
+                    return None;
+                }
+            }
+            Some(now)
+        };
+        let mut runs = runs.iter();
+        let mut fan_outs = Vec::with_capacity(self.fan_outs.len());
+        for ((old_node, new_node), (_, indices)) in olds.iter().zip(&news).zip(&self.fan_outs) {
+            let at = if Arc::ptr_eq(&old_node.members, &new_node.members) {
+                let moved = |i: &Option<usize>| match i {
+                    Some(i) => moved(*i).map(Some),
+                    None => Some(None),
+                };
+                indices.iter().map(moved).collect::<Option<_>>()?
+            } else {
+                let &(.., made, start) = runs.next()?;
+                (start..start + made).map(Some).collect()
+            };
+            fan_outs.push((new_node.templates.as_ptr() as usize, at));
+        }
+        let mut table = CallTable {
+            calls,
+            by_extent: Vec::new(),
+            fan_outs,
+            shared: false,
+        };
+        table.index();
+        Some(table)
+    }
+
+    /// The calls of `node`'s members, whose members were `old` with the
+    /// calls `calls`: a kept member's (the same names, shared) as it was,
+    /// another's made from its class's first member's call.
+    fn spliced(
+        &self,
+        old: &[Member],
+        node: &FanOut,
+        calls: &[Arc<Call>],
+        catalog: &Catalog,
+    ) -> Option<Vec<Arc<Call>>> {
+        let mut out = Vec::with_capacity(node.members.len());
+        let mut firsts: Vec<Option<Arc<Call>>> = vec![None; node.templates.len()];
+        let mut at = 0;
+        for member in node.members.iter() {
+            while old.get(at).is_some_and(|o| {
+                !Arc::ptr_eq(&o.extent, &member.extent) && o.extent <= member.extent
+            }) {
+                at += 1;
+            }
+            let call = match old.get(at) {
+                Some(o) if Arc::ptr_eq(&o.extent, &member.extent) => {
+                    at += 1;
+                    Arc::clone(&calls[at - 1])
+                }
+                _ => Arc::new(
+                    firsts[member.class]
+                        .as_deref()?
+                        .for_member(member, catalog)?,
+                ),
+            };
+            firsts[member.class].get_or_insert_with(|| Arc::clone(&call));
+            out.push(call);
+        }
+        Some(out)
+    }
+
+    /// The heap bytes the table keeps, estimated; shipped expressions
+    /// shared with the plan are the plan's.
+    fn bytes(&self) -> usize {
+        const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
+        let mut shape: Option<&Arc<CallShape>> = None;
+        let calls: usize = self
+            .calls
+            .iter()
+            .map(|call| {
+                let own_expr = call
+                    .template
+                    .as_ref()
+                    .map_or(0, |_| call.expr.size() * NODE_BYTES);
+                let keys = call.calibration.get().map_or(0, CalibrationKey::bytes);
+                let shape_bytes = match shape.replace(&call.shape) {
+                    Some(known) if Arc::ptr_eq(known, &call.shape) => 0,
+                    _ => call.shape.bytes(),
+                };
+                ARC_HEADER + std::mem::size_of::<Call>() + own_expr + keys + shape_bytes
+            })
+            .sum();
+        let index = self.by_extent.capacity() * std::mem::size_of::<usize>();
+        let fan_outs: usize = self
+            .fan_outs
+            .iter()
+            .map(|(_, at)| at.capacity() * std::mem::size_of::<Option<usize>>())
+            .sum();
+        self.calls.capacity() * std::mem::size_of::<Arc<Call>>() + calls + index + fan_outs
     }
 
     /// Rebuilds `by_extent` (a stable sort keeps plan order per extent).
@@ -275,6 +501,25 @@ impl CallTable {
     }
 }
 
+/// The names of `interface`'s attributes, inherited ones included.
+fn field_names(catalog: &Catalog, interface: &str) -> Result<Vec<String>> {
+    let attributes = catalog.attributes_of(interface)?;
+    Ok(attributes.iter().map(|a| a.name().to_owned()).collect())
+}
+
+/// The fan-outs of `plan`, in the order the call table records them.
+fn fan_outs_of(plan: &PhysicalExpr) -> Vec<&FanOut> {
+    fn visit<'a>(plan: &'a PhysicalExpr, out: &mut Vec<&'a FanOut>) {
+        match plan {
+            PhysicalExpr::FanOut(node) => out.push(node),
+            _ => plan.for_each_child(&mut |child| visit(child, out)),
+        }
+    }
+    let mut out = Vec::new();
+    visit(plan, &mut out);
+    out
+}
+
 /// The expression the `exec` of a fan-out's branch template ships; `None`
 /// for a branch that reads no source.
 fn template_call(template: &PhysicalExpr) -> Option<&Arc<LogicalExpr>> {
@@ -313,7 +558,48 @@ pub(crate) struct Call {
     calibration: OnceLock<CalibrationKey>,
 }
 
+impl PartialEq for Call {
+    fn eq(&self, other: &Self) -> bool {
+        self.repository == other.repository
+            && self.extent == other.extent
+            && self.wrapper == other.wrapper
+            && self.template.as_ref().map(|t| &*t.expr) == other.template.as_ref().map(|t| &*t.expr)
+            && self.expr == other.expr
+            && self.shape == other.shape
+    }
+}
+
 impl Call {
+    /// The call of `member`, a member of this call's class: its class
+    /// template's, shipped with the member's names, its shape this call's
+    /// when the two extents' interfaces and maps are alike.
+    fn for_member(&self, member: &Member, catalog: &Catalog) -> Option<Call> {
+        let template = self.template.as_ref()?;
+        let meta = catalog.extent(&member.extent).ok()?;
+        let interface = meta.interface();
+        let alike = catalog
+            .extent(&self.extent)
+            .is_ok_and(|known| known.interface() == interface && self.shape.map == *meta.map());
+        let shape = if alike {
+            Arc::clone(&self.shape)
+        } else {
+            let fields = field_names(catalog, interface).ok()?;
+            Arc::new(CallShape {
+                map: meta.map().clone(),
+                expected: expected_after_expr(&template.expr, &fields),
+            })
+        };
+        Some(Call {
+            repository: Arc::clone(&member.repository),
+            extent: Arc::clone(&member.extent),
+            wrapper: Arc::clone(&member.wrapper),
+            template: Some(Arc::clone(template)),
+            expr: Arc::new(template.expr.instance(member)),
+            shape,
+            calibration: OnceLock::new(),
+        })
+    }
+
     /// Whether this is the call of an `exec` node with these fields.  A
     /// prepared plan's node and its call share the shipped expression, so
     /// the pointers are compared first; the structural comparison is for
@@ -347,6 +633,19 @@ impl Call {
 pub(crate) struct CallShape {
     pub(crate) map: TypeMap,
     pub(crate) expected: Vec<String>,
+}
+
+impl CallShape {
+    /// The heap bytes the shape keeps, estimated.
+    fn bytes(&self) -> usize {
+        let expected: usize = self
+            .expected
+            .iter()
+            .map(|f| std::mem::size_of::<String>() + f.capacity())
+            .sum();
+        let entries = self.map.attributes().len() + usize::from(self.map.relation().is_some());
+        std::mem::size_of::<Self>() + entries * NODE_BYTES + expected
+    }
 }
 
 /// The expression a call ships, where the plan holds it.
@@ -430,6 +729,8 @@ struct Found<'a> {
     /// calls to its own extent only.
     seen: BTreeMap<&'a str, Vec<usize>>,
     fan_outs: Vec<(usize, Vec<Option<usize>>)>,
+    /// Whether a call was found twice.
+    shared: bool,
 }
 
 impl<'a> Found<'a> {
@@ -445,6 +746,7 @@ impl<'a> Found<'a> {
                     _ => other.shipped() == spec.shipped(),
                 }
         });
+        self.shared |= known.is_some();
         known.unwrap_or_else(|| {
             same_extent.push(self.specs.len());
             self.specs.push(spec);

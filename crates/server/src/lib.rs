@@ -29,8 +29,10 @@
 //!   rotate across sessions, so no session starves behind a chatty
 //!   neighbour.
 //! * **A shared plan cache** — keyed by query text and catalog
-//!   generation, so sessions reuse each other's optimized plans and a
-//!   catalog update invalidates exactly the stale entries.
+//!   generation, so sessions reuse each other's optimized plans; after an
+//!   extent is added or removed, the first lookup of a text patches its
+//!   entry to the new catalog, and any other catalog update plans the
+//!   texts it touches again.
 //!
 //! # Examples
 //!
@@ -67,7 +69,7 @@ use std::time::Duration;
 
 use disco_catalog::{Catalog, CatalogError, CatalogHandle};
 use disco_core::{Mediator, MediatorError, Result};
-use disco_optimizer::{CalibrationStore, CostParams, Optimizer, PlanCache};
+use disco_optimizer::{CalibrationStore, Optimizer, PlanCache};
 use disco_runtime::{Answer, Executor, PreparedPlan, SourcePool};
 use disco_wrapper::WrapperRegistry;
 
@@ -121,11 +123,13 @@ struct ServerShared {
     registry: WrapperRegistry,
     calibration: Arc<CalibrationStore>,
     plan_cache: PlanCache<PreparedPlan>,
+    /// The optimizer over the registry, the calibration store and the
+    /// mediator's cost constants.
+    optimizer: Optimizer,
     admission: Admission,
     config: ServerConfig,
     /// Defaults mirrored from the mediator the server was built from.
     deadline: Option<Duration>,
-    cost_params: CostParams,
     next_session: AtomicU64,
     queries_served: AtomicU64,
 }
@@ -138,8 +142,11 @@ pub struct ServerStats {
     /// Queries that had to queue at admission, and their total queued
     /// time.
     pub admission_queued: (u64, Duration),
-    /// `(hits, misses)` of the shared plan cache.
+    /// `(hits, misses)` of the shared plan cache; a lookup that patched
+    /// an entry to the catalog counts as a hit.
     pub plan_cache: (u64, u64),
+    /// How many of those hits patched an entry.
+    pub plan_cache_patches: u64,
     /// `(calls that queued, total queued time)` of the shared source
     /// pool, when one is configured.
     pub source_pool_queued: Option<(u64, Duration)>,
@@ -169,10 +176,14 @@ impl DiscoServer {
                 registry: mediator.registry().clone(),
                 calibration: Arc::clone(mediator.calibration()),
                 plan_cache: PlanCache::default(),
+                optimizer: Optimizer::with_store(
+                    mediator.registry().clone(),
+                    Arc::clone(mediator.calibration()),
+                )
+                .with_cost_params(mediator.cost_params()),
                 admission: Admission::new(config.max_concurrent),
                 config,
                 deadline: mediator.deadline(),
-                cost_params: mediator.cost_params(),
                 next_session: AtomicU64::new(1),
                 queries_served: AtomicU64::new(0),
             }),
@@ -192,8 +203,10 @@ impl DiscoServer {
 
     /// Applies a schema update copy-on-write: queries already admitted
     /// keep their snapshot; queries admitted afterwards see the new
-    /// catalog (and miss the plan cache, whose entries are keyed by
-    /// catalog generation).
+    /// catalog.  The plan cache's entries are keyed by catalog
+    /// generation: after an update that only adds or removes extents, the
+    /// first query of a cached text patches its entry (a hit); after any
+    /// other update, it plans the text again.
     ///
     /// # Errors
     ///
@@ -227,6 +240,7 @@ impl DiscoServer {
             queries_served: self.shared.queries_served.load(Ordering::Relaxed),
             admission_queued: self.shared.admission.queue_stats(),
             plan_cache: self.shared.plan_cache.stats(),
+            plan_cache_patches: self.shared.plan_cache.patches(),
             source_pool_queued: self
                 .shared
                 .config
@@ -295,20 +309,16 @@ impl Session {
     }
 
     /// [`Session::query`] against `snapshot`: the prepared plan of the
-    /// text at the snapshot's generation — the shared cache's, or one
-    /// planned and prepared against the snapshot — run with the session's
-    /// deadline and row budget.
+    /// text at the snapshot's generation — the shared cache's, one patched
+    /// from an older entry, or one planned and prepared against the
+    /// snapshot — run with the session's deadline and row budget.
     fn query_on(&self, query: &str, snapshot: &Catalog) -> Result<Answer> {
+        let optimizer = &self.shared.optimizer;
         let prepared = self
             .shared
             .plan_cache
-            .get_or_plan(query, snapshot.generation(), || {
-                let plan = Optimizer::with_store(
-                    self.shared.registry.clone(),
-                    Arc::clone(&self.shared.calibration),
-                )
-                .with_cost_params(self.shared.cost_params)
-                .optimize_text(query, snapshot)?;
+            .get_or_plan(query, snapshot, optimizer, || {
+                let plan = optimizer.optimize_text(query, snapshot)?;
                 Ok::<_, MediatorError>(PreparedPlan::new(plan, snapshot)?)
             })?;
         let mut executor = Executor::new(self.shared.registry.clone())

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use disco_core::{
-    Attribute, Availability, CapabilitySet, InterfaceDef, Mediator, NetworkProfile, Table, TypeRef,
-    Value,
+    Attribute, Availability, CapabilitySet, InterfaceDef, Mediator, MetaExtent, NetworkProfile,
+    Table, TypeRef, Value,
 };
 use disco_server::{DiscoServer, ServerConfig};
 
@@ -324,6 +324,106 @@ fn a_wrapper_re_registered_between_two_hits_is_the_one_the_second_hit_calls() {
         (2, 1),
         "the third query was a hit"
     );
+}
+
+/// Sessions query the interface while another session adds and removes
+/// extents of it: each query runs the entry of the text at the catalog
+/// snapshot it took — planned, hit or patched from an older one — so its
+/// answer is the one the snapshot's members give, whatever the DDL does
+/// meanwhile.
+#[test]
+fn sessions_run_the_plan_of_their_own_snapshot_while_extents_come_and_go() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Barrier, Mutex};
+
+    const SOURCES: usize = 6;
+    let mut mediator = person_mediator(SOURCES, 4, NetworkProfile::fast());
+    // The last two sources' repositories and wrappers stay registered;
+    // their extents come and go.
+    let mut extents: Vec<_> = (4..SOURCES)
+        .map(|s| mediator.remove_extent(&format!("person{s}")).unwrap())
+        .collect();
+    let server = DiscoServer::from_mediator(&mediator, ServerConfig::default());
+    let text = "select x.name from x in person where x.salary > 150";
+    // The members at each generation the sessions may see.
+    let members: Mutex<Vec<(u64, Vec<usize>)>> =
+        Mutex::new(vec![(server.catalog().generation(), (0..4).collect())]);
+    let expected = |sources: &[usize]| -> Vec<Value> {
+        let mut names: Vec<Value> = sources
+            .iter()
+            .flat_map(|s| (2..4).map(move |r| Value::from(format!("p{s}_{r}").as_str())))
+            .collect();
+        names.sort();
+        names
+    };
+    let done = AtomicBool::new(false);
+    // The DDL starts once every session has its text cached.
+    let cached = Barrier::new(5);
+    std::thread::scope(|scope| {
+        let (server, members, done, cached) = (&server, &members, &done, &cached);
+        scope.spawn(move || {
+            cached.wait();
+            let mut present: Vec<usize> = (0..4).collect();
+            for step in 0..60 {
+                let slot = 4 + step % 2;
+                let adds = (step / 2) % 2 == 0;
+                server
+                    .update_catalog(|catalog| {
+                        if adds {
+                            catalog.add_extent(extents[slot - 4].clone())?;
+                            present.push(slot);
+                        } else {
+                            extents[slot - 4] = catalog.remove_extent(&format!("person{slot}"))?;
+                            present.retain(|&s| s != slot);
+                        }
+                        let mut sorted = present.clone();
+                        sorted.sort_unstable();
+                        // Recorded before the snapshot is published.
+                        members.lock().unwrap().push((catalog.generation(), sorted));
+                        Ok(())
+                    })
+                    .unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        for _ in 0..4 {
+            scope.spawn(move || {
+                let session = server.session();
+                session.query(text).unwrap();
+                cached.wait();
+                let mut queries = 0;
+                while !done.load(Ordering::SeqCst) || queries < 20 {
+                    let before = server.catalog().generation();
+                    let answer = session.query(text).unwrap();
+                    let after = server.catalog().generation();
+                    assert!(answer.is_complete());
+                    let mut got: Vec<Value> = answer.data().iter().cloned().collect();
+                    got.sort();
+                    // Some snapshot between the two reads gives this answer.
+                    let members = members.lock().unwrap();
+                    let ran_on = members
+                        .iter()
+                        .filter(|(generation, _)| (before..=after).contains(generation))
+                        .any(|(_, sources)| expected(sources) == got);
+                    assert!(ran_on, "generations {before}..={after}: {got:?}");
+                    queries += 1;
+                }
+            });
+        }
+    });
+    // One more extent, with no session about: the next lookup patches.
+    let patches = server.stats().plan_cache_patches;
+    server
+        .update_catalog(|catalog| {
+            catalog.add_extent(MetaExtent::new("person4", "Person", "w_person4", "r4"))
+        })
+        .unwrap();
+    let answer = server.session().query(text).unwrap();
+    assert_eq!(answer.data().len(), 10);
+    let stats = server.stats();
+    assert_eq!(stats.plan_cache_patches, patches + 1, "{stats:?}");
+    assert!(stats.plan_cache.0 > stats.plan_cache.1, "{stats:?}");
 }
 
 /// Starts after the tests above (name order) and outwaits them: a call

@@ -15,6 +15,7 @@
 //! that keeps every chunk; no wrapper can answer it differently.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -147,6 +148,8 @@ impl dyn Wrapper + '_ {
 #[derive(Clone, Default)]
 pub struct WrapperRegistry {
     wrappers: Arc<RwLock<BTreeMap<String, Arc<dyn Wrapper>>>>,
+    /// Bumped by every registration: the [`CapabilityLookup::version`].
+    version: Arc<AtomicU64>,
 }
 
 impl WrapperRegistry {
@@ -156,11 +159,15 @@ impl WrapperRegistry {
         WrapperRegistry::default()
     }
 
-    /// Registers (or replaces) a wrapper under its own name.
+    /// Registers (or replaces) a wrapper under its own name, moving the
+    /// registry's [`CapabilityLookup::version`].
     pub fn register(&self, wrapper: Arc<dyn Wrapper>) {
-        self.wrappers
+        let replaced = self
+            .wrappers
             .write()
             .insert(wrapper.name().to_owned(), wrapper);
+        self.version.fetch_add(1, Ordering::Release);
+        drop(replaced);
     }
 
     /// Looks up a wrapper by name.
@@ -198,7 +205,11 @@ impl std::fmt::Debug for WrapperRegistry {
 
 impl CapabilityLookup for WrapperRegistry {
     fn capabilities(&self, wrapper: &str) -> Option<CapabilitySet> {
-        self.wrapper(wrapper).map(|w| w.capabilities())
+        self.wrappers.read().get(wrapper).map(|w| w.capabilities())
+    }
+
+    fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
     }
 }
 
@@ -248,5 +259,10 @@ mod tests {
         let caps = CapabilityLookup::capabilities(&registry, "w_dummy").unwrap();
         assert_eq!(caps, CapabilitySet::get_only());
         assert!(CapabilityLookup::capabilities(&registry, "missing").is_none());
+        // Every registration moves the version, a lookup does not.
+        let version = registry.version();
+        registry.register(Arc::new(DummyWrapper));
+        assert!(registry.version() > version);
+        assert_eq!(registry.clone().version(), registry.version());
     }
 }

@@ -16,6 +16,14 @@
 //! parent of the node, where an added source cost 51.1 allocations to
 //! compile and optimize and a prepared plan of 256 sources kept 317 KiB
 //! (346 KiB once run).
+//!
+//! An extent added to a cached text's interface patches the cached plan
+//! instead of planning it again: the second test pins what that patch
+//! allocates and keeps — copies of the member list and of the call table,
+//! and a constant beyond them — that an added extent removed again
+//! patches back to the plan it started from, that the estimate a cache
+//! counts an entry at is within 2× of what the allocator sees, and that a
+//! cache fed 10 000 distinct texts stays within its byte bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -26,7 +34,7 @@ use disco::algebra::{CapabilitySet, LogicalExpr, ScalarExpr, ScalarOp};
 use disco::catalog::{
     Attribute, Catalog, InterfaceDef, MetaExtent, Repository, TypeRef, WrapperDef,
 };
-use disco::optimizer::{compile_text, CalibrationStore, Optimizer};
+use disco::optimizer::{compile_text, CacheEntry, CalibrationStore, Optimizer, PlanCache};
 use disco::runtime::{calls_in_flight, Executor, PreparedPlan};
 use disco::source::{generator, NetworkProfile, RelationalStore, SimulatedLink};
 use disco::wrapper::{RelationalWrapper, WrapperRegistry};
@@ -84,7 +92,8 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// perfbench's `plan_wide` text.
 const TEXT: &str = "select x.name from x in person where x.salary > 5000";
 
-/// `sources` like-typed `person` extents behind one capable wrapper type.
+/// `sources` like-typed `person` extents behind one capable wrapper type
+/// (and one more repository, for a source added later).
 fn federation(sources: usize) -> Catalog {
     let mut c = Catalog::new();
     c.define_interface(
@@ -96,24 +105,25 @@ fn federation(sources: usize) -> Catalog {
     )
     .unwrap();
     c.add_wrapper(WrapperDef::new("w0", "relational")).unwrap();
-    for i in 0..sources {
+    for i in 0..=sources {
         c.add_repository(Repository::new(format!("r{i}"))).unwrap();
-        c.add_extent(MetaExtent::new(
-            format!("person{i}"),
-            "Person",
-            "w0",
-            format!("r{i}"),
-        ))
-        .unwrap();
+    }
+    for i in 0..sources {
+        c.add_extent(person(i)).unwrap();
     }
     c
+}
+
+/// The `i`-th `person` extent.
+fn person(i: usize) -> MetaExtent {
+    MetaExtent::new(format!("person{i}"), "Person", "w0", format!("r{i}"))
 }
 
 /// A store that has seen every source answer the pushed shape of [`TEXT`]
 /// with another constant (a close match) and a bare `get`.
 fn seeded_store(sources: usize) -> Arc<CalibrationStore> {
     let store = Arc::new(CalibrationStore::new());
-    for i in 0..sources {
+    for i in 0..=sources {
         let get = LogicalExpr::get(format!("person{i}"));
         let pushed = get
             .clone()
@@ -133,7 +143,7 @@ fn seeded_store(sources: usize) -> Arc<CalibrationStore> {
 /// source's table of four rows, on a link that does not sleep.
 fn registry(sources: usize) -> WrapperRegistry {
     let store = Arc::new(RelationalStore::new());
-    for i in 0..sources {
+    for i in 0..=sources {
         store.put_table(generator::person_table(
             &format!("person{i}"),
             4,
@@ -279,5 +289,174 @@ fn planning_allocations_per_source_are_bounded_and_flat() {
         "a prepared plan of {} sources keeps {} bytes once run",
         widest.sources,
         widest.retained_run
+    );
+}
+
+/// The allocations and the bytes one patch takes, and the estimates the
+/// cache counts entries at.
+struct Patched {
+    sources: usize,
+    allocations: u64,
+    /// Bytes the patch allocated and the patched entry keeps (the entry it
+    /// was patched from is still held).
+    kept: i64,
+}
+
+fn capable() -> BTreeMap<String, CapabilitySet> {
+    let mut capabilities = BTreeMap::new();
+    capabilities.insert("w0".to_owned(), CapabilitySet::full());
+    capabilities
+}
+
+/// A cached, run plan of [`TEXT`] over `sources` sources patched for
+/// one source added, then for it removed again.
+fn patch(sources: usize) -> Patched {
+    let mut catalog = federation(sources);
+    let store = seeded_store(sources);
+    let optimizer = Optimizer::with_store(capable(), Arc::clone(&store));
+    let cache = PlanCache::<PreparedPlan>::default();
+    let plan = || {
+        let plan = optimizer
+            .optimize_text(TEXT, &catalog)
+            .map_err(|e| e.to_string())?;
+        PreparedPlan::new(plan, &catalog).map_err(|e| e.to_string())
+    };
+    let original = cache.get_or_plan(TEXT, &catalog, &optimizer, plan).unwrap();
+    let executor = Executor::new(registry(sources)).with_calibration(store);
+    assert!(executor.execute_prepared(&original).unwrap().is_complete());
+    while calls_in_flight() > 0 {
+        std::thread::yield_now();
+    }
+    // The entry's estimate against what dropping a copy of it frees.
+    let copy =
+        PreparedPlan::new(optimizer.optimize_text(TEXT, &catalog).unwrap(), &catalog).unwrap();
+    assert!(executor.execute_prepared(&copy).unwrap().is_complete());
+    while calls_in_flight() > 0 {
+        std::thread::yield_now();
+    }
+    let estimate = copy.bytes();
+    let freed = retained_by(copy);
+    println!("{sources} sources: an entry estimated at {estimate} bytes frees {freed}");
+    let estimate = i64::try_from(estimate).unwrap();
+    assert!(
+        estimate <= 2 * freed && freed <= 2 * estimate,
+        "{sources} sources: estimated at {estimate} bytes, keeps {freed}"
+    );
+
+    catalog.add_extent(person(sources)).unwrap();
+    let live = LIVE.with(Cell::get);
+    let (allocations, patched) = allocations_of(|| {
+        cache.get_or_plan(
+            TEXT,
+            &catalog,
+            &optimizer,
+            || -> Result<PreparedPlan, String> {
+                panic!("an added extent patches the cached plan")
+            },
+        )
+    });
+    let patched = patched.unwrap();
+    let kept = LIVE.with(Cell::get) - live;
+    assert_eq!(cache.patches(), 1);
+    let fresh = PreparedPlan::new(optimizer.optimize_text(TEXT, &catalog).unwrap(), &catalog);
+    assert!(
+        *patched == fresh.unwrap(),
+        "the patched plan is the plan made afresh"
+    );
+
+    // Removed again: the plan the text started with.
+    catalog.remove_extent(&format!("person{sources}")).unwrap();
+    let back = cache
+        .get_or_plan(
+            TEXT,
+            &catalog,
+            &optimizer,
+            || -> Result<PreparedPlan, String> {
+                panic!("a removed extent patches the cached plan")
+            },
+        )
+        .unwrap();
+    assert_eq!(cache.patches(), 2);
+    assert_eq!(back.physical(), original.physical());
+    let fresh = PreparedPlan::new(optimizer.optimize_text(TEXT, &catalog).unwrap(), &catalog);
+    assert!(
+        *back == fresh.unwrap(),
+        "patched back to the plan made afresh"
+    );
+    Patched {
+        sources,
+        allocations,
+        kept,
+    }
+}
+
+#[test]
+#[allow(clippy::cast_precision_loss)]
+fn a_patch_copies_the_member_list_and_the_call_table_and_a_constant_beyond() {
+    let patches: Vec<Patched> = [64usize, 256].into_iter().map(patch).collect();
+    for p in &patches {
+        println!(
+            "{} sources: one added source patched in {} allocations, {} bytes kept",
+            p.sources, p.allocations, p.kept
+        );
+    }
+    let [small, large] = &patches[..] else {
+        unreachable!("two sizes")
+    };
+    // The copies are one allocation each, whatever their length.
+    assert_eq!(
+        small.allocations, large.allocations,
+        "patch allocations grow"
+    );
+    assert!(large.allocations <= 90, "{} allocations", large.allocations);
+    // What a source more costs the patch: its member; its call's place
+    // in the table, in the index by extent and in the fan-out's list; and
+    // the site costs of the class's four distinct rewrites the search kept
+    // for it — and nothing else.
+    let per_source = (large.kept - small.kept) as f64 / (large.sources - small.sources) as f64;
+    let copies = std::mem::size_of::<disco::algebra::Member>() + 8 + 8 + 16 + 4 * 16;
+    println!("bytes a patch keeps per source: {per_source:.1} ({copies} copied)");
+    assert!(
+        per_source <= copies as f64 + 1.0,
+        "{per_source:.1} bytes per source"
+    );
+    // A constant beyond the copies.
+    assert!(
+        large.kept - (copies * large.sources) as i64 <= 8 * 1024,
+        "{} bytes beyond the copies",
+        large.kept - (copies * large.sources) as i64
+    );
+}
+
+#[test]
+fn a_cache_fed_distinct_texts_stays_within_its_byte_bound() {
+    let sources = 8;
+    let catalog = federation(sources);
+    let optimizer = Optimizer::with_store(capable(), seeded_store(sources));
+    let cache = PlanCache::<PreparedPlan>::default();
+    let bound = PlanCache::<PreparedPlan>::MAX_BYTES;
+    let live = LIVE.with(Cell::get);
+    for k in 0..10_000 {
+        let text = format!("select x.name from x in person where x.salary > {k}");
+        cache
+            .get_or_plan(&text, &catalog, &optimizer, || {
+                let plan = optimizer
+                    .optimize_text(&text, &catalog)
+                    .map_err(|e| e.to_string())?;
+                PreparedPlan::new(plan, &catalog).map_err(|e| e.to_string())
+            })
+            .unwrap();
+        assert!(cache.bytes() <= bound, "{k} texts: {} bytes", cache.bytes());
+    }
+    let kept = LIVE.with(Cell::get) - live;
+    println!(
+        "10000 texts: {} cached, counted at {} bytes, {kept} bytes live",
+        cache.len(),
+        cache.bytes()
+    );
+    assert!(cache.len() < 10_000, "nothing was evicted");
+    assert!(
+        kept <= 2 * i64::try_from(bound).unwrap(),
+        "the cache keeps {kept} bytes"
     );
 }
