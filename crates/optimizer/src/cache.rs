@@ -15,8 +15,8 @@
 //!
 //! An entry also holds the capabilities each of its classes was planned
 //! for: a lookup that finds a wrapper name bound to other capabilities
-//! since ([`PlanMemo::capabilities_hold`]) plans the text again, at the
-//! same generation.
+//! since plans the text again, at the same generation (checked once per
+//! [`CapabilityLookup::version`](disco_algebra::CapabilityLookup::version)).
 //!
 //! Entries are shared, not copied: a hit hands out the cached `Arc`.
 //! What is cached per text is the cache's type parameter ([`CacheEntry`]):

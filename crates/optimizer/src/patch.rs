@@ -155,7 +155,7 @@ impl PlanMemo {
 
     /// Whether every wrapper the plan calls is bound to the capabilities
     /// it was planned for — checked against `lookup` once per version.
-    pub fn capabilities_hold(&self, lookup: &dyn CapabilityLookup) -> bool {
+    pub(crate) fn capabilities_hold(&self, lookup: &dyn CapabilityLookup) -> bool {
         let version = lookup.version();
         if self.checked.load(Ordering::Acquire) == version {
             return true;
