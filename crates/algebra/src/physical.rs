@@ -186,7 +186,7 @@ impl PhysicalExpr {
     /// A copy of a branch template with the names of `member` (see
     /// [`LogicalExpr::instance`]), its `exec` shipping its own copy.
     #[must_use]
-    pub(crate) fn instance(&self, member: &Member) -> PhysicalExpr {
+    pub fn instance(&self, member: &Member) -> PhysicalExpr {
         match self {
             PhysicalExpr::Exec { logical, .. } => PhysicalExpr::Exec {
                 repository: member.repository.to_string(),

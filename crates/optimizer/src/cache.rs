@@ -587,6 +587,38 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    /// A class whose first member goes has its template named after the
+    /// next one: patched, as a fresh plan names it.
+    #[test]
+    fn a_class_that_loses_its_first_member_is_patched() {
+        let mut cat = catalog();
+        for i in 1..4 {
+            add_person(&mut cat, i);
+        }
+        let optimizer = optimizer();
+        let cache = PlanCache::new();
+        let query = "select x.name from x in person where x.salary > 10";
+        cache
+            .get_or_plan(query, &cat, &optimizer, || {
+                optimizer.optimize_text(query, &cat)
+            })
+            .unwrap();
+        for (gone, back) in [("person0", 0), ("person1", 1)] {
+            cat.remove_extent(gone).unwrap();
+            add_person(&mut cat, back + 5);
+            let patched = cache
+                .get_or_plan(query, &cat, &optimizer, || -> Result<Plan, String> {
+                    panic!("a class's new first member is patched in")
+                })
+                .unwrap();
+            let fresh = optimizer.optimize_text(query, &cat).unwrap();
+            assert_eq!(patched.physical, fresh.physical);
+            assert_eq!(patched.logical, fresh.logical);
+            assert_eq!(patched.alternatives, fresh.alternatives);
+        }
+        assert_eq!(cache.patches(), 2);
+    }
+
     /// A text planned for `generation` (the plan itself does not matter).
     fn plan_at(query: &str, generation: u64) -> Plan {
         let mut plan = optimizer()

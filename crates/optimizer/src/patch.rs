@@ -19,10 +19,11 @@
 //! the patched plan again, each kept member costed as at planning time and
 //! each new one from the store — bit for bit the walk a fresh search of
 //! the patched plan makes over the same calibration — and the patch holds
-//! only if the same strategy wins.  Anything else — another kind of
-//! change, a name that now resolves to one extent or none, a new class, a
-//! class that loses its first member (its template names it), a changed
-//! winner — is left to planning again.  A patched plan equals the plan
+//! only if the same strategy wins.  A class whose first member changed
+//! has its template named after the new one, as classing names it.
+//! Anything else — another kind of change, a name that now resolves to
+//! one extent or none, a new class, a class left empty or met out of its
+//! order, a changed winner — is left to planning again.  A patched plan equals the plan
 //! the text would be planned to from scratch: the physical plan differs
 //! in member lists only, and the [`Patch`] says which.
 
@@ -208,6 +209,21 @@ fn outside_nodes<'a>(plan: &'a LogicalExpr, f: &mut impl FnMut(&'a LogicalExpr))
 /// A node's members before a patch, and after.
 type Repointed = (Arc<[Member]>, Arc<[Member]>);
 
+/// The first member of each class of `members` whose first member in
+/// `before` was another: the classes whose template is named anew.
+fn renamed<'a>(
+    before: &'a [Member],
+    after: &'a [Member],
+    classes: usize,
+) -> impl Iterator<Item = (usize, &'a Member)> {
+    (0..classes).filter_map(move |class| {
+        let first = |members: &'a [Member]| members.iter().find(|m| m.class == class);
+        let now = first(after)?;
+        (!first(before).is_some_and(|was| Arc::ptr_eq(&was.extent, &now.extent)))
+            .then_some((class, now))
+    })
+}
+
 /// A plan patched to a later catalog: what [`Optimizer::patch`] found,
 /// for a cache entry to apply to its own form of the plan.
 #[derive(Debug)]
@@ -251,8 +267,9 @@ impl Patch {
         self.alternatives[self.winner].cost
     }
 
-    /// Gives each patched node of `plan` its new members; `false` unless
-    /// each was found exactly once.
+    /// Gives each patched node of `plan` its new members — and each class
+    /// whose first member changed a template named after the new one;
+    /// `false` unless each was found exactly once.
     #[must_use]
     pub fn apply_logical(&self, plan: &mut LogicalExpr) -> bool {
         let mut found = vec![0usize; self.nodes.len()];
@@ -264,7 +281,11 @@ impl Patch {
         if let LogicalExpr::Extents(node) = plan {
             if let Some(at) = self.position(&node.members) {
                 found[at] += 1;
-                node.members = Arc::clone(&self.nodes[at].1);
+                let (before, after) = &self.nodes[at];
+                for (class, first) in renamed(before, after, node.templates.len()) {
+                    node.templates[class] = node.templates[class].instance(first);
+                }
+                node.members = Arc::clone(after);
             }
             return;
         }
@@ -283,7 +304,11 @@ impl Patch {
         if let PhysicalExpr::FanOut(node) = plan {
             if let Some(at) = self.position(&node.members) {
                 found[at] += 1;
-                node.members = Arc::clone(&self.nodes[at].1);
+                let (before, after) = &self.nodes[at];
+                for (class, first) in renamed(before, after, node.templates.len()) {
+                    node.templates[class] = node.templates[class].instance(first);
+                }
+                node.members = Arc::clone(after);
             }
             return;
         }
@@ -373,6 +398,10 @@ impl Optimizer {
             };
             match merged(&node.members, extents, classes, &is_changed, lookup) {
                 Some(members) => {
+                    let classes = node.templates.len();
+                    for (class, first) in renamed(&node.members, &members, classes) {
+                        node.templates[class] = node.templates[class].instance(first);
+                    }
                     nodes.push((Arc::clone(&node.members), Arc::clone(&members)));
                     node.members = members;
                 }
@@ -435,8 +464,9 @@ fn repoint_nodes(plan: &mut LogicalExpr, f: &mut impl FnMut(&mut Extents)) {
 /// The members of a node over `extents`, whose members were `old`: each
 /// old member whose extent is still there and not `changed` as it was,
 /// each other one new, in the class whose capabilities (`classes`) its
-/// wrapper has.  `None` when one has no class, or when a class loses its
-/// first member or gains a member before it.
+/// wrapper has.  `None` when one has no class, when a class has no member
+/// left, or when the classes no longer first appear in their order (a
+/// fresh plan would number them otherwise).
 fn merged(
     old: &[Member],
     extents: &[&MetaExtent],
@@ -469,13 +499,14 @@ fn merged(
             class,
         });
     }
-    // Each class's first member, before and after: the same one, kept.
-    for class in 0..classes.len() {
-        let before = old.iter().find(|m| m.class == class)?;
-        let after = members.iter().find(|m| m.class == class)?;
-        if !Arc::ptr_eq(&before.extent, &after.extent) {
+    // Classes are numbered in order of first appearance.
+    let mut met = 0;
+    for m in &members {
+        if m.class == met {
+            met += 1;
+        } else if m.class > met {
             return None;
         }
     }
-    Some(Arc::from(members))
+    (met == classes.len()).then(|| Arc::from(members))
 }

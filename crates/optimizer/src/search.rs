@@ -68,8 +68,8 @@ pub(crate) fn search(
 /// the two nodes share (its extent's name the same `Arc`) is costed as
 /// `memo` costed it; each other member is costed afresh.  The result is
 /// bit for bit what [`search`] finds for `patched` over the calibration
-/// `memo` was found with, provided every class of every node keeps its
-/// first member.  `None` when the two plans do not walk alike.
+/// `memo` was found with, provided each node's classes first appear in
+/// their order.  `None` when the two plans do not walk alike.
 pub(crate) fn search_again(
     patched: &LogicalExpr,
     old: &LogicalExpr,
@@ -131,7 +131,7 @@ struct Search<'p, 'a> {
     again: Option<Again<'a>>,
     /// The member whose branch is being costed, inside a node.
     member: Option<&'p Member>,
-    /// Inside a node searched again, the site index of each class met.
+    /// Inside a node searched again, the site index of each class.
     node_classes: Vec<Option<usize>>,
     /// The member being costed is one the memo costed: the memo's costs
     /// from its first site cost on, and how many the site took.
@@ -275,7 +275,12 @@ impl<'p, 'a> Search<'p, 'a> {
             None => None,
         };
         if old.is_some() {
-            self.node_classes = vec![None; node.templates.len()];
+            // Met in class order, as the members' first appearances meet
+            // them: a member skipped before its class's first member is
+            // costed must know its class's width.
+            self.node_classes = (node.templates.iter())
+                .map(|template| first_push_site(template).map(|site| self.site_index(site)))
+                .collect();
         }
         let mut next_old = 0;
         let mut total = [PlanCost::zero(); N];
@@ -344,15 +349,7 @@ impl<'p, 'a> Search<'p, 'a> {
     /// Every strategy's cost of the maximal push site `site`: a class's,
     /// costed with the names of the member being costed, if any.
     fn site(&mut self, site: &'p LogicalExpr) -> [PlanCost; N] {
-        let known = self.sites.iter().position(|of| std::ptr::eq(*of, site));
-        let at = known.unwrap_or_else(|| {
-            if self.again.is_none() {
-                let class = Class::new(site, self.member.is_some(), self.lookup);
-                self.classes.push(class);
-            }
-            self.sites.push(site);
-            self.sites.len() - 1
-        });
+        let at = self.site_index(site);
         let class = match &self.again {
             Some(again) => again.memo.classes.get(at),
             None => self.classes.get(at),
@@ -361,11 +358,6 @@ impl<'p, 'a> Search<'p, 'a> {
             self.mismatch = true;
             return [PlanCost::zero(); N];
         };
-        if let (Some(member), Some(_)) = (self.member, &self.again) {
-            if let Some(slot) = self.node_classes.get_mut(member.class) {
-                *slot = Some(at);
-            }
-        }
         let width = class.rewrites.len();
         let mut costs = [PlanCost::zero(); N];
         match &mut self.known {
@@ -391,6 +383,20 @@ impl<'p, 'a> Search<'p, 'a> {
             *size += class.rewrites[r].tree.size();
         }
         class.of.map(|r| costs[r])
+    }
+
+    /// The index of `site`'s class: the class met there, or the next one
+    /// (built, or the memo's when searching again).
+    fn site_index(&mut self, site: &'p LogicalExpr) -> usize {
+        let known = self.sites.iter().position(|of| std::ptr::eq(*of, site));
+        known.unwrap_or_else(|| {
+            if self.again.is_none() {
+                let class = Class::new(site, self.member.is_some(), self.lookup);
+                self.classes.push(class);
+            }
+            self.sites.push(site);
+            self.sites.len() - 1
+        })
     }
 
     /// The cost of `tree`, a class's rewrite or a node of one; `execs` are
@@ -427,6 +433,20 @@ impl<'p, 'a> Search<'p, 'a> {
             _ => unreachable!("a push site holds submits, filters, projections and joins"),
         }
     }
+}
+
+/// The first maximal push site of `tree`, in walk order.
+fn first_push_site(tree: &LogicalExpr) -> Option<&LogicalExpr> {
+    if rules::is_push_site(tree) {
+        return Some(tree);
+    }
+    let mut found = None;
+    tree.for_each_child(&mut |child| {
+        if found.is_none() {
+            found = first_push_site(child);
+        }
+    });
+    found
 }
 
 /// Whether `a` and `b` are the same member of two versions of a node: a

@@ -28,9 +28,11 @@
 //! the entry ([`disco_optimizer::Optimizer::patch`]): the fan-out's member
 //! list is replaced and the call table spliced — every untouched
 //! [`Call`] is shared with the entry it came from, a removed member's
-//! call is dropped and an added member's is made as above.  A table one
-//! of whose calls serves two places of the plan is not spliced; the text
-//! is planned again instead.
+//! call is dropped and an added member's is made as above.  A class whose
+//! template is named after a new first member gets a template call of its
+//! own, and its members' calls point to it.  A table one of whose calls
+//! serves two places of the plan is not spliced; the text is planned
+//! again instead.
 //!
 //! There is one resolution path: [`Executor::execute`] and
 //! [`resolve_execs_streamed`] prepare a table for the plan they are given
@@ -311,7 +313,7 @@ impl CallTable {
             }
             calls.extend(self.calls[next..first].iter().cloned());
             next = first + indices.len();
-            let made = self.spliced(
+            let made = Self::spliced(
                 &old_node.members,
                 new_node,
                 &self.calls[first..next],
@@ -359,17 +361,35 @@ impl CallTable {
     }
 
     /// The calls of `node`'s members, whose members were `old` with the
-    /// calls `calls`: a kept member's (the same names, shared) as it was,
-    /// another's made from its class's first member's call.
+    /// calls `calls`: a kept member's (the same names) as it was — shared,
+    /// unless its class's template was named anew, which a class's
+    /// members' calls share — another's made from an old call of its
+    /// class.
     fn spliced(
-        &self,
         old: &[Member],
         node: &FanOut,
         calls: &[Arc<Call>],
         catalog: &Catalog,
     ) -> Option<Vec<Arc<Call>>> {
+        // Per class: an old member's call, and its template's call now.
+        let mut classes: Vec<Option<(&Arc<Call>, Arc<TemplateCall>)>> =
+            vec![None; node.templates.len()];
+        for (m, call) in old.iter().zip(calls) {
+            let class = classes.get_mut(m.class)?;
+            if class.is_none() {
+                let known = call.template.as_ref()?;
+                let now = template_call(&node.templates[m.class])?;
+                let template = match Arc::ptr_eq(&known.expr, now) {
+                    true => Arc::clone(known),
+                    false => Arc::new(TemplateCall {
+                        expr: Arc::clone(now),
+                        keys: OnceLock::new(),
+                    }),
+                };
+                *class = Some((call, template));
+            }
+        }
         let mut out = Vec::with_capacity(node.members.len());
-        let mut firsts: Vec<Option<Arc<Call>>> = vec![None; node.templates.len()];
         let mut at = 0;
         for member in node.members.iter() {
             while old.get(at).is_some_and(|o| {
@@ -377,18 +397,18 @@ impl CallTable {
             }) {
                 at += 1;
             }
+            let (model, template) = classes.get(member.class)?.as_ref()?;
             let call = match old.get(at) {
                 Some(o) if Arc::ptr_eq(&o.extent, &member.extent) => {
                     at += 1;
-                    Arc::clone(&calls[at - 1])
+                    let kept = &calls[at - 1];
+                    match kept.template.as_ref() {
+                        Some(t) if Arc::ptr_eq(t, template) => Arc::clone(kept),
+                        _ => Arc::new(kept.with_template(template)),
+                    }
                 }
-                _ => Arc::new(
-                    firsts[member.class]
-                        .as_deref()?
-                        .for_member(member, catalog)?,
-                ),
+                _ => Arc::new(model.for_member(member, template, catalog)?),
             };
-            firsts[member.class].get_or_insert_with(|| Arc::clone(&call));
             out.push(call);
         }
         Some(out)
@@ -570,11 +590,16 @@ impl PartialEq for Call {
 }
 
 impl Call {
-    /// The call of `member`, a member of this call's class: its class
-    /// template's, shipped with the member's names, its shape this call's
-    /// when the two extents' interfaces and maps are alike.
-    fn for_member(&self, member: &Member, catalog: &Catalog) -> Option<Call> {
-        let template = self.template.as_ref()?;
+    /// The call of `member`, a member of this call's class whose template
+    /// call is `template`: the template's, shipped with the member's
+    /// names, its shape this call's when the two extents' interfaces and
+    /// maps are alike.
+    fn for_member(
+        &self,
+        member: &Member,
+        template: &Arc<TemplateCall>,
+        catalog: &Catalog,
+    ) -> Option<Call> {
         let meta = catalog.extent(&member.extent).ok()?;
         let interface = meta.interface();
         let alike = catalog
@@ -598,6 +623,19 @@ impl Call {
             shape,
             calibration: OnceLock::new(),
         })
+    }
+
+    /// This call, its class's template call `template`.
+    fn with_template(&self, template: &Arc<TemplateCall>) -> Call {
+        Call {
+            repository: Arc::clone(&self.repository),
+            extent: Arc::clone(&self.extent),
+            wrapper: Arc::clone(&self.wrapper),
+            template: Some(Arc::clone(template)),
+            expr: Arc::clone(&self.expr),
+            shape: Arc::clone(&self.shape),
+            calibration: self.calibration.clone(),
+        }
     }
 
     /// Whether this is the call of an `exec` node with these fields.  A
