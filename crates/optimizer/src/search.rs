@@ -275,9 +275,10 @@ impl<'p, 'a> Search<'p, 'a> {
             None => None,
         };
         if old.is_some() {
-            // Met in class order, as the members' first appearances meet
-            // them: a member skipped before its class's first member is
-            // costed must know its class's width.
+            // The node's classes are met in class order — the order its
+            // members' first appearances meet them in — so that an old
+            // member skipped before any of its class is costed has its
+            // costs' width known.
             self.node_classes = (node.templates.iter())
                 .map(|template| first_push_site(template).map(|site| self.site_index(site)))
                 .collect();
@@ -316,9 +317,8 @@ impl<'p, 'a> Search<'p, 'a> {
 
     /// Skips the old members from `from` on that come before `to` and are
     /// not it — all of them without `to` — and the memo's costs of them;
-    /// the index of the first not skipped.  A member whose class has not
-    /// been met in this node cannot be skipped: its costs' width is not
-    /// known.
+    /// the index of the first not skipped.  A member whose class template
+    /// has no push site cannot be skipped: its costs' width is not known.
     fn skip_old(&mut self, old: &[Member], from: usize, to: Option<&Member>) -> usize {
         let mut at = from;
         while let Some(o) = old.get(at) {
