@@ -7,14 +7,12 @@
 //! * `submit` → `exec` (the wrapper call),
 //! * mediator joins → hash join when an equi-join key pair can be split
 //!   across the two inputs, nested-loop join otherwise,
-//! * an interface's extent → one fan-out, and a union two or more of
-//!   whose branches are alike but for the names of the one source each
-//!   reads → a fan-out too (see [`lower`]),
+//! * an [`Extents`](crate::Extents) node → one fan-out,
 //! * everything else maps one-to-one onto its `mk*` algorithm.
 
 use std::sync::Arc;
 
-use crate::logical::{LogicalExpr, Member};
+use crate::logical::LogicalExpr;
 use crate::physical::{FanOut, PhysicalExpr};
 use crate::scalar::{ScalarExpr, ScalarOp};
 use crate::{AlgebraError, Result};
@@ -22,15 +20,9 @@ use crate::{AlgebraError, Result};
 /// Lowers a logical plan to a physical plan.
 ///
 /// An [`Extents`](crate::Extents) node becomes a [`FanOut`] over its
-/// members and classes.  So does an explicit union in which two or more
-/// branches are alike once the names of the one source each reads are
-/// set aside (a resubmitted partial answer, a written-out union): each
-/// branch is a member — of the class of the branches it is alike with,
-/// or of a class of its own — and the fan-out keeps their order.  A union
-/// with no two branches alike, or with a branch reading two sources,
-/// stays a `mkunion`.  This is the one place an explicit union's classes
-/// are found: the plan search costs each of its push sites as a class of
-/// its own.
+/// members and classes, and a union a `mkunion`: the classes of an
+/// explicit union's branches are found before, when normalization folds
+/// it into a node ([`crate::rules::simplify_union`]).
 ///
 /// # Errors
 ///
@@ -80,13 +72,9 @@ pub fn lower(logical: &LogicalExpr) -> Result<PhysicalExpr> {
             right,
             predicate,
         } => lower_join(left, right, predicate.as_ref()),
-        LogicalExpr::Union(items) => {
-            let branches = items.iter().map(lower).collect::<Result<Vec<_>>>()?;
-            Ok(match fan_out_of(&branches) {
-                Some(fan_out) => PhysicalExpr::FanOut(fan_out),
-                None => PhysicalExpr::MkUnion(branches),
-            })
-        }
+        LogicalExpr::Union(items) => Ok(PhysicalExpr::MkUnion(
+            items.iter().map(lower).collect::<Result<_>>()?,
+        )),
         LogicalExpr::Flatten(inner) => Ok(PhysicalExpr::MkFlatten(Box::new(lower(inner)?))),
         LogicalExpr::Distinct(inner) => Ok(PhysicalExpr::MkDistinct(Box::new(lower(inner)?))),
         LogicalExpr::Aggregate { func, input } => Ok(PhysicalExpr::MkAggregate {
@@ -97,155 +85,6 @@ pub fn lower(logical: &LogicalExpr) -> Result<PhysicalExpr> {
             members: Arc::clone(&node.members),
             templates: node.templates.iter().map(lower).collect::<Result<_>>()?,
         })),
-    }
-}
-
-/// The fan-out of a union's lowered `branches`, when two or more are
-/// alike; see [`lower`].  The branches are compared in place, and a
-/// member's names are copied only once a fan-out is formed.
-fn fan_out_of(branches: &[PhysicalExpr]) -> Option<FanOut> {
-    let execs = branches.iter().map(exec_of).collect::<Option<Vec<_>>>()?;
-    // Per class, its first branch; per branch, its class.
-    let mut firsts: Vec<usize> = Vec::new();
-    let mut classes = Vec::with_capacity(branches.len());
-    for branch in branches {
-        let class = firsts
-            .iter()
-            .position(|&first| alike(&branches[first], branch));
-        classes.push(class.unwrap_or_else(|| {
-            firsts.push(classes.len());
-            firsts.len() - 1
-        }));
-    }
-    if firsts.len() == branches.len() {
-        return None;
-    }
-    let members = execs.iter().zip(classes).map(|(exec, class)| {
-        let (repository, wrapper, extent) = match exec {
-            Some(PhysicalExpr::Exec {
-                repository,
-                wrapper,
-                extent,
-                ..
-            }) => (repository.as_str(), wrapper.as_str(), extent.as_str()),
-            _ => ("", "", ""),
-        };
-        Member {
-            repository: Arc::from(repository),
-            wrapper: Arc::from(wrapper),
-            extent: Arc::from(extent),
-            class,
-        }
-    });
-    Some(FanOut {
-        members: members.collect(),
-        templates: firsts
-            .iter()
-            .map(|&first| branches[first].clone())
-            .collect(),
-    })
-}
-
-/// The `exec` of the one source `branch` reads (`Some(None)` when it
-/// reads none); `None` when it reads two, or ships a get of a collection
-/// other than its extent.
-fn exec_of(branch: &PhysicalExpr) -> Option<Option<&PhysicalExpr>> {
-    let (mut exec, mut sources) = (None, 0);
-    branch.walk(&mut |node| match node {
-        PhysicalExpr::Exec { .. } => {
-            exec = Some(node);
-            sources += 1;
-        }
-        // Its templates' execs stand for two or more members'.
-        PhysicalExpr::FanOut(_) => sources += 2,
-        _ => {}
-    });
-    match exec {
-        Some(PhysicalExpr::Exec {
-            extent, logical, ..
-        }) if sources == 1 => {
-            let mut own = true;
-            logical.walk(&mut |e| {
-                if let LogicalExpr::Get { collection } = e {
-                    own &= collection == extent;
-                }
-            });
-            own.then_some(exec)
-        }
-        _ => (sources == 0).then_some(None),
-    }
-}
-
-/// Whether the branches `a` and `b`, each reading at most one source
-/// ([`exec_of`]), are equal once that source's names are set aside: its
-/// `exec`'s repository, wrapper and extent, and the gets it ships.
-fn alike(a: &PhysicalExpr, b: &PhysicalExpr) -> bool {
-    use PhysicalExpr as P;
-    match (a, b) {
-        (P::Exec { logical: x, .. }, P::Exec { logical: y, .. }) => ships_alike(x, y),
-        (
-            P::FilterOp { input, predicate },
-            P::FilterOp {
-                input: other,
-                predicate: theirs,
-            },
-        ) => predicate == theirs && alike(input, other),
-        (
-            P::ProjectOp { input, columns },
-            P::ProjectOp {
-                input: other,
-                columns: theirs,
-            },
-        ) => columns == theirs && alike(input, other),
-        (
-            P::MapOp { input, projection },
-            P::MapOp {
-                input: other,
-                projection: theirs,
-            },
-        ) => projection == theirs && alike(input, other),
-        (
-            P::BindOp { var, input },
-            P::BindOp {
-                var: theirs,
-                input: other,
-            },
-        ) => var == theirs && alike(input, other),
-        (
-            P::MkAggregate { func, input },
-            P::MkAggregate {
-                func: theirs,
-                input: other,
-            },
-        ) => func == theirs && alike(input, other),
-        (P::MkFlatten(input), P::MkFlatten(other))
-        | (P::MkDistinct(input), P::MkDistinct(other)) => alike(input, other),
-        // Anything else — a scan, a join — is compared whole.
-        _ => a == b,
-    }
-}
-
-/// [`alike`] for the expressions two `exec`s ship: equal but for the
-/// collections of their gets.
-fn ships_alike(a: &LogicalExpr, b: &LogicalExpr) -> bool {
-    use LogicalExpr as L;
-    match (a, b) {
-        (L::Get { .. }, L::Get { .. }) => true,
-        (
-            L::Filter { input, predicate },
-            L::Filter {
-                input: other,
-                predicate: theirs,
-            },
-        ) => predicate == theirs && ships_alike(input, other),
-        (
-            L::Project { input, columns },
-            L::Project {
-                input: other,
-                columns: theirs,
-            },
-        ) => columns == theirs && ships_alike(input, other),
-        _ => a == b,
     }
 }
 
@@ -427,54 +266,6 @@ mod tests {
         );
         // Lowering then converting back to logical is the identity on this shape.
         assert_eq!(physical.to_logical(), logical);
-    }
-
-    #[test]
-    fn a_union_of_like_branches_lowers_to_a_fan_out_in_branch_order() {
-        let branch = |extent: &str, repo: &str| submit(extent, repo).project(["name"]);
-        let logical = LogicalExpr::Union(vec![
-            branch("person0", "r0"),
-            LogicalExpr::Data(Bag::new()),
-            branch("person1", "r1"),
-            branch("person2", "r2"),
-        ]);
-        let physical = lower(&logical).unwrap();
-        let PhysicalExpr::FanOut(node) = &physical else {
-            panic!("three alike branches are a fan-out: {physical}");
-        };
-        let classes: Vec<usize> = node.members.iter().map(|m| m.class).collect();
-        assert_eq!(classes, [0, 1, 0, 0]);
-        assert_eq!(
-            physical.to_string(),
-            "mkunion(mkproj(name, exec(field(r0), get(person0))), memscan(Bag()), \
-             mkproj(name, exec(field(r1), get(person1))), mkproj(name, exec(field(r2), get(person2))))"
-        );
-        assert_eq!(physical.to_logical().to_string(), logical.to_string());
-        // No two alike: a union as before.
-        let unlike = LogicalExpr::Union(vec![branch("person0", "r0"), submit("person1", "r1")]);
-        assert!(matches!(lower(&unlike).unwrap(), PhysicalExpr::MkUnion(_)));
-        // Shipped expressions alike but for their gets, or not.
-        let filtered = |extent: &str, repo: &str, bound: i64| {
-            LogicalExpr::get(extent)
-                .filter(ScalarExpr::binary(
-                    ScalarOp::Gt,
-                    ScalarExpr::attr("salary"),
-                    ScalarExpr::constant(bound),
-                ))
-                .submit(repo, "w0", extent)
-        };
-        let alike = LogicalExpr::Union(vec![filtered("person0", "r0", 1), filtered("a", "r1", 1)]);
-        assert!(matches!(lower(&alike).unwrap(), PhysicalExpr::FanOut(_)));
-        let unlike = LogicalExpr::Union(vec![filtered("person0", "r0", 1), filtered("a", "r1", 2)]);
-        assert!(matches!(lower(&unlike).unwrap(), PhysicalExpr::MkUnion(_)));
-        // A branch shipping a get of another collection than its extent's.
-        let foreign = LogicalExpr::get("person9").submit("r1", "w0", "person1");
-        let mixed = LogicalExpr::Union(vec![
-            submit("person0", "r0"),
-            submit("person2", "r2"),
-            foreign,
-        ]);
-        assert!(matches!(lower(&mixed).unwrap(), PhysicalExpr::MkUnion(_)));
     }
 
     #[test]

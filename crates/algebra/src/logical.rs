@@ -117,10 +117,10 @@ pub enum LogicalExpr {
         /// name space; `exec` applies the map).
         expr: Box<LogicalExpr>,
     },
-    /// The extent of an interface over two or more member extents: the
-    /// bag union of one branch per member, held as one branch template
-    /// per capability class (see [`Extents`]).  It prints, converts to
-    /// OQL and compares as that union.
+    /// The extent of an interface over two or more member extents, or a
+    /// union of like branches: the bag union of one branch per member,
+    /// held as one branch template per class (see [`Extents`]).  It
+    /// prints, converts to OQL and compares as that union.
     Extents(Extents),
 }
 
@@ -138,31 +138,32 @@ pub struct Member {
     pub class: usize,
 }
 
-/// The extent of an interface: the union of its members' branches, each
-/// the template of its class with the member's names.
+/// The extent of an interface, or a union of like branches: the union of
+/// its members' branches, each the template of its class with the
+/// member's names.
 ///
 /// A template compiled from an interface holds one `submit(get)` and the
-/// unary operators rules distributed over it.  Its submit and get name no
-/// source until the optimizer forms the classes
-/// ([`crate::rules::classify_extents`]): members whose wrappers have equal
-/// capabilities share a class, and each class's template names its first
-/// member, so that the capability-checked rules rewrite it for all of
-/// them.  Members stay in catalog order.  (A node read back from a
-/// lowered explicit union has that union's branches as its templates;
-/// see [`crate::lower`].)
+/// unary operators rules distributed over it; a folded union's are its
+/// branches, one per class of alike branches
+/// ([`crate::rules::simplify_union`]).  A template's submit and gets name
+/// no source until the optimizer forms the classes
+/// ([`crate::rules::classify_extents`]): members of one template whose
+/// wrappers have equal capabilities share a class, and each class's
+/// template names its first member, so that the capability-checked rules
+/// rewrite it for all of them.  Members stay in catalog (or branch) order.
 ///
 /// Equality is that of the expansion: the same members, each with the
 /// same branch, however the members are classed (and whatever its name).
 #[derive(Debug, Clone)]
 pub struct Extents {
-    /// The members, in catalog order.
+    /// The members, in catalog (or branch) order.
     pub members: Arc<[Member]>,
     /// One branch template per class.
     pub templates: Vec<LogicalExpr>,
     /// The collection name the node was compiled from (`person`,
     /// `person*`), by which a cached plan finds the node again when an
-    /// extent of it is added or removed; `None` for a node read back from
-    /// a physical plan.
+    /// extent of it is added or removed; `None` for a folded union and a
+    /// node read back from a physical plan.
     pub name: Option<Arc<str>>,
 }
 
@@ -223,31 +224,13 @@ impl Extents {
 
 impl PartialEq for Extents {
     fn eq(&self, other: &Self) -> bool {
-        let named_alike = self.members.len() == other.members.len()
+        self.members.len() == other.members.len()
             && self.members.iter().zip(other.members.iter()).all(|(a, b)| {
-                a.repository == b.repository && a.wrapper == b.wrapper && a.extent == b.extent
-            });
-        if !named_alike {
-            return false;
-        }
-        // Each pair of classes members fall in must make equal branches.
-        let mut pairs: Vec<(usize, usize)> = self
-            .members
-            .iter()
-            .zip(other.members.iter())
-            .map(|(a, b)| (a.class, b.class))
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        let blank = Member {
-            repository: Arc::from(""),
-            wrapper: Arc::from(""),
-            extent: Arc::from(""),
-            class: 0,
-        };
-        pairs.iter().all(|&(a, b)| {
-            self.templates[a].instance(&blank) == other.templates[b].instance(&blank)
-        })
+                a.repository == b.repository
+                    && a.wrapper == b.wrapper
+                    && a.extent == b.extent
+                    && self.templates[a.class].same_but_names(&other.templates[b.class])
+            })
     }
 }
 
@@ -356,7 +339,7 @@ impl LogicalExpr {
         out
     }
 
-    fn name_after(&mut self, member: &Member) {
+    pub(crate) fn name_after(&mut self, member: &Member) {
         match self {
             LogicalExpr::Get { collection } => (*member.extent).clone_into(collection),
             LogicalExpr::Submit {
@@ -372,6 +355,41 @@ impl LogicalExpr {
             _ => {}
         }
         self.for_each_child_mut(&mut |child| child.name_after(member));
+    }
+
+    /// Whether the plan equals `other` once the names of the sources they
+    /// read are set aside: each get's collection, and each submit's
+    /// repository, wrapper and extent.  Never for an [`Extents`] node,
+    /// whose members are names too.
+    pub(crate) fn same_but_names(&self, other: &LogicalExpr) -> bool {
+        use LogicalExpr as L;
+        let mut same = match (self, other) {
+            (L::Get { .. }, L::Get { .. }) | (L::Submit { .. }, L::Submit { .. }) => true,
+            (L::Flatten(_), L::Flatten(_)) | (L::Distinct(_), L::Distinct(_)) => true,
+            (L::Data(x), L::Data(y)) => x == y,
+            (L::Filter { predicate: x, .. }, L::Filter { predicate: y, .. }) => x == y,
+            (L::Project { columns: x, .. }, L::Project { columns: y, .. }) => x == y,
+            (L::MapProject { projection: x, .. }, L::MapProject { projection: y, .. }) => x == y,
+            (L::Bind { var: x, .. }, L::Bind { var: y, .. }) => x == y,
+            (L::Aggregate { func: x, .. }, L::Aggregate { func: y, .. }) => x == y,
+            (L::SourceJoin { on: x, .. }, L::SourceJoin { on: y, .. }) => x == y,
+            (L::Join { predicate: x, .. }, L::Join { predicate: y, .. }) => x == y,
+            (L::Union(x), L::Union(y)) => x.len() == y.len(),
+            _ => false,
+        };
+        // The `i`-th child of each, without collecting them.
+        let mut i = 0;
+        self.for_each_child(&mut |x| {
+            let mut j = 0;
+            other.for_each_child(&mut |y| {
+                if same && i == j {
+                    same = x.same_but_names(y);
+                }
+                j += 1;
+            });
+            i += 1;
+        });
+        same
     }
 
     /// Immediate children of this node.

@@ -135,20 +135,22 @@ pub enum PhysicalExpr {
         /// Input plan.
         input: Box<PhysicalExpr>,
     },
-    /// The fan-out of an interface's extent ([`LogicalExpr::Extents`]):
-    /// the bag union of one branch per member, each its class's template
-    /// with the member's names.  It prints as that `mkunion`.
+    /// The fan-out of an [`LogicalExpr::Extents`] node — an interface's
+    /// extent or a folded union: the bag union of one branch per member,
+    /// each its class's template with the member's names.  It prints as
+    /// that `mkunion`.
     FanOut(FanOut),
 }
 
-/// The members of an interface's extent and one lowered branch template
-/// per class; see [`Extents`].
+/// The members of an [`Extents`] node and one lowered branch template per
+/// class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FanOut {
-    /// The members, in catalog order, shared with the logical node.
+    /// The members, in catalog (or branch) order, shared with the logical
+    /// node.
     pub members: Arc<[Member]>,
     /// One branch template per class: its `exec` is the class's first
-    /// member's.
+    /// member's, or names no source in a node lowered unclassed.
     pub templates: Vec<PhysicalExpr>,
 }
 

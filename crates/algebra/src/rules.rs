@@ -28,9 +28,10 @@
 //! which are its children: distributing an operator over the node wraps
 //! each template once, whatever the number of members.  A template names
 //! no wrapper until its node's classes are formed, and a capability-checked
-//! rule handed an unclassed node forms them ([`classify_extents`]) before
-//! anything is pushed into it, so that each class's template is rewritten
-//! as each of its members' branches would be.
+//! rule handed an unclassed node forms them ([`classify_extents`]) and
+//! rewrites the templates with itself, so that each class's template is
+//! rewritten as each of its members' branches would be.  Forming classes
+//! changes no branch, so the rule keeps them only if it pushed something.
 
 use std::sync::Arc;
 
@@ -129,28 +130,52 @@ fn push_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bo
     accepted
 }
 
+/// `rule`, a capability-checked rule, handed an unclassed [`Extents`]
+/// node: forms its classes ([`classify_extents`]) and rewrites its
+/// templates with `rule`, keeping the classes only if that rewrote one.
+/// `None` for any other node.
+fn push_into_node(
+    expr: &mut LogicalExpr,
+    lookup: &dyn CapabilityLookup,
+    rule: fn(&mut LogicalExpr, &dyn CapabilityLookup) -> bool,
+) -> Option<bool> {
+    if !matches!(expr, LogicalExpr::Extents(node) if !node.is_classified()) {
+        return None;
+    }
+    let unclassed = expr.clone();
+    classify_extents(expr, lookup);
+    let pushed = expr.rewrite_in_place(&|e| rule(e, lookup));
+    if !pushed {
+        *expr = unclassed;
+    }
+    Some(pushed)
+}
+
 /// R1 — push a filter into a `submit` when the wrapper supports it:
 /// `select(p, submit(r, e))  →  submit(r, select(p, e))`.
-/// Like every capability-checked rule, it forms the classes of an
-/// unclassed [`Extents`] node first ([`classify_extents`]).
+/// Like every capability-checked rule, it rewrites an unclassed
+/// [`Extents`] node with its classes formed, and keeps them only if it
+/// pushed something.
 pub fn push_filter_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
-    classify_extents(expr, lookup)
-        || (matches!(expr, LogicalExpr::Filter { .. }) && push_into_submit(expr, lookup))
+    push_into_node(expr, lookup, push_filter_into_submit).unwrap_or_else(|| {
+        matches!(expr, LogicalExpr::Filter { .. }) && push_into_submit(expr, lookup)
+    })
 }
 
 /// R2 — push a projection into a `submit` when the wrapper supports it:
 /// `project(a…, submit(r, e))  →  submit(r, project(a…, e))`.
 pub fn push_project_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
-    classify_extents(expr, lookup)
-        || (matches!(expr, LogicalExpr::Project { .. }) && push_into_submit(expr, lookup))
+    push_into_node(expr, lookup, push_project_into_submit).unwrap_or_else(|| {
+        matches!(expr, LogicalExpr::Project { .. }) && push_into_submit(expr, lookup)
+    })
 }
 
 /// R3 — merge two submits to the *same* repository and wrapper into one
 /// source-side join (the §3.2 employee/manager example):
 /// `join(submit(r,e1), submit(r,e2), on) → submit(r, join(e1, e2, on))`.
 pub fn push_join_into_submit(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
-    if classify_extents(expr, lookup) {
-        return true;
+    if let Some(pushed) = push_into_node(expr, lookup, push_join_into_submit) {
+        return pushed;
     }
     let LogicalExpr::SourceJoin { left, right, .. } = expr else {
         return false;
@@ -338,8 +363,8 @@ pub fn push_project_below_filter(expr: &mut LogicalExpr) -> bool {
 /// it is undone and the rule reports `false` — the one combination of
 /// rules that could rewrite a node and end up where it started.
 pub fn push_project_past_filter(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
-    if classify_extents(expr, lookup) {
-        return true;
+    if let Some(pushed) = push_into_node(expr, lookup, push_project_past_filter) {
+        return pushed;
     }
     if !push_project_below_filter(expr) {
         return false;
@@ -351,9 +376,15 @@ pub fn push_project_past_filter(expr: &mut LogicalExpr, lookup: &dyn CapabilityL
     pushed
 }
 
-/// R10 — flatten nested unions, expand [`Extents`] nodes among a union's
-/// branches, and drop empty data branches:
-/// `union(union(a,b), data(), c) → union(a, b, c)`.
+/// R10 — flatten nested unions and drop empty data branches:
+/// `union(union(a,b), data(), c) → union(a, b, c)`; then fold a union
+/// whose branches each read at most one source (its gets naming that
+/// source's extent), two or more of them alike once those names are set
+/// aside, into one nameless [`Extents`] node: the one place an explicit
+/// union's branches are classed.  Each branch is a member in branch order
+/// (one reading no source with empty names, a nested node's members as
+/// they are), and each class of alike branches one template with its
+/// names blanked, which [`classify_extents`] splits by capability.
 pub fn simplify_union(expr: &mut LogicalExpr) -> bool {
     let LogicalExpr::Union(items) = expr else {
         return false;
@@ -361,36 +392,128 @@ pub fn simplify_union(expr: &mut LogicalExpr) -> bool {
     let drop_empty_data = items.len() > 1;
     let is_empty_data =
         |item: &LogicalExpr| matches!(item, LogicalExpr::Data(bag) if bag.is_empty());
-    if !items.iter().any(|item| {
-        matches!(item, LogicalExpr::Union(_) | LogicalExpr::Extents(_))
-            || (drop_empty_data && is_empty_data(item))
-    }) {
-        return false;
-    }
-    let mut flat = Vec::with_capacity(items.len());
-    for item in items.drain(..) {
-        match item {
-            LogicalExpr::Union(nested) => flat.extend(nested),
-            LogicalExpr::Extents(node) => {
-                flat.extend((0..node.members.len()).map(|i| node.branch(i)));
+    let flattens = items.iter().any(|item| {
+        matches!(item, LogicalExpr::Union(_)) || (drop_empty_data && is_empty_data(item))
+    });
+    if flattens {
+        let mut flat = Vec::with_capacity(items.len());
+        for item in items.drain(..) {
+            match item {
+                LogicalExpr::Union(nested) => flat.extend(nested),
+                data if drop_empty_data && is_empty_data(&data) => {}
+                other => flat.push(other),
             }
-            data if drop_empty_data && is_empty_data(&data) => {}
-            other => flat.push(other),
+        }
+        *items = flat;
+        if items.len() < 2 {
+            *expr = items
+                .pop()
+                .unwrap_or(LogicalExpr::Data(disco_value::Bag::new()));
+            return true;
         }
     }
-    *expr = match flat.len() {
-        0 => LogicalExpr::Data(disco_value::Bag::new()),
-        1 => flat.pop().expect("one item"),
-        _ => LogicalExpr::Union(flat),
+    fold(expr) || flattens
+}
+
+/// Folds the union `expr` into one node (see [`simplify_union`]); `false`,
+/// leaving it untouched, when the fold does not fire.
+fn fold(expr: &mut LogicalExpr) -> bool {
+    let LogicalExpr::Union(items) = expr else {
+        return false;
     };
+    let nested = |item: &LogicalExpr| matches!(item, LogicalExpr::Extents(_));
+    let foldable = |item: &LogicalExpr| nested(item) || source_of(item).is_some();
+    let alike_later = |i: usize| {
+        let item = &items[i];
+        nested(item)
+            || items[i + 1..]
+                .iter()
+                .any(|other| item.same_but_names(other))
+    };
+    if !items.iter().all(foldable) || !(0..items.len()).any(alike_later) {
+        return false;
+    }
+    let none: Arc<str> = Arc::from("");
+    let blank = Member {
+        repository: Arc::clone(&none),
+        wrapper: Arc::clone(&none),
+        extent: none,
+        class: 0,
+    };
+    let mut templates: Vec<LogicalExpr> = Vec::new();
+    let mut class_of = |template: LogicalExpr| {
+        let known = templates.iter().position(|t| *t == template);
+        known.unwrap_or_else(|| {
+            templates.push(template);
+            templates.len() - 1
+        })
+    };
+    let mut members = Vec::with_capacity(items.len());
+    for mut item in items.drain(..) {
+        if let LogicalExpr::Extents(node) = item {
+            let classes: Vec<usize> = (node.templates.iter())
+                .map(|template| class_of(template.instance(&blank)))
+                .collect();
+            members.extend(node.members.iter().map(|m| Member {
+                class: classes[m.class],
+                ..m.clone()
+            }));
+            continue;
+        }
+        let mut member = match source_of(&item).flatten() {
+            Some((r, w, e)) => Member {
+                repository: Arc::from(r),
+                wrapper: Arc::from(w),
+                extent: Arc::from(e),
+                class: 0,
+            },
+            None => blank.clone(),
+        };
+        item.name_after(&blank);
+        member.class = class_of(item);
+        members.push(member);
+    }
+    *expr = LogicalExpr::Extents(Extents {
+        members: Arc::from(members),
+        templates,
+        name: None,
+    });
     true
 }
 
-/// Forms the classes of an unclassed [`Extents`] node: members whose
-/// wrappers have equal capabilities share a class, in order of first
-/// appearance, and each class's template — a copy of the node's one —
-/// names its first member, so that the capability-checked rules ask that
-/// member's wrapper for all of them.  Returns `true` iff it formed them.
+/// The repository, wrapper and extent of the one source `branch` reads
+/// (`Some(None)` when it reads none); `None` when it reads two, or gets
+/// a collection other than that source's extent.
+fn source_of(branch: &LogicalExpr) -> Option<Option<(&str, &str, &str)>> {
+    let (mut source, mut sources) = (None, 0);
+    branch.walk(&mut |e| match e {
+        LogicalExpr::Submit {
+            repository,
+            wrapper,
+            extent,
+            ..
+        } => {
+            source = Some((repository.as_str(), wrapper.as_str(), extent.as_str()));
+            sources += 1;
+        }
+        LogicalExpr::Extents(_) => sources += 2,
+        _ => {}
+    });
+    let mut own = sources < 2;
+    branch.walk(&mut |e| {
+        if let LogicalExpr::Get { collection } = e {
+            own &= source.is_some_and(|(_, _, extent)| extent == collection);
+        }
+    });
+    own.then_some(source)
+}
+
+/// Forms the classes of an unclassed [`Extents`] node: members of one
+/// template whose wrappers have equal capabilities share a class, in
+/// order of first appearance, and each class's template — a copy of its
+/// members' one — names its first member, so that the capability-checked
+/// rules ask that member's wrapper for all of them.  Returns `true` iff it
+/// formed them.
 pub fn classify_extents(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -> bool {
     let LogicalExpr::Extents(node) = expr else {
         return false;
@@ -398,22 +521,19 @@ pub fn classify_extents(expr: &mut LogicalExpr, lookup: &dyn CapabilityLookup) -
     if node.is_classified() {
         return false;
     }
-    let mut classes: Vec<(CapabilitySet, usize)> = Vec::new();
+    let mut classes: Vec<(usize, CapabilitySet, usize)> = Vec::new();
     let mut members: Vec<Member> = node.members.to_vec();
     for (i, member) in members.iter_mut().enumerate() {
-        let caps = caps_of(lookup, &member.wrapper);
-        member.class = match classes.iter().position(|(known, _)| *known == caps) {
-            Some(class) => class,
-            None => {
-                classes.push((caps, i));
-                classes.len() - 1
-            }
-        };
+        let key = (member.class, caps_of(lookup, &member.wrapper));
+        let known = (classes.iter()).position(|&(template, caps, _)| (template, caps) == key);
+        member.class = known.unwrap_or_else(|| {
+            classes.push((key.0, key.1, i));
+            classes.len() - 1
+        });
     }
-    let template = &node.templates[0];
     node.templates = classes
         .iter()
-        .map(|&(_, first)| template.instance(&members[first]))
+        .map(|&(template, _, first)| node.templates[template].instance(&members[first]))
         .collect();
     node.members = Arc::from(members);
     true
@@ -851,9 +971,13 @@ mod tests {
         .filter(salary_gt_10_env())
         .map_project(ScalarExpr::var_field("x", "name"));
         let normalized = normalize(&compiled);
-        // After normalization the union is outermost and each branch has a
-        // source-form filter below its bind.
-        match &normalized {
+        // After normalization the union — folded into one node — is
+        // outermost and each branch has a source-form filter below its bind.
+        let LogicalExpr::Extents(node) = &normalized else {
+            panic!("expected a node at top, got {normalized}");
+        };
+        assert_eq!(node.templates.len(), 1);
+        match &node.to_union() {
             LogicalExpr::Union(items) => {
                 assert_eq!(items.len(), 2);
                 for item in items {
@@ -940,14 +1064,13 @@ mod tests {
         };
         let node = normalize(&query(extents(5)));
         let union = normalize(&query(union_of_branches(5)));
-        // One template, whatever the number of members, printed and
-        // compared as the union.
+        // One template, whatever the number of members, printed as the
+        // union; the union folds into the very node.
         let LogicalExpr::Extents(template) = &node else {
             panic!("the node stays one node: {node}");
         };
         assert_eq!(template.templates.len(), 1);
-        assert_eq!(node.to_string(), union.to_string());
-        assert_eq!(node.size(), union.size());
+        assert_eq!(node, union);
         // The capability rules form the classes before pushing.
         let pushed = push_to_wrappers(&node, &lookup);
         let LogicalExpr::Extents(classed) = &pushed else {
@@ -960,10 +1083,70 @@ mod tests {
             pushed.to_string(),
             push_to_wrappers(&union, &lookup).to_string()
         );
-        // Among an explicit union's branches, the node is expanded.
-        let mut nested = LogicalExpr::Union(vec![extents(2), LogicalExpr::get("x")]);
-        assert!(simplify_union(&mut nested));
-        assert_eq!(nested.collect_submits().len(), 2);
-        assert_eq!(nested.size(), 6);
+    }
+
+    #[test]
+    fn a_union_of_like_branches_folds_into_a_node_in_branch_order() {
+        // `shipped` submitted to the source of `person{i}`.
+        let at = |i: usize, shipped: LogicalExpr| {
+            shipped.submit(format!("r{i}"), "w0", format!("person{i}"))
+        };
+        let person = |i: usize| at(i, LogicalExpr::get(format!("person{i}")));
+        // The node `items` fold into, if they do.
+        let fold = |items: Vec<LogicalExpr>| {
+            let mut plan = LogicalExpr::Union(items);
+            apply(&mut plan, simplify_union);
+            match plan {
+                LogicalExpr::Extents(node) => Some(node),
+                _ => None,
+            }
+        };
+        let classes = |node: &Extents| node.members.iter().map(|m| m.class).collect::<Vec<_>>();
+        let name = |i: usize| person(i).project(["name"]);
+        let union = vec![name(0), crate::data_of(["Sam"]), name(1), name(2)];
+        let node = fold(union.clone()).expect("three alike branches fold");
+        assert_eq!(classes(&node), [0, 1, 0, 0]);
+        assert_eq!((node.name.as_deref(), &*node.members[1].extent), (None, ""));
+        // Lowered, the node is a fan-out that prints as the union.
+        let (node, union) = (LogicalExpr::Extents(node), LogicalExpr::Union(union));
+        let physical = crate::lower(&node).unwrap();
+        assert!(matches!(physical, crate::PhysicalExpr::FanOut(_)));
+        let lowered = crate::lower(&union).unwrap();
+        assert_eq!(physical.to_string(), lowered.to_string());
+        assert_eq!(physical.to_logical().to_string(), union.to_string());
+        // No two alike; shipped expressions alike but for their gets, or
+        // not; a branch shipping a get of another collection than its
+        // extent's.
+        assert!(fold(vec![name(0), person(1)]).is_none());
+        let above = |i: usize, bound: i64| {
+            let salary = ScalarExpr::attr("salary");
+            let predicate = ScalarExpr::binary(ScalarOp::Gt, salary, ScalarExpr::constant(bound));
+            at(i, LogicalExpr::get(format!("person{i}")).filter(predicate))
+        };
+        assert!(fold(vec![above(0, 1), above(1, 1)]).is_some());
+        assert!(fold(vec![above(0, 1), above(1, 2)]).is_none());
+        assert!(fold(vec![
+            person(0),
+            person(2),
+            at(1, LogicalExpr::get("person9"))
+        ])
+        .is_none());
+        // A nested node's members join the node: union(person0, person*, student0).
+        let names = |i: usize| [format!("r{i}"), "w0".into(), format!("person{i}")];
+        let star =
+            Extents::new((0..2).map(|i| names(i).map(|name| Arc::from(name.as_str())).into()));
+        let student = LogicalExpr::get("student0").submit("r9", "w0", "student0");
+        let items = vec![
+            person(0),
+            LogicalExpr::Extents(star.named("person*")),
+            student,
+        ];
+        let node = fold(items).expect("a nested node folds");
+        assert_eq!((classes(&node), node.templates.len()), (vec![0; 4], 1));
+        assert_eq!(
+            LogicalExpr::Extents(node).to_string(),
+            "union(submit(r0, get(person0)), submit(r0, get(person0)), \
+             submit(r1, get(person1)), submit(r9, get(student0)))"
+        );
     }
 }

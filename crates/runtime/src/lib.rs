@@ -21,7 +21,8 @@
 //! finalizes the resolution.  A source that turns out (or is
 //! deadline-classified) unavailable unwinds the pass only to the root
 //! union branch that reads it — a member of a root fan-out (an interface's
-//! extent) is such a branch; the other branches stream on, and their
+//! extent, or a union of like branches) is such a branch; the other
+//! branches stream on, and their
 //! rows are the data of the partial answer, whose residual is §4's
 //! reduction of the lost branches.  Under a root that is not a union the
 //! loss ends the pass, and the answer is [`partial_evaluate`]'s: no data

@@ -92,7 +92,8 @@ fn a_lost_members_rows_do_not_set_the_first_row_time() {
         .register(Arc::new(LostAfterAChunk(RelationalWrapper::new(
             "w0", store, link,
         ))));
-    // Two like branches: one fan-out, whose members are the branches.
+    // Two like branches, lowered as written: a `mkunion`, each branch
+    // one member's call (normalization would fold them into a fan-out).
     let plan = lower(&LogicalExpr::Union(vec![branch(0, -1), branch(1, -1)])).unwrap();
     let answer = Executor::new(federation.registry.clone())
         .with_deadline(Some(Duration::from_secs(20)))

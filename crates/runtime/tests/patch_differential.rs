@@ -41,7 +41,10 @@ use rand::{Rng, SeedableRng};
 
 /// The cached texts: filter and projection, a struct, a sum, a distinct,
 /// a join of the interface with itself, the recursive extent, a view,
-/// and the interface's extent inside a correlated sub-query.
+/// the interface's extent inside a correlated sub-query, and a join of
+/// the interface with an explicit union of like branches — folded into a
+/// node with no name, which a patch of the interface's node walks past —
+/// over `Student` extents, which the stream adds but never removes.
 const TEXTS: &[&str] = &[
     "select x.name from x in person where x.salary > 50",
     "select struct(name: x.name, pay: x.salary + 17) from x in person where x.salary > 40",
@@ -53,6 +56,8 @@ const TEXTS: &[&str] = &[
     "select r.name from r in rich where r.salary < 300",
     "select struct(name: x.name, peers: count(select z.id from z in person \
      where z.salary = x.salary)) from x in person where x.salary > 400",
+    "select struct(a: x.name, b: y.name) from x in union(person4, person9), y in person \
+     where x.id = y.id and y.salary > 20",
 ];
 
 /// Member slots of `person`, and of the other interface.

@@ -21,10 +21,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::{branch, federation_with, instant_profile, Federation};
-use disco_algebra::CapabilitySet;
 use disco_algebra::{
     logical_to_oql, lower, AggKind, LogicalExpr, PhysicalExpr, ScalarExpr, ScalarOp,
 };
+use disco_algebra::{rules, CapabilitySet};
 use disco_catalog::{MetaExtent, Repository, WrapperDef};
 use disco_optimizer::compile_text;
 use disco_runtime::{
@@ -685,6 +685,13 @@ fn class_union(rng: &mut StdRng, n: usize) -> (LogicalExpr, usize) {
     (plan, fused)
 }
 
+/// `plan` with each union of like branches folded into one node, as
+/// normalization folds it ([`rules::simplify_union`]).
+fn folded(mut plan: LogicalExpr) -> LogicalExpr {
+    plan.rewrite_in_place(&rules::simplify_union);
+    plan
+}
+
 /// Guards a hazard only class spines have: one spine reads the members
 /// of its class — whatever faces their chunks have and wherever they
 /// stand among the branches — and one member's failure, unavailability
@@ -713,6 +720,7 @@ fn class_spines_match_the_staged_oracle_under_faults() {
             .collect();
         let federation = fault_federation(&mut rng, &faults, 0..12);
         let (plan, fused) = class_union(&mut rng, n);
+        let plan = folded(plan);
         let label = format!("trial {trial}, {fault:?} at source {faulty}: {plan}");
         let deadline = Some(if fault == Fault::Slow {
             Duration::from_millis(300)
@@ -797,12 +805,12 @@ fn branches_reading_one_call_wake_their_class_once_it_answers() {
         availability: Availability::Available,
     };
     let federation = federation_with(&[instant_profile(0), sleepy], 8, 5);
-    let plan = LogicalExpr::Union(vec![
+    let plan = folded(LogicalExpr::Union(vec![
         branch(0, -1),
         branch(1, -1),
         branch(1, -1),
         branch(1, -1),
-    ]);
+    ]));
     let started = Instant::now();
     let deadline = Some(Duration::from_secs(20));
     let answer = execute(&federation, &plan, PipelineOptions::default(), deadline).unwrap();
@@ -1097,7 +1105,7 @@ fn each_answered_row_enters_the_combine_once() {
     let mut profiles = vec![instant_profile(4); 4];
     profiles[1].availability = Availability::Unavailable;
     let federation = federation_with(&profiles, 20, 0x0E);
-    let plan = LogicalExpr::Union((0..4).map(|i| branch(i, 0)).collect());
+    let plan = folded(LogicalExpr::Union((0..4).map(|i| branch(i, 0)).collect()));
     let deadline = Some(Duration::from_secs(5));
     let answer = execute(&federation, &plan, PipelineOptions::default(), deadline).unwrap();
     assert!(!answer.is_complete());

@@ -10,6 +10,14 @@ use std::time::Duration;
 /// Builds a mediator over `n` person sources of 20 rows each and returns
 /// the per-source links for failure injection.
 fn federation(n: usize) -> (Mediator, Vec<Arc<disco::source::SimulatedLink>>) {
+    federation_where(n, |_| CapabilitySet::full())
+}
+
+/// [`federation`], the wrapper of source `i` with capabilities `caps(i)`.
+fn federation_where(
+    n: usize,
+    caps: impl Fn(usize) -> CapabilitySet,
+) -> (Mediator, Vec<Arc<disco::source::SimulatedLink>>) {
     let mut m = Mediator::new("federation");
     m.define_interface(
         InterfaceDef::new("Person")
@@ -38,7 +46,7 @@ fn federation(n: usize) -> (Mediator, Vec<Arc<disco::source::SimulatedLink>>) {
                 &format!("r{i}"),
                 table,
                 NetworkProfile::fast(),
-                CapabilitySet::full(),
+                caps(i),
             )
             .unwrap();
         links.push(link);
@@ -212,4 +220,44 @@ fn value_level_check_mary_sam_partial_shape() {
             .into_iter()
             .collect()
     );
+}
+
+/// §4 over explicit unions of like branches, which normalization folds
+/// into one node classed by capability (one wrapper is get-only): with two
+/// sources down the residual texts are those the planner gave before the
+/// fold, and resubmitting after recovery gives the full answer.
+#[test]
+fn residuals_of_explicit_unions_of_like_branches_keep_their_text() {
+    let (m, links) = federation_where(3, |i| match i {
+        1 => CapabilitySet::get_only(),
+        _ => CapabilitySet::full(),
+    });
+    let cases = [
+        (
+            "select x.name from x in union(person0, person1, person2) where x.salary > 250",
+            "union(select x.name from x in person1 where x.salary > 250, \
+             select x.name from x in person2 where x.salary > 250)",
+        ),
+        (
+            "select x.name from x in union(person0, person*, person2) where x.salary > 250",
+            "union(select x.name from x in person1 where x.salary > 250, \
+             select x.name from x in person2 where x.salary > 250, \
+             select x.name from x in person2 where x.salary > 250)",
+        ),
+    ];
+    for (text, residual) in cases {
+        let full = m.query(text).unwrap();
+        assert!(full.is_complete());
+        for link in &links[1..] {
+            link.set_availability(Availability::Unavailable);
+        }
+        let partial = m.query(text).unwrap();
+        assert_eq!(partial.residual_oql().as_deref(), Some(residual), "{text}");
+        for link in &links[1..] {
+            link.set_availability(Availability::Available);
+        }
+        let recovered = m.resubmit(&partial).unwrap();
+        assert!(recovered.is_complete(), "{text}");
+        assert_eq!(recovered.data(), full.data(), "{text}");
+    }
 }
