@@ -27,6 +27,7 @@
 //!   row-path error at the exact row it would have occurred.
 
 use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use disco_value::{
@@ -235,6 +236,62 @@ impl EvalVec {
                     .iter()
                     .map(|(name, vec)| (Arc::clone(name), vec.value_at(i))),
             )),
+        }
+    }
+
+    /// Appends the results for the selected rows `range` to `out`,
+    /// consuming the vector: what [`EvalVec::value_at`] would give for
+    /// each `i` in `range`, in order, with strings and boxed values moved
+    /// out instead of cloned.  A struct is built from its fields' moved
+    /// values, in one allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `range` reaches outside the selection the vector was
+    /// computed for.
+    pub fn drain_into(self, range: Range<usize>, out: &mut Vec<Value>) {
+        match self {
+            EvalVec::Int { data, nulls } => out.extend(range.map(|i| {
+                if is_null(&nulls, i) {
+                    Value::Null
+                } else {
+                    Value::Int(data[i])
+                }
+            })),
+            EvalVec::Bool { data, nulls } => out.extend(range.map(|i| {
+                if is_null(&nulls, i) {
+                    Value::Null
+                } else {
+                    Value::Bool(data[i])
+                }
+            })),
+            EvalVec::Str {
+                mut values, nulls, ..
+            } => out.extend(range.clone().zip(values.drain(range)).map(|(i, s)| {
+                if is_null(&nulls, i) {
+                    Value::Null
+                } else {
+                    Value::Str(s)
+                }
+            })),
+            EvalVec::Const(v) => out.extend(range.map(|_| v.clone())),
+            EvalVec::Values(mut vs) => out.extend(vs.drain(range)),
+            EvalVec::Struct(fields) => {
+                let n = range.len();
+                let mut columns: Vec<(Arc<str>, Vec<Value>)> = fields
+                    .into_iter()
+                    .map(|(name, vec)| {
+                        let mut column = Vec::with_capacity(n);
+                        vec.drain_into(range.clone(), &mut column);
+                        (name, column)
+                    })
+                    .collect();
+                out.extend((0..n).map(|j| {
+                    Value::Struct(StructValue::from_distinct_iter(columns.iter_mut().map(
+                        |(name, column)| (Arc::clone(name), std::mem::take(&mut column[j])),
+                    )))
+                }));
+            }
         }
     }
 
@@ -994,5 +1051,57 @@ mod tests {
         let data = vec![Value::Float(f64::NAN), Value::Float(1.0)];
         let (vec, n) = eval_over(&expr, None, data).unwrap();
         assert_eq!(vec.truthy_mask(n), vec![true, false]);
+    }
+
+    #[test]
+    fn drain_into_moves_out_what_value_at_reads() {
+        let nulls = || Some(vec![false, true, false, false]);
+        let strs = || EvalVec::Str {
+            values: ["a", "", "c", "d"].into_iter().map(Arc::from).collect(),
+            codes: None,
+            nulls: nulls(),
+        };
+        let vecs = || {
+            vec![
+                EvalVec::Int {
+                    data: vec![1, 0, 3, 4],
+                    nulls: nulls(),
+                },
+                EvalVec::Bool {
+                    data: vec![true, false, false, true],
+                    nulls: nulls(),
+                },
+                strs(),
+                EvalVec::Const(Value::from("k")),
+                EvalVec::Values(vec![
+                    Value::Float(0.5),
+                    Value::Null,
+                    Value::from("x"),
+                    Value::Int(7),
+                ]),
+                EvalVec::Struct(vec![
+                    (Arc::from("s"), strs()),
+                    (
+                        Arc::from("inner"),
+                        EvalVec::Struct(vec![(
+                            Arc::from("n"),
+                            EvalVec::Int {
+                                data: vec![5, 6, 7, 8],
+                                nulls: None,
+                            },
+                        )]),
+                    ),
+                ]),
+            ]
+        };
+        for range in [0..4, 1..3, 2..2] {
+            for (read, moved) in vecs().into_iter().zip(vecs()) {
+                let expected: Vec<Value> = range.clone().map(|i| read.value_at(i)).collect();
+                let mut out = vec![Value::Null];
+                moved.drain_into(range.clone(), &mut out);
+                assert_eq!(out[0], Value::Null, "appends after what is there");
+                assert_eq!(out[1..], expected[..], "{range:?}");
+            }
+        }
     }
 }

@@ -100,7 +100,8 @@ use super::join::{
 use super::scan::SpoolReader;
 use super::union::{Sweep, Union};
 use super::{
-    build, decide_build_side, eval_in_row, BoxedRowStream, PipelineCtx, Result, Row, RowStream,
+    build, decide_build_side, eval_in_row, BoxedRowStream, PipelineCtx, PipelineMetrics, Result,
+    Row, RowStream,
 };
 use crate::RuntimeError;
 
@@ -250,10 +251,10 @@ fn fuse_spine<'a>(
     Spine::compile(shape, supply, None, ctx)
 }
 
-/// A producer of [`Batch`]es — the input form of every breaker and of
-/// [`SpineCursor`].  The columnar variants are boxed: a source lives
-/// behind a cursor for a whole execution, and the spine alone is a couple
-/// hundred bytes.
+/// A producer of [`Batch`]es — the input form of every breaker, of the
+/// final sink and of [`SpineCursor`].  The columnar variants are boxed: a
+/// source lives behind a cursor for a whole execution, and the spine
+/// alone is a couple hundred bytes.
 pub(crate) enum BatchSource<'a> {
     /// Batches pulled from a row cursor (plans that do not fuse).
     Rows {
@@ -344,12 +345,37 @@ impl<'a> Iterator for Batch<'a> {
 }
 
 impl<'a> Batch<'a> {
-    pub(crate) fn is_empty(&self) -> bool {
+    pub(crate) fn len(&self) -> usize {
         match self {
-            Batch::Mapped(_, range) => range.is_empty(),
-            Batch::Proj(values) => values.as_slice().is_empty(),
-            Batch::Rows(rows) => rows.as_slice().is_empty(),
+            Batch::Mapped(_, range) => range.len(),
+            Batch::Proj(values) => values.len(),
+            Batch::Rows(rows) => rows.len(),
         }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends the batch's values to `out`, consuming it: kernel results
+    /// are moved out of their vector ([`EvalVec::drain_into`]), borrowed
+    /// values cloned once, and rows materialized (join rows merged).
+    ///
+    /// # Errors
+    ///
+    /// A join row whose frames are not structs ([`Row::materialize`]).
+    pub(crate) fn append_to(self, out: &mut Vec<Value>, metrics: &PipelineMetrics) -> Result<()> {
+        match self {
+            Batch::Mapped(result, range) => result.drain_into(range, out),
+            Batch::Proj(values) => out.extend(values.cloned()),
+            Batch::Rows(rows) => {
+                out.reserve(rows.len());
+                for row in rows {
+                    out.push(row.materialize(metrics)?);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Moves up to `max` rows into `out`.  The common case — the whole
@@ -1390,8 +1416,8 @@ fn fuse_join<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<HashJoi
     ))
 }
 
-/// A batch source exposed as an ordinary [`RowStream`] — what the rest of
-/// the engine (joins, flatten, the collect sink) consumes.
+/// A batch source exposed as an ordinary [`RowStream`] — what the row
+/// operators (joins, flatten) consume.
 pub(crate) struct SpineCursor<'a> {
     source: BatchSource<'a>,
     /// The batch being handed out; a join batch can hold more rows than
@@ -1405,12 +1431,6 @@ impl<'a> SpineCursor<'a> {
             source,
             current: Batch::default(),
         }
-    }
-
-    /// The root union branch of the rows pulled last (see
-    /// [`BatchSource::branch`]).
-    pub(crate) fn branch(&self) -> usize {
-        self.source.branch()
     }
 }
 

@@ -14,7 +14,9 @@
 //! * **distinct**, which keeps the set of values already emitted,
 //! * **aggregates**, which fold their input into one value (O(1) state —
 //!   no input bag is ever built),
-//! * the **final sink** that turns the root cursor into the answer bag.
+//! * the **final sink** that turns the root's batches into the answer bag
+//!   (it reads the root's batch source, not a cursor, and moves kernel
+//!   results into the answer).
 //!
 //! Everything else — scan, filter, project, map, bind, union, flatten —
 //! forwards rows as soon as they are produced, so intermediate state stays
@@ -207,9 +209,11 @@ impl<'a> Row<'a> {
     }
 }
 
-/// Rows pulled per [`RowStream::next_batch`] call: large enough to
-/// amortize the per-batch virtual dispatch, small enough that a batch of
-/// `Row`s stays cache-resident.
+/// Rows per batch — per [`RowStream::next_batch`] pull and per batch a
+/// batch source produces from its input: large enough to amortize the
+/// per-batch virtual dispatch, small enough that a batch (of `Row`s, of
+/// kernel result columns) stays cache-resident.  A join batch can hold
+/// more output rows than this (one probe batch fanning out).
 pub const BATCH_ROWS: usize = 256;
 
 /// A pull-based cursor over [`Row`]s — the operator interface of the
@@ -424,7 +428,7 @@ impl PipelineMetrics {
         self.rows_merged.load(Ordering::Relaxed)
     }
 
-    /// Rows delivered to the final collect sink (the answer size).
+    /// Rows delivered to the final sink (the answer size).
     #[must_use]
     pub fn rows_emitted(&self) -> usize {
         self.rows_emitted.load(Ordering::Relaxed)
@@ -653,30 +657,24 @@ impl<'a> PipelineCtx<'a> {
     }
 }
 
-/// Drains a cursor into a bag — the final sink of every pipeline.  Join
-/// rows reaching the sink unmerged are materialized here (counted in
+/// The final sink of every pipeline: appends each batch of `source`
+/// whole to one vector and wraps it as the answer bag once.  Kernel
+/// results are moved out of their vectors; join rows reaching the sink
+/// unmerged are materialized here (counted in
 /// [`PipelineMetrics::rows_merged`]).  `pulled` learns how many rows each
-/// pull delivered.
-fn collect<'a, C: RowStream<'a> + ?Sized>(
-    cursor: &mut C,
-    metrics: &PipelineMetrics,
-    batch_rows: usize,
-    mut pulled: impl FnMut(&C, usize),
+/// batch delivered, before they are written.
+fn write_answer<'a>(
+    source: &mut columnar::BatchSource<'a>,
+    ctx: PipelineCtx<'a>,
+    mut pulled: impl FnMut(&columnar::BatchSource<'a>, usize),
 ) -> Result<Bag> {
-    let mut out = Bag::new();
-    let mut buf = Vec::with_capacity(batch_rows);
-    loop {
-        let more = cursor.next_batch(&mut buf, batch_rows)?;
-        metrics.add_emitted(buf.len());
-        pulled(cursor, buf.len());
-        for row in buf.drain(..) {
-            let value = row.materialize(metrics)?;
-            out.insert(value);
-        }
-        if !more {
-            return Ok(out);
-        }
+    let mut answer = Vec::new();
+    while let Some(batch) = source.next_chunk(ctx.batch_rows)? {
+        ctx.metrics.add_emitted(batch.len());
+        pulled(source, batch.len());
+        batch.append_to(&mut answer, ctx.metrics)?;
     }
+    Ok(Bag::from(answer))
 }
 
 /// Recursively builds the cursor for one plan node.
@@ -928,15 +926,6 @@ pub(crate) fn evaluate_pass(
     options: PipelineOptions,
 ) -> Result<Pass> {
     let outer = Env::root();
-    let split = match plan {
-        PhysicalExpr::FanOut(_) => true,
-        PhysicalExpr::MkUnion(items) => items.len() > 1,
-        _ => false,
-    };
-    if !split {
-        let data = evaluate_physical_streamed(plan, resolved, &outer, metrics, options)?;
-        return Ok((data, Vec::new()));
-    }
     let budget = spill::MemoryBudget::from_limit(options.effective_mem_budget());
     let ctx = PipelineCtx {
         resolved,
@@ -947,26 +936,27 @@ pub(crate) fn evaluate_pass(
         budget: &budget,
         member: None,
     };
-    let source = match plan {
-        PhysicalExpr::FanOut(node) => columnar::fan_out_source(node, true, ctx)?,
-        PhysicalExpr::MkUnion(items) => columnar::union_source(items, true, ctx)?,
-        _ => unreachable!("a root union or fan-out"),
+    let root = match plan {
+        PhysicalExpr::FanOut(node) => Some(columnar::fan_out_source(node, true, ctx)),
+        PhysicalExpr::MkUnion(items) if items.len() > 1 => {
+            Some(columnar::union_source(items, true, ctx))
+        }
+        _ => None,
     };
-    let mut union = columnar::SpineCursor::new(source);
     let mut runs = Vec::<Run>::new();
-    let data = collect(
-        &mut union,
-        metrics,
-        ctx.batch_rows,
-        |union, rows| match runs.last_mut() {
-            Some((branch, run, _)) if *branch == union.branch() => run.end += rows,
-            last if rows > 0 => {
-                let at = last.map_or(0, |(_, run, _)| run.end);
-                runs.push((union.branch(), at..at + rows, Instant::now()));
-            }
-            _ => {}
-        },
-    );
+    let data = match root {
+        Some(source) => source.and_then(|mut source| {
+            write_answer(&mut source, ctx, |source, rows| match runs.last_mut() {
+                Some((branch, run, _)) if *branch == source.branch() => run.end += rows,
+                last if rows > 0 => {
+                    let at = last.map_or(0, |(_, run, _)| run.end);
+                    runs.push((source.branch(), at..at + rows, Instant::now()));
+                }
+                _ => {}
+            })
+        }),
+        None => evaluate_with_budget(plan, resolved, &outer, metrics, options, &budget),
+    };
     metrics.note_peak_tracked(budget.peak());
     Ok((data?, runs))
 }
@@ -1016,7 +1006,7 @@ fn evaluate_with_budget(
         budget,
         member: None,
     };
-    collect(&mut *build(plan, ctx)?, metrics, ctx.batch_rows, |_, _| {})
+    write_answer(&mut columnar::batch_source(plan, ctx)?, ctx, |_, _| {})
 }
 
 /// Builds the layered environment of a row's frames on top of `outer` and

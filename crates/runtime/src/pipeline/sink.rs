@@ -42,7 +42,9 @@ use super::columnar::{Batch, BatchSource};
 use super::spill::{can_split, Grace, Loaded, Resident, RunFileReader};
 use super::{Frame, PipelineCtx, PipelineMetrics, Result, Row, RowStream};
 
-/// Pass-through hasher for keys that already *are* hashes.
+/// Pass-through hasher for keys that already *are* hashes.  Bytes fed
+/// any other way (no key here is) are folded in FNV-1a style, so the
+/// hasher is total.
 #[derive(Default)]
 pub(crate) struct IdentityHasher(u64);
 
@@ -51,8 +53,10 @@ impl Hasher for IdentityHasher {
         self.0
     }
 
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("identity hasher is only fed u64 keys");
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
 
     fn write_u64(&mut self, hash: u64) {
@@ -517,4 +521,33 @@ fn fold_aggregate(
         }
     }
     Ok(state)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::hash::{Hash, Hasher};
+
+    use super::IdentityHasher;
+
+    fn hash_of(key: impl Hash) -> u64 {
+        let mut hasher = IdentityHasher::default();
+        key.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn identity_hasher_passes_u64_keys_through() {
+        assert_eq!(hash_of(0xDEAD_BEEF_u64), 0xDEAD_BEEF);
+    }
+
+    #[test]
+    fn identity_hasher_folds_bytes_instead_of_panicking() {
+        let mut hasher = IdentityHasher::default();
+        hasher.write(b"disco");
+        let folded = hasher.finish();
+        assert_ne!(folded, 0);
+        assert_eq!(hash_of("disco"), hash_of("disco"));
+        assert_ne!(hash_of("disco"), hash_of("odisc"), "order matters");
+        assert_ne!(hash_of([1u8, 2]), hash_of([2u8, 1]));
+    }
 }

@@ -5,7 +5,7 @@
 //! paper's §4 contract must hold *under a spine* exactly as it holds
 //! under the row cursors.
 //!
-//! Three groups, and why each test is here:
+//! The groups, and why each test is here:
 //!
 //! * **Streamed equals materialized, counters included** — fails at the
 //!   parent commit, where `rows_kernel` is 0 under `execute` (pending
@@ -29,6 +29,11 @@
 //!   pushers), over column-faced chunks (asserted on what reaches the
 //!   sink, so a case cannot silently fall back to rows) and over one
 //!   spool fed both interleaved.
+//! * **The answer is written once** — guards hazards only a final sink
+//!   that reads batches whole and moves kernel results has: a join batch
+//!   larger than [`BATCH_ROWS`], the branch runs of a root fan-out that
+//!   loses a member mid-stream, a kernel batch that bails, and the roots
+//!   that are not unions, each against the reference evaluator.
 //!
 //! Every execution here sets an explicit memory budget; the build side
 //! is the one rule, so `rows_materialized` is a function of the data.
@@ -41,15 +46,19 @@
 mod common;
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::{column_faced, instant_profile, random_plan};
-use disco_algebra::{lower, CapabilitySet, LogicalExpr, ScalarExpr, ScalarOp};
+use disco_algebra::{
+    lower, rules, AggKind, CapabilitySet, LogicalExpr, PhysicalExpr, ScalarExpr, ScalarOp,
+};
 use disco_catalog::{
     Attribute, Catalog, InterfaceDef, MetaExtent, Repository, TypeRef, WrapperDef,
 };
+use disco_runtime::pipeline::BATCH_ROWS;
 use disco_runtime::{
     evaluate_physical_with, partial_evaluate_reference, reference, resolve_execs, Answer,
     ExecutionConfig, Executor, MemBudget, PipelineMetrics, PipelineOptions, RuntimeError,
@@ -962,6 +971,274 @@ fn an_exhausted_row_budget_still_yields_a_partial_answer() {
             residual.contains(&format!("person{i}")),
             answer.unavailable_sources().iter().any(|r| r == repo),
             "{residual}"
+        );
+    }
+    common::assert_no_calls_in_flight();
+}
+
+// ---------------------------------------------------------------------
+// The answer is written once.
+// ---------------------------------------------------------------------
+
+/// `struct(l: x.name, r: y.name, total: x.id + y.id)` of the pairs of
+/// `left` and `right` rows of equal salary: a pair kernel over a fused
+/// hash join.
+fn joined_pairs(fed: &mut Fed, left: &Bag, right: &Bag) -> LogicalExpr {
+    let side = |fed: &mut Fed, rows: &Bag, var: &str| {
+        fed.source(rows, instant_profile(0))
+            .project(["id", "name", "salary"])
+            .bind(var)
+    };
+    LogicalExpr::Join {
+        left: Box::new(side(fed, left, "x")),
+        right: Box::new(side(fed, right, "y")),
+        predicate: Some(ScalarExpr::binary(
+            ScalarOp::Eq,
+            ScalarExpr::var_field("x", "salary"),
+            ScalarExpr::var_field("y", "salary"),
+        )),
+    }
+    .map_project(ScalarExpr::StructLit(vec![
+        ("l".into(), ScalarExpr::var_field("x", "name")),
+        ("r".into(), ScalarExpr::var_field("y", "name")),
+        (
+            "total".into(),
+            ScalarExpr::binary(
+                ScalarOp::Add,
+                ScalarExpr::var_field("x", "id"),
+                ScalarExpr::var_field("y", "id"),
+            ),
+        ),
+    ]))
+}
+
+/// Person rows `m{member}-{i}` of ids `ids`, each earning `salary(i)`.
+fn named(member: usize, ids: Range<i64>, salary: impl Fn(i64) -> i64) -> Bag {
+    ids.map(|i| common::person(i, &format!("m{member}-{i}"), salary(i)))
+        .collect()
+}
+
+/// The sink takes a batch whole, however many rows it holds: one probe
+/// batch of a pair kernel fans out to three times [`BATCH_ROWS`] structs,
+/// and every one of them reaches the answer once.
+#[test]
+fn a_probe_batch_fanning_out_past_a_batch_reaches_the_answer_whole() {
+    let probe_rows = BATCH_ROWS as i64 + 4;
+    let mut fed = Fed::new();
+    // Every row earns the same: each probe row matches all three build
+    // rows (the build side is the smaller).
+    let plan = joined_pairs(
+        &mut fed,
+        &named(0, 0..probe_rows, |_| 7),
+        &named(1, 0..3, |_| 7),
+    );
+    for (budget, counters) in BUDGETS
+        .iter()
+        .zip(assert_streamed_is_staged(&fed, &plan, "fan-out"))
+    {
+        assert_eq!(
+            counters,
+            (probe_rows as usize + 3, 0),
+            "{budget:?}: both sides on the kernels"
+        );
+        let answer = execute(&fed, &plan, *budget).unwrap();
+        let rows = answer.data().as_slice();
+        assert_eq!(rows.len(), 3 * probe_rows as usize, "{budget:?}");
+        let (_, metrics, _) = staged(&fed, &plan, *budget);
+        assert_eq!(metrics.rows_emitted(), rows.len(), "{budget:?}");
+        // Probe-major, build order within a key group: no row lost,
+        // duplicated or moved.
+        for (p, pairs) in rows.chunks(3).enumerate() {
+            for (b, row) in pairs.iter().enumerate() {
+                let total = Value::Int(p as i64 + b as i64);
+                assert_eq!(row.field("total").unwrap(), &total, "{budget:?}");
+                assert_eq!(row.field("r").unwrap(), &Value::from(format!("m1-{b}")));
+            }
+        }
+    }
+    common::assert_no_calls_in_flight();
+}
+
+/// A root fan-out of three members, the first lost after two of its
+/// chunks reached the sink (its rows came first), the other two slow:
+/// the data is the kept members' rows, member by member; the residual is
+/// the lost member's branch; the first row is a kept member's.
+#[test]
+fn a_root_fan_out_losing_a_member_mid_stream_writes_the_kept_members_rows() {
+    let slow = NetworkProfile {
+        base_latency_us: 30_000,
+        per_row_us: 0,
+        jitter: 0.0,
+        real_sleep: true,
+        chunk_rows: 4,
+        availability: Availability::Available,
+    };
+    let salary = |i: i64| (i * 37) % 100;
+    let rows: Vec<Bag> = (0..3).map(|m| named(m, 0..30, salary)).collect();
+    let mut fed = Fed::new();
+    let (lost, faces) = fed.watched(&rows[0], instant_profile(4), Some(2));
+    let kept: Vec<LogicalExpr> = rows[1..]
+        .iter()
+        .map(|rows| fed.source(rows, slow.clone()))
+        .collect();
+    let mut plan = LogicalExpr::Union(
+        std::iter::once(lost)
+            .chain(kept)
+            .map(|s| branch_over(s, 20))
+            .collect(),
+    );
+    plan.rewrite_in_place(&rules::simplify_union);
+    let physical = lower(&plan).unwrap();
+    assert!(matches!(physical, PhysicalExpr::FanOut(_)), "{physical}");
+
+    let started = Instant::now();
+    let answer = executor(&fed, MemBudget::Unbounded)
+        .execute(&physical, &fed.catalog)
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert!(!answer.is_complete());
+    assert_eq!(answer.unavailable_sources(), &["r0".to_owned()]);
+    assert_eq!(fed.links[0].chunk_count(), 3, "lost on its third chunk");
+    faces.assert_all_columns("the lost member's two chunks");
+    let expected: Vec<Value> = rows[1..]
+        .iter()
+        .flat_map(|rows| rows.iter())
+        .filter(|p| p.field("salary").unwrap() > &Value::Int(20))
+        .map(|p| p.field("name").unwrap().clone())
+        .collect();
+    assert_eq!(answer.data().as_slice(), &expected[..], "member by member");
+    assert_eq!(
+        answer.residual_oql().unwrap(),
+        "select x.name from x in person0 where x.salary > 20"
+    );
+    let first = answer.time_to_first_row().expect("kept rows were written");
+    assert!(
+        first >= Duration::from_micros(slow.base_latency_us) && first <= elapsed,
+        "first row after {first:?} of {elapsed:?}: a kept member's, not the lost one's"
+    );
+    common::assert_no_calls_in_flight();
+}
+
+/// `struct(name: x.name, pay: x.salary + k, per: 1000 / x.id)`: `pay`
+/// overflows for the row earning more than 100, `per` divides by zero for
+/// id 0.
+fn pay_and_share(submit: LogicalExpr) -> LogicalExpr {
+    submit.bind("x").map_project(ScalarExpr::StructLit(vec![
+        ("name".into(), ScalarExpr::var_field("x", "name")),
+        (
+            "pay".into(),
+            ScalarExpr::binary(
+                ScalarOp::Add,
+                ScalarExpr::var_field("x", "salary"),
+                ScalarExpr::constant(i64::MAX - 100),
+            ),
+        ),
+        (
+            "per".into(),
+            ScalarExpr::binary(
+                ScalarOp::Div,
+                ScalarExpr::constant(1000i64),
+                ScalarExpr::var_field("x", "id"),
+            ),
+        ),
+    ]))
+}
+
+/// A kernel batch that bails reports the row engine's error at the row
+/// engine's row: of an overflow and a division by zero in one batch, the
+/// earlier row's — at a root union's branch and at a plain root alike.
+#[test]
+fn a_bailing_kernel_batch_reports_the_row_engines_first_error() {
+    for (overflow_at, zero_at, first) in [(5, 9, "integer overflow"), (9, 5, "division by zero")] {
+        let odd = |rows: i64| {
+            (0..rows)
+                .map(|i| {
+                    let id = if i == zero_at { 0 } else { i + 1 };
+                    let salary = if i == overflow_at { 200 } else { 10 };
+                    common::person(id, &format!("p{i}"), salary)
+                })
+                .collect::<Bag>()
+        };
+        let mut fed = Fed::new();
+        let failing = pay_and_share(fed.source(&odd(40), instant_profile(0)));
+        let healthy = pay_and_share(fed.source(&named(1, 1..30, |_| 10), instant_profile(0)));
+        let plans = [
+            ("plain root", failing.clone()),
+            ("root union", LogicalExpr::Union(vec![healthy, failing])),
+        ];
+        for (what, plan) in plans {
+            let label = format!("{what}, {first} first");
+            let (data, metrics, expected) = staged(&fed, &plan, MemBudget::Unbounded);
+            let expected = expected.expect_err(&label);
+            assert!(expected.to_string().contains(first), "{label}: {expected}");
+            assert_eq!(
+                data.unwrap_err().to_string(),
+                expected.to_string(),
+                "{label}"
+            );
+            assert!(metrics.rows_fallback() > 0, "{label}: the batch bailed");
+            let err = execute(&fed, &plan, MemBudget::Unbounded).unwrap_err();
+            assert_eq!(err.to_string(), expected.to_string(), "{label}");
+        }
+    }
+    common::assert_no_calls_in_flight();
+}
+
+/// A root that is not a union — a sum, a distinct, a join, and a sum over
+/// a union — answers through the one sink as the reference does.
+#[test]
+fn a_root_that_is_not_a_union_answers_as_the_reference_does() {
+    let mut fed = Fed::new();
+    let salary = |i: i64| (i * 37) % 100;
+    let join = joined_pairs(
+        &mut fed,
+        &named(0, 0..60, salary),
+        &named(1, 0..40, |i| salary(i) / 2),
+    );
+    let s = [
+        fed.source(&named(2, 0..50, salary), instant_profile(7)),
+        fed.source(&named(3, 0..50, salary), instant_profile(0)),
+    ];
+    let salaries = |s: &LogicalExpr| {
+        s.clone()
+            .bind("x")
+            .map_project(ScalarExpr::var_field("x", "salary"))
+    };
+    let plans = [
+        (
+            "sum",
+            LogicalExpr::Aggregate {
+                func: AggKind::Sum,
+                input: Box::new(salaries(&s[0])),
+            },
+        ),
+        (
+            "distinct",
+            LogicalExpr::Distinct(Box::new(s[0].clone().bind("x").map_project(
+                ScalarExpr::StructLit(vec![(
+                    "tenth".into(),
+                    ScalarExpr::binary(
+                        ScalarOp::Div,
+                        ScalarExpr::var_field("x", "salary"),
+                        ScalarExpr::constant(10i64),
+                    ),
+                )]),
+            ))),
+        ),
+        ("join", join),
+        (
+            "sum over a union",
+            LogicalExpr::Aggregate {
+                func: AggKind::Sum,
+                input: Box::new(LogicalExpr::Union(s.iter().map(salaries).collect())),
+            },
+        ),
+    ];
+    for (what, plan) in plans {
+        let passes = assert_streamed_is_staged(&fed, &plan, what);
+        assert!(
+            passes.iter().all(|(kernel, _)| *kernel > 0),
+            "{what}: fused"
         );
     }
     common::assert_no_calls_in_flight();

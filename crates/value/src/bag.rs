@@ -189,6 +189,10 @@ impl Bag {
     }
 
     /// Adds one element to the bag (copy-on-write).
+    ///
+    /// Each call goes through the shared storage's copy-on-write check;
+    /// code that builds a bag from many values collects a `Vec<Value>`
+    /// and wraps it once with [`Bag::from`].
     pub fn insert(&mut self, value: Value) {
         self.items_mut().push(value);
     }

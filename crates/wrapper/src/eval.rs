@@ -162,38 +162,38 @@ fn eval_recursive(
         }
         LogicalExpr::Filter { input, predicate } => {
             let inner = eval_recursive(input, provider)?;
-            let mut rows = Bag::with_capacity(inner.rows.len());
+            let mut rows = Vec::with_capacity(inner.rows.len());
             for row in &inner.rows {
                 let s = row.as_struct().map_err(AlgebraError::from)?;
                 let keep = eval_scalar(predicate, s).map_err(WrapperError::from)?;
                 if truthy(&keep) {
-                    rows.insert(row.clone());
+                    rows.push(row.clone());
                 }
             }
             Ok(PushedResult {
-                rows,
+                rows: Bag::from(rows),
                 rows_scanned: inner.rows_scanned,
             })
         }
         LogicalExpr::Project { input, columns } => {
             let inner = eval_recursive(input, provider)?;
-            let mut rows = Bag::with_capacity(inner.rows.len());
+            let mut rows = Vec::with_capacity(inner.rows.len());
             for row in &inner.rows {
                 let s = row.as_struct().map_err(AlgebraError::from)?;
                 let projected = s
                     .project(columns.iter().map(String::as_str))
                     .map_err(AlgebraError::from)?;
-                rows.insert(Value::Struct(projected));
+                rows.push(Value::Struct(projected));
             }
             Ok(PushedResult {
-                rows,
+                rows: Bag::from(rows),
                 rows_scanned: inner.rows_scanned,
             })
         }
         LogicalExpr::SourceJoin { left, right, on } => {
             let l = eval_recursive(left, provider)?;
             let r = eval_recursive(right, provider)?;
-            let mut rows = Bag::new();
+            let mut rows = Vec::new();
             for lv in &l.rows {
                 let ls = lv.as_struct().map_err(AlgebraError::from)?;
                 for rv in &r.rows {
@@ -211,12 +211,12 @@ fn eval_recursive(
                         let merged = ls
                             .merge_with_prefix(rs, "right")
                             .map_err(AlgebraError::from)?;
-                        rows.insert(Value::Struct(merged));
+                        rows.push(Value::Struct(merged));
                     }
                 }
             }
             Ok(PushedResult {
-                rows,
+                rows: Bag::from(rows),
                 rows_scanned: l.rows_scanned + r.rows_scanned,
             })
         }
