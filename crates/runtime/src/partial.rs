@@ -43,7 +43,9 @@ pub struct ExecutionStats {
     /// Rows buffered by pipeline breakers (hash-join build side, the inner
     /// side of nested-loop joins, the distinct seen-set) while streaming
     /// the combine step: the one pass (a lost root union branch up to its
-    /// loss) and the resolved subtrees a residual was reduced over.
+    /// loss) and the resolved subtrees a residual was reduced over.  A
+    /// hash join's build row counts once, whether its table keeps it as a
+    /// position in its batch or as a row.
     pub rows_materialized: usize,
     /// Repositories classified unavailable during this execution.
     pub unavailable: Vec<String>,

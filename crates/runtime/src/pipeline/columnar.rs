@@ -28,9 +28,9 @@
 //! [`disco_value::BagColumns`] — has them already: the spine maps its
 //! slots to the chunk's columns by name, once per chunk, and runs the
 //! kernels under the chunk's own selection; nothing is decoded, and no
-//! row exists unless the tail hands rows on (a `Rows` tail, a join key's
-//! build and probe rows) or the batch bails, at which point the bag
-//! builds its rows once, for every reader.
+//! row exists unless the tail hands rows on (a `Rows` tail, a join side
+//! whose join asks for its rows) or the batch bails, at which point the
+//! bag builds its rows once, for every reader.
 //!
 //! The operators beneath the bind are what the optimizer leaves at the
 //! mediator when a wrapper does not filter or project itself.  They see
@@ -85,7 +85,7 @@ use std::sync::Arc;
 
 use disco_algebra::{
     kernel::{EvalVec, Kernel, KernelBuilder, PairKernelBuilder},
-    truthy, FanOut, PhysicalExpr, ScalarExpr,
+    truthy, AlgebraError, FanOut, PhysicalExpr, ScalarExpr,
 };
 use disco_value::{
     Bag, BagColumns, ChunkBuilder, Column, ColumnarChunk, KeyHasher, StructValue, Value,
@@ -787,20 +787,52 @@ pub(crate) struct Spine<'a> {
     raw: Vec<RawOp<'a>>,
     /// The predicates above the bind, for the per-batch fallback.
     filters: Vec<&'a ScalarExpr>,
-    /// The columns a `mkproj` beneath the bind narrows rows to (the
-    /// outermost one's, when several stack).  Kernels, a gathered column
-    /// and a key read the source row whatever it is narrowed to — the
-    /// stretch only fuses when they read nothing else — so the projected
-    /// struct is built for the rows a `Rows`/`Key` tail hands on, and for
-    /// no other.
-    narrowed: Option<&'a [String]>,
+    /// What a surviving source row is handed on as.
+    shape: RowShape<'a>,
     /// Projected columns no kernel decodes: checked for presence in
     /// every row of a batch, so that a row lacking one bails the batch to
     /// the row path, which reports it.
     required: Vec<GatherPlan>,
-    bind_name: Option<Arc<str>>,
     tail: Tail<'a>,
     ctx: PipelineCtx<'a>,
+}
+
+/// How a spine hands on a surviving source row: narrowed as
+/// `ProjectCursor` narrows it, inside the `{var: row}` struct
+/// `BindCursor` builds.
+#[derive(Clone)]
+pub(crate) struct RowShape<'a> {
+    /// The columns a `mkproj` beneath the bind narrows rows to (the
+    /// outermost one's, when several stack).  Kernels, a gathered column
+    /// and a key read the source row whatever it is narrowed to — the
+    /// stretch only fuses when they read nothing else — so the projected
+    /// struct is built for the rows a `Rows` tail or a join table asks
+    /// for, and for no other.
+    narrowed: Option<&'a [String]>,
+    bind_name: Option<Arc<str>>,
+}
+
+impl<'a> RowShape<'a> {
+    /// The row the row path's cursor chain would hand on for `source`, a
+    /// surviving row of a batch that decoded.  Such a row is a struct
+    /// holding every projected column, so the row path's errors, returned
+    /// here, do not arise.
+    fn make_row(&self, source: &'a Value) -> Result<Row<'a>> {
+        let row = match self.narrowed {
+            None => Row::borrowed(source),
+            Some(columns) => {
+                let narrowed = source
+                    .as_struct()
+                    .and_then(|row| row.project(columns.iter().map(String::as_str)))
+                    .map_err(AlgebraError::from)?;
+                Row::owned(Value::Struct(narrowed))
+            }
+        };
+        Ok(match (&self.bind_name, row) {
+            (Some(name), Row::One(frame)) => bind_value(name, frame.into_value()),
+            (_, row) => row,
+        })
+    }
 }
 
 /// Where the row values of a batch's survivors are (`sel[j]` being the
@@ -850,20 +882,53 @@ fn chunk_of<'s>(
         .expect("a column-faced batch selects over a mapped chunk")
 }
 
+/// The survivors of one vectorized join-side batch, by position:
+/// survivor `j` is chunk row `sel[j]`, and its row value is in `rows`.
+/// Its output row is made only when somebody asks for it.
+pub(crate) struct Positions<'a> {
+    rows: RowsOf<'a>,
+    pub(crate) chunk: ColumnarChunk,
+    pub(crate) sel: Vec<u32>,
+    shape: RowShape<'a>,
+}
+
+impl<'a> Positions<'a> {
+    pub(crate) fn len(&self) -> usize {
+        self.sel.len()
+    }
+
+    /// Survivor `j`'s output row, as the spine hands rows on.
+    pub(crate) fn row(&self, j: usize) -> Result<Row<'a>> {
+        self.shape.make_row(self.rows.get(j, &self.sel))
+    }
+}
+
 /// One batch of keyed spine output.
 pub(crate) enum KeyedBatch<'a> {
     /// Vectorized: survivors of the filters with their key values and key
-    /// hashes (`keys`/`hashes[j]` belong to chunk row `sel[j]`).
+    /// hashes (`keys`/`hashes[j]` belong to survivor `j`).
     Kernel {
-        rows: RowsOf<'a>,
-        chunk: ColumnarChunk,
-        sel: Vec<u32>,
+        at: Positions<'a>,
         keys: EvalVec,
         hashes: Vec<u64>,
     },
     /// The batch ran per row (decode failure, mixed-type key column, or a
     /// would-be evaluation error).
     Rows(Vec<KeyedRow<'a>>),
+}
+
+impl<'a> KeyedBatch<'a> {
+    /// The batch as `(hash, key, row)` triples.  Decoded batches are
+    /// structs by construction, so the row path's per-row struct-frame
+    /// check is a proven no-op for them.
+    pub(crate) fn into_rows(self) -> Result<Vec<KeyedRow<'a>>> {
+        match self {
+            KeyedBatch::Rows(rows) => Ok(rows),
+            KeyedBatch::Kernel { at, keys, hashes } => (0..at.len())
+                .map(|j| Ok((hashes[j], keys.value_at(j), at.row(j)?)))
+                .collect(),
+        }
+    }
 }
 
 impl<'a> Spine<'a> {
@@ -972,9 +1037,11 @@ impl<'a> Spine<'a> {
             kernels,
             raw: shape.raw,
             filters: shape.filters,
-            narrowed,
+            shape: RowShape {
+                narrowed,
+                bind_name: shape.binding.map(Arc::from),
+            },
             required,
-            bind_name: shape.binding.map(Arc::from),
             tail,
             ctx,
         };
@@ -987,7 +1054,7 @@ impl<'a> Spine<'a> {
     /// over a join) may read `fields` of them: nothing beneath the bind
     /// projected them away.
     fn exposes(&self, fields: &[Arc<str>]) -> bool {
-        fields.iter().all(|field| kept(self.narrowed, field))
+        fields.iter().all(|field| kept(self.shape.narrowed, field))
     }
 
     /// Whether the next batch is there without blocking on a source.
@@ -1067,7 +1134,7 @@ impl<'a> Spine<'a> {
         let (decoded, mut rows) = match slice {
             Slice::Rows(values) => {
                 let chunk = self.builder.build(values)?;
-                if self.narrowed.is_some() {
+                if self.shape.narrowed.is_some() {
                     for row in values {
                         let Value::Struct(row) = row else {
                             return None;
@@ -1116,32 +1183,6 @@ impl<'a> Spine<'a> {
         Some(Selected { decoded, sel, rows })
     }
 
-    /// The spine's output row for a surviving source row of a batch that
-    /// decoded — exactly what the row path's cursor chain would hand on
-    /// for it: narrowed as `ProjectCursor` narrows it, inside the same
-    /// `{var: row}` struct `BindCursor` builds, but only for survivors.
-    fn make_row(&self, source: &'a Value) -> Row<'a> {
-        let row = match self.narrowed {
-            None => Row::borrowed(source),
-            Some(columns) => project_row(Row::borrowed(source), columns, self.ctx.metrics)
-                .expect("the batch decoded: a struct row holding every projected column"),
-        };
-        match (&self.bind_name, row) {
-            (Some(name), Row::One(frame)) => bind_value(name, frame.into_value()),
-            (_, row) => row,
-        }
-    }
-
-    /// The raw source row behind one of this spine's output rows (as
-    /// narrowed by a projection beneath the bind).
-    pub(crate) fn source_value<'r>(&self, row: &'r Row<'a>) -> Option<&'r Value> {
-        let value = row.single_value()?;
-        match &self.bind_name {
-            Some(_) => Some(value.as_struct().ok()?.field_at(0)?.1),
-            None => Some(value),
-        }
-    }
-
     /// The per-row path for everything but the tail of one batch, stacked
     /// operator-by-operator across the whole batch (each filter and
     /// projection beneath the bind, the bind, then each filter above it)
@@ -1168,7 +1209,7 @@ impl<'a> Spine<'a> {
                     .collect::<Result<_>>()?,
             };
         }
-        if let Some(name) = &self.bind_name {
+        if let Some(name) = &self.shape.bind_name {
             rows = rows
                 .into_iter()
                 .map(|row| Ok(bind_value(name, row.materialize(self.ctx.metrics)?)))
@@ -1222,8 +1263,8 @@ impl<'a> Spine<'a> {
             }
             (Tail::Rows | Tail::Key { .. }, _) => {
                 let rows: Vec<Row<'a>> = (0..sel.len())
-                    .map(|j| self.make_row(rows.get(j, sel)))
-                    .collect();
+                    .map(|j| self.shape.make_row(rows.get(j, sel)).ok())
+                    .collect::<Option<_>>()?;
                 Batch::Rows(rows.into_iter())
             }
         };
@@ -1288,37 +1329,13 @@ impl<'a> Spine<'a> {
                 hashes.extend((0..sel.len()).map(|j| hasher.hash_value(&keys.value_at(j))));
             }
         }
-        Some(KeyedBatch::Kernel {
+        let at = Positions {
             rows,
             chunk,
             sel,
-            keys,
-            hashes,
-        })
-    }
-
-    /// A keyed batch as `(hash, key, row)` triples.  Decoded batches are
-    /// structs by construction, so the row path's per-row struct-frame
-    /// check is a proven no-op for them.
-    pub(crate) fn keyed_rows(&self, batch: KeyedBatch<'a>) -> Vec<KeyedRow<'a>> {
-        match batch {
-            KeyedBatch::Rows(rows) => rows,
-            KeyedBatch::Kernel {
-                rows,
-                sel,
-                keys,
-                hashes,
-                ..
-            } => (0..sel.len())
-                .map(|j| {
-                    (
-                        hashes[j],
-                        keys.value_at(j),
-                        self.make_row(rows.get(j, &sel)),
-                    )
-                })
-                .collect(),
-        }
+            shape: self.shape.clone(),
+        };
+        Some(KeyedBatch::Kernel { at, keys, hashes })
     }
 }
 
@@ -1357,14 +1374,16 @@ fn fuse_join<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<HashJoi
     let (build_binding, probe_binding) = (build_side.0.binding, probe_side.0.binding);
     let table = JoinTable::default();
     let (shape, supply) = build_side;
-    let build = Spine::compile(shape, supply, Some((build_key, table.state())), ctx)?;
+    let mut build = Spine::compile(shape, supply, Some((build_key, table.state())), ctx)?;
     let (shape, supply) = probe_side;
     let mut probe = Spine::compile(shape, supply, Some((probe_key, table.state())), ctx)?;
     // Fuse the map over matched pairs when both sides are bound with
-    // distinct names and the projection compiles.  The probe side of the
-    // pair kernel is seeded with the probe spine's filter/key columns so
-    // both kernels share the probe chunk layout; the build side starts
-    // empty and claims only the payload columns the projection reads.
+    // distinct names and the projection compiles.  Each side of the pair
+    // kernel is seeded with its spine's filter/key columns, and each
+    // spine's layout extended with the columns the projection reads
+    // besides: one chunk per batch serves the filters, the key and the
+    // pair projection, on the probe side and — kept by the table, as the
+    // payload — on the build side.
     let bindings = if build_on_left {
         build_binding.zip(probe_binding)
     } else {
@@ -1373,31 +1392,28 @@ fn fuse_join<'a>(plan: &'a PhysicalExpr, ctx: PipelineCtx<'a>) -> Option<HashJoi
     let pair = map.zip(bindings).and_then(|(projection, (l, r))| {
         let mut pb = PairKernelBuilder::new(l, r)?;
         if build_on_left {
+            pb.seed_left(&build.fields);
             pb.seed_right(&probe.fields);
         } else {
             pb.seed_left(&probe.fields);
+            pb.seed_right(&build.fields);
         }
         let kernel = pb.compile(projection)?;
-        let (payload_fields, probe_fields) = if build_on_left {
+        let (build_fields, probe_fields) = if build_on_left {
             (pb.left_fields(), pb.right_fields())
         } else {
             (pb.right_fields(), pb.left_fields())
         };
-        // The probe chunk decodes source rows, whatever a projection
-        // beneath the bind narrows them to: a field it drops must stay
-        // the per-row path's to miss.  (The payload decodes narrowed
-        // rows, and refuses by itself.)
-        if !probe.exposes(probe_fields) {
+        // A chunk holds source rows' columns, whatever a projection
+        // beneath the bind narrows the rows to: a field it drops must
+        // stay the per-row path's to miss.
+        if !probe.exposes(probe_fields) || !build.exposes(build_fields) {
             return None;
         }
-        let mut payload_builder = ChunkBuilder::new();
-        for field in payload_fields {
-            payload_builder.add_field(Arc::clone(field));
-        }
         probe.set_layout(probe_fields, probe_fields.len());
+        build.set_layout(build_fields, build_fields.len());
         Some(PairPlan {
             kernel,
-            payload_builder,
             payload: None,
         })
     });

@@ -3,11 +3,19 @@
 //! There is one hash join.  It buffers exactly one input (the *build
 //! side* — by default the smaller one by estimated cardinality) into a
 //! [`JoinTable`] and streams the other input through it.  A join side is
-//! a [`KeyedSource`]: a producer of `(hash, key, row)` batches that is
-//! vectorized when the side is a fusable scan spine (kernel-evaluated
-//! keys, one-pass batched hashing) and per-row otherwise; one build loop
+//! a [`KeyedSource`]: a producer of [`KeyedBatch`]es that is vectorized
+//! when the side is a fusable scan spine (kernel-evaluated keys, one-pass
+//! batched hashing) and per-row otherwise; one build loop
 //! ([`JoinTable::absorb`]) and one expansion loop ([`Probe::pump`])
 //! consume either form, resident and in every reloaded Grace partition.
+//!
+//! The table keeps a vectorized build batch **by position**: its chunk,
+//! its selection and where its row values are.  A build row is made only
+//! when something needs one, and then for the whole table at once: the
+//! per-row expansion (a residual predicate, a join without a fused
+//! projection, a pair kernel that bails, a probe batch that ran per row)
+//! or a Grace unload.  A fused projection over matched pairs reads the
+//! build batches' own columns (the *payload*), so it never needs one.
 //! Output rows are **lazy**: a match yields a [`Row`] carrying the frames of
 //! both sides, and the merged struct is only constructed if a downstream
 //! consumer needs one value.  The nested-loop and merge-tuples joins
@@ -17,7 +25,8 @@
 //! # Spilling (bounded memory budgets)
 //!
 //! Under a bounded [`MemoryBudget`](super::spill::MemoryBudget) the build
-//! loop charges every build row; the row whose charge fails sends the
+//! loop makes and charges every build row as it comes; the row whose
+//! charge fails sends the
 //! join down the [`Grace`] path: the resident table and the rest of the
 //! build input are hash-routed into 8 disk runs, the whole probe input is
 //! routed by the same hash (probe *keys* are still evaluated in arrival
@@ -35,15 +44,28 @@
 //! that is rewound and re-read once per outer row, at row-granularity
 //! trip detection (peak overshoot ≤ one row).  Emission order is
 //! unchanged — the tail pass replays rows in their original order.
+//!
+//! Outside tests this module denies `unwrap`, `expect`, `panic!` and
+//! `unreachable!`: a condition that cannot hold is a typed
+//! [`RuntimeError`], or an `#[expect]` that names its invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault};
 
 use disco_algebra::{kernel::PairKernel, truthy, AlgebraError, ScalarExpr};
-use disco_value::{approx_value_bytes, ChunkBuilder, ColumnarChunk, Value};
+use disco_value::{approx_value_bytes, ColumnarChunk, Value};
 
-use super::columnar::{Batch, KeyedBatch, Spine};
+use super::columnar::{Batch, KeyedBatch, Positions, Spine};
 use super::sink::IdentityHasher;
 use super::spill::{
     approx_row_bytes, record_row, row_record, Grace, Resident, RewindableRun, RunFile,
@@ -53,6 +75,7 @@ use super::{
     eval_in_pair, eval_in_row, BoxedRowStream, Frame, InputRows, PipelineCtx, Result, Row,
     RowStream,
 };
+use crate::RuntimeError;
 
 /// Which hash-join input to buffer as the build side.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -80,7 +103,7 @@ pub(crate) fn check_struct_frames(row: &Row<'_>) -> Result<()> {
 /// join table's [`RandomState`].
 pub(crate) type KeyedRow<'a> = (u64, Value, Row<'a>);
 
-/// One side of a hash join: a producer of [`KeyedRow`] batches.
+/// One side of a hash join: a producer of [`KeyedBatch`]es.
 pub(crate) enum KeyedSource<'a> {
     /// A fused scan stretch (`filter* → bind? → (filter | project)* →
     /// scan`, over rows at hand or a still-streaming source) whose tail
@@ -128,11 +151,9 @@ impl<'a> KeyedSource<'a> {
 
     /// The next batch of at most `hint` input rows, keyed (possibly empty
     /// — a filter batch in which nothing matched); `None` once exhausted.
-    pub(crate) fn next_keyed_rows(&mut self, hint: usize) -> Result<Option<Vec<KeyedRow<'a>>>> {
+    pub(crate) fn next_keyed(&mut self, hint: usize) -> Result<Option<KeyedBatch<'a>>> {
         match self {
-            KeyedSource::Spine(spine) => {
-                Ok(spine.next_keyed(hint)?.map(|batch| spine.keyed_rows(batch)))
-            }
+            KeyedSource::Spine(spine) => spine.next_keyed(hint),
             KeyedSource::Rows {
                 input,
                 key,
@@ -152,7 +173,7 @@ impl<'a> KeyedSource<'a> {
                     let key = eval_in_row(key, &row, *ctx)?;
                     out.push((state.hash_one(&key), key, row));
                 }
-                Ok(Some(out))
+                Ok(Some(KeyedBatch::Rows(out)))
             }
         }
     }
@@ -163,26 +184,74 @@ impl<'a> KeyedSource<'a> {
 /// Bucketed by *precomputed* canonical hash (identity-hashed buckets, no
 /// re-hash on insert or probe), so a columnar side can hash a whole key
 /// column in one [`disco_value::KeyHasher`] pass while per-row sides hash
-/// the same key values through the same [`RandomState`].  Rows live in a
-/// dense store; a key group lists its rows' *table indices* in insertion
-/// order — the index doubles as the row's slot in the build-side payload
-/// chunk of a fused pair projection — and an expansion in flight refers
-/// to its group by id.
+/// the same key values through the same [`RandomState`].  A build row has
+/// a *table index*, in insertion order; a key group lists its rows'
+/// indices, and an expansion in flight refers to its group by id.
+///
+/// The rows themselves are in one of two forms, in table order: first the
+/// rows made (`rows`: a batch that ran per row, a reloaded Grace record,
+/// every row under a bounded budget), then the vectorized batches kept by
+/// position (`kept`).  [`JoinTable::make_rows`] turns the kept batches
+/// into rows, once, when something first needs a row.  While every row
+/// is kept by position the batches' own columns are the payload a pair
+/// projection reads ([`JoinTable::payload`]).
 pub(crate) struct JoinTable<'a> {
     state: RandomState,
     /// Key hash → the first group of that hash (almost always the only).
     buckets: HashMap<u64, u32, BuildHasherDefault<IdentityHasher>>,
     groups: Vec<Group>,
+    /// The rows made: table indices `0..rows.len()`.
     rows: Vec<Row<'a>>,
+    /// The batches kept by position: the table indices after `rows`.
+    kept: Vec<Positions<'a>>,
+    /// Build rows in all, made or kept.
+    len: u32,
 }
 
 /// Build rows sharing one key value (equality is the canonical `Value`
-/// equality; hash collisions chain separate groups).
+/// equality; hash collisions chain separate groups).  The first row's
+/// index is kept inline: a key's other rows — in insertion order — are
+/// the only thing a group allocates for.
 struct Group {
     key: Value,
-    indices: Vec<u32>,
+    first: u32,
+    more: Vec<u32>,
     /// The next group under the same hash.
     next: Option<u32>,
+}
+
+impl Group {
+    fn len(&self) -> usize {
+        1 + self.more.len()
+    }
+
+    /// The table index of the group's `k`-th row.
+    fn at(&self, k: usize) -> u32 {
+        match k.checked_sub(1) {
+            None => self.first,
+            Some(k) => self.more[k],
+        }
+    }
+
+    /// The table indices of the group's rows, in insertion order.
+    fn indices(&self) -> impl Iterator<Item = u32> + '_ {
+        std::iter::once(self.first).chain(self.more.iter().copied())
+    }
+}
+
+/// The build side's columns a pair projection reads, and where each build
+/// row is in them.
+pub(crate) struct Payload {
+    chunk: ColumnarChunk,
+    /// The chunk row of each table index; `None` when they are the same.
+    at: Option<Vec<u32>>,
+}
+
+impl Payload {
+    /// The chunk row of build row `index`.
+    fn row(&self, index: u32) -> u32 {
+        self.at.as_ref().map_or(index, |at| at[index as usize])
+    }
 }
 
 impl Default for JoinTable<'_> {
@@ -192,6 +261,8 @@ impl Default for JoinTable<'_> {
             buckets: HashMap::default(),
             groups: Vec::new(),
             rows: Vec::new(),
+            kept: Vec::new(),
+            len: 0,
         }
     }
 }
@@ -216,21 +287,20 @@ impl<'a> JoinTable<'a> {
         None
     }
 
-    /// Inserts one build row under its precomputed key hash.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table exceeds `u32::MAX` rows (build sides are far
-    /// smaller; the index doubles as a payload-chunk slot).
-    fn insert(&mut self, hash: u64, key: Value, row: Row<'a>) {
-        let index = u32::try_from(self.rows.len()).expect("build side fits u32 indexes");
-        self.rows.push(row);
-        let id = u32::try_from(self.groups.len()).expect("fewer groups than rows");
+    /// Files the next build row under its precomputed key hash; the row
+    /// itself goes to `rows` or `kept` by the caller.
+    fn insert(&mut self, hash: u64, key: Value) -> Result<()> {
+        let index = self.len;
+        // A group's id is at most the index of its first row.
+        let id = self.groups.len() as u32;
+        self.len = index.checked_add(1).ok_or_else(|| {
+            RuntimeError::Unsupported("a hash-join build side of 2^32 rows or more".into())
+        })?;
         let head = match self.buckets.entry(hash) {
             Entry::Occupied(mut entry) => {
                 if let Some(found) = Self::find(&self.groups, Some(*entry.get()), &key) {
-                    self.groups[found as usize].indices.push(index);
-                    return;
+                    self.groups[found as usize].more.push(index);
+                    return Ok(());
                 }
                 Some(entry.insert(id))
             }
@@ -241,36 +311,99 @@ impl<'a> JoinTable<'a> {
         };
         self.groups.push(Group {
             key,
-            indices: vec![index],
+            first: index,
+            more: Vec::new(),
             next: head,
         });
+        Ok(())
     }
 
-    /// The one build loop: every keyed row bumps `rows_materialized`, is
-    /// charged against the budget and inserted.  Stops at — and returns
-    /// `false` for — the row whose charge failed (it is in the table);
-    /// the caller then goes Grace with the rest of the iterator.
+    /// The one build loop, over either form of keyed batch: every build
+    /// row bumps `rows_materialized` and is inserted.  Without a bounded
+    /// budget a vectorized batch is kept by position, whole.  Otherwise
+    /// each row is made and charged against the budget, and the loop
+    /// stops at the row whose charge failed (it is in the table),
+    /// returning the rest of the batch: the caller then goes Grace with
+    /// it.
     fn absorb(
         &mut self,
-        rows: &mut impl Iterator<Item = KeyedRow<'a>>,
+        batch: KeyedBatch<'a>,
         charged: &mut usize,
         ctx: PipelineCtx<'_>,
-    ) -> bool {
+    ) -> Result<Option<std::vec::IntoIter<KeyedRow<'a>>>> {
         let bounded = ctx.budget.is_bounded();
-        for (hash, key, row) in rows {
+        let mut rows = match batch {
+            KeyedBatch::Kernel { at, keys, hashes } if !bounded => {
+                for (j, &hash) in hashes.iter().enumerate() {
+                    ctx.metrics.bump_materialized();
+                    self.insert(hash, keys.value_at(j))?;
+                }
+                self.kept.push(at);
+                return Ok(None);
+            }
+            batch => batch.into_rows()?.into_iter(),
+        };
+        // Made rows come before kept ones in table order.
+        if !rows.as_slice().is_empty() {
+            self.make_rows()?;
+        }
+        while let Some((hash, key, row)) = rows.next() {
             ctx.metrics.bump_materialized();
             let cost = if bounded {
                 approx_row_bytes(&row) + approx_value_bytes(&key)
             } else {
                 0
             };
-            self.insert(hash, key, row);
+            self.insert(hash, key)?;
+            self.rows.push(row);
             *charged += cost;
             if !ctx.budget.charge(cost) {
-                return false;
+                return Ok(Some(rows));
             }
         }
-        true
+        Ok(None)
+    }
+
+    /// Makes the rows of the batches kept by position, in table order.
+    fn make_rows(&mut self) -> Result<()> {
+        for batch in self.kept.drain(..) {
+            self.rows.reserve(batch.len());
+            for j in 0..batch.len() {
+                self.rows.push(batch.row(j)?);
+            }
+        }
+        Ok(())
+    }
+
+    /// The payload of a pair projection: `None` once any build row is
+    /// made (a batch ran per row, or the budget is bounded).  When every
+    /// kept batch reads the same columns — one column-faced bag, or the
+    /// link chunks of one — those columns are the payload as they are;
+    /// otherwise the kept rows of each column are gathered in table order.
+    fn payload(&self) -> Option<Payload> {
+        if !self.rows.is_empty() {
+            return None;
+        }
+        let shared = self.kept.split_first().is_some_and(|(first, rest)| {
+            rest.iter()
+                .all(|batch| batch.chunk.shares_columns(&first.chunk))
+        });
+        if shared {
+            let at = self.kept.iter().flat_map(|batch| batch.sel.iter().copied());
+            return Some(Payload {
+                chunk: self.kept[0].chunk.clone(),
+                at: Some(at.collect()),
+            });
+        }
+        let parts: Vec<(&ColumnarChunk, &[u32])> = self
+            .kept
+            .iter()
+            .map(|batch| (&batch.chunk, batch.sel.as_slice()))
+            .collect();
+        Some(Payload {
+            chunk: ColumnarChunk::gather(&parts),
+            at: None,
+        })
     }
 
     /// The id of the group of build rows matching `key`, if any.
@@ -278,28 +411,35 @@ impl<'a> JoinTable<'a> {
         Self::find(&self.groups, self.buckets.get(&hash).copied(), key)
     }
 
-    /// The table indices of the build rows matching `key` (empty when
+    /// The table indices of the build rows matching `key` (none when
     /// none), in insertion order.
-    fn lookup(&self, hash: u64, key: &Value) -> &[u32] {
+    fn matches(&self, hash: u64, key: &Value) -> impl Iterator<Item = u32> + '_ {
         self.group(hash, key)
-            .map_or(&[], |id| self.groups[id as usize].indices.as_slice())
+            .into_iter()
+            .flat_map(|id| self.groups[id as usize].indices())
     }
 }
 
 impl Resident for JoinTable<'_> {
-    fn load(&mut self, mut record: Vec<Value>) -> usize {
+    fn load(&mut self, mut record: Vec<Value>) -> Result<usize> {
         let key = record.remove(0);
         let row = record_row(record);
         let cost = approx_row_bytes(&row) + approx_value_bytes(&key);
-        self.insert(self.state.hash_one(&key), key, row);
-        cost
+        self.insert(self.state.hash_one(&key), key)?;
+        self.rows.push(row);
+        Ok(cost)
     }
 
     fn unload(&mut self, sink: &mut dyn FnMut(&[Value]) -> Result<()>) -> Result<()> {
+        self.make_rows()?;
         let table = std::mem::take(self);
         let mut rows: Vec<Option<Row<'_>>> = table.rows.into_iter().map(Some).collect();
         for group in table.groups {
-            for index in group.indices {
+            for index in group.indices() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`insert` files each table index in exactly one group"
+                )]
                 let row = rows[index as usize]
                     .take()
                     .expect("each row is in one group");
@@ -376,8 +516,8 @@ impl<'a> Probe<'a> {
                     if rows_in_hand && !source.ready() {
                         return Ok(Pulled::NotReady);
                     }
-                    match source.next_keyed_rows(self.ctx.batch_rows)? {
-                        Some(rows) => self.batch = rows.into_iter(),
+                    match source.next_keyed(self.ctx.batch_rows)? {
+                        Some(batch) => self.batch = batch.into_rows()?.into_iter(),
                         None => return Ok(Pulled::Done),
                     }
                 }
@@ -398,7 +538,12 @@ impl<'a> Probe<'a> {
     /// holds `max`, the probe feed is exhausted (`Ok(false)`), or the
     /// feed would block with rows in hand.  Matches of one probe row come
     /// out in build-insertion order.
-    fn pump(&mut self, table: &JoinTable<'a>, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
+    fn pump(
+        &mut self,
+        table: &mut JoinTable<'a>,
+        out: &mut Vec<Row<'a>>,
+        max: usize,
+    ) -> Result<bool> {
         let start = out.len();
         let PairSpec {
             residual,
@@ -407,12 +552,12 @@ impl<'a> Probe<'a> {
         } = self.spec;
         loop {
             if let Some((probe, group, next)) = &mut self.current {
-                let matches = &table.groups[*group as usize].indices;
+                let matches = &table.groups[*group as usize];
                 while *next < matches.len() {
                     if out.len() - start >= max {
                         return Ok(true);
                     }
-                    let candidate = &table.rows[matches[*next] as usize];
+                    let candidate = &table.rows[matches.at(*next) as usize];
                     *next += 1;
                     let (lrow, rrow) = if build_on_left {
                         (candidate, &*probe)
@@ -438,7 +583,12 @@ impl<'a> Probe<'a> {
             }
             match self.pull(table, out.len() > start)? {
                 Pulled::Row((hash, key, probe)) => {
-                    self.current = table.group(hash, &key).map(|group| (probe, group, 0));
+                    if let Some(group) = table.group(hash, &key) {
+                        // The expansion reads build rows: they are made
+                        // at the first match, for the whole table.
+                        table.make_rows()?;
+                        self.current = Some((probe, group, 0));
+                    }
                 }
                 Pulled::NotReady => return Ok(true),
                 Pulled::Done => return Ok(false),
@@ -448,15 +598,13 @@ impl<'a> Probe<'a> {
 }
 
 /// A projection fused over matched pairs and evaluated a batch of pairs at
-/// a time: the kernel reads the probe chunk through one binding and a
-/// chunk of the build side's raw rows (the *payload*, in table-index
-/// order) through the other, so no joined row is constructed.
+/// a time: the kernel reads the probe chunk through one binding and the
+/// build side's [`Payload`] through the other, so no joined row — and no
+/// build row — is constructed.
 pub(crate) struct PairPlan {
     pub(crate) kernel: PairKernel,
-    /// Decodes the payload columns the projection reads.
-    pub(crate) payload_builder: ChunkBuilder,
-    /// Built once the build side is complete.
-    pub(crate) payload: Option<ColumnarChunk>,
+    /// Set once the build side is complete, if it has one.
+    pub(crate) payload: Option<Payload>,
 }
 
 /// The hash join operator, with lazy output rows.  Its sides are
@@ -507,27 +655,17 @@ impl<'a> HashJoin<'a> {
         let Some(mut build) = self.build.take() else {
             return Ok(());
         };
-        while let Some(rows) = build.next_keyed_rows(self.ctx.batch_rows)? {
-            let mut rows = rows.into_iter();
-            if !self.table.absorb(&mut rows, &mut self.charged, self.ctx) {
-                return self.spill(build, rows);
+        while let Some(batch) = build.next_keyed(self.ctx.batch_rows)? {
+            if let Some(rest) = self.table.absorb(batch, &mut self.charged, self.ctx)? {
+                return self.spill(build, rest);
             }
         }
-        // The payload chunk is breaker state too, and it is not charged:
-        // a bounded budget does without it (pairs are projected per row).
-        // An undecodable payload (a build row missing a projected column)
-        // likewise drops to per-pair evaluation, which reports the row
-        // evaluator's exact error for the missing field.
-        if let Some(mut pair) = self.pair.take() {
-            let raw: Option<Vec<Value>> = match &build {
-                KeyedSource::Spine(spine) if !self.ctx.budget.is_bounded() => {
-                    let rows = self.table.rows.iter();
-                    rows.map(|row| spine.source_value(row).cloned()).collect()
-                }
-                _ => None,
-            };
-            pair.payload = raw.and_then(|raw| pair.payload_builder.build(&raw));
-            self.pair = pair.payload.is_some().then_some(pair);
+        // The payload is breaker state too, and it is not charged: a
+        // bounded budget does without it (pairs are projected per row).
+        if let Some(pair) = &mut self.pair {
+            if !self.ctx.budget.is_bounded() {
+                pair.payload = self.table.payload();
+            }
         }
         Ok(())
     }
@@ -554,16 +692,21 @@ impl<'a> HashJoin<'a> {
                 ctx.metrics.bump_materialized();
                 fan.push_resident(&row_record(&key, row))?;
             }
-            match build.next_keyed_rows(ctx.batch_rows)? {
-                Some(rows) => rest = rows.into_iter(),
+            match build.next_keyed(ctx.batch_rows)? {
+                Some(batch) => rest = batch.into_rows()?.into_iter(),
                 None => break,
             }
         }
-        let Feed::Source(probe) = &mut self.probe.feed else {
+        #[expect(
+            clippy::unreachable,
+            reason = "the build completes before the first probe, and a probe run exists only after this"
+        )]
+        let Feed::Source(probe) = &mut self.probe.feed
+        else {
             unreachable!("the build completes before the first probe");
         };
-        while let Some(rows) = probe.next_keyed_rows(ctx.batch_rows)? {
-            for (_, key, row) in rows {
+        while let Some(batch) = probe.next_keyed(ctx.batch_rows)? {
+            for (_, key, row) in batch.into_rows()? {
                 fan.push_streamed(&row_record(&key, row))?;
             }
         }
@@ -574,11 +717,14 @@ impl<'a> HashJoin<'a> {
     }
 
     /// Releases the drained table and loads the next Grace partition;
-    /// `false` once every partition has been probed.
+    /// `false` once every partition has been probed, or when the join did
+    /// not spill.
     fn next_partition(&mut self) -> Result<bool> {
+        let Some(grace) = self.grace.as_mut() else {
+            return Ok(false);
+        };
         self.ctx.budget.uncharge(std::mem::take(&mut self.charged));
         self.table = JoinTable::default();
-        let grace = self.grace.as_mut().expect("spilled mode");
         let Some(loaded) = grace.load_next(JoinTable::default, self.ctx)? else {
             return Ok(false);
         };
@@ -613,47 +759,44 @@ impl<'a> HashJoin<'a> {
     /// matched pairs projected in one kernel evaluation.  `None` leaves
     /// the batch (if one was pulled) queued for the per-row expansion.
     fn next_paired(&mut self, hint: usize) -> Result<Option<Batch<'a>>> {
-        let (Some(pair), Feed::Source(KeyedSource::Spine(spine))) =
-            (&self.pair, &mut self.probe.feed)
+        let (
+            Some(PairPlan {
+                kernel,
+                payload: Some(payload),
+            }),
+            Feed::Source(KeyedSource::Spine(spine)),
+        ) = (&self.pair, &mut self.probe.feed)
         else {
             return Ok(None);
         };
-        let payload = pair.payload.as_ref().expect("checked when the build ended");
         while self.probe.current.is_none() && self.probe.batch.as_slice().is_empty() {
             let Some(batch) = spine.next_keyed(hint)? else {
                 return Ok(None);
             };
-            if let KeyedBatch::Kernel {
-                chunk,
-                sel,
-                keys,
-                hashes,
-                ..
-            } = &batch
-            {
+            if let KeyedBatch::Kernel { at, keys, hashes } = &batch {
                 // Twin pair-index vectors: pair `p` joins probe chunk
-                // row `probe_sel[p]` with build table row `build_sel[p]`.
+                // row `probe_sel[p]` with payload row `build_sel[p]`.
                 let mut probe_sel: Vec<u32> = Vec::new();
                 let mut build_sel: Vec<u32> = Vec::new();
-                for (j, &i) in sel.iter().enumerate() {
-                    for &b in self.table.lookup(hashes[j], &keys.value_at(j)) {
+                for (j, &i) in at.sel.iter().enumerate() {
+                    for b in self.table.matches(hashes[j], &keys.value_at(j)) {
                         probe_sel.push(i);
-                        build_sel.push(b);
+                        build_sel.push(payload.row(b));
                     }
                 }
                 if probe_sel.is_empty() {
                     continue;
                 }
                 let result = if self.probe.spec.build_on_left {
-                    pair.kernel.eval(payload, &build_sel, chunk, &probe_sel)
+                    kernel.eval(&payload.chunk, &build_sel, &at.chunk, &probe_sel)
                 } else {
-                    pair.kernel.eval(chunk, &probe_sel, payload, &build_sel)
+                    kernel.eval(&at.chunk, &probe_sel, &payload.chunk, &build_sel)
                 };
                 if let Some(result) = result {
                     return Ok(Some(Batch::Mapped(result, 0..probe_sel.len())));
                 }
             }
-            self.probe.batch = spine.keyed_rows(batch).into_iter();
+            self.probe.batch = batch.into_rows()?.into_iter();
         }
         Ok(None)
     }
@@ -677,12 +820,12 @@ impl<'a> RowStream<'a> for HashJoin<'a> {
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
         self.ensure_built()?;
         loop {
-            if self.probe.pump(&self.table, out, max)? {
+            if self.probe.pump(&mut self.table, out, max)? {
                 return Ok(true);
             }
             // The table's probe feed is drained: on to the next Grace
             // partition, if the join spilled.
-            if self.grace.is_none() || !self.next_partition()? {
+            if !self.next_partition()? {
                 return Ok(false);
             }
         }
@@ -770,9 +913,11 @@ impl<T> InnerBuffer<T> {
             ctx.budget.uncharge(cost);
             self.tail = Some(Tail::Writing(RunFile::create()?));
         }
-        match self.tail.as_mut().expect("created above") {
-            Tail::Writing(run) => run.push(&record(item)),
-            Tail::Sealed(_) => unreachable!("admit after seal"),
+        match &mut self.tail {
+            Some(Tail::Writing(run)) => run.push(&record(item)),
+            _ => Err(RuntimeError::Spill(
+                "a row was admitted to a sealed inner buffer".into(),
+            )),
         }
     }
 
@@ -792,14 +937,16 @@ impl<T> InnerBuffer<T> {
             self.next += 1;
             return Ok(Some(item.clone()));
         }
-        if self.pass.is_none() {
-            self.pass = match &mut self.tail {
-                None => return Ok(None),
-                Some(Tail::Sealed(run)) => Some(run.pass()?),
-                Some(Tail::Writing(_)) => unreachable!("walk before seal"),
-            };
-        }
-        let pass = self.pass.as_mut().expect("started above");
+        let pass = match (&mut self.pass, &mut self.tail) {
+            (Some(pass), _) => pass,
+            (_, None) => return Ok(None),
+            (pass @ None, Some(Tail::Sealed(run))) => pass.insert(run.pass()?),
+            (None, Some(Tail::Writing(_))) => {
+                return Err(RuntimeError::Spill(
+                    "an inner buffer was walked before its tail was sealed".into(),
+                ))
+            }
+        };
         Ok(pass.next_record()?.map(decode))
     }
 }

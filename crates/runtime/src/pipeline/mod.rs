@@ -410,7 +410,8 @@ impl PipelineMetrics {
             .fetch_max(other.peak_tracked_bytes(), Ordering::Relaxed);
     }
 
-    /// Rows buffered by pipeline breakers: the hash-join build side, the
+    /// Rows buffered by pipeline breakers: the hash-join build side (one
+    /// per build row, kept as a position in its batch or as a row), the
     /// inner side of a nested-loop or merge-tuples join, and the distinct
     /// seen-set.  Streaming operators never contribute here — that is the
     /// invariant the streaming engine exists for.

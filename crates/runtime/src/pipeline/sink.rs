@@ -130,13 +130,13 @@ impl SeenSet {
 }
 
 impl Resident for SeenSet {
-    fn load(&mut self, mut record: Vec<Value>) -> usize {
+    fn load(&mut self, mut record: Vec<Value>) -> Result<usize> {
         let value = record.pop().unwrap_or(Value::Null);
         let cost = entry_cost(&value);
         // Resident runs hold values dumped from a set, so they are
         // already unique: insert without probing.
         self.insert_hashed(self.hasher.hash_one(&value), value);
-        cost
+        Ok(cost)
     }
 
     fn unload(&mut self, sink: &mut dyn FnMut(&[Value]) -> Result<()>) -> Result<()> {

@@ -390,7 +390,7 @@ pub(crate) trait Resident {
     /// Inserts one record read back from a resident run and returns the
     /// bytes to charge for it.  Reloads never touch `rows_materialized` —
     /// every record was counted when first consumed.
-    fn load(&mut self, record: Vec<Value>) -> usize;
+    fn load(&mut self, record: Vec<Value>) -> Result<usize>;
 
     /// Moves every entry out as spill records (routing key first),
     /// leaving the state empty.
@@ -538,7 +538,7 @@ impl Grace {
                 let Some(record) = run.next_record()? else {
                     break;
                 };
-                let cost = loaded.state.load(record);
+                let cost = loaded.state.load(record)?;
                 loaded.charged += cost;
                 if !ctx.budget.charge(cost) && can_split(loaded.level) {
                     self.resplit(loaded, resident, ctx)?;

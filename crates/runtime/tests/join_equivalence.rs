@@ -6,9 +6,22 @@
 //! `HashJoin` is checked against the same logical join forced through
 //! `NestedLoopJoin` (the two physical algorithms implement one logical
 //! operator), and `MkDistinct` against a naive O(n²) distinct.
+//!
+//! The last section guards what only a table that keeps its build rows
+//! by position has: rows made mid-probe when a pair kernel bails, a
+//! payload gathered across build chunks, a table holding both forms,
+//! build-insertion order within a key group on either path, and the
+//! joins that expand per row.  Each plan runs over literal data and over
+//! `exec` answers of rows and of columns, unbounded and under a budget
+//! that never trips, against the reference evaluator.
+
+mod common;
 
 use disco_algebra::{lower, LogicalExpr, PhysicalExpr, ScalarExpr, ScalarOp};
-use disco_runtime::{evaluate_physical, ResolvedExecs};
+use disco_runtime::{
+    evaluate_physical, evaluate_physical_with, reference, BuildSide, MemBudget, PipelineMetrics,
+    PipelineOptions, ResolvedExecs,
+};
 use disco_value::{Bag, StructValue, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -225,5 +238,284 @@ fn join_output_rows_share_input_storage() {
             );
         }
         other => panic!("unexpected values {other:?}"),
+    }
+}
+
+/// A bounded budget no test input can trip: the build loop makes and
+/// charges every row, and nothing spills.
+const NEVER_TRIPS: MemBudget = MemBudget::Bytes(usize::MAX / 2);
+
+fn id_eq() -> ScalarExpr {
+    ScalarExpr::binary(
+        ScalarOp::Eq,
+        ScalarExpr::var_field("x", "id"),
+        ScalarExpr::var_field("y", "id"),
+    )
+}
+
+/// `x` joined with `y` on `id`, the right input (`y`) the build side.
+fn join_xy(left: Bag, right: Bag, residual: Option<ScalarExpr>) -> LogicalExpr {
+    let predicate = match residual {
+        Some(residual) => ScalarExpr::binary(ScalarOp::And, id_eq(), residual),
+        None => id_eq(),
+    };
+    LogicalExpr::Join {
+        left: Box::new(LogicalExpr::Data(left).bind("x")),
+        right: Box::new(LogicalExpr::Data(right).bind("y")),
+        predicate: Some(predicate),
+    }
+}
+
+fn salary_sum() -> ScalarExpr {
+    ScalarExpr::StructLit(vec![
+        ("name".into(), ScalarExpr::var_field("x", "name")),
+        (
+            "total".into(),
+            ScalarExpr::binary(
+                ScalarOp::Add,
+                ScalarExpr::var_field("x", "salary"),
+                ScalarExpr::var_field("y", "salary"),
+            ),
+        ),
+    ])
+}
+
+/// Runs `plan` over its literal data and over `exec` answers of rows and
+/// of columns, `batch_rows` rows a batch, building on the right,
+/// unbounded and under a budget that never trips.  Every run must give
+/// the reference evaluator's answer — or its error text — and an answer
+/// must have buffered `build_rows` rows.  Returns the answers, each as
+/// the rows in the order they came out.
+fn assert_matches_reference(
+    plan: &LogicalExpr,
+    batch_rows: usize,
+    build_rows: usize,
+) -> Vec<Vec<Value>> {
+    let (shipped, by_rows, by_columns) = common::resolved_twins(plan);
+    let (data, shipped) = (lower(plan).unwrap(), lower(&shipped).unwrap());
+    let runs = [
+        ("data", &data, ResolvedExecs::default()),
+        ("rows", &shipped, by_rows),
+        ("columns", &shipped, by_columns),
+    ];
+    let mut answers = Vec::new();
+    for (input, physical, resolved) in &runs {
+        assert!(format!("{physical}").contains("hashjoin"), "{physical}");
+        let expected = reference::evaluate_physical(physical, resolved);
+        for mem_budget in [MemBudget::Unbounded, NEVER_TRIPS] {
+            let label = format!("{input}, batches of {batch_rows}, {mem_budget:?}: {plan}");
+            let options = PipelineOptions {
+                build_side: BuildSide::Right,
+                batch_rows,
+                mem_budget,
+                ..PipelineOptions::default()
+            };
+            let metrics = PipelineMetrics::new();
+            match (
+                evaluate_physical_with(physical, resolved, &metrics, options),
+                &expected,
+            ) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(&got, want, "{label}");
+                    assert_eq!(metrics.rows_materialized(), build_rows, "{label}");
+                    answers.push(got.iter().cloned().collect());
+                }
+                (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string(), "{label}"),
+                (got, want) => panic!("{label}: {got:?} against the reference's {want:?}"),
+            }
+        }
+    }
+    answers
+}
+
+/// **(a)** A pair kernel bails on a later probe batch: earlier batches
+/// were projected by kernel without a build row, so the rows are made in
+/// the middle of the probe.  An overflowing `x.salary + y.salary` is the
+/// reference's error; a probe batch with a mixed-type key runs per row
+/// and the answer is the reference's.
+#[test]
+fn build_rows_made_mid_probe_give_the_reference_answer_or_error() {
+    let build: Bag = (0..24)
+        .map(|i| common::person(i, &format!("b{i}"), i))
+        .collect();
+    let overflowing: Bag = (0..40)
+        .map(|i| {
+            let salary = if i == 30 { i64::MAX } else { i };
+            common::person(i % 24, &format!("p{i}"), salary)
+        })
+        .collect();
+    let plan = join_xy(overflowing, build.clone(), None).map_project(salary_sum());
+    let answers = assert_matches_reference(&plan, 8, 24);
+    assert!(answers.is_empty(), "x.salary + y.salary overflows");
+
+    let mixed: Bag = (0..40)
+        .map(|i| {
+            if i == 30 {
+                Value::Struct(
+                    StructValue::new(vec![
+                        ("id", Value::from("thirty")),
+                        ("name", Value::from("mixed")),
+                        ("salary", Value::Int(1)),
+                    ])
+                    .unwrap(),
+                )
+            } else {
+                common::person(i % 24, &format!("p{i}"), i)
+            }
+        })
+        .collect();
+    let plan = join_xy(mixed, build, None).map_project(salary_sum());
+    for answer in assert_matches_reference(&plan, 8, 24) {
+        assert_eq!(
+            answer.len(),
+            39,
+            "every probe row but the mixed one matches"
+        );
+    }
+}
+
+/// **(b)** The build side arrives as several batches: the payload is the
+/// one column-faced answer's columns under a table-index map, or is
+/// gathered across the chunks decoded from row values.  A filter beneath
+/// the build side's bind makes the map skip rows.
+#[test]
+fn a_build_side_of_many_batches_gives_the_reference_answer() {
+    let mut rng = StdRng::seed_from_u64(0xB17D);
+    for batch_rows in [1, 3, 7, 64] {
+        let probe = common::random_people(&mut rng, 50, 10);
+        let build = common::random_people(&mut rng, 30, 10);
+        let plan = join_xy(probe.clone(), build.clone(), None).map_project(salary_sum());
+        assert_matches_reference(&plan, batch_rows, 30);
+        let kept = build
+            .iter()
+            .filter(|row| row.as_struct().unwrap().field("salary").unwrap() > &Value::Int(40))
+            .count();
+        let filtered = LogicalExpr::Join {
+            left: Box::new(LogicalExpr::Data(probe).bind("x")),
+            right: Box::new(
+                LogicalExpr::Data(build)
+                    .filter(ScalarExpr::binary(
+                        ScalarOp::Gt,
+                        ScalarExpr::attr("salary"),
+                        ScalarExpr::constant(40i64),
+                    ))
+                    .bind("y"),
+            ),
+            predicate: Some(id_eq()),
+        }
+        .map_project(salary_sum());
+        assert_matches_reference(&filtered, batch_rows, kept);
+    }
+}
+
+/// **(c)** One build batch runs per row (a mixed-type key column), so
+/// the table holds rows made from the batches kept before it, that
+/// batch's rows, and the batches kept after it.
+#[test]
+fn a_table_holding_both_forms_gives_the_reference_answer() {
+    let build: Bag = (0..20)
+        .map(|i| {
+            if i == 9 {
+                Value::Struct(
+                    StructValue::new(vec![
+                        ("id", Value::from("nine")),
+                        ("name", Value::from("b-nine")),
+                        ("salary", Value::Int(9)),
+                    ])
+                    .unwrap(),
+                )
+            } else {
+                common::person(i % 6, &format!("b{i}"), i)
+            }
+        })
+        .collect();
+    let mut probe: Vec<Value> = (0..12)
+        .map(|i| common::person(i % 8, &format!("p{i}"), i))
+        .collect();
+    probe.push(Value::Struct(
+        StructValue::new(vec![
+            ("id", Value::from("nine")),
+            ("name", Value::from("p-nine")),
+            ("salary", Value::Int(0)),
+        ])
+        .unwrap(),
+    ));
+    let plan = join_xy(probe.into_iter().collect(), build, None).map_project(salary_sum());
+    for batch_rows in [4, 256] {
+        assert_matches_reference(&plan, batch_rows, 20);
+    }
+}
+
+/// **(d)** Duplicate build keys, spread over several build batches: the
+/// matches of a probe row come out in build-insertion order — on the
+/// kernel path (unbounded), on the per-row expansion over rows made at
+/// the first match (a map no pair kernel compiles), and over rows made
+/// as they came (under a budget).
+#[test]
+fn duplicate_build_keys_come_out_in_insertion_order_on_every_path() {
+    let build: Bag = (0..12)
+        .map(|i| common::person(i % 3, &format!("b{i}"), i))
+        .collect();
+    let probe: Bag = (0..6)
+        .map(|i| common::person(i % 4, &format!("p{i}"), i))
+        .collect();
+    let names = |l: &Value, r: &Value| -> Value {
+        Value::Struct(
+            StructValue::new(vec![
+                ("l", l.as_struct().unwrap().field("name").unwrap().clone()),
+                ("r", r.as_struct().unwrap().field("name").unwrap().clone()),
+            ])
+            .unwrap(),
+        )
+    };
+    let mut expected = Vec::new();
+    for x in &probe {
+        for y in &build {
+            if x.as_struct().unwrap().field("id") == y.as_struct().unwrap().field("id") {
+                expected.push(names(x, y));
+            }
+        }
+    }
+    let by_kernel = ScalarExpr::StructLit(vec![
+        ("l".into(), ScalarExpr::var_field("x", "name")),
+        ("r".into(), ScalarExpr::var_field("y", "name")),
+    ]);
+    // No pair kernel compiles a call.
+    let by_row = ScalarExpr::StructLit(vec![
+        (
+            "l".into(),
+            ScalarExpr::Call("coalesce".into(), vec![ScalarExpr::var_field("x", "name")]),
+        ),
+        ("r".into(), ScalarExpr::var_field("y", "name")),
+    ]);
+    for projection in [by_kernel, by_row] {
+        let plan = join_xy(probe.clone(), build.clone(), None).map_project(projection);
+        for batch_rows in [2, 5, 256] {
+            for answer in assert_matches_reference(&plan, batch_rows, 12) {
+                assert_eq!(answer, expected, "probe-major, build-insertion order");
+            }
+        }
+    }
+}
+
+/// **(e)** The joins that expand per row: one with a residual predicate
+/// (its sides are keyed per row) and one with no projection (its spine
+/// sides keep the build rows by position until the first match).
+#[test]
+fn residual_and_unprojected_joins_give_the_reference_answer() {
+    let mut rng = StdRng::seed_from_u64(0xE5);
+    for batch_rows in [3, 256] {
+        let probe = common::random_people(&mut rng, 40, 8);
+        let build = common::random_people(&mut rng, 25, 8);
+        let residual = ScalarExpr::binary(
+            ScalarOp::Lt,
+            ScalarExpr::var_field("x", "salary"),
+            ScalarExpr::var_field("y", "salary"),
+        );
+        let with_residual =
+            join_xy(probe.clone(), build.clone(), Some(residual)).map_project(salary_sum());
+        assert_matches_reference(&with_residual, batch_rows, 25);
+        let unprojected = join_xy(probe, build, None);
+        assert_matches_reference(&unprojected, batch_rows, 25);
     }
 }

@@ -174,6 +174,48 @@ impl ColumnarChunk {
         self.len == 0
     }
 
+    /// Rows `rows` of each of `parts`, one part after the other, as one
+    /// chunk: each column re-encoded from the values it holds (no
+    /// dictionary codes).  The parts must have as many columns each; no
+    /// parts make the empty chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row is out of range for its part, or a part has
+    /// fewer columns than the first.
+    #[must_use]
+    pub fn gather(parts: &[(&ColumnarChunk, &[u32])]) -> ColumnarChunk {
+        let width = parts.first().map_or(0, |(chunk, _)| chunk.columns.len());
+        let len = parts.iter().map(|(_, rows)| rows.len()).sum();
+        let columns = (0..width)
+            .map(|slot| {
+                let values: Vec<Value> = parts
+                    .iter()
+                    .flat_map(|(chunk, rows)| {
+                        rows.iter()
+                            .map(move |&i| chunk.columns[slot].value_at(i as usize))
+                    })
+                    .collect();
+                let refs: Vec<&Value> = values.iter().collect();
+                Arc::new(encode_column(&refs, None))
+            })
+            .collect();
+        ColumnarChunk { len, columns }
+    }
+
+    /// Whether `other` is made of the very same columns (shared, not
+    /// equal): two chunks of one column-faced bag are, whatever rows
+    /// each selects.
+    #[must_use]
+    pub fn shares_columns(&self, other: &ColumnarChunk) -> bool {
+        self.columns.len() == other.columns.len()
+            && self
+                .columns
+                .iter()
+                .zip(&other.columns)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
     /// The decoded column at builder field index `index`.
     ///
     /// # Panics

@@ -422,20 +422,24 @@ impl StructValue {
     pub fn project<'a, I>(&self, names: I) -> Result<StructValue>
     where
         I: IntoIterator<Item = &'a str>,
+        I::IntoIter: Clone + ExactSizeIterator,
     {
-        let mut out: Vec<(Arc<str>, Value)> = Vec::new();
-        for name in names {
-            if out.iter().any(|(existing, _)| existing.as_ref() == name) {
+        let names = names.into_iter();
+        // The names are checked first, so that the struct is collected
+        // straight into its one block.
+        let find = |name: &str| self.fields.iter().find(|(n, _)| n.as_ref() == name);
+        for (i, name) in names.clone().enumerate() {
+            if names.clone().take(i).any(|earlier| earlier == name) {
                 return Err(ValueError::DuplicateField { field: name.into() });
             }
-            let (n, v) = self
-                .fields
-                .iter()
-                .find(|(n, _)| n.as_ref() == name)
-                .ok_or_else(|| ValueError::NoSuchField { field: name.into() })?;
-            out.push((Arc::clone(n), v.clone()));
+            if find(name).is_none() {
+                return Err(ValueError::NoSuchField { field: name.into() });
+            }
         }
-        Ok(StructValue { fields: out.into() })
+        Ok(StructValue::from_distinct_iter(names.map(|name| {
+            let (n, v) = find(name).expect("every name was found above");
+            (Arc::clone(n), v.clone())
+        })))
     }
 
     /// Returns a new struct with every field renamed through `rename`.
