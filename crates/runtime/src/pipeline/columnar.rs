@@ -85,7 +85,7 @@ use std::sync::Arc;
 
 use disco_algebra::{
     kernel::{EvalVec, Kernel, KernelBuilder, PairKernelBuilder},
-    truthy, AlgebraError, FanOut, PhysicalExpr, ScalarExpr,
+    truthy, FanOut, PhysicalExpr, ScalarExpr,
 };
 use disco_value::{
     Bag, BagColumns, ChunkBuilder, Column, ColumnarChunk, KeyHasher, StructValue, Value,
@@ -810,6 +810,7 @@ pub(crate) struct RowShape<'a> {
     /// for, and for no other.
     narrowed: Option<&'a [String]>,
     bind_name: Option<Arc<str>>,
+    metrics: &'a PipelineMetrics,
 }
 
 impl<'a> RowShape<'a> {
@@ -820,13 +821,7 @@ impl<'a> RowShape<'a> {
     fn make_row(&self, source: &'a Value) -> Result<Row<'a>> {
         let row = match self.narrowed {
             None => Row::borrowed(source),
-            Some(columns) => {
-                let narrowed = source
-                    .as_struct()
-                    .and_then(|row| row.project(columns.iter().map(String::as_str)))
-                    .map_err(AlgebraError::from)?;
-                Row::owned(Value::Struct(narrowed))
-            }
+            Some(columns) => project_row(Row::borrowed(source), columns, self.metrics)?,
         };
         Ok(match (&self.bind_name, row) {
             (Some(name), Row::One(frame)) => bind_value(name, frame.into_value()),
@@ -1040,6 +1035,7 @@ impl<'a> Spine<'a> {
             shape: RowShape {
                 narrowed,
                 bind_name: shape.binding.map(Arc::from),
+                metrics: ctx.metrics,
             },
             required,
             tail,

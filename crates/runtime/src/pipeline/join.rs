@@ -15,7 +15,8 @@
 //! per-row expansion (a residual predicate, a join without a fused
 //! projection, a pair kernel that bails, a probe batch that ran per row)
 //! or a Grace unload.  A fused projection over matched pairs reads the
-//! build batches' own columns (the *payload*), so it never needs one.
+//! build batches' columns, gathered once in table order (the *payload*),
+//! so it never needs one.
 //! Output rows are **lazy**: a match yields a [`Row`] carrying the frames of
 //! both sides, and the merged struct is only constructed if a downstream
 //! consumer needs one value.  The nested-loop and merge-tuples joins
@@ -193,8 +194,8 @@ impl<'a> KeyedSource<'a> {
 /// every row under a bounded budget), then the vectorized batches kept by
 /// position (`kept`).  [`JoinTable::make_rows`] turns the kept batches
 /// into rows, once, when something first needs a row.  While every row
-/// is kept by position the batches' own columns are the payload a pair
-/// projection reads ([`JoinTable::payload`]).
+/// is kept by position the batches' columns, gathered, are the payload a
+/// pair projection reads ([`JoinTable::payload`]).
 pub(crate) struct JoinTable<'a> {
     state: RandomState,
     /// Key hash → the first group of that hash (almost always the only).
@@ -236,21 +237,6 @@ impl Group {
     /// The table indices of the group's rows, in insertion order.
     fn indices(&self) -> impl Iterator<Item = u32> + '_ {
         std::iter::once(self.first).chain(self.more.iter().copied())
-    }
-}
-
-/// The build side's columns a pair projection reads, and where each build
-/// row is in them.
-pub(crate) struct Payload {
-    chunk: ColumnarChunk,
-    /// The chunk row of each table index; `None` when they are the same.
-    at: Option<Vec<u32>>,
-}
-
-impl Payload {
-    /// The chunk row of build row `index`.
-    fn row(&self, index: u32) -> u32 {
-        self.at.as_ref().map_or(index, |at| at[index as usize])
     }
 }
 
@@ -375,35 +361,20 @@ impl<'a> JoinTable<'a> {
         Ok(())
     }
 
-    /// The payload of a pair projection: `None` once any build row is
-    /// made (a batch ran per row, or the budget is bounded).  When every
-    /// kept batch reads the same columns — one column-faced bag, or the
-    /// link chunks of one — those columns are the payload as they are;
-    /// otherwise the kept rows of each column are gathered in table order.
-    fn payload(&self) -> Option<Payload> {
+    /// The payload of a pair projection: the kept rows of the build
+    /// batches' columns gathered in table order, so chunk row `i` is build
+    /// row `i`.  `None` once any build row is made (a batch ran per row, or
+    /// the budget is bounded).
+    fn payload(&self) -> Option<ColumnarChunk> {
         if !self.rows.is_empty() {
             return None;
-        }
-        let shared = self.kept.split_first().is_some_and(|(first, rest)| {
-            rest.iter()
-                .all(|batch| batch.chunk.shares_columns(&first.chunk))
-        });
-        if shared {
-            let at = self.kept.iter().flat_map(|batch| batch.sel.iter().copied());
-            return Some(Payload {
-                chunk: self.kept[0].chunk.clone(),
-                at: Some(at.collect()),
-            });
         }
         let parts: Vec<(&ColumnarChunk, &[u32])> = self
             .kept
             .iter()
             .map(|batch| (&batch.chunk, batch.sel.as_slice()))
             .collect();
-        Some(Payload {
-            chunk: ColumnarChunk::gather(&parts),
-            at: None,
-        })
+        Some(ColumnarChunk::gather(&parts))
     }
 
     /// The id of the group of build rows matching `key`, if any.
@@ -599,12 +570,12 @@ impl<'a> Probe<'a> {
 
 /// A projection fused over matched pairs and evaluated a batch of pairs at
 /// a time: the kernel reads the probe chunk through one binding and the
-/// build side's [`Payload`] through the other, so no joined row — and no
-/// build row — is constructed.
+/// build side's payload chunk ([`JoinTable::payload`]) through the other,
+/// so no joined row — and no build row — is constructed.
 pub(crate) struct PairPlan {
     pub(crate) kernel: PairKernel,
     /// Set once the build side is complete, if it has one.
-    pub(crate) payload: Option<Payload>,
+    pub(crate) payload: Option<ColumnarChunk>,
 }
 
 /// The hash join operator, with lazy output rows.  Its sides are
@@ -781,16 +752,16 @@ impl<'a> HashJoin<'a> {
                 for (j, &i) in at.sel.iter().enumerate() {
                     for b in self.table.matches(hashes[j], &keys.value_at(j)) {
                         probe_sel.push(i);
-                        build_sel.push(payload.row(b));
+                        build_sel.push(b);
                     }
                 }
                 if probe_sel.is_empty() {
                     continue;
                 }
                 let result = if self.probe.spec.build_on_left {
-                    kernel.eval(&payload.chunk, &build_sel, &at.chunk, &probe_sel)
+                    kernel.eval(payload, &build_sel, &at.chunk, &probe_sel)
                 } else {
-                    kernel.eval(&at.chunk, &probe_sel, &payload.chunk, &build_sel)
+                    kernel.eval(&at.chunk, &probe_sel, payload, &build_sel)
                 };
                 if let Some(result) = result {
                     return Ok(Some(Batch::Mapped(result, 0..probe_sel.len())));

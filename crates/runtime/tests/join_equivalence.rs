@@ -26,29 +26,6 @@ use disco_value::{Bag, StructValue, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn person(id: i64, name: &str, salary: i64) -> Value {
-    Value::Struct(
-        StructValue::new(vec![
-            ("id", Value::Int(id)),
-            ("name", Value::from(name)),
-            ("salary", Value::Int(salary)),
-        ])
-        .unwrap(),
-    )
-}
-
-fn random_people(rng: &mut StdRng, rows: usize, id_space: i64) -> Bag {
-    (0..rows)
-        .map(|_| {
-            person(
-                rng.gen_range(0..id_space),
-                &format!("p{}", rng.gen_range(0..id_space)),
-                rng.gen_range(0..100i64),
-            )
-        })
-        .collect()
-}
-
 /// The equi-join plan over two bags; `lower` picks `HashJoin` for it.
 fn equi_join_plan(left: Bag, right: Bag) -> LogicalExpr {
     LogicalExpr::Join {
@@ -135,9 +112,9 @@ fn hash_join_matches_nested_loop_join() {
     for seed in 0..30u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let left_rows = rng.gen_range(0..40usize);
-        let left = random_people(&mut rng, left_rows, 8);
+        let left = common::random_people(&mut rng, left_rows, 8);
         let right_rows = rng.gen_range(0..40usize);
-        let right = random_people(&mut rng, right_rows, 8);
+        let right = common::random_people(&mut rng, right_rows, 8);
         let plan = equi_join_plan(left, right);
         let physical = lower(&plan).expect("lowers");
         let nested = force_nested_loop(&physical);
@@ -160,8 +137,8 @@ fn hash_join_with_residual_matches_nested_loop_join() {
     let resolved = ResolvedExecs::default();
     for seed in 0..15u64 {
         let mut rng = StdRng::seed_from_u64(0xCAFE + seed);
-        let left = random_people(&mut rng, 30, 6);
-        let right = random_people(&mut rng, 30, 6);
+        let left = common::random_people(&mut rng, 30, 6);
+        let right = common::random_people(&mut rng, 30, 6);
         let plan = LogicalExpr::Join {
             left: Box::new(LogicalExpr::Data(left).bind("x")),
             right: Box::new(LogicalExpr::Data(right).bind("y")),
@@ -194,7 +171,7 @@ fn distinct_matches_naive_distinct() {
     for seed in 0..30u64 {
         let mut rng = StdRng::seed_from_u64(0xD157 + seed);
         let n_rows = rng.gen_range(0..60usize);
-        let rows = random_people(&mut rng, n_rows, 5);
+        let rows = common::random_people(&mut rng, n_rows, 5);
         let plan = LogicalExpr::Distinct(Box::new(LogicalExpr::Data(rows.clone())));
         let got = evaluate_physical(&lower(&plan).expect("lowers"), &resolved).unwrap();
         let want = naive_distinct(&rows);
@@ -214,8 +191,8 @@ fn join_output_rows_share_input_storage() {
     // The zero-clone claim, observable through Arc sharing: a joined output
     // row's field values are the *same* Arc allocations as the input rows'.
     let resolved = ResolvedExecs::default();
-    let left: Bag = [person(1, "Mary", 200)].into_iter().collect();
-    let right: Bag = [person(1, "Sam", 50)].into_iter().collect();
+    let left: Bag = [common::person(1, "Mary", 200)].into_iter().collect();
+    let right: Bag = [common::person(1, "Sam", 50)].into_iter().collect();
     let plan = LogicalExpr::Join {
         left: Box::new(LogicalExpr::Data(left.clone()).bind("x")),
         right: Box::new(LogicalExpr::Data(right).bind("y")),
@@ -374,10 +351,10 @@ fn build_rows_made_mid_probe_give_the_reference_answer_or_error() {
     }
 }
 
-/// **(b)** The build side arrives as several batches: the payload is the
-/// one column-faced answer's columns under a table-index map, or is
-/// gathered across the chunks decoded from row values.  A filter beneath
-/// the build side's bind makes the map skip rows.
+/// **(b)** The build side arrives as several batches: the payload is
+/// gathered across them, from one column-faced answer's chunks or from
+/// the chunks decoded from row values.  A filter beneath the build
+/// side's bind makes the gather skip rows.
 #[test]
 fn a_build_side_of_many_batches_gives_the_reference_answer() {
     let mut rng = StdRng::seed_from_u64(0xB17D);

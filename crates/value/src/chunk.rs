@@ -175,9 +175,11 @@ impl ColumnarChunk {
     }
 
     /// Rows `rows` of each of `parts`, one part after the other, as one
-    /// chunk: each column re-encoded from the values it holds (no
-    /// dictionary codes).  The parts must have as many columns each; no
-    /// parts make the empty chunk.
+    /// chunk (no dictionary codes: the parts' may come from different
+    /// dictionaries).  A column whose parts are all of one kind is copied
+    /// slot by slot; one whose parts differ is re-encoded from the values
+    /// it holds.  The parts must have as many columns each; no parts make
+    /// the empty chunk.
     ///
     /// # Panics
     ///
@@ -189,31 +191,14 @@ impl ColumnarChunk {
         let len = parts.iter().map(|(_, rows)| rows.len()).sum();
         let columns = (0..width)
             .map(|slot| {
-                let values: Vec<Value> = parts
+                let column: Vec<(&Column, &[u32])> = parts
                     .iter()
-                    .flat_map(|(chunk, rows)| {
-                        rows.iter()
-                            .map(move |&i| chunk.columns[slot].value_at(i as usize))
-                    })
+                    .map(|(chunk, rows)| (&*chunk.columns[slot], *rows))
                     .collect();
-                let refs: Vec<&Value> = values.iter().collect();
-                Arc::new(encode_column(&refs, None))
+                Arc::new(gather_column(&column))
             })
             .collect();
         ColumnarChunk { len, columns }
-    }
-
-    /// Whether `other` is made of the very same columns (shared, not
-    /// equal): two chunks of one column-faced bag are, whatever rows
-    /// each selects.
-    #[must_use]
-    pub fn shares_columns(&self, other: &ColumnarChunk) -> bool {
-        self.columns.len() == other.columns.len()
-            && self
-                .columns
-                .iter()
-                .zip(&other.columns)
-                .all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
     /// The decoded column at builder field index `index`.
@@ -234,6 +219,17 @@ impl Column {
     #[must_use]
     pub fn from_values(values: &[&Value]) -> Column {
         encode_column(values, None)
+    }
+
+    /// The null mask, if the column has one.
+    fn nulls(&self) -> Option<&[bool]> {
+        match self {
+            Column::Int { nulls, .. }
+            | Column::Float { nulls, .. }
+            | Column::Bool { nulls, .. }
+            | Column::Str { nulls, .. } => nulls.as_deref(),
+            Column::Values(_) => None,
+        }
     }
 
     /// Number of slots.
@@ -545,6 +541,84 @@ fn lookup_field<'v>(row: &'v StructValue, plan: &mut FieldPlan) -> Option<&'v Va
 }
 
 /// Classifies and encodes one column's values.
+/// Rows `rows` of each of `parts` as one column: see
+/// [`ColumnarChunk::gather`].
+fn gather_column(parts: &[(&Column, &[u32])]) -> Column {
+    /// The picked slots of every part, or `None` when a part's `data` is
+    /// of another kind than the first's.
+    fn pick<T: Clone>(
+        parts: &[(&Column, &[u32])],
+        data: impl Fn(&Column) -> Option<&[T]>,
+    ) -> Option<Vec<T>> {
+        let mut out = Vec::with_capacity(parts.iter().map(|(_, rows)| rows.len()).sum());
+        for (column, rows) in parts {
+            let data = data(column)?;
+            out.extend(rows.iter().map(|&i| data[i as usize].clone()));
+        }
+        Some(out)
+    }
+    // A mask is kept only when a picked slot is null.
+    let nulls = || {
+        let mut mask = Vec::new();
+        for (column, rows) in parts {
+            match column.nulls() {
+                Some(m) => mask.extend(rows.iter().map(|&i| m[i as usize])),
+                None => mask.resize(mask.len() + rows.len(), false),
+            }
+        }
+        mask.contains(&true).then_some(mask)
+    };
+    let typed = match parts.first().map(|(column, _)| *column) {
+        Some(Column::Int { .. }) => pick(parts, |c| match c {
+            Column::Int { data, .. } => Some(data.as_slice()),
+            _ => None,
+        })
+        .map(|data| Column::Int {
+            data,
+            nulls: nulls(),
+        }),
+        Some(Column::Float { .. }) => pick(parts, |c| match c {
+            Column::Float { data, .. } => Some(data.as_slice()),
+            _ => None,
+        })
+        .map(|data| Column::Float {
+            data,
+            nulls: nulls(),
+        }),
+        Some(Column::Bool { .. }) => pick(parts, |c| match c {
+            Column::Bool { data, .. } => Some(data.as_slice()),
+            _ => None,
+        })
+        .map(|data| Column::Bool {
+            data,
+            nulls: nulls(),
+        }),
+        Some(Column::Str { .. }) => pick(parts, |c| match c {
+            Column::Str { values, .. } => Some(values.as_slice()),
+            _ => None,
+        })
+        .map(|values| Column::Str {
+            values,
+            codes: None,
+            nulls: nulls(),
+        }),
+        Some(Column::Values(_)) => pick(parts, |c| match c {
+            Column::Values(values) => Some(values.as_slice()),
+            _ => None,
+        })
+        .map(Column::Values),
+        None => None,
+    };
+    typed.unwrap_or_else(|| {
+        let values: Vec<Value> = parts
+            .iter()
+            .flat_map(|(column, rows)| rows.iter().map(|&i| column.value_at(i as usize)))
+            .collect();
+        let refs: Vec<&Value> = values.iter().collect();
+        encode_column(&refs, None)
+    })
+}
+
 fn encode_column(values: &[&Value], dict: Option<&mut StrDict>) -> Column {
     #[derive(PartialEq, Eq, Clone, Copy)]
     enum Kind {
@@ -813,6 +887,56 @@ mod tests {
         let chunk = b.build(&rows).unwrap();
         assert_eq!(chunk.column(x).value_at(0), Value::Int(1));
         assert_eq!(chunk.column(x).value_at(1), Value::Null);
+    }
+
+    #[test]
+    fn gather_copies_like_columns_and_re_encodes_unlike_ones() {
+        let field = |v: Value| Value::Struct(StructValue::new(vec![("x", v)]).unwrap());
+        let mut b = ChunkBuilder::new();
+        let x = b.add_dict_field("x");
+        let strs = b
+            .build(&[
+                field(Value::from("a")),
+                field(Value::Null),
+                field(Value::from("c")),
+            ])
+            .unwrap();
+        let more = b.build(&[field(Value::from("d"))]).unwrap();
+        let ints = b
+            .build(&[field(Value::Int(7)), field(Value::Int(8))])
+            .unwrap();
+        let values = |chunk: &ColumnarChunk| {
+            (0..chunk.len())
+                .map(|i| chunk.column(x).value_at(i))
+                .collect::<Vec<_>>()
+        };
+
+        // Like parts: copied, codes dropped, a mask only if a picked slot
+        // is null.
+        let like = ColumnarChunk::gather(&[(&strs, &[2, 1]), (&more, &[0])]);
+        assert!(matches!(
+            like.column(x),
+            Column::Str {
+                codes: None,
+                nulls: Some(_),
+                ..
+            }
+        ));
+        assert_eq!(
+            values(&like),
+            vec![Value::from("c"), Value::Null, Value::from("d")]
+        );
+        let unmasked = ColumnarChunk::gather(&[(&strs, &[0, 2])]);
+        assert!(matches!(
+            unmasked.column(x),
+            Column::Str { nulls: None, .. }
+        ));
+
+        // Unlike parts: re-encoded from their values.
+        let unlike = ColumnarChunk::gather(&[(&ints, &[1]), (&more, &[0])]);
+        assert!(matches!(unlike.column(x), Column::Values(_)));
+        assert_eq!(values(&unlike), vec![Value::Int(8), Value::from("d")]);
+        assert!(ColumnarChunk::gather(&[]).is_empty());
     }
 
     #[test]
