@@ -31,7 +31,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use disco_value::{
-    hash_struct_value, struct_field_hasher, Column, ColumnarChunk, StructValue, Value,
+    hash_bool, hash_int, hash_null, hash_str, hash_struct_head, hash_struct_with, Column,
+    ColumnarChunk, StructValue, Value,
 };
 
 use crate::scalar::{eval_binary, truthy, ScalarExpr, ScalarOp};
@@ -296,25 +297,37 @@ impl EvalVec {
     }
 
     /// Feeds `state` exactly what `self.value_at(i).hash(state)` would,
-    /// without re-boxing scalars.
+    /// through the same word writers, building no value.
     fn hash_at<H: Hasher>(&self, i: usize, state: &mut H) {
         match self {
-            EvalVec::Int { data, nulls } if !is_null(nulls, i) => Value::Int(data[i]).hash(state),
-            EvalVec::Bool { data, nulls } if !is_null(nulls, i) => {
-                Value::Bool(data[i]).hash(state);
-            }
-            EvalVec::Int { .. } | EvalVec::Bool { .. } => Value::Null.hash(state),
+            EvalVec::Int { data, nulls } if !is_null(nulls, i) => hash_int(data[i], state),
+            EvalVec::Bool { data, nulls } if !is_null(nulls, i) => hash_bool(data[i], state),
+            EvalVec::Str { values, nulls, .. } if !is_null(nulls, i) => hash_str(&values[i], state),
+            EvalVec::Int { .. } | EvalVec::Bool { .. } | EvalVec::Str { .. } => hash_null(state),
             EvalVec::Const(v) => v.hash(state),
             EvalVec::Values(vs) => vs[i].hash(state),
-            EvalVec::Str { .. } | EvalVec::Struct(_) => self.value_at(i).hash(state),
+            EvalVec::Struct(fields) => hash_struct_with(
+                fields.len(),
+                |k| &fields[k].0,
+                |k, state| fields[k].1.hash_at(i, state),
+                state,
+            ),
         }
     }
 
-    /// Whether `self.value_at(i) == *other`, borrowing both sides.
+    /// Whether `self.value_at(i) == *other`, borrowing both sides: a slot
+    /// against a value of its own kind compares the payloads, and only an
+    /// `Int` slot against a `Float` goes through `Value` equality.
     fn eq_at(&self, i: usize, other: &Value) -> bool {
         match self {
-            EvalVec::Int { data, nulls } if !is_null(nulls, i) => Value::Int(data[i]) == *other,
-            EvalVec::Bool { data, nulls } if !is_null(nulls, i) => Value::Bool(data[i]) == *other,
+            EvalVec::Int { data, nulls } if !is_null(nulls, i) => match other {
+                Value::Int(o) => data[i] == *o,
+                Value::Float(_) => Value::Int(data[i]) == *other,
+                _ => false,
+            },
+            EvalVec::Bool { data, nulls } if !is_null(nulls, i) => {
+                matches!(other, Value::Bool(o) if *o == data[i])
+            }
             EvalVec::Str { values, nulls, .. } if !is_null(nulls, i) => {
                 matches!(other, Value::Str(s) if **s == *values[i])
             }
@@ -327,38 +340,24 @@ impl EvalVec {
 
     /// Appends the hashes of the first `n` structs of an
     /// [`EvalVec::Struct`] under `state` to `out`, each bit-identical to
-    /// `state.hash_one(&self.value_at(i))`, building no struct: each field
-    /// name is hashed once per call, a constant field once, and the rest
-    /// per row (see [`hash_struct_value`]).  `false`, with nothing
-    /// appended, for any other variant.
+    /// `state.hash_one(&self.value_at(i))`, building no struct: the
+    /// fields are put in name order once per call, and each row is one
+    /// pass of [`hash_struct_head`] and its field slots.  `false`, with
+    /// nothing appended, for any other variant.
     pub fn struct_hashes(&self, state: &impl BuildHasher, n: usize, out: &mut Vec<u64>) -> bool {
         let EvalVec::Struct(fields) = self else {
             return false;
         };
-        let start = out.len();
-        out.resize(start + n, 0);
-        let sums = &mut out[start..];
-        for (name, vec) in fields {
-            let named = struct_field_hasher(name);
-            if let EvalVec::Const(v) = vec {
-                let mut h = named;
-                v.hash(&mut h);
-                let field = h.finish();
-                sums.iter_mut()
-                    .for_each(|sum| *sum = sum.wrapping_add(field));
-                continue;
-            }
-            for (i, sum) in sums.iter_mut().enumerate() {
-                let mut h = named.clone();
-                vec.hash_at(i, &mut h);
-                *sum = sum.wrapping_add(h.finish());
-            }
-        }
-        for sum in sums {
+        let mut by_name: Vec<&(Arc<str>, EvalVec)> = fields.iter().collect();
+        by_name.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out.extend((0..n).map(|i| {
             let mut h = state.build_hasher();
-            hash_struct_value(fields.len(), *sum, &mut h);
-            *sum = h.finish();
-        }
+            hash_struct_head(fields.len(), &mut h);
+            for (_, vec) in &by_name {
+                vec.hash_at(i, &mut h);
+            }
+            h.finish()
+        }));
         true
     }
 

@@ -224,3 +224,80 @@ fn only_a_struct_vector_hashes_on_its_columns() {
     assert!(!ints.struct_hashes(&RandomState::new(), 2, &mut hashes));
     assert!(hashes.is_empty());
 }
+
+/// Every declaration order of four fields — a coded string with nulls, a
+/// constant string, a null-masked `Int` and a null-masked `Bool` — hashes
+/// each row like the assembled struct, and like the struct declared in
+/// name order, and compares equal to that struct: the column form puts
+/// its fields in name order exactly as the row form does.
+#[test]
+fn struct_columns_in_any_declaration_order_hash_like_the_name_ordered_struct() {
+    let n = 6;
+    let null_every = |k: usize| Some((0..n).map(|i| i % k == 0).collect::<Vec<bool>>());
+    let column = |name: &str| -> EvalVec {
+        match name {
+            "a" => EvalVec::Str {
+                values: (0..n)
+                    .map(|i| Arc::from(if i % 3 == 0 { "" } else { WORDS[i % 2] }))
+                    .collect(),
+                codes: Some(
+                    (0..n)
+                        .map(|i| {
+                            if i % 3 == 0 {
+                                NULL_CODE
+                            } else {
+                                (i % 2) as u32
+                            }
+                        })
+                        .collect(),
+                ),
+                nulls: null_every(3),
+            },
+            "b" => EvalVec::Const(Value::from("constant")),
+            "c" => EvalVec::Int {
+                data: (0..n)
+                    .map(|i| if i % 2 == 0 { 0 } else { i as i64 })
+                    .collect(),
+                nulls: null_every(2),
+            },
+            _ => EvalVec::Bool {
+                data: (0..n).map(|i| i % 4 == 1).collect(),
+                nulls: null_every(4),
+            },
+        }
+    };
+    let state = RandomState::new();
+    let names = ["a", "b", "c", "d"];
+    let name_ordered = EvalVec::Struct(names.iter().map(|&k| (Arc::from(k), column(k))).collect());
+    let orders = permutations(&names);
+    for order in &orders {
+        let vec = EvalVec::Struct(order.iter().map(|&k| (Arc::from(k), column(k))).collect());
+        let mut hashes = Vec::new();
+        assert!(vec.struct_hashes(&state, n, &mut hashes));
+        for (i, hash) in hashes.iter().enumerate() {
+            let sorted = name_ordered.value_at(i);
+            assert_eq!(*hash, state.hash_one(vec.value_at(i)), "{order:?} row {i}");
+            assert_eq!(*hash, state.hash_one(&sorted), "{order:?} row {i}");
+            assert!(vec.struct_eq_at(i, &sorted), "{order:?} row {i}: {sorted}");
+            let other = name_ordered.value_at((i + 1) % n);
+            assert!(!vec.struct_eq_at(i, &other), "{order:?} row {i}: {other}");
+        }
+    }
+    assert_eq!(orders.len(), 24, "every declaration order");
+}
+
+fn permutations(items: &[&'static str]) -> Vec<Vec<&'static str>> {
+    if items.len() <= 1 {
+        return vec![items.to_vec()];
+    }
+    (0..items.len())
+        .flat_map(|i| {
+            let mut rest = items.to_vec();
+            let first = rest.remove(i);
+            permutations(&rest).into_iter().map(move |mut order| {
+                order.insert(0, first);
+                order
+            })
+        })
+        .collect()
+}

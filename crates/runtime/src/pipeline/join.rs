@@ -391,9 +391,22 @@ impl<'a> JoinTable<'a> {
     }
 }
 
+/// Splits a join spill record — resident or candidate — into its key
+/// and the values of its row (at least one: a row has a frame).
+fn split_record(mut record: Vec<Value>) -> Result<(Value, Vec<Value>)> {
+    if record.len() < 2 {
+        return Err(RuntimeError::Spill(format!(
+            "a join spill record holds a key and a row, not {} values",
+            record.len()
+        )));
+    }
+    let key = record.remove(0);
+    Ok((key, record))
+}
+
 impl Resident for JoinTable<'_> {
-    fn load(&mut self, mut record: Vec<Value>) -> Result<usize> {
-        let key = record.remove(0);
+    fn load(&mut self, record: Vec<Value>) -> Result<usize> {
+        let (key, record) = split_record(record)?;
         let row = record_row(record);
         let cost = approx_row_bytes(&row) + approx_value_bytes(&key);
         self.insert(self.state.hash_one(&key), key)?;
@@ -494,8 +507,8 @@ impl<'a> Probe<'a> {
                 }
                 Feed::Run(run) => {
                     return Ok(match run.next_record()? {
-                        Some(mut record) => {
-                            let key = record.remove(0);
+                        Some(record) => {
+                            let (key, record) = split_record(record)?;
                             Pulled::Row((table.state.hash_one(&key), key, record_row(record)))
                         }
                         None => Pulled::Done,
@@ -1122,5 +1135,48 @@ impl<'a> RowStream<'a> for MergeTuplesCursor<'a> {
         let decode = |mut record: Vec<Value>| record.pop().unwrap_or(Value::Null);
         self.left
             .join(&mut self.right, out, max, prepare, decode, pair)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::with_test_ctx;
+
+    fn run_of(record: &[Value]) -> RunFileReader {
+        let mut run = RunFile::create().unwrap();
+        run.push(record).unwrap();
+        run.into_reader().unwrap()
+    }
+
+    #[test]
+    fn a_resident_record_without_a_row_is_a_spill_error() {
+        let mut table = JoinTable::default();
+        for record in [vec![], vec![Value::Int(1)]] {
+            assert!(matches!(table.load(record), Err(RuntimeError::Spill(_))));
+        }
+        assert_eq!(table.len, 0, "nothing was filed");
+    }
+
+    #[test]
+    fn a_candidate_record_without_a_row_is_a_spill_error() {
+        with_test_ctx(|ctx| {
+            let table = JoinTable::default();
+            let mut probe = Probe {
+                feed: Feed::Run(run_of(&[])),
+                batch: Vec::new().into_iter(),
+                current: None,
+                spec: PairSpec {
+                    residual: None,
+                    map: None,
+                    build_on_left: true,
+                },
+                ctx,
+            };
+            assert!(matches!(
+                probe.pull(&table, false),
+                Err(RuntimeError::Spill(_))
+            ));
+        });
     }
 }

@@ -1115,6 +1115,26 @@ pub(crate) fn eval_in_pair(
     })
 }
 
+/// Runs `f` with the context of an unbounded evaluation over no sources —
+/// enough for a unit test that drives one cursor by hand.
+#[cfg(test)]
+pub(crate) fn with_test_ctx<R>(f: impl FnOnce(PipelineCtx<'_>) -> R) -> R {
+    let resolved = ResolvedExecs::default();
+    let outer = Env::root();
+    let metrics = PipelineMetrics::new();
+    let budget = MemoryBudget::unbounded();
+    let options = PipelineOptions::default();
+    f(PipelineCtx {
+        resolved: &resolved,
+        outer: &outer,
+        metrics: &metrics,
+        options,
+        batch_rows: options.effective_batch_rows(),
+        budget: &budget,
+        member: None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

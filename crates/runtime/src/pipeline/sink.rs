@@ -31,6 +31,19 @@
 //! after the trip differs, which `distinct` — a bag operator — does not
 //! promise.  Aggregates never spill: their state is O(1) regardless of
 //! budget.
+//!
+//! Outside tests this module denies `unwrap`, `expect`, `panic!` and
+//! `unreachable!`: a condition that cannot hold is a matched state or a
+//! typed [`RuntimeError`].
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
@@ -41,6 +54,7 @@ use disco_value::{approx_value_bytes, StrDict, Value};
 use super::columnar::{Batch, BatchSource};
 use super::spill::{can_split, Grace, Loaded, Resident, RunFileReader};
 use super::{Frame, PipelineCtx, PipelineMetrics, Result, Row, RowStream};
+use crate::RuntimeError;
 
 /// Pass-through hasher for keys that already *are* hashes.  Bytes fed
 /// any other way (no key here is) are folded in FNV-1a style, so the
@@ -129,9 +143,20 @@ impl SeenSet {
     }
 }
 
+/// The one value of a distinct's spill record — resident or candidate.
+fn record_value(record: Vec<Value>) -> Result<Value> {
+    let [value] = <[Value; 1]>::try_from(record).map_err(|record| {
+        RuntimeError::Spill(format!(
+            "a distinct spill record holds one value, not {}",
+            record.len()
+        ))
+    })?;
+    Ok(value)
+}
+
 impl Resident for SeenSet {
-    fn load(&mut self, mut record: Vec<Value>) -> Result<usize> {
-        let value = record.pop().unwrap_or(Value::Null);
+    fn load(&mut self, record: Vec<Value>) -> Result<usize> {
+        let value = record_value(record)?;
         let cost = entry_cost(&value);
         // Resident runs hold values dumped from a set, so they are
         // already unique: insert without probing.
@@ -371,27 +396,33 @@ impl<'a> DistinctCursor<'a> {
         Ok(())
     }
 
-    /// Emits new values from the spilled partitions, re-splitting any
-    /// partition whose seen-set cannot fit the budget.
-    fn drain_partitions(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
+    /// Emits new values from the spilled partitions of `grace`,
+    /// re-splitting any partition whose seen-set cannot fit the budget.
+    fn drain_partitions(
+        &mut self,
+        grace: &mut Grace,
+        out: &mut Vec<Row<'a>>,
+        max: usize,
+    ) -> Result<bool> {
         let ctx = self.ctx;
         let hasher = self.hasher.clone();
         let fresh = || SeenSet::with_hasher(hasher.clone());
         let start = out.len();
         while out.len() - start < max {
-            let grace = self.grace.as_mut().expect("spilled mode");
-            if self.tripped {
-                // The partition's growing seen-set tripped the budget
-                // mid-stream: re-split what is left of it.
-                self.tripped = false;
-                let (streamed, level) = self.partition.take().expect("a partition tripped");
-                let loaded = Loaded {
-                    state: std::mem::replace(&mut self.seen, fresh()),
-                    streamed,
-                    charged: std::mem::take(&mut self.charged),
-                    level,
-                };
-                grace.resplit(loaded, None, ctx)?;
+            // A trip past the spill is only ever set by an admission from
+            // a partition's candidate run: the partition's growing
+            // seen-set tripped the budget mid-stream, so re-split what is
+            // left of it.
+            if std::mem::take(&mut self.tripped) {
+                if let Some((streamed, level)) = self.partition.take() {
+                    let loaded = Loaded {
+                        state: std::mem::replace(&mut self.seen, fresh()),
+                        streamed,
+                        charged: std::mem::take(&mut self.charged),
+                        level,
+                    };
+                    grace.resplit(loaded, None, ctx)?;
+                }
             }
             let Some((run, _)) = &mut self.partition else {
                 let Some(loaded) = grace.load_next(fresh, ctx)? else {
@@ -405,8 +436,8 @@ impl<'a> DistinctCursor<'a> {
             match run.next_record()? {
                 // A candidate surviving the seen run is a value the
                 // in-memory path would have admitted.
-                Some(mut record) => {
-                    let value = record.pop().unwrap_or(Value::Null);
+                Some(record) => {
+                    let value = record_value(record)?;
                     self.admit(Row::owned(value), out)?;
                 }
                 None => {
@@ -425,8 +456,10 @@ impl<'a> RowStream<'a> for DistinctCursor<'a> {
         if self.tripped && self.grace.is_none() {
             self.enter_spill()?;
         }
-        if self.grace.is_some() {
-            return self.drain_partitions(out, max);
+        if let Some(mut grace) = self.grace.take() {
+            let more = self.drain_partitions(&mut grace, out, max);
+            self.grace = Some(grace);
+            return more;
         }
         // In memory: one source batch per pull, so rows reach the consumer
         // as soon as their batch is through.
@@ -525,9 +558,49 @@ fn fold_aggregate(
 
 #[cfg(test)]
 mod tests {
-    use std::hash::{Hash, Hasher};
+    use std::hash::{Hash, Hasher, RandomState};
 
-    use super::IdentityHasher;
+    use disco_value::Value;
+
+    use super::{BatchSource, DistinctCursor, IdentityHasher, Resident, SeenSet};
+    use crate::pipeline::spill::{Grace, RunFile};
+    use crate::pipeline::{with_test_ctx, Result, Row, RowStream};
+    use crate::RuntimeError;
+
+    /// A row stream with no rows.
+    struct NoRows;
+
+    impl<'a> RowStream<'a> for NoRows {
+        fn next_batch(&mut self, _out: &mut Vec<Row<'a>>, _max: usize) -> Result<bool> {
+            Ok(false)
+        }
+    }
+
+    #[test]
+    fn a_resident_record_without_a_value_is_a_spill_error() {
+        let mut seen = SeenSet::with_hasher(RandomState::new());
+        for record in [vec![], vec![Value::Int(1), Value::Int(2)]] {
+            assert!(matches!(seen.load(record), Err(RuntimeError::Spill(_))));
+        }
+        assert!(seen.buckets.is_empty(), "nothing was kept");
+    }
+
+    #[test]
+    fn a_candidate_record_without_a_value_is_a_spill_error() {
+        with_test_ctx(|ctx| {
+            let mut cursor = DistinctCursor::new(BatchSource::rows(Box::new(NoRows)), ctx);
+            let mut run = RunFile::create().unwrap();
+            run.push(&[]).unwrap();
+            cursor.grace = Some(Grace::new(false));
+            cursor.partition = Some((run.into_reader().unwrap(), 0));
+            let mut out = Vec::new();
+            assert!(matches!(
+                cursor.next_batch(&mut out, 8),
+                Err(RuntimeError::Spill(_))
+            ));
+            assert!(out.is_empty(), "nothing was emitted");
+        });
+    }
 
     fn hash_of(key: impl Hash) -> u64 {
         let mut hasher = IdentityHasher::default();

@@ -686,3 +686,64 @@ fn batch_size_does_not_change_a_flatten() {
         .collect();
     assert_batch_size_invariant(&LogicalExpr::Flatten(Box::new(LogicalExpr::Data(rows))));
 }
+
+/// **Guards a hazard only a one-pass struct hash has**: a `distinct` hashes
+/// a kernel's struct columns in field-name order and a per-row struct in
+/// the same order, so the same struct built as `struct(a: …, b: …)` on one
+/// path and as `struct(b: …, a: …)` on the other must meet in one
+/// seen-set — in memory, and after a 64 KiB budget has spilled it.  Half
+/// of each branch's structs are also in the other branch.
+#[test]
+fn distinct_meets_a_struct_built_in_either_field_order_on_either_path() {
+    let rows = 1500i64;
+    let people = |ids: std::ops::Range<i64>| -> Bag {
+        ids.map(|i| {
+            row(vec![
+                ("id", Value::Int(i)),
+                ("name", Value::from(format!("p-{}", i % 7))),
+            ])
+        })
+        .collect()
+    };
+    // `struct(a: x.id, b: x.name)` with its fields declared in `order`.
+    let pair = |order: [&str; 2], per_row: bool| {
+        let field = |out: &str| {
+            let read = ScalarExpr::var_field("x", if out == "a" { "id" } else { "name" });
+            let value = if per_row {
+                // No kernel compiles a call: this struct is built per row.
+                ScalarExpr::Call("coalesce".into(), vec![read])
+            } else {
+                read
+            };
+            (out.into(), value)
+        };
+        ScalarExpr::StructLit(order.map(field).to_vec())
+    };
+    for (kernel_order, row_order) in [(["a", "b"], ["b", "a"]), (["b", "a"], ["a", "b"])] {
+        let kernel = LogicalExpr::Data(common::column_faced(&people(0..rows)))
+            .bind("x")
+            .map_project(pair(kernel_order, false));
+        let per_row = LogicalExpr::Data(people(rows / 2..rows + rows / 2))
+            .bind("x")
+            .map_project(pair(row_order, true));
+        let plan = LogicalExpr::Distinct(Box::new(LogicalExpr::Union(vec![kernel, per_row])));
+        let physical = lower(&plan).expect("plan lowers");
+        let resolved = ResolvedExecs::default();
+        let expected = reference::evaluate_physical(&physical, &resolved).expect("reference");
+        assert_eq!(expected.len(), (rows + rows / 2) as usize);
+        for mem_budget in [MemBudget::Unbounded, MemBudget::Bytes(64 * 1024)] {
+            let metrics = PipelineMetrics::new();
+            let answer =
+                evaluate_physical_with(&physical, &resolved, &metrics, options(mem_budget))
+                    .expect("plan evaluates");
+            let case = format!("kernel {kernel_order:?}, per row {row_order:?}, {mem_budget:?}");
+            assert_eq!(answer, expected, "{case}");
+            assert_eq!(metrics.rows_kernel(), rows as usize, "{case}");
+            assert_eq!(
+                metrics.bytes_spilled() > 0,
+                mem_budget != MemBudget::Unbounded,
+                "{case}: the budget spills, nothing else does"
+            );
+        }
+    }
+}

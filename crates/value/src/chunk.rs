@@ -18,12 +18,12 @@
 //! usable as a [`Column::Values`] vector, so only genuinely irregular
 //! batches fall back.
 
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use crate::{StructValue, Value};
+use crate::{hash_bool, hash_float, hash_int, hash_null, hash_str, StructValue, Value};
 
 /// FNV-1a, the classic tiny-string hasher: the dictionary interns short
 /// attribute values (names, categories), for which FNV beats SipHash by a
@@ -300,11 +300,13 @@ impl Column {
 /// re-boxed values — the contract that lets a columnar build side and a
 /// per-row fallback insert into the *same* hash table.
 ///
-/// Hashing funnels through the canonical `Hash for Value` impl (never a
-/// re-derivation of it), so it cannot drift from the row path.  The one
-/// shortcut is the dictionary-code cache: for [`Column::Str`] columns that
-/// carry codes, each *distinct* code is hashed once and repeated keys hit
-/// the cache.  A `KeyHasher` therefore belongs to **one** key column (one
+/// A typed slot goes through the same word writer `Hash for Value` calls
+/// for its kind ([`crate::hash_int`], [`crate::hash_str`], …) — never a
+/// re-derivation of the layout, and never a re-boxed `Value` — so it
+/// cannot drift from the row path.  The one shortcut is the
+/// dictionary-code cache: for [`Column::Str`] columns that carry codes,
+/// each *distinct* code is hashed once and repeated keys hit the cache.
+/// A `KeyHasher` therefore belongs to **one** key column (one
 /// dictionary's code space); sharing it across differently-coded columns
 /// would alias unrelated codes.
 pub struct KeyHasher {
@@ -334,6 +336,13 @@ impl KeyHasher {
         self.state.hash_one(v)
     }
 
+    /// The hash of what `write` feeds a fresh hasher of this state.
+    fn hash_with(&self, write: impl FnOnce(&mut DefaultHasher)) -> u64 {
+        let mut h = self.state.build_hasher();
+        write(&mut h);
+        h.finish()
+    }
+
     /// The hash of a dictionary-coded string key, computed once per
     /// distinct code.  `code` must come from the one dictionary this
     /// hasher serves (see the type-level invariant).
@@ -344,7 +353,7 @@ impl KeyHasher {
             self.code_filled.resize(slot + 1, false);
         }
         if !self.code_filled[slot] {
-            self.code_hashes[slot] = self.state.hash_one(Value::Str(Arc::clone(s)));
+            self.code_hashes[slot] = self.hash_with(|h| hash_str(s, h));
             self.code_filled[slot] = true;
         }
         self.code_hashes[slot]
@@ -358,71 +367,65 @@ impl KeyHasher {
     /// Panics when a selection index is out of range for the column.
     pub fn hash_column(&mut self, col: &Column, sel: &[u32], out: &mut Vec<u64>) {
         out.reserve(sel.len());
-        let null_hash = |state: &RandomState| state.hash_one(&Value::Null);
+        let null = self.hash_with(hash_null);
+        let is_null = |nulls: &Option<Vec<bool>>, i: usize| nulls.as_ref().is_some_and(|m| m[i]);
         match col {
-            Column::Int { data, nulls } => {
-                let nh = nulls.as_ref().map(|_| null_hash(&self.state));
-                for &i in sel {
-                    let i = i as usize;
-                    if nulls.as_ref().is_some_and(|m| m[i]) {
-                        out.push(nh.unwrap());
-                    } else {
-                        out.push(self.state.hash_one(Value::Int(data[i])));
-                    }
+            Column::Int { data, nulls } => out.extend(sel.iter().map(|&i| {
+                let i = i as usize;
+                if is_null(nulls, i) {
+                    null
+                } else {
+                    self.hash_with(|h| hash_int(data[i], h))
                 }
-            }
-            Column::Float { data, nulls } => {
-                let nh = nulls.as_ref().map(|_| null_hash(&self.state));
-                for &i in sel {
-                    let i = i as usize;
-                    if nulls.as_ref().is_some_and(|m| m[i]) {
-                        out.push(nh.unwrap());
-                    } else {
-                        out.push(self.state.hash_one(Value::Float(data[i])));
-                    }
+            })),
+            Column::Float { data, nulls } => out.extend(sel.iter().map(|&i| {
+                let i = i as usize;
+                if is_null(nulls, i) {
+                    null
+                } else {
+                    self.hash_with(|h| hash_float(data[i], h))
                 }
-            }
-            Column::Bool { data, nulls } => {
-                let nh = nulls.as_ref().map(|_| null_hash(&self.state));
+            })),
+            Column::Bool { data, nulls } => out.extend(sel.iter().map(|&i| {
+                let i = i as usize;
+                if is_null(nulls, i) {
+                    null
+                } else {
+                    self.hash_with(|h| hash_bool(data[i], h))
+                }
+            })),
+            Column::Str {
+                values,
+                codes: Some(codes),
+                ..
+            } => {
                 for &i in sel {
                     let i = i as usize;
-                    if nulls.as_ref().is_some_and(|m| m[i]) {
-                        out.push(nh.unwrap());
+                    let hash = if codes[i] == NULL_CODE {
+                        null
                     } else {
-                        out.push(self.state.hash_one(Value::Bool(data[i])));
-                    }
+                        self.hash_str_code(&values[i], codes[i])
+                    };
+                    out.push(hash);
                 }
             }
             Column::Str {
                 values,
-                codes,
+                codes: None,
                 nulls,
-            } => {
-                let nh = nulls.as_ref().map(|_| null_hash(&self.state));
-                if let Some(codes) = codes {
-                    for &i in sel {
-                        let i = i as usize;
-                        if codes[i] == NULL_CODE {
-                            out.push(nh.unwrap());
-                        } else {
-                            out.push(self.hash_str_code(&values[i], codes[i]));
-                        }
-                    }
+            } => out.extend(sel.iter().map(|&i| {
+                let i = i as usize;
+                if is_null(nulls, i) {
+                    null
                 } else {
-                    for &i in sel {
-                        let i = i as usize;
-                        if nulls.as_ref().is_some_and(|m| m[i]) {
-                            out.push(nh.unwrap());
-                        } else {
-                            out.push(self.state.hash_one(Value::Str(Arc::clone(&values[i]))));
-                        }
-                    }
+                    self.hash_with(|h| hash_str(&values[i], h))
                 }
-            }
+            })),
             Column::Values(values) => {
-                for &i in sel {
-                    out.push(self.state.hash_one(&values[i as usize]));
-                }
+                out.extend(
+                    sel.iter()
+                        .map(|&i| self.state.hash_one(&values[i as usize])),
+                );
             }
         }
     }

@@ -41,10 +41,11 @@
 //! `total_cmp` is a total order (floats via [`f64::total_cmp`], structs as
 //! field sets, bags as multisets), `Eq` is `total_cmp == Equal`, and
 //! `Hash` is canonical with respect to it — numerically equal ints and
-//! floats hash identically, and struct/bag hashes are order-independent
-//! (commutative combine, no sorting, no clones).  That canonical hash is
-//! what lets the runtime build hash joins and hash distinct directly on
-//! `Value` keys.
+//! floats hash identically, a struct hashes its field values in field-name
+//! order and a bag combines its element hashes commutatively, so neither
+//! depends on declaration or element order.  That canonical hash is what
+//! lets the runtime build hash joins and hash distinct directly on `Value`
+//! keys.
 //!
 //! # Thread safety
 //!
@@ -90,7 +91,9 @@ pub use bag::{Bag, BagCursor};
 pub use chunk::{ChunkBuilder, Column, ColumnarChunk, FnvHasher, KeyHasher, StrDict, NULL_CODE};
 pub use columns::BagColumns;
 pub use error::ValueError;
-pub use ord::{hash_struct_value, struct_field_hasher};
+pub use ord::{
+    hash_bool, hash_float, hash_int, hash_null, hash_str, hash_struct_head, hash_struct_with,
+};
 pub use spill::{approx_value_bytes, read_value, write_value, RunReader, RunWriter};
 pub use value::{StructValue, Value};
 

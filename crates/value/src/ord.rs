@@ -6,17 +6,25 @@
 //! as sorted multisets.  Equality is consistent with this order, and `Hash`
 //! is canonical with respect to equality:
 //!
-//! * numerically equal `Int`/`Float` values hash identically (both hash the
-//!   `f64` bit pattern of their numeric value),
-//! * struct hashes are independent of field declaration order,
-//! * bag hashes are independent of element order.
+//! * numerically equal `Int`/`Float` values hash identically (an `Int`,
+//!   and a `Float` that represents an integer, write the same `i64` word),
+//! * struct hashes are independent of field declaration order (the field
+//!   values are written in field-name order),
+//! * bag hashes are independent of element order (per-element hashes
+//!   combine with a commutative `wrapping_add`: O(n), no allocation, no
+//!   element clones).
 //!
-//! Order independence is achieved by combining per-element hashes with a
-//! commutative `wrapping_add` instead of sorting — hashing a bag is O(n)
-//! with no allocation and no element clones.  Bag *comparison* sorts
-//! references once per side ([`Bag::sorted_refs`]); the previous
-//! implementation deep-cloned and re-sorted both bags on every comparison,
-//! which made nested-bag comparison quadratic in practice.
+//! A value hashes as one stream of whole words into the caller's hasher —
+//! a table's keyed `RandomState`, end to end, structs included.  The word
+//! writers ([`hash_int`], [`hash_str`], [`hash_struct_with`], …) are
+//! public so that a producer holding values as typed columns (the kernels'
+//! result vectors, [`crate::KeyHasher`]) writes the same stream without
+//! building a `Value`: bit-identical by construction.
+//!
+//! Bag *comparison* sorts references once per side ([`Bag::sorted_refs`]);
+//! the previous implementation deep-cloned and re-sorted both bags on
+//! every comparison, which made nested-bag comparison quadratic in
+//! practice.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
@@ -229,111 +237,163 @@ fn element_hash<T: Hash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
+// The canonical hash writes one stream of whole words into the caller's
+// hasher.  A scalar is one word, or a string's head word and its bytes
+// padded to a word; a struct is a head word and its field values.  The
+// kind words differ in their top 32 bits, so a length or field count
+// xored into their low bits keeps them apart.  They do not keep a kind
+// from ever meeting an `Int` with the same word: such a collision is
+// rare, and the equality check behind every hash lookup resolves it.
+const NULL_WORD: u64 = 0x4e55_4c4c << 32;
+const BOOL_WORD: u64 = 0x424f_4f4c << 32;
+const STR_TAG: u64 = 0x5354_5220 << 32;
+const STRUCT_TAG: u64 = 0x5354_5255 << 32;
+const LIST_TAG: u64 = 0x4c49_5354 << 32;
+const BAG_TAG: u64 = 0x4241_4720 << 32;
+
+/// Fields up to this count are put in name order on the stack.
+const INLINE_FIELDS: usize = 32;
+
+/// Writes the hash of `Value::Null`.
+pub fn hash_null<H: Hasher>(state: &mut H) {
+    state.write_u64(NULL_WORD);
+}
+
+/// Writes the hash of `Value::Bool(b)`.
+pub fn hash_bool<H: Hasher>(b: bool, state: &mut H) {
+    state.write_u64(BOOL_WORD | u64::from(b));
+}
+
+/// Writes the hash of `Value::Int(i)`: the integer's own word.
+#[allow(clippy::cast_sign_loss)]
+pub fn hash_int<H: Hasher>(i: i64, state: &mut H) {
+    state.write_u64(i as u64);
+}
+
+/// Writes the hash of `Value::Float(f)`.  An `Int` and a `Float` compare
+/// equal exactly when the float represents the integer (see
+/// `cmp_int_float`), so an integral in-range float writes that integer's
+/// word; every other float writes its bits.
+#[allow(clippy::cast_possible_truncation)]
+pub fn hash_float<H: Hasher>(f: f64, state: &mut H) {
+    if f.is_finite() && f.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(&f) {
+        hash_int(f as i64, state);
+    } else {
+        state.write_u64(f.to_bits());
+    }
+}
+
+/// Writes the hash of `Value::Str(s)`: a head word holding the length,
+/// the whole words of `s`, then its last 1–7 bytes zero-padded to a word
+/// (the length tells the padding apart), so the stream stays word-aligned.
+pub fn hash_str<H: Hasher>(s: &str, state: &mut H) {
+    let bytes = s.as_bytes();
+    state.write_u64(STR_TAG ^ bytes.len() as u64);
+    let whole = bytes.len() & !7;
+    if whole > 0 {
+        state.write(&bytes[..whole]);
+    }
+    let tail = &bytes[whole..];
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        state.write_u64(u64::from_le_bytes(word));
+    }
+}
+
+/// Writes the head word of a struct of `len` fields.  Its field values
+/// follow in field-name order: [`hash_struct_with`] writes both.
+pub fn hash_struct_head<H: Hasher>(len: usize, state: &mut H) {
+    state.write_u64(STRUCT_TAG ^ len as u64);
+}
+
+/// Writes the hash of a struct of `len` fields, declared in some order:
+/// the head word, then `field(i, state)` for each declared position `i`
+/// in the order of the names `name(i)` — so the declaration order does
+/// not matter.  Up to 32 fields are ordered on the stack.
+pub fn hash_struct_with<'n, H: Hasher>(
+    len: usize,
+    name: impl Fn(usize) -> &'n str,
+    mut field: impl FnMut(usize, &mut H),
+    state: &mut H,
+) {
+    hash_struct_head(len, state);
+    // Names sort by their first 8 bytes as one integer, and by the whole
+    // name only where those tie.
+    let by_name =
+        |a: &(u64, usize), b: &(u64, usize)| a.0.cmp(&b.0).then_with(|| name(a.1).cmp(name(b.1)));
+    let keyed = |i| (name_prefix(name(i)), i);
+    if len <= INLINE_FIELDS {
+        let mut order = [(0, 0); INLINE_FIELDS];
+        let order = &mut order[..len];
+        for (i, slot) in order.iter_mut().enumerate() {
+            *slot = keyed(i);
+        }
+        order.sort_unstable_by(by_name);
+        order.iter().for_each(|&(_, i)| field(i, state));
+    } else {
+        let mut order: Vec<(u64, usize)> = (0..len).map(keyed).collect();
+        order.sort_unstable_by(by_name);
+        order.into_iter().for_each(|(_, i)| field(i, state));
+    }
+}
+
+/// The first 8 bytes of `name`, zero-padded, as a big-endian integer:
+/// where two prefixes differ they order as the names do.
+fn name_prefix(name: &str) -> u64 {
+    let bytes = name.as_bytes();
+    match bytes.first_chunk::<8>() {
+        Some(word) => u64::from_be_bytes(*word),
+        None => bytes
+            .iter()
+            .zip((0..8).rev())
+            .fold(0, |word, (&b, k)| word | u64::from(b) << (8 * k)),
+    }
+}
+
 impl Hash for Value {
     /// Canonical hash, consistent with `total_cmp` equality:
     /// `a == b` implies `hash(a) == hash(b)`, including the cross-variant
     /// `Int`/`Float` case, permuted struct fields and permuted bags.
-    #[allow(clippy::cast_possible_truncation)]
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
-            Value::Null => 0u8.hash(state),
-            Value::Bool(b) => {
-                1u8.hash(state);
-                b.hash(state);
-            }
-            // An `Int` and a `Float` compare equal exactly when the float
-            // represents the integer (see `cmp_int_float`), so integers
-            // hash their `i64` value and exactly-integral in-range floats
-            // hash the same `i64`; every other float hashes its bits.
-            Value::Int(i) => {
-                2u8.hash(state);
-                i.hash(state);
-            }
-            Value::Float(f) => {
-                2u8.hash(state);
-                if f.is_finite() && f.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(f) {
-                    (*f as i64).hash(state);
-                } else {
-                    f.to_bits().hash(state);
-                }
-            }
-            Value::Str(s) => {
-                4u8.hash(state);
-                s.as_ref().hash(state);
-            }
-            Value::Struct(s) => hash_struct_value(s.len(), s.field_hash_sum(), state),
+            Value::Null => hash_null(state),
+            Value::Bool(b) => hash_bool(*b, state),
+            Value::Int(i) => hash_int(*i, state),
+            Value::Float(f) => hash_float(*f, state),
+            Value::Str(s) => hash_str(s, state),
+            Value::Struct(s) => s.hash(state),
             Value::List(l) => {
-                6u8.hash(state);
+                state.write_u64(LIST_TAG ^ l.len() as u64);
                 for v in l.iter() {
                     v.hash(state);
                 }
             }
             Value::Bag(b) => {
-                7u8.hash(state);
-                b.len().hash(state);
+                state.write_u64(BAG_TAG ^ b.len() as u64);
                 // Commutative combine: order-independent without sorting.
                 let mut acc = 0u64;
                 for v in b.iter() {
                     acc = acc.wrapping_add(element_hash(v));
                 }
-                acc.hash(state);
+                state.write_u64(acc);
             }
         }
     }
 }
 
 impl Hash for StructValue {
-    /// Field-order-independent struct hash (commutative combine over
-    /// `(name, value)` pair hashes).
+    /// Field-order-independent struct hash: the head word, then the
+    /// field values in field-name order, in the caller's hasher.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        hash_struct_fields(self.len(), self.field_hash_sum(), state);
+        let fields = self.fields();
+        hash_struct_with(
+            fields.len(),
+            |i| &fields[i].0,
+            |i, state| fields[i].1.hash(state),
+            state,
+        );
     }
-}
-
-impl StructValue {
-    /// The commutative (wrapping) sum of the per-field hashes.
-    fn field_hash_sum(&self) -> u64 {
-        self.iter().fold(0u64, |acc, (name, value)| {
-            let mut h = struct_field_hasher(name);
-            value.hash(&mut h);
-            acc.wrapping_add(h.finish())
-        })
-    }
-}
-
-// The struct hash layout, written down once.  A struct with fields
-// `(n_i, v_i)` hashes as
-//
-//   5u8 (the `Value::Struct` tag), the field count, Σ_i field(n_i, v_i)
-//
-// where `field(n, v)` is a fixed-key `DefaultHasher` fed `n`, then `v`,
-// and the sum wraps — which makes the hash independent of field order.
-// A bare `StructValue` hashes the same without the tag.  A producer that
-// holds a struct's fields as columns (the kernels' struct result vectors)
-// computes `field` from a clone of [`struct_field_hasher`] — one hasher
-// per field name, not per row — and finishes with [`hash_struct_value`],
-// bit-identical to hashing the assembled `Value::Struct`.
-
-/// The per-field hasher of the struct hash, fed the field `name`: clone it,
-/// feed it the field's value, and add its `finish()` to the field sum.
-#[must_use]
-pub fn struct_field_hasher(name: &str) -> DefaultHasher {
-    let mut h = DefaultHasher::new();
-    name.hash(&mut h);
-    h
-}
-
-/// Writes the hash of a `Value::Struct` with `len` fields whose per-field
-/// hashes sum (wrapping) to `field_sum` — exactly what hashing the
-/// assembled value writes.
-pub fn hash_struct_value<H: Hasher>(len: usize, field_sum: u64, state: &mut H) {
-    5u8.hash(state);
-    hash_struct_fields(len, field_sum, state);
-}
-
-fn hash_struct_fields<H: Hasher>(len: usize, field_sum: u64, state: &mut H) {
-    len.hash(state);
-    field_sum.hash(state);
 }
 
 #[cfg(test)]

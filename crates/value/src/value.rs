@@ -377,6 +377,11 @@ impl StructValue {
             .map(|i| (i, &self.fields[i].1))
     }
 
+    /// The `(name, value)` pairs in declaration order.
+    pub(crate) fn fields(&self) -> &[(Arc<str>, Value)] {
+        &self.fields
+    }
+
     /// Iterates over `(name, value)` pairs in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.fields.iter().map(|(n, v)| (n.as_ref(), v))

@@ -12,8 +12,9 @@
 //! Values are generated with a seeded deterministic RNG (the offline
 //! `rand` shim); every failure reproduces from its printed seed.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::{DefaultHasher, RandomState};
+use std::collections::HashSet;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use disco_value::{Bag, StructValue, Value};
 use rand::rngs::StdRng;
@@ -217,4 +218,129 @@ fn nested_bag_equality_handles_duplicates() {
     assert_eq!(x, y);
     assert_eq!(hash_of(&x), hash_of(&y));
     assert_ne!(x, z);
+}
+
+/// A struct of `width` fields with seeded values, its fields declared in
+/// a seeded order.  Half the names share their first 8 bytes (or more),
+/// so names are told apart both within and past their first word.
+fn wide_struct(rng: &mut StdRng, width: usize) -> (Vec<(String, Value)>, Value) {
+    let mut fields: Vec<(String, Value)> = (0..width)
+        .map(|i| {
+            let name = if i % 2 == 0 {
+                format!("w{i}")
+            } else {
+                format!("shared_prefix_{i}")
+            };
+            (name, random_value(rng, 1))
+        })
+        .collect();
+    shuffle(rng, &mut fields);
+    let value = Value::Struct(StructValue::new(fields.clone()).unwrap());
+    (fields, value)
+}
+
+#[test]
+fn wide_structs_hash_alike_in_any_field_order() {
+    // Up to 32 fields are put in name order on the stack, wider structs
+    // in a vector: both sides of that bound, and across it.
+    let state = RandomState::new();
+    for seed in 0..120u64 {
+        let mut rng = StdRng::seed_from_u64(0x3D_0000 + seed);
+        let width = rng.gen_range(28..40usize);
+        let (mut fields, original) = wide_struct(&mut rng, width);
+        shuffle(&mut rng, &mut fields);
+        let permuted = Value::Struct(StructValue::new(fields.clone()).unwrap());
+        assert_eq!(original, permuted, "seed {seed}");
+        assert_eq!(hash_of(&original), hash_of(&permuted), "seed {seed}");
+        assert_eq!(
+            state.hash_one(&original),
+            state.hash_one(&permuted),
+            "seed {seed}"
+        );
+        // One field's value changed: unequal, and (SipHash) hashed apart.
+        let k = rng.gen_range(0..width);
+        fields[k].1 = Value::from(format!("changed-{seed}"));
+        let changed = Value::Struct(StructValue::new(fields).unwrap());
+        assert_ne!(original, changed, "seed {seed}");
+        assert_ne!(
+            state.hash_one(&original),
+            state.hash_one(&changed),
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn structs_nested_in_lists_hash_alike_in_any_field_order() {
+    for seed in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(0x1157_0000 + seed);
+        let n = rng.gen_range(0..5usize);
+        let mut original = Vec::with_capacity(n);
+        let mut permuted = Vec::with_capacity(n);
+        for _ in 0..n {
+            let width = rng.gen_range(0..6usize);
+            let (mut fields, _) = wide_struct(&mut rng, width);
+            // A struct inside the struct, its fields permuted too.
+            let (mut inner, inner_value) = wide_struct(&mut rng, 3);
+            fields.push(("nested".into(), inner_value));
+            let value = Value::Struct(StructValue::new(fields.clone()).unwrap());
+            shuffle(&mut rng, &mut inner);
+            let last = fields.len() - 1;
+            fields[last].1 = Value::Struct(StructValue::new(inner).unwrap());
+            shuffle(&mut rng, &mut fields);
+            original.push(value);
+            permuted.push(Value::Struct(StructValue::new(fields).unwrap()));
+        }
+        let (original, permuted) = (Value::list(original), Value::list(permuted));
+        assert_eq!(original, permuted, "seed {seed}");
+        assert_eq!(hash_of(&original), hash_of(&permuted), "seed {seed}");
+    }
+}
+
+#[test]
+fn strings_across_word_boundaries_hash_by_content_and_length() {
+    // 0–17 bytes: empty, a partial word, one word, a word and a partial
+    // one, two words, and past.  A string's last word is zero-padded, so
+    // a string and the same string with trailing NULs must hash apart.
+    let state = RandomState::new();
+    let alphabet = "abcdefghijklmnopq";
+    let mut strings: Vec<String> = Vec::new();
+    for len in 0..=17 {
+        strings.push(alphabet[..len].to_owned());
+        strings.push(format!("{}\0", &alphabet[..len]));
+        strings.push("\0".repeat(len));
+    }
+    strings.sort();
+    strings.dedup();
+    let mut seen = HashSet::new();
+    for s in &strings {
+        let value = Value::from(s.as_str());
+        let copy = Value::from(s.clone());
+        assert_eq!(hash_of(&value), hash_of(&copy), "{s:?}");
+        assert!(seen.insert(state.hash_one(&value)), "{s:?} collides");
+    }
+    // Two string fields: where one ends and the next begins is part of
+    // the hash.
+    for (i, a) in strings.iter().enumerate() {
+        let b = &strings[(i * 7 + 3) % strings.len()];
+        let split = |x: &str, y: &str| {
+            Value::new_struct(vec![("x", Value::from(x)), ("y", Value::from(y))]).unwrap()
+        };
+        let joined = format!("{a}{b}");
+        if !a.is_empty() {
+            let moved = split(&a[1..], &format!("{}{b}", &a[..1]));
+            assert_ne!(
+                state.hash_one(split(a, b)),
+                state.hash_one(&moved),
+                "{a:?} {b:?}"
+            );
+        }
+        if !b.is_empty() {
+            assert_ne!(
+                state.hash_one(split(a, b)),
+                state.hash_one(split(&joined, "")),
+                "{a:?} {b:?}"
+            );
+        }
+    }
 }
