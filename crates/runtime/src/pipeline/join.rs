@@ -407,7 +407,7 @@ fn split_record(mut record: Vec<Value>) -> Result<(Value, Vec<Value>)> {
 impl Resident for JoinTable<'_> {
     fn load(&mut self, record: Vec<Value>) -> Result<usize> {
         let (key, record) = split_record(record)?;
-        let row = record_row(record);
+        let row = record_row(record)?;
         let cost = approx_row_bytes(&row) + approx_value_bytes(&key);
         self.insert(self.state.hash_one(&key), key)?;
         self.rows.push(row);
@@ -509,7 +509,7 @@ impl<'a> Probe<'a> {
                     return Ok(match run.next_record()? {
                         Some(record) => {
                             let (key, record) = split_record(record)?;
-                            Pulled::Row((table.state.hash_one(&key), key, record_row(record)))
+                            Pulled::Row((table.state.hash_one(&key), key, record_row(record)?))
                         }
                         None => Pulled::Done,
                     })
@@ -913,7 +913,7 @@ impl<T> InnerBuffer<T> {
 
     /// The next item of the walk, `decode` turning a tail record back
     /// into one; `None` at the end of the walk.
-    fn next(&mut self, decode: fn(Vec<Value>) -> T) -> Result<Option<T>>
+    fn next(&mut self, decode: fn(Vec<Value>) -> Result<T>) -> Result<Option<T>>
     where
         T: Clone,
     {
@@ -931,7 +931,7 @@ impl<T> InnerBuffer<T> {
                 ))
             }
         };
-        Ok(pass.next_record()?.map(decode))
+        pass.next_record()?.map(decode).transpose()
     }
 }
 
@@ -969,7 +969,7 @@ impl<'a, L> Outer<'a, L> {
         out: &mut Vec<Row<'a>>,
         max: usize,
         prepare: impl Fn(Row<'a>) -> Result<L>,
-        decode: fn(Vec<Value>) -> T,
+        decode: fn(Vec<Value>) -> Result<T>,
         pair: impl Fn(&L, T) -> Result<Option<Row<'a>>>,
     ) -> Result<bool> {
         let start = out.len();
@@ -1132,7 +1132,13 @@ impl<'a> RowStream<'a> for MergeTuplesCursor<'a> {
         let on = self.on;
         let pair = |left: &Value, right: Value| merge_tuples(on, left, &right);
         let prepare = |row: Row<'a>| row.materialize(ctx.metrics);
-        let decode = |mut record: Vec<Value>| record.pop().unwrap_or(Value::Null);
+        let decode = |record: Vec<Value>| match <[Value; 1]>::try_from(record) {
+            Ok([value]) => Ok(value),
+            Err(record) => Err(RuntimeError::Spill(format!(
+                "a merge-join spill record holds one value, not {}",
+                record.len()
+            ))),
+        };
         self.left
             .join(&mut self.right, out, max, prepare, decode, pair)
     }
@@ -1141,12 +1147,29 @@ impl<'a> RowStream<'a> for MergeTuplesCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::scan::ScanCursor;
     use crate::pipeline::with_test_ctx;
+    use disco_value::{Bag, StructValue};
 
     fn run_of(record: &[Value]) -> RunFileReader {
         let mut run = RunFile::create().unwrap();
         run.push(record).unwrap();
         run.into_reader().unwrap()
+    }
+
+    /// An inner buffer holding nothing but a spilled tail of one `record`.
+    fn spilled_inner<T>(record: &[Value]) -> InnerBuffer<T> {
+        let mut run = RunFile::create().unwrap();
+        run.push(record).unwrap();
+        InnerBuffer {
+            tail: Some(Tail::Sealed(RewindableRun::from_run(run).unwrap())),
+            ..InnerBuffer::default()
+        }
+    }
+
+    /// A one-field struct, so each outer row passes the struct checks.
+    fn one_struct() -> Value {
+        Value::Struct(StructValue::new(vec![("id", Value::Int(1))]).unwrap())
     }
 
     #[test]
@@ -1178,5 +1201,45 @@ mod tests {
                 Err(RuntimeError::Spill(_))
             ));
         });
+    }
+
+    #[test]
+    fn a_nested_loop_inner_record_without_a_frame_is_a_spill_error() {
+        with_test_ctx(|ctx| {
+            let left: Bag = [one_struct()].into_iter().collect();
+            let mut cursor = NestedLoopCursor {
+                left: Outer::new(Box::new(ScanCursor::new(&left)), ctx.batch_rows),
+                right_input: None,
+                right: spilled_inner(&[]),
+                predicate: None,
+                ctx,
+            };
+            let mut out = Vec::new();
+            assert!(matches!(
+                cursor.next_batch(&mut out, 8),
+                Err(RuntimeError::Spill(_))
+            ));
+        });
+    }
+
+    #[test]
+    fn a_merge_tuples_inner_record_not_of_one_value_is_a_spill_error() {
+        for record in [vec![], vec![one_struct(), one_struct()]] {
+            with_test_ctx(|ctx| {
+                let left: Bag = [one_struct()].into_iter().collect();
+                let mut cursor = MergeTuplesCursor {
+                    left: Outer::new(Box::new(ScanCursor::new(&left)), ctx.batch_rows),
+                    right_input: None,
+                    right: spilled_inner(&record),
+                    on: &[],
+                    ctx,
+                };
+                let mut out = Vec::new();
+                assert!(
+                    matches!(cursor.next_batch(&mut out, 8), Err(RuntimeError::Spill(_))),
+                    "{record:?}"
+                );
+            });
+        }
     }
 }

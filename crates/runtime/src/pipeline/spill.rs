@@ -37,6 +37,19 @@
 //! [`PipelineOptions::mem_budget`](super::PipelineOptions::mem_budget)
 //! ([`MemBudget`]) or, when that is `Auto`, the `DISCO_MEM_BUDGET`
 //! environment variable (a byte count; unset means unbounded).
+//!
+//! Outside tests this module denies `unwrap`, `expect`, `panic!` and
+//! `unreachable!`: a record that cannot be read back is a typed
+//! [`RuntimeError::Spill`].
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -605,18 +618,23 @@ pub(crate) fn row_record(key: &Value, row: super::Row<'_>) -> Vec<Value> {
 }
 
 /// Rebuild a row from the frame values of a spill record (minus the key).
-/// Everything read back from disk is owned.
-pub(crate) fn record_row<'a>(mut values: Vec<Value>) -> super::Row<'a> {
+/// Everything read back from disk is owned; a record with no value is a
+/// [`RuntimeError::Spill`], since a row has at least one frame.
+pub(crate) fn record_row<'a>(values: Vec<Value>) -> Result<super::Row<'a>> {
     use super::{Frame, Row};
-    match values.len() {
-        0 | 1 => Row::One(Frame::Owned(values.pop().unwrap_or(Value::Null))),
-        2 => {
-            let b = values.pop().expect("len 2");
-            let a = values.pop().expect("len 2");
-            Row::Two([Frame::Owned(a), Frame::Owned(b)])
+    let mut values = values.into_iter();
+    Ok(match (values.next(), values.next()) {
+        (None, _) => {
+            return Err(RuntimeError::Spill(
+                "a spilled row record holds no frame".into(),
+            ))
         }
-        _ => Row::Many(values.into_iter().map(Frame::Owned).collect()),
-    }
+        (Some(a), None) => Row::One(Frame::Owned(a)),
+        (Some(a), Some(b)) if values.len() == 0 => Row::Two([Frame::Owned(a), Frame::Owned(b)]),
+        (Some(a), Some(b)) => {
+            Row::Many([a, b].into_iter().chain(values).map(Frame::Owned).collect())
+        }
+    })
 }
 
 #[cfg(test)]

@@ -27,7 +27,8 @@ use common::{
 use disco_algebra::{lower, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_runtime::{
     evaluate_physical, evaluate_physical_with, partial_evaluate, partial_evaluate_reference,
-    reference, BuildSide, ExecKey, ExecOutcome, PipelineMetrics, PipelineOptions, ResolvedExecs,
+    reference, BuildSide, ExecKey, ExecOutcome, MemBudget, PipelineMetrics, PipelineOptions,
+    ResolvedExecs,
 };
 use disco_value::Bag;
 use rand::rngs::StdRng;
@@ -292,12 +293,19 @@ fn deep_pipeline_plan(left_rows: usize, right_rows: usize) -> LogicalExpr {
     let right: Bag = (0..right_rows)
         .map(|i| person((i % 97) as i64, &format!("r{}", i % 13), (i % 53) as i64))
         .collect();
+    deep_pipeline_over(left, right, 40)
+}
+
+/// The deep-pipeline shape over given bags: `x.salary > min_salary` on
+/// the left, an equi-join on `id`, a `struct(name, total)` of each pair,
+/// then distinct.
+fn deep_pipeline_over(left: Bag, right: Bag, min_salary: i64) -> LogicalExpr {
     LogicalExpr::Distinct(Box::new(
         LogicalExpr::Join {
             left: Box::new(LogicalExpr::Data(left).bind("x").filter(ScalarExpr::binary(
                 ScalarOp::Gt,
                 ScalarExpr::var_field("x", "salary"),
-                ScalarExpr::constant(40i64),
+                ScalarExpr::constant(min_salary),
             ))),
             right: Box::new(LogicalExpr::Data(right).bind("y")),
             predicate: Some(ScalarExpr::binary(
@@ -318,6 +326,51 @@ fn deep_pipeline_plan(left_rows: usize, right_rows: usize) -> LogicalExpr {
             ),
         ])),
     ))
+}
+
+/// The deterministic person bag of the deep-pipeline pin: `id` and
+/// `name` cycle over 1 024 people, `salary` spreads over 0–999.
+fn cycling_people(rows: usize) -> Bag {
+    (0..rows as i64)
+        .map(|i| person(i % 1024, &format!("person-{}", i % 1024), (i * 37) % 1000))
+        .collect()
+}
+
+/// What the deep pipeline buffers is pinned: the hash join's build side
+/// (its 2 000 right rows) plus the distinct's seen-set (one entry per
+/// distinct `struct(name, total)`), the same count whether the breakers
+/// stay in memory or spill under a 64 KiB budget.  A change to either
+/// breaker's bookkeeping, or to which side builds, moves this number.
+#[test]
+fn the_deep_pipeline_materializes_a_pinned_row_count_at_any_budget() {
+    // 2 000 build rows + 19 015 distinct structs, measured before the
+    // pin was written.
+    const ROWS_MATERIALIZED: usize = 21_015;
+    let resolved = ResolvedExecs::default();
+    let rows = 20_000;
+    let plan = deep_pipeline_over(cycling_people(rows), cycling_people(rows / 10), 250);
+    let physical = lower(&plan).expect("lowers");
+    let expected = reference::evaluate_physical(&physical, &resolved).expect("reference evaluates");
+    for mem_budget in [MemBudget::Unbounded, MemBudget::Bytes(64 * 1024)] {
+        let metrics = PipelineMetrics::new();
+        let options = PipelineOptions {
+            mem_budget,
+            ..PipelineOptions::default()
+        };
+        let bag =
+            evaluate_physical_with(&physical, &resolved, &metrics, options).expect("evaluates");
+        assert_eq!(bag, expected, "{mem_budget:?}");
+        assert_eq!(
+            metrics.rows_materialized(),
+            ROWS_MATERIALIZED,
+            "{mem_budget:?}"
+        );
+        assert_eq!(
+            metrics.bytes_spilled() > 0,
+            mem_budget != MemBudget::Unbounded,
+            "{mem_budget:?}"
+        );
+    }
 }
 
 #[test]

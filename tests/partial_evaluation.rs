@@ -4,6 +4,8 @@
 
 use disco::core::{Availability, CapabilitySet, InterfaceDef, Mediator, NetworkProfile, Value};
 use disco::source::generator;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -82,6 +84,44 @@ fn partial_answers_retain_data_from_every_available_source() {
     assert!(residual.contains("person1"));
     assert!(residual.contains("person4"));
     assert!(!residual.contains("person0"));
+}
+
+/// §1's availability claim: with each source up with probability `p`, an
+/// all-or-nothing mediator answers only when every source is up, so its
+/// expected share of the data decays as `p^n`; a partial answer keeps the
+/// data of every source that answered, so its share never falls below
+/// the all-or-nothing one.  Seeded per (n, p); no link sleeps.
+#[test]
+fn e1_partial_fraction_dominates_all_or_nothing() {
+    const TRIALS: usize = 10;
+    for p in [0.99f64, 0.9] {
+        for n in [1usize, 2, 4, 8] {
+            let (m, links) = federation(n);
+            let full_rows = m.query(QUERY).unwrap().data().len().max(1) as f64;
+            let mut rng = StdRng::seed_from_u64((n as u64) << 8 | (p * 100.0) as u64);
+            let (mut partial_sum, mut strict_sum) = (0.0, 0.0);
+            for _ in 0..TRIALS {
+                let mut all_up = true;
+                for link in &links {
+                    let up = rng.gen_bool(p);
+                    all_up &= up;
+                    link.set_availability(if up {
+                        Availability::Available
+                    } else {
+                        Availability::Unavailable
+                    });
+                }
+                let answer = m.query(QUERY).unwrap();
+                assert_eq!(answer.is_complete(), all_up, "n {n}, p {p}");
+                partial_sum += answer.data().len() as f64 / full_rows;
+                strict_sum += if all_up { 1.0 } else { 0.0 };
+            }
+            assert!(
+                partial_sum + 1e-9 >= strict_sum,
+                "n {n}, p {p}: partial {partial_sum} < all-or-nothing {strict_sum}"
+            );
+        }
+    }
 }
 
 #[test]

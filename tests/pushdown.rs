@@ -3,7 +3,7 @@
 //! capabilities allow it, answers are identical either way, and pushing
 //! reduces the data transferred from sources.
 
-use disco::algebra::{CapabilityGrammar, CapabilitySet, LogicalExpr, OperatorKind};
+use disco::algebra::{CapabilityGrammar, CapabilitySet, LogicalExpr, OperatorKind, PhysicalExpr};
 use disco::core::{Attribute, InterfaceDef, Mediator, NetworkProfile, TypeRef};
 use disco::source::generator;
 
@@ -67,6 +67,37 @@ fn pushdown_transfers_fewer_rows_than_get_only() {
         2 * ROWS_PER_SOURCE,
         "a get-only wrapper must ship whole collections"
     );
+
+    // A wrapper that can project but not select ships every row, but
+    // narrower tuples than the interface's four attributes.  Planned cold,
+    // as its first query is: no call has been observed yet.
+    let projecting = mediator_with_capabilities(
+        CapabilitySet::new([OperatorKind::Get, OperatorKind::Project]).with_composition(true),
+    );
+    let shipped_widths = |m: &Mediator| -> Vec<Option<usize>> {
+        let plan = m.explain(SELECTIVE_QUERY).unwrap().plan;
+        plan.physical
+            .collect_execs()
+            .into_iter()
+            .map(|exec| match exec {
+                PhysicalExpr::Exec { logical, .. } => match &*logical {
+                    LogicalExpr::Project { columns, .. } => Some(columns.len()),
+                    _ => None,
+                },
+                _ => unreachable!("collect_execs returns exec nodes"),
+            })
+            .collect()
+    };
+    assert_eq!(shipped_widths(&minimal), [None, None], "whole tuples");
+    let narrow = shipped_widths(&projecting);
+    assert_eq!(narrow.len(), 2);
+    assert!(
+        narrow.iter().all(|w| matches!(w, Some(w) if *w < 4)),
+        "shipped widths {narrow:?}"
+    );
+    let narrowed = projecting.query(SELECTIVE_QUERY).unwrap();
+    assert_eq!(narrowed.data(), shipped_everything.data());
+    assert_eq!(narrowed.stats().rows_transferred, 2 * ROWS_PER_SOURCE);
 }
 
 #[test]
