@@ -67,6 +67,17 @@ fn pushdown_transfers_fewer_rows_than_get_only() {
         2 * ROWS_PER_SOURCE,
         "a get-only wrapper must ship whole collections"
     );
+}
+
+#[test]
+fn e3_get_only_ships_everything_and_project_narrows() {
+    let minimal = mediator_with_capabilities(CapabilitySet::get_only());
+    let shipped_everything = minimal.query(SELECTIVE_QUERY).unwrap();
+    assert_eq!(
+        shipped_everything.stats().rows_transferred,
+        2 * ROWS_PER_SOURCE,
+        "a get-only wrapper must ship whole collections"
+    );
 
     // A wrapper that can project but not select ships every row, but
     // narrower tuples than the interface's four attributes.  Planned cold,
