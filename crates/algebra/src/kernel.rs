@@ -416,6 +416,68 @@ impl Kernel {
         eval_node(&self.node, chunk, selection)
     }
 
+    /// Narrows `sel` — in-chunk row indexes of `chunk` — to the rows
+    /// where the predicate is truthy, in order, and `along`, a vector kept
+    /// index for index with `sel`, with it: the filter's selection update.
+    /// An integer comparison over null-free `Int` columns (`col op const`
+    /// in either order, `col op col`) compares in place, the operator
+    /// matched once per call; every other predicate takes [`Kernel::eval`]
+    /// and its truthiness.  Either way the survivors are compacted in one
+    /// branch-free pass.  `None` is `eval`'s bail, with both vectors left
+    /// as they were.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `along` is not as long as `sel`.
+    pub fn narrow(
+        &self,
+        chunk: &ColumnarChunk,
+        sel: &mut Vec<u32>,
+        along: Option<&mut Vec<u32>>,
+    ) -> Option<()> {
+        if let Some((op, left, right)) = self.int_comparison(chunk) {
+            match right {
+                IntOperand::Const(c) => compare_into(op, |i| left[i], |_| c, sel, along),
+                IntOperand::Col(right) => compare_into(op, |i| left[i], |i| right[i], sel, along),
+            }
+            return Some(());
+        }
+        let verdicts = self.eval(chunk, sel)?.truthy_mask(sel.len());
+        compact(sel, along, |r, _| verdicts[r]);
+        Some(())
+    }
+
+    /// `col op const`, `const op col` (as `col op' const`, the operator
+    /// mirrored) or `col op col` over null-free `Int` columns of `chunk`.
+    fn int_comparison<'c>(
+        &self,
+        chunk: &'c ColumnarChunk,
+    ) -> Option<(ScalarOp, &'c [i64], IntOperand<'c>)> {
+        let KernelNode::Binary { op, left, right } = &self.node else {
+            return None;
+        };
+        if !op.is_comparison() {
+            return None;
+        }
+        let column = |node: &KernelNode| match node {
+            KernelNode::Col(slot) => match chunk.column(*slot) {
+                Column::Int { data, nulls: None } => Some(data.as_slice()),
+                _ => None,
+            },
+            _ => None,
+        };
+        let constant = |node: &KernelNode| match node {
+            KernelNode::Const(Value::Int(c)) => Some(*c),
+            _ => None,
+        };
+        match (column(left), column(right)) {
+            (Some(l), Some(r)) => Some((*op, l, IntOperand::Col(r))),
+            (Some(l), None) => Some((*op, l, IntOperand::Const(constant(right)?))),
+            (None, Some(r)) => Some((mirrored(*op), r, IntOperand::Const(constant(left)?))),
+            (None, None) => None,
+        }
+    }
+
     /// The column slots the kernel reads (a slot read twice is listed
     /// twice) — what a consumer checks when not every field of a row may
     /// be read.
@@ -610,6 +672,76 @@ fn int_cmp(op: ScalarOp, a: i64, b: i64) -> bool {
         ScalarOp::Ge => a >= b,
         _ => unreachable!("comparison operator"),
     }
+}
+
+/// The right-hand side of a comparison [`Kernel::narrow`] runs in place.
+enum IntOperand<'c> {
+    Const(i64),
+    Col(&'c [i64]),
+}
+
+/// The comparison `b op' a` that holds exactly when `a op b` does.
+fn mirrored(op: ScalarOp) -> ScalarOp {
+    match op {
+        ScalarOp::Lt => ScalarOp::Gt,
+        ScalarOp::Le => ScalarOp::Ge,
+        ScalarOp::Gt => ScalarOp::Lt,
+        ScalarOp::Ge => ScalarOp::Le,
+        other => other,
+    }
+}
+
+/// Narrows `sel` (and `along`) to the chunk rows `i` where
+/// `left(i) op right(i)`: [`int_cmp`]'s semantics, the operator matched
+/// once for the whole selection.
+fn compare_into(
+    op: ScalarOp,
+    left: impl Fn(usize) -> i64,
+    right: impl Fn(usize) -> i64,
+    sel: &mut Vec<u32>,
+    along: Option<&mut Vec<u32>>,
+) {
+    match op {
+        ScalarOp::Eq => compact(sel, along, |_, i| left(i) == right(i)),
+        ScalarOp::NotEq => compact(sel, along, |_, i| left(i) != right(i)),
+        ScalarOp::Lt => compact(sel, along, |_, i| left(i) < right(i)),
+        ScalarOp::Le => compact(sel, along, |_, i| left(i) <= right(i)),
+        ScalarOp::Gt => compact(sel, along, |_, i| left(i) > right(i)),
+        ScalarOp::Ge => compact(sel, along, |_, i| left(i) >= right(i)),
+        _ => unreachable!("comparison operator"),
+    }
+}
+
+/// Keeps the entries of `sel` — and of `along`, index for index — whose
+/// verdict `keep(position, chunk row)` holds, in order, in one pass with
+/// no branch on the verdict: each entry is written at the write cursor,
+/// which then advances by the verdict.
+fn compact(
+    sel: &mut Vec<u32>,
+    along: Option<&mut Vec<u32>>,
+    mut keep: impl FnMut(usize, usize) -> bool,
+) {
+    let mut kept = 0;
+    match along {
+        None => {
+            for r in 0..sel.len() {
+                let row = sel[r];
+                sel[kept] = row;
+                kept += usize::from(keep(r, row as usize));
+            }
+        }
+        Some(along) => {
+            assert_eq!(along.len(), sel.len(), "a vector kept parallel to `sel`");
+            for r in 0..sel.len() {
+                let (row, with) = (sel[r], along[r]);
+                sel[kept] = row;
+                along[kept] = with;
+                kept += usize::from(keep(r, row as usize));
+            }
+            along.truncate(kept);
+        }
+    }
+    sel.truncate(kept);
 }
 
 /// Null-free `i64` arithmetic through the row evaluator's own checked
@@ -882,6 +1014,88 @@ mod tests {
         let data = vec![Value::Null, Value::Int(9)];
         let (vec, n) = eval_over(&expr, None, data).unwrap();
         assert_eq!(vec.truthy_mask(n), vec![false, true]);
+    }
+
+    /// `narrow` over a selection equals filtering it by `eval`'s
+    /// truthiness, on the typed path and off it, and narrows `along` the
+    /// same way.
+    #[test]
+    fn narrow_keeps_what_the_evaluated_verdicts_keep() {
+        let ops = [
+            ScalarOp::Eq,
+            ScalarOp::NotEq,
+            ScalarOp::Lt,
+            ScalarOp::Le,
+            ScalarOp::Gt,
+            ScalarOp::Ge,
+        ];
+        let ints = [i64::MIN, -3, 0, 2, 7, i64::MAX];
+        let rows: Vec<Value> = (0..12i64)
+            .map(|i| {
+                let fields = vec![
+                    ("a", Value::Int(ints[(i % 6) as usize])),
+                    ("b", Value::Int(ints[((i * 5) % 6) as usize])),
+                    (
+                        "n",
+                        if i % 4 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Int(i)
+                        },
+                    ),
+                ];
+                Value::Struct(StructValue::new(fields).unwrap())
+            })
+            .collect();
+        let constants = [
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(-3),
+            Value::Int(2),
+            Value::Float(2.5),
+            Value::from("2"),
+        ];
+        let (a, b, n) = (
+            || ScalarExpr::attr("a"),
+            || ScalarExpr::attr("b"),
+            || ScalarExpr::attr("n"),
+        );
+        let mut cases = Vec::new();
+        for op in ops {
+            cases.push((ScalarExpr::binary(op, a(), b()), true));
+            cases.push((ScalarExpr::binary(op, n(), a()), false));
+            for c in &constants {
+                let typed = matches!(c, Value::Int(_));
+                let c = || ScalarExpr::Const(c.clone());
+                cases.push((ScalarExpr::binary(op, a(), c()), typed));
+                cases.push((ScalarExpr::binary(op, c(), b()), typed));
+                cases.push((ScalarExpr::binary(op, c(), n()), false));
+            }
+        }
+        for (expr, typed) in cases {
+            let mut kb = KernelBuilder::new(None);
+            let kernel = kb.compile(&expr).unwrap();
+            let mut cb = ChunkBuilder::new();
+            for f in kb.fields() {
+                cb.add_field(Arc::clone(f));
+            }
+            let chunk = cb.build(&rows).unwrap();
+            assert_eq!(kernel.int_comparison(&chunk).is_some(), typed, "{expr:?}");
+            let sel: Vec<u32> = (0..12).filter(|i| i % 5 != 3).collect();
+            let verdicts = kernel.eval(&chunk, &sel).unwrap().truthy_mask(sel.len());
+            let expected: Vec<u32> = sel
+                .iter()
+                .zip(&verdicts)
+                .filter_map(|(&i, &keep)| keep.then_some(i))
+                .collect();
+            let (mut narrowed, mut along) = (sel.clone(), sel.iter().map(|i| i * 10).collect());
+            kernel
+                .narrow(&chunk, &mut narrowed, Some(&mut along))
+                .unwrap();
+            assert_eq!(narrowed, expected, "{expr:?}");
+            let expected_along: Vec<u32> = expected.iter().map(|i| i * 10).collect();
+            assert_eq!(along, expected_along, "{expr:?}");
+        }
     }
 
     #[test]

@@ -211,6 +211,33 @@ impl AggState {
         Ok(())
     }
 
+    /// Folds a run of integers into the state: what [`AggState::update`]
+    /// does for each as a `Value::Int`, in order.  `count` adds the run's
+    /// length and an integer `sum` adds the run with the same
+    /// `checked_add`; every other function folds value by value.
+    ///
+    /// # Errors
+    ///
+    /// [`AlgebraError::IntegerOverflow`] when an integer `sum` overflows.
+    pub fn update_ints(&mut self, values: &[i64]) -> Result<()> {
+        match (self.func, self.sum) {
+            (AggKind::Count, _) => self.count += values.len(),
+            (AggKind::Sum, Sum::Int(mut acc)) => {
+                for &v in values {
+                    acc = acc.checked_add(v).ok_or(AlgebraError::IntegerOverflow)?;
+                }
+                self.sum = Sum::Int(acc);
+                self.count += values.len();
+            }
+            _ => {
+                for &v in values {
+                    self.update(&Value::Int(v))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The aggregate's final value.
     #[must_use]
     pub fn finish(self) -> Value {
@@ -800,6 +827,49 @@ impl std::fmt::Display for ScalarExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `update_ints` over a slice cut into runs folds as `AggKind::apply`
+    /// over the slice's values: the same value, or the same error — one
+    /// slice's `sum` overflows.
+    #[test]
+    fn a_run_of_integers_folds_as_apply() {
+        let kinds = [
+            AggKind::Sum,
+            AggKind::Count,
+            AggKind::Avg,
+            AggKind::Min,
+            AggKind::Max,
+        ];
+        let mut overflowed = 0;
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(0xA66 + seed);
+            let span = if seed % 8 == 0 { i64::MAX / 2 } else { 1_000 };
+            let values: Vec<i64> = (0..rng.gen_range(0..300))
+                .map(|_| rng.gen_range(-span..span))
+                .collect();
+            let bag: Bag = values.iter().map(|&v| Value::Int(v)).collect();
+            for func in kinds {
+                let expected = func.apply(&bag);
+                let mut state = AggState::new(func);
+                let mut rest = &values[..];
+                let folded = loop {
+                    if rest.is_empty() {
+                        break Ok(state.finish());
+                    }
+                    let (run, tail) = rest.split_at(rng.gen_range(1..=rest.len()));
+                    rest = tail;
+                    if let Err(err) = state.update_ints(run) {
+                        break Err(err);
+                    }
+                };
+                overflowed += usize::from(func == AggKind::Sum && expected.is_err());
+                assert_eq!(folded, expected, "seed {seed}, {}", func.name());
+            }
+        }
+        assert!(overflowed > 0, "some `sum` overflows");
+    }
 
     fn mary() -> StructValue {
         StructValue::new(vec![

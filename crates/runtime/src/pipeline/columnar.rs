@@ -841,12 +841,6 @@ pub(crate) enum RowsOf<'a> {
     Bag { bag: &'a Bag, at: Vec<u32> },
 }
 
-/// Keeps the entries of `selected` whose verdict in `mask` is `true`.
-fn retain_by(selected: &mut Vec<u32>, mask: &[bool]) {
-    let mut keep = mask.iter();
-    selected.retain(|_| *keep.next().expect("one verdict per selected row"));
-}
-
 impl<'a> RowsOf<'a> {
     fn get(&self, j: usize, sel: &[u32]) -> &'a Value {
         match self {
@@ -1170,11 +1164,13 @@ impl<'a> Spine<'a> {
             if sel.is_empty() {
                 break;
             }
-            let mask = kernel.eval(chunk, &sel)?.truthy_mask(sel.len());
-            retain_by(&mut sel, &mask);
-            if let RowsOf::Bag { at, .. } = &mut rows {
-                retain_by(at, &mask);
-            }
+            // `at` is kept parallel to `sel` only for a tail that hands
+            // rows on; it is empty otherwise.
+            let at = match &mut rows {
+                RowsOf::Bag { at, .. } if !at.is_empty() => Some(at),
+                _ => None,
+            };
+            kernel.narrow(chunk, &mut sel, at)?;
         }
         Some(Selected { decoded, sel, rows })
     }

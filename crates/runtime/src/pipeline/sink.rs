@@ -532,7 +532,9 @@ impl<'a> RowStream<'a> for AggregateCursor<'a> {
 
 /// The one aggregate fold: incrementally folds a batch source into an
 /// [`AggState`] without building the input bag (and without bumping any
-/// metric).  Rows are consumed by reference; only a min/max champion is
+/// metric).  A null-free integer result vector folds as one run
+/// ([`AggState::update_ints`]), borrowed values one by one, and rows by
+/// reference — a join row is merged first; only a min/max champion is
 /// ever cloned.
 fn fold_aggregate(
     func: AggKind,
@@ -541,16 +543,28 @@ fn fold_aggregate(
 ) -> Result<AggState> {
     let mut state = AggState::new(func);
     while let Some(batch) = source.next_chunk(ctx.batch_rows)? {
-        for row in batch {
-            let merged;
-            let value: &Value = match row.single_value() {
-                Some(value) => value,
-                None => {
-                    merged = row.materialize(ctx.metrics)?;
-                    &merged
+        match batch {
+            Batch::Mapped(EvalVec::Int { data, nulls: None }, range) => {
+                state.update_ints(&data[range])?;
+            }
+            Batch::Proj(values) => {
+                for value in values {
+                    state.update(value)?;
                 }
-            };
-            state.update(value)?;
+            }
+            rows => {
+                for row in rows {
+                    let merged;
+                    let value: &Value = match row.single_value() {
+                        Some(value) => value,
+                        None => {
+                            merged = row.materialize(ctx.metrics)?;
+                            &merged
+                        }
+                    };
+                    state.update(value)?;
+                }
+            }
         }
     }
     Ok(state)

@@ -747,3 +747,63 @@ fn distinct_meets_a_struct_built_in_either_field_order_on_either_path() {
         }
     }
 }
+
+/// **Guards a hazard only in-place narrowing has**: over a column-faced
+/// bag, a spine whose tail hands rows on keeps the survivors' bag
+/// elements (`at`) index for index with its selection, and an integer
+/// comparison compacts both in one pass.  Typed filters under a hash
+/// join's key sides (no map: the join hands on whole rows) and under a
+/// `distinct` of whole rows must give the reference evaluator's answer and
+/// the kernel coverage of their row-built twins.
+#[test]
+fn a_typed_filter_narrows_the_rows_it_hands_on() {
+    let salary_over = |var: &str, limit: i64| {
+        ScalarExpr::binary(
+            ScalarOp::Gt,
+            ScalarExpr::var_field(var, "salary"),
+            ScalarExpr::constant(limit),
+        )
+    };
+    let plans = |faced: &dyn Fn(Bag) -> Bag| {
+        let left = LogicalExpr::Data(faced(people(1200)))
+            .bind("x")
+            .filter(salary_over("x", 80));
+        let right = LogicalExpr::Data(faced(people(600)))
+            .bind("y")
+            .filter(ScalarExpr::binary(
+                ScalarOp::Le,
+                ScalarExpr::constant(50i64),
+                ScalarExpr::var_field("y", "salary"),
+            ));
+        [
+            LogicalExpr::Join {
+                left: Box::new(left),
+                right: Box::new(right),
+                predicate: Some(ScalarExpr::binary(
+                    ScalarOp::Eq,
+                    ScalarExpr::var_field("x", "id"),
+                    ScalarExpr::var_field("y", "id"),
+                )),
+            },
+            LogicalExpr::Distinct(Box::new(
+                LogicalExpr::Data(faced(people(3000)))
+                    .bind("x")
+                    .filter(salary_over("x", 60)),
+            )),
+        ]
+    };
+    let by_columns = plans(&|bag| common::column_faced(&bag));
+    let by_rows = plans(&|bag| bag);
+    for (plan, twin) in by_columns.iter().zip(&by_rows) {
+        let (answer, metrics) = assert_engines_agree(plan);
+        let (twin_answer, twin_metrics) = assert_engines_agree(twin);
+        assert!(!answer.is_empty(), "{plan}");
+        assert_eq!(answer, twin_answer, "{plan}");
+        assert_eq!(
+            (metrics.rows_kernel(), metrics.rows_fallback()),
+            (twin_metrics.rows_kernel(), twin_metrics.rows_fallback()),
+            "{plan}"
+        );
+        assert_eq!(metrics.rows_fallback(), 0, "{plan}: every batch vectorized");
+    }
+}

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use disco_core::{
     Attribute, Availability, CapabilitySet, InterfaceDef, Mediator, MetaExtent, NetworkProfile,
-    Table, TypeRef, Value,
+    Repository, Table, TypeRef, Value,
 };
 use disco_server::{DiscoServer, ServerConfig};
 
@@ -413,6 +413,19 @@ fn sessions_run_the_plan_of_their_own_snapshot_while_extents_come_and_go() {
         }
     });
     // One more extent, with no session about: the next lookup patches.
+    // A patch holds only if the strategy that won still wins with the new
+    // member costed from the calibration store, which the sessions filled
+    // with call times taken under whatever load the machine had — enough,
+    // on a loaded machine, for mediator-only to win by a few percent.  So
+    // the store starts empty and the text is planned on it (a repository
+    // is a change no patch takes), and the addition patches that plan:
+    // every member costed from no observation, as when the text was first
+    // planned.
+    mediator.calibration().clear();
+    server
+        .update_catalog(|catalog| catalog.add_repository(Repository::new("r_idle")))
+        .unwrap();
+    assert_eq!(server.session().query(text).unwrap().data().len(), 8);
     let patches = server.stats().plan_cache_patches;
     server
         .update_catalog(|catalog| {

@@ -42,8 +42,8 @@
 //! field sets, bags as multisets), `Eq` is `total_cmp == Equal`, and
 //! `Hash` is canonical with respect to it — numerically equal ints and
 //! floats hash identically, a struct hashes its field values in field-name
-//! order and a bag combines its element hashes commutatively, so neither
-//! depends on declaration or element order.  That canonical hash is what
+//! order and a bag its elements in `total_cmp` order, so neither depends
+//! on declaration or element order.  That canonical hash is what
 //! lets the runtime build hash joins and hash distinct directly on `Value`
 //! keys.
 //!

@@ -10,12 +10,12 @@
 //!   and a `Float` that represents an integer, write the same `i64` word),
 //! * struct hashes are independent of field declaration order (the field
 //!   values are written in field-name order),
-//! * bag hashes are independent of element order (per-element hashes
-//!   combine with a commutative `wrapping_add`: O(n), no allocation, no
-//!   element clones).
+//! * bag hashes are independent of element order (the elements are
+//!   written in `total_cmp` order, sorted by reference: no element
+//!   clones).
 //!
 //! A value hashes as one stream of whole words into the caller's hasher —
-//! a table's keyed `RandomState`, end to end, structs included.  The word
+//! a table's keyed `RandomState`, end to end, structs and bags included.  The word
 //! writers ([`hash_int`], [`hash_str`], [`hash_struct_with`], …) are
 //! public so that a producer holding values as typed columns (the kernels'
 //! result vectors, [`crate::KeyHasher`]) writes the same stream without
@@ -27,7 +27,6 @@
 //! practice.
 
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use crate::{StructValue, Value};
@@ -227,16 +226,6 @@ impl PartialEq for StructValue {
 
 impl Eq for StructValue {}
 
-/// The standalone hash of one value, used as the element of commutative
-/// (order-independent) multiset combines.  `DefaultHasher::new()` uses
-/// fixed keys, so this is deterministic within a process — all a hash
-/// table needs.
-fn element_hash<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    value.hash(&mut h);
-    h.finish()
-}
-
 // The canonical hash writes one stream of whole words into the caller's
 // hasher.  A scalar is one word, or a string's head word and its bytes
 // padded to a word; a struct is a head word and its field values.  The
@@ -371,12 +360,11 @@ impl Hash for Value {
             }
             Value::Bag(b) => {
                 state.write_u64(BAG_TAG ^ b.len() as u64);
-                // Commutative combine: order-independent without sorting.
-                let mut acc = 0u64;
-                for v in b.iter() {
-                    acc = acc.wrapping_add(element_hash(v));
+                // Equal bags are equal sorted: their elements, taken in
+                // `total_cmp` order, stream alike into the caller's hasher.
+                for v in b.sorted_refs() {
+                    v.hash(state);
                 }
-                state.write_u64(acc);
             }
         }
     }
@@ -398,8 +386,39 @@ impl Hash for StructValue {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{BuildHasher, RandomState};
+
     use super::*;
     use crate::Bag;
+
+    /// Two equal bags, built in different orders (one element an `Int`
+    /// in one and an equal `Float` in the other), hash alike under two
+    /// differently keyed hashers — and the keys do reach the elements.
+    #[test]
+    fn equal_bags_hash_alike_under_any_keyed_hasher() {
+        let person = |id: i64| Value::new_struct(vec![("id", Value::Int(id))]).unwrap();
+        let a = Value::Bag(Bag::from(vec![
+            Value::Int(3),
+            person(1),
+            Value::from("s"),
+            Value::Int(3),
+            Value::Float(2.0),
+        ]));
+        let b = Value::Bag(Bag::from(vec![
+            Value::from("s"),
+            Value::Int(2),
+            Value::Int(3),
+            person(1),
+            Value::Int(3),
+        ]));
+        assert_eq!(a, b);
+        let (one, two) = (RandomState::new(), RandomState::new());
+        for keys in [&one, &two] {
+            assert_eq!(keys.hash_one(&a), keys.hash_one(&b));
+        }
+        assert_ne!(one.hash_one(&a), two.hash_one(&a), "the keys are used");
+    }
 
     fn hash_of(v: &Value) -> u64 {
         let mut h = DefaultHasher::new();

@@ -135,11 +135,7 @@ impl<'e> OnePass<'e> {
                 if selection.is_empty() {
                     break;
                 }
-                let verdicts = kernel
-                    .eval(&chunk, &selection)?
-                    .truthy_mask(selection.len());
-                let mut keep = verdicts.into_iter();
-                selection.retain(|_| keep.next().expect("one verdict per selected row"));
+                kernel.narrow(&chunk, &mut selection, None)?;
             }
             survivors.extend_from_slice(&selection);
         }
@@ -326,10 +322,15 @@ mod tests {
     }
 
     /// Guards the one pass — and the hazard only the kernel pass has: two
-    /// evaluators of one shape.  For random `project?(select*(get))`
+    /// evaluators of one shape, and within it two ways to run a predicate
+    /// (an integer comparison over a null-free column compares in place,
+    /// anything else is evaluated).  For random `project?(select*(get))`
     /// expressions over a table with nulls, a mixed-type column, strings
     /// and a NaN float — predicates that divide by a column holding
-    /// zeros, add to a string, compare strings, name a missing column;
+    /// zeros, add to a string, compare strings, name a missing column,
+    /// compare the null-free `id` and `div` under all six operators with
+    /// the constant on either side (`i64::MIN`, `i64::MAX`, negatives) or
+    /// with each other, or against a float or a string constant;
     /// projections naming an undeclared or a repeated column — the kernel
     /// pass (where it does not bail), `eval_pushed` and the recursive
     /// evaluator answer alike: the same rows in the same order, the same
@@ -372,7 +373,25 @@ mod tests {
             for _ in 0..rng.gen_range(0..4) {
                 let compare = [ScalarOp::Gt, ScalarOp::Lt][rng.gen_range(0..2usize)];
                 let limit = ScalarExpr::constant(rng.gen_range(0..100i64));
-                let predicate = match rng.gen_range(0..10) {
+                // Any comparison, with the constant on either side.
+                let any = [
+                    ScalarOp::Eq,
+                    ScalarOp::NotEq,
+                    ScalarOp::Lt,
+                    ScalarOp::Le,
+                    ScalarOp::Gt,
+                    ScalarOp::Ge,
+                ][rng.gen_range(0..6usize)];
+                let int_column = ScalarExpr::attr(["id", "div"][rng.gen_range(0..2usize)]);
+                let either_side = |rng: &mut StdRng, column: ScalarExpr, constant: Value| {
+                    let constant = ScalarExpr::Const(constant);
+                    if rng.gen_bool(0.5) {
+                        ScalarExpr::binary(any, column, constant)
+                    } else {
+                        ScalarExpr::binary(any, constant, column)
+                    }
+                };
+                let predicate = match rng.gen_range(0..14) {
                     // Errors on the rows whose `div` is zero.
                     0 | 1 => ScalarExpr::binary(
                         compare,
@@ -412,6 +431,26 @@ mod tests {
                         ScalarExpr::attr("score"),
                         ScalarExpr::constant(0.5f64),
                     ),
+                    // The null-free integer columns: compared in place.
+                    10 | 11 => {
+                        let constant = match rng.gen_range(0..4) {
+                            0 => i64::MIN,
+                            1 => i64::MAX,
+                            2 => -rng.gen_range(1..5i64),
+                            _ => rng.gen_range(0..40i64),
+                        };
+                        either_side(&mut rng, int_column, Value::Int(constant))
+                    }
+                    12 => ScalarExpr::binary(any, int_column, ScalarExpr::attr("div")),
+                    // Not an integer constant: evaluated, not compared.
+                    13 => {
+                        let constant = if rng.gen_bool(0.5) {
+                            Value::Float(rng.gen_range(-1.0..40.0))
+                        } else {
+                            Value::from("p3")
+                        };
+                        either_side(&mut rng, int_column, constant)
+                    }
                     _ => ScalarExpr::binary(compare, ScalarExpr::attr("salary"), limit),
                 };
                 expr = expr.filter(predicate);
