@@ -886,9 +886,27 @@ impl<'a> Positions<'a> {
         self.sel.len()
     }
 
-    /// Survivor `j`'s output row, as the spine hands rows on.
+    /// Survivor `j`'s output row, as the spine hands rows on.  It reads
+    /// `rows` and `sel` only: the chunk may be dropped.
     pub(crate) fn row(&self, j: usize) -> Result<Row<'a>> {
         self.shape.make_row(self.rows.get(j, &self.sel))
+    }
+
+    /// Rough bytes of the chunk the batch holds: all of one decoded for
+    /// it; of a column-faced bag's own columns, the survivors' rows (what
+    /// they take in a gathered payload).
+    pub(crate) fn chunk_bytes(&self) -> usize {
+        let rows = match self.rows {
+            RowsOf::Slice(_) => self.chunk.len(),
+            RowsOf::Bag { .. } => self.len(),
+        };
+        self.chunk.approx_bytes(rows)
+    }
+
+    /// Rough bytes of the batch: [`Self::chunk_bytes`] and two positions
+    /// a survivor.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.chunk_bytes() + self.len() * 8
     }
 }
 

@@ -25,9 +25,11 @@
 //!
 //! # Spilling (bounded memory budgets)
 //!
-//! Under a bounded [`MemoryBudget`](super::spill::MemoryBudget) the build
-//! loop makes and charges every build row as it comes; the row whose
-//! charge fails sends the
+//! The build loop is the same under any budget; a bounded
+//! [`MemoryBudget`] only counts what the table holds.  A kept build row is
+//! charged its key and its share of its batch, a made one its row and key,
+//! and the payload its columns, once it has released the chunks it
+//! replaces.  The row whose charge fails sends the
 //! join down the [`Grace`] path: the resident table and the rest of the
 //! build input are hash-routed into 8 disk runs, the whole probe input is
 //! routed by the same hash (probe *keys* are still evaluated in arrival
@@ -69,8 +71,8 @@ use disco_value::{approx_value_bytes, ColumnarChunk, Value};
 use super::columnar::{Batch, KeyedBatch, Positions, Spine};
 use super::sink::IdentityHasher;
 use super::spill::{
-    approx_row_bytes, record_row, row_record, Grace, Resident, RewindableRun, RunFile,
-    RunFileReader, RunPass,
+    approx_row_bytes, record_row, row_record, Grace, MemoryBudget, Resident, RewindableRun,
+    RunFile, RunFileReader, RunPass,
 };
 use super::{
     eval_in_pair, eval_in_row, BoxedRowStream, Frame, InputRows, PipelineCtx, Result, Row,
@@ -190,12 +192,12 @@ impl<'a> KeyedSource<'a> {
 /// indices, and an expansion in flight refers to its group by id.
 ///
 /// The rows themselves are in one of two forms, in table order: first the
-/// rows made (`rows`: a batch that ran per row, a reloaded Grace record,
-/// every row under a bounded budget), then the vectorized batches kept by
-/// position (`kept`).  [`JoinTable::make_rows`] turns the kept batches
-/// into rows, once, when something first needs a row.  While every row
-/// is kept by position the batches' columns, gathered, are the payload a
-/// pair projection reads ([`JoinTable::payload`]).
+/// rows made (`rows`: a batch that ran per row, a reloaded Grace record),
+/// then the vectorized batches kept by position (`kept`).
+/// [`JoinTable::make_rows`] turns the kept batches into rows, once, when
+/// something first needs a row.  While every row is kept by position the
+/// batches' columns, gathered, are the payload a pair projection reads
+/// ([`JoinTable::payload`]).
 pub(crate) struct JoinTable<'a> {
     state: RandomState,
     /// Key hash → the first group of that hash (almost always the only).
@@ -305,29 +307,52 @@ impl<'a> JoinTable<'a> {
     }
 
     /// The one build loop, over either form of keyed batch: every build
-    /// row bumps `rows_materialized` and is inserted.  Without a bounded
-    /// budget a vectorized batch is kept by position, whole.  Otherwise
-    /// each row is made and charged against the budget, and the loop
-    /// stops at the row whose charge failed (it is in the table),
-    /// returning the rest of the batch: the caller then goes Grace with
-    /// it.
+    /// row bumps `rows_materialized`, is inserted and is charged against
+    /// the budget.  A vectorized batch is kept by position, each survivor
+    /// charged its key and its share of the batch
+    /// ([`Positions::approx_bytes`]); a per-row batch's rows are kept as
+    /// they came, each charged its row and key.  The loop stops at the row
+    /// whose charge failed (it is in the table), returning the rest of the
+    /// batch as rows: the caller then goes Grace with it.
     fn absorb(
         &mut self,
         batch: KeyedBatch<'a>,
         charged: &mut usize,
         ctx: PipelineCtx<'_>,
     ) -> Result<Option<std::vec::IntoIter<KeyedRow<'a>>>> {
-        let bounded = ctx.budget.is_bounded();
         let mut rows = match batch {
-            KeyedBatch::Kernel { at, keys, hashes } if !bounded => {
+            // A batch in which nothing survived holds nothing.
+            KeyedBatch::Kernel { hashes, .. } if hashes.is_empty() => return Ok(None),
+            KeyedBatch::Kernel {
+                mut at,
+                keys,
+                hashes,
+            } => {
+                let (n, mut whole) = (at.len(), None);
                 for (j, &hash) in hashes.iter().enumerate() {
                     ctx.metrics.bump_materialized();
-                    self.insert(hash, keys.value_at(j))?;
+                    let key = keys.value_at(j);
+                    // The shares of survivors `..=j` add up to `(j + 1) / n`
+                    // of the batch.
+                    let fits = ctx.budget.charge_with(charged, || {
+                        let whole = *whole.get_or_insert_with(|| at.approx_bytes());
+                        approx_value_bytes(&key) + whole * (j + 1) / n - whole * j / n
+                    });
+                    self.insert(hash, key)?;
+                    if !fits {
+                        let rest = (j + 1..n)
+                            .map(|k| Ok((hashes[k], keys.value_at(k), at.row(k)?)))
+                            .collect::<Result<Vec<_>>>()?;
+                        // A batch is as long as its selection.
+                        at.sel.truncate(j + 1);
+                        self.kept.push(at);
+                        return Ok(Some(rest.into_iter()));
+                    }
                 }
                 self.kept.push(at);
                 return Ok(None);
             }
-            batch => batch.into_rows()?.into_iter(),
+            KeyedBatch::Rows(rows) => rows.into_iter(),
         };
         // Made rows come before kept ones in table order.
         if !rows.as_slice().is_empty() {
@@ -335,15 +360,12 @@ impl<'a> JoinTable<'a> {
         }
         while let Some((hash, key, row)) = rows.next() {
             ctx.metrics.bump_materialized();
-            let cost = if bounded {
+            let fits = ctx.budget.charge_with(charged, || {
                 approx_row_bytes(&row) + approx_value_bytes(&key)
-            } else {
-                0
-            };
+            });
             self.insert(hash, key)?;
             self.rows.push(row);
-            *charged += cost;
-            if !ctx.budget.charge(cost) {
+            if !fits {
                 return Ok(Some(rows));
             }
         }
@@ -363,9 +385,11 @@ impl<'a> JoinTable<'a> {
 
     /// The payload of a pair projection: the kept rows of the build
     /// batches' columns gathered in table order, so chunk row `i` is build
-    /// row `i`.  `None` once any build row is made (a batch ran per row, or
-    /// the budget is bounded).
-    fn payload(&self) -> Option<ColumnarChunk> {
+    /// row `i`; `None` once any build row is made (a batch ran per row).
+    /// It replaces the kept chunks: they are dropped (a kept row is made
+    /// from its positions alone) and their charge released before the
+    /// payload's is taken.
+    fn payload(&mut self, charged: &mut usize, budget: &MemoryBudget) -> Option<ColumnarChunk> {
         if !self.rows.is_empty() {
             return None;
         }
@@ -374,7 +398,17 @@ impl<'a> JoinTable<'a> {
             .iter()
             .map(|batch| (&batch.chunk, batch.sel.as_slice()))
             .collect();
-        Some(ColumnarChunk::gather(&parts))
+        let payload = ColumnarChunk::gather(&parts);
+        budget.uncharge_with(charged, || {
+            self.kept.iter().map(Positions::chunk_bytes).sum()
+        });
+        for batch in &mut self.kept {
+            batch.chunk = ColumnarChunk::default();
+        }
+        // It holds the chunks' columns cut to the survivors, so it trips
+        // nothing the build did not.
+        budget.charge_with(charged, || payload.approx_bytes(payload.len()));
+        Some(payload)
     }
 
     /// The id of the group of build rows matching `key`, if any.
@@ -417,16 +451,15 @@ impl Resident for JoinTable<'_> {
     fn unload(&mut self, sink: &mut dyn FnMut(&[Value]) -> Result<()>) -> Result<()> {
         self.make_rows()?;
         let table = std::mem::take(self);
+        // Each filed row is made once and is in exactly one group.
+        let misfiled = || RuntimeError::Spill("a join table holds rows it did not file".into());
         let mut rows: Vec<Option<Row<'_>>> = table.rows.into_iter().map(Some).collect();
+        if rows.len() != table.len as usize {
+            return Err(misfiled());
+        }
         for group in table.groups {
             for index in group.indices() {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "`insert` files each table index in exactly one group"
-                )]
-                let row = rows[index as usize]
-                    .take()
-                    .expect("each row is in one group");
+                let row = rows[index as usize].take().ok_or_else(misfiled)?;
                 sink(&row_record(&group.key, row))?;
             }
         }
@@ -644,12 +677,9 @@ impl<'a> HashJoin<'a> {
                 return self.spill(build, rest);
             }
         }
-        // The payload is breaker state too, and it is not charged: a
-        // bounded budget does without it (pairs are projected per row).
+        // The payload is breaker state too, and charged.
         if let Some(pair) = &mut self.pair {
-            if !self.ctx.budget.is_bounded() {
-                pair.payload = self.table.payload();
-            }
+            pair.payload = self.table.payload(&mut self.charged, self.ctx.budget);
         }
         Ok(())
     }

@@ -49,7 +49,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 
 use disco_algebra::{AggKind, AggState, EvalVec};
-use disco_value::{approx_value_bytes, StrDict, Value};
+use disco_value::{approx_value_bytes, Value};
 
 use super::columnar::{Batch, BatchSource};
 use super::spill::{can_split, Grace, Loaded, Resident, RunFileReader};
@@ -249,14 +249,6 @@ pub(crate) struct DistinctCursor<'a> {
     /// current partition).  Trips are acted on per admitted value, so the
     /// resident overshoot is at most one entry.
     tripped: bool,
-    /// Pre-filter for bare-column string keys: each key is interned in
-    /// the cursor's own dictionary (FNV, cheap on the short strings that
-    /// make up attribute values) and repeated codes are skipped on a
-    /// dense `code → seen` bitmap without ever paying the seen-set's
-    /// canonical `Value` hash.  Only ever a shortcut in front of
-    /// [`admit`], which stays the one source of truth.
-    dict: StrDict,
-    code_seen: Vec<bool>,
     /// `Some` once the seen-set tripped the budget.
     grace: Option<Grace>,
     /// The candidate run and hash level of the partition being drained.
@@ -275,8 +267,6 @@ impl<'a> DistinctCursor<'a> {
             hasher,
             charged: 0,
             tripped: false,
-            dict: StrDict::new(),
-            code_seen: Vec::new(),
             grace: None,
             partition: None,
             ctx,
@@ -297,67 +287,16 @@ impl<'a> DistinctCursor<'a> {
     /// it.
     #[inline(always)]
     fn emit(&mut self, value: Value, out: &mut Vec<Row<'a>>) {
-        if self.ctx.budget.is_bounded() {
-            let cost = entry_cost(&value);
-            self.charged += cost;
-            if !self.ctx.budget.charge(cost) {
-                // Past the deepest level a partition stays whole and the
-                // budget overcommits rather than looping.
-                self.tripped = self
-                    .partition
-                    .as_ref()
-                    .is_none_or(|(_, level)| can_split(*level));
-            }
+        let budget = self.ctx.budget;
+        if !budget.charge_with(&mut self.charged, || entry_cost(&value)) {
+            // Past the deepest level a partition stays whole and the
+            // budget overcommits rather than looping.
+            self.tripped = self
+                .partition
+                .as_ref()
+                .is_none_or(|(_, level)| can_split(*level));
         }
         out.push(Row::owned(value));
-    }
-
-    /// Applies the dictionary-code pre-filter to a freshly pulled batch of
-    /// bare-column values: only values whose code was not seen before
-    /// stay in the batch (each of them goes on to admission — or, past a
-    /// trip, to a candidate run — exactly once).
-    fn prefiltered(&mut self, batch: Batch<'a>) -> Batch<'a> {
-        match batch {
-            Batch::Proj(values) => {
-                // A plain loop: the in-place `filter().collect()` measures
-                // ~15 % slower on E9 `distinct`.
-                let mut fresh: Vec<&'a Value> = Vec::new();
-                for value in values {
-                    if !self.seen_code(value) {
-                        fresh.push(value);
-                    }
-                }
-                Batch::Proj(fresh.into_iter())
-            }
-            Batch::Mapped(result, range) => {
-                self.hashes.clear();
-                result.struct_hashes(&self.hasher, range.end, &mut self.hashes);
-                Batch::Mapped(result, range)
-            }
-            other => other,
-        }
-    }
-
-    /// Whether `value` is a string whose dictionary code was seen before;
-    /// marks the code otherwise.
-    fn seen_code(&mut self, value: &Value) -> bool {
-        let Value::Str(s) = value else {
-            return false;
-        };
-        // A full dictionary falls through to the seen-set, which stays
-        // the one source of truth.
-        let Some(code) = self.dict.code(s) else {
-            return false;
-        };
-        let slot = code as usize;
-        if self.code_seen.get(slot).copied().unwrap_or(false) {
-            return true;
-        }
-        if self.code_seen.len() <= slot {
-            self.code_seen.resize(slot + 1, false);
-        }
-        self.code_seen[slot] = true;
-        false
     }
 
     /// Transitions to the Grace path: dumps the resident seen-set into
@@ -464,14 +403,18 @@ impl<'a> RowStream<'a> for DistinctCursor<'a> {
         // In memory: one source batch per pull, so rows reach the consumer
         // as soon as their batch is through.
         if self.batch.is_empty() {
-            match self.source.next_chunk(max)? {
-                Some(batch) => self.batch = self.prefiltered(batch),
-                None => return Ok(false),
+            let Some(batch) = self.source.next_chunk(max)? else {
+                return Ok(false);
+            };
+            if let Batch::Mapped(result, range) = &batch {
+                self.hashes.clear();
+                result.struct_hashes(&self.hasher, range.end, &mut self.hashes);
             }
+            self.batch = batch;
         }
         let start = out.len();
         match std::mem::take(&mut self.batch) {
-            // Struct columns: hashed once per batch (`prefiltered`),
+            // Struct columns: hashed once per batch (above),
             // compared in place, built only when new.
             Batch::Mapped(result @ EvalVec::Struct(_), mut range) => {
                 while out.len() - start < max && !self.tripped {

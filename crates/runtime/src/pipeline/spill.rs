@@ -158,17 +158,6 @@ impl MemoryBudget {
         }
     }
 
-    /// Whether a limit is configured at all.  When `false`, `charge` is a
-    /// no-op and no breaker ever spills.
-    pub fn is_bounded(&self) -> bool {
-        self.limit.is_some()
-    }
-
-    /// The configured limit, if any.
-    pub fn limit(&self) -> Option<usize> {
-        self.limit
-    }
-
     /// Account `bytes` of newly buffered breaker state.  Returns `true`
     /// while the total stays within the limit; a `false` return means the
     /// caller should spill (and [`uncharge`](Self::uncharge) what it
@@ -181,10 +170,30 @@ impl MemoryBudget {
         now <= limit
     }
 
+    /// [`charge`](Self::charge)s `bytes()` and adds it to `charged`, the
+    /// caller's tally of what it holds, computing it only when the budget
+    /// counts: an unbounded budget charges nothing and returns `true`.
+    pub fn charge_with(&self, charged: &mut usize, bytes: impl FnOnce() -> usize) -> bool {
+        let Some(_) = self.limit else { return true };
+        let bytes = bytes();
+        *charged += bytes;
+        self.charge(bytes)
+    }
+
     /// Release bytes previously [`charge`](Self::charge)d.
     pub fn uncharge(&self, bytes: usize) {
         if self.limit.is_some() {
             self.used.fetch_sub(bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// [`uncharge`](Self::uncharge)s `bytes()`, taking it off `charged`;
+    /// the reverse of [`charge_with`](Self::charge_with).
+    pub fn uncharge_with(&self, charged: &mut usize, bytes: impl FnOnce() -> usize) {
+        if self.limit.is_some() {
+            let bytes = bytes();
+            *charged -= bytes;
+            self.uncharge(bytes);
         }
     }
 
@@ -644,7 +653,11 @@ mod tests {
     #[test]
     fn unbounded_budget_is_a_no_op() {
         let b = MemoryBudget::unbounded();
-        assert!(!b.is_bounded());
+        let mut charged = 0;
+        assert!(b.charge_with(&mut charged, || unreachable!(
+            "an unbounded budget sizes nothing"
+        )));
+        assert_eq!(charged, 0);
         assert!(b.charge(usize::MAX / 2));
         assert!(b.charge(usize::MAX / 2));
         assert_eq!(b.used(), 0);

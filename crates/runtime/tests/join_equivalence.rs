@@ -13,7 +13,9 @@
 //! build-insertion order within a key group on either path, and the
 //! joins that expand per row.  Each plan runs over literal data and over
 //! `exec` answers of rows and of columns, unbounded and under a budget
-//! that never trips, against the reference evaluator.
+//! that never trips, against the reference evaluator.  Then the table
+//! under a budget that counts: a trip inside a kept batch, and a payload
+//! charged in place of the chunks it replaces.
 
 mod common;
 
@@ -218,8 +220,8 @@ fn join_output_rows_share_input_storage() {
     }
 }
 
-/// A bounded budget no test input can trip: the build loop makes and
-/// charges every row, and nothing spills.
+/// A bounded budget no test input can trip: the build loop charges every
+/// row, kept by position or made as it came, and nothing spills.
 const NEVER_TRIPS: MemBudget = MemBudget::Bytes(usize::MAX / 2);
 
 fn id_eq() -> ScalarExpr {
@@ -495,4 +497,84 @@ fn residual_and_unprojected_joins_give_the_reference_answer() {
         let unprojected = join_xy(probe, build, None);
         assert_matches_reference(&unprojected, batch_rows, 25);
     }
+}
+
+/// **(f)** A budget trips inside a kept build batch: the survivors up to
+/// the tripping one stay kept by position and the rest of the batch goes
+/// to Grace as rows.  A budget the build just fits charges the payload in
+/// place of the chunks it replaces, and spills nothing.  Fused pair
+/// projections, a join with no projection (the per-row expansion reads
+/// the kept rows) and one with a residual predicate (per-row sides) run
+/// over literal data and over `exec` answers of rows and of columns, at
+/// the default batch size: each answer is the reference's, materializes
+/// as many rows as the unbounded run and peaks within one build row of
+/// its budget.
+#[test]
+fn a_trip_inside_a_kept_build_batch_gives_the_reference_answer_and_counts() {
+    /// Generous for one build row, kept or made, and its key.
+    const ONE_ROW: usize = 512;
+    let mut rng = StdRng::seed_from_u64(0xF17);
+    let probe = common::random_people(&mut rng, 300, 500);
+    let build = common::random_people(&mut rng, 1_000, 500);
+    let residual = ScalarExpr::binary(
+        ScalarOp::Lt,
+        ScalarExpr::var_field("x", "salary"),
+        ScalarExpr::var_field("y", "salary"),
+    );
+    // Reads no build column but the key: its build keeps what the
+    // unprojected join's keeps, and a payload besides.
+    let key_only = ScalarExpr::StructLit(vec![
+        ("name".into(), ScalarExpr::var_field("x", "name")),
+        ("peer".into(), ScalarExpr::var_field("y", "id")),
+    ]);
+    let plans = [
+        join_xy(probe.clone(), build.clone(), None).map_project(key_only),
+        join_xy(probe.clone(), build.clone(), None),
+        join_xy(probe.clone(), build.clone(), None).map_project(salary_sum()),
+        join_xy(probe, build, Some(residual)).map_project(salary_sum()),
+    ];
+    let mut wholes = Vec::new();
+    for plan in &plans {
+        let (shipped, by_rows, by_columns) = common::resolved_twins(plan);
+        let (data, shipped) = (lower(plan).unwrap(), lower(&shipped).unwrap());
+        for (input, physical, resolved) in [
+            ("data", &data, ResolvedExecs::default()),
+            ("rows", &shipped, by_rows),
+            ("columns", &shipped, by_columns),
+        ] {
+            let expected = reference::evaluate_physical(physical, &resolved).unwrap();
+            let run = |mem_budget| {
+                let options = PipelineOptions {
+                    build_side: BuildSide::Right,
+                    mem_budget,
+                    ..PipelineOptions::default()
+                };
+                let metrics = PipelineMetrics::new();
+                let got = evaluate_physical_with(physical, &resolved, &metrics, options)
+                    .unwrap_or_else(|e| panic!("{input}, {mem_budget:?}: {e}: {plan}"));
+                assert_eq!(got, expected, "{input}, {mem_budget:?}: {plan}");
+                metrics
+            };
+            let unbounded = run(MemBudget::Unbounded).rows_materialized();
+            assert_eq!(unbounded, 1_000, "{input}: {plan}");
+            // What the build charges in all, when nothing trips.
+            let whole = run(NEVER_TRIPS).peak_tracked_bytes();
+            wholes.push(whole);
+            // The just-fitting budget, and one that trips near build row
+            // 375: inside the second 256-row batch.
+            for (budget, spills) in [(whole, false), (whole * 3 / 8, true)] {
+                let metrics = run(MemBudget::Bytes(budget));
+                let label = format!("{input}, {budget} of {whole} bytes: {plan}");
+                assert_eq!(metrics.rows_materialized(), unbounded, "{label}");
+                assert_eq!(metrics.bytes_spilled() > 0, spills, "{label}");
+                let peak = metrics.peak_tracked_bytes();
+                assert!(peak <= budget + ONE_ROW, "{label}: peak {peak}");
+            }
+        }
+    }
+    assert_eq!(
+        wholes[..3],
+        wholes[3..6],
+        "the key-only payload costs no more than the chunks it replaces"
+    );
 }

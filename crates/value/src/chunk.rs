@@ -148,8 +148,9 @@ pub enum Column {
 /// configured with; every column has exactly [`ColumnarChunk::len`]
 /// slots.  Columns are shared: a chunk over the column face of a bag
 /// ([`BagColumns::chunk`](crate::BagColumns::chunk)) is the bag's own
-/// columns, whole, and costs a reference-count bump each.
-#[derive(Clone)]
+/// columns, whole, and costs a reference-count bump each.  The default
+/// chunk has no rows and no columns.
+#[derive(Clone, Default)]
 pub struct ColumnarChunk {
     len: usize,
     columns: Vec<Arc<Column>>,
@@ -201,6 +202,18 @@ impl ColumnarChunk {
         ColumnarChunk { len, columns }
     }
 
+    /// Rough heap size of the chunk's columns cut to `rows` rows: each
+    /// column's header and `rows` of its slots.  A string slot is its
+    /// `Arc`, whose text the rows it was decoded from share.
+    #[must_use]
+    pub fn approx_bytes(&self, rows: usize) -> usize {
+        let header = std::mem::size_of::<Arc<Column>>() + std::mem::size_of::<(usize, usize)>();
+        self.columns
+            .iter()
+            .map(|column| header + std::mem::size_of::<Column>() + rows * column.slot_bytes())
+            .sum()
+    }
+
     /// The decoded column at builder field index `index`.
     ///
     /// # Panics
@@ -230,6 +243,19 @@ impl Column {
             | Column::Str { nulls, .. } => nulls.as_deref(),
             Column::Values(_) => None,
         }
+    }
+
+    /// The bytes one slot takes: its data, code and null flag.
+    fn slot_bytes(&self) -> usize {
+        let data = match self {
+            Column::Int { .. } | Column::Float { .. } => 8,
+            Column::Bool { .. } => 1,
+            Column::Str { codes, .. } => {
+                std::mem::size_of::<Arc<str>>() + codes.as_ref().map_or(0, |_| 4)
+            }
+            Column::Values(_) => std::mem::size_of::<Value>(),
+        };
+        data + usize::from(self.nulls().is_some())
     }
 
     /// Number of slots.
